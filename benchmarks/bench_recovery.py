@@ -60,7 +60,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.errors import SimulationError
+from repro.errors import StateTransferError
 from repro.sim.faults import FaultEvent
 from repro.sim.runner import ExperimentConfig
 from repro.sim.sweep import FigureSpec, SweepSpec, run_configs
@@ -408,7 +408,7 @@ def test_cold_restart_past_gc_horizon_diagnoses():
     config = _mode_config(
         "cold", _DURATION, gc_depth=20, sync_chunk_blocks=4096
     )
-    with pytest.raises(SimulationError, match="garbage-collection horizon"):
+    with pytest.raises(StateTransferError, match="garbage-collection horizon"):
         run_configs([config])
 
 

@@ -52,6 +52,10 @@ LIFECYCLE_STAGES = (
 #: (Tusk); uncertified DAGs decide waves without that stage.
 UNCERTIFIED_STAGES = tuple(s for s in LIFECYCLE_STAGES if s != BLOCK_CERTIFIED)
 
+#: The recovery driver's transitions, recorded on the ``sync`` track
+#: (:class:`repro.statesync.driver.RecoveryDriver` is their one emitter).
+SYNC_TRANSITIONS = ("recovery_started", "checkpoint_adopted", "sync_requested", "sync_finished")
+
 # Subsystem names become one Chrome-trace thread (tid) per validator
 # process (pid): where inside the validator the event happened.
 SUBSYSTEMS = ("client", "ingress", "consensus", "network", "commit", "sync")
@@ -149,3 +153,46 @@ class NullTracer:
 
 #: The shared default: pass this wherever no tracing was requested.
 NULL_TRACER = NullTracer()
+
+
+# ----------------------------------------------------------------------
+# Lifecycle emitters shared by both fabrics.  The simulator passes
+# virtual time, the runtime wall-clock time; callers guard with
+# ``if tracer.enabled:`` like every other recording site.
+# ----------------------------------------------------------------------
+def trace_proposal(tracer, validator: int, ts: float, block) -> None:
+    """An own block was proposed, including its transactions."""
+    txs = len(block.transactions)
+    tracer.instant(
+        validator, "consensus", BLOCK_PROPOSED, ts, {"round": block.round, "txs": txs}
+    )
+    if txs:
+        tracer.instant(
+            validator, "consensus", TX_INCLUDED, ts, {"round": block.round, "count": txs}
+        )
+
+
+def trace_commits(tracer, validator: int, ts: float, observations) -> None:
+    """Per decided slot: a wave-decision instant, plus commit and
+    execute instants for the transactions it linearized (both fabrics
+    apply the linearized prefix immediately, so committed and executed
+    coincide)."""
+    for observation in observations:
+        status = observation.status
+        tracer.instant(
+            validator,
+            "commit",
+            WAVE_DECIDED,
+            ts,
+            {
+                "round": status.slot.round,
+                "leader": status.slot.authority,
+                "decision": status.decision.name.lower(),
+                "blocks": len(observation.linearized),
+            },
+        )
+        txs = sum(len(block.transactions) for block in observation.linearized)
+        if txs:
+            args = {"round": status.slot.round, "count": txs}
+            tracer.instant(validator, "commit", TX_COMMITTED, ts, args)
+            tracer.instant(validator, "commit", TX_EXECUTED, ts, args)

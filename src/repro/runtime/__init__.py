@@ -34,7 +34,8 @@ from .messages import (
 from .transport import MemoryHub, MemoryTransport, TcpTransport, Transport
 from .wal import WalRecord, WriteAheadLog
 from .synchronizer import Synchronizer
-from .node import RECOVER_MODES, ValidatorNode
+from ..statesync import RECOVER_MODES
+from .node import ValidatorNode
 from .cluster import LocalCluster
 
 __all__ = [

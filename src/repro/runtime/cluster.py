@@ -66,7 +66,7 @@ class LocalCluster:
             ``n .. provisioned-1`` start outside the committee and may
             be joined live via :meth:`submit_reconfig`.
         recover_mode: Default restart path for every node (see
-            :data:`~repro.runtime.node.RECOVER_MODES`).
+            :data:`~repro.statesync.RECOVER_MODES`).
         """
         self.config = config or ProtocolConfig(wave_length=5, leaders_per_round=2)
         self.n = n

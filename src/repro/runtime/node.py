@@ -11,14 +11,17 @@ Runtime parity with the simulator (:class:`~repro.sim.node.SimValidator`):
   :class:`~repro.committee.ReconfigCommand` transactions activate epochs
   at deterministic commit-walk points, ``_peers()`` follows the active
   and latest-scheduled committees, and a member an activated epoch
-  excludes goes silent by itself (:meth:`ValidatorNode._check_epoch_exit`);
-* three restart paths (``recover_mode``): **warm** replays the
-  write-ahead log through the public core API before joining the
-  network; **checkpoint** adopts a ``2f + 1``-attested state-transfer
-  checkpoint (:mod:`repro.statesync`) and deep-fetches only the suffix
-  above the floor, raising the floor when peers report pruned history;
-  **cold** re-syncs from live traffic, switching to chunked deep
-  fetches when it detects it has fallen far behind;
+  excludes goes silent by itself;
+* restarts, re-sync and epoch exit are the shared, sans-IO
+  :class:`~repro.statesync.driver.RecoveryDriver` (cold / warm /
+  checkpoint modes — see its module docstring).  This class is its
+  runtime adaptor: it implements the driver's
+  :class:`~repro.statesync.driver.RecoveryPort` with an **outbox** the
+  synchronous driver calls fill and ``_flush`` drains with
+  ``await transport.send(...)``, and adds what only the runtime has —
+  asyncio, the transport, the fsynced WAL, wall-clock retry timers and
+  the *fallen-behind* trigger that switches a node from shallow
+  per-reference fetches to the chunked deep re-sync chain;
 * commit-state checkpoints are captured by the committer's
   :class:`~repro.statesync.CommitLedger` at the same deterministic
   commit-walk points as the sim, and served to recovering peers over
@@ -29,10 +32,11 @@ from __future__ import annotations
 
 import asyncio
 import time
+from collections import deque
 from pathlib import Path
 from typing import Awaitable, Callable
 
-from ..block import Block
+from ..block import Block, BlockRef
 from ..committee import Committee, CommitteeSchedule
 from ..config import ProtocolConfig
 from ..core.committer import CommitObservation
@@ -43,8 +47,7 @@ from ..errors import StateTransferError
 from ..obs import trace as _trace
 from ..obs.metrics import MetricsRegistry
 from ..obs.trace import NULL_TRACER
-from ..statesync import Checkpoint, CheckpointVotes, ancestor_closure, replay_wal
-from ..statesync.recovery import SYNC_MAX_BLOCKS
+from ..statesync import SYNC_MAX_BLOCKS, RecoveryDriver
 from ..transaction import Transaction
 from .messages import (
     BlockMessage,
@@ -57,12 +60,9 @@ from .messages import (
     SyncResponse,
     TransactionMessage,
 )
-from .synchronizer import Synchronizer
+from .synchronizer import RETRY_AFTER, Synchronizer
 from .transport import Transport
 from .wal import WriteAheadLog
-
-#: Restart paths a validator may take (mirrors the sim's RECOVER_MODES).
-RECOVER_MODES = ("cold", "warm", "checkpoint")
 
 #: How often the proposal loop re-checks readiness (seconds).
 _PROPOSE_POLL = 0.005
@@ -116,7 +116,8 @@ class ValidatorNode:
         wal_path: When set, blocks are persisted; warm recovery replays
             the log into the DAG before the node joins the network.
         min_block_interval: Proposal pacing (0 = propose at quorum edge).
-        recover_mode: Restart path, one of :data:`RECOVER_MODES`.
+        recover_mode: Restart path, one of
+            :data:`~repro.statesync.RECOVER_MODES`.
             Defaults to ``warm``, which degenerates to ``cold`` when
             there is no (or an empty) WAL — a first boot.
         sync_chunk_blocks: Most blocks served in one deep-fetch
@@ -129,10 +130,6 @@ class ValidatorNode:
             defaults to the no-op tracer.  Shared with the transport
             and synchronizer, alongside the node's metrics registry.
         """
-        if recover_mode not in RECOVER_MODES:
-            raise ValueError(
-                f"unknown recover_mode {recover_mode!r}; pick one of {RECOVER_MODES}"
-            )
         self.authority = authority
         self.core = MahiMahiCore(
             authority,
@@ -166,6 +163,9 @@ class ValidatorNode:
         self._g_round = m.gauge("round", help="current proposal round")
         self._g_pending = m.gauge("pending_blocks", help="blocks buffered awaiting ancestors")
         self._g_missing = m.gauge("missing_refs", help="references the synchronizer is fetching")
+        self._m_deep = m.counter(
+            "sync_deep_requests_sent", help="deep (chunked re-sync) requests issued"
+        )
         transport.instrument(tracer, m)
         self.synchronizer = Synchronizer(
             transport, self.schedule.provisioned, registry=m
@@ -176,29 +176,20 @@ class ValidatorNode:
         self._last_block: Block | None = None
         self._tasks: list[asyncio.Task] = []
         self._running = False
-        self._recover_mode = recover_mode
-        self._sync_chunk = sync_chunk_blocks
         self._on_recovery = on_recovery
-        #: Whether this node is re-syncing after a restart (no proposals
-        #: until the DAG behind the frontier is rebuilt).
-        self._syncing = False
-        self._ckpt_votes = CheckpointVotes(self._ckpt_quorum())
-        self._ckpt_adopted = False
+        self._recovery = RecoveryDriver(self.core, self, recover_mode, sync_chunk_blocks)
+        # Messages the (synchronous) driver and serving paths queued:
+        # ``(destination, message)``, destination ``None`` = broadcast.
+        self._outbox: deque[tuple[int | None, Message]] = deque()
         self._last_ckpt_request = float("-inf")
-        #: The restart path actually taken (a warm restart with an empty
-        #: WAL degenerates to, and reports, ``cold``).
-        self.recovery_mode_used = "cold"
-        self.checkpoint_adoptions = 0
-        self._recovered_at: float | None = None
         #: Seconds from restart to the first own proposal (None until a
         #: recovery completes).
         self.recovery_time: float | None = None
         #: Unrecoverable re-sync failure, surfaced instead of raised so
         #: the transport pump survives (hosts poll / report it).
         self.recovery_error: StateTransferError | None = None
-        # Epoch-versioned membership: once an activated epoch excludes a
-        # former member it leaves — stops proposing for good.
-        self._was_member = self.schedule.genesis_committee.is_member(authority)
+        #: Epoch-versioned membership: once an activated epoch excludes
+        #: a former member it leaves — stops proposing for good.
         self.left = False
         #: Committed observations, for consumers (SMR execution layers).
         self.commits: asyncio.Queue[CommitObservation] = asyncio.Queue()
@@ -213,6 +204,23 @@ class ValidatorNode:
     # ------------------------------------------------------------------
     # Lifecycle
     # ------------------------------------------------------------------
+    @property
+    def syncing(self) -> bool:
+        """Whether this node is re-syncing (no proposals until the DAG
+        behind the frontier is rebuilt)."""
+        return self._recovery.syncing
+
+    @property
+    def recovery_mode_used(self) -> str:
+        """The restart path actually taken (a warm restart with an empty
+        WAL degenerates to, and reports, ``cold``)."""
+        return self._recovery.recovery_mode_used
+
+    @property
+    def checkpoint_adoptions(self) -> int:
+        """State-transfer checkpoints this incarnation adopted."""
+        return self._recovery.checkpoint_adoptions
+
     async def start(self, *, barrier: "Callable[[], Awaitable[None]] | None" = None) -> None:
         """Recover per ``recover_mode``, start the transport and loops.
 
@@ -226,21 +234,12 @@ class ValidatorNode:
         if barrier is not None:
             await barrier()
         self._running = True
-        if self._recover_mode == "checkpoint":
+        if self._recovery.recover_mode == "checkpoint":
             # State transfer: no proposals (and no genesis-anchored
             # fetches) until a quorum-attested checkpoint is adopted and
             # the suffix above its floor is in.
-            self._syncing = True
-            self._recovered_at = time.monotonic()
-            if self.tracer.enabled:
-                self.tracer.instant(
-                    self.authority,
-                    "sync",
-                    "recovery_started",
-                    time.time(),
-                    {"mode": "checkpoint"},
-                )
-            await self._request_checkpoints()
+            self._recovery.begin_sync(time.monotonic())
+            await self._flush()
         self._tasks = [
             asyncio.create_task(self._proposal_loop()),
             asyncio.create_task(self._sync_loop()),
@@ -266,29 +265,14 @@ class ValidatorNode:
         Cold and checkpoint restarts skip replay — their history comes
         from the network.
         """
-        if self._wal_path is None or self._recover_mode != "warm":
+        replay = self._recovery.replay_wal(self._wal_path)
+        if replay is None:
             return
-        replay = replay_wal(self.core, self._wal_path)
         self.core.try_commit()
         if replay.blocks:
-            self.recovery_mode_used = "warm"
             # Re-sync the delta accumulated while down; live traffic
             # (or a deep fetch, if far behind) finishes the job.
-            self._syncing = True
-            self._recovered_at = time.monotonic()
-            if self.tracer.enabled:
-                self.tracer.instant(
-                    self.authority,
-                    "sync",
-                    "recovery_started",
-                    time.time(),
-                    {"mode": "warm", "replayed": len(replay.blocks)},
-                )
-
-    def _ckpt_quorum(self) -> int:
-        """The attestation quorum for checkpoint adoption: ``2f + 1`` of
-        the latest committee this validator knows."""
-        return self.schedule.latest.committee.quorum_threshold
+            self._recovery.begin_sync(time.monotonic(), replayed=replay.blocks)
 
     # ------------------------------------------------------------------
     # Client API
@@ -308,8 +292,9 @@ class ValidatorNode:
     async def _proposal_loop(self) -> None:
         while self._running:
             loop_time = asyncio.get_running_loop().time()
+            recovery = self._recovery
             if (
-                not self._syncing
+                not recovery.syncing
                 and not self.left
                 and self.core.ready_to_propose()
                 and loop_time - self._last_proposal >= self._interval
@@ -321,35 +306,20 @@ class ValidatorNode:
                     self._m_proposed.inc()
                     self._g_round.set(self.core.round)
                     if self.tracer.enabled:
-                        wall = time.time()
-                        self.tracer.instant(
-                            self.authority,
-                            "consensus",
-                            _trace.BLOCK_PROPOSED,
-                            wall,
-                            {"round": block.round, "txs": len(block.transactions)},
-                        )
-                        if block.transactions:
-                            self.tracer.instant(
-                                self.authority,
-                                "ingress",
-                                _trace.TX_INCLUDED,
-                                wall,
-                                {"round": block.round, "count": len(block.transactions)},
-                            )
+                        _trace.trace_proposal(self.tracer, self.authority, time.time(), block)
                     if self._wal is not None:
                         # Own proposals are durable *before* broadcast: a
                         # warm restart replays them and never signs a
                         # second block for a round it already used.
                         self._wal.append_own_block(block)
-                    if self._recovered_at is not None:
+                    if recovery.recovered_at is not None:
                         # First proposal after a restart: recovered.
-                        self.recovery_time = time.monotonic() - self._recovered_at
+                        self.recovery_time = time.monotonic() - recovery.recovered_at
+                        recovery.recovered_at = None
                         if self._on_recovery is not None:
                             self._on_recovery(
-                                self.authority, self.recovery_time, self.recovery_mode_used
+                                self.authority, self.recovery_time, recovery.recovery_mode_used
                             )
-                        self._recovered_at = None
                     await self.transport.broadcast(
                         BlockMessage(block=block), self._peers()
                     )
@@ -360,12 +330,11 @@ class ValidatorNode:
     async def _sync_loop(self) -> None:
         while self._running:
             if (
-                self._syncing
-                and self._recover_mode == "checkpoint"
-                and not self._ckpt_adopted
+                self._recovery.awaiting_checkpoint
                 and time.monotonic() - self._last_ckpt_request >= _CKPT_RETRY
             ):
-                await self._request_checkpoints()
+                self._recovery.request_checkpoints()
+                await self._flush()
             await self.synchronizer.tick()
             await self._maybe_rebroadcast()
             await asyncio.sleep(_SYNC_POLL)
@@ -374,7 +343,7 @@ class ValidatorNode:
         """Retransmit the latest own block after an idle stretch (see
         :data:`_REBROADCAST_AFTER`; duplicates are idempotent on the
         receiving side)."""
-        if self._last_block is None or self._syncing or self.left:
+        if self._last_block is None or self._recovery.syncing or self.left:
             return
         now = asyncio.get_running_loop().time()
         if now - max(self._last_proposal, self._last_rebroadcast) < _REBROADCAST_AFTER:
@@ -411,33 +380,57 @@ class ValidatorNode:
     # Message handling
     # ------------------------------------------------------------------
     async def _on_message(self, sender: int, message: Message) -> None:
+        """Handle one message synchronously (no state changes across an
+        ``await``), then send whatever it queued."""
+        recovery = self._recovery
         if isinstance(message, BlockMessage):
-            await self._ingest(message.block, sender)
+            self._ingest(message.block, sender)
         elif isinstance(message, FetchRequest):
-            await self._serve_fetch(message, sender)
+            available = recovery.held_blocks(message.refs)
+            if available:
+                self._outbox.append((sender, FetchResponse(blocks=tuple(available))))
         elif isinstance(message, FetchResponse):
             for block in message.blocks:
-                await self._ingest(block, sender, live=False)
+                self._ingest(block, sender, live=False)
         elif isinstance(message, CheckpointRequest):
-            await self._serve_checkpoints(sender)
+            response = CheckpointResponse(checkpoints=recovery.retained_checkpoints())
+            self._outbox.append((sender, response))
         elif isinstance(message, CheckpointResponse):
-            await self._on_ckpt_resp(message.checkpoints, sender)
+            recovery.on_checkpoint_response(sender, message.checkpoints)
         elif isinstance(message, SyncRequest):
-            await self._serve_sync(message, sender)
+            blocks, pruned = recovery.serve_sync(message.refs, message.floor)
+            response = SyncResponse(blocks=blocks, pruned=pruned, token=message.token)
+            self._outbox.append((sender, response))
         elif isinstance(message, SyncResponse):
-            await self._on_sync_response(message, sender)
+            try:
+                recovery.on_sync_response(sender, message.blocks, message.pruned, message.token)
+            except StateTransferError as error:
+                # Surfaced instead of raised: the transport pump must
+                # survive, and the re-sync chain stops here.
+                self.recovery_error = error
         elif isinstance(message, TransactionMessage):
             for tx in message.transactions:
                 self.submit_transaction(tx)
+        if self._outbox:
+            await self._flush()
 
-    async def _ingest(self, block: Block, sender: int, live: bool = True) -> None:
+    async def _flush(self) -> None:
+        """Send everything queued so far, in order."""
+        outbox = self._outbox
+        while outbox:
+            dst, message = outbox.popleft()
+            if dst is None:
+                await self.transport.broadcast(message, self._peers())
+            else:
+                await self.transport.send(dst, message)
+
+    def _ingest(self, block: Block, sender: int, live: bool = True) -> None:
         result = self.core.add_block(block)
         if result.missing:
-            await self._request_missing(sender, result.missing, block, live)
+            self._request_missing(sender, result.missing, block, live)
         for accepted in result.accepted:
             self.synchronizer.note_arrived(accepted.digest)
-            if self._wal is not None and accepted.author != self.authority:
-                self._wal.append_peer_block(accepted)
+            self.persist_peer_block(accepted)
         if result.accepted:
             self._m_received.inc(len(result.accepted))
             self._g_pending.set(self.core.pending_count)
@@ -452,275 +445,71 @@ class ValidatorNode:
                         wall,
                         {"author": accepted.author, "round": accepted.round, "src": sender},
                     )
-            if self._syncing and live and self.core.pending_count == 0:
-                # Caught up: a freshly broadcast block connected with its
-                # whole causal history present.  Fetched chunks
-                # (live=False) never count — they prove nothing about
-                # the frontier.
-                self._finish_sync()
+            if self._recovery.syncing:
+                self._recovery.block_connected(live)
             self._drain_commits()
 
-    async def _request_missing(
-        self, sender: int, missing: tuple, block: Block, live: bool
-    ) -> None:
+    def _request_missing(self, sender: int, missing: tuple, block: Block, live: bool) -> None:
         """Route missing-ancestor reports to the right fetch shape."""
-        if self._syncing:
-            if self._recover_mode == "checkpoint" and not self._ckpt_adopted:
-                # State transfer first: fetching toward genesis would
-                # fight the adoption (and fail once peers have pruned).
-                # Incoming blocks buffer as pending and connect once the
-                # suffix above the adopted floor arrives.
+        recovery = self._recovery
+        if not recovery.syncing:
+            behind = block.round - self.core.store.highest_round
+            if not (live and behind > _BEHIND_WAVES * self.config.wave_length):
+                self.synchronizer.note_missing(missing, sender)
                 return
-            if not self.synchronizer.sync_inflight:
-                await self.synchronizer.request_deep(
-                    sender, missing, self._sync_floor()
-                )
-            return
-        if live and self._behind_by(block) > _BEHIND_WAVES * self.config.wave_length:
             # Fallen far behind (cold restart, long partition): shallow
             # per-reference fetches would crawl — enter the chunked deep
             # re-sync chain instead.
-            self._syncing = True
-            if self._recovered_at is None:
-                self._recovered_at = time.monotonic()
-            if self.tracer.enabled:
-                self.tracer.instant(
-                    self.authority,
-                    "sync",
-                    "recovery_started",
-                    time.time(),
-                    {"mode": "cold", "behind": self._behind_by(block)},
-                )
-            await self.synchronizer.request_deep(sender, missing, self._sync_floor())
-            return
-        self.synchronizer.note_missing(missing, sender)
-
-    def _behind_by(self, block: Block) -> int:
-        return block.round - self.core.store.highest_round
-
-    def _sync_floor(self) -> int:
-        """The advertised deep-fetch floor: everything accepted so far,
-        or — right after a checkpoint adoption, when the store holds
-        only genesis — the adopted state-transfer floor."""
-        store = self.core.store
-        return max(store.highest_round, store.sync_floor - 1)
-
-    def _finish_sync(self) -> None:
-        self._syncing = False
-        if self.tracer.enabled:
-            self.tracer.instant(
-                self.authority,
-                "sync",
-                "sync_finished",
-                time.time(),
-                {"mode": self.recovery_mode_used},
-            )
-        # Never propose in a round the pre-crash incarnation already
-        # proposed in: lead with the newest visible own-authored block.
-        self.core.restore_own_position()
+            recovery.begin_sync(time.monotonic(), behind=behind)
+        recovery.request_sync(sender, missing)
 
     # ------------------------------------------------------------------
-    # Serving fetches
+    # RecoveryPort: what the recovery driver asks of this host
     # ------------------------------------------------------------------
-    async def _serve_fetch(self, request: FetchRequest, sender: int) -> None:
-        available = [
-            self.core.store.get(ref.digest)
-            for ref in request.refs
-            if ref.digest in self.core.store
-        ]
-        if available:
-            await self.transport.send(sender, FetchResponse(blocks=tuple(available)))
-
-    async def _serve_sync(self, request: SyncRequest, sender: int) -> None:
-        """Serve one deep-fetch chunk.  Sync requests always get a
-        response — an empty one tells the re-syncing requester to
-        unblock and try elsewhere — and requested references this peer
-        already garbage-collected are flagged, so a re-sync that *needs*
-        pruned history fails fast instead of livelocking."""
-        store = self.core.store
-        available = [store.get(ref.digest) for ref in request.refs if ref.digest in store]
-        pruned = tuple(
-            ref
-            for ref in request.refs
-            if ref.digest not in store and 0 < ref.round < store.lowest_round
-        )
-        served = ancestor_closure(store, available, request.floor, self._sync_chunk)
-        await self.transport.send(
-            sender,
-            SyncResponse(blocks=tuple(served), pruned=pruned, token=request.token),
-        )
-
-    async def _serve_checkpoints(self, sender: int) -> None:
-        ledger = getattr(self.core.committer, "ledger", None)
-        checkpoints = tuple(ledger.checkpoints) if ledger is not None else ()
-        await self.transport.send(sender, CheckpointResponse(checkpoints=checkpoints))
-
-    # ------------------------------------------------------------------
-    # Checkpoint adoption (state transfer)
-    # ------------------------------------------------------------------
-    async def _request_checkpoints(self) -> None:
-        self._last_ckpt_request = time.monotonic()
-        self._ckpt_votes.clear()
-        await self.transport.broadcast(CheckpointRequest(), self._peers())
-
-    async def _on_ckpt_resp(
-        self, checkpoints: tuple[Checkpoint, ...], sender: int
+    def send_sync_request(
+        self, peer: int, refs: tuple[BlockRef, ...], floor: int, token: int
     ) -> None:
-        if not self._syncing or self._ckpt_adopted:
-            return
-        best = self._ckpt_votes.add(sender, checkpoints)
-        if best is not None:
-            await self._adopt_checkpoint(best)
-
-    async def _adopt_checkpoint(self, checkpoint: Checkpoint) -> None:
-        """``2f + 1`` matching responses arrived: fast-forward the fresh
-        core to the checkpoint and kick the suffix fetch at an attester
-        (the first responder — the lowest-latency peer)."""
-        attesters = self._ckpt_votes.attesters(checkpoint)
-        self._ckpt_adopted = True
-        self.recovery_mode_used = "checkpoint"
-        self.checkpoint_adoptions += 1
-        self.core.adopt_checkpoint(checkpoint)
-        self._ckpt_votes.clear()
-        refs = checkpoint.frontier
-        if refs:
-            await self.synchronizer.request_deep(attesters[0], refs, self._sync_floor())
-
-    # ------------------------------------------------------------------
-    # Deep-fetch responses (the re-sync chain)
-    # ------------------------------------------------------------------
-    async def _on_sync_response(self, message: SyncResponse, sender: int) -> None:
-        # Only the response to the request currently in flight may drive
-        # the chain (or declare it finished): a stale response still
-        # contributes blocks but proves nothing.
-        current = self.synchronizer.note_sync_response(message.token)
-        if message.pruned and self._syncing and current:
-            if not self._absorb_pruned_history(message.pruned):
-                return
-        if not message.blocks:
-            if message.pruned and self._syncing and current:
-                # The whole request sat behind the (absorbed) pruning
-                # horizon; ask for whatever the frontier still misses.
-                await self._continue_sync(sender)
-            return
-        for block in message.blocks:
-            await self._ingest(block, sender, live=False)
-        if not (self._syncing and current):
-            return
-        if self.core.pending_count == 0 and len(message.blocks) < self._sync_chunk:
-            # A short chunk: the serving peer transferred its whole
-            # closure, frontier included — we are as caught up as an
-            # honest peer was a round trip ago.
-            self._finish_sync()
-        else:
-            await self._continue_sync(sender)
-
-    async def _continue_sync(self, peer: int) -> None:
-        """Chain the next re-sync chunk immediately after ingesting one,
-        with the floor advanced past everything just accepted."""
-        refs = self.core.missing_frontier()
-        if refs:
-            await self.synchronizer.request_deep(peer, refs, self._sync_floor())
-
-    def _absorb_pruned_history(self, pruned: tuple) -> bool:
-        """A sync peer garbage-collected history this re-sync asked for.
-
-        After a checkpoint adoption this is expected (peers keep
-        committing, their pruning horizon slides): the flagged rounds
-        are globally settled, so the floor is raised past them and the
-        sync continues.  Outside the adopted span the history is simply
-        unrecoverable — the failure is recorded on
-        :attr:`recovery_error` (raising would kill the transport pump)
-        and the chain stops.  Returns whether the sync may continue.
-        """
-        if self._recover_mode == "checkpoint" and not self._ckpt_adopted:
-            return True  # state transfer pending; it bypasses the span
-        ledger = getattr(self.core.committer, "ledger", None)
-        base = ledger.adopted_base if ledger is not None else None
-        if (
-            self._ckpt_adopted
-            and base is not None
-            and all(ref.round <= base.round for ref in pruned)
-        ):
-            floor = max(ref.round for ref in pruned) + 1
-            for block in self.core.raise_sync_floor(floor):
-                if self._wal is not None and block.author != self.authority:
-                    self._wal.append_peer_block(block)
-            return True
-        detail = (
-            "the adopted checkpoint went stale mid-recovery (peers pruned past "
-            "its round); lower checkpoint_interval or raise gc_depth"
-            if self._ckpt_adopted
-            else "recovery past the GC horizon needs recover_mode='checkpoint' "
-            "(state transfer) or a larger gc_depth"
+        self._m_deep.inc()
+        self._outbox.append((peer, SyncRequest(refs=refs, floor=floor, token=token)))
+        asyncio.get_running_loop().call_later(
+            RETRY_AFTER, self._recovery.sync_timed_out, token
         )
-        self.recovery_error = StateTransferError(
-            f"validator {self.authority}: re-sync needs {len(pruned)} block(s) "
-            f"behind a peer's garbage-collection horizon "
-            f"(first: {pruned[0]!r}); {detail}"
-        )
-        return False
+
+    def broadcast_checkpoint_request(self) -> None:
+        self._last_ckpt_request = time.monotonic()
+        self._outbox.append((None, CheckpointRequest()))
+
+    def persist_peer_block(self, block: Block) -> None:
+        if self._wal is not None and block.author != self.authority:
+            self._wal.append_peer_block(block)
+
+    def ingest_fetched(self, block: Block, peer: int) -> None:
+        self._ingest(block, peer, live=False)
+
+    def trace_instant(self, name: str, args: dict) -> None:
+        if self.tracer.enabled:
+            self.tracer.instant(self.authority, "sync", name, time.time(), args)
 
     # ------------------------------------------------------------------
     # Committing and epochs
     # ------------------------------------------------------------------
     def _drain_commits(self) -> None:
         observations = self.core.try_commit()
+        if not observations:
+            return
         for observation in observations:
             self.commits.put_nowait(observation)
             self.committed_blocks.extend(observation.linearized)
-        if observations:
-            self._record_commit_metrics(observations)
-        if observations and self._wal is not None:
-            self._wal.append_commit_mark(self.core.committer.last_finalized_round)
-        if observations and not self.schedule.is_static:
-            self._check_epoch_exit()
-
-    def _record_commit_metrics(self, observations: tuple[CommitObservation, ...]) -> None:
-        """Registry counters plus — when tracing — one wave-decision
-        instant per slot and commit/execute instants for linearized
-        transactions (the runtime applies the linearized prefix to its
-        commit queue immediately, so committed and executed coincide)."""
-        tracing = self.tracer.enabled
-        wall = time.time() if tracing else 0.0
-        for observation in observations:
-            status = observation.status
-            self._m_waves.inc(decision=status.decision.name.lower())
-            blocks = len(observation.linearized)
-            self._m_committed_blocks.inc(blocks)
-            txs = sum(len(b.transactions) for b in observation.linearized)
-            self._m_committed_tx.inc(txs)
-            if tracing:
-                args = {
-                    "round": status.slot.round,
-                    "leader": status.slot.authority,
-                    "decision": status.decision.name.lower(),
-                    "blocks": blocks,
-                }
-                self.tracer.instant(
-                    self.authority, "commit", _trace.WAVE_DECIDED, wall, args
-                )
-                if txs:
-                    tx_args = {"round": status.slot.round, "count": txs}
-                    self.tracer.instant(
-                        self.authority, "commit", _trace.TX_COMMITTED, wall, tx_args
-                    )
-                    self.tracer.instant(
-                        self.authority, "commit", _trace.TX_EXECUTED, wall, tx_args
-                    )
+            self._m_waves.inc(decision=observation.status.decision.name.lower())
+            self._m_committed_blocks.inc(len(observation.linearized))
+            self._m_committed_tx.inc(sum(len(b.transactions) for b in observation.linearized))
         self._g_pending.set(self.core.pending_count)
-
-    def _check_epoch_exit(self) -> None:
-        """Go silent for good once an activated epoch excludes us.
-
-        Between a committed leave command and its activation round the
-        validator keeps proposing (thresholds still count it); at the
-        boundary it stops — exactly when ``2f + 1`` stops counting it,
-        so liveness never depends on a departed member.  The transport
-        keeps serving fetches (a real leaver drains before shutdown).
-        """
-        committee = self.schedule.committee_at(self.core.store.highest_round)
-        if committee.is_member(self.authority):
-            self._was_member = True
-        elif self._was_member:
+        if self.tracer.enabled:
+            _trace.trace_commits(self.tracer, self.authority, time.time(), observations)
+        if self._wal is not None:
+            self._wal.append_commit_mark(self.core.committer.last_finalized_round)
+        # Go silent for good once an activated epoch excludes us; the
+        # transport keeps serving fetches (a real leaver drains before
+        # shutdown).
+        if not self.schedule.is_static and self._recovery.excluded_by_epoch():
             self.left = True

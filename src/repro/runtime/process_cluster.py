@@ -198,7 +198,7 @@ async def _child_main(spec_path: str) -> None:
             "recovery_error": (
                 str(node.recovery_error) if node.recovery_error else None
             ),
-            "syncing": node._syncing,
+            "syncing": node.syncing,
             "left": node.left,
             "epochs": [list(info) for info in node.schedule.snapshot()],
             "tx_committed": len(latencies),

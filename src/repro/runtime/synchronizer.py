@@ -5,20 +5,14 @@ when a validator receives a block whose ancestors it lacks, it requests
 them from the sender (who, having relayed the block, must hold its full
 causal history) and retries against other peers on timeout.
 
-Two fetch shapes:
-
-* **shallow** — exactly the named references (the common case: a block
-  arrived a little early and names one or two parents still in flight);
-* **deep** — the named references *plus their whole stored ancestor
-  closure* above a floor, served in bounded chunks, lowest rounds first
-  (:class:`~repro.runtime.messages.SyncRequest`).  A recovering
-  validator rebuilds the DAG this way.  At most **one** deep fetch is
-  outstanding at a time — the in-flight chain (or its continuation off
-  the response) covers everything; firing another full-closure fetch
-  per incoming broadcast would re-serve the same span many times over.
-  Responses are token-tagged so only the request currently in flight
-  drives the chain, and a retry timeout clears the marker in case the
-  serving peer never answers.
+This class is the **shallow** fetch shape only — exactly the named
+references (the common case: a block arrived a little early and names
+one or two parents still in flight), batched per peer and retried with
+peer rotation.  The **deep** shape a recovering validator rebuilds the
+DAG with (the named references *plus their whole stored ancestor
+closure*, chunked, token-tagged, one in flight at a time) belongs to
+the fabric-independent :class:`~repro.statesync.driver.RecoveryDriver`;
+:class:`~repro.runtime.node.ValidatorNode` sends its requests.
 """
 
 from __future__ import annotations
@@ -29,11 +23,11 @@ from dataclasses import dataclass
 from ..block import BlockRef
 from ..crypto.hashing import Digest
 from ..obs.metrics import MetricsRegistry
-from .messages import FetchRequest, SyncRequest
+from .messages import FetchRequest
 from .transport import Transport
 
 #: Seconds before a fetch is retried against another peer (also the
-#: deep-fetch chain's in-flight timeout).
+#: node's timeout for a deep fetch in flight).
 RETRY_AFTER = 1.0
 #: Maximum references batched into one request.
 BATCH = 64
@@ -59,22 +53,13 @@ class Synchronizer:
         self._transport = transport
         self._n = committee_size
         self._pending: dict[Digest, _Pending] = {}
-        # Request counters live in the (possibly shared) metrics
+        # The request counter lives in the (possibly shared) metrics
         # registry, so a cluster's status JSON reports sync activity
         # without a second set of ad-hoc ints.
         registry = registry if registry is not None else MetricsRegistry()
         self._m_requests = registry.counter(
             "sync_requests_sent", help="shallow fetch requests issued"
         )
-        self._m_deep = registry.counter(
-            "sync_deep_requests_sent", help="deep (chunked re-sync) requests issued"
-        )
-        # Deep-fetch chain state: the token in flight (0 = none), a
-        # monotonic counter so stale responses never clear a newer
-        # request, and the send time for the retry timeout.
-        self._sync_token = 0
-        self._sync_inflight = 0
-        self._sync_sent_at = 0.0
 
     @property
     def requests_sent(self) -> int:
@@ -82,28 +67,15 @@ class Synchronizer:
         return int(self._m_requests.total)
 
     @property
-    def deep_requests_sent(self) -> int:
-        """Deep fetch requests issued so far."""
-        return int(self._m_deep.total)
-
-    @property
     def missing(self) -> int:
-        """Number of references still being fetched (shallow)."""
+        """Number of references still being fetched."""
         return len(self._pending)
-
-    @property
-    def sync_inflight(self) -> bool:
-        """Whether a deep fetch is currently outstanding."""
-        return self._sync_inflight != 0
 
     def update_committee_size(self, n: int) -> None:
         """Follow epoch transitions: retry rotation covers the new
         committee's index range."""
         self._n = n
 
-    # ------------------------------------------------------------------
-    # Shallow fetches
-    # ------------------------------------------------------------------
     def note_missing(self, refs: tuple[BlockRef, ...], sender: int) -> None:
         """Register missing ancestors reported while ingesting a block."""
         for ref in refs:
@@ -115,12 +87,8 @@ class Synchronizer:
         self._pending.pop(digest, None)
 
     async def tick(self, now: float | None = None) -> None:
-        """Issue or retry fetch requests (call periodically).  Also
-        expires a deep fetch whose serving peer never answered, so the
-        next trigger can re-arm the chain elsewhere."""
+        """Issue or retry fetch requests (call periodically)."""
         now = time.monotonic() if now is None else now
-        if self._sync_inflight and now - self._sync_sent_at >= RETRY_AFTER:
-            self._sync_inflight = 0
         by_peer: dict[int, list[BlockRef]] = {}
         for pending in self._pending.values():
             if now - pending.last_request < RETRY_AFTER:
@@ -143,41 +111,3 @@ class Synchronizer:
             return pending.ref.author
         candidates = [v for v in range(self._n) if v != self._transport.authority]
         return candidates[pending.attempts % len(candidates)]
-
-    # ------------------------------------------------------------------
-    # Deep fetches (recovery re-sync chain)
-    # ------------------------------------------------------------------
-    async def request_deep(
-        self,
-        peer: int,
-        refs: tuple[BlockRef, ...],
-        floor: int,
-        now: float | None = None,
-    ) -> int:
-        """Send one chunked deep fetch unless a chain is already in
-        flight; returns the request's token (0 when suppressed)."""
-        if self._sync_inflight or not refs:
-            return 0
-        self._sync_token += 1
-        self._sync_inflight = self._sync_token
-        self._sync_sent_at = time.monotonic() if now is None else now
-        self._m_deep.inc()
-        await self._transport.send(
-            peer, SyncRequest(refs=refs, floor=floor, token=self._sync_token)
-        )
-        return self._sync_token
-
-    def note_sync_response(self, token: int) -> bool:
-        """Whether ``token`` tags the deep fetch currently in flight;
-        clears the in-flight marker when it does.  Stale responses (a
-        previous incarnation's, or one that raced the retry timeout)
-        still carry useful blocks but must not drive the chain."""
-        current = bool(token) and token == self._sync_inflight
-        if current:
-            self._sync_inflight = 0
-        return current
-
-    def reset(self) -> None:
-        """Drop all fetch state (a restart loses its queues)."""
-        self._pending.clear()
-        self._sync_inflight = 0

@@ -17,27 +17,16 @@ synchronizer sub-component the liveness proofs rely on (Lemma 8).
 Crash-recovery rides the same path: :meth:`SimValidator.crash` silences
 the validator and discards whatever it was processing; a later
 :meth:`SimValidator.recover` restarts it with an **empty in-memory
-state** (a fresh core holding only genesis) and re-syncs by one of
-three modes:
-
-* **cold** — the first block it hears triggers a *deep* fetch (the peer
-  serves the block's whole available ancestor closure, lowest rounds
-  first); the validator re-syncs the DAG behind the commit frontier,
-  recommits deterministically from genesis, and resumes proposing.
-* **warm** — the validator first replays its own write-ahead log (own
-  blocks, peer blocks — restoring most of the DAG and its proposal
-  round locally), then deep-fetches only the delta accumulated while it
-  was down.
-* **checkpoint** — when the needed history sits behind the peers'
-  garbage-collection horizon (or refetching to genesis is simply too
-  expensive), the validator adopts a quorum-attested state-transfer
-  checkpoint (``ckpt_req``/``ckpt_resp``, 2f+1 matching responses; see
-  :mod:`repro.sim.checkpoint`) and deep-fetches only the suffix above
-  the checkpoint's floor.
-
-A cold or warm re-sync that *needs* pruned history fails with a clear
-diagnostic instead of livelocking: peers flag requested-but-pruned
-references in their ``sync_resp``.
+state** (a fresh core holding only genesis) and re-syncs in the cold,
+warm or checkpoint mode.  The recovery state machine itself — mode
+selection, checkpoint tally and adoption, the chunked deep-fetch chain,
+pruned-history handling, epoch exit — is the fabric-independent
+:class:`~repro.statesync.driver.RecoveryDriver`; this class is its
+simulator adaptor (it implements the driver's
+:class:`~repro.statesync.driver.RecoveryPort`) and adds what only the
+simulator has: the event loop and its retry timers, the CPU-stage
+model (a WAL replay is charged as consensus CPU time), the Tusk
+header/ack path, equivocation dispatch and wire-size accounting.
 """
 
 from __future__ import annotations
@@ -48,22 +37,16 @@ from typing import Callable
 from ..block import Block, BlockRef
 from ..core.protocol import MahiMahiCore
 from ..crypto.hashing import Digest
-from ..errors import SimulationError
 from ..obs import trace as _trace
 from ..obs.trace import NULL_TRACER
 from ..runtime.wal import WriteAheadLog
-from ..statesync import Checkpoint
+from ..statesync.driver import RecoveryDriver
 from ..statesync.recovery import SYNC_MAX_BLOCKS as _SYNC_MAX_BLOCKS
-from ..statesync.recovery import ancestor_closure
 from ..transaction import Transaction
-from .checkpoint import CheckpointVotes, replay_cost, replay_wal
+from .checkpoint import replay_cost
 from .events import EventLoop
 from .faults import NodeBehavior, make_equivocating_sibling
 from .network import Message, SimNetwork
-
-#: Recovery modes a restarted validator may use.
-RECOVER_MODES = ("cold", "warm", "checkpoint")
-
 
 @dataclass(frozen=True, slots=True)
 class CpuConfig:
@@ -146,20 +129,10 @@ class SimValidator:
         "_down",
         "_incarnation",
         "_core_factory",
-        "_syncing",
-        "_sync_inflight",
-        "_sync_token",
-        "_recovered_at",
+        "_recovery",
         "_on_recovery",
         "_mixed_tx_sizes",
-        "_recover_mode",
         "_wal",
-        "_sync_chunk",
-        "_ckpt_votes",
-        "_ckpt_adopted",
-        "_recovery_mode_used",
-        "checkpoint_adoptions",
-        "_was_member",
         "left_at",
         "_slow",
         "ever_equivocated",
@@ -225,7 +198,8 @@ class SimValidator:
             empty WAL degenerates to, and reports, ``cold``).
         mixed_tx_sizes: Account block wire sizes per transaction (each
             may carry a ``size_hint``) instead of the uniform fast path.
-        recover_mode: Restart path, one of :data:`RECOVER_MODES`.
+        recover_mode: Restart path, one of
+            :data:`~repro.statesync.driver.RECOVER_MODES`.
         wal: Write-ahead log backing warm restarts: own blocks, peer
             blocks, and commit marks are appended during operation and
             replayed on ``recover`` when ``recover_mode`` is ``warm``.
@@ -275,29 +249,10 @@ class SimValidator:
         self._down = start_down or self.behavior.is_down(loop.now)
         self._incarnation = 0
         self._core_factory = core_factory
-        self._syncing = False
-        # One outstanding re-sync chain at a time: token of the sync
-        # fetch currently in flight (0 = none), and a monotonic counter
-        # so timeouts only clear the request they armed.
-        self._sync_inflight = 0
-        self._sync_token = 0
-        self._recovered_at: float | None = None
+        self._recovery = RecoveryDriver(core, self, recover_mode, sync_chunk_blocks)
         self._on_recovery = on_recovery
         self._mixed_tx_sizes = mixed_tx_sizes
-        if recover_mode not in RECOVER_MODES:
-            raise ValueError(f"unknown recover_mode {recover_mode!r}; pick one of {RECOVER_MODES}")
-        self._recover_mode = recover_mode
         self._wal = wal
-        self._sync_chunk = sync_chunk_blocks
-        self._ckpt_votes = CheckpointVotes(self._ckpt_quorum())
-        self._ckpt_adopted = False
-        self._recovery_mode_used = "cold"
-        self.checkpoint_adoptions = 0
-        # Epoch-versioned committees: a validator that was once an
-        # active member and later drops out of the active committee has
-        # *left* — it goes silent once it observes the excluding epoch.
-        # (A joiner starts with this False and flips it on activation.)
-        self._was_member = core.schedule.genesis_committee.is_member(core.authority)
         #: When this validator actually went silent for good (epoch
         #: reconfiguration: the *activation* of the excluding epoch, not
         #: the leave command's submission — availability accounting uses
@@ -330,6 +285,16 @@ class SimValidator:
         """Whether the validator is currently silent (crashed/left/not
         yet joined)."""
         return self._down
+
+    @property
+    def syncing(self) -> bool:
+        """Whether the validator is re-syncing after a restart."""
+        return self._recovery.syncing
+
+    @property
+    def checkpoint_adoptions(self) -> int:
+        """State-transfer checkpoints adopted over all incarnations."""
+        return self._recovery.checkpoint_adoptions
 
     def start(self) -> None:
         """Propose the first block (round 1 follows from genesis)."""
@@ -385,9 +350,9 @@ class SimValidator:
         mempool, no certification or fetch state.  Depending on
         ``recover_mode`` it then replays its WAL (warm), requests a
         state-transfer checkpoint (checkpoint), or goes straight to
-        deep fetches from genesis (cold) — see the module docstring —
-        and resumes proposing once the frontier quorum is causally
-        complete.
+        deep fetches from genesis (cold) — see
+        :mod:`repro.statesync.driver` — and resumes proposing once the
+        frontier quorum is causally complete.
         """
         if not self._down:
             return
@@ -396,7 +361,6 @@ class SimValidator:
         self._fetching.clear()
         self._last_proposal = float("-inf")
         self._propose_timer_armed = False
-        self._sync_inflight = 0
         if self._core_factory is None:
             # Process pause, not restart: all state retained, nothing
             # to re-sync — resume where we left off.
@@ -407,98 +371,55 @@ class SimValidator:
         self._cert_sent.clear()
         self._ingress_free = 0.0
         self._consensus_free = 0.0
-        self._syncing = True
-        self._recovered_at = self._loop.now
-        self._ckpt_votes = CheckpointVotes(self._ckpt_quorum())
-        self._ckpt_adopted = False
-        self._recovery_mode_used = "cold"
-        if self._tracer.enabled:
-            self._tracer.instant(
-                self.authority,
-                "sync",
-                "recovery_started",
-                self._loop.now,
-                {"mode": self._recover_mode},
-            )
-        if self._recover_mode == "warm" and self._wal is not None:
-            self._replay_wal()
-        elif self._recover_mode == "checkpoint":
-            self._request_checkpoints()
-
-    def _replay_wal(self) -> None:
-        """Warm restart: rebuild the DAG (and the proposal-round floor)
-        from the local write-ahead log before syncing the delta."""
-        replay = replay_wal(self.core, self._wal.path)
-        if not replay.blocks:
-            return  # empty log (e.g. first start): plain cold restart
-        self._recovery_mode_used = "warm"
-        if self._cpu is not None:
+        recovery = self._recovery
+        recovery.restart(self.core)
+        replay = recovery.replay_wal(self._wal.path if self._wal is not None else None)
+        if replay is not None and replay.blocks and self._cpu is not None:
             # Replay is local CPU work, not network round trips: charge
             # the consensus stage so post-restart messages queue behind
             # it, exactly like a real validator re-indexing its log.
             cost = replay_cost(replay, self._cpu, self._tx_weight) * self._slow
             self._consensus_free = max(self._loop.now, self._consensus_free) + cost
+        recovery.begin_sync(self._loop.now)
 
     # ------------------------------------------------------------------
-    # Checkpoint adoption (state transfer)
+    # RecoveryPort: what the recovery driver asks of this host
     # ------------------------------------------------------------------
-    def _ckpt_quorum(self) -> int:
-        """The attestation quorum for checkpoint adoption: ``2f + 1`` of
-        the *latest committee this validator knows* — the genesis
-        committee for a freshly restarted core, the current epoch's for
-        a pause-mode node.  A recoverer that slept across epochs it
-        never learned has a bootstrap-trust gap (it may demand a stale
-        quorum size); real deployments solve that with a light-client
-        protocol, which is out of scope here (see ROADMAP) — the sim's
-        reconfiguration sweeps never shrink the committee below the
-        genesis quorum."""
-        return self.core.schedule.latest.committee.quorum_threshold
+    def send_sync_request(
+        self, peer: int, refs: tuple[BlockRef, ...], floor: int, token: int
+    ) -> None:
+        now = self._loop.now
+        for ref in refs:
+            self._fetching[ref.digest] = now
+        self._loop.schedule(_FETCH_RETRY, self._recovery.sync_timed_out, token)
+        self._network.send(
+            self.authority,
+            peer,
+            "fetch_req",
+            (refs, floor, token),
+            _REF_WIRE_SIZE * len(refs) + 4,
+        )
 
-    def _request_checkpoints(self) -> None:
-        """Broadcast ``ckpt_req`` and arm a retry: peers may not have
-        finalized (and hence captured) anything yet."""
-        self._ckpt_votes.clear()
+    def broadcast_checkpoint_request(self) -> None:
         self._network.broadcast(self.authority, "ckpt_req", None, _CKPT_REQ_SIZE)
         self._loop.schedule(_CKPT_RETRY, self._ckpt_retry, self._incarnation)
 
     def _ckpt_retry(self, incarnation: int) -> None:
         if incarnation != self._incarnation or self._down:
             return
-        if not self._syncing or self._ckpt_adopted:
-            return
-        self._request_checkpoints()
+        if self._recovery.awaiting_checkpoint:
+            self._recovery.request_checkpoints()
 
-    def _serve_checkpoints(self, src: int) -> None:
-        ledger = getattr(self.core.committer, "ledger", None)
-        checkpoints = tuple(ledger.checkpoints) if ledger is not None else ()
-        size = sum(c.wire_size for c in checkpoints) + _CKPT_REQ_SIZE
-        self._network.send(self.authority, src, "ckpt_resp", checkpoints, size)
+    def persist_peer_block(self, block: Block) -> None:
+        if self._wal is not None:
+            self._wal.append_peer_block(block)
 
-    def _on_ckpt_resp(self, checkpoints: tuple[Checkpoint, ...], src: int) -> None:
-        if not self._syncing or self._ckpt_adopted:
-            return
-        best = self._ckpt_votes.add(src, checkpoints)
-        if best is not None:
-            self._adopt_checkpoint(best)
+    def ingest_fetched(self, block: Block, peer: int) -> None:
+        self._ingest(block, peer, live=False)
 
-    def _adopt_checkpoint(self, checkpoint: Checkpoint) -> None:
-        """2f+1 matching responses arrived: fast-forward the fresh core
-        to the checkpoint and kick the suffix fetch at an attester."""
-        attesters = self._ckpt_votes.attesters(checkpoint)
-        self._ckpt_adopted = True
-        self._recovery_mode_used = "checkpoint"
-        self.checkpoint_adoptions += 1
-        self.core.adopt_checkpoint(checkpoint)
-        self._ckpt_votes.clear()
-        refs = checkpoint.frontier
-        if refs and not self._sync_inflight:
-            now = self._loop.now
-            for ref in refs:
-                self._fetching[ref.digest] = now
-            # The first responder is the nearest attester — fetch the
-            # suffix from it rather than an arbitrary (possibly
-            # cross-continent) quorum member.
-            self._send_sync_request(attesters[0], refs)
+    def trace_instant(self, name: str, args: dict) -> None:
+        if self._tracer.enabled:
+            self._tracer.instant(self.authority, "sync", name, self._loop.now, args)
 
     def submit(self, tx: Transaction) -> None:
         """Client entry point; transactions pass the ingress CPU stage
@@ -678,50 +599,17 @@ class SimValidator:
             for block in message.payload:
                 self._ingest(block, message.src, live=False)
         elif message.kind == "sync_resp":
-            self._on_sync_response(message)
+            blocks, pruned, token = message.payload
+            if self._recovery.on_sync_response(message.src, blocks, pruned, token):
+                # Re-synced off a short chunk: propose right away
+                # instead of idling until the next round's broadcasts.
+                self._step()
         elif message.kind == "ckpt_req":
-            self._serve_checkpoints(message.src)
+            checkpoints = self._recovery.retained_checkpoints()
+            size = sum(c.wire_size for c in checkpoints) + _CKPT_REQ_SIZE
+            self._network.send(self.authority, message.src, "ckpt_resp", checkpoints, size)
         elif message.kind == "ckpt_resp":
-            self._on_ckpt_resp(message.payload, message.src)
-
-    def _on_sync_response(self, message: Message) -> None:
-        blocks, pruned, token = message.payload
-        # Only the response to the sync request currently in flight may
-        # drive the chain (or declare it finished): a stale response —
-        # e.g. one a previous incarnation requested before a re-crash —
-        # still contributes blocks but proves nothing.
-        current = bool(token) and token == self._sync_inflight
-        if current:
-            self._sync_inflight = 0
-        if pruned and self._syncing and current:
-            self._absorb_pruned_history(pruned)  # raises when unrecoverable
-        if not blocks:
-            if pruned and self._syncing and current:
-                # The whole request sat behind the (absorbed) pruning
-                # horizon; ask for whatever the frontier still misses.
-                self._continue_sync(message.src)
-                return
-            # The peer had nothing for us (e.g. it is re-syncing too).
-            # The next live message re-triggers the chain at a peer that
-            # can serve — continuing here would just re-ask the same
-            # empty-handed peer forever.
-            return
-        for block in blocks:
-            self._ingest(block, message.src, live=False)
-        if not (self._syncing and current):
-            return
-        if self.core.pending_count == 0 and len(blocks) < self._chunk_cap():
-            # A short chunk: the serving peer transferred its whole
-            # closure, frontier included — we are as caught up as an
-            # honest peer was a round trip ago.  Finish instead of
-            # idling until the next round's broadcasts arrive.
-            self._finish_sync()
-            self._step()
-        else:
-            self._continue_sync(message.src)
-
-    def _chunk_cap(self) -> int:
-        return min(self._sync_chunk, _SYNC_MAX_BLOCKS)
+            self._recovery.on_checkpoint_response(message.src, message.payload)
 
     # ------------------------------------------------------------------
     # Certified (Tusk) round structure
@@ -776,222 +664,60 @@ class SimValidator:
                     {"author": accepted.author, "round": accepted.round, "src": sender},
                 )
         if result.accepted:
-            if self._syncing and live and not self.core.pending_count:
-                # Caught up: a *freshly broadcast* block connected with
-                # its whole causal history present.  Fetched chunks
-                # (live=False) never count — a stale response from a
-                # pre-crash fetch ingests cleanly yet proves nothing
-                # about the frontier.
-                self._finish_sync()
+            if self._recovery.syncing:
+                self._recovery.block_connected(live)
             self._step()
 
-    def _finish_sync(self) -> None:
-        self._syncing = False
-        self._sync_inflight = 0
-        if self._tracer.enabled:
-            self._tracer.instant(
-                self.authority,
-                "sync",
-                "sync_finished",
-                self._loop.now,
-                {"mode": self._recovery_mode_used},
-            )
-        # Never propose in a round the pre-crash incarnation already
-        # proposed in (that would equivocate with our own old blocks):
-        # floor the proposal round at the highest own-authored block
-        # visible in the re-synced DAG, and lead future proposals with
-        # it rather than the (possibly pruned-everywhere) genesis block.
-        # (Residual assumption for cold restarts: our last pre-crash
-        # block reached the sync peer before the fetch — true whenever
-        # the down time exceeds a network round trip, which every
-        # schedule workload satisfies; warm restarts restore the round
-        # from the WAL and checkpoint restarts floor it at the adopted
-        # frontier, closing the gap properly.)
-        self.core.restore_own_position()
-
     def _request_missing(self, peer: int, refs: tuple[BlockRef, ...]) -> None:
-        if self._syncing and self._recover_mode == "checkpoint" and not self._ckpt_adopted:
-            # State transfer first: fetching from genesis would fight
-            # the checkpoint adoption (and fail anyway once peers have
-            # garbage-collected).  Incoming blocks buffer as pending and
-            # connect once the suffix above the adopted floor arrives.
-            return
-        if self._syncing and self._sync_inflight:
-            # One outstanding re-sync chain at a time: the in-flight
-            # deep fetch (or its continuation off the response) will
-            # cover these ancestors; firing another full-closure fetch
-            # per incoming broadcast would re-serve the same span many
-            # times over.
-            return
         now = self._loop.now
-        wanted = [
+        wanted = tuple(
             ref
             for ref in refs
             if now - self._fetching.get(ref.digest, -_FETCH_RETRY) >= _FETCH_RETRY
-        ]
+        )
+        if self._recovery.syncing:
+            self._recovery.request_sync(peer, wanted)
+            return
         if not wanted:
             return
         for ref in wanted:
             self._fetching[ref.digest] = now
-        if self._syncing:
-            self._send_sync_request(peer, tuple(wanted))
-            return
         self._network.send(
             self.authority,
             peer,
             "fetch_req",
-            (tuple(wanted), -1, 0),
+            (wanted, -1, 0),
             _REF_WIRE_SIZE * len(wanted) + 4,
         )
-
-    def _send_sync_request(self, peer: int, refs: tuple[BlockRef, ...]) -> None:
-        """One deep (ancestor-closure) fetch, floored at the highest
-        round already accepted so a chunked re-sync never re-serves
-        history we hold.  A retry timer clears the in-flight marker in
-        case the peer cannot serve anything (it sends no response)."""
-        self._sync_token += 1
-        self._sync_inflight = self._sync_token
-        self._loop.schedule(_FETCH_RETRY, self._sync_request_timeout, self._sync_token)
-        # The advertised floor is the highest round already covered:
-        # everything accepted so far, or — right after a checkpoint
-        # adoption, when the store holds only genesis — the adopted
-        # state-transfer floor (history below it is never fetched).
-        store = self.core.store
-        floor = max(store.highest_round, store.sync_floor - 1)
-        self._network.send(
-            self.authority,
-            peer,
-            "fetch_req",
-            (refs, floor, self._sync_token),
-            _REF_WIRE_SIZE * len(refs) + 4,
-        )
-
-    def _sync_request_timeout(self, token: int) -> None:
-        if self._sync_inflight == token:
-            self._sync_inflight = 0
-
-    def _continue_sync(self, peer: int) -> None:
-        """Chain the next re-sync chunk immediately after ingesting one.
-
-        Waiting for fresh broadcasts (and the per-digest retry throttle)
-        to surface the still-missing ancestors would sync slower than
-        the network advances; instead the recovering validator asks for
-        its whole missing frontier right away, with the floor advanced
-        past everything just accepted.  The chain stops by itself: it
-        only continues off a ``fetch_resp``, and every response adds at
-        least one block we did not have.
-        """
-        refs = self.core.missing_frontier()
-        if not refs or self._sync_inflight:
-            return
-        now = self._loop.now
-        for ref in refs:
-            self._fetching[ref.digest] = now
-        self._send_sync_request(peer, refs)
 
     def _on_fetch_request(
         self, refs: tuple[BlockRef, ...], src: int, sync_floor: int = -1, token: int = 0
     ) -> None:
-        store = self.core.store
-        available = [store.get(ref.digest) for ref in refs if ref.digest in store]
-        # Also serve headers not yet certified (Tusk).
-        available.extend(
-            self._headers[ref.digest]
-            for ref in refs
-            if ref.digest not in store and ref.digest in self._headers
-        )
+        # Headers not yet certified (Tusk) are served too.
         if sync_floor < 0:
+            available = self._recovery.held_blocks(refs, self._headers)
             if not available:
                 return
             size = sum(self._block_wire_size(b) for b in available)
             self._network.send(self.authority, src, "fetch_resp", tuple(available), size)
             return
-        # Sync requests always get a response — an empty one tells the
-        # re-syncing requester to unblock and try elsewhere instead of
-        # sitting on its retry timeout — and requested references this
-        # peer has already garbage-collected are flagged, so a re-sync
-        # that *needs* pruned history fails fast instead of livelocking.
-        pruned = tuple(
-            ref
-            for ref in refs
-            if ref.digest not in store
-            and ref.digest not in self._headers
-            and 0 < ref.round < store.lowest_round
-        )
-        served = tuple(self._ancestor_closure(available, sync_floor))
+        served, pruned = self._recovery.serve_sync(refs, sync_floor, self._headers)
         size = sum(self._block_wire_size(b) for b in served) + _REF_WIRE_SIZE * len(pruned)
         self._network.send(self.authority, src, "sync_resp", (served, pruned, token), size)
-
-    def _absorb_pruned_history(self, pruned: tuple[BlockRef, ...]) -> None:
-        """A sync peer garbage-collected history this re-sync asked for.
-
-        After a checkpoint adoption this is expected: peers keep
-        committing while the recovery runs, so their pruning horizon
-        slides past the adopted floor.  Pruning only happens ``gc_depth``
-        rounds behind finality, so everything at the flagged rounds is
-        globally settled — the floor is raised past them and the sync
-        continues with the remaining suffix.  Outside the adopted span
-        (or without a checkpoint at all) the needed history is simply
-        unrecoverable, and raising a clear diagnostic beats the silent
-        livelock of re-requesting pruned blocks forever.
-        """
-        if self._recover_mode == "checkpoint" and not self._ckpt_adopted:
-            return  # state transfer pending; it will bypass the pruned span
-        ledger = getattr(self.core.committer, "ledger", None)
-        base = ledger.adopted_base if ledger is not None else None
-        if (
-            self._ckpt_adopted
-            and base is not None
-            and all(ref.round <= base.round for ref in pruned)
-        ):
-            floor = max(ref.round for ref in pruned) + 1
-            for block in self.core.raise_sync_floor(floor):
-                if self._wal is not None:
-                    self._wal.append_peer_block(block)
-            return
-        detail = (
-            "the adopted checkpoint went stale mid-recovery (peers pruned past its round); "
-            "lower checkpoint_interval or raise gc_depth"
-            if self._ckpt_adopted
-            else "recovery past the GC horizon needs recover_mode='checkpoint' "
-            "(state transfer) or a larger gc_depth"
-        )
-        raise SimulationError(
-            f"validator {self.authority}: re-sync needs {len(pruned)} block(s) behind a "
-            f"peer's garbage-collection horizon (first: {pruned[0]!r}); {detail}"
-        )
-
-    def _ancestor_closure(self, blocks: list[Block], floor: int) -> list[Block]:
-        """Chunked deep-fetch serving (see
-        :func:`repro.statesync.recovery.ancestor_closure`), bounded by
-        this validator's configured chunk size."""
-        return ancestor_closure(self.core.store, blocks, floor, self._sync_chunk)
 
     def _step(self) -> None:
         self._try_propose()
         self._commit()
-        if not self._down and not self.core.schedule.is_static:
-            self._check_epoch_exit()
-
-    def _check_epoch_exit(self) -> None:
-        """Leave for good once an activated epoch excludes us.
-
-        The committee of the cluster's current round decides: between a
-        committed leave command and its activation round the validator
-        keeps voting (thresholds still count it); at the boundary it
-        goes silent permanently — exactly when ``2f + 1`` stops counting
-        it, so liveness never depends on a departed member.
-        """
-        schedule = self.core.schedule
-        committee = schedule.committee_at(self.core.store.highest_round)
-        if committee.is_member(self.authority):
-            self._was_member = True
-        elif self._was_member:
+        if (
+            not self._down
+            and not self.core.schedule.is_static
+            and self._recovery.excluded_by_epoch()
+        ):
             self.leave()
 
     def _try_propose(self) -> None:
         while not self._down:
-            if self._syncing:
+            if self._recovery.syncing:
                 # A restarted validator proposes nothing until the DAG
                 # behind the frontier is re-synced: its fresh core has
                 # forgotten which rounds it already proposed in, and a
@@ -1011,13 +737,14 @@ class SimValidator:
             if block is None:
                 return
             self._last_proposal = now
-            if self._recovered_at is not None:
+            recovery = self._recovery
+            if recovery.recovered_at is not None:
                 # First proposal after a restart: recovery is complete.
                 if self._on_recovery is not None:
                     self._on_recovery(
-                        self.authority, self._recovered_at, now, self._recovery_mode_used
+                        self.authority, recovery.recovered_at, now, recovery.recovery_mode_used
                     )
-                self._recovered_at = None
+                recovery.recovered_at = None
             self._dispatch_own(block)
 
     def _on_propose_timer(self) -> None:
@@ -1033,22 +760,7 @@ class SimValidator:
             for tx in block.transactions:
                 self._stage_metrics.record_inclusion(tx.tx_id, now)
         if self._tracer.enabled:
-            now = self._loop.now
-            self._tracer.instant(
-                self.authority,
-                "consensus",
-                _trace.BLOCK_PROPOSED,
-                now,
-                {"round": block.round, "txs": len(block.transactions)},
-            )
-            if block.transactions:
-                self._tracer.instant(
-                    self.authority,
-                    "consensus",
-                    _trace.TX_INCLUDED,
-                    now,
-                    {"round": block.round, "count": len(block.transactions)},
-                )
+            _trace.trace_proposal(self._tracer, self.authority, self._loop.now, block)
         if self._wal is not None:
             # Own proposals are durable *before* broadcast: a warm
             # restart replays them and never signs a second block for a
@@ -1082,7 +794,7 @@ class SimValidator:
         if observations and self._wal is not None:
             self._wal.append_commit_mark(self.core.committer.last_finalized_round)
         if observations and self._tracer.enabled:
-            self._trace_commit(observations)
+            _trace.trace_commits(self._tracer, self.authority, self._loop.now, observations)
         if self._on_commit is None:
             return
         now = self._loop.now
@@ -1091,33 +803,6 @@ class SimValidator:
                 self.commits += 1
                 for tx in block.transactions:
                     self._on_commit(tx, now)
-
-    def _trace_commit(self, observations) -> None:
-        """Per decided slot: a wave-decision instant, plus commit and
-        execute instants for the transactions it linearized (the sim
-        applies the linearized prefix immediately, so committed and
-        executed coincide)."""
-        tracer = self._tracer
-        now = self._loop.now
-        for observation in observations:
-            status = observation.status
-            tracer.instant(
-                self.authority,
-                "commit",
-                _trace.WAVE_DECIDED,
-                now,
-                {
-                    "round": status.slot.round,
-                    "leader": status.slot.authority,
-                    "decision": status.decision.name.lower(),
-                    "blocks": len(observation.linearized),
-                },
-            )
-            txs = sum(len(block.transactions) for block in observation.linearized)
-            if txs:
-                args = {"round": status.slot.round, "count": txs}
-                tracer.instant(self.authority, "commit", _trace.TX_COMMITTED, now, args)
-                tracer.instant(self.authority, "commit", _trace.TX_EXECUTED, now, args)
 
     # ------------------------------------------------------------------
     # Wire sizes

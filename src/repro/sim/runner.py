@@ -26,7 +26,7 @@ from ..baselines.tusk import make_tusk_committer
 from ..crypto.coin import FastCoin
 from ..errors import ConfigError, SimulationError
 from ..runtime.wal import WriteAheadLog
-from ..statesync import GENESIS_STATE, chain_digest
+from ..statesync import GENESIS_STATE, RECOVER_MODES, chain_digest
 from .client import OpenLoopClient, reset_tx_ids
 from .events import EventLoop
 from .faults import FaultEvent, FaultSchedule, NodeBehavior, normalize_events
@@ -45,7 +45,7 @@ from .network import (
     NetworkConfig,
     SimNetwork,
 )
-from .node import RECOVER_MODES, CpuConfig, SimValidator
+from .node import CpuConfig, SimValidator
 from ..obs.trace import NULL_TRACER, Tracer
 from ..transaction import Transaction
 
@@ -161,7 +161,7 @@ class ExperimentConfig:
         max_block_transactions: Real transactions a block may carry.
         gc_depth: Rounds of DAG history kept behind the commit frontier.
         recover_mode: How restarted validators re-sync (one of
-            :data:`~repro.sim.node.RECOVER_MODES`): ``cold`` refetches
+            :data:`~repro.statesync.RECOVER_MODES`): ``cold`` refetches
             the DAG from genesis, ``warm`` replays the validator's WAL
             first and fetches only the delta, ``checkpoint`` adopts a
             quorum-attested state-transfer checkpoint and fetches only
@@ -881,7 +881,7 @@ class Experiment:
             # epoch activates.  A joiner boots now (state-transfer join)
             # and proposes once its epoch is active; a leaver keeps
             # participating until the excluding epoch activates, then
-            # exits by itself (SimValidator._check_epoch_exit).
+            # exits by itself (RecoveryDriver.excluded_by_epoch).
             self._submit_reconfig(event.kind, event.validator)
             if event.kind == "join":
                 node.recover()

@@ -10,14 +10,20 @@ refetch the DAG back to genesis (the needed history is behind its
 peers' garbage-collection horizon) adopts a quorum-attested checkpoint
 instead and deep-fetches only the suffix above it.
 
-This package is transport-agnostic: both backends build their recovery
-paths from it — the simulator (:class:`repro.sim.node.SimValidator`)
-exchanges checkpoints over ``ckpt_req``/``ckpt_resp`` messages, the
-asyncio runtime (:class:`repro.runtime.node.ValidatorNode`) over the
-equivalent wire messages — and the SMR executor contributes its state
-digest via :func:`digest_executor_state`.  The shared tally, WAL
-replay, and deep-fetch serving logic live in
-:mod:`repro.statesync.recovery`.
+This package is transport-, clock- and coroutine-free, and holds the
+**one** recovery implementation both fabrics run:
+:class:`~repro.statesync.driver.RecoveryDriver` is the whole restart /
+re-sync state machine (cold, warm and checkpoint modes, the checkpoint
+tally and adoption, the chunked deep-fetch chain, pruned-history
+handling, fetch serving, epoch exit).  The simulator
+(:class:`repro.sim.node.SimValidator`, ``ckpt_req``/``ckpt_resp``/
+``fetch_req``/``sync_resp`` events) and the asyncio runtime
+(:class:`repro.runtime.node.ValidatorNode`, the equivalent wire
+messages) are adaptors implementing its
+:class:`~repro.statesync.driver.RecoveryPort`.  The helpers the driver
+is built from — the response tally, WAL replay, ancestor-closure
+serving — live in :mod:`repro.statesync.recovery`, and the SMR executor
+contributes its state digest via :func:`digest_executor_state`.
 """
 
 from .checkpoint import (
@@ -29,6 +35,7 @@ from .checkpoint import (
     chain_digest,
     digest_executor_state,
 )
+from .driver import RECOVER_MODES, RecoveryDriver, RecoveryPort
 from .recovery import (
     SYNC_MAX_BLOCKS,
     CheckpointVotes,
@@ -40,10 +47,13 @@ from .recovery import (
 __all__ = [
     "DEFAULT_CHECKPOINT_LAG",
     "GENESIS_STATE",
+    "RECOVER_MODES",
     "SYNC_MAX_BLOCKS",
     "Checkpoint",
     "CheckpointVotes",
     "CommitLedger",
+    "RecoveryDriver",
+    "RecoveryPort",
     "WalReplay",
     "ancestor_closure",
     "best_attested",

@@ -1,0 +1,394 @@
+"""The recovery / state-sync state machine, shared by both fabrics.
+
+Mahi-Mahi's DAG is uncertified, so a validator that restarts behind its
+peers depends on the synchronizer for liveness (Lemma 8).  A restarted
+validator re-syncs by one of three modes before it proposes again:
+
+* **cold** — deep-fetch the whole missing ancestor closure from peers;
+* **warm** — replay the local write-ahead log first (restoring most of
+  the DAG and the proposal round), then deep-fetch only the delta;
+* **checkpoint** — adopt a ``2f + 1``-attested state-transfer
+  checkpoint and deep-fetch only the suffix above its floor, raising
+  the floor when peers report they pruned inside the adopted span.
+
+:class:`RecoveryDriver` owns that whole state machine — mode selection,
+the checkpoint tally and adoption, the token-tagged chunked deep-fetch
+chain with its single in-flight request, pruned-history absorption, the
+"caught up" rules, the serving side of a deep fetch, and epoch exit —
+without touching a socket, a clock, a timer or a coroutine.  Its host
+(the simulator's :class:`~repro.sim.node.SimValidator`, the runtime's
+:class:`~repro.runtime.node.ValidatorNode`) implements the small
+:class:`RecoveryPort`, feeds it messages, and owns everything with a
+notion of time: the retry timers, the event loop, the transport.
+"""
+
+from __future__ import annotations
+
+from collections.abc import Mapping
+from pathlib import Path
+from types import MappingProxyType
+from typing import Protocol
+
+from ..block import Block, BlockRef
+from ..crypto.hashing import Digest
+from ..errors import StateTransferError
+from .checkpoint import Checkpoint
+from .recovery import CheckpointVotes, WalReplay, ancestor_closure, chunk_cap, replay_wal
+
+#: Restart paths a validator may take.
+RECOVER_MODES = ("cold", "warm", "checkpoint")
+
+_NOTHING: Mapping[Digest, Block] = MappingProxyType({})
+
+
+class RecoveryPort(Protocol):
+    """What a :class:`RecoveryDriver` needs from its host."""
+
+    def send_sync_request(
+        self, peer: int, refs: tuple[BlockRef, ...], floor: int, token: int
+    ) -> None:
+        """Send one deep fetch, and arrange for
+        :meth:`RecoveryDriver.sync_timed_out` to be called with
+        ``token`` after the host's retry interval (a peer that cannot
+        serve may never answer)."""
+
+    def broadcast_checkpoint_request(self) -> None:
+        """Ask every peer for its retained checkpoints; the host
+        re-calls :meth:`RecoveryDriver.request_checkpoints` on its retry
+        cadence while :attr:`RecoveryDriver.awaiting_checkpoint`."""
+
+    def persist_peer_block(self, block: Block) -> None:
+        """Log an accepted peer block (no-op without a WAL)."""
+
+    def ingest_fetched(self, block: Block, peer: int) -> None:
+        """Run one deep-fetched block through the host's ingest path
+        (as *not live*: it proves nothing about the frontier)."""
+
+    def trace_instant(self, name: str, args: dict) -> None:
+        """Record a ``sync``-track instant at the host's current time."""
+
+
+class RecoveryDriver:
+    """One validator's recovery state, driven by its host's messages."""
+
+    __slots__ = (
+        "core",
+        "syncing",
+        "recover_mode",
+        "recovery_mode_used",
+        "recovered_at",
+        "ckpt_adopted",
+        "checkpoint_adoptions",
+        "_port",
+        "_chunk",
+        "_votes",
+        "_token",
+        "_inflight",
+        "_was_member",
+    )
+
+    def __init__(self, core, port: RecoveryPort, recover_mode: str, sync_chunk_blocks: int) -> None:
+        if recover_mode not in RECOVER_MODES:
+            raise ValueError(f"unknown recover_mode {recover_mode!r}; pick one of {RECOVER_MODES}")
+        self._port = port
+        self.recover_mode = recover_mode
+        self._chunk = sync_chunk_blocks
+        #: Whether the validator is re-syncing (it proposes nothing
+        #: until the DAG behind the frontier is rebuilt).
+        self.syncing = False
+        self.checkpoint_adoptions = 0
+        # One deep fetch in flight at a time: its token (0 = none), and
+        # a monotonic counter so a stale response or timeout never
+        # clears a newer request.
+        self._token = 0
+        # Epoch-versioned committees: a validator that was once an
+        # active member and later drops out has *left*.  (A joiner
+        # starts with this False and flips it on activation.)
+        self._was_member = core.schedule.genesis_committee.is_member(core.authority)
+        self.restart(core)
+
+    # ------------------------------------------------------------------
+    # Restart and mode selection
+    # ------------------------------------------------------------------
+    def restart(self, core) -> None:
+        """A new incarnation lost all in-memory state: bind its fresh
+        ``core`` and forget the previous tally and in-flight fetch."""
+        self.core = core
+        # The attestation quorum is 2f + 1 of the latest committee this
+        # validator knows — the genesis committee for a fresh core.  A
+        # recoverer that slept across epochs it never learned has a
+        # bootstrap-trust gap (real deployments close it with a
+        # light-client protocol, out of scope here).
+        self._votes = CheckpointVotes(core.schedule.latest.committee.quorum_threshold)
+        self.ckpt_adopted = False
+        #: The path the recovery actually took (a warm restart with an
+        #: empty WAL degenerates to, and reports, ``cold``).
+        self.recovery_mode_used = "cold"
+        #: Host time this recovery began; the host clears it at the
+        #: first own proposal afterwards (the recovery-time metric).
+        self.recovered_at: float | None = None
+        self._inflight = 0
+
+    def replay_wal(self, path: "str | Path | None") -> WalReplay | None:
+        """Warm mode: rebuild the DAG and the proposal-round floor from
+        the local log (``None`` in the other modes or without a log)."""
+        if self.recover_mode != "warm" or path is None:
+            return None
+        replay = replay_wal(self.core, path)
+        if replay.blocks:
+            self.recovery_mode_used = "warm"
+        return replay
+
+    def begin_sync(self, now: float, **detail) -> None:
+        """Enter re-sync.  Checkpoint mode asks for state transfer
+        first; the other modes deep-fetch off the next block that
+        reports missing ancestors."""
+        self.syncing = True
+        if self.recovered_at is None:
+            self.recovered_at = now
+        mode = "checkpoint" if self.recover_mode == "checkpoint" else self.recovery_mode_used
+        self._port.trace_instant("recovery_started", {"mode": mode, **detail})
+        if self.awaiting_checkpoint:
+            self.request_checkpoints()
+
+    def finish(self) -> None:
+        """Caught up: resume proposing."""
+        self.syncing = False
+        self._inflight = 0
+        self._port.trace_instant("sync_finished", {"mode": self.recovery_mode_used})
+        # Never propose in a round the pre-crash incarnation already
+        # proposed in (that would equivocate with our own old blocks):
+        # floor the proposal round at the highest own-authored block
+        # visible in the re-synced DAG, and lead future proposals with
+        # it rather than the (possibly pruned-everywhere) genesis block.
+        # (Residual assumption for cold restarts: our last pre-crash
+        # block reached the sync peer before the fetch — true whenever
+        # the down time exceeds a network round trip; warm restarts
+        # restore the round from the WAL and checkpoint restarts floor
+        # it at the adopted frontier, closing the gap properly.)
+        self.core.restore_own_position()
+
+    def block_connected(self, live: bool) -> None:
+        """The host accepted a block.  A *freshly broadcast* one that
+        connected with its whole causal history present ends the
+        re-sync; fetched chunks never do — a stale response from a
+        pre-crash fetch ingests cleanly yet proves nothing about the
+        frontier."""
+        if self.syncing and live and not self.core.pending_count:
+            self.finish()
+
+    # ------------------------------------------------------------------
+    # Checkpoint adoption (state transfer)
+    # ------------------------------------------------------------------
+    @property
+    def awaiting_checkpoint(self) -> bool:
+        """State transfer comes first: until a checkpoint is adopted,
+        fetching toward genesis would fight the adoption (and fail once
+        peers have garbage-collected).  Incoming blocks buffer as
+        pending and connect once the suffix above the floor arrives."""
+        return self.syncing and self.recover_mode == "checkpoint" and not self.ckpt_adopted
+
+    def request_checkpoints(self) -> None:
+        """(Re-)broadcast the checkpoint request with a fresh tally:
+        peers may not have finalized, and hence captured, anything yet."""
+        self._votes.clear()
+        self._port.broadcast_checkpoint_request()
+
+    def retained_checkpoints(self) -> tuple[Checkpoint, ...]:
+        """What this validator answers a checkpoint request with."""
+        ledger = self._ledger()
+        return tuple(ledger.checkpoints) if ledger is not None else ()
+
+    def on_checkpoint_response(self, peer: int, checkpoints: tuple[Checkpoint, ...]) -> None:
+        """Tally one response; at ``2f + 1`` matching attestations
+        fast-forward the fresh core to the checkpoint and fetch the
+        suffix from the first attester — the nearest peer, rather than
+        an arbitrary (possibly cross-continent) quorum member."""
+        if not self.syncing or self.ckpt_adopted:
+            return
+        best = self._votes.add(peer, checkpoints)
+        if best is None:
+            return
+        nearest = self._votes.attesters(best)[0]
+        self.ckpt_adopted = True
+        self.recovery_mode_used = "checkpoint"
+        self.checkpoint_adoptions += 1
+        self.core.adopt_checkpoint(best)
+        self._votes.clear()
+        self._port.trace_instant("checkpoint_adopted", {"round": best.round, "peer": nearest})
+        self.request_sync(nearest, best.frontier)
+
+    # ------------------------------------------------------------------
+    # The deep-fetch chain
+    # ------------------------------------------------------------------
+    @property
+    def sync_inflight(self) -> bool:
+        """Whether a deep fetch is currently outstanding."""
+        return self._inflight != 0
+
+    def request_sync(self, peer: int, refs: tuple[BlockRef, ...]) -> bool:
+        """Deep-fetch ``refs`` and their ancestors from ``peer`` unless
+        state transfer is pending or a fetch is already in flight — the
+        in-flight chain (or its continuation off the response) covers
+        everything; another full-closure fetch per incoming broadcast
+        would re-serve the same span many times over."""
+        if self._inflight or not refs or self.awaiting_checkpoint:
+            return False
+        self._token += 1
+        self._inflight = self._token
+        # The advertised floor is the highest round already covered:
+        # everything accepted so far, or — right after a checkpoint
+        # adoption, when the store holds only genesis — the adopted
+        # state-transfer floor (history below it is never fetched).
+        store = self.core.store
+        floor = max(store.highest_round, store.sync_floor - 1)
+        self._port.trace_instant("sync_requested", {"peer": peer, "floor": floor})
+        self._port.send_sync_request(peer, refs, floor, self._token)
+        return True
+
+    def sync_timed_out(self, token: int) -> None:
+        """The host's retry timer for request ``token`` fired."""
+        if self._inflight == token:
+            self._inflight = 0
+
+    def on_sync_response(
+        self, peer: int, blocks: tuple[Block, ...], pruned: tuple[BlockRef, ...], token: int
+    ) -> bool:
+        """Ingest one deep-fetch chunk; returns whether it completed
+        the re-sync.  Raises :class:`StateTransferError` when the
+        needed history is unrecoverable."""
+        # Only the response to the request currently in flight may
+        # drive the chain (or declare it finished): a stale response —
+        # e.g. one a previous incarnation requested before a re-crash —
+        # still contributes blocks but proves nothing.
+        current = bool(token) and token == self._inflight
+        if current:
+            self._inflight = 0
+        absorbed = bool(pruned) and self.syncing and current
+        if absorbed:
+            self._absorb_pruned_history(pruned)
+        if not blocks:
+            # Either the whole request sat behind the (absorbed) pruning
+            # horizon — ask for whatever the frontier still misses — or
+            # the peer had nothing for us (it may be re-syncing too):
+            # the next live block re-triggers the chain at a peer that
+            # can serve, where continuing would re-ask this one forever.
+            if absorbed:
+                self._continue_sync(peer)
+            return False
+        for block in blocks:
+            self._port.ingest_fetched(block, peer)
+        if not (self.syncing and current):
+            return False
+        if not self.core.pending_count and len(blocks) < chunk_cap(self._chunk):
+            # A short chunk: the peer transferred its whole closure,
+            # frontier included — we are as caught up as an honest peer
+            # was a round trip ago.
+            self.finish()
+            return True
+        self._continue_sync(peer)
+        return False
+
+    def _continue_sync(self, peer: int) -> None:
+        """Chain the next chunk straight off the response: waiting for
+        fresh broadcasts to surface the still-missing ancestors would
+        sync slower than the network advances.  The chain stops by
+        itself — every response adds at least one block we lacked."""
+        self.request_sync(peer, self.core.missing_frontier())
+
+    def _absorb_pruned_history(self, pruned: tuple[BlockRef, ...]) -> None:
+        """A sync peer garbage-collected history this re-sync asked for.
+
+        After a checkpoint adoption this is expected: peers keep
+        committing while the recovery runs, so their pruning horizon
+        slides past the adopted floor.  Pruning only happens ``gc_depth``
+        rounds behind finality, so everything at the flagged rounds is
+        globally settled — the floor is raised past them and the sync
+        continues with the remaining suffix.  Outside the adopted span
+        (or without a checkpoint at all) the needed history is simply
+        unrecoverable, and a clear diagnostic beats the silent livelock
+        of re-requesting pruned blocks forever.
+        """
+        if self.awaiting_checkpoint:
+            return  # state transfer pending; it will bypass the pruned span
+        ledger = self._ledger()
+        base = ledger.adopted_base if ledger is not None else None
+        if (
+            self.ckpt_adopted
+            and base is not None
+            and all(ref.round <= base.round for ref in pruned)
+        ):
+            floor = max(ref.round for ref in pruned) + 1
+            for block in self.core.raise_sync_floor(floor):
+                self._port.persist_peer_block(block)
+            return
+        detail = (
+            "the adopted checkpoint went stale mid-recovery (peers pruned past its round); "
+            "lower checkpoint_interval or raise gc_depth"
+            if self.ckpt_adopted
+            else "recovery past the GC horizon needs recover_mode='checkpoint' "
+            "(state transfer) or a larger gc_depth"
+        )
+        raise StateTransferError(
+            f"validator {self.core.authority}: re-sync needs {len(pruned)} block(s) behind a "
+            f"peer's garbage-collection horizon (first: {pruned[0]!r}); {detail}"
+        )
+
+    # ------------------------------------------------------------------
+    # Serving peers' fetches
+    # ------------------------------------------------------------------
+    def held_blocks(
+        self, refs: tuple[BlockRef, ...], unstored: Mapping[Digest, Block] = _NOTHING
+    ) -> list[Block]:
+        """The requested blocks this validator can serve: stored ones,
+        then ``unstored`` ones the host holds outside the DAG (Tusk
+        headers awaiting their certificate)."""
+        store = self.core.store
+        held = [store.get(ref.digest) for ref in refs if ref.digest in store]
+        held.extend(
+            unstored[ref.digest]
+            for ref in refs
+            if ref.digest not in store and ref.digest in unstored
+        )
+        return held
+
+    def serve_sync(
+        self, refs: tuple[BlockRef, ...], floor: int, unstored: Mapping[Digest, Block] = _NOTHING
+    ) -> tuple[tuple[Block, ...], tuple[BlockRef, ...]]:
+        """One deep-fetch chunk for a re-syncing peer: ``(blocks,
+        pruned)``.  Sync requests always get an answer — an empty one
+        tells the requester to unblock and try elsewhere instead of
+        sitting on its retry timeout — and requested references already
+        garbage-collected here are flagged, so a re-sync that *needs*
+        pruned history fails fast instead of livelocking."""
+        store = self.core.store
+        pruned = tuple(
+            ref
+            for ref in refs
+            if ref.digest not in store
+            and ref.digest not in unstored
+            and 0 < ref.round < store.lowest_round
+        )
+        served = ancestor_closure(store, self.held_blocks(refs, unstored), floor, self._chunk)
+        return tuple(served), pruned
+
+    # ------------------------------------------------------------------
+    # Epoch exit
+    # ------------------------------------------------------------------
+    def excluded_by_epoch(self) -> bool:
+        """Whether an activated epoch now excludes this former member.
+
+        The committee of the cluster's current round decides: between a
+        committed leave command and its activation round the validator
+        keeps voting (thresholds still count it); at the boundary it
+        must go silent for good — exactly when ``2f + 1`` stops counting
+        it, so liveness never depends on a departed member.
+        """
+        core = self.core
+        if core.schedule.committee_at(core.store.highest_round).is_member(core.authority):
+            self._was_member = True
+            return False
+        return self._was_member
+
+    def _ledger(self):
+        return getattr(self.core.committer, "ledger", None)

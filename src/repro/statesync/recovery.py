@@ -31,6 +31,13 @@ from .checkpoint import Checkpoint, best_attested
 SYNC_MAX_BLOCKS = 4096
 
 
+def chunk_cap(limit: int) -> int:
+    """Most blocks one deep-fetch response carries when the serving
+    validator's configured chunk size is ``limit``.  A requester that
+    receives fewer knows the peer transferred its whole closure."""
+    return min(limit, SYNC_MAX_BLOCKS)
+
+
 class CheckpointVotes:
     """Tally of ``ckpt_resp`` messages during one recovery attempt.
 
@@ -107,8 +114,8 @@ def replay_wal(core, path: str | Path) -> WalReplay:
 
 def ancestor_closure(store, blocks: list[Block], floor: int, limit: int) -> list[Block]:
     """The requested blocks plus their stored ancestors above round
-    ``floor``, lowest rounds first, truncated to ``limit`` (itself capped
-    at :data:`SYNC_MAX_BLOCKS`).
+    ``floor``, lowest rounds first, truncated to :func:`chunk_cap` of
+    ``limit``.
 
     The floor is the requester's highest accepted round: closure
     expansion skips history it already holds, so a re-sync larger than
@@ -136,4 +143,4 @@ def ancestor_closure(store, blocks: list[Block], floor: int, limit: int) -> list
                 if ref.digest in store:
                     frontier.append(store.get(ref.digest))
     ordered = sorted(closure.values(), key=lambda b: (b.round, b.author))
-    return ordered[: min(limit, SYNC_MAX_BLOCKS)]
+    return ordered[: chunk_cap(limit)]

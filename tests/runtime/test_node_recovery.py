@@ -1,0 +1,120 @@
+"""Message-level tests of :class:`ValidatorNode`'s re-sync chain: one
+node, a recording transport, scripted peers."""
+
+import asyncio
+
+from repro.committee import Committee
+from repro.config import ProtocolConfig
+from repro.crypto.coin import FastCoin
+from repro.runtime.messages import (
+    BlockMessage,
+    CheckpointRequest,
+    CheckpointResponse,
+    SyncRequest,
+    SyncResponse,
+)
+from repro.runtime.node import ValidatorNode
+from repro.statesync import recovery as recovery_module
+from tests.runtime.test_synchronizer import RecordingTransport
+from tests.statesync.test_driver import history, suffix
+
+
+def make_node(recover_mode, *, sync_chunk_blocks, interval=0):
+    """Validator 3 of the deployment ``tests.statesync`` histories come
+    from, so their blocks and checkpoints are valid input to it."""
+    committee = Committee.of_size(4)
+    coin = FastCoin(seed=b"ckpt-test", n=4, threshold=committee.quorum_threshold)
+    config = ProtocolConfig(
+        wave_length=5, leaders_per_round=2, checkpoint_interval_rounds=interval
+    )
+    transport = RecordingTransport(authority=3)
+    node = ValidatorNode(
+        3,
+        committee,
+        config,
+        coin,
+        transport,
+        recover_mode=recover_mode,
+        sync_chunk_blocks=sync_chunk_blocks,
+    )
+    return node, transport
+
+
+def sync_requests(transport):
+    return [(dst, m) for dst, m in transport.sent if isinstance(m, SyncRequest)]
+
+
+def test_full_capped_chunk_continues_the_resync(monkeypatch):
+    """Regression: the serving side caps every chunk at SYNC_MAX_BLOCKS,
+    so a node configured with a larger ``sync_chunk_blocks`` must treat
+    a cap-sized chunk as *full* (more history follows) — not as the
+    peer's whole closure, which would end the re-sync, and resume
+    proposing, with history still missing."""
+    source = history(30, interval=2)[0]
+    checkpoint = source.committer.ledger.checkpoints[-1]
+    above_floor = suffix(source, checkpoint.floor - 1)
+    monkeypatch.setattr(recovery_module, "SYNC_MAX_BLOCKS", 8)
+
+    async def scenario():
+        node, transport = make_node("checkpoint", sync_chunk_blocks=10_000, interval=2)
+        await node.start()
+        try:
+            assert any(isinstance(m, CheckpointRequest) for _, m in transport.sent)
+            for peer in (1, 0, 2):
+                await node._on_message(peer, CheckpointResponse(checkpoints=(checkpoint,)))
+            [(peer, request)] = sync_requests(transport)
+            assert peer == 1 and request.floor == checkpoint.floor - 1
+            # What an honest peer serves for that request: the lowest
+            # rounds of the suffix, cut at the cap.
+            chunk = tuple(above_floor[:8])
+            await node._on_message(
+                1, SyncResponse(blocks=chunk, pruned=(), token=request.token)
+            )
+            assert node.core.pending_count == 0  # the chunk connected cleanly
+            assert node.syncing, "a cap-sized chunk was mistaken for the whole closure"
+            # A live block names the frontier; the chain resumes, and a
+            # genuinely short chunk ends it.
+            monkeypatch.setattr(recovery_module, "SYNC_MAX_BLOCKS", 4096)
+            await node._on_message(2, BlockMessage(block=above_floor[-1]))
+            (_, _), (peer, request) = sync_requests(transport)
+            assert peer == 2 and request.floor == chunk[-1].round
+            rest = tuple(above_floor[8:-1])
+            await node._on_message(
+                2, SyncResponse(blocks=rest, pruned=(), token=request.token)
+            )
+            assert not node.syncing and node.recovery_mode_used == "checkpoint"
+        finally:
+            await node.stop()
+
+    asyncio.run(asyncio.wait_for(scenario(), timeout=30))
+
+
+def test_falling_behind_again_right_after_a_live_finish_refetches():
+    """Regression: ending a re-sync off a *live* block left the deep
+    fetch marked in flight, so falling behind again within the retry
+    window had its first deep request silently suppressed."""
+    blocks = suffix(history(30, interval=2)[0])
+    by_round = {r: [b for b in blocks if b.round == r] for r in range(1, 31)}
+
+    async def scenario():
+        node, transport = make_node("cold", sync_chunk_blocks=4096)
+        await node.start()
+        try:
+            # A live block 14 rounds ahead: fallen behind, deep re-sync.
+            await node._on_message(0, BlockMessage(block=by_round[14][0]))
+            assert node.syncing and len(sync_requests(transport)) == 1
+            # The response is still in flight when live traffic happens
+            # to connect everything: caught up off a live block.
+            for r in range(1, 14):
+                for block in by_round[r]:
+                    node.core.add_block(block)
+            await node._on_message(1, BlockMessage(block=by_round[14][1]))
+            assert not node.syncing
+            # Partitioned away again, well inside the retry window.
+            await node._on_message(0, BlockMessage(block=by_round[30][0]))
+            assert node.syncing
+            assert len(sync_requests(transport)) == 2, "the second deep fetch was suppressed"
+        finally:
+            await node.stop()
+
+    asyncio.run(asyncio.wait_for(scenario(), timeout=30))

@@ -3,7 +3,7 @@ WAL-backed warm restarts (:mod:`repro.sim.checkpoint`)."""
 
 import pytest
 
-from repro.errors import ConfigError, SimulationError
+from repro.errors import ConfigError, StateTransferError
 from repro.runtime.wal import WriteAheadLog
 from repro.sim.checkpoint import CheckpointVotes, WalReplay, replay_cost, replay_wal
 from repro.sim.faults import FaultEvent
@@ -131,7 +131,7 @@ class TestCheckpointRecovery:
                 FaultEvent(time=11.2, validator=9, kind="recover"),
             ),
         )
-        with pytest.raises(SimulationError, match="garbage-collection horizon"):
+        with pytest.raises(StateTransferError, match="garbage-collection horizon"):
             Experiment(config).run()
 
     def test_certified_checkpoint_recovery(self):

@@ -24,6 +24,7 @@ def make_cluster(
     certified=False,
     cpu=None,
     with_core_factory=False,
+    sync_chunk_blocks=4096,
 ):
     committee = Committee.of_size(n)
     coin = FastCoin(seed=b"node-test", n=n, threshold=committee.quorum_threshold)
@@ -46,6 +47,7 @@ def make_cluster(
                 min_block_interval=interval,
                 cpu=cpu,
                 core_factory=factory,
+                sync_chunk_blocks=sync_chunk_blocks,
             )
         )
     return loop, nodes
@@ -120,8 +122,10 @@ class TestFaults:
 
 
 class TestRecovery:
-    def _run_crash_recover(self, *, certified=False):
-        loop, nodes = make_cluster(certified=certified, with_core_factory=True)
+    def _run_crash_recover(self, *, certified=False, sync_chunk_blocks=4096):
+        loop, nodes = make_cluster(
+            certified=certified, with_core_factory=True, sync_chunk_blocks=sync_chunk_blocks
+        )
         for node in nodes:
             node.start()
         loop.schedule_at(1.0, nodes[3].crash)
@@ -185,7 +189,7 @@ class TestRecovery:
         # core behind its back: only what arrived after recovery counts.
         assert len(nodes[3].core.store) >= 4  # genesis always present
 
-    def test_resync_larger_than_one_chunk_progresses(self, monkeypatch):
+    def test_resync_larger_than_one_chunk_progresses(self):
         """Regression: when the missing history exceeds one fetch-chunk
         cap, the sync floor must advance chunk by chunk — a server that
         keeps re-serving the lowest rounds of the closure would leave
@@ -194,12 +198,9 @@ class TestRecovery:
         amount of chunking can ever catch up; 64 per ~0.1 s round trip
         vs ~80 blocks/s generated leaves a comfortable margin while the
         ~90-block backlog still takes several chunks.)"""
-        import repro.sim.node as node_module
-
-        monkeypatch.setattr(node_module, "_SYNC_MAX_BLOCKS", 64)
-        nodes = self._run_crash_recover()
+        nodes = self._run_crash_recover(sync_chunk_blocks=64)
         recovered = nodes[3]
-        assert not recovered._syncing
+        assert not recovered.syncing
         assert recovered.core.total_proposed > 0
         assert recovered.core.round > 10
 
@@ -285,7 +286,7 @@ class TestRecovery:
         nodes[3].recover()
         assert nodes[3].core is core_before
         assert nodes[3].core.round == round_at_crash
-        assert not nodes[3]._syncing  # nothing was lost, nothing to re-sync
+        assert not nodes[3].syncing  # nothing was lost, nothing to re-sync
         # And the paused validator keeps participating.
         nodes[3].start()
         loop.run_until(3.0)

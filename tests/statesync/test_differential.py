@@ -1,0 +1,170 @@
+"""Differential test: one scripted recovery, two fabrics, one driver.
+
+The same scenario — crash, let the committee run ahead, restart in
+checkpoint mode, sync the suffix in small chunks, propose again — runs
+through the simulator's :class:`SimValidator` and through the runtime's
+:class:`ValidatorNode` over the in-memory transport.  Both are adaptors
+of one :class:`RecoveryDriver`, so the restarted validator must walk the
+same ordered sequence of driver transitions on both (observed through
+the shared trace instants; the *number* of chunks depends on each
+fabric's timing, the order of transitions does not).
+"""
+
+import asyncio
+
+import pytest
+
+from repro.committee import Committee
+from repro.config import ProtocolConfig
+from repro.core.protocol import MahiMahiCore
+from repro.crypto.coin import FastCoin
+from repro.obs.trace import BLOCK_PROPOSED, SYNC_TRANSITIONS, TX_INCLUDED, Tracer
+from repro.runtime.node import ValidatorNode
+from repro.runtime.transport import MemoryHub, MemoryTransport
+from repro.sim.events import EventLoop
+from repro.sim.latency import UniformLatencyModel
+from repro.sim.network import SimNetwork
+from repro.sim.node import SimValidator
+from repro.transaction import Transaction
+
+N = 4
+VICTIM = 3
+#: Four rounds per deep-fetch chunk: the suffix above the adopted floor
+#: (the checkpoint lag, 16 rounds) takes several.
+CHUNK = 16
+
+COMMITTEE = Committee.of_size(N)
+COIN = FastCoin(seed=b"differential", n=N, threshold=COMMITTEE.quorum_threshold)
+CONFIG = ProtocolConfig(wave_length=5, leaders_per_round=2, checkpoint_interval_rounds=4)
+
+EXPECTED = [
+    ("recovery_started", "checkpoint"),
+    ("checkpoint_adopted", None),
+    ("sync_requested", None),
+    ("sync_finished", "checkpoint"),
+    (BLOCK_PROPOSED, None),
+]
+
+
+def transitions(tracer):
+    """The victim's driver transitions from its restart to its first
+    proposal, with runs of one transition collapsed; also how many
+    chunks it asked for."""
+    sequence = []
+    chunks = 0
+    for event in tracer.events:
+        if event.validator != VICTIM:
+            continue
+        if event.name not in SYNC_TRANSITIONS and event.name != BLOCK_PROPOSED:
+            continue
+        if not sequence and event.name != "recovery_started":
+            continue  # the first incarnation's proposals
+        chunks += event.name == "sync_requested"
+        step = (event.name, (event.args or {}).get("mode"))
+        if not sequence or sequence[-1] != step:
+            sequence.append(step)
+        if event.name == BLOCK_PROPOSED:
+            break
+    return sequence, chunks
+
+
+def run_simulator():
+    loop = EventLoop()
+    network = SimNetwork(loop, UniformLatencyModel(0.02), N, seed=1)
+    tracer = Tracer()
+
+    def core(i):
+        return MahiMahiCore(i, COMMITTEE, CONFIG, COIN)
+
+    nodes = [
+        SimValidator(
+            core(i),
+            network,
+            loop,
+            min_block_interval=0.05,
+            core_factory=lambda i=i: core(i),
+            recover_mode="checkpoint",
+            sync_chunk_blocks=CHUNK,
+            tracer=tracer,
+        )
+        for i in range(N)
+    ]
+    nodes[0].submit(Transaction.dummy(1))
+    for node in nodes:
+        node.start()
+    loop.schedule_at(2.0, nodes[VICTIM].crash)
+
+    def restart():
+        nodes[VICTIM].recover()
+        nodes[VICTIM].start()
+
+    loop.schedule_at(5.0, restart)
+    loop.run_until(8.0)
+    assert nodes[VICTIM].core.total_proposed > 0
+    return tracer, nodes[VICTIM]
+
+
+async def run_runtime():
+    hub = MemoryHub()
+    tracer = Tracer()
+
+    def make(i, recover_mode="cold"):
+        return ValidatorNode(
+            i,
+            COMMITTEE,
+            CONFIG,
+            COIN,
+            MemoryTransport(i, hub),
+            min_block_interval=0.02,
+            recover_mode=recover_mode,
+            sync_chunk_blocks=CHUNK,
+            tracer=tracer,
+        )
+
+    async def until(condition):
+        while not condition():
+            await asyncio.sleep(0.01)
+
+    nodes = [make(i) for i in range(N)]
+    await asyncio.gather(*(node.start() for node in nodes))
+    try:
+        nodes[0].submit_transaction(Transaction.dummy(1))
+        await until(lambda: nodes[0].core.round > 30)
+        await nodes[VICTIM].stop()
+        crashed_at = nodes[0].core.round
+        await until(lambda: nodes[0].core.round > crashed_at + 40)
+        nodes[VICTIM] = make(VICTIM, "checkpoint")
+        await nodes[VICTIM].start()
+        await until(lambda: nodes[VICTIM].recovery_time is not None)
+    finally:
+        await asyncio.gather(*(node.stop() for node in nodes))
+    return tracer, nodes[VICTIM]
+
+
+@pytest.fixture(scope="module")
+def runs():
+    """``(tracer, restarted validator)`` per fabric, simulator first."""
+    return run_simulator(), asyncio.run(asyncio.wait_for(run_runtime(), timeout=60))
+
+
+def test_both_fabrics_walk_the_same_recovery_transitions(runs):
+    (sim_tracer, sim_node), (rt_tracer, rt_node) = runs
+    sim_sequence, sim_chunks = transitions(sim_tracer)
+    rt_sequence, rt_chunks = transitions(rt_tracer)
+    assert sim_sequence == rt_sequence == EXPECTED
+    # Both really synced the suffix chunk by chunk.
+    assert sim_chunks >= 2 and rt_chunks >= 2
+
+    assert sim_node.checkpoint_adoptions == rt_node.checkpoint_adoptions == 1
+    assert not sim_node.syncing and not rt_node.syncing
+    assert rt_node.recovery_error is None
+
+
+def test_proposal_instants_share_one_track(runs):
+    """``tx_included`` rides the ``consensus`` track next to its block's
+    ``block_proposed`` on both fabrics (the runtime used to file it
+    under ``ingress``)."""
+    for tracer, _ in runs:
+        proposal = [e for e in tracer.events if e.name in (TX_INCLUDED, BLOCK_PROPOSED)]
+        assert {e.name for e in proposal} == {TX_INCLUDED, BLOCK_PROPOSED}
+        assert {e.subsystem for e in proposal} == {"consensus"}

@@ -1,0 +1,363 @@
+"""Unit tests for :class:`RecoveryDriver`, one per transition, driven
+through a recording fake port (no event loop, no transport, no clock)."""
+
+import functools
+from types import SimpleNamespace
+
+import pytest
+
+from repro.committee import Committee, CommitteeSchedule, ReconfigCommand
+from repro.errors import StateTransferError
+from repro.runtime.wal import WriteAheadLog
+from repro.statesync import RecoveryDriver, ancestor_closure
+from repro.statesync import recovery as recovery_module
+from tests.statesync.test_checkpoint import drive_rounds, make_core
+
+
+class FakePort:
+    """Records every effect; fetched blocks go straight into the core."""
+
+    def __init__(self):
+        self.driver = None
+        self.sync_requests = []  # (peer, refs, floor, token)
+        self.checkpoint_requests = 0
+        self.persisted = []
+        self.ingested = []
+        self.instants = []  # (name, args)
+
+    def send_sync_request(self, peer, refs, floor, token):
+        self.sync_requests.append((peer, refs, floor, token))
+
+    def broadcast_checkpoint_request(self):
+        self.checkpoint_requests += 1
+
+    def persist_peer_block(self, block):
+        self.persisted.append(block)
+
+    def ingest_fetched(self, block, peer):
+        self.ingested.append(block)
+        result = self.driver.core.add_block(block)
+        if result.accepted:
+            self.driver.block_connected(live=False)
+
+    def trace_instant(self, name, args):
+        self.instants.append((name, args))
+
+    def names(self):
+        return [name for name, _ in self.instants]
+
+
+def make_driver(mode="cold", *, chunk=4096, interval=0, gc=0, authority=3):
+    port = FakePort()
+    driver = RecoveryDriver(make_core(authority, interval=interval, gc=gc), port, mode, chunk)
+    port.driver = driver
+    return driver, port
+
+
+@functools.lru_cache(maxsize=None)
+def history(rounds=14, *, interval=0, gc=0):
+    """Four validators' cores after ``rounds`` lockstep rounds (shared
+    between tests: serve from them, never ingest into them)."""
+    cores = [make_core(i, interval=interval, gc=gc) for i in range(4)]
+    drive_rounds(cores, rounds)
+    return cores
+
+
+def suffix(core, floor=0):
+    """Every stored block above round ``floor``, lowest rounds first."""
+    store = core.store
+    tips = [b for a in range(4) for b in store.slot_blocks(store.highest_round, a)]
+    return ancestor_closure(store, tips, floor, 1 << 20)
+
+
+def adopt(driver, checkpoint, order=(2, 0, 1)):
+    for peer in order:
+        driver.on_checkpoint_response(peer, (checkpoint,))
+
+
+class TestModeSelection:
+    def test_unknown_mode_is_rejected(self):
+        with pytest.raises(ValueError, match="unknown recover_mode"):
+            make_driver("lukewarm")
+
+    def test_cold_waits_for_a_block_to_report_missing_ancestors(self):
+        driver, port = make_driver("cold")
+        assert driver.replay_wal("unused.wal") is None  # cold never reads the log
+        driver.begin_sync(now=7.0)
+        assert driver.syncing and driver.recovered_at == 7.0
+        assert port.instants == [("recovery_started", {"mode": "cold"})]
+        assert port.checkpoint_requests == 0 and not port.sync_requests
+
+    def test_warm_with_empty_wal_degenerates_to_cold(self, tmp_path):
+        WriteAheadLog(tmp_path / "empty.wal").close()
+        driver, port = make_driver("warm")
+        replay = driver.replay_wal(tmp_path / "empty.wal")
+        assert replay.blocks == 0
+        driver.begin_sync(now=0.0)
+        assert driver.recovery_mode_used == "cold"
+        assert port.instants == [("recovery_started", {"mode": "cold"})]
+
+    def test_warm_replays_the_log_and_restores_the_proposal_round(self, tmp_path):
+        source = history(6)[3]
+        wal = WriteAheadLog(tmp_path / "v3.wal")
+        for block in suffix(source):
+            (wal.append_own_block if block.author == 3 else wal.append_peer_block)(block)
+        wal.close()
+        driver, port = make_driver("warm")
+        replay = driver.replay_wal(tmp_path / "v3.wal")
+        assert replay.blocks == len(suffix(source)) and replay.own_top_round == 6
+        assert driver.recovery_mode_used == "warm"
+        assert driver.core.round >= 6  # never re-proposes a logged round
+        driver.begin_sync(now=0.0, replayed=replay.blocks)
+        assert port.instants == [
+            ("recovery_started", {"mode": "warm", "replayed": replay.blocks})
+        ]
+
+    def test_checkpoint_asks_for_state_transfer_before_any_fetch(self):
+        driver, port = make_driver("checkpoint")
+        driver.begin_sync(now=0.0)
+        assert driver.awaiting_checkpoint and port.checkpoint_requests == 1
+        assert port.instants == [("recovery_started", {"mode": "checkpoint"})]
+        # Fetching toward genesis would fight the adoption: suppressed.
+        tip = suffix(history(3)[0])[-1]
+        assert not driver.request_sync(0, (tip.reference,))
+        assert not port.sync_requests
+        driver.request_checkpoints()  # the host's retry timer
+        assert port.checkpoint_requests == 2
+
+    def test_restart_forgets_the_previous_incarnation(self):
+        driver, port = make_driver("cold")
+        driver.begin_sync(now=1.0)
+        tip = suffix(history(3)[0])[-1]
+        assert driver.request_sync(0, (tip.reference,))
+        fresh = make_core(3)
+        driver.restart(fresh)
+        assert driver.core is fresh and not driver.sync_inflight
+        assert driver.recovered_at is None
+        driver.begin_sync(now=2.0)
+        assert driver.recovered_at == 2.0
+        # Tokens stay monotonic across incarnations, so a response the
+        # previous one requested can never look current.
+        assert driver.request_sync(1, (tip.reference,))
+        assert [token for *_, token in port.sync_requests] == [1, 2]
+
+
+class TestCheckpointAdoption:
+    def test_quorum_adopts_and_fetches_the_suffix_from_the_first_attester(self):
+        checkpoint = history(30, interval=2)[0].committer.ledger.checkpoints[-1]
+        driver, port = make_driver("checkpoint", interval=2)
+        driver.begin_sync(now=0.0)
+        driver.on_checkpoint_response(2, (checkpoint,))
+        driver.on_checkpoint_response(2, (checkpoint,))  # a repeat is one vote
+        driver.on_checkpoint_response(0, (checkpoint,))
+        assert not driver.ckpt_adopted and not port.sync_requests
+        driver.on_checkpoint_response(1, (checkpoint,))
+        assert driver.ckpt_adopted and driver.checkpoint_adoptions == 1
+        assert driver.recovery_mode_used == "checkpoint"
+        assert driver.core.committer.ledger.adopted_base == checkpoint
+        # Peer 2 answered first (the nearest attester); nothing below
+        # the adopted floor is ever requested.
+        assert checkpoint.floor > 1
+        assert port.sync_requests == [(2, checkpoint.frontier, checkpoint.floor - 1, 1)]
+        assert port.names() == ["recovery_started", "checkpoint_adopted", "sync_requested"]
+        # Later responses are ignored.
+        driver.on_checkpoint_response(0, (checkpoint,))
+        assert driver.checkpoint_adoptions == 1
+
+    def test_responses_are_ignored_when_not_recovering(self):
+        checkpoint = history(30, interval=2)[0].committer.ledger.checkpoints[-1]
+        driver, port = make_driver("checkpoint", interval=2)
+        adopt(driver, checkpoint)
+        assert not driver.ckpt_adopted and not port.sync_requests
+
+    def test_serves_its_retained_checkpoints(self):
+        core = history(30, interval=2)[0]
+        driver = RecoveryDriver(core, FakePort(), "cold", 4096)
+        assert driver.retained_checkpoints() == tuple(core.committer.ledger.checkpoints)
+
+
+class TestDeepFetchChain:
+    def syncing_driver(self, **kwargs):
+        driver, port = make_driver("cold", **kwargs)
+        driver.begin_sync(now=0.0)
+        return driver, port
+
+    def test_one_request_in_flight_until_it_times_out(self):
+        driver, port = self.syncing_driver()
+        refs = (suffix(history(3)[0])[-1].reference,)
+        assert driver.request_sync(0, refs) and driver.sync_inflight
+        assert not driver.request_sync(1, refs)  # suppressed
+        assert not driver.request_sync(0, ())  # nothing to ask for
+        driver.sync_timed_out(99)  # another request's timer
+        assert driver.sync_inflight
+        driver.sync_timed_out(1)
+        assert not driver.sync_inflight
+        assert driver.request_sync(1, refs)
+        driver.sync_timed_out(1)  # the stale timer must not clear request 2
+        assert driver.sync_inflight
+        assert [(peer, token) for peer, _, _, token in port.sync_requests] == [(0, 1), (1, 2)]
+
+    def test_stale_response_contributes_blocks_but_does_not_drive_the_chain(self):
+        source = history(6)[0]
+        driver, port = self.syncing_driver()
+        refs = (suffix(source)[-1].reference,)
+        driver.request_sync(0, refs)
+        driver.sync_timed_out(1)
+        driver.request_sync(1, refs)
+        blocks = tuple(suffix(source))
+        assert driver.on_sync_response(0, blocks, (), 1) is False
+        assert len(port.ingested) == len(blocks)
+        assert driver.core.store.highest_round == 6  # the blocks did land
+        assert driver.syncing and driver.sync_inflight  # request 2 still owns the chain
+        assert len(port.sync_requests) == 2
+        # An untagged response never drives the chain either.
+        assert driver.on_sync_response(0, (), (), 0) is False and driver.sync_inflight
+
+    def test_short_chunk_finishes_and_full_chunk_continues(self, monkeypatch):
+        """The serving side caps every chunk at SYNC_MAX_BLOCKS whatever
+        the configured size, so a full chunk is ``min`` of the two — a
+        node configured above the cap must not mistake a capped chunk
+        for the peer's whole closure."""
+        blocks = suffix(history(6)[0])
+        monkeypatch.setattr(recovery_module, "SYNC_MAX_BLOCKS", 8)
+        driver, port = self.syncing_driver(chunk=64)
+        driver.request_sync(0, (blocks[-1].reference,))
+        # Exactly the cap (rounds 1-2): more may follow, keep going.
+        assert driver.on_sync_response(0, tuple(blocks[:8]), (), 1) is False
+        assert driver.syncing
+        # ...but with nothing pending there is no frontier to name.
+        assert len(port.sync_requests) == 1
+        # A pending live block gives the chain its next request.
+        driver.core.add_block(blocks[-1])
+        driver.request_sync(0, driver.core.missing_frontier())
+        assert port.sync_requests[-1][2:] == (2, 2)  # floor advanced to round 2
+        assert driver.on_sync_response(0, tuple(blocks[8:16]), (), 2) is False
+        assert port.sync_requests[-1][2:] == (4, 3)  # chained straight off the response
+        # The rest is a short chunk and connects everything: caught up.
+        assert driver.on_sync_response(0, tuple(blocks[16:-1]), (), 3) is True
+        assert not driver.syncing and not driver.sync_inflight
+        assert port.names()[-1] == "sync_finished"
+
+    def test_empty_response_unblocks_without_reasking(self):
+        driver, port = self.syncing_driver()
+        driver.request_sync(0, (suffix(history(3)[0])[-1].reference,))
+        assert driver.on_sync_response(0, (), (), 1) is False
+        assert driver.syncing and not driver.sync_inflight
+        assert len(port.sync_requests) == 1
+
+    def test_live_block_finishes_and_clears_the_inflight_marker(self):
+        """Finishing off a live block must leave no deep fetch marked in
+        flight, or the next fall-behind within the retry window has its
+        first request silently suppressed."""
+        source = history(3)[0]
+        blocks = suffix(source)
+        driver, port = self.syncing_driver()
+        driver.request_sync(0, (blocks[-1].reference,))
+        for block in blocks[:4]:  # round 1 arrives as live broadcasts
+            driver.core.add_block(block)
+        driver.block_connected(live=False)
+        assert driver.syncing  # fetched blocks prove nothing
+        driver.block_connected(live=True)
+        assert not driver.syncing and not driver.sync_inflight
+        assert port.instants[-1] == ("sync_finished", {"mode": "cold"})
+        driver.begin_sync(now=5.0, behind=12)
+        assert driver.request_sync(1, (blocks[-1].reference,))
+
+
+class TestPrunedHistory:
+    def adopted(self):
+        cores = history(30, interval=2)
+        checkpoint = cores[0].committer.ledger.checkpoints[-1]
+        driver, port = make_driver("checkpoint", interval=2)
+        driver.begin_sync(now=0.0)
+        adopt(driver, checkpoint)
+        return driver, port, checkpoint, cores[0]
+
+    def test_pruned_inside_the_adopted_span_raises_the_floor(self):
+        driver, port, checkpoint, source = self.adopted()
+        assert checkpoint.floor < checkpoint.round
+        pruned = tuple(
+            block.reference
+            for block in suffix(source, checkpoint.floor - 1)
+            if block.round == checkpoint.floor
+        )
+        assert driver.on_sync_response(2, (), pruned, 1) is False
+        assert driver.core.store.sync_floor == checkpoint.floor + 1
+        assert driver.syncing
+
+    def test_pruned_past_the_adopted_round_is_a_stale_checkpoint(self):
+        driver, port, checkpoint, source = self.adopted()
+        beyond = next(b for b in suffix(source) if b.round == checkpoint.round + 1)
+        with pytest.raises(StateTransferError, match="went stale mid-recovery"):
+            driver.on_sync_response(2, (), (beyond.reference,), 1)
+
+    def test_pruned_without_a_checkpoint_needs_state_transfer(self):
+        driver, port = make_driver("cold")
+        driver.begin_sync(now=0.0)
+        ref = suffix(history(3)[0])[0].reference
+        driver.request_sync(0, (ref,))
+        with pytest.raises(StateTransferError, match="recover_mode='checkpoint'"):
+            driver.on_sync_response(0, (), (ref,), 1)
+
+    def test_stale_pruned_flags_are_ignored(self):
+        driver, port = make_driver("cold")
+        driver.begin_sync(now=0.0)
+        ref = suffix(history(3)[0])[0].reference
+        assert driver.on_sync_response(0, (), (ref,), 7) is False
+
+
+class TestServing:
+    def test_serves_the_closure_above_the_floor_in_chunks(self):
+        source = history(6)[0]
+        driver = RecoveryDriver(source, FakePort(), "cold", 8)
+        tips = tuple(b.reference for b in suffix(source)[-4:])
+        served, pruned = driver.serve_sync(tips, 2)
+        assert [b.round for b in served] == [3] * 4 + [4] * 4 and pruned == ()
+        assert driver.held_blocks(tips) == suffix(source)[-4:]
+
+    def test_flags_requested_references_it_already_pruned(self):
+        source = history(40, gc=4)[0]
+        assert source.store.lowest_round > 1
+        old = history(2)[0]  # the same deterministic round-1 blocks
+        refs = tuple(b.reference for b in suffix(old)[:4])
+        driver = RecoveryDriver(source, FakePort(), "cold", 8)
+        served, pruned = driver.serve_sync(refs, 0)
+        assert served == () and pruned == refs
+
+    def test_unstored_blocks_are_served_and_not_flagged(self):
+        source = history(3)[0]
+        header = suffix(history(4)[1])[-1]  # a round-4 block ``source`` lacks
+        driver = RecoveryDriver(source, FakePort(), "cold", 8)
+        refs = (header.reference,)
+        assert driver.held_blocks(refs) == []
+        assert driver.held_blocks(refs, {header.digest: header}) == [header]
+        served, pruned = driver.serve_sync(refs, 3, {header.digest: header})
+        assert served == (header,) and pruned == ()
+
+
+class TestEpochExit:
+    def driver_for(self, authority):
+        schedule = CommitteeSchedule(Committee.of_size(5), provisioned=6)
+        core = SimpleNamespace(
+            authority=authority, schedule=schedule, store=SimpleNamespace(highest_round=0)
+        )
+        return RecoveryDriver(core, FakePort(), "cold", 4096), schedule, core.store
+
+    def test_a_member_leaves_when_the_excluding_epoch_activates(self):
+        driver, schedule, store = self.driver_for(3)
+        assert driver.excluded_by_epoch() is False
+        schedule.apply_command(ReconfigCommand(kind="leave", validator=3), 10)
+        store.highest_round = 9  # committed, not yet active: keep voting
+        assert driver.excluded_by_epoch() is False
+        store.highest_round = 10
+        assert driver.excluded_by_epoch() is True
+
+    def test_a_joiner_was_never_a_member_so_has_nothing_to_leave(self):
+        driver, schedule, store = self.driver_for(5)
+        assert driver.excluded_by_epoch() is False  # provisioned, outside the committee
+        schedule.apply_command(ReconfigCommand(kind="join", validator=5), 10)
+        store.highest_round = 10
+        assert driver.excluded_by_epoch() is False  # now a member
+        schedule.apply_command(ReconfigCommand(kind="leave", validator=5), 20)
+        store.highest_round = 20
+        assert driver.excluded_by_epoch() is True
