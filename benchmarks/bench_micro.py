@@ -477,93 +477,6 @@ class TestWireSizes:
         assert per_hit < per_miss
 
 
-class TestCommitWalk:
-    """Round-scoped epoch invalidation vs the full-clear re-walk it
-    replaced: replay the canonical epoch-resize stream (committee grows
-    4 -> committee shrinks, several activations mid-walk) in catch-up
-    chunks and compare ns per finalized slot."""
-
-    ROUNDS = 60
-    LAG = 16
-    CHUNK = 12
-    GENESIS = 6
-    PROVISIONED = 10
-
-    def _replay_time(self, stream, committer_cls, chunk_rounds, repeats=5):
-        from benchmarks.commit_walk import replay_stream
-
-        best = float("inf")
-        slots = 0
-        for _ in range(repeats):
-            started = time.perf_counter()
-            observations, _ = replay_stream(
-                stream, committer_cls=committer_cls, chunk_rounds=chunk_rounds
-            )
-            best = min(best, time.perf_counter() - started)
-            slots = len(observations)
-        return best, slots
-
-    def test_epoch_resize_incremental_vs_full_clear(self, benchmark):
-        from repro.core.committer import Committer
-
-        from benchmarks.commit_walk import (
-            FullClearCommitter,
-            build_epoch_resize_stream,
-            observation_fingerprint,
-            replay_stream,
-        )
-
-        stream = build_epoch_resize_stream(
-            rounds=self.ROUNDS,
-            lag=self.LAG,
-            genesis_size=self.GENESIS,
-            provisioned=self.PROVISIONED,
-        )
-        full_s, full_slots = self._replay_time(stream, FullClearCommitter, self.CHUNK)
-        inc_s, inc_slots = self._replay_time(stream, Committer, self.CHUNK)
-        assert full_slots == inc_slots > 0
-        # Identical finalized observations — the safety half of the
-        # comparison (the dedicated equivalence test covers more shapes).
-        assert observation_fingerprint(
-            replay_stream(stream, committer_cls=Committer, chunk_rounds=self.CHUNK)[0]
-        ) == observation_fingerprint(
-            replay_stream(
-                stream, committer_cls=FullClearCommitter, chunk_rounds=self.CHUNK
-            )[0]
-        )
-        full_ns = full_s / full_slots * 1e9
-        inc_ns = inc_s / inc_slots * 1e9
-        print_table(
-            f"Epoch-resize commit walk ({self.ROUNDS} rounds, "
-            f"n={self.GENESIS}->{self.PROVISIONED}, chunks of {self.CHUNK})",
-            [
-                Row(
-                    label="full-clear on activation (PR 5)",
-                    paper="-",
-                    measured=f"{full_ns:,.0f} ns/slot",
-                ),
-                Row(
-                    label="round-scoped invalidation",
-                    paper="strictly faster",
-                    measured=f"{inc_ns:,.0f} ns/slot ({full_s / inc_s:.2f}x)",
-                ),
-            ],
-        )
-        benchmark.extra_info["full_clear_ns_per_slot"] = full_ns
-        benchmark.extra_info["incremental_ns_per_slot"] = inc_ns
-        benchmark.extra_info["speedup"] = full_s / inc_s
-        benchmark.pedantic(
-            replay_stream,
-            args=(stream,),
-            kwargs={"chunk_rounds": self.CHUNK},
-            rounds=1,
-            iterations=1,
-        )
-        # The acceptance bar: the epoch-activation re-walk is eliminated,
-        # so the incremental variant must be strictly faster here.
-        assert inc_s < full_s
-
-
 class TestWal:
     def test_append(self, benchmark, tmp_path):
         payload = sample_block().encode()

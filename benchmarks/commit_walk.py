@@ -1,25 +1,14 @@
-"""The epoch-resize commit-walk workload (shared by ``bench_micro`` and
-the round-scoped invalidation tests).
+"""The epoch-resize commit-walk workload (used by the round-scoped
+invalidation tests, ``tests/core/test_epoch_invalidation.py``).
 
 Builds a canonical lockstep block stream whose transactions carry
 committed join/leave :class:`~repro.committee.ReconfigCommand` payloads,
 so replaying the stream into a fresh :class:`~repro.core.Committer`
 crosses several epoch activations mid-walk.  The stream is produced once
 by a *driver* committer (membership per round follows the epochs the
-driver's own walk activates) and then replayed round by round into fresh
-committers for timing and equivalence checks:
-
-* the **full-clear** baseline (:class:`FullClearCommitter`) reproduces
-  the pre-PR-6 behavior — every epoch activation clears all cached
-  decisions, cert memos, and elector state, then re-walks from the
-  cursor;
-* the **incremental** variant (plain :class:`~repro.core.Committer`)
-  invalidates only state at rounds >= the activation (plus cached
-  indirect decisions, whose anchors may sit above it).
-
-Both must finalize byte-identical observation sequences — that is the
-equivalence test — and the incremental walk must be strictly faster on
-this workload — that is the recorded before/after comparison.
+driver's own walk activates) and then replayed into fresh committers:
+however the replay is chunked around the activations, it must finalize
+the observation sequence a single from-scratch walk does, byte for byte.
 """
 
 from __future__ import annotations
@@ -27,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.block import Block, make_genesis
-from repro.committee import Committee, CommitteeSchedule, ReconfigCommand, reconfig_commands_in
+from repro.committee import Committee, CommitteeSchedule, ReconfigCommand
 from repro.config import ProtocolConfig
 from repro.core.committer import CommitObservation, Committer
 from repro.crypto.coin import CoinShare, CommonCoin
@@ -70,24 +59,6 @@ class _StreamCoin(CommonCoin):
         return 0
 
 
-class FullClearCommitter(Committer):
-    """The pre-PR-6 committer: epoch activation clears every decision
-    cache and memo wholesale, forcing the walk to re-derive everything
-    above the cursor from scratch.  Kept as the *before* side of the
-    commit-walk comparison."""
-
-    def _apply_reconfig(self, linearized: tuple[Block, ...], slot_round: int) -> bool:
-        scheduled = False
-        for command in reconfig_commands_in(linearized):
-            epoch = self.schedule.apply_command(command, slot_round + self._reconfig_lag)
-            scheduled = scheduled or epoch is not None
-        if scheduled:
-            self._decided.clear()
-            self.traversal.invalidate_certs()
-            self._elector.invalidate()
-        return scheduled
-
-
 @dataclass(frozen=True)
 class EpochResizeStream:
     """The canonical workload: blocks grouped per round, in causal
@@ -109,12 +80,11 @@ def _make_committer(
     genesis_size: int,
     provisioned: int,
     lag: int,
-    cls: type[Committer] = Committer,
 ) -> tuple[DagStore, Committer]:
     store = DagStore()
     store.add_genesis(make_genesis(genesis_size))
     schedule = CommitteeSchedule(Committee.of_size(genesis_size), provisioned=provisioned)
-    committer = cls(
+    committer = Committer(
         store,
         schedule,
         _StreamCoin(),
@@ -189,10 +159,7 @@ def build_epoch_resize_stream(
 
 
 def replay_stream(
-    stream: EpochResizeStream,
-    *,
-    committer_cls: type[Committer] = Committer,
-    chunk_rounds: int = 1,
+    stream: EpochResizeStream, *, chunk_rounds: int = 1
 ) -> tuple[list[CommitObservation], Committer]:
     """Replay the stream into a fresh committer, extending the commit
     sequence every ``chunk_rounds`` rounds.
@@ -200,15 +167,13 @@ def replay_stream(
     ``chunk_rounds=1`` is the smooth regime the sim runs in;
     larger chunks model a validator catching up (recovery, GC re-sync,
     a burst of deliveries): the walk window spans many rounds, so an
-    epoch activation mid-walk restarts over a deep backlog — exactly
-    where wholesale cache clearing hurts.  Returns all observations, in
-    order."""
+    epoch activation mid-walk restarts over a deep backlog.  Returns
+    all observations, in order."""
     store, committer = _make_committer(
         stream,
         genesis_size=stream.genesis_size,
         provisioned=stream.provisioned,
         lag=stream.lag,
-        cls=committer_cls,
     )
     observations: list[CommitObservation] = []
     for index, blocks in enumerate(stream.rounds):
@@ -221,7 +186,7 @@ def replay_stream(
 
 
 def replay_stream_oneshot(
-    stream: EpochResizeStream, *, committer_cls: type[Committer] = Committer
+    stream: EpochResizeStream,
 ) -> tuple[list[CommitObservation], Committer]:
     """Replay the whole stream, then walk once from scratch (the
     from-scratch reference the equivalence test compares against)."""
@@ -230,7 +195,6 @@ def replay_stream_oneshot(
         genesis_size=stream.genesis_size,
         provisioned=stream.provisioned,
         lag=stream.lag,
-        cls=committer_cls,
     )
     for blocks in stream.rounds:
         for block in blocks:

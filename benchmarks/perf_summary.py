@@ -4,9 +4,9 @@
 Runs the ``bench_micro.py`` comparison suites under pytest-benchmark,
 collects each suite's recorded before/after numbers (``extra_info``),
 and writes ``results/perf_summary.json``: events/s for the event loop,
-commit-walk ns/slot, the network-delivery event reduction, and the
-speedup ratios — the numbers the repo's "every optimization lands with a
-before/after point" discipline produces, in one artifact.
+the network-delivery event reduction, and the speedup ratios — the
+numbers the repo's "every optimization lands with a before/after point"
+discipline produces, in one artifact.
 
 A soft floor gates the event-loop drain rate: the exact rate varies with
 runner hardware, so the bar is set an order of magnitude below typical —
@@ -51,7 +51,6 @@ SUITES = (
     "TestEventLoop",
     "TestNetworkDelivery",
     "TestWireSizes",
-    "TestCommitWalk",
 )
 
 #: extra_info keys lifted into the summary, grouped by section.
@@ -64,11 +63,6 @@ SECTIONS = {
     ),
     "network_delivery": ("per_message_events", "batched_events", "event_reduction"),
     "wire_sizes": ("recompute_us", "memoized_us"),
-    "commit_walk": (
-        "full_clear_ns_per_slot",
-        "incremental_ns_per_slot",
-        "speedup",
-    ),
 }
 
 #: Benchmark class that feeds each section.
@@ -76,7 +70,6 @@ SECTION_CLASSES = {
     "event_loop": "TestEventLoop",
     "network_delivery": "TestNetworkDelivery",
     "wire_sizes": "TestWireSizes",
-    "commit_walk": "TestCommitWalk",
 }
 
 

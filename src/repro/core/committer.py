@@ -1,6 +1,6 @@
 """``TryDecide`` / ``ExtendCommitSequence`` — Algorithm 1 of the paper.
 
-The committer sweeps leader slots from the highest round down to the
+The committer visits leader slots from the highest round down to the
 first unfinalized one, classifying each with the direct rule and falling
 back to the indirect rule (which consults the statuses of the later
 slots computed earlier in the same sweep).  It then walks the resulting
@@ -9,8 +9,31 @@ committed leader blocks are linearized into the global commit sequence
 (DagRider-style, Section 3.2 step 5) and skipped slots are passed over.
 The walk stops at the first undecided slot.
 
-Decided slot classifications are final (Lemmas 4-6), so they are cached
-and never recomputed.
+The paper runs this on every received block; most blocks change nothing
+for most slots, so a visit only does work where evidence moved:
+
+* Decided classifications are final (Lemmas 4-6): cached, never redone.
+* A slot's *direct* verdict is a function of the blocks at its vote
+  round ``r+w-2`` (a vote block's votes are fixed when it is inserted:
+  its whole causal history is already stored) and its certify round
+  ``r+w-1`` (certificates and coin shares), plus the committee schedule.
+  A propose-round sibling that arrives later is in no stored vote
+  block's history, so it has no votes: it can neither be committed nor
+  hold up a skip.  An UNDECIDED verdict is therefore kept with the
+  ``(vote-round, certify-round)`` block counts it was judged on, and the
+  direct rule re-runs only when one grew (rounds only gain blocks).
+* A slot whose certify round holds fewer authors than a quorum has no
+  coin, hence no leader and no verdict: UNDECIDED without electing (the
+  top ``w-1`` rounds of every sweep).
+* The indirect rule runs only once the coin is open and the slot's
+  anchor is decided; until then it could only say UNDECIDED.
+
+Kept verdicts, and the traversal's vote and cert memos behind them,
+exist for slots at or above the cursor only: finalizing a slot drops its
+verdict, leaving a round drops its leaders' memos.  Garbage collection
+and a raised state-transfer floor act below the cursor, so they can
+stale nothing; an epoch activation or a checkpoint adoption, which
+change the schedule or move the cursor, drop every kept verdict.
 """
 
 from __future__ import annotations
@@ -27,7 +50,7 @@ from ..dag.store import DagStore
 from ..dag.traversal import DagTraversal
 from ..errors import ReproError
 from ..statesync import DEFAULT_CHECKPOINT_LAG, Checkpoint, CommitLedger
-from .decider import Decider, LeaderElector
+from .decider import UNKNOWN_AUTHORITY, Decider, LeaderElector
 from .slots import Decision, LeaderSlot, SlotStatus
 
 #: The first round that hosts leader slots (genesis round 0 never does).
@@ -127,6 +150,9 @@ class Committer:
         # Final (decided) slot classifications; decided statuses never
         # change (Lemmas 4-6), so this is a pure cache.
         self._decided: dict[tuple[int, int], SlotStatus] = {}
+        # UNDECIDED direct-rule verdicts with their evidence: slot ->
+        # ((vote-round, certify-round) block counts, status).
+        self._undecided: dict[tuple[int, int], tuple[tuple[int, int], SlotStatus]] = {}
         # Next slot to finalize in the global sequence.
         self._cursor_round = first_leader_round
         self._cursor_offset = 0
@@ -177,27 +203,63 @@ class Committer:
         can consult later slots) and returned in ascending order.
         """
         statuses: deque[SlotStatus] = deque()
+        blocks_at = self._store.num_blocks_at_round
+        to_certify = self._config.wave_length - 1
         for round_number in range(to_round, from_round - 1, -1):
             if not self.is_leader_round(round_number):
                 continue
+            certify_round = round_number + to_certify
+            evidence = (blocks_at(certify_round - 1), blocks_at(certify_round))
             for offset in reversed(range(self._config.leaders_per_round)):
-                status = self._classify_slot(round_number, offset, statuses)
-                statuses.appendleft(status)
+                statuses.appendleft(
+                    self._classify_slot(round_number, offset, certify_round, evidence, statuses)
+                )
         return list(statuses)
 
     def _classify_slot(
-        self, round_number: int, offset: int, higher: "deque[SlotStatus]"
+        self,
+        round_number: int,
+        offset: int,
+        certify_round: int,
+        evidence: tuple[int, int],
+        higher: "deque[SlotStatus]",
     ) -> SlotStatus:
+        """One slot's status.  ``evidence`` is the slot's current
+        ``(vote-round, certify-round)`` block counts; ``higher`` holds
+        the statuses of all later slots, ascending."""
         key = (round_number, offset)
         cached = self._decided.get(key)
         if cached is not None:
             return cached
         decider = self._deciders[offset]
-        status = decider.try_direct_decide(round_number)
-        if not status.is_decided:
-            status = decider.try_indirect_decide(round_number, higher)
-        if status.is_decided:
-            self._decided[key] = status
+        judged = self._undecided.get(key)
+        if judged is not None and judged[0] == evidence:
+            status = judged[1]
+        else:
+            shares = self._store.num_authors_at_round(certify_round)
+            if shares < self.schedule.quorum_threshold(certify_round):
+                # The coin cannot be open yet: no leader, no verdict.
+                status = judged[1] if judged is not None else SlotStatus(
+                    LeaderSlot(round_number, offset, UNKNOWN_AUTHORITY), Decision.UNDECIDED
+                )
+            else:
+                status = decider.try_direct_decide(round_number)
+                if status.is_decided:
+                    return self._settle(key, status)
+            self._undecided[key] = (evidence, status)
+        if (
+            status.slot.authority != UNKNOWN_AUTHORITY
+            and higher
+            and higher[-1].slot.round > certify_round
+        ):
+            anchor = decider.find_anchor(certify_round, higher)
+            if anchor is not None and anchor.is_decided:
+                return self._settle(key, decider.try_indirect_decide(round_number, higher))
+        return status
+
+    def _settle(self, key: tuple[int, int], status: SlotStatus) -> SlotStatus:
+        self._decided[key] = status
+        self._undecided.pop(key, None)
         return status
 
     # ------------------------------------------------------------------
@@ -280,6 +342,8 @@ class Committer:
           committee.  (Everything cached sits above the cursor —
           finalized entries are popped by ``_advance_cursor`` — so this
           still evicts far less than a full clear.)
+        * kept UNDECIDED verdicts — all dropped (a handful of slots):
+          block counts cannot see that a quorum or the membership moved.
         * cert memos — ``IsCert`` resolves quorum/membership at the
           *leader's* round, so only leader rounds >= ``A`` are dropped.
         * elector — the cached certify round always bounds the wave's
@@ -305,6 +369,7 @@ class Committer:
             ]
             for key in stale:
                 del self._decided[key]
+            self._undecided.clear()
             self.traversal.invalidate_above(activation)
             self._elector.invalidate_above(activation)
         return scheduled
@@ -324,16 +389,22 @@ class Committer:
             raise ReproError("only a fresh committer may adopt a checkpoint")
         self._cursor_round, self._cursor_offset = checkpoint.next_slot
         self._decided.clear()
+        self._undecided.clear()
         self._output = {ref.digest for ref in checkpoint.linearized}
         self.committed_sequence_length = checkpoint.sequence_length
         self.ledger.adopt(checkpoint)
 
     def _advance_cursor(self) -> None:
-        self._decided.pop((self._cursor_round, self._cursor_offset), None)
         self._cursor_offset += 1
         if self._cursor_offset >= self._config.leaders_per_round:
+            # A round's finalized statuses stay until the cursor leaves
+            # it (sweeps start at the cursor *round*); then they and the
+            # round's vote/cert memos go: nothing judges them again.
+            for offset in range(self._cursor_offset):
+                self._decided.pop((self._cursor_round, offset), None)
             self._cursor_offset = 0
             self._cursor_round += self._wave_stride
+            self.traversal.invalidate_below(self._cursor_round)
 
     # ------------------------------------------------------------------
     # Introspection

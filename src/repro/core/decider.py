@@ -16,6 +16,12 @@ The **direct rule** (Section 3.2 step 2) commits a proposal with
 certified.  The **indirect rule** (step 3) consults the slot's *anchor*
 — the first non-skipped slot of the next wave — and commits exactly
 when the anchor's causal history contains a certificate for the slot.
+
+Both rules are pure functions of the DAG and the committee schedule;
+*when* to run them — after a slot's vote or certify round gained a
+block, once its anchor is decided — is the committer's business.  The
+one cache here is the elector's: an opened coin is final, a failed
+attempt is retried once new authors arrive.
 """
 
 from __future__ import annotations
@@ -82,13 +88,13 @@ class LeaderElector:
         the certify round's own committee (see the class docstring).
         """
         del epoch_round
+        cached = self._cache.get(certify_round)
+        if cached is not None and cached[1] is not None:
+            return cached[1]  # an opened coin never changes
         committee = self._schedule.committee_at(certify_round)
         authors_now = committee.count_members(self._store.authors_at_round(certify_round))
-        cached = self._cache.get(certify_round)
-        if cached is not None:
-            authors_then, value = cached
-            if value is not None or authors_then == authors_now:
-                return value
+        if cached is not None and cached[0] == authors_now:
+            return None
         shares: list[CoinShare] = []
         seen_authors: set[int] = set()
         for block in self._store.round_blocks(certify_round):
@@ -109,15 +115,6 @@ class LeaderElector:
                 value = None
         self._cache[certify_round] = (authors_now, value)
         return value
-
-    def invalidate(self) -> None:
-        """Drop every cached reconstruction attempt.  A cached ``None``
-        ("coin not open") was judged against a quorum and member set that
-        may have moved, and the author-count retry trigger alone cannot
-        tell that the *quorum* moved under an unchanged count.  Coin
-        values themselves are committee-independent, so re-deriving is
-        cheap and safe."""
-        self._cache.clear()
 
     def invalidate_above(self, round_number: int) -> int:
         """Drop cached reconstruction attempts for certify rounds
@@ -331,7 +328,7 @@ class Decider:
         if authority == UNKNOWN_AUTHORITY:
             return SlotStatus(slot=slot, decision=Decision.UNDECIDED)
         certify_round = self.certify_round(propose_round)
-        anchor = self._find_anchor(certify_round, higher_statuses)
+        anchor = self.find_anchor(certify_round, higher_statuses)
         if anchor is None or anchor.decision is Decision.UNDECIDED:
             return SlotStatus(slot=slot, decision=Decision.UNDECIDED)
         assert anchor.block is not None
@@ -343,7 +340,7 @@ class Decider:
         return SlotStatus(slot=slot, decision=Decision.SKIP, direct=False)
 
     @staticmethod
-    def _find_anchor(
+    def find_anchor(
         certify_round: int, higher_statuses: "Iterable[SlotStatus]"
     ) -> SlotStatus | None:
         """Algorithm 2 line 29: the first slot after the certify round

@@ -193,7 +193,6 @@ class MahiMahiCore:
         re-flowed into the DAG; returns the blocks accepted that way.
         """
         self.store.adopt_floor(round_number)
-        self.committer.traversal.invalidate_below(round_number)
         accepted: list[Block] = []
         progress = True
         while progress:
@@ -438,4 +437,3 @@ class MahiMahiCore:
         horizon = self.committer.last_finalized_round - depth
         if horizon > self.store.lowest_round:
             self.store.prune_below(horizon)
-            self.committer.traversal.invalidate_below(horizon)

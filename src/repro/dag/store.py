@@ -3,7 +3,7 @@
 The paper writes ``DAG[r, v]`` for the block(s) of round ``r`` authored
 by validator ``v`` — plural because a Byzantine ``v`` may equivocate
 (Appendix A).  The store therefore indexes blocks by digest, by
-``(round, author)`` slot (a list, in arrival order), and by round.
+``(round, author)`` slot (a tuple, in arrival order), and by round.
 
 The store only accepts blocks whose parents are all present, which
 upholds the paper's rule that validators admit a block only after
@@ -26,16 +26,18 @@ class DagStore:
 
     def __init__(self) -> None:
         self._by_digest: dict[Digest, Block] = {}
-        # round -> author -> blocks (arrival order).  Nesting small int
+        # round -> author -> blocks (arrival order; tuples, so that
+        # ``slot_blocks`` hands them out uncopied).  Nesting small int
         # keys instead of keying by ``(round, author)`` tuples avoids
         # allocating and hashing a fresh tuple per slot probe in the
         # commit walk, and lets GC drop a whole round with one pop.
-        self._by_slot: dict[int, dict[int, list[Block]]] = {}
+        self._by_slot: dict[int, dict[int, tuple[Block, ...]]] = {}
         self._by_round: dict[int, list[Block]] = {}
-        # round -> materialized tuple of its blocks, built lazily by
-        # ``round_blocks`` and dropped when the round gains a block.
+        # round -> materialized tuple of its blocks / frozenset of its
+        # authors, built lazily by ``round_blocks`` / ``authors_at_round``
+        # and dropped when the round gains a block / an author.
         self._round_tuples: dict[int, tuple[Block, ...]] = {}
-        self._authors_by_round: dict[int, set[int]] = {}
+        self._author_sets: dict[int, frozenset[int]] = {}
         self._highest_round = -1
         self._lowest_round = 0
         # State-transfer horizon: parents below this round count as
@@ -65,10 +67,11 @@ class DagStore:
         round_slots = self._by_slot.get(block.round)
         if round_slots is None:
             round_slots = self._by_slot[block.round] = {}
-        round_slots.setdefault(block.author, []).append(block)
+        if block.author not in round_slots:
+            self._author_sets.pop(block.round, None)
+        round_slots[block.author] = round_slots.get(block.author, ()) + (block,)
         self._by_round.setdefault(block.round, []).append(block)
         self._round_tuples.pop(block.round, None)
-        self._authors_by_round.setdefault(block.round, set()).add(block.author)
         if block.round > self._highest_round:
             self._highest_round = block.round
 
@@ -122,7 +125,7 @@ class DagStore:
         round_slots = self._by_slot.get(round_number)
         if round_slots is None:
             return ()
-        return tuple(round_slots.get(author, ()))
+        return round_slots.get(author, ())
 
     def round_blocks(self, round_number: int) -> tuple[Block, ...]:
         """All blocks of a round, in arrival order (``DAG[r, *]``).
@@ -141,12 +144,26 @@ class DagStore:
         return result
 
     def authors_at_round(self, round_number: int) -> frozenset[int]:
-        """Distinct authors with at least one block in the round."""
-        return frozenset(self._authors_by_round.get(round_number, ()))
+        """Distinct authors with at least one block in the round
+        (memoized like :meth:`round_blocks`)."""
+        cached = self._author_sets.get(round_number)
+        if cached is not None:
+            return cached
+        round_slots = self._by_slot.get(round_number)
+        if round_slots is None:
+            return frozenset()
+        result = self._author_sets[round_number] = frozenset(round_slots)
+        return result
 
     def num_authors_at_round(self, round_number: int) -> int:
         """Count of distinct authors at the round (quorum checks)."""
-        return len(self._authors_by_round.get(round_number, ()))
+        return len(self._by_slot.get(round_number, ()))
+
+    def num_blocks_at_round(self, round_number: int) -> int:
+        """Count of blocks at the round, equivocating siblings included.
+        Rounds only ever gain blocks, so an unchanged count means an
+        unchanged round — the commit walk's evidence stamp."""
+        return len(self._by_round.get(round_number, ()))
 
     @property
     def highest_round(self) -> int:
@@ -202,6 +219,6 @@ class DagStore:
                 removed += 1
             self._by_slot.pop(r, None)
             self._round_tuples.pop(r, None)
-            self._authors_by_round.pop(r, None)
+            self._author_sets.pop(r, None)
         self._lowest_round = max(self._lowest_round, round_number)
         return removed

@@ -14,7 +14,12 @@
 ``VotedBlock`` results are memoized per target slot: for a fixed
 ``(id, r)`` the result is a pure function of the starting block, so each
 block in the w-round window is resolved once per wave instead of once
-per DFS path.
+per DFS path.  ``IsCert`` reads that memo directly, keyed by the digests
+in the certifier's parent references (whose ``author``/``round`` it also
+reads off the reference), so a parent that was resolved before costs one
+dict probe and no store fetch; only a miss fetches the parent and
+searches.  Both memos are keyed by the leader's round first, so the
+advancing commit cursor and an epoch activation drop whole rounds.
 """
 
 from __future__ import annotations
@@ -58,16 +63,17 @@ class DagTraversal:
         else:
             self._quorum_at = lambda round_number: quorum_threshold
         self._membership = membership
-        # (leader author, leader round) -> {start digest -> voted block or None}
-        self._vote_cache: dict[tuple[int, int], dict[Digest, Block | None]] = {}
+        # leader round -> leader author -> {start digest -> voted block
+        # or None}.  Pure DAG structure: committee-independent.
+        self._vote_cache: dict[int, dict[int, dict[Digest, Block | None]]] = {}
         # leader round -> {(certifier digest, leader digest) -> bool}.
         # Entries are valid as long as the leader round's quorum and
         # committee stay fixed: a block's parents are immutable and the
         # DAG is append-only, so only a committee-schedule change at the
         # leader's round can stale a verdict.  Keying the outer dict by
         # leader round makes invalidation round-scoped (epoch activation
-        # drops rounds >= the activation; GC drops rounds below the
-        # horizon) instead of wholesale.
+        # drops rounds >= the activation; the commit cursor drops the
+        # rounds it leaves) instead of wholesale.
         self._cert_cache: dict[int, dict[tuple[Digest, Digest], bool]] = {}
 
     # ------------------------------------------------------------------
@@ -81,8 +87,13 @@ class DagTraversal:
         rooted at a block with round <= ``round_number`` cannot contain
         the target.
         """
-        cache = self._vote_cache.setdefault((author, round_number), {})
-        return self._voted_block_memo(start, author, round_number, cache)
+        return self._voted_block_memo(
+            start, author, round_number, self._vote_memo(author, round_number)
+        )
+
+    def _vote_memo(self, author: int, round_number: int) -> dict[Digest, Block | None]:
+        """The ``VotedBlock`` memo of target slot ``(author, round)``."""
+        return self._vote_cache.setdefault(round_number, {}).setdefault(author, {})
 
     def _voted_block_memo(
         self,
@@ -124,25 +135,35 @@ class DagTraversal:
         """``IsCert(b_cert, b_leader)`` — the certifier's parents include
         votes for the leader from at least ``2f + 1`` distinct authors.
         """
-        round_cache = self._cert_cache.get(leader.round)
+        leader_round = leader.round
+        round_cache = self._cert_cache.get(leader_round)
         if round_cache is None:
-            round_cache = self._cert_cache[leader.round] = {}
-        key = (certifier.digest, leader.digest)
+            round_cache = self._cert_cache[leader_round] = {}
+        leader_digest = leader.digest
+        key = (certifier.digest, leader_digest)
         cached = round_cache.get(key)
         if cached is not None:
             return cached
         voting_authors: set[int] = set()
         result = False
-        quorum = self._quorum_at(leader.round)
-        committee = self._membership(leader.round) if self._membership else None
+        quorum = self._quorum_at(leader_round)
+        is_member = self._membership(leader_round).is_member if self._membership else None
+        leader_author = leader.author
+        votes = self._vote_memo(leader_author, leader_round)
         for parent_ref in certifier.parents:
-            if parent_ref.round <= leader.round:
+            if parent_ref.round <= leader_round:
                 continue
-            parent = self._store.get_ref(parent_ref)
-            if committee is not None and not committee.is_member(parent.author):
-                continue
-            if self.is_vote(parent, leader):
-                voting_authors.add(parent.author)
+            voted = votes.get(parent_ref.digest, _MISS)
+            if voted is _MISS:
+                voted = self._voted_block_memo(
+                    self._store.get_ref(parent_ref), leader_author, leader_round, votes
+                )
+            if (
+                voted is not None
+                and voted.digest == leader_digest
+                and (is_member is None or is_member(parent_ref.author))
+            ):
+                voting_authors.add(parent_ref.author)
                 if len(voting_authors) >= quorum:
                     result = True
                     break
@@ -240,12 +261,6 @@ class DagTraversal:
     # ------------------------------------------------------------------
     # Cache management
     # ------------------------------------------------------------------
-    def invalidate_certs(self) -> None:
-        """Drop every memoized certificate verdict (the pre-PR-6
-        wholesale invalidation; :meth:`invalidate_above` is the
-        round-scoped variant epoch activation uses)."""
-        self._cert_cache.clear()
-
     def invalidate_above(self, round_number: int) -> int:
         """Drop certificate verdicts for leaders at rounds
         >= ``round_number``.
@@ -265,30 +280,30 @@ class DagTraversal:
 
     def invalidate_below(self, round_number: int) -> int:
         """Drop memo entries for target slots and cert-round leaders
-        below ``round_number`` (called alongside DAG garbage collection
-        and state-transfer floor raises).  Returns the number of entries
-        dropped."""
+        below ``round_number`` (called as the commit cursor leaves a
+        round: a finalized slot is never judged again).  Returns the
+        number of entries dropped."""
         dropped = 0
-        stale_votes = [key for key in self._vote_cache if key[1] < round_number]
-        for key in stale_votes:
-            dropped += len(self._vote_cache.pop(key))
-        stale_certs = [r for r in self._cert_cache if r < round_number]
-        for r in stale_certs:
+        for r in [r for r in self._vote_cache if r < round_number]:
+            dropped += sum(len(memo) for memo in self._vote_cache.pop(r).values())
+        for r in [r for r in self._cert_cache if r < round_number]:
             dropped += len(self._cert_cache.pop(r))
         return dropped
 
     def memo_size(self) -> int:
         """Total cached entries across the vote and cert memos (the
         accounting hook the invalidation tests assert against)."""
-        return sum(len(v) for v in self._vote_cache.values()) + sum(
-            len(v) for v in self._cert_cache.values()
-        )
+        stats = self.cache_stats()
+        return stats["vote_entries"] + stats["cert_entries"]
 
     def cache_stats(self) -> dict[str, int]:
         """Size of the vote and cert memos (observability for benchmarks)."""
+        vote_memos = [
+            memo for by_author in self._vote_cache.values() for memo in by_author.values()
+        ]
         return {
-            "vote_targets": len(self._vote_cache),
-            "vote_entries": sum(len(v) for v in self._vote_cache.values()),
+            "vote_targets": len(vote_memos),
+            "vote_entries": sum(len(memo) for memo in vote_memos),
             "cert_rounds": len(self._cert_cache),
             "cert_entries": sum(len(v) for v in self._cert_cache.values()),
         }

@@ -1,0 +1,390 @@
+"""Differential test of the event-driven commit walk.
+
+:class:`~repro.core.committer.Committer` re-runs a slot's direct rule
+only when the slot's vote or certify round gained a block, and the
+indirect rule only once the slot's anchor is decided.  The reference it
+is compared with is the same class with nothing remembered: a committer
+built on the spot over the same store has no evidence stamps and no
+vote/cert memos, so its sweep evaluates every slot in full.  There is no
+second implementation to keep in step.
+
+After every single block insertion, in a random causal order:
+
+* ``slot_statuses()`` equals, status for status, what a fresh committer
+  that was told only the *settled* classifications (final by Lemmas 4-6)
+  computes over the same range.  Seeding those is what makes the
+  comparison exact, ``direct`` flag included: which rule fired first
+  depends on arrival order, which a committer built later cannot see.
+* the finalized sequence so far agrees with a from-scratch walk by a
+  committer that was told nothing at all — slot, decision, leader and
+  every linearized digest, everything but the ``direct`` flag.  Without
+  equivocators the two are equally long; a late equivocating vote-round
+  sibling can make the from-scratch walk *less* decisive than the one
+  that settled a direct skip before the sibling arrived (the skip stays
+  safe: at most ``f`` authors can change sides), so there only the common
+  prefix is compared.
+"""
+
+from __future__ import annotations
+
+import random
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from benchmarks.commit_walk import (
+    _StreamCoin,
+    build_epoch_resize_stream,
+    replay_stream_oneshot,
+)
+from repro.block import Block, make_genesis
+from repro.committee import Committee, CommitteeSchedule
+from repro.config import ProtocolConfig
+from repro.core.committer import Committer
+from repro.core.protocol import MahiMahiCore
+from repro.core.slots import Decision
+from repro.crypto.coin import FastCoin
+from repro.dag.store import DagStore
+
+from ..helpers import DagBuilder, FixedCoin
+from ..statesync.test_checkpoint import drive_rounds, make_core
+
+
+def status_view(status):
+    """A status without its ``direct`` flag."""
+    return (status.slot, status.decision, status.block.digest if status.block else None)
+
+
+def sequence_view(observations):
+    return [
+        (status_view(obs.status), tuple(block.digest for block in obs.linearized))
+        for obs in observations
+    ]
+
+
+def check_statuses(committer: Committer, make_committer) -> None:
+    """``slot_statuses()`` against a fresh committer seeded with the
+    settled classifications (see the module docstring)."""
+    settled = dict(committer._decided)
+    statuses = committer.slot_statuses()
+    reference = make_committer()
+    reference._decided.update(settled)
+    highest = reference._store.highest_round
+    start = committer.next_slot.round
+    expected = reference.try_decide(start, highest) if highest >= start else []
+    assert statuses == expected
+
+
+# ----------------------------------------------------------------------
+# Random DAGs
+# ----------------------------------------------------------------------
+def random_dag(rng, coin, n, wave, rounds, crash_round, equivocators, stragglers):
+    """Blocks of a random DAG in creation order (genesis excluded).
+
+    Every block references its author's previous block and a random
+    quorum (sometimes more) of the previous round, mostly passing over
+    the stragglers (whose blocks then hang unreferenced until they are
+    delivered, rounds late) and over one more author of the previous
+    round, half the time its first leader — so that leaders with few or
+    no votes, hence skips and indirect decisions, are common.
+    ``crash_round[a]`` is the first round author ``a`` no longer proposes
+    in; equivocators fork half the time.
+    """
+    committee = Committee.of_size(n)
+    quorum = committee.quorum_threshold
+    previous = {block.author: [block] for block in make_genesis(n)}
+    blocks = []
+    for round_number in range(1, rounds + 1):
+        current = {}
+        certify = round_number - 1 + wave - 1
+        coin_value = coin.reconstruct(certify, [coin.share(a, certify) for a in range(n)])
+        leader = committee.leader_for(coin_value, 0)
+        shunned = stragglers | {leader if rng.random() < 0.5 else rng.randrange(n)}
+        for author in range(n):
+            if round_number >= crash_round.get(author, rounds + 1):
+                continue
+            forks = 2 if author in equivocators and rng.random() < 0.5 else 1
+            for fork in range(forks):
+                others = [a for a in previous if a != author]
+                liked = [a for a in others if a not in shunned or rng.random() < 0.2]
+                pool = liked if len(liked) >= quorum - 1 else others
+                extra = rng.randint(0, len(pool) - (quorum - 1)) if rng.random() < 0.4 else 0
+                chosen = rng.sample(pool, quorum - 1 + extra)
+                parents = [rng.choice(previous[author]).reference]
+                parents += [rng.choice(previous[a]).reference for a in chosen]
+                block = Block(
+                    author=author,
+                    round=round_number,
+                    parents=tuple(parents),
+                    coin_share=coin.share(author, round_number),
+                    salt=b"fork" * fork,
+                )
+                current.setdefault(author, []).append(block)
+                blocks.append(block)
+        previous = current
+    return blocks
+
+
+def causal_order(rng, n, blocks, stragglers, lag):
+    """A random delivery order that respects causality: always the
+    deliverable block with the lowest ``round + lag + jitter``."""
+    due = {
+        block.digest: block.round + rng.uniform(0, 1.5) + lag * (block.author in stragglers)
+        for block in blocks
+    }
+    waiting = sorted(blocks, key=lambda block: due[block.digest])
+    delivered = {block.digest for block in make_genesis(n)}
+    order = []
+    while waiting:
+        index = next(
+            i
+            for i, block in enumerate(waiting)
+            if all(ref.digest in delivered for ref in block.parents)
+        )
+        block = waiting.pop(index)
+        delivered.add(block.digest)
+        order.append(block)
+    return order
+
+
+@st.composite
+def scenarios(draw):
+    n = draw(st.sampled_from([4, 7, 10]))
+    wave = draw(st.sampled_from([4, 5]))
+    cordial = draw(st.booleans())  # Cordial Miners: stride = wave, no direct skip
+    leaders = 1 if cordial else draw(st.integers(1, 3))
+    faulty = draw(st.integers(0, (n - 1) // 3))
+    crashed = draw(st.integers(0, faulty))
+    return dict(
+        seed=draw(st.integers(0, 2**32)),
+        n=n,
+        wave=wave,
+        cordial=cordial,
+        leaders=leaders,
+        crashed=crashed,
+        equivocators=faulty - crashed,
+        stragglers=draw(st.integers(0, n // 3)),
+        lag=draw(st.integers(1, 4)),
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@given(scenarios())
+def test_incremental_walk_matches_fresh_committer(scenario):
+    rng = random.Random(scenario["seed"])
+    n, wave = scenario["n"], scenario["wave"]
+    rounds = 4 * wave
+    committee = Committee.of_size(n)
+    coin = FastCoin(seed=b"incremental", n=n, threshold=committee.quorum_threshold)
+    config = ProtocolConfig(wave_length=wave, leaders_per_round=scenario["leaders"])
+    authors = list(range(n))
+    rng.shuffle(authors)
+    crash_round = {a: rng.randint(1, rounds) for a in authors[: scenario["crashed"]]}
+    del authors[: scenario["crashed"]]
+    equivocators = set(authors[: scenario["equivocators"]])
+    stragglers = set(authors[scenario["equivocators"] :][: scenario["stragglers"]])
+    blocks = random_dag(rng, coin, n, wave, rounds, crash_round, equivocators, stragglers)
+
+    store = DagStore()
+    store.add_genesis(make_genesis(n))
+
+    def make_committer():
+        if scenario["cordial"]:
+            return Committer(
+                store, committee, coin, config, wave_stride=wave, direct_skip_enabled=False
+            )
+        return Committer(store, committee, coin, config)
+
+    committer = make_committer()
+    observations = []
+    for block in causal_order(rng, n, blocks, stragglers, scenario["lag"]):
+        store.add(block)
+        check_statuses(committer, make_committer)
+        observations.extend(committer.extend_commit_sequence())
+        ours = sequence_view(observations)
+        scratch = sequence_view(make_committer().extend_commit_sequence())
+        common = min(len(ours), len(scratch))
+        assert ours[:common] == scratch[:common]
+        if not equivocators:
+            assert len(ours) == len(scratch)
+
+
+# ----------------------------------------------------------------------
+# The walk across everything that drops or moves its memos
+# ----------------------------------------------------------------------
+def test_late_vote_round_block_alone_settles_a_skip():
+    """The vote round is half of a slot's evidence: a straggler's
+    non-voting block tips the direct skip with the certify round
+    untouched (``n = 4``; validator 3 leads slot 1 and only its own
+    chain ever references its proposal)."""
+    committee = Committee.of_size(4)
+    coin = FixedCoin(n=4, threshold=committee.quorum_threshold)
+    coin.elect(certify_round=5, validator=3)
+    builder = DagBuilder(committee, coin)
+    config = ProtocolConfig(wave_length=5, leaders_per_round=1)
+    committer = Committer(builder.store, committee, coin, config)
+    shunning = [(0, 1), (1, 1), (2, 1)]
+    builder.round(1)
+    for round_number in (2, 3, 4):
+        for author in (1, 2):
+            builder.block(author, round_number, parents=shunning)
+        builder.block(3, round_number, parents=[(3, round_number - 1), *shunning[1:]])
+        if round_number < 4:
+            builder.block(0, round_number, parents=shunning)
+        shunning = [(a, round_number) for a in (0, 1, 2)]
+    for author in (1, 2, 3):
+        builder.block(author, 5, parents=[(1, 4), (2, 4), (3, 4)])
+
+    def make_reference():
+        return Committer(builder.store, committee, coin, config)
+
+    check_statuses(committer, make_reference)
+    undecided = committer.slot_statuses()[0]
+    assert (undecided.slot.authority, undecided.decision) == (3, Decision.UNDECIDED)
+    builder.block(0, 4, parents=[(0, 3), (1, 3), (2, 3)])
+    check_statuses(committer, make_reference)
+    skipped = committer.slot_statuses()[0]
+    assert skipped.decision is Decision.SKIP and skipped.direct
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_across_epoch_activations(seed):
+    """Join/leave commands commit mid-stream (``n`` goes 4, 5, 4, so the
+    quorum grows and shrinks); every activation drops the kept verdicts
+    and restarts the walk.  The sequence is extended only now and then,
+    so the verdicts kept at an activation span many rounds, partial ones
+    included."""
+    rng = random.Random(seed)
+    stream = build_epoch_resize_stream(
+        genesis_size=4, provisioned=5, rounds=36, lag=6, txs_per_block=1
+    )
+    store = DagStore()
+    store.add_genesis(make_genesis(stream.genesis_size))
+    config = ProtocolConfig(wave_length=5, leaders_per_round=1, reconfig_activation_lag=stream.lag)
+    schedule = CommitteeSchedule(
+        Committee.of_size(stream.genesis_size), provisioned=stream.provisioned
+    )
+    committer = Committer(store, schedule, _StreamCoin(), config)
+
+    def make_reference():
+        # Shares the schedule the incremental walk keeps extending.
+        return Committer(store, schedule, _StreamCoin(), config)
+
+    observations = []
+    for blocks in stream.rounds:
+        for block in rng.sample(blocks, len(blocks)):
+            store.add(block)
+            check_statuses(committer, make_reference)
+            if rng.random() < 0.04:
+                observations.extend(committer.extend_commit_sequence())
+                check_statuses(committer, make_reference)
+    observations.extend(committer.extend_commit_sequence())
+    assert len(schedule.epochs()) == 3
+    assert sequence_view(observations) == sequence_view(replay_stream_oneshot(stream)[0])
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_across_garbage_collection(seed):
+    """A core that prunes behind its commit frontier (dropping the
+    traversal memos with the blocks) finalizes exactly what one that
+    keeps everything does."""
+    rng = random.Random(seed)
+    n, rounds, depth = 7, 40, 6
+    committee = Committee.of_size(n)
+    coin = FastCoin(seed=b"incremental", n=n, threshold=committee.quorum_threshold)
+    blocks = random_dag(rng, coin, n, 5, rounds, {rng.randrange(n): 9}, set(), set())
+    pruning, keeping = (
+        MahiMahiCore(
+            0,
+            committee,
+            ProtocolConfig(wave_length=5, leaders_per_round=2, garbage_collection_depth=gc),
+            coin,
+        )
+        for gc in (depth, 0)
+    )
+    for block in causal_order(rng, n, blocks, set(), 0):
+        for core in (pruning, keeping):
+            assert core.add_block(block).accepted
+            check_statuses(
+                core.committer,
+                lambda core=core: Committer(core.store, committee, coin, core.config),
+            )
+            core.try_commit()
+        assert sequence_view(pruning.committed) == sequence_view(keeping.committed)
+    assert pruning.store.lowest_round > rounds - 3 * depth
+    assert keeping.store.lowest_round == 0
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_across_checkpoint_adoption_and_floor_raise(seed):
+    """A fresh core adopts a checkpoint, has its state-transfer floor
+    raised past history its peers already pruned, then catches up block
+    by block: it settles every slot from the checkpoint's cursor on the
+    way the validators that never stopped did."""
+    rng = random.Random(seed)
+    cores = [make_core(i, interval=2) for i in range(4)]
+    drive_rounds(cores, 40)
+    source = cores[0]
+    checkpoint = source.committer.ledger.checkpoints[0]
+    adopter = make_core(3, interval=2)
+    adopter.adopt_checkpoint(checkpoint)
+    raised = checkpoint.floor + 2
+    assert 0 < checkpoint.floor and raised <= checkpoint.round + 1
+    suffix = sorted(
+        (block for block in source.store if block.round >= raised),
+        key=lambda block: (block.round, rng.random()),
+    )
+
+    def make_reference():
+        reference = Committer(adopter.store, adopter.schedule, adopter.coin, adopter.config)
+        reference.adopt_checkpoint(checkpoint)
+        return reference
+
+    for index, block in enumerate(suffix):
+        accepted = adopter.add_block(block).accepted
+        if index < 3:
+            assert not accepted  # waiting on parents below ``raised``
+        if index == 2:
+            assert len(adopter.raise_sync_floor(raised)) == 3
+        check_statuses(adopter.committer, make_reference)
+        adopter.try_commit()
+    first = next(
+        i
+        for i, obs in enumerate(source.committed)
+        if (obs.status.slot.round, obs.status.slot.offset) == checkpoint.next_slot
+    )
+    ours = [status_view(obs.status) for obs in adopter.committed]
+    assert len(ours) > 10
+    assert ours == [status_view(obs.status) for obs in source.committed[first:]][: len(ours)]
+
+
+@pytest.mark.parametrize("depth", [0, 8])
+def test_memos_follow_the_walk_window_not_the_round_number(depth):
+    """The kept verdicts go as the cursor passes their slot and the vote
+    and cert memos as it leaves their leader round (garbage collection,
+    where configured, finds nothing left to drop), so their size follows
+    ``wave_length x n`` — not how long the validator has been running."""
+    rng = random.Random(depth)
+    n, wave, leaders, rounds = 4, 5, 2, 200
+    committee = Committee.of_size(n)
+    coin = FastCoin(seed=b"incremental", n=n, threshold=committee.quorum_threshold)
+    config = ProtocolConfig(
+        wave_length=wave, leaders_per_round=leaders, garbage_collection_depth=depth
+    )
+    core = MahiMahiCore(0, committee, config, coin)
+    committer = core.committer
+    blocks = random_dag(rng, coin, n, wave, rounds, {}, set(), {3})
+    largest = 0
+    for block in causal_order(rng, n, blocks, {3}, 2):
+        core.add_block(block)
+        core.try_commit()
+        largest = max(largest, committer.traversal.memo_size())
+        window = core.store.highest_round - committer.next_slot.round + 1
+        assert window <= 3 * wave
+        # One vote-memo entry per block of a wave and one cert verdict
+        # per certify-round block, for every open slot.
+        assert committer.traversal.memo_size() <= window * leaders * 2 * n * wave
+        assert committer.traversal.cache_stats()["cert_rounds"] <= window
+        assert len(committer._undecided) + len(committer._decided) <= window * leaders
+    assert largest > 0
+    assert committer.next_slot.round > rounds - 3 * wave

@@ -1,13 +1,12 @@
 """Round-scoped invalidation across epoch activations.
 
-The committer used to respond to every epoch activation by clearing all
-cached decisions, cert memos, and elector state, then re-walking from
-the cursor.  PR 6 narrowed that to state at rounds >= the activation
-round.  These tests pin the safety side of that change: the incremental
-walk must finalize *byte-identical* observation sequences to both the
-from-scratch walk and the old full-clear committer, no matter how the
-block stream is chunked around the activations — and the memo caches
-must actually shrink/survive the way the round-scoped rule promises.
+An epoch activation drops only cached state at rounds >= the activation
+round (plus cached indirect decisions and the undecided-verdict memo).
+These tests pin the safety side of that: the walk must finalize
+*byte-identical* observation sequences to the from-scratch walk, no
+matter how the block stream is chunked around the activations — and the
+memo caches must actually shrink/survive the way the round-scoped rule
+promises.
 
 The workload (``benchmarks.commit_walk``) replays a lockstep stream
 whose transactions carry committed join/leave commands, so the committee
@@ -19,7 +18,6 @@ from __future__ import annotations
 import pytest
 
 from benchmarks.commit_walk import (
-    FullClearCommitter,
     _StreamCoin,
     build_epoch_resize_stream,
     observation_fingerprint,
@@ -56,17 +54,6 @@ def test_incremental_walk_matches_from_scratch(stream, oneshot_fingerprint, chun
     assert observation_fingerprint(observations) == oneshot_fingerprint
 
 
-@pytest.mark.parametrize("chunk_rounds", [1, 7])
-def test_incremental_walk_matches_full_clear(stream, oneshot_fingerprint, chunk_rounds):
-    """The old wholesale-clearing committer and the incremental one
-    agree with each other (and with the from-scratch reference) on the
-    same chunked stream."""
-    full, _ = replay_stream(
-        stream, committer_cls=FullClearCommitter, chunk_rounds=chunk_rounds
-    )
-    assert observation_fingerprint(full) == oneshot_fingerprint
-
-
 def test_activation_evicts_high_rounds_but_keeps_direct_low_decisions(stream):
     """Memo accounting through a real activation: cached decisions and
     memos at rounds below the activation survive, everything at or
@@ -75,8 +62,10 @@ def test_activation_evicts_high_rounds_but_keeps_direct_low_decisions(stream):
     observations, committer = replay_stream(stream, chunk_rounds=100)
     activations = [epoch.start_round for epoch in committer.schedule.epochs()[1:]]
     assert activations, "no epochs activated"
-    # The replayed committer ended past every activation; its caches
-    # were rebuilt after the last eviction, so they are non-empty again.
+    # The replayed committer ended past every activation and dropped
+    # each round's memos as its cursor left it; judging the whole range
+    # again rebuilds them for every round.
+    committer.try_decide(1, len(stream.rounds))
     assert committer.traversal.memo_size() > 0
     assert committer._elector.memo_size() > 0
 

@@ -243,5 +243,5 @@ class TestCacheManagement:
         traversal.is_cert(builder.get(1, 5), builder.get(0, 4))
         stats = traversal.cache_stats()
         assert traversal.memo_size() == stats["vote_entries"] + stats["cert_entries"]
-        traversal.invalidate_certs()
+        traversal.invalidate_above(0)
         assert traversal.cache_stats()["cert_rounds"] == 0
