@@ -26,6 +26,7 @@ from functools import cached_property
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import ConfigError
+from .transaction import Transaction
 
 #: Type alias: validators are identified by their wire index.  Indexes
 #: are stable identities — a committee may cover a non-contiguous subset
@@ -247,6 +248,10 @@ class Committee:
 #: so the prefix cannot collide with honest traffic.
 RECONFIG_MAGIC = b"\xffRECONF1"
 
+#: Transaction ids reserved for harness-injected reconfiguration
+#: commands, far above anything a client allocates.
+RECONFIG_TX_BASE = 1 << 62
+
 _RECONFIG_BODY = struct.Struct("<BI")  # kind (0 join / 1 leave), validator
 
 #: Command kinds, by wire tag.
@@ -279,6 +284,15 @@ class ReconfigCommand:
         """The transaction payload carrying this command."""
         return RECONFIG_MAGIC + _RECONFIG_BODY.pack(
             _RECONFIG_KINDS.index(self.kind), self.validator
+        )
+
+    def as_transaction(self, sequence: int, submitted_at: float = 0.0) -> Transaction:
+        """The transaction an administrative client submits this command
+        in: the harness's ``sequence``-th reserved id (:data:`RECONFIG_TX_BASE`)."""
+        return Transaction(
+            tx_id=RECONFIG_TX_BASE + sequence,
+            submitted_at=submitted_at,
+            payload=self.encode_payload(),
         )
 
     @classmethod

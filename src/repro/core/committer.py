@@ -398,13 +398,15 @@ class Committer:
         self._cursor_offset += 1
         if self._cursor_offset >= self._config.leaders_per_round:
             # A round's finalized statuses stay until the cursor leaves
-            # it (sweeps start at the cursor *round*); then they and the
-            # round's vote/cert memos go: nothing judges them again.
+            # it (sweeps start at the cursor *round*); then they, the
+            # round's vote/cert memos and its wave's coin go: nothing
+            # judges them again.
             for offset in range(self._cursor_offset):
                 self._decided.pop((self._cursor_round, offset), None)
             self._cursor_offset = 0
             self._cursor_round += self._wave_stride
             self.traversal.invalidate_below(self._cursor_round)
+            self._elector.invalidate_below(self._deciders[0].certify_round(self._cursor_round))
 
     # ------------------------------------------------------------------
     # Introspection

@@ -131,6 +131,12 @@ class LeaderElector:
             del self._cache[r]
         return len(stale)
 
+    def invalidate_below(self, certify_round: int) -> None:
+        """Drop attempts for certify rounds below ``certify_round``:
+        the commit walk's cursor left their waves for good."""
+        for r in [r for r in self._cache if r < certify_round]:
+            del self._cache[r]
+
     def memo_size(self) -> int:
         """Number of cached per-round reconstruction attempts."""
         return len(self._cache)

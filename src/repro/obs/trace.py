@@ -53,7 +53,7 @@ LIFECYCLE_STAGES = (
 UNCERTIFIED_STAGES = tuple(s for s in LIFECYCLE_STAGES if s != BLOCK_CERTIFIED)
 
 #: The recovery driver's transitions, recorded on the ``sync`` track
-#: (:class:`repro.statesync.driver.RecoveryDriver` is their one emitter).
+#: (:class:`repro.statesync.driver.ValidatorDriver` is their one emitter).
 SYNC_TRANSITIONS = ("recovery_started", "checkpoint_adopted", "sync_requested", "sync_finished")
 
 # Subsystem names become one Chrome-trace thread (tid) per validator

@@ -26,9 +26,66 @@ from ..transaction import Transaction
 from .node import ValidatorNode
 from .transport import MemoryHub, MemoryTransport, TcpTransport, Transport
 
-#: Reconfiguration commands ride in transactions with ids far above any
-#: benchmark traffic (mirrors the simulator's convention).
-RECONFIG_TX_BASE = 1 << 62
+
+class Deployment:
+    """What every validator of one localhost deployment derives
+    identically from ``(n, provisioned, seed)`` — signing keys, the
+    genesis committee, the common coin — and the one way a
+    :class:`ValidatorNode` is built from them (here and, one process
+    each, in :mod:`repro.runtime.process_cluster`)."""
+
+    def __init__(
+        self,
+        n: int,
+        provisioned: int,
+        seed: int,
+        *,
+        signature_scheme: SignatureScheme | None = None,
+        threshold_coin: bool = False,
+    ) -> None:
+        if provisioned < n:
+            raise ValueError(f"provisioned ({provisioned}) must cover n ({n})")
+        self.n = n
+        self.provisioned = provisioned
+        self._scheme = signature_scheme or NullSignatureScheme()
+        self._keys = generate_keys(self._scheme, provisioned, seed=b"cluster-%d" % seed)
+        self.committee = Committee.of_size(
+            n, public_keys=[k.public_key for k in self._keys[:n]]
+        )
+        quorum = self.committee.quorum_threshold
+        if threshold_coin:
+            self._coins: list[CommonCoin] = ThresholdCoin.deal(provisioned, quorum, seed=seed)
+        else:
+            shared = FastCoin(seed=b"cluster-coin-%d" % seed, n=provisioned, threshold=quorum)
+            self._coins = [shared] * provisioned
+
+    def node(
+        self, authority: int, config: ProtocolConfig, transport: Transport, **options
+    ) -> ValidatorNode:
+        """One incarnation of validator ``authority`` (``options`` are
+        :class:`ValidatorNode`'s keyword arguments)."""
+        coin = self._coins[authority]
+        # The static verifier covers exactly the genesis committee; a
+        # reconfigurable deployment (extra provisioned identities) skips
+        # per-block verification, like the simulator does — membership
+        # there is epoch-dependent and enforced by the core.
+        verifier = (
+            BlockVerifier(self.committee, self._scheme, coin)
+            if self.provisioned == self.n
+            else None
+        )
+        private = self._keys[authority].private_key
+        scheme = self._scheme
+        return ValidatorNode(
+            authority,
+            CommitteeSchedule(self.committee, provisioned=self.provisioned),
+            config,
+            coin,
+            transport,
+            verifier=verifier,
+            sign=lambda data: scheme.sign(private, data),
+            **options,
+        )
 
 
 class LocalCluster:
@@ -71,25 +128,14 @@ class LocalCluster:
         self.config = config or ProtocolConfig(wave_length=5, leaders_per_round=2)
         self.n = n
         self.provisioned = provisioned if provisioned is not None else n
-        if self.provisioned < n:
-            raise ValueError(f"provisioned ({self.provisioned}) must cover n ({n})")
-        self._scheme = signature_scheme or NullSignatureScheme()
-        self._keys = generate_keys(
-            self._scheme, self.provisioned, seed=b"cluster-%d" % seed
+        self._deployment = Deployment(
+            n,
+            self.provisioned,
+            seed,
+            signature_scheme=signature_scheme,
+            threshold_coin=threshold_coin,
         )
-        self.committee = Committee.of_size(
-            n, public_keys=[k.public_key for k in self._keys[:n]]
-        )
-        quorum = self.committee.quorum_threshold
-        if threshold_coin:
-            self._coins: list[CommonCoin] = ThresholdCoin.deal(
-                self.provisioned, quorum, seed=seed
-            )
-        else:
-            shared = FastCoin(
-                seed=b"cluster-coin-%d" % seed, n=self.provisioned, threshold=quorum
-            )
-            self._coins = [shared] * self.provisioned
+        self.committee = self._deployment.committee
         self._hub = MemoryHub() if transport == "memory" else None
         self._addresses = {
             v: ("127.0.0.1", base_port + v) for v in range(self.provisioned)
@@ -98,7 +144,6 @@ class LocalCluster:
         self._recover_mode = recover_mode
         self._interval = min_block_interval
         self._reconfig_seq = 0
-        self._started: set[int] = set()
         self.nodes: list[ValidatorNode] = [
             self._make_node(i, recover_mode) for i in range(self.provisioned)
         ]
@@ -110,30 +155,15 @@ class LocalCluster:
             node_transport = MemoryTransport(i, self._hub)
         else:
             node_transport = TcpTransport(i, self._addresses)
-        # The static verifier covers exactly the genesis committee; a
-        # reconfigurable deployment (extra provisioned identities) skips
-        # per-block verification, like the simulator does — membership
-        # there is epoch-dependent and enforced by the core.
-        verifier = (
-            BlockVerifier(self.committee, self._scheme, self._coins[i])
-            if self.provisioned == self.n
-            else None
-        )
-        private = self._keys[i].private_key
-        scheme = self._scheme
-        return ValidatorNode(
+        return self._deployment.node(
             i,
-            CommitteeSchedule(self.committee, provisioned=self.provisioned),
             self.config,
-            self._coins[i],
             node_transport,
             wal_path=(
                 self._wal_dir / f"validator-{i}.wal"
                 if self._wal_dir is not None
                 else None
             ),
-            verifier=verifier,
-            sign=lambda data, _key=private, _scheme=scheme: _scheme.sign(_key, data),
             min_block_interval=self._interval,
             recover_mode=recover_mode,
         )
@@ -145,15 +175,12 @@ class LocalCluster:
         """Start the genesis committee (or the given validators)."""
         if validators is None:
             validators = list(range(self.n))
-        targets = [self.nodes[i] for i in validators]
-        await asyncio.gather(*(node.start() for node in targets))
-        self._started |= set(validators)
+        await asyncio.gather(*(self.nodes[i].start() for i in validators))
 
     async def stop(self) -> None:
         # Stopping a never-started node is a harmless no-op, so sweep
         # everything (callers may have started nodes directly).
         await asyncio.gather(*(node.stop() for node in self.nodes))
-        self._started = set()
 
     async def restart(self, validator: int, *, recover_mode: str | None = None) -> ValidatorNode:
         """Replace a (stopped or crashed) validator with a fresh
@@ -162,7 +189,6 @@ class LocalCluster:
         node = self._make_node(validator, mode)
         self.nodes[validator] = node
         await node.start()
-        self._started.add(validator)
         return node
 
     async def __aenter__(self) -> "LocalCluster":
@@ -182,11 +208,7 @@ class LocalCluster:
     def submit_reconfig(self, kind: str, validator: int, *, at: int = 0) -> None:
         """Inject a join/leave command transaction at validator ``at``
         (the administrative client of a real deployment)."""
-        command = ReconfigCommand(kind=kind, validator=validator)
-        tx = Transaction(
-            tx_id=RECONFIG_TX_BASE + self._reconfig_seq,
-            payload=command.encode_payload(),
-        )
+        tx = ReconfigCommand(kind=kind, validator=validator).as_transaction(self._reconfig_seq)
         self._reconfig_seq += 1
         self.submit(tx, validator=at)
 

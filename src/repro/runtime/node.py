@@ -1,8 +1,10 @@
 """The networked validator process.
 
 Owns a :class:`~repro.core.MahiMahiCore`, a transport, a write-ahead
-log, and a synchronizer; runs a proposal loop and a synchronizer loop as
-asyncio tasks; surfaces committed blocks on an async queue.
+log, and a synchronizer; proposes from the event that made a proposal
+possible (a block accepted, a re-sync finished, the start) or from a
+one-shot timer armed for the pacing deadline; runs the synchronizer
+loop as an asyncio task; surfaces committed blocks on an async queue.
 
 Runtime parity with the simulator (:class:`~repro.sim.node.SimValidator`):
 
@@ -12,16 +14,17 @@ Runtime parity with the simulator (:class:`~repro.sim.node.SimValidator`):
   at deterministic commit-walk points, ``_peers()`` follows the active
   and latest-scheduled committees, and a member an activated epoch
   excludes goes silent by itself;
-* restarts, re-sync and epoch exit are the shared, sans-IO
-  :class:`~repro.statesync.driver.RecoveryDriver` (cold / warm /
-  checkpoint modes — see its module docstring).  This class is its
+* the validator step (ingest, paced proposing, commit, epoch exit, the
+  WAL records and lifecycle instants) and restarts / re-sync (cold /
+  warm / checkpoint) are the shared, sans-IO
+  :class:`~repro.statesync.driver.ValidatorDriver`.  This class is its
   runtime adaptor: it implements the driver's
-  :class:`~repro.statesync.driver.RecoveryPort` with an **outbox** the
-  synchronous driver calls fill and ``_flush`` drains with
+  :class:`~repro.statesync.driver.ValidatorPort` with an **outbox** the
+  synchronous handlers fill and ``_flush`` drains with
   ``await transport.send(...)``, and adds what only the runtime has —
-  asyncio, the transport, the fsynced WAL, wall-clock retry timers and
-  the *fallen-behind* trigger that switches a node from shallow
-  per-reference fetches to the chunked deep re-sync chain;
+  asyncio, the transport, pacing and retry timers, the shallow-fetch
+  :class:`Synchronizer`, the *fallen-behind* trigger of the deep re-sync
+  chain, idle re-broadcast, the metrics registry and the commit queue;
 * commit-state checkpoints are captured by the committer's
   :class:`~repro.statesync.CommitLedger` at the same deterministic
   commit-walk points as the sim, and served to recovering peers over
@@ -47,7 +50,7 @@ from ..errors import StateTransferError
 from ..obs import trace as _trace
 from ..obs.metrics import MetricsRegistry
 from ..obs.trace import NULL_TRACER
-from ..statesync import SYNC_MAX_BLOCKS, RecoveryDriver
+from ..statesync import SYNC_MAX_BLOCKS, ValidatorDriver
 from ..transaction import Transaction
 from .messages import (
     BlockMessage,
@@ -64,8 +67,6 @@ from .synchronizer import RETRY_AFTER, Synchronizer
 from .transport import Transport
 from .wal import WriteAheadLog
 
-#: How often the proposal loop re-checks readiness (seconds).
-_PROPOSE_POLL = 0.005
 #: How often the synchronizer retries fetches (seconds).
 _SYNC_POLL = 0.05
 #: Idle retransmission: with no new proposal for this long, the latest
@@ -104,7 +105,6 @@ class ValidatorNode:
         min_block_interval: float = 0.0,
         recover_mode: str = "warm",
         sync_chunk_blocks: int = SYNC_MAX_BLOCKS,
-        on_recovery: Callable[[int, float, str], None] | None = None,
         tracer=NULL_TRACER,
     ) -> None:
         """Args mirror :class:`~repro.core.MahiMahiCore`, plus:
@@ -122,9 +122,6 @@ class ValidatorNode:
             there is no (or an empty) WAL — a first boot.
         sync_chunk_blocks: Most blocks served in one deep-fetch
             response chunk.
-        on_recovery: Called as ``(authority, recovery_seconds, mode)``
-            at the first own proposal after a restart that had to
-            re-sync — the recovery-time metric hook.
         tracer: A :class:`repro.obs.trace.Tracer` recording lifecycle
             spans with **wall-clock** timestamps (``time.time()``);
             defaults to the no-op tracer.  Shared with the transport
@@ -141,13 +138,8 @@ class ValidatorNode:
             committer_factory=committer_factory,
         )
         self.schedule = self.core.schedule
-        self.committee = self.core.committee  # genesis committee (compat)
         self.config = config
         self.transport = transport
-        self._wal = (
-            WriteAheadLog(wal_path, sync=wal_sync) if wal_path is not None else None
-        )
-        self._wal_path = wal_path
         #: Lifecycle tracer (wall-clock) and live metrics registry —
         #: the registry snapshot is what ``process_cluster`` flushes
         #: into its status JSON.
@@ -157,12 +149,10 @@ class ValidatorNode:
         self._m_submitted = m.counter("txs_submitted", help="client transactions accepted")
         self._m_proposed = m.counter("blocks_proposed", help="own blocks proposed")
         self._m_received = m.counter("blocks_received", help="peer blocks accepted into the DAG")
+        self._m_rejected = m.counter("blocks_rejected", help="invalid blocks dropped at ingest")
         self._m_committed_blocks = m.counter("blocks_committed", help="blocks linearized by the commit walk")
         self._m_committed_tx = m.counter("txs_committed", help="transactions in linearized blocks")
         self._m_waves = m.counter("waves_decided", help="slot decisions, labeled by outcome")
-        self._g_round = m.gauge("round", help="current proposal round")
-        self._g_pending = m.gauge("pending_blocks", help="blocks buffered awaiting ancestors")
-        self._g_missing = m.gauge("missing_refs", help="references the synchronizer is fetching")
         self._m_deep = m.counter(
             "sync_deep_requests_sent", help="deep (chunked re-sync) requests issued"
         )
@@ -170,15 +160,22 @@ class ValidatorNode:
         self.synchronizer = Synchronizer(
             transport, self.schedule.provisioned, registry=m
         )
-        self._interval = min_block_interval
-        self._last_proposal = float("-inf")
-        self._last_rebroadcast = float("-inf")
+        # The latest own block and when it (or anything newer) last went
+        # out: what the idle re-broadcast retransmits.
         self._last_block: Block | None = None
-        self._tasks: list[asyncio.Task] = []
+        self._last_broadcast = float("-inf")
+        self._tasks: set[asyncio.Task] = set()
         self._running = False
-        self._on_recovery = on_recovery
-        self._recovery = RecoveryDriver(self.core, self, recover_mode, sync_chunk_blocks)
-        # Messages the (synchronous) driver and serving paths queued:
+        self._driver = ValidatorDriver(
+            self.core,
+            self,
+            recover_mode,
+            sync_chunk_blocks,
+            interval=min_block_interval,
+            wal=WriteAheadLog(wal_path, sync=wal_sync) if wal_path is not None else None,
+            tracer=tracer,
+        )
+        # Messages the (synchronous) handlers and the step queued:
         # ``(destination, message)``, destination ``None`` = broadcast.
         self._outbox: deque[tuple[int | None, Message]] = deque()
         self._last_ckpt_request = float("-inf")
@@ -188,9 +185,6 @@ class ValidatorNode:
         #: Unrecoverable re-sync failure, surfaced instead of raised so
         #: the transport pump survives (hosts poll / report it).
         self.recovery_error: StateTransferError | None = None
-        #: Epoch-versioned membership: once an activated epoch excludes
-        #: a former member it leaves — stops proposing for good.
-        self.left = False
         #: Committed observations, for consumers (SMR execution layers).
         self.commits: asyncio.Queue[CommitObservation] = asyncio.Queue()
         self.committed_blocks: list[Block] = []
@@ -208,21 +202,29 @@ class ValidatorNode:
     def syncing(self) -> bool:
         """Whether this node is re-syncing (no proposals until the DAG
         behind the frontier is rebuilt)."""
-        return self._recovery.syncing
+        return self._driver.syncing
+
+    @property
+    def left(self) -> bool:
+        """Whether an activated epoch excluded this former member: it
+        stopped proposing for good (the transport keeps serving fetches
+        — a real leaver drains before shutdown)."""
+        return self._driver.left
 
     @property
     def recovery_mode_used(self) -> str:
         """The restart path actually taken (a warm restart with an empty
         WAL degenerates to, and reports, ``cold``)."""
-        return self._recovery.recovery_mode_used
+        return self._driver.recovery_mode_used
 
     @property
     def checkpoint_adoptions(self) -> int:
         """State-transfer checkpoints this incarnation adopted."""
-        return self._recovery.checkpoint_adoptions
+        return self._driver.checkpoint_adoptions
 
     async def start(self, *, barrier: "Callable[[], Awaitable[None]] | None" = None) -> None:
-        """Recover per ``recover_mode``, start the transport and loops.
+        """Recover per ``recover_mode``, start the transport and the
+        synchronizer loop, and propose the first block.
 
         ``barrier`` (when given) is awaited after the listener is bound
         but before the first proposal — a multi-process deployment waits
@@ -234,26 +236,29 @@ class ValidatorNode:
         if barrier is not None:
             await barrier()
         self._running = True
-        if self._recovery.recover_mode == "checkpoint":
+        if self._driver.recover_mode == "checkpoint":
             # State transfer: no proposals (and no genesis-anchored
             # fetches) until a quorum-attested checkpoint is adopted and
             # the suffix above its floor is in.
-            self._recovery.begin_sync(time.monotonic())
-            await self._flush()
-        self._tasks = [
-            asyncio.create_task(self._proposal_loop()),
-            asyncio.create_task(self._sync_loop()),
-        ]
+            self._driver.begin_sync(time.monotonic())
+        self._step()
+        await self._flush()
+        self._spawn(self._sync_loop())
+
+    def _spawn(self, coroutine) -> None:
+        task = asyncio.create_task(coroutine)
+        self._tasks.add(task)
+        task.add_done_callback(self._tasks.discard)
 
     async def stop(self) -> None:
         self._running = False
-        for task in self._tasks:
+        tasks = list(self._tasks)
+        for task in tasks:
             task.cancel()
-        await asyncio.gather(*self._tasks, return_exceptions=True)
-        self._tasks.clear()
+        await asyncio.gather(*tasks, return_exceptions=True)
         await self.transport.stop()
-        if self._wal is not None:
-            self._wal.close()
+        if self._driver.wal is not None:
+            self._driver.wal.close()
 
     def _recover(self) -> None:
         """Warm path: replay the WAL into the core through the public
@@ -265,14 +270,11 @@ class ValidatorNode:
         Cold and checkpoint restarts skip replay — their history comes
         from the network.
         """
-        replay = self._recovery.replay_wal(self._wal_path)
-        if replay is None:
-            return
-        self.core.try_commit()
-        if replay.blocks:
+        replay = self._driver.replay_wal()
+        if replay is not None and replay.blocks:
             # Re-sync the delta accumulated while down; live traffic
             # (or a deep fetch, if far behind) finishes the job.
-            self._recovery.begin_sync(time.monotonic(), replayed=replay.blocks)
+            self._driver.begin_sync(time.monotonic(), replayed=replay.blocks)
 
     # ------------------------------------------------------------------
     # Client API
@@ -287,53 +289,44 @@ class ValidatorNode:
             )
 
     # ------------------------------------------------------------------
-    # Loops
+    # The step and the loops
     # ------------------------------------------------------------------
-    async def _proposal_loop(self) -> None:
-        while self._running:
-            loop_time = asyncio.get_running_loop().time()
-            recovery = self._recovery
-            if (
-                not recovery.syncing
-                and not self.left
-                and self.core.ready_to_propose()
-                and loop_time - self._last_proposal >= self._interval
-            ):
-                block = self.core.maybe_propose(loop_time)
-                if block is not None:
-                    self._last_proposal = loop_time
-                    self._last_block = block
-                    self._m_proposed.inc()
-                    self._g_round.set(self.core.round)
-                    if self.tracer.enabled:
-                        _trace.trace_proposal(self.tracer, self.authority, time.time(), block)
-                    if self._wal is not None:
-                        # Own proposals are durable *before* broadcast: a
-                        # warm restart replays them and never signs a
-                        # second block for a round it already used.
-                        self._wal.append_own_block(block)
-                    if recovery.recovered_at is not None:
-                        # First proposal after a restart: recovered.
-                        self.recovery_time = time.monotonic() - recovery.recovered_at
-                        recovery.recovered_at = None
-                        if self._on_recovery is not None:
-                            self._on_recovery(
-                                self.authority, self.recovery_time, recovery.recovery_mode_used
-                            )
-                    await self.transport.broadcast(
-                        BlockMessage(block=block), self._peers()
-                    )
-                    self._drain_commits()
-                    continue
-            await asyncio.sleep(_PROPOSE_POLL)
+    def _step(self) -> None:
+        """Run the shared validator step and act on what it returns: own
+        blocks to broadcast, a pacing deadline, a finished recovery, commits."""
+        now = time.monotonic()
+        step = self._driver.step(now)
+        for block in step.proposed:
+            self._last_block, self._last_broadcast = block, now
+            self._m_proposed.inc()
+            self._outbox.append((None, BlockMessage(block=block)))
+        if step.deadline is not None:
+            asyncio.get_running_loop().call_later(
+                step.deadline - now, self._on_pacing_timer
+            )
+        if step.recovered_at is not None:
+            self.recovery_time = now - step.recovered_at
+        for observation in step.committed:
+            self.commits.put_nowait(observation)
+            self.committed_blocks.extend(observation.linearized)
+            self._m_waves.inc(decision=observation.status.decision.name.lower())
+            self._m_committed_blocks.inc(len(observation.linearized))
+            self._m_committed_tx.inc(sum(len(b.transactions) for b in observation.linearized))
+
+    def _on_pacing_timer(self) -> None:
+        self._driver.pacing_timer_fired()
+        if self._running:
+            self._step()
+            if self._outbox:
+                self._spawn(self._flush())
 
     async def _sync_loop(self) -> None:
         while self._running:
             if (
-                self._recovery.awaiting_checkpoint
+                self._driver.awaiting_checkpoint
                 and time.monotonic() - self._last_ckpt_request >= _CKPT_RETRY
             ):
-                self._recovery.request_checkpoints()
+                self._driver.request_checkpoints()
                 await self._flush()
             await self.synchronizer.tick()
             await self._maybe_rebroadcast()
@@ -343,12 +336,12 @@ class ValidatorNode:
         """Retransmit the latest own block after an idle stretch (see
         :data:`_REBROADCAST_AFTER`; duplicates are idempotent on the
         receiving side)."""
-        if self._last_block is None or self._recovery.syncing or self.left:
+        if self._last_block is None or self._driver.syncing or self.left:
             return
-        now = asyncio.get_running_loop().time()
-        if now - max(self._last_proposal, self._last_rebroadcast) < _REBROADCAST_AFTER:
+        now = time.monotonic()
+        if now - self._last_broadcast < _REBROADCAST_AFTER:
             return
-        self._last_rebroadcast = now
+        self._last_broadcast = now
         await self.transport.broadcast(
             BlockMessage(block=self._last_block), self._peers()
         )
@@ -382,28 +375,33 @@ class ValidatorNode:
     async def _on_message(self, sender: int, message: Message) -> None:
         """Handle one message synchronously (no state changes across an
         ``await``), then send whatever it queued."""
-        recovery = self._recovery
+        driver = self._driver
         if isinstance(message, BlockMessage):
             self._ingest(message.block, sender)
         elif isinstance(message, FetchRequest):
-            available = recovery.held_blocks(message.refs)
+            available = driver.held_blocks(message.refs)
             if available:
                 self._outbox.append((sender, FetchResponse(blocks=tuple(available))))
         elif isinstance(message, FetchResponse):
             for block in message.blocks:
                 self._ingest(block, sender, live=False)
         elif isinstance(message, CheckpointRequest):
-            response = CheckpointResponse(checkpoints=recovery.retained_checkpoints())
+            response = CheckpointResponse(checkpoints=driver.retained_checkpoints())
             self._outbox.append((sender, response))
         elif isinstance(message, CheckpointResponse):
-            recovery.on_checkpoint_response(sender, message.checkpoints)
+            driver.on_checkpoint_response(sender, message.checkpoints)
         elif isinstance(message, SyncRequest):
-            blocks, pruned = recovery.serve_sync(message.refs, message.floor)
+            blocks, pruned = driver.serve_sync(message.refs, message.floor)
             response = SyncResponse(blocks=blocks, pruned=pruned, token=message.token)
             self._outbox.append((sender, response))
         elif isinstance(message, SyncResponse):
             try:
-                recovery.on_sync_response(sender, message.blocks, message.pruned, message.token)
+                if driver.on_sync_response(
+                    sender, message.blocks, message.pruned, message.token
+                ):
+                    # Re-synced off a short chunk: propose right away
+                    # instead of idling until the next round's broadcasts.
+                    self._step()
             except StateTransferError as error:
                 # Surfaced instead of raised: the transport pump must
                 # survive, and the re-sync chain stops here.
@@ -425,34 +423,22 @@ class ValidatorNode:
                 await self.transport.send(dst, message)
 
     def _ingest(self, block: Block, sender: int, live: bool = True) -> None:
-        result = self.core.add_block(block)
+        result = self._driver.ingest(block, sender, live)
+        if result.rejected:
+            self._m_rejected.inc()
         if result.missing:
             self._request_missing(sender, result.missing, block, live)
+        if not result.accepted:
+            return
         for accepted in result.accepted:
             self.synchronizer.note_arrived(accepted.digest)
-            self.persist_peer_block(accepted)
-        if result.accepted:
-            self._m_received.inc(len(result.accepted))
-            self._g_pending.set(self.core.pending_count)
-            self._g_missing.set(self.synchronizer.missing)
-            if self.tracer.enabled:
-                wall = time.time()
-                for accepted in result.accepted:
-                    self.tracer.instant(
-                        self.authority,
-                        "consensus",
-                        _trace.BLOCK_RECEIVED,
-                        wall,
-                        {"author": accepted.author, "round": accepted.round, "src": sender},
-                    )
-            if self._recovery.syncing:
-                self._recovery.block_connected(live)
-            self._drain_commits()
+        self._m_received.inc(len(result.accepted))
+        self._step()
 
     def _request_missing(self, sender: int, missing: tuple, block: Block, live: bool) -> None:
         """Route missing-ancestor reports to the right fetch shape."""
-        recovery = self._recovery
-        if not recovery.syncing:
+        driver = self._driver
+        if not driver.syncing:
             behind = block.round - self.core.store.highest_round
             if not (live and behind > _BEHIND_WAVES * self.config.wave_length):
                 self.synchronizer.note_missing(missing, sender)
@@ -460,11 +446,11 @@ class ValidatorNode:
             # Fallen far behind (cold restart, long partition): shallow
             # per-reference fetches would crawl — enter the chunked deep
             # re-sync chain instead.
-            recovery.begin_sync(time.monotonic(), behind=behind)
-        recovery.request_sync(sender, missing)
+            driver.begin_sync(time.monotonic(), behind=behind)
+        driver.request_sync(sender, missing)
 
     # ------------------------------------------------------------------
-    # RecoveryPort: what the recovery driver asks of this host
+    # ValidatorPort: what the driver asks of this host
     # ------------------------------------------------------------------
     def send_sync_request(
         self, peer: int, refs: tuple[BlockRef, ...], floor: int, token: int
@@ -472,44 +458,15 @@ class ValidatorNode:
         self._m_deep.inc()
         self._outbox.append((peer, SyncRequest(refs=refs, floor=floor, token=token)))
         asyncio.get_running_loop().call_later(
-            RETRY_AFTER, self._recovery.sync_timed_out, token
+            RETRY_AFTER, self._driver.sync_timed_out, token
         )
 
     def broadcast_checkpoint_request(self) -> None:
         self._last_ckpt_request = time.monotonic()
         self._outbox.append((None, CheckpointRequest()))
 
-    def persist_peer_block(self, block: Block) -> None:
-        if self._wal is not None and block.author != self.authority:
-            self._wal.append_peer_block(block)
-
     def ingest_fetched(self, block: Block, peer: int) -> None:
         self._ingest(block, peer, live=False)
 
-    def trace_instant(self, name: str, args: dict) -> None:
-        if self.tracer.enabled:
-            self.tracer.instant(self.authority, "sync", name, time.time(), args)
-
-    # ------------------------------------------------------------------
-    # Committing and epochs
-    # ------------------------------------------------------------------
-    def _drain_commits(self) -> None:
-        observations = self.core.try_commit()
-        if not observations:
-            return
-        for observation in observations:
-            self.commits.put_nowait(observation)
-            self.committed_blocks.extend(observation.linearized)
-            self._m_waves.inc(decision=observation.status.decision.name.lower())
-            self._m_committed_blocks.inc(len(observation.linearized))
-            self._m_committed_tx.inc(sum(len(b.transactions) for b in observation.linearized))
-        self._g_pending.set(self.core.pending_count)
-        if self.tracer.enabled:
-            _trace.trace_commits(self.tracer, self.authority, time.time(), observations)
-        if self._wal is not None:
-            self._wal.append_commit_mark(self.core.committer.last_finalized_round)
-        # Go silent for good once an activated epoch excludes us; the
-        # transport keeps serving fetches (a real leaver drains before
-        # shutdown).
-        if not self.schedule.is_static and self._recovery.excluded_by_epoch():
-            self.left = True
+    def trace_time(self) -> float:
+        return time.time()

@@ -39,20 +39,15 @@ import sys
 import time
 from pathlib import Path
 
-from ..committee import Committee, ReconfigCommand
+from ..committee import RECONFIG_TX_BASE, ReconfigCommand
 from ..config import ProtocolConfig
-from ..crypto.coin import FastCoin
-from ..crypto.signing import NullSignatureScheme, generate_keys
-from ..dag.validation import BlockVerifier
 from ..obs.export import write_chrome_trace, write_jsonl
 from ..obs.trace import NULL_TRACER, Tracer
 from ..transaction import Transaction
+from .cluster import Deployment
 from .messages import TransactionMessage, encode_message, frame
 from .node import ValidatorNode
 from .transport import TcpTransport
-
-#: Reconfiguration command transaction ids (mirrors LocalCluster).
-RECONFIG_TX_BASE = 1 << 62
 
 #: How often a validator process rewrites its status file (seconds).
 STATUS_INTERVAL = 0.2
@@ -65,38 +60,15 @@ def _build_node(spec: dict, tracer=NULL_TRACER) -> ValidatorNode:
     seed, so every process independently builds the same deployment —
     nothing is pickled across the process boundary.
     """
-    n = spec["n"]
-    provisioned = spec["provisioned"]
     authority = spec["authority"]
-    seed = spec["seed"]
-    scheme = NullSignatureScheme()
-    keys = generate_keys(scheme, provisioned, seed=b"cluster-%d" % seed)
-    committee = Committee.of_size(n, public_keys=[k.public_key for k in keys[:n]])
-    coin = FastCoin(
-        seed=b"cluster-coin-%d" % seed,
-        n=provisioned,
-        threshold=committee.quorum_threshold,
-    )
-    addresses = {
-        v: ("127.0.0.1", spec["base_port"] + v) for v in range(provisioned)
-    }
-    config = ProtocolConfig(**spec["config"])
-    verifier = (
-        BlockVerifier(committee, scheme, coin) if provisioned == n else None
-    )
-    private = keys[authority].private_key
-    from ..committee import CommitteeSchedule
-
-    return ValidatorNode(
+    provisioned = spec["provisioned"]
+    addresses = {v: ("127.0.0.1", spec["base_port"] + v) for v in range(provisioned)}
+    return Deployment(spec["n"], provisioned, spec["seed"]).node(
         authority,
-        CommitteeSchedule(committee, provisioned=provisioned),
-        config,
-        coin,
+        ProtocolConfig(**spec["config"]),
         TcpTransport(authority, addresses),
         wal_path=spec["wal_path"],
         wal_sync=True,
-        verifier=verifier,
-        sign=lambda data, _k=private, _s=scheme: _s.sign(_k, data),
         min_block_interval=spec.get("min_block_interval", 0.0),
         recover_mode=spec["recover_mode"],
         tracer=tracer,
@@ -166,12 +138,15 @@ async def _child_main(spec_path: str) -> None:
             logged = len(committed)
         ledger = getattr(core.committer, "ledger", None)
         latencies_sorted = sorted(latencies)
-        # Refresh the point-in-time gauges at publication time: the
-        # node only touches them on ingest/commit, which under-reports
-        # an idle or stalled validator.
-        node.metrics.gauge("round").set(core.round)
-        node.metrics.gauge("pending_blocks").set(core.pending_count)
-        node.metrics.gauge("missing_refs").set(node.synchronizer.missing)
+        # Point-in-time gauges are read off the node at publication
+        # time (per-event updates would under-report an idle or stalled
+        # validator, and nothing else reads them).
+        gauge = node.metrics.gauge
+        gauge("round", "current proposal round").set(core.round)
+        gauge("pending_blocks", "blocks buffered awaiting ancestors").set(core.pending_count)
+        gauge("missing_refs", "references the synchronizer is fetching").set(
+            node.synchronizer.missing
+        )
         status = {
             "ready": True,
             "final": final,
@@ -483,11 +458,7 @@ class ProcessCluster:
     # -- control --------------------------------------------------------
     async def submit_reconfig(self, kind: str, validator: int, *, at: int = 0) -> None:
         """Resize the committee live: inject a join/leave command."""
-        command = ReconfigCommand(kind=kind, validator=validator)
-        tx = Transaction(
-            tx_id=RECONFIG_TX_BASE + self._reconfig_seq,
-            payload=command.encode_payload(),
-        )
+        tx = ReconfigCommand(kind=kind, validator=validator).as_transaction(self._reconfig_seq)
         self._reconfig_seq += 1
         await self.fleet.submit(at, (tx,))
 

@@ -11,7 +11,7 @@ one or two parents still in flight), batched per peer and retried with
 peer rotation.  The **deep** shape a recovering validator rebuilds the
 DAG with (the named references *plus their whole stored ancestor
 closure*, chunked, token-tagged, one in flight at a time) belongs to
-the fabric-independent :class:`~repro.statesync.driver.RecoveryDriver`;
+the fabric-independent :class:`~repro.statesync.driver.ValidatorDriver`;
 :class:`~repro.runtime.node.ValidatorNode` sends its requests.
 """
 

@@ -18,15 +18,17 @@ Crash-recovery rides the same path: :meth:`SimValidator.crash` silences
 the validator and discards whatever it was processing; a later
 :meth:`SimValidator.recover` restarts it with an **empty in-memory
 state** (a fresh core holding only genesis) and re-syncs in the cold,
-warm or checkpoint mode.  The recovery state machine itself — mode
-selection, checkpoint tally and adoption, the chunked deep-fetch chain,
-pruned-history handling, epoch exit — is the fabric-independent
-:class:`~repro.statesync.driver.RecoveryDriver`; this class is its
-simulator adaptor (it implements the driver's
-:class:`~repro.statesync.driver.RecoveryPort`) and adds what only the
-simulator has: the event loop and its retry timers, the CPU-stage
-model (a WAL replay is charged as consensus CPU time), the Tusk
-header/ack path, equivocation dispatch and wire-size accounting.
+warm or checkpoint mode.
+
+The validator step (ingest, paced proposing, commit, epoch exit, with
+their WAL records and lifecycle instants) and the recovery state machine
+are the fabric-independent
+:class:`~repro.statesync.driver.ValidatorDriver`; this class is its
+simulator adaptor (its :class:`~repro.statesync.driver.ValidatorPort`)
+and adds what only the simulator has: the event loop with its pacing and
+retry timers, the CPU-stage model (a WAL replay is charged as consensus
+CPU time), the Tusk header/ack/certificate path, equivocation dispatch,
+wire sizes, the stage-latency observer and the ``_fetching`` table.
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ from ..crypto.hashing import Digest
 from ..obs import trace as _trace
 from ..obs.trace import NULL_TRACER
 from ..runtime.wal import WriteAheadLog
-from ..statesync.driver import RecoveryDriver
+from ..statesync.driver import ValidatorDriver
 from ..statesync.recovery import SYNC_MAX_BLOCKS as _SYNC_MAX_BLOCKS
 from ..transaction import Transaction
 from .checkpoint import replay_cost
@@ -119,20 +121,16 @@ class SimValidator:
         "_cert_sent",
         "_fetching",
         "_interval",
-        "_last_proposal",
-        "_propose_timer_armed",
         "_tx_weight",
         "_cpu",
         "_ingress_free",
         "_consensus_free",
-        "commits",
         "_down",
         "_incarnation",
         "_core_factory",
-        "_recovery",
+        "_driver",
         "_on_recovery",
         "_mixed_tx_sizes",
-        "_wal",
         "left_at",
         "_slow",
         "ever_equivocated",
@@ -235,24 +233,28 @@ class SimValidator:
         # Synchronizer state: digest -> virtual time of last request.
         self._fetching: dict[Digest, float] = {}
         self._interval = min_block_interval
-        self._last_proposal = float("-inf")
-        self._propose_timer_armed = False
         self._tx_weight = tx_weight
         self._cpu = cpu
         # Times at which each single-threaded CPU stage becomes free.
         self._ingress_free = 0.0
         self._consensus_free = 0.0
-        self.commits = 0
         # Lifecycle: the down flag is the hot-path liveness check; the
         # incarnation counter invalidates CPU-stage work queued before a
         # crash (a real restart loses its queues).
         self._down = start_down or self.behavior.is_down(loop.now)
         self._incarnation = 0
         self._core_factory = core_factory
-        self._recovery = RecoveryDriver(core, self, recover_mode, sync_chunk_blocks)
+        self._driver = ValidatorDriver(
+            core,
+            self,
+            recover_mode,
+            sync_chunk_blocks,
+            interval=min_block_interval,
+            wal=wal,
+            tracer=tracer,
+        )
         self._on_recovery = on_recovery
         self._mixed_tx_sizes = mixed_tx_sizes
-        self._wal = wal
         #: When this validator actually went silent for good (epoch
         #: reconfiguration: the *activation* of the excluding epoch, not
         #: the leave command's submission — availability accounting uses
@@ -274,7 +276,6 @@ class SimValidator:
         self._arrivals: dict = {}
         if self.behavior.crash_at is not None and self.behavior.crash_at > loop.now:
             loop.schedule_at(self.behavior.crash_at, self.crash)
-        network.register(self.authority, self.on_message)
         network.register_batch(self.authority, self.on_batch)
 
     # ------------------------------------------------------------------
@@ -289,12 +290,17 @@ class SimValidator:
     @property
     def syncing(self) -> bool:
         """Whether the validator is re-syncing after a restart."""
-        return self._recovery.syncing
+        return self._driver.syncing
 
     @property
     def checkpoint_adoptions(self) -> int:
         """State-transfer checkpoints adopted over all incarnations."""
-        return self._recovery.checkpoint_adoptions
+        return self._driver.checkpoint_adoptions
+
+    @property
+    def blocks_rejected(self) -> int:
+        """Invalid blocks dropped at ingest over all incarnations."""
+        return self._driver.blocks_rejected
 
     def start(self) -> None:
         """Propose the first block (round 1 follows from genesis)."""
@@ -318,11 +324,6 @@ class SimValidator:
             self.left_at = self._loop.now
         self.crash()
 
-    @property
-    def slow_factor(self) -> float:
-        """The current straggler multiplier (1.0 = full speed)."""
-        return self._slow
-
     def set_slow_factor(self, scale: float) -> None:
         """Make this validator a persistent straggler: every CPU stage
         cost and the proposal pacing interval are multiplied by
@@ -332,6 +333,7 @@ class SimValidator:
         if scale < 1.0:
             raise ValueError(f"slow factor must be >= 1, got {scale}")
         self._slow = scale
+        self._driver.interval = self._interval * scale
 
     def set_equivocating(self, active: bool) -> None:
         """Start or stop an equivocation campaign.  While active, every
@@ -359,8 +361,6 @@ class SimValidator:
         self._down = False
         self._incarnation += 1
         self._fetching.clear()
-        self._last_proposal = float("-inf")
-        self._propose_timer_armed = False
         if self._core_factory is None:
             # Process pause, not restart: all state retained, nothing
             # to re-sync — resume where we left off.
@@ -371,34 +371,25 @@ class SimValidator:
         self._cert_sent.clear()
         self._ingress_free = 0.0
         self._consensus_free = 0.0
-        recovery = self._recovery
-        recovery.restart(self.core)
-        replay = recovery.replay_wal(self._wal.path if self._wal is not None else None)
+        driver = self._driver
+        driver.restart(self.core)
+        replay = driver.replay_wal()
         if replay is not None and replay.blocks and self._cpu is not None:
             # Replay is local CPU work, not network round trips: charge
             # the consensus stage so post-restart messages queue behind
             # it, exactly like a real validator re-indexing its log.
             cost = replay_cost(replay, self._cpu, self._tx_weight) * self._slow
             self._consensus_free = max(self._loop.now, self._consensus_free) + cost
-        recovery.begin_sync(self._loop.now)
+        driver.begin_sync(self._loop.now)
 
     # ------------------------------------------------------------------
-    # RecoveryPort: what the recovery driver asks of this host
+    # ValidatorPort: what the driver asks of this host
     # ------------------------------------------------------------------
     def send_sync_request(
         self, peer: int, refs: tuple[BlockRef, ...], floor: int, token: int
     ) -> None:
-        now = self._loop.now
-        for ref in refs:
-            self._fetching[ref.digest] = now
-        self._loop.schedule(_FETCH_RETRY, self._recovery.sync_timed_out, token)
-        self._network.send(
-            self.authority,
-            peer,
-            "fetch_req",
-            (refs, floor, token),
-            _REF_WIRE_SIZE * len(refs) + 4,
-        )
+        self._loop.schedule(_FETCH_RETRY, self._driver.sync_timed_out, token)
+        self._send_fetch(peer, refs, floor, token)
 
     def broadcast_checkpoint_request(self) -> None:
         self._network.broadcast(self.authority, "ckpt_req", None, _CKPT_REQ_SIZE)
@@ -407,43 +398,31 @@ class SimValidator:
     def _ckpt_retry(self, incarnation: int) -> None:
         if incarnation != self._incarnation or self._down:
             return
-        if self._recovery.awaiting_checkpoint:
-            self._recovery.request_checkpoints()
-
-    def persist_peer_block(self, block: Block) -> None:
-        if self._wal is not None:
-            self._wal.append_peer_block(block)
+        if self._driver.awaiting_checkpoint:
+            self._driver.request_checkpoints()
 
     def ingest_fetched(self, block: Block, peer: int) -> None:
         self._ingest(block, peer, live=False)
 
-    def trace_instant(self, name: str, args: dict) -> None:
-        if self._tracer.enabled:
-            self._tracer.instant(self.authority, "sync", name, self._loop.now, args)
+    def trace_time(self) -> float:
+        return self._loop.now
 
     def submit(self, tx: Transaction) -> None:
         """Client entry point; transactions pass the ingress CPU stage
         (signature verification) before reaching the mempool."""
         if self._down:
             return
-        if self._cpu is None:
-            if self._tracer.enabled:
-                self._tracer.instant(
-                    self.authority,
-                    "client",
-                    _trace.TX_SUBMITTED,
-                    self._loop.now,
-                    {"tx": tx.tx_id},
-                )
-            self.core.add_transaction(tx)
-            return
         now = self._loop.now
-        cost = self._cpu.tx_ingress_cost * self._tx_weight * self._slow
-        self._ingress_free = max(now, self._ingress_free) + cost
         if self._tracer.enabled:
             self._tracer.instant(
                 self.authority, "client", _trace.TX_SUBMITTED, now, {"tx": tx.tx_id}
             )
+        if self._cpu is None:
+            self.core.add_transaction(tx)
+            return
+        cost = self._cpu.tx_ingress_cost * self._tx_weight * self._slow
+        self._ingress_free = max(now, self._ingress_free) + cost
+        if self._tracer.enabled:
             self._tracer.span(
                 self.authority,
                 "ingress",
@@ -460,29 +439,8 @@ class SimValidator:
     # Message handling
     # ------------------------------------------------------------------
     def on_message(self, message: Message) -> None:
-        if self._down:
-            return
-        if self._stage_observer:
-            self._note_arrival(message)
-        if self._cpu is not None:
-            now = self._loop.now
-            delay = self._batch_cost([message])
-            self._consensus_free = max(now, self._consensus_free) + delay
-            if self._tracer.enabled:
-                self._tracer.span(
-                    self.authority,
-                    "consensus",
-                    "consensus_stage",
-                    now,
-                    self._consensus_free,
-                    {"kind": message.kind, "src": message.src},
-                )
-            if self._consensus_free > now:
-                self._loop.schedule_at(
-                    self._consensus_free, self._handle_queued, message, self._incarnation
-                )
-                return
-        self._handle(message)
+        """Deliver one message: a batch of one."""
+        self.on_batch([message])
 
     def _note_arrival(self, message: Message) -> None:
         """Observer-only: stamp a block's wire-arrival time (the header
@@ -524,14 +482,7 @@ class SimValidator:
                     self._consensus_free, self._handle_batch_queued, messages, self._incarnation
                 )
                 return
-        for message in messages:
-            self._handle(message)
-
-    def _handle_queued(self, message: Message, incarnation: int) -> None:
-        """CPU-stage completion: drop work queued before a crash."""
-        if incarnation != self._incarnation:
-            return
-        self._handle(message)
+        self._handle_batch_queued(messages, self._incarnation)
 
     def _handle_batch_queued(self, messages: "list[Message]", incarnation: int) -> None:
         """Batched CPU-stage completion: drop work queued before a crash."""
@@ -600,16 +551,16 @@ class SimValidator:
                 self._ingest(block, message.src, live=False)
         elif message.kind == "sync_resp":
             blocks, pruned, token = message.payload
-            if self._recovery.on_sync_response(message.src, blocks, pruned, token):
+            if self._driver.on_sync_response(message.src, blocks, pruned, token):
                 # Re-synced off a short chunk: propose right away
                 # instead of idling until the next round's broadcasts.
                 self._step()
         elif message.kind == "ckpt_req":
-            checkpoints = self._recovery.retained_checkpoints()
+            checkpoints = self._driver.retained_checkpoints()
             size = sum(c.wire_size for c in checkpoints) + _CKPT_REQ_SIZE
             self._network.send(self.authority, message.src, "ckpt_resp", checkpoints, size)
         elif message.kind == "ckpt_resp":
-            self._recovery.on_checkpoint_response(message.src, message.payload)
+            self._driver.on_checkpoint_response(message.src, message.payload)
 
     # ------------------------------------------------------------------
     # Certified (Tusk) round structure
@@ -642,31 +593,18 @@ class SimValidator:
     # Ingestion, proposing, committing
     # ------------------------------------------------------------------
     def _ingest(self, block: Block, sender: int, live: bool = True) -> None:
-        result = self.core.add_block(block)
+        result = self._driver.ingest(block, sender, live)
         if result.missing:
             self._request_missing(sender, result.missing)
-        if result.accepted and self._wal is not None:
-            for accepted in result.accepted:
-                self._wal.append_peer_block(accepted)
-        if result.accepted and self._stage_observer:
+        if not result.accepted:
+            return
+        if self._stage_observer:
             now = self._loop.now
             for accepted in result.accepted:
                 arrival = self._arrivals.pop(accepted.reference, now)
                 for tx in accepted.transactions:
                     self._stage_metrics.record_block_times(tx.tx_id, arrival, now)
-        if result.accepted and self._tracer.enabled:
-            for accepted in result.accepted:
-                self._tracer.instant(
-                    self.authority,
-                    "consensus",
-                    _trace.BLOCK_RECEIVED,
-                    self._loop.now,
-                    {"author": accepted.author, "round": accepted.round, "src": sender},
-                )
-        if result.accepted:
-            if self._recovery.syncing:
-                self._recovery.block_connected(live)
-            self._step()
+        self._step()
 
     def _request_missing(self, peer: int, refs: tuple[BlockRef, ...]) -> None:
         now = self._loop.now
@@ -675,19 +613,21 @@ class SimValidator:
             for ref in refs
             if now - self._fetching.get(ref.digest, -_FETCH_RETRY) >= _FETCH_RETRY
         )
-        if self._recovery.syncing:
-            self._recovery.request_sync(peer, wanted)
-            return
-        if not wanted:
-            return
-        for ref in wanted:
+        if self._driver.syncing:
+            self._driver.request_sync(peer, wanted)
+        elif wanted:
+            self._send_fetch(peer, wanted, -1, 0)  # shallow: exactly these
+
+    def _send_fetch(self, peer: int, refs: tuple[BlockRef, ...], floor: int, token: int) -> None:
+        now = self._loop.now
+        for ref in refs:
             self._fetching[ref.digest] = now
         self._network.send(
             self.authority,
             peer,
             "fetch_req",
-            (wanted, -1, 0),
-            _REF_WIRE_SIZE * len(wanted) + 4,
+            (refs, floor, token),
+            _REF_WIRE_SIZE * len(refs) + 4,
         )
 
     def _on_fetch_request(
@@ -695,86 +635,53 @@ class SimValidator:
     ) -> None:
         # Headers not yet certified (Tusk) are served too.
         if sync_floor < 0:
-            available = self._recovery.held_blocks(refs, self._headers)
+            available = self._driver.held_blocks(refs, self._headers)
             if not available:
                 return
             size = sum(self._block_wire_size(b) for b in available)
             self._network.send(self.authority, src, "fetch_resp", tuple(available), size)
             return
-        served, pruned = self._recovery.serve_sync(refs, sync_floor, self._headers)
+        served, pruned = self._driver.serve_sync(refs, sync_floor, self._headers)
         size = sum(self._block_wire_size(b) for b in served) + _REF_WIRE_SIZE * len(pruned)
         self._network.send(self.authority, src, "sync_resp", (served, pruned, token), size)
 
     def _step(self) -> None:
-        self._try_propose()
-        self._commit()
-        if (
-            not self._down
-            and not self.core.schedule.is_static
-            and self._recovery.excluded_by_epoch()
-        ):
+        """Run the shared validator step and act on what it returns."""
+        now = self._loop.now
+        driver = self._driver
+        step = driver.step(now)
+        for block in step.proposed:
+            self._dispatch_own(block)
+        if step.deadline is not None:
+            self._loop.schedule(step.deadline - now, self._on_propose_timer)
+        if step.recovered_at is not None and self._on_recovery is not None:
+            self._on_recovery(self.authority, step.recovered_at, now, driver.recovery_mode_used)
+        if self._on_commit is not None:
+            for observation in step.committed:
+                for block in observation.linearized:
+                    for tx in block.transactions:
+                        self._on_commit(tx, now)
+        if driver.left:
             self.leave()
 
-    def _try_propose(self) -> None:
-        while not self._down:
-            if self._recovery.syncing:
-                # A restarted validator proposes nothing until the DAG
-                # behind the frontier is re-synced: its fresh core has
-                # forgotten which rounds it already proposed in, and a
-                # stale low-round proposal would equivocate with its own
-                # pre-crash blocks.
-                return
-            if not self.core.ready_to_propose():
-                return
-            now = self._loop.now
-            next_allowed = self._last_proposal + self._interval * self._slow
-            if now < next_allowed:
-                if not self._propose_timer_armed:
-                    self._propose_timer_armed = True
-                    self._loop.schedule(next_allowed - now, self._on_propose_timer)
-                return
-            block = self.core.maybe_propose(now)
-            if block is None:
-                return
-            self._last_proposal = now
-            recovery = self._recovery
-            if recovery.recovered_at is not None:
-                # First proposal after a restart: recovery is complete.
-                if self._on_recovery is not None:
-                    self._on_recovery(
-                        self.authority, recovery.recovered_at, now, recovery.recovery_mode_used
-                    )
-                recovery.recovered_at = None
-            self._dispatch_own(block)
-
     def _on_propose_timer(self) -> None:
-        self._propose_timer_armed = False
-        if self._down:
-            return
-        self._try_propose()
-        self._commit()
+        self._driver.pacing_timer_fired()
+        if not self._down:
+            self._step()
 
     def _dispatch_own(self, block: Block) -> None:
         if self._stage_metrics is not None and block.transactions:
             now = self._loop.now
             for tx in block.transactions:
                 self._stage_metrics.record_inclusion(tx.tx_id, now)
-        if self._tracer.enabled:
-            _trace.trace_proposal(self._tracer, self.authority, self._loop.now, block)
-        if self._wal is not None:
-            # Own proposals are durable *before* broadcast: a warm
-            # restart replays them and never signs a second block for a
-            # round it already used.
-            self._wal.append_own_block(block)
         size = self._block_wire_size(block)
         if self._certified:
             self._headers[block.digest] = block
             self._acks[block.digest] = {self.authority}
-            self._network.broadcast(self.authority, "block", block, size)
         elif self.behavior.equivocate:
             self._dispatch_equivocation(block, size)
-        else:
-            self._network.broadcast(self.authority, "block", block, size)
+            return
+        self._network.broadcast(self.authority, "block", block, size)
 
     def _dispatch_equivocation(self, block: Block, size: int) -> None:
         """Send the honest block to half the peers and a conflicting
@@ -788,21 +695,6 @@ class SimValidator:
             self._network.send(self.authority, dst, "block", block, size)
         for dst in peers[half:]:
             self._network.send(self.authority, dst, "block", sibling, size)
-
-    def _commit(self) -> None:
-        observations = self.core.try_commit()
-        if observations and self._wal is not None:
-            self._wal.append_commit_mark(self.core.committer.last_finalized_round)
-        if observations and self._tracer.enabled:
-            _trace.trace_commits(self._tracer, self.authority, self._loop.now, observations)
-        if self._on_commit is None:
-            return
-        now = self._loop.now
-        for observation in observations:
-            for block in observation.linearized:
-                self.commits += 1
-                for tx in block.transactions:
-                    self._on_commit(tx, now)
 
     # ------------------------------------------------------------------
     # Wire sizes

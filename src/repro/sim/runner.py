@@ -15,6 +15,7 @@ from pathlib import Path
 
 from ..committee import (
     MIN_COMMITTEE_SIZE,
+    RECONFIG_TX_BASE,
     Committee,
     CommitteeSchedule,
     ReconfigCommand,
@@ -60,10 +61,6 @@ PROTOCOLS = ("mahi-mahi-5", "mahi-mahi-4", "cordial-miners", "tusk")
 #: meaningful.
 RECOVERY_CRASH_FRAC = 0.25
 RECOVERY_RESTART_FRAC = 0.5
-
-#: Transaction ids reserved for harness-injected reconfiguration
-#: commands, far above anything the open-loop clients allocate.
-RECONFIG_TX_BASE = 1 << 62
 
 
 @dataclass(frozen=True)
@@ -881,7 +878,7 @@ class Experiment:
             # epoch activates.  A joiner boots now (state-transfer join)
             # and proposes once its epoch is active; a leaver keeps
             # participating until the excluding epoch activates, then
-            # exits by itself (RecoveryDriver.excluded_by_epoch).
+            # exits by itself (ValidatorDriver.excluded_by_epoch).
             self._submit_reconfig(event.kind, event.validator)
             if event.kind == "join":
                 node.recover()
@@ -897,11 +894,8 @@ class Experiment:
         """Inject a reconfiguration command transaction at the first
         live honest validator (the administrative client of a real
         deployment)."""
-        command = ReconfigCommand(kind=kind, validator=validator)
-        tx = Transaction(
-            tx_id=RECONFIG_TX_BASE + self._reconfig_seq,
-            submitted_at=self._loop.now,
-            payload=command.encode_payload(),
+        tx = ReconfigCommand(kind=kind, validator=validator).as_transaction(
+            self._reconfig_seq, submitted_at=self._loop.now
         )
         self._reconfig_seq += 1
         for node in self.nodes:

@@ -11,16 +11,17 @@ peers' garbage-collection horizon) adopts a quorum-attested checkpoint
 instead and deep-fetches only the suffix above it.
 
 This package is transport-, clock- and coroutine-free, and holds the
-**one** recovery implementation both fabrics run:
-:class:`~repro.statesync.driver.RecoveryDriver` is the whole restart /
+**one** validator driver both fabrics run:
+:class:`~repro.statesync.driver.ValidatorDriver` is the validator step
+(ingest, paced proposing, commit, epoch exit) and the whole restart /
 re-sync state machine (cold, warm and checkpoint modes, the checkpoint
 tally and adoption, the chunked deep-fetch chain, pruned-history
-handling, fetch serving, epoch exit).  The simulator
-(:class:`repro.sim.node.SimValidator`, ``ckpt_req``/``ckpt_resp``/
-``fetch_req``/``sync_resp`` events) and the asyncio runtime
-(:class:`repro.runtime.node.ValidatorNode`, the equivalent wire
+handling, fetch serving).
+The simulator (:class:`repro.sim.node.SimValidator`, ``ckpt_req``/
+``ckpt_resp``/``fetch_req``/``sync_resp`` events) and the asyncio
+runtime (:class:`repro.runtime.node.ValidatorNode`, the equivalent wire
 messages) are adaptors implementing its
-:class:`~repro.statesync.driver.RecoveryPort`.  The helpers the driver
+:class:`~repro.statesync.driver.ValidatorPort`.  The helpers the driver
 is built from — the response tally, WAL replay, ancestor-closure
 serving — live in :mod:`repro.statesync.recovery`, and the SMR executor
 contributes its state digest via :func:`digest_executor_state`.
@@ -35,7 +36,7 @@ from .checkpoint import (
     chain_digest,
     digest_executor_state,
 )
-from .driver import RECOVER_MODES, RecoveryDriver, RecoveryPort
+from .driver import RECOVER_MODES, ValidatorDriver, ValidatorPort
 from .recovery import (
     SYNC_MAX_BLOCKS,
     CheckpointVotes,
@@ -52,8 +53,8 @@ __all__ = [
     "Checkpoint",
     "CheckpointVotes",
     "CommitLedger",
-    "RecoveryDriver",
-    "RecoveryPort",
+    "ValidatorDriver",
+    "ValidatorPort",
     "WalReplay",
     "ancestor_closure",
     "best_attested",

@@ -1,8 +1,20 @@
-"""The recovery / state-sync state machine, shared by both fabrics.
+"""The validator step and the recovery state machine, shared by both fabrics.
 
-Mahi-Mahi's DAG is uncertified, so a validator that restarts behind its
-peers depends on the synchronizer for liveness (Lemma 8).  A restarted
-validator re-syncs by one of three modes before it proposes again:
+Mahi-Mahi's validator loop is tiny — accept a block, propose once
+``2f + 1`` blocks of the previous round are in, run the commit rule —
+and :class:`ValidatorDriver` is its one implementation:
+
+* :meth:`~ValidatorDriver.ingest` — ``core.add_block``, the rejection
+  count, the WAL record and ``block_received`` instant of each accepted
+  block, and the "caught up" check while re-syncing;
+* :meth:`~ValidatorDriver.step` — *propose* (not while re-syncing or
+  after leaving; paced by the minimum block interval; the own block is
+  in the WAL before it is handed back), *commit* (commit mark, commit
+  instants) and *epoch exit*, returned as a plain :class:`Step`.
+
+The DAG is uncertified, so a validator that restarts behind its peers
+depends on the synchronizer for liveness (Lemma 8).  It re-syncs by one
+of three modes before it proposes again:
 
 * **cold** — deep-fetch the whole missing ancestor closure from peers;
 * **warm** — replay the local write-ahead log first (restoring most of
@@ -11,27 +23,36 @@ validator re-syncs by one of three modes before it proposes again:
   checkpoint and deep-fetch only the suffix above its floor, raising
   the floor when peers report they pruned inside the adopted span.
 
-:class:`RecoveryDriver` owns that whole state machine — mode selection,
-the checkpoint tally and adoption, the token-tagged chunked deep-fetch
-chain with its single in-flight request, pruned-history absorption, the
-"caught up" rules, the serving side of a deep fetch, and epoch exit —
-without touching a socket, a clock, a timer or a coroutine.  Its host
-(the simulator's :class:`~repro.sim.node.SimValidator`, the runtime's
+The driver owns that state machine too — mode selection, the checkpoint
+tally and adoption, the token-tagged chunked deep-fetch chain with its
+single in-flight request, pruned-history absorption, the "caught up"
+rules and the serving side of a deep fetch.
+
+**The WAL rule.**  Every block accepted from the network is logged,
+own-authored ones included: a restarted validator that fetches its own
+pre-crash blocks back logs them like any other, so a later warm restart
+replays a causally complete DAG instead of fetching them again.
+
+The driver touches no socket, clock, timer or coroutine.  Its host (the
+simulator's :class:`~repro.sim.node.SimValidator`, the runtime's
 :class:`~repro.runtime.node.ValidatorNode`) implements the small
-:class:`RecoveryPort`, feeds it messages, and owns everything with a
-notion of time: the retry timers, the event loop, the transport.
+:class:`ValidatorPort`, feeds it messages and the current time,
+dispatches what :class:`Step` hands back, and owns everything with a
+notion of time: the pacing and retry timers, the event loop, the
+transport.
 """
 
 from __future__ import annotations
 
-from collections.abc import Mapping
-from pathlib import Path
+from collections.abc import Mapping, Sequence
 from types import MappingProxyType
-from typing import Protocol
+from typing import NamedTuple, Protocol
 
 from ..block import Block, BlockRef
 from ..crypto.hashing import Digest
 from ..errors import StateTransferError
+from ..obs import trace as _trace
+from ..obs.trace import NULL_TRACER
 from .checkpoint import Checkpoint
 from .recovery import CheckpointVotes, WalReplay, ancestor_closure, chunk_cap, replay_wal
 
@@ -41,61 +62,80 @@ RECOVER_MODES = ("cold", "warm", "checkpoint")
 _NOTHING: Mapping[Digest, Block] = MappingProxyType({})
 
 
-class RecoveryPort(Protocol):
-    """What a :class:`RecoveryDriver` needs from its host."""
+class ValidatorPort(Protocol):
+    """What a :class:`ValidatorDriver` needs from its host."""
 
     def send_sync_request(
         self, peer: int, refs: tuple[BlockRef, ...], floor: int, token: int
     ) -> None:
         """Send one deep fetch, and arrange for
-        :meth:`RecoveryDriver.sync_timed_out` to be called with
+        :meth:`ValidatorDriver.sync_timed_out` to be called with
         ``token`` after the host's retry interval (a peer that cannot
         serve may never answer)."""
 
     def broadcast_checkpoint_request(self) -> None:
         """Ask every peer for its retained checkpoints; the host
-        re-calls :meth:`RecoveryDriver.request_checkpoints` on its retry
-        cadence while :attr:`RecoveryDriver.awaiting_checkpoint`."""
-
-    def persist_peer_block(self, block: Block) -> None:
-        """Log an accepted peer block (no-op without a WAL)."""
+        re-calls :meth:`ValidatorDriver.request_checkpoints` on its retry
+        cadence while :attr:`ValidatorDriver.awaiting_checkpoint`."""
 
     def ingest_fetched(self, block: Block, peer: int) -> None:
         """Run one deep-fetched block through the host's ingest path
         (as *not live*: it proves nothing about the frontier)."""
 
-    def trace_instant(self, name: str, args: dict) -> None:
-        """Record a ``sync``-track instant at the host's current time."""
+    def trace_time(self) -> float:
+        """The host's current trace timestamp (asked only while the
+        tracer is enabled)."""
 
 
-class RecoveryDriver:
-    """One validator's recovery state, driven by its host's messages."""
+class Step(NamedTuple):
+    """What one :meth:`ValidatorDriver.step` did, for the host to act on."""
 
-    __slots__ = (
-        "core",
-        "syncing",
-        "recover_mode",
-        "recovery_mode_used",
-        "recovered_at",
-        "ckpt_adopted",
-        "checkpoint_adoptions",
-        "_port",
-        "_chunk",
-        "_votes",
-        "_token",
-        "_inflight",
-        "_was_member",
-    )
+    #: Own blocks proposed, oldest first and already in the WAL: the
+    #: host dispatches them.
+    proposed: Sequence[Block] = ()
+    #: New commit observations, in commit order.
+    committed: Sequence = ()
+    #: Host time the next proposal is paced to.  Reported once per
+    #: paced proposal: the host arms a one-shot timer for it and, when
+    #: that fires, calls :meth:`ValidatorDriver.pacing_timer_fired` and
+    #: steps again.
+    deadline: float | None = None
+    #: Set by the first proposal after a restart: the host time that
+    #: recovery began (the recovery-time metric hook).
+    recovered_at: float | None = None
 
-    def __init__(self, core, port: RecoveryPort, recover_mode: str, sync_chunk_blocks: int) -> None:
+
+class ValidatorDriver:
+    """One validator's step and recovery state, driven by its host."""
+
+    def __init__(
+        self,
+        core,
+        port: ValidatorPort,
+        recover_mode: str,
+        sync_chunk_blocks: int,
+        *,
+        interval: float = 0.0,
+        wal=None,
+        tracer=NULL_TRACER,
+    ) -> None:
+        """``interval`` is the minimum host time between own proposals,
+        ``wal`` the :class:`~repro.runtime.wal.WriteAheadLog` that own
+        blocks, accepted blocks and commit marks go to (``None``: no
+        log); trace events are stamped with ``port.trace_time()``."""
         if recover_mode not in RECOVER_MODES:
             raise ValueError(f"unknown recover_mode {recover_mode!r}; pick one of {RECOVER_MODES}")
         self._port = port
         self.recover_mode = recover_mode
         self._chunk = sync_chunk_blocks
+        self.interval = interval
+        self.wal = wal
+        self.tracer = tracer
         #: Whether the validator is re-syncing (it proposes nothing
         #: until the DAG behind the frontier is rebuilt).
         self.syncing = False
+        #: Invalid blocks dropped by :meth:`ingest`, over all incarnations.
+        self.blocks_rejected = 0
         self.checkpoint_adoptions = 0
         # One deep fetch in flight at a time: its token (0 = none), and
         # a monotonic counter so a stale response or timeout never
@@ -106,6 +146,95 @@ class RecoveryDriver:
         # starts with this False and flips it on activation.)
         self._was_member = core.schedule.genesis_committee.is_member(core.authority)
         self.restart(core)
+
+    # ------------------------------------------------------------------
+    # The validator step: ingest, propose, commit, epoch exit
+    # ------------------------------------------------------------------
+    def ingest(self, block: Block, peer: int, live: bool = True):
+        """Hand a block received from ``peer`` to the core; returns the
+        core's :class:`~repro.core.protocol.AddBlockResult`.  The host
+        fetches ``missing`` and, when anything was ``accepted``, runs
+        :meth:`step`.  ``live`` marks a fresh broadcast (as opposed to a
+        fetched block), the only kind that can end a re-sync."""
+        result = self.core.add_block(block)
+        if result.rejected:
+            self.blocks_rejected += 1
+        accepted = result.accepted
+        if accepted:
+            if self.wal is not None:
+                for new in accepted:
+                    self.wal.append_peer_block(new)
+            if self.tracer.enabled:
+                now = self._port.trace_time()
+                for new in accepted:
+                    self.tracer.instant(
+                        self.core.authority,
+                        "consensus",
+                        _trace.BLOCK_RECEIVED,
+                        now,
+                        {"author": new.author, "round": new.round, "src": peer},
+                    )
+            if self.syncing and live and not self.core.pending_count:
+                # A *freshly broadcast* block that connected with its
+                # whole causal history present ends the re-sync; fetched
+                # chunks never do — a stale response from a pre-crash
+                # fetch ingests cleanly yet proves nothing about the
+                # frontier.
+                self.finish()
+        return result
+
+    def step(self, now: float) -> Step:
+        """Propose every round that is ready and due at host time
+        ``now``, extend the commit sequence, and notice epoch exit
+        (:attr:`left`).  Hosts run it after every accepted block, after
+        a finished re-sync, at start, and when the pacing timer fires."""
+        core = self.core
+        proposed: list[Block] = []
+        deadline = recovered_at = None
+        # A re-syncing validator proposes nothing: its fresh core has
+        # forgotten which rounds it already proposed in, and a stale
+        # low-round proposal would equivocate with its own pre-crash
+        # blocks.
+        while not (self.syncing or self.left) and core.ready_to_propose():
+            next_allowed = self._last_proposal + self.interval
+            if now < next_allowed:
+                if not self._timer_armed:
+                    self._timer_armed = True
+                    deadline = next_allowed
+                break
+            block = core.maybe_propose(now)
+            if block is None:
+                break
+            self._last_proposal = now
+            if self.wal is not None:
+                # Own proposals are durable *before* they leave: a warm
+                # restart replays them and never signs a second block
+                # for a round it already used.
+                self.wal.append_own_block(block)
+            if self.tracer.enabled:
+                _trace.trace_proposal(
+                    self.tracer, core.authority, self._port.trace_time(), block
+                )
+            if self.recovered_at is not None:
+                # First proposal after a restart: recovery is complete.
+                recovered_at, self.recovered_at = self.recovered_at, None
+            proposed.append(block)
+        observations = core.try_commit()
+        if observations:
+            if self.wal is not None:
+                self.wal.append_commit_mark(core.committer.last_finalized_round)
+            if self.tracer.enabled:
+                _trace.trace_commits(
+                    self.tracer, core.authority, self._port.trace_time(), observations
+                )
+        if not core.schedule.is_static and self.excluded_by_epoch():
+            self.left = True
+        return Step(proposed, observations, deadline, recovered_at)
+
+    def pacing_timer_fired(self) -> None:
+        """The host's timer for the last reported :attr:`Step.deadline`
+        fired; the next paced step reports a new one."""
+        self._timer_armed = False
 
     # ------------------------------------------------------------------
     # Restart and mode selection
@@ -121,20 +250,26 @@ class RecoveryDriver:
         # light-client protocol, out of scope here).
         self._votes = CheckpointVotes(core.schedule.latest.committee.quorum_threshold)
         self.ckpt_adopted = False
+        #: Epoch-versioned membership: once an activated epoch excludes
+        #: a former member it has left — it stops proposing for good.
+        self.left = False
         #: The path the recovery actually took (a warm restart with an
         #: empty WAL degenerates to, and reports, ``cold``).
         self.recovery_mode_used = "cold"
-        #: Host time this recovery began; the host clears it at the
-        #: first own proposal afterwards (the recovery-time metric).
+        #: Host time this recovery began; cleared by the first own
+        #: proposal afterwards (:attr:`Step.recovered_at`).
         self.recovered_at: float | None = None
         self._inflight = 0
+        # Pacing starts from scratch: no proposal yet, no deadline out.
+        self._last_proposal = float("-inf")
+        self._timer_armed = False
 
-    def replay_wal(self, path: "str | Path | None") -> WalReplay | None:
+    def replay_wal(self) -> WalReplay | None:
         """Warm mode: rebuild the DAG and the proposal-round floor from
         the local log (``None`` in the other modes or without a log)."""
-        if self.recover_mode != "warm" or path is None:
+        if self.recover_mode != "warm" or self.wal is None:
             return None
-        replay = replay_wal(self.core, path)
+        replay = replay_wal(self.core, self.wal.path)
         if replay.blocks:
             self.recovery_mode_used = "warm"
         return replay
@@ -147,7 +282,7 @@ class RecoveryDriver:
         if self.recovered_at is None:
             self.recovered_at = now
         mode = "checkpoint" if self.recover_mode == "checkpoint" else self.recovery_mode_used
-        self._port.trace_instant("recovery_started", {"mode": mode, **detail})
+        self._trace("recovery_started", {"mode": mode, **detail})
         if self.awaiting_checkpoint:
             self.request_checkpoints()
 
@@ -155,7 +290,7 @@ class RecoveryDriver:
         """Caught up: resume proposing."""
         self.syncing = False
         self._inflight = 0
-        self._port.trace_instant("sync_finished", {"mode": self.recovery_mode_used})
+        self._trace("sync_finished", {"mode": self.recovery_mode_used})
         # Never propose in a round the pre-crash incarnation already
         # proposed in (that would equivocate with our own old blocks):
         # floor the proposal round at the highest own-authored block
@@ -167,15 +302,6 @@ class RecoveryDriver:
         # restore the round from the WAL and checkpoint restarts floor
         # it at the adopted frontier, closing the gap properly.)
         self.core.restore_own_position()
-
-    def block_connected(self, live: bool) -> None:
-        """The host accepted a block.  A *freshly broadcast* one that
-        connected with its whole causal history present ends the
-        re-sync; fetched chunks never do — a stale response from a
-        pre-crash fetch ingests cleanly yet proves nothing about the
-        frontier."""
-        if self.syncing and live and not self.core.pending_count:
-            self.finish()
 
     # ------------------------------------------------------------------
     # Checkpoint adoption (state transfer)
@@ -215,7 +341,7 @@ class RecoveryDriver:
         self.checkpoint_adoptions += 1
         self.core.adopt_checkpoint(best)
         self._votes.clear()
-        self._port.trace_instant("checkpoint_adopted", {"round": best.round, "peer": nearest})
+        self._trace("checkpoint_adopted", {"round": best.round, "peer": nearest})
         self.request_sync(nearest, best.frontier)
 
     # ------------------------------------------------------------------
@@ -242,7 +368,7 @@ class RecoveryDriver:
         # state-transfer floor (history below it is never fetched).
         store = self.core.store
         floor = max(store.highest_round, store.sync_floor - 1)
-        self._port.trace_instant("sync_requested", {"peer": peer, "floor": floor})
+        self._trace("sync_requested", {"peer": peer, "floor": floor})
         self._port.send_sync_request(peer, refs, floor, self._token)
         return True
 
@@ -319,8 +445,10 @@ class RecoveryDriver:
             and all(ref.round <= base.round for ref in pruned)
         ):
             floor = max(ref.round for ref in pruned) + 1
-            for block in self.core.raise_sync_floor(floor):
-                self._port.persist_peer_block(block)
+            accepted = self.core.raise_sync_floor(floor)
+            if self.wal is not None:
+                for block in accepted:
+                    self.wal.append_peer_block(block)
             return
         detail = (
             "the adopted checkpoint went stale mid-recovery (peers pruned past its round); "
@@ -392,3 +520,10 @@ class RecoveryDriver:
 
     def _ledger(self):
         return getattr(self.core.committer, "ledger", None)
+
+    def _trace(self, name: str, args: dict) -> None:
+        """Record a ``sync``-track instant at the host's current time."""
+        if self.tracer.enabled:
+            self.tracer.instant(
+                self.core.authority, "sync", name, self._port.trace_time(), args
+            )

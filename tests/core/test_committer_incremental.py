@@ -361,9 +361,10 @@ def test_across_checkpoint_adoption_and_floor_raise(seed):
 @pytest.mark.parametrize("depth", [0, 8])
 def test_memos_follow_the_walk_window_not_the_round_number(depth):
     """The kept verdicts go as the cursor passes their slot and the vote
-    and cert memos as it leaves their leader round (garbage collection,
-    where configured, finds nothing left to drop), so their size follows
-    ``wave_length x n`` — not how long the validator has been running."""
+    and cert memos and the wave's coin as it leaves their leader round
+    (garbage collection, where configured, finds nothing left to drop),
+    so their size follows ``wave_length x n`` — not how long the
+    validator has been running."""
     rng = random.Random(depth)
     n, wave, leaders, rounds = 4, 5, 2, 200
     committee = Committee.of_size(n)
@@ -385,6 +386,8 @@ def test_memos_follow_the_walk_window_not_the_round_number(depth):
         # per certify-round block, for every open slot.
         assert committer.traversal.memo_size() <= window * leaders * 2 * n * wave
         assert committer.traversal.cache_stats()["cert_rounds"] <= window
+        # One coin per certify round from the cursor's wave up.
+        assert committer._elector.memo_size() <= window
         assert len(committer._undecided) + len(committer._decided) <= window * leaders
     assert largest > 0
     assert committer.next_slot.round > rounds - 3 * wave

@@ -119,6 +119,7 @@ class TestCrashRecovery:
             fresh = LocalCluster(n=4, wal_dir=tmp_path)
             restarted = fresh.nodes[0]
             restarted._recover()
+            restarted._step()  # syncing: proposes nothing, commits the replayed DAG
             assert restarted.core.round >= recovered_round
             assert restarted.core.store.highest_round >= recovered_round
             committed = {

@@ -14,12 +14,15 @@ from repro.runtime.messages import (
     SyncResponse,
 )
 from repro.runtime.node import ValidatorNode
+from repro.runtime.wal import WriteAheadLog
 from repro.statesync import recovery as recovery_module
+from repro.statesync import replay_wal
 from tests.runtime.test_synchronizer import RecordingTransport
+from tests.statesync.test_checkpoint import make_core
 from tests.statesync.test_driver import history, suffix
 
 
-def make_node(recover_mode, *, sync_chunk_blocks, interval=0):
+def make_node(recover_mode, *, sync_chunk_blocks, interval=0, wal_path=None):
     """Validator 3 of the deployment ``tests.statesync`` histories come
     from, so their blocks and checkpoints are valid input to it."""
     committee = Committee.of_size(4)
@@ -34,6 +37,7 @@ def make_node(recover_mode, *, sync_chunk_blocks, interval=0):
         config,
         coin,
         transport,
+        wal_path=wal_path,
         recover_mode=recover_mode,
         sync_chunk_blocks=sync_chunk_blocks,
     )
@@ -118,3 +122,48 @@ def test_falling_behind_again_right_after_a_live_finish_refetches():
             await node.stop()
 
     asyncio.run(asyncio.wait_for(scenario(), timeout=30))
+
+
+def test_own_blocks_fetched_back_after_a_cold_restart_are_logged(tmp_path):
+    """The WAL rule: every block accepted from the network is logged,
+    own-authored ones included.  A validator that lost its log re-syncs
+    cold and fetches its own pre-crash blocks back with everyone else's;
+    logging them too means a later warm restart replays a causally
+    complete DAG (the runtime used to skip them, leaving every peer
+    block that names one pending after the replay)."""
+    blocks = suffix(history(30, interval=2)[0])
+    path = tmp_path / "validator-3.wal"
+
+    async def scenario():
+        node, transport = make_node("cold", sync_chunk_blocks=4096, interval=2, wal_path=path)
+        await node.start()  # an empty log: proposes round 1 again (the same block)
+        try:
+            await node._on_message(0, BlockMessage(block=blocks[-4]))
+            [(peer, request)] = sync_requests(transport)
+            await node._on_message(
+                0, SyncResponse(blocks=tuple(blocks), pruned=(), token=request.token)
+            )
+            assert not node.syncing and node.core.round == 31
+        finally:
+            await node.stop()
+
+    asyncio.run(asyncio.wait_for(scenario(), timeout=30))
+    own, peers, _ = WriteAheadLog.recover(path)
+    assert [b.round for b in own] == [1, 31]
+    assert sorted(b.round for b in peers if b.author == 3) == list(range(2, 31))
+    # A warm restart from that log: nothing left pending.
+    restarted = make_core(3, interval=2)
+    replay = replay_wal(restarted, path)
+    assert replay.blocks == len(blocks) + 1 and restarted.pending_count == 0
+    assert replay.own_top_round == 31 and restarted.round == 31
+    # Had it crashed just before proposing round 31, its newest own
+    # block would be a fetched-back one: the proposal round is floored
+    # at it whichever record type it was logged under.
+    earlier = tmp_path / "crashed-before-31.wal"
+    with WriteAheadLog(earlier) as log:
+        log.append_own_block(own[0])
+        for block in peers:
+            log.append_peer_block(block)
+    restarted = make_core(3, interval=2)
+    assert replay_wal(restarted, earlier).own_top_round == 1
+    assert restarted.round == 30 and restarted.maybe_propose().round == 31

@@ -7,10 +7,11 @@ from repro.committee import Committee
 from repro.config import ProtocolConfig
 from repro.core.protocol import MahiMahiCore
 from repro.crypto.coin import FastCoin
+from repro.obs.trace import BLOCK_RECEIVED, NULL_TRACER, Tracer
 from repro.sim.events import EventLoop
 from repro.sim.faults import NodeBehavior
 from repro.sim.latency import UniformLatencyModel
-from repro.sim.network import SimNetwork
+from repro.sim.network import Message, SimNetwork
 from repro.sim.node import CpuConfig, SimValidator
 from repro.transaction import Transaction
 
@@ -25,6 +26,7 @@ def make_cluster(
     cpu=None,
     with_core_factory=False,
     sync_chunk_blocks=4096,
+    tracer=NULL_TRACER,
 ):
     committee = Committee.of_size(n)
     coin = FastCoin(seed=b"node-test", n=n, threshold=committee.quorum_threshold)
@@ -48,6 +50,7 @@ def make_cluster(
                 cpu=cpu,
                 core_factory=factory,
                 sync_chunk_blocks=sync_chunk_blocks,
+                tracer=tracer,
             )
         )
     return loop, nodes
@@ -355,3 +358,25 @@ class TestCpuModel:
         fast_loop.run_until(2.0)
         slow_loop.run_until(2.0)
         assert slow_nodes[0].core.round < fast_nodes[0].core.round
+
+    def test_both_entry_points_complete_the_cpu_stage_at_the_same_instant(self):
+        """``on_message`` is ``on_batch`` of one: the same consensus-stage
+        charge, the same completion time, the same ingest."""
+        cpu = CpuConfig(block_base_cost=0.01)
+        received_at = []
+        for entry in ("on_message", "on_batch"):
+            tracer = Tracer()
+            loop, nodes = make_cluster(cpu=cpu, tracer=tracer)
+            block = nodes[1].core.maybe_propose()
+            message = Message(src=1, dst=0, kind="block", payload=block, size=100)
+            if entry == "on_message":
+                nodes[0].on_message(message)
+            else:
+                nodes[0].on_batch([message])
+            assert block.digest not in nodes[0].core.store  # still in the CPU stage
+            loop.run_until(1.0)
+            assert block.digest in nodes[0].core.store
+            received_at.append(
+                [e.ts for e in tracer.events if e.validator == 0 and e.name == BLOCK_RECEIVED]
+            )
+        assert received_at[0] == received_at[1] and received_at[0][0] == 0.01

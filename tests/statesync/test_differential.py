@@ -1,29 +1,46 @@
-"""Differential test: one scripted recovery, two fabrics, one driver.
+"""Differential tests: one scripted scenario, two fabrics, one driver.
 
-The same scenario — crash, let the committee run ahead, restart in
-checkpoint mode, sync the suffix in small chunks, propose again — runs
-through the simulator's :class:`SimValidator` and through the runtime's
+*Recovery* — crash, let the committee run ahead, restart in checkpoint
+mode, sync the suffix in small chunks, propose again — runs through the
+simulator's :class:`SimValidator` and through the runtime's
 :class:`ValidatorNode` over the in-memory transport.  Both are adaptors
-of one :class:`RecoveryDriver`, so the restarted validator must walk the
-same ordered sequence of driver transitions on both (observed through
-the shared trace instants; the *number* of chunks depends on each
-fabric's timing, the order of transitions does not).
+of one :class:`ValidatorDriver`, so the restarted validator must walk
+the same ordered sequence of driver transitions on both (observed
+through the shared trace instants; the *number* of chunks depends on
+each fabric's timing, the order of transitions does not).
+
+*Steady state* — four validators paced so that every block of a round
+is in before the next proposal build the same DAG on both fabrics: the
+same step must then emit the same lifecycle instants per own round and
+commit the same blocks.  A block with a bad signature is dropped, and
+counted, by both.
 """
 
 import asyncio
 
 import pytest
 
+from repro.block import Block
 from repro.committee import Committee
 from repro.config import ProtocolConfig
 from repro.core.protocol import MahiMahiCore
 from repro.crypto.coin import FastCoin
-from repro.obs.trace import BLOCK_PROPOSED, SYNC_TRANSITIONS, TX_INCLUDED, Tracer
+from repro.crypto.signing import NullSignatureScheme, generate_keys
+from repro.dag.validation import BlockVerifier
+from repro.obs.trace import (
+    BLOCK_PROPOSED,
+    SYNC_TRANSITIONS,
+    TX_COMMITTED,
+    TX_INCLUDED,
+    WAVE_DECIDED,
+    Tracer,
+)
+from repro.runtime.messages import BlockMessage
 from repro.runtime.node import ValidatorNode
 from repro.runtime.transport import MemoryHub, MemoryTransport
 from repro.sim.events import EventLoop
 from repro.sim.latency import UniformLatencyModel
-from repro.sim.network import SimNetwork
+from repro.sim.network import Message, SimNetwork
 from repro.sim.node import SimValidator
 from repro.transaction import Transaction
 
@@ -168,3 +185,142 @@ def test_proposal_instants_share_one_track(runs):
         proposal = [e for e in tracer.events if e.name in (TX_INCLUDED, BLOCK_PROPOSED)]
         assert {e.name for e in proposal} == {TX_INCLUDED, BLOCK_PROPOSED}
         assert {e.subsystem for e in proposal} == {"consensus"}
+
+
+# ----------------------------------------------------------------------
+# Steady state
+# ----------------------------------------------------------------------
+#: Own rounds compared (the runtime leg takes ``ROUNDS * PACE`` seconds).
+ROUNDS = 24
+#: Runtime pacing: every block of a round is in long before the next
+#: proposal is due, so each proposal names all four — the simulator's
+#: lockstep DAG.
+PACE = 0.05
+STEP_STAGES = (BLOCK_PROPOSED, TX_INCLUDED, WAVE_DECIDED, TX_COMMITTED)
+
+
+def stages_by_own_round(tracer, validator=0):
+    """Validator 0's step instants, one list per own round: each opens
+    with the round's ``block_proposed``."""
+    rounds = []
+    for event in tracer.events:
+        if event.validator != validator or event.name not in STEP_STAGES:
+            continue
+        if event.name == BLOCK_PROPOSED:
+            rounds.append([])
+        rounds[-1].append(event.name)
+    return rounds
+
+
+def run_steady_simulator():
+    loop = EventLoop()
+    network = SimNetwork(loop, UniformLatencyModel(0.02), N, seed=1)
+    tracer = Tracer()
+    nodes = [
+        SimValidator(
+            MahiMahiCore(i, COMMITTEE, CONFIG, COIN),
+            network,
+            loop,
+            min_block_interval=0.05,
+            tracer=tracer,
+        )
+        for i in range(N)
+    ]
+    nodes[0].submit(Transaction.dummy(1))
+    for node in nodes:
+        node.start()
+    loop.run_until(0.05 * ROUNDS + 0.04)
+    return tracer, [b.digest for b in nodes[0].core.committed_blocks()]
+
+
+async def run_steady_runtime():
+    hub = MemoryHub()
+    tracer = Tracer()
+    nodes = [
+        ValidatorNode(
+            i, COMMITTEE, CONFIG, COIN, MemoryTransport(i, hub),
+            min_block_interval=PACE, tracer=tracer,
+        )
+        for i in range(N)
+    ]
+    nodes[0].submit_transaction(Transaction.dummy(1))
+    await asyncio.gather(*(node.start() for node in nodes))
+    try:
+        while nodes[0].core.round <= ROUNDS:
+            await asyncio.sleep(0.01)
+    finally:
+        await asyncio.gather(*(node.stop() for node in nodes))
+    return tracer, [b.digest for b in nodes[0].committed_blocks]
+
+
+def test_steady_state_step_is_the_same_on_both_fabrics():
+    sim_tracer, sim_commits = run_steady_simulator()
+    rt_tracer, rt_commits = asyncio.run(asyncio.wait_for(run_steady_runtime(), timeout=60))
+    sim_rounds = stages_by_own_round(sim_tracer)[:ROUNDS]
+    rt_rounds = stages_by_own_round(rt_tracer)[:ROUNDS]
+    assert len(sim_rounds) == ROUNDS
+    assert sim_rounds[0][:2] == [BLOCK_PROPOSED, TX_INCLUDED]
+    assert any(WAVE_DECIDED in stages for stages in sim_rounds)
+    assert any(TX_COMMITTED in stages for stages in sim_rounds)
+    assert rt_rounds == sim_rounds
+    shorter = min(len(sim_commits), len(rt_commits))
+    assert shorter > 20
+    assert sim_commits[:shorter] == rt_commits[:shorter]
+
+
+def test_a_bad_signature_is_rejected_and_counted_on_both_fabrics():
+    scheme = NullSignatureScheme()
+    keys = generate_keys(scheme, N)
+    committee = Committee.of_size(N, public_keys=[k.public_key for k in keys])
+
+    def core(i):
+        return MahiMahiCore(
+            i,
+            committee,
+            CONFIG,
+            COIN,
+            verifier=BlockVerifier(committee, scheme, COIN),
+            sign=lambda data, key=keys[i].private_key: scheme.sign(key, data),
+        )
+
+    good = core(1).maybe_propose()
+    forged = Block(
+        author=good.author,
+        round=good.round,
+        parents=good.parents,
+        transactions=good.transactions,
+        coin_share=good.coin_share,
+        signature=bytes(len(good.signature)),
+    )
+
+    loop = EventLoop()
+    sim = SimValidator(core(0), SimNetwork(loop, UniformLatencyModel(0.02), N, seed=1), loop)
+    sim.on_message(Message(src=1, dst=0, kind="block", payload=forged, size=100))
+    # (The signature is not part of the digest: both share one.)
+    assert sim.blocks_rejected == 1 and good.digest not in sim.core.store
+    sim.on_message(Message(src=1, dst=0, kind="block", payload=good, size=100))
+    assert sim.blocks_rejected == 1 and good.digest in sim.core.store
+
+    async def runtime():
+        node = ValidatorNode(
+            0,
+            committee,
+            CONFIG,
+            COIN,
+            MemoryTransport(0, MemoryHub()),
+            verifier=BlockVerifier(committee, scheme, COIN),
+            sign=lambda data: scheme.sign(keys[0].private_key, data),
+        )
+        await node.start()
+        try:
+            await node._on_message(1, BlockMessage(block=forged))
+            assert good.digest not in node.core.store
+            await node._on_message(1, BlockMessage(block=good))
+        finally:
+            await node.stop()
+        return node
+
+    node = asyncio.run(asyncio.wait_for(runtime(), timeout=30))
+    snapshot = node.metrics.snapshot()
+    assert snapshot["blocks_rejected"] == 1 and snapshot["blocks_received"] == 1
+    assert good.digest in node.core.store

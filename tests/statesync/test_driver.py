@@ -1,4 +1,4 @@
-"""Unit tests for :class:`RecoveryDriver`, one per transition, driven
+"""Unit tests for :class:`ValidatorDriver`, one per transition, driven
 through a recording fake port (no event loop, no transport, no clock)."""
 
 import functools
@@ -7,9 +7,10 @@ from types import SimpleNamespace
 import pytest
 
 from repro.committee import Committee, CommitteeSchedule, ReconfigCommand
-from repro.errors import StateTransferError
+from repro.errors import BlockValidationError, StateTransferError
+from repro.obs.trace import Tracer
 from repro.runtime.wal import WriteAheadLog
-from repro.statesync import RecoveryDriver, ancestor_closure
+from repro.statesync import ValidatorDriver, ancestor_closure
 from repro.statesync import recovery as recovery_module
 from tests.statesync.test_checkpoint import drive_rounds, make_core
 
@@ -21,9 +22,7 @@ class FakePort:
         self.driver = None
         self.sync_requests = []  # (peer, refs, floor, token)
         self.checkpoint_requests = 0
-        self.persisted = []
         self.ingested = []
-        self.instants = []  # (name, args)
 
     def send_sync_request(self, peer, refs, floor, token):
         self.sync_requests.append((peer, refs, floor, token))
@@ -31,25 +30,35 @@ class FakePort:
     def broadcast_checkpoint_request(self):
         self.checkpoint_requests += 1
 
-    def persist_peer_block(self, block):
-        self.persisted.append(block)
-
     def ingest_fetched(self, block, peer):
         self.ingested.append(block)
-        result = self.driver.core.add_block(block)
-        if result.accepted:
-            self.driver.block_connected(live=False)
+        self.driver.ingest(block, peer, live=False)
 
-    def trace_instant(self, name, args):
-        self.instants.append((name, args))
+    def trace_time(self):
+        return 0.0
+
+    @property
+    def instants(self):
+        """The driver's ``sync``-track instants as ``(name, args)``."""
+        return [(e.name, e.args) for e in self.driver.tracer.events if e.subsystem == "sync"]
 
     def names(self):
         return [name for name, _ in self.instants]
 
 
-def make_driver(mode="cold", *, chunk=4096, interval=0, gc=0, authority=3):
+def make_driver(
+    mode="cold", *, chunk=4096, interval=0, gc=0, authority=3, pacing=0.0, wal=None
+):
     port = FakePort()
-    driver = RecoveryDriver(make_core(authority, interval=interval, gc=gc), port, mode, chunk)
+    driver = ValidatorDriver(
+        make_core(authority, interval=interval, gc=gc),
+        port,
+        mode,
+        chunk,
+        interval=pacing,
+        wal=wal,
+        tracer=Tracer(),
+    )
     port.driver = driver
     return driver, port
 
@@ -80,18 +89,17 @@ class TestModeSelection:
         with pytest.raises(ValueError, match="unknown recover_mode"):
             make_driver("lukewarm")
 
-    def test_cold_waits_for_a_block_to_report_missing_ancestors(self):
-        driver, port = make_driver("cold")
-        assert driver.replay_wal("unused.wal") is None  # cold never reads the log
+    def test_cold_waits_for_a_block_to_report_missing_ancestors(self, tmp_path):
+        driver, port = make_driver("cold", wal=WriteAheadLog(tmp_path / "unused.wal"))
+        assert driver.replay_wal() is None  # cold never reads the log
         driver.begin_sync(now=7.0)
         assert driver.syncing and driver.recovered_at == 7.0
         assert port.instants == [("recovery_started", {"mode": "cold"})]
         assert port.checkpoint_requests == 0 and not port.sync_requests
 
     def test_warm_with_empty_wal_degenerates_to_cold(self, tmp_path):
-        WriteAheadLog(tmp_path / "empty.wal").close()
-        driver, port = make_driver("warm")
-        replay = driver.replay_wal(tmp_path / "empty.wal")
+        driver, port = make_driver("warm", wal=WriteAheadLog(tmp_path / "empty.wal"))
+        replay = driver.replay_wal()
         assert replay.blocks == 0
         driver.begin_sync(now=0.0)
         assert driver.recovery_mode_used == "cold"
@@ -102,9 +110,8 @@ class TestModeSelection:
         wal = WriteAheadLog(tmp_path / "v3.wal")
         for block in suffix(source):
             (wal.append_own_block if block.author == 3 else wal.append_peer_block)(block)
-        wal.close()
-        driver, port = make_driver("warm")
-        replay = driver.replay_wal(tmp_path / "v3.wal")
+        driver, port = make_driver("warm", wal=wal)
+        replay = driver.replay_wal()
         assert replay.blocks == len(suffix(source)) and replay.own_top_round == 6
         assert driver.recovery_mode_used == "warm"
         assert driver.core.round >= 6  # never re-proposes a logged round
@@ -172,7 +179,7 @@ class TestCheckpointAdoption:
 
     def test_serves_its_retained_checkpoints(self):
         core = history(30, interval=2)[0]
-        driver = RecoveryDriver(core, FakePort(), "cold", 4096)
+        driver = ValidatorDriver(core, FakePort(), "cold", 4096)
         assert driver.retained_checkpoints() == tuple(core.committer.ledger.checkpoints)
 
 
@@ -253,11 +260,10 @@ class TestDeepFetchChain:
         blocks = suffix(source)
         driver, port = self.syncing_driver()
         driver.request_sync(0, (blocks[-1].reference,))
-        for block in blocks[:4]:  # round 1 arrives as live broadcasts
-            driver.core.add_block(block)
-        driver.block_connected(live=False)
+        for block in blocks[:4]:  # round 1 arrives as a fetched chunk
+            assert driver.ingest(block, 0, live=False).accepted
         assert driver.syncing  # fetched blocks prove nothing
-        driver.block_connected(live=True)
+        assert driver.ingest(blocks[4], 1).accepted  # a live round-2 broadcast
         assert not driver.syncing and not driver.sync_inflight
         assert port.instants[-1] == ("sync_finished", {"mode": "cold"})
         driver.begin_sync(now=5.0, behind=12)
@@ -309,7 +315,7 @@ class TestPrunedHistory:
 class TestServing:
     def test_serves_the_closure_above_the_floor_in_chunks(self):
         source = history(6)[0]
-        driver = RecoveryDriver(source, FakePort(), "cold", 8)
+        driver = ValidatorDriver(source, FakePort(), "cold", 8)
         tips = tuple(b.reference for b in suffix(source)[-4:])
         served, pruned = driver.serve_sync(tips, 2)
         assert [b.round for b in served] == [3] * 4 + [4] * 4 and pruned == ()
@@ -320,14 +326,14 @@ class TestServing:
         assert source.store.lowest_round > 1
         old = history(2)[0]  # the same deterministic round-1 blocks
         refs = tuple(b.reference for b in suffix(old)[:4])
-        driver = RecoveryDriver(source, FakePort(), "cold", 8)
+        driver = ValidatorDriver(source, FakePort(), "cold", 8)
         served, pruned = driver.serve_sync(refs, 0)
         assert served == () and pruned == refs
 
     def test_unstored_blocks_are_served_and_not_flagged(self):
         source = history(3)[0]
         header = suffix(history(4)[1])[-1]  # a round-4 block ``source`` lacks
-        driver = RecoveryDriver(source, FakePort(), "cold", 8)
+        driver = ValidatorDriver(source, FakePort(), "cold", 8)
         refs = (header.reference,)
         assert driver.held_blocks(refs) == []
         assert driver.held_blocks(refs, {header.digest: header}) == [header]
@@ -341,7 +347,7 @@ class TestEpochExit:
         core = SimpleNamespace(
             authority=authority, schedule=schedule, store=SimpleNamespace(highest_round=0)
         )
-        return RecoveryDriver(core, FakePort(), "cold", 4096), schedule, core.store
+        return ValidatorDriver(core, FakePort(), "cold", 4096), schedule, core.store
 
     def test_a_member_leaves_when_the_excluding_epoch_activates(self):
         driver, schedule, store = self.driver_for(3)
@@ -361,3 +367,102 @@ class TestEpochExit:
         schedule.apply_command(ReconfigCommand(kind="leave", validator=5), 20)
         store.highest_round = 20
         assert driver.excluded_by_epoch() is True
+
+
+@functools.lru_cache(maxsize=None)
+def trio_history(rounds):
+    """Validators 0, 1 and 3 after ``rounds`` lockstep rounds with
+    validator 2 down from the start (three of four is a quorum)."""
+    cores = [make_core(i) for i in (0, 1, 3)]
+    drive_rounds(cores, rounds)
+    return cores
+
+
+def peer_blocks(rounds, authors=(0, 1)):
+    """``authors``' blocks of :func:`trio_history`, lowest rounds first."""
+    return [b for b in suffix(trio_history(rounds)[0]) if b.author in authors]
+
+
+class TestStep:
+    """The shared validator step.  The driver stands in for validator 3
+    of :func:`trio_history`: with the same inputs it signs the same
+    blocks, so its peers' later blocks connect to its proposals."""
+
+    def test_every_ready_round_is_proposed_in_one_step_when_unpaced(self):
+        driver, port = make_driver()
+        for block in peer_blocks(4):
+            driver.ingest(block, block.author)
+        # Rounds 2-4 wait for our own round-1 block; proposing it
+        # connects them, which readies the next round, and so on.
+        assert driver.core.pending_count == 6
+        step = driver.step(now=0.0)
+        assert [b.round for b in step.proposed] == [1, 2, 3, 4, 5]
+        assert step.deadline is None and driver.core.pending_count == 0
+        assert driver.step(now=0.0).proposed == []  # round 5 has no quorum yet
+
+    def test_a_paced_proposal_reports_exactly_one_deadline(self):
+        driver, port = make_driver(pacing=0.5)
+        for block in peer_blocks(2):
+            if (block.round, block.author) != (2, 1):
+                driver.ingest(block, block.author)
+        step = driver.step(now=10.0)
+        assert [b.round for b in step.proposed] == [1]
+        assert step.deadline == 10.5  # round 2 is ready but paced
+        for now in (10.1, 10.4):  # more blocks arrive: the timer is already armed
+            again = driver.step(now)
+            assert again.proposed == [] and again.deadline is None
+        driver.pacing_timer_fired()
+        fired = driver.step(now=10.5)
+        assert [b.round for b in fired.proposed] == [2]
+        # Round 2 holds two of the three authors a quorum needs:
+        # nothing is ready, so nothing is paced.
+        assert fired.deadline is None
+        assert driver.step(now=11.5).proposed == []
+
+    def test_own_block_is_logged_before_it_is_handed_back(self, tmp_path):
+        path = tmp_path / "v3.wal"
+        driver, port = make_driver(wal=WriteAheadLog(path))
+        peers = peer_blocks(12)
+        proposed, committed = [], []
+        for block in peers:
+            assert driver.ingest(block, block.author).accepted
+            step = driver.step(now=0.0)
+            # What the step hands back for dispatch is already durable.
+            proposed.extend(step.proposed)
+            assert WriteAheadLog.recover(path)[0] == proposed
+            committed.extend(step.committed)
+        own, logged_peers, commit_round = WriteAheadLog.recover(path)
+        assert len(own) == 13 and logged_peers == peers
+        assert committed and commit_round == driver.core.committer.last_finalized_round
+        assert "block_proposed" in [e.name for e in driver.tracer.events]
+
+    def test_nothing_is_proposed_while_syncing(self):
+        driver, port = make_driver()
+        driver.begin_sync(now=1.0)
+        assert driver.step(now=2.0).proposed == []
+        driver.finish()
+        step = driver.step(now=3.0)
+        assert [b.round for b in step.proposed] == [1]
+        assert step.recovered_at == 1.0  # the recovery-time hook, once
+        assert driver.step(now=4.0).recovered_at is None
+
+    def test_nothing_is_proposed_after_epoch_exit(self):
+        port = FakePort()
+        driver = ValidatorDriver(make_core(4, n=5), port, "cold", 4096)
+        driver.core.schedule.apply_command(ReconfigCommand(kind="leave", validator=4), 1)
+        assert driver.step(now=0.0).proposed == [] and not driver.left  # round 0: still in
+        peer = make_core(0, n=5).maybe_propose()
+        assert driver.ingest(peer, 0).accepted
+        assert driver.step(now=0.0).proposed == [] and driver.left
+
+    def test_rejected_blocks_are_counted(self):
+        driver, port = make_driver()
+        bad = peer_blocks(1)[0]
+
+        class Rejecting:
+            def verify(self, block):
+                raise BlockValidationError("bad signature")
+
+        driver.core._verifier = Rejecting()
+        result = driver.ingest(bad, 0)
+        assert result.rejected and not result.accepted and driver.blocks_rejected == 1
