@@ -12,16 +12,18 @@ DAG.  The differences, reflected here exactly:
   a later committed leader anchors it, which is what costs Cordial
   Miners roughly two extra rounds under crash faults (Section 5.3).
 
-Everything else (the DAG, votes, certificates, the anchor rule and
-linearization) is shared with Mahi-Mahi, mirroring how the paper built
-both systems on the same components (Section 4).
+Everything else (the DAG, votes, certificates, the anchor rule, and
+the whole commit sequencer: linearization, checkpoints, epoch
+activation) is :class:`~repro.core.Committer`'s, mirroring how the paper
+built both systems on the same components (Section 4) — so this module
+adds three constructor arguments and no code path.
 """
 
 from __future__ import annotations
 
 from ..committee import Committee, CommitteeSchedule
 from ..config import ProtocolConfig
-from ..core.committer import Committer, FIRST_LEADER_ROUND
+from ..core.committer import Committer
 from ..crypto.coin import CommonCoin
 from ..dag.store import DagStore
 
@@ -30,43 +32,18 @@ def make_cordial_miners_committer(
     store: DagStore,
     committee: "Committee | CommitteeSchedule",
     coin: CommonCoin,
-    wave_length: int = 5,
-    *,
-    checkpoint_interval: int = 0,
-    garbage_collection_depth: int = 0,
-    reconfig_activation_lag: int = 0,
+    config: ProtocolConfig,
 ) -> Committer:
-    """Build a Cordial-Miners committer over ``store``.
-
-    Args:
-        store: The validator's DAG (shared with its protocol core).
-        committee: Validator set (static committee or epoch-versioned
-            schedule — the shared :class:`~repro.core.Committer`
-            machinery resolves thresholds per round either way).
-        coin: Common coin.
-        wave_length: Rounds per wave; the paper describes the 5-round
-            variant ("Cordial Miners can commit at most one leader block
-            every five rounds").
-        checkpoint_interval: State-transfer checkpoint cadence in
-            finalized rounds (0 disables capture).
-        garbage_collection_depth: The deployment's GC depth, so the
-            checkpoint horizon follows the pruning horizon.
-        reconfig_activation_lag: Epoch activation lag in rounds (0
-            disables reconfiguration-command scanning).
-    """
-    config = ProtocolConfig(
-        wave_length=wave_length,
-        leaders_per_round=1,
-        garbage_collection_depth=garbage_collection_depth,
-        checkpoint_interval_rounds=checkpoint_interval,
-        reconfig_activation_lag=reconfig_activation_lag,
-    )
+    """Build a Cordial-Miners committer over ``store``: one wave every
+    ``config.wave_length`` rounds (the paper describes the 5-round
+    variant — "at most one leader block every five rounds"), a single
+    leader slot whatever ``config.leaders_per_round`` says, no direct
+    skip.  Same four arguments as every other committer."""
     return Committer(
         store,
         committee,
         coin,
-        config,
-        wave_stride=wave_length,
+        config.with_leaders(1),
+        wave_stride=config.wave_length,
         direct_skip_enabled=False,
-        first_leader_round=FIRST_LEADER_ROUND,
     )

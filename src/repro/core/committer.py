@@ -34,6 +34,15 @@ verdict, leaving a round drops its leaders' memos.  Garbage collection
 and a raised state-transfer floor act below the cursor, so they can
 stale nothing; an epoch activation or a checkpoint adoption, which
 change the schedule or move the cursor, drop every kept verdict.
+
+The sequencing half — cursor walk, linearization, commit chain and
+checkpoint capture (:class:`~repro.statesync.CommitLedger`), epoch
+activation, checkpoint adoption, the evictions above — is the same for
+every protocol the repo deploys; what differs is how a slot is decided.
+Cordial Miners is this class with other constructor arguments, Tusk
+(:mod:`repro.baselines.tusk`) a subclass overriding :meth:`try_decide`
+and :meth:`coin_round`.  All are built from ``(store, schedule, coin,
+config)``.
 """
 
 from __future__ import annotations
@@ -104,7 +113,6 @@ class Committer:
         *,
         wave_stride: int = 1,
         direct_skip_enabled: bool = True,
-        first_leader_round: int = FIRST_LEADER_ROUND,
     ) -> None:
         """Create a committer.
 
@@ -122,13 +130,11 @@ class Committer:
                 Section 2.3); Cordial Miners uses non-overlapping waves
                 (stride = wave length).
             direct_skip_enabled: Forwarded to the deciders.
-            first_leader_round: The first propose round.
         """
         self._store = store
         self.schedule = CommitteeSchedule.ensure(committee)
         self._config = config
         self._wave_stride = wave_stride
-        self._first_leader_round = first_leader_round
         self.traversal = DagTraversal(
             store,
             self.schedule.quorum_threshold,
@@ -154,7 +160,7 @@ class Committer:
         # ((vote-round, certify-round) block counts, status).
         self._undecided: dict[tuple[int, int], tuple[tuple[int, int], SlotStatus]] = {}
         # Next slot to finalize in the global sequence.
-        self._cursor_round = first_leader_round
+        self._cursor_round = FIRST_LEADER_ROUND
         self._cursor_offset = 0
         # Digests already emitted into the commit sequence.
         self._output: set[Digest] = set()
@@ -181,13 +187,18 @@ class Committer:
     # ------------------------------------------------------------------
     def is_leader_round(self, round_number: int) -> bool:
         """Whether ``round_number`` hosts leader slots."""
-        if round_number < self._first_leader_round:
+        if round_number < FIRST_LEADER_ROUND:
             return False
-        return (round_number - self._first_leader_round) % self._wave_stride == 0
+        return (round_number - FIRST_LEADER_ROUND) % self._wave_stride == 0
 
     def leader_rounds(self, up_to: int) -> list[int]:
-        """All leader rounds in ``[first_leader_round, up_to]``."""
-        return list(range(self._first_leader_round, up_to + 1, self._wave_stride))
+        """All leader rounds in ``[FIRST_LEADER_ROUND, up_to]``."""
+        return list(range(FIRST_LEADER_ROUND, up_to + 1, self._wave_stride))
+
+    def coin_round(self, leader_round: int) -> int:
+        """The round whose blocks open the coin electing
+        ``leader_round``'s leaders (the wave's Certify round)."""
+        return self._deciders[0].certify_round(leader_round)
 
     @property
     def leaders_per_round(self) -> int:
@@ -406,7 +417,7 @@ class Committer:
             self._cursor_offset = 0
             self._cursor_round += self._wave_stride
             self.traversal.invalidate_below(self._cursor_round)
-            self._elector.invalidate_below(self._deciders[0].certify_round(self._cursor_round))
+            self._elector.invalidate_below(self.coin_round(self._cursor_round))
 
     # ------------------------------------------------------------------
     # Introspection

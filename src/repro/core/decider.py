@@ -78,16 +78,11 @@ class LeaderElector:
         # authors' blocks (hence new shares) arrive for that round.
         self._cache: dict[int, tuple[int, int | None]] = {}
 
-    def coin_value(self, certify_round: int, epoch_round: int | None = None) -> int | None:
+    def coin_value(self, certify_round: int) -> int | None:
         """The coin opened by ``certify_round``'s blocks, or ``None`` if
         fewer than ``2f + 1`` valid shares (from members of the
-        committee proposing at ``certify_round``) are available yet.
-
-        ``epoch_round`` is accepted for signature compatibility with
-        :meth:`leader` but intentionally unused: shares resolve against
-        the certify round's own committee (see the class docstring).
-        """
-        del epoch_round
+        committee proposing at ``certify_round`` — see the class
+        docstring) are available yet."""
         cached = self._cache.get(certify_round)
         if cached is not None and cached[1] is not None:
             return cached[1]  # an opened coin never changes
@@ -151,7 +146,7 @@ class LeaderElector:
         (the propose round); it defaults to ``certify_round`` for
         static-committee callers.
         """
-        value = self.coin_value(certify_round, epoch_round)
+        value = self.coin_value(certify_round)
         if value is None:
             return UNKNOWN_AUTHORITY
         committee = self._schedule.committee_at(

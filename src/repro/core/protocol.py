@@ -62,7 +62,7 @@ class MahiMahiCore:
         *,
         verifier: BlockVerifier | None = None,
         sign: "callable | None" = None,
-        committer_factory: "callable | None" = None,
+        committer_factory: "callable" = Committer,
     ) -> None:
         """Create a validator core.
 
@@ -82,29 +82,21 @@ class MahiMahiCore:
                 simulator's default — Byzantine behaviour is modeled).
             sign: Optional ``bytes -> bytes`` signing callback applied to
                 each proposed block's signable bytes.
-            committer_factory: ``DagStore -> committer`` override; the
-                baselines (Tusk, Cordial Miners) install their own
-                commit rules over the same DAG this way.  A committer
-                exposing a ``schedule`` attribute shares it with the
-                core (pass the core's schedule into the factory to make
-                that a single object).
+            committer_factory: Called as ``(store, schedule, coin,
+                config)`` with this core's own store and schedule; the
+                baselines (Tusk, Cordial Miners) install their commit
+                rules over the same DAG this way.
         """
         self.authority = authority
-        schedule = CommitteeSchedule.ensure(committee)
+        self.schedule = CommitteeSchedule.ensure(committee)
         self.config = config
         self.coin = coin
         self.store = DagStore()
         self._verifier = verifier
         self._sign = sign
-        if committer_factory is not None:
-            self.committer = committer_factory(self.store)
-            # Adopt the committer's schedule when it exposes one: the
-            # commit walk is what activates epochs, and thresholds here
-            # must follow them.
-            self.schedule = getattr(self.committer, "schedule", None) or schedule
-        else:
-            self.schedule = schedule
-            self.committer = Committer(self.store, schedule, coin, config)
+        # One schedule object for core and committer: the commit walk
+        # is what activates epochs, and thresholds here must follow them.
+        self.committer = committer_factory(self.store, self.schedule, coin, config)
         self.committee = self.schedule.genesis_committee
 
         # Genesis blocks exist for every *provisioned* validator — also

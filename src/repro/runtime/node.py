@@ -101,7 +101,6 @@ class ValidatorNode:
         wal_sync: bool = False,
         verifier: BlockVerifier | None = None,
         sign: Callable[[bytes], bytes] | None = None,
-        committer_factory: Callable | None = None,
         min_block_interval: float = 0.0,
         recover_mode: str = "warm",
         sync_chunk_blocks: int = SYNC_MAX_BLOCKS,
@@ -135,7 +134,6 @@ class ValidatorNode:
             coin,
             verifier=verifier,
             sign=sign,
-            committer_factory=committer_factory,
         )
         self.schedule = self.core.schedule
         self.config = config

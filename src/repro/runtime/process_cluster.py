@@ -136,7 +136,7 @@ async def _child_main(spec_path: str) -> None:
         if len(committed) > logged:
             commit_log.flush()
             logged = len(committed)
-        ledger = getattr(core.committer, "ledger", None)
+        ledger = core.committer.ledger
         latencies_sorted = sorted(latencies)
         # Point-in-time gauges are read off the node at publication
         # time (per-event updates would under-report an idle or stalled
@@ -161,13 +161,9 @@ async def _child_main(spec_path: str) -> None:
             "committed_blocks": len(committed),
             "sequence_length": core.committer.committed_sequence_length,
             "sequence_base": base,
-            "chain": ledger.chain.hex() if ledger is not None else None,
-            "checkpoints": len(ledger.checkpoints) if ledger is not None else 0,
-            "adopted_base_round": (
-                ledger.adopted_base.round
-                if ledger is not None and ledger.adopted_base is not None
-                else None
-            ),
+            "chain": ledger.chain.hex(),
+            "checkpoints": len(ledger.checkpoints),
+            "adopted_base_round": ledger.adopted_base.round if ledger.adopted_base else None,
             "recovery_mode_used": node.recovery_mode_used,
             "recovery_time": node.recovery_time,
             "recovery_error": (

@@ -15,7 +15,6 @@ import time
 from abc import ABC, abstractmethod
 from typing import Awaitable, Callable
 
-from ..errors import TransportError
 from ..obs.trace import NULL_TRACER
 from .messages import MAX_FRAME, Message, decode_message, encode_message, frame
 
@@ -39,6 +38,7 @@ class Transport(ABC):
         self._bytes_sent = None
         self._frames_received = None
         self._bytes_received = None
+        self._frames_rejected = None
 
     def instrument(self, tracer, registry) -> None:
         """Attach a lifecycle tracer and a metrics registry (the node
@@ -56,6 +56,9 @@ class Transport(ABC):
         )
         self._bytes_received = registry.counter(
             "transport_bytes_received", help="framed bytes read from peers"
+        )
+        self._frames_rejected = registry.counter(
+            "transport_frames_rejected", help="oversized or undecodable frames (connection closed)"
         )
 
     def on_message(self, handler: MessageHandler) -> None:
@@ -215,7 +218,7 @@ class TcpTransport(Transport):
             header = await reader.readexactly(4)
             (length,) = struct.unpack("<I", header)
             if length > MAX_FRAME:
-                raise TransportError(f"oversized frame from {peer}: {length}")
+                return self._reject_frame(peer, f"oversized length prefix {length}")
             body = await reader.readexactly(length)
             if self._frames_received is not None:
                 self._frames_received.inc()
@@ -228,7 +231,28 @@ class TcpTransport(Transport):
                     time.time(),
                     {"src": peer, "bytes": length + 4},
                 )
-            await self._dispatch(peer, decode_message(body))
+            try:
+                message = decode_message(body)
+            except Exception as error:
+                return self._reject_frame(peer, repr(error))
+            await self._dispatch(peer, message)
+
+    def _reject_frame(self, peer: int, reason: str) -> None:
+        """Count (and trace) an oversized length prefix or an
+        undecodable body — ``decode_message`` is a pure function of
+        peer-supplied bytes, so whatever it raises is that peer's doing.
+        The read loop returns and ``_accept`` closes this connection
+        only."""
+        if self._frames_rejected is not None:
+            self._frames_rejected.inc()
+        if self.tracer.enabled:
+            self.tracer.instant(
+                self.authority,
+                "network",
+                "frame_rejected",
+                time.time(),
+                {"src": peer, "reason": reason},
+            )
 
     # -- sending --------------------------------------------------------
     async def send(self, dst: int, message: Message) -> None:

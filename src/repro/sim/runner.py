@@ -11,7 +11,9 @@ from __future__ import annotations
 import math
 import tempfile
 from dataclasses import dataclass, field, replace
+from functools import partial
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 from ..committee import (
     MIN_COMMITTEE_SIZE,
@@ -21,9 +23,10 @@ from ..committee import (
     ReconfigCommand,
 )
 from ..config import ProtocolConfig
+from ..core.committer import Committer
 from ..core.protocol import MahiMahiCore
 from ..baselines.cordial_miners import make_cordial_miners_committer
-from ..baselines.tusk import make_tusk_committer
+from ..baselines.tusk import TuskCommitter
 from ..crypto.coin import FastCoin
 from ..errors import ConfigError, SimulationError
 from ..runtime.wal import WriteAheadLog
@@ -50,9 +53,36 @@ from .node import CpuConfig, SimValidator
 from ..obs.trace import NULL_TRACER, Tracer
 from ..transaction import Transaction
 
+
+
+class _Protocol(NamedTuple):
+    """How one protocol name is deployed."""
+
+    #: ``ProtocolConfig.wave_length`` (``wave_length_override`` replaces
+    #: it where ``multi_leader``).
+    wave_length: int
+    #: Whether the Mahi-Mahi knobs apply (``leaders_per_round``,
+    #: ``wave_length_override``, ``direct_skip``, the leader-slot DoS);
+    #: otherwise one leader per wave of the table's length.
+    multi_leader: bool
+    #: Called as ``(store, schedule, coin, config)`` by the core.
+    committer: Callable
+    #: Whether the simulator runs the consistent-broadcast exchange.
+    certified: bool = False
+
+
+#: The one place a protocol name is resolved.  Tusk's committer owns its
+#: 2-round geometry; its wave length here only satisfies ProtocolConfig.
+_PROTOCOL_TABLE = {
+    "mahi-mahi-5": _Protocol(5, True, Committer),
+    "mahi-mahi-4": _Protocol(4, True, Committer),
+    "cordial-miners": _Protocol(5, False, make_cordial_miners_committer),
+    "tusk": _Protocol(3, False, TuskCommitter, certified=True),
+}
+
 #: Protocols the harness knows how to deploy, as named in the paper's
 #: figures.
-PROTOCOLS = ("mahi-mahi-5", "mahi-mahi-4", "cordial-miners", "tusk")
+PROTOCOLS = tuple(_PROTOCOL_TABLE)
 
 #: ``num_recovering`` timing, as fractions of the configured duration:
 #: crash a quarter in, restart at the halfway mark — the second half of
@@ -258,7 +288,7 @@ class ExperimentConfig:
         if self.leader_dos_slots < 0:
             raise ConfigError("leader_dos_slots must be >= 0")
         if self.leader_dos_slots:
-            if not self.protocol.startswith("mahi-mahi"):
+            if not _PROTOCOL_TABLE[self.protocol].multi_leader:
                 raise ConfigError(
                     "leader_dos_slots targets Mahi-Mahi's per-round leader slots; "
                     f"protocol {self.protocol!r} is not supported"
@@ -548,6 +578,8 @@ class Experiment:
             n=config.num_validators,
             threshold=self._committee.quorum_threshold,
         )
+        self._protocol = _PROTOCOL_TABLE[config.protocol]
+        self._protocol_config = self._make_protocol_config()
         self._latency_model = self._make_latency_model()
         #: Lifecycle span recorder shared by every validator and the
         #: network; the no-op tracer unless ``config.trace`` asked for
@@ -620,8 +652,7 @@ class Experiment:
             # schedule.  The closure reads ``self.nodes`` lazily — the
             # network (and this scheduler) is built before the nodes,
             # but no message flows until after they exist.
-            default_wave = 5 if cfg.protocol == "mahi-mahi-5" else 4
-            wave_length = cfg.wave_length_override or default_wave
+            wave_length = self._protocol_config.wave_length
             coin = self._coin
 
             def leaders_for_round(propose_round: int) -> tuple[int, ...]:
@@ -644,87 +675,32 @@ class Experiment:
             )
         return None
 
-    def _protocol_config(self) -> ProtocolConfig:
+    def _make_protocol_config(self) -> ProtocolConfig:
         cfg = self.config
-        sim_block_cap = max(1, int(cfg.max_block_transactions / cfg.batch_weight))
-        reconfig_lag = cfg.reconfig_lag if cfg.epoch_reconfig else 0
-        if cfg.protocol in ("mahi-mahi-5", "mahi-mahi-4"):
-            default_wave = 5 if cfg.protocol == "mahi-mahi-5" else 4
-            return ProtocolConfig(
-                wave_length=cfg.wave_length_override or default_wave,
-                leaders_per_round=cfg.leaders_per_round,
-                max_block_transactions=sim_block_cap,
-                garbage_collection_depth=cfg.gc_depth,
-                checkpoint_interval_rounds=cfg.checkpoint_interval,
-                reconfig_activation_lag=reconfig_lag,
-            )
-        if cfg.protocol == "cordial-miners":
-            return ProtocolConfig(
-                wave_length=5,
-                leaders_per_round=1,
-                max_block_transactions=sim_block_cap,
-                garbage_collection_depth=cfg.gc_depth,
-                checkpoint_interval_rounds=cfg.checkpoint_interval,
-                reconfig_activation_lag=reconfig_lag,
-            )
-        # Tusk: the committer owns its 2-round wave geometry; wave_length
-        # here only has to satisfy the config invariant.
+        multi_leader = self._protocol.multi_leader
+        override = cfg.wave_length_override if multi_leader else None
         return ProtocolConfig(
-            wave_length=3,
-            leaders_per_round=1,
-            max_block_transactions=sim_block_cap,
+            wave_length=override or self._protocol.wave_length,
+            leaders_per_round=cfg.leaders_per_round if multi_leader else 1,
+            max_block_transactions=max(1, int(cfg.max_block_transactions / cfg.batch_weight)),
             garbage_collection_depth=cfg.gc_depth,
             checkpoint_interval_rounds=cfg.checkpoint_interval,
-            reconfig_activation_lag=reconfig_lag,
+            reconfig_activation_lag=cfg.reconfig_lag if cfg.epoch_reconfig else 0,
         )
 
     def _make_core(self, authority: int) -> MahiMahiCore:
-        from ..core.committer import Committer
-
-        protocol_config = self._protocol_config()
-        # One *mutable* schedule per validator, shared by its core and
-        # committer: the commit walk appends epochs, proposing and
-        # quorum counting follow them.
-        schedule = CommitteeSchedule(
-            self._committee, provisioned=self.config.num_validators
-        )
-        reconfig_lag = protocol_config.reconfig_activation_lag
-        factory = None
-        if self.config.protocol.startswith("mahi-mahi") and not self.config.direct_skip:
-            factory = lambda store: Committer(  # noqa: E731
-                store,
-                schedule,
-                self._coin,
-                protocol_config,
-                direct_skip_enabled=False,
-            )
-        elif self.config.protocol == "cordial-miners":
-            factory = lambda store: make_cordial_miners_committer(  # noqa: E731
-                store,
-                schedule,
-                self._coin,
-                checkpoint_interval=self.config.checkpoint_interval,
-                garbage_collection_depth=self.config.gc_depth,
-                reconfig_activation_lag=reconfig_lag,
-            )
-        elif self.config.protocol == "tusk":
-            from ..statesync import DEFAULT_CHECKPOINT_LAG
-
-            factory = lambda store: make_tusk_committer(  # noqa: E731
-                store,
-                schedule,
-                self._coin,
-                checkpoint_interval=self.config.checkpoint_interval,
-                # The capture horizon follows the pruning horizon.
-                checkpoint_lag=self.config.gc_depth or DEFAULT_CHECKPOINT_LAG,
-                reconfig_activation_lag=reconfig_lag,
-            )
+        committer = self._protocol.committer
+        if self._protocol.multi_leader and not self.config.direct_skip:
+            committer = partial(committer, direct_skip_enabled=False)
         return MahiMahiCore(
             authority,
-            schedule,
-            protocol_config,
+            # One *mutable* schedule per validator, shared by its core
+            # and committer: the commit walk appends epochs, proposing
+            # and quorum counting follow them.
+            CommitteeSchedule(self._committee, provisioned=self.config.num_validators),
+            self._protocol_config,
             self._coin,
-            committer_factory=factory,
+            committer_factory=committer,
         )
 
     def _behavior(self, authority: int) -> NodeBehavior:
@@ -758,7 +734,7 @@ class Experiment:
             self._make_core(authority),
             self._network,
             self._loop,
-            certified=self.config.protocol == "tusk",
+            certified=self._protocol.certified,
             behavior=self._behavior(authority),
             tx_wire_size=self.config.batch_weight * self.config.mean_tx_size,
             min_block_interval=self.config.block_interval,
@@ -932,17 +908,15 @@ class Experiment:
             if node.behavior.equivocate or node.ever_equivocated:
                 continue
             sequence = [b.digest for b in node.core.committed_blocks()]
-            ledger = getattr(node.core.committer, "ledger", None)
-            base = ledger.adopted_base if ledger is not None else None
-            if base is None:
+            ledger = node.core.committer.ledger
+            if ledger.adopted_base is None:
                 full.append(sequence)
             else:
-                adopted.append((base, sequence))
-            if ledger is not None:
-                for checkpoint in ledger.checkpoints:
-                    checkpoints_by_round.setdefault(checkpoint.round, set()).add(
-                        checkpoint.checkpoint_id
-                    )
+                adopted.append((ledger.adopted_base, sequence))
+            for checkpoint in ledger.checkpoints:
+                checkpoints_by_round.setdefault(checkpoint.round, set()).add(
+                    checkpoint.checkpoint_id
+                )
         for round_number, ids in checkpoints_by_round.items():
             if len(ids) > 1:
                 raise SimulationError(
@@ -1035,7 +1009,6 @@ class Experiment:
         stats = observer.core.committer.stats
         measured = max(1e-9, self.config.duration - self.config.warmup)
         recoveries, recovery_avg, recovery_max = self._metrics.recovery_summary()
-        observer_ledger = getattr(observer.core.committer, "ledger", None)
         down_intervals = self._observed_down_intervals()
         partition_intervals = self._schedule.partition_intervals(self.config.duration)
         partitioned_seconds = sum(
@@ -1094,9 +1067,7 @@ class Experiment:
             recovery_time_s=recovery_avg,
             recovery_time_max_s=recovery_max,
             recovery_time_by_mode=self._metrics.recovery_by_mode(),
-            checkpoints_captured=(
-                observer_ledger.captured_total if observer_ledger is not None else 0
-            ),
+            checkpoints_captured=observer.core.committer.ledger.captured_total,
             checkpoint_adoptions=sum(node.checkpoint_adoptions for node in self.nodes),
             availability=availability(
                 downtime, self.config.num_validators, self.config.duration

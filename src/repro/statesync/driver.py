@@ -322,8 +322,7 @@ class ValidatorDriver:
 
     def retained_checkpoints(self) -> tuple[Checkpoint, ...]:
         """What this validator answers a checkpoint request with."""
-        ledger = self._ledger()
-        return tuple(ledger.checkpoints) if ledger is not None else ()
+        return tuple(self.core.committer.ledger.checkpoints)
 
     def on_checkpoint_response(self, peer: int, checkpoints: tuple[Checkpoint, ...]) -> None:
         """Tally one response; at ``2f + 1`` matching attestations
@@ -437,8 +436,7 @@ class ValidatorDriver:
         """
         if self.awaiting_checkpoint:
             return  # state transfer pending; it will bypass the pruned span
-        ledger = self._ledger()
-        base = ledger.adopted_base if ledger is not None else None
+        base = self.core.committer.ledger.adopted_base
         if (
             self.ckpt_adopted
             and base is not None
@@ -517,9 +515,6 @@ class ValidatorDriver:
             self._was_member = True
             return False
         return self._was_member
-
-    def _ledger(self):
-        return getattr(self.core.committer, "ledger", None)
 
     def _trace(self, name: str, args: dict) -> None:
         """Record a ``sync``-track instant at the host's current time."""

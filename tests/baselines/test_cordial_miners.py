@@ -2,6 +2,7 @@
 
 from repro.baselines.cordial_miners import make_cordial_miners_committer
 from repro.committee import Committee
+from repro.config import MAHI_MAHI_5
 from repro.core.slots import Decision
 
 from ..helpers import DagBuilder, FixedCoin
@@ -11,7 +12,7 @@ def make():
     committee = Committee.of_size(4)
     coin = FixedCoin(n=4, threshold=committee.quorum_threshold)
     builder = DagBuilder(committee, coin)
-    committer = make_cordial_miners_committer(builder.store, committee, coin)
+    committer = make_cordial_miners_committer(builder.store, committee, coin, MAHI_MAHI_5)
     return coin, builder, committer
 
 

@@ -2,6 +2,8 @@
 
 from repro.baselines.tusk import TUSK_WAVE, TuskCommitter
 from repro.committee import Committee
+from repro.config import ProtocolConfig
+from repro.core.committer import Committer
 from repro.core.slots import Decision
 
 from ..helpers import DagBuilder, FixedCoin
@@ -11,7 +13,7 @@ def make():
     committee = Committee.of_size(4)
     coin = FixedCoin(n=4, threshold=committee.quorum_threshold)
     builder = DagBuilder(committee, coin)
-    committer = TuskCommitter(builder.store, committee, coin)
+    committer = TuskCommitter(builder.store, committee, coin, ProtocolConfig())
     return coin, builder, committer
 
 
@@ -135,3 +137,28 @@ class TestSequenceExtension:
             for block in obs.linearized:
                 seen.extend(t.tx_id for t in block.transactions)
         assert len(seen) == len(set(seen))
+
+
+def test_memos_follow_the_cursor_not_the_round_number():
+    """Tusk twin of ``test_memos_follow_the_walk_window_not_the_round_number``
+    (tests/core/test_committer_incremental.py): the shared sequencer
+    drops a wave's coin and its kept verdict as the cursor leaves the
+    leader round, so both stay within a few waves of the cursor however
+    long the validator has been running."""
+    _, builder, committer = make()
+    for round_number in range(1, 201):
+        builder.round(round_number)
+        committer.extend_commit_sequence()
+        window = round_number - committer.next_slot.round + 1
+        assert window <= 3 * TUSK_WAVE
+        assert committer._elector.memo_size() <= window
+        assert len(committer._decided) <= window
+    assert committer.next_slot.round > 200 - 3 * TUSK_WAVE
+
+
+def test_layer_attribution_names_are_tusk_own():
+    # benchmarks/perf/mmperf/layers.py patches each target on the class
+    # in the MRO that defines it: inherited, these two would wrap the
+    # shared method twice and book every Mahi-Mahi commit to Tusk.
+    assert {"try_decide", "extend_commit_sequence"} <= set(vars(TuskCommitter))
+    assert {"try_decide", "extend_commit_sequence"} <= set(vars(Committer))

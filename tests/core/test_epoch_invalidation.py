@@ -100,7 +100,7 @@ def test_elector_invalidate_above_is_round_scoped(stream):
             store.add(block)
     elector = LeaderElector(store, Committee.of_size(stream.genesis_size), _StreamCoin())
     for certify_round in (4, 9, 14, 19):
-        assert elector.coin_value(certify_round, epoch_round=1) is not None
+        assert elector.coin_value(certify_round) is not None
     assert elector.memo_size() == 4
     assert elector.invalidate_above(14) == 2
     assert elector.memo_size() == 2

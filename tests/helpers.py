@@ -8,12 +8,20 @@ calls for.
 
 from __future__ import annotations
 
+import hashlib
+
 from repro.block import Block, BlockRef, make_genesis
 from repro.committee import Committee
 from repro.crypto.coin import CoinShare, CommonCoin
 from repro.crypto.hashing import hash_parts
 from repro.dag.store import DagStore
 from repro.errors import InsufficientShares
+
+
+def result_hash(result) -> str:
+    """The pin a whole ``ExperimentResult`` (config included) is held to
+    — the hash ``benchmarks/perf`` fingerprints its sim workloads with."""
+    return hashlib.sha256(repr(result).encode()).hexdigest()[:16]
 
 
 class FixedCoin(CommonCoin):

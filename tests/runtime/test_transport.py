@@ -19,6 +19,8 @@ from repro.runtime.messages import (
     encode_message,
     frame,
 )
+from repro.obs.metrics import MetricsRegistry
+from repro.obs.trace import Tracer
 from repro.runtime.transport import (
     DIAL_BACKOFF_BASE,
     DIAL_BACKOFF_CAP,
@@ -80,6 +82,61 @@ class TestFraming:
             finally:
                 await server.stop()
                 await honest.stop()
+
+        run(scenario())
+
+    @pytest.mark.parametrize(
+        "poison",
+        [
+            pytest.param(struct.pack("<I", 0xFFFFFFFF), id="oversized-prefix"),
+            pytest.param(frame(b"\xee garbage"), id="unknown-kind"),
+            pytest.param(frame(b""), id="empty-body"),
+            # A block message truncated inside the block: struct.error /
+            # IndexError territory in the decoder.
+            pytest.param(
+                frame(encode_message(BlockMessage(block=sample_block()))[:9]), id="truncated-block"
+            ),
+        ],
+    )
+    def test_hostile_frame_is_counted_and_contained(self, poison):
+        """A frame the server cannot accept bumps ``frames_rejected``
+        and ends that connection — no exception escapes the server's
+        connection task, and a well-formed peer connected alongside is
+        served before and after."""
+
+        async def scenario():
+            loop_errors: list = []
+            asyncio.get_running_loop().set_exception_handler(
+                lambda loop, context: loop_errors.append(context)
+            )
+            addrs = addresses(0, 1, port=BASE_PORT + 60)
+            server, received = await started_transport(0, addrs)
+            registry, tracer = MetricsRegistry(), Tracer()
+            server.instrument(tracer, registry)
+            rejected = registry.counter("transport_frames_rejected")
+            honest, _ = await started_transport(1, addrs)
+            try:
+                await honest.send(0, FetchRequest(refs=()))
+                await wait_for(lambda: len(received) == 1)
+                reader, writer = await asyncio.open_connection(*addrs[0])
+                writer.write(struct.pack("<I", 7) + poison)
+                await writer.drain()
+                assert await reader.read() == b""  # hostile connection closed
+                writer.close()
+                assert rejected.value() == 1
+                (why,) = [e.args for e in tracer.events if e.name == "frame_rejected"]
+                assert why["src"] == 7 and why["reason"]
+                # The honest peer's existing connection still delivers.
+                await honest.send(0, FetchRequest(refs=()))
+                await wait_for(lambda: received == [(1, FetchRequest(refs=()))] * 2)
+                assert registry.counter("transport_frames_received").value() == (
+                    2 if poison[:4] == b"\xff" * 4 else 3
+                )
+            finally:
+                await server.stop()
+                await honest.stop()
+            assert not server._reader_tasks
+            assert loop_errors == []
 
         run(scenario())
 

@@ -9,6 +9,7 @@ from repro.sim.checkpoint import CheckpointVotes, WalReplay, replay_cost, replay
 from repro.sim.faults import FaultEvent
 from repro.sim.node import CpuConfig
 from repro.sim.runner import Experiment, ExperimentConfig
+from tests.helpers import result_hash
 from tests.statesync.test_checkpoint import make_checkpoint
 
 
@@ -154,6 +155,36 @@ class TestCheckpointRecovery:
         ).run()
         assert result.checkpoint_adoptions == 1
         assert result.recoveries == 1
+
+    @pytest.mark.parametrize(
+        "protocol, pinned",
+        [
+            ("tusk", "335a757e109cc71e"),
+            ("cordial-miners", "1c921147a9f315d9"),
+            ("mahi-mahi-5", "1d51fa02f7fd4d9b"),
+        ],
+    )
+    def test_adoption_run_is_pinned_for_every_sequencer_user(self, protocol, pinned):
+        """One crash-then-checkpoint-recovery past the GC horizon drives
+        the shared ``adopt_checkpoint`` / capture path under each
+        protocol's decision rule; the hashes were taken before Tusk's
+        own copy of the sequencer was deleted (PR 15)."""
+        config = ExperimentConfig(
+            protocol=protocol,
+            num_validators=10,
+            num_recovering=1,
+            recover_mode="checkpoint",
+            gc_depth=16,
+            checkpoint_interval=2,
+            load_tps=800,
+            duration=16.0,
+            warmup=2.0,
+            seed=11,
+        )
+        result = Experiment(config).run()
+        assert result.checkpoint_adoptions == 1
+        assert result.recoveries == 1
+        assert result_hash(result) == pinned
 
     def test_checkpoints_identical_across_validators(self):
         config = recovery_config("checkpoint", gc_depth=20, sync_chunk_blocks=4096)

@@ -22,6 +22,7 @@ from repro.sim.faults import FaultEvent
 from repro.sim.runner import Experiment, ExperimentConfig
 from repro.statesync import Checkpoint, GENESIS_STATE
 from repro.transaction import Transaction
+from tests.helpers import result_hash
 
 
 def make_epoch_config(**overrides) -> ExperimentConfig:
@@ -312,3 +313,25 @@ class TestEpochRuns:
         assert [row["size"] for row in result.epoch_summary] == [5, 6]
         assert result.epoch_summary[1]["commits"] > 0
         assert result.epoch_summary[1]["latency_avg_s"] > 0
+
+    @pytest.mark.parametrize(
+        "protocol, pinned",
+        [
+            ("tusk", "0b470ad6abbfadd4"),
+            ("cordial-miners", "c5992bc735a3f4e5"),
+            ("mahi-mahi-5", "6a46b2c3fc882204"),
+        ],
+    )
+    def test_resize_run_is_pinned_for_every_sequencer_user(self, protocol, pinned):
+        """A join then a leave drive the shared ``_apply_reconfig``
+        (scan, activation, round-scoped invalidation, walk restart)
+        under each protocol's decision rule; the hashes were taken
+        before Tusk's own copy of the sequencer was deleted (PR 15)."""
+        config = make_epoch_config(
+            protocol=protocol,
+            fault_schedule=(FaultEvent(1.5, 5, "join"), FaultEvent(5.0, 1, "leave")),
+        )
+        result = Experiment(config).run()
+        assert result.epoch_transitions == 2
+        assert [row["size"] for row in result.epoch_summary] == [5, 6, 5]
+        assert result_hash(result) == pinned

@@ -9,6 +9,8 @@ import math
 
 import pytest
 
+from repro.baselines import TuskCommitter
+from repro.core.committer import Committer
 from repro.errors import ConfigError
 from repro.sim.faults import FaultEvent
 from repro.sim.runner import (
@@ -151,6 +153,41 @@ class TestFaultPlacement:
         assert exp._behavior(7).equivocate
         assert not exp._behavior(6).equivocate and not exp._behavior(6).crashed
         assert not exp._behavior(0).crashed and not exp._behavior(0).equivocate
+
+
+@pytest.mark.parametrize("protocol", PROTOCOLS)
+def test_one_construction_path(protocol):
+    """Every protocol's committer is built by the core from the core's
+    own ``(store, schedule, coin, config)``: one schedule object (the
+    commit walk's epochs govern proposing), a ledger, and the core's GC
+    depth / checkpoint cadence / reconfiguration lag — not a re-spelled
+    copy of them."""
+    experiment = Experiment(
+        ExperimentConfig(
+            protocol=protocol,
+            num_validators=6,
+            initial_committee_size=5,
+            epoch_reconfig=True,
+            reconfig_lag=7,
+            gc_depth=48,
+            checkpoint_interval=3,
+            fault_schedule=(FaultEvent(1.5, 5, "join"),),
+        )
+    )
+    core = experiment.nodes[0].core
+    committer = core.committer
+    assert committer.schedule is core.schedule
+    assert committer._store is core.store
+    assert committer.ledger.interval == 3 and committer.ledger.lag == 48
+    assert committer._config == core.config
+    assert (
+        core.config.garbage_collection_depth,
+        core.config.checkpoint_interval_rounds,
+        core.config.reconfig_activation_lag,
+    ) == (48, 3, 7)
+    assert isinstance(committer, Committer)
+    assert (type(committer) is TuskCommitter) == (protocol == "tusk")
+    assert experiment.nodes[0]._certified == (protocol == "tusk")
 
 
 @pytest.mark.slow

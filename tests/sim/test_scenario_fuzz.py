@@ -145,8 +145,7 @@ def test_randomized_scenario_is_safe(seed):
     for node in experiment.nodes:
         if node.behavior.equivocate or node.ever_equivocated:
             continue
-        ledger = getattr(node.core.committer, "ledger", None)
-        if ledger is not None and ledger.adopted_base is not None:
+        if node.core.committer.ledger.adopted_base is not None:
             continue
         sequences.append([b.digest for b in node.core.committed_blocks()])
     assert sequences, f"{context}: no honest full-ledger validator"

@@ -1,0 +1,115 @@
+"""``tools/ci_checks.py``: each workflow check passes on a small good
+artifact and names the problem on a small bad one."""
+
+from __future__ import annotations
+
+import copy
+import json
+import sys
+from pathlib import Path
+
+import pytest
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[2] / "tools"))
+
+import ci_checks  # noqa: E402
+from repro.obs.trace import LIFECYCLE_STAGES, UNCERTIFIED_STAGES  # noqa: E402
+
+
+def write(path: Path, payload) -> Path:
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(payload if isinstance(payload, str) else json.dumps(payload))
+    return path
+
+
+def trace(stages) -> dict:
+    return {"traceEvents": [{"name": stage, "ph": "i"} for stage in stages]}
+
+
+PERF_SUMMARY = {
+    "gate": {"passed": True, "violations": []},
+    "event_loop": {"optimized_events_per_s": 1.4e6},
+    "network_delivery": {"event_reduction": 3.2},
+    "fleet": {"byte_identical": True, "speedup": 1.6},
+}
+
+CLUSTER_METRICS = {
+    "steady": {"committed_tx": 900, "commit_indices": 40, "latency_p50_s": 0.2},
+    "recovery": {
+        mode: {"mode_used": mode, "recovery_s": 0.5, "adopted_base_round": 12}
+        for mode in ("cold", "warm", "checkpoint")
+    },
+    "resize": {"epochs": [[0, 0], [1, 30], [2, 60]], "leaver_left": True,
+               "joiner_mode": "checkpoint"},
+}
+
+
+def test_perf_summary(tmp_path):
+    assert ci_checks.perf_summary(write(tmp_path / "ok.json", PERF_SUMMARY)) == []
+    bad = copy.deepcopy(PERF_SUMMARY)
+    bad["fleet"]["speedup"] = 0.9
+    bad["gate"] = {"passed": False, "violations": ["events/s below floor"]}
+    violations = ci_checks.perf_summary(write(tmp_path / "bad.json", bad))
+    assert len(violations) == 2
+    assert any("events/s below floor" in v for v in violations)
+
+
+def test_cluster_metrics(tmp_path):
+    assert ci_checks.cluster_metrics(write(tmp_path / "ok.json", CLUSTER_METRICS)) == []
+    bad = copy.deepcopy(CLUSTER_METRICS)
+    bad["recovery"]["checkpoint"]["adopted_base_round"] = None
+    bad["resize"]["leaver_left"] = False
+    violations = ci_checks.cluster_metrics(write(tmp_path / "bad.json", bad))
+    assert len(violations) == 2
+
+
+def test_cluster_traces(tmp_path):
+    assert ci_checks.cluster_traces(tmp_path) == ["no cluster trace files written"]
+    # Coverage is across the committee: no single file needs every stage.
+    write(tmp_path / "v0.trace.json", trace(UNCERTIFIED_STAGES[:3]))
+    write(tmp_path / "v1.trace.json", trace(UNCERTIFIED_STAGES[3:-1]))
+    (violation,) = ci_checks.cluster_traces(tmp_path)
+    assert UNCERTIFIED_STAGES[-1] in violation
+    write(tmp_path / "v2.trace.json", trace(UNCERTIFIED_STAGES[-1:]))
+    assert ci_checks.cluster_traces(tmp_path) == []
+
+
+def test_sim_trace(tmp_path):
+    assert ci_checks.sim_trace(write(tmp_path / "ok.json", trace(LIFECYCLE_STAGES))) == []
+    (violation,) = ci_checks.sim_trace(write(tmp_path / "bad.json", trace(UNCERTIFIED_STAGES)))
+    assert "block_certified" in violation
+
+
+def test_fleet_identity(tmp_path):
+    serial, fleet = tmp_path / "serial", tmp_path / "fleet"
+    assert ci_checks.fleet_identity(serial, fleet) == ["serial run produced no points"]
+    for root in (serial, fleet):
+        write(root / "points" / "a.json", '{"x": 1}')
+        write(root / "points" / "b.json", '{"x": 2}')
+        # Wall clocks differ by design and are not compared.
+        write(root / "points" / "a.wall.json", json.dumps({"wall": root.name}))
+    write(fleet / "summary.json", {"fleet": {"workers": 2, "worker_failures": []}})
+    assert ci_checks.fleet_identity(serial, fleet) == []
+    write(fleet / "points" / "b.json", '{"x": 3}')
+    write(fleet / "points" / "c.json", "{}")
+    write(fleet / "summary.json", {"fleet": {"workers": 2, "worker_failures": ["w1"]}})
+    violations = ci_checks.fleet_identity(serial, fleet)
+    assert len(violations) == 3
+    assert "c.json" in violations[0] and "b.json" in violations[1] and "w1" in violations[2]
+
+
+@pytest.mark.parametrize("name", ci_checks.CHECKS)
+def test_every_subcommand_is_what_the_workflow_calls(name):
+    workflow = Path(__file__).resolve().parents[2] / ".github" / "workflows" / "ci.yml"
+    assert f"python tools/ci_checks.py {name}" in workflow.read_text()
+    assert "python - <<" not in workflow.read_text()
+
+
+def test_main_exit_codes(tmp_path, capsys):
+    ok = write(tmp_path / "ok.json", PERF_SUMMARY)
+    assert ci_checks.main(["perf-summary", str(ok)]) == 0
+    bad = write(tmp_path / "bad.json", {**PERF_SUMMARY, "fleet": {"byte_identical": False,
+                                                                   "speedup": 2.0}})
+    assert ci_checks.main(["perf-summary", str(bad)]) == 1
+    assert "fleet cache differs" in capsys.readouterr().err
+    assert ci_checks.main(["no-such-check"]) == 2

@@ -1,0 +1,128 @@
+#!/usr/bin/env python3
+"""The artifact checks ``.github/workflows/ci.yml`` runs, one subcommand
+each, so the logic is importable and covered by tier-1
+(``tests/tools/test_ci_checks.py``) instead of living in YAML heredocs.
+
+Every check reads files a previous workflow step wrote, returns the
+list of violations (empty = pass) and, from the command line, prints
+them and exits 1.
+
+Usage::
+
+    python tools/ci_checks.py perf-summary   [results/perf_summary.json]
+    python tools/ci_checks.py cluster-metrics [results/cluster/cluster_metrics.json]
+    python tools/ci_checks.py cluster-traces [results/trace/cluster]
+    python tools/ci_checks.py fleet-identity [results-serial] [results]
+    python tools/ci_checks.py sim-trace      [results/trace/sim-tusk.trace.json]
+"""
+
+from __future__ import annotations
+
+import json
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(ROOT / "src"), str(ROOT)]
+
+
+def perf_summary(path: str = "results/perf_summary.json") -> list[str]:
+    """``benchmarks/perf_summary.py`` recorded every comparison."""
+    summary = json.loads(Path(path).read_text())
+    checks = {
+        f"gate violations: {summary['gate']['violations']}": summary["gate"]["passed"],
+        "event loop drained no events": summary["event_loop"]["optimized_events_per_s"] > 0,
+        "batch delivery reduced no events": summary["network_delivery"]["event_reduction"] > 1.0,
+        "fleet cache differs from serial": summary["fleet"]["byte_identical"] is True,
+        "fleet no faster than serial": summary["fleet"]["speedup"] > 1.0,
+    }
+    return [message for message, ok in checks.items() if not ok]
+
+
+def cluster_metrics(path: str = "results/cluster/cluster_metrics.json") -> list[str]:
+    """``bench_cluster.py``'s metrics carry every scenario's claims
+    (recovery in each requested mode, an adopted checkpoint base, a
+    completed resize)."""
+    from benchmarks.curve_checks import check_cluster_metrics
+
+    return check_cluster_metrics(json.loads(Path(path).read_text()))
+
+
+def _trace_stage_gaps(paths: list[Path], stages: tuple[str, ...]) -> list[str]:
+    names: set[str] = set()
+    for path in paths:
+        names |= {row.get("name") for row in json.loads(path.read_text())["traceEvents"]}
+    missing = [stage for stage in stages if stage not in names]
+    return [f"lifecycle stages missing from traces: {missing}"] if missing else []
+
+
+def cluster_traces(directory: str = "results/trace/cluster") -> list[str]:
+    """Across the committee's Perfetto traces every lifecycle stage
+    appears (minus certification: the cluster runs uncertified)."""
+    from repro.obs.trace import UNCERTIFIED_STAGES
+
+    traces = sorted(Path(directory).glob("*.trace.json"))
+    if not traces:
+        return ["no cluster trace files written"]
+    return _trace_stage_gaps(traces, UNCERTIFIED_STAGES)
+
+
+def sim_trace(path: str = "results/trace/sim-tusk.trace.json") -> list[str]:
+    """The traced sim point runs Tusk, so all eight stages —
+    ``block_certified`` included — must appear."""
+    from repro.obs.trace import LIFECYCLE_STAGES
+
+    return _trace_stage_gaps([Path(path)], LIFECYCLE_STAGES)
+
+
+def fleet_identity(serial: str = "results-serial", fleet: str = "results") -> list[str]:
+    """The 2-worker fleet's point cache is byte-identical to the serial
+    one (wall clocks live in ``.wall.json`` sidecars so this holds)."""
+
+    def points(root: str) -> dict[str, bytes]:
+        return {
+            p.name: p.read_bytes()
+            for p in Path(root, "points").glob("*.json")
+            if not p.name.endswith(".wall.json")
+        }
+
+    ours, theirs = points(serial), points(fleet)
+    if not ours:
+        return ["serial run produced no points"]
+    violations = []
+    if ours.keys() != theirs.keys():
+        violations.append(f"point sets differ: {sorted(ours.keys() ^ theirs.keys())}")
+    differing = [name for name in ours if name in theirs and ours[name] != theirs[name]]
+    if differing:
+        violations.append(f"point files differ: {differing}")
+    summary = json.loads(Path(fleet, "summary.json").read_text())["fleet"]
+    if summary["workers"] != 2:
+        violations.append(f"fleet ran {summary['workers']} workers, not 2")
+    if summary["worker_failures"]:
+        violations.append(f"fleet workers failed: {summary['worker_failures']}")
+    return violations
+
+
+CHECKS = {
+    "perf-summary": perf_summary,
+    "cluster-metrics": cluster_metrics,
+    "cluster-traces": cluster_traces,
+    "fleet-identity": fleet_identity,
+    "sim-trace": sim_trace,
+}
+
+
+def main(argv: list[str]) -> int:
+    if not argv or argv[0] not in CHECKS:
+        print(f"usage: ci_checks.py {{{'|'.join(CHECKS)}}} [paths...]", file=sys.stderr)
+        return 2
+    violations = CHECKS[argv[0]](*argv[1:])
+    for violation in violations:
+        print(f"{argv[0]}: {violation}", file=sys.stderr)
+    if not violations:
+        print(f"{argv[0]}: ok")
+    return 1 if violations else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
