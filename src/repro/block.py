@@ -9,24 +9,39 @@ Parent references carry ``(author, round, digest)`` rather than a bare
 digest: the extra fields are redundant (they are bound by the digest)
 but let traversal code walk the DAG without store lookups for pruning
 decisions, exactly like the reference implementation's ``BlockRef``.
+
+**Who owns the bytes.**  A block the runtime decodes or proposes carries
+its transactions as a :class:`~repro.transaction.TransactionBatch` — the
+section's wire bytes, the only retained copy of the payload.  The digest
+and :meth:`Block.encode` splice those bytes in, so a block is encoded
+once by its proposer, hashed once per validator (the author signs, and
+peers verify, the 32-byte :attr:`Block.digest`), and re-joined — never
+re-serialised, never cached — for each peer frame and WAL record.
+Simulator and hand-built blocks carry plain tuples and never encode.
+
+**What decode raises.**  :meth:`Block.decode` and
+:meth:`BlockRef.decode` raise :class:`~repro.errors.ReproError`, and
+nothing else, on arbitrary bytes.
 """
 
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 from .crypto.coin import CoinShare
 from .crypto.hashing import Digest, hash_parts
 from .errors import ReproError
-from .transaction import Transaction, decode_transactions, encode_transactions
+from .transaction import Transaction, TransactionBatch, encode_transactions
 
 #: Round number of genesis blocks.
 GENESIS_ROUND = 0
 
 _REF_HEADER = struct.Struct("<IQ")  # author, round  (+ 32-byte digest)
+_REF_SIZE = _REF_HEADER.size + 32
 _BLOCK_HEADER = struct.Struct("<IQI")  # author, round, parent count
+_SHARE_HEADER = struct.Struct("<IQI")  # author, round, value length
 
 
 @dataclass(frozen=True, order=True)
@@ -47,12 +62,11 @@ class BlockRef:
 
     @classmethod
     def decode(cls, data: bytes, offset: int = 0) -> tuple["BlockRef", int]:
-        end = offset + _REF_HEADER.size
-        author, round_number = _REF_HEADER.unpack_from(data, offset)
-        digest = bytes(data[end : end + 32])
-        if len(digest) != 32:
+        end = offset + _REF_SIZE
+        if end > len(data):
             raise ReproError("truncated block reference")
-        return cls(author=author, round=round_number, digest=digest), end + 32
+        author, round_number = _REF_HEADER.unpack_from(data, offset)
+        return cls(author=author, round=round_number, digest=bytes(data[end - 32 : end])), end
 
     def __repr__(self) -> str:  # compact form for logs: B(v3, r7)
         return f"B(v{self.author},r{self.round},{self.digest[:4].hex()})"
@@ -69,7 +83,7 @@ class Block:
     author: int
     round: int
     parents: tuple[BlockRef, ...]
-    transactions: tuple[Transaction, ...] = ()
+    transactions: "tuple[Transaction, ...] | TransactionBatch" = ()
     coin_share: CoinShare | None = None
     signature: bytes = b""
     #: Extra payload distinguishing deliberately equivocating blocks in
@@ -90,18 +104,21 @@ class Block:
         return BlockRef(author=self.author, round=self.round, digest=self.digest)
 
     def _signable_parts(self) -> list[bytes]:
-        parts = [
+        """What the digest — and through it the signature — covers."""
+        return [
             _BLOCK_HEADER.pack(self.author, self.round, len(self.parents)),
             *(parent.encode() for parent in self.parents),
             encode_transactions(self.transactions),
             self.coin_share.encode() if self.coin_share is not None else b"",
             self.salt,
         ]
-        return parts
 
-    def signable_bytes(self) -> bytes:
-        """Canonical bytes covered by the author's signature."""
-        return b"".join(self._signable_parts())
+    def signed(self, signature: bytes) -> "Block":
+        """This block carrying ``signature`` — over :attr:`digest`, which
+        excludes the signature, so the copy inherits it unhashed."""
+        block = replace(self, signature=signature)
+        block.__dict__["digest"] = self.digest
+        return block
 
     # ------------------------------------------------------------------
     # Introspection helpers
@@ -117,7 +134,7 @@ class Block:
 
     @property
     def size(self) -> int:
-        """Approximate serialized size in bytes (used by the bandwidth model)."""
+        """Serialized size in bytes (used by the bandwidth model)."""
         return len(self.encode())
 
     # ------------------------------------------------------------------
@@ -143,13 +160,23 @@ class Block:
 
     @classmethod
     def decode(cls, data: bytes, offset: int = 0) -> tuple["Block", int]:
+        """Deserialize one block starting at ``offset``; the transaction
+        section is sliced out of ``data``, not decoded.
+
+        Raises:
+            ReproError: If the buffer is truncated or malformed.
+        """
+        if offset + _BLOCK_HEADER.size > len(data):
+            raise ReproError("truncated block header")
         author, round_number, parent_count = _BLOCK_HEADER.unpack_from(data, offset)
         offset += _BLOCK_HEADER.size
+        if parent_count > (len(data) - offset) // _REF_SIZE:
+            raise ReproError("parent count exceeds the buffer")
         parents = []
         for _ in range(parent_count):
             ref, offset = BlockRef.decode(data, offset)
             parents.append(ref)
-        transactions, offset = decode_transactions(data, offset)
+        transactions, offset = TransactionBatch.decode(data, offset)
 
         def read_chunk(off: int) -> tuple[bytes, int]:
             if off + 4 > len(data):
@@ -183,12 +210,12 @@ class Block:
 
 
 def _decode_coin_share(data: bytes) -> CoinShare:
-    author = int.from_bytes(data[0:4], "little")
-    round_number = int.from_bytes(data[4:12], "little")
-    length = int.from_bytes(data[12:16], "little")
-    value = data[16 : 16 + length]
-    if len(value) != length:
+    if len(data) < _SHARE_HEADER.size:
         raise ReproError("truncated coin share")
+    author, round_number, length = _SHARE_HEADER.unpack_from(data)
+    value = data[_SHARE_HEADER.size :]
+    if len(value) != length:
+        raise ReproError("coin share length does not match its section")
     return CoinShare(author=author, round=round_number, value=value)
 
 

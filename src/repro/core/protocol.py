@@ -28,7 +28,7 @@ from ..dag.store import DagStore
 from ..dag.validation import BlockVerifier
 from ..errors import BlockValidationError, DuplicateBlockError
 from ..statesync import Checkpoint
-from ..transaction import Transaction
+from ..transaction import Transaction, TransactionBatch
 from .committer import Committer, CommitObservation
 
 
@@ -63,6 +63,7 @@ class MahiMahiCore:
         verifier: BlockVerifier | None = None,
         sign: "callable | None" = None,
         committer_factory: "callable" = Committer,
+        transaction_section: "callable" = tuple,
     ) -> None:
         """Create a validator core.
 
@@ -81,11 +82,19 @@ class MahiMahiCore:
                 store-level causal completeness is enforced (the
                 simulator's default — Byzantine behaviour is modeled).
             sign: Optional ``bytes -> bytes`` signing callback applied to
-                each proposed block's signable bytes.
+                each proposed block's digest.
             committer_factory: Called as ``(store, schedule, coin,
                 config)`` with this core's own store and schedule; the
                 baselines (Tusk, Cordial Miners) install their commit
                 rules over the same DAG this way.
+            transaction_section: Builds a proposal's transaction section
+                from the drained mempool.  Exactly two values are
+                supported, one per fabric, and this is not an extension
+                point: ``tuple`` keeps the objects (the simulator, which
+                never puts a block on a wire);
+                :class:`~repro.transaction.TransactionBatch` (the
+                runtime) encodes them once, here, for the digest, every
+                peer frame and the WAL record to reuse.
         """
         self.authority = authority
         self.schedule = CommitteeSchedule.ensure(committee)
@@ -94,6 +103,7 @@ class MahiMahiCore:
         self.store = DagStore()
         self._verifier = verifier
         self._sign = sign
+        self._transaction_section = transaction_section
         # One schedule object for core and committer: the commit walk
         # is what activates epochs, and thresholds here must follow them.
         self.committer = committer_factory(self.store, self.schedule, coin, config)
@@ -117,6 +127,11 @@ class MahiMahiCore:
         self._tips: dict[Digest, BlockRef] = {b.digest: b.reference for b in genesis}
         self.committed: list[CommitObservation] = []
         self.total_proposed = 0
+        #: Buffered peer blocks that were waiting on the latest own
+        #: proposal and entered the DAG with it (a restarted validator
+        #: re-deriving a block its peers already built on); the host logs
+        #: them like any other accepted block.
+        self.last_connected: list[Block] = []
 
     # ------------------------------------------------------------------
     # Transactions
@@ -294,7 +309,8 @@ class MahiMahiCore:
         first (Section 2.3: "starting with their most recent block"),
         then every current DAG tip — which guarantees at least ``2f + 1``
         distinct previous-round parents and sweeps up late blocks from
-        older rounds so their transactions still commit.
+        older rounds so their transactions still commit.  Buffered peer
+        blocks the proposal connects are left in :attr:`last_connected`.
         """
         next_round = self.quorum_round() + 1
         if next_round <= self.round:
@@ -316,17 +332,10 @@ class MahiMahiCore:
             coin_share=share,
         )
         if self._sign is not None:
-            block = Block(
-                author=block.author,
-                round=block.round,
-                parents=block.parents,
-                transactions=block.transactions,
-                coin_share=block.coin_share,
-                signature=self._sign(block.signable_bytes()),
-            )
+            block = block.signed(self._sign(block.digest))
         self.round = next_round
         self.total_proposed += 1
-        self._insert(block)
+        self.last_connected = [b for b in self._insert(block) if b is not block]
         self._own_last_ref = block.reference
         return block
 
@@ -400,12 +409,12 @@ class MahiMahiCore:
             parents = required + optional[:budget]
         return tuple(parents)
 
-    def _drain_mempool(self) -> tuple[Transaction, ...]:
+    def _drain_mempool(self) -> "tuple[Transaction, ...] | TransactionBatch":
         limit = self.config.max_block_transactions
         batch = []
         while self.mempool and len(batch) < limit:
             batch.append(self.mempool.popleft())
-        return tuple(batch)
+        return self._transaction_section(batch)
 
     # ------------------------------------------------------------------
     # Committing

@@ -1,7 +1,9 @@
 """Block validity (Section 2.3).
 
-A block is valid if: (1) the signature verifies and the author belongs
-to the validator set; (2) all parent references point to distinct
+A block is valid if: (1) the signature — over the block's 32-byte
+digest, so a received block is hashed once, for its identity and its
+signature check alike — verifies and the author belongs to the
+validator set; (2) all parent references point to distinct
 blocks from strictly earlier rounds and include blocks from at least
 ``2f + 1`` distinct authors of round ``R - 1``; (3) the embedded share
 of the global perfect coin verifies.
@@ -94,7 +96,7 @@ class BlockVerifier:
         """Check the author's signature and the coin share, if configured."""
         if self._scheme is not None:
             public_key = self._committee.authority(block.author).public_key
-            if not self._scheme.verify(public_key, block.signable_bytes(), block.signature):
+            if not self._scheme.verify(public_key, block.digest, block.signature):
                 raise BlockValidationError(f"bad signature on {block!r}")
         if block.round == GENESIS_ROUND:
             return

@@ -189,10 +189,13 @@ def decode_message(data: bytes) -> Message:
     """Deserialize a message body produced by :func:`encode_message`."""
     if not data:
         raise TransportError("empty message")
-    kind, body = data[0], data[1:]
+    kind = data[0]
     if kind == _KIND_BLOCK:
-        block, _ = Block.decode(body)
+        # In place: the block slices its transaction section out of the
+        # frame, the one copy of a 256 KB payload on the receive path.
+        block, _ = Block.decode(data, 1)
         return BlockMessage(block=block)
+    body = data[1:]
     if kind == _KIND_FETCH_REQUEST:
         (count,) = struct.unpack_from("<I", body, 0)
         refs, _ = _decode_refs(body, 4, count)

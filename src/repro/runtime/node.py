@@ -51,7 +51,7 @@ from ..obs import trace as _trace
 from ..obs.metrics import MetricsRegistry
 from ..obs.trace import NULL_TRACER
 from ..statesync import SYNC_MAX_BLOCKS, ValidatorDriver
-from ..transaction import Transaction
+from ..transaction import Transaction, TransactionBatch
 from .messages import (
     BlockMessage,
     CheckpointRequest,
@@ -134,6 +134,7 @@ class ValidatorNode:
             coin,
             verifier=verifier,
             sign=sign,
+            transaction_section=TransactionBatch,
         )
         self.schedule = self.core.schedule
         self.config = config
@@ -186,11 +187,9 @@ class ValidatorNode:
         #: Committed observations, for consumers (SMR execution layers).
         self.commits: asyncio.Queue[CommitObservation] = asyncio.Queue()
         self.committed_blocks: list[Block] = []
-        self.schedule.subscribe(
-            lambda epoch: self.synchronizer.update_committee_size(
-                max(self.schedule.provisioned, max(epoch.committee.members) + 1)
-            )
-        )
+        # A bound method of the synchronizer, not a closure over this
+        # node: the schedule must not hold the node (see ``stop``).
+        self.schedule.subscribe(self.synchronizer.follow_epoch)
         transport.on_message(self._on_message)
 
     # ------------------------------------------------------------------
@@ -249,14 +248,19 @@ class ValidatorNode:
         task.add_done_callback(self._tasks.discard)
 
     async def stop(self) -> None:
+        """Stop for good.  Everything read-only stays readable (the
+        core and its committer, ``committed_blocks``, ``metrics``, the
+        synchronizer's counters), and no reference cycle through this
+        node is left behind: the transport drops its delivery callback
+        and the driver its port, so the committed history this node
+        holds is freed the moment its owner drops the node."""
         self._running = False
         tasks = list(self._tasks)
         for task in tasks:
             task.cancel()
         await asyncio.gather(*tasks, return_exceptions=True)
         await self.transport.stop()
-        if self._driver.wal is not None:
-            self._driver.wal.close()
+        self._driver.close()
 
     def _recover(self) -> None:
         """Warm path: replay the WAL into the core through the public
@@ -298,6 +302,11 @@ class ValidatorNode:
             self._last_block, self._last_broadcast = block, now
             self._m_proposed.inc()
             self._outbox.append((None, BlockMessage(block=block)))
+            # Peers that built on a pre-crash twin of this block had us
+            # fetching it.
+            self.synchronizer.note_arrived(block.digest)
+        if step.connected:
+            self._note_received(step.connected)
         if step.deadline is not None:
             asyncio.get_running_loop().call_later(
                 step.deadline - now, self._on_pacing_timer
@@ -426,12 +435,15 @@ class ValidatorNode:
             self._m_rejected.inc()
         if result.missing:
             self._request_missing(sender, result.missing, block, live)
-        if not result.accepted:
-            return
-        for accepted in result.accepted:
-            self.synchronizer.note_arrived(accepted.digest)
-        self._m_received.inc(len(result.accepted))
-        self._step()
+        if result.accepted:
+            self._note_received(result.accepted)
+            self._step()
+
+    def _note_received(self, accepted) -> None:
+        """Peer blocks entered the DAG: stop fetching them, count them."""
+        for block in accepted:
+            self.synchronizer.note_arrived(block.digest)
+        self._m_received.inc(len(accepted))
 
     def _request_missing(self, sender: int, missing: tuple, block: Block, live: bool) -> None:
         """Route missing-ancestor reports to the right fetch shape."""

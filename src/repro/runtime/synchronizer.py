@@ -71,10 +71,10 @@ class Synchronizer:
         """Number of references still being fetched."""
         return len(self._pending)
 
-    def update_committee_size(self, n: int) -> None:
-        """Follow epoch transitions: retry rotation covers the new
-        committee's index range."""
-        self._n = n
+    def follow_epoch(self, epoch) -> None:
+        """Schedule listener: retry rotation covers the index range of
+        every committee scheduled so far."""
+        self._n = max(self._n, max(epoch.committee.members) + 1)
 
     def note_missing(self, refs: tuple[BlockRef, ...], sender: int) -> None:
         """Register missing ancestors reported while ingesting a block."""

@@ -75,14 +75,25 @@ class Transport(ABC):
 
     @abstractmethod
     async def stop(self) -> None:
-        """Tear down connections and background tasks."""
+        """Tear down connections and background tasks, and drop the
+        delivery callback: it is a bound method of the node that owns
+        this transport, and a stopped node must not stay pinned by that
+        cycle until the cyclic collector's next full pass."""
+
+    def _encode(self, message: Message) -> bytes:
+        """The bytes :meth:`_write` hands a peer for ``message``."""
+        return encode_message(message)
 
     @abstractmethod
+    async def _write(self, dst: int, data: bytes) -> None:
+        """Best-effort delivery of already-encoded bytes to one peer."""
+
     async def send(self, dst: int, message: Message) -> None:
         """Best-effort delivery to one peer (drops if unreachable)."""
+        await self._write(dst, self._encode(message))
 
     async def broadcast(self, message: Message, peers: list[int]) -> None:
-        """Best-effort delivery to every peer in ``peers``.
+        """Best-effort delivery to every peer in ``peers``, encoded once.
 
         Fans out concurrently: one slow (or dead) peer must not delay
         the others' delivery by its dial timeout — serial awaiting would
@@ -90,7 +101,8 @@ class Transport(ABC):
         """
         if not peers:
             return
-        await asyncio.gather(*(self.send(dst, message) for dst in peers))
+        data = self._encode(message)
+        await asyncio.gather(*(self._write(dst, data) for dst in peers))
 
 
 # ----------------------------------------------------------------------
@@ -134,9 +146,10 @@ class MemoryTransport(Transport):
             except asyncio.CancelledError:
                 pass
             self._pump_task = None
+        self._handler = None
 
-    async def send(self, dst: int, message: Message) -> None:
-        self._hub.deliver(self.authority, dst, encode_message(message))
+    async def _write(self, dst: int, data: bytes) -> None:
+        self._hub.deliver(self.authority, dst, data)
 
     async def _pump(self) -> None:
         while True:
@@ -190,6 +203,7 @@ class TcpTransport(Transport):
             task.cancel()
         await asyncio.gather(*self._reader_tasks, return_exceptions=True)
         self._reader_tasks.clear()
+        self._handler = None
 
     # -- receiving ------------------------------------------------------
     async def _accept(self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter) -> None:
@@ -255,13 +269,15 @@ class TcpTransport(Transport):
             )
 
     # -- sending --------------------------------------------------------
-    async def send(self, dst: int, message: Message) -> None:
+    def _encode(self, message: Message) -> bytes:
+        return frame(encode_message(message))
+
+    async def _write(self, dst: int, body: bytes) -> None:
         lock = self._locks.setdefault(dst, asyncio.Lock())
         async with lock:
             writer = await self._writer_for(dst)
             if writer is None:
                 return
-            body = frame(encode_message(message))
             start = time.time() if self.tracer.enabled else 0.0
             try:
                 writer.write(body)
@@ -273,7 +289,7 @@ class TcpTransport(Transport):
                 self._frames_sent.inc()
                 self._bytes_sent.inc(len(body))
             if self.tracer.enabled:
-                # The span covers encode-to-drain: the kernel buffer
+                # The span covers write-to-drain: the kernel buffer
                 # handoff, not the wire flight (receipt is the peer's
                 # frame_received instant).
                 self.tracer.span(

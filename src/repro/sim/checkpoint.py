@@ -1,30 +1,13 @@
-"""Simulator-side checkpoint adoption and WAL-backed warm restarts.
+"""The simulator's cost model for a WAL replay.
 
-Two recovery paths beyond the cold (refetch-to-genesis) restart of
-:class:`~repro.sim.node.SimValidator`:
-
-* **checkpoint** (state transfer): the restarted validator broadcasts
-  ``ckpt_req``; peers answer ``ckpt_resp`` with their retained
-  checkpoints (:mod:`repro.statesync`).  :class:`CheckpointVotes`
-  tallies the responses and surfaces the highest checkpoint attested by
-  ``2f + 1`` distinct peers — honest validators capture byte-identical
-  checkpoints at each boundary, so a quorum of matching ids certifies
-  the committed prefix even with ``f`` Byzantine responders.  The
-  validator then adopts it (DAG floor + committer cursor + commit
-  chain) and deep-fetches only the suffix above the floor, which is
-  what lets recovery work with garbage collection enabled: nothing
-  below the peers' pruning horizon is ever requested.
-* **warm** (WAL replay): the restarted validator first replays its own
-  write-ahead log (:func:`replay_wal` — own blocks, peer blocks; the
-  own-block records also restore the proposal round, the WAL's original
-  anti-equivocation guarantee), then syncs only the delta accumulated
-  while it was down.  Replay is local, so its simulated cost is a CPU
-  charge (:func:`replay_cost`) rather than network round trips.
-
-The transport-agnostic mechanics (:class:`CheckpointVotes`,
-:func:`replay_wal`) are shared with the asyncio runtime and live in
-:mod:`repro.statesync.recovery`; this module keeps the simulation-only
-cost model and re-exports the shared names for its callers.
+Recovery itself — mode selection, the checkpoint tally and adoption,
+WAL replay, the deep-fetch chain — is fabric-independent and lives in
+:mod:`repro.statesync.driver` and :mod:`repro.statesync.recovery`;
+:class:`~repro.sim.node.SimValidator` is one of its two adaptors.  What
+only the simulator needs is a *price* for a warm restart's replay: it
+is local work, so it is charged as consensus CPU time
+(:func:`replay_cost`) rather than as network round trips.  The shared
+replay names are re-exported here for existing importers.
 """
 
 from __future__ import annotations

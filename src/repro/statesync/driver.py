@@ -9,7 +9,8 @@ and :class:`ValidatorDriver` is its one implementation:
   block, and the "caught up" check while re-syncing;
 * :meth:`~ValidatorDriver.step` — *propose* (not while re-syncing or
   after leaving; paced by the minimum block interval; the own block is
-  in the WAL before it is handed back), *commit* (commit mark, commit
+  in the WAL before it is handed back; buffered peer blocks it connects
+  are logged like ingested ones), *commit* (commit mark, commit
   instants) and *epoch exit*, returned as a plain :class:`Step`.
 
 The DAG is uncertified, so a validator that restarts behind its peers
@@ -103,6 +104,9 @@ class Step(NamedTuple):
     #: Set by the first proposal after a restart: the host time that
     #: recovery began (the recovery-time metric hook).
     recovered_at: float | None = None
+    #: Buffered peer blocks that were waiting on an own block and
+    #: entered the DAG with ``proposed`` — already logged and traced.
+    connected: Sequence[Block] = ()
 
 
 class ValidatorDriver:
@@ -159,21 +163,8 @@ class ValidatorDriver:
         result = self.core.add_block(block)
         if result.rejected:
             self.blocks_rejected += 1
-        accepted = result.accepted
-        if accepted:
-            if self.wal is not None:
-                for new in accepted:
-                    self.wal.append_peer_block(new)
-            if self.tracer.enabled:
-                now = self._port.trace_time()
-                for new in accepted:
-                    self.tracer.instant(
-                        self.core.authority,
-                        "consensus",
-                        _trace.BLOCK_RECEIVED,
-                        now,
-                        {"author": new.author, "round": new.round, "src": peer},
-                    )
+        if result.accepted:
+            self._record_accepted(result.accepted, peer)
             if self.syncing and live and not self.core.pending_count:
                 # A *freshly broadcast* block that connected with its
                 # whole causal history present ends the re-sync; fetched
@@ -183,6 +174,23 @@ class ValidatorDriver:
                 self.finish()
         return result
 
+    def _record_accepted(self, accepted: Sequence[Block], peer: int) -> None:
+        """The WAL record and ``block_received`` instant of each block
+        that entered the DAG from ``peer`` (the WAL rule, below)."""
+        if self.wal is not None:
+            for new in accepted:
+                self.wal.append_peer_block(new)
+        if self.tracer.enabled:
+            now = self._port.trace_time()
+            for new in accepted:
+                self.tracer.instant(
+                    self.core.authority,
+                    "consensus",
+                    _trace.BLOCK_RECEIVED,
+                    now,
+                    {"author": new.author, "round": new.round, "src": peer},
+                )
+
     def step(self, now: float) -> Step:
         """Propose every round that is ready and due at host time
         ``now``, extend the commit sequence, and notice epoch exit
@@ -190,6 +198,7 @@ class ValidatorDriver:
         a finished re-sync, at start, and when the pacing timer fires."""
         core = self.core
         proposed: list[Block] = []
+        connected: list[Block] = []
         deadline = recovered_at = None
         # A re-syncing validator proposes nothing: its fresh core has
         # forgotten which rounds it already proposed in, and a stale
@@ -219,6 +228,11 @@ class ValidatorDriver:
                 # First proposal after a restart: recovery is complete.
                 recovered_at, self.recovered_at = self.recovered_at, None
             proposed.append(block)
+            if core.last_connected:
+                # After the own block they were waiting on, so a replay
+                # finds the log in causal order.
+                self._record_accepted(core.last_connected, core.authority)
+                connected.extend(core.last_connected)
         observations = core.try_commit()
         if observations:
             if self.wal is not None:
@@ -229,7 +243,7 @@ class ValidatorDriver:
                 )
         if not core.schedule.is_static and self.excluded_by_epoch():
             self.left = True
-        return Step(proposed, observations, deadline, recovered_at)
+        return Step(proposed, observations, deadline, recovered_at, connected)
 
     def pacing_timer_fired(self) -> None:
         """The host's timer for the last reported :attr:`Step.deadline`
@@ -237,8 +251,18 @@ class ValidatorDriver:
         self._timer_armed = False
 
     # ------------------------------------------------------------------
-    # Restart and mode selection
+    # Restart, shutdown and mode selection
     # ------------------------------------------------------------------
+    def close(self) -> None:
+        """The host stopped for good: close the log and let go of the
+        host.  Host and driver reference each other, and a stopped
+        validator's committed history should be freed by reference
+        counting as soon as its owner drops it, not whenever the cyclic
+        collector next runs a full pass."""
+        if self.wal is not None:
+            self.wal.close()
+        self._port = None
+
     def restart(self, core) -> None:
         """A new incarnation lost all in-memory state: bind its fresh
         ``core`` and forget the previous tally and in-flight fetch."""

@@ -3,11 +3,20 @@
 The paper's benchmarks use arbitrary 512-byte transactions (Section 5.1).
 Here a transaction carries an id (used by the metrics pipeline to match
 submission and commit events), a submission timestamp, and a payload.
+
+Consensus orders transactions and never interprets them, so on the
+runtime's data plane a block's transaction section is a
+:class:`TransactionBatch`: the count-prefixed wire bytes, encoded once by
+the proposer (or sliced out of the received frame after a structural
+walk of the length prefixes) and spliced as they are into the block's
+digest, every peer frame and every WAL record.  ``Transaction`` objects
+are built only when a consumer iterates the batch.
 """
 
 from __future__ import annotations
 
 import struct
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 
 from .errors import ReproError
@@ -16,6 +25,8 @@ from .errors import ReproError
 DEFAULT_TX_SIZE = 512
 
 _HEADER = struct.Struct("<QdI")  # tx_id, submitted_at, payload length
+_PAYLOAD_LENGTH = struct.Struct("<16xI")  # the header's last field alone
+_COUNT = struct.Struct("<I")
 
 
 @dataclass(frozen=True)
@@ -77,21 +88,93 @@ class Transaction:
         return cls(tx_id=tx_id, submitted_at=submitted_at, payload=b"\x00" * body)
 
 
-def encode_transactions(transactions: tuple[Transaction, ...]) -> bytes:
-    """Serialize a sequence of transactions with a count prefix."""
-    parts = [struct.pack("<I", len(transactions))]
+class TransactionBatch(Sequence):
+    """An immutable sequence of transactions held as its wire bytes.
+
+    ``len()`` is O(1) and one pass of iteration decodes each
+    ``Transaction`` once, on demand (nothing is cached: the bytes are
+    the only retained copy of the payload).  Those two are the cheap
+    operations, and the only ones ``src/`` uses.  Indexing, ``hash()``
+    and comparison with a tuple each decode the *whole* batch — so the
+    ``Sequence`` mixins built on indexing (``reversed``, ``index``, an
+    index loop) are quadratic, and hashing a batch-backed ``Block``
+    decodes its transactions: they exist so a batch is a drop-in for
+    the tuple that simulator and hand-built blocks carry, to which it
+    is equal and like which it hashes.
+    """
+
+    __slots__ = ("wire", "_count")
+
+    def __init__(self, transactions: Sequence[Transaction] = ()) -> None:
+        """Encode ``transactions`` — the one time a proposed batch is."""
+        #: The count-prefixed encoding, as :func:`encode_transactions` emits it.
+        self.wire = encode_transactions(transactions)
+        self._count = len(transactions)
+
+    @classmethod
+    def decode(cls, data: bytes, offset: int = 0) -> tuple["TransactionBatch", int]:
+        """Slice one count-prefixed transaction section out of ``data``.
+
+        Walks the length prefixes only, so a truncated section or a
+        count the buffer cannot hold is rejected here, at the boundary,
+        without building a ``Transaction``.
+
+        Raises:
+            ReproError: If the section is malformed.
+        """
+        size = len(data)
+        end = offset + _COUNT.size
+        if end > size:
+            raise ReproError("truncated transaction list")
+        (count,) = _COUNT.unpack_from(data, offset)
+        if count > (size - end) // _HEADER.size:
+            raise ReproError("transaction count exceeds the buffer")
+        for _ in range(count):
+            if end + _HEADER.size > size:
+                raise ReproError("truncated transaction header")
+            end += _HEADER.size + _PAYLOAD_LENGTH.unpack_from(data, end)[0]
+        if end > size:
+            raise ReproError("truncated transaction payload")
+        batch = cls.__new__(cls)
+        batch.wire = bytes(data[offset:end])
+        batch._count = count
+        return batch, end
+
+    def __len__(self) -> int:
+        return self._count
+
+    def __iter__(self) -> Iterator[Transaction]:
+        data, offset = self.wire, _COUNT.size
+        for _ in range(self._count):
+            tx, offset = Transaction.decode(data, offset)
+            yield tx
+
+    def __getitem__(self, index):
+        return tuple(self)[index]
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, TransactionBatch):
+            return self.wire == other.wire
+        if isinstance(other, tuple):
+            return tuple(self) == other
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(tuple(self))
+
+
+def encode_transactions(transactions: Sequence[Transaction]) -> bytes:
+    """Serialize a sequence of transactions with a count prefix (a
+    :class:`TransactionBatch` already is that: its bytes are returned
+    as they are — the one place a batch and a tuple are told apart)."""
+    if isinstance(transactions, TransactionBatch):
+        return transactions.wire
+    parts = [_COUNT.pack(len(transactions))]
     parts.extend(tx.encode() for tx in transactions)
     return b"".join(parts)
 
 
 def decode_transactions(data: bytes, offset: int = 0) -> tuple[tuple[Transaction, ...], int]:
     """Deserialize a count-prefixed sequence of transactions."""
-    if offset + 4 > len(data):
-        raise ReproError("truncated transaction list")
-    (count,) = struct.unpack_from("<I", data, offset)
-    offset += 4
-    out = []
-    for _ in range(count):
-        tx, offset = Transaction.decode(data, offset)
-        out.append(tx)
-    return tuple(out), offset
+    batch, end = TransactionBatch.decode(data, offset)
+    return tuple(batch), end

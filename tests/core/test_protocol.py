@@ -107,7 +107,7 @@ class TestProposing:
             sign=lambda data: scheme.sign(keys[0].private_key, data),
         )
         block = core.maybe_propose()
-        assert scheme.verify(keys[0].public_key, block.signable_bytes(), block.signature)
+        assert scheme.verify(keys[0].public_key, block.digest, block.signature)
 
     def test_late_tips_swept_into_later_proposal(self):
         """A block arriving late (older round) is referenced by the next

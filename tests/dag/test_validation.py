@@ -8,6 +8,7 @@ from repro.crypto.coin import CoinShare, FastCoin
 from repro.crypto.signing import NullSignatureScheme, generate_keys
 from repro.dag.validation import BlockVerifier
 from repro.errors import BlockValidationError
+from repro.transaction import Transaction, TransactionBatch
 
 
 @pytest.fixture
@@ -31,14 +32,7 @@ def make_block(env, *, author=0, round_number=1, parents=None, share=True, sign=
         salt=salt,
     )
     if sign:
-        block = Block(
-            author=block.author,
-            round=block.round,
-            parents=block.parents,
-            coin_share=block.coin_share,
-            salt=block.salt,
-            signature=scheme.sign(keys[author].private_key, block.signable_bytes()),
-        )
+        block = block.signed(scheme.sign(keys[author].private_key, block.digest))
     return block
 
 
@@ -127,15 +121,31 @@ class TestCrypto:
         scheme, keys, committee, coin, genesis = env
         verifier = BlockVerifier(committee, scheme, coin)
         unsigned = make_block(env, author=0, sign=False)
-        forged = Block(
-            author=0,
-            round=1,
-            parents=unsigned.parents,
-            coin_share=unsigned.coin_share,
-            signature=scheme.sign(keys[1].private_key, unsigned.signable_bytes()),
-        )
+        forged = unsigned.signed(scheme.sign(keys[1].private_key, unsigned.digest))
         with pytest.raises(BlockValidationError, match="signature"):
             verifier.verify(forged)
+
+    def test_tampered_transaction_byte_rejected(self, env):
+        """The signature covers the digest and the digest covers the
+        transaction section, so flipping one payload byte of a received
+        (bytes-backed) block breaks its signature."""
+        scheme, keys, committee, coin, genesis = env
+        verifier = BlockVerifier(committee, scheme, coin)
+        block = Block(
+            author=0,
+            round=1,
+            parents=tuple(b.reference for b in genesis),
+            transactions=TransactionBatch([Transaction(7, payload=b"pay alice 10")]),
+            coin_share=coin.share(0, 1),
+        )
+        wire = block.signed(scheme.sign(keys[0].private_key, block.digest)).encode()
+        received, _ = Block.decode(wire)
+        verifier.verify(received)
+        tampered, _ = Block.decode(wire.replace(b"alice 10", b"alice 99"))
+        assert tampered.signature == received.signature
+        assert [tx.payload for tx in tampered.transactions] == [b"pay alice 99"]
+        with pytest.raises(BlockValidationError, match="signature"):
+            verifier.verify(tampered)
 
     def test_missing_coin_share_rejected(self, env):
         scheme, _, committee, coin, _ = env
@@ -154,13 +164,7 @@ class TestCrypto:
             parents=tuple(b.reference for b in genesis),
             coin_share=wrong_share,
         )
-        block = Block(
-            author=block.author,
-            round=block.round,
-            parents=block.parents,
-            coin_share=block.coin_share,
-            signature=scheme.sign(keys[0].private_key, block.signable_bytes()),
-        )
+        block = block.signed(scheme.sign(keys[0].private_key, block.digest))
         with pytest.raises(BlockValidationError, match="does not match"):
             verifier.verify(block)
 
@@ -174,13 +178,7 @@ class TestCrypto:
             parents=tuple(b.reference for b in genesis),
             coin_share=bogus_share,
         )
-        block = Block(
-            author=block.author,
-            round=block.round,
-            parents=block.parents,
-            coin_share=block.coin_share,
-            signature=scheme.sign(keys[0].private_key, block.signable_bytes()),
-        )
+        block = block.signed(scheme.sign(keys[0].private_key, block.digest))
         with pytest.raises(BlockValidationError, match="invalid coin share"):
             verifier.verify(block)
 

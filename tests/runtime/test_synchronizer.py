@@ -23,8 +23,11 @@ class RecordingTransport(Transport):
     async def stop(self):  # pragma: no cover - unused
         pass
 
-    async def send(self, dst, message):
-        self.sent.append((dst, message))
+    def _encode(self, message):
+        return message  # recorded as sent, never put on a wire
+
+    async def _write(self, dst, data):
+        self.sent.append((dst, data))
 
 
 def run(coro):

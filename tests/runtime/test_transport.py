@@ -21,9 +21,12 @@ from repro.runtime.messages import (
 )
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import Tracer
+from repro.runtime import transport as transport_module
 from repro.runtime.transport import (
     DIAL_BACKOFF_BASE,
     DIAL_BACKOFF_CAP,
+    MemoryHub,
+    MemoryTransport,
     TcpTransport,
 )
 from tests.runtime.test_messages import sample_block
@@ -288,6 +291,78 @@ class TestDialBackoff:
                 await live.stop()
 
         run(scenario())
+
+
+class TestBroadcastEncodesOnce:
+    """A broadcast serialises (and, on TCP, frames) its message once and
+    hands every peer the same bytes; the per-frame counters and the
+    ``tcp_send`` span still count one frame per peer."""
+
+    @staticmethod
+    def count_encodes(monkeypatch) -> list:
+        calls = []
+        real = transport_module.encode_message
+        monkeypatch.setattr(
+            transport_module, "encode_message", lambda m: calls.append(m) or real(m)
+        )
+        return calls
+
+    def test_tcp(self, monkeypatch):
+        encodes = self.count_encodes(monkeypatch)
+        message = BlockMessage(block=sample_block())
+
+        async def scenario():
+            addrs = addresses(0, 1, 2, 3, port=BASE_PORT + 80)
+            sender, _ = await started_transport(0, addrs)
+            registry, tracer = MetricsRegistry(), Tracer()
+            sender.instrument(tracer, registry)
+            receivers = [await started_transport(v, addrs) for v in (1, 2)]  # 3 is dead
+            try:
+                await sender.broadcast(message, peers=[1, 2, 3])
+                await wait_for(lambda: all(len(got) == 1 for _, got in receivers))
+                assert all(got == [(0, message)] for _, got in receivers)
+                await sender.send(1, message)
+            finally:
+                for transport, _ in receivers:
+                    await transport.stop()
+                await sender.stop()
+            return registry.snapshot(), [e for e in tracer.events if e.name == "tcp_send"]
+
+        snapshot, spans = run(scenario())
+        assert len(encodes) == 2  # one per broadcast, one per send
+        size = len(frame(encode_message(message)))
+        assert snapshot["transport_frames_sent"] == 3
+        assert snapshot["transport_bytes_sent"] == 3 * size
+        assert sorted(e.args["dst"] for e in spans) == [1, 1, 2]
+        assert {e.args["bytes"] for e in spans} == {size}
+
+    def test_memory(self, monkeypatch):
+        encodes = self.count_encodes(monkeypatch)
+        message = FetchRequest(refs=())
+
+        async def scenario():
+            hub = MemoryHub()
+            sender = MemoryTransport(0, hub)
+            inboxes = []
+            for v in (1, 2, 3):
+                transport, inbox = MemoryTransport(v, hub), []
+                transport.on_message(lambda src, m, inbox=inbox: _deliver(inbox, src, m))
+                await transport.start()
+                inboxes.append((transport, inbox))
+            try:
+                await sender.broadcast(message, peers=[1, 2, 3])
+                await wait_for(lambda: all(len(inbox) == 1 for _, inbox in inboxes))
+            finally:
+                for transport, _ in inboxes:
+                    await transport.stop()
+            return [inbox for _, inbox in inboxes]
+
+        assert run(scenario()) == [[(0, message)]] * 3
+        assert len(encodes) == 1
+
+
+async def _deliver(inbox: list, src: int, message) -> None:
+    inbox.append((src, message))
 
 
 if __name__ == "__main__":

@@ -13,7 +13,8 @@ each fabric's timing, the order of transitions does not).
 is in before the next proposal build the same DAG on both fabrics: the
 same step must then emit the same lifecycle instants per own round and
 commit the same blocks.  A block with a bad signature is dropped, and
-counted, by both.
+counted, by both, and peer blocks that an own proposal connects are
+logged and traced by both.
 """
 
 import asyncio
@@ -29,6 +30,7 @@ from repro.crypto.signing import NullSignatureScheme, generate_keys
 from repro.dag.validation import BlockVerifier
 from repro.obs.trace import (
     BLOCK_PROPOSED,
+    BLOCK_RECEIVED,
     SYNC_TRANSITIONS,
     TX_COMMITTED,
     TX_INCLUDED,
@@ -38,11 +40,16 @@ from repro.obs.trace import (
 from repro.runtime.messages import BlockMessage
 from repro.runtime.node import ValidatorNode
 from repro.runtime.transport import MemoryHub, MemoryTransport
+from repro.runtime.wal import WriteAheadLog
 from repro.sim.events import EventLoop
 from repro.sim.latency import UniformLatencyModel
 from repro.sim.network import Message, SimNetwork
 from repro.sim.node import SimValidator
+from repro.statesync import replay_wal
 from repro.transaction import Transaction
+from tests.runtime.test_synchronizer import RecordingTransport
+from tests.statesync.test_checkpoint import make_core
+from tests.statesync.test_driver import peer_blocks
 
 N = 4
 VICTIM = 3
@@ -324,3 +331,64 @@ def test_a_bad_signature_is_rejected_and_counted_on_both_fabrics():
     snapshot = node.metrics.snapshot()
     assert snapshot["blocks_rejected"] == 1 and snapshot["blocks_received"] == 1
     assert good.digest in node.core.store
+
+
+def test_peer_blocks_connected_by_an_own_proposal_are_logged_on_both_fabrics(tmp_path):
+    """Validator 3 hears its peers' rounds 4 down to 1 before it has
+    proposed anything: rounds 3 and 4 end up waiting on its *own*
+    round-2 and round-3 blocks, and enter the DAG inside the step that
+    proposes those.  Both adaptors must log and trace them like any
+    ingested block (they used to get neither, so a warm restart
+    replayed a DAG with a hole)."""
+    peers = peer_blocks(4)
+    arrival = sorted(peers, key=lambda b: (-b.round, b.author))
+
+    def check(path, tracer, core):
+        own, logged, _ = WriteAheadLog.recover(path)
+        assert [b.round for b in own] == [1, 2, 3, 4, 5]
+        assert sorted(logged, key=lambda b: (b.round, b.author)) == peers
+        received = [e.args for e in tracer.events if e.name == BLOCK_RECEIVED]
+        assert sorted((a["round"], a["author"]) for a in received) == [
+            (b.round, b.author) for b in peers
+        ]
+        assert core.pending_count == 0 and core.round == 5
+        restarted = make_core(3)
+        assert replay_wal(restarted, path).blocks == len(peers) + 5
+        assert restarted.pending_count == 0 and restarted.round == 5
+
+    loop = EventLoop()
+    tracer = Tracer()
+    with WriteAheadLog(tmp_path / "sim.wal") as wal:
+        sim = SimValidator(
+            make_core(3),
+            SimNetwork(loop, UniformLatencyModel(0.02), N, seed=1),
+            loop,
+            wal=wal,
+            tracer=tracer,
+        )
+        for block in arrival:
+            sim.on_message(
+                Message(src=block.author, dst=3, kind="block", payload=block, size=100)
+            )
+    check(tmp_path / "sim.wal", tracer, sim.core)
+
+    async def runtime():
+        core = make_core(3)
+        node = ValidatorNode(
+            3,
+            core.schedule,
+            core.config,
+            core.coin,
+            RecordingTransport(authority=3),
+            wal_path=tmp_path / "rt.wal",
+            tracer=Tracer(),
+        )
+        for block in arrival:
+            await node._on_message(block.author, BlockMessage(block=block))
+        await node.stop()
+        return node
+
+    node = asyncio.run(asyncio.wait_for(runtime(), timeout=30))
+    check(tmp_path / "rt.wal", node.tracer, node.core)
+    assert node.metrics.snapshot()["blocks_received"] == len(peers)
+    assert node.synchronizer.missing == 0

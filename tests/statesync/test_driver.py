@@ -436,6 +436,33 @@ class TestStep:
         assert committed and commit_round == driver.core.committer.last_finalized_round
         assert "block_proposed" in [e.name for e in driver.tracer.events]
 
+    def test_peer_blocks_an_own_proposal_connects_are_logged_and_handed_back(self, tmp_path):
+        """Regression: ``maybe_propose`` dropped the blocks its own
+        block connected, so they got no WAL record and no
+        ``block_received`` instant, and a warm restart replayed a DAG
+        with a hole."""
+        path = tmp_path / "v3.wal"
+        driver, port = make_driver(wal=WriteAheadLog(path))
+        peers = peer_blocks(4)
+        for block in peers:
+            driver.ingest(block, block.author)
+        waiting = [b for b in peers if b.round > 1]  # on our own blocks
+        assert driver.core.pending_count == len(waiting) == 6
+        step = driver.step(now=0.0)
+        assert [b.round for b in step.proposed] == [1, 2, 3, 4, 5]
+        assert sorted(step.connected, key=lambda b: (b.round, b.author)) == waiting
+        driver.close()
+        own, logged, _ = WriteAheadLog.recover(path)
+        assert own == step.proposed
+        assert sorted(logged, key=lambda b: (b.round, b.author)) == peers
+        received = [e.args for e in driver.tracer.events if e.name == "block_received"]
+        assert sorted((a["round"], a["author"]) for a in received) == [
+            (b.round, b.author) for b in peers
+        ]
+        restarted = make_core(3)
+        replay = recovery_module.replay_wal(restarted, path)
+        assert replay.blocks == len(peers) + 5 and restarted.pending_count == 0
+
     def test_nothing_is_proposed_while_syncing(self):
         driver, port = make_driver()
         driver.begin_sync(now=1.0)

@@ -7,7 +7,9 @@ import random
 
 from hypothesis import given, settings, strategies as st
 
-from repro.block import Block, make_genesis
+import pytest
+
+from repro.block import Block, BlockRef, _decode_coin_share, make_genesis
 from repro.committee import Committee
 from repro.config import ProtocolConfig
 from repro.core.protocol import MahiMahiCore
@@ -15,7 +17,13 @@ from repro.crypto.coin import FastCoin
 from repro.crypto.hashing import hash_parts
 from repro.crypto.threshold import combine_shares, deal
 from repro.dag.traversal import DagTraversal
-from repro.transaction import Transaction, decode_transactions, encode_transactions
+from repro.errors import ReproError
+from repro.transaction import (
+    Transaction,
+    TransactionBatch,
+    decode_transactions,
+    encode_transactions,
+)
 
 from .helpers import DagBuilder, FixedCoin
 
@@ -78,12 +86,62 @@ def test_block_roundtrip(block):
     assert decoded.digest == block.digest
 
 
+@given(blocks())
+@settings(max_examples=50)
+def test_decoded_twin_carries_the_bytes_it_arrived_in(block):
+    """A tuple-built block and its decoded (batch-backed) twin are one
+    block: same wire bytes, same signed parts, same digest."""
+    wire = block.encode()
+    twin, consumed = Block.decode(wire)
+    assert consumed == len(wire)
+    assert isinstance(twin.transactions, TransactionBatch)
+    assert twin.encode() == wire
+    assert twin._signable_parts() == block._signable_parts()
+    assert twin.digest == block.digest
+    assert twin.signed(b"other").digest == block.digest
+
+
+@given(blocks())
+@settings(max_examples=25)
+def test_block_truncated_at_any_offset_is_a_repro_error(block):
+    wire = block.encode()
+    for cut in range(len(wire)):
+        with pytest.raises(ReproError):
+            Block.decode(wire[:cut])
+
+
+@given(st.binary(max_size=300))
+@settings(max_examples=300)
+def test_codec_boundary_raises_only_repro_error_on_garbage(data):
+    """Arbitrary bytes either decode or raise ``ReproError`` — never
+    ``struct.error`` / ``IndexError``, and never a long loop over a
+    count the buffer cannot hold."""
+    for decode in (Block.decode, BlockRef.decode, TransactionBatch.decode, _decode_coin_share):
+        try:
+            decode(data)
+        except ReproError:
+            pass
+
+
+@given(blocks(), st.integers(min_value=0), st.integers(min_value=1, max_value=255))
+@settings(max_examples=100)
+def test_a_flipped_byte_decodes_to_another_block_or_a_repro_error(block, position, flip):
+    wire = bytearray(block.encode())
+    wire[position % len(wire)] ^= flip
+    try:
+        mutant, consumed = Block.decode(bytes(wire))
+    except ReproError:
+        return
+    assert mutant.encode() == bytes(wire[:consumed])  # what decodes re-encodes to itself
+    assert mutant.digest != block.digest or mutant.signature != block.signature
+
+
 @given(blocks(), blocks())
 @settings(max_examples=50)
 def test_distinct_signed_content_has_distinct_digests(a, b):
     """The digest covers exactly the signed contents — blocks differing
     only in their (unsigned-over) signature share a digest."""
-    if a.signable_bytes() != b.signable_bytes():
+    if a._signable_parts() != b._signable_parts():
         assert a.digest != b.digest
     else:
         assert a.digest == b.digest

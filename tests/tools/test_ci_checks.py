@@ -98,6 +98,31 @@ def test_fleet_identity(tmp_path):
     assert "c.json" in violations[0] and "b.json" in violations[1] and "w1" in violations[2]
 
 
+def test_data_plane(tmp_path):
+    def output(encodes=1.0, failed=0, correct=True) -> str:
+        result = {
+            "correct": correct,
+            "attempted": 48_000,
+            "failed": failed,
+            "metrics": {"transaction.encodes_per_tx": {"value": encodes, "unit": "ratio"}},
+        }
+        return '# info {"workload": "rt-drain"}\n' + json.dumps(result) + "\n"
+
+    assert ci_checks.data_plane(write(tmp_path / "ok.out", output())) == []
+    (violation,) = ci_checks.data_plane(write(tmp_path / "re-encoded.out", output(encodes=15.0)))
+    assert "15.0" in violation
+    violations = ci_checks.data_plane(
+        write(tmp_path / "bad.out", output(failed=500, correct=False))
+    )
+    assert len(violations) == 2 and "500 of 48000" in violations[0]
+    # A run that died before reporting metrics is a violation, not a KeyError.
+    dead = json.dumps({"correct": False, "attempted": 1, "failed": 0, "metrics": {}})
+    assert len(ci_checks.data_plane(write(tmp_path / "dead.out", dead))) == 2
+    assert ci_checks.data_plane(write(tmp_path / "empty.out", "")) == [
+        "the traced run printed nothing"
+    ]
+
+
 @pytest.mark.parametrize("name", ci_checks.CHECKS)
 def test_every_subcommand_is_what_the_workflow_calls(name):
     workflow = Path(__file__).resolve().parents[2] / ".github" / "workflows" / "ci.yml"

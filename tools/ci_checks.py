@@ -14,6 +14,7 @@ Usage::
     python tools/ci_checks.py cluster-traces [results/trace/cluster]
     python tools/ci_checks.py fleet-identity [results-serial] [results]
     python tools/ci_checks.py sim-trace      [results/trace/sim-tusk.trace.json]
+    python tools/ci_checks.py data-plane     [results/rt-drain.traced.out]
 """
 
 from __future__ import annotations
@@ -103,12 +104,31 @@ def fleet_identity(serial: str = "results-serial", fleet: str = "results") -> li
     return violations
 
 
+def data_plane(path: str = "results/rt-drain.traced.out") -> list[str]:
+    """The traced ``rt-drain`` run (the captured standard output of
+    ``benchmarks/perf/run.py --workload rt-drain --trace 1``; its last
+    line is the result object) drained every transaction correctly and
+    encoded each exactly once — a count, so it repeats on any runner."""
+    lines = Path(path).read_text().strip().splitlines()
+    if not lines:
+        return ["the traced run printed nothing"]
+    result = json.loads(lines[-1])
+    encodes = result["metrics"].get("transaction.encodes_per_tx", {}).get("value")
+    checks = {
+        f"{result['failed']} of {result['attempted']} transactions failed": result["failed"] == 0,
+        "outputs failed the benchmark's correctness check": result["correct"] is True,
+        f"transaction.encodes_per_tx is {encodes}, not 1.0": encodes == 1.0,
+    }
+    return [message for message, ok in checks.items() if not ok]
+
+
 CHECKS = {
     "perf-summary": perf_summary,
     "cluster-metrics": cluster_metrics,
     "cluster-traces": cluster_traces,
     "fleet-identity": fleet_identity,
     "sim-trace": sim_trace,
+    "data-plane": data_plane,
 }
 
 
