@@ -63,6 +63,10 @@ class TuskCommitter(Committer):
         """The round whose blocks open the wave's coin."""
         return leader_round + TUSK_COIN_DELAY
 
+    def _verdicts_may_move(self, highest: int) -> bool:
+        """Always: Tusk keeps no evidence stamps to poll."""
+        return True
+
     # ------------------------------------------------------------------
     # Decision rules
     # ------------------------------------------------------------------
@@ -93,7 +97,7 @@ class TuskCommitter(Committer):
         for block in self._store.round_blocks(leader.round + 1):
             if block.author in supporters or not committee.is_member(block.author):
                 continue
-            if any(ref.digest == leader.digest for ref in block.parents):
+            if leader.digest in block.parent_digests:
                 supporters.add(block.author)
         return len(supporters)
 

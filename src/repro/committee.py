@@ -100,12 +100,12 @@ class Committee:
         """Total number of validators ``n``."""
         return len(self.authorities)
 
-    @property
+    @cached_property
     def faults_tolerated(self) -> int:
         """Maximum number of Byzantine validators ``f = (n - 1) // 3``."""
         return (self.size - 1) // 3
 
-    @property
+    @cached_property
     def quorum_threshold(self) -> int:
         """Byzantine quorum size ``n - f``.
 
@@ -116,7 +116,7 @@ class Committee:
         """
         return self.size - self.faults_tolerated
 
-    @property
+    @cached_property
     def validity_threshold(self) -> int:
         """Size guaranteeing one honest member, ``f + 1``."""
         return self.faults_tolerated + 1
@@ -155,10 +155,9 @@ class Committee:
         return index in self._member_set
 
     def count_members(self, indexes: Iterable[ValidatorId]) -> int:
-        """How many of ``indexes`` are committee members (quorum
-        counting over a round's block authors)."""
-        member_set = self._member_set
-        return sum(1 for index in indexes if index in member_set)
+        """How many distinct ``indexes`` are committee members (quorum
+        counting over a set of block authors)."""
+        return len(self._member_set.intersection(indexes))
 
     def leader_for(self, value: int, offset: int = 0) -> ValidatorId:
         """Resolve a coin value (plus leader offset) to a member index.

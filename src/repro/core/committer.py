@@ -27,6 +27,21 @@ for most slots, so a visit only does work where evidence moved:
   top ``w-1`` rounds of every sweep).
 * The indirect rule runs only once the coin is open and the slot's
   anchor is decided; until then it could only say UNDECIDED.
+* Most inserts move no verdict at all, so ``ExtendCommitSequence`` polls
+  before it sweeps (:meth:`Committer._verdicts_may_move`) and returns
+  nothing when every slot from the cursor up is in one of three states
+  a sweep would leave as it found them: its coin is closed (certify
+  round short of a quorum of authors — every slot of the top ``w-1``
+  rounds, and every round the store gained since the last sweep,
+  however many: trivially UNDECIDED); it is UNDECIDED on an unchanged
+  stamp; or it is decided but behind an UNDECIDED slot.  The indirect
+  rule cannot break that: it fires off an anchor that is decided, an
+  anchor becomes decided only inside a sweep, and that same sweep
+  re-judges every slot below it.  The poll reads the kept verdicts and
+  the store — not a record of what was inserted — and asks for a sweep
+  when the cursor slot itself is decided, which is how the walk
+  restarts after an epoch activation; a checkpoint adoption leaves no
+  verdicts, so every open coin above the new cursor asks for one.
 
 Kept verdicts, and the traversal's vote and cert memos behind them,
 exist for slots at or above the cursor only: finalizing a slot drops its
@@ -268,6 +283,34 @@ class Committer:
                 return self._settle(key, decider.try_indirect_decide(round_number, higher))
         return status
 
+    def _verdicts_may_move(self, highest: int) -> bool:
+        """Whether a sweep up to ``highest`` could classify any slot
+        differently from the verdicts kept (the poll: see the module
+        docstring).  Reads only the kept verdicts and the store, so it
+        holds however the blocks got there."""
+        if (self._cursor_round, self._cursor_offset) in self._decided:
+            return True  # decided outside the walk, or the walk restarted
+        store = self._store
+        quorum_at = self.schedule.quorum_threshold
+        to_certify = self._config.wave_length - 1
+        for round_number in range(self._cursor_round, highest - to_certify + 1, self._wave_stride):
+            certify_round = round_number + to_certify
+            if store.num_authors_at_round(certify_round) < quorum_at(certify_round):
+                continue  # closed coin: UNDECIDED whatever arrived
+            evidence = (
+                store.num_blocks_at_round(certify_round - 1),
+                store.num_blocks_at_round(certify_round),
+            )
+            for offset in range(self._config.leaders_per_round):
+                key = (round_number, offset)
+                judged = self._undecided.get(key)
+                if judged is None:
+                    if key not in self._decided:
+                        return True  # never judged with its coin open
+                elif judged[0] != evidence:
+                    return True
+        return False
+
     def _settle(self, key: tuple[int, int], status: SlotStatus) -> SlotStatus:
         self._decided[key] = status
         self._undecided.pop(key, None)
@@ -284,7 +327,7 @@ class Committer:
         (committed slots carry their newly linearized blocks).
         """
         highest = self._store.highest_round
-        if highest < self._cursor_round:
+        if highest < self._cursor_round or not self._verdicts_may_move(highest):
             return []
         statuses = self.try_decide(self._cursor_round, highest)
         observations: list[CommitObservation] = []

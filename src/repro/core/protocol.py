@@ -209,7 +209,7 @@ class MahiMahiCore:
                     continue  # flushed as a waiter of an earlier reflow
                 if self.store.missing_parents(block):
                     continue
-                if any(ref.digest in self._pending for ref in block.parents):
+                if self._pending.keys() & block.parent_digests:
                     continue
                 del self._pending[digest]
                 accepted.extend(self._insert(block))
@@ -232,11 +232,7 @@ class MahiMahiCore:
         missing = [
             ref for ref in self.store.missing_parents(block) if ref.digest not in self._pending
         ]
-        pending_parents = [
-            ref for ref in block.parents
-            if ref.digest in self._pending
-        ]
-        if missing or pending_parents:
+        if missing or (self._pending and self._pending.keys() & block.parent_digests):
             self._pending[block.digest] = block
             for ref in block.parents:
                 if ref.digest not in self.store:
@@ -269,9 +265,10 @@ class MahiMahiCore:
         return accepted
 
     def _track_tips(self, block: Block) -> None:
-        for ref in block.parents:
-            self._tips.pop(ref.digest, None)
-        self._tips[block.digest] = block.reference
+        tips = self._tips
+        for digest in tips.keys() & block.parent_digests:
+            del tips[digest]
+        tips[block.digest] = block.reference
 
     # ------------------------------------------------------------------
     # Proposing

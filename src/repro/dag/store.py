@@ -89,20 +89,19 @@ class DagStore:
         :meth:`adopt_floor`) are treated as present: their sub-DAGs are
         summarized by the adopted checkpoint and will never be fetched.
         """
+        absent = block.parent_digests.difference(self._by_digest)
+        if not absent:
+            return []
         return [
             ref
             for ref in block.parents
-            if ref.digest not in self._by_digest and ref.round >= self._sync_floor
+            if ref.digest in absent and ref.round >= self._sync_floor
         ]
 
     # ------------------------------------------------------------------
     # Lookup
     # ------------------------------------------------------------------
     def __contains__(self, digest: Digest) -> bool:
-        return digest in self._by_digest
-
-    def contains(self, digest: Digest) -> bool:
-        """Whether a block with this digest is stored."""
         return digest in self._by_digest
 
     def get(self, digest: Digest) -> Block:

@@ -14,12 +14,17 @@
 ``VotedBlock`` results are memoized per target slot: for a fixed
 ``(id, r)`` the result is a pure function of the starting block, so each
 block in the w-round window is resolved once per wave instead of once
-per DFS path.  ``IsCert`` reads that memo directly, keyed by the digests
-in the certifier's parent references (whose ``author``/``round`` it also
-reads off the reference), so a parent that was resolved before costs one
-dict probe and no store fetch; only a miss fetches the parent and
-searches.  Both memos are keyed by the leader's round first, so the
-advancing commit cursor and an epoch activation drop whole rounds.
+per DFS path.  Beside each slot's memo sits its inverse, the *voter
+table*: per block of the slot, the blocks whose ``VotedBlock`` it is
+(digest -> author), filled as the memo resolves them.  ``IsCert`` is
+then three set operations on the certifier's
+:attr:`~repro.block.Block.parent_digests`: the parents the memo has not
+seen (only those are fetched and searched), the authors the leader's
+voter table gives for the parents, and the members among them.  Like the
+memo, a voter table is pure DAG structure — membership is judged when a
+certificate is counted, not when a vote is recorded.  All memos are
+keyed by the leader's round first, so the advancing commit cursor and an
+epoch activation drop whole rounds.
 """
 
 from __future__ import annotations
@@ -29,6 +34,11 @@ from typing import Callable, Iterable
 from ..block import Block
 from ..crypto.hashing import Digest
 from .store import DagStore
+
+#: One target slot's ``VotedBlock`` memo ``{start digest -> voted block
+#: or None}`` and its voter tables ``{voted digest -> {start digest ->
+#: start author}}``.
+_VoteMemo = tuple[dict[Digest, "Block | None"], dict[Digest, dict[Digest, int]]]
 
 
 class DagTraversal:
@@ -63,9 +73,9 @@ class DagTraversal:
         else:
             self._quorum_at = lambda round_number: quorum_threshold
         self._membership = membership
-        # leader round -> leader author -> {start digest -> voted block
-        # or None}.  Pure DAG structure: committee-independent.
-        self._vote_cache: dict[int, dict[int, dict[Digest, Block | None]]] = {}
+        # leader round -> leader author -> memo and voter tables.  Pure
+        # DAG structure: committee-independent.
+        self._vote_cache: dict[int, dict[int, _VoteMemo]] = {}
         # leader round -> {(certifier digest, leader digest) -> bool}.
         # Entries are valid as long as the leader round's quorum and
         # committee stay fixed: a block's parents are immutable and the
@@ -88,12 +98,16 @@ class DagTraversal:
         the target.
         """
         return self._voted_block_memo(
-            start, author, round_number, self._vote_memo(author, round_number)
+            start, author, round_number, *self._vote_memo(author, round_number)
         )
 
-    def _vote_memo(self, author: int, round_number: int) -> dict[Digest, Block | None]:
-        """The ``VotedBlock`` memo of target slot ``(author, round)``."""
-        return self._vote_cache.setdefault(round_number, {}).setdefault(author, {})
+    def _vote_memo(self, author: int, round_number: int) -> "_VoteMemo":
+        """The ``VotedBlock`` memo of target slot ``(author, round)`` and
+        the slot's voter tables."""
+        try:
+            return self._vote_cache[round_number][author]
+        except KeyError:
+            return self._vote_cache.setdefault(round_number, {}).setdefault(author, ({}, {}))
 
     def _voted_block_memo(
         self,
@@ -101,6 +115,7 @@ class DagTraversal:
         author: int,
         round_number: int,
         cache: dict[Digest, Block | None],
+        voters: dict[Digest, dict[Digest, int]],
     ) -> Block | None:
         if round_number >= block.round:
             return None
@@ -115,12 +130,14 @@ class DagTraversal:
             if parent_ref.round <= round_number:
                 continue
             found = self._voted_block_memo(
-                self._store.get_ref(parent_ref), author, round_number, cache
+                self._store.get_ref(parent_ref), author, round_number, cache, voters
             )
             if found is not None:
                 result = found
                 break
         cache[block.digest] = result
+        if result is not None:
+            voters.setdefault(result.digest, {})[block.digest] = block.author
         return result
 
     def is_vote(self, vote: Block, leader: Block) -> bool:
@@ -144,29 +161,32 @@ class DagTraversal:
         cached = round_cache.get(key)
         if cached is not None:
             return cached
-        voting_authors: set[int] = set()
+        leader_author = leader.author
+        votes, voters = self._vote_memo(leader_author, leader_round)
+        parents = certifier.parent_digests
+        unseen = parents.difference(votes)
+        if unseen:
+            for parent_ref in certifier.parents:
+                if parent_ref.digest not in unseen:
+                    continue
+                if parent_ref.round <= leader_round:
+                    votes[parent_ref.digest] = None  # cannot reach the slot
+                else:
+                    self._voted_block_memo(
+                        self._store.get_ref(parent_ref), leader_author, leader_round, votes, voters
+                    )
         result = False
         quorum = self._quorum_at(leader_round)
-        is_member = self._membership(leader_round).is_member if self._membership else None
-        leader_author = leader.author
-        votes = self._vote_memo(leader_author, leader_round)
-        for parent_ref in certifier.parents:
-            if parent_ref.round <= leader_round:
-                continue
-            voted = votes.get(parent_ref.digest, _MISS)
-            if voted is _MISS:
-                voted = self._voted_block_memo(
-                    self._store.get_ref(parent_ref), leader_author, leader_round, votes
-                )
-            if (
-                voted is not None
-                and voted.digest == leader_digest
-                and (is_member is None or is_member(parent_ref.author))
-            ):
-                voting_authors.add(parent_ref.author)
-                if len(voting_authors) >= quorum:
-                    result = True
-                    break
+        table = voters.get(leader_digest)
+        if table is not None:
+            # Authors count, not references: a certifier may reference
+            # several blocks of one author that all vote for the leader.
+            authors = set(map(table.get, parents))
+            authors.discard(None)  # the parents that are no voters
+            if self._membership is not None:
+                result = self._membership(leader_round).count_members(authors) >= quorum
+            else:
+                result = len(authors) >= quorum
         round_cache[key] = result
         return result
 
@@ -196,24 +216,8 @@ class DagTraversal:
         return False
 
     # ------------------------------------------------------------------
-    # Causal history & linearization
+    # Linearization
     # ------------------------------------------------------------------
-    def causal_history(self, block: Block, *, floor_round: int = 0) -> list[Block]:
-        """All blocks reachable from ``block`` (inclusive) with round
-        >= ``floor_round``, in no particular order."""
-        out: list[Block] = []
-        stack = [block]
-        seen: set[Digest] = {block.digest}
-        while stack:
-            current = stack.pop()
-            out.append(current)
-            for parent_ref in current.parents:
-                if parent_ref.round < floor_round or parent_ref.digest in seen:
-                    continue
-                seen.add(parent_ref.digest)
-                stack.append(self._store.get_ref(parent_ref))
-        return out
-
     def linearize(
         self,
         leaders: Iterable[Block],
@@ -285,25 +289,31 @@ class DagTraversal:
         number of entries dropped."""
         dropped = 0
         for r in [r for r in self._vote_cache if r < round_number]:
-            dropped += sum(len(memo) for memo in self._vote_cache.pop(r).values())
+            for votes, voters in self._vote_cache.pop(r).values():
+                dropped += len(votes) + sum(map(len, voters.values()))
         for r in [r for r in self._cert_cache if r < round_number]:
             dropped += len(self._cert_cache.pop(r))
         return dropped
 
     def memo_size(self) -> int:
-        """Total cached entries across the vote and cert memos (the
-        accounting hook the invalidation tests assert against)."""
+        """Total cached entries across the vote memos, voter tables and
+        cert memos (the accounting hook the invalidation tests assert
+        against)."""
         stats = self.cache_stats()
-        return stats["vote_entries"] + stats["cert_entries"]
+        return stats["vote_entries"] + stats["voter_entries"] + stats["cert_entries"]
 
     def cache_stats(self) -> dict[str, int]:
-        """Size of the vote and cert memos (observability for benchmarks)."""
+        """Size of the vote memos, voter tables and cert memos
+        (observability for benchmarks)."""
         vote_memos = [
             memo for by_author in self._vote_cache.values() for memo in by_author.values()
         ]
         return {
             "vote_targets": len(vote_memos),
-            "vote_entries": sum(len(memo) for memo in vote_memos),
+            "vote_entries": sum(len(votes) for votes, _ in vote_memos),
+            "voter_entries": sum(
+                len(table) for _, voters in vote_memos for table in voters.values()
+            ),
             "cert_rounds": len(self._cert_cache),
             "cert_entries": sum(len(v) for v in self._cert_cache.values()),
         }

@@ -122,3 +122,8 @@ class EventLoop:
     def pending(self) -> int:
         """Number of events still queued."""
         return len(self._heap)
+
+    def clear(self) -> None:
+        """Drop every queued event (a finished run: their callbacks are
+        bound to the objects that hold this loop)."""
+        self._heap.clear()

@@ -286,6 +286,12 @@ class SimNetwork:
         """
         self._batch_handlers[validator] = handler
 
+    def close(self) -> None:
+        """The run ended: forget the delivery callbacks (they are bound
+        to validators that hold this network)."""
+        self._handlers.clear()
+        self._batch_handlers.clear()
+
     # ------------------------------------------------------------------
     # Partitions
     # ------------------------------------------------------------------

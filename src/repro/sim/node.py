@@ -316,6 +316,13 @@ class SimValidator:
         self._down = True
         self._incarnation += 1
 
+    def close(self) -> None:
+        """The run ended: close the log and let go of the driver's port
+        and the restart factory (both lead back to this validator or its
+        experiment); the core and the counters stay readable."""
+        self._driver.close()
+        self._core_factory = None
+
     def leave(self) -> None:
         """Leave the committee permanently (reconfiguration).  The
         transport-level effect equals a crash that never recovers;

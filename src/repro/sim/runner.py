@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 import tempfile
+import weakref
 from dataclasses import dataclass, field, replace
 from functools import partial
 from pathlib import Path
@@ -620,12 +621,10 @@ class Experiment:
             self._metrics.record_epoch(
                 0, 0, observer_schedule.genesis_committee.members, 0.0
             )
+            metrics, loop = self._metrics, self._loop
             observer_schedule.subscribe(
-                lambda epoch: self._metrics.record_epoch(
-                    epoch.epoch_id,
-                    epoch.start_round,
-                    epoch.committee.members,
-                    self._loop.now,
+                lambda epoch: metrics.record_epoch(
+                    epoch.epoch_id, epoch.start_round, epoch.committee.members, loop.now
                 )
             )
 
@@ -654,9 +653,11 @@ class Experiment:
             # but no message flows until after they exist.
             wave_length = self._protocol_config.wave_length
             coin = self._coin
+            # Weak: the network holds this closure, the experiment the network.
+            experiment = weakref.proxy(self)
 
             def leaders_for_round(propose_round: int) -> tuple[int, ...]:
-                schedule = self.nodes[0].core.schedule
+                schedule = experiment.nodes[0].core.schedule
                 committee = schedule.committee_at(propose_round)
                 value = coin.peek(propose_round + wave_length - 1)
                 return tuple(
@@ -725,10 +726,9 @@ class Experiment:
             # Harness-injected reconfiguration commands (reserved tx-id
             # range) are not client traffic: excluding them keeps the
             # duplicate_commits diagnostic meaningful.
+            record_commit = self._metrics.record_commit
             on_commit = lambda tx, now: (  # noqa: E731
-                self._metrics.record_commit(tx.tx_id, now)
-                if tx.tx_id < RECONFIG_TX_BASE
-                else None
+                record_commit(tx.tx_id, now) if tx.tx_id < RECONFIG_TX_BASE else None
             )
         return SimValidator(
             self._make_core(authority),
@@ -826,8 +826,16 @@ class Experiment:
                 self.assert_safety()
             return self._result()
         finally:
-            for wal in self._wals.values():
-                wal.close()
+            # Close the WALs and break the reference cycles the run
+            # needed (queued events, delivery callbacks, each node's
+            # driver and restart factory), so that a finished experiment
+            # is freed when its owner drops it, not at the next full
+            # collection.  ``run()`` is one-shot; everything read after
+            # it (``nodes[i].core``, ``assert_safety()``) keeps working.
+            self._loop.clear()
+            self._network.close()
+            for node in self.nodes:
+                node.close()
             if self._wal_dir is not None:
                 self._wal_dir.cleanup()
 

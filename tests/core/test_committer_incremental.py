@@ -23,6 +23,16 @@ After every single block insertion, in a random causal order:
   that settled a direct skip before the sibling arrived (the skip stays
   safe: at most ``f`` authors can change sides), so there only the common
   prefix is compared.
+
+``extend_commit_sequence()`` also polls before it sweeps.  Its oracle is
+:class:`SweepingCommitter` — the same class with the poll answering
+"sweep" every time, which is ``ExtendCommitSequence`` as the paper runs
+it: call for call, over the same store, the two must return equal
+observations, whether the calls come after every insertion or a whole
+wave of rounds apart, across epoch activations and after a checkpoint
+adoption, while a spy on ``try_decide`` shows that the polled one did
+return early.  (``slot_statuses()`` sweeps and settles, so none of these
+tests calls it between two polls.)
 """
 
 from __future__ import annotations
@@ -38,7 +48,7 @@ from benchmarks.commit_walk import (
     replay_stream_oneshot,
 )
 from repro.block import Block, make_genesis
-from repro.committee import Committee, CommitteeSchedule
+from repro.committee import Committee, CommitteeSchedule, reconfig_commands_in
 from repro.config import ProtocolConfig
 from repro.core.committer import Committer
 from repro.core.protocol import MahiMahiCore
@@ -60,6 +70,48 @@ def sequence_view(observations):
         (status_view(obs.status), tuple(block.digest for block in obs.linearized))
         for obs in observations
     ]
+
+
+def check_against_scratch(observations, make_committer, equivocators) -> None:
+    """The sequence finalized so far against a from-scratch walk (see
+    the module docstring)."""
+    ours = sequence_view(observations)
+    scratch = sequence_view(make_committer().extend_commit_sequence())
+    common = min(len(ours), len(scratch))
+    assert ours[:common] == scratch[:common]
+    if not equivocators:
+        assert len(ours) == len(scratch)
+
+
+def statuses_from(core: MahiMahiCore, slot: tuple[int, int]) -> list:
+    """What ``core`` finalized from ``slot`` on, without ``direct`` flags."""
+    views = [status_view(obs.status) for obs in core.committed]
+    first = next(
+        i
+        for i, obs in enumerate(core.committed)
+        if (obs.status.slot.round, obs.status.slot.offset) == slot
+    )
+    return views[first:]
+
+
+class SweepingCommitter(Committer):
+    """``ExtendCommitSequence`` with no poll: every call sweeps."""
+
+    def _verdicts_may_move(self, highest: int) -> bool:
+        return True
+
+
+def spy_on_sweeps(committer: Committer) -> list[tuple[int, int]]:
+    """The ``(from_round, to_round)`` of every sweep from now on."""
+    sweeps: list[tuple[int, int]] = []
+    try_decide = committer.try_decide
+
+    def spy(from_round: int, to_round: int):
+        sweeps.append((from_round, to_round))
+        return try_decide(from_round, to_round)
+
+    committer.try_decide = spy
+    return sweeps
 
 
 def check_statuses(committer: Committer, make_committer) -> None:
@@ -168,9 +220,9 @@ def scenarios(draw):
     )
 
 
-@settings(max_examples=40, deadline=None)
-@given(scenarios())
-def test_incremental_walk_matches_fresh_committer(scenario):
+def build_scenario(scenario):
+    """``(store holding genesis, delivery order, make_committer(cls),
+    equivocators)`` of a drawn scenario."""
     rng = random.Random(scenario["seed"])
     n, wave = scenario["n"], scenario["wave"]
     rounds = 4 * wave
@@ -188,25 +240,173 @@ def test_incremental_walk_matches_fresh_committer(scenario):
     store = DagStore()
     store.add_genesis(make_genesis(n))
 
-    def make_committer():
+    def make_committer(cls=Committer):
         if scenario["cordial"]:
-            return Committer(
-                store, committee, coin, config, wave_stride=wave, direct_skip_enabled=False
-            )
-        return Committer(store, committee, coin, config)
+            return cls(store, committee, coin, config, wave_stride=wave, direct_skip_enabled=False)
+        return cls(store, committee, coin, config)
 
+    order = causal_order(rng, n, blocks, stragglers, scenario["lag"])
+    return store, order, make_committer, equivocators
+
+
+@settings(max_examples=40, deadline=None)
+@given(scenarios())
+def test_incremental_walk_matches_fresh_committer(scenario):
+    store, order, make_committer, equivocators = build_scenario(scenario)
     committer = make_committer()
     observations = []
-    for block in causal_order(rng, n, blocks, stragglers, scenario["lag"]):
+    for block in order:
         store.add(block)
         check_statuses(committer, make_committer)
         observations.extend(committer.extend_commit_sequence())
-        ours = sequence_view(observations)
-        scratch = sequence_view(make_committer().extend_commit_sequence())
-        common = min(len(ours), len(scratch))
-        assert ours[:common] == scratch[:common]
-        if not equivocators:
-            assert len(ours) == len(scratch)
+        check_against_scratch(observations, make_committer, equivocators)
+
+
+# ----------------------------------------------------------------------
+# The poll: equal, call for call, to sweeping every time
+# ----------------------------------------------------------------------
+@settings(max_examples=40, deadline=None)
+@given(scenarios(), st.sampled_from(["every insert", "every third", "a wave apart"]))
+def test_polled_extension_returns_what_sweeping_every_call_returns(scenario, cadence):
+    store, order, make_committer, equivocators = build_scenario(scenario)
+    polled, sweeping = make_committer(), make_committer(SweepingCommitter)
+    sweeps = spy_on_sweeps(polled)
+    # A wave apart: at least ``wave_length`` rounds between two calls, so
+    # slots no sweep has seen yet already have an open coin.
+    gap = {"every insert": 1, "every third": 3}.get(
+        cadence, (scenario["wave"] + 1) * scenario["n"]
+    )
+    observations = []
+    polls = 0
+    for index, block in enumerate(order, start=1):
+        store.add(block)
+        if index % gap and index != len(order):
+            continue
+        polls += 1
+        extension = polled.extend_commit_sequence()
+        assert extension == sweeping.extend_commit_sequence()
+        observations.extend(extension)
+        check_against_scratch(observations, make_committer, equivocators)
+    assert polled.slot_statuses() == sweeping.slot_statuses()
+    if gap == 1:
+        # No coin is open before the first certify round has a quorum.
+        assert len(sweeps) <= polls - (scenario["wave"] - 1) * (scenario["n"] - scenario["crashed"])
+
+
+@pytest.mark.parametrize("stride", [1, 5])
+def test_lockstep_rounds_cost_one_sweep_each_and_a_burst_costs_one(stride):
+    """Block by block over full rounds (``n = 4``, one leader a round)
+    the only insert that moves a verdict is the one that opens a coin,
+    and that sweep commits the slot.  Then ``wave_length`` and more
+    rounds arrive between two calls: the slots they opened were never
+    swept — with Cordial Miners' stride the committer holds no verdict
+    at all at that point — and one sweep finalizes them."""
+    committee = Committee.of_size(4)
+    builder = DagBuilder(committee, FixedCoin(n=4, threshold=committee.quorum_threshold))
+    config = ProtocolConfig(wave_length=5, leaders_per_round=1)
+    polled, sweeping = (
+        cls(builder.store, committee, builder.coin, config, wave_stride=stride)
+        for cls in (Committer, SweepingCommitter)
+    )
+    sweeps = spy_on_sweeps(polled)
+    for round_number in range(1, 11):
+        for author in range(4):
+            builder.block(author, round_number)
+            extension = polled.extend_commit_sequence()
+            assert extension == sweeping.extend_commit_sequence()
+            # The third block of a certify round opens its coin.
+            opens = author == 2 and round_number >= 5 and (round_number - 5) % stride == 0
+            assert len(extension) == (1 if opens else 0)
+    assert len(sweeps) == (6 if stride == 1 else 2)
+    assert (stride == 5) == (not polled._undecided and not polled._decided)
+
+    del sweeps[:]
+    builder.rounds(11, 17)
+    extension = polled.extend_commit_sequence()
+    assert extension == sweeping.extend_commit_sequence()
+    assert [obs.status.slot.round for obs in extension] == (
+        list(range(7, 14)) if stride == 1 else [11]
+    )
+    assert polled.extend_commit_sequence() == [] and len(sweeps) == 1
+
+
+@pytest.mark.parametrize("blocks_per_call", [1, 4, 9, 14, 30])
+def test_poll_across_epoch_activations(blocks_per_call):
+    """The committee goes 4 -> 5 -> 4 mid-stream.  An activation drops
+    the kept UNDECIDED verdicts and restarts the walk from a poll: the
+    slots after the activating one that were already decided under the
+    old epoch are finalized in the same call, as by sweeping."""
+    stream = build_epoch_resize_stream(
+        genesis_size=4, provisioned=5, rounds=36, lag=6, txs_per_block=1
+    )
+    store = DagStore()
+    store.add_genesis(make_genesis(stream.genesis_size))
+    config = ProtocolConfig(wave_length=5, leaders_per_round=1, reconfig_activation_lag=stream.lag)
+
+    def make(cls):
+        # An activation is the committer's own doing: one schedule each.
+        schedule = CommitteeSchedule(
+            Committee.of_size(stream.genesis_size), provisioned=stream.provisioned
+        )
+        return cls(store, schedule, _StreamCoin(), config)
+
+    polled, sweeping = make(Committer), make(SweepingCommitter)
+    sweeps = spy_on_sweeps(polled)
+    observations = []
+    polls = restarts_that_finalized = 0
+    blocks = [block for round_blocks in stream.rounds for block in round_blocks]
+    for index, block in enumerate(blocks, start=1):
+        store.add(block)
+        if index % blocks_per_call and index != len(blocks):
+            continue
+        polls += 1
+        extension = polled.extend_commit_sequence()
+        assert extension == sweeping.extend_commit_sequence()
+        assert polled.schedule.epochs() == sweeping.schedule.epochs()
+        observations.extend(extension)
+        activating = [
+            i for i, obs in enumerate(extension) if any(reconfig_commands_in(obs.linearized))
+        ]
+        restarts_that_finalized += bool(activating) and activating[-1] < len(extension) - 1
+    assert len(polled.schedule.epochs()) == 3
+    assert sequence_view(observations) == sequence_view(replay_stream_oneshot(stream)[0])
+    if blocks_per_call == 1:
+        assert len(sweeps) < polls / 2
+    elif blocks_per_call > 4:  # more than a round a call: sweeps finalize several slots
+        assert restarts_that_finalized
+
+
+def test_poll_right_after_checkpoint_adoption():
+    """A committer that has polled — and kept verdicts — over a floored
+    store adopts a checkpoint: the verdicts go, the cursor jumps, and
+    the very next poll finalizes from the checkpoint's cursor what a
+    sweep would."""
+    cores = [make_core(i, interval=2) for i in range(4)]
+    drive_rounds(cores, 40)
+    source = cores[0]
+    checkpoint = source.committer.ledger.checkpoints[0]
+    adopter = make_core(3, interval=2)
+    adopter.store.adopt_floor(checkpoint.floor)
+    for block in sorted(source.store, key=lambda block: block.round):
+        if block.round >= checkpoint.floor:
+            adopter.store.add(block)
+    polled = adopter.committer
+    sweeping = SweepingCommitter(adopter.store, adopter.schedule, adopter.coin, adopter.config)
+    sweeps = spy_on_sweeps(polled)
+    for committer in (polled, sweeping):
+        # Nothing below the floor can be decided: the cursor stays put.
+        assert committer.extend_commit_sequence() == []
+        assert committer._undecided and committer._decided
+        committer.adopt_checkpoint(checkpoint)
+        assert not committer._undecided and not committer._decided
+    extension = polled.extend_commit_sequence()
+    assert len(sweeps) == 2
+    assert extension == sweeping.extend_commit_sequence()
+    assert len(extension) > 10
+    assert [status_view(obs.status) for obs in extension] == statuses_from(
+        source, checkpoint.next_slot
+    )[: len(extension)]
+    assert polled.extend_commit_sequence() == [] and len(sweeps) == 2
 
 
 # ----------------------------------------------------------------------
@@ -348,14 +548,9 @@ def test_across_checkpoint_adoption_and_floor_raise(seed):
             assert len(adopter.raise_sync_floor(raised)) == 3
         check_statuses(adopter.committer, make_reference)
         adopter.try_commit()
-    first = next(
-        i
-        for i, obs in enumerate(source.committed)
-        if (obs.status.slot.round, obs.status.slot.offset) == checkpoint.next_slot
-    )
     ours = [status_view(obs.status) for obs in adopter.committed]
     assert len(ours) > 10
-    assert ours == [status_view(obs.status) for obs in source.committed[first:]][: len(ours)]
+    assert ours == statuses_from(source, checkpoint.next_slot)[: len(ours)]
 
 
 @pytest.mark.parametrize("depth", [0, 8])

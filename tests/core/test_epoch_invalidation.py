@@ -83,7 +83,7 @@ def test_activation_evicts_high_rounds_but_keeps_direct_low_decisions(stream):
     assert stats_after["vote_targets"] == stats_before["vote_targets"]
     assert all(r < cut for r in committer._elector._cache)
     assert committer.traversal.memo_size() == (
-        stats_after["vote_entries"] + stats_after["cert_entries"]
+        stats_after["vote_entries"] + stats_after["voter_entries"] + stats_after["cert_entries"]
     )
 
 

@@ -128,6 +128,67 @@ class TestProposing:
         assert late.reference in next_block.parents
 
 
+    def test_parents_over_an_equivocating_sibling_tip_and_an_older_tip(self):
+        """The tips are kept by set operations on a block's parent
+        digests; the proposal they feed is, byte for byte, the one the
+        per-reference loop produced: own block, the first-seen block of
+        each previous-round author, then the older tips in reference
+        order — here an equivocating sibling nobody built on and a
+        straggler's block, both from round 1."""
+
+        class PerReferenceTips(MahiMahiCore):
+            def _track_tips(self, block):
+                for ref in block.parents:
+                    self._tips.pop(ref.digest, None)
+                self._tips[block.digest] = block.reference
+
+        committee = Committee.of_size(4)
+        coin = FastCoin(seed=b"core-test", n=4, threshold=3)
+        ours, reference = (
+            cls(0, committee, ProtocolConfig(), coin) for cls in (MahiMahiCore, PerReferenceTips)
+        )
+        genesis = tuple(b.reference for b in make_genesis(4))
+
+        def peer_block(author, round_number, parents, salt=b""):
+            return Block(
+                author=author,
+                round=round_number,
+                parents=parents,
+                coin_share=coin.share(author, round_number),
+                salt=salt,
+            )
+
+        first = {a: peer_block(a, 1, genesis) for a in (1, 2, 3)}
+        sibling = peer_block(1, 1, genesis, salt=b"fork")
+        proposals = []
+        for core in (ours, reference):
+            own_1 = core.maybe_propose()
+            for block in (first[1], sibling, first[2]):
+                assert core.add_block(block).accepted
+            own_2 = core.maybe_propose()
+            assert own_2.parents == (own_1.reference, first[1].reference, first[2].reference)
+            second = {
+                a: peer_block(a, 2, (first[a].reference, own_1.reference, first[3 - a].reference))
+                for a in (1, 2)
+            }
+            for block in (second[1], first[3], second[2]):  # the straggler arrives late
+                assert core.add_block(block).accepted
+            own_3 = core.maybe_propose()
+            assert own_3.parents == (
+                own_2.reference,
+                second[1].reference,
+                second[2].reference,
+                sibling.reference,
+                first[3].reference,
+            )
+            proposals.append(own_3)
+        assert proposals[0].digest == proposals[1].digest
+        assert b"".join(ref.encode() for ref in proposals[0].parents) == b"".join(
+            ref.encode() for ref in proposals[1].parents
+        )
+        assert list(ours._tips) == list(reference._tips)
+
+
 class TestIngestion:
     def test_duplicate_block_ignored(self):
         cores, _ = make_cores()
@@ -151,6 +212,34 @@ class TestIngestion:
         for block in round1:
             receiver.add_block(block)
         assert round2.digest in receiver.store
+
+    def test_block_behind_a_buffered_parent_waits_for_it(self):
+        """A block whose parents are stored or buffered — none missing —
+        is buffered too, asks for nothing, and enters the DAG with the
+        chain once the first link arrives."""
+        cores, _ = make_cores()
+        chain = []
+        for _ in range(3):
+            blocks = [core.maybe_propose() for core in cores]
+            for block in blocks:
+                for core in cores:
+                    if core.authority != block.author:
+                        core.add_block(block)
+            chain.append(blocks[1])
+        receiver = make_cores()[0][0]
+        round1 = list(cores[0].store.round_blocks(1))
+        for block in round1:
+            if block.author != 1:
+                receiver.add_block(block)
+        for block in cores[0].store.round_blocks(2):  # all built on the missing block
+            result = receiver.add_block(block)
+            assert result.accepted == () and [ref.author for ref in result.missing] == [1]
+        third = receiver.add_block(chain[2])  # every parent is buffered
+        assert third.accepted == () and third.missing == ()
+        assert receiver.pending_count == 5
+        flushed = receiver.add_block(chain[0]).accepted
+        assert flushed[0] == chain[0] and flushed[-1] == chain[2] and len(flushed) == 6
+        assert receiver.pending_count == 0
 
     def test_rejected_block_with_verifier(self):
         committee = Committee.of_size(4)

@@ -37,6 +37,47 @@ class TestInsertion:
         missing = store.missing_parents(block)
         assert {ref.author for ref in missing} == {1, 2, 3}
 
+    def test_missing_parents_equals_the_per_reference_scan(self, builder):
+        """The set difference answers the common case; the answer is
+        always the scan's — absent and at or above the state-transfer
+        floor, in parent order — under a raised floor and after pruning
+        (pruned rounds lie below no floor: their blocks are missing)."""
+
+        def scan(store, block):
+            return [
+                ref
+                for ref in block.parents
+                if ref.digest not in store and ref.round >= store.sync_floor
+            ]
+
+        builder.rounds(1, 6)
+        store = builder.store
+        unknown = Block(author=3, round=5, parents=(builder.ref(3, 4),), salt=b"never stored")
+        probe = Block(
+            author=0,
+            round=7,
+            parents=(
+                builder.ref(0, 6),
+                builder.ref(1, 2),
+                unknown.reference,
+                builder.ref(2, 6),
+                builder.ref(3, 1),
+                builder.ref(0, 0),
+            ),
+        )
+        complete = Block(author=1, round=7, parents=tuple(builder.ref(a, 6) for a in range(4)))
+        assert store.missing_parents(complete) == []
+        assert store.missing_parents(probe) == scan(store, probe) == [unknown.reference]
+        store.prune_below(3)
+        assert store.missing_parents(probe) == scan(store, probe)
+        assert [ref.round for ref in store.missing_parents(probe)] == [2, 5, 1, 0]
+        store.adopt_floor(2)
+        assert store.missing_parents(probe) == scan(store, probe)
+        assert [ref.round for ref in store.missing_parents(probe)] == [2, 5]
+        store.adopt_floor(6)
+        assert store.missing_parents(probe) == scan(store, probe) == []
+        assert store.missing_parents(complete) == []
+
     def test_genesis_must_be_round_zero(self):
         store = DagStore()
         with pytest.raises(UnknownBlockError):
@@ -47,7 +88,6 @@ class TestIndexes:
     def test_lookup_by_digest(self, builder):
         block = builder.block(1, 1)
         assert builder.store.get(block.digest) == block
-        assert builder.store.contains(block.digest)
         assert block.digest in builder.store
 
     def test_unknown_digest_raises(self, builder):

@@ -1,9 +1,14 @@
 """Tests for Algorithm 3's helpers: VotedBlock/IsVote/IsCert/IsLink and
 linearization."""
 
-import pytest
+import random
 
-from repro.committee import Committee
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from repro.block import Block, make_genesis
+from repro.committee import Committee, CommitteeSchedule
+from repro.dag.store import DagStore
 from repro.dag.traversal import DagTraversal
 
 from ..helpers import DagBuilder, FixedCoin
@@ -242,6 +247,196 @@ class TestCacheManagement:
         traversal.voted_block(builder.get(0, 5), 1, 1)
         traversal.is_cert(builder.get(1, 5), builder.get(0, 4))
         stats = traversal.cache_stats()
-        assert traversal.memo_size() == stats["vote_entries"] + stats["cert_entries"]
+        assert stats["voter_entries"] > 0
+        assert traversal.memo_size() == (
+            stats["vote_entries"] + stats["voter_entries"] + stats["cert_entries"]
+        )
         traversal.invalidate_above(0)
         assert traversal.cache_stats()["cert_rounds"] == 0
+
+
+# ----------------------------------------------------------------------
+# IsCert against Algorithm 3, one parent reference at a time
+# ----------------------------------------------------------------------
+def reference_voted_block(store, start, author, round_number, memo):
+    """``VotedBlock``: depth-first, parents in their listed order."""
+    if start.round <= round_number:
+        return None
+    if start.digest not in memo:
+        memo[start.digest] = None
+        for ref in start.parents:
+            if (ref.author, ref.round) == (author, round_number):
+                memo[start.digest] = store.get_ref(ref)
+                break
+            if ref.round > round_number:
+                found = reference_voted_block(
+                    store, store.get_ref(ref), author, round_number, memo
+                )
+                if found is not None:
+                    memo[start.digest] = found
+                    break
+    return memo[start.digest]
+
+
+def reference_is_cert(store, certifier, leader, quorum, is_member=None):
+    """``IsCert`` the way :meth:`DagTraversal.is_cert` computed it before
+    it treated the parents as a set: walk the certifier's parent
+    references, fetch each one above the leader's round — and only
+    those — resolve its vote, and collect the authors of the votes for
+    ``leader`` that the leader round's committee counts."""
+    voting_authors = set()
+    memo = {}
+    for ref in certifier.parents:
+        if ref.round <= leader.round:
+            continue
+        voted = reference_voted_block(
+            store, store.get_ref(ref), leader.author, leader.round, memo
+        )
+        if (
+            voted is not None
+            and voted.digest == leader.digest
+            and (is_member is None or is_member(ref.author))
+        ):
+            voting_authors.add(ref.author)
+    return len(voting_authors) >= quorum
+
+
+def tangled_dag(rng, authors, rounds):
+    """Blocks of a random DAG in creation order.  A third of the slots
+    fork; a block references its author's previous block, a random
+    quorum-or-more of the previous round — both siblings of a fork as
+    readily as one — and now and then blocks of any older round, the
+    genesis included."""
+    by_round = [list(make_genesis(len(authors)))]
+    blocks = []
+    for round_number in range(1, rounds + 1):
+        previous = by_round[-1]
+        current = []
+        for author in authors:
+            for fork in range(2 if rng.random() < 0.33 else 1):
+                own = [b for b in previous if b.author == author]
+                picked = rng.sample(previous, rng.randint(len(authors) * 2 // 3, len(previous)))
+                older = [
+                    rng.choice(rng.choice(by_round[:-1]))
+                    for _ in range(rng.randint(0, 2) if round_number > 1 else 0)
+                ]
+                parents = dict.fromkeys(b.reference for b in own[:1] + picked + older)
+                block = Block(
+                    author=author, round=round_number, parents=tuple(parents), salt=b"f" * fork
+                )
+                current.append(block)
+                blocks.append(block)
+        by_round.append(current)
+    return blocks
+
+
+def assert_is_cert_matches_reference(rng, store, traversal, quorum_at, member_at, wave):
+    """Every (certify-round block, candidate) pair, in a random order
+    (the memos fill differently each time), then again off the memos."""
+    by_round = {}
+    for block in store:
+        by_round.setdefault(block.round, []).append(block)
+    pairs = [
+        (certifier, leader)
+        for leader in store
+        if leader.round >= max(1, store.sync_floor)
+        for certifier in by_round.get(leader.round + wave - 1, ())
+    ]
+    rng.shuffle(pairs)
+    expected = {
+        (certifier.digest, leader.digest): reference_is_cert(
+            store, certifier, leader, quorum_at(leader.round), member_at(leader.round)
+        )
+        for certifier, leader in pairs
+    }
+    for _ in range(2):
+        for certifier, leader in pairs:
+            assert traversal.is_cert(certifier, leader) == expected[certifier.digest, leader.digest]
+    return expected
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 2**32), st.sampled_from([4, 7]), st.sampled_from([4, 5]))
+def test_is_cert_matches_the_per_reference_loop(seed, n, wave):
+    rng = random.Random(seed)
+    committee = Committee.of_size(n)
+    store = DagStore()
+    store.add_genesis(make_genesis(n))
+    blocks = tangled_dag(rng, range(n), 3 * wave)
+    for block in blocks:
+        store.add(block)
+    expected = assert_is_cert_matches_reference(
+        rng,
+        store,
+        DagTraversal(store, committee.quorum_threshold),
+        lambda r: committee.quorum_threshold,
+        lambda r: None,
+        wave,
+    )
+    assert any(expected.values()) and not all(expected.values())
+
+    # The same DAG behind a raised state-transfer floor: parents below
+    # it are absent, and none is ever fetched (a fetch would raise).
+    floor = rng.randint(2, wave)
+    floored = DagStore()
+    floored.adopt_floor(floor)
+    for block in blocks:
+        if block.round >= floor:
+            floored.add(block)
+    assert any(ref.digest not in floored for block in floored for ref in block.parents)
+    assert_is_cert_matches_reference(
+        rng,
+        floored,
+        DagTraversal(floored, committee.quorum_threshold),
+        lambda r: committee.quorum_threshold,
+        lambda r: None,
+        wave,
+    )
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.integers(0, 2**32), st.sampled_from([4, 5]))
+def test_is_cert_counts_only_the_leader_rounds_committee(seed, wave):
+    """Five validators write every round while the committee goes
+    4 -> 5 -> 4: validator 4's votes count for leaders of the middle
+    epoch only, and the quorum moves with the leader's round."""
+    rng = random.Random(seed)
+    schedule = CommitteeSchedule(Committee.of_size(4), provisioned=5)
+    schedule.schedule_epoch(wave + 1, Committee.of_size(5))
+    schedule.schedule_epoch(2 * wave + 2, Committee.of_size(4))
+    store = DagStore()
+    store.add_genesis(make_genesis(5))
+    for block in tangled_dag(rng, range(5), 4 * wave):
+        store.add(block)
+    traversal = DagTraversal(store, schedule.quorum_threshold, membership=schedule.committee_at)
+    assert_is_cert_matches_reference(
+        rng,
+        store,
+        traversal,
+        schedule.quorum_threshold,
+        lambda r: schedule.committee_at(r).is_member,
+        wave,
+    )
+
+
+def test_two_blocks_of_one_author_voting_for_the_leader_are_one_vote():
+    """Both siblings of an equivocating voter vote for the leader and
+    the certifier references both: with a third author that is two
+    votes, short of the quorum of three — and a quorum once a third
+    author's vote joins them."""
+    committee = Committee.of_size(4)
+    builder = DagBuilder(committee, FixedCoin(n=4, threshold=3))
+    traversal = DagTraversal(builder.store, committee.quorum_threshold)
+    builder.rounds(1, 3)
+    leader = builder.get(0, 1)
+    for tag in ("a", "b"):
+        assert traversal.is_vote(builder.block(0, 4, tag=tag), leader)
+    builder.block(1, 4)
+    builder.block(2, 4)
+    two_authors = builder.block(2, 5, parents=[(0, 4, "a"), (0, 4, "b"), (1, 4)])
+    three_authors = builder.block(
+        3, 5, parents=[(0, 4, "a"), (0, 4, "b"), (1, 4), (2, 4)]
+    )
+    for certifier, expected in ((two_authors, False), (three_authors, True)):
+        assert traversal.is_cert(certifier, leader) is expected
+        assert reference_is_cert(builder.store, certifier, leader, 3) is expected

@@ -123,6 +123,31 @@ def test_data_plane(tmp_path):
     ]
 
 
+def test_commit_walk(tmp_path):
+    def output(walks=25_350.0, decided=1.0, failed=0) -> str:
+        metrics = {
+            "core.committer.calls": {"value": walks, "unit": "count"},
+            "dag.store.calls": {"value": 27_550.0, "unit": "count"},
+            "core.committer.decided_per_classified": {"value": decided, "unit": "ratio"},
+        }
+        result = {"correct": True, "attempted": 12_000, "failed": failed, "metrics": metrics}
+        return '# info {"workload": "sim-mahi-n50"}\n' + json.dumps(result) + "\n"
+
+    assert ci_checks.commit_walk(write(tmp_path / "ok.out", output())) == []
+    # One sweep per insert, as before the poll: two walk entries per store call.
+    (violation,) = ci_checks.commit_walk(write(tmp_path / "swept.out", output(walks=50_100.0)))
+    assert "50100.0" in violation and "27550.0" in violation
+    violations = ci_checks.commit_walk(
+        write(tmp_path / "bad.out", output(decided=0.0016, failed=3))
+    )
+    assert len(violations) == 2 and "3 of 12000" in violations[0] and "0.0016" in violations[1]
+    dead = json.dumps({"correct": False, "attempted": 1, "failed": 0, "metrics": {}})
+    assert len(ci_checks.commit_walk(write(tmp_path / "dead.out", dead))) == 3
+    assert ci_checks.commit_walk(write(tmp_path / "empty.out", "")) == [
+        "the traced run printed nothing"
+    ]
+
+
 @pytest.mark.parametrize("name", ci_checks.CHECKS)
 def test_every_subcommand_is_what_the_workflow_calls(name):
     workflow = Path(__file__).resolve().parents[2] / ".github" / "workflows" / "ci.yml"

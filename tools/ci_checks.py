@@ -15,6 +15,7 @@ Usage::
     python tools/ci_checks.py fleet-identity [results-serial] [results]
     python tools/ci_checks.py sim-trace      [results/trace/sim-tusk.trace.json]
     python tools/ci_checks.py data-plane     [results/rt-drain.traced.out]
+    python tools/ci_checks.py commit-walk    [results/sim-mahi-n50.traced.out]
 """
 
 from __future__ import annotations
@@ -104,22 +105,55 @@ def fleet_identity(serial: str = "results-serial", fleet: str = "results") -> li
     return violations
 
 
-def data_plane(path: str = "results/rt-drain.traced.out") -> list[str]:
-    """The traced ``rt-drain`` run (the captured standard output of
-    ``benchmarks/perf/run.py --workload rt-drain --trace 1``; its last
-    line is the result object) drained every transaction correctly and
-    encoded each exactly once — a count, so it repeats on any runner."""
+def _traced_run_violations(path: str, count_checks) -> list[str]:
+    """Violations of a traced ``benchmarks/perf/run.py --workload W
+    --trace 1`` run, read from its captured standard output (the last
+    line is the result object): nothing failed, the outputs were
+    correct, and whatever ``count_checks(value)`` — handed a per-layer
+    metric reader that yields ``None`` for a metric the run never
+    reported — asks of the workload's counts."""
     lines = Path(path).read_text().strip().splitlines()
     if not lines:
         return ["the traced run printed nothing"]
     result = json.loads(lines[-1])
-    encodes = result["metrics"].get("transaction.encodes_per_tx", {}).get("value")
     checks = {
         f"{result['failed']} of {result['attempted']} transactions failed": result["failed"] == 0,
         "outputs failed the benchmark's correctness check": result["correct"] is True,
-        f"transaction.encodes_per_tx is {encodes}, not 1.0": encodes == 1.0,
+        **count_checks(lambda name: result["metrics"].get(name, {}).get("value")),
     }
     return [message for message, ok in checks.items() if not ok]
+
+
+def data_plane(path: str = "results/rt-drain.traced.out") -> list[str]:
+    """The traced ``rt-drain`` run drained every transaction correctly
+    and encoded each exactly once — a count, so it repeats on any
+    runner."""
+
+    def counts(value) -> dict[str, bool]:
+        encodes = value("transaction.encodes_per_tx")
+        return {f"transaction.encodes_per_tx is {encodes}, not 1.0": encodes == 1.0}
+
+    return _traced_run_violations(path, counts)
+
+
+def commit_walk(path: str = "results/sim-mahi-n50.traced.out") -> list[str]:
+    """The traced ``sim-mahi-n50`` run committed correctly, every
+    decision rule it ran came back decided, and the commit walk was
+    entered at most once per store call (a poll per insert plus the
+    sweeps that found something: 25,350 against 27,550 under seed 7;
+    50,100 when every poll swept) — counts, exact on any runner."""
+
+    def counts(value) -> dict[str, bool]:
+        decided = value("core.committer.decided_per_classified")
+        walks, inserts = value("core.committer.calls"), value("dag.store.calls")
+        return {
+            f"core.committer.decided_per_classified is {decided}, not 1.0": decided == 1.0,
+            f"core.committer.calls is {walks}, above dag.store.calls ({inserts})": (
+                walks is not None and inserts is not None and walks <= inserts
+            ),
+        }
+
+    return _traced_run_violations(path, counts)
 
 
 CHECKS = {
@@ -129,6 +163,7 @@ CHECKS = {
     "fleet-identity": fleet_identity,
     "sim-trace": sim_trace,
     "data-plane": data_plane,
+    "commit-walk": commit_walk,
 }
 
 
