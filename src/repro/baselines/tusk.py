@@ -25,6 +25,20 @@ checkpoints, epoch activation, checkpoint adoption, dropping a wave's
 coin and verdict once the cursor leaves it — is
 :class:`repro.core.committer.Committer`'s, inherited; kept verdicts sit
 in its ``_decided`` under ``(leader round, 0)``.
+
+So is the poll in front of the sweep
+(:meth:`~repro.core.committer.Committer._verdicts_may_move`), and its
+argument carries over.  The direct rule reads the blocks at ``r + 1``
+and the coin at ``r + 2`` — the rounds the inherited poll stamps, given
+:meth:`TuskCommitter.coin_round` — so ``try_decide`` keeps every
+UNDECIDED verdict in ``_undecided`` with those two block counts, and a
+sweep is asked for only when a count grew under an open coin (or a slot
+with an open coin was never judged).  A leader-round sibling that
+arrives later is referenced by no stored ``r + 1`` block, so it has no
+support, and lies in no decided anchor's history; the indirect rule
+fires off an anchor that is decided, which happens only inside a sweep,
+and that sweep re-judges every slot below it.  Only *whether* to sweep
+is polled: inside a sweep every undecided slot is judged again.
 """
 
 from __future__ import annotations
@@ -62,10 +76,6 @@ class TuskCommitter(Committer):
     def coin_round(self, leader_round: int) -> int:
         """The round whose blocks open the wave's coin."""
         return leader_round + TUSK_COIN_DELAY
-
-    def _verdicts_may_move(self, highest: int) -> bool:
-        """Always: Tusk keeps no evidence stamps to poll."""
-        return True
 
     # ------------------------------------------------------------------
     # Decision rules
@@ -124,18 +134,26 @@ class TuskCommitter(Committer):
     # layers.py) patches each method on the class that defines it.
     # ------------------------------------------------------------------
     def try_decide(self, from_round: int, to_round: int) -> list[SlotStatus]:
-        """Classify leader slots in ``[from_round, to_round]``, ascending."""
+        """Classify leader slots in ``[from_round, to_round]``, ascending.
+        Every slot not yet decided is judged again; an UNDECIDED verdict
+        is kept with the stamp the inherited poll compares."""
         statuses: list[SlotStatus] = []
+        blocks_at = self._store.num_blocks_at_round
         for round_number in range(to_round, from_round - 1, -1):
             if not self.is_leader_round(round_number):
                 continue
-            status = self._decided.get((round_number, 0))
+            key = (round_number, 0)
+            status = self._decided.get(key)
             if status is None:
                 status = self._direct_decide(round_number)
                 if not status.is_decided:
                     status = self._indirect_decide(round_number, statuses)
                 if status.is_decided:
-                    self._decided[round_number, 0] = status
+                    self._settle(key, status)
+                else:
+                    coin_round = self.coin_round(round_number)
+                    evidence = (blocks_at(coin_round - 1), blocks_at(coin_round))
+                    self._undecided[key] = (evidence, status)
             statuses.insert(0, status)
         return statuses
 

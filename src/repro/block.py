@@ -76,8 +76,9 @@ class BlockRef:
 class Block:
     """An immutable, signed DAG vertex.
 
-    Instances are created through :func:`make_block` (which computes the
-    digest and signature) or :meth:`decode`.
+    Instances are built field by field and given their signature by
+    :meth:`signed` (the digest is derived on first use), or come from
+    :meth:`decode`.
 
     Three identity values are derived on first use and cached on the
     instance: :attr:`digest`, :attr:`reference` and

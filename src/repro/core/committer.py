@@ -56,8 +56,12 @@ activation, checkpoint adoption, the evictions above — is the same for
 every protocol the repo deploys; what differs is how a slot is decided.
 Cordial Miners is this class with other constructor arguments, Tusk
 (:mod:`repro.baselines.tusk`) a subclass overriding :meth:`try_decide`
-and :meth:`coin_round`.  All are built from ``(store, schedule, coin,
-config)``.
+and :meth:`coin_round`.  The poll is shared too: it measures the
+distance from a leader round to its certify round with
+:meth:`coin_round`, so Tusk — whose direct rule reads the blocks at
+``r + 1`` and the coin at ``r + 2`` — is polled on exactly those two
+rounds, and its ``try_decide`` keeps UNDECIDED verdicts with the same
+stamp.  All are built from ``(store, schedule, coin, config)``.
 """
 
 from __future__ import annotations
@@ -168,6 +172,10 @@ class Committer:
             )
             for leader_offset in range(config.leaders_per_round)
         ]
+        # Rounds from a leader round to the round that certifies it and
+        # opens its coin: one number per protocol, read off the
+        # (overridable) geometry once.
+        self._to_certify = self.coin_round(FIRST_LEADER_ROUND) - FIRST_LEADER_ROUND
         # Final (decided) slot classifications; decided statuses never
         # change (Lemmas 4-6), so this is a pure cache.
         self._decided: dict[tuple[int, int], SlotStatus] = {}
@@ -230,7 +238,7 @@ class Committer:
         """
         statuses: deque[SlotStatus] = deque()
         blocks_at = self._store.num_blocks_at_round
-        to_certify = self._config.wave_length - 1
+        to_certify = self._to_certify
         for round_number in range(to_round, from_round - 1, -1):
             if not self.is_leader_round(round_number):
                 continue
@@ -292,7 +300,7 @@ class Committer:
             return True  # decided outside the walk, or the walk restarted
         store = self._store
         quorum_at = self.schedule.quorum_threshold
-        to_certify = self._config.wave_length - 1
+        to_certify = self._to_certify
         for round_number in range(self._cursor_round, highest - to_certify + 1, self._wave_stride):
             certify_round = round_number + to_certify
             if store.num_authors_at_round(certify_round) < quorum_at(certify_round):

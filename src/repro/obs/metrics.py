@@ -82,52 +82,39 @@ class Gauge:
 
 
 class _HistogramSeries:
-    __slots__ = ("count", "sum", "min", "max", "buckets")
+    __slots__ = ("count", "sum", "min", "max")
 
-    def __init__(self, num_buckets: int) -> None:
+    def __init__(self) -> None:
         self.count = 0
         self.sum = 0.0
         self.min = math.inf
         self.max = -math.inf
-        self.buckets = [0] * (num_buckets + 1)
 
 
 class Histogram:
-    """Observations bucketed over fixed bounds, plus count/sum/min/max.
+    """A running summary of observations — count, sum, min and max (hence
+    the mean) — optionally per label set.  It keeps no buckets: nothing
+    in the repo reads a distribution from the registry (percentiles come
+    from the samples ``ExperimentMetrics`` holds)."""
 
-    Default bounds are exponential from 1 ms to ~65 s — wide enough for
-    both the simulator's sub-millisecond stages and a cluster's
-    multi-second recovery timelines.
-    """
+    __slots__ = ("name", "help", "_series")
 
-    __slots__ = ("name", "help", "bounds", "_series")
-
-    DEFAULT_BOUNDS = tuple(0.001 * 2**i for i in range(17))
-
-    def __init__(self, name: str, help: str = "", bounds=None) -> None:
+    def __init__(self, name: str, help: str = "") -> None:
         self.name = name
         self.help = help
-        self.bounds = tuple(bounds) if bounds is not None else self.DEFAULT_BOUNDS
-        if list(self.bounds) != sorted(self.bounds):
-            raise ValueError(f"histogram {name} bounds must be sorted")
         self._series: dict[str, _HistogramSeries] = {}
 
     def observe(self, value: float, **labels) -> None:
-        key = _label_key(labels)
+        key = _label_key(labels) if labels else ""
         series = self._series.get(key)
         if series is None:
-            series = self._series[key] = _HistogramSeries(len(self.bounds))
+            series = self._series[key] = _HistogramSeries()
         series.count += 1
         series.sum += value
         if value < series.min:
             series.min = value
         if value > series.max:
             series.max = value
-        for i, bound in enumerate(self.bounds):
-            if value <= bound:
-                series.buckets[i] += 1
-                return
-        series.buckets[-1] += 1
 
     def count(self, **labels) -> int:
         series = self._series.get(_label_key(labels))
@@ -150,7 +137,7 @@ class Histogram:
 
     def snapshot(self):
         if not self._series or set(self._series) == {""}:
-            series = self._series.get("") or _HistogramSeries(len(self.bounds))
+            series = self._series.get("") or _HistogramSeries()
             return self._series_snapshot(series)
         return {key: self._series_snapshot(s) for key, s in self._series.items()}
 
@@ -185,8 +172,8 @@ class MetricsRegistry:
     def gauge(self, name: str, help: str = "") -> Gauge:
         return self._get(Gauge, name, help=help)
 
-    def histogram(self, name: str, help: str = "", bounds=None) -> Histogram:
-        return self._get(Histogram, name, help=help, bounds=bounds)
+    def histogram(self, name: str, help: str = "") -> Histogram:
+        return self._get(Histogram, name, help=help)
 
     def names(self) -> list[str]:
         return sorted(self._metrics)

@@ -30,14 +30,17 @@ lag *is* the GC depth, so the two horizons coincide).
 from __future__ import annotations
 
 import struct
+from bisect import insort
 from dataclasses import dataclass, field
 from functools import cached_property
+from operator import attrgetter
 from typing import Iterable, Mapping
 
 from ..block import Block, BlockRef
 from ..committee import CommitteeSchedule
 from ..crypto.hashing import Digest, hash_bytes, hash_parts
 from ..dag.store import DagStore
+from ..errors import ReproError
 
 #: State-transfer horizon (rounds behind the committed frontier) used
 #: when garbage collection is off.  Must comfortably exceed how stale a
@@ -56,6 +59,12 @@ _HEADER = struct.Struct("<QQQIQI II")  # round, floor, next_round, next_offset,
 #                                        sequence_length, committee_size,
 #                                        ref count, epoch count
 _EPOCH_HEADER = struct.Struct("<QQI")  # epoch_id, start_round, member count
+
+#: ``BlockRef``'s own order (its dataclass-generated ``__lt__`` compares
+#: these fields in this sequence), as a sort key: the order a checkpoint
+#: lists its references in, at the cost of one tuple per probe instead
+#: of a Python-level comparison per pair.
+_REF_ORDER = attrgetter("author", "round", "digest")
 
 
 def chain_digest(chain: Digest, block_digest: Digest) -> Digest:
@@ -121,6 +130,12 @@ class Checkpoint:
 
     @classmethod
     def decode(cls, data: bytes, offset: int = 0) -> tuple["Checkpoint", int]:
+        """Decode one checkpoint at ``offset``; raises
+        :class:`~repro.errors.ReproError`, and nothing else, on bytes
+        that are not one (cut short, or counting more than they hold)."""
+        end = offset + _HEADER.size + 32
+        if end > len(data):
+            raise ReproError("truncated checkpoint header")
         (
             round_number,
             floor,
@@ -131,22 +146,22 @@ class Checkpoint:
             ref_count,
             epoch_count,
         ) = _HEADER.unpack_from(data, offset)
-        offset += _HEADER.size
-        chain = bytes(data[offset : offset + 32])
-        offset += 32
+        chain = bytes(data[end - 32 : end])
+        offset = end
         refs = []
         for _ in range(ref_count):
             ref, offset = BlockRef.decode(data, offset)
             refs.append(ref)
         epochs = []
         for _ in range(epoch_count):
+            members_at = offset + _EPOCH_HEADER.size
+            if members_at > len(data):
+                raise ReproError("truncated checkpoint epoch")
             epoch_id, start_round, member_count = _EPOCH_HEADER.unpack_from(data, offset)
-            offset += _EPOCH_HEADER.size
-            members = tuple(
-                int.from_bytes(data[offset + 4 * i : offset + 4 * i + 4], "little")
-                for i in range(member_count)
-            )
-            offset += 4 * member_count
+            offset = members_at + 4 * member_count
+            if offset > len(data):
+                raise ReproError("checkpoint epoch lists more members than it holds")
+            members = struct.unpack_from(f"<{member_count}I", data, members_at)
             epochs.append((epoch_id, start_round, members))
         return (
             cls(
@@ -204,7 +219,11 @@ class CommitLedger:
       checkpoints as step-by-step ones.
 
     With ``interval == 0`` capture is disabled and only the (cheap)
-    chain digest is maintained.
+    chain digest is maintained.  With capture on, the ledger also keeps
+    the window of linearized references a checkpoint lists, already in
+    the order it lists them (:class:`~repro.block.BlockRef`'s: author,
+    round, digest), so a capture costs a pass over the window — not a
+    sort of it — on top of what the commit added.
     """
 
     store: DagStore
@@ -227,14 +246,18 @@ class CommitLedger:
 
     def __post_init__(self) -> None:
         self._next_boundary = self.interval if self.interval > 0 else None
-        # Rolling window of linearized references, keyed by round.  Kept
-        # by the ledger itself — NOT read back from the DAG store at
-        # capture time — because a checkpoint-recovered validator knows
-        # blocks as linearized (via its adopted base) that it never
-        # fetched into its store; a store-derived list would make its
-        # captures diverge from everyone else's.  Pruned below the floor
-        # at each capture, so only maintained when capture is enabled.
-        self._recent: dict[int, list[BlockRef]] = {}
+        # Rolling window of linearized references, held in ``BlockRef``
+        # order: ``extend`` inserts each reference where it sorts, so a
+        # capture reads the window off as it stands.  Kept by the ledger
+        # itself — NOT read back from the DAG store at capture time —
+        # because a checkpoint-recovered validator knows blocks as
+        # linearized (via its adopted base) that it never fetched into
+        # its store; a store-derived list would make its captures
+        # diverge from everyone else's.  Only maintained when capture is
+        # enabled.  Every capture drops what fell below its floor — not
+        # only the rounds the floor just passed: a block can be
+        # linearized late, below a floor an earlier capture pruned to.
+        self._recent: list[BlockRef] = []
 
     # ------------------------------------------------------------------
     # Capture path
@@ -248,7 +271,7 @@ class CommitLedger:
             chain = chain_digest(chain, block.digest)
             count += 1
             if track:
-                self._recent.setdefault(block.round, []).append(block.reference)
+                insort(self._recent, block.reference, key=_REF_ORDER)
         self.chain = chain
         self.sequence_length += count
 
@@ -272,14 +295,9 @@ class CommitLedger:
 
     def _capture(self, last_finalized: int, next_slot: tuple[int, int]) -> Checkpoint:
         floor = max(0, last_finalized - self.lag)
-        for round_number in [r for r in self._recent if r < floor]:
-            del self._recent[round_number]
-        refs = sorted(
-            ref
-            for round_number, bucket in self._recent.items()
-            if round_number <= last_finalized
-            for ref in bucket
-        )
+        self._recent = window = [ref for ref in self._recent if ref.round >= floor]
+        # References above the frontier wait for a later capture.
+        refs = [ref for ref in window if ref.round <= last_finalized]
         committee_size = self.committee_size
         epochs: tuple = ()
         if self.schedule is not None:
@@ -315,9 +333,7 @@ class CommitLedger:
             # Seed the linearized-refs window so this validator's own
             # later captures match the ones it would have made had it
             # never crashed.
-            self._recent = {}
-            for ref in checkpoint.linearized:
-                self._recent.setdefault(ref.round, []).append(ref)
+            self._recent = sorted(checkpoint.linearized, key=_REF_ORDER)
 
 
 def best_attested(

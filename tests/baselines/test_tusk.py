@@ -1,11 +1,36 @@
-"""Tests for the Tusk baseline committer."""
+"""Tests for the Tusk baseline committer.
+
+The second half is the poll's: ``TuskCommitter`` inherits
+``Committer._verdicts_may_move`` and feeds it by stamping its UNDECIDED
+verdicts with the block counts of rounds ``(r + 1, r + 2)``.  The oracle
+is :class:`SweepingTusk` — the same class with the poll answering
+"sweep" every time, which is how Tusk ran before — compared call for
+call over one store, the pattern of
+``tests/core/test_committer_incremental.py``.
+"""
+
+import random
+
+import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.baselines.tusk import TUSK_WAVE, TuskCommitter
+from repro.block import make_genesis
 from repro.committee import Committee
 from repro.config import ProtocolConfig
 from repro.core.committer import Committer
 from repro.core.slots import Decision
+from repro.crypto.coin import FastCoin
+from repro.dag.store import DagStore
 
+from ..core.test_committer_incremental import (
+    causal_order,
+    poll_across_epoch_activations,
+    poll_right_after_checkpoint_adoption,
+    random_dag,
+    spy_on_sweeps,
+    status_view,
+)
 from ..helpers import DagBuilder, FixedCoin
 
 
@@ -152,7 +177,7 @@ def test_memos_follow_the_cursor_not_the_round_number():
         window = round_number - committer.next_slot.round + 1
         assert window <= 3 * TUSK_WAVE
         assert committer._elector.memo_size() <= window
-        assert len(committer._decided) <= window
+        assert len(committer._decided) + len(committer._undecided) <= window
     assert committer.next_slot.round > 200 - 3 * TUSK_WAVE
 
 
@@ -162,3 +187,193 @@ def test_layer_attribution_names_are_tusk_own():
     # shared method twice and book every Mahi-Mahi commit to Tusk.
     assert {"try_decide", "extend_commit_sequence"} <= set(vars(TuskCommitter))
     assert {"try_decide", "extend_commit_sequence"} <= set(vars(Committer))
+
+
+# ----------------------------------------------------------------------
+# The poll: equal, call for call, to sweeping every time
+# ----------------------------------------------------------------------
+class SweepingTusk(TuskCommitter):
+    """``ExtendCommitSequence`` with no poll: every call sweeps."""
+
+    def _verdicts_may_move(self, highest: int) -> bool:
+        return True
+
+
+class MisstampedTusk(TuskCommitter):
+    """The mutant: UNDECIDED verdicts stamped with the counts of rounds
+    ``(r, r + 1)`` — one round below the two the direct rule reads."""
+
+    def try_decide(self, from_round: int, to_round: int):
+        statuses = super().try_decide(from_round, to_round)
+        blocks_at = self._store.num_blocks_at_round
+        for (leader_round, offset), (_, status) in list(self._undecided.items()):
+            stamp = (blocks_at(leader_round), blocks_at(leader_round + 1))
+            self._undecided[leader_round, offset] = (stamp, status)
+        return statuses
+
+
+def check_call_for_call(polled, sweeping, deliveries) -> list:
+    """Run ``deliveries`` — callables that each insert some blocks —
+    extending both committers after each: equal observations every
+    time.  Returns everything finalized."""
+    observations = []
+    for deliver in deliveries:
+        deliver()
+        extension = polled.extend_commit_sequence()
+        assert extension == sweeping.extend_commit_sequence()
+        observations.extend(extension)
+    assert polled.slot_statuses() == sweeping.slot_statuses()
+    return observations
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32),
+    n=st.sampled_from([4, 7, 10]),
+    wave_length=st.sampled_from([3, 5]),
+    crashed=st.integers(0, 1),
+    equivocators=st.integers(0, 1),
+    stragglers=st.integers(0, 2),
+    lag=st.integers(1, 4),
+    cadence=st.sampled_from(["every insert", "every third", "a wave apart"]),
+)
+def test_polled_extension_returns_what_sweeping_every_call_returns(
+    seed, n, wave_length, crashed, equivocators, stragglers, lag, cadence
+):
+    """Random DAGs in a random causal order — stragglers delivered
+    rounds late, a crash, an equivocator (the committer's rule does not
+    rely on the certified mode that keeps forks out of the simulator's
+    DAG), leaders often shunned so that indirect commits and skips are
+    common.  ``wave_length`` is the caller's and must not matter."""
+    rng = random.Random(seed)
+    rounds = 16
+    committee = Committee.of_size(n)
+    coin = FastCoin(seed=b"tusk-poll", n=n, threshold=committee.quorum_threshold)
+    authors = rng.sample(range(n), crashed + equivocators + stragglers)
+    crash_round = {a: rng.randint(1, rounds) for a in authors[:crashed]}
+    forking = set(authors[crashed : crashed + equivocators])
+    late = set(authors[crashed + equivocators :])
+    # ``wave=3`` makes ``random_dag`` shun the leader Tusk elects: the
+    # coin of leader round ``r`` opens at ``r + 2``.
+    blocks = random_dag(rng, coin, n, 3, rounds, crash_round, forking, late)
+    store = DagStore()
+    store.add_genesis(make_genesis(n))
+    config = ProtocolConfig(wave_length=wave_length)
+    polled, sweeping = (cls(store, committee, coin, config) for cls in (TuskCommitter, SweepingTusk))
+    sweeps = spy_on_sweeps(polled)
+    order = causal_order(rng, n, blocks, late, lag)
+    gap = {"every insert": 1, "every third": 3}.get(cadence, 3 * n)
+    chunks = [order[start : start + gap] for start in range(0, len(order), gap)]
+    deliveries = [lambda chunk=chunk: [store.add(block) for block in chunk] for chunk in chunks]
+    observations = check_call_for_call(polled, sweeping, deliveries)
+    scratch = TuskCommitter(store, committee, coin, config).extend_commit_sequence()
+    if not forking:
+        assert [status_view(obs.status) for obs in observations] == [
+            status_view(obs.status) for obs in scratch
+        ]
+    if gap == 1:
+        # No coin is open before round 3 has a quorum of authors.
+        assert len(sweeps) <= len(chunks) - 2 * (n - crashed)
+
+
+@pytest.mark.parametrize("wave_length", [3, 4, 5])
+def test_lockstep_rounds_cost_one_sweep_each_and_a_burst_costs_one(wave_length):
+    """Block by block over full rounds (``n = 4``) the only insert that
+    moves a verdict is the one that opens a coin, and that sweep commits
+    the wave's leader; then several waves arrive between two calls and
+    one sweep finalizes them.  The certify distance is Tusk's own
+    (``coin_round``): whatever ``wave_length`` the caller's config
+    carries, the same rounds are polled and the same sweeps made."""
+    committee = Committee.of_size(4)
+    builder = DagBuilder(committee, FixedCoin(n=4, threshold=committee.quorum_threshold))
+    config = ProtocolConfig(wave_length=wave_length)
+    polled, sweeping = (
+        cls(builder.store, committee, builder.coin, config) for cls in (TuskCommitter, SweepingTusk)
+    )
+    sweeps = spy_on_sweeps(polled)
+    for round_number in range(1, 12):
+        for author in range(4):
+            builder.block(author, round_number)
+            extension = polled.extend_commit_sequence()
+            assert extension == sweeping.extend_commit_sequence()
+            # The third block of round ``r + 2`` opens leader round ``r``'s coin.
+            opens = author == 2 and round_number >= 3 and round_number % TUSK_WAVE == 1
+            assert len(extension) == (1 if opens else 0)
+    assert sweeps == [(leader, leader + 2) for leader in (1, 3, 5, 7, 9)]
+
+    del sweeps[:]
+    builder.rounds(12, 18)
+    extension = polled.extend_commit_sequence()
+    assert extension == sweeping.extend_commit_sequence()
+    assert [obs.status.slot.round for obs in extension] == [11, 13, 15]
+    assert polled.extend_commit_sequence() == [] and sweeps == [(11, 18)]
+
+
+def late_supporter(cls):
+    """``(committers, deliveries)``: validator 3 leads round 1 and only
+    validator 2's round-2 block references its proposal, so the sweep
+    that opens the coin (third block of round 3) leaves the slot
+    UNDECIDED on one supporter of the ``f + 1 = 2`` it needs; validator
+    3's own round-2 block, delivered last, is the second."""
+    committee = Committee.of_size(4)
+    coin = FixedCoin(n=4, threshold=committee.quorum_threshold)
+    coin.elect(certify_round=3, validator=3)
+    builder = DagBuilder(committee, coin)
+    committers = [
+        c(builder.store, committee, coin, ProtocolConfig()) for c in (cls, SweepingTusk)
+    ]
+    shunning = [(0, 1), (1, 1), (2, 1)]
+    deliveries = [
+        lambda: builder.round(1),
+        lambda: [builder.block(author, 2, parents=shunning) for author in (0, 1)],
+        lambda: builder.block(2, 2),
+        lambda: [builder.block(a, 3, parents=[(0, 2), (1, 2), (2, 2)]) for a in (0, 1, 2)],
+        lambda: builder.block(3, 2, parents=[(3, 1), (0, 1), (1, 1)]),
+    ]
+    return committers, deliveries
+
+
+def test_late_support_round_block_alone_commits():
+    """The support round is half of a slot's stamp: a straggler's
+    round-``r + 1`` block tips the direct commit with the coin round
+    untouched."""
+    (polled, sweeping), deliveries = late_supporter(TuskCommitter)
+    sweeps = spy_on_sweeps(polled)
+    (committed,) = check_call_for_call(polled, sweeping, deliveries)
+    assert committed.status.decision is Decision.COMMIT and committed.status.direct
+    assert committed.status.slot.authority == 3
+    # The coin opening, the supporter — and the check's closing ``slot_statuses()``.
+    assert sweeps == [(1, 3), (1, 3), (3, 3)]
+
+
+def test_a_mutant_stamping_one_round_low_is_caught():
+    """Stamped ``(r, r + 1)``, the verdict above reads ``(4, 3)`` — what
+    the poll then finds at ``(r + 1, r + 2)`` once the supporter is in:
+    no sweep, no commit."""
+    (mutant, sweeping), deliveries = late_supporter(MisstampedTusk)
+    with pytest.raises(AssertionError):
+        check_call_for_call(mutant, sweeping, deliveries)
+    assert mutant.next_slot.round == 1 and sweeping.next_slot.round == 3
+
+
+@pytest.mark.parametrize("blocks_per_call", [1, 4, 9, 30])
+def test_poll_across_epoch_activations(blocks_per_call):
+    """The committee goes 4 -> 5 -> 4 mid-stream (the stream's blocks
+    follow a Mahi-Mahi driver's activations; Tusk commits the commands
+    at its own slots and activates at its own rounds).  An activation
+    drops the kept stamps and restarts the walk from a poll — the
+    cursor slot decided under the old epoch asks for the sweep."""
+    _, observations, polls, sweeps, restarts_that_finalized = poll_across_epoch_activations(
+        TuskCommitter, SweepingTusk, ProtocolConfig(reconfig_activation_lag=6), blocks_per_call
+    )
+    assert [obs.status.slot.round for obs in observations] == list(range(1, 35, TUSK_WAVE))
+    if blocks_per_call == 1:
+        assert len(sweeps) < polls / 4
+    elif blocks_per_call == 30:
+        assert restarts_that_finalized
+
+
+def test_poll_right_after_checkpoint_adoption():
+    # Tusk finalizes a slot every other round: fewer sit above the
+    # oldest retained checkpoint than in the Mahi-Mahi twin.
+    assert poll_right_after_checkpoint_adoption(TuskCommitter, SweepingTusk) >= 3

@@ -330,18 +330,19 @@ def test_lockstep_rounds_cost_one_sweep_each_and_a_burst_costs_one(stride):
     assert polled.extend_commit_sequence() == [] and len(sweeps) == 1
 
 
-@pytest.mark.parametrize("blocks_per_call", [1, 4, 9, 14, 30])
-def test_poll_across_epoch_activations(blocks_per_call):
-    """The committee goes 4 -> 5 -> 4 mid-stream.  An activation drops
-    the kept UNDECIDED verdicts and restarts the walk from a poll: the
-    slots after the activating one that were already decided under the
-    old epoch are finalized in the same call, as by sweeping."""
+def poll_across_epoch_activations(polled_cls, sweeping_cls, config, blocks_per_call):
+    """Replay the 4 -> 5 -> 4 epoch-resize stream into one store,
+    extending a ``polled_cls`` and a ``sweeping_cls`` committer every
+    ``blocks_per_call`` insertions: equal observations and schedules
+    call for call.  Returns ``(stream, observations, polls, sweeps of
+    the polled one, calls in which the restart after an activation
+    finalized further slots)``."""
     stream = build_epoch_resize_stream(
-        genesis_size=4, provisioned=5, rounds=36, lag=6, txs_per_block=1
+        genesis_size=4, provisioned=5, rounds=36, lag=config.reconfig_activation_lag,
+        txs_per_block=1,
     )
     store = DagStore()
     store.add_genesis(make_genesis(stream.genesis_size))
-    config = ProtocolConfig(wave_length=5, leaders_per_round=1, reconfig_activation_lag=stream.lag)
 
     def make(cls):
         # An activation is the committer's own doing: one schedule each.
@@ -350,7 +351,7 @@ def test_poll_across_epoch_activations(blocks_per_call):
         )
         return cls(store, schedule, _StreamCoin(), config)
 
-    polled, sweeping = make(Committer), make(SweepingCommitter)
+    polled, sweeping = make(polled_cls), make(sweeping_cls)
     sweeps = spy_on_sweeps(polled)
     observations = []
     polls = restarts_that_finalized = 0
@@ -369,6 +370,19 @@ def test_poll_across_epoch_activations(blocks_per_call):
         ]
         restarts_that_finalized += bool(activating) and activating[-1] < len(extension) - 1
     assert len(polled.schedule.epochs()) == 3
+    return stream, observations, polls, sweeps, restarts_that_finalized
+
+
+@pytest.mark.parametrize("blocks_per_call", [1, 4, 9, 14, 30])
+def test_poll_across_epoch_activations(blocks_per_call):
+    """The committee goes 4 -> 5 -> 4 mid-stream.  An activation drops
+    the kept UNDECIDED verdicts and restarts the walk from a poll: the
+    slots after the activating one that were already decided under the
+    old epoch are finalized in the same call, as by sweeping."""
+    config = ProtocolConfig(wave_length=5, leaders_per_round=1, reconfig_activation_lag=6)
+    stream, observations, polls, sweeps, restarts_that_finalized = poll_across_epoch_activations(
+        Committer, SweepingCommitter, config, blocks_per_call
+    )
     assert sequence_view(observations) == sequence_view(replay_stream_oneshot(stream)[0])
     if blocks_per_call == 1:
         assert len(sweeps) < polls / 2
@@ -376,22 +390,23 @@ def test_poll_across_epoch_activations(blocks_per_call):
         assert restarts_that_finalized
 
 
-def test_poll_right_after_checkpoint_adoption():
-    """A committer that has polled — and kept verdicts — over a floored
-    store adopts a checkpoint: the verdicts go, the cursor jumps, and
-    the very next poll finalizes from the checkpoint's cursor what a
-    sweep would."""
-    cores = [make_core(i, interval=2) for i in range(4)]
+def poll_right_after_checkpoint_adoption(committer_factory, sweeping_cls) -> int:
+    """A ``committer_factory`` committer that has polled — and kept
+    verdicts — over a floored store adopts a checkpoint: the verdicts
+    go, the cursor jumps, and the very next poll finalizes from the
+    checkpoint's cursor what a ``sweeping_cls`` sweep would.  Returns
+    how many slots that was."""
+    cores = [make_core(i, interval=2, committer_factory=committer_factory) for i in range(4)]
     drive_rounds(cores, 40)
     source = cores[0]
     checkpoint = source.committer.ledger.checkpoints[0]
-    adopter = make_core(3, interval=2)
+    adopter = make_core(3, interval=2, committer_factory=committer_factory)
     adopter.store.adopt_floor(checkpoint.floor)
     for block in sorted(source.store, key=lambda block: block.round):
         if block.round >= checkpoint.floor:
             adopter.store.add(block)
     polled = adopter.committer
-    sweeping = SweepingCommitter(adopter.store, adopter.schedule, adopter.coin, adopter.config)
+    sweeping = sweeping_cls(adopter.store, adopter.schedule, adopter.coin, adopter.config)
     sweeps = spy_on_sweeps(polled)
     for committer in (polled, sweeping):
         # Nothing below the floor can be decided: the cursor stays put.
@@ -402,11 +417,15 @@ def test_poll_right_after_checkpoint_adoption():
     extension = polled.extend_commit_sequence()
     assert len(sweeps) == 2
     assert extension == sweeping.extend_commit_sequence()
-    assert len(extension) > 10
     assert [status_view(obs.status) for obs in extension] == statuses_from(
         source, checkpoint.next_slot
     )[: len(extension)]
     assert polled.extend_commit_sequence() == [] and len(sweeps) == 2
+    return len(extension)
+
+
+def test_poll_right_after_checkpoint_adoption():
+    assert poll_right_after_checkpoint_adoption(Committer, SweepingCommitter) > 10
 
 
 # ----------------------------------------------------------------------

@@ -69,14 +69,31 @@ class TestHistogram:
         assert snap["count"] == 0
         assert snap["mean"] is None
 
-    def test_unsorted_bounds_rejected(self):
-        with pytest.raises(ValueError):
-            Histogram("lat", bounds=(1.0, 0.5))
+    def test_snapshot_of_unlabelled_and_labelled_series(self):
+        # The whole snapshot, key for key: what ``ExperimentResult.
+        # stage_breakdown`` and the cluster status JSON are built from.
+        plain, labelled = Histogram("lat"), Histogram("lat")
+        for value in (0.25, 0.5, 100.0):
+            plain.observe(value)
+            labelled.observe(value, stage="cpu", mode="warm")
+        labelled.observe(2.0, stage="queue")
+        series = {"count": 3, "sum": 100.75, "min": 0.25, "max": 100.0, "mean": 100.75 / 3}
+        assert plain.snapshot() == series
+        assert labelled.snapshot() == {
+            "mode=warm,stage=cpu": series,
+            "stage=queue": {"count": 1, "sum": 2.0, "min": 2.0, "max": 2.0, "mean": 2.0},
+        }
+        assert labelled.count(mode="warm", stage="cpu") == 3 and labelled.count() == 0
+        assert Histogram("lat").snapshot() == {
+            "count": 0, "sum": 0.0, "min": None, "max": None, "mean": None
+        }
 
-    def test_out_of_range_lands_in_overflow(self):
-        h = Histogram("lat", bounds=(1.0,))
-        h.observe(100.0)
-        assert h.count() == 1
+    def test_there_are_no_buckets_to_configure(self):
+        with pytest.raises(TypeError):
+            Histogram("lat", bounds=(1.0,))
+        with pytest.raises(TypeError):
+            MetricsRegistry().histogram("lat", bounds=(1.0,))
+        assert not hasattr(Histogram, "DEFAULT_BOUNDS")
 
 
 class TestMetricsRegistry:

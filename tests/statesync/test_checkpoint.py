@@ -1,14 +1,29 @@
-"""Unit tests for the state-sync checkpoint primitives."""
+"""Unit tests for the state-sync checkpoint primitives.
+
+:class:`CommitLedger` keeps its window of linearized references in the
+order a checkpoint lists them, so a capture is a pass, not a sort.  Its
+oracle is :class:`SortingLedger` below — the capture as it was before:
+one bucket of references per round, flattened and ``sorted()`` with
+``BlockRef``'s own ``__lt__`` at every capture.  Every checkpoint the
+two capture over one stream must share its ``checkpoint_id``.
+"""
+
+import dataclasses
+import random
+from operator import attrgetter
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from repro.block import BlockRef, make_genesis
+from repro.block import Block, BlockRef, make_genesis
 from repro.committee import Committee
 from repro.config import ProtocolConfig
+from repro.core.committer import Committer
 from repro.core.protocol import MahiMahiCore
 from repro.crypto.coin import FastCoin
 from repro.crypto.hashing import hash_bytes
 from repro.errors import ConfigError, ReproError
+from repro.dag.store import DagStore
 from repro.statesync import (
     GENESIS_STATE,
     Checkpoint,
@@ -17,6 +32,7 @@ from repro.statesync import (
     chain_digest,
     digest_executor_state,
 )
+from repro.statesync.checkpoint import _REF_ORDER
 
 
 def make_checkpoint(round_number=8, floor=0, refs=(), chain=GENESIS_STATE, length=12):
@@ -102,7 +118,7 @@ class TestBestAttested:
         assert best_attested(votes, quorum=3) == high
 
 
-def make_core(authority=0, n=4, interval=0, gc=0):
+def make_core(authority=0, n=4, interval=0, gc=0, committer_factory=Committer):
     committee = Committee.of_size(n)
     coin = FastCoin(seed=b"ckpt-test", n=n, threshold=committee.quorum_threshold)
     config = ProtocolConfig(
@@ -111,7 +127,7 @@ def make_core(authority=0, n=4, interval=0, gc=0):
         garbage_collection_depth=gc,
         checkpoint_interval_rounds=interval,
     )
-    return MahiMahiCore(authority, committee, config, coin)
+    return MahiMahiCore(authority, committee, config, coin, committer_factory=committer_factory)
 
 
 def drive_rounds(cores, rounds):
@@ -178,3 +194,202 @@ class TestAdoption:
         checkpoint = cores[0].committer.ledger.checkpoints[-1]
         with pytest.raises(ReproError):
             cores[1].adopt_checkpoint(checkpoint)
+
+
+# ----------------------------------------------------------------------
+# The ordered window against sort-per-capture
+# ----------------------------------------------------------------------
+class SortingLedger(CommitLedger):
+    """The reference capture: buckets per round, pruned below the floor
+    and sorted by ``BlockRef.__lt__`` every time."""
+
+    def __post_init__(self) -> None:
+        super().__post_init__()
+        self._buckets: dict[int, list[BlockRef]] = {}
+
+    def extend(self, linearized) -> None:
+        linearized = list(linearized)
+        super().extend(linearized)
+        if self._next_boundary is not None:
+            for block in linearized:
+                self._buckets.setdefault(block.round, []).append(block.reference)
+
+    def _capture(self, last_finalized, next_slot) -> Checkpoint:
+        floor = max(0, last_finalized - self.lag)
+        for round_number in [r for r in self._buckets if r < floor]:
+            del self._buckets[round_number]
+        refs = sorted(
+            ref
+            for round_number, bucket in self._buckets.items()
+            if round_number <= last_finalized
+            for ref in bucket
+        )
+        checkpoint = super()._capture(last_finalized, next_slot)
+        return dataclasses.replace(checkpoint, linearized=tuple(refs))
+
+    def adopt(self, checkpoint: Checkpoint) -> None:
+        super().adopt(checkpoint)
+        self._buckets = {}
+        for reference in checkpoint.linearized:
+            self._buckets.setdefault(reference.round, []).append(reference)
+
+
+def ledger_pair(interval, lag):
+    return [cls(DagStore(), 10, interval=interval, lag=lag) for cls in (CommitLedger, SortingLedger)]
+
+
+@st.composite
+def commit_streams(draw):
+    """``(interval, lag, steps)``; a step is ``(rounds of the blocks one
+    slot linearized, last finalized round after it)``.  The frontier
+    stalls (several slots a round) and jumps (a stride, or several
+    boundaries crossed at once); most blocks sit just below it, some are
+    linearized late — below the newest round, and now and then below the
+    floor an earlier capture already pruned to — and some sit above it
+    (a slot finalized before its round is), to be listed by a later
+    capture only."""
+    interval = draw(st.sampled_from([1, 2, 10]))
+    lag = draw(st.sampled_from([16, 64]))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    steps, frontier = [], 0
+    for _ in range(draw(st.integers(20, 150))):
+        frontier += rng.choice([0, 1, 1, 1, 2, 5])
+        rounds = [
+            max(1, frontier + rng.choice([-lag - 3, -lag, -9, -3, -2, -1, -1, 0, 0, 0, 1, 2]))
+            for _ in range(rng.randrange(12))
+        ]
+        steps.append((rounds, frontier))
+    return interval, lag, steps
+
+
+def linearize(ledgers, rng, rounds, frontier):
+    """One slot: ``extend`` by fresh blocks at ``rounds``, then the
+    capture check, on every ledger."""
+    blocks = [
+        Block(author=rng.randrange(10), round=r, parents=(), salt=rng.randbytes(4)) for r in rounds
+    ]
+    for ledger in ledgers:
+        ledger.extend(blocks)
+        ledger.maybe_capture(frontier, (frontier + 1, 0))
+
+
+def captured(ledger):
+    return ledger.captured_total, [c.checkpoint_id for c in ledger.checkpoints]
+
+
+@settings(max_examples=60, deadline=None)
+@given(commit_streams(), st.integers(0, 2**16))
+def test_ordered_window_captures_what_sorting_every_time_captures(stream, adopt_at):
+    interval, lag, steps = stream
+    ledger, oracle = ledger_pair(interval, lag)
+    adopters: list[CommitLedger] = []
+    rng = random.Random(adopt_at)
+    for index, (rounds, frontier) in enumerate(steps):
+        before = ledger.captured_total
+        linearize([ledger, oracle, *adopters], rng, rounds, frontier)
+        assert captured(ledger) == captured(oracle)
+        if ledger.captured_total > before:  # a capture leaves nothing below its floor
+            assert all(r.round >= ledger.checkpoints[-1].floor for r in ledger._recent)
+        if adopters:
+            assert captured(adopters[0]) == captured(adopters[1])
+        elif ledger.checkpoints and index >= adopt_at % len(steps):
+            # A fresh validator adopts the newest checkpoint and from
+            # then on linearizes what everyone else does.
+            adopters = ledger_pair(interval, lag)
+            for adopter in adopters:
+                adopter.adopt(ledger.checkpoints[-1])
+            assert adopters[0]._recent == sorted(adopters[1].checkpoints[-1].linearized)
+    assert ledger._recent == sorted(ledger._recent)
+
+
+def test_references_above_the_frontier_wait_for_a_later_capture():
+    """Both filters by hand: a reference above ``last_finalized`` is
+    kept, not listed, until the frontier reaches it; one linearized
+    below an earlier capture's floor is never listed."""
+    ledger, oracle = ledger_pair(interval=1, lag=16)
+    rng = random.Random(0)
+    linearize([ledger, oracle], rng, [18, 19, 20, 21], 20)
+    assert sorted(r.round for r in ledger.checkpoints[-1].linearized) == [18, 19, 20]
+    assert ledger.checkpoints[-1].floor == 4
+    linearize([ledger, oracle], rng, [3, 4], 20)  # late; no boundary crossed
+    assert ledger.captured_total == 1 and len(ledger._recent) == 6
+    linearize([ledger, oracle], rng, [], 21)
+    assert sorted(r.round for r in ledger.checkpoints[-1].linearized) == [18, 19, 20, 21]
+    assert ledger.checkpoints[-1].floor == 5 and len(ledger._recent) == 4
+    assert captured(ledger) == captured(oracle)
+
+
+@pytest.mark.parametrize("interval, gc, commit_every", [(1, 0, 1), (2, 16, 7), (10, 64, 23)])
+def test_cores_capture_the_same_checkpoints_with_either_ledger(interval, gc, commit_every):
+    """Through the real commit walk: core 1 carries the sorting ledger.
+    Committing only every few rounds finalizes several slots — and
+    captures several checkpoints — in one walk."""
+    cores = [make_core(i, interval=interval, gc=gc) for i in range(4)]
+    committer = cores[1].committer
+    committer.ledger = SortingLedger(
+        committer.ledger.store,
+        committer.ledger.committee_size,
+        interval=interval,
+        lag=committer.ledger.lag,
+        schedule=committer.schedule,
+    )
+    seen: list[list] = [[] for _ in cores]
+    most_in_one_walk = 0
+    for round_number in range(1, 70):
+        blocks = [core.maybe_propose() for core in cores]
+        for core, ids in zip(cores, seen):
+            for block in blocks:
+                if block.author != core.authority:
+                    core.add_block(block)
+            if round_number % commit_every == 0:
+                before = core.committer.ledger.captured_total
+                core.try_commit()
+                new = core.committer.ledger.captured_total - before
+                most_in_one_walk = max(most_in_one_walk, new)
+                ids.extend(c.checkpoint_id for c in core.committer.ledger.checkpoints[-new:] if new)
+    assert len(seen[0]) >= 5 and all(ids == seen[0] for ids in seen)
+    assert (most_in_one_walk > 1) == (commit_every > 1) and most_in_one_walk <= committer.ledger.retain
+
+
+def test_the_ledger_never_compares_two_references(monkeypatch):
+    """A count that repeats exactly: over 200 rounds at ``n = 10``
+    (interval 1, lag 64) the ordered window calls ``BlockRef.__lt__``
+    zero times — it orders by key tuples — where sorting a ~650-reference
+    window at every capture calls it some 730,000 times."""
+    calls = [0]
+    less_than = BlockRef.__lt__
+
+    def counting(self, other):
+        calls[0] += 1
+        return less_than(self, other)
+
+    monkeypatch.setattr(BlockRef, "__lt__", counting)
+    rng = random.Random(18)
+    counts = []
+    for ledger in ledger_pair(interval=1, lag=64):
+        calls[0] = 0
+        for round_number in range(1, 201):
+            linearize([ledger], rng, [round_number] * 10, round_number)
+        assert ledger.captured_total == 200 and len(ledger.checkpoints[-1].linearized) == 650
+        counts.append(calls[0])
+    assert counts[0] == 0 and counts[1] > 500_000
+
+
+@given(
+    st.lists(
+        st.builds(
+            BlockRef,
+            author=st.integers(0, 3),
+            round=st.integers(0, 3),
+            digest=st.binary(min_size=0, max_size=2),
+        ),
+        max_size=30,
+    )
+)
+def test_the_window_key_is_blockref_order(references):
+    """The key can never drift from ``BlockRef``'s own order — the one
+    ``Checkpoint.linearized`` is defined in."""
+    by_key = sorted(references, key=_REF_ORDER)
+    assert sorted(references) == by_key
+    assert by_key == sorted(references, key=attrgetter("author", "round", "digest"))
+    assert [f.name for f in dataclasses.fields(BlockRef)] == ["author", "round", "digest"]

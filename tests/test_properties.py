@@ -18,6 +18,7 @@ from repro.crypto.hashing import hash_parts
 from repro.crypto.threshold import combine_shares, deal
 from repro.dag.traversal import DagTraversal
 from repro.errors import ReproError
+from repro.statesync import Checkpoint
 from repro.transaction import (
     Transaction,
     TransactionBatch,
@@ -60,6 +61,33 @@ def blocks(draw):
         signature=draw(st.binary(max_size=64)),
         salt=draw(st.binary(max_size=16)),
     )
+
+
+block_refs = st.builds(
+    BlockRef,
+    author=st.integers(0, 2**32 - 1),
+    round=st.integers(0, 2**64 - 1),
+    digest=st.binary(min_size=32, max_size=32),
+)
+
+checkpoints = st.builds(
+    Checkpoint,
+    round=st.integers(0, 2**64 - 1),
+    floor=st.integers(0, 2**64 - 1),
+    next_slot=st.tuples(st.integers(0, 2**64 - 1), st.integers(0, 2**32 - 1)),
+    chain=st.binary(min_size=32, max_size=32),
+    sequence_length=st.integers(0, 2**64 - 1),
+    committee_size=st.integers(0, 2**32 - 1),
+    linearized=st.lists(block_refs, max_size=4).map(tuple),
+    epochs=st.lists(
+        st.tuples(
+            st.integers(0, 2**64 - 1),
+            st.integers(0, 2**64 - 1),
+            st.lists(st.integers(0, 2**32 - 1), max_size=6).map(tuple),
+        ),
+        max_size=3,
+    ).map(tuple),
+)
 
 
 # ----------------------------------------------------------------------
@@ -110,13 +138,35 @@ def test_block_truncated_at_any_offset_is_a_repro_error(block):
             Block.decode(wire[:cut])
 
 
+@given(checkpoints, st.binary(max_size=8))
+@settings(max_examples=50)
+def test_checkpoint_roundtrip_and_truncation_at_any_offset(checkpoint, trailing):
+    """A checkpoint decodes to itself and stops at its own end (a
+    response frames several back to back); cut anywhere — inside the
+    header, the chain, a reference, an epoch header or a member list —
+    it is a ``ReproError``, never a shorter checkpoint."""
+    wire = checkpoint.encode()
+    decoded, consumed = Checkpoint.decode(b"\x00" + wire + trailing, 1)
+    assert decoded == checkpoint and decoded.checkpoint_id == checkpoint.checkpoint_id
+    assert consumed == 1 + len(wire)
+    for cut in range(len(wire)):
+        with pytest.raises(ReproError):
+            Checkpoint.decode(wire[:cut])
+
+
 @given(st.binary(max_size=300))
 @settings(max_examples=300)
 def test_codec_boundary_raises_only_repro_error_on_garbage(data):
     """Arbitrary bytes either decode or raise ``ReproError`` — never
     ``struct.error`` / ``IndexError``, and never a long loop over a
     count the buffer cannot hold."""
-    for decode in (Block.decode, BlockRef.decode, TransactionBatch.decode, _decode_coin_share):
+    for decode in (
+        Block.decode,
+        BlockRef.decode,
+        TransactionBatch.decode,
+        _decode_coin_share,
+        Checkpoint.decode,
+    ):
         try:
             decode(data)
         except ReproError:

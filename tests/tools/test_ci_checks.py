@@ -148,6 +148,24 @@ def test_commit_walk(tmp_path):
     ]
 
 
+def test_tusk_poll(tmp_path):
+    def output(walks=6_557.0, correct=True) -> str:
+        metrics = {
+            "baselines.tusk.calls": {"value": walks, "unit": "count"},
+            "dag.store.calls": {"value": 6_781.0, "unit": "count"},
+        }
+        result = {"correct": correct, "attempted": 25_000, "failed": 0, "metrics": metrics}
+        return '# info {"workload": "sim-tusk-n10"}\n' + json.dumps(result) + "\n"
+
+    assert ci_checks.tusk_poll(write(tmp_path / "ok.out", output())) == []
+    # A poll that always answers "sweep": try_decide once per extension.
+    (violation,) = ci_checks.tusk_poll(write(tmp_path / "swept.out", output(walks=12_026.0)))
+    assert "baselines.tusk.calls is 12026.0" in violation and "6781.0" in violation
+    assert len(ci_checks.tusk_poll(write(tmp_path / "bad.out", output(correct=False)))) == 1
+    dead = json.dumps({"correct": False, "attempted": 1, "failed": 0, "metrics": {}})
+    assert len(ci_checks.tusk_poll(write(tmp_path / "dead.out", dead))) == 2
+
+
 @pytest.mark.parametrize("name", ci_checks.CHECKS)
 def test_every_subcommand_is_what_the_workflow_calls(name):
     workflow = Path(__file__).resolve().parents[2] / ".github" / "workflows" / "ci.yml"
