@@ -95,7 +95,14 @@ class Histogram:
     """A running summary of observations — count, sum, min and max (hence
     the mean) — optionally per label set.  It keeps no buckets: nothing
     in the repo reads a distribution from the registry (percentiles come
-    from the samples ``ExperimentMetrics`` holds)."""
+    from the samples ``ExperimentMetrics`` holds).
+
+    :meth:`observe_many` records a whole sequence in one call and leaves
+    exactly the state :meth:`observe` would, value by value in order.  It
+    therefore adds one value at a time: ``sum()`` compensates its float
+    additions on Python >= 3.12, so the sum (and every mean derived from
+    it) would differ in the last bits between interpreter versions and
+    from the per-value path."""
 
     __slots__ = ("name", "help", "_series")
 
@@ -105,16 +112,26 @@ class Histogram:
         self._series: dict[str, _HistogramSeries] = {}
 
     def observe(self, value: float, **labels) -> None:
+        self.observe_many((value,), **labels)
+
+    def observe_many(self, values, **labels) -> None:
+        """Record every value of the sequence ``values``, in order (an
+        empty one creates no series, like no call at all)."""
+        if not values:
+            return
         key = _label_key(labels) if labels else ""
         series = self._series.get(key)
         if series is None:
             series = self._series[key] = _HistogramSeries()
-        series.count += 1
-        series.sum += value
-        if value < series.min:
-            series.min = value
-        if value > series.max:
-            series.max = value
+        total, low, high = series.sum, series.min, series.max
+        for value in values:
+            total += value
+            if value < low:
+                low = value
+            if value > high:
+                high = value
+        series.count += len(values)
+        series.sum, series.min, series.max = total, low, high
 
     def count(self, **labels) -> int:
         series = self._series.get(_label_key(labels))

@@ -5,7 +5,7 @@ run in the order they were scheduled — no heap-order nondeterminism
 leaks into experiments.
 
 This is the hottest loop of the whole simulator (every message hop,
-client arrival and CPU-stage completion passes through it), so the
+client arrival and consensus-stage completion passes through it), so the
 implementation is deliberately low-level: the loop object is slotted,
 heap entries stay plain tuples (tuple comparison is what ``heapq``
 optimises for — a slotted entry object would add a ``__lt__`` dispatch
@@ -39,7 +39,10 @@ class EventLoop:
 
     @property
     def events_processed(self) -> int:
-        """Number of events executed so far (observability)."""
+        """Callbacks the loop has run so far.  A cost of the simulator,
+        not a property of the simulated system: a change to how the
+        simulator schedules its own work moves it while every modelled
+        quantity stays put."""
         return self._events_processed
 
     def schedule(self, delay: float, callback: Callable[..., None], *args: Any) -> None:

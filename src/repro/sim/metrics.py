@@ -5,6 +5,17 @@ elapsed from the moment a client submits a transaction to when it is
 committed by the validators".  Each simulated transaction may represent
 a *batch* of real transactions (``weight``), which lets a 100k tx/s run
 stay tractable while keeping byte-accurate blocks.
+
+Only a submission is recorded per transaction.  Inclusion, arrival at the
+observer and commit are facts about a block, so
+:meth:`ExperimentMetrics.record_inclusion`, ``record_block_times`` and
+``record_commit`` are each called once per block that carries
+transactions, with those transactions.  In the stage decomposition the
+block supplies three instants (proposed, arrived, ingested) and the
+commit a fourth; only the ``queue`` share starts from something of the
+transaction's own, its submission time.  The shares still go into the
+histograms one value per transaction, in commit order, so the means are
+those of a per-transaction recorder to the last bit.
 """
 
 from __future__ import annotations
@@ -12,6 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from repro.committee import RECONFIG_TX_BASE
 from repro.obs.metrics import MetricsRegistry
 
 #: The per-transaction latency decomposition, in lifecycle order:
@@ -51,10 +63,7 @@ class ExperimentMetrics:
         self._warmup = warmup
         self._submissions: dict[int, tuple[float, float]] = {}  # tx_id -> (time, weight)
         self._latencies: list[tuple[float, float]] = []  # (latency, weight)
-        self._first_commit_time: float | None = None
-        self._last_commit_time: float | None = None
         self.committed_weight = 0.0
-        self.committed_unique = 0
         self.duplicate_commits = 0
         #: ``(mode, seconds)`` per completed restart (``recover``/
         #: ``join`` event): seconds from restart to the validator's
@@ -93,56 +102,89 @@ class ExperimentMetrics:
         """A client handed ``tx_id`` to some validator at ``time``."""
         self._submissions[tx_id] = (time, weight)
 
-    def record_commit(self, tx_id: int, time: float) -> None:
-        """``tx_id`` first appeared in the observer's commit sequence."""
-        submission = self._submissions.pop(tx_id, None)
-        if submission is None:
-            self.duplicate_commits += 1
-            return
-        submitted_at, weight = submission
-        included = self._included.pop(tx_id, None)
-        block_times = self._block_times.pop(tx_id, None)
-        if submitted_at < self._warmup:
-            return
-        if included is not None:
-            # Stage decomposition: an observer-proposed block never
-            # crossed the network, so its network/cpu shares are zero.
-            arrival, ingest = (
-                block_times if block_times is not None else (included, included)
-            )
-            hist = self._stage_hist
-            hist["queue"].observe(max(0.0, included - submitted_at))
-            hist["network"].observe(max(0.0, arrival - included))
-            hist["cpu"].observe(max(0.0, ingest - arrival))
-            hist["commit_walk"].observe(max(0.0, time - ingest))
-        self.committed_unique += 1
-        self.committed_weight += weight
-        latency = time - submitted_at
-        self._latencies.append((latency, weight))
-        if self.epoch_marks:
-            bucket = self._epoch_latency.setdefault(
-                self.epoch_marks[-1][0], [0.0, 0.0, 0.0]
-            )
-            bucket[0] += weight
-            bucket[1] += latency * weight
-            bucket[2] += 1
-        if self._first_commit_time is None:
-            self._first_commit_time = time
-        self._last_commit_time = time
+    def record_commit(self, transactions, time: float) -> None:
+        """A block carrying ``transactions`` was linearized by the
+        observer's commit walk at ``time``: each transaction's first
+        appearance in the commit sequence is its commit.
 
-    def record_inclusion(self, tx_id: int, time: float) -> None:
-        """``tx_id`` was packed into a block its submission validator
-        proposed at ``time`` (first inclusion wins — a recovered
+        Harness-injected reconfiguration commands (the reserved id range
+        from :data:`~repro.committee.RECONFIG_TX_BASE`) are not client
+        traffic: skipping them keeps ``duplicate_commits`` meaningful.
+        """
+        warmup = self._warmup
+        pop_submission = self._submissions.pop
+        pop_included = self._included.pop
+        pop_block_times = self._block_times.pop
+        record_latency = self._latencies.append
+        # No epoch starts inside a block: one bucket serves the call.
+        bucket = (
+            self._epoch_latency.setdefault(self.epoch_marks[-1][0], [0.0, 0.0, 0.0])
+            if self.epoch_marks
+            else None
+        )
+        committed_weight = self.committed_weight
+        queue: list[float] = []
+        network: list[float] = []
+        cpu: list[float] = []
+        commit_walk: list[float] = []
+        for tx in transactions:
+            tx_id = tx.tx_id
+            if tx_id >= RECONFIG_TX_BASE:
+                continue
+            submission = pop_submission(tx_id, None)
+            if submission is None:
+                self.duplicate_commits += 1
+                continue
+            submitted_at, weight = submission
+            included = pop_included(tx_id, None)
+            block_times = pop_block_times(tx_id, None)
+            if submitted_at < warmup:
+                continue
+            if included is not None:
+                # Stage decomposition: an observer-proposed block never
+                # crossed the network, so its network/cpu shares are zero.
+                arrival, ingest = (
+                    block_times if block_times is not None else (included, included)
+                )
+                # Each share is max(0.0, difference), spelled without the call.
+                share = included - submitted_at
+                queue.append(share if share > 0.0 else 0.0)
+                share = arrival - included
+                network.append(share if share > 0.0 else 0.0)
+                share = ingest - arrival
+                cpu.append(share if share > 0.0 else 0.0)
+                share = time - ingest
+                commit_walk.append(share if share > 0.0 else 0.0)
+            committed_weight += weight
+            latency = time - submitted_at
+            record_latency((latency, weight))
+            if bucket is not None:
+                bucket[0] += weight
+                bucket[1] += latency * weight
+                bucket[2] += 1
+        self.committed_weight = committed_weight
+        hist = self._stage_hist
+        hist["queue"].observe_many(queue)
+        hist["network"].observe_many(network)
+        hist["cpu"].observe_many(cpu)
+        hist["commit_walk"].observe_many(commit_walk)
+
+    def record_inclusion(self, transactions, time: float) -> None:
+        """The submission validator proposed a block carrying
+        ``transactions`` at ``time`` (first inclusion wins — a recovered
         validator may re-propose)."""
-        if tx_id not in self._included:
-            self._included[tx_id] = time
+        first = self._included.setdefault
+        for tx in transactions:
+            first(tx.tx_id, time)
 
-    def record_block_times(self, tx_id: int, arrival: float, ingest: float) -> None:
-        """The block carrying ``tx_id`` reached the observer: it
+    def record_block_times(self, transactions, arrival: float, ingest: float) -> None:
+        """The block carrying ``transactions`` reached the observer: it
         arrived off the wire at ``arrival`` and cleared the consensus
-        CPU stage (entered the DAG) at ``ingest``."""
-        if tx_id not in self._block_times:
-            self._block_times[tx_id] = (arrival, ingest)
+        CPU stage (entered the DAG) at ``ingest`` (first copy wins)."""
+        first = self._block_times.setdefault
+        times = (arrival, ingest)
+        for tx in transactions:
+            first(tx.tx_id, times)
 
     def record_recovery(
         self, validator: int, recovered_at: float, resumed_at: float, mode: str = "cold"
@@ -168,6 +210,11 @@ class ExperimentMetrics:
     # ------------------------------------------------------------------
     # Reporting
     # ------------------------------------------------------------------
+    @property
+    def committed_unique(self) -> int:
+        """Transactions counted as committed (each left one latency)."""
+        return len(self._latencies)
+
     @property
     def pending(self) -> int:
         """Transactions submitted but never committed (backlog)."""

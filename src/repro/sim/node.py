@@ -29,12 +29,22 @@ and adds what only the simulator has: the event loop with its pacing and
 retry timers, the CPU-stage model (a WAL replay is charged as consensus
 CPU time), the Tusk header/ack/certificate path, equivocation dispatch,
 wire sizes, the stage-latency observer and the ``_fetching`` table.
+
+A simulated transaction costs the event loop nothing here.  The ingress
+stage is a single server, so it completes transactions in the order it
+was handed them: :meth:`SimValidator.submit` computes each completion
+time and appends to a FIFO, and the step — the only way a proposal, the
+mempool's only reader, is ever reached — first moves every entry whose
+time has come into the mempool.  What is a fact about a block
+(inclusion, arrival at the observer, commit) is reported to the metrics
+once per block, with the block's transactions.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Sequence
 
 from ..block import Block, BlockRef
 from ..core.protocol import MahiMahiCore
@@ -124,6 +134,7 @@ class SimValidator:
         "_tx_weight",
         "_cpu",
         "_ingress_free",
+        "_ingress",
         "_consensus_free",
         "_down",
         "_incarnation",
@@ -153,7 +164,7 @@ class SimValidator:
         min_block_interval: float = 0.0,
         tx_weight: float = 1.0,
         cpu: CpuConfig | None = None,
-        on_commit: Callable[[Transaction, float], None] | None = None,
+        on_commit: Callable[[Sequence[Transaction], float], None] | None = None,
         core_factory: Callable[[], MahiMahiCore] | None = None,
         start_down: bool = False,
         on_recovery: Callable[[int, float, float, str], None] | None = None,
@@ -182,8 +193,8 @@ class SimValidator:
             (scales per-transaction CPU costs).
         cpu: Compute model; ``None`` disables CPU accounting entirely
             (unit tests want pure message-delay arithmetic).
-        on_commit: Called for every transaction in every newly committed
-            block, with the commit time.
+        on_commit: Called as ``(transactions, now)`` for every newly
+            committed block that carries transactions.
         core_factory: Builds a fresh core on :meth:`recover` — a restart
             loses all in-memory state.  Without a factory, ``recover``
             resumes with the retained core (a process *pause* rather
@@ -211,9 +222,8 @@ class SimValidator:
             ``tracer.enabled`` so the disabled cost is one attribute
             load).
         stage_metrics: The experiment's :class:`~repro.sim.metrics
-            .ExperimentMetrics`, used to record per-transaction
-            inclusion times (every validator) for the stage-latency
-            breakdown.
+            .ExperimentMetrics`, told each own block's inclusion time
+            (every validator) for the stage-latency breakdown.
         stage_observer: This validator is the metrics observer: also
             record block arrival/ingest times for the network/cpu
             stage shares.
@@ -238,6 +248,9 @@ class SimValidator:
         # Times at which each single-threaded CPU stage becomes free.
         self._ingress_free = 0.0
         self._consensus_free = 0.0
+        # The ingress stage's output, ``(ready_at, tx)`` in completion
+        # order, until a step moves what is ready into the mempool.
+        self._ingress: deque[tuple[float, Transaction]] = deque()
         # Lifecycle: the down flag is the hot-path liveness check; the
         # incarnation counter invalidates CPU-stage work queued before a
         # crash (a real restart loses its queues).
@@ -356,7 +369,9 @@ class SimValidator:
 
         With a ``core_factory`` the validator restarts from an **empty
         in-memory state**: a fresh core holding only genesis, empty
-        mempool, no certification or fetch state.  Depending on
+        mempool and ingress queue (what the old incarnation's ingress
+        stage still held is lost with it, and the stage restarts at
+        *now*), no certification or fetch state.  Depending on
         ``recover_mode`` it then replays its WAL (warm), requests a
         state-transfer checkpoint (checkpoint), or goes straight to
         deep fetches from genesis (cold) — see
@@ -373,6 +388,7 @@ class SimValidator:
             # to re-sync — resume where we left off.
             return
         self.core = self._core_factory()
+        self._ingress.clear()
         self._headers.clear()
         self._acks.clear()
         self._cert_sent.clear()
@@ -416,7 +432,16 @@ class SimValidator:
 
     def submit(self, tx: Transaction) -> None:
         """Client entry point; transactions pass the ingress CPU stage
-        (signature verification) before reaching the mempool."""
+        (signature verification) before reaching the mempool.
+
+        The stage is a FIFO, not a timer: ``tx`` is queued with the time
+        the stage will be done with it (it starts when the stage is free,
+        at the cost in force *now* — a later ``set_slow_factor`` prices
+        later submissions only) and the next step at or after that time
+        admits it.  Without a CPU model there is no stage and nothing
+        queues.  A restart drops the queue with the core it fed; a pause
+        (``recover`` without a ``core_factory``) keeps it.
+        """
         if self._down:
             return
         now = self._loop.now
@@ -438,9 +463,7 @@ class SimValidator:
                 self._ingress_free,
                 {"tx": tx.tx_id},
             )
-        # Binds the *current* core: transactions queued at crash time
-        # land in the abandoned instance, as on a real restart.
-        self._loop.schedule_at(self._ingress_free, self.core.add_transaction, tx)
+        self._ingress.append((self._ingress_free, tx))
 
     # ------------------------------------------------------------------
     # Message handling
@@ -605,12 +628,16 @@ class SimValidator:
             self._request_missing(sender, result.missing)
         if not result.accepted:
             return
+        if self._fetching:
+            # A block that arrived is no longer being fetched.
+            for accepted in result.accepted:
+                self._fetching.pop(accepted.digest, None)
         if self._stage_observer:
             now = self._loop.now
             for accepted in result.accepted:
                 arrival = self._arrivals.pop(accepted.reference, now)
-                for tx in accepted.transactions:
-                    self._stage_metrics.record_block_times(tx.tx_id, arrival, now)
+                if accepted.transactions:
+                    self._stage_metrics.record_block_times(accepted.transactions, arrival, now)
         self._step()
 
     def _request_missing(self, peer: int, refs: tuple[BlockRef, ...]) -> None:
@@ -653,8 +680,18 @@ class SimValidator:
         self._network.send(self.authority, src, "sync_resp", (served, pruned, token), size)
 
     def _step(self) -> None:
-        """Run the shared validator step and act on what it returns."""
+        """Admit what the ingress stage has completed, run the shared
+        validator step and act on what it returns.
+
+        A transaction whose stage completes at exactly ``now`` is
+        admitted (``ready_at <= now``), whatever order the completion and
+        this step were set up in."""
         now = self._loop.now
+        ingress = self._ingress
+        if ingress:
+            admit = self.core.add_transaction
+            while ingress and ingress[0][0] <= now:
+                admit(ingress.popleft()[1])
         driver = self._driver
         step = driver.step(now)
         for block in step.proposed:
@@ -666,8 +703,8 @@ class SimValidator:
         if self._on_commit is not None:
             for observation in step.committed:
                 for block in observation.linearized:
-                    for tx in block.transactions:
-                        self._on_commit(tx, now)
+                    if block.transactions:
+                        self._on_commit(block.transactions, now)
         if driver.left:
             self.leave()
 
@@ -678,9 +715,7 @@ class SimValidator:
 
     def _dispatch_own(self, block: Block) -> None:
         if self._stage_metrics is not None and block.transactions:
-            now = self._loop.now
-            for tx in block.transactions:
-                self._stage_metrics.record_inclusion(tx.tx_id, now)
+            self._stage_metrics.record_inclusion(block.transactions, self._loop.now)
         size = self._block_wire_size(block)
         if self._certified:
             self._headers[block.digest] = block

@@ -18,7 +18,6 @@ from typing import Callable, NamedTuple
 
 from ..committee import (
     MIN_COMMITTEE_SIZE,
-    RECONFIG_TX_BASE,
     Committee,
     CommitteeSchedule,
     ReconfigCommand,
@@ -499,8 +498,11 @@ class ExperimentResult:
     messages_sent: int
     bytes_sent: int
     pending_transactions: int
-    #: Simulator events executed producing this point (perf accounting
-    #: for the sweep engine's events/sec reporting).
+    #: Callbacks the event loop ran producing this point (perf accounting
+    #: for the sweep engine's events/sec reporting).  What the simulator
+    #: spent, not something the model predicts: it may change when no
+    #: other field does, so compare runs with it set aside
+    #: (``tools/ci_checks.py points-match A B --ignore events_processed``).
     events_processed: int = 0
     #: Restarts (``recover``/``join`` events) that completed — the
     #: validator re-synced and proposed again.
@@ -721,15 +723,6 @@ class Experiment:
         return NodeBehavior()
 
     def _make_node(self, authority: int) -> SimValidator:
-        on_commit = None
-        if authority == 0:
-            # Harness-injected reconfiguration commands (reserved tx-id
-            # range) are not client traffic: excluding them keeps the
-            # duplicate_commits diagnostic meaningful.
-            record_commit = self._metrics.record_commit
-            on_commit = lambda tx, now: (  # noqa: E731
-                record_commit(tx.tx_id, now) if tx.tx_id < RECONFIG_TX_BASE else None
-            )
         return SimValidator(
             self._make_core(authority),
             self._network,
@@ -740,7 +733,8 @@ class Experiment:
             min_block_interval=self.config.block_interval,
             tx_weight=self.config.batch_weight,
             cpu=CpuConfig() if self.config.model_cpu else None,
-            on_commit=on_commit,
+            # Commits are measured at the observer.
+            on_commit=self._metrics.record_commit if authority == 0 else None,
             core_factory=lambda authority=authority: self._make_core(authority),
             start_down=authority in self._initially_down,
             on_recovery=self._metrics.record_recovery,

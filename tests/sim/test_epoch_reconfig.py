@@ -317,16 +317,19 @@ class TestEpochRuns:
     @pytest.mark.parametrize(
         "protocol, pinned",
         [
-            ("tusk", "0b470ad6abbfadd4"),
-            ("cordial-miners", "c5992bc735a3f4e5"),
-            ("mahi-mahi-5", "6a46b2c3fc882204"),
+            ("tusk", "a2ebb2bcfebe4fdb"),
+            ("cordial-miners", "eca67b0464a34ff6"),
+            ("mahi-mahi-5", "9cd38fa934006562"),
         ],
     )
     def test_resize_run_is_pinned_for_every_sequencer_user(self, protocol, pinned):
         """A join then a leave drive the shared ``_apply_reconfig``
         (scan, activation, round-scoped invalidation, walk restart)
         under each protocol's decision rule; the hashes were taken
-        before Tusk's own copy of the sequencer was deleted (PR 15)."""
+        before Tusk's own copy of the sequencer was deleted (PR 15).
+        Re-pinned once, in PR 19: ``events_processed`` fell by the ingress
+        completions that stopped being events; with that field masked the
+        hashes are the PR 15 runs' (old -> new and the proof in CHANGES.md)."""
         config = make_epoch_config(
             protocol=protocol,
             fault_schedule=(FaultEvent(1.5, 5, "join"), FaultEvent(5.0, 1, "leave")),

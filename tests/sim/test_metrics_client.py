@@ -7,13 +7,14 @@ import pytest
 from repro.sim.client import OpenLoopClient, reset_tx_ids
 from repro.sim.events import EventLoop
 from repro.sim.metrics import ExperimentMetrics
+from repro.transaction import Transaction
 
 
 class TestMetrics:
     def test_latency_recorded_per_transaction(self):
         metrics = ExperimentMetrics()
         metrics.record_submission(1, 0.0)
-        metrics.record_commit(1, 0.8)
+        metrics.record_commit([Transaction(1)], 0.8)
         summary = metrics.latency_summary()
         assert summary.avg == pytest.approx(0.8)
         assert summary.count == 1
@@ -22,8 +23,8 @@ class TestMetrics:
         metrics = ExperimentMetrics(warmup=5.0)
         metrics.record_submission(1, 1.0)  # during warmup
         metrics.record_submission(2, 6.0)
-        metrics.record_commit(1, 2.0)
-        metrics.record_commit(2, 6.5)
+        metrics.record_commit([Transaction(1)], 2.0)
+        metrics.record_commit([Transaction(2)], 6.5)
         summary = metrics.latency_summary()
         assert summary.count == 1
         assert summary.avg == pytest.approx(0.5)
@@ -31,8 +32,8 @@ class TestMetrics:
     def test_duplicate_commits_counted_once(self):
         metrics = ExperimentMetrics()
         metrics.record_submission(1, 0.0)
-        metrics.record_commit(1, 0.5)
-        metrics.record_commit(1, 0.9)
+        metrics.record_commit([Transaction(1)], 0.5)
+        metrics.record_commit([Transaction(1)], 0.9)
         assert metrics.committed_unique == 1
         assert metrics.duplicate_commits == 1
 
@@ -40,8 +41,8 @@ class TestMetrics:
         metrics = ExperimentMetrics()
         metrics.record_submission(1, 0.0, weight=10.0)
         metrics.record_submission(2, 0.0, weight=30.0)
-        metrics.record_commit(1, 1.0)
-        metrics.record_commit(2, 2.0)
+        metrics.record_commit([Transaction(1)], 1.0)
+        metrics.record_commit([Transaction(2)], 2.0)
         summary = metrics.latency_summary()
         assert summary.avg == pytest.approx((1.0 * 10 + 2.0 * 30) / 40)
         assert metrics.throughput(duration=10.0) == pytest.approx(4.0)
@@ -50,7 +51,7 @@ class TestMetrics:
         metrics = ExperimentMetrics()
         for i in range(100):
             metrics.record_submission(i, 0.0)
-            metrics.record_commit(i, (i + 1) / 100)
+            metrics.record_commit([Transaction(i)], (i + 1) / 100)
         summary = metrics.latency_summary()
         assert summary.p50 == pytest.approx(0.50, abs=0.02)
         assert summary.p90 == pytest.approx(0.90, abs=0.02)
@@ -66,7 +67,7 @@ class TestMetrics:
         metrics = ExperimentMetrics()
         metrics.record_submission(1, 0.0)
         metrics.record_submission(2, 0.0)
-        metrics.record_commit(1, 1.0)
+        metrics.record_commit([Transaction(1)], 1.0)
         assert metrics.pending == 1
 
 
@@ -107,7 +108,7 @@ class TestWeightedPercentile:
         metrics = ExperimentMetrics()
         for i in range(200):
             metrics.record_submission(i, 0.0, weight=rng.uniform(0.1, 20.0))
-            metrics.record_commit(i, rng.expovariate(1.0) + 0.01)
+            metrics.record_commit([Transaction(i)], rng.expovariate(1.0) + 0.01)
         s = metrics.latency_summary()
         assert s.p50 <= s.p90 <= s.p99 <= s.max
 

@@ -7,7 +7,7 @@ from repro.committee import Committee
 from repro.config import ProtocolConfig
 from repro.core.protocol import MahiMahiCore
 from repro.crypto.coin import FastCoin
-from repro.obs.trace import BLOCK_RECEIVED, NULL_TRACER, Tracer
+from repro.obs.trace import BLOCK_PROPOSED, BLOCK_RECEIVED, NULL_TRACER, Tracer
 from repro.sim.events import EventLoop
 from repro.sim.faults import NodeBehavior
 from repro.sim.latency import UniformLatencyModel
@@ -27,6 +27,7 @@ def make_cluster(
     with_core_factory=False,
     sync_chunk_blocks=4096,
     tracer=NULL_TRACER,
+    validator=SimValidator,
 ):
     committee = Committee.of_size(n)
     coin = FastCoin(seed=b"node-test", n=n, threshold=committee.quorum_threshold)
@@ -40,7 +41,7 @@ def make_cluster(
         if with_core_factory:
             factory = lambda i=i: MahiMahiCore(i, committee, config, coin)  # noqa: E731
         nodes.append(
-            SimValidator(
+            validator(
                 MahiMahiCore(i, committee, config, coin),
                 network,
                 loop,
@@ -54,6 +55,40 @@ def make_cluster(
             )
         )
     return loop, nodes
+
+
+def ingress_cluster(tx_ingress_cost, **kwargs):
+    """A traced cluster whose ingress stage takes ``tx_ingress_cost``
+    seconds per transaction (absurdly slow, so that it shows)."""
+    tracer = Tracer()
+    loop, nodes = make_cluster(
+        cpu=CpuConfig(tx_ingress_cost=tx_ingress_cost), tracer=tracer, **kwargs
+    )
+    return loop, nodes, tracer
+
+
+def proposals_with_transactions(tracer, node):
+    """``(time, tx ids)`` of each own proposal of ``node`` that carried
+    transactions, read from its current store."""
+    found = []
+    for event in tracer.events:
+        if (
+            event.validator == node.authority
+            and event.name == BLOCK_PROPOSED
+            and event.args["txs"]
+        ):
+            (block,) = node.core.store.slot_blocks(event.args["round"], node.authority)
+            found.append((event.ts, [tx.tx_id for tx in block.transactions]))
+    return found
+
+
+def ingress_spans(tracer, authority):
+    """``(tx id, start, end)`` of every ingress-stage span of ``authority``."""
+    return [
+        (event.args["tx"], event.ts, event.ts + event.dur)
+        for event in tracer.events
+        if event.validator == authority and event.name == "ingress_stage"
+    ]
 
 
 class TestRoundPacing:
@@ -338,14 +373,74 @@ class TestCertifiedMode:
 
 class TestCpuModel:
     def test_ingress_queue_delays_mempool(self):
-        cpu = CpuConfig(tx_ingress_cost=0.1)  # absurdly slow for the test
-        loop, nodes = make_cluster(cpu=cpu)
-        for _ in range(5):
-            nodes[0].submit(Transaction.dummy(1))
-        # Transactions are still queued in the CPU stage, not the mempool.
-        assert len(nodes[0].core.mempool) == 0
+        """Five submissions at t = 0 leave the 0.09 s ingress stage at
+        0.09, 0.18, 0.27, 0.36 and 0.45: a proposal carries exactly what
+        had completed by then, in submission order."""
+        loop, nodes, tracer = ingress_cluster(0.09, interval=0.25)
+        for tx_id in range(1, 6):
+            nodes[0].submit(Transaction(tx_id))
+        for node in nodes:
+            node.start()
         loop.run_until(1.0)
-        assert len(nodes[0].core.mempool) == 5
+        (first, early), (second, rest) = proposals_with_transactions(tracer, nodes[0])
+        assert first == pytest.approx(0.25) and early == [1, 2]
+        assert second == pytest.approx(0.5) and rest == [3, 4, 5]
+
+    def test_restart_drops_what_the_ingress_stage_still_held(self):
+        """A restart loses the process's queues: nothing submitted before
+        the crash is ever proposed, and the stage restarts at ``now``
+        (the old incarnation's backlog ran to t = 0.45)."""
+        loop, nodes, tracer = ingress_cluster(0.09, interval=0.25, with_core_factory=True)
+        for node in nodes:
+            node.start()
+        for tx_id in range(1, 6):
+            nodes[3].submit(Transaction(tx_id))
+        loop.schedule_at(0.1, nodes[3].crash)  # one completed, none proposed
+        loop.schedule_at(0.2, nodes[3].recover)
+        loop.schedule_at(0.2, nodes[3].start)
+        loop.schedule_at(0.2, nodes[3].submit, Transaction(6))
+        loop.run_until(3.0)
+        assert ingress_spans(tracer, 3)[-1] == (6, 0.2, pytest.approx(0.29))
+        proposed = proposals_with_transactions(tracer, nodes[3])
+        assert [ids for _, ids in proposed] == [[6]]
+
+    def test_pause_keeps_the_ingress_queue(self):
+        """Without a ``core_factory`` a crash is a process pause: the
+        stage's output survives it and is proposed after resuming."""
+        loop, nodes, tracer = ingress_cluster(0.09, interval=0.25)
+        for node in nodes:
+            node.start()
+        for tx_id in range(1, 6):
+            nodes[3].submit(Transaction(tx_id))
+        loop.schedule_at(0.1, nodes[3].crash)
+        loop.schedule_at(0.7, nodes[3].recover)
+        loop.schedule_at(0.7, nodes[3].start)
+        loop.run_until(2.0)
+        ((resumed, ids),) = proposals_with_transactions(tracer, nodes[3])
+        assert resumed >= 0.7 and ids == [1, 2, 3, 4, 5]
+
+    def test_slow_factor_prices_later_submissions_only(self):
+        loop, nodes, tracer = ingress_cluster(0.15, interval=0.1)
+        for node in nodes:
+            node.start()
+        nodes[0].submit(Transaction(1))
+        nodes[0].set_slow_factor(2.0)  # pacing 0.2 s, ingress 0.3 s from here
+        nodes[0].submit(Transaction(2))
+        loop.run_until(1.0)
+        assert ingress_spans(tracer, 0) == [
+            (1, 0.0, pytest.approx(0.15)),
+            (2, 0.0, pytest.approx(0.45)),
+        ]
+        (first, early), (second, late) = proposals_with_transactions(tracer, nodes[0])
+        assert first == pytest.approx(0.2) and early == [1]
+        assert second == pytest.approx(0.6) and late == [2]
+
+    def test_without_a_cpu_model_nothing_queues(self):
+        _, nodes = make_cluster(cpu=None)
+        nodes[0].submit(Transaction(1))
+        nodes[0].start()  # the same instant: no stage in between
+        (block,) = nodes[0].core.store.slot_blocks(1, 0)
+        assert [tx.tx_id for tx in block.transactions] == [1]
 
     def test_consensus_cost_slows_rounds(self):
         fast_loop, fast_nodes = make_cluster(cpu=None)

@@ -261,6 +261,32 @@ class TestPaperShape:
         result = quick("mahi-mahi-5", num_equivocators=3, duration=6.0)
         assert result.blocks_committed > 0  # run() asserts agreement
 
+    def test_fetch_table_forgets_blocks_that_arrived(self, monkeypatch):
+        """Equivocation makes validators fetch the sibling they were not
+        sent; a fetched block's entry leaves the table when the block is
+        accepted, so the table holds only what is still outstanding."""
+        from repro.sim.node import SimValidator
+
+        fetches = []
+        send_fetch = SimValidator._send_fetch
+
+        def counting_send_fetch(self, peer, refs, floor, token):
+            fetches.append(len(refs))
+            send_fetch(self, peer, refs, floor, token)
+
+        monkeypatch.setattr(SimValidator, "_send_fetch", counting_send_fetch)
+        exp = Experiment(
+            ExperimentConfig(
+                protocol="mahi-mahi-5", num_validators=10, num_equivocators=2,
+                load_tps=2_000.0, duration=6.0, warmup=3.0, seed=2,
+            )
+        )
+        exp.run()
+        assert sum(fetches) > 50
+        for node in exp.nodes:
+            assert not any(digest in node.core.store for digest in node._fetching)
+            assert len(node._fetching) < 10
+
     def test_crash_recovery_restart_resync_resume(self):
         """The crash-recovery workload end-to-end: validators crash at a
         quarter of the run, restart with empty state at the halfway

@@ -98,6 +98,36 @@ def test_fleet_identity(tmp_path):
     assert "c.json" in violations[0] and "b.json" in violations[1] and "w1" in violations[2]
 
 
+def test_points_match(tmp_path):
+    def point(events: int, committed: int = 40) -> dict:
+        result = {"blocks_committed": committed, "events_processed": events}
+        return {"config": {"seed": 1}, "config_hash": "a", "result": result, "schema": 7}
+
+    ours, theirs = tmp_path / "parent", tmp_path / "change"
+    assert ci_checks.points_match(ours, theirs) == [f"no points under {ours}"]
+    for root, events in ((ours, 116_162), (theirs, 76_076)):
+        write(root / "points" / "a.json", point(events))
+        write(root / "points" / "b.json", point(500))
+        write(root / "points" / "a.wall.json", {"wall": root.name})
+    # Fewer events and nothing else: equal once that field is set aside.
+    (violation,) = ci_checks.points_match(ours, theirs)
+    assert violation == "point files differ: ['a.json']"
+    assert ci_checks.points_match(ours, theirs, "--ignore", "events_processed") == []
+    assert ci_checks.main(["points-match", str(ours), str(theirs), "--ignore",
+                           "events_processed"]) == 0
+    write(theirs / "points" / "b.json", point(500, committed=39))
+    write(theirs / "points" / "c.json", point(1))
+    violations = ci_checks.points_match(ours, theirs, "--ignore", "events_processed")
+    assert len(violations) == 2
+    assert "c.json" in violations[0] and violations[1] == "point files differ: ['b.json']"
+    # Setting the differing field aside too leaves only the extra file.
+    assert len(ci_checks.points_match(
+        ours, theirs, "--ignore", "events_processed", "blocks_committed")) == 1
+    for malformed in (("events_processed",), ("--ignore",)):
+        (violation,) = ci_checks.points_match(ours, theirs, *malformed)
+        assert violation.startswith("usage:")
+
+
 def test_data_plane(tmp_path):
     def output(encodes=1.0, failed=0, correct=True) -> str:
         result = {
@@ -164,6 +194,32 @@ def test_tusk_poll(tmp_path):
     assert len(ci_checks.tusk_poll(write(tmp_path / "bad.out", output(correct=False)))) == 1
     dead = json.dumps({"correct": False, "attempted": 1, "failed": 0, "metrics": {}})
     assert len(ci_checks.tusk_poll(write(tmp_path / "dead.out", dead))) == 2
+
+
+def test_tx_path(tmp_path):
+    def output(recorder=41_959.0, observes=0.0, failed=0) -> str:
+        metrics = {
+            "sim.metrics.calls": {"value": recorder, "unit": "count"},
+            "sim.node.calls": {"value": 58_010.0, "unit": "count"},
+            "obs.metrics.calls": {"value": observes, "unit": "count"},
+            "dag.store.calls": {"value": 6_781.0, "unit": "count"},
+        }
+        result = {"correct": True, "attempted": 40_000, "failed": failed, "metrics": metrics}
+        return '# info {"workload": "sim-tusk-n10"}\n' + json.dumps(result) + "\n"
+
+    assert ci_checks.tx_path(write(tmp_path / "ok.out", output())) == []
+    # Inclusion, arrival and commit recorded once per transaction again,
+    # with four histogram observations per committed transaction.
+    violations = ci_checks.tx_path(
+        write(tmp_path / "per-tx.out", output(recorder=151_654.0, observes=129_240.0))
+    )
+    assert len(violations) == 2
+    assert "sim.metrics.calls is 151654.0, above sim.node.calls (58010.0)" in violations[0]
+    assert "obs.metrics.calls is 129240.0, above dag.store.calls (6781.0)" in violations[1]
+    (violation,) = ci_checks.tx_path(write(tmp_path / "bad.out", output(failed=7)))
+    assert "7 of 40000" in violation
+    dead = json.dumps({"correct": False, "attempted": 1, "failed": 0, "metrics": {}})
+    assert len(ci_checks.tx_path(write(tmp_path / "dead.out", dead))) == 3
 
 
 @pytest.mark.parametrize("name", ci_checks.CHECKS)
