@@ -3,11 +3,9 @@
 Every ``bench_*`` module that drives the simulator exports a ``SWEEPS``
 tuple of :class:`repro.sim.sweep.SweepSpec` — the single source of truth
 for which :class:`~repro.sim.runner.ExperimentConfig` points a figure
-needs.  Two consumers share those declarations:
-
-* the pytest-benchmark tests in the modules themselves (paper-vs-
-  measured tables, assertion of the paper's qualitative claims);
-* ``run_all.py`` / the ``repro-bench`` entry point, which executes all
-  sweeps through the parallel, cached sweep engine and writes
-  machine-readable ``results/*.json``.
+needs — and nothing else.  Their one consumer is ``run_all.py`` / the
+``repro-bench`` entry point, which executes all sweeps through the
+parallel, cached sweep engine, writes machine-readable
+``results/*.json``, and holds the results to the claim rules of
+``curve_checks.py``.
 """

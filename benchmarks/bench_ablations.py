@@ -11,16 +11,19 @@ argues for in prose:
 * **one wave per round vs non-overlapping waves** — Mahi-Mahi's
   overlapping waves vs the Cordial-Miners-style cadence.
 
-The ablation points are declared as data (``SWEEPS``) and consumed both
-by these pytest-benchmark tests and by ``run_all.py``.
+The ablation points are declared as data (``SWEEPS``) for
+``run_all.py``; each claim is a rule over the group of points that
+differ only in the ablated field (``curve_checks.
+check_mechanism_curves``; the overlapping-waves pair differs only in
+protocol, so it is ``check_curve_shapes``).
 """
 
 from __future__ import annotations
 
 from repro.sim.runner import ExperimentConfig
-from repro.sim.sweep import FigureSpec, SweepSpec, run_configs
+from repro.sim.sweep import FigureSpec, SweepSpec
 
-from .paper_data import Row, bench_scale, print_table
+from .paper_data import bench_scale
 
 _SCALE = bench_scale()
 
@@ -87,99 +90,3 @@ SWEEP_OVERLAPPING_WAVES = SweepSpec(
 )
 
 SWEEPS = (SWEEP_WAVE_LENGTH, SWEEP_DIRECT_SKIP, SWEEP_OVERLAPPING_WAVES)
-
-
-def test_ablation_wave_length_under_adversary(benchmark):
-    """w=3 loses the Lemma 10 liveness guarantee; under a rotating
-    asynchronous adversary its decisions stall while w=4/5 progress."""
-
-    def sweep():
-        results = run_configs(SWEEP_WAVE_LENGTH.configs)
-        return {r.config.wave_length_override: r for r in results}
-
-    results = benchmark.pedantic(sweep, rounds=1, iterations=1)
-    rows = []
-    for wave, result in results.items():
-        decided = (
-            result.direct_commits
-            + result.indirect_commits
-            + result.direct_skips
-            + result.indirect_skips
-        )
-        rows.append(
-            Row(
-                label=f"wave length {wave} (adversary active)",
-                paper="w=3 not live; w>=4 live",
-                measured=(
-                    f"{result.blocks_committed} blocks committed, "
-                    f"{decided} slots decided"
-                ),
-            )
-        )
-    print_table("Ablation: wave length under asynchronous adversary", rows)
-    # All wave lengths stay live in absolute terms...
-    assert results[5].blocks_committed > 0
-    assert results[4].blocks_committed > 0
-    # ...but w=3's lost common-core guarantee shows up as leaders
-    # skipped under the adversary, while w=5 skips (almost) nothing and
-    # directly commits far more slots.  (Raw blocks_committed is too
-    # noisy to order w=3 vs w=4 on a single seed: skipped leaders are
-    # recovered through later anchors.)
-    assert results[3].direct_skips > results[4].direct_skips >= results[5].direct_skips
-    assert results[5].direct_commits > results[3].direct_commits
-
-
-def test_ablation_direct_skip_rule(benchmark):
-    """Disabling the direct skip rule under 3 crash faults: dead leader
-    slots wait for anchors, inflating latency (Section 5.3)."""
-
-    def pair():
-        with_skip, without_skip = run_configs(SWEEP_DIRECT_SKIP.configs)
-        return {"with skip": with_skip, "without skip": without_skip}
-
-    results = benchmark.pedantic(pair, rounds=1, iterations=1)
-    rows = [
-        Row(
-            label=f"mahi-mahi-5, 3 faults, {label}",
-            paper="direct skip avoids ~2-round stalls",
-            measured=(
-                f"{result.latency.avg:.2f}s avg, skips "
-                f"{result.direct_skips}/{result.indirect_skips} direct/indirect"
-            ),
-        )
-        for label, result in results.items()
-    ]
-    print_table("Ablation: direct skip rule (3 crash faults)", rows)
-    assert results["with skip"].direct_skips > 0
-    assert results["without skip"].direct_skips == 0
-    assert (
-        results["with skip"].latency.avg <= results["without skip"].latency.avg
-    )
-
-
-def test_ablation_overlapping_waves(benchmark):
-    """One wave per round (Mahi-Mahi) vs one wave per 5 rounds (the
-    Cordial Miners cadence) — the overlap is what removes the
-    wave-position latency penalty for non-leader blocks."""
-
-    def pair():
-        overlapping, non_overlapping = run_configs(SWEEP_OVERLAPPING_WAVES.configs)
-        return {
-            "overlapping (every round)": overlapping,
-            "non-overlapping (every 5)": non_overlapping,
-        }
-
-    results = benchmark.pedantic(pair, rounds=1, iterations=1)
-    rows = [
-        Row(
-            label=label,
-            paper="overlap removes wave-wait",
-            measured=f"{result.latency.avg:.2f}s avg, p99 {result.latency.p99:.2f}s",
-        )
-        for label, result in results.items()
-    ]
-    print_table("Ablation: overlapping waves", rows)
-    assert (
-        results["overlapping (every round)"].latency.avg
-        < results["non-overlapping (every 5)"].latency.avg
-    )

@@ -46,15 +46,11 @@ excluded and partitioned/straggling validators deliberately *included*
 
 from __future__ import annotations
 
-import math
-
-import pytest
-
 from repro.sim.faults import FaultEvent
 from repro.sim.runner import ExperimentConfig
-from repro.sim.sweep import FigureSpec, SweepSpec, run_configs
+from repro.sim.sweep import FigureSpec, SweepSpec
 
-from .paper_data import Row, bench_scale, print_table
+from .paper_data import bench_scale
 
 _SCALE = bench_scale()
 _DURATION = 10.0 * _SCALE
@@ -237,151 +233,3 @@ SWEEPS = (
     SWEEP_WAN_MATRIX,
     SWEEP_STRAGGLER,
 )
-
-
-def test_equivocation_campaigns_preserve_safety_and_liveness(benchmark):
-    """0..f validators equivocate mid-run and later desist; the honest
-    prefix-consistency assertion inside run() covers every point, the
-    campaigners demonstrably sent conflicting blocks, and the committee
-    never stops committing."""
-    results = benchmark.pedantic(
-        run_configs, args=(SWEEP_EQUIVOCATION.configs,), rounds=1, iterations=1
-    )
-    rows = []
-    for r in sorted(results, key=lambda r: r.config.campaign_equivocators):
-        k = r.config.campaign_equivocators
-        assert r.blocks_committed > 0
-        assert not math.isnan(r.latency.avg)
-        if k:
-            assert r.equivocations > 0  # the campaign actually fired
-        else:
-            assert r.equivocations == 0
-        rows.append(
-            Row(
-                label=f"{k} campaign(s)",
-                paper="(new workload)",
-                measured=(
-                    f"{r.equivocations} equivocations, latency {r.latency.avg:.2f}s, "
-                    f"{r.blocks_committed} blocks"
-                ),
-            )
-        )
-    print_table("Equivocation campaigns (safety asserted in-run)", rows)
-    benchmark.extra_info["max_campaigns"] = 3
-
-
-def test_partition_heal_degrades_tail_latency_monotonically(benchmark):
-    """The longer the minority stays cut off, the worse the tail: p99
-    commit latency and unavailability both grow strictly with the
-    partition window, and dropped cross-links are accounted."""
-    results = benchmark.pedantic(
-        run_configs, args=(SWEEP_PARTITION.configs,), rounds=1, iterations=1
-    )
-    ordered = sorted(results, key=lambda r: r.config.partition_seconds)
-    rows = []
-    for r in ordered:
-        assert r.blocks_committed > 0
-        if r.config.partition_seconds:
-            assert r.messages_dropped > 0
-            assert r.partitioned_seconds > 0
-            assert r.availability < 1.0
-        rows.append(
-            Row(
-                label=f"window {r.config.partition_seconds:.1f}s",
-                paper="(new workload)",
-                measured=(
-                    f"p99 {r.latency.p99:.2f}s, availability {r.availability:.3f}, "
-                    f"{r.messages_dropped} dropped"
-                ),
-            )
-        )
-    print_table("Minority partition, dropped cross-links", rows)
-    p99s = [r.latency.p99 for r in ordered]
-    assert p99s == sorted(p99s) and len(set(p99s)) == len(p99s)
-    avail = [r.availability for r in ordered]
-    assert avail == sorted(avail, reverse=True) and len(set(avail)) == len(avail)
-
-
-def test_leader_dos_censors_single_slot_but_not_multi_slot(benchmark):
-    """The omniscient leader-DoS adversary fully censors the 1-slot
-    pipeline (no anchor ever arrives in time) while the 3-slot config
-    keeps committing at degraded latency — the multi-leader resilience
-    claim, measured."""
-    results = benchmark.pedantic(
-        run_configs, args=(SWEEP_LEADER_DOS.configs,), rounds=1, iterations=1
-    )
-    by_key = {
-        (r.config.leaders_per_round, r.config.leader_dos_slots): r for r in results
-    }
-    rows = []
-    for (lps, slots), r in sorted(by_key.items()):
-        rows.append(
-            Row(
-                label=f"{lps} slot(s), DoS={'on' if slots else 'off'}",
-                paper="(new workload)",
-                measured=(
-                    f"{r.blocks_committed} blocks, "
-                    f"throughput {r.throughput_tps:.0f} tx/s"
-                ),
-            )
-        )
-    print_table(f"Leader DoS (delay {LEADER_DOS_DELAY:.1f}s per leader block)", rows)
-    assert by_key[(1, 0)].blocks_committed > 0
-    assert by_key[(3, 0)].blocks_committed > 0
-    assert by_key[(1, 1)].blocks_committed == 0  # fully censored
-    assert by_key[(3, 1)].blocks_committed > 0  # rides through
-    ratio_1 = by_key[(1, 1)].throughput_tps / by_key[(1, 0)].throughput_tps
-    ratio_3 = by_key[(3, 1)].throughput_tps / by_key[(3, 0)].throughput_tps
-    assert ratio_1 < ratio_3
-
-
-def test_wan_matrix_latency_tracks_rtt_scale(benchmark):
-    """Commit latency follows the deployment's RTT footprint: the metro
-    matrix (sub-ms paths) beats both WAN spreads at matched load."""
-    results = benchmark.pedantic(
-        run_configs, args=(SWEEP_WAN_MATRIX.configs,), rounds=1, iterations=1
-    )
-    by_matrix = {r.config.wan_matrix: r for r in results}
-    rows = [
-        Row(
-            label=name,
-            paper="(new workload)",
-            measured=f"latency {by_matrix[name].latency.avg:.3f}s",
-        )
-        for name in WAN_MATRICES
-    ]
-    print_table("WAN matrices at matched load", rows)
-    metro = by_matrix["metro-3"].latency.avg
-    assert metro < by_matrix["paper-5"].latency.avg
-    assert metro < by_matrix["global-10"].latency.avg
-
-
-def test_stragglers_fall_behind_and_thin_throughput(benchmark):
-    """Straggling (slow-but-honest) validators trail the round frontier
-    and committee throughput declines as their proposals thin out;
-    safety and liveness hold throughout."""
-    results = benchmark.pedantic(
-        run_configs, args=(SWEEP_STRAGGLER.configs,), rounds=1, iterations=1
-    )
-    ordered = sorted(results, key=lambda r: r.config.straggler_count)
-    rows = []
-    for r in ordered:
-        assert r.blocks_committed > 0
-        if r.config.straggler_count:
-            assert r.max_rounds_behind > 0
-        rows.append(
-            Row(
-                label=f"{r.config.straggler_count} straggler(s) @ {STRAGGLE_SCALE:.0f}x",
-                paper="(new workload)",
-                measured=(
-                    f"throughput {r.throughput_tps:.0f} tx/s, "
-                    f"{r.max_rounds_behind} rounds behind"
-                ),
-            )
-        )
-    print_table("Stragglers: throughput vs slow members", rows)
-    assert ordered[-1].throughput_tps < ordered[0].throughput_tps
-
-
-if __name__ == "__main__":
-    raise SystemExit(pytest.main([__file__, "-q", "--benchmark-disable"]))

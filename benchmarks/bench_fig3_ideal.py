@@ -4,23 +4,21 @@ Reproduces the comparative WAN measurement of Mahi-Mahi-5, Mahi-Mahi-4,
 Cordial Miners and Tusk with 10 and 50 validators, no faults, 512-byte
 transactions (Section 5.2; claims C1, C2 and C5).
 
-The sweeps are declared as data (``SWEEPS``) and consumed both by these
-pytest-benchmark tests and by ``run_all.py``.  Each benchmark runs the
-load sweep for one protocol and prints the throughput/latency series
-next to the paper's reference numbers.  Absolute tx/s differ from the
+The sweeps are declared as data (``SWEEPS``); ``run_all.py`` runs them
+and ``curve_checks.check_curve_shapes`` holds every group of points that
+differ only in protocol to the paper's latency ordering (Mahi-Mahi-4 <
+Mahi-Mahi-5 < Cordial Miners < Tusk).  Absolute tx/s differ from the
 paper's Rust-on-AWS testbed; the reproduction targets are the latency
 ordering, the ratios between protocols, and the position of the
-saturation knee.
+saturation knee (REPORT.md's deviation tables print measured vs paper).
 """
 
 from __future__ import annotations
 
-import pytest
-
 from repro.sim.runner import ExperimentConfig, PROTOCOLS
-from repro.sim.sweep import FigureSpec, SweepSpec, run_configs
+from repro.sim.sweep import FigureSpec, SweepSpec
 
-from .paper_data import FIG3_10_NODES, FIG3_50_NODES, Row, bench_scale, print_table
+from .paper_data import bench_scale
 
 #: Offered loads for the 10-validator sweep (real tx/s).
 LOADS_10 = [20_000, 60_000, 100_000, 130_000]
@@ -92,75 +90,3 @@ SWEEP_ORDERING = SweepSpec(
 )
 
 SWEEPS = (SWEEP_10, SWEEP_50, SWEEP_ORDERING)
-
-
-def _sweep_10(protocol: str):
-    return run_configs(c for c in SWEEP_10.configs if c.protocol == protocol)
-
-
-@pytest.mark.parametrize("protocol", PROTOCOLS)
-def test_fig3_10_validators(benchmark, protocol):
-    results = benchmark.pedantic(_sweep_10, args=(protocol,), rounds=1, iterations=1)
-    paper = FIG3_10_NODES[protocol]
-    rows = [
-        Row(
-            label=f"{protocol} @ {r.config.load_tps / 1000:.0f}k tx/s",
-            paper=f"{paper['latency_s']:.2f}s @ <= {paper['peak_tps'] / 1000:.0f}k",
-            measured=(
-                f"{r.latency.avg:.2f}s avg, {r.throughput_tps / 1000:.1f}k tx/s committed"
-            ),
-        )
-        for r in results
-    ]
-    print_table(f"Figure 3 (10 validators, ideal) - {protocol}", rows)
-    stable = results[0]
-    benchmark.extra_info["latency_avg_s"] = stable.latency.avg
-    benchmark.extra_info["peak_throughput_tps"] = max(r.throughput_tps for r in results)
-
-
-@pytest.mark.parametrize("protocol", PROTOCOLS)
-def test_fig3_50_validators(benchmark, protocol):
-    """The large-committee point (claim C2): uncertified DAGs sustain
-    far higher load at 50 nodes than Tusk, at higher latency than the
-    10-node deployment."""
-    [config] = [c for c in SWEEP_50.configs if c.protocol == protocol]
-    [result] = benchmark.pedantic(run_configs, args=([config],), rounds=1, iterations=1)
-    paper = FIG3_50_NODES[protocol]
-    print_table(
-        f"Figure 3 (50 validators, ideal) - {protocol}",
-        [
-            Row(
-                label=f"{protocol} @ {config.load_tps / 1000:.0f}k tx/s",
-                paper=f"{paper['latency_s']:.2f}s @ {paper['peak_tps'] / 1000:.0f}k",
-                measured=(
-                    f"{result.latency.avg:.2f}s avg, "
-                    f"{result.throughput_tps / 1000:.1f}k tx/s committed"
-                ),
-            )
-        ],
-    )
-    benchmark.extra_info["latency_avg_s"] = result.latency.avg
-    benchmark.extra_info["throughput_tps"] = result.throughput_tps
-
-
-def test_fig3_latency_ordering(benchmark):
-    """The headline comparison at one load: MM-4 < MM-5 < CM <= Tusk."""
-
-    def sweep():
-        results = run_configs(SWEEP_ORDERING.configs)
-        return {r.config.protocol: r for r in results}
-
-    results = benchmark.pedantic(sweep, rounds=1, iterations=1)
-    rows = [
-        Row(
-            label=protocol,
-            paper=f"{FIG3_10_NODES[protocol]['latency_s']:.2f}s",
-            measured=f"{results[protocol].latency.avg:.2f}s",
-        )
-        for protocol in PROTOCOLS
-    ]
-    print_table("Figure 3 ordering (10 validators @ 20k tx/s)", rows)
-    latencies = {p: results[p].latency.avg for p in PROTOCOLS}
-    assert latencies["mahi-mahi-4"] < latencies["mahi-mahi-5"]
-    assert latencies["mahi-mahi-5"] < latencies["cordial-miners"]
-    assert latencies["mahi-mahi-5"] < latencies["tusk"]

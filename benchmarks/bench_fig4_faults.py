@@ -5,18 +5,18 @@
 skip rule holds its latency near the ideal case, Cordial Miners pays
 roughly two extra rounds per dead leader, and Tusk degrades the most.
 
-The sweeps are declared as data (``SWEEPS``) and consumed both by these
-pytest-benchmark tests and by ``run_all.py``.
+The sweeps are declared as data (``SWEEPS``) for ``run_all.py``; the
+claim's mechanism — Mahi-Mahi skips dead leaders directly, Cordial
+Miners only through later anchors — is ``curve_checks.
+check_mechanism_curves``, its latency side ``check_curve_shapes``.
 """
 
 from __future__ import annotations
 
-import pytest
-
 from repro.sim.runner import ExperimentConfig, PROTOCOLS
-from repro.sim.sweep import FigureSpec, SweepSpec, run_configs
+from repro.sim.sweep import FigureSpec, SweepSpec
 
-from .paper_data import FIG4_FAULTS, Row, bench_scale, print_table
+from .paper_data import bench_scale
 
 LOADS = [10_000, 30_000]
 
@@ -68,59 +68,3 @@ SWEEP_SKIP_MECHANISM = SweepSpec(
 )
 
 SWEEPS = (SWEEP_FAULTS, SWEEP_SKIP_MECHANISM)
-
-
-@pytest.mark.parametrize("protocol", PROTOCOLS)
-def test_fig4_three_crash_faults(benchmark, protocol):
-    configs = [c for c in SWEEP_FAULTS.configs if c.protocol == protocol]
-    results = benchmark.pedantic(run_configs, args=(configs,), rounds=1, iterations=1)
-    paper = FIG4_FAULTS[protocol]
-    rows = [
-        Row(
-            label=f"{protocol} @ {r.config.load_tps / 1000:.0f}k tx/s",
-            paper=f"{paper['latency_s']:.2f}s",
-            measured=(
-                f"{r.latency.avg:.2f}s avg, {r.throughput_tps / 1000:.1f}k tx/s, "
-                f"skips direct/indirect {r.direct_skips}/{r.indirect_skips}"
-            ),
-        )
-        for r in results
-    ]
-    print_table(f"Figure 4 (10 validators, 3 faults) - {protocol}", rows)
-    benchmark.extra_info["latency_avg_s"] = results[0].latency.avg
-    benchmark.extra_info["direct_skips"] = results[0].direct_skips
-
-
-def test_fig4_direct_skip_advantage(benchmark):
-    """Claim C3's mechanism: Mahi-Mahi skips dead leaders directly,
-    Cordial Miners only through later anchors."""
-
-    def run_pair():
-        results = run_configs(SWEEP_SKIP_MECHANISM.configs)
-        return {r.config.protocol: r for r in results}
-
-    results = benchmark.pedantic(run_pair, rounds=1, iterations=1)
-    mahi, cm = results["mahi-mahi-5"], results["cordial-miners"]
-    print_table(
-        "Figure 4 mechanism: skip rule",
-        [
-            Row(
-                label="mahi-mahi-5 direct skips",
-                paper="bypasses ~2 rounds earlier",
-                measured=f"{mahi.direct_skips} direct / {mahi.indirect_skips} indirect",
-            ),
-            Row(
-                label="cordial-miners direct skips",
-                paper="0 (no direct skip rule)",
-                measured=f"{cm.direct_skips} direct / {cm.indirect_skips} indirect",
-            ),
-            Row(
-                label="latency advantage",
-                paper="~50% lower (1.7s vs 0.95s)",
-                measured=f"{(1 - mahi.latency.avg / cm.latency.avg) * 100:.0f}% lower",
-            ),
-        ],
-    )
-    assert mahi.direct_skips > 0
-    assert cm.direct_skips == 0
-    assert mahi.latency.avg < cm.latency.avg

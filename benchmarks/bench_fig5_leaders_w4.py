@@ -5,19 +5,18 @@ three crash faults (Section 5.4; claim C4).  The paper reports latency
 dropping by ~40 ms (ideal) and ~100 ms (faulty) going from 1 to 3
 leaders, with no further gain beyond 3.
 
-The sweeps are declared as data (``SWEEPS``) and consumed both by these
-pytest-benchmark tests and by ``run_all.py``; ``bench_fig7_leaders_w5``
-reuses the builders for the wave-5 variant.
+The sweeps are declared as data (``SWEEPS``) for ``run_all.py``;
+``bench_fig7_leaders_w5`` reuses the builder for the wave-5 variant, and
+``curve_checks.check_mechanism_curves`` holds every group of points that
+differ only in ``leaders_per_round`` to "more slots never hurt".
 """
 
 from __future__ import annotations
 
-import pytest
-
 from repro.sim.runner import ExperimentConfig
-from repro.sim.sweep import FigureSpec, SweepSpec, run_configs
+from repro.sim.sweep import FigureSpec, SweepSpec
 
-from .paper_data import LEADER_SWEEP_IMPROVEMENT, Row, bench_scale, print_table
+from .paper_data import bench_scale
 
 WAVE_PROTOCOL = "mahi-mahi-4"
 LEADERS = (1, 2, 3)
@@ -58,49 +57,3 @@ SWEEPS = (
     leader_sweep_spec("5", WAVE_PROTOCOL, 0),
     leader_sweep_spec("5", WAVE_PROTOCOL, 3),
 )
-
-
-def run_leader_sweep(protocol: str, num_crashed: int, seed: int = 7, *, figure: str = "5"):
-    """Run the leader sweep in-process, keyed by leader count."""
-    spec = leader_sweep_spec(figure, protocol, num_crashed, seed)
-    results = run_configs(spec.configs)
-    return {r.config.leaders_per_round: r for r in results}
-
-
-def report(protocol: str, num_crashed: int, results) -> None:
-    paper_gain = (
-        LEADER_SWEEP_IMPROVEMENT["faulty_ms"]
-        if num_crashed
-        else LEADER_SWEEP_IMPROVEMENT["ideal_ms"]
-    )
-    label = f"{num_crashed} faults" if num_crashed else "no faults"
-    rows = [
-        Row(
-            label=f"{protocol}, {leaders} leader(s), {label}",
-            paper="latency decreases with leaders",
-            measured=f"{results[leaders].latency.avg * 1000:.0f} ms avg",
-        )
-        for leaders in LEADERS
-    ]
-    gain_ms = (results[1].latency.avg - results[3].latency.avg) * 1000
-    rows.append(
-        Row(
-            label="1 -> 3 leaders improvement",
-            paper=f"~{paper_gain:.0f} ms",
-            measured=f"{gain_ms:.0f} ms",
-        )
-    )
-    print_table(f"Figure 5 ({protocol}, {label})", rows)
-
-
-@pytest.mark.parametrize("num_crashed", [0, 3])
-def test_fig5_leader_sweep(benchmark, num_crashed):
-    results = benchmark.pedantic(
-        run_leader_sweep, args=(WAVE_PROTOCOL, num_crashed), rounds=1, iterations=1
-    )
-    report(WAVE_PROTOCOL, num_crashed, results)
-    benchmark.extra_info.update(
-        {f"latency_{k}_leaders_ms": results[k].latency.avg * 1000 for k in LEADERS}
-    )
-    # Claim C4: more leader slots never hurt, and help under faults.
-    assert results[3].latency.avg <= results[1].latency.avg + 0.02

@@ -8,9 +8,7 @@ The sweeps are declared as data (``SWEEPS``) via the shared builder in
 
 from __future__ import annotations
 
-import pytest
-
-from .bench_fig5_leaders_w4 import LEADERS, leader_sweep_spec, report, run_leader_sweep
+from .bench_fig5_leaders_w4 import leader_sweep_spec
 
 WAVE_PROTOCOL = "mahi-mahi-5"
 
@@ -18,19 +16,3 @@ SWEEPS = (
     leader_sweep_spec("7", WAVE_PROTOCOL, 0),
     leader_sweep_spec("7", WAVE_PROTOCOL, 3),
 )
-
-
-@pytest.mark.parametrize("num_crashed", [0, 3])
-def test_fig7_leader_sweep(benchmark, num_crashed):
-    results = benchmark.pedantic(
-        run_leader_sweep,
-        args=(WAVE_PROTOCOL, num_crashed),
-        kwargs={"figure": "7"},
-        rounds=1,
-        iterations=1,
-    )
-    report(WAVE_PROTOCOL, num_crashed, results)
-    benchmark.extra_info.update(
-        {f"latency_{k}_leaders_ms": results[k].latency.avg * 1000 for k in LEADERS}
-    )
-    assert results[3].latency.avg <= results[1].latency.avg + 0.02

@@ -30,7 +30,7 @@ Six sweeps:
 * ``recovery-gc-horizon`` — crash-recovery with an aggressive
   ``gc_depth=20``: by restart time the peers have pruned the history a
   cold restart would need (the sim raises a diagnostic for that
-  combination — see ``test_cold_restart_past_gc_horizon_diagnoses``);
+  combination — ``tests/sim/test_checkpoint.py``);
   warm replays its own WAL and fetches the delta, checkpoint adopts and
   suffix-fetches.  This is the long-run regime the paper's fault
   experiments assume away.
@@ -58,14 +58,11 @@ response.
 
 from __future__ import annotations
 
-import pytest
-
-from repro.errors import StateTransferError
 from repro.sim.faults import FaultEvent
 from repro.sim.runner import ExperimentConfig
-from repro.sim.sweep import FigureSpec, SweepSpec, run_configs
+from repro.sim.sweep import FigureSpec, SweepSpec
 
-from .paper_data import Row, bench_scale, print_table
+from .paper_data import bench_scale
 
 _SCALE = bench_scale()
 _DURATION = 16.0 * _SCALE
@@ -288,200 +285,3 @@ SWEEPS = (
     SWEEP_EPOCH_RESIZE,
     SWEEP_MIXED_SIZES,
 )
-
-
-@pytest.mark.parametrize("protocol", RECOVERY_PROTOCOLS)
-def test_recovery_restart_and_resync(benchmark, protocol):
-    """A crashed validator restarts with GC enabled, adopts a
-    quorum-attested checkpoint, suffix-fetches, resumes proposing, and
-    the safety check covers it (run() verifies the recovered sequence
-    aligns with the reference through the adopted state digest)."""
-    configs = [c for c in SWEEP_RECOVERY.configs if c.protocol == protocol]
-    results = benchmark.pedantic(run_configs, args=(configs,), rounds=1, iterations=1)
-    rows = []
-    for r in results:
-        assert r.recoveries == r.config.num_recovering
-        assert r.recovery_time_s is not None and r.recovery_time_s > 0
-        assert r.checkpoint_adoptions >= r.config.num_recovering
-        assert r.checkpoints_captured > 0
-        assert r.availability < 1.0
-        rows.append(
-            Row(
-                label=f"{protocol} @ {r.config.load_tps / 1000:.0f}k tx/s",
-                paper="(new workload)",
-                measured=(
-                    f"recovery {r.recovery_time_s:.3f}s avg "
-                    f"(max {r.recovery_time_max_s:.3f}s), "
-                    f"{r.checkpoint_adoptions} checkpoint adoptions, "
-                    f"availability {r.availability:.3f}, "
-                    f"latency {r.latency.avg:.2f}s"
-                ),
-            )
-        )
-    print_table(f"Crash-recovery (gc_depth=64) - {protocol}", rows)
-    benchmark.extra_info["recovery_time_s"] = results[0].recovery_time_s
-
-
-def test_recovery_certified_resync_costs_more(benchmark):
-    """Tusk's restarted validator re-syncs certified vertices (the
-    2f+1-signature verification overhead of Section 2.2), so its
-    recovery takes longer than Mahi-Mahi's at matched load."""
-
-    def run_pair():
-        configs = [
-            c
-            for c in SWEEP_RECOVERY.configs
-            if c.protocol in ("mahi-mahi-5", "tusk") and c.load_tps == LOADS[0]
-        ]
-        return {r.config.protocol: r for r in run_configs(configs)}
-
-    results = benchmark.pedantic(run_pair, rounds=1, iterations=1)
-    mahi, tusk = results["mahi-mahi-5"], results["tusk"]
-    print_table(
-        "Recovery: uncertified vs certified re-sync",
-        [
-            Row("mahi-mahi-5", "(new workload)", f"{mahi.recovery_time_s:.3f}s"),
-            Row("tusk", "(new workload)", f"{tusk.recovery_time_s:.3f}s"),
-        ],
-    )
-    assert mahi.recovery_time_s < tusk.recovery_time_s
-
-
-def test_recovery_mode_ordering(benchmark):
-    """On the same schedule, a warm (WAL-replay) restart is strictly
-    faster than a cold (refetch-to-genesis) one, and all three modes
-    report their path in the per-mode metric split."""
-
-    def run_modes():
-        configs = [
-            c for c in SWEEP_RECOVERY_MODES.configs if c.duration == MODE_DURATIONS[0]
-        ]
-        return {r.config.recover_mode: r for r in run_configs(configs)}
-
-    results = benchmark.pedantic(run_modes, rounds=1, iterations=1)
-    rows = []
-    for mode in ("cold", "warm", "checkpoint"):
-        r = results[mode]
-        assert r.recoveries == 1
-        assert r.recovery_time_s is not None
-        assert list(r.recovery_time_by_mode) == [mode]
-        rows.append(
-            Row(
-                label=f"{mode} restart",
-                paper="(new workload)",
-                measured=f"recovery {r.recovery_time_s:.3f}s",
-            )
-        )
-    print_table("Recovery modes at matched history", rows)
-    assert results["warm"].recovery_time_s < results["cold"].recovery_time_s
-    assert results["checkpoint"].checkpoint_adoptions == 1
-
-
-def test_recovery_past_gc_horizon(benchmark):
-    """With gc_depth=20 the peers prune the history a restart needs;
-    warm replay and checkpoint transfer both still complete."""
-
-    def run_gc():
-        configs = [c for c in SWEEP_RECOVERY_GC.configs if c.load_tps == LOADS[0]]
-        return {r.config.recover_mode: r for r in run_configs(configs)}
-
-    results = benchmark.pedantic(run_gc, rounds=1, iterations=1)
-    rows = []
-    for mode, r in sorted(results.items()):
-        assert r.config.gc_depth == 20
-        assert r.recoveries == 1
-        assert r.recovery_time_s is not None
-        rows.append(
-            Row(
-                label=f"{mode} restart, gc_depth=20",
-                paper="(new workload)",
-                measured=f"recovery {r.recovery_time_s:.3f}s",
-            )
-        )
-    print_table("Recovery past the GC horizon", rows)
-    assert results["checkpoint"].checkpoint_adoptions == 1
-
-
-def test_cold_restart_past_gc_horizon_diagnoses():
-    """A cold restart whose needed history is behind the peers' GC
-    horizon fails with a clear diagnostic instead of livelocking."""
-    config = _mode_config(
-        "cold", _DURATION, gc_depth=20, sync_chunk_blocks=4096
-    )
-    with pytest.raises(StateTransferError, match="garbage-collection horizon"):
-        run_configs([config])
-
-
-def test_reconfiguration_preserves_liveness(benchmark):
-    results = benchmark.pedantic(
-        run_configs, args=(SWEEP_RECONFIG.configs,), rounds=1, iterations=1
-    )
-    rows = []
-    for r in results:
-        assert r.blocks_committed > 0
-        assert r.recoveries >= 1  # the join completed
-        rows.append(
-            Row(
-                label=f"{r.config.protocol} @ {r.config.load_tps / 1000:.0f}k tx/s",
-                paper="(new workload)",
-                measured=(
-                    f"latency {r.latency.avg:.2f}s, availability {r.availability:.3f}, "
-                    f"join sync {r.recovery_time_s:.3f}s"
-                ),
-            )
-        )
-    print_table("Reconfiguration: join + leave", rows)
-
-
-def test_epoch_resize_thresholds_follow_committee(benchmark):
-    """The tentpole workload: n resizes 4 -> 7 -> 5 through committed
-    join/leave commands; every epoch activates at the same round on
-    every honest validator (asserted by run()'s safety check), joiners
-    sync in via state transfer and propose once active, leavers exit at
-    their excluding epoch, and the per-epoch attribution carries the
-    committee sizes."""
-    results = benchmark.pedantic(
-        run_configs, args=(SWEEP_EPOCH_RESIZE.configs,), rounds=1, iterations=1
-    )
-    rows = []
-    for r in results:
-        assert r.config.epoch_reconfig
-        # All five commands committed and activated: 4->5->6->7->6->5.
-        assert r.epoch_transitions == 5
-        assert r.final_committee_size == 5
-        sizes = [row["size"] for row in r.epoch_summary]
-        assert sizes == [4, 5, 6, 7, 6, 5]
-        assert r.recoveries >= 3  # each joiner synced and proposed
-        assert r.checkpoint_adoptions >= 3
-        # Availability recovers once leavers stop counting against the
-        # (shrunken) committee: the final epoch's member set is fully up.
-        assert r.epoch_summary[-1]["availability"] == 1.0
-        rows.append(
-            Row(
-                label=f"epoch resize @ {r.config.load_tps / 1000:.0f}k tx/s",
-                paper="(new workload)",
-                measured=(
-                    f"{r.epoch_transitions} epochs, n {sizes[0]}->{max(sizes)}->"
-                    f"{sizes[-1]}, join sync {r.recovery_time_s:.3f}s, "
-                    f"latency {r.latency.avg:.2f}s"
-                ),
-            )
-        )
-    print_table("Epoch reconfiguration: committee resize", rows)
-
-
-def test_mixed_tx_sizes_account_bytes(benchmark):
-    results = benchmark.pedantic(
-        run_configs, args=(SWEEP_MIXED_SIZES.configs,), rounds=1, iterations=1
-    )
-    rows = []
-    for r in results:
-        assert r.blocks_committed > 0
-        rows.append(
-            Row(
-                label=f"mixed sizes @ {r.config.load_tps / 1000:.0f}k tx/s",
-                paper="(new workload)",
-                measured=f"latency {r.latency.avg:.2f}s, {r.bytes_sent / 1e6:.1f} MB sent",
-            )
-        )
-    print_table("Mixed transaction sizes", rows)

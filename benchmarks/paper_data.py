@@ -1,13 +1,13 @@
 """Reference numbers quoted in the paper's evaluation (Section 5,
-Appendix D), used to print paper-vs-measured tables next to every
-benchmark.  Values are the prose/figure numbers, not pixel-perfect
-curve reads.
+Appendix D): what ``curve_checks.py`` orders the measured curves by and
+what REPORT.md's deviation tables and ``deviation_trend.py`` divide
+them by.  Values are the prose/figure numbers, not pixel-perfect curve
+reads.
 """
 
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
 
 #: Figure 3, 10 validators, ideal conditions: peak throughput (tx/s) and
 #: average latency (s) at moderate load, per the Section 5.2 prose.
@@ -46,23 +46,3 @@ def bench_scale() -> float:
     confidence, longer wall time); CI keeps the default 1.
     """
     return float(os.environ.get("REPRO_BENCH_SCALE", "1"))
-
-
-@dataclass(frozen=True)
-class Row:
-    """One printable paper-vs-measured row."""
-
-    label: str
-    paper: str
-    measured: str
-
-    def format(self, width: int = 36) -> str:
-        return f"  {self.label:<{width}} paper: {self.paper:<18} measured: {self.measured}"
-
-
-def print_table(title: str, rows: list[Row]) -> None:
-    """Print one experiment's comparison table to the bench log."""
-    print()
-    print(f"== {title} ==")
-    for row in rows:
-        print(row.format())

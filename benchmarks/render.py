@@ -5,14 +5,12 @@ Renders ``results/figures/figure-<id>.svg`` (one per paper figure) and
 ``results/REPORT.md`` from the sweep summaries already on disk — no
 sweeps are re-run; use ``repro-bench [--smoke] --render`` to run and
 render in one command.  The chart backend is pure Python SVG
-(:mod:`repro.analysis.plotting`); when matplotlib happens to be
-importable, ``--png`` adds PNGs next to the SVGs.
+(:mod:`repro.analysis.plotting`).
 
 Usage::
 
     python -m benchmarks.render                 # render results/
     python -m benchmarks.render --results out/  # another results dir
-    python -m benchmarks.render --png           # + PNGs (needs matplotlib)
 
 This module also owns the paper-vs-measured *deviation tables* of the
 report: it joins each rendered point against the reference numbers in
@@ -136,13 +134,12 @@ def paper_deviation_rows(
     return []
 
 
-def render_report(results_dir: str | Path, *, png: bool = False) -> dict:
+def render_report(results_dir: str | Path) -> dict:
     """Render figures + REPORT.md for ``results_dir`` (the shared path
     behind both this CLI and ``repro-bench --render``)."""
     return generate_report(
         results_dir,
         paper_rows=paper_deviation_rows,
-        png=png,
         title="Reproduction report - Mahi-Mahi (ICDCS'25)",
     )
 
@@ -158,26 +155,16 @@ def main(argv: list[str] | None = None) -> int:
         default="results",
         help="results directory written by repro-bench (default: results/)",
     )
-    parser.add_argument(
-        "--png",
-        action="store_true",
-        help="also render PNGs via matplotlib when it is importable",
-    )
     args = parser.parse_args(argv)
 
-    from repro.analysis.plotting import matplotlib_available
     from repro.analysis.report import ReportError
 
     try:
-        outputs = render_report(args.results, png=args.png)
+        outputs = render_report(args.results)
     except ReportError as error:
         print(f"benchmarks.render: {error}", file=sys.stderr)
         return 1
     for figure_id, path in outputs["figures"].items():
-        print(f"[render] {figure_id:<12} -> {path}")
-    if args.png and not matplotlib_available():
-        print("[render] matplotlib not importable - PNGs skipped (SVGs unaffected)")
-    for figure_id, path in outputs["pngs"].items():
         print(f"[render] {figure_id:<12} -> {path}")
     print(f"[render] report       -> {outputs['report']}")
     return 0

@@ -7,7 +7,8 @@ engine (:mod:`repro.sim.sweep`).  Finished points land in
 ``results/points/<config-hash>.json``; per-sweep series summaries in
 ``results/<sweep>.json``; a run-level roll-up in
 ``results/summary.json``.  Re-running resumes: cached points are served
-near-instantly, only missing ones compute.
+near-instantly, only missing ones compute.  Every run ends by holding
+the results to the claim rules of ``benchmarks/curve_checks.py``.
 
 Usage::
 
@@ -174,11 +175,6 @@ def main(argv: list[str] | None = None) -> int:
         help="run the sweeps under cProfile + a stack sampler and write "
         "results/profile/ (top-N tables + a flamegraph-ready collapsed-stack "
         "file); forces --workers 1 so the workload runs in-process",
-    )
-    parser.add_argument(
-        "--png",
-        action="store_true",
-        help="with --render: also write PNGs when matplotlib is importable",
     )
     args = parser.parse_args(argv)
 
@@ -364,140 +360,49 @@ def main(argv: list[str] | None = None) -> int:
         # and REPORT.md on disk for the CI artifact / post-mortem.
         from benchmarks.render import render_report
 
-        outputs = render_report(store.root, png=args.png)
+        outputs = render_report(store.root)
         print(
             f"repro-bench: rendered {len(outputs['figures'])} figures -> "
             f"{store.root}/figures/, report -> {outputs['report']}"
         )
 
-    # The smoke gate: every sweep must actually commit blocks somewhere
-    # (the wave-3 adversary ablation legitimately stalls individual
-    # points, so the bar is per-sweep, not per-point).
-    stalled = [
-        o.spec.name for o in outcomes if not any(r.blocks_committed > 0 for r in o.results)
-    ]
-    if stalled:
-        print(f"repro-bench: FAIL - no blocks committed in: {', '.join(stalled)}")
-        return 1
-
-    # The recovery gate: every sweep that schedules restarts must show a
-    # validator actually restarting, re-syncing, and resuming proposing,
-    # with the recovery-time metric reported per point.
-    failed_recovery = []
-    for o in outcomes:
-        restarting = [
-            r
-            for r in o.results
-            if r.config.num_recovering
-            or any(e.kind in ("recover", "join") for e in r.config.fault_schedule)
-        ]
-        if restarting and not any(
-            r.recoveries > 0 and r.recovery_time_s is not None for r in restarting
-        ):
-            failed_recovery.append(o.spec.name)
-    if failed_recovery:
-        print(
-            "repro-bench: FAIL - no completed recovery reported in: "
-            + ", ".join(failed_recovery)
-        )
-        return 1
-
     all_results = [r for o in outcomes for r in o.results]
 
-    # The GC-enabled warm-restart gate: at least one point must restart
-    # a validator with garbage collection on, replay its WAL, and report
-    # the recovery-time metric — the long-run regime the checkpoint &
-    # state-transfer subsystem exists for.  A full run must declare such
-    # a point; an --only subset is exempt from declaring but not from
-    # completing the ones it does declare.
-    warm_gc = [
-        r
-        for r in all_results
-        if r.config.recover_mode == "warm" and r.config.gc_depth > 0
-    ]
-    if not warm_gc and not args.only:
-        print("repro-bench: FAIL - no GC-enabled warm-restart point declared")
-        return 1
-    if warm_gc and not any(
-        r.recoveries > 0 and r.recovery_time_s is not None for r in warm_gc
-    ):
-        print("repro-bench: FAIL - no GC-enabled warm restart completed")
-        return 1
+    # A full run must put every workload the rules below exist for on the
+    # simulated network: a GC-enabled warm restart (the long-run regime
+    # the checkpoint & state-transfer subsystem exists for), a committee
+    # that resizes mid-run, and each modeled adversary.  An --only subset
+    # is exempt from declaring such points, not from the rules over the
+    # ones it does declare.
+    if not args.only:
+        configs = [r.config for r in all_results]
+        declared = {
+            "GC-enabled warm restart": any(
+                c.recover_mode == "warm" and c.gc_depth > 0 for c in configs
+            ),
+            "epoch reconfiguration": any(c.epoch_reconfig for c in configs),
+            "equivocation campaign": any(c.campaign_equivocators for c in configs),
+            "partition and heal": any(
+                e.kind == "heal" for c in configs for e in c.fault_schedule
+            ),
+            "leader DoS": any(c.leader_dos_slots for c in configs),
+        }
+        missing = [name for name, found in declared.items() if not found]
+        if missing:
+            print(f"repro-bench: FAIL - no point declared for: {', '.join(missing)}")
+            return 1
 
-    # The state-transfer gate: checkpoint-mode restarts must actually
-    # adopt a quorum-attested checkpoint (crash -> ckpt_req/resp ->
-    # adopt -> suffix fetch -> resumed proposing, safety asserted by
-    # every run).
-    ckpt_points = [r for r in all_results if r.config.recover_mode == "checkpoint"]
-    if ckpt_points and not any(r.checkpoint_adoptions > 0 for r in ckpt_points):
-        print("repro-bench: FAIL - no checkpoint adoption in any checkpoint-mode point")
-        return 1
+    # The claims, one rule each over the cached results (which claim is
+    # which rule: benchmarks/README.md): every point commits and every
+    # scheduled restart completes, the paper's protocol orderings and the
+    # mechanisms behind them, and the recovery-mode, epoch-reconfiguration
+    # and adversary-scenario shapes.  Enforced at any scale; a rule that
+    # needs a full-length run skips smoke points by their duration.
+    from benchmarks.curve_checks import RESULT_CHECKS
 
-    # The epoch-reconfiguration gate: a full run must declare at least
-    # one point where the committee itself resizes mid-run (n varying
-    # through committed join/leave commands); check_epoch_curves below
-    # verifies every declared point actually changed n.
-    if not any(r.config.epoch_reconfig for r in all_results) and not args.only:
-        print("repro-bench: FAIL - no epoch-reconfiguration point declared")
-        return 1
-
-    # The adversary gate: a full run must put each modeled adversary on
-    # the simulated network — at least one equivocation-campaign point
-    # that actually sent conflicting blocks, one partition point that
-    # dropped cross-links and healed, and one leader-DoS point.  An
-    # --only subset is exempt from declaring but not from completing
-    # the points it does declare.
-    equivocation_points = [r for r in all_results if r.config.campaign_equivocators]
-    partition_points = [
-        r
-        for r in all_results
-        if any(e.kind == "heal" for e in r.config.fault_schedule)
-    ]
-    dos_points = [r for r in all_results if r.config.leader_dos_slots]
-    if not args.only and not (equivocation_points and partition_points and dos_points):
-        missing = [
-            name
-            for name, points in (
-                ("equivocation-campaign", equivocation_points),
-                ("partition-heal", partition_points),
-                ("leader-dos", dos_points),
-            )
-            if not points
-        ]
-        print(f"repro-bench: FAIL - no adversary point declared for: {', '.join(missing)}")
-        return 1
-    if equivocation_points and not any(r.equivocations > 0 for r in equivocation_points):
-        print("repro-bench: FAIL - no equivocation-campaign point ever equivocated")
-        return 1
-    if partition_points and not any(r.messages_dropped > 0 for r in partition_points):
-        print("repro-bench: FAIL - no partition point dropped a cross-partition message")
-        return 1
-
-    # Curve shapes: the robust protocol orderings the paper's claims
-    # rest on, the recovery-mode shape claims (warm < cold, checkpoint
-    # ~flat vs cold growing with history), the epoch-reconfiguration
-    # claims (n actually resizes; thresholds and availability follow the
-    # active epoch), and the adversary-scenario claims (campaigns
-    # equivocate without stalling, partitions cost availability and tail
-    # latency, multi-slot leader pipelines ride through a targeted DoS,
-    # stragglers trail and thin throughput, WAN matrices order by RTT)
-    # — see benchmarks/curve_checks.py.  Enforced at any scale, smoke
-    # included.
-    from benchmarks.curve_checks import (
-        check_adversary_curves,
-        check_curve_shapes,
-        check_epoch_curves,
-        check_recovery_curves,
-    )
-
-    violations = (
-        check_curve_shapes(all_results)
-        + check_recovery_curves(all_results)
-        + check_epoch_curves(all_results)
-        + check_adversary_curves(all_results)
-    )
+    violations = [v for check in RESULT_CHECKS for v in check(all_results)]
     for violation in violations:
-        print(f"repro-bench: curve-shape violation - {violation}")
+        print(f"repro-bench: claim violation - {violation}")
     if violations:
         return 1
 

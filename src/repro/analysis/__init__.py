@@ -9,8 +9,7 @@
 * :mod:`repro.analysis.dag_stats` — measured DAG shape statistics
   (common-core coverage, round reachability) from live stores;
 * :mod:`repro.analysis.plotting` — dependency-free SVG line charts
-  (log/linear axes, legends, fixed colorblind-validated palette), with
-  an optional matplotlib PNG backend behind a gated import;
+  (log/linear axes, legends, fixed colorblind-validated palette);
 * :mod:`repro.analysis.report` — loads ``results/*.json`` sweep
   summaries, renders one figure per paper figure id, and emits the
   ``results/REPORT.md`` reproduction report.
@@ -24,7 +23,7 @@ from .commit_probability import (
 )
 from .latency_model import expected_commit_delays, LatencyModelResult
 from .dag_stats import CommonCoreReport, DagShape, common_core_report, round_reachability
-from .plotting import Panel, Series, matplotlib_available, render_figure, render_figure_png
+from .plotting import Panel, Series, render_figure
 from .report import DeviationRow, LoadedSweep, ReportError, SweepPoint, generate_report
 
 __all__ = [
@@ -40,9 +39,7 @@ __all__ = [
     "round_reachability",
     "Panel",
     "Series",
-    "matplotlib_available",
     "render_figure",
-    "render_figure_png",
     "DeviationRow",
     "LoadedSweep",
     "ReportError",

@@ -4,9 +4,7 @@ The reproduction's figures are multi-series line charts (a metric
 against a swept config field, one curve per protocol / fault count).
 This module renders them as standalone SVG documents using nothing but
 the standard library — in the spirit of the dependency-free sim stack —
-so ``repro-bench --render`` works on a bare Python install.  When
-matplotlib happens to be importable, :func:`render_figure_png` adds PNG
-output behind a gated import; its absence only disables PNGs.
+so ``repro-bench --render`` works on a bare Python install.
 
 Layout and styling follow a small fixed spec: thin 2 px lines with
 round joins, >= 8 px markers ringed in the surface color, hairline
@@ -38,9 +36,7 @@ __all__ = [
     "CATEGORICAL_COLORS",
     "Panel",
     "Series",
-    "matplotlib_available",
     "render_figure",
-    "render_figure_png",
 ]
 
 #: Categorical palette (light surface), assigned to series in this
@@ -457,62 +453,3 @@ def render_figure(title: str, panels: list[Panel], *, width: int = 680) -> str:
     svg.add("</svg>")
     return "\n".join(svg.parts) + "\n"
 
-
-# ----------------------------------------------------------------------
-# Optional matplotlib backend (PNG) — gated import
-# ----------------------------------------------------------------------
-def matplotlib_available() -> bool:
-    """Whether the optional matplotlib PNG backend can be used.
-
-    matplotlib is *not* a dependency of this repo; when it is absent
-    (the common case) SVG rendering is unaffected and PNG output is
-    skipped.
-    """
-    try:
-        import matplotlib  # noqa: F401
-    except ImportError:
-        return False
-    return True
-
-
-def render_figure_png(title: str, panels: list[Panel], path) -> bool:
-    """Render the same figure as a PNG via matplotlib, if importable.
-
-    Returns ``True`` when the PNG was written, ``False`` when
-    matplotlib is unavailable (never raises for absence — the SVG
-    backend is the canonical one).
-    """
-    if not matplotlib_available():
-        return False
-    import matplotlib
-
-    matplotlib.use("Agg")
-    import matplotlib.pyplot as plt
-
-    fig, axes = plt.subplots(
-        len(panels), 1, figsize=(6.8, 3.2 * len(panels)), squeeze=False
-    )
-    fig.suptitle(title)
-    for ax, panel in zip((row[0] for row in axes), panels):
-        for slot, series in enumerate(panel.series):
-            xs, ys = [], []
-            for x, y in zip(series.xs, series.ys):
-                if y is None or not math.isfinite(float(y)):
-                    continue
-                xs.append(x if _is_number(x) else _category_label(x))
-                ys.append(float(y))
-            ax.plot(xs, ys, marker="o", label=series.label,
-                    color=_series_color(series, slot))
-        if panel.x_scale == "log":
-            ax.set_xscale("log")
-        if panel.y_scale == "log":
-            ax.set_yscale("log")
-        ax.set_title(panel.title, fontsize=10)
-        ax.set_xlabel(panel.x_label)
-        ax.set_ylabel(panel.y_label)
-        if len(panel.series) >= 2:
-            ax.legend(fontsize=8)
-    fig.tight_layout()
-    fig.savefig(path, dpi=120)
-    plt.close(fig)
-    return True

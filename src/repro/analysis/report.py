@@ -7,8 +7,7 @@ content-addressed point cache, as written by the sweep engine
 * ``results/figures/figure-<id>.svg`` — one chart per paper figure id,
   rendered by the dependency-free SVG backend
   (:mod:`repro.analysis.plotting`); sweeps sharing a figure id become
-  stacked panels of one figure.  With matplotlib importable and
-  ``png=True``, matching PNGs land next to the SVGs.
+  stacked panels of one figure.
 * ``results/REPORT.md`` — a provenance header (git revision, sweep
   schema versions, smoke vs full mode, point-cache hit statistics),
   then one section per figure: the rendered chart, the sweep inventory,
@@ -36,7 +35,7 @@ from typing import Callable, Iterable
 
 from ..errors import ReproError
 from ..sim.sweep import SCHEMA_VERSION, FigureSpec
-from .plotting import Panel, Series, CATEGORICAL_COLORS, render_figure, render_figure_png
+from .plotting import Panel, Series, CATEGORICAL_COLORS, render_figure
 
 __all__ = [
     "DeviationRow",
@@ -126,14 +125,13 @@ def _load_point_file(points_dir: Path, config_hash: str) -> dict | None:
         return None
     if not isinstance(data, dict):
         return None
-    if "wall_seconds" not in data:
-        # Point files are deterministic; the writer's wall clock lives
-        # in a sidecar (legacy caches carried it in the payload).
-        try:
-            wall = json.loads((points_dir / f"{config_hash}.wall.json").read_text())
-            data["wall_seconds"] = wall.get("wall_seconds")
-        except (OSError, json.JSONDecodeError, AttributeError):
-            pass
+    # Point files are deterministic; the writer's wall clock lives in a
+    # sidecar.
+    try:
+        wall = json.loads((points_dir / f"{config_hash}.wall.json").read_text())
+        data["wall_seconds"] = wall.get("wall_seconds")
+    except (OSError, json.JSONDecodeError, AttributeError):
+        pass
     return data
 
 
@@ -505,7 +503,6 @@ def generate_report(
     *,
     paper_rows: Callable[[str, list[LoadedSweep]], list[tuple[str, list[DeviationRow]]]]
     | None = None,
-    png: bool = False,
     git_rev: str | None = None,
     title: str = "Reproduction report",
 ) -> dict:
@@ -518,15 +515,12 @@ def generate_report(
             ``(figure_id, sweeps)``, returns ``(table_title, rows)``
             pairs.  The caller owns the paper's reference numbers; the
             report only formats them.
-        png: Also render PNGs via matplotlib when it is importable
-            (silently skipped otherwise — matplotlib is optional).
         git_rev: Provenance override; default asks ``git`` and falls
             back to ``"unknown"``.
         title: Report headline.
 
     Returns:
-        ``{"report": <REPORT.md path>, "figures": {figure_id: svg path},
-        "pngs": {figure_id: png path}}``
+        ``{"report": <REPORT.md path>, "figures": {figure_id: svg path}}``
 
     Raises:
         ReportError: When ``results_dir`` holds no sweep summaries —
@@ -544,7 +538,6 @@ def generate_report(
     colors = _ColorRegistry()
     groups = group_by_figure(sweeps)
     figure_paths: dict[str, Path] = {}
-    png_paths: dict[str, Path] = {}
     lines: list[str] = [f"# {title}", ""]
     lines += _provenance_lines(results_dir, sweeps, git_rev)
     lines += _deviation_trend_lines(results_dir)
@@ -560,10 +553,6 @@ def generate_report(
         svg_path = figures_dir / figure_file_name(figure_id)
         svg_path.write_text(render_figure(figure_title(figure_id), panels))
         figure_paths[figure_id] = svg_path
-        if png:
-            png_path = svg_path.with_suffix(".png")
-            if render_figure_png(figure_title(figure_id), panels, png_path):
-                png_paths[figure_id] = png_path
 
         lines += [f"## {figure_title(figure_id)}", ""]
         first_title = group[0].spec.title
@@ -586,4 +575,4 @@ def generate_report(
 
     report_path = results_dir / "REPORT.md"
     report_path.write_text("\n".join(lines).rstrip() + "\n")
-    return {"report": report_path, "figures": figure_paths, "pngs": png_paths}
+    return {"report": report_path, "figures": figure_paths}

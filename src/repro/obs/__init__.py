@@ -9,7 +9,7 @@ latency go?* — through the same three pieces:
   included → proposed/received/certified → wave decided → committed →
   executed).  The default is a shared no-op tracer whose only cost on
   the hot path is one attribute check (``tracer.enabled``), pinned by
-  the ``bench_micro.py`` before/after comparison.
+  ``tests/obs/test_trace.py`` (an untraced run never reaches it).
 - :mod:`repro.obs.export`: JSONL span logs and the Chrome trace-event
   format (one pid per validator, one tid per subsystem) loadable in
   Perfetto or speedscope, written under ``results/trace/``.

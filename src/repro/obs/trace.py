@@ -15,8 +15,8 @@ trace-event format.
 The default tracer is :data:`NULL_TRACER`, a shared no-op whose
 ``enabled`` flag is ``False``.  Hot paths guard every recording site
 with ``if tracer.enabled:`` so the disabled cost is a single attribute
-load — the ``bench_micro.py`` tracing comparison pins that this stays
-within noise of the uninstrumented path.
+load — ``tests/obs/test_trace.py`` pins it as a count: an untraced run
+of either fabric never calls a :class:`NullTracer` method.
 """
 
 from __future__ import annotations

@@ -26,7 +26,6 @@ from .sweep import (
     SweepOutcome,
     SweepSpec,
     config_hash,
-    run_configs,
     run_sweep,
     smoke_config,
 )
@@ -37,7 +36,6 @@ __all__ = [
     "SweepOutcome",
     "SweepSpec",
     "config_hash",
-    "run_configs",
     "run_sweep",
     "smoke_config",
     "EventLoop",

@@ -208,7 +208,6 @@ class SimNetwork:
         "_benign",
         "_rng",
         "_sample_delay",
-        "_handlers",
         "_batch_handlers",
         "_egress_free",
         "_last_delivery",
@@ -242,7 +241,6 @@ class SimNetwork:
         self._rng = random.Random(repr(("network", seed)))
         # Pair-memoized base delays + block-presampled jitter.
         self._sample_delay = latency.make_sampler(self._rng)
-        self._handlers: dict[int, Callable[[Message], None]] = {}
         self._batch_handlers: dict[int, Callable[[list[Message]], None]] = {}
         # Sender uplink: time at which each validator's egress is free.
         self._egress_free = [0.0] * num_validators
@@ -270,26 +268,20 @@ class SimNetwork:
         """Provisioned validator count (all wire identities)."""
         return self._n
 
-    def register(self, validator: int, handler: Callable[[Message], None]) -> None:
-        """Attach the delivery callback for ``validator``."""
-        self._handlers[validator] = handler
-
     def register_batch(
         self, validator: int, handler: Callable[[list[Message]], None]
     ) -> None:
-        """Attach a batched delivery callback for ``validator``.
+        """Attach the delivery callback for ``validator``.
 
         All messages arriving for the validator on one link within one
         delivery tick are handed over in a single call (arrival order),
-        letting the receiver verify them as one batch.  Takes precedence
-        over a plain :meth:`register` handler when both are set.
+        letting the receiver verify them as one batch.
         """
         self._batch_handlers[validator] = handler
 
     def close(self) -> None:
         """The run ended: forget the delivery callbacks (they are bound
         to validators that hold this network)."""
-        self._handlers.clear()
         self._batch_handlers.clear()
 
     # ------------------------------------------------------------------
@@ -418,11 +410,10 @@ class SimNetwork:
         pending one (if any).
 
         A link carries messages for exactly one destination, so the due
-        messages of one flush form one delivery batch: when the receiver
-        registered a batch handler they are handed over in a single call
-        (it can then verify the batch's signatures/coin shares together
-        and complete them with one event-loop entry instead of one per
-        message).
+        messages of one flush form one delivery batch: the receiver's
+        handler gets them in a single call (it can then verify the
+        batch's signatures/coin shares together and complete them with
+        one event-loop entry instead of one per message).
         """
         queue = self._link_queue[link]
         now = self._loop.now
@@ -430,13 +421,8 @@ class SimNetwork:
         while queue and queue[0][0] <= now:
             due.append(queue.popleft()[1])
         if due:
-            batch_handler = self._batch_handlers.get(link[1])
-            if batch_handler is not None:
-                batch_handler(due)
-            else:
-                handler = self._handlers.get(link[1])
-                if handler is not None:
-                    for message in due:
-                        handler(message)
+            handler = self._batch_handlers.get(link[1])
+            if handler is not None:
+                handler(due)
         if queue:
             self._loop.schedule_at(self._tick_boundary(queue[0][0]), self._flush_link, link)

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 import tempfile
 import weakref
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import partial
 from pathlib import Path
 from typing import Callable, NamedTuple
@@ -1084,13 +1084,3 @@ class Experiment:
             stage_breakdown=self._metrics.stage_breakdown(),
         )
 
-
-def run_load_sweep(
-    base: ExperimentConfig, loads: list[float], *, check_safety: bool = True
-) -> list[ExperimentResult]:
-    """Run ``base`` at each offered load (one figure curve)."""
-    results = []
-    for load in loads:
-        config = replace(base, load_tps=load)
-        results.append(Experiment(config).run(check_safety=check_safety))
-    return results

@@ -341,19 +341,13 @@ class ResultsStore:
         return self.points_dir / f"{config_hash(config)}.wall.json"
 
     def wall_seconds(self, config: ExperimentConfig) -> float | None:
-        """Recorded compute seconds for a cached point, if any.
-
-        Reads the sidecar first, then falls back to the legacy in-file
-        ``wall_seconds`` key of pre-fleet caches.
-        """
-        for path, key in ((self.wall_path(config), "wall_seconds"),
-                          (self.point_path(config), "wall_seconds")):
-            try:
-                data = json.loads(path.read_text())
-            except (OSError, ValueError):
-                continue
-            if isinstance(data, dict) and isinstance(data.get(key), (int, float)):
-                return float(data[key])
+        """Recorded compute seconds for a cached point (its sidecar), if any."""
+        try:
+            data = json.loads(self.wall_path(config).read_text())
+        except (OSError, ValueError):
+            return None
+        if isinstance(data, dict) and isinstance(data.get("wall_seconds"), (int, float)):
+            return float(data["wall_seconds"])
         return None
 
     def write_summary(self, outcome: "SweepOutcome") -> Path:
@@ -432,21 +426,18 @@ def _run_point_job(job: tuple[dict, bool]) -> tuple[dict, dict, float]:
 
 
 def default_workers() -> int:
-    """Worker-count default: all cores, overridable via environment.
-
-    ``REPRO_BENCH_WORKERS`` wins (the documented knob, honored by every
-    driver); the original ``REPRO_SWEEP_WORKERS`` spelling is kept as a
-    fallback.  Callers that fan out *externally* — the fleet worker, a
-    profiled run — must not consult this at all: they pass an explicit
-    ``workers=1`` so process pools never nest.
+    """Worker-count default: all cores, overridable via
+    ``REPRO_BENCH_WORKERS`` (the knob every driver honors).  Callers that
+    fan out *externally* — the fleet worker, a profiled run — must not
+    consult this at all: they pass an explicit ``workers=1`` so process
+    pools never nest.
     """
-    for name in ("REPRO_BENCH_WORKERS", "REPRO_SWEEP_WORKERS"):
-        env = os.environ.get(name)
-        if env:
-            try:
-                return max(1, int(env))
-            except ValueError:
-                continue  # unusable override: fall through, not crash
+    env = os.environ.get("REPRO_BENCH_WORKERS")
+    if env:
+        try:
+            return max(1, int(env))
+        except ValueError:
+            pass  # unusable override: fall through, not crash
     return os.cpu_count() or 1
 
 
@@ -530,10 +521,3 @@ def run_sweep(
     store.write_summary(outcome)
     return outcome
 
-
-def run_configs(
-    configs: Iterable[ExperimentConfig], *, check_safety: bool = True
-) -> list[ExperimentResult]:
-    """Run configs serially in-process (the benchmark-module path:
-    pytest-benchmark wants the work on its own clock, uncached)."""
-    return [run_point(config, check_safety=check_safety) for config in configs]

@@ -127,7 +127,6 @@ class TestGeneration:
             assert path.name == figure_file_name(figure_id)
             assert path.exists() and path.read_text().startswith("<svg")
         assert outputs["report"] == results_dir / "REPORT.md"
-        assert outputs["pngs"] == {}  # no matplotlib in this image
 
     def test_report_sections_and_provenance(self, results_dir):
         generate_report(results_dir, git_rev="deadbeef")
@@ -186,16 +185,6 @@ class TestGeneration:
     def test_empty_results_dir_raises(self, tmp_path):
         with pytest.raises(ReportError):
             generate_report(tmp_path)
-
-    def test_png_flag_without_matplotlib_degrades_to_svg_only(
-        self, results_dir, monkeypatch
-    ):
-        import sys
-
-        monkeypatch.setitem(sys.modules, "matplotlib", None)
-        outputs = generate_report(results_dir, png=True, git_rev="x")
-        assert outputs["pngs"] == {}
-        assert all(path.exists() for path in outputs["figures"].values())
 
     def test_regeneration_is_deterministic(self, results_dir):
         generate_report(results_dir, git_rev="x")

@@ -13,6 +13,9 @@ import math
 
 import pytest
 
+from repro.sim.faults import FaultEvent
+from repro.sim.metrics import LatencySummary
+from repro.sim.runner import ExperimentConfig, ExperimentResult
 from repro.sim.sweep import ResultsStore, run_sweep
 
 from benchmarks.bench_fig3_ideal import SWEEPS as FIG3_SWEEPS
@@ -25,8 +28,12 @@ from benchmarks.bench_recovery import (
 )
 from benchmarks.curve_checks import (
     MIN_PAPER_RATIO,
+    check_adversary_curves,
     check_curve_shapes,
+    check_liveness,
+    check_mechanism_curves,
     check_recovery_curves,
+    check_restarts,
     group_by_shape,
     paper_table_for,
 )
@@ -40,6 +47,31 @@ def store(tmp_path_factory):
 
 def smoke_results(spec, store):
     return run_sweep(spec.smoke(), store, workers=1).results
+
+
+def fake_result(config=None, **fields):
+    """A fabricated result: a plausible honest point of ``config`` unless
+    ``fields`` doctor it."""
+    latency = fields.pop("latency", 1.0)
+    defaults = dict(
+        config=config or ExperimentConfig(duration=14.0, warmup=4.0),
+        latency=LatencySummary(100, latency, latency, latency, latency, latency),
+        throughput_tps=1000.0,
+        rounds_reached=60,
+        blocks_committed=600,
+        direct_commits=100,
+        indirect_commits=0,
+        direct_skips=0,
+        indirect_skips=0,
+        messages_sent=1,
+        bytes_sent=1,
+        pending_transactions=0,
+    )
+    return ExperimentResult(**{**defaults, **fields})
+
+
+def config(duration=14.0, **overrides):
+    return ExperimentConfig(duration=duration, warmup=duration / 4, **overrides)
 
 
 @pytest.mark.slow
@@ -149,24 +181,8 @@ class TestRecoverySweepAcceptance:
 
 class TestGrouping:
     def test_group_by_shape_neutralizes_protocol(self):
-        from repro.sim.runner import ExperimentConfig, ExperimentResult
-        from repro.sim.metrics import LatencySummary
-
         def fake(protocol, load):
-            return ExperimentResult(
-                config=ExperimentConfig(protocol=protocol, load_tps=load),
-                latency=LatencySummary(1, 1.0, 1.0, 1.0, 1.0, 1.0),
-                throughput_tps=1.0,
-                rounds_reached=1,
-                blocks_committed=1,
-                direct_commits=1,
-                indirect_commits=0,
-                direct_skips=0,
-                indirect_skips=0,
-                messages_sent=1,
-                bytes_sent=1,
-                pending_transactions=0,
-            )
+            return fake_result(ExperimentConfig(protocol=protocol, load_tps=load))
 
         groups = group_by_shape(
             [fake("mahi-mahi-5", 100.0), fake("tusk", 100.0), fake("tusk", 200.0)]
@@ -183,28 +199,8 @@ class TestRecoveryCurveChecker:
 
     @staticmethod
     def fake(mode, duration, recovery_time, interval=0):
-        from repro.sim.metrics import LatencySummary
-        from repro.sim.runner import ExperimentConfig, ExperimentResult
-
-        return ExperimentResult(
-            config=ExperimentConfig(
-                recover_mode=mode,
-                checkpoint_interval=interval,
-                duration=duration,
-                warmup=duration / 4,
-                num_recovering=1,
-            ),
-            latency=LatencySummary(1, 1.0, 1.0, 1.0, 1.0, 1.0),
-            throughput_tps=1.0,
-            rounds_reached=1,
-            blocks_committed=1,
-            direct_commits=1,
-            indirect_commits=0,
-            direct_skips=0,
-            indirect_skips=0,
-            messages_sent=1,
-            bytes_sent=1,
-            pending_transactions=0,
+        return fake_result(
+            config(duration, recover_mode=mode, checkpoint_interval=interval, num_recovering=1),
             recoveries=1,
             recovery_time_s=recovery_time,
         )
@@ -254,12 +250,6 @@ class TestEpochCurveChecker:
 
     @staticmethod
     def fake(duration, transitions, sizes, final_availability=1.0):
-        import dataclasses
-
-        from repro.sim.faults import FaultEvent
-        from repro.sim.metrics import LatencySummary
-        from repro.sim.runner import ExperimentConfig, ExperimentResult
-
         summary = tuple(
             {
                 "epoch": i,
@@ -272,22 +262,22 @@ class TestEpochCurveChecker:
             }
             for i, size in enumerate(sizes)
         )
-        config = ExperimentConfig(
+        resize = config(
+            duration,
             num_validators=7,
             initial_committee_size=4,
             epoch_reconfig=True,
-            duration=duration,
-            warmup=duration / 4,
             fault_schedule=tuple(
-                FaultEvent(1.0 + i, validator, "join")
-                for i, validator in enumerate((4, 5, 6))
+                FaultEvent(1.0 + i, validator, kind)
+                for i, (validator, kind) in enumerate(
+                    [(4, "join"), (5, "join"), (6, "join"), (6, "leave"), (5, "leave")]
+                )
             ),
         )
-        base = TestRecoveryCurveChecker.fake("cold", duration, 0.1)
-        return dataclasses.replace(
-            base,
-            config=config,
-            latency=LatencySummary(1, 1.0, 1.0, 1.0, 1.0, 1.0),
+        return fake_result(
+            resize,
+            recoveries=1,
+            recovery_time_s=0.1,
             epoch_transitions=transitions,
             final_committee_size=sizes[-1] if sizes else 0,
             epoch_summary=summary,
@@ -324,7 +314,14 @@ class TestEpochCurveChecker:
 
         violations = check_epoch_curves([self.fake(16.0, 3, [4, 5, 6, 7])])
         assert len(violations) == 1
-        assert "shrink" in violations[0]
+        assert "whole membership timeline" in violations[0]
+
+    def test_flags_epochs_off_the_timeline(self):
+        from benchmarks.curve_checks import check_epoch_curves
+
+        # Two joins activated as one epoch: n jumps 5 -> 7.
+        (violation,) = check_epoch_curves([self.fake(2.0, 2, [4, 5, 7])])
+        assert "follow the membership timeline n=[4, 5, 6, 7, 6, 5]" in violation
 
     def test_flags_unavailable_final_epoch(self):
         from benchmarks.curve_checks import check_epoch_curves
@@ -354,3 +351,218 @@ class TestEpochSweepAcceptance:
             sizes = [row["size"] for row in result.epoch_summary]
             assert max(sizes) > sizes[0]  # n genuinely changed mid-run
             assert result.recoveries >= 1  # a join completed
+
+
+class TestFineOrdering:
+    """Claim C1 at full duration: every pair the paper orders, not only
+    the pairs it separates 2x."""
+
+    @staticmethod
+    def group(duration, **latencies):
+        measured = {
+            "mahi-mahi-4": 0.95, "mahi-mahi-5": 1.15, "cordial-miners": 1.57, "tusk": 1.84,
+            **{name.replace("_", "-"): value for name, value in latencies.items()},
+        }
+        return [
+            fake_result(config(duration, protocol=protocol, load_tps=20_000), latency=value)
+            for protocol, value in measured.items()
+        ]
+
+    def test_accepts_paper_ordering(self):
+        assert check_curve_shapes(self.group(14.0)) == []
+
+    def test_flags_sub_2x_pair_at_full_duration(self):
+        (violation,) = check_curve_shapes(self.group(14.0, mahi_mahi_4=1.2))
+        assert "mahi-mahi-4 should beat mahi-mahi-5" in violation
+        violations = check_curve_shapes(self.group(14.0, cordial_miners=1.1))
+        assert ["mahi-mahi-5 should beat cordial-miners" in v for v in violations] == [True]
+
+    def test_smoke_duration_is_held_to_2x_pairs_only(self):
+        assert check_curve_shapes(self.group(2.0, mahi_mahi_4=1.2)) == []
+        (violation,) = check_curve_shapes(self.group(2.0, tusk=1.1, cordial_miners=1.05))
+        assert "mahi-mahi-5 should beat tusk" in violation
+
+
+class TestMechanismChecker:
+    def test_direct_skips_belong_to_mahi_mahi_under_crash_faults(self):
+        mahi = config(num_crashed=3)
+        cordial = config(protocol="cordial-miners", num_crashed=3)
+        honest = [fake_result(mahi, direct_skips=41), fake_result(cordial, indirect_skips=3)]
+        assert check_mechanism_curves(honest) == []
+        (violation,) = check_mechanism_curves([fake_result(mahi), honest[1]])
+        assert "never skipped directly" in violation
+        (violation,) = check_mechanism_curves([honest[0], fake_result(cordial, direct_skips=2)])
+        assert "no direct skip rule" in violation
+
+    def test_direct_skip_ablation(self):
+        on, off = config(num_crashed=3), config(num_crashed=3, direct_skip=False)
+        honest = [
+            fake_result(on, direct_skips=45, latency=1.26),
+            fake_result(off, indirect_skips=39, latency=3.87),
+        ]
+        assert check_mechanism_curves(honest) == []
+        (violation,) = check_mechanism_curves(
+            [fake_result(on, direct_skips=45, latency=4.0), honest[1]]
+        )
+        assert "should not cost latency" in violation
+        (violation,) = check_mechanism_curves(
+            [honest[0], fake_result(off, direct_skips=1, latency=3.87)]
+        )
+        assert "no direct skip rule" in violation
+        # Nothing measurable without the rule (a smoke window): no verdict.
+        stalled = fake_result(off, latency=math.nan)
+        assert check_mechanism_curves([honest[0], stalled]) == []
+
+    def test_more_leader_slots_never_hurt(self):
+        def sweep(latencies):
+            return [
+                fake_result(config(leaders_per_round=slots, num_crashed=3), direct_skips=9,
+                            latency=latency)
+                for slots, latency in latencies.items()
+            ]
+
+        assert check_mechanism_curves(sweep({1: 1.28, 2: 1.26, 3: 1.20})) == []
+        assert check_mechanism_curves(sweep({1: 1.28, 3: 1.295})) == []  # within 20 ms
+        (violation,) = check_mechanism_curves(sweep({1: 1.28, 2: 1.1, 3: 1.31}))
+        assert "3 leader slots should be no slower than 1" in violation
+        # A censored single-slot pipeline measures nothing: no verdict.
+        assert check_mechanism_curves(sweep({1: math.nan, 3: 2.2})) == []
+
+    @staticmethod
+    def waves(duration=14.0, skips=(39, 10, 0), commits=(73, 79, 112)):
+        return [
+            fake_result(
+                config(duration, wave_length_override=wave, adversary_targets=3,
+                       adversary_delay=0.4),
+                direct_skips=skipped, direct_commits=committed, indirect_skips=4,
+            )
+            for wave, skipped, committed in zip((3, 4, 5), skips, commits)
+        ]
+
+    def test_wave_length_under_asynchronous_adversary(self):
+        assert check_mechanism_curves(self.waves()) == []
+        (violation,) = check_mechanism_curves(self.waves(skips=(10, 10, 0)))
+        assert "fall with the wave length" in violation
+        (violation,) = check_mechanism_curves(self.waves(skips=(39, 0, 5)))
+        assert "fall with the wave length" in violation
+        (violation,) = check_mechanism_curves(self.waves(commits=(73, 79, 73)))
+        assert "w=5 should directly commit more slots than w=3" in violation
+        # A smoke run decides the same handful of slots at every wave length.
+        assert check_mechanism_curves(self.waves(2.0, skips=(4, 4, 4), commits=(10, 10, 10))) == []
+
+    def test_benign_network_decides_directly(self):
+        benign = config(load_tps=5_000)
+        assert check_mechanism_curves([fake_result(benign, direct_commits=132)]) == []
+        (violation,) = check_mechanism_curves(
+            [fake_result(benign, direct_commits=100, indirect_commits=32)]
+        )
+        assert "only 100 of 132 decided slots" in violation
+        # Crash faults are not the benign network: skips are expected.
+        faulty = fake_result(config(num_crashed=3), direct_commits=74, direct_skips=38)
+        assert check_mechanism_curves([faulty]) == []
+
+
+class TestLivenessChecker:
+    def test_every_point_commits(self):
+        assert check_liveness([fake_result()]) == []
+        (violation,) = check_liveness([fake_result(blocks_committed=0)])
+        assert "committed no blocks" in violation
+
+    def test_full_length_points_measure_latency(self):
+        (violation,) = check_liveness([fake_result(latency=math.nan)])
+        assert "no transaction submitted after warmup" in violation
+        # Smoke-length: commits of the warmup era are all a run may see.
+        assert check_liveness([fake_result(config(2.0), latency=math.nan)]) == []
+
+    def test_dos_on_every_slot_censors_and_extra_slots_ride_through(self):
+        censored = config(leaders_per_round=1, leader_dos_slots=1, leader_dos_delay=1.0)
+        riding = config(leaders_per_round=3, leader_dos_slots=1, leader_dos_delay=1.0)
+        honest = [
+            fake_result(censored, blocks_committed=0, latency=math.nan),
+            fake_result(riding, blocks_committed=328, latency=2.16),
+        ]
+        assert check_liveness(honest) == []
+        (violation,) = check_liveness([fake_result(censored, blocks_committed=5)])
+        assert "should censor the commit pipeline" in violation
+        (violation,) = check_liveness([fake_result(riding, blocks_committed=0)])
+        assert "committed no blocks" in violation
+
+
+class TestRestartChecker:
+    CONFIG = dict(num_recovering=2, recover_mode="checkpoint", checkpoint_interval=1)
+    HONEST = dict(
+        recoveries=2, recovery_time_s=0.52, recovery_time_by_mode={"checkpoint": 0.52},
+        checkpoint_adoptions=2, checkpoints_captured=76, availability=0.95,
+    )
+
+    def doctored(self, **fields):
+        return check_restarts([fake_result(config(**self.CONFIG), **{**self.HONEST, **fields})])
+
+    def test_accepts_completed_restarts(self):
+        assert self.doctored() == []
+        assert check_restarts([fake_result()]) == []  # nothing scheduled
+
+    def test_flags_each_way_a_restart_falls_short(self):
+        (violation,) = self.doctored(recoveries=1)
+        assert "2 restart(s) scheduled but 1 completed" in violation
+        (violation,) = self.doctored(recovery_time_s=None)
+        assert "recovery time None" in violation
+        (violation,) = self.doctored(recovery_time_by_mode={"cold": 0.52})
+        assert "via 'checkpoint' alone" in violation
+        (violation,) = self.doctored(checkpoint_adoptions=1)
+        assert "1 checkpoint adoptions" in violation
+        (violation,) = self.doctored(checkpoints_captured=0)
+        assert "(0 captured)" in violation
+        (violation,) = self.doctored(availability=1.0)
+        assert "never counted down" in violation
+
+    def test_scheduled_events_count_as_restarts(self):
+        warm = config(
+            recover_mode="warm",
+            fault_schedule=(FaultEvent(8.0, 9, "crash"), FaultEvent(10.0, 9, "recover")),
+        )
+        done = dict(recoveries=1, recovery_time_s=0.1, recovery_time_by_mode={"warm": 0.1},
+                    availability=0.99)
+        assert check_restarts([fake_result(warm, **done)]) == []
+        (violation,) = check_restarts([fake_result(warm)])
+        assert "1 restart(s) scheduled but 0 completed" in violation
+
+
+class TestCertifiedResync:
+    @staticmethod
+    def pair(duration, mahi, tusk):
+        return [
+            fake_result(
+                config(duration, protocol=protocol, num_recovering=2,
+                       recover_mode="checkpoint", checkpoint_interval=1),
+                recoveries=2, recovery_time_s=seconds,
+            )
+            for protocol, seconds in (("mahi-mahi-5", mahi), ("tusk", tusk))
+        ]
+
+    def test_certified_resync_costs_more_at_full_duration(self):
+        assert check_recovery_curves(self.pair(16.0, 0.52, 0.57)) == []
+        (violation,) = check_recovery_curves(self.pair(16.0, 0.52, 0.50))
+        assert "certified re-sync should cost more than mahi-mahi-5's" in violation
+        # A smoke restart has too little history for the gap to show.
+        assert check_recovery_curves(self.pair(2.0, 0.318, 0.312)) == []
+
+
+class TestAdversaryChecker:
+    def test_only_scheduled_equivocators_equivocate(self):
+        assert check_adversary_curves([fake_result()]) == []
+        (violation,) = check_adversary_curves([fake_result(equivocations=3)])
+        assert "nobody was scheduled to equivocate" in violation
+
+    def test_partition_is_accounted(self):
+        cut = config(
+            fault_schedule=tuple(
+                FaultEvent(2.0, v, "partition", group="minority") for v in (5, 6, 7)
+            ) + tuple(FaultEvent(4.0, v, "heal") for v in (5, 6, 7)),
+        )
+        honest = dict(messages_dropped=252, partitioned_seconds=6.0, availability=0.93)
+        assert check_adversary_curves([fake_result(cut, **honest)]) == []
+        (violation,) = check_adversary_curves(
+            [fake_result(cut, **{**honest, "partitioned_seconds": 0.0})]
+        )
+        assert "0.00 partitioned validator-seconds" in violation

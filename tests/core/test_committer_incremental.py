@@ -42,11 +42,6 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from benchmarks.commit_walk import (
-    _StreamCoin,
-    build_epoch_resize_stream,
-    replay_stream_oneshot,
-)
 from repro.block import Block, make_genesis
 from repro.committee import Committee, CommitteeSchedule, reconfig_commands_in
 from repro.config import ProtocolConfig
@@ -58,6 +53,11 @@ from repro.dag.store import DagStore
 
 from ..helpers import DagBuilder, FixedCoin
 from ..statesync.test_checkpoint import drive_rounds, make_core
+from .commit_walk import (
+    _StreamCoin,
+    build_epoch_resize_stream,
+    replay_stream_oneshot,
+)
 
 
 def status_view(status):

@@ -8,7 +8,7 @@ matter how the block stream is chunked around the activations — and the
 memo caches must actually shrink/survive the way the round-scoped rule
 promises.
 
-The workload (``benchmarks.commit_walk``) replays a lockstep stream
+The workload (``tests/core/commit_walk.py``) replays a lockstep stream
 whose transactions carry committed join/leave commands, so the committee
 grows 6 -> 10 and shrinks back to 9 while the walk is in flight.
 """
@@ -17,15 +17,16 @@ from __future__ import annotations
 
 import pytest
 
-from benchmarks.commit_walk import (
+from repro.core.decider import LeaderElector
+from repro.dag.store import DagStore
+
+from .commit_walk import (
     _StreamCoin,
     build_epoch_resize_stream,
     observation_fingerprint,
     replay_stream,
     replay_stream_oneshot,
 )
-from repro.core.decider import LeaderElector
-from repro.dag.store import DagStore
 
 
 @pytest.fixture(scope="module")

@@ -88,9 +88,10 @@ class FakeSshRunner:
                 remote_points = Path(source.partition(":")[2])
                 local_points = Path(dest)
                 local_points.mkdir(parents=True, exist_ok=True)
-                if remote_points.is_dir():
-                    for path in remote_points.iterdir():
-                        (local_points / path.name).write_bytes(path.read_bytes())
+                # Finished files only: another slot's worker may be mid-write,
+                # and its temp file vanishes when it is renamed into place.
+                for path in remote_points.glob("*.json"):
+                    (local_points / path.name).write_bytes(path.read_bytes())
             return ok
         # The ssh worker invocation: run the shard against remote_path.
         if self.fail_worker_rounds > 0:

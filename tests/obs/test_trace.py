@@ -60,6 +60,40 @@ class TestNullTracer:
         assert len(tracer.events) == 0
         assert tracer.stages_seen() == set()
 
+    def test_untraced_runs_never_reach_the_tracer(self, monkeypatch):
+        """Tracing off costs one attribute check per site: every
+        recording site both fabrics pass on the way to a commit sits
+        behind ``if tracer.enabled:``, so a disabled tracer's methods are
+        never called.  Tusk with one crash-recovery passes all eight
+        lifecycle stages and the ``sync`` transitions in the simulator;
+        the in-memory cluster passes the runtime's."""
+        import asyncio
+
+        from repro.runtime.cluster import LocalCluster
+        from repro.sim.runner import Experiment, ExperimentConfig
+        from repro.transaction import Transaction
+
+        def unguarded(self, *args, **kwargs):
+            raise AssertionError("a disabled tracer was asked to record")
+
+        monkeypatch.setattr(NullTracer, "instant", unguarded)
+        monkeypatch.setattr(NullTracer, "span", unguarded)
+
+        result = Experiment(
+            ExperimentConfig(
+                protocol="tusk", num_validators=4, num_recovering=1, load_tps=200.0,
+                duration=6.0, warmup=1.0, seed=11,
+            )
+        ).run()
+        assert result.blocks_committed > 0 and result.recoveries == 1
+
+        async def first_commit():
+            async with LocalCluster(n=4) as cluster:
+                cluster.submit(Transaction.dummy(1))
+                await cluster.wait_for_transaction(1)
+
+        asyncio.run(asyncio.wait_for(first_commit(), timeout=60))
+
 
 class TestStageVocabulary:
     def test_lifecycle_order(self):

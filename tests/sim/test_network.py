@@ -23,7 +23,9 @@ def make_network(n=4, delay=0.05, bandwidth=10e9 / 8, scheduler=None):
     )
     inboxes = {i: [] for i in range(n)}
     for i in range(n):
-        network.register(i, lambda m, i=i: inboxes[i].append((m, loop.now)))
+        network.register_batch(
+            i, lambda batch, i=i: inboxes[i].extend((m, loop.now) for m in batch)
+        )
     return loop, network, inboxes
 
 
@@ -109,7 +111,9 @@ class TestDeliveryTick:
             seed=0,
         )
         received = []
-        network.register(1, lambda m: received.append((m.payload, loop.now)))
+        network.register_batch(
+            1, lambda batch: received.extend((m.payload, loop.now) for m in batch)
+        )
         for i in range(50):
             network.send(0, 1, "block", i, size=100)
         loop.run_to_completion()
@@ -128,7 +132,7 @@ class TestDeliveryTick:
             seed=0,
         )
         times = []
-        network.register(2, lambda m: times.append(loop.now))
+        network.register_batch(2, lambda batch: times.extend(loop.now for _ in batch))
         network.send(0, 2, "block", "x", size=100)
         loop.run_to_completion()
         [when] = times
@@ -146,7 +150,7 @@ class TestDeliveryTick:
             seed=0,
         )
         times = []
-        network.register(3, lambda m: times.append(loop.now))
+        network.register_batch(3, lambda batch: times.extend(loop.now for _ in batch))
         network.send(0, 3, "ack", "x", size=64)
         loop.run_to_completion()
         [when] = times
@@ -164,7 +168,7 @@ class TestDeliveryTick:
             seed=0,
         )
         received = []
-        network.register(1, lambda m: received.append(m.payload))
+        network.register_batch(1, lambda batch: received.extend(m.payload for m in batch))
         for i in range(5):
             network.send(0, 1, "block", i, size=100_000)
         loop.run_to_completion()

@@ -349,32 +349,13 @@ class TestStoreHardening:
         assert "wall_seconds" not in payload
         assert store.wall_seconds(config) == 1.25
 
-    def test_legacy_in_payload_wall_seconds_still_read(self, tmp_path):
-        store = ResultsStore(tmp_path)
-        config = tiny_config()
-        [result] = run_sweep(tiny_spec([config]), store, workers=1).results
-        path = store.point_path(config)
-        data = json.loads(path.read_text())
-        data["wall_seconds"] = 9.5  # pre-sidecar cache layout
-        path.write_text(json.dumps(data))
-        store.wall_path(config).unlink(missing_ok=True)
-        assert store.wall_seconds(config) == 9.5
-
 
 class TestDefaultWorkers:
     def test_repro_bench_workers_wins(self, monkeypatch):
         from repro.sim.sweep import default_workers
 
         monkeypatch.setenv("REPRO_BENCH_WORKERS", "3")
-        monkeypatch.setenv("REPRO_SWEEP_WORKERS", "7")
         assert default_workers() == 3
-
-    def test_legacy_env_still_honored(self, monkeypatch):
-        from repro.sim.sweep import default_workers
-
-        monkeypatch.delenv("REPRO_BENCH_WORKERS", raising=False)
-        monkeypatch.setenv("REPRO_SWEEP_WORKERS", "7")
-        assert default_workers() == 7
 
     def test_garbage_env_falls_back_to_cpu_count(self, monkeypatch):
         import os
@@ -382,7 +363,6 @@ class TestDefaultWorkers:
         from repro.sim.sweep import default_workers
 
         monkeypatch.setenv("REPRO_BENCH_WORKERS", "many")
-        monkeypatch.delenv("REPRO_SWEEP_WORKERS", raising=False)
         assert default_workers() == (os.cpu_count() or 1)
 
 

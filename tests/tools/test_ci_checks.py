@@ -26,13 +26,6 @@ def trace(stages) -> dict:
     return {"traceEvents": [{"name": stage, "ph": "i"} for stage in stages]}
 
 
-PERF_SUMMARY = {
-    "gate": {"passed": True, "violations": []},
-    "event_loop": {"optimized_events_per_s": 1.4e6},
-    "network_delivery": {"event_reduction": 3.2},
-    "fleet": {"byte_identical": True, "speedup": 1.6},
-}
-
 CLUSTER_METRICS = {
     "steady": {"committed_tx": 900, "commit_indices": 40, "latency_p50_s": 0.2},
     "recovery": {
@@ -42,16 +35,6 @@ CLUSTER_METRICS = {
     "resize": {"epochs": [[0, 0], [1, 30], [2, 60]], "leaver_left": True,
                "joiner_mode": "checkpoint"},
 }
-
-
-def test_perf_summary(tmp_path):
-    assert ci_checks.perf_summary(write(tmp_path / "ok.json", PERF_SUMMARY)) == []
-    bad = copy.deepcopy(PERF_SUMMARY)
-    bad["fleet"]["speedup"] = 0.9
-    bad["gate"] = {"passed": False, "violations": ["events/s below floor"]}
-    violations = ci_checks.perf_summary(write(tmp_path / "bad.json", bad))
-    assert len(violations) == 2
-    assert any("events/s below floor" in v for v in violations)
 
 
 def test_cluster_metrics(tmp_path):
@@ -88,11 +71,16 @@ def test_fleet_identity(tmp_path):
         write(root / "points" / "b.json", '{"x": 2}')
         # Wall clocks differ by design and are not compared.
         write(root / "points" / "a.wall.json", json.dumps({"wall": root.name}))
-    write(fleet / "summary.json", {"fleet": {"workers": 2, "worker_failures": []}})
+    summary = {"workers": 2, "worker_failures": [], "completed_by": {"local-0": 1, "local-1": 1}}
+    write(fleet / "summary.json", {"fleet": summary})
     assert ci_checks.fleet_identity(serial, fleet) == []
+    # One worker drained the whole queue: correct results, no parallelism.
+    write(fleet / "summary.json", {"fleet": {**summary, "completed_by": {"local-0": 2}}})
+    (violation,) = ci_checks.fleet_identity(serial, fleet)
+    assert violation == "points were completed by {'local-0': 2}, not by 2 workers"
     write(fleet / "points" / "b.json", '{"x": 3}')
     write(fleet / "points" / "c.json", "{}")
-    write(fleet / "summary.json", {"fleet": {"workers": 2, "worker_failures": ["w1"]}})
+    write(fleet / "summary.json", {"fleet": {**summary, "worker_failures": ["w1"]}})
     violations = ci_checks.fleet_identity(serial, fleet)
     assert len(violations) == 3
     assert "c.json" in violations[0] and "b.json" in violations[1] and "w1" in violations[2]
@@ -230,10 +218,9 @@ def test_every_subcommand_is_what_the_workflow_calls(name):
 
 
 def test_main_exit_codes(tmp_path, capsys):
-    ok = write(tmp_path / "ok.json", PERF_SUMMARY)
-    assert ci_checks.main(["perf-summary", str(ok)]) == 0
-    bad = write(tmp_path / "bad.json", {**PERF_SUMMARY, "fleet": {"byte_identical": False,
-                                                                   "speedup": 2.0}})
-    assert ci_checks.main(["perf-summary", str(bad)]) == 1
-    assert "fleet cache differs" in capsys.readouterr().err
+    ok = write(tmp_path / "ok.json", CLUSTER_METRICS)
+    assert ci_checks.main(["cluster-metrics", str(ok)]) == 0
+    bad = write(tmp_path / "bad.json", {**CLUSTER_METRICS, "steady": None})
+    assert ci_checks.main(["cluster-metrics", str(bad)]) == 1
+    assert "no steady-load scenario" in capsys.readouterr().err
     assert ci_checks.main(["no-such-check"]) == 2
