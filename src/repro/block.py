@@ -27,7 +27,7 @@ nothing else, on arbitrary bytes.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 from .crypto.coin import CoinShare
@@ -72,6 +72,17 @@ class BlockRef:
         return f"B(v{self.author},r{self.round},{self.digest[:4].hex()})"
 
 
+def _memo():
+    """A memo that is no part of a block's value: not an ``__init__``
+    argument (so every copy starts without one), not compared, not
+    hashed.  ``None`` until :meth:`Block.new_memo` puts a dict there —
+    but assigned by ``__init__`` all the same (a factory, where a plain
+    default would stay a class attribute): an attribute that first
+    appears on an instance later costs it its key-sharing ``__dict__``
+    (measured: 680 bytes a block)."""
+    return field(default_factory=type(None), init=False, compare=False, repr=False)
+
+
 @dataclass(frozen=True)
 class Block:
     """An immutable, signed DAG vertex.
@@ -83,10 +94,21 @@ class Block:
     Three identity values are derived on first use and cached on the
     instance: :attr:`digest`, :attr:`reference` and
     :attr:`parent_digests`.  The last is what lets the insert path and
-    ``IsCert`` treat the parents as a set instead of looping over the
-    references; it costs one ``frozenset`` per block object (about
-    2.2 KB for 50 parents — once per block in the simulator, where all
-    validators hold the same object; once per holder in the runtime).
+    ``LinearizeSubDags`` treat the parents as a set instead of looping
+    over the references; it costs one ``frozenset`` per block object
+    (about 2.2 KB for 50 parents — once per block in the simulator,
+    where all validators hold the same object; once per holder in the
+    runtime).
+
+    Beside them sit two memos of what the block's causal history says
+    about a leader slot, :attr:`voted` and :attr:`support`, created and
+    filled in by :class:`~repro.dag.traversal.DagTraversal`.  They are
+    facts about the hash-linked history, not about who asks, so they
+    share the block object's lifetime and holders exactly as the
+    identity values do.  They hold digests and author ids only — never
+    blocks — and are invisible to ``==``, ``hash``, :meth:`encode` and to
+    the copies :meth:`signed` / ``dataclasses.replace`` make, which
+    start without.
     """
 
     author: int
@@ -98,6 +120,13 @@ class Block:
     #: Extra payload distinguishing deliberately equivocating blocks in
     #: tests and fault injection (honest validators always leave it empty).
     salt: bytes = b""
+    #: ``(author, round)`` -> digest of ``VotedBlock(self, author, round)``,
+    #: or ``None``, for the slots resolved so far.
+    voted: "dict[tuple[int, int], Digest | None] | None" = _memo()
+    #: ``(author, round)`` -> what this block's parents vote for in that
+    #: slot: voted digest -> bitmask of the voting parents' authors (bit
+    #: ``a`` for author ``a``).
+    support: "dict[tuple[int, int], dict[Digest, int]] | None" = _memo()
 
     # ------------------------------------------------------------------
     # Identity
@@ -116,6 +145,12 @@ class Block:
     def parent_digests(self) -> frozenset[Digest]:
         """The digests of :attr:`parents`, as a set."""
         return frozenset(ref.digest for ref in self.parents)
+
+    def new_memo(self, name: str) -> dict:
+        """Start the :attr:`voted` or :attr:`support` memo."""
+        memo: dict = {}
+        object.__setattr__(self, name, memo)
+        return memo
 
     def _signable_parts(self) -> list[bytes]:
         """What the digest — and through it the signature — covers."""

@@ -134,6 +134,12 @@ class Committee:
         return frozenset(self.members)
 
     @cached_property
+    def member_mask(self) -> int:
+        """The members as a bitmask (bit ``i`` for member index ``i``):
+        ``(authors & member_mask).bit_count()`` counts member authors."""
+        return sum(1 << index for index in self.members)
+
+    @cached_property
     def is_contiguous(self) -> bool:
         """Whether members are exactly ``0 .. size-1`` (the static,
         no-reconfiguration case — enables count fast paths)."""

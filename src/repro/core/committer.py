@@ -185,7 +185,8 @@ class Committer:
         # Next slot to finalize in the global sequence.
         self._cursor_round = FIRST_LEADER_ROUND
         self._cursor_offset = 0
-        # Digests already emitted into the commit sequence.
+        # Digests already emitted into the commit sequence, of the rounds
+        # the store still holds (see ``forget_linearized_below``).
         self._output: set[Digest] = set()
         self.stats = CommitterStats()
         self.committed_sequence_length = 0
@@ -456,13 +457,21 @@ class Committer:
         self.committed_sequence_length = checkpoint.sequence_length
         self.ledger.adopt(checkpoint)
 
+    def forget_linearized_below(self, round_number: int) -> None:
+        """Drop the already-linearized digests of the store's rounds
+        below ``round_number``, which it is about to prune:
+        ``linearize`` passes over every reference below the store's
+        lowest round before it would look one up here."""
+        for r in range(self._store.lowest_round, round_number):
+            self._output.difference_update(block.digest for block in self._store.round_blocks(r))
+
     def _advance_cursor(self) -> None:
         self._cursor_offset += 1
         if self._cursor_offset >= self._config.leaders_per_round:
             # A round's finalized statuses stay until the cursor leaves
             # it (sweeps start at the cursor *round*); then they, the
-            # round's vote/cert memos and its wave's coin go: nothing
-            # judges them again.
+            # round's cert memos and its wave's coin go: nothing judges
+            # them again.
             for offset in range(self._cursor_offset):
                 self._decided.pop((self._cursor_round, offset), None)
             self._cursor_offset = 0

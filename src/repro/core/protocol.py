@@ -434,4 +434,5 @@ class MahiMahiCore:
             return
         horizon = self.committer.last_finalized_round - depth
         if horizon > self.store.lowest_round:
+            self.committer.forget_linearized_below(horizon)
             self.store.prune_below(horizon)

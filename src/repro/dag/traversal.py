@@ -11,20 +11,26 @@
 * :meth:`DagTraversal.is_link` — ``IsLink(b_old, b_new)``: reachability.
 * :meth:`DagTraversal.linearize` — ``LinearizeSubDags``.
 
-``VotedBlock`` results are memoized per target slot: for a fixed
-``(id, r)`` the result is a pure function of the starting block, so each
-block in the w-round window is resolved once per wave instead of once
-per DFS path.  Beside each slot's memo sits its inverse, the *voter
-table*: per block of the slot, the blocks whose ``VotedBlock`` it is
-(digest -> author), filled as the memo resolves them.  ``IsCert`` is
-then three set operations on the certifier's
-:attr:`~repro.block.Block.parent_digests`: the parents the memo has not
-seen (only those are fetched and searched), the authors the leader's
-voter table gives for the parents, and the members among them.  Like the
-memo, a voter table is pure DAG structure — membership is judged when a
-certificate is counted, not when a vote is recorded.  All memos are
-keyed by the leader's round first, so the advancing commit cursor and an
-epoch activation drop whole rounds.
+**Who owns which memo.**  ``VotedBlock(b, id, r)`` reads nothing but
+``b``'s hash-linked causal history, so its answer is a fact about ``b``:
+the same in every store that holds ``b``, under every committee, for as
+long as ``b`` exists.  It is therefore kept on the block
+(:attr:`Block.voted <repro.block.Block.voted>`, per target slot), and so
+is what a certifier's parents vote for
+(:attr:`Block.support <repro.block.Block.support>`: per target slot,
+voted digest -> the authors among the parents that vote for it, as one
+int bitmask).  Whoever holds the block object shares the answer — every
+validator of a simulation, one holder in the runtime — and it goes when
+the block does; the search here only fills it in.  Both hold digests and
+author ids, never :class:`Block` objects: a memo that named its voted
+block would keep every pruned ancestor alive through the chain of memos
+above it.
+
+A *certificate* is not such a fact: whether the supporting authors make a
+quorum depends on the committee of the leader's round, which an epoch
+activation can change.  That verdict is the one memo this class owns,
+keyed by the leader's round first so that the advancing commit cursor
+and an epoch activation drop whole rounds.
 """
 
 from __future__ import annotations
@@ -32,24 +38,23 @@ from __future__ import annotations
 from typing import Callable, Iterable
 
 from ..block import Block
+from ..committee import Committee
 from ..crypto.hashing import Digest
 from .store import DagStore
 
-#: One target slot's ``VotedBlock`` memo ``{start digest -> voted block
-#: or None}`` and its voter tables ``{voted digest -> {start digest ->
-#: start author}}``.
-_VoteMemo = tuple[dict[Digest, "Block | None"], dict[Digest, dict[Digest, int]]]
+#: A target slot ``(author, round)``: the key of both per-block memos.
+_Slot = tuple[int, int]
 
 
 class DagTraversal:
-    """Memoizing traversal utilities over a :class:`DagStore`."""
+    """Traversal utilities over a :class:`DagStore`."""
 
     def __init__(
         self,
         store: DagStore,
         quorum_threshold: "int | Callable[[int], int]",
         *,
-        membership: "Callable[[int], object] | None" = None,
+        membership: "Callable[[int], Committee] | None" = None,
     ) -> None:
         """Create a traversal helper.
 
@@ -73,9 +78,6 @@ class DagTraversal:
         else:
             self._quorum_at = lambda round_number: quorum_threshold
         self._membership = membership
-        # leader round -> leader author -> memo and voter tables.  Pure
-        # DAG structure: committee-independent.
-        self._vote_cache: dict[int, dict[int, _VoteMemo]] = {}
         # leader round -> {(certifier digest, leader digest) -> bool}.
         # Entries are valid as long as the leader round's quorum and
         # committee stay fixed: a block's parents are immutable and the
@@ -91,59 +93,43 @@ class DagTraversal:
     # ------------------------------------------------------------------
     def voted_block(self, start: Block, author: int, round_number: int) -> Block | None:
         """First block of slot ``(author, round_number)`` in DFS preorder
-        from ``start`` (Algorithm 3, ``VotedBlock``), or ``None``.
-
-        The search never descends below the target round: a subtree
-        rooted at a block with round <= ``round_number`` cannot contain
-        the target.
-        """
-        return self._voted_block_memo(
-            start, author, round_number, *self._vote_memo(author, round_number)
-        )
-
-    def _vote_memo(self, author: int, round_number: int) -> "_VoteMemo":
-        """The ``VotedBlock`` memo of target slot ``(author, round)`` and
-        the slot's voter tables."""
-        try:
-            return self._vote_cache[round_number][author]
-        except KeyError:
-            return self._vote_cache.setdefault(round_number, {}).setdefault(author, ({}, {}))
-
-    def _voted_block_memo(
-        self,
-        block: Block,
-        author: int,
-        round_number: int,
-        cache: dict[Digest, Block | None],
-        voters: dict[Digest, dict[Digest, int]],
-    ) -> Block | None:
-        if round_number >= block.round:
+        from ``start`` (Algorithm 3, ``VotedBlock``), or ``None``."""
+        if round_number >= start.round:
             return None
-        hit = cache.get(block.digest, _MISS)
-        if hit is not _MISS:
-            return hit
-        result: Block | None = None
+        voted = self._voted(start, (author, round_number))
+        return None if voted is None else self._store.get(voted)
+
+    def _voted(self, block: Block, slot: _Slot) -> Digest | None:
+        """Digest of ``VotedBlock(block, *slot)`` for a ``block`` above
+        the slot's round, resolved once per block object.
+
+        The search never descends to the target round or below: a
+        subtree rooted there cannot contain the target.
+        """
+        memo = block.voted
+        if memo is None:
+            memo = block.new_memo("voted")
+        elif slot in memo:
+            return memo[slot]
+        author, round_number = slot
+        result: Digest | None = None
         for parent_ref in block.parents:
-            if parent_ref.author == author and parent_ref.round == round_number:
-                result = self._store.get_ref(parent_ref)
+            if parent_ref.round > round_number:
+                result = self._voted(self._store.get_ref(parent_ref), slot)
+                if result is not None:
+                    break
+            elif parent_ref.round == round_number and parent_ref.author == author:
+                result = parent_ref.digest
                 break
-            if parent_ref.round <= round_number:
-                continue
-            found = self._voted_block_memo(
-                self._store.get_ref(parent_ref), author, round_number, cache, voters
-            )
-            if found is not None:
-                result = found
-                break
-        cache[block.digest] = result
-        if result is not None:
-            voters.setdefault(result.digest, {})[block.digest] = block.author
+        memo[slot] = result
         return result
 
     def is_vote(self, vote: Block, leader: Block) -> bool:
         """``IsVote(b_vote, b_leader)`` — Algorithm 3 line 1."""
-        found = self.voted_block(vote, leader.author, leader.round)
-        return found is not None and found.digest == leader.digest
+        return (
+            leader.round < vote.round
+            and self._voted(vote, (leader.author, leader.round)) == leader.digest
+        )
 
     # ------------------------------------------------------------------
     # IsCert
@@ -161,34 +147,34 @@ class DagTraversal:
         cached = round_cache.get(key)
         if cached is not None:
             return cached
-        leader_author = leader.author
-        votes, voters = self._vote_memo(leader_author, leader_round)
-        parents = certifier.parent_digests
-        unseen = parents.difference(votes)
-        if unseen:
-            for parent_ref in certifier.parents:
-                if parent_ref.digest not in unseen:
-                    continue
-                if parent_ref.round <= leader_round:
-                    votes[parent_ref.digest] = None  # cannot reach the slot
-                else:
-                    self._voted_block_memo(
-                        self._store.get_ref(parent_ref), leader_author, leader_round, votes, voters
-                    )
-        result = False
-        quorum = self._quorum_at(leader_round)
-        table = voters.get(leader_digest)
-        if table is not None:
-            # Authors count, not references: a certifier may reference
-            # several blocks of one author that all vote for the leader.
-            authors = set(map(table.get, parents))
-            authors.discard(None)  # the parents that are no voters
-            if self._membership is not None:
-                result = self._membership(leader_round).count_members(authors) >= quorum
-            else:
-                result = len(authors) >= quorum
-        round_cache[key] = result
+        # Authors count, not references: a certifier may reference
+        # several blocks of one author that all vote for the leader.
+        voters = self._support(certifier, (leader.author, leader_round)).get(leader_digest, 0)
+        if self._membership is not None:
+            voters &= self._membership(leader_round).member_mask
+        result = round_cache[key] = voters.bit_count() >= self._quorum_at(leader_round)
         return result
+
+    def _support(self, certifier: Block, slot: _Slot) -> dict[Digest, int]:
+        """What the certifier's parents vote for in ``slot``: voted
+        digest -> bitmask of the voting parents' authors, resolved once
+        per block object.  Membership is judged when a certificate is
+        counted, not here."""
+        memo = certifier.support
+        if memo is None:
+            memo = certifier.new_memo("support")
+        elif slot in memo:
+            return memo[slot]
+        round_number = slot[1]
+        support: dict[Digest, int] = {}
+        for parent_ref in certifier.parents:
+            if parent_ref.round > round_number:  # at or below: cannot reach the slot
+                parent = self._store.get_ref(parent_ref)
+                voted = self._voted(parent, slot)
+                if voted is not None:
+                    support[voted] = support.get(voted, 0) | (1 << parent.author)
+        memo[slot] = support  # only once whole: a failed fetch leaves no half answer
+        return support
 
     # ------------------------------------------------------------------
     # IsLink (reachability)
@@ -247,15 +233,13 @@ class DagTraversal:
             while stack:
                 block = stack.pop()
                 fresh.append(block)
+                unvisited = block.parent_digests.difference(seen, already_output)
+                if not unvisited:
+                    continue
+                seen |= unvisited
                 for parent_ref in block.parents:
-                    if (
-                        parent_ref.round < floor_round
-                        or parent_ref.digest in seen
-                        or parent_ref.digest in already_output
-                    ):
-                        continue
-                    seen.add(parent_ref.digest)
-                    stack.append(self._store.get_ref(parent_ref))
+                    if parent_ref.digest in unvisited and parent_ref.round >= floor_round:
+                        stack.append(self._store.get_ref(parent_ref))
             fresh.sort(key=lambda b: (b.round, b.author, b.digest))
             for block in fresh:
                 already_output.add(block.digest)
@@ -272,9 +256,9 @@ class DagTraversal:
         Called when an epoch activating at ``round_number`` is
         scheduled: ``is_cert`` judges a certificate against the quorum
         and membership of the *leader's* round, so only verdicts for
-        leaders at or above the activation can change.  Vote memos are
-        pure DAG structure (committee-independent) and survive.  Returns
-        the number of entries dropped (observability).
+        leaders at or above the activation can change.  What a block
+        votes for is committee-independent and lives on the block.
+        Returns the number of entries dropped (observability).
         """
         stale = [r for r in self._cert_cache if r >= round_number]
         dropped = 0
@@ -283,46 +267,22 @@ class DagTraversal:
         return dropped
 
     def invalidate_below(self, round_number: int) -> int:
-        """Drop memo entries for target slots and cert-round leaders
-        below ``round_number`` (called as the commit cursor leaves a
-        round: a finalized slot is never judged again).  Returns the
-        number of entries dropped."""
+        """Drop certificate verdicts for leaders below ``round_number``
+        (called as the commit cursor leaves a round: a finalized slot is
+        never judged again).  Returns the number of entries dropped."""
         dropped = 0
-        for r in [r for r in self._vote_cache if r < round_number]:
-            for votes, voters in self._vote_cache.pop(r).values():
-                dropped += len(votes) + sum(map(len, voters.values()))
         for r in [r for r in self._cert_cache if r < round_number]:
             dropped += len(self._cert_cache.pop(r))
         return dropped
 
     def memo_size(self) -> int:
-        """Total cached entries across the vote memos, voter tables and
-        cert memos (the accounting hook the invalidation tests assert
-        against)."""
-        stats = self.cache_stats()
-        return stats["vote_entries"] + stats["voter_entries"] + stats["cert_entries"]
+        """Total cached certificate verdicts (the accounting hook the
+        invalidation tests assert against)."""
+        return self.cache_stats()["cert_entries"]
 
     def cache_stats(self) -> dict[str, int]:
-        """Size of the vote memos, voter tables and cert memos
-        (observability for benchmarks)."""
-        vote_memos = [
-            memo for by_author in self._vote_cache.values() for memo in by_author.values()
-        ]
+        """Size of the certificate memo (observability)."""
         return {
-            "vote_targets": len(vote_memos),
-            "vote_entries": sum(len(votes) for votes, _ in vote_memos),
-            "voter_entries": sum(
-                len(table) for _, voters in vote_memos for table in voters.values()
-            ),
             "cert_rounds": len(self._cert_cache),
             "cert_entries": sum(len(v) for v in self._cert_cache.values()),
         }
-
-
-class _Miss:
-    """Sentinel distinguishing 'not cached' from a cached ``None``."""
-
-    __slots__ = ()
-
-
-_MISS = _Miss()

@@ -221,8 +221,8 @@ def scenarios(draw):
 
 
 def build_scenario(scenario):
-    """``(store holding genesis, delivery order, make_committer(cls),
-    equivocators)`` of a drawn scenario."""
+    """``(store holding genesis, delivery order, make_committer(cls,
+    over=that store), equivocators)`` of a drawn scenario."""
     rng = random.Random(scenario["seed"])
     n, wave = scenario["n"], scenario["wave"]
     rounds = 4 * wave
@@ -240,10 +240,10 @@ def build_scenario(scenario):
     store = DagStore()
     store.add_genesis(make_genesis(n))
 
-    def make_committer(cls=Committer):
+    def make_committer(cls=Committer, over=store):
         if scenario["cordial"]:
-            return cls(store, committee, coin, config, wave_stride=wave, direct_skip_enabled=False)
-        return cls(store, committee, coin, config)
+            return cls(over, committee, coin, config, wave_stride=wave, direct_skip_enabled=False)
+        return cls(over, committee, coin, config)
 
     order = causal_order(rng, n, blocks, stragglers, scenario["lag"])
     return store, order, make_committer, equivocators
@@ -572,13 +572,22 @@ def test_across_checkpoint_adoption_and_floor_raise(seed):
     assert ours == statuses_from(source, checkpoint.next_slot)[: len(ours)]
 
 
+def block_memo_entries(block: Block) -> int:
+    """Entries in what ``block`` remembers of its votes: one per slot it
+    was searched for, one per (slot, voted digest) its parents support."""
+    return len(block.voted or ()) + sum(len(votes) for votes in (block.support or {}).values())
+
+
 @pytest.mark.parametrize("depth", [0, 8])
 def test_memos_follow_the_walk_window_not_the_round_number(depth):
-    """The kept verdicts go as the cursor passes their slot and the vote
-    and cert memos and the wave's coin as it leaves their leader round
-    (garbage collection, where configured, finds nothing left to drop),
-    so their size follows ``wave_length x n`` — not how long the
-    validator has been running."""
+    """The kept verdicts go as the cursor passes their slot and the cert
+    memos and the wave's coin as it leaves their leader round (garbage
+    collection, where configured, finds nothing left to drop), so their
+    size follows ``wave_length x n`` — not how long the validator has
+    been running.  What a block remembers of its own votes follows the
+    wave geometry alone: it is searched for the leader slots of the
+    ``wave_length - 1`` rounds below it, never for more however long the
+    run, and goes with the block."""
     rng = random.Random(depth)
     n, wave, leaders, rounds = 4, 5, 2, 200
     committee = Committee.of_size(n)
@@ -589,19 +598,92 @@ def test_memos_follow_the_walk_window_not_the_round_number(depth):
     core = MahiMahiCore(0, committee, config, coin)
     committer = core.committer
     blocks = random_dag(rng, coin, n, wave, rounds, {}, set(), {3})
-    largest = 0
+    largest = largest_on_a_block = 0
     for block in causal_order(rng, n, blocks, {3}, 2):
         core.add_block(block)
         core.try_commit()
         largest = max(largest, committer.traversal.memo_size())
         window = core.store.highest_round - committer.next_slot.round + 1
         assert window <= 3 * wave
-        # One vote-memo entry per block of a wave and one cert verdict
-        # per certify-round block, for every open slot.
-        assert committer.traversal.memo_size() <= window * leaders * 2 * n * wave
+        # One cert verdict per certify-round block (equivocating leader
+        # candidates aside: none here), for every open slot.
+        assert committer.traversal.memo_size() <= window * leaders * n
         assert committer.traversal.cache_stats()["cert_rounds"] <= window
         # One coin per certify round from the cursor's wave up.
         assert committer._elector.memo_size() <= window
         assert len(committer._undecided) + len(committer._decided) <= window * leaders
-    assert largest > 0
+    for block in blocks:
+        largest_on_a_block = max(largest_on_a_block, block_memo_entries(block))
+        # A block is a certifier of one leader round and on the search
+        # path of the leader rounds between that one and its own.
+        assert block_memo_entries(block) <= wave * leaders
+        assert all(block.round - wave < r < block.round for _, r in block.voted or ())
+        assert all(r == block.round - wave + 1 for _, r in block.support or ())
+    assert largest > 0 and largest_on_a_block > 1
     assert committer.next_slot.round > rounds - 3 * wave
+
+
+# ----------------------------------------------------------------------
+# The already-linearized set under garbage collection
+# ----------------------------------------------------------------------
+def test_linearized_digests_are_forgotten_with_the_rounds_the_store_prunes():
+    """300 rounds at ``gc_depth = 8``: the set ``linearize`` consults
+    holds digests of blocks still in the store and nothing else — so it
+    stays within the GC window times ``n`` — while the core commits what
+    one that never prunes (and never forgets) commits."""
+    rng = random.Random(8)
+    n, wave, rounds, depth = 4, 5, 300, 8
+    committee = Committee.of_size(n)
+    coin = FastCoin(seed=b"incremental", n=n, threshold=committee.quorum_threshold)
+    pruning, keeping = (
+        MahiMahiCore(
+            0,
+            committee,
+            ProtocolConfig(wave_length=wave, leaders_per_round=2, garbage_collection_depth=gc),
+            coin,
+        )
+        for gc in (depth, 0)
+    )
+    blocks = random_dag(rng, coin, n, wave, rounds, {}, set(), {3})
+    largest = 0
+    for block in causal_order(rng, n, blocks, {3}, 2):
+        for core in (pruning, keeping):
+            core.add_block(block)
+            core.try_commit()
+        output, store = pruning.committer._output, pruning.store
+        window = store.highest_round - store.lowest_round + 1
+        assert window <= depth + 3 * wave
+        assert len(output) <= window * n
+        assert all(digest in store for digest in output)
+        largest = max(largest, len(output))
+    assert largest > depth * n / 2
+    assert sequence_view(pruning.committed) == sequence_view(keeping.committed)
+    assert len(keeping.committer._output) == keeping.committer.committed_sequence_length
+    assert keeping.committer.committed_sequence_length > (rounds - 3 * wave) * (n - 1)
+
+
+def test_an_adopters_seeded_digests_go_as_its_store_prunes_their_rounds():
+    """``adopt_checkpoint`` seeds the set from the checkpoint's
+    references (so nothing below the cursor is linearized twice); the
+    seeds are dropped like any other digest once their blocks, fetched
+    since, are pruned."""
+    cores = [make_core(i, interval=2, gc=8) for i in range(4)]
+    drive_rounds(cores, 30)
+    source = cores[0]
+    checkpoint = source.committer.ledger.checkpoints[-1]
+    adopter = make_core(3, interval=2, gc=8)
+    adopter.adopt_checkpoint(checkpoint)
+    seeds = {ref.digest for ref in checkpoint.linearized}
+    assert seeds and adopter.committer._output == seeds
+    for block in sorted(source.store, key=lambda block: block.round):
+        if block.round >= checkpoint.floor:
+            adopter.add_block(block)
+    adopter.try_commit()
+    cores[3] = adopter
+    drive_rounds(cores, 30)
+    assert adopter.store.lowest_round > checkpoint.round
+    assert not adopter.committer._output & seeds
+    assert all(digest in adopter.store for digest in adopter.committer._output)
+    ours = [status_view(obs.status) for obs in adopter.committed]
+    assert len(ours) > 20
+    assert ours == statuses_from(source, checkpoint.next_slot)[: len(ours)]

@@ -71,9 +71,13 @@ def test_activation_evicts_high_rounds_but_keeps_direct_low_decisions(stream):
     assert committer._elector.memo_size() > 0
 
     # Re-run the eviction rule at a hypothetical future activation and
-    # check the accounting: everything >= the cut is gone, the rest and
-    # the vote memos survive.
+    # check the accounting: every cert verdict >= the cut is gone, the
+    # rest survive, and so does what the blocks themselves remember of
+    # their votes (committee-independent, not the traversal's to drop).
     cut = activations[-1]
+    blocks = list(committer._store)
+    votes_before = [(dict(block.voted or ()), dict(block.support or ())) for block in blocks]
+    assert any(voted for voted, _ in votes_before) and any(sup for _, sup in votes_before)
     stats_before = committer.traversal.cache_stats()
     dropped_certs = committer.traversal.invalidate_above(cut)
     dropped_coins = committer._elector.invalidate_above(cut)
@@ -81,11 +85,11 @@ def test_activation_evicts_high_rounds_but_keeps_direct_low_decisions(stream):
     assert dropped_certs > 0
     assert dropped_coins > 0
     assert stats_after["cert_entries"] == stats_before["cert_entries"] - dropped_certs
-    assert stats_after["vote_targets"] == stats_before["vote_targets"]
+    assert stats_after["cert_rounds"] < stats_before["cert_rounds"]
+    assert all(r < cut for r in committer.traversal._cert_cache)
     assert all(r < cut for r in committer._elector._cache)
-    assert committer.traversal.memo_size() == (
-        stats_after["vote_entries"] + stats_after["voter_entries"] + stats_after["cert_entries"]
-    )
+    assert committer.traversal.memo_size() == stats_after["cert_entries"]
+    assert [(block.voted or {}, block.support or {}) for block in blocks] == votes_before
 
 
 def test_elector_invalidate_above_is_round_scoped(stream):

@@ -202,15 +202,23 @@ class TestLinearize:
 
 
 class TestCacheManagement:
-    def test_invalidate_below_drops_stale_targets(self, setup):
+    """``DagTraversal`` owns the certificate verdicts (committee-
+    dependent); what a block votes for lives on the block and is not
+    the traversal's to count or drop."""
+
+    def test_invalidate_below_leaves_what_the_block_remembers(self, setup):
         builder, traversal = setup
         builder.rounds(1, 5)
-        traversal.voted_block(builder.get(0, 5), 1, 1)
-        traversal.voted_block(builder.get(0, 5), 1, 3)
-        assert traversal.cache_stats()["vote_targets"] == 2
-        dropped = traversal.invalidate_below(3)
-        assert dropped > 0
-        assert traversal.cache_stats()["vote_targets"] == 1
+        start = builder.get(0, 5)
+        traversal.voted_block(start, 1, 1)
+        traversal.voted_block(start, 1, 3)
+        assert set(start.voted) == {(1, 1), (1, 3)}
+        assert traversal.memo_size() == 0
+        assert traversal.invalidate_below(3) == 0
+        assert start.voted == {
+            (1, 1): builder.get(1, 1).digest,
+            (1, 3): builder.get(1, 3).digest,
+        }
 
     def test_invalidate_below_drops_stale_cert_rounds(self, setup):
         builder, traversal = setup
@@ -219,40 +227,42 @@ class TestCacheManagement:
         leader_high = builder.get(0, 4)
         traversal.is_cert(builder.get(1, 3), leader_low)
         traversal.is_cert(builder.get(1, 5), leader_high)
-        assert traversal.cache_stats()["cert_rounds"] == 2
-        traversal.invalidate_below(3)
-        assert traversal.cache_stats()["cert_rounds"] == 1
+        assert traversal.cache_stats() == {"cert_rounds": 2, "cert_entries": 2}
+        assert traversal.invalidate_below(3) == 1
         # The surviving round is the high one.
-        assert traversal.cache_stats()["cert_entries"] >= 1
+        assert list(traversal._cert_cache) == [4]
+        assert traversal.cache_stats() == {"cert_rounds": 1, "cert_entries": 1}
 
     def test_invalidate_above_drops_high_cert_rounds_only(self, setup):
         builder, traversal = setup
         builder.rounds(1, 5)
+        certifier, leader = builder.get(1, 5), builder.get(0, 3)
         traversal.is_cert(builder.get(1, 3), builder.get(0, 1))
-        traversal.is_cert(builder.get(1, 5), builder.get(0, 4))
-        traversal.voted_block(builder.get(0, 5), 1, 1)
+        assert traversal.is_cert(certifier, leader)
         before = traversal.memo_size()
-        targets_before = traversal.cache_stats()["vote_targets"]
-        dropped = traversal.invalidate_above(4)
-        assert dropped > 0
+        support_before = dict(certifier.support)
+        dropped = traversal.invalidate_above(3)
+        assert dropped == 1
         assert traversal.memo_size() == before - dropped
-        # Vote memos are committee-independent and survive.
-        assert traversal.cache_stats()["vote_targets"] == targets_before
-        assert traversal.cache_stats()["cert_rounds"] == 1
+        assert list(traversal._cert_cache) == [1]
+        # What the parents vote for is committee-independent and survives
+        # on the certifier; the verdict is counted again from it.
+        assert certifier.support == support_before == {(0, 3): {leader.digest: 0b1111}}
+        assert traversal.is_cert(certifier, leader)
+        assert traversal.cache_stats() == {"cert_rounds": 2, "cert_entries": 2}
 
-    def test_memo_size_counts_vote_and_cert_entries(self, setup):
+    def test_memo_size_counts_cert_entries_only(self, setup):
         builder, traversal = setup
         builder.rounds(1, 5)
         assert traversal.memo_size() == 0
         traversal.voted_block(builder.get(0, 5), 1, 1)
+        assert traversal.memo_size() == 0
         traversal.is_cert(builder.get(1, 5), builder.get(0, 4))
-        stats = traversal.cache_stats()
-        assert stats["voter_entries"] > 0
-        assert traversal.memo_size() == (
-            stats["vote_entries"] + stats["voter_entries"] + stats["cert_entries"]
-        )
+        traversal.is_cert(builder.get(2, 5), builder.get(0, 4))
+        assert traversal.cache_stats() == {"cert_rounds": 1, "cert_entries": 2}
+        assert traversal.memo_size() == 2
         traversal.invalidate_above(0)
-        assert traversal.cache_stats()["cert_rounds"] == 0
+        assert traversal.cache_stats() == {"cert_rounds": 0, "cert_entries": 0}
 
 
 # ----------------------------------------------------------------------
@@ -440,3 +450,69 @@ def test_two_blocks_of_one_author_voting_for_the_leader_are_one_vote():
     for certifier, expected in ((two_authors, False), (three_authors, True)):
         assert traversal.is_cert(certifier, leader) is expected
         assert reference_is_cert(builder.store, certifier, leader, 3) is expected
+
+
+# ----------------------------------------------------------------------
+# LinearizeSubDags against the loop over every parent reference
+# ----------------------------------------------------------------------
+def reference_linearize(store, leaders, already_output, floor_round=0):
+    """``LinearizeSubDags`` the way :meth:`DagTraversal.linearize` walked
+    it before it read the parents as a set: every reference of every
+    fresh block is probed against the floor, this leader's visited set
+    and what was already output."""
+    sequence = []
+    for leader in leaders:
+        if leader.digest in already_output:
+            continue
+        fresh = []
+        stack = [leader]
+        seen = {leader.digest}
+        while stack:
+            block = stack.pop()
+            fresh.append(block)
+            for ref in block.parents:
+                if ref.round < floor_round or ref.digest in seen or ref.digest in already_output:
+                    continue
+                seen.add(ref.digest)
+                stack.append(store.get_ref(ref))
+        fresh.sort(key=lambda b: (b.round, b.author, b.digest))
+        already_output.update(block.digest for block in fresh)
+        sequence.extend(fresh)
+    return sequence
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32), st.sampled_from([4, 7]), st.integers(0, 6))
+def test_linearize_matches_the_per_reference_loop(seed, n, floor):
+    """A tangled DAG with forks (both siblings of a fork get referenced)
+    behind a floor that cuts off some parents — the skipped-over older
+    references first of all — linearized a few leaders per call, of any
+    round and in any order, with ``already_output`` carried from call to
+    call: same blocks, same order, same set at the end."""
+    rng = random.Random(seed)
+    store = DagStore()
+    if floor:
+        store.adopt_floor(floor)
+    else:
+        store.add_genesis(make_genesis(n))
+    for block in tangled_dag(rng, range(n), 14):
+        if block.round >= floor:
+            store.add(block)
+    if floor:
+        assert any(ref.digest not in store for block in store for ref in block.parents)
+    traversal = DagTraversal(store, Committee.of_size(n).quorum_threshold)
+    candidates = [block for block in store if block.round > floor]
+    ours, expected = set(), set()
+    emitted = 0
+    for _ in range(8):
+        leaders = rng.sample(candidates, rng.randint(1, 4))
+        if rng.random() < 0.5:
+            leaders.sort(key=lambda b: b.round)
+        leaders.append(leaders[0])  # already output by the time it comes up
+        # At the store's lowest round, or above parents it still holds.
+        floor_round = store.lowest_round + rng.choice([0, 0, 1, 3])
+        sequence = traversal.linearize(leaders, ours, floor_round=floor_round)
+        assert sequence == reference_linearize(store, leaders, expected, floor_round)
+        assert ours == expected
+        emitted += len(sequence)
+    assert emitted == len(ours) > n
