@@ -6,8 +6,6 @@
 * :mod:`repro.analysis.latency_model` — expected commit latency in
   message delays for Mahi-Mahi, Cordial Miners and Tusk, used to sanity-
   check the simulator's output;
-* :mod:`repro.analysis.dag_stats` — measured DAG shape statistics
-  (common-core coverage, round reachability) from live stores;
 * :mod:`repro.analysis.plotting` — dependency-free SVG line charts
   (log/linear axes, legends, fixed colorblind-validated palette);
 * :mod:`repro.analysis.report` — loads ``results/*.json`` sweep
@@ -22,7 +20,6 @@ from .commit_probability import (
     unreachable_pair_bound,
 )
 from .latency_model import expected_commit_delays, LatencyModelResult
-from .dag_stats import CommonCoreReport, DagShape, common_core_report, round_reachability
 from .plotting import Panel, Series, render_figure
 from .report import DeviationRow, LoadedSweep, ReportError, SweepPoint, generate_report
 
@@ -33,10 +30,6 @@ __all__ = [
     "unreachable_pair_bound",
     "expected_commit_delays",
     "LatencyModelResult",
-    "CommonCoreReport",
-    "DagShape",
-    "common_core_report",
-    "round_reachability",
     "Panel",
     "Series",
     "render_figure",

@@ -4,7 +4,6 @@ The paper's validator (Section 4) is a networked, multi-core Rust
 process using tokio, raw TCP, and a write-ahead log for crash recovery.
 This package is its Python/asyncio counterpart:
 
-* :mod:`repro.runtime.messages` — length-prefixed wire format;
 * :mod:`repro.runtime.transport` — TCP and in-memory transports;
 * :mod:`repro.runtime.wal` — write-ahead log + recovery;
 * :mod:`repro.runtime.synchronizer` — missing-ancestor fetching;
@@ -16,21 +15,11 @@ This package is its Python/asyncio counterpart:
 It runs real multi-validator clusters in one process (memory transport)
 or across processes/machines (TCP transport); the simulator remains the
 tool for latency benchmarks, since an asyncio prototype's timing is not
-representative of the paper's Rust implementation.
+representative of the paper's Rust implementation.  What validators say
+to each other — the messages and their length-prefixed wire format — is
+:mod:`repro.messages`, shared with the simulator.
 """
 
-from .messages import (
-    BlockMessage,
-    CheckpointRequest,
-    CheckpointResponse,
-    FetchRequest,
-    FetchResponse,
-    SyncRequest,
-    SyncResponse,
-    TransactionMessage,
-    decode_message,
-    encode_message,
-)
 from .transport import MemoryHub, MemoryTransport, TcpTransport, Transport
 from .wal import WalRecord, WriteAheadLog
 from .synchronizer import Synchronizer
@@ -39,16 +28,6 @@ from .node import ValidatorNode
 from .cluster import LocalCluster
 
 __all__ = [
-    "BlockMessage",
-    "FetchRequest",
-    "FetchResponse",
-    "CheckpointRequest",
-    "CheckpointResponse",
-    "SyncRequest",
-    "SyncResponse",
-    "TransactionMessage",
-    "encode_message",
-    "decode_message",
     "Transport",
     "MemoryHub",
     "MemoryTransport",

@@ -15,20 +15,23 @@ Runtime parity with the simulator (:class:`~repro.sim.node.SimValidator`):
   and latest-scheduled committees, and a member an activated epoch
   excludes goes silent by itself;
 * the validator step (ingest, paced proposing, commit, epoch exit, the
-  WAL records and lifecycle instants) and restarts / re-sync (cold /
-  warm / checkpoint) are the shared, sans-IO
-  :class:`~repro.statesync.driver.ValidatorDriver`.  This class is its
-  runtime adaptor: it implements the driver's
+  WAL records and lifecycle instants), restarts / re-sync (cold /
+  warm / checkpoint) and the reading of every validator message are the
+  shared, sans-IO :class:`~repro.statesync.driver.ValidatorDriver`.
+  This class is its runtime adaptor: every decoded peer message goes to
+  ``driver.on_message`` unread (a client's
+  :class:`~repro.messages.TransactionMessage` is the one this class
+  handles), and it implements the driver's
   :class:`~repro.statesync.driver.ValidatorPort` with an **outbox** the
   synchronous handlers fill and ``_flush`` drains with
-  ``await transport.send(...)``, and adds what only the runtime has —
-  asyncio, the transport, pacing and retry timers, the shallow-fetch
+  ``await transport.send(...)``.  It adds what only the runtime has —
+  asyncio and its timers, the transport, the shallow-fetch
   :class:`Synchronizer`, the *fallen-behind* trigger of the deep re-sync
   chain, idle re-broadcast, the metrics registry and the commit queue;
 * commit-state checkpoints are captured by the committer's
   :class:`~repro.statesync.CommitLedger` at the same deterministic
-  commit-walk points as the sim, and served to recovering peers over
-  the checkpoint request/response messages.
+  commit-walk points as the sim, and served to recovering peers by the
+  driver.
 """
 
 from __future__ import annotations
@@ -39,7 +42,7 @@ from collections import deque
 from pathlib import Path
 from typing import Awaitable, Callable
 
-from ..block import Block, BlockRef
+from ..block import Block
 from ..committee import Committee, CommitteeSchedule
 from ..config import ProtocolConfig
 from ..core.committer import CommitObservation
@@ -47,23 +50,13 @@ from ..core.protocol import MahiMahiCore
 from ..crypto.coin import CommonCoin
 from ..dag.validation import BlockVerifier
 from ..errors import StateTransferError
+from ..messages import BlockMessage, Message, TransactionMessage
 from ..obs import trace as _trace
 from ..obs.metrics import MetricsRegistry
 from ..obs.trace import NULL_TRACER
 from ..statesync import SYNC_MAX_BLOCKS, ValidatorDriver
 from ..transaction import Transaction, TransactionBatch
-from .messages import (
-    BlockMessage,
-    CheckpointRequest,
-    CheckpointResponse,
-    FetchRequest,
-    FetchResponse,
-    Message,
-    SyncRequest,
-    SyncResponse,
-    TransactionMessage,
-)
-from .synchronizer import RETRY_AFTER, Synchronizer
+from .synchronizer import Synchronizer
 from .transport import Transport
 from .wal import WriteAheadLog
 
@@ -77,9 +70,6 @@ _SYNC_POLL = 0.05
 #: periodic re-broadcast is the anti-entropy that breaks such a silent
 #: deadlock (and is how a real deployment rides out dropped sends).
 _REBROADCAST_AFTER = 0.5
-#: How long a checkpoint-mode recoverer waits before re-broadcasting
-#: its checkpoint request (peers may not have captured anything yet).
-_CKPT_RETRY = 0.25
 #: A live block this many rounds above our frontier means we have
 #: fallen behind (a cold restart, or a long partition): switch from
 #: shallow per-reference fetches to the chunked deep re-sync chain.
@@ -152,9 +142,6 @@ class ValidatorNode:
         self._m_committed_blocks = m.counter("blocks_committed", help="blocks linearized by the commit walk")
         self._m_committed_tx = m.counter("txs_committed", help="transactions in linearized blocks")
         self._m_waves = m.counter("waves_decided", help="slot decisions, labeled by outcome")
-        self._m_deep = m.counter(
-            "sync_deep_requests_sent", help="deep (chunked re-sync) requests issued"
-        )
         transport.instrument(tracer, m)
         self.synchronizer = Synchronizer(
             transport, self.schedule.provisioned, registry=m
@@ -165,6 +152,7 @@ class ValidatorNode:
         self._last_broadcast = float("-inf")
         self._tasks: set[asyncio.Task] = set()
         self._running = False
+        self._stopped = False
         self._driver = ValidatorDriver(
             self.core,
             self,
@@ -177,7 +165,6 @@ class ValidatorNode:
         # Messages the (synchronous) handlers and the step queued:
         # ``(destination, message)``, destination ``None`` = broadcast.
         self._outbox: deque[tuple[int | None, Message]] = deque()
-        self._last_ckpt_request = float("-inf")
         #: Seconds from restart to the first own proposal (None until a
         #: recovery completes).
         self.recovery_time: float | None = None
@@ -219,6 +206,11 @@ class ValidatorNode:
         """State-transfer checkpoints this incarnation adopted."""
         return self._driver.checkpoint_adoptions
 
+    @property
+    def deep_sync_requests(self) -> int:
+        """Deep (chunked re-sync) requests this incarnation sent."""
+        return self._driver.sync_requests_sent
+
     async def start(self, *, barrier: "Callable[[], Awaitable[None]] | None" = None) -> None:
         """Recover per ``recover_mode``, start the transport and the
         synchronizer loop, and propose the first block.
@@ -255,6 +247,7 @@ class ValidatorNode:
         and the driver its port, so the committed history this node
         holds is freed the moment its owner drops the node."""
         self._running = False
+        self._stopped = True
         tasks = list(self._tasks)
         for task in tasks:
             task.cancel()
@@ -301,16 +294,14 @@ class ValidatorNode:
         for block in step.proposed:
             self._last_block, self._last_broadcast = block, now
             self._m_proposed.inc()
-            self._outbox.append((None, BlockMessage(block=block)))
+            self.send(None, BlockMessage(block=block))
             # Peers that built on a pre-crash twin of this block had us
             # fetching it.
             self.synchronizer.note_arrived(block.digest)
         if step.connected:
             self._note_received(step.connected)
         if step.deadline is not None:
-            asyncio.get_running_loop().call_later(
-                step.deadline - now, self._on_pacing_timer
-            )
+            self.call_later(step.deadline - now, self._on_pacing_timer)
         if step.recovered_at is not None:
             self.recovery_time = now - step.recovered_at
         for observation in step.committed:
@@ -324,17 +315,9 @@ class ValidatorNode:
         self._driver.pacing_timer_fired()
         if self._running:
             self._step()
-            if self._outbox:
-                self._spawn(self._flush())
 
     async def _sync_loop(self) -> None:
         while self._running:
-            if (
-                self._driver.awaiting_checkpoint
-                and time.monotonic() - self._last_ckpt_request >= _CKPT_RETRY
-            ):
-                self._driver.request_checkpoints()
-                await self._flush()
             await self.synchronizer.tick()
             await self._maybe_rebroadcast()
             await asyncio.sleep(_SYNC_POLL)
@@ -382,40 +365,17 @@ class ValidatorNode:
     async def _on_message(self, sender: int, message: Message) -> None:
         """Handle one message synchronously (no state changes across an
         ``await``), then send whatever it queued."""
-        driver = self._driver
-        if isinstance(message, BlockMessage):
-            self._ingest(message.block, sender)
-        elif isinstance(message, FetchRequest):
-            available = driver.held_blocks(message.refs)
-            if available:
-                self._outbox.append((sender, FetchResponse(blocks=tuple(available))))
-        elif isinstance(message, FetchResponse):
-            for block in message.blocks:
-                self._ingest(block, sender, live=False)
-        elif isinstance(message, CheckpointRequest):
-            response = CheckpointResponse(checkpoints=driver.retained_checkpoints())
-            self._outbox.append((sender, response))
-        elif isinstance(message, CheckpointResponse):
-            driver.on_checkpoint_response(sender, message.checkpoints)
-        elif isinstance(message, SyncRequest):
-            blocks, pruned = driver.serve_sync(message.refs, message.floor)
-            response = SyncResponse(blocks=blocks, pruned=pruned, token=message.token)
-            self._outbox.append((sender, response))
-        elif isinstance(message, SyncResponse):
-            try:
-                if driver.on_sync_response(
-                    sender, message.blocks, message.pruned, message.token
-                ):
-                    # Re-synced off a short chunk: propose right away
-                    # instead of idling until the next round's broadcasts.
-                    self._step()
-            except StateTransferError as error:
-                # Surfaced instead of raised: the transport pump must
-                # survive, and the re-sync chain stops here.
-                self.recovery_error = error
-        elif isinstance(message, TransactionMessage):
+        if isinstance(message, TransactionMessage):
             for tx in message.transactions:
                 self.submit_transaction(tx)
+            return
+        try:
+            if self._driver.on_message(message, sender):
+                self._step()
+        except StateTransferError as error:
+            # Surfaced instead of raised: the transport pump must
+            # survive, and the re-sync chain stops here.
+            self.recovery_error = error
         if self._outbox:
             await self._flush()
 
@@ -428,16 +388,6 @@ class ValidatorNode:
                 await self.transport.broadcast(message, self._peers())
             else:
                 await self.transport.send(dst, message)
-
-    def _ingest(self, block: Block, sender: int, live: bool = True) -> None:
-        result = self._driver.ingest(block, sender, live)
-        if result.rejected:
-            self._m_rejected.inc()
-        if result.missing:
-            self._request_missing(sender, result.missing, block, live)
-        if result.accepted:
-            self._note_received(result.accepted)
-            self._step()
 
     def _note_received(self, accepted) -> None:
         """Peer blocks entered the DAG: stop fetching them, count them."""
@@ -462,21 +412,29 @@ class ValidatorNode:
     # ------------------------------------------------------------------
     # ValidatorPort: what the driver asks of this host
     # ------------------------------------------------------------------
-    def send_sync_request(
-        self, peer: int, refs: tuple[BlockRef, ...], floor: int, token: int
-    ) -> None:
-        self._m_deep.inc()
-        self._outbox.append((peer, SyncRequest(refs=refs, floor=floor, token=token)))
-        asyncio.get_running_loop().call_later(
-            RETRY_AFTER, self._driver.sync_timed_out, token
-        )
+    def ingest(self, block: Block, sender: int, live: bool) -> None:
+        result = self._driver.ingest(block, sender, live)
+        if result.rejected:
+            self._m_rejected.inc()
+        if result.missing:
+            self._request_missing(sender, result.missing, block, live)
+        if result.accepted:
+            self._note_received(result.accepted)
+            self._step()
 
-    def broadcast_checkpoint_request(self) -> None:
-        self._last_ckpt_request = time.monotonic()
-        self._outbox.append((None, CheckpointRequest()))
+    def send(self, dst: int | None, message: Message) -> None:
+        self._outbox.append((dst, message))
 
-    def ingest_fetched(self, block: Block, peer: int) -> None:
-        self._ingest(block, peer, live=False)
+    def call_later(self, delay: float, callback: Callable[..., None], *args) -> None:
+        asyncio.get_running_loop().call_later(delay, self._on_timer, callback, args)
+
+    def _on_timer(self, callback: Callable[..., None], args: tuple) -> None:
+        """A timer fired: dropped once the node stopped (a timer armed
+        while :meth:`start` still waits on its barrier is not)."""
+        if not self._stopped:
+            callback(*args)
+            if self._outbox:
+                self._spawn(self._flush())
 
     def trace_time(self) -> float:
         return time.time()

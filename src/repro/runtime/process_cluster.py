@@ -41,11 +41,11 @@ from pathlib import Path
 
 from ..committee import RECONFIG_TX_BASE, ReconfigCommand
 from ..config import ProtocolConfig
+from ..messages import TransactionMessage, encode_message, frame
 from ..obs.export import write_chrome_trace, write_jsonl
 from ..obs.trace import NULL_TRACER, Tracer
 from ..transaction import Transaction
 from .cluster import Deployment
-from .messages import TransactionMessage, encode_message, frame
 from .node import ValidatorNode
 from .transport import TcpTransport
 
@@ -146,6 +146,9 @@ async def _child_main(spec_path: str) -> None:
         gauge("pending_blocks", "blocks buffered awaiting ancestors").set(core.pending_count)
         gauge("missing_refs", "references the synchronizer is fetching").set(
             node.synchronizer.missing
+        )
+        gauge("sync_deep_requests_sent", "deep (chunked re-sync) requests issued").set(
+            node.deep_sync_requests
         )
         status = {
             "ready": True,

@@ -11,8 +11,7 @@ one or two parents still in flight), batched per peer and retried with
 peer rotation.  The **deep** shape a recovering validator rebuilds the
 DAG with (the named references *plus their whole stored ancestor
 closure*, chunked, token-tagged, one in flight at a time) belongs to
-the fabric-independent :class:`~repro.statesync.driver.ValidatorDriver`;
-:class:`~repro.runtime.node.ValidatorNode` sends its requests.
+the fabric-independent :class:`~repro.statesync.driver.ValidatorDriver`, requests included.
 """
 
 from __future__ import annotations
@@ -23,11 +22,10 @@ from dataclasses import dataclass
 from ..block import BlockRef
 from ..crypto.hashing import Digest
 from ..obs.metrics import MetricsRegistry
-from .messages import FetchRequest
+from ..messages import FetchRequest
 from .transport import Transport
 
-#: Seconds before a fetch is retried against another peer (also the
-#: node's timeout for a deep fetch in flight).
+#: Seconds before a fetch is retried against another peer.
 RETRY_AFTER = 1.0
 #: Maximum references batched into one request.
 BATCH = 64

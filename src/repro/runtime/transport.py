@@ -15,8 +15,9 @@ import time
 from abc import ABC, abstractmethod
 from typing import Awaitable, Callable
 
+from ..errors import ReproError
+from ..messages import MAX_FRAME, Message, decode_message, encode_message, frame
 from ..obs.trace import NULL_TRACER
-from .messages import MAX_FRAME, Message, decode_message, encode_message, frame
 
 #: ``(sender, message)`` delivery callback.
 MessageHandler = Callable[[int, Message], Awaitable[None]]
@@ -58,7 +59,7 @@ class Transport(ABC):
             "transport_bytes_received", help="framed bytes read from peers"
         )
         self._frames_rejected = registry.counter(
-            "transport_frames_rejected", help="oversized or undecodable frames (connection closed)"
+            "transport_frames_rejected", help="oversized or undecodable frames (dropped)"
         )
 
     def on_message(self, handler: MessageHandler) -> None:
@@ -68,6 +69,20 @@ class Transport(ABC):
     async def _dispatch(self, sender: int, message: Message) -> None:
         if self._handler is not None:
             await self._handler(sender, message)
+
+    def _reject_frame(self, peer: int, reason: str) -> None:
+        """Count (and trace) an oversized length prefix or an
+        undecodable body from ``peer``; the frame is dropped."""
+        if self._frames_rejected is not None:
+            self._frames_rejected.inc()
+        if self.tracer.enabled:
+            self.tracer.instant(
+                self.authority,
+                "network",
+                "frame_rejected",
+                time.time(),
+                {"src": peer, "reason": reason},
+            )
 
     @abstractmethod
     async def start(self) -> None:
@@ -154,7 +169,12 @@ class MemoryTransport(Transport):
     async def _pump(self) -> None:
         while True:
             src, body = await self._queue.get()
-            await self._dispatch(src, decode_message(body))
+            try:
+                message = decode_message(body)
+            except ReproError as error:
+                self._reject_frame(src, repr(error))
+                continue
+            await self._dispatch(src, message)
 
 
 # ----------------------------------------------------------------------
@@ -247,26 +267,11 @@ class TcpTransport(Transport):
                 )
             try:
                 message = decode_message(body)
-            except Exception as error:
+            except ReproError as error:
+                # The stream cannot be trusted past a bad frame: the read
+                # loop returns and ``_accept`` closes this connection only.
                 return self._reject_frame(peer, repr(error))
             await self._dispatch(peer, message)
-
-    def _reject_frame(self, peer: int, reason: str) -> None:
-        """Count (and trace) an oversized length prefix or an
-        undecodable body — ``decode_message`` is a pure function of
-        peer-supplied bytes, so whatever it raises is that peer's doing.
-        The read loop returns and ``_accept`` closes this connection
-        only."""
-        if self._frames_rejected is not None:
-            self._frames_rejected.inc()
-        if self.tracer.enabled:
-            self.tracer.instant(
-                self.authority,
-                "network",
-                "frame_rejected",
-                time.time(),
-                {"src": peer, "reason": reason},
-            )
 
     # -- sending --------------------------------------------------------
     def _encode(self, message: Message) -> bytes:

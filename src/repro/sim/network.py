@@ -14,6 +14,11 @@ throughput (Section 5):
 
 Per-link delivery is FIFO, as on a TCP connection (Section 4 uses raw
 TCP sockets).
+
+What travels is opaque here: a :class:`Message` envelope wraps one typed
+body — a :mod:`repro.messages` object, carried un-encoded, or one of the
+certified baseline's header / ack / certificate — with the wire size the
+sender priced it at.
 """
 
 from __future__ import annotations
@@ -38,18 +43,13 @@ class Message:
     Attributes:
         src: Sending validator.
         dst: Receiving validator.
-        kind: Application-level type tag (``block``, ``ack``, ``cert``,
-            ``fetch_req``, ``fetch_resp``, ``sync_resp`` — a deep-fetch
-            response carrying blocks plus pruned-reference flags — and
-            the state-transfer pair ``ckpt_req``/``ckpt_resp``).
-        payload: Opaque content handed to the receiver.
+        body: The typed message handed to the receiver.
         size: Wire size in bytes (drives the bandwidth model).
     """
 
     src: int
     dst: int
-    kind: str
-    payload: Any
+    body: Any
     size: int
 
 
@@ -127,11 +127,13 @@ class LeaderDosScheduler:
     every propose round (via a resolver the experiment builds from the
     simulation's own coin and committee schedule, see
     :meth:`~repro.crypto.coin.FastCoin.peek`) and delays only *their*
-    ``block``/``cert`` traffic for that round.  It deliberately breaks
-    the unpredictability assumption to measure the worst case the paper's
-    multi-leader design defends against: with one leader slot per round
-    the whole wave stalls behind the delayed leader, while with multiple
-    slots the untargeted leaders keep committing.
+    block traffic for that round (any message that carries one
+    ``block``: the broadcast, a certified header, a certificate).  It
+    deliberately breaks the unpredictability assumption to measure the
+    worst case the paper's multi-leader design defends against: with one
+    leader slot per round the whole wave stalls behind the delayed
+    leader, while with multiple slots the untargeted leaders keep
+    committing.
 
     Args:
         leaders_for_round: Maps a propose round to the elected leader
@@ -165,9 +167,9 @@ class LeaderDosScheduler:
         return self._cached_targets
 
     def extra_delay(self, message: Message, now: float, rng: random.Random) -> float:
-        if message.kind not in ("block", "cert"):
+        block = getattr(message.body, "block", None)
+        if block is None:
             return 0.0
-        block = message.payload
         if message.src in self.targets(block.round) and block.author == message.src:
             return self._delay
         return 0.0
@@ -327,8 +329,9 @@ class SimNetwork:
     # ------------------------------------------------------------------
     # Sending
     # ------------------------------------------------------------------
-    def send(self, src: int, dst: int, kind: str, payload: Any, size: int) -> None:
-        """Send one message; delivery is scheduled on the event loop."""
+    def send(self, src: int, dst: int, body: Any, size: int) -> None:
+        """Send one message of ``size`` wire bytes; delivery is scheduled
+        on the event loop."""
         if src == dst:
             raise ValueError("validators do not message themselves")
         partition_delay = 0.0
@@ -339,7 +342,7 @@ class SimNetwork:
                 # sender's uplink (TCP backs off) and never arrives.
                 self.messages_dropped += 1
                 return
-        message = Message(src=src, dst=dst, kind=kind, payload=payload, size=size)
+        message = Message(src=src, dst=dst, body=body, size=size)
         wire_size = size + self._config.message_overhead
         now = self._loop.now
         # Serialization on the sender's uplink.
@@ -369,7 +372,7 @@ class SimNetwork:
                 "net_flight",
                 start,
                 arrival,
-                {"kind": kind, "dst": dst, "bytes": wire_size},
+                {"kind": type(body).__name__, "dst": dst, "bytes": wire_size},
             )
         # Batch per (src, dst, tick): enqueue, and arm one flush event
         # at the head's tick boundary only when none is armed.  Later
@@ -383,7 +386,7 @@ class SimNetwork:
             self._loop.schedule_at(self._tick_boundary(arrival), self._flush_link, link)
         queue.append((arrival, message))
 
-    def broadcast(self, src: int, kind: str, payload: Any, size: int) -> None:
+    def broadcast(self, src: int, body: Any, size: int) -> None:
         """Send to every other validator.
 
         Peer order is shuffled per broadcast so uplink serialization
@@ -392,7 +395,7 @@ class SimNetwork:
         peers = [v for v in range(self._n) if v != src]
         self._rng.shuffle(peers)
         for dst in peers:
-            self.send(src, dst, kind, payload, size)
+            self.send(src, dst, body, size)
 
     def _tick_boundary(self, arrival: float) -> float:
         """The delivery instant for a message arriving at ``arrival``:

@@ -21,14 +21,18 @@ state** (a fresh core holding only genesis) and re-syncs in the cold,
 warm or checkpoint mode.
 
 The validator step (ingest, paced proposing, commit, epoch exit, with
-their WAL records and lifecycle instants) and the recovery state machine
-are the fabric-independent
-:class:`~repro.statesync.driver.ValidatorDriver`; this class is its
-simulator adaptor (its :class:`~repro.statesync.driver.ValidatorPort`)
-and adds what only the simulator has: the event loop with its pacing and
-retry timers, the CPU-stage model (a WAL replay is charged as consensus
-CPU time), the Tusk header/ack/certificate path, equivocation dispatch,
-wire sizes, the stage-latency observer and the ``_fetching`` table.
+their WAL records and lifecycle instants), the recovery state machine
+and the reading of every :mod:`repro.messages` message are the
+fabric-independent :class:`~repro.statesync.driver.ValidatorDriver`;
+this class is its simulator adaptor (its
+:class:`~repro.statesync.driver.ValidatorPort`): it hands each delivered
+message to ``driver.on_message`` unread and sends what the driver gives
+it.  It adds what only the simulator has: the event loop with its
+timers, the CPU-stage model (a WAL replay is charged as consensus CPU
+time), Tusk's header / ack / certificate exchange (three message types
+of its own, below), equivocation dispatch, the wire-size model that
+prices any message by what it carries, the stage-latency observer and
+the ``_fetching`` table.
 
 A simulated transaction costs the event loop nothing here.  The ingress
 stage is a single server, so it completes transactions in the order it
@@ -49,13 +53,14 @@ from typing import Callable, Sequence
 from ..block import Block, BlockRef
 from ..core.protocol import MahiMahiCore
 from ..crypto.hashing import Digest
+from ..messages import BlockMessage, FetchRequest
 from ..obs import trace as _trace
 from ..obs.trace import NULL_TRACER
 from ..runtime.wal import WriteAheadLog
 from ..statesync.driver import ValidatorDriver
 from ..statesync.recovery import SYNC_MAX_BLOCKS as _SYNC_MAX_BLOCKS
+from ..statesync.recovery import WalReplay
 from ..transaction import Transaction
-from .checkpoint import replay_cost
 from .events import EventLoop
 from .faults import NodeBehavior, make_equivocating_sibling
 from .network import Message, SimNetwork
@@ -84,29 +89,59 @@ class CpuConfig:
     #: Fraction of the full block cost paid when a certified-DAG header
     #: arrives (buffer + ack only; verification happens on the cert).
     header_cost_factor: float = 0.2
-    #: Fraction of ``block_base_cost`` paid by the second and later
-    #: blocks of one delivery batch (all blocks arriving on a link
-    #: within one delivery tick are verified together — batched ed25519
-    #: and coin-share verification amortize the per-item cost).  1.0
-    #: (the default) disables the modeled discount, so per-message and
-    #: batched delivery produce identical virtual-time schedules;
-    #: sweeps studying batched verification opt in with a lower value.
-    batch_verify_factor: float = 1.0
+
+
+#: Fraction of the normal consensus CPU cost charged per replayed
+#: block: replay skips signature verification (blocks were verified
+#: before they were logged) and pays no deserialization-into-network
+#: buffers, but still hashes and re-indexes every block.
+WAL_REPLAY_COST_FACTOR = 0.25
+
+
+def replay_cost(replay: WalReplay, cpu: CpuConfig | None, tx_weight: float) -> float:
+    """Simulated seconds of CPU a warm restart's WAL replay occupies: it
+    is local work, so it is charged as consensus CPU time rather than as
+    network round trips (see :data:`WAL_REPLAY_COST_FACTOR`); 0 without
+    a CPU model."""
+    if cpu is None or not replay.blocks:
+        return 0.0
+    per_tx = cpu.tx_consensus_cost * tx_weight
+    full = cpu.block_base_cost * replay.blocks + per_tx * replay.transactions
+    return full * WAL_REPLAY_COST_FACTOR
+
 
 #: Serialized bytes per parent reference (author + round + digest).
 _REF_WIRE_SIZE = 44
 #: Fixed block header bytes (author, round, signature, coin share).
 _BLOCK_HEADER_SIZE = 150
-#: Bytes per signature in a Tusk certificate.
+#: Bytes per signature: a Tusk ack, each signer of a certificate.
 _SIGNATURE_SIZE = 64
 #: How long to wait before re-requesting a missing ancestor.
 _FETCH_RETRY = 1.0
-#: How long a checkpoint-mode recoverer waits before re-broadcasting
-#: ``ckpt_req`` when no quorum of matching responses has formed yet
-#: (e.g. it restarted before peers finalized the first boundary).
-_CKPT_RETRY = 0.25
 #: Wire bytes of a checkpoint request (a bare tagged message).
 _CKPT_REQ_SIZE = 16
+
+
+# Tusk's certified round, on the simulated wire only (no codec): a
+# proposal goes out as a header, peers ack it, and the certificate —
+# the header's block plus a quorum of acks — is what enters the DAG.
+@dataclass(frozen=True)
+class Header:
+    block: Block
+
+
+@dataclass(frozen=True)
+class Ack:
+    """One validator's signature over the header with this digest."""
+
+    digest: Digest
+
+
+@dataclass(frozen=True)
+class Certificate:
+    block: Block
+    #: How many acks certify it.
+    signatures: int
 
 
 class SimValidator:
@@ -266,6 +301,8 @@ class SimValidator:
             wal=wal,
             tracer=tracer,
         )
+        # Headers not yet certified are served to fetches too.
+        self._driver.unstored = self._headers
         self._on_recovery = on_recovery
         self._mixed_tx_sizes = mixed_tx_sizes
         #: When this validator actually went silent for good (epoch
@@ -408,24 +445,25 @@ class SimValidator:
     # ------------------------------------------------------------------
     # ValidatorPort: what the driver asks of this host
     # ------------------------------------------------------------------
-    def send_sync_request(
-        self, peer: int, refs: tuple[BlockRef, ...], floor: int, token: int
-    ) -> None:
-        self._loop.schedule(_FETCH_RETRY, self._driver.sync_timed_out, token)
-        self._send_fetch(peer, refs, floor, token)
+    def send(self, dst: int | None, message) -> None:
+        """Price ``message`` and put it on the wire (``dst=None``: to
+        every peer).  References a request asks for count as being
+        fetched from now on, whichever fetch shape asks."""
+        for ref in getattr(message, "refs", ()):
+            self._fetching[ref.digest] = self._loop.now
+        size = self._wire_size(message)
+        if dst is None:
+            self._network.broadcast(self.authority, message, size)
+        else:
+            self._network.send(self.authority, dst, message, size)
 
-    def broadcast_checkpoint_request(self) -> None:
-        self._network.broadcast(self.authority, "ckpt_req", None, _CKPT_REQ_SIZE)
-        self._loop.schedule(_CKPT_RETRY, self._ckpt_retry, self._incarnation)
+    def call_later(self, delay: float, callback: Callable[..., None], *args) -> None:
+        self._loop.schedule(delay, self._on_timer, self._incarnation, callback, args)
 
-    def _ckpt_retry(self, incarnation: int) -> None:
-        if incarnation != self._incarnation or self._down:
-            return
-        if self._driver.awaiting_checkpoint:
-            self._driver.request_checkpoints()
-
-    def ingest_fetched(self, block: Block, peer: int) -> None:
-        self._ingest(block, peer, live=False)
+    def _on_timer(self, incarnation: int, callback: Callable[..., None], args: tuple) -> None:
+        """A timer the driver armed fired: a crash loses its timers."""
+        if incarnation == self._incarnation:
+            callback(*args)
 
     def trace_time(self) -> float:
         return self._loop.now
@@ -476,17 +514,16 @@ class SimValidator:
         """Observer-only: stamp a block's wire-arrival time (the header
         in certified mode arrives first and wins) for the stage-latency
         breakdown."""
-        if message.kind in ("block", "cert"):
-            self._arrivals.setdefault(message.payload.reference, self._loop.now)
+        block = getattr(message.body, "block", None)
+        if block is not None:
+            self._arrivals.setdefault(block.reference, self._loop.now)
 
     def on_batch(self, messages: "list[Message]") -> None:
         """Deliver one tick's worth of messages from one link together.
 
         The whole batch is verified as one unit on the consensus CPU
-        stage (subsequent blocks pay ``batch_verify_factor`` of the base
-        cost, modeling batched signature/coin-share verification) and
-        completes with **one** event-loop entry instead of one per
-        message — the per-message ``schedule_at`` chain was the hot
+        stage and completes with **one** event-loop entry instead of one
+        per message — the per-message ``schedule_at`` chain was the hot
         path's remaining allocation peak.
         """
         if self._down:
@@ -519,86 +556,49 @@ class SimValidator:
         if incarnation != self._incarnation:
             return
         for message in messages:
-            self._handle(message)
+            if self._down:
+                return
+            body = message.body
+            kind = type(body)
+            if kind is Header:
+                self._headers[body.block.digest] = body.block
+                self.send(message.src, Ack(body.block.digest))
+            elif kind is Ack:
+                self._on_ack(body.digest, message.src)
+            elif kind is Certificate:
+                self.ingest(body.block, message.src)
+            elif self._driver.on_message(body, message.src):
+                self._step()
 
     def _batch_cost(self, messages: "list[Message]") -> float:
-        """Consensus-stage cost of verifying ``messages`` as one batch.
-
-        The first block pays the full ``block_base_cost``; every later
-        block of the batch pays ``block_base_cost * batch_verify_factor``
-        (with the default factor of 1.0 this is exactly the sum of the
-        per-message costs).
-        """
+        """Consensus-stage cost of verifying ``messages`` as one batch:
+        the sum of the per-message costs."""
         cpu = self._cpu
         assert cpu is not None
-        factor = cpu.batch_verify_factor
         cost = 0.0
-        first_block = True
         for message in messages:
-            if message.kind in ("block", "cert"):
-                blocks: "tuple[Block, ...] | list[Block]" = (message.payload,)
-            elif message.kind == "fetch_resp":
-                blocks = message.payload
-            elif message.kind == "sync_resp":
-                blocks = message.payload[0]
-            else:
+            body = message.body
+            block = getattr(body, "block", None)
+            blocks = getattr(body, "blocks", None) if block is None else (block,)
+            if blocks is None:
                 # Acks, fetch/checkpoint requests and checkpoint
                 # responses are cheap (a checkpoint is digests, not
                 # blocks).
                 cost += 20e-6
                 continue
             multiplier = cpu.certified_multiplier if self._certified else 1.0
-            if self._certified and message.kind == "block":
-                # Header of a yet-uncertified block: buffered and acked
-                # only.
+            if type(body) is Header:
+                # A yet-uncertified block: buffered and acked only.
                 multiplier *= cpu.header_cost_factor
             per_tx = cpu.tx_consensus_cost * self._tx_weight * multiplier
             base = cpu.block_base_cost
             for block in blocks:
-                cost += (base if first_block else base * factor) + per_tx * len(
-                    block.transactions
-                )
-                first_block = False
+                cost += base + per_tx * len(block.transactions)
         return cost * self._slow
-
-    def _handle(self, message: Message) -> None:
-        if self._down:
-            return
-        if message.kind == "block":
-            if self._certified:
-                self._on_header(message.payload, message.src)
-            else:
-                self._ingest(message.payload, message.src)
-        elif message.kind == "ack":
-            self._on_ack(message.payload, message.src)
-        elif message.kind == "cert":
-            self._ingest(message.payload, message.src)
-        elif message.kind == "fetch_req":
-            refs, sync_floor, token = message.payload
-            self._on_fetch_request(refs, message.src, sync_floor, token)
-        elif message.kind == "fetch_resp":
-            for block in message.payload:
-                self._ingest(block, message.src, live=False)
-        elif message.kind == "sync_resp":
-            blocks, pruned, token = message.payload
-            if self._driver.on_sync_response(message.src, blocks, pruned, token):
-                # Re-synced off a short chunk: propose right away
-                # instead of idling until the next round's broadcasts.
-                self._step()
-        elif message.kind == "ckpt_req":
-            checkpoints = self._driver.retained_checkpoints()
-            size = sum(c.wire_size for c in checkpoints) + _CKPT_REQ_SIZE
-            self._network.send(self.authority, message.src, "ckpt_resp", checkpoints, size)
-        elif message.kind == "ckpt_resp":
-            self._driver.on_checkpoint_response(message.src, message.payload)
 
     # ------------------------------------------------------------------
     # Certified (Tusk) round structure
     # ------------------------------------------------------------------
-    def _on_header(self, block: Block, src: int) -> None:
-        self._headers[block.digest] = block
-        self._network.send(self.authority, src, "ack", block.digest, _SIGNATURE_SIZE)
-
     def _on_ack(self, digest: Digest, src: int) -> None:
         acks = self._acks.get(digest)
         if acks is None or digest in self._cert_sent:
@@ -616,13 +616,14 @@ class SimValidator:
                     self._loop.now,
                     {"author": block.author, "round": block.round, "acks": len(acks)},
                 )
-            cert_size = self._block_wire_size(block) + _SIGNATURE_SIZE * len(acks)
-            self._network.broadcast(self.authority, "cert", block, cert_size)
+            self.send(None, Certificate(block, len(acks)))
 
     # ------------------------------------------------------------------
     # Ingestion, proposing, committing
     # ------------------------------------------------------------------
-    def _ingest(self, block: Block, sender: int, live: bool = True) -> None:
+    def ingest(self, block: Block, sender: int, live: bool = True) -> None:
+        """ValidatorPort: one received block, through the driver's
+        ingest, the fetch of what it misses, and the step."""
         result = self._driver.ingest(block, sender, live)
         if result.missing:
             self._request_missing(sender, result.missing)
@@ -650,34 +651,7 @@ class SimValidator:
         if self._driver.syncing:
             self._driver.request_sync(peer, wanted)
         elif wanted:
-            self._send_fetch(peer, wanted, -1, 0)  # shallow: exactly these
-
-    def _send_fetch(self, peer: int, refs: tuple[BlockRef, ...], floor: int, token: int) -> None:
-        now = self._loop.now
-        for ref in refs:
-            self._fetching[ref.digest] = now
-        self._network.send(
-            self.authority,
-            peer,
-            "fetch_req",
-            (refs, floor, token),
-            _REF_WIRE_SIZE * len(refs) + 4,
-        )
-
-    def _on_fetch_request(
-        self, refs: tuple[BlockRef, ...], src: int, sync_floor: int = -1, token: int = 0
-    ) -> None:
-        # Headers not yet certified (Tusk) are served too.
-        if sync_floor < 0:
-            available = self._driver.held_blocks(refs, self._headers)
-            if not available:
-                return
-            size = sum(self._block_wire_size(b) for b in available)
-            self._network.send(self.authority, src, "fetch_resp", tuple(available), size)
-            return
-        served, pruned = self._driver.serve_sync(refs, sync_floor, self._headers)
-        size = sum(self._block_wire_size(b) for b in served) + _REF_WIRE_SIZE * len(pruned)
-        self._network.send(self.authority, src, "sync_resp", (served, pruned, token), size)
+            self.send(peer, FetchRequest(wanted))  # shallow: exactly these
 
     def _step(self) -> None:
         """Admit what the ingress stage has completed, run the shared
@@ -716,31 +690,57 @@ class SimValidator:
     def _dispatch_own(self, block: Block) -> None:
         if self._stage_metrics is not None and block.transactions:
             self._stage_metrics.record_inclusion(block.transactions, self._loop.now)
-        size = self._block_wire_size(block)
         if self._certified:
             self._headers[block.digest] = block
             self._acks[block.digest] = {self.authority}
+            self.send(None, Header(block))
         elif self.behavior.equivocate:
-            self._dispatch_equivocation(block, size)
-            return
-        self._network.broadcast(self.authority, "block", block, size)
+            self._dispatch_equivocation(block)
+        else:
+            self.send(None, BlockMessage(block))
 
-    def _dispatch_equivocation(self, block: Block, size: int) -> None:
+    def _dispatch_equivocation(self, block: Block) -> None:
         """Send the honest block to half the peers and a conflicting
         sibling to the other half (our own DAG keeps the original)."""
         self.ever_equivocated = True
         self.equivocations_sent += 1
-        sibling = make_equivocating_sibling(block)
+        honest = BlockMessage(block)
+        sibling = BlockMessage(make_equivocating_sibling(block))
         peers = [v for v in range(self._network.num_validators) if v != self.authority]
         half = len(peers) // 2
         for dst in peers[:half]:
-            self._network.send(self.authority, dst, "block", block, size)
+            self.send(dst, honest)
         for dst in peers[half:]:
-            self._network.send(self.authority, dst, "block", sibling, size)
+            self.send(dst, sibling)
 
     # ------------------------------------------------------------------
     # Wire sizes
     # ------------------------------------------------------------------
+    def _wire_size(self, message) -> int:
+        """Simulated wire bytes of any message: the sum of what its
+        fields carry (a deep fetch's floor and token ride in the
+        request's four count bytes)."""
+        carried = vars(message)
+        if not carried:
+            return _CKPT_REQ_SIZE
+        size = 0
+        for name, value in carried.items():
+            if name == "block":
+                size += self._block_wire_size(value)
+            elif name == "blocks":
+                size += sum(map(self._block_wire_size, value))
+            elif name == "refs":
+                size += _REF_WIRE_SIZE * len(value) + 4
+            elif name == "pruned":
+                size += _REF_WIRE_SIZE * len(value)
+            elif name == "checkpoints":
+                size += sum(c.wire_size for c in value) + _CKPT_REQ_SIZE
+            elif name == "digest":
+                size += _SIGNATURE_SIZE
+            elif name == "signatures":
+                size += _SIGNATURE_SIZE * value
+        return size
+
     def _block_wire_size(self, block: Block) -> int:
         """The block's simulated wire size, memoized on the block.
 

@@ -29,6 +29,13 @@ tally and adoption, the token-tagged chunked deep-fetch chain with its
 single in-flight request, pruned-history absorption, the "caught up"
 rules and the serving side of a deep fetch.
 
+**One reader.**  The seven validator messages of :mod:`repro.messages`
+are read in exactly one place, :meth:`ValidatorDriver.on_message`; a
+host hands over whatever arrived and never looks inside.  What the
+driver sends in turn (fetch and sync responses, the checkpoint exchange,
+the deep-fetch requests) it builds itself and passes to
+:meth:`ValidatorPort.send`.
+
 **The WAL rule.**  Every block accepted from the network is logged,
 own-authored ones included: a restarted validator that fetches its own
 pre-crash blocks back logs them like any other, so a later warm restart
@@ -39,19 +46,29 @@ simulator's :class:`~repro.sim.node.SimValidator`, the runtime's
 :class:`~repro.runtime.node.ValidatorNode`) implements the small
 :class:`ValidatorPort`, feeds it messages and the current time,
 dispatches what :class:`Step` hands back, and owns everything with a
-notion of time: the pacing and retry timers, the event loop, the
-transport.
+notion of time: the event loop, the transport, and the timers — the
+pacing timer outright, the two retry timers as the port's
+``call_later``, armed by the driver with the intervals defined here.
 """
 
 from __future__ import annotations
 
-from collections.abc import Mapping, Sequence
+from collections.abc import Callable, Mapping, Sequence
 from types import MappingProxyType
 from typing import NamedTuple, Protocol
 
 from ..block import Block, BlockRef
 from ..crypto.hashing import Digest
 from ..errors import StateTransferError
+from ..messages import (
+    BlockMessage,
+    CheckpointRequest,
+    CheckpointResponse,
+    FetchRequest,
+    FetchResponse,
+    SyncRequest,
+    SyncResponse,
+)
 from ..obs import trace as _trace
 from ..obs.trace import NULL_TRACER
 from .checkpoint import Checkpoint
@@ -59,29 +76,31 @@ from .recovery import CheckpointVotes, WalReplay, ancestor_closure, chunk_cap, r
 
 #: Restart paths a validator may take.
 RECOVER_MODES = ("cold", "warm", "checkpoint")
-
-_NOTHING: Mapping[Digest, Block] = MappingProxyType({})
+#: Host seconds a deep fetch may stay unanswered before another may go
+#: out (a peer that cannot serve may never answer).
+SYNC_TIMEOUT = 1.0
+#: Host seconds a checkpoint-mode recoverer waits before it broadcasts
+#: its request again: no quorum of matching responses has formed yet
+#: (e.g. it restarted before peers finalized the first boundary).
+CHECKPOINT_RETRY = 0.25
 
 
 class ValidatorPort(Protocol):
     """What a :class:`ValidatorDriver` needs from its host."""
 
-    def send_sync_request(
-        self, peer: int, refs: tuple[BlockRef, ...], floor: int, token: int
-    ) -> None:
-        """Send one deep fetch, and arrange for
-        :meth:`ValidatorDriver.sync_timed_out` to be called with
-        ``token`` after the host's retry interval (a peer that cannot
-        serve may never answer)."""
+    def send(self, dst: int | None, message) -> None:
+        """Send one :mod:`repro.messages` message to ``dst``, or to
+        every peer when ``dst`` is ``None``."""
 
-    def broadcast_checkpoint_request(self) -> None:
-        """Ask every peer for its retained checkpoints; the host
-        re-calls :meth:`ValidatorDriver.request_checkpoints` on its retry
-        cadence while :attr:`ValidatorDriver.awaiting_checkpoint`."""
+    def call_later(self, delay: float, callback: Callable[..., None], *args) -> None:
+        """Call ``callback(*args)`` after ``delay`` host seconds, unless
+        the incarnation that asked has crashed or stopped by then."""
 
-    def ingest_fetched(self, block: Block, peer: int) -> None:
-        """Run one deep-fetched block through the host's ingest path
-        (as *not live*: it proves nothing about the frontier)."""
+    def ingest(self, block: Block, peer: int, live: bool) -> None:
+        """Run one block received from ``peer`` through the host's
+        ingest path (:meth:`ValidatorDriver.ingest`, fetching what it
+        reports missing, the step); ``live`` is false for a fetched
+        block, which proves nothing about the frontier."""
 
     def trace_time(self) -> float:
         """The host's current trace timestamp (asked only while the
@@ -138,9 +157,15 @@ class ValidatorDriver:
         #: Whether the validator is re-syncing (it proposes nothing
         #: until the DAG behind the frontier is rebuilt).
         self.syncing = False
-        #: Invalid blocks dropped by :meth:`ingest`, over all incarnations.
+        #: Invalid blocks dropped by :meth:`ingest`, checkpoints adopted
+        #: and deep fetches sent, over all incarnations.
         self.blocks_rejected = 0
         self.checkpoint_adoptions = 0
+        self.sync_requests_sent = 0
+        #: Blocks the host holds outside the DAG and serves to fetches
+        #: all the same, by digest (the simulator's Tusk headers awaiting
+        #: their certificate).
+        self.unstored: Mapping[Digest, Block] = MappingProxyType({})
         # One deep fetch in flight at a time: its token (0 = none), and
         # a monotonic counter so a stale response or timeout never
         # clears a newer request.
@@ -150,6 +175,39 @@ class ValidatorDriver:
         # starts with this False and flips it on activation.)
         self._was_member = core.schedule.genesis_committee.is_member(core.authority)
         self.restart(core)
+
+    # ------------------------------------------------------------------
+    # The dispatcher
+    # ------------------------------------------------------------------
+    def on_message(self, message, peer: int) -> bool:
+        """Act on one validator message from ``peer``.  Returns whether
+        it completed a re-sync, in which case the host runs its step
+        right away instead of idling until the next round's broadcasts.
+        Raises :class:`StateTransferError` when a sync response shows
+        the needed history is unrecoverable."""
+        kind = type(message)
+        port = self._port
+        if kind is BlockMessage:
+            port.ingest(message.block, peer, True)
+        elif kind is FetchRequest:
+            held = self.held_blocks(message.refs)
+            if held:
+                port.send(peer, FetchResponse(tuple(held)))
+        elif kind is FetchResponse:
+            for block in message.blocks:
+                port.ingest(block, peer, False)
+        elif kind is SyncRequest:
+            blocks, pruned = self.serve_sync(message.refs, message.floor)
+            port.send(peer, SyncResponse(blocks, pruned, message.token))
+        elif kind is SyncResponse:
+            return self.on_sync_response(peer, message.blocks, message.pruned, message.token)
+        elif kind is CheckpointRequest:
+            port.send(peer, CheckpointResponse(self.retained_checkpoints()))
+        elif kind is CheckpointResponse:
+            self.on_checkpoint_response(peer, message.checkpoints)
+        else:
+            raise TypeError(f"not a validator message: {message!r}")
+        return False
 
     # ------------------------------------------------------------------
     # The validator step: ingest, propose, commit, epoch exit
@@ -339,10 +397,17 @@ class ValidatorDriver:
         return self.syncing and self.recover_mode == "checkpoint" and not self.ckpt_adopted
 
     def request_checkpoints(self) -> None:
-        """(Re-)broadcast the checkpoint request with a fresh tally:
-        peers may not have finalized, and hence captured, anything yet."""
+        """Broadcast the checkpoint request with a fresh tally, and
+        again every :data:`CHECKPOINT_RETRY` while no checkpoint is
+        adopted: peers may not have finalized, and hence captured,
+        anything yet."""
         self._votes.clear()
-        self._port.broadcast_checkpoint_request()
+        self._port.send(None, CheckpointRequest())
+        self._port.call_later(CHECKPOINT_RETRY, self._retry_checkpoints)
+
+    def _retry_checkpoints(self) -> None:
+        if self.awaiting_checkpoint:
+            self.request_checkpoints()
 
     def retained_checkpoints(self) -> tuple[Checkpoint, ...]:
         """What this validator answers a checkpoint request with."""
@@ -392,11 +457,13 @@ class ValidatorDriver:
         store = self.core.store
         floor = max(store.highest_round, store.sync_floor - 1)
         self._trace("sync_requested", {"peer": peer, "floor": floor})
-        self._port.send_sync_request(peer, refs, floor, self._token)
+        self.sync_requests_sent += 1
+        self._port.call_later(SYNC_TIMEOUT, self.sync_timed_out, self._token)
+        self._port.send(peer, SyncRequest(refs, floor, self._token))
         return True
 
     def sync_timed_out(self, token: int) -> None:
-        """The host's retry timer for request ``token`` fired."""
+        """Request ``token`` went :data:`SYNC_TIMEOUT` unanswered."""
         if self._inflight == token:
             self._inflight = 0
 
@@ -426,7 +493,7 @@ class ValidatorDriver:
                 self._continue_sync(peer)
             return False
         for block in blocks:
-            self._port.ingest_fetched(block, peer)
+            self._port.ingest(block, peer, False)
         if not (self.syncing and current):
             return False
         if not self.core.pending_count and len(blocks) < chunk_cap(self._chunk):
@@ -487,13 +554,11 @@ class ValidatorDriver:
     # ------------------------------------------------------------------
     # Serving peers' fetches
     # ------------------------------------------------------------------
-    def held_blocks(
-        self, refs: tuple[BlockRef, ...], unstored: Mapping[Digest, Block] = _NOTHING
-    ) -> list[Block]:
+    def held_blocks(self, refs: tuple[BlockRef, ...]) -> list[Block]:
         """The requested blocks this validator can serve: stored ones,
-        then ``unstored`` ones the host holds outside the DAG (Tusk
-        headers awaiting their certificate)."""
+        then :attr:`unstored` ones."""
         store = self.core.store
+        unstored = self.unstored
         held = [store.get(ref.digest) for ref in refs if ref.digest in store]
         held.extend(
             unstored[ref.digest]
@@ -503,7 +568,7 @@ class ValidatorDriver:
         return held
 
     def serve_sync(
-        self, refs: tuple[BlockRef, ...], floor: int, unstored: Mapping[Digest, Block] = _NOTHING
+        self, refs: tuple[BlockRef, ...], floor: int
     ) -> tuple[tuple[Block, ...], tuple[BlockRef, ...]]:
         """One deep-fetch chunk for a re-syncing peer: ``(blocks,
         pruned)``.  Sync requests always get an answer — an empty one
@@ -516,10 +581,10 @@ class ValidatorDriver:
             ref
             for ref in refs
             if ref.digest not in store
-            and ref.digest not in unstored
+            and ref.digest not in self.unstored
             and 0 < ref.round < store.lowest_round
         )
-        served = ancestor_closure(store, self.held_blocks(refs, unstored), floor, self._chunk)
+        served = ancestor_closure(store, self.held_blocks(refs), floor, self._chunk)
         return tuple(served), pruned
 
     # ------------------------------------------------------------------

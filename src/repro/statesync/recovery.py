@@ -6,8 +6,8 @@ The discrete-event simulator (:mod:`repro.sim`) and the asyncio runtime
 checkpoint (quorum-attested state transfer plus suffix fetch).  The
 pieces that do not depend on a transport live here:
 
-* :class:`CheckpointVotes` — the ``ckpt_resp`` tally that surfaces the
-  highest checkpoint attested by ``2f + 1`` distinct peers;
+* :class:`CheckpointVotes` — the ``CheckpointResponse`` tally that
+  surfaces the highest checkpoint attested by ``2f + 1`` distinct peers;
 * :func:`replay_wal` — rebuilds a fresh core from a write-ahead log,
   restoring the proposal round (the WAL's anti-equivocation guarantee);
 * :func:`ancestor_closure` — the serving side of a chunked deep fetch:
@@ -39,7 +39,7 @@ def chunk_cap(limit: int) -> int:
 
 
 class CheckpointVotes:
-    """Tally of ``ckpt_resp`` messages during one recovery attempt.
+    """Tally of the checkpoint responses of one recovery attempt.
 
     A responder attests every checkpoint in its response (it retains the
     last few), so quorums intersect even when peers straddle a couple of

@@ -1,11 +1,11 @@
-"""Tests for the runtime wire format."""
+"""Tests for the wire format of :mod:`repro.messages`."""
 
 import pytest
 
-from repro.block import Block, make_genesis
+from repro.block import Block, BlockRef, make_genesis
 from repro.crypto.coin import CoinShare
 from repro.errors import TransportError
-from repro.runtime.messages import (
+from repro.messages import (
     BlockMessage,
     CheckpointRequest,
     CheckpointResponse,
@@ -116,6 +116,44 @@ class TestErrors:
     def test_unknown_kind_rejected(self):
         with pytest.raises(TransportError):
             decode_message(b"\xff\x00\x00")
+
+    @pytest.mark.parametrize(
+        "body",
+        [
+            pytest.param(b"\x02" + b"\xff" * 4, id="fetch-request"),
+            pytest.param(b"\x03" + b"\xff" * 4, id="fetch-response"),
+            pytest.param(b"\x05" + b"\xff" * 4, id="checkpoint-response"),
+            pytest.param(b"\x06" + bytes(16) + b"\xff" * 4, id="sync-request"),
+            pytest.param(b"\x07" + bytes(8) + b"\xff" * 4 + bytes(4), id="sync-response-blocks"),
+            pytest.param(b"\x07" + bytes(12) + b"\xff" * 4, id="sync-response-pruned"),
+            pytest.param(b"\x03\x01\x00\x00\x00" + b"\xff" * 4, id="block-length"),
+        ],
+    )
+    def test_overdeclared_count_fails_before_anything_is_decoded_for_it(self, body, monkeypatch):
+        """Four billion declared items (or bytes) in a handful of real
+        ones: rejected on the count alone — no item decoder runs, and
+        no loop or buffer is sized by it."""
+
+        def unreachable(*args, **kwargs):
+            raise AssertionError("decoded an item of an impossible count")
+
+        monkeypatch.setattr(Block, "decode", unreachable)
+        monkeypatch.setattr(BlockRef, "decode", unreachable)
+        monkeypatch.setattr(Checkpoint, "decode", unreachable)
+        with pytest.raises(TransportError, match="holds fewer"):
+            decode_message(body + bytes(40))
+
+    @pytest.mark.parametrize("kind", [2, 3, 5, 6, 7])
+    def test_truncated_count_or_header_is_a_transport_error(self, kind):
+        for tail in (b"", b"\x01", b"\x01\x00\x00"):
+            with pytest.raises(TransportError):
+                decode_message(bytes([kind]) + tail)
+
+    def test_a_malformed_nested_item_is_a_transport_error_too(self):
+        # One block of five bytes: the count and the length are honest,
+        # the block is not one.
+        with pytest.raises(TransportError, match="malformed message of kind 3"):
+            decode_message(b"\x03\x01\x00\x00\x00\x05\x00\x00\x00" + bytes(5))
 
     def test_oversized_frame_rejected(self):
         with pytest.raises(TransportError):

@@ -6,7 +6,7 @@ import asyncio
 from repro.committee import Committee
 from repro.config import ProtocolConfig
 from repro.crypto.coin import FastCoin
-from repro.runtime.messages import (
+from repro.messages import (
     BlockMessage,
     CheckpointRequest,
     CheckpointResponse,
@@ -21,10 +21,10 @@ from repro.statesync import replay_wal
 from repro.transaction import Transaction, TransactionBatch
 from tests.runtime.test_synchronizer import RecordingTransport
 from tests.statesync.test_checkpoint import make_core
-from tests.statesync.test_driver import history, suffix
+from tests.statesync.test_driver import history, peer_blocks, suffix
 
 
-def make_node(recover_mode, *, sync_chunk_blocks, interval=0, wal_path=None):
+def make_node(recover_mode, *, sync_chunk_blocks, interval=0, wal_path=None, pacing=0.0):
     """Validator 3 of the deployment ``tests.statesync`` histories come
     from, so their blocks and checkpoints are valid input to it."""
     committee = Committee.of_size(4)
@@ -40,6 +40,7 @@ def make_node(recover_mode, *, sync_chunk_blocks, interval=0, wal_path=None):
         coin,
         transport,
         wal_path=wal_path,
+        min_block_interval=pacing,
         recover_mode=recover_mode,
         sync_chunk_blocks=sync_chunk_blocks,
     )
@@ -89,6 +90,37 @@ def test_full_capped_chunk_continues_the_resync(monkeypatch):
                 2, SyncResponse(blocks=rest, pruned=(), token=request.token)
             )
             assert not node.syncing and node.recovery_mode_used == "checkpoint"
+        finally:
+            await node.stop()
+
+    asyncio.run(asyncio.wait_for(scenario(), timeout=30))
+
+
+def test_a_timer_armed_while_start_waits_on_its_barrier_still_fires():
+    """Peers' blocks can arrive while ``start`` waits for the other
+    listeners: the paced proposal they make ready arms its timer before
+    the node counts as running.  Dropping that timer (as a stopped
+    node's are) left the pacing deadline marked armed for good, and the
+    validator never proposed off a timer again."""
+    by_round = {r: [b for b in peer_blocks(2) if b.round == r] for r in (1, 2)}
+
+    async def scenario():
+        node, transport = make_node("cold", sync_chunk_blocks=4096, pacing=0.05)
+        release = asyncio.Event()
+        starting = asyncio.create_task(node.start(barrier=release.wait))
+        await asyncio.sleep(0)  # the transport is up, the barrier holds
+        try:
+            for block in by_round[1]:
+                await node._on_message(block.author, BlockMessage(block=block))
+            assert node.core.round == 1  # round 2 is ready, and paced
+            await asyncio.sleep(0.1)  # its timer fires: not running yet
+            release.set()
+            await starting
+            assert node.core.round == 2
+            for block in by_round[2]:
+                await node._on_message(block.author, BlockMessage(block=block))
+            await asyncio.sleep(0.15)  # nothing else arrives: only a timer can propose
+            assert node.core.round == 3
         finally:
             await node.stop()
 

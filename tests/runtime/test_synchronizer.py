@@ -5,7 +5,7 @@ import asyncio
 import pytest
 
 from repro.block import make_genesis
-from repro.runtime.messages import FetchRequest
+from repro.messages import FetchRequest
 from repro.runtime.synchronizer import BATCH, RETRY_AFTER, Synchronizer
 from repro.runtime.transport import Transport
 

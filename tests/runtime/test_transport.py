@@ -12,7 +12,7 @@ import struct
 
 import pytest
 
-from repro.runtime.messages import (
+from repro.messages import (
     MAX_FRAME,
     BlockMessage,
     FetchRequest,
@@ -99,6 +99,10 @@ class TestFraming:
             pytest.param(
                 frame(encode_message(BlockMessage(block=sample_block()))[:9]), id="truncated-block"
             ),
+            # A sync request cut inside its fixed header, and a fetch
+            # response declaring more blocks than it holds.
+            pytest.param(frame(b"\x06\x01\x02"), id="truncated-header"),
+            pytest.param(frame(b"\x03\xff\xff\xff\xff"), id="overdeclared-count"),
         ],
     )
     def test_hostile_frame_is_counted_and_contained(self, poison):
@@ -130,8 +134,9 @@ class TestFraming:
                 (why,) = [e.args for e in tracer.events if e.name == "frame_rejected"]
                 assert why["src"] == 7 and why["reason"]
                 # The honest peer's existing connection still delivers.
-                await honest.send(0, FetchRequest(refs=()))
-                await wait_for(lambda: received == [(1, FetchRequest(refs=()))] * 2)
+                block = BlockMessage(block=sample_block())
+                await honest.send(0, block)
+                await wait_for(lambda: received == [(1, FetchRequest(refs=())), (1, block)])
                 assert registry.counter("transport_frames_received").value() == (
                     2 if poison[:4] == b"\xff" * 4 else 3
                 )
@@ -193,6 +198,35 @@ class TestFraming:
             finally:
                 await server.stop()
                 await sender.stop()
+
+        run(scenario())
+
+
+class TestMemoryPump:
+    def test_undecodable_body_is_counted_and_the_pump_survives(self):
+        """One malformed body used to end the pump task: the validator
+        went deaf.  It is dropped and counted like a bad TCP frame, and
+        the next message is delivered."""
+
+        async def scenario():
+            hub = MemoryHub()
+            receiver, inbox = MemoryTransport(1, hub), []
+            registry, tracer = MetricsRegistry(), Tracer()
+            receiver.instrument(tracer, registry)
+            receiver.on_message(lambda src, m: _deliver(inbox, src, m))
+            await receiver.start()
+            block = BlockMessage(block=sample_block())
+            try:
+                for garbage in (b"", b"\xee garbage", b"\x06\x01\x02", b"\x03\xff\xff\xff\xff"):
+                    hub.deliver(7, 1, garbage)
+                await MemoryTransport(0, hub).send(1, block)
+                await wait_for(lambda: inbox == [(0, block)])
+                assert not receiver._pump_task.done()
+            finally:
+                await receiver.stop()
+            assert registry.counter("transport_frames_rejected").value() == 4
+            rejected = [e.args for e in tracer.events if e.name == "frame_rejected"]
+            assert [why["src"] for why in rejected] == [7] * 4
 
         run(scenario())
 

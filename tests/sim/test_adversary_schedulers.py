@@ -10,15 +10,20 @@ drifting silently (a change invalidates every cached adversary sweep
 point and must be deliberate).
 """
 
+import functools
 import random
 from types import SimpleNamespace
 
+from repro.messages import BlockMessage, FetchRequest, FetchResponse
 from repro.sim.network import AsyncAdversaryScheduler, LeaderDosScheduler, Message
+from repro.sim.node import Ack, Certificate, Header
 
 
-def _message(src: int, kind: str = "block", round_number: int = 0, author: int | None = None):
-    payload = SimpleNamespace(round=round_number, author=src if author is None else author)
-    return Message(src=src, dst=(src + 1) % 10, kind=kind, payload=payload, size=100)
+def _message(src: int, body=BlockMessage, round_number: int = 0, author: int | None = None):
+    """A message from ``src`` whose ``body`` type carries a stand-in
+    block of ``round_number``."""
+    block = SimpleNamespace(round=round_number, author=src if author is None else author)
+    return Message(src=src, dst=(src + 1) % 10, body=body(block), size=100)
 
 
 class TestAsyncAdversaryPinning:
@@ -74,15 +79,19 @@ class TestLeaderDosTargeting:
         )
         rng = random.Random(0)
         # The leader's own block for its leader round: delayed.
-        assert scheduler.extra_delay(_message(3, "block", 5), 0.0, rng) == 1.0
-        assert scheduler.extra_delay(_message(8, "cert", 6), 0.0, rng) == 1.0
+        assert scheduler.extra_delay(_message(3, BlockMessage, 5), 0.0, rng) == 1.0
+        assert scheduler.extra_delay(_message(3, Header, 5), 0.0, rng) == 1.0
+        certificate = functools.partial(Certificate, signatures=7)
+        assert scheduler.extra_delay(_message(8, certificate, 6), 0.0, rng) == 1.0
         # Another validator relaying the leader's block: untouched.
-        assert scheduler.extra_delay(_message(1, "block", 5, author=3), 0.0, rng) == 0.0
+        assert scheduler.extra_delay(_message(1, BlockMessage, 5, author=3), 0.0, rng) == 0.0
         # The leader's traffic for a round it does not lead: untouched.
-        assert scheduler.extra_delay(_message(3, "block", 6), 0.0, rng) == 0.0
-        # Non-block/cert traffic from the leader: untouched.
-        assert scheduler.extra_delay(_message(3, "ack", 5), 0.0, rng) == 0.0
-        assert scheduler.extra_delay(_message(3, "fetch_req", 5), 0.0, rng) == 0.0
+        assert scheduler.extra_delay(_message(3, BlockMessage, 6), 0.0, rng) == 0.0
+        # Traffic from the leader that is not one block of its own:
+        # untouched (an ack, a fetch request, a fetched batch).
+        for body in (Ack(b"digest"), FetchRequest(refs=()), FetchResponse(blocks=())):
+            message = Message(src=3, dst=4, body=body, size=100)
+            assert scheduler.extra_delay(message, 0.0, rng) == 0.0
 
     def test_round_cache_refreshes_on_round_change(self):
         calls = []

@@ -1,14 +1,14 @@
 """End-to-end tests for the checkpoint & state-transfer subsystem and
-WAL-backed warm restarts (:mod:`repro.sim.checkpoint`)."""
+WAL-backed warm restarts, as the simulator runs them."""
 
 import pytest
 
 from repro.errors import ConfigError, StateTransferError
 from repro.runtime.wal import WriteAheadLog
-from repro.sim.checkpoint import CheckpointVotes, WalReplay, replay_cost, replay_wal
 from repro.sim.faults import FaultEvent
-from repro.sim.node import CpuConfig
+from repro.sim.node import CpuConfig, replay_cost
 from repro.sim.runner import Experiment, ExperimentConfig
+from repro.statesync import CheckpointVotes, WalReplay, replay_wal
 from tests.helpers import result_hash
 from tests.statesync.test_checkpoint import make_checkpoint
 

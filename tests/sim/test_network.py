@@ -1,4 +1,5 @@
-"""Tests for the simulated network (bandwidth, FIFO, adversary)."""
+"""Tests for the simulated network (bandwidth, FIFO, adversary).  What a
+message carries is opaque to it: the bodies here are plain labels."""
 
 import pytest
 
@@ -32,10 +33,10 @@ def make_network(n=4, delay=0.05, bandwidth=10e9 / 8, scheduler=None):
 class TestDelivery:
     def test_point_to_point_delay(self):
         loop, network, inboxes = make_network()
-        network.send(0, 1, "block", "payload", size=100)
+        network.send(0, 1, "payload", size=100)
         loop.run_to_completion()
         [(message, when)] = inboxes[1]
-        assert message.payload == "payload"
+        assert message.body == "payload"
         assert message.src == 0
         # Delivery lands within one delivery tick past the exact arrival
         # (tick quantization batches per-link deliveries).
@@ -44,7 +45,7 @@ class TestDelivery:
 
     def test_broadcast_reaches_all_peers(self):
         loop, network, inboxes = make_network()
-        network.broadcast(0, "block", "x", size=100)
+        network.broadcast(0, "x", size=100)
         loop.run_to_completion()
         assert not inboxes[0]
         for peer in (1, 2, 3):
@@ -53,19 +54,19 @@ class TestDelivery:
     def test_no_self_send(self):
         loop, network, _ = make_network()
         with pytest.raises(ValueError):
-            network.send(1, 1, "block", "x", 10)
+            network.send(1, 1, "x", 10)
 
     def test_fifo_per_link(self):
         loop, network, inboxes = make_network()
         for i in range(20):
-            network.send(0, 1, "block", i, size=10)
+            network.send(0, 1, i, size=10)
         loop.run_to_completion()
-        received = [m.payload for m, _ in inboxes[1]]
+        received = [m.body for m, _ in inboxes[1]]
         assert received == list(range(20))
 
     def test_counters(self):
         loop, network, _ = make_network()
-        network.broadcast(0, "block", "x", size=1000)
+        network.broadcast(0, "x", size=1000)
         assert network.messages_sent == 3
         assert network.bytes_sent == 3 * (1000 + 128)
 
@@ -74,14 +75,14 @@ class TestBandwidth:
     def test_uplink_serialization_delays_large_messages(self):
         # 1 MB/s uplink: a 0.5 MB message takes 0.5s to serialize.
         loop, network, inboxes = make_network(bandwidth=1e6)
-        network.send(0, 1, "block", "big", size=500_000)
+        network.send(0, 1, "big", size=500_000)
         loop.run_to_completion()
         [(_, when)] = inboxes[1]
         assert when == pytest.approx(0.5 + 0.05, rel=0.01)
 
     def test_broadcast_serializes_per_peer(self):
         loop, network, inboxes = make_network(bandwidth=1e6)
-        network.broadcast(0, "block", "big", size=500_000)
+        network.broadcast(0, "big", size=500_000)
         loop.run_to_completion()
         times = sorted(when for peer in (1, 2, 3) for _, when in inboxes[peer])
         # Third copy leaves the uplink ~1.5s in.
@@ -89,7 +90,7 @@ class TestBandwidth:
 
     def test_small_messages_unaffected(self):
         loop, network, inboxes = make_network(bandwidth=10e9 / 8)
-        network.send(0, 1, "ack", "x", size=64)
+        network.send(0, 1, "x", size=64)
         loop.run_to_completion()
         [(_, when)] = inboxes[1]
         tick = NetworkConfig().delivery_tick
@@ -112,10 +113,10 @@ class TestDeliveryTick:
         )
         received = []
         network.register_batch(
-            1, lambda batch: received.extend((m.payload, loop.now) for m in batch)
+            1, lambda batch: received.extend((m.body, loop.now) for m in batch)
         )
         for i in range(50):
-            network.send(0, 1, "block", i, size=100)
+            network.send(0, 1, i, size=100)
         loop.run_to_completion()
         assert [payload for payload, _ in received] == list(range(50))
         # 50 messages, microseconds apart -> one or two flush events.
@@ -133,7 +134,7 @@ class TestDeliveryTick:
         )
         times = []
         network.register_batch(2, lambda batch: times.extend(loop.now for _ in batch))
-        network.send(0, 2, "block", "x", size=100)
+        network.send(0, 2, "x", size=100)
         loop.run_to_completion()
         [when] = times
         assert 0.05 <= when <= 0.05 + tick + 1e-9
@@ -151,7 +152,7 @@ class TestDeliveryTick:
         )
         times = []
         network.register_batch(3, lambda batch: times.extend(loop.now for _ in batch))
-        network.send(0, 3, "ack", "x", size=64)
+        network.send(0, 3, "x", size=64)
         loop.run_to_completion()
         [when] = times
         assert when == pytest.approx(0.05, rel=0.01)
@@ -168,9 +169,9 @@ class TestDeliveryTick:
             seed=0,
         )
         received = []
-        network.register_batch(1, lambda batch: received.extend(m.payload for m in batch))
+        network.register_batch(1, lambda batch: received.extend(m.body for m in batch))
         for i in range(5):
-            network.send(0, 1, "block", i, size=100_000)
+            network.send(0, 1, i, size=100_000)
         loop.run_to_completion()
         assert received == list(range(5))
 
@@ -183,11 +184,11 @@ class TestAdversary:
         target = next(iter(scheduler._targets(0.0)))
         loop, network, inboxes = make_network(scheduler=scheduler)
         victim_dst = (target + 1) % 4
-        network.send(target, victim_dst, "block", "slow", size=10)
+        network.send(target, victim_dst, "slow", size=10)
         clean_src = (target + 2) % 4
-        network.send(clean_src, victim_dst, "block", "fast", size=10)
+        network.send(clean_src, victim_dst, "fast", size=10)
         loop.run_to_completion()
-        arrivals = {m.payload: when for m, when in inboxes[victim_dst]}
+        arrivals = {m.body: when for m, when in inboxes[victim_dst]}
         assert arrivals["slow"] > 1.0
         assert arrivals["fast"] < 0.1
 
@@ -225,8 +226,8 @@ class TestPartitions:
     def test_cross_partition_messages_dropped(self):
         loop, network, inboxes = make_network()
         network.set_partition(1, "minority")
-        network.send(0, 1, "block", "into the cut", size=10)
-        network.send(1, 0, "block", "out of the cut", size=10)
+        network.send(0, 1, "into the cut", size=10)
+        network.send(1, 0, "out of the cut", size=10)
         loop.run_to_completion()
         assert not inboxes[1] and not inboxes[0]
         assert network.messages_dropped == 2
@@ -236,18 +237,18 @@ class TestPartitions:
         loop, network, inboxes = make_network()
         network.set_partition(1, "minority")
         network.set_partition(2, "minority")
-        network.send(1, 2, "block", "inside", size=10)
-        network.send(0, 3, "block", "outside", size=10)
+        network.send(1, 2, "inside", size=10)
+        network.send(0, 3, "outside", size=10)
         loop.run_to_completion()
-        assert [m.payload for m, _ in inboxes[2]] == ["inside"]
-        assert [m.payload for m, _ in inboxes[3]] == ["outside"]
+        assert [m.body for m, _ in inboxes[2]] == ["inside"]
+        assert [m.body for m, _ in inboxes[3]] == ["outside"]
         assert network.messages_dropped == 0
 
     def test_degraded_cross_links_delay_instead_of_drop(self):
         loop, network, inboxes = make_network(delay=0.05)
         network.set_partition(1, "minority", cross_delay=0.4)
-        network.send(0, 1, "block", "slow", size=10)
-        network.send(0, 2, "block", "fast", size=10)
+        network.send(0, 1, "slow", size=10)
+        network.send(0, 2, "fast", size=10)
         loop.run_to_completion()
         [(_, slow_when)] = inboxes[1]
         [(_, fast_when)] = inboxes[2]
@@ -261,7 +262,7 @@ class TestPartitions:
         loop, network, inboxes = make_network()
         network.set_partition(1, "east", cross_delay=0.0)
         network.set_partition(2, "west", cross_delay=0.4)
-        network.send(1, 2, "block", "x", size=10)
+        network.send(1, 2, "x", size=10)
         loop.run_to_completion()
         assert not inboxes[2]
         assert network.messages_dropped == 1
@@ -269,11 +270,11 @@ class TestPartitions:
     def test_heal_restores_traffic(self):
         loop, network, inboxes = make_network()
         network.set_partition(1, "minority")
-        network.send(0, 1, "block", "lost", size=10)
+        network.send(0, 1, "lost", size=10)
         network.heal(1)
-        network.send(0, 1, "block", "delivered", size=10)
+        network.send(0, 1, "delivered", size=10)
         loop.run_to_completion()
-        assert [m.payload for m, _ in inboxes[1]] == ["delivered"]
+        assert [m.body for m, _ in inboxes[1]] == ["delivered"]
         assert network.messages_dropped == 1
         assert network.partition_group(1) == ""
 

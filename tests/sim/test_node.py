@@ -7,13 +7,23 @@ from repro.committee import Committee
 from repro.config import ProtocolConfig
 from repro.core.protocol import MahiMahiCore
 from repro.crypto.coin import FastCoin
+from repro.messages import (
+    BlockMessage,
+    CheckpointRequest,
+    CheckpointResponse,
+    FetchRequest,
+    FetchResponse,
+    SyncRequest,
+    SyncResponse,
+)
 from repro.obs.trace import BLOCK_PROPOSED, BLOCK_RECEIVED, NULL_TRACER, Tracer
 from repro.sim.events import EventLoop
 from repro.sim.faults import NodeBehavior
 from repro.sim.latency import UniformLatencyModel
 from repro.sim.network import Message, SimNetwork
-from repro.sim.node import CpuConfig, SimValidator
+from repro.sim.node import Ack, Certificate, CpuConfig, Header, SimValidator
 from repro.transaction import Transaction
+from tests.statesync.test_driver import history, suffix
 
 
 def make_cluster(
@@ -463,7 +473,7 @@ class TestCpuModel:
             tracer = Tracer()
             loop, nodes = make_cluster(cpu=cpu, tracer=tracer)
             block = nodes[1].core.maybe_propose()
-            message = Message(src=1, dst=0, kind="block", payload=block, size=100)
+            message = Message(src=1, dst=0, body=BlockMessage(block), size=100)
             if entry == "on_message":
                 nodes[0].on_message(message)
             else:
@@ -475,3 +485,39 @@ class TestCpuModel:
                 [e.ts for e in tracer.events if e.validator == 0 and e.name == BLOCK_RECEIVED]
             )
         assert received_at[0] == received_at[1] and received_at[0][0] == 0.01
+
+
+class TestWireSizes:
+    """The simulated size of every message type, in literals: a drift
+    here fails by name before any run fingerprint moves."""
+
+    def test_each_message_type_is_priced_as_it_always_was(self):
+        _, nodes = make_cluster()  # 512 B per simulated transaction
+        source = history(30, interval=2)[0]
+        checkpoints = tuple(source.committer.ledger.checkpoints)
+        assert len(checkpoints) >= 2
+        blocks = tuple(suffix(source)[-3:])  # four parents each, no transactions
+        refs = tuple(block.reference for block in blocks)
+        for tx_id in (1, 2):
+            nodes[1].core.add_transaction(Transaction.dummy(tx_id))
+        loaded = nodes[1].core.maybe_propose()
+        assert len(loaded.parents) == 4 and len(loaded.transactions) == 2
+        empty = 150 + 44 * 4
+        table = [
+            (BlockMessage(blocks[0]), empty),
+            (BlockMessage(loaded), empty + 2 * 512),
+            (Header(loaded), empty + 2 * 512),
+            (Ack(loaded.digest), 64),
+            (Certificate(loaded, signatures=3), empty + 2 * 512 + 64 * 3),
+            (FetchRequest(refs), 44 * 3 + 4),
+            (FetchRequest(refs[:1]), 44 + 4),
+            (SyncRequest(refs, floor=12, token=7), 44 * 3 + 4),
+            (FetchResponse(blocks), 3 * empty),
+            (SyncResponse(blocks[:2], pruned=refs, token=7), 2 * empty + 44 * 3),
+            (SyncResponse((), pruned=(), token=7), 0),
+            (CheckpointRequest(), 16),
+            (CheckpointResponse(checkpoints), sum(c.wire_size for c in checkpoints) + 16),
+            (CheckpointResponse(()), 16),
+        ]
+        for message, size in table:
+            assert nodes[0]._wire_size(message) == size, message

@@ -265,16 +265,18 @@ class TestPaperShape:
         """Equivocation makes validators fetch the sibling they were not
         sent; a fetched block's entry leaves the table when the block is
         accepted, so the table holds only what is still outstanding."""
+        from repro.messages import FetchRequest
         from repro.sim.node import SimValidator
 
         fetches = []
-        send_fetch = SimValidator._send_fetch
+        send = SimValidator.send
 
-        def counting_send_fetch(self, peer, refs, floor, token):
-            fetches.append(len(refs))
-            send_fetch(self, peer, refs, floor, token)
+        def counting_send(self, dst, message):
+            if type(message) is FetchRequest:
+                fetches.append(len(message.refs))
+            send(self, dst, message)
 
-        monkeypatch.setattr(SimValidator, "_send_fetch", counting_send_fetch)
+        monkeypatch.setattr(SimValidator, "send", counting_send)
         exp = Experiment(
             ExperimentConfig(
                 protocol="mahi-mahi-5", num_validators=10, num_equivocators=2,

@@ -15,6 +15,10 @@ same step must then emit the same lifecycle instants per own round and
 commit the same blocks.  A block with a bad signature is dropped, and
 counted, by both, and peer blocks that an own proposal connects are
 logged and traced by both.
+
+*Messages* — one scripted trace of inbound messages (every type of the
+vocabulary, through a whole checkpoint recovery) is fed to one validator
+on each fabric; what it sends in return, in order, is the same.
 """
 
 import asyncio
@@ -28,6 +32,17 @@ from repro.core.protocol import MahiMahiCore
 from repro.crypto.coin import FastCoin
 from repro.crypto.signing import NullSignatureScheme, generate_keys
 from repro.dag.validation import BlockVerifier
+from repro.messages import (
+    BlockMessage,
+    CheckpointRequest,
+    CheckpointResponse,
+    FetchRequest,
+    FetchResponse,
+    SyncRequest,
+    SyncResponse,
+    decode_message,
+    encode_message,
+)
 from repro.obs.trace import (
     BLOCK_PROPOSED,
     BLOCK_RECEIVED,
@@ -37,7 +52,6 @@ from repro.obs.trace import (
     WAVE_DECIDED,
     Tracer,
 )
-from repro.runtime.messages import BlockMessage
 from repro.runtime.node import ValidatorNode
 from repro.runtime.transport import MemoryHub, MemoryTransport
 from repro.runtime.wal import WriteAheadLog
@@ -45,11 +59,12 @@ from repro.sim.events import EventLoop
 from repro.sim.latency import UniformLatencyModel
 from repro.sim.network import Message, SimNetwork
 from repro.sim.node import SimValidator
+from repro.statesync import driver as driver_module
 from repro.statesync import replay_wal
 from repro.transaction import Transaction
 from tests.runtime.test_synchronizer import RecordingTransport
 from tests.statesync.test_checkpoint import make_core
-from tests.statesync.test_driver import peer_blocks
+from tests.statesync.test_driver import history, peer_blocks, suffix
 
 N = 4
 VICTIM = 3
@@ -302,10 +317,10 @@ def test_a_bad_signature_is_rejected_and_counted_on_both_fabrics():
 
     loop = EventLoop()
     sim = SimValidator(core(0), SimNetwork(loop, UniformLatencyModel(0.02), N, seed=1), loop)
-    sim.on_message(Message(src=1, dst=0, kind="block", payload=forged, size=100))
+    sim.on_message(Message(src=1, dst=0, body=BlockMessage(forged), size=100))
     # (The signature is not part of the digest: both share one.)
     assert sim.blocks_rejected == 1 and good.digest not in sim.core.store
-    sim.on_message(Message(src=1, dst=0, kind="block", payload=good, size=100))
+    sim.on_message(Message(src=1, dst=0, body=BlockMessage(good), size=100))
     assert sim.blocks_rejected == 1 and good.digest in sim.core.store
 
     async def runtime():
@@ -368,7 +383,7 @@ def test_peer_blocks_connected_by_an_own_proposal_are_logged_on_both_fabrics(tmp
         )
         for block in arrival:
             sim.on_message(
-                Message(src=block.author, dst=3, kind="block", payload=block, size=100)
+                Message(src=block.author, dst=3, body=BlockMessage(block), size=100)
             )
     check(tmp_path / "sim.wal", tracer, sim.core)
 
@@ -392,3 +407,138 @@ def test_peer_blocks_connected_by_an_own_proposal_are_logged_on_both_fabrics(tmp
     check(tmp_path / "rt.wal", node.tracer, node.core)
     assert node.metrics.snapshot()["blocks_received"] == len(peers)
     assert node.synchronizer.missing == 0
+
+
+# ----------------------------------------------------------------------
+# Messages
+# ----------------------------------------------------------------------
+#: Blocks per deep-fetch chunk in the message trace.
+TRACE_CHUNK = 8
+
+
+def message_trace():
+    """``(sender, message)`` in arrival order for a validator 3 that
+    restarts in checkpoint mode against :func:`history`'s deployment,
+    and the messages it must send in return: it serves what it can while
+    it waits (nothing yet), adopts the attested checkpoint, syncs the
+    suffix in three chunks and proposes again."""
+    source = history(30, interval=2)[0]
+    checkpoint = source.committer.ledger.checkpoints[-1]
+    above = suffix(source, checkpoint.floor - 1)
+    genesis = tuple(block.reference for block in source.store.round_blocks(0))
+    unheld = above[-1].reference
+    *rest, late, tip = above[2 * TRACE_CHUNK :]
+    inbound = [
+        (0, FetchRequest(refs=genesis + (unheld,))),
+        (0, FetchRequest(refs=(unheld,))),  # nothing held: no answer
+        (2, CheckpointRequest()),
+        (1, SyncRequest(refs=(unheld,), floor=0, token=5)),  # always answered
+        (1, CheckpointResponse(checkpoints=(checkpoint,))),
+        (0, CheckpointResponse(checkpoints=(checkpoint,))),
+        (2, CheckpointResponse(checkpoints=(checkpoint,))),  # quorum: adopt, fetch from 1
+        (1, SyncResponse(blocks=tuple(above[:TRACE_CHUNK]), pruned=(), token=1)),
+        (2, BlockMessage(block=tip)),  # live, ancestors missing: fetch from 2
+        (0, SyncResponse(blocks=(), pruned=(), token=1)),  # stale: drives nothing
+        (2, SyncResponse(blocks=tuple(above[TRACE_CHUNK : 2 * TRACE_CHUNK]), pruned=(), token=2)),
+        (2, SyncResponse(blocks=tuple(rest), pruned=(), token=3)),
+        (0, BlockMessage(block=late)),  # live and connected: caught up
+    ]
+    outbound = [
+        "CheckpointRequest",
+        "FetchResponse",
+        "CheckpointResponse",
+        "SyncResponse",
+        "SyncRequest",
+        "SyncRequest",
+        "SyncRequest",
+        "BlockMessage",
+    ]
+    return inbound, outbound
+
+
+def sent_by_victim(log):
+    """``log`` is ``(dst, message)`` per transmission; a broadcast (one
+    message to several peers back to back, in either fabric's peer
+    order) becomes one entry.  Returns ``(dsts, type, fields)``."""
+    sent = []
+    for dst, message in log:
+        if sent and sent[-1][1] == message and dst not in sent[-1][0]:
+            sent[-1][0].append(dst)
+        else:
+            sent.append(([dst], message))
+    return [(sorted(dsts), type(m).__name__, vars(m)) for dsts, m in sent]
+
+
+def trace_through_simulator(inbound):
+    log = []
+
+    class RecordingNetwork(SimNetwork):
+        def send(self, src, dst, body, size):
+            log.append((dst, body))
+            super().send(src, dst, body, size)
+
+    loop = EventLoop()
+    victim = SimValidator(
+        make_core(VICTIM, interval=2),
+        RecordingNetwork(loop, UniformLatencyModel(0.02), N, seed=1),
+        loop,
+        core_factory=lambda: make_core(VICTIM, interval=2),
+        start_down=True,
+        recover_mode="checkpoint",
+        sync_chunk_blocks=TRACE_CHUNK,
+    )
+    victim.recover()
+    victim.start()
+    for sender, message in inbound:
+        victim.on_message(Message(src=sender, dst=VICTIM, body=message, size=100))
+    return victim, sent_by_victim(log)
+
+
+async def trace_through_runtime(inbound, sends):
+    log = []
+
+    class RecordingHub(MemoryHub):
+        def deliver(self, src, dst, body):
+            if src == VICTIM:
+                log.append((dst, decode_message(body)))
+            super().deliver(src, dst, body)
+
+    hub = RecordingHub()
+    core = make_core(VICTIM, interval=2)
+    victim = ValidatorNode(
+        VICTIM,
+        core.schedule,
+        core.config,
+        core.coin,
+        MemoryTransport(VICTIM, hub),
+        recover_mode="checkpoint",
+        sync_chunk_blocks=TRACE_CHUNK,
+    )
+    await victim.start()
+    try:
+        for sender, message in inbound:
+            hub.deliver(sender, VICTIM, encode_message(message))
+        while len(sent_by_victim(log)) < sends:
+            await asyncio.sleep(0.01)
+    finally:
+        await victim.stop()
+    return victim, sent_by_victim(log)
+
+
+def test_one_inbound_message_trace_draws_the_same_replies_on_both_fabrics(monkeypatch):
+    # The trace is the only input: keep the runtime's wall-clock retry
+    # out of it (the simulator's loop never runs, so its timers cannot fire).
+    monkeypatch.setattr(driver_module, "CHECKPOINT_RETRY", 3600.0)
+    inbound, outbound = message_trace()
+    sim, sim_sent = trace_through_simulator(inbound)
+    runtime, rt_sent = asyncio.run(
+        asyncio.wait_for(trace_through_runtime(inbound, len(outbound)), timeout=30)
+    )
+    assert [kind for _, kind, _ in sim_sent] == outbound
+    assert rt_sent == sim_sent
+    peers = [0, 1, 2]
+    assert [dsts for dsts, _, _ in sim_sent] == [peers, [0], [2], [1], [1], [2], [2], peers]
+    assert [f["token"] for _, kind, f in sim_sent if kind == "SyncRequest"] == [1, 2, 3]
+    for victim in (sim, runtime):
+        assert not victim.syncing and victim.checkpoint_adoptions == 1
+        assert victim.core.round == 31

@@ -8,10 +8,21 @@ import pytest
 
 from repro.committee import Committee, CommitteeSchedule, ReconfigCommand
 from repro.errors import BlockValidationError, StateTransferError
+from repro.messages import (
+    BlockMessage,
+    CheckpointRequest,
+    CheckpointResponse,
+    FetchRequest,
+    FetchResponse,
+    SyncRequest,
+    SyncResponse,
+    TransactionMessage,
+)
 from repro.obs.trace import Tracer
 from repro.runtime.wal import WriteAheadLog
 from repro.statesync import ValidatorDriver, ancestor_closure
 from repro.statesync import recovery as recovery_module
+from repro.statesync.driver import CHECKPOINT_RETRY, SYNC_TIMEOUT
 from tests.statesync.test_checkpoint import drive_rounds, make_core
 
 
@@ -20,22 +31,33 @@ class FakePort:
 
     def __init__(self):
         self.driver = None
-        self.sync_requests = []  # (peer, refs, floor, token)
-        self.checkpoint_requests = 0
-        self.ingested = []
+        self.sent = []  # (dst, message)
+        self.timers = []  # (delay, callback, args)
+        self.ingested = []  # (block, live)
 
-    def send_sync_request(self, peer, refs, floor, token):
-        self.sync_requests.append((peer, refs, floor, token))
+    def send(self, dst, message):
+        self.sent.append((dst, message))
 
-    def broadcast_checkpoint_request(self):
-        self.checkpoint_requests += 1
+    def call_later(self, delay, callback, *args):
+        self.timers.append((delay, callback, args))
 
-    def ingest_fetched(self, block, peer):
-        self.ingested.append(block)
-        self.driver.ingest(block, peer, live=False)
+    def ingest(self, block, peer, live):
+        self.ingested.append((block, live))
+        self.driver.ingest(block, peer, live)
 
     def trace_time(self):
         return 0.0
+
+    @property
+    def sync_requests(self):
+        """The deep fetches sent, as ``(peer, refs, floor, token)``."""
+        return [
+            (dst, m.refs, m.floor, m.token) for dst, m in self.sent if type(m) is SyncRequest
+        ]
+
+    @property
+    def checkpoint_requests(self):
+        return self.sent.count((None, CheckpointRequest()))
 
     @property
     def instants(self):
@@ -129,8 +151,11 @@ class TestModeSelection:
         tip = suffix(history(3)[0])[-1]
         assert not driver.request_sync(0, (tip.reference,))
         assert not port.sync_requests
-        driver.request_checkpoints()  # the host's retry timer
-        assert port.checkpoint_requests == 2
+        # The retry timer the request armed asks again, and re-arms.
+        [(delay, retry, args)] = port.timers
+        assert delay == CHECKPOINT_RETRY
+        retry(*args)
+        assert port.checkpoint_requests == 2 and len(port.timers) == 2
 
     def test_restart_forgets_the_previous_incarnation(self):
         driver, port = make_driver("cold")
@@ -167,9 +192,13 @@ class TestCheckpointAdoption:
         assert checkpoint.floor > 1
         assert port.sync_requests == [(2, checkpoint.frontier, checkpoint.floor - 1, 1)]
         assert port.names() == ["recovery_started", "checkpoint_adopted", "sync_requested"]
-        # Later responses are ignored.
+        # Later responses are ignored, and the retry timer finds
+        # nothing left to ask for.
         driver.on_checkpoint_response(0, (checkpoint,))
         assert driver.checkpoint_adoptions == 1
+        delay, retry, args = port.timers[0]
+        retry(*args)
+        assert port.checkpoint_requests == 1
 
     def test_responses_are_ignored_when_not_recovering(self):
         checkpoint = history(30, interval=2)[0].committer.ledger.checkpoints[-1]
@@ -193,6 +222,7 @@ class TestDeepFetchChain:
         driver, port = self.syncing_driver()
         refs = (suffix(history(3)[0])[-1].reference,)
         assert driver.request_sync(0, refs) and driver.sync_inflight
+        assert port.timers == [(SYNC_TIMEOUT, driver.sync_timed_out, (1,))]
         assert not driver.request_sync(1, refs)  # suppressed
         assert not driver.request_sync(0, ())  # nothing to ask for
         driver.sync_timed_out(99)  # another request's timer
@@ -213,7 +243,7 @@ class TestDeepFetchChain:
         driver.request_sync(1, refs)
         blocks = tuple(suffix(source))
         assert driver.on_sync_response(0, blocks, (), 1) is False
-        assert len(port.ingested) == len(blocks)
+        assert port.ingested == [(block, False) for block in blocks]
         assert driver.core.store.highest_round == 6  # the blocks did land
         assert driver.syncing and driver.sync_inflight  # request 2 still owns the chain
         assert len(port.sync_requests) == 2
@@ -336,9 +366,108 @@ class TestServing:
         driver = ValidatorDriver(source, FakePort(), "cold", 8)
         refs = (header.reference,)
         assert driver.held_blocks(refs) == []
-        assert driver.held_blocks(refs, {header.digest: header}) == [header]
-        served, pruned = driver.serve_sync(refs, 3, {header.digest: header})
+        driver.unstored = {header.digest: header}
+        assert driver.held_blocks(refs) == [header]
+        served, pruned = driver.serve_sync(refs, 3)
         assert served == (header,) and pruned == ()
+
+
+class TestOnMessage:
+    """The dispatcher: each of the seven validator messages, handed over
+    as a host would, ends in the same effects the direct calls above
+    produce."""
+
+    def serving(self, rounds=6, **kwargs):
+        port = FakePort()
+        driver = ValidatorDriver(history(rounds, **kwargs)[0], port, "cold", 8)
+        port.driver = driver
+        return driver, port
+
+    def test_a_block_goes_through_the_host_ingest_path_as_live(self):
+        driver, port = make_driver()
+        block = peer_blocks(1)[0]
+        assert driver.on_message(BlockMessage(block), block.author) is False
+        assert port.ingested == [(block, True)] and block.digest in driver.core.store
+
+    def test_a_fetch_request_is_answered_with_exactly_what_is_held(self):
+        driver, port = self.serving()
+        held = suffix(driver.core)[-4:]
+        unheld = suffix(history(7)[1])[-1]  # a round-7 block this core lacks
+        refs = tuple(b.reference for b in held) + (unheld.reference,)
+        assert driver.on_message(FetchRequest(refs), 2) is False
+        assert port.sent == [(2, FetchResponse(tuple(held)))]
+        # Nothing held: no answer at all (the requester rotates peers).
+        assert driver.on_message(FetchRequest((unheld.reference,)), 2) is False
+        assert len(port.sent) == 1
+        # A Tusk header the host holds outside the DAG is served too.
+        driver.unstored = {unheld.digest: unheld}
+        driver.on_message(FetchRequest((unheld.reference,)), 1)
+        assert port.sent[-1] == (1, FetchResponse((unheld,)))
+
+    def test_fetched_blocks_are_ingested_as_not_live(self):
+        driver, port = make_driver()
+        blocks = tuple(peer_blocks(1))
+        assert driver.on_message(FetchResponse(blocks), 0) is False
+        assert port.ingested == [(block, False) for block in blocks]
+
+    def test_a_sync_request_is_always_answered_and_flags_what_was_pruned(self):
+        driver, port = self.serving(40, gc=4)
+        assert driver.core.store.lowest_round > 1
+        pruned = tuple(b.reference for b in suffix(history(2)[0])[:4])
+        assert driver.on_message(SyncRequest(pruned, floor=0, token=9), 3) is False
+        assert port.sent == [(3, SyncResponse(blocks=(), pruned=pruned, token=9))]
+        tips = tuple(b.reference for b in suffix(driver.core)[-4:])
+        driver.on_message(SyncRequest(tips, floor=38, token=10), 3)
+        _, response = port.sent[-1]
+        assert response.token == 10 and response.pruned == ()
+        assert [b.round for b in response.blocks] == [39] * 4 + [40] * 4
+
+    def test_a_stale_sync_response_contributes_blocks_without_driving_the_chain(self):
+        source = history(6)[0]
+        driver, port = make_driver("cold")
+        driver.begin_sync(now=0.0)
+        refs = (suffix(source)[-1].reference,)
+        driver.request_sync(0, refs)
+        driver.sync_timed_out(1)
+        driver.request_sync(1, refs)
+        blocks = tuple(suffix(source))
+        assert driver.on_message(SyncResponse(blocks, (), token=1), 0) is False
+        assert driver.core.store.highest_round == 6
+        assert driver.syncing and driver.sync_inflight and len(port.sync_requests) == 2
+        # The current one, a short chunk with nothing pending: finished,
+        # and the host is told to step.
+        assert driver.on_message(SyncResponse((), (), token=2), 1) is False
+        driver.request_sync(1, refs)
+        assert driver.on_message(SyncResponse(blocks[-1:], (), token=3), 1) is True
+        assert not driver.syncing
+
+    def test_unrecoverable_history_surfaces_from_the_dispatcher(self):
+        driver, port = make_driver("cold")
+        driver.begin_sync(now=0.0)
+        ref = suffix(history(3)[0])[0].reference
+        driver.request_sync(0, (ref,))
+        with pytest.raises(StateTransferError, match="recover_mode='checkpoint'"):
+            driver.on_message(SyncResponse((), (ref,), token=1), 0)
+
+    def test_the_checkpoint_exchange_runs_to_adoption(self):
+        server, server_port = self.serving(30, interval=2)
+        assert server.on_message(CheckpointRequest(), 3) is False
+        [(dst, response)] = server_port.sent
+        assert dst == 3 and response == CheckpointResponse(server.retained_checkpoints())
+        assert response.checkpoints
+
+        driver, port = make_driver("checkpoint", interval=2)
+        driver.begin_sync(now=0.0)
+        for peer in (2, 0, 1):
+            assert driver.on_message(response, peer) is False
+        best = response.checkpoints[-1]
+        assert driver.ckpt_adopted and driver.core.committer.ledger.adopted_base == best
+        assert port.sync_requests == [(2, best.frontier, best.floor - 1, 1)]
+
+    def test_a_client_message_is_not_the_drivers_to_read(self):
+        driver, _ = make_driver()
+        with pytest.raises(TypeError, match="not a validator message"):
+            driver.on_message(TransactionMessage(transactions=()), 0)
 
 
 class TestEpochExit:

@@ -17,7 +17,19 @@ from repro.crypto.coin import FastCoin
 from repro.crypto.hashing import hash_parts
 from repro.crypto.threshold import combine_shares, deal
 from repro.dag.traversal import DagTraversal
-from repro.errors import ReproError
+from repro.errors import ReproError, TransportError
+from repro.messages import (
+    BlockMessage,
+    CheckpointRequest,
+    CheckpointResponse,
+    FetchRequest,
+    FetchResponse,
+    SyncRequest,
+    SyncResponse,
+    TransactionMessage,
+    decode_message,
+    encode_message,
+)
 from repro.statesync import Checkpoint
 from repro.transaction import (
     Transaction,
@@ -90,6 +102,23 @@ checkpoints = st.builds(
 )
 
 
+ref_tuples = st.lists(block_refs, max_size=4).map(tuple)
+block_tuples = st.lists(blocks(), max_size=3).map(tuple)
+tokens = st.integers(0, 2**64 - 1)
+
+#: All eight kinds of :mod:`repro.messages`.
+messages = st.one_of(
+    st.builds(BlockMessage, block=blocks()),
+    st.builds(FetchRequest, refs=ref_tuples),
+    st.builds(FetchResponse, blocks=block_tuples),
+    st.just(CheckpointRequest()),
+    st.builds(CheckpointResponse, checkpoints=st.lists(checkpoints, max_size=2).map(tuple)),
+    st.builds(SyncRequest, refs=ref_tuples, floor=st.integers(-1, 2**63 - 1), token=tokens),
+    st.builds(SyncResponse, blocks=block_tuples, pruned=ref_tuples, token=tokens),
+    st.builds(TransactionMessage, transactions=st.lists(transactions, max_size=4).map(tuple)),
+)
+
+
 # ----------------------------------------------------------------------
 # Codec properties
 # ----------------------------------------------------------------------
@@ -152,6 +181,42 @@ def test_checkpoint_roundtrip_and_truncation_at_any_offset(checkpoint, trailing)
     for cut in range(len(wire)):
         with pytest.raises(ReproError):
             Checkpoint.decode(wire[:cut])
+
+
+@given(messages)
+@settings(max_examples=100)
+def test_message_roundtrip_and_truncation_at_any_offset(message):
+    """Every kind decodes to itself, and cut anywhere — inside a count,
+    a fixed header, a length prefix or an item — it is a
+    ``TransportError``, never a shorter message."""
+    wire = encode_message(message)
+    assert decode_message(wire) == message
+    for cut in range(len(wire)):
+        with pytest.raises(TransportError):
+            decode_message(wire[:cut])
+
+
+@given(st.integers(0, 9), st.binary(max_size=120))
+@settings(max_examples=400)
+def test_message_decoder_raises_only_transport_error_on_garbage(kind, tail):
+    """Any kind byte in front of arbitrary bytes decodes or raises
+    ``TransportError`` — ``struct.error`` used to leak from the counts
+    and fixed headers of five kinds."""
+    try:
+        decode_message(bytes([kind]) + tail)
+    except TransportError:
+        pass
+
+
+@given(messages, st.integers(min_value=0), st.integers(min_value=1, max_value=255))
+@settings(max_examples=200)
+def test_a_flipped_byte_decodes_to_a_message_or_a_transport_error(message, position, flip):
+    wire = bytearray(encode_message(message))
+    wire[position % len(wire)] ^= flip
+    try:
+        decode_message(bytes(wire))
+    except TransportError:
+        pass
 
 
 @given(st.binary(max_size=300))

@@ -210,6 +210,37 @@ def test_tx_path(tmp_path):
     assert len(ci_checks.tx_path(write(tmp_path / "dead.out", dead))) == 3
 
 
+def test_one_vocabulary(tmp_path):
+    assert ci_checks.one_vocabulary() == []  # the two hosts as checked in
+    clean = write(
+        tmp_path / "clean.py",
+        "from ..messages import BlockMessage, FetchRequest, TransactionMessage\n"
+        "def on_message(self, message, peer):\n"
+        "    if isinstance(message, TransactionMessage):\n"
+        "        return self.submit(message.transactions)\n"
+        "    self.driver.on_message(message, peer)\n",
+    )
+    assert ci_checks.one_vocabulary(str(clean)) == []
+    # A host that grows its own ladder back, in both old spellings.
+    ladder = write(
+        tmp_path / "ladder.py",
+        "from ..messages import SyncResponse\n"
+        "from .. import messages\n"
+        "def handle(self, message):\n"
+        "    if message.kind == \"fetch_req\":\n"
+        "        self.network.send(message.src, \"fetch_resp\", self.held(message.payload))\n"
+        "    elif isinstance(message, SyncResponse):\n"
+        "        self.driver.on_sync_response(message)\n"
+        "    elif type(message) is messages.CheckpointRequest:\n"
+        "        pass\n",
+    )
+    violations = ci_checks.one_vocabulary(str(clean), str(ladder))
+    assert [v.partition(": ")[0].rpartition(":")[2] for v in violations] == ["1", "4", "5", "6", "8"]
+    assert "retired message kind 'fetch_req'" in violations[1]
+    assert "SyncResponse, which only the driver builds or reads" in violations[3]
+    assert all(str(ladder) in v for v in violations)
+
+
 @pytest.mark.parametrize("name", ci_checks.CHECKS)
 def test_every_subcommand_is_what_the_workflow_calls(name):
     workflow = Path(__file__).resolve().parents[2] / ".github" / "workflows" / "ci.yml"

@@ -3,9 +3,9 @@
 each, so the logic is importable and covered by tier-1
 (``tests/tools/test_ci_checks.py``) instead of living in YAML heredocs.
 
-Every check reads files a previous workflow step wrote, returns the
-list of violations (empty = pass) and, from the command line, prints
-them and exits 1.
+Every check reads files a previous workflow step wrote (or, for
+``one-vocabulary``, source files), returns the list of violations
+(empty = pass) and, from the command line, prints them and exits 1.
 
 Usage::
 
@@ -18,10 +18,12 @@ Usage::
     python tools/ci_checks.py commit-walk    [results/sim-mahi-n50.traced.out]
     python tools/ci_checks.py tusk-poll      [results/sim-tusk-n10.traced.out]
     python tools/ci_checks.py tx-path        [results/sim-tusk-n10.traced.out]
+    python tools/ci_checks.py one-vocabulary [HOST.py ...]
 """
 
 from __future__ import annotations
 
+import ast
 import json
 import sys
 from pathlib import Path
@@ -213,6 +215,46 @@ def tx_path(path: str = "results/sim-tusk-n10.traced.out") -> list[str]:
     return _traced_run_violations(path, counts)
 
 
+#: The string kinds the simulator used to dispatch on, and the messages
+#: only :meth:`ValidatorDriver.on_message` may build or read.
+RETIRED_KINDS = frozenset(
+    {"ack", "cert", "fetch_req", "fetch_resp", "sync_resp", "ckpt_req", "ckpt_resp"}
+)
+DRIVER_ONLY = frozenset(
+    {"FetchResponse", "SyncRequest", "SyncResponse", "CheckpointRequest", "CheckpointResponse"}
+)
+HOSTS = ("src/repro/sim/node.py", "src/repro/runtime/node.py")
+
+
+def _referenced_name(node: ast.AST) -> str | None:
+    """The identifier a syntax-tree node refers to, if it is a
+    reference: a bare name, an attribute, an imported name."""
+    if isinstance(node, ast.Name):
+        return node.id
+    if isinstance(node, ast.Attribute):
+        return node.attr
+    if isinstance(node, ast.alias):
+        return node.name.rpartition(".")[2]
+    return None
+
+
+def one_vocabulary(*paths: str) -> list[str]:
+    """The two validator hosts carry messages and never read them: no
+    retired string kind is a literal in them, and no message the driver
+    alone builds and reads is referenced (read off the syntax tree;
+    nothing of ``repro`` is imported)."""
+    violations = []
+    for path in paths or [str(ROOT / host) for host in HOSTS]:
+        found = []
+        for node in ast.walk(ast.parse(Path(path).read_text(), filename=path)):
+            if isinstance(node, ast.Constant) and node.value in RETIRED_KINDS:
+                found.append((node.lineno, f"the retired message kind {node.value!r}"))
+            elif (name := _referenced_name(node)) in DRIVER_ONLY:
+                found.append((node.lineno, f"{name}, which only the driver builds or reads"))
+        violations += [f"{path}:{line}: {what}" for line, what in sorted(found)]
+    return violations
+
+
 CHECKS = {
     "cluster-metrics": cluster_metrics,
     "cluster-traces": cluster_traces,
@@ -223,6 +265,7 @@ CHECKS = {
     "commit-walk": commit_walk,
     "tusk-poll": tusk_poll,
     "tx-path": tx_path,
+    "one-vocabulary": one_vocabulary,
 }
 
 
