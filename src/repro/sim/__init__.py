@@ -14,7 +14,7 @@ bit-identically.
 """
 
 from .events import EventLoop
-from .latency import GeoLatencyModel, LatencyModel, UniformLatencyModel, PAPER_REGIONS
+from .latency import LatencyModel, UniformLatencyModel, PAPER_REGIONS
 from .network import NetworkConfig, SimNetwork
 from .node import NodeBehavior, SimValidator
 from .client import OpenLoopClient
@@ -40,7 +40,6 @@ __all__ = [
     "smoke_config",
     "EventLoop",
     "LatencyModel",
-    "GeoLatencyModel",
     "UniformLatencyModel",
     "PAPER_REGIONS",
     "NetworkConfig",

@@ -112,24 +112,6 @@ class LatencyModel(ABC):
         return sample_jittered
 
 
-class GeoLatencyModel(LatencyModel):
-    """Round-robin assignment of validators to the paper's five regions."""
-
-    def __init__(self, num_validators: int, regions: tuple[str, ...] = PAPER_REGIONS) -> None:
-        self._regions = regions
-        self._assignment = [regions[i % len(regions)] for i in range(num_validators)]
-
-    def region_of(self, validator: int) -> str:
-        """The region hosting ``validator``."""
-        return self._assignment[validator]
-
-    def base_delay(self, src: int, dst: int) -> float:
-        region_src, region_dst = self._assignment[src], self._assignment[dst]
-        if region_src == region_dst:
-            return _INTRA_REGION
-        return _ONE_WAY[frozenset({region_src, region_dst})]
-
-
 class UniformLatencyModel(LatencyModel):
     """Constant one-way delay between every pair (unit tests, theory
     checks where 'message delay' should be a single number)."""

@@ -35,7 +35,6 @@ from .client import OpenLoopClient, reset_tx_ids
 from .events import EventLoop
 from .faults import FaultEvent, FaultSchedule, NodeBehavior, normalize_events
 from .latency import (
-    GeoLatencyModel,
     LatencyModel,
     UniformLatencyModel,
     WAN_PRESETS,
@@ -166,9 +165,9 @@ class ExperimentConfig:
         leader_dos_delay: Extra one-way delay on a DoS'd leader's
             blocks.
         wan_matrix: Name of a preset per-region RTT matrix
-            (:data:`~repro.sim.latency.WAN_PRESETS`) replacing the
-            default 5-region geo model; mutually exclusive with
-            ``uniform_delay``.
+            (:data:`~repro.sim.latency.WAN_PRESETS`); empty means
+            ``paper-5``, the paper's five regions.  Mutually exclusive
+            with ``uniform_delay``.
         region_assignment: With ``wan_matrix``: explicit validator ->
             region-index mapping (length ``num_validators``); empty
             means round-robin like the paper's deployment.
@@ -636,13 +635,11 @@ class Experiment:
     def _make_latency_model(self) -> LatencyModel:
         if self.config.uniform_delay is not None:
             return UniformLatencyModel(self.config.uniform_delay)
-        if self.config.wan_matrix:
-            return wan_matrix_model(
-                self.config.wan_matrix,
-                self.config.num_validators,
-                self.config.region_assignment,
-            )
-        return GeoLatencyModel(self.config.num_validators)
+        return wan_matrix_model(
+            self.config.wan_matrix or "paper-5",
+            self.config.num_validators,
+            self.config.region_assignment,
+        )
 
     def _make_scheduler(self) -> MessageScheduler | None:
         cfg = self.config

@@ -5,18 +5,18 @@ import random
 import pytest
 
 from repro.sim.latency import (
-    GeoLatencyModel,
     LatencyMatrixModel,
     PAPER_REGIONS,
     UniformLatencyModel,
     WAN_PRESETS,
+    _ONE_WAY,
     wan_matrix_model,
 )
 
 
-class TestGeoModel:
+class TestPaperPreset:
     def test_round_robin_region_assignment(self):
-        model = GeoLatencyModel(10)
+        model = wan_matrix_model("paper-5", 10)
         assert model.region_of(0) == "us-east-2"
         assert model.region_of(4) == "eu-south-1"
         assert model.region_of(5) == "us-east-2"
@@ -32,25 +32,25 @@ class TestGeoModel:
         }
 
     def test_symmetric_delays(self):
-        model = GeoLatencyModel(10)
+        model = wan_matrix_model("paper-5", 10)
         for src in range(10):
             for dst in range(10):
                 assert model.base_delay(src, dst) == model.base_delay(dst, src)
 
     def test_intra_region_much_faster(self):
-        model = GeoLatencyModel(10)
+        model = wan_matrix_model("paper-5", 10)
         # Validators 0 and 5 share us-east-2.
         assert model.base_delay(0, 5) < 0.001
         assert model.base_delay(0, 2) > 0.05
 
     def test_all_pairs_defined(self):
-        model = GeoLatencyModel(50)
+        model = wan_matrix_model("paper-5", 50)
         for src in range(50):
             for dst in range(50):
                 assert model.base_delay(src, dst) >= 0
 
     def test_jitter_is_small_and_positive(self):
-        model = GeoLatencyModel(10)
+        model = wan_matrix_model("paper-5", 10)
         rng = random.Random(1)
         base = model.base_delay(0, 2)
         samples = [model.sample(0, 2, rng) for _ in range(200)]
@@ -58,7 +58,7 @@ class TestGeoModel:
         assert all(abs(s - base) / base < 0.5 for s in samples)
 
     def test_far_pair_is_cape_town_hong_kong(self):
-        model = GeoLatencyModel(10)
+        model = wan_matrix_model("paper-5", 10)
         delays = {
             (model.region_of(a), model.region_of(b)): model.base_delay(a, b)
             for a in range(5)
@@ -102,7 +102,7 @@ class TestMakeSampler:
         assert all(abs(s - 0.1) / 0.1 < 0.5 for s in samples)
 
     def test_deterministic_for_fixed_seed(self):
-        model = GeoLatencyModel(10)
+        model = wan_matrix_model("paper-5", 10)
         a = model.make_sampler(random.Random(7))
         b = model.make_sampler(random.Random(7))
         assert [a(0, 1) for _ in range(100)] == [b(0, 1) for _ in range(100)]
@@ -162,15 +162,15 @@ class TestLatencyMatrixModel:
 
 
 class TestWanPresets:
-    def test_paper_preset_matches_geo_model(self):
-        """``paper-5`` is the paper's deployment expressed as an explicit
-        matrix: it must agree with GeoLatencyModel on every pair."""
-        matrix = wan_matrix_model("paper-5", 10)
-        geo = GeoLatencyModel(10)
+    def test_paper_preset_is_the_one_way_table(self):
+        """``paper-5`` is built from the paper's pairwise one-way
+        delays: every cross-region pair reads the table's value."""
+        model = wan_matrix_model("paper-5", 10)
         for src in range(10):
             for dst in range(10):
-                if geo.region_of(src) != geo.region_of(dst):
-                    assert matrix.base_delay(src, dst) == geo.base_delay(src, dst)
+                pair = frozenset({model.region_of(src), model.region_of(dst)})
+                if len(pair) == 2:
+                    assert model.base_delay(src, dst) == _ONE_WAY[pair]
 
     def test_all_presets_are_valid_matrices(self):
         for name in WAN_PRESETS:
