@@ -19,7 +19,6 @@ from __future__ import annotations
 import hashlib
 import hmac
 
-from ..errors import CryptoError
 from .signing import KeyPair, SignatureScheme
 
 # RFC 3526, group 14 (2048-bit MODP).  The group has order (P-1)/2 = Q
@@ -106,11 +105,3 @@ class SchnorrSignatureScheme(SignatureScheme):
             _int_to_bytes(r, _ELEMENT_BYTES), public_key.rjust(_ELEMENT_BYTES, b"\x00"), message
         )
         return expected == e
-
-
-def element_pow(base: int, exponent: int) -> int:
-    """Modular exponentiation in the signature group (exposed for the
-    threshold-coin module, which shares the group parameters)."""
-    if base <= 0 or base >= P:
-        raise CryptoError("group element out of range")
-    return pow(base, exponent, P)

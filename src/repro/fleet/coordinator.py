@@ -19,11 +19,10 @@ import os
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Iterable
+from typing import Callable
 
 from ..sim.sweep import (
     SCHEMA_VERSION,
-    ExperimentConfig,
     ResultsStore,
     config_from_dict,
     config_hash,
@@ -59,24 +58,6 @@ class FleetReport:
             "completed_by": dict(sorted(self.completed_by.items())),
             "worker_failures": sorted(self.worker_failures),
         }
-
-
-def items_for_configs(
-    configs: Iterable[ExperimentConfig],
-    *,
-    check_safety: bool = True,
-    sweep: str = "",
-) -> list[WorkItem]:
-    """Manifest work items for a batch of configs."""
-    return [
-        WorkItem(
-            config_hash=config_hash(config),
-            config=config_to_dict(config),
-            check_safety=check_safety,
-            sweep=sweep,
-        )
-        for config in configs
-    ]
 
 
 def pending_items(sweeps, store: ResultsStore) -> list[WorkItem]:

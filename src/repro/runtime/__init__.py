@@ -6,7 +6,6 @@ This package is its Python/asyncio counterpart:
 
 * :mod:`repro.runtime.transport` — TCP and in-memory transports;
 * :mod:`repro.runtime.wal` — write-ahead log + recovery;
-* :mod:`repro.runtime.synchronizer` — missing-ancestor fetching;
 * :mod:`repro.runtime.node` — the validator process;
 * :mod:`repro.runtime.cluster` — in-process cluster orchestration;
 * :mod:`repro.runtime.process_cluster` — multi-process localhost
@@ -22,7 +21,6 @@ to each other — the messages and their length-prefixed wire format — is
 
 from .transport import MemoryHub, MemoryTransport, TcpTransport, Transport
 from .wal import WalRecord, WriteAheadLog
-from .synchronizer import Synchronizer
 from ..statesync import RECOVER_MODES
 from .node import ValidatorNode
 from .cluster import LocalCluster
@@ -34,7 +32,6 @@ __all__ = [
     "TcpTransport",
     "WalRecord",
     "WriteAheadLog",
-    "Synchronizer",
     "RECOVER_MODES",
     "ValidatorNode",
     "LocalCluster",

@@ -242,16 +242,3 @@ class LocalCluster:
                 await asyncio.sleep(0.01)
 
         return await asyncio.wait_for(_wait(), timeout)
-
-    async def wait_for_epoch(
-        self, epoch_id: int, *, validator: int = 0, timeout: float = 30.0
-    ) -> None:
-        """Wait until ``validator``'s schedule has scheduled ``epoch_id``
-        (a committed reconfiguration command took effect there)."""
-        node = self.nodes[validator]
-
-        async def _wait() -> None:
-            while node.schedule.latest.epoch_id < epoch_id:
-                await asyncio.sleep(0.01)
-
-        await asyncio.wait_for(_wait(), timeout)

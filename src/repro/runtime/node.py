@@ -1,10 +1,10 @@
 """The networked validator process.
 
-Owns a :class:`~repro.core.MahiMahiCore`, a transport, a write-ahead
-log, and a synchronizer; proposes from the event that made a proposal
-possible (a block accepted, a re-sync finished, the start) or from a
-one-shot timer armed for the pacing deadline; runs the synchronizer
-loop as an asyncio task; surfaces committed blocks on an async queue.
+Owns a :class:`~repro.core.MahiMahiCore`, a transport and a write-ahead
+log; proposes from the event that made a proposal possible (a block
+accepted, a re-sync finished, the start) or from a one-shot timer armed
+for the pacing deadline; re-broadcasts its latest block from an asyncio
+task when idle; surfaces committed blocks on an async queue.
 
 Runtime parity with the simulator (:class:`~repro.sim.node.SimValidator`):
 
@@ -15,9 +15,11 @@ Runtime parity with the simulator (:class:`~repro.sim.node.SimValidator`):
   and latest-scheduled committees, and a member an activated epoch
   excludes goes silent by itself;
 * the validator step (ingest, paced proposing, commit, epoch exit, the
-  WAL records and lifecycle instants), restarts / re-sync (cold /
-  warm / checkpoint) and the reading of every validator message are the
-  shared, sans-IO :class:`~repro.statesync.driver.ValidatorDriver`.
+  WAL records and lifecycle instants), the fetching of missing
+  ancestors (shallow with peer rotation, or the deep chain once fallen
+  behind), restarts / re-sync (cold / warm / checkpoint) and the reading
+  of every validator message are the shared, sans-IO
+  :class:`~repro.statesync.driver.ValidatorDriver`.
   This class is its runtime adaptor: every decoded peer message goes to
   ``driver.on_message`` unread (a client's
   :class:`~repro.messages.TransactionMessage` is the one this class
@@ -25,9 +27,8 @@ Runtime parity with the simulator (:class:`~repro.sim.node.SimValidator`):
   :class:`~repro.statesync.driver.ValidatorPort` with an **outbox** the
   synchronous handlers fill and ``_flush`` drains with
   ``await transport.send(...)``.  It adds what only the runtime has —
-  asyncio and its timers, the transport, the shallow-fetch
-  :class:`Synchronizer`, the *fallen-behind* trigger of the deep re-sync
-  chain, idle re-broadcast, the metrics registry and the commit queue;
+  asyncio and its timers, the transport, idle re-broadcast, the metrics
+  registry and the commit queue;
 * commit-state checkpoints are captured by the committer's
   :class:`~repro.statesync.CommitLedger` at the same deterministic
   commit-walk points as the sim, and served to recovering peers by the
@@ -56,12 +57,9 @@ from ..obs.metrics import MetricsRegistry
 from ..obs.trace import NULL_TRACER
 from ..statesync import SYNC_MAX_BLOCKS, ValidatorDriver
 from ..transaction import Transaction, TransactionBatch
-from .synchronizer import Synchronizer
 from .transport import Transport
 from .wal import WriteAheadLog
 
-#: How often the synchronizer retries fetches (seconds).
-_SYNC_POLL = 0.05
 #: Idle retransmission: with no new proposal for this long, the latest
 #: own block is re-broadcast.  Sends to unreachable peers are dropped
 #: (best-effort transport), and the synchronizer only repairs gaps that
@@ -70,10 +68,6 @@ _SYNC_POLL = 0.05
 #: periodic re-broadcast is the anti-entropy that breaks such a silent
 #: deadlock (and is how a real deployment rides out dropped sends).
 _REBROADCAST_AFTER = 0.5
-#: A live block this many rounds above our frontier means we have
-#: fallen behind (a cold restart, or a long partition): switch from
-#: shallow per-reference fetches to the chunked deep re-sync chain.
-_BEHIND_WAVES = 2
 
 
 class ValidatorNode:
@@ -113,8 +107,8 @@ class ValidatorNode:
             response chunk.
         tracer: A :class:`repro.obs.trace.Tracer` recording lifecycle
             spans with **wall-clock** timestamps (``time.time()``);
-            defaults to the no-op tracer.  Shared with the transport
-            and synchronizer, alongside the node's metrics registry.
+            defaults to the no-op tracer.  Shared with the transport,
+            alongside the node's metrics registry.
         """
         self.authority = authority
         self.core = MahiMahiCore(
@@ -143,9 +137,6 @@ class ValidatorNode:
         self._m_committed_tx = m.counter("txs_committed", help="transactions in linearized blocks")
         self._m_waves = m.counter("waves_decided", help="slot decisions, labeled by outcome")
         transport.instrument(tracer, m)
-        self.synchronizer = Synchronizer(
-            transport, self.schedule.provisioned, registry=m
-        )
         # The latest own block and when it (or anything newer) last went
         # out: what the idle re-broadcast retransmits.
         self._last_block: Block | None = None
@@ -174,9 +165,6 @@ class ValidatorNode:
         #: Committed observations, for consumers (SMR execution layers).
         self.commits: asyncio.Queue[CommitObservation] = asyncio.Queue()
         self.committed_blocks: list[Block] = []
-        # A bound method of the synchronizer, not a closure over this
-        # node: the schedule must not hold the node (see ``stop``).
-        self.schedule.subscribe(self.synchronizer.follow_epoch)
         transport.on_message(self._on_message)
 
     # ------------------------------------------------------------------
@@ -196,6 +184,12 @@ class ValidatorNode:
         return self._driver.left
 
     @property
+    def synchronizer(self):
+        """The driver's shallow-fetch table (its counters stay readable
+        after :meth:`stop`)."""
+        return self._driver.synchronizer
+
+    @property
     def recovery_mode_used(self) -> str:
         """The restart path actually taken (a warm restart with an empty
         WAL degenerates to, and reports, ``cold``)."""
@@ -213,7 +207,7 @@ class ValidatorNode:
 
     async def start(self, *, barrier: "Callable[[], Awaitable[None]] | None" = None) -> None:
         """Recover per ``recover_mode``, start the transport and the
-        synchronizer loop, and propose the first block.
+        re-broadcast loop, and propose the first block.
 
         ``barrier`` (when given) is awaited after the listener is bound
         but before the first proposal — a multi-process deployment waits
@@ -232,7 +226,7 @@ class ValidatorNode:
             self._driver.begin_sync(time.monotonic())
         self._step()
         await self._flush()
-        self._spawn(self._sync_loop())
+        self._spawn(self._rebroadcast_loop())
 
     def _spawn(self, coroutine) -> None:
         task = asyncio.create_task(coroutine)
@@ -295,11 +289,8 @@ class ValidatorNode:
             self._last_block, self._last_broadcast = block, now
             self._m_proposed.inc()
             self.send(None, BlockMessage(block=block))
-            # Peers that built on a pre-crash twin of this block had us
-            # fetching it.
-            self.synchronizer.note_arrived(block.digest)
         if step.connected:
-            self._note_received(step.connected)
+            self._m_received.inc(len(step.connected))
         if step.deadline is not None:
             self.call_later(step.deadline - now, self._on_pacing_timer)
         if step.recovered_at is not None:
@@ -316,25 +307,22 @@ class ValidatorNode:
         if self._running:
             self._step()
 
-    async def _sync_loop(self) -> None:
+    async def _rebroadcast_loop(self) -> None:
+        """Retransmit the latest own block whenever it has gone
+        :data:`_REBROADCAST_AFTER` without a broadcast (duplicates are
+        idempotent on the receiving side), sleeping until that is next
+        due."""
         while self._running:
-            await self.synchronizer.tick()
-            await self._maybe_rebroadcast()
-            await asyncio.sleep(_SYNC_POLL)
-
-    async def _maybe_rebroadcast(self) -> None:
-        """Retransmit the latest own block after an idle stretch (see
-        :data:`_REBROADCAST_AFTER`; duplicates are idempotent on the
-        receiving side)."""
-        if self._last_block is None or self._driver.syncing or self.left:
-            return
-        now = time.monotonic()
-        if now - self._last_broadcast < _REBROADCAST_AFTER:
-            return
-        self._last_broadcast = now
-        await self.transport.broadcast(
-            BlockMessage(block=self._last_block), self._peers()
-        )
+            now = time.monotonic()
+            due = self._last_broadcast + _REBROADCAST_AFTER - now
+            if due <= 0:
+                if self._last_block is not None and not (self._driver.syncing or self.left):
+                    self._last_broadcast = now
+                    await self.transport.broadcast(
+                        BlockMessage(block=self._last_block), self._peers()
+                    )
+                due = _REBROADCAST_AFTER
+            await asyncio.sleep(due)
 
     def _peers(self) -> list[int]:
         """Everyone we broadcast to: the committee governing the current
@@ -389,37 +377,15 @@ class ValidatorNode:
             else:
                 await self.transport.send(dst, message)
 
-    def _note_received(self, accepted) -> None:
-        """Peer blocks entered the DAG: stop fetching them, count them."""
-        for block in accepted:
-            self.synchronizer.note_arrived(block.digest)
-        self._m_received.inc(len(accepted))
-
-    def _request_missing(self, sender: int, missing: tuple, block: Block, live: bool) -> None:
-        """Route missing-ancestor reports to the right fetch shape."""
-        driver = self._driver
-        if not driver.syncing:
-            behind = block.round - self.core.store.highest_round
-            if not (live and behind > _BEHIND_WAVES * self.config.wave_length):
-                self.synchronizer.note_missing(missing, sender)
-                return
-            # Fallen far behind (cold restart, long partition): shallow
-            # per-reference fetches would crawl — enter the chunked deep
-            # re-sync chain instead.
-            driver.begin_sync(time.monotonic(), behind=behind)
-        driver.request_sync(sender, missing)
-
     # ------------------------------------------------------------------
     # ValidatorPort: what the driver asks of this host
     # ------------------------------------------------------------------
     def ingest(self, block: Block, sender: int, live: bool) -> None:
-        result = self._driver.ingest(block, sender, live)
+        result = self._driver.ingest(block, sender, time.monotonic(), live)
         if result.rejected:
             self._m_rejected.inc()
-        if result.missing:
-            self._request_missing(sender, result.missing, block, live)
         if result.accepted:
-            self._note_received(result.accepted)
+            self._m_received.inc(len(result.accepted))
             self._step()
 
     def send(self, dst: int | None, message: Message) -> None:

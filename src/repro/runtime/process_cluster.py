@@ -147,6 +147,12 @@ async def _child_main(spec_path: str) -> None:
         gauge("missing_refs", "references the synchronizer is fetching").set(
             node.synchronizer.missing
         )
+        gauge("sync_requests_sent", "shallow fetch requests issued").set(
+            node.synchronizer.requests_sent
+        )
+        gauge("sync_refs_abandoned", "missing references given up behind the GC horizon").set(
+            node.synchronizer.refs_abandoned
+        )
         gauge("sync_deep_requests_sent", "deep (chunked re-sync) requests issued").set(
             node.deep_sync_requests
         )

@@ -11,9 +11,6 @@ modes reproduce the two DAG families of the evaluation:
   by peers, and only the resulting certificate (header + ``2f + 1``
   acks) enters the DAG — three message delays per round.
 
-Missing ancestors are fetched from the block's sender, mirroring the
-synchronizer sub-component the liveness proofs rely on (Lemma 8).
-
 Crash-recovery rides the same path: :meth:`SimValidator.crash` silences
 the validator and discards whatever it was processing; a later
 :meth:`SimValidator.recover` restarts it with an **empty in-memory
@@ -21,9 +18,11 @@ state** (a fresh core holding only genesis) and re-syncs in the cold,
 warm or checkpoint mode.
 
 The validator step (ingest, paced proposing, commit, epoch exit, with
-their WAL records and lifecycle instants), the recovery state machine
-and the reading of every :mod:`repro.messages` message are the
-fabric-independent :class:`~repro.statesync.driver.ValidatorDriver`;
+their WAL records and lifecycle instants), the fetching of missing
+ancestors (the synchronizer the liveness proofs rely on, Lemma 8), the
+recovery state machine and the reading of every :mod:`repro.messages`
+message are the fabric-independent
+:class:`~repro.statesync.driver.ValidatorDriver`;
 this class is its simulator adaptor (its
 :class:`~repro.statesync.driver.ValidatorPort`): it hands each delivered
 message to ``driver.on_message`` unread and sends what the driver gives
@@ -31,8 +30,7 @@ it.  It adds what only the simulator has: the event loop with its
 timers, the CPU-stage model (a WAL replay is charged as consensus CPU
 time), Tusk's header / ack / certificate exchange (three message types
 of its own, below), equivocation dispatch, the wire-size model that
-prices any message by what it carries, the stage-latency observer and
-the ``_fetching`` table.
+prices any message by what it carries and the stage-latency observer.
 
 A simulated transaction costs the event loop nothing here.  The ingress
 stage is a single server, so it completes transactions in the order it
@@ -50,10 +48,10 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from ..block import Block, BlockRef
+from ..block import Block
 from ..core.protocol import MahiMahiCore
 from ..crypto.hashing import Digest
-from ..messages import BlockMessage, FetchRequest
+from ..messages import BlockMessage
 from ..obs import trace as _trace
 from ..obs.trace import NULL_TRACER
 from ..runtime.wal import WriteAheadLog
@@ -116,8 +114,6 @@ _REF_WIRE_SIZE = 44
 _BLOCK_HEADER_SIZE = 150
 #: Bytes per signature: a Tusk ack, each signer of a certificate.
 _SIGNATURE_SIZE = 64
-#: How long to wait before re-requesting a missing ancestor.
-_FETCH_RETRY = 1.0
 #: Wire bytes of a checkpoint request (a bare tagged message).
 _CKPT_REQ_SIZE = 16
 
@@ -164,7 +160,6 @@ class SimValidator:
         "_headers",
         "_acks",
         "_cert_sent",
-        "_fetching",
         "_interval",
         "_tx_weight",
         "_cpu",
@@ -275,8 +270,6 @@ class SimValidator:
         self._headers: dict[Digest, Block] = {}
         self._acks: dict[Digest, set[int]] = {}
         self._cert_sent: set[Digest] = set()
-        # Synchronizer state: digest -> virtual time of last request.
-        self._fetching: dict[Digest, float] = {}
         self._interval = min_block_interval
         self._tx_weight = tx_weight
         self._cpu = cpu
@@ -419,10 +412,11 @@ class SimValidator:
             return
         self._down = False
         self._incarnation += 1
-        self._fetching.clear()
         if self._core_factory is None:
             # Process pause, not restart: all state retained, nothing
-            # to re-sync — resume where we left off.
+            # to re-sync — resume where we left off.  (The fetch table's
+            # retry timer went with the old incarnation.)
+            self._driver.synchronizer.reset()
             return
         self.core = self._core_factory()
         self._ingress.clear()
@@ -447,10 +441,7 @@ class SimValidator:
     # ------------------------------------------------------------------
     def send(self, dst: int | None, message) -> None:
         """Price ``message`` and put it on the wire (``dst=None``: to
-        every peer).  References a request asks for count as being
-        fetched from now on, whichever fetch shape asks."""
-        for ref in getattr(message, "refs", ()):
-            self._fetching[ref.digest] = self._loop.now
+        every peer)."""
         size = self._wire_size(message)
         if dst is None:
             self._network.broadcast(self.authority, message, size)
@@ -623,16 +614,10 @@ class SimValidator:
     # ------------------------------------------------------------------
     def ingest(self, block: Block, sender: int, live: bool = True) -> None:
         """ValidatorPort: one received block, through the driver's
-        ingest, the fetch of what it misses, and the step."""
-        result = self._driver.ingest(block, sender, live)
-        if result.missing:
-            self._request_missing(sender, result.missing)
+        ingest and the step."""
+        result = self._driver.ingest(block, sender, self._loop.now, live)
         if not result.accepted:
             return
-        if self._fetching:
-            # A block that arrived is no longer being fetched.
-            for accepted in result.accepted:
-                self._fetching.pop(accepted.digest, None)
         if self._stage_observer:
             now = self._loop.now
             for accepted in result.accepted:
@@ -640,18 +625,6 @@ class SimValidator:
                 if accepted.transactions:
                     self._stage_metrics.record_block_times(accepted.transactions, arrival, now)
         self._step()
-
-    def _request_missing(self, peer: int, refs: tuple[BlockRef, ...]) -> None:
-        now = self._loop.now
-        wanted = tuple(
-            ref
-            for ref in refs
-            if now - self._fetching.get(ref.digest, -_FETCH_RETRY) >= _FETCH_RETRY
-        )
-        if self._driver.syncing:
-            self._driver.request_sync(peer, wanted)
-        elif wanted:
-            self.send(peer, FetchRequest(wanted))  # shallow: exactly these
 
     def _step(self) -> None:
         """Admit what the ingress stage has completed, run the shared

@@ -503,8 +503,11 @@ class ExperimentResult:
     #: other field does, so compare runs with it set aside
     #: (``tools/ci_checks.py points-match A B --ignore events_processed``).
     events_processed: int = 0
-    #: Restarts (``recover``/``join`` events) that completed — the
-    #: validator re-synced and proposed again.
+    #: Re-syncs that completed — the validator caught up and proposed
+    #: again: restarts (``recover``/``join`` events), and validators that
+    #: fell more than two waves behind without crashing (the healed
+    #: minority of a long partition) and switched to the deep re-sync
+    #: chain, counted as the runtime reports them.
     recoveries: int = 0
     #: Average seconds from restart to first post-restart proposal
     #: (``None`` when nothing recovered).
@@ -1018,8 +1021,9 @@ class Experiment:
         )
         # Availability attribution: a partitioned honest validator is
         # *unavailable* — its clients' transactions stall behind the
-        # cut — without being crashed (it never shows up in recoveries
-        # or crash counts).  Per validator the partition spans join the
+        # cut — without being crashed (it never shows up in crash counts,
+        # and in recoveries only if it fell far enough behind to re-sync
+        # after the heal).  Per validator the partition spans join the
         # downtime union, so a crash inside a partition window is not
         # double-counted.
         unavailable = 0.0

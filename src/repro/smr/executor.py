@@ -59,13 +59,6 @@ class ReplicatedStateMachine:
         matching commit chains attest a commit sequence."""
         return digest_executor_state(self.applied_index, self.machine.state_root())
 
-    def checkpoint_at(self, applied_index: int) -> Digest | None:
-        """The recorded root at a given applied index, if checkpointed."""
-        for index, root in self.checkpoints:
-            if index == applied_index:
-                return root
-        return None
-
     def common_prefix_roots(
         self, other: "ReplicatedStateMachine"
     ) -> list[tuple[int, Digest, Digest]]:

@@ -12,6 +12,10 @@ This package is transport-, clock- and coroutine-free.  It holds:
   :class:`~repro.runtime.node.ValidatorNode` are adaptors implementing
   its four-method :class:`~repro.statesync.driver.ValidatorPort`; they
   own only timers, I/O and (in the simulator) the CPU model.
+* :class:`~repro.statesync.synchronizer.Synchronizer` — the driver's
+  table of shallow (per-reference) fetches: the sender is asked at once,
+  a retry timer rotates over the other peers, and a reference that fell
+  behind the garbage-collection horizon is given up.
 * :mod:`~repro.statesync.recovery` — the helpers the driver is built
   from: the checkpoint-response tally, WAL replay, ancestor-closure
   serving.

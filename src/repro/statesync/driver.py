@@ -5,17 +5,24 @@ Mahi-Mahi's validator loop is tiny — accept a block, propose once
 and :class:`ValidatorDriver` is its one implementation:
 
 * :meth:`~ValidatorDriver.ingest` — ``core.add_block``, the rejection
-  count, the WAL record and ``block_received`` instant of each accepted
-  block, and the "caught up" check while re-syncing;
+  count, the fetch of what the block's history lacks (below), the WAL
+  record and ``block_received`` instant of each accepted block, and the
+  "caught up" check while re-syncing;
 * :meth:`~ValidatorDriver.step` — *propose* (not while re-syncing or
   after leaving; paced by the minimum block interval; the own block is
   in the WAL before it is handed back; buffered peer blocks it connects
   are logged like ingested ones), *commit* (commit mark, commit
   instants) and *epoch exit*, returned as a plain :class:`Step`.
 
-The DAG is uncertified, so a validator that restarts behind its peers
-depends on the synchronizer for liveness (Lemma 8).  It re-syncs by one
-of three modes before it proposes again:
+The DAG is uncertified, so a block may name parents its receiver does
+not hold yet, and liveness leans on fetching them (Lemma 8).  The driver
+owns the :class:`~repro.statesync.synchronizer.Synchronizer` — the
+table of shallow, per-reference fetches with its retry rotation — and
+routes every missing-parent report: to the deep chain while re-syncing,
+into a re-sync when a live block shows the validator has *fallen
+behind* (:data:`BEHIND_WAVES`), to the synchronizer otherwise.  A
+validator that restarts behind its peers re-syncs by one of three modes
+before it proposes again:
 
 * **cold** — deep-fetch the whole missing ancestor closure from peers;
 * **warm** — replay the local write-ahead log first (restoring most of
@@ -47,8 +54,9 @@ simulator's :class:`~repro.sim.node.SimValidator`, the runtime's
 :class:`ValidatorPort`, feeds it messages and the current time,
 dispatches what :class:`Step` hands back, and owns everything with a
 notion of time: the event loop, the transport, and the timers — the
-pacing timer outright, the two retry timers as the port's
-``call_later``, armed by the driver with the intervals defined here.
+pacing timer outright, the three retry timers (deep fetch, checkpoint
+request, shallow fetch) as the port's ``call_later``, armed by the
+driver and its synchronizer with the intervals defined beside them.
 """
 
 from __future__ import annotations
@@ -73,6 +81,7 @@ from ..obs import trace as _trace
 from ..obs.trace import NULL_TRACER
 from .checkpoint import Checkpoint
 from .recovery import CheckpointVotes, WalReplay, ancestor_closure, chunk_cap, replay_wal
+from .synchronizer import Synchronizer
 
 #: Restart paths a validator may take.
 RECOVER_MODES = ("cold", "warm", "checkpoint")
@@ -83,6 +92,10 @@ SYNC_TIMEOUT = 1.0
 #: its request again: no quorum of matching responses has formed yet
 #: (e.g. it restarted before peers finalized the first boundary).
 CHECKPOINT_RETRY = 0.25
+#: A live block this many waves above our frontier means we have fallen
+#: behind (a cold restart, or a long partition): switch from shallow
+#: per-reference fetches to the chunked deep re-sync chain.
+BEHIND_WAVES = 2
 
 
 class ValidatorPort(Protocol):
@@ -98,8 +111,8 @@ class ValidatorPort(Protocol):
 
     def ingest(self, block: Block, peer: int, live: bool) -> None:
         """Run one block received from ``peer`` through the host's
-        ingest path (:meth:`ValidatorDriver.ingest`, fetching what it
-        reports missing, the step); ``live`` is false for a fetched
+        ingest path (:meth:`ValidatorDriver.ingest` at the host's
+        current time, then the step); ``live`` is false for a fetched
         block, which proves nothing about the frontier."""
 
     def trace_time(self) -> float:
@@ -162,6 +175,8 @@ class ValidatorDriver:
         self.blocks_rejected = 0
         self.checkpoint_adoptions = 0
         self.sync_requests_sent = 0
+        #: The shallow-fetch table.
+        self.synchronizer = Synchronizer(port)
         #: Blocks the host holds outside the DAG and serves to fetches
         #: all the same, by digest (the simulator's Tusk headers awaiting
         #: their certificate).
@@ -212,15 +227,18 @@ class ValidatorDriver:
     # ------------------------------------------------------------------
     # The validator step: ingest, propose, commit, epoch exit
     # ------------------------------------------------------------------
-    def ingest(self, block: Block, peer: int, live: bool = True):
-        """Hand a block received from ``peer`` to the core; returns the
-        core's :class:`~repro.core.protocol.AddBlockResult`.  The host
-        fetches ``missing`` and, when anything was ``accepted``, runs
-        :meth:`step`.  ``live`` marks a fresh broadcast (as opposed to a
-        fetched block), the only kind that can end a re-sync."""
+    def ingest(self, block: Block, peer: int, now: float, live: bool = True):
+        """Hand a block received from ``peer`` at host time ``now`` to
+        the core and fetch what it reports missing; returns the core's
+        :class:`~repro.core.protocol.AddBlockResult`.  When anything was
+        ``accepted`` the host runs :meth:`step`.  ``live`` marks a fresh
+        broadcast (as opposed to a fetched block), the only kind that
+        can end a re-sync."""
         result = self.core.add_block(block)
         if result.rejected:
             self.blocks_rejected += 1
+        if result.missing:
+            self._fetch_missing(result.missing, block, peer, now, live)
         if result.accepted:
             self._record_accepted(result.accepted, peer)
             if self.syncing and live and not self.core.pending_count:
@@ -232,9 +250,28 @@ class ValidatorDriver:
                 self.finish()
         return result
 
+    def _fetch_missing(
+        self, missing: tuple[BlockRef, ...], block: Block, peer: int, now: float, live: bool
+    ) -> None:
+        """Route the missing ancestors of ``block`` to a fetch shape."""
+        if not self.syncing:
+            behind = block.round - self.core.store.highest_round
+            if not (live and behind > BEHIND_WAVES * self.core.config.wave_length):
+                self.synchronizer.note_missing(missing, peer)
+                return
+            # Fallen far behind: shallow per-reference fetches would
+            # crawl — enter the chunked deep re-sync chain instead.
+            self.begin_sync(now, behind=behind)
+        self.request_sync(peer, missing)
+
     def _record_accepted(self, accepted: Sequence[Block], peer: int) -> None:
         """The WAL record and ``block_received`` instant of each block
-        that entered the DAG from ``peer`` (the WAL rule, below)."""
+        that entered the DAG from ``peer`` (the WAL rule, below); none
+        of them is being fetched any longer."""
+        synchronizer = self.synchronizer
+        if synchronizer.missing:
+            for new in accepted:
+                synchronizer.note_arrived(new.digest)
         if self.wal is not None:
             for new in accepted:
                 self.wal.append_peer_block(new)
@@ -286,6 +323,9 @@ class ValidatorDriver:
                 # First proposal after a restart: recovery is complete.
                 recovered_at, self.recovered_at = self.recovered_at, None
             proposed.append(block)
+            # Peers that built on a pre-crash twin of this block had us
+            # fetching it.
+            self.synchronizer.note_arrived(block.digest)
             if core.last_connected:
                 # After the own block they were waiting on, so a replay
                 # finds the log in causal order.
@@ -320,11 +360,13 @@ class ValidatorDriver:
         if self.wal is not None:
             self.wal.close()
         self._port = None
+        self.synchronizer.close()
 
     def restart(self, core) -> None:
         """A new incarnation lost all in-memory state: bind its fresh
-        ``core`` and forget the previous tally and in-flight fetch."""
+        ``core`` and forget the previous tally and every fetch."""
         self.core = core
+        self.synchronizer.restart(core)
         # The attestation quorum is 2f + 1 of the latest committee this
         # validator knows — the genesis committee for a fresh core.  A
         # recoverer that slept across epochs it never learned has a

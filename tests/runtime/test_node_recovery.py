@@ -15,13 +15,33 @@ from repro.messages import (
 )
 from repro.runtime.cluster import LocalCluster
 from repro.runtime.node import ValidatorNode
+from repro.runtime.transport import Transport
 from repro.runtime.wal import WriteAheadLog
 from repro.statesync import recovery as recovery_module
 from repro.statesync import replay_wal
 from repro.transaction import Transaction, TransactionBatch
-from tests.runtime.test_synchronizer import RecordingTransport
 from tests.statesync.test_checkpoint import make_core
 from tests.statesync.test_driver import history, peer_blocks, suffix
+
+
+class RecordingTransport(Transport):
+    """Captures outgoing messages instead of sending them."""
+
+    def __init__(self, authority=0):
+        super().__init__(authority)
+        self.sent: list[tuple[int, object]] = []
+
+    async def start(self):
+        pass
+
+    async def stop(self):
+        pass
+
+    def _encode(self, message):
+        return message  # recorded as sent, never put on a wire
+
+    async def _write(self, dst, data):
+        self.sent.append((dst, data))
 
 
 def make_node(recover_mode, *, sync_chunk_blocks, interval=0, wal_path=None, pacing=0.0):

@@ -161,7 +161,7 @@ class TestCheckpointRecovery:
         [
             ("tusk", "6c14325ee9554209"),
             ("cordial-miners", "d9016eaccbeb5cca"),
-            ("mahi-mahi-5", "0dc9556a5efddeed"),
+            ("mahi-mahi-5", "5947fd5cb6e5711f"),
         ],
     )
     def test_adoption_run_is_pinned_for_every_sequencer_user(self, protocol, pinned):
@@ -171,7 +171,10 @@ class TestCheckpointRecovery:
         own copy of the sequencer was deleted (PR 15).
         Re-pinned once, in PR 19: ``events_processed`` fell by the ingress
         completions that stopped being events; with that field masked the
-        hashes are the PR 15 runs' (old -> new and the proof in CHANGES.md)."""
+        hashes are the PR 15 runs' (old -> new and the proof in CHANGES.md).
+        ``mahi-mahi-5`` re-pinned once more, in PR 24: ``events_processed``
+        grew by the nine retry timers the one synchronizer armed
+        (27,717 -> 27,726), everything else equal."""
         config = ExperimentConfig(
             protocol=protocol,
             num_validators=10,

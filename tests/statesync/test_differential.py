@@ -19,6 +19,10 @@ logged and traced by both.
 *Messages* — one scripted trace of inbound messages (every type of the
 vocabulary, through a whole checkpoint recovery) is fed to one validator
 on each fabric; what it sends in return, in order, is the same.
+
+*Fetching* — a sender that cannot serve draws the same retry sequence
+(sender, author, rotation) from both, and both give up on a reference
+nobody can hold once the garbage-collection horizon has passed it.
 """
 
 import asyncio
@@ -61,10 +65,11 @@ from repro.sim.network import Message, SimNetwork
 from repro.sim.node import SimValidator
 from repro.statesync import driver as driver_module
 from repro.statesync import replay_wal
+from repro.statesync import synchronizer as synchronizer_module
 from repro.transaction import Transaction
-from tests.runtime.test_synchronizer import RecordingTransport
+from tests.runtime.test_node_recovery import RecordingTransport
 from tests.statesync.test_checkpoint import make_core
-from tests.statesync.test_driver import history, peer_blocks, suffix
+from tests.statesync.test_driver import history, peer_blocks, suffix, trio_history
 
 N = 4
 VICTIM = 3
@@ -469,18 +474,36 @@ def sent_by_victim(log):
     return [(sorted(dsts), type(m).__name__, vars(m)) for dsts, m in sent]
 
 
-def trace_through_simulator(inbound):
-    log = []
+def recording_network(loop, log):
+    """A simulated network that logs ``(dst, message)`` per send."""
 
     class RecordingNetwork(SimNetwork):
         def send(self, src, dst, body, size):
             log.append((dst, body))
             super().send(src, dst, body, size)
 
+    return RecordingNetwork(loop, UniformLatencyModel(0.02), N, seed=1)
+
+
+def recording_hub(log):
+    """An in-memory hub that logs ``(dst, message)`` per send of the
+    victim's."""
+
+    class RecordingHub(MemoryHub):
+        def deliver(self, src, dst, body):
+            if src == VICTIM:
+                log.append((dst, decode_message(body)))
+            super().deliver(src, dst, body)
+
+    return RecordingHub()
+
+
+def trace_through_simulator(inbound):
+    log = []
     loop = EventLoop()
     victim = SimValidator(
         make_core(VICTIM, interval=2),
-        RecordingNetwork(loop, UniformLatencyModel(0.02), N, seed=1),
+        recording_network(loop, log),
         loop,
         core_factory=lambda: make_core(VICTIM, interval=2),
         start_down=True,
@@ -496,14 +519,7 @@ def trace_through_simulator(inbound):
 
 async def trace_through_runtime(inbound, sends):
     log = []
-
-    class RecordingHub(MemoryHub):
-        def deliver(self, src, dst, body):
-            if src == VICTIM:
-                log.append((dst, decode_message(body)))
-            super().deliver(src, dst, body)
-
-    hub = RecordingHub()
+    hub = recording_hub(log)
     core = make_core(VICTIM, interval=2)
     victim = ValidatorNode(
         VICTIM,
@@ -542,3 +558,105 @@ def test_one_inbound_message_trace_draws_the_same_replies_on_both_fabrics(monkey
     for victim in (sim, runtime):
         assert not victim.syncing and victim.checkpoint_adoptions == 1
         assert victim.core.round == 31
+
+
+# ----------------------------------------------------------------------
+# Fetching
+# ----------------------------------------------------------------------
+#: The retry period of both legs (wall seconds on the runtime's).
+PERIOD = 0.05
+
+
+def fetches(log):
+    """The shallow fetches in ``log`` as ``(dst, refs)``."""
+    return [(dst, m.refs) for dst, m in log if type(m) is FetchRequest]
+
+
+def fetch_through_simulator(phases, gc=0):
+    """Validator 3 alone on the simulated network: per phase, deliver
+    its ``(sender, message)`` list and let that many retry periods pass.
+    Returns it and the fetches it had sent by the end of each phase."""
+    log, seen = [], []
+    loop = EventLoop()
+    victim = SimValidator(make_core(VICTIM, gc=gc), recording_network(loop, log), loop)
+    victim.start()
+    for inbound, periods in phases:
+        for sender, message in inbound:
+            victim.on_message(Message(src=sender, dst=VICTIM, body=message, size=100))
+        loop.run_until(loop.now + periods * PERIOD)
+        seen.append(fetches(log))
+    return victim, seen
+
+
+async def fetch_through_runtime(phases, targets, gc=0):
+    """The same over the in-memory transport.  A busy host fires timers
+    late, never early: each phase also waits for as many fetches as the
+    simulator had sent by then (``targets``)."""
+    log, seen = [], []
+    hub = recording_hub(log)
+    core = make_core(VICTIM, gc=gc)
+    victim = ValidatorNode(
+        VICTIM, core.schedule, core.config, core.coin, MemoryTransport(VICTIM, hub)
+    )
+    await victim.start()
+    try:
+        for (inbound, periods), target in zip(phases, targets):
+            for sender, message in inbound:
+                hub.deliver(sender, VICTIM, encode_message(message))
+            await asyncio.sleep(periods * PERIOD)
+            while len(fetches(log)) < target:
+                await asyncio.sleep(0.01)
+            seen.append(fetches(log))
+    finally:
+        await victim.stop()
+    return victim, seen
+
+
+def on_both_fabrics(monkeypatch, phases, gc=0):
+    monkeypatch.setattr(synchronizer_module, "RETRY_AFTER", PERIOD)
+    sim = fetch_through_simulator(phases, gc)
+    targets = [len(sent) for sent in sim[1]]
+    runtime = asyncio.run(asyncio.wait_for(fetch_through_runtime(phases, targets, gc), timeout=30))
+    return sim, runtime
+
+
+def test_a_sender_that_cannot_serve_draws_the_same_retries_on_both_fabrics(monkeypatch):
+    """Validator 2 relays a round-2 block and then answers nothing:
+    each missing parent is asked for from 2, a period later from its
+    author, then from every peer in turn.  (The simulator used to ask
+    the sender once and never again.)"""
+    early = next(b for b in peer_blocks(2) if (b.round, b.author) == (2, 0))
+    of_0, of_1 = (ref for ref in early.parents if ref.author != VICTIM)
+    phases = [([(2, BlockMessage(block=early))], 3.5)]
+    (_, [sim_sent]), (_, [rt_sent]) = on_both_fabrics(monkeypatch, phases)
+    assert sim_sent == rt_sent == [
+        (2, (of_0, of_1)),
+        (0, (of_0,)),
+        (1, (of_1,)),
+        (2, (of_0, of_1)),
+        (0, (of_0, of_1)),
+    ]
+
+
+def test_a_reference_nobody_holds_is_given_up_behind_the_gc_horizon_on_both_fabrics(monkeypatch):
+    """A block naming a parent that does not exist is fetched for while
+    its round is live — and never again once the validator's garbage
+    collection has passed that round: the entry used to stay, re-asked
+    every period for the life of the process."""
+    gc = 6
+    peers = sorted(
+        (b for b in trio_history(40)[0].store if b.round and b.author != VICTIM),
+        key=lambda b: (b.round, b.author),
+    )
+    bogus = Block(author=0, round=2, parents=(), salt=b"no such block").reference
+    carrier = Block(author=2, round=3, parents=(bogus,))
+    head = [(b.author, BlockMessage(block=b)) for b in peers if b.round <= 3]
+    tail = [(b.author, BlockMessage(block=b)) for b in peers if b.round > 3]
+    phases = [(head + [(2, BlockMessage(block=carrier))], 2.5), (tail, 4.5), ([], 2.5)]
+    for victim, (live, passed, later) in on_both_fabrics(monkeypatch, phases, gc):
+        # Sender, author, rotation: asked for as long as round 2 is kept.
+        assert live == [(2, (bogus,)), (0, (bogus,)), (2, (bogus,))]
+        assert victim.core.store.lowest_round > bogus.round
+        assert later == passed and len(passed) <= len(live) + 1
+        table = victim._driver.synchronizer
+        assert table.missing == 0 and table.refs_abandoned == 1

@@ -43,7 +43,7 @@ class FakePort:
 
     def ingest(self, block, peer, live):
         self.ingested.append((block, live))
-        self.driver.ingest(block, peer, live)
+        self.driver.ingest(block, peer, 0.0, live)
 
     def trace_time(self):
         return 0.0
@@ -291,9 +291,9 @@ class TestDeepFetchChain:
         driver, port = self.syncing_driver()
         driver.request_sync(0, (blocks[-1].reference,))
         for block in blocks[:4]:  # round 1 arrives as a fetched chunk
-            assert driver.ingest(block, 0, live=False).accepted
+            assert driver.ingest(block, 0, 0.0, live=False).accepted
         assert driver.syncing  # fetched blocks prove nothing
-        assert driver.ingest(blocks[4], 1).accepted  # a live round-2 broadcast
+        assert driver.ingest(blocks[4], 1, 0.0).accepted  # a live round-2 broadcast
         assert not driver.syncing and not driver.sync_inflight
         assert port.instants[-1] == ("sync_finished", {"mode": "cold"})
         driver.begin_sync(now=5.0, behind=12)
@@ -370,6 +370,65 @@ class TestServing:
         assert driver.held_blocks(refs) == [header]
         served, pruned = driver.serve_sync(refs, 3)
         assert served == (header,) and pruned == ()
+
+
+class TestFetchRouting:
+    """Where :meth:`ValidatorDriver.ingest` sends what ``add_block``
+    reports missing."""
+
+    def early_block(self, round_number):
+        """A round-``round_number`` block of validator 0 and the parents
+        a fresh validator 3 lacks (its own round-1 block included)."""
+        block = next(b for b in suffix(history(14)[0]) if (b.round, b.author) == (round_number, 0))
+        return block, tuple(block.parents)
+
+    def test_while_resyncing_everything_goes_to_the_deep_chain(self):
+        driver, port = make_driver()
+        driver.begin_sync(now=0.0)
+        block, missing = self.early_block(2)
+        assert driver.ingest(block, 1, 0.0).missing == missing
+        # Unfiltered: exactly what the core reported, to the sender.
+        assert port.sync_requests == [(1, missing, 0, 1)]
+        assert driver.synchronizer.missing == 0
+        assert not any(type(m) is FetchRequest for _, m in port.sent)
+
+    def test_a_live_block_more_than_two_waves_ahead_starts_a_resync(self):
+        driver, port = make_driver()
+        block, missing = self.early_block(11)  # wave length 5, frontier at genesis
+        driver.ingest(block, 2, 7.0)
+        assert driver.syncing and driver.recovered_at == 7.0
+        assert port.instants[0] == ("recovery_started", {"mode": "cold", "behind": 11})
+        assert port.sync_requests == [(2, missing, 0, 1)]
+        assert driver.synchronizer.missing == 0
+
+    def test_two_waves_ahead_or_a_fetched_block_stays_shallow(self):
+        for round_number, live in ((10, True), (11, False)):
+            driver, port = make_driver()
+            block, missing = self.early_block(round_number)
+            driver.ingest(block, 2, 7.0, live)
+            assert not driver.syncing and not port.sync_requests
+            assert port.sent == [(2, FetchRequest(missing))]
+            assert driver.synchronizer.missing == len(missing)
+
+    def test_accepted_proposed_and_connected_blocks_leave_the_table(self):
+        driver, port = make_driver()
+        peers = peer_blocks(2)
+        late = [b for b in peers if b.round == 2]
+        for block in late:  # round 2 first: round 1, ours included, is missing
+            driver.ingest(block, block.author, 0.0)
+        own = trio_history(2)[2].store.slot_blocks(1, 3)[0].reference
+        assert set(driver.synchronizer._pending) == {b.digest for b in peers if b.round == 1} | {
+            own.digest
+        }
+        for block in peers:
+            if block.round == 1:
+                driver.ingest(block, block.author, 0.0)
+        assert set(driver.synchronizer._pending) == {own.digest}
+        step = driver.step(now=0.0)  # proposes our round 1, which connects round 2
+        assert step.proposed[0].reference == own and sorted(step.connected, key=repr) == sorted(
+            late, key=repr
+        )
+        assert driver.synchronizer.missing == 0
 
 
 class TestOnMessage:
@@ -520,7 +579,7 @@ class TestStep:
     def test_every_ready_round_is_proposed_in_one_step_when_unpaced(self):
         driver, port = make_driver()
         for block in peer_blocks(4):
-            driver.ingest(block, block.author)
+            driver.ingest(block, block.author, 0.0)
         # Rounds 2-4 wait for our own round-1 block; proposing it
         # connects them, which readies the next round, and so on.
         assert driver.core.pending_count == 6
@@ -533,7 +592,7 @@ class TestStep:
         driver, port = make_driver(pacing=0.5)
         for block in peer_blocks(2):
             if (block.round, block.author) != (2, 1):
-                driver.ingest(block, block.author)
+                driver.ingest(block, block.author, 0.0)
         step = driver.step(now=10.0)
         assert [b.round for b in step.proposed] == [1]
         assert step.deadline == 10.5  # round 2 is ready but paced
@@ -554,7 +613,7 @@ class TestStep:
         peers = peer_blocks(12)
         proposed, committed = [], []
         for block in peers:
-            assert driver.ingest(block, block.author).accepted
+            assert driver.ingest(block, block.author, 0.0).accepted
             step = driver.step(now=0.0)
             # What the step hands back for dispatch is already durable.
             proposed.extend(step.proposed)
@@ -574,7 +633,7 @@ class TestStep:
         driver, port = make_driver(wal=WriteAheadLog(path))
         peers = peer_blocks(4)
         for block in peers:
-            driver.ingest(block, block.author)
+            driver.ingest(block, block.author, 0.0)
         waiting = [b for b in peers if b.round > 1]  # on our own blocks
         assert driver.core.pending_count == len(waiting) == 6
         step = driver.step(now=0.0)
@@ -608,7 +667,7 @@ class TestStep:
         driver.core.schedule.apply_command(ReconfigCommand(kind="leave", validator=4), 1)
         assert driver.step(now=0.0).proposed == [] and not driver.left  # round 0: still in
         peer = make_core(0, n=5).maybe_propose()
-        assert driver.ingest(peer, 0).accepted
+        assert driver.ingest(peer, 0, 0.0).accepted
         assert driver.step(now=0.0).proposed == [] and driver.left
 
     def test_rejected_blocks_are_counted(self):
@@ -620,5 +679,5 @@ class TestStep:
                 raise BlockValidationError("bad signature")
 
         driver.core._verifier = Rejecting()
-        result = driver.ingest(bad, 0)
+        result = driver.ingest(bad, 0, 0.0)
         assert result.rejected and not result.accepted and driver.blocks_rejected == 1

@@ -214,7 +214,7 @@ def test_one_vocabulary(tmp_path):
     assert ci_checks.one_vocabulary() == []  # the two hosts as checked in
     clean = write(
         tmp_path / "clean.py",
-        "from ..messages import BlockMessage, FetchRequest, TransactionMessage\n"
+        "from ..messages import BlockMessage, TransactionMessage\n"
         "def on_message(self, message, peer):\n"
         "    if isinstance(message, TransactionMessage):\n"
         "        return self.submit(message.transactions)\n"
@@ -232,10 +232,15 @@ def test_one_vocabulary(tmp_path):
         "    elif isinstance(message, SyncResponse):\n"
         "        self.driver.on_sync_response(message)\n"
         "    elif type(message) is messages.CheckpointRequest:\n"
-        "        pass\n",
+        "        pass\n"
+        "def request_missing(self, peer, refs):\n"
+        "    self.send(peer, messages.FetchRequest(refs))\n",
     )
     violations = ci_checks.one_vocabulary(str(clean), str(ladder))
-    assert [v.partition(": ")[0].rpartition(":")[2] for v in violations] == ["1", "4", "5", "6", "8"]
+    assert [v.partition(": ")[0].rpartition(":")[2] for v in violations] == [
+        "1", "4", "5", "6", "8", "11",
+    ]
+    assert "FetchRequest, which only the driver builds or reads" in violations[5]
     assert "retired message kind 'fetch_req'" in violations[1]
     assert "SyncResponse, which only the driver builds or reads" in violations[3]
     assert all(str(ladder) in v for v in violations)

@@ -216,12 +216,20 @@ def tx_path(path: str = "results/sim-tusk-n10.traced.out") -> list[str]:
 
 
 #: The string kinds the simulator used to dispatch on, and the messages
-#: only :meth:`ValidatorDriver.on_message` may build or read.
+#: only the driver (:meth:`ValidatorDriver.on_message`, its synchronizer)
+#: may build or read: of the seven, a host names ``BlockMessage`` alone.
 RETIRED_KINDS = frozenset(
     {"ack", "cert", "fetch_req", "fetch_resp", "sync_resp", "ckpt_req", "ckpt_resp"}
 )
 DRIVER_ONLY = frozenset(
-    {"FetchResponse", "SyncRequest", "SyncResponse", "CheckpointRequest", "CheckpointResponse"}
+    {
+        "FetchRequest",
+        "FetchResponse",
+        "SyncRequest",
+        "SyncResponse",
+        "CheckpointRequest",
+        "CheckpointResponse",
+    }
 )
 HOSTS = ("src/repro/sim/node.py", "src/repro/runtime/node.py")
 
