@@ -17,7 +17,7 @@ blocks are surfaced to the host (simulator node or asyncio runtime).
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from ..block import Block, BlockRef, make_genesis
 from ..committee import Committee, CommitteeSchedule
@@ -32,8 +32,7 @@ from ..transaction import Transaction, TransactionBatch
 from .committer import Committer, CommitObservation
 
 
-@dataclass(frozen=True)
-class AddBlockResult:
+class AddBlockResult(NamedTuple):
     """Outcome of ingesting one block.
 
     Attributes:

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import hashlib
 from abc import ABC, abstractmethod
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from ..errors import InsufficientShares, InvalidShare
 from .hashing import hash_parts
@@ -31,8 +31,7 @@ from .threshold import SecretShare, ThresholdSetup, deal, interpolate_at_zero
 _SCALAR_BYTES = (Q.bit_length() + 7) // 8
 
 
-@dataclass(frozen=True)
-class CoinShare:
+class CoinShare(NamedTuple):
     """One validator's contribution to the coin of one round.
 
     Attributes:

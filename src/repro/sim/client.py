@@ -9,12 +9,14 @@ of ``weight`` real transactions; blocks account for the full
 
 Arrivals are generated a *batch* at a time: the client draws a block of
 exponential inter-arrival gaps, turns them into absolute times with one
-cumulative pass, and pushes them onto the event loop in a single
-``schedule_batch`` call — instead of each submission event re-entering
-the RNG and the scheduler to produce its successor.  At high loads the
-per-transaction scheduling chain was a measurable slice of the sim's
-event budget; the draw sequence is unchanged, so arrival times match
-the per-transaction implementation draw for draw.
+cumulative pass, and hands them to the event loop in a single
+``schedule_batch`` call, which keeps them as one run beside its heap
+rather than as one heap entry each (see :mod:`repro.sim.events`).  Each
+arrival is still one event at its own instant, in the order a heap entry
+would have had: the transaction id, the ``size_hint`` draw and the
+liveness a routing ``submit`` reads are those of the arrival instant.
+The next batch is drawn by one heap event at the batch's last time,
+which runs after that last arrival.
 """
 
 from __future__ import annotations
@@ -116,10 +118,11 @@ class OpenLoopClient:
     def _schedule_batch(self, start: float) -> None:
         """Pre-generate one batch of Poisson arrivals from ``start``.
 
-        All submission events of the batch enter the heap in one pass;
-        the last one chains the next batch (scheduled after it at the
-        same timestamp, so generation never races ahead of submission
-        order).
+        The whole batch is one ``schedule_batch`` call; a full batch
+        chains the next one by an event at its last time, scheduled
+        after the batch and so run after its last arrival (generation
+        never races ahead of submission order).  No time is drawn at or
+        after ``stop_at``.
         """
         expovariate = self._rng.expovariate
         lambd = 1.0 / self._interval
@@ -140,8 +143,6 @@ class OpenLoopClient:
 
     def _tick(self) -> None:
         now = self._loop.now
-        if now >= self._stop_at:
-            return
         tx_id = next(_TX_IDS)
         size_hint = None
         if self._size_values:

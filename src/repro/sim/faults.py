@@ -9,7 +9,7 @@ live adversaries, not only hand-built DAGs.
 Two layers of fault configuration coexist:
 
 * :class:`NodeBehavior` — static per-validator flags (down from the
-  start, silent after ``crash_at``, equivocating).  These cover the
+  start, equivocating).  These cover the
   paper's own evaluation matrix.
 * :class:`FaultSchedule` — a time-ordered list of :class:`FaultEvent`
   lifecycle transitions (``crash``, ``recover``, ``join``, ``leave``)
@@ -184,16 +184,18 @@ class FaultSchedule:
 
     @classmethod
     def crash_recover(
-        cls, validators: Iterable[int], crash_at: float, recover_at: float
+        cls, validators: Iterable[int], crash_time: float, recover_time: float
     ) -> "FaultSchedule":
-        """A schedule crashing each validator at ``crash_at`` and
-        restarting it at ``recover_at``."""
-        if recover_at <= crash_at:
-            raise ConfigError(f"recover_at ({recover_at}) must follow crash_at ({crash_at})")
+        """A schedule crashing each validator at ``crash_time`` and
+        restarting it at ``recover_time``."""
+        if recover_time <= crash_time:
+            raise ConfigError(
+                f"recover_time ({recover_time}) must follow crash_time ({crash_time})"
+            )
         events = []
         for validator in validators:
-            events.append(FaultEvent(time=crash_at, validator=validator, kind="crash"))
-            events.append(FaultEvent(time=recover_at, validator=validator, kind="recover"))
+            events.append(FaultEvent(time=crash_time, validator=validator, kind="crash"))
+            events.append(FaultEvent(time=recover_time, validator=validator, kind="recover"))
         return cls(events)
 
     # ------------------------------------------------------------------
@@ -420,28 +422,16 @@ class NodeBehavior:
     """Per-validator fault configuration.
 
     Attributes:
-        crashed: Never participates (down from the start).
-        crash_at: Participates until this virtual time, then goes silent
-            (blocks in flight still arrive at peers).  For a crash the
-            validator later *recovers* from, use a schedule-level
-            crash+recover pair instead (``ExperimentConfig``'s
-            ``num_recovering`` generates one; see
-            :class:`FaultSchedule` — a bare ``recover`` event without a
-            scheduled crash does not validate).
+        crashed: Never participates (down from the start).  A crash in
+            mid-run is a schedule-level ``crash`` event (see
+            :class:`FaultSchedule`), with or without a later
+            ``recover``.
         equivocate: Produces two conflicting blocks per round and sends
             each to half of the peers (Byzantine).
     """
 
     crashed: bool = False
-    crash_at: float | None = None
     equivocate: bool = False
-
-    def is_down(self, now: float) -> bool:
-        """Whether the static flags alone make the validator silent at
-        time ``now`` (scheduled recoveries are tracked by the node)."""
-        if self.crashed:
-            return True
-        return self.crash_at is not None and now >= self.crash_at
 
 
 def make_equivocating_sibling(block: Block, tag: bytes = b"equivocation") -> Block:

@@ -15,9 +15,10 @@ throughput (Section 5):
 Per-link delivery is FIFO, as on a TCP connection (Section 4 uses raw
 TCP sockets).
 
-What travels is opaque here: a :class:`Message` envelope wraps one typed
-body — a :mod:`repro.messages` object, carried un-encoded, or one of the
-certified baseline's header / ack / certificate — with the wire size the
+What travels is opaque here: a :class:`Message` envelope — a named
+tuple ``(src, dst, body, size)``, built once per hop — wraps one typed
+body (a :mod:`repro.messages` object, carried un-encoded, or one of the
+certified baseline's header / ack / certificate) with the wire size the
 sender priced it at.
 """
 
@@ -26,19 +27,19 @@ from __future__ import annotations
 import random
 from collections import deque
 from dataclasses import dataclass
-from typing import Any, Callable, Protocol
+from typing import Any, Callable, NamedTuple, Protocol
 
 from ..obs.trace import NULL_TRACER
 from .events import EventLoop
 from .latency import LatencyModel
 
 
-@dataclass(frozen=True, slots=True)
-class Message:
+class Message(NamedTuple):
     """One network message.
 
-    Slotted: a high-load sweep materializes millions of these, and the
-    sim keeps every in-flight one alive on the event heap.
+    A named tuple: a high-load sweep materializes millions of these (one
+    per hop), and a tuple is both the cheapest object to build and, like
+    a slotted instance, carries no per-instance ``__dict__``.
 
     Attributes:
         src: Sending validator.

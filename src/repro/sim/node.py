@@ -46,7 +46,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from ..block import Block
 from ..core.protocol import MahiMahiCore
@@ -121,20 +121,18 @@ _CKPT_REQ_SIZE = 16
 # Tusk's certified round, on the simulated wire only (no codec): a
 # proposal goes out as a header, peers ack it, and the certificate —
 # the header's block plus a quorum of acks — is what enters the DAG.
-@dataclass(frozen=True)
-class Header:
+# Named tuples: every peer acks every header, one tuple built per ack.
+class Header(NamedTuple):
     block: Block
 
 
-@dataclass(frozen=True)
-class Ack:
+class Ack(NamedTuple):
     """One validator's signature over the header with this digest."""
 
     digest: Digest
 
 
-@dataclass(frozen=True)
-class Certificate:
+class Certificate(NamedTuple):
     block: Block
     #: How many acks certify it.
     signatures: int
@@ -282,7 +280,7 @@ class SimValidator:
         # Lifecycle: the down flag is the hot-path liveness check; the
         # incarnation counter invalidates CPU-stage work queued before a
         # crash (a real restart loses its queues).
-        self._down = start_down or self.behavior.is_down(loop.now)
+        self._down = start_down or self.behavior.crashed
         self._incarnation = 0
         self._core_factory = core_factory
         self._driver = ValidatorDriver(
@@ -317,8 +315,6 @@ class SimValidator:
         # Observer-only: block reference -> wire arrival time, consumed
         # when the consensus stage ingests the block.
         self._arrivals: dict = {}
-        if self.behavior.crash_at is not None and self.behavior.crash_at > loop.now:
-            loop.schedule_at(self.behavior.crash_at, self.crash)
         network.register_batch(self.authority, self.on_batch)
 
     # ------------------------------------------------------------------
@@ -692,12 +688,15 @@ class SimValidator:
     def _wire_size(self, message) -> int:
         """Simulated wire bytes of any message: the sum of what its
         fields carry (a deep fetch's floor and token ride in the
-        request's four count bytes)."""
-        carried = vars(message)
-        if not carried:
+        request's four count bytes).  The fields are read by name off
+        ``__match_args__``, which dataclasses and named tuples both
+        define."""
+        names = type(message).__match_args__
+        if not names:
             return _CKPT_REQ_SIZE
         size = 0
-        for name, value in carried.items():
+        for name in names:
+            value = getattr(message, name)
             if name == "block":
                 size += self._block_wire_size(value)
             elif name == "blocks":

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import struct
 from collections.abc import Iterator, Sequence
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import ReproError
 
@@ -29,9 +29,13 @@ _PAYLOAD_LENGTH = struct.Struct("<16xI")  # the header's last field alone
 _COUNT = struct.Struct("<I")
 
 
-@dataclass(frozen=True)
-class Transaction:
+class Transaction(NamedTuple):
     """A client transaction.
+
+    A named tuple: a loaded simulation builds one per simulated
+    transaction, and a tuple is the cheapest immutable record to build.
+    Two transactions are equal when every field is, and the hash is that
+    of the field tuple.
 
     Attributes:
         tx_id: Globally unique identifier assigned by the submitting client.

@@ -117,7 +117,7 @@ class TestPaperCurveShapes:
 @pytest.mark.slow
 class TestRecoverySweepAcceptance:
     """The --smoke acceptance path for the recovery sweeps, without the
-    driver: a crash_at validator restarts, re-syncs via fetch, resumes
+    driver: a crashed validator restarts, re-syncs via fetch, resumes
     proposing, safety holds with it included, and every point reports a
     recovery-time metric."""
 

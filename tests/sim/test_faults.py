@@ -92,7 +92,7 @@ class TestIntrospection:
         assert schedule.initially_down() == frozenset({2})
 
     def test_downtime_crash_recover(self):
-        schedule = FaultSchedule.crash_recover([1, 2], crash_at=2.0, recover_at=5.0)
+        schedule = FaultSchedule.crash_recover([1, 2], crash_time=2.0, recover_time=5.0)
         downtime = schedule.downtime(10.0)
         assert downtime == {1: pytest.approx(3.0), 2: pytest.approx(3.0)}
 
@@ -128,7 +128,7 @@ class TestIntrospection:
 
     def test_crash_recover_requires_order(self):
         with pytest.raises(ConfigError):
-            FaultSchedule.crash_recover([1], crash_at=5.0, recover_at=2.0)
+            FaultSchedule.crash_recover([1], crash_time=5.0, recover_time=2.0)
 
     def test_empty_schedule_is_falsy(self):
         assert not FaultSchedule()

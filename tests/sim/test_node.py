@@ -140,8 +140,9 @@ class TestFaults:
         # The rest still make progress: 3 of 4 = 2f+1.
         assert nodes[0].core.committer.stats.blocks_committed > 0
 
-    def test_crash_at_mid_run_preserves_liveness(self):
-        loop, nodes = make_cluster(behaviors={3: NodeBehavior(crash_at=1.0)})
+    def test_crash_mid_run_preserves_liveness(self):
+        loop, nodes = make_cluster()
+        loop.schedule_at(1.0, nodes[3].crash)
         for node in nodes:
             node.start()
         loop.run_until(4.0)

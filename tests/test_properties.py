@@ -48,6 +48,9 @@ transactions = st.builds(
     tx_id=st.integers(min_value=0, max_value=2**63 - 1),
     submitted_at=st.floats(min_value=0, max_value=1e6, allow_nan=False),
     payload=st.binary(max_size=200),
+    # ``st.builds`` fills a named tuple's defaulted fields too; the size
+    # hint never travels (test_size_hint_is_not_on_the_wire).
+    size_hint=st.none(),
 )
 
 coin_shares = st.builds(
@@ -127,6 +130,31 @@ def test_transaction_roundtrip(tx):
     decoded, consumed = Transaction.decode(tx.encode())
     assert decoded == tx
     assert consumed == len(tx.encode())
+
+
+@given(transactions, st.integers(min_value=0, max_value=2**31))
+def test_size_hint_is_not_on_the_wire(tx, size_hint):
+    """``size_hint`` is simulation-only: it changes no byte of the
+    encoding, and what is decoded has none."""
+    hinted = tx._replace(size_hint=size_hint)
+    assert hinted.encode() == tx.encode()
+    decoded, _ = Transaction.decode(hinted.encode())
+    assert decoded.size_hint is None and decoded == tx
+
+
+def test_transaction_repr_eq_and_hash_are_those_of_the_dataclass():
+    """Pinned across the move from a frozen dataclass to a named tuple:
+    the same ``repr``, equality between transactions field by field, and
+    the hash of the field tuple (what ``dataclass(frozen=True)`` hashed)."""
+    tx = Transaction(7, 0.25, b"ab", 512)
+    assert repr(tx) == "Transaction(tx_id=7, submitted_at=0.25, payload=b'ab', size_hint=512)"
+    assert repr(Transaction(1)) == (
+        "Transaction(tx_id=1, submitted_at=0.0, payload=b'', size_hint=None)"
+    )
+    assert tx == Transaction(tx_id=7, submitted_at=0.25, payload=b"ab", size_hint=512)
+    assert tx != Transaction(7, 0.25, b"ab") and tx != Transaction(8, 0.25, b"ab", 512)
+    assert hash(tx) == hash((7, 0.25, b"ab", 512))
+    assert len({tx, Transaction(7, 0.25, b"ab", 512), Transaction(7, 0.25, b"ab")}) == 2
 
 
 @given(st.lists(transactions, max_size=20))
