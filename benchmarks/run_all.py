@@ -169,13 +169,6 @@ def main(argv: list[str] | None = None) -> int:
         "per-transaction lifecycle trace to results/trace/ (Chrome "
         "trace-event JSON for Perfetto plus a JSONL span log)",
     )
-    parser.add_argument(
-        "--profile",
-        action="store_true",
-        help="run the sweeps under cProfile + a stack sampler and write "
-        "results/profile/ (top-N tables + a flamegraph-ready collapsed-stack "
-        "file); forces --workers 1 so the workload runs in-process",
-    )
     args = parser.parse_args(argv)
 
     if args.scale is not None:
@@ -198,8 +191,6 @@ def main(argv: list[str] | None = None) -> int:
     store = ResultsStore(results_dir)
     if args.fleet_plan and not args.list:
         parser.error("--fleet-plan only makes sense with --list")
-    if args.fleet is not None and args.profile:
-        parser.error("--profile runs in-process; it cannot be combined with --fleet")
     fleet_spec = None
     if args.fleet is not None or args.fleet_plan:
         from repro.fleet import FleetSpec
@@ -245,11 +236,6 @@ def main(argv: list[str] | None = None) -> int:
                 print(f"  {worker:<24} {count:>6} points")
         return 0
     workers = args.workers if args.workers is not None else default_workers()
-    if args.profile:
-        # The profiler must see the simulation frames, so the sweep
-        # engine has to run points in this process (it goes serial
-        # in-process at workers <= 1).
-        workers = 1
     if fleet_spec is not None:
         # The fleet is the fan-out; the summary pass below must not
         # open a process pool on top of it (every point is a cache hit
@@ -264,7 +250,6 @@ def main(argv: list[str] | None = None) -> int:
             else f"{workers} workers"
         )
         + f", mode={mode}, results={store.root}/"
-        + (" [profiling]" if args.profile else "")
     )
 
     if args.force:
@@ -288,25 +273,15 @@ def main(argv: list[str] | None = None) -> int:
         else:
             print("[fleet] nothing pending - every point already cached")
 
-    def run_sweeps() -> list:
-        collected = []
-        for sweep in sweeps:
-            outcome = run_sweep(sweep, store, workers=workers, progress=print)
-            print(
-                f"[{sweep.name}] done: {outcome.executed} run, {outcome.cached} cached, "
-                f"{outcome.wall_seconds:.1f}s"
-            )
-            collected.append(outcome)
-        return collected
-
     started = time.perf_counter()
-    if args.profile:
-        from benchmarks.profiling import profiled
-
-        with profiled(store.root / "profile", name="sweeps"):
-            outcomes = run_sweeps()
-    else:
-        outcomes = run_sweeps()
+    outcomes = []
+    for sweep in sweeps:
+        outcome = run_sweep(sweep, store, workers=workers, progress=print)
+        print(
+            f"[{sweep.name}] done: {outcome.executed} run, {outcome.cached} cached, "
+            f"{outcome.wall_seconds:.1f}s"
+        )
+        outcomes.append(outcome)
     wall = time.perf_counter() - started
 
     executed = sum(o.executed for o in outcomes)

@@ -27,6 +27,18 @@ def main() -> None:
         seed=13,
     )
     experiment = Experiment(config)
+    # A core hands each commit out once, to its validator's step, and
+    # keeps no history: record the observer's stream as it goes by.
+    observer = experiment.nodes[0].core
+    observations = []
+    try_commit = observer.try_commit
+
+    def recording_try_commit():
+        new = try_commit()
+        observations.extend(new)
+        return new
+
+    observer.try_commit = recording_try_commit
     result = experiment.run()  # run() raises if total order is violated
 
     print("10 validators, 3 of them equivocating every round\n")
@@ -38,12 +50,12 @@ def main() -> None:
     print(f"                       {result.direct_skips} direct skips, "
           f"{result.indirect_skips} indirect skips")
 
-    # Check Lemma 2 on the observer's DAG: no slot has two committed
+    # Check Lemma 2 on the observer's commits: no slot has two committed
     # sibling blocks.
-    observer = experiment.nodes[0].core
     committed_by_slot = {}
-    for block in observer.committed_blocks():
-        committed_by_slot.setdefault(block.slot, set()).add(block.digest)
+    for observation in observations:
+        for block in observation.linearized:
+            committed_by_slot.setdefault(block.slot, set()).add(block.digest)
     equivocated_slots = {
         slot: digests
         for slot, digests in committed_by_slot.items()
@@ -57,7 +69,7 @@ def main() -> None:
     # The strict guarantee is on *leader* slots: verify none of the
     # finalized leader slots committed more than one block.
     leader_blocks = {}
-    for observation in observer.committed:
+    for observation in observations:
         status = observation.status
         if status.block is not None:
             key = (status.slot.round, status.slot.authority)

@@ -26,7 +26,11 @@ def main() -> None:
 
     # Drive 12 rounds: every validator proposes once per round and
     # receives everyone else's block ("lockstep" — the simulator and the
-    # asyncio runtime replace this loop with a real network).
+    # asyncio runtime replace this loop with a real network).  A core
+    # hands each commit out once, from try_commit(), and keeps no
+    # history: the sequences are collected here, as a host would.
+    sequences = [[] for _ in validators]
+    committed_txs = 0
     tx_id = 0
     for round_number in range(1, 13):
         blocks = []
@@ -40,9 +44,11 @@ def main() -> None:
             for validator in validators:
                 if validator.authority != block.author:
                     validator.add_block(block)
-        for validator in validators:
+        for validator, sequence in zip(validators, sequences):
             for observation in validator.try_commit():
+                sequence.extend(b.digest for b in observation.linearized)
                 if validator.authority == 0 and observation.linearized:
+                    committed_txs += sum(len(b.transactions) for b in observation.linearized)
                     status = observation.status
                     print(
                         f"round {round_number:>2}: slot {status.slot} "
@@ -51,11 +57,7 @@ def main() -> None:
                     )
 
     # Every validator reports the exact same committed sequence.
-    sequences = [[b.digest for b in v.committed_blocks()] for v in validators]
     assert all(s == sequences[0] for s in sequences), "total order violated!"
-    committed_txs = sum(
-        len(b.transactions) for b in validators[0].committed_blocks()
-    )
     print(f"\nall 4 validators agree on {len(sequences[0])} committed blocks "
           f"({committed_txs} transactions)")
     stats = validators[0].committer.stats

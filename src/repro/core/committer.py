@@ -189,7 +189,6 @@ class Committer:
         # the store still holds (see ``forget_linearized_below``).
         self._output: set[Digest] = set()
         self.stats = CommitterStats()
-        self.committed_sequence_length = 0
         # Commit-chain digest + periodic checkpoint capture (state
         # transfer, repro.statesync).  The capture horizon follows the
         # GC depth so the two "history below this is settled" lines
@@ -354,7 +353,6 @@ class Committer:
                         [status.block], self._output, floor_round=self._store.lowest_round
                     )
                 )
-                self.committed_sequence_length += len(linearized)
             tx_count = sum(len(b.transactions) for b in linearized)
             self.stats.record(status, len(linearized), tx_count)
             observations.append(CommitObservation(status=status, linearized=linearized))
@@ -454,7 +452,6 @@ class Committer:
         self._decided.clear()
         self._undecided.clear()
         self._output = {ref.digest for ref in checkpoint.linearized}
-        self.committed_sequence_length = checkpoint.sequence_length
         self.ledger.adopt(checkpoint)
 
     def forget_linearized_below(self, round_number: int) -> None:
@@ -486,6 +483,12 @@ class Committer:
     def next_slot(self) -> LeaderSlot:
         """The next slot the sequence extension will consider."""
         return LeaderSlot(round=self._cursor_round, offset=self._cursor_offset, authority=-1)
+
+    @property
+    def committed_sequence_length(self) -> int:
+        """Blocks in the global commit sequence so far, an adopted
+        checkpoint's included (the ledger keeps the count)."""
+        return self.ledger.sequence_length
 
     @property
     def last_finalized_round(self) -> int:

@@ -12,6 +12,9 @@ committer, and exposes three entry points:
 Every state change calls ``ExtendCommitSequence`` (Appendix A: "called
 every time the validator receives a new block") and newly committed
 blocks are surfaced to the host (simulator node or asyncio runtime).
+The core keeps no commit history: :meth:`MahiMahiCore.try_commit` hands
+each observation over once, and what a validator holds afterwards is its
+garbage-collection window.
 """
 
 from __future__ import annotations
@@ -124,7 +127,6 @@ class MahiMahiCore:
         # DAG tips: blocks not yet referenced by any accepted block; the
         # next proposal references all of them (bounded by config).
         self._tips: dict[Digest, BlockRef] = {b.digest: b.reference for b in genesis}
-        self.committed: list[CommitObservation] = []
         self.total_proposed = 0
         #: Buffered peer blocks that were waiting on the latest own
         #: proposal and entered the DAG with it (a restarted validator
@@ -416,16 +418,13 @@ class MahiMahiCore:
     # Committing
     # ------------------------------------------------------------------
     def try_commit(self) -> list[CommitObservation]:
-        """Extend the commit sequence; returns the new observations."""
+        """Extend the commit sequence; returns the new observations,
+        which the core does not keep (the committer's ledger counts and
+        chains them)."""
         observations = self.committer.extend_commit_sequence()
         if observations:
-            self.committed.extend(observations)
             self._maybe_garbage_collect()
         return observations
-
-    def committed_blocks(self) -> list[Block]:
-        """The full committed block sequence so far (test helper)."""
-        return [b for obs in self.committed for b in obs.linearized]
 
     def _maybe_garbage_collect(self) -> None:
         depth = self.config.garbage_collection_depth

@@ -118,25 +118,24 @@ async def _child_main(spec_path: str) -> None:
     logged = 0
     latencies: list[float] = []
 
-    def publish(final: bool = False) -> int:
+    def publish(final: bool = False) -> None:
         nonlocal logged
         core = node.core
-        committed = core.committed_blocks()
-        # Global index of committed[k]: the committer's total sequence
-        # length counts the adopted checkpoint base too, so the base is
-        # simply total minus what this incarnation can enumerate.
-        base = core.committer.committed_sequence_length - len(committed)
-        for k in range(logged, len(committed)):
-            block = committed[k]
-            commit_log.write(f"{base + k} {block.digest.hex()}\n")
+        ledger = core.committer.ledger
+        fresh = []
+        while not node.commits.empty():
+            fresh.extend(node.commits.get_nowait().linearized)
+        # Global indexes: the ledger's sequence length counts every block
+        # committed so far (an adopted checkpoint's too), the newest last.
+        for index, block in enumerate(fresh, ledger.sequence_length - len(fresh)):
+            commit_log.write(f"{index} {block.digest.hex()}\n")
             now = time.time()
             for tx in block.transactions:
                 if 0 < tx.submitted_at <= now and tx.tx_id < RECONFIG_TX_BASE:
                     latencies.append(now - tx.submitted_at)
-        if len(committed) > logged:
+        if fresh:
             commit_log.flush()
-            logged = len(committed)
-        ledger = core.committer.ledger
+            logged += len(fresh)
         latencies_sorted = sorted(latencies)
         # Point-in-time gauges are read off the node at publication
         # time (per-event updates would under-report an idle or stalled
@@ -167,9 +166,9 @@ async def _child_main(spec_path: str) -> None:
             "pending": core.pending_count,
             "proposed": core.total_proposed,
             "missing_refs": node.synchronizer.missing,
-            "committed_blocks": len(committed),
-            "sequence_length": core.committer.committed_sequence_length,
-            "sequence_base": base,
+            "committed_blocks": logged,
+            "sequence_length": ledger.sequence_length,
+            "sequence_base": ledger.sequence_length - logged,
             "chain": ledger.chain.hex(),
             "checkpoints": len(ledger.checkpoints),
             "adopted_base_round": ledger.adopted_base.round if ledger.adopted_base else None,
@@ -199,7 +198,6 @@ async def _child_main(spec_path: str) -> None:
             "metrics": node.metrics.snapshot(),
         }
         _write_status(status_path, status)
-        return len(committed)
 
     try:
         while not stop.is_set():

@@ -49,6 +49,7 @@ from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence
 
 from ..block import Block
+from ..core.committer import CommitObservation
 from ..core.protocol import MahiMahiCore
 from ..crypto.hashing import Digest
 from ..messages import BlockMessage
@@ -157,7 +158,6 @@ class SimValidator:
         "_on_commit",
         "_headers",
         "_acks",
-        "_cert_sent",
         "_interval",
         "_tx_weight",
         "_cpu",
@@ -192,7 +192,7 @@ class SimValidator:
         min_block_interval: float = 0.0,
         tx_weight: float = 1.0,
         cpu: CpuConfig | None = None,
-        on_commit: Callable[[Sequence[Transaction], float], None] | None = None,
+        on_commit: Callable[[SimValidator, Sequence[CommitObservation], float], None] | None = None,
         core_factory: Callable[[], MahiMahiCore] | None = None,
         start_down: bool = False,
         on_recovery: Callable[[int, float, float, str], None] | None = None,
@@ -221,8 +221,9 @@ class SimValidator:
             (scales per-transaction CPU costs).
         cpu: Compute model; ``None`` disables CPU accounting entirely
             (unit tests want pure message-delay arithmetic).
-        on_commit: Called as ``(transactions, now)`` for every newly
-            committed block that carries transactions.
+        on_commit: Called as ``(validator, observations, now)`` after
+            every step that extended the commit sequence, with the new
+            observations in commit order (the validator keeps none).
         core_factory: Builds a fresh core on :meth:`recover` — a restart
             loses all in-memory state.  Without a factory, ``recover``
             resumes with the retained core (a process *pause* rather
@@ -264,10 +265,11 @@ class SimValidator:
         self.behavior = behavior or NodeBehavior()
         self._tx_wire_size = tx_wire_size
         self._on_commit = on_commit
-        # Tusk state: headers awaiting certification, collected acks.
+        # Tusk state: headers seen (down to the store's lowest round),
+        # and the ack tally of each own header until its certificate
+        # goes out.
         self._headers: dict[Digest, Block] = {}
         self._acks: dict[Digest, set[int]] = {}
-        self._cert_sent: set[Digest] = set()
         self._interval = min_block_interval
         self._tx_weight = tx_weight
         self._cpu = cpu
@@ -418,7 +420,6 @@ class SimValidator:
         self._ingress.clear()
         self._headers.clear()
         self._acks.clear()
-        self._cert_sent.clear()
         self._ingress_free = 0.0
         self._consensus_free = 0.0
         driver = self._driver
@@ -588,13 +589,13 @@ class SimValidator:
     # ------------------------------------------------------------------
     def _on_ack(self, digest: Digest, src: int) -> None:
         acks = self._acks.get(digest)
-        if acks is None or digest in self._cert_sent:
-            return
+        if acks is None:
+            return  # not an own header, or its certificate already went out
         acks.add(src)
         block = self._headers[digest]
         # The certificate quorum follows the epoch of the block's round.
         if len(acks) >= self.core.schedule.quorum_threshold(block.round):
-            self._cert_sent.add(digest)
+            del self._acks[digest]
             if self._tracer.enabled:
                 self._tracer.instant(
                     self.authority,
@@ -604,6 +605,18 @@ class SimValidator:
                     {"author": block.author, "round": block.round, "acks": len(acks)},
                 )
             self.send(None, Certificate(block, len(acks)))
+
+    def _forget_headers_below(self, round_number: int) -> None:
+        """Drop the headers, and own ack tallies, of the rounds below
+        ``round_number`` once the core has garbage-collected them: the
+        table then spans the DAG's window, not the run.  Headers arrive
+        about in round order, so nothing is scanned while the oldest one
+        is still in the window."""
+        headers = self._headers
+        if headers and next(iter(headers.values())).round < round_number:
+            for digest in [d for d, block in headers.items() if block.round < round_number]:
+                del headers[digest]
+                self._acks.pop(digest, None)
 
     # ------------------------------------------------------------------
     # Ingestion, proposing, committing
@@ -643,11 +656,11 @@ class SimValidator:
             self._loop.schedule(step.deadline - now, self._on_propose_timer)
         if step.recovered_at is not None and self._on_recovery is not None:
             self._on_recovery(self.authority, step.recovered_at, now, driver.recovery_mode_used)
-        if self._on_commit is not None:
-            for observation in step.committed:
-                for block in observation.linearized:
-                    if block.transactions:
-                        self._on_commit(block.transactions, now)
+        if step.committed:
+            if self._on_commit is not None:
+                self._on_commit(self, step.committed, now)
+            if self._certified:
+                self._forget_headers_below(self.core.store.lowest_round)
         if driver.left:
             self.leave()
 

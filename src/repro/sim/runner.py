@@ -12,7 +12,7 @@ import math
 import tempfile
 import weakref
 from dataclasses import dataclass, field
-from functools import partial
+from functools import partial, reduce
 from pathlib import Path
 from typing import Callable, NamedTuple
 
@@ -28,6 +28,7 @@ from ..core.protocol import MahiMahiCore
 from ..baselines.cordial_miners import make_cordial_miners_committer
 from ..baselines.tusk import TuskCommitter
 from ..crypto.coin import FastCoin
+from ..crypto.hashing import Digest
 from ..errors import ConfigError, SimulationError
 from ..runtime.wal import WriteAheadLog
 from ..statesync import GENESIS_STATE, RECOVER_MODES, chain_digest
@@ -565,6 +566,51 @@ class ExperimentResult:
         )
 
 
+class _TotalOrder:
+    """Theorem 1 (total order), checked as validators commit.
+
+    One digest list for the whole experiment, indexed by position in the
+    global commit sequence (``CommitLedger.sequence_length`` counts an
+    adopted checkpoint's blocks too).  Each validator's newly linearized
+    blocks are compared with it where it already reaches, appended where
+    they continue it, and left unchecked past its end (a checkpoint
+    adopter that ran ahead of everyone else).  A validator is checked
+    until it runs an equivocation campaign or has sent a conflicting
+    sibling: from then on it holds no honest sequence.  The observer's
+    commits are also the ones the metrics measure.
+
+    Every validator holds :meth:`on_commit`, so this holds the metrics,
+    never the experiment (no reference cycle to collect).
+    """
+
+    __slots__ = ("sequence", "divergence", "_metrics")
+
+    def __init__(self, metrics: ExperimentMetrics) -> None:
+        self.sequence: list[Digest] = []
+        #: The first divergence seen, raised by ``Experiment.assert_safety``.
+        self.divergence: str | None = None
+        self._metrics = metrics
+
+    def on_commit(self, node: SimValidator, observations, now: float) -> None:
+        linearized = [block for observation in observations for block in observation.linearized]
+        if node.authority == 0:
+            for block in linearized:
+                if block.transactions:
+                    self._metrics.record_commit(block.transactions, now)
+        if not linearized or node.behavior.equivocate or node.ever_equivocated:
+            return
+        digests = [block.digest for block in linearized]
+        start = node.core.committer.ledger.sequence_length - len(digests)
+        overlap = self.sequence[start : start + len(digests)]
+        if overlap != digests[: len(overlap)]:
+            self.divergence = self.divergence or (
+                f"commit sequences diverged across validators: validator {node.authority} "
+                f"committed other blocks at global indexes {start}..{start + len(overlap) - 1}"
+            )
+        elif start + len(overlap) == len(self.sequence):
+            self.sequence.extend(digests[len(overlap) :])
+
+
 class Experiment:
     """Builds and runs one simulated deployment."""
 
@@ -572,6 +618,7 @@ class Experiment:
         self.config = config
         self._loop = EventLoop()
         self._metrics = ExperimentMetrics(warmup=config.warmup)
+        self._total_order = _TotalOrder(self._metrics)
         # The epoch-0 committee: all provisioned validators, or — under
         # epoch reconfiguration — the initial subset (the rest are
         # provisioned identities that must join via committed commands).
@@ -733,8 +780,9 @@ class Experiment:
             min_block_interval=self.config.block_interval,
             tx_weight=self.config.batch_weight,
             cpu=CpuConfig() if self.config.model_cpu else None,
-            # Commits are measured at the observer.
-            on_commit=self._metrics.record_commit if authority == 0 else None,
+            # Checked against every other validator's as they happen;
+            # measured at the observer.
+            on_commit=self._total_order.on_commit,
             core_factory=lambda authority=authority: self._make_core(authority),
             start_down=authority in self._initially_down,
             on_recovery=self._metrics.record_recovery,
@@ -804,8 +852,9 @@ class Experiment:
         """Run to the configured duration and summarize.
 
         Args:
-            check_safety: Assert commit-sequence prefix consistency
-                across all live validators before reporting (Theorem 1).
+            check_safety: Raise the first commit-sequence divergence the
+                run recorded, and run the rest of :meth:`assert_safety`,
+                before reporting (Theorem 1).
         """
         reset_tx_ids()
         try:
@@ -882,48 +931,32 @@ class Experiment:
                 return
 
     def assert_safety(self) -> None:
-        """Check that every honest validator's commit sequence is a
-        prefix of the longest one (the Total Order property, Theorem 1).
+        """Check the Total Order property (Theorem 1) across validators.
 
-        Crashed, recovered, joined and left validators are all
+        Commit sequences were already compared as they grew (see
+        :class:`_TotalOrder`); the first divergence recorded is raised
+        here.  Crashed, recovered, joined and left validators are all
         *included*: an honest validator that went down mid-run holds a
         shorter prefix, and a recovered one re-synced the DAG and
         deterministically recommitted the same sequence from genesis.
         A validator restored from a **checkpoint** committed only a
-        suffix; its alignment is verified through the adopted state
-        digest: replaying the reference sequence up to the checkpoint's
-        length must reproduce the adopted commit chain, and the
-        validator's own sequence must continue the reference from
-        exactly there.  Checkpoints themselves are cross-checked — every
-        honest validator must have captured identical checkpoints at
-        each boundary.  Only equivocators are excluded (Byzantine, no
-        honest sequence to check) — including validators whose scheduled
-        campaign has desisted: once a validator actually sent a
-        conflicting sibling it left the honest universe for good.
-        Partitioned and straggling validators are honest and stay
-        **included**: a cut-off validator holds a shorter (or stalled)
-        prefix, never a diverging one."""
-        full: list[list[bytes]] = []
-        adopted: list[tuple[object, list[bytes]]] = []
-        checkpoints_by_round: dict[int, set[bytes]] = {}
-        for node in self.nodes:
-            if node.behavior.equivocate or node.ever_equivocated:
-                continue
-            sequence = [b.digest for b in node.core.committed_blocks()]
-            ledger = node.core.committer.ledger
-            if ledger.adopted_base is None:
-                full.append(sequence)
-            else:
-                adopted.append((ledger.adopted_base, sequence))
-            for checkpoint in ledger.checkpoints:
-                checkpoints_by_round.setdefault(checkpoint.round, set()).add(
-                    checkpoint.checkpoint_id
-                )
-        for round_number, ids in checkpoints_by_round.items():
-            if len(ids) > 1:
-                raise SimulationError(
-                    f"honest validators captured diverging checkpoints at round {round_number}"
-                )
+        suffix, checked at its global positions; its alignment is also
+        verified through the adopted state digest: replaying the
+        reference sequence up to the checkpoint's length must reproduce
+        the adopted commit chain.  Checkpoints themselves are
+        cross-checked — every honest validator must have captured
+        identical checkpoints at each boundary — and so are the epoch
+        schedules.  Equivocators are excluded from the moment their
+        campaign starts (Byzantine, no honest sequence to check),
+        including validators whose campaign has desisted: once a
+        validator actually sent a conflicting sibling it left the honest
+        universe for good.  Partitioned and straggling validators are
+        honest and stay **included**: a cut-off validator holds a shorter
+        (or stalled) prefix, never a diverging one."""
+        if self._total_order.divergence is not None:
+            raise SimulationError(self._total_order.divergence)
+        reference = self._total_order.sequence
+        checkpoint_ids: dict[int, set[bytes]] = {}
         # Epoch-schedule consistency: every honest validator that knows
         # an epoch must agree on its activation round and membership —
         # prefix consistency of the *committee* across epoch boundaries,
@@ -932,38 +965,28 @@ class Experiment:
         for node in self.nodes:
             if node.behavior.equivocate or node.ever_equivocated:
                 continue
+            ledger = node.core.committer.ledger
+            for checkpoint in ledger.checkpoints:
+                checkpoint_ids.setdefault(checkpoint.round, set()).add(checkpoint.checkpoint_id)
             for epoch in node.core.schedule.epochs():
                 epoch_views.setdefault(epoch.epoch_id, set()).add(
                     (epoch.start_round, epoch.committee.members)
                 )
-        for epoch_id, views in sorted(epoch_views.items()):
-            if len(views) > 1:
-                raise SimulationError(
-                    f"honest validators diverged on epoch {epoch_id}: "
-                    f"{sorted(views)}"
-                )
-        reference = max(full, key=len)
-        for sequence in full:
-            if sequence != reference[: len(sequence)]:
-                raise SimulationError("commit sequences diverged across validators")
-        for base, sequence in adopted:
-            start = base.sequence_length
-            if start > len(reference):
-                continue  # the recovered validator ran ahead of every full one
-            chain = GENESIS_STATE
-            for digest in reference[:start]:
-                chain = chain_digest(chain, digest)
-            if chain != base.chain:
-                raise SimulationError(
-                    "adopted checkpoint's state digest does not match the reference "
-                    f"commit sequence at length {start}"
-                )
-            overlap = reference[start : start + len(sequence)]
-            if sequence[: len(overlap)] != overlap:
-                raise SimulationError(
-                    "a checkpoint-recovered validator's commit sequence diverged from "
-                    "the reference suffix after its adopted frontier"
-                )
+            base = ledger.adopted_base
+            # A base ahead of every other validator has nothing to replay.
+            if base is not None and base.sequence_length <= len(reference):
+                chain = reduce(chain_digest, reference[: base.sequence_length], GENESIS_STATE)
+                if chain != base.chain:
+                    raise SimulationError(
+                        "adopted checkpoint's state digest does not match the reference "
+                        f"commit sequence at length {base.sequence_length}"
+                    )
+        for what, views in (("checkpoints at round", checkpoint_ids), ("epoch", epoch_views)):
+            for key, seen in sorted(views.items()):
+                if len(seen) > 1:
+                    raise SimulationError(
+                        f"honest validators diverged on {what} {key}: {sorted(seen)}"
+                    )
 
     def _observed_down_intervals(self) -> dict[int, list[tuple[float, float]]]:
         """Per-validator downtime as it actually happened.

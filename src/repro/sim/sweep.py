@@ -428,7 +428,7 @@ def _run_point_job(job: tuple[dict, bool]) -> tuple[dict, dict, float]:
 def default_workers() -> int:
     """Worker-count default: all cores, overridable via
     ``REPRO_BENCH_WORKERS`` (the knob every driver honors).  Callers that
-    fan out *externally* — the fleet worker, a profiled run — must not
+    fan out *externally* — the fleet worker — must not
     consult this at all: they pass an explicit ``workers=1`` so process
     pools never nest.
     """

@@ -22,6 +22,8 @@ from repro.crypto.coin import FastCoin
 from repro.sim.faults import make_equivocating_sibling
 from repro.transaction import Transaction
 
+from ..helpers import committed_blocks, record_commits
+
 
 class RandomScheduleCluster:
     """Drives cores under a seeded random delivery schedule."""
@@ -31,6 +33,8 @@ class RandomScheduleCluster:
         coin = FastCoin(seed=b"agree", n=n, threshold=self.committee.quorum_threshold)
         config = ProtocolConfig(wave_length=wave, leaders_per_round=leaders)
         self.cores = [MahiMahiCore(i, self.committee, config, coin) for i in range(n)]
+        #: Each validator's commit stream, by authority.
+        self.commits = {core.authority: record_commits(core) for core in self.cores}
         self.rng = random.Random(repr(("schedule", seed)))
         self.crashed = set(crashed)
         self.equivocators = set(equivocators)
@@ -120,7 +124,8 @@ class RandomScheduleCluster:
 
     def assert_agreement(self, require_progress=True):
         sequences = [
-            [b.digest for b in core.committed_blocks()] for core in self.honest()
+            [b.digest for b in committed_blocks(self.commits[core.authority])]
+            for core in self.honest()
         ]
         if require_progress:
             assert max(len(s) for s in sequences) > 0, "no honest validator committed"
@@ -130,7 +135,7 @@ class RandomScheduleCluster:
 
     def assert_integrity(self):
         for core in self.honest():
-            digests = [b.digest for b in core.committed_blocks()]
+            digests = [b.digest for b in committed_blocks(self.commits[core.authority])]
             assert len(digests) == len(set(digests)), "block delivered twice"
 
 
@@ -198,7 +203,7 @@ def test_validity_every_honest_transaction_commits(wave):
     # Run more steps so the commit frontier passes those rounds.
     cluster.run(25)
     committed = {
-        tx.tx_id for b in cluster.cores[0].committed_blocks() for tx in b.transactions
+        tx.tx_id for b in committed_blocks(cluster.commits[0]) for tx in b.transactions
     }
     missing = submitted_early - committed
     assert not missing, f"{len(missing)} early transactions never committed"

@@ -36,7 +36,7 @@ from repro.dag.traversal import DagTraversal
 from repro.errors import UnknownBlockError
 
 from ..dag.test_traversal import reference_is_cert, reference_voted_block, tangled_dag
-from ..helpers import DagBuilder, FixedCoin
+from ..helpers import DagBuilder, FixedCoin, record_commits
 from ..statesync.test_checkpoint import drive_rounds, make_core
 from .commit_walk import _StreamCoin, build_epoch_resize_stream
 from .test_committer_incremental import (
@@ -164,6 +164,7 @@ def test_sharing_across_garbage_collection(seed):
         ]
 
     sharing, private = cores(), cores()
+    commits = {core: record_commits(core) for core in sharing + private}
     for index, block in enumerate(causal_order(rng, n, blocks, set(), 0)):
         for shared, alone in zip(sharing, private):
             assert shared.add_block(block).accepted
@@ -171,9 +172,9 @@ def test_sharing_across_garbage_collection(seed):
             assert statuses_view(shared.committer) == statuses_view(alone.committer)
             shared.try_commit()
             alone.try_commit()
-            assert sequence_view(shared.committed) == sequence_view(alone.committed)
+            assert sequence_view(commits[shared]) == sequence_view(commits[alone])
     assert sharing[0].store.lowest_round > rounds - 3 * depth
-    assert sequence_view(sharing[0].committed) == sequence_view(sharing[1].committed)
+    assert sequence_view(commits[sharing[0]]) == sequence_view(commits[sharing[1]])
 
 
 def test_sharing_with_a_checkpoint_adopter():
@@ -191,6 +192,7 @@ def test_sharing_with_a_checkpoint_adopter():
     )
     assert checkpoint.floor > 0 and any(block.voted for block in suffix)
     shared, alone = make_core(3, interval=2), make_core(3, interval=2)
+    ours, theirs = record_commits(shared), record_commits(alone)
     for adopter in (shared, alone):
         adopter.adopt_checkpoint(checkpoint)
     for index, block in enumerate(suffix):
@@ -199,8 +201,8 @@ def test_sharing_with_a_checkpoint_adopter():
         assert statuses_view(shared.committer) == statuses_view(alone.committer)
         shared.try_commit()
         alone.try_commit()
-        assert sequence_view(shared.committed) == sequence_view(alone.committed)
-    assert len(shared.committed) > 10
+        assert sequence_view(ours) == sequence_view(theirs)
+    assert len(ours) > 10
 
 
 # ----------------------------------------------------------------------

@@ -51,7 +51,7 @@ from repro.core.slots import Decision
 from repro.crypto.coin import FastCoin
 from repro.dag.store import DagStore
 
-from ..helpers import DagBuilder, FixedCoin
+from ..helpers import DagBuilder, FixedCoin, record_commits
 from ..statesync.test_checkpoint import drive_rounds, make_core
 from .commit_walk import (
     _StreamCoin,
@@ -83,12 +83,13 @@ def check_against_scratch(observations, make_committer, equivocators) -> None:
         assert len(ours) == len(scratch)
 
 
-def statuses_from(core: MahiMahiCore, slot: tuple[int, int]) -> list:
-    """What ``core`` finalized from ``slot`` on, without ``direct`` flags."""
-    views = [status_view(obs.status) for obs in core.committed]
+def statuses_from(observations, slot: tuple[int, int]) -> list:
+    """What ``observations`` finalized from ``slot`` on, without
+    ``direct`` flags."""
+    views = [status_view(obs.status) for obs in observations]
     first = next(
         i
-        for i, obs in enumerate(core.committed)
+        for i, obs in enumerate(observations)
         if (obs.status.slot.round, obs.status.slot.offset) == slot
     )
     return views[first:]
@@ -397,8 +398,9 @@ def poll_right_after_checkpoint_adoption(committer_factory, sweeping_cls) -> int
     checkpoint's cursor what a ``sweeping_cls`` sweep would.  Returns
     how many slots that was."""
     cores = [make_core(i, interval=2, committer_factory=committer_factory) for i in range(4)]
-    drive_rounds(cores, 40)
     source = cores[0]
+    source_commits = record_commits(source)
+    drive_rounds(cores, 40)
     checkpoint = source.committer.ledger.checkpoints[0]
     adopter = make_core(3, interval=2, committer_factory=committer_factory)
     adopter.store.adopt_floor(checkpoint.floor)
@@ -418,7 +420,7 @@ def poll_right_after_checkpoint_adoption(committer_factory, sweeping_cls) -> int
     assert len(sweeps) == 2
     assert extension == sweeping.extend_commit_sequence()
     assert [status_view(obs.status) for obs in extension] == statuses_from(
-        source, checkpoint.next_slot
+        source_commits, checkpoint.next_slot
     )[: len(extension)]
     assert polled.extend_commit_sequence() == [] and len(sweeps) == 2
     return len(extension)
@@ -521,6 +523,7 @@ def test_across_garbage_collection(seed):
         )
         for gc in (depth, 0)
     )
+    pruned, kept = record_commits(pruning), record_commits(keeping)
     for block in causal_order(rng, n, blocks, set(), 0):
         for core in (pruning, keeping):
             assert core.add_block(block).accepted
@@ -529,7 +532,7 @@ def test_across_garbage_collection(seed):
                 lambda core=core: Committer(core.store, committee, coin, core.config),
             )
             core.try_commit()
-        assert sequence_view(pruning.committed) == sequence_view(keeping.committed)
+        assert sequence_view(pruned) == sequence_view(kept)
     assert pruning.store.lowest_round > rounds - 3 * depth
     assert keeping.store.lowest_round == 0
 
@@ -542,10 +545,12 @@ def test_across_checkpoint_adoption_and_floor_raise(seed):
     way the validators that never stopped did."""
     rng = random.Random(seed)
     cores = [make_core(i, interval=2) for i in range(4)]
-    drive_rounds(cores, 40)
     source = cores[0]
+    source_commits = record_commits(source)
+    drive_rounds(cores, 40)
     checkpoint = source.committer.ledger.checkpoints[0]
     adopter = make_core(3, interval=2)
+    adopter_commits = record_commits(adopter)
     adopter.adopt_checkpoint(checkpoint)
     raised = checkpoint.floor + 2
     assert 0 < checkpoint.floor and raised <= checkpoint.round + 1
@@ -567,9 +572,9 @@ def test_across_checkpoint_adoption_and_floor_raise(seed):
             assert len(adopter.raise_sync_floor(raised)) == 3
         check_statuses(adopter.committer, make_reference)
         adopter.try_commit()
-    ours = [status_view(obs.status) for obs in adopter.committed]
+    ours = [status_view(obs.status) for obs in adopter_commits]
     assert len(ours) > 10
-    assert ours == statuses_from(source, checkpoint.next_slot)[: len(ours)]
+    assert ours == statuses_from(source_commits, checkpoint.next_slot)[: len(ours)]
 
 
 def block_memo_entries(block: Block) -> int:
@@ -644,6 +649,7 @@ def test_linearized_digests_are_forgotten_with_the_rounds_the_store_prunes():
         )
         for gc in (depth, 0)
     )
+    pruned, kept = record_commits(pruning), record_commits(keeping)
     blocks = random_dag(rng, coin, n, wave, rounds, {}, set(), {3})
     largest = 0
     for block in causal_order(rng, n, blocks, {3}, 2):
@@ -657,7 +663,7 @@ def test_linearized_digests_are_forgotten_with_the_rounds_the_store_prunes():
         assert all(digest in store for digest in output)
         largest = max(largest, len(output))
     assert largest > depth * n / 2
-    assert sequence_view(pruning.committed) == sequence_view(keeping.committed)
+    assert sequence_view(pruned) == sequence_view(kept)
     assert len(keeping.committer._output) == keeping.committer.committed_sequence_length
     assert keeping.committer.committed_sequence_length > (rounds - 3 * wave) * (n - 1)
 
@@ -668,10 +674,12 @@ def test_an_adopters_seeded_digests_go_as_its_store_prunes_their_rounds():
     seeds are dropped like any other digest once their blocks, fetched
     since, are pruned."""
     cores = [make_core(i, interval=2, gc=8) for i in range(4)]
-    drive_rounds(cores, 30)
     source = cores[0]
+    source_commits = record_commits(source)
+    drive_rounds(cores, 30)
     checkpoint = source.committer.ledger.checkpoints[-1]
     adopter = make_core(3, interval=2, gc=8)
+    adopter_commits = record_commits(adopter)
     adopter.adopt_checkpoint(checkpoint)
     seeds = {ref.digest for ref in checkpoint.linearized}
     assert seeds and adopter.committer._output == seeds
@@ -684,6 +692,6 @@ def test_an_adopters_seeded_digests_go_as_its_store_prunes_their_rounds():
     assert adopter.store.lowest_round > checkpoint.round
     assert not adopter.committer._output & seeds
     assert all(digest in adopter.store for digest in adopter.committer._output)
-    ours = [status_view(obs.status) for obs in adopter.committed]
+    ours = [status_view(obs.status) for obs in adopter_commits]
     assert len(ours) > 20
-    assert ours == statuses_from(source, checkpoint.next_slot)[: len(ours)]
+    assert ours == statuses_from(source_commits, checkpoint.next_slot)[: len(ours)]

@@ -11,6 +11,8 @@ from repro.crypto.signing import NullSignatureScheme, generate_keys
 from repro.dag.validation import BlockVerifier
 from repro.transaction import Transaction
 
+from ..helpers import committed_blocks, record_commits
+
 
 def make_cores(n=4, wave=5, leaders=2, gc=0, max_txs=10_000):
     committee = Committee.of_size(n)
@@ -263,16 +265,18 @@ class TestIngestion:
 class TestCommitting:
     def test_lockstep_commits_transactions(self):
         cores, _ = make_cores()
+        commits = record_commits(cores[0])
         run_lockstep(cores, 15, txs_per_step=1)
-        committed = cores[0].committed_blocks()
+        committed = committed_blocks(commits)
         assert committed
         tx_ids = [tx.tx_id for b in committed for tx in b.transactions]
         assert len(tx_ids) == len(set(tx_ids))
 
     def test_all_validators_agree(self):
         cores, _ = make_cores()
+        logs = [record_commits(c) for c in cores]
         run_lockstep(cores, 15, txs_per_step=1)
-        sequences = [[b.digest for b in c.committed_blocks()] for c in cores]
+        sequences = [[b.digest for b in committed_blocks(log)] for log in logs]
         shortest = min(len(s) for s in sequences)
         assert shortest > 0
         for sequence in sequences:
@@ -304,9 +308,9 @@ class TestCommitting:
     def test_gc_does_not_affect_commits(self):
         pruned, _ = make_cores(gc=8)
         unpruned, _ = make_cores(gc=0)
+        logs = [record_commits(pruned[0]), record_commits(unpruned[0])]
         run_lockstep(pruned, 30, txs_per_step=1)
         # Re-seed tx ids for the second cluster: ids just need to match.
         run_lockstep(unpruned, 30, txs_per_step=1)
-        a = [b.slot for b in pruned[0].committed_blocks()]
-        b = [b.slot for b in unpruned[0].committed_blocks()]
+        a, b = ([block.slot for block in committed_blocks(log)] for log in logs)
         assert a == b

@@ -28,13 +28,6 @@ class TestFleetPlan:
                 "--smoke", "--results", str(tmp_path), "--fleet-plan",
             ])
 
-    def test_fleet_rejects_profile(self, tmp_path):
-        with pytest.raises(SystemExit):
-            run_all.main([
-                "--smoke", "--results", str(tmp_path),
-                "--fleet", "local:2", "--profile",
-            ])
-
 
 @pytest.mark.slow
 class TestFleetRun:

@@ -1,9 +1,11 @@
-"""Test utilities: hand-built DAGs and a scriptable common coin.
+"""Test utilities: hand-built DAGs, a scriptable common coin and a
+recorder of a core's commit stream.
 
 The decision-rule tests reconstruct the paper's scenarios (Section 3.2,
 Appendix B) block by block; :class:`DagBuilder` makes that concise and
 :class:`FixedCoin` pins leader election to the validators the scenario
-calls for.
+calls for.  :func:`record_commits` keeps what a core's ``try_commit()``
+hands out, since the core itself keeps none of it.
 """
 
 from __future__ import annotations
@@ -16,6 +18,31 @@ from repro.crypto.coin import CoinShare, CommonCoin
 from repro.crypto.hashing import hash_parts
 from repro.dag.store import DagStore
 from repro.errors import InsufficientShares
+
+
+def record_commits(core) -> list:
+    """The observations ``core.try_commit()`` returns from now on, in a
+    list this returns and keeps extending.
+
+    The core keeps no commit history: each observation is handed once to
+    whoever called ``try_commit()`` (a host's step).  A test that reads
+    the sequence back records that stream, for a core driven directly or
+    through a driver."""
+    observations: list = []
+    try_commit = core.try_commit
+
+    def recording_try_commit():
+        new = try_commit()
+        observations.extend(new)
+        return new
+
+    core.try_commit = recording_try_commit
+    return observations
+
+
+def committed_blocks(observations) -> list[Block]:
+    """The blocks ``observations`` linearized, in commit order."""
+    return [block for observation in observations for block in observation.linearized]
 
 
 def result_hash(result) -> str:

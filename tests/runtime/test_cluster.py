@@ -124,7 +124,7 @@ class TestCrashRecovery:
             assert restarted.core.store.highest_round >= recovered_round
             committed = {
                 tx.tx_id
-                for b in restarted.core.committed_blocks()
+                for b in restarted.committed_blocks
                 for tx in b.transactions
             }
             assert 21 in committed

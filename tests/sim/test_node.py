@@ -26,6 +26,23 @@ from repro.transaction import Transaction
 from tests.statesync.test_driver import history, suffix
 
 
+class CommitStreams:
+    """A commit callback keeping each validator incarnation's committed
+    digests (keyed by core: a restart starts a new sequence)."""
+
+    def __init__(self) -> None:
+        self._by_core: dict = {}
+
+    def __call__(self, node, observations, now) -> None:
+        self._by_core.setdefault(node.core, []).extend(
+            block.digest for observation in observations for block in observation.linearized
+        )
+
+    def of(self, node) -> list:
+        """What ``node``'s current incarnation committed."""
+        return self._by_core.get(node.core, [])
+
+
 def make_cluster(
     n=4,
     *,
@@ -38,6 +55,7 @@ def make_cluster(
     sync_chunk_blocks=4096,
     tracer=NULL_TRACER,
     validator=SimValidator,
+    on_commit=None,
 ):
     committee = Committee.of_size(n)
     coin = FastCoin(seed=b"node-test", n=n, threshold=committee.quorum_threshold)
@@ -62,6 +80,7 @@ def make_cluster(
                 core_factory=factory,
                 sync_chunk_blocks=sync_chunk_blocks,
                 tracer=tracer,
+                on_commit=on_commit,
             )
         )
     return loop, nodes
@@ -118,12 +137,13 @@ class TestRoundPacing:
         assert 8 <= nodes[0].core.round <= 11  # ~2s / 0.2s
 
     def test_all_nodes_commit_and_agree(self):
-        loop, nodes = make_cluster()
+        commits = CommitStreams()
+        loop, nodes = make_cluster(on_commit=commits)
         nodes[0].submit(Transaction.dummy(1))
         for node in nodes:
             node.start()
         loop.run_until(3.0)
-        sequences = [[b.digest for b in n.core.committed_blocks()] for n in nodes]
+        sequences = [commits.of(n) for n in nodes]
         shortest = min(len(s) for s in sequences)
         assert shortest > 0
         assert all(s[:shortest] == sequences[0][:shortest] for s in sequences)
@@ -152,7 +172,10 @@ class TestFaults:
         assert nodes[0].core.committer.stats.blocks_committed > 0
 
     def test_equivocator_splits_peers(self):
-        loop, nodes = make_cluster(behaviors={1: NodeBehavior(equivocate=True)})
+        commits = CommitStreams()
+        loop, nodes = make_cluster(
+            behaviors={1: NodeBehavior(equivocate=True)}, on_commit=commits
+        )
         for node in nodes:
             node.start()
         loop.run_until(2.0)
@@ -165,15 +188,18 @@ class TestFaults:
         assert slots_seen, "no equivocation observed in any DAG"
         # And everyone still agrees.
         honest = [n for n in nodes if not n.behavior.equivocate]
-        sequences = [[b.digest for b in n.core.committed_blocks()] for n in honest]
+        sequences = [commits.of(n) for n in honest]
         shortest = min(len(s) for s in sequences)
         assert all(s[:shortest] == sequences[0][:shortest] for s in sequences)
 
 
 class TestRecovery:
-    def _run_crash_recover(self, *, certified=False, sync_chunk_blocks=4096):
+    def _run_crash_recover(self, *, certified=False, sync_chunk_blocks=4096, on_commit=None):
         loop, nodes = make_cluster(
-            certified=certified, with_core_factory=True, sync_chunk_blocks=sync_chunk_blocks
+            certified=certified,
+            with_core_factory=True,
+            sync_chunk_blocks=sync_chunk_blocks,
+            on_commit=on_commit,
         )
         for node in nodes:
             node.start()
@@ -198,8 +224,9 @@ class TestRecovery:
         assert recovered.core.pending_count == 0
 
     def test_recovered_node_recommits_same_sequence(self):
-        nodes = self._run_crash_recover()
-        sequences = [[b.digest for b in n.core.committed_blocks()] for n in nodes]
+        commits = CommitStreams()
+        nodes = self._run_crash_recover(on_commit=commits)
+        sequences = [commits.of(n) for n in nodes]
         reference = max(sequences, key=len)
         assert min(len(s) for s in sequences) > 0
         for sequence in sequences:

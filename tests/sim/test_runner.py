@@ -5,13 +5,15 @@ qualitative properties the paper's evaluation establishes; the full
 curves live in ``benchmarks/``.
 """
 
+import dataclasses
 import math
 
 import pytest
 
 from repro.baselines import TuskCommitter
 from repro.core.committer import Committer
-from repro.errors import ConfigError
+from repro.core.protocol import MahiMahiCore
+from repro.errors import ConfigError, SimulationError
 from repro.sim.faults import FaultEvent
 from repro.sim.runner import (
     RECOVERY_CRASH_FRAC,
@@ -317,13 +319,15 @@ class TestPaperShape:
             recovered = exp.nodes[authority]
             assert not recovered.down
             assert recovered.core.total_proposed > 0
-            assert len(recovered.core.committed_blocks()) > 0
+            # The fresh core recommitted from genesis.
+            assert recovered.core.committer.ledger.sequence_length > 0
 
-    def test_recovered_sequences_checked_by_assert_safety(self):
-        """assert_safety must cover recovered validators: corrupting a
-        recovered node's committed sequence makes it fail."""
-        from repro.errors import SimulationError
-
+    @pytest.mark.parametrize("check_safety", [True, False])
+    def test_recovered_sequences_checked_by_assert_safety(self, monkeypatch, check_safety):
+        """The commit check covers recovered validators: reversing one
+        multi-block linearization the restarted validator commits during
+        the run is a divergence — raised by ``run()``, or by
+        ``assert_safety()`` after ``run(check_safety=False)``."""
         config = ExperimentConfig(
             protocol="mahi-mahi-5",
             num_validators=10,
@@ -334,18 +338,55 @@ class TestPaperShape:
             seed=2,
         )
         exp = Experiment(config)
-        exp.run()
-        recovered = exp.nodes[9]
-        observations = recovered.core.committed
-        assert observations
-        # Reverse one multi-block linearization in the recovered node's
-        # sequence: the prefix check must notice.
-        target = next(o for o in observations if len(o.linearized) > 1)
-        index = observations.index(target)
-        observations[index] = type(target)(
-            status=target.status, linearized=tuple(reversed(target.linearized))
+        first_incarnation = exp.nodes[9].core
+        try_commit = MahiMahiCore.try_commit
+        reversed_at = []
+
+        def try_commit_reversing_once(core):
+            observations = try_commit(core)
+            if core.authority == 9 and core is not first_incarnation and not reversed_at:
+                for index, observation in enumerate(observations):
+                    if len(observation.linearized) > 1:
+                        observations[index] = dataclasses.replace(
+                            observation, linearized=observation.linearized[::-1]
+                        )
+                        reversed_at.append(observation.status.slot)
+                        break
+            return observations
+
+        monkeypatch.setattr(MahiMahiCore, "try_commit", try_commit_reversing_once)
+        if check_safety:
+            with pytest.raises(SimulationError, match="validator 9 committed"):
+                exp.run()
+        else:
+            exp.run(check_safety=False)
+            with pytest.raises(SimulationError, match="validator 9 committed"):
+                exp.assert_safety()
+        assert reversed_at
+
+    def test_adopted_checkpoint_chain_checked_by_assert_safety(self):
+        """A checkpoint adopter's state digest is replayed against the
+        reference sequence: an adopted base whose chain disagrees with it
+        fails ``assert_safety()``."""
+        exp = Experiment(
+            ExperimentConfig(
+                protocol="mahi-mahi-5",
+                num_validators=4,
+                load_tps=1_000.0,
+                duration=6.0,
+                warmup=1.0,
+                gc_depth=16,
+                checkpoint_interval=2,
+                recover_mode="checkpoint",
+                fault_schedule=(FaultEvent(1.5, 3, "crash"), FaultEvent(3.0, 3, "recover")),
+                seed=2,
+            )
         )
-        with pytest.raises(SimulationError):
+        result = exp.run()  # the honest adoption passes
+        assert result.checkpoint_adoptions == 1
+        ledger = exp.nodes[3].core.committer.ledger
+        ledger.adopted_base = dataclasses.replace(ledger.adopted_base, chain=bytes(32))
+        with pytest.raises(SimulationError, match="state digest"):
             exp.assert_safety()
 
     def test_reconfiguration_join_and_leave(self):

@@ -81,7 +81,7 @@ def test_finished_experiment_is_freed_when_dropped(name):
         assert sum(node.core.total_proposed for node in experiment.nodes) > 0
         assert result.blocks_committed > 0
         observer = experiment.nodes[0]
-        assert observer.core.committed_blocks() and not observer.down
+        assert observer.core.committer.ledger.sequence_length and not observer.down
         assert observer.checkpoint_adoptions == 0 and observer.blocks_rejected == 0
         assert len(experiment.tracer) == 0
         if name == "sim-mahi-n10-faulty":

@@ -60,7 +60,7 @@ class SmrCluster(RandomScheduleCluster):
                 continue
             replica = self.replicas[core.authority]
             already = getattr(replica, "_consumed", 0)
-            new = core.committed[already:]
+            new = self.commits[core.authority][already:]
             replica._consumed = already + len(new)
             replica.apply_observations(new)
 

@@ -243,6 +243,12 @@ def run_steady_simulator():
     loop = EventLoop()
     network = SimNetwork(loop, UniformLatencyModel(0.02), N, seed=1)
     tracer = Tracer()
+    commits = []
+
+    def observe(node, observations, now):
+        if node.authority == 0:
+            commits.extend(b.digest for o in observations for b in o.linearized)
+
     nodes = [
         SimValidator(
             MahiMahiCore(i, COMMITTEE, CONFIG, COIN),
@@ -250,6 +256,7 @@ def run_steady_simulator():
             loop,
             min_block_interval=0.05,
             tracer=tracer,
+            on_commit=observe,
         )
         for i in range(N)
     ]
@@ -257,7 +264,7 @@ def run_steady_simulator():
     for node in nodes:
         node.start()
     loop.run_until(0.05 * ROUNDS + 0.04)
-    return tracer, [b.digest for b in nodes[0].core.committed_blocks()]
+    return tracer, commits
 
 
 async def run_steady_runtime():

@@ -38,7 +38,7 @@ from repro.transaction import (
     encode_transactions,
 )
 
-from .helpers import DagBuilder, FixedCoin
+from .helpers import DagBuilder, FixedCoin, committed_blocks, record_commits
 
 # ----------------------------------------------------------------------
 # Strategies
@@ -358,6 +358,7 @@ def test_lockstep_cluster_total_order(seed):
     coin = FastCoin(seed=b"prop", n=4, threshold=3)
     config = ProtocolConfig(wave_length=5, leaders_per_round=2)
     cores = [MahiMahiCore(i, committee, config, coin) for i in range(4)]
+    logs = [record_commits(core) for core in cores]
     rng = random.Random(seed)
     for _ in range(14):
         proposals = [c.maybe_propose() for c in cores]
@@ -369,7 +370,7 @@ def test_lockstep_cluster_total_order(seed):
             core.add_block(block)
         for core in cores:
             core.try_commit()
-    sequences = [[b.digest for b in c.committed_blocks()] for c in cores]
+    sequences = [[b.digest for b in committed_blocks(log)] for log in logs]
     shortest = min(len(s) for s in sequences)
     assert shortest > 0
     for sequence in sequences:
