@@ -17,7 +17,8 @@ and :meth:`Block.encode` splice those bytes in, so a block is encoded
 once by its proposer, hashed once per validator (the author signs, and
 peers verify, the 32-byte :attr:`Block.digest`), and re-joined — never
 re-serialised, never cached — for each peer frame and WAL record.
-Simulator and hand-built blocks carry plain tuples and never encode.
+Simulator blocks carry a :class:`~repro.transaction.TransactionSlice`
+(packed for the digest, never framed), hand-built ones plain tuples.
 
 **What decode raises.**  :meth:`Block.decode` and
 :meth:`BlockRef.decode` raise :class:`~repro.errors.ReproError`, and

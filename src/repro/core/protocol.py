@@ -31,8 +31,25 @@ from ..dag.store import DagStore
 from ..dag.validation import BlockVerifier
 from ..errors import BlockValidationError, DuplicateBlockError
 from ..statesync import Checkpoint
-from ..transaction import Transaction, TransactionBatch
+from ..transaction import Transaction
 from .committer import Committer, CommitObservation
+
+
+class Mempool(deque):
+    """The FIFO of client transactions a core proposes from.
+
+    A host may hand its core another one: proposing asks nothing of it
+    but ``take(limit)`` (and :meth:`MahiMahiCore.add_transaction` only
+    ``append``).  The runtime's takes a
+    :class:`~repro.transaction.TransactionBatch`; the simulator's is its
+    validator's ingress stage (:class:`~repro.sim.node.Ingress`), which
+    the validator feeds itself.
+    """
+
+    def take(self, limit: int) -> tuple[Transaction, ...]:
+        """A proposal's transaction section: the oldest ``limit``
+        transactions (all of them, if fewer wait), removed."""
+        return tuple(self.popleft() for _ in range(min(limit, len(self))))
 
 
 class AddBlockResult(NamedTuple):
@@ -65,7 +82,7 @@ class MahiMahiCore:
         verifier: BlockVerifier | None = None,
         sign: "callable | None" = None,
         committer_factory: "callable" = Committer,
-        transaction_section: "callable" = tuple,
+        mempool: Mempool | None = None,
     ) -> None:
         """Create a validator core.
 
@@ -89,14 +106,10 @@ class MahiMahiCore:
                 config)`` with this core's own store and schedule; the
                 baselines (Tusk, Cordial Miners) install their commit
                 rules over the same DAG this way.
-            transaction_section: Builds a proposal's transaction section
-                from the drained mempool.  Exactly two values are
-                supported, one per fabric, and this is not an extension
-                point: ``tuple`` keeps the objects (the simulator, which
-                never puts a block on a wire);
-                :class:`~repro.transaction.TransactionBatch` (the
-                runtime) encodes them once, here, for the digest, every
-                peer frame and the WAL record to reuse.
+            mempool: Where client transactions wait for a proposal (a
+                fresh :class:`Mempool` by default, whose sections are
+                tuples); a proposal's section is whatever its
+                ``take(max_block_transactions)`` returns.
         """
         self.authority = authority
         self.schedule = CommitteeSchedule.ensure(committee)
@@ -105,7 +118,6 @@ class MahiMahiCore:
         self.store = DagStore()
         self._verifier = verifier
         self._sign = sign
-        self._transaction_section = transaction_section
         # One schedule object for core and committer: the commit walk
         # is what activates epochs, and thresholds here must follow them.
         self.committer = committer_factory(self.store, self.schedule, coin, config)
@@ -118,7 +130,7 @@ class MahiMahiCore:
         self.store.add_genesis(genesis)
         self._own_last_ref: BlockRef = genesis[authority].reference
 
-        self.mempool: deque[Transaction] = deque()
+        self.mempool = Mempool() if mempool is None else mempool
         self.round = 0  # round of our latest proposal
         # Blocks waiting for missing ancestors: digest -> block, plus a
         # reverse index from missing digest to the blocks waiting on it.
@@ -320,7 +332,7 @@ class MahiMahiCore:
             # same boundary, so liveness does not depend on this block.)
             return None
         parents = self._select_parents(next_round)
-        transactions = self._drain_mempool()
+        transactions = self.mempool.take(self.config.max_block_transactions)
         share = self.coin.share(self.authority, next_round)
         block = Block(
             author=self.authority,
@@ -406,13 +418,6 @@ class MahiMahiCore:
             budget = max(0, self.config.max_block_parents - len(required))
             parents = required + optional[:budget]
         return tuple(parents)
-
-    def _drain_mempool(self) -> "tuple[Transaction, ...] | TransactionBatch":
-        limit = self.config.max_block_transactions
-        batch = []
-        while self.mempool and len(batch) < limit:
-            batch.append(self.mempool.popleft())
-        return self._transaction_section(batch)
 
     # ------------------------------------------------------------------
     # Committing

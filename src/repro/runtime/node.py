@@ -47,7 +47,7 @@ from ..block import Block
 from ..committee import Committee, CommitteeSchedule
 from ..config import ProtocolConfig
 from ..core.committer import CommitObservation
-from ..core.protocol import MahiMahiCore
+from ..core.protocol import MahiMahiCore, Mempool
 from ..crypto.coin import CommonCoin
 from ..dag.validation import BlockVerifier
 from ..errors import StateTransferError
@@ -68,6 +68,15 @@ from .wal import WriteAheadLog
 #: periodic re-broadcast is the anti-entropy that breaks such a silent
 #: deadlock (and is how a real deployment rides out dropped sends).
 _REBROADCAST_AFTER = 0.5
+
+
+class _BatchMempool(Mempool):
+    """Proposals carry their transactions as a bytes-backed
+    :class:`~repro.transaction.TransactionBatch`, encoded here once for
+    the digest, every peer frame and the WAL record to reuse."""
+
+    def take(self, limit: int) -> TransactionBatch:
+        return TransactionBatch(super().take(limit))
 
 
 class ValidatorNode:
@@ -118,7 +127,7 @@ class ValidatorNode:
             coin,
             verifier=verifier,
             sign=sign,
-            transaction_section=TransactionBatch,
+            mempool=_BatchMempool(),
         )
         self.schedule = self.core.schedule
         self.config = config

@@ -17,7 +17,6 @@ from .events import EventLoop
 from .latency import LatencyModel, UniformLatencyModel, PAPER_REGIONS
 from .network import NetworkConfig, SimNetwork
 from .node import NodeBehavior, SimValidator
-from .client import OpenLoopClient
 from .metrics import ExperimentMetrics, LatencySummary
 from .runner import Experiment, ExperimentConfig, ExperimentResult, PROTOCOLS
 from .sweep import (
@@ -46,7 +45,6 @@ __all__ = [
     "SimNetwork",
     "NodeBehavior",
     "SimValidator",
-    "OpenLoopClient",
     "ExperimentMetrics",
     "LatencySummary",
     "Experiment",

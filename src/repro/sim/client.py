@@ -7,126 +7,61 @@ simulations tractable, one simulated transaction may represent a batch
 of ``weight`` real transactions; blocks account for the full
 ``weight * tx_size`` bytes and metrics weight latencies accordingly.
 
-Arrivals are generated a *batch* at a time: the client draws a block of
-exponential inter-arrival gaps, turns them into absolute times with one
-cumulative pass, and hands them to the event loop in a single
-``schedule_batch`` call, which keeps them as one run beside its heap
-rather than as one heap entry each (see :mod:`repro.sim.events`).  Each
-arrival is still one event at its own instant, in the order a heap entry
-would have had: the transaction id, the ``size_hint`` draw and the
-liveness a routing ``submit`` reads are those of the arrival instant.
-The next batch is drawn by one heap event at the batch's last time,
-which runs after that last arrival.
+One :class:`ArrivalRouter` runs every client of an experiment, and a
+simulated transaction is never an event, an object or a call chain of
+its own: it is an id and an arrival time, appended to a validator's
+ingress (:meth:`repro.sim.node.Ingress.arrive`).  Each client draws its
+Poisson arrivals a batch at a time (exponential gaps, one cumulative
+pass; the next batch at the last arrival of a full one, after that
+arrival), and the event loop calls :meth:`ArrivalRouter.route` before
+each heap event.  One merged loop then routes, in exact (time, sequence)
+order, every arrival that sorts before that event: ids are numbered
+from 1 per experiment in that order, each arrival draws its size from
+its client's generator when it is routed, and a down validator's
+clients retarget to the next live one.  Liveness, slow factors and the
+ingress stage's state change only at heap events, so each arrival sees
+them as it would have at its own instant.
 """
 
 from __future__ import annotations
 
-import itertools
+import heapq
 import random
-from typing import Callable
+from itertools import accumulate
 
-from ..transaction import Transaction
 from .events import EventLoop
 
-#: Shared transaction-id counter across all clients of an experiment.
-_TX_IDS = itertools.count(1)
-
-#: Arrivals generated per batch (one RNG/scheduling pass each).
+#: Arrivals drawn per batch (one generator pass each).
 _ARRIVAL_BATCH = 256
 
-
-def reset_tx_ids() -> None:
-    """Restart the global tx-id counter (test isolation)."""
-    global _TX_IDS
-    _TX_IDS = itertools.count(1)
+_INF = float("inf")
 
 
-class OpenLoopClient:
-    """Submits transactions to one validator at a fixed average rate."""
+class _Client:
+    """One client: the validator it prefers, its generator and the batch
+    of arrival times it drew last."""
 
-    __slots__ = (
-        "_loop",
-        "_submit",
-        "_interval",
-        "_weight",
-        "_stop_at",
-        "_on_submission",
-        "_rng",
-        "_size_values",
-        "_size_cum_weights",
-        "submitted",
-    )
+    __slots__ = ("validator", "rng", "lambd", "stop_at", "size_values", "size_cum_weights", "times")
 
     def __init__(
-        self,
-        loop: EventLoop,
-        submit: Callable[[Transaction], None],
-        rate: float,
-        *,
-        weight: float = 1.0,
-        stop_at: float = float("inf"),
-        on_submission: Callable[[int, float, float], None] | None = None,
-        seed: object = 0,
-        tx_size_mix: tuple[tuple[int, float], ...] = (),
+        self, validator: int, rate: float, stop_at: float, seed: object, tx_size_mix
     ) -> None:
-        """Args:
-        loop: The experiment's event loop.
-        submit: Callback delivering the transaction to the validator's
-            mempool.
-        rate: Simulated transactions per second (each representing
-            ``weight`` real transactions).
-        weight: Real transactions represented by one simulated one.
-        stop_at: Stop submitting at this virtual time.
-        on_submission: Metrics hook ``(tx_id, time, weight)``.
-        seed: Per-client jitter seed.  Any ``repr``-stable value works;
-            the experiment harness passes the ``(master_seed, authority)``
-            pair so distinct clients never share a stream and streams do
-            not correlate across master seeds (arithmetic derivations
-            like ``seed * 1000 + authority`` collide for committees past
-            1000).
-        tx_size_mix: Optional ``(size_bytes, weight)`` distribution;
-            when set, each transaction samples a ``size_hint`` from it
-            (mixed-workload experiments).  Empty means the experiment's
-            uniform size.
-        """
-        self._loop = loop
-        self._submit = submit
-        self._interval = 1.0 / rate if rate > 0 else float("inf")
-        self._weight = weight
-        self._stop_at = stop_at
-        self._on_submission = on_submission
-        self._rng = random.Random(repr(("client", seed)))
-        if tx_size_mix:
-            self._size_values = tuple(size for size, _ in tx_size_mix)
-            cum = []
-            total = 0.0
-            for _, share in tx_size_mix:
-                total += share
-                cum.append(total)
-            self._size_cum_weights = tuple(cum)
-        else:
-            self._size_values = ()
-            self._size_cum_weights = ()
-        self.submitted = 0
+        self.validator = validator
+        # The inverse of the mean gap, not ``rate`` itself: for some rates
+        # the two differ in the last bit, and every arrival time with it.
+        self.lambd = 1.0 / (1.0 / rate)
+        self.stop_at = stop_at
+        self.rng = random.Random(repr(("client", seed)))
+        self.size_values = tuple(size for size, _ in tx_size_mix)
+        self.size_cum_weights = tuple(accumulate(share for _, share in tx_size_mix))
+        self.times: list[float] = []
 
-    def start(self) -> None:
-        """Begin submitting (first transaction after one interval)."""
-        if self._interval == float("inf"):
-            return
-        self._schedule_batch(self._loop.now)
-
-    def _schedule_batch(self, start: float) -> None:
-        """Pre-generate one batch of Poisson arrivals from ``start``.
-
-        The whole batch is one ``schedule_batch`` call; a full batch
-        chains the next one by an event at its last time, scheduled
-        after the batch and so run after its last arrival (generation
-        never races ahead of submission order).  No time is drawn at or
-        after ``stop_at``.
-        """
-        expovariate = self._rng.expovariate
-        lambd = 1.0 / self._interval
-        stop_at = self._stop_at
+    def draw(self, start: float) -> list[float]:
+        """The next batch of arrival times after ``start``: at most
+        :data:`_ARRIVAL_BATCH`, none at or after ``stop_at``."""
+        expovariate = self.rng.expovariate
+        lambd = self.lambd
+        stop_at = self.stop_at
         when = start
         times = []
         for _ in range(_ARRIVAL_BATCH):
@@ -134,23 +69,128 @@ class OpenLoopClient:
             if when >= stop_at:
                 break
             times.append(when)
-        if not times:
-            return
-        self._loop.schedule_batch(times, self._tick)
-        if len(times) == _ARRIVAL_BATCH:
-            # A full batch: more arrivals may remain before stop_at.
-            self._loop.schedule_at(times[-1], self._schedule_batch, times[-1])
+        self.times = times
+        return times
 
-    def _tick(self) -> None:
+
+class ArrivalRouter:
+    """Every open-loop client of one experiment, routed per window.
+
+    Attach it with :meth:`start`; the event loop drives it from then on.
+    """
+
+    def __init__(
+        self,
+        loop: EventLoop,
+        nodes: list,
+        rate: float,
+        *,
+        validators: list[int],
+        metrics,
+        stop_at: float = _INF,
+        seed: int = 0,
+        tx_size_mix: tuple[tuple[int, float], ...] = (),
+    ) -> None:
+        """Args:
+        loop: The experiment's event loop.
+        nodes: Every validator, by authority (each with ``down`` and an
+            ``ingress``).
+        rate: Simulated transactions per second, per client.
+        validators: The validators with a client attached.
+        metrics: The experiment's
+            :class:`~repro.sim.metrics.ExperimentMetrics`, told how many
+            transactions were submitted (lost ones included).
+        stop_at: No arrival at or after this virtual time.
+        seed: The experiment's seed; client ``v``'s generator is seeded
+            with ``(seed, v)``, so distinct clients never share a stream
+            and streams do not correlate across seeds (an arithmetic mix
+            like ``seed * 1000 + v`` collides past 1000 validators).
+        tx_size_mix: Optional ``(size_bytes, weight)`` distribution;
+            when set, each transaction draws a ``size_hint`` from it.
+            Empty means the experiment's uniform size.
+        """
+        #: Time of the earliest arrival not yet routed.
+        self.next_at = _INF
+        self._loop = loop
+        self._nodes = nodes
+        self._arrive = [node.ingress.arrive for node in nodes]
+        self._metrics = metrics
+        self._clients = (
+            [_Client(v, rate, stop_at, (seed, v), tx_size_mix) for v in validators]
+            if rate > 0
+            else []
+        )
+        # One cursor per client with arrivals left: [next time, the
+        # sequence number of its batch, client, index in the batch].
+        self._heap: list[list] = []
+        self._last_id = 0
+
+    def start(self) -> None:
+        """Draw every client's first batch (first arrival one gap after
+        *now*) and attach to the loop."""
         now = self._loop.now
-        tx_id = next(_TX_IDS)
-        size_hint = None
-        if self._size_values:
-            size_hint = self._rng.choices(
-                self._size_values, cum_weights=self._size_cum_weights
-            )[0]
-        tx = Transaction(tx_id=tx_id, submitted_at=now, size_hint=size_hint)
-        self._submit(tx)
-        self.submitted += 1
-        if self._on_submission is not None:
-            self._on_submission(tx_id, now, self._weight)
+        for client in self._clients:
+            self._draw(client, now)
+        self.next_at = self._heap[0][0] if self._heap else _INF
+        self._loop.router = self
+
+    def _draw(self, client: _Client, start: float) -> None:
+        """Draw ``client``'s next batch and number it as the loop would
+        number an entry scheduled now."""
+        times = client.draw(start)
+        if times:
+            heapq.heappush(self._heap, [times[0], self._loop.next_sequence(), client, 0])
+
+    def route(self, until: float, sequence: float) -> None:
+        """Route every arrival that sorts before ``(until, sequence)``."""
+        heap = self._heap
+        nodes = self._nodes
+        arrive = self._arrive
+        loop = self._loop
+        replace = heapq.heapreplace
+        tx_id = self._last_id
+        while heap:
+            cursor = heap[0]
+            when = cursor[0]
+            if when > until or when == until and cursor[1] > sequence:
+                break
+            client = cursor[2]
+            tx_id += 1
+            size = None
+            if client.size_values:
+                size = client.rng.choices(
+                    client.size_values, cum_weights=client.size_cum_weights
+                )[0]
+            target = client.validator
+            if nodes[target].down:
+                target = self._live_after(target)
+            # What a routed arrival reads is as of its own instant.
+            loop._now = when
+            if target is not None:
+                arrive[target](tx_id, when, size)
+            times = client.times
+            index = cursor[3] + 1
+            if index < len(times):
+                cursor[0] = times[index]
+                cursor[3] = index
+                replace(heap, cursor)
+            else:
+                heapq.heappop(heap)
+                if index == _ARRIVAL_BATCH:
+                    # A full batch: more may remain before stop_at.
+                    self._draw(client, when)
+        self._metrics.submitted += tx_id - self._last_id
+        self._last_id = tx_id
+        self.next_at = heap[0][0] if heap else _INF
+
+    def _live_after(self, preferred: int) -> int | None:
+        """The next live validator after ``preferred`` (clients retarget
+        away from crashed, left and not-yet-joined validators); ``None``
+        when every validator is down and the transaction is lost."""
+        nodes = self._nodes
+        count = len(nodes)
+        for offset in range(1, count):
+            candidate = (preferred + offset) % count
+            if not nodes[candidate].down:
+                return candidate
+        return None

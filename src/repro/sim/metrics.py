@@ -6,25 +6,41 @@ committed by the validators".  Each simulated transaction may represent
 a *batch* of real transactions (``weight``), which lets a 100k tx/s run
 stay tractable while keeping byte-accurate blocks.
 
-Only a submission is recorded per transaction.  Inclusion, arrival at the
-observer and commit are facts about a block, so
-:meth:`ExperimentMetrics.record_inclusion`, ``record_block_times`` and
-``record_commit`` are each called once per block that carries
-transactions, with those transactions.  In the stage decomposition the
-block supplies three instants (proposed, arrived, ingested) and the
-commit a fourth; only the ``queue`` share starts from something of the
-transaction's own, its submission time.  The shares still go into the
-histograms one value per transaction, in commit order, so the means are
-those of a per-transaction recorder to the last bit.
+The books are kept per section, not per transaction.  A client's
+submission is only counted (by the
+:class:`~repro.sim.client.ArrivalRouter`): its arrival time rides in
+the :class:`~repro.transaction.TransactionSlice` of the block that
+carries it.  Inclusion, arrival at the observer and commit are facts
+about that section, so :meth:`ExperimentMetrics.record_inclusion`,
+``record_block_times`` and ``record_commit`` are each called once per
+block that carries transactions and keep their record on the slice (the
+first record of each kind wins; an equivocating sibling carries the same
+slice, so it shares the record).  In the stage decomposition the section
+supplies three instants (proposed, arrived, ingested) and the commit a
+fourth; only the latency and the ``queue`` share start from something
+of the transaction's own, its arrival time.  The shares still go into
+the histograms one value per transaction, in commit order, so the means
+are those of a per-transaction recorder to the last bit.
+
+A plain sequence of transactions is recorded as well: a copy of a
+section (a block decoded from a WAL) finds the section's record by its
+first transaction id, and a transaction submitted through
+:meth:`ExperimentMetrics.record_submission` (a test's) keeps a record of
+its own.  A section's entries submitted as objects (reconfiguration
+commands) are no client traffic.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import reduce
+from itertools import repeat
+from operator import add
 
 from repro.committee import RECONFIG_TX_BASE
 from repro.obs.metrics import MetricsRegistry
+from repro.transaction import TransactionSlice
 
 #: The per-transaction latency decomposition, in lifecycle order:
 #: ``queue``   submit → included in a proposed block (ingress queue +
@@ -55,14 +71,27 @@ class LatencySummary:
 class ExperimentMetrics:
     """Collects submissions and commits at an observer validator."""
 
-    def __init__(self, warmup: float = 0.0) -> None:
+    def __init__(self, warmup: float = 0.0, weight: float = 1.0) -> None:
         """Args:
         warmup: Transactions submitted before this time are excluded
             from latency statistics and throughput (ramp-up noise).
+        weight: Real transactions one routed arrival stands for.
         """
         self._warmup = warmup
-        self._submissions: dict[int, tuple[float, float]] = {}  # tx_id -> (time, weight)
-        self._latencies: list[tuple[float, float]] = []  # (latency, weight)
+        self._weight = weight
+        #: Client transactions submitted so far: routed arrivals (lost
+        #: ones too) and :meth:`record_submission` calls.
+        self.submitted = 0
+        self._committed = 0  # of those, committed (each once)
+        # Sections with a record and no commit yet, by first transaction
+        # id: where a plain copy of one finds its record.
+        self._open: dict[int, TransactionSlice] = {}
+        # Transactions submitted one at a time, by id: [submitted at,
+        # weight, included, (arrival, ingest)].
+        self._singles: dict[int, list] = {}
+        # Per committed transaction, in commit order: latency and weight.
+        self._latencies: list[float] = []
+        self._weights: list[float] = []
         self.committed_weight = 0.0
         self.duplicate_commits = 0
         #: ``(mode, seconds)`` per completed restart (``recover``/
@@ -90,17 +119,62 @@ class ExperimentMetrics:
             )
             for stage in STAGES
         }
-        # tx_id -> first inclusion time (at the proposing validator).
-        self._included: dict[int, float] = {}
-        # tx_id -> (arrival, ingest) at the observer validator.
-        self._block_times: dict[int, tuple[float, float]] = {}
 
     # ------------------------------------------------------------------
     # Recording
     # ------------------------------------------------------------------
     def record_submission(self, tx_id: int, time: float, weight: float = 1.0) -> None:
-        """A client handed ``tx_id`` to some validator at ``time``."""
-        self._submissions[tx_id] = (time, weight)
+        """``tx_id`` was submitted at ``time`` as one object (a test's
+        transaction: routed arrivals are only counted)."""
+        self.submitted += 1
+        self._singles[tx_id] = [time, weight, None, None]
+
+    def _section(self, transactions) -> TransactionSlice | None:
+        """The section ``transactions`` is or is a copy of; ``None`` for
+        transactions recorded one at a time."""
+        if type(transactions) is TransactionSlice:
+            return transactions
+        for tx in transactions:
+            return self._open.get(tx.tx_id)
+        return None
+
+    def _books(self, section: TransactionSlice) -> list:
+        """``[included, (arrival, ingest), committed]`` of ``section``."""
+        books = section.books
+        if books is None:
+            books = section.books = [None, None, False]
+            self._open[next(iter(section)).tx_id] = section
+        return books
+
+    def record_inclusion(self, transactions, time: float) -> None:
+        """The submission validator proposed a block carrying
+        ``transactions`` at ``time`` (first inclusion wins — a recovered
+        validator may re-propose)."""
+        section = self._section(transactions)
+        if section is not None:
+            books = self._books(section)
+            if books[0] is None:
+                books[0] = time
+            return
+        for tx in transactions:
+            single = self._singles.get(tx.tx_id)
+            if single is not None and single[2] is None:
+                single[2] = time
+
+    def record_block_times(self, transactions, arrival: float, ingest: float) -> None:
+        """The block carrying ``transactions`` reached the observer: it
+        arrived off the wire at ``arrival`` and cleared the consensus
+        CPU stage (entered the DAG) at ``ingest`` (first copy wins)."""
+        section = self._section(transactions)
+        if section is not None:
+            books = self._books(section)
+            if books[1] is None:
+                books[1] = (arrival, ingest)
+            return
+        for tx in transactions:
+            single = self._singles.get(tx.tx_id)
+            if single is not None and single[3] is None:
+                single[3] = (arrival, ingest)
 
     def record_commit(self, transactions, time: float) -> None:
         """A block carrying ``transactions`` was linearized by the
@@ -111,80 +185,70 @@ class ExperimentMetrics:
         from :data:`~repro.committee.RECONFIG_TX_BASE`) are not client
         traffic: skipping them keeps ``duplicate_commits`` meaningful.
         """
+        section = self._section(transactions)
+        if section is None:
+            for tx in transactions:
+                if tx.tx_id >= RECONFIG_TX_BASE:
+                    continue
+                single = self._singles.pop(tx.tx_id, None)
+                if single is None:
+                    self.duplicate_commits += 1
+                    continue
+                self._committed += 1
+                self._commit((single[0],), single[1], single[2], single[3], time)
+            return
+        times = section.times
+        if section.objects:
+            # An entry submitted as an object (a reconfiguration command)
+            # is no client traffic.
+            times = [t for entry, t in zip(section.ids, times) if type(entry) is int]
+        books = self._books(section)
+        if books[2]:
+            self.duplicate_commits += len(times)
+            return
+        books[2] = True
+        del self._open[next(iter(section)).tx_id]
+        self._committed += len(times)
+        if times:
+            self._commit(times, self._weight, books[0], books[1], time)
+
+    def _commit(self, times, weight: float, included, block_times, time: float) -> None:
+        """Transactions that arrived at ``times`` committed at ``time``:
+        each of ``weight`` real ones, all included at ``included`` and
+        seen by the observer at ``block_times`` (``None`` when unknown).
+        Every sum takes one term per transaction, in order, as a
+        per-transaction recorder's would."""
         warmup = self._warmup
-        pop_submission = self._submissions.pop
-        pop_included = self._included.pop
-        pop_block_times = self._block_times.pop
-        record_latency = self._latencies.append
-        # No epoch starts inside a block: one bucket serves the call.
-        bucket = (
-            self._epoch_latency.setdefault(self.epoch_marks[-1][0], [0.0, 0.0, 0.0])
-            if self.epoch_marks
-            else None
-        )
-        committed_weight = self.committed_weight
-        queue: list[float] = []
-        network: list[float] = []
-        cpu: list[float] = []
-        commit_walk: list[float] = []
-        for tx in transactions:
-            tx_id = tx.tx_id
-            if tx_id >= RECONFIG_TX_BASE:
-                continue
-            submission = pop_submission(tx_id, None)
-            if submission is None:
-                self.duplicate_commits += 1
-                continue
-            submitted_at, weight = submission
-            included = pop_included(tx_id, None)
-            block_times = pop_block_times(tx_id, None)
-            if submitted_at < warmup:
-                continue
-            if included is not None:
-                # Stage decomposition: an observer-proposed block never
-                # crossed the network, so its network/cpu shares are zero.
-                arrival, ingest = (
-                    block_times if block_times is not None else (included, included)
-                )
-                # Each share is max(0.0, difference), spelled without the call.
-                share = included - submitted_at
-                queue.append(share if share > 0.0 else 0.0)
-                share = arrival - included
-                network.append(share if share > 0.0 else 0.0)
-                share = ingest - arrival
-                cpu.append(share if share > 0.0 else 0.0)
-                share = time - ingest
-                commit_walk.append(share if share > 0.0 else 0.0)
-            committed_weight += weight
-            latency = time - submitted_at
-            record_latency((latency, weight))
-            if bucket is not None:
+        if min(times) < warmup:
+            times = [t for t in times if t >= warmup]
+            if not times:
+                return
+        count = len(times)
+        latencies = [time - t for t in times]
+        self._latencies += latencies
+        self._weights += repeat(weight, count)
+        self.committed_weight = reduce(add, repeat(weight, count), self.committed_weight)
+        if self.epoch_marks:
+            # No epoch starts inside a block: one bucket serves the call.
+            bucket = self._epoch_latency.setdefault(self.epoch_marks[-1][0], [0.0, 0.0, 0.0])
+            for latency in latencies:
                 bucket[0] += weight
                 bucket[1] += latency * weight
                 bucket[2] += 1
-        self.committed_weight = committed_weight
+        if included is None:
+            return
+        # Stage decomposition: an observer-proposed block never crossed
+        # the network, so its network/cpu shares are zero.  Each share is
+        # max(0.0, difference), spelled without the call.
+        arrival, ingest = (included, included) if block_times is None else block_times
         hist = self._stage_hist
-        hist["queue"].observe_many(queue)
-        hist["network"].observe_many(network)
-        hist["cpu"].observe_many(cpu)
-        hist["commit_walk"].observe_many(commit_walk)
-
-    def record_inclusion(self, transactions, time: float) -> None:
-        """The submission validator proposed a block carrying
-        ``transactions`` at ``time`` (first inclusion wins — a recovered
-        validator may re-propose)."""
-        first = self._included.setdefault
-        for tx in transactions:
-            first(tx.tx_id, time)
-
-    def record_block_times(self, transactions, arrival: float, ingest: float) -> None:
-        """The block carrying ``transactions`` reached the observer: it
-        arrived off the wire at ``arrival`` and cleared the consensus
-        CPU stage (entered the DAG) at ``ingest`` (first copy wins)."""
-        first = self._block_times.setdefault
-        times = (arrival, ingest)
-        for tx in transactions:
-            first(tx.tx_id, times)
+        hist["queue"].observe_many([s if s > 0.0 else 0.0 for s in [included - t for t in times]])
+        for stage, share in (
+            ("network", arrival - included),
+            ("cpu", ingest - arrival),
+            ("commit_walk", time - ingest),
+        ):
+            hist[stage].observe_many([share if share > 0.0 else 0.0] * count)
 
     def record_recovery(
         self, validator: int, recovered_at: float, resumed_at: float, mode: str = "cold"
@@ -218,13 +282,13 @@ class ExperimentMetrics:
     @property
     def pending(self) -> int:
         """Transactions submitted but never committed (backlog)."""
-        return len(self._submissions)
+        return self.submitted - self._committed
 
     def latency_summary(self) -> LatencySummary:
         """Weighted average and percentiles of commit latency."""
         if not self._latencies:
             return LatencySummary.empty()
-        ordered = sorted(self._latencies)
+        ordered = sorted(zip(self._latencies, self._weights))
         total_weight = sum(w for _, w in ordered)
         avg = sum(latency * w for latency, w in ordered) / total_weight
         return LatencySummary(

@@ -32,19 +32,21 @@ time), Tusk's header / ack / certificate exchange (three message types
 of its own, below), equivocation dispatch, the wire-size model that
 prices any message by what it carries and the stage-latency observer.
 
-A simulated transaction costs the event loop nothing here.  The ingress
-stage is a single server, so it completes transactions in the order it
-was handed them: :meth:`SimValidator.submit` computes each completion
-time and appends to a FIFO, and the step — the only way a proposal, the
-mempool's only reader, is ever reached — first moves every entry whose
-time has come into the mempool.  What is a fact about a block
-(inclusion, arrival at the observer, commit) is reported to the metrics
-once per block, with the block's transactions.
+A simulated transaction costs the event loop nothing here, and is no
+object either.  The ingress stage is a single server, so it completes
+transactions in the order it was handed them: the validator's
+:class:`Ingress` keeps each one as a row of parallel lists — id, arrival
+time, the time the stage is done with it — and is also the core's
+mempool.  A step, the only way a proposal is ever reached, first admits
+every row whose time has come (one ``bisect``); a proposal takes the next
+rows as a :class:`~repro.transaction.TransactionSlice`.  What is a fact
+about a block (inclusion, arrival at the observer, commit) is reported
+to the metrics once per block, with that slice.
 """
 
 from __future__ import annotations
 
-from collections import deque
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence
 
@@ -59,7 +61,7 @@ from ..runtime.wal import WriteAheadLog
 from ..statesync.driver import ValidatorDriver
 from ..statesync.recovery import SYNC_MAX_BLOCKS as _SYNC_MAX_BLOCKS
 from ..statesync.recovery import WalReplay
-from ..transaction import Transaction
+from ..transaction import Transaction, TransactionSlice
 from .events import EventLoop
 from .faults import NodeBehavior, make_equivocating_sibling
 from .network import Message, SimNetwork
@@ -139,6 +141,119 @@ class Certificate(NamedTuple):
     signatures: int
 
 
+#: Rows an ingress keeps once they are in a block, before it deletes
+#: them (one ``del`` of the prefix per this many).
+_COMPACT_AFTER = 1024
+
+
+class Ingress:
+    """One validator's ingress stage and the mempool behind it.
+
+    One row per transaction, as parallel lists in the order the stage
+    was handed them, which is the order it completes them: ``ids`` (the
+    ``Transaction`` itself where one was submitted as an object), arrival
+    ``times``, the ``ready`` time the stage is done with each and, on
+    mixed-size runs, the ``sizes``.  Rows below the admitted cursor are
+    in the mempool; rows below the taken cursor are in a block.  Without
+    a CPU model (``cost`` is ``None``) there is no stage, and a row is in
+    the mempool as it arrives.
+    """
+
+    def __init__(
+        self, cost: float | None, mixed_sizes: bool, authority: int, tracer=NULL_TRACER
+    ) -> None:
+        self.ids: list = []
+        self.times: list[float] = []
+        self.ready: list[float] = []
+        self.sizes: list | None = [] if mixed_sizes else None
+        #: Stage seconds per transaction, at the validator's current speed.
+        self.cost = cost
+        #: When the stage is next free.
+        self.free = 0.0
+        self._admitted = 0
+        self._taken = 0
+        self._objects = 0  # object rows not yet taken
+        self._authority = authority
+        self._tracer = tracer
+
+    def arrive(self, entry, now: float, size: int | None = None) -> None:
+        """A transaction — ``entry``, a routed arrival's id or an object —
+        reaches the stage at ``now``.  It starts when the stage is free,
+        at the cost in force now (a later slow factor prices later
+        arrivals only)."""
+        cost = self.cost
+        ready = now
+        if cost is not None:
+            ready = self.free
+            if now > ready:
+                ready = now
+            ready += cost
+            self.free = ready
+        ids = self.ids
+        ids.append(entry)
+        self.times.append(now)
+        self.ready.append(ready)
+        if self.sizes is not None:
+            self.sizes.append(size)
+        if cost is None:
+            self._admitted = len(ids)
+        if self._tracer.enabled:
+            self._trace(entry, now, ready)
+
+    def submit(self, tx: Transaction, now: float) -> None:
+        """``tx``, submitted as an object, reaches the stage at ``now``."""
+        self._objects += 1
+        self.arrive(tx, now, tx.size_hint)
+
+    def admit(self, now: float) -> None:
+        """Move every row the stage is done with by ``now`` into the
+        mempool (a row ready at exactly ``now`` is)."""
+        at = self._admitted
+        ready = self.ready
+        if at < len(ready) and ready[at] <= now:
+            self._admitted = bisect_right(ready, now, at)
+
+    def take(self, limit: int) -> "TransactionSlice | tuple[()]":
+        """A proposal's section: the next ``limit`` mempool rows (all of
+        them, if fewer wait), as a slice of the columns."""
+        start = self._taken
+        end = min(self._admitted, start + limit)
+        if end == start:
+            return ()
+        self._taken = end
+        ids = self.ids[start:end]
+        objects = 0
+        if self._objects:
+            objects = sum(type(entry) is Transaction for entry in ids)
+            self._objects -= objects
+        sizes = None if self.sizes is None else self.sizes[start:end]
+        section = TransactionSlice(ids, self.times[start:end], sizes, objects)
+        if end >= _COMPACT_AFTER:
+            for column in (self.ids, self.times, self.ready, self.sizes):
+                if column is not None:
+                    del column[:end]
+            self._admitted -= end
+            self._taken = 0
+        return section
+
+    def clear(self) -> None:
+        """A restart: everything in the stage and the mempool is lost,
+        and the stage is free from now on."""
+        for column in (self.ids, self.times, self.ready, self.sizes):
+            if column is not None:
+                column.clear()
+        self.free = 0.0
+        self._admitted = self._taken = self._objects = 0
+
+    def _trace(self, entry, now: float, ready: float) -> None:
+        tx_id = entry if type(entry) is int else entry.tx_id
+        self._tracer.instant(self._authority, "client", _trace.TX_SUBMITTED, now, {"tx": tx_id})
+        if self.cost is not None:
+            self._tracer.span(
+                self._authority, "ingress", "ingress_stage", now, ready, {"tx": tx_id}
+            )
+
+
 class SimValidator:
     """One validator process inside the simulation.
 
@@ -161,10 +276,9 @@ class SimValidator:
         "_interval",
         "_tx_weight",
         "_cpu",
-        "_ingress_free",
-        "_ingress",
+        "ingress",
         "_consensus_free",
-        "_down",
+        "down",
         "_incarnation",
         "_core_factory",
         "_driver",
@@ -273,16 +387,21 @@ class SimValidator:
         self._interval = min_block_interval
         self._tx_weight = tx_weight
         self._cpu = cpu
-        # Times at which each single-threaded CPU stage becomes free.
-        self._ingress_free = 0.0
+        #: The ingress stage and the mempool behind it (the core's).
+        self.ingress = Ingress(
+            None if cpu is None else cpu.tx_ingress_cost * tx_weight,
+            mixed_tx_sizes,
+            self.authority,
+            tracer,
+        )
+        core.mempool = self.ingress
+        # When the single-threaded consensus CPU stage becomes free.
         self._consensus_free = 0.0
-        # The ingress stage's output, ``(ready_at, tx)`` in completion
-        # order, until a step moves what is ready into the mempool.
-        self._ingress: deque[tuple[float, Transaction]] = deque()
-        # Lifecycle: the down flag is the hot-path liveness check; the
-        # incarnation counter invalidates CPU-stage work queued before a
-        # crash (a real restart loses its queues).
-        self._down = start_down or self.behavior.crashed
+        #: Whether the validator is silent (crashed, left, not yet
+        #: joined): the hot-path liveness check, clients' too.  The
+        #: incarnation counter invalidates CPU-stage work queued before a
+        #: crash (a real restart loses its queues).
+        self.down = start_down or self.behavior.crashed
         self._incarnation = 0
         self._core_factory = core_factory
         self._driver = ValidatorDriver(
@@ -323,12 +442,6 @@ class SimValidator:
     # Lifecycle
     # ------------------------------------------------------------------
     @property
-    def down(self) -> bool:
-        """Whether the validator is currently silent (crashed/left/not
-        yet joined)."""
-        return self._down
-
-    @property
     def syncing(self) -> bool:
         """Whether the validator is re-syncing after a restart."""
         return self._driver.syncing
@@ -345,16 +458,16 @@ class SimValidator:
 
     def start(self) -> None:
         """Propose the first block (round 1 follows from genesis)."""
-        if not self._down:
+        if not self.down:
             self._step()
 
     def crash(self) -> None:
         """Go silent.  In-flight CPU work is abandoned (the incarnation
         guard drops it) and in-memory state is lost on the next
         :meth:`recover`.  Idempotent."""
-        if self._down:
+        if self.down:
             return
-        self._down = True
+        self.down = True
         self._incarnation += 1
 
     def close(self) -> None:
@@ -368,7 +481,7 @@ class SimValidator:
         """Leave the committee permanently (reconfiguration).  The
         transport-level effect equals a crash that never recovers;
         clients retarget away for good."""
-        if not self._down and self.left_at is None:
+        if not self.down and self.left_at is None:
             self.left_at = self._loop.now
         self.crash()
 
@@ -382,6 +495,8 @@ class SimValidator:
             raise ValueError(f"slow factor must be >= 1, got {scale}")
         self._slow = scale
         self._driver.interval = self._interval * scale
+        if self._cpu is not None:
+            self.ingress.cost = self._cpu.tx_ingress_cost * self._tx_weight * scale
 
     def set_equivocating(self, active: bool) -> None:
         """Start or stop an equivocation campaign.  While active, every
@@ -406,9 +521,9 @@ class SimValidator:
         :mod:`repro.statesync.driver` — and resumes proposing once the
         frontier quorum is causally complete.
         """
-        if not self._down:
+        if not self.down:
             return
-        self._down = False
+        self.down = False
         self._incarnation += 1
         if self._core_factory is None:
             # Process pause, not restart: all state retained, nothing
@@ -417,10 +532,10 @@ class SimValidator:
             self._driver.synchronizer.reset()
             return
         self.core = self._core_factory()
-        self._ingress.clear()
+        self.ingress.clear()
+        self.core.mempool = self.ingress
         self._headers.clear()
         self._acks.clear()
-        self._ingress_free = 0.0
         self._consensus_free = 0.0
         driver = self._driver
         driver.restart(self.core)
@@ -457,39 +572,19 @@ class SimValidator:
         return self._loop.now
 
     def submit(self, tx: Transaction) -> None:
-        """Client entry point; transactions pass the ingress CPU stage
+        """Submit ``tx`` as an object (a reconfiguration command, a
+        test's transaction; clients' arrivals are routed to
+        :meth:`Ingress.arrive` as ids).  It passes the ingress CPU stage
         (signature verification) before reaching the mempool.
 
         The stage is a FIFO, not a timer: ``tx`` is queued with the time
-        the stage will be done with it (it starts when the stage is free,
-        at the cost in force *now* — a later ``set_slow_factor`` prices
-        later submissions only) and the next step at or after that time
-        admits it.  Without a CPU model there is no stage and nothing
-        queues.  A restart drops the queue with the core it fed; a pause
-        (``recover`` without a ``core_factory``) keeps it.
+        the stage will be done with it and the next step at or after
+        that time admits it.  Without a CPU model there is no stage and
+        nothing queues.  A restart drops the queue with the core it fed;
+        a pause (``recover`` without a ``core_factory``) keeps it.
         """
-        if self._down:
-            return
-        now = self._loop.now
-        if self._tracer.enabled:
-            self._tracer.instant(
-                self.authority, "client", _trace.TX_SUBMITTED, now, {"tx": tx.tx_id}
-            )
-        if self._cpu is None:
-            self.core.add_transaction(tx)
-            return
-        cost = self._cpu.tx_ingress_cost * self._tx_weight * self._slow
-        self._ingress_free = max(now, self._ingress_free) + cost
-        if self._tracer.enabled:
-            self._tracer.span(
-                self.authority,
-                "ingress",
-                "ingress_stage",
-                now,
-                self._ingress_free,
-                {"tx": tx.tx_id},
-            )
-        self._ingress.append((self._ingress_free, tx))
+        if not self.down:
+            self.ingress.submit(tx, self._loop.now)
 
     # ------------------------------------------------------------------
     # Message handling
@@ -514,7 +609,7 @@ class SimValidator:
         per message — the per-message ``schedule_at`` chain was the hot
         path's remaining allocation peak.
         """
-        if self._down:
+        if self.down:
             return
         if self._stage_observer:
             for message in messages:
@@ -544,7 +639,7 @@ class SimValidator:
         if incarnation != self._incarnation:
             return
         for message in messages:
-            if self._down:
+            if self.down:
                 return
             body = message.body
             kind = type(body)
@@ -640,14 +735,10 @@ class SimValidator:
         validator step and act on what it returns.
 
         A transaction whose stage completes at exactly ``now`` is
-        admitted (``ready_at <= now``), whatever order the completion and
+        admitted (``ready <= now``), whatever order the completion and
         this step were set up in."""
         now = self._loop.now
-        ingress = self._ingress
-        if ingress:
-            admit = self.core.add_transaction
-            while ingress and ingress[0][0] <= now:
-                admit(ingress.popleft()[1])
+        self.ingress.admit(now)
         driver = self._driver
         step = driver.step(now)
         for block in step.proposed:
@@ -666,7 +757,7 @@ class SimValidator:
 
     def _on_propose_timer(self) -> None:
         self._driver.pacing_timer_fired()
-        if not self._down:
+        if not self.down:
             self._step()
 
     def _dispatch_own(self, block: Block) -> None:

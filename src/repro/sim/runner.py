@@ -32,7 +32,7 @@ from ..crypto.hashing import Digest
 from ..errors import ConfigError, SimulationError
 from ..runtime.wal import WriteAheadLog
 from ..statesync import GENESIS_STATE, RECOVER_MODES, chain_digest
-from .client import OpenLoopClient, reset_tx_ids
+from .client import ArrivalRouter
 from .events import EventLoop
 from .faults import FaultEvent, FaultSchedule, NodeBehavior, normalize_events
 from .latency import (
@@ -51,8 +51,6 @@ from .network import (
 )
 from .node import CpuConfig, SimValidator
 from ..obs.trace import NULL_TRACER, Tracer
-from ..transaction import Transaction
-
 
 
 class _Protocol(NamedTuple):
@@ -617,7 +615,7 @@ class Experiment:
     def __init__(self, config: ExperimentConfig) -> None:
         self.config = config
         self._loop = EventLoop()
-        self._metrics = ExperimentMetrics(warmup=config.warmup)
+        self._metrics = ExperimentMetrics(warmup=config.warmup, weight=config.batch_weight)
         self._total_order = _TotalOrder(self._metrics)
         # The epoch-0 committee: all provisioned validators, or — under
         # epoch reconfiguration — the initial subset (the rest are
@@ -664,7 +662,19 @@ class Experiment:
                     for authority in warm
                 }
         self.nodes = [self._make_node(i) for i in range(config.num_validators)]
-        self._clients = self._make_clients()
+        # A client inside every validator that is not crashed for good;
+        # while its validator is down, its arrivals go to the next live one.
+        live = [node.authority for node in self.nodes if not node.behavior.crashed]
+        self._router = ArrivalRouter(
+            self._loop,
+            self.nodes,
+            config.sim_tx_rate / len(live),
+            validators=live,
+            stop_at=config.duration,
+            metrics=self._metrics,
+            seed=config.seed,
+            tx_size_mix=config.tx_size_mix,
+        )
         if config.epoch_reconfig:
             # Per-epoch attribution: the observer's schedule drives the
             # metric marks (epoch 0 starts the clock at t=0).
@@ -798,53 +808,6 @@ class Experiment:
             stage_observer=authority == 0,
         )
 
-    def _make_clients(self) -> list[OpenLoopClient]:
-        cfg = self.config
-        live = [node for node in self.nodes if not node.behavior.crashed]
-        rate_per_validator = cfg.sim_tx_rate / len(live)
-        clients = []
-        for node in live:
-            # Under a fault schedule, submissions retarget away from
-            # down validators; the static case keeps the direct path.
-            submit = self._route_from(node.authority) if self._schedule else node.submit
-            clients.append(
-                OpenLoopClient(
-                    self._loop,
-                    submit,
-                    rate_per_validator,
-                    weight=cfg.batch_weight,
-                    stop_at=cfg.duration,
-                    on_submission=self._metrics.record_submission,
-                    # Structured seed: distinct (master seed, authority)
-                    # pairs never collide (an arithmetic mix like
-                    # seed * 1000 + authority does, past 1000
-                    # validators) and do not correlate across seeds.
-                    seed=(cfg.seed, node.authority),
-                    tx_size_mix=cfg.tx_size_mix,
-                )
-            )
-        return clients
-
-    def _route_from(self, preferred: int):
-        """A submission callback that prefers ``preferred`` but walks to
-        the next live validator while it is down (clients retarget away
-        from crashed/left/not-yet-joined validators)."""
-        nodes = self.nodes
-
-        def submit(tx: Transaction) -> None:
-            node = nodes[preferred]
-            if node.down:
-                for offset in range(1, len(nodes)):
-                    candidate = nodes[(preferred + offset) % len(nodes)]
-                    if not candidate.down:
-                        node = candidate
-                        break
-                else:
-                    return  # every validator is down: the tx is lost
-            node.submit(tx)
-
-        return submit
-
     # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------
@@ -856,14 +819,12 @@ class Experiment:
                 run recorded, and run the rest of :meth:`assert_safety`,
                 before reporting (Theorem 1).
         """
-        reset_tx_ids()
         try:
             for event in self._schedule:
                 self._loop.schedule_at(event.time, self._apply_fault_event, event)
             for node in self.nodes:
                 node.start()  # no-op for validators that are down at t=0
-            for client in self._clients:
-                client.start()
+            self._router.start()
             self._loop.run_until(self.config.duration, max_events=200_000_000)
             if check_safety:
                 self.assert_safety()

@@ -11,12 +11,18 @@ the proposer (or sliced out of the received frame after a structural
 walk of the length prefixes) and spliced as they are into the block's
 digest, every peer frame and every WAL record.  ``Transaction`` objects
 are built only when a consumer iterates the batch.
+
+The simulator's blocks carry a :class:`TransactionSlice` instead: a
+stretch of one validator's ingress columns (ids and arrival times), so a
+simulated transaction is never an object unless something iterates it,
+and the section encodes in one bulk pack.
 """
 
 from __future__ import annotations
 
 import struct
 from collections.abc import Iterator, Sequence
+from itertools import repeat
 from typing import NamedTuple
 
 from .errors import ReproError
@@ -103,8 +109,8 @@ class TransactionBatch(Sequence):
     ``Sequence`` mixins built on indexing (``reversed``, ``index``, an
     index loop) are quadratic, and hashing a batch-backed ``Block``
     decodes its transactions: they exist so a batch is a drop-in for
-    the tuple that simulator and hand-built blocks carry, to which it
-    is equal and like which it hashes.
+    the tuple that hand-built blocks carry, to which it is equal and
+    like which it hashes.
     """
 
     __slots__ = ("wire", "_count")
@@ -167,11 +173,82 @@ class TransactionBatch(Sequence):
         return hash(tuple(self))
 
 
+class TransactionSlice(Sequence):
+    """An immutable sequence of transactions held as columns.
+
+    The transaction section of a simulated block: the stretch of its
+    proposer's ingress a proposal took, as parallel lists — ``ids``,
+    the ``times`` each transaction arrived (its ``submitted_at``) and,
+    on mixed-size runs, their ``sizes`` (``size_hint``).  Every entry
+    stands for ``Transaction(id, time, b"", size)``, except that an
+    entry submitted as an object (a reconfiguration command, a test's
+    transaction) is that object, in ``ids``.
+
+    Like :class:`TransactionBatch` it equals, and hashes like, the
+    tuple of transactions it stands for (each one built on demand; so
+    do indexing and ``hash()``, which build them all), and
+    :attr:`wire` is that tuple's encoding — packed in one call when
+    there is no object entry.
+    """
+
+    __slots__ = ("ids", "times", "sizes", "objects", "books")
+
+    def __init__(self, ids: list, times: list, sizes: list | None = None, objects: int = 0):
+        self.ids = ids
+        self.times = times
+        self.sizes = sizes
+        #: How many entries of ``ids`` are ``Transaction`` objects.
+        self.objects = objects
+        #: Whatever an observer records about this section (the
+        #: simulator's metrics keep their per-section record here); no
+        #: part of its value.
+        self.books = None
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    def __iter__(self) -> Iterator[Transaction]:
+        sizes = self.sizes
+        if not self.objects:
+            if sizes is None:
+                return map(Transaction, self.ids, self.times)
+            return map(Transaction, self.ids, self.times, repeat(b""), sizes)
+        return (
+            entry if type(entry) is Transaction else Transaction(entry, time, b"", size)
+            for entry, time, size in zip(self.ids, self.times, sizes or repeat(None))
+        )
+
+    def __getitem__(self, index):
+        return tuple(self)[index]
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, (tuple, TransactionSlice, TransactionBatch)):
+            return tuple(self) == tuple(other)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(tuple(self))
+
+    @property
+    def wire(self) -> bytes:
+        """The count-prefixed encoding, as :func:`encode_transactions`
+        emits it for the tuple (built on every call, never kept)."""
+        count = len(self.ids)
+        if self.objects:
+            return b"".join([_COUNT.pack(count), *(tx.encode() for tx in self)])
+        # Every entry is (id, time, payload length 0) and no payload.
+        fields = [0] * (3 * count)
+        fields[0::3] = self.ids
+        fields[1::3] = self.times
+        return struct.pack("<I" + "QdI" * count, count, *fields)
+
+
 def encode_transactions(transactions: Sequence[Transaction]) -> bytes:
     """Serialize a sequence of transactions with a count prefix (a
-    :class:`TransactionBatch` already is that: its bytes are returned
-    as they are — the one place a batch and a tuple are told apart)."""
-    if isinstance(transactions, TransactionBatch):
+    :class:`TransactionSlice` packs itself, and a
+    :class:`TransactionBatch` already is that encoding: its bytes are
+    returned as they are)."""
+    if isinstance(transactions, (TransactionSlice, TransactionBatch)):
         return transactions.wire
     parts = [_COUNT.pack(len(transactions))]
     parts.extend(tx.encode() for tx in transactions)

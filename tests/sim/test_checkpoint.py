@@ -9,7 +9,7 @@ from repro.sim.faults import FaultEvent
 from repro.sim.node import CpuConfig, replay_cost
 from repro.sim.runner import Experiment, ExperimentConfig
 from repro.statesync import CheckpointVotes, WalReplay, replay_wal
-from tests.helpers import result_hash
+from tests.helpers import masked_result_hash, result_hash
 from tests.statesync.test_checkpoint import make_checkpoint
 
 
@@ -157,14 +157,14 @@ class TestCheckpointRecovery:
         assert result.recoveries == 1
 
     @pytest.mark.parametrize(
-        "protocol, pinned",
+        "protocol, pinned, masked",
         [
-            ("tusk", "6c14325ee9554209"),
-            ("cordial-miners", "d9016eaccbeb5cca"),
-            ("mahi-mahi-5", "5947fd5cb6e5711f"),
+            ("tusk", "223e274ad338e007", "741c45f3ad2fdf64"),
+            ("cordial-miners", "11ea3bf664037f20", "04382843e4aae397"),
+            ("mahi-mahi-5", "c5d5dc2f540eeb5f", "9f03d5cd3ef90505"),
         ],
     )
-    def test_adoption_run_is_pinned_for_every_sequencer_user(self, protocol, pinned):
+    def test_adoption_run_is_pinned_for_every_sequencer_user(self, protocol, pinned, masked):
         """One crash-then-checkpoint-recovery past the GC horizon drives
         the shared ``adopt_checkpoint`` / capture path under each
         protocol's decision rule; the hashes were taken before Tusk's
@@ -174,7 +174,12 @@ class TestCheckpointRecovery:
         hashes are the PR 15 runs' (old -> new and the proof in CHANGES.md).
         ``mahi-mahi-5`` re-pinned once more, in PR 24: ``events_processed``
         grew by the nine retry timers the one synchronizer armed
-        (27,717 -> 27,726), everything else equal."""
+        (27,717 -> 27,726), everything else equal.  ``masked`` is the
+        hash with ``events_processed`` set aside, which a change to how
+        the simulator schedules its work leaves where it is; the full
+        hashes moved again when client arrivals stopped being events
+        (tusk 41,908 -> 28,905, cordial-miners 27,677 -> 14,674,
+        mahi-mahi-5 27,726 -> 14,723)."""
         config = ExperimentConfig(
             protocol=protocol,
             num_validators=10,
@@ -190,7 +195,7 @@ class TestCheckpointRecovery:
         result = Experiment(config).run()
         assert result.checkpoint_adoptions == 1
         assert result.recoveries == 1
-        assert result_hash(result) == pinned
+        assert (result_hash(result), masked_result_hash(result)) == (pinned, masked)
 
     def test_checkpoints_identical_across_validators(self):
         config = recovery_config("checkpoint", gc_depth=20, sync_chunk_blocks=4096)

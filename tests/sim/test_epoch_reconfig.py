@@ -22,7 +22,7 @@ from repro.sim.faults import FaultEvent
 from repro.sim.runner import Experiment, ExperimentConfig
 from repro.statesync import Checkpoint, GENESIS_STATE
 from repro.transaction import Transaction
-from tests.helpers import result_hash
+from tests.helpers import masked_result_hash, result_hash
 
 
 def make_epoch_config(**overrides) -> ExperimentConfig:
@@ -315,14 +315,14 @@ class TestEpochRuns:
         assert result.epoch_summary[1]["latency_avg_s"] > 0
 
     @pytest.mark.parametrize(
-        "protocol, pinned",
+        "protocol, pinned, masked",
         [
-            ("tusk", "a2ebb2bcfebe4fdb"),
-            ("cordial-miners", "756cd95e0938613d"),
-            ("mahi-mahi-5", "02e029a8b2ac766e"),
+            ("tusk", "9b604268ebd3da66", "25ada906504e13b1"),
+            ("cordial-miners", "826068450f5695fc", "d0b89daa63ce2a84"),
+            ("mahi-mahi-5", "6d963c9160b1d4d3", "15f6b3cf63075b50"),
         ],
     )
-    def test_resize_run_is_pinned_for_every_sequencer_user(self, protocol, pinned):
+    def test_resize_run_is_pinned_for_every_sequencer_user(self, protocol, pinned, masked):
         """A join then a leave drive the shared ``_apply_reconfig``
         (scan, activation, round-scoped invalidation, walk restart)
         under each protocol's decision rule; the hashes were taken
@@ -333,7 +333,12 @@ class TestEpochRuns:
         ``cordial-miners`` and ``mahi-mahi-5`` re-pinned once more, in
         PR 24: ``events_processed`` grew by the retry timers the one
         synchronizer armed (11,053 -> 11,056 and 11,001 -> 11,005),
-        everything else equal."""
+        everything else equal.  ``masked`` is the hash with
+        ``events_processed`` set aside, which a change to how the
+        simulator schedules its work leaves where it is; the full hashes
+        moved again when client arrivals stopped being events (tusk
+        13,311 -> 5,212, cordial-miners 11,056 -> 2,957, mahi-mahi-5
+        11,005 -> 2,906)."""
         config = make_epoch_config(
             protocol=protocol,
             fault_schedule=(FaultEvent(1.5, 5, "join"), FaultEvent(5.0, 1, "leave")),
@@ -341,4 +346,4 @@ class TestEpochRuns:
         result = Experiment(config).run()
         assert result.epoch_transitions == 2
         assert [row["size"] for row in result.epoch_summary] == [5, 6, 5]
-        assert result_hash(result) == pinned
+        assert (result_hash(result), masked_result_hash(result)) == (pinned, masked)

@@ -1,17 +1,16 @@
-"""Tests for the discrete-event loop."""
+"""Tests for the discrete-event loop and its arrival router seam."""
 
-import heapq
-from functools import partial
 from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.errors import SimulationError
-from repro.sim import runner
 from repro.sim.events import EventLoop
+from repro.sim.faults import FaultEvent
+from repro.sim.node import Ingress
 from repro.sim.runner import Experiment, ExperimentConfig
-from tests.sim.test_tx_path import SCENARIOS
+from tests.sim.test_tx_path import SCENARIOS, TimerIngressValidator, outcome, run_oracle
 
 
 class TestScheduling:
@@ -100,223 +99,166 @@ class TestScheduling:
 
 
 # ----------------------------------------------------------------------
-# The oracle: the loop as it was before arrival batches became runs
+# The router seam
 # ----------------------------------------------------------------------
-class HeapEventLoop:
-    """Every event, batch times included, one entry of one heap."""
+class ScriptedRouter:
+    """Arrivals given as ``(time, sequence)`` pairs; routing one logs it
+    with the loop's clock."""
 
-    __slots__ = ("_now", "_sequence", "_heap", "_events_processed")
+    def __init__(self, loop: EventLoop, arrivals, log: list) -> None:
+        self._loop = loop
+        self._pending = sorted(arrivals)
+        self._log = log
+        self.next_at = self._pending[0][0] if self._pending else float("inf")
 
-    def __init__(self) -> None:
-        self._now = 0.0
-        self._sequence = 0
-        self._heap = []
-        self._events_processed = 0
-
-    @property
-    def now(self) -> float:
-        return self._now
-
-    @property
-    def events_processed(self) -> int:
-        return self._events_processed
-
-    def schedule(self, delay, callback, *args) -> None:
-        if delay < 0:
-            raise SimulationError(f"cannot schedule into the past (delay={delay})")
-        heapq.heappush(self._heap, (self._now + delay, self._sequence, callback, args))
-        self._sequence += 1
-
-    def schedule_at(self, when, callback, *args) -> None:
-        if when < self._now:
-            when = self._now
-        heapq.heappush(self._heap, (when, self._sequence, callback, args))
-        self._sequence += 1
-
-    def schedule_batch(self, times, callback) -> None:
-        for when in times:
-            self.schedule_at(when, callback)
-
-    def run_until(self, deadline, *, max_events=None) -> None:
-        budget = max_events if max_events is not None else float("inf")
-        heap = self._heap
-        processed = self._events_processed
-        try:
-            while heap and heap[0][0] <= deadline:
-                if processed >= budget:
-                    raise SimulationError(
-                        f"event budget exhausted ({max_events} events before t={deadline})"
-                    )
-                when, _, callback, args = heapq.heappop(heap)
-                self._now = when
-                processed += 1
-                callback(*args)
-        finally:
-            self._events_processed = processed
-        if self._now < deadline:
-            self._now = deadline
-
-    def run_to_completion(self, *, max_events=10_000_000) -> None:
-        heap = self._heap
-        processed = self._events_processed
-        try:
-            while heap:
-                if processed >= max_events:
-                    raise SimulationError(f"event budget exhausted ({max_events} events)")
-                when, _, callback, args = heapq.heappop(heap)
-                self._now = when
-                processed += 1
-                callback(*args)
-        finally:
-            self._events_processed = processed
-
-    def pending(self) -> int:
-        return len(self._heap)
-
-    def clear(self) -> None:
-        self._heap.clear()
+    def route(self, until: float, sequence: float) -> None:
+        while self._pending and self._pending[0] < (until, sequence):
+            when, _ = self._pending.pop(0)
+            self._loop._now = when
+            self._log.append(("arrival", when))
+        self.next_at = self._pending[0][0] if self._pending else float("inf")
 
 
-# ----------------------------------------------------------------------
-# Runs: the merged loop against the heap, event for event
-# ----------------------------------------------------------------------
-class TestRuns:
-    def test_a_batch_is_one_run_not_a_heap_entry_per_time(self):
+class TestRouterSeam:
+    def test_arrivals_are_routed_in_time_and_sequence_order_between_heap_events(self):
         loop = EventLoop()
-        loop.schedule_batch([0.1, 0.2, 0.3], lambda: None)
-        assert loop._heap == [] and len(loop._runs) == 1
-        assert loop.pending() == 3
-        loop.run_until(0.15)
-        assert loop.pending() == 2 and loop.events_processed == 1
-
-    def test_a_descending_batch_is_refused(self):
-        loop = EventLoop()
-        with pytest.raises(SimulationError, match="ascending"):
-            loop.schedule_batch([0.2, 0.1], lambda: None)
-        assert loop.pending() == 0
-
-    def test_an_empty_batch_schedules_nothing(self):
-        loop = EventLoop()
-        loop.schedule_batch([], lambda: None)
-        loop.schedule(0.5, lambda: None)
-        assert loop.pending() == 1
-
-    def test_each_entry_runs_at_its_own_instant_between_heap_events(self):
-        loop = EventLoop()
-        seen = []
-        loop.schedule_at(0.2, lambda: seen.append(("heap", loop.now)))
-        loop.schedule_batch([0.1, 0.2, 0.3], lambda: seen.append(("run", loop.now)))
-        loop.schedule_at(0.2, lambda: seen.append(("late", loop.now)))
+        log = []
+        loop.schedule_at(0.5, lambda: log.append(("heap", loop.now)))
+        drawn = loop.next_sequence()  # a batch drawn between the two events
+        loop.schedule_at(0.5, lambda: log.append(("late", loop.now)))
+        loop.router = ScriptedRouter(loop, [(0.25, drawn), (0.5, drawn), (0.75, drawn)], log)
         loop.run_to_completion()
-        # Ties by scheduling order: the earlier heap event, the run, the later one.
-        assert seen == [("run", 0.1), ("heap", 0.2), ("run", 0.2), ("late", 0.2), ("run", 0.3)]
-        assert loop.events_processed == 5
+        # Ties by sequence: the earlier heap event, the arrival, the later one.
+        assert log == [
+            ("arrival", 0.25), ("heap", 0.5), ("arrival", 0.5), ("late", 0.5), ("arrival", 0.75),
+        ]
+        assert loop.events_processed == 2 and loop.pending() == 0
 
-    def test_the_budget_runs_out_in_the_middle_of_a_run(self):
+    def test_run_until_routes_up_to_its_deadline_without_heap_events(self):
         loop = EventLoop()
-        seen = []
-        loop.schedule_batch([1.0, 2.0, 3.0, 4.0], lambda: seen.append(loop.now))
+        log = []
+        loop.router = ScriptedRouter(loop, [(0.5, 0), (1.0, 0), (1.5, 0)], log)
+        loop.run_until(1.0)
+        assert log == [("arrival", 0.5), ("arrival", 1.0)] and loop.now == 1.0
+        loop.schedule_at(3.0, lambda: None)
+        loop.run_until(2.0)
+        assert log[-1] == ("arrival", 1.5) and loop.now == 2.0 and loop.pending() == 1
+
+    def test_arrivals_spend_no_event_budget(self):
+        loop = EventLoop()
+        log = []
+        loop.router = ScriptedRouter(loop, [(t / 10, 0) for t in range(1, 10)], log)
+        for when in (0.35, 0.65):
+            loop.schedule_at(when, lambda: log.append(("heap", loop.now)))
         with pytest.raises(SimulationError, match="budget"):
-            loop.run_until(10.0, max_events=2)
-        assert seen == [1.0, 2.0] and loop.now == 2.0
-        assert loop.events_processed == 2 and loop.pending() == 2
-        loop.run_to_completion()
-        assert seen == [1.0, 2.0, 3.0, 4.0] and loop.pending() == 0
+            loop.run_until(1.0, max_events=1)
+        # The arrivals before the second heap event went, it did not.
+        assert log[-1] == ("arrival", 0.6) and loop.events_processed == 1
 
-    def test_clear_drops_runs(self):
+    def test_a_sequence_kept_off_the_heap_sorts_like_a_scheduled_entry(self):
         loop = EventLoop()
-        loop.schedule_batch([0.1, 0.2], lambda: None)
-        loop.schedule(0.1, lambda: None)
-        loop.clear()
-        assert loop.pending() == 0
+        log = []
+        loop.schedule_at(1.0, lambda: log.append(("heap", loop.now)))
+        loop.router = ScriptedRouter(loop, [(1.0, loop.next_sequence())], log)
+        loop.schedule(1.0, lambda: log.append(("later", loop.now)))
         loop.run_to_completion()
-        assert loop.events_processed == 0
+        assert log == [("heap", 1.0), ("arrival", 1.0), ("later", 1.0)]
+
+    def test_pending_counts_heap_events_only(self):
+        loop = EventLoop()
+        loop.router = ScriptedRouter(loop, [(0.5, 0), (0.6, 0)], [])
+        loop.schedule(0.7, lambda: None)
+        assert loop.pending() == 1
+        loop.run_until(0.55)
+        assert loop.pending() == 1 and loop.events_processed == 0
+
+    def test_clear_drops_the_router(self):
+        loop = EventLoop()
+        loop.router = ScriptedRouter(loop, [(0.5, 0)], [])
+        loop.clear()
+        assert loop.router is None
+        loop.run_to_completion()
+        assert loop.now == 0.0
 
 
-#: A small grid, so that equal times across runs and the heap are common.
-TIMES = st.sampled_from([0.0, 0.25, 0.5, 1.0, 1.5, 2.0])
-#: What a callback schedules when it fires, relative to ``now`` (a
-#: negative offset is clamped to ``now``).
-SPAWNS = st.one_of(
-    st.none(),
-    st.tuples(st.just("schedule"), st.sampled_from([0.0, 0.25, 1.0])),
-    st.tuples(st.just("schedule_at"), st.sampled_from([-0.5, 0.0, 0.5])),
-    st.tuples(
-        st.just("batch"),
-        st.lists(st.sampled_from([-0.5, 0.0, 0.0, 0.25, 1.0]), max_size=4).map(sorted),
-    ),
-)
-STEPS = st.one_of(
-    st.tuples(st.just("schedule"), TIMES, SPAWNS),
-    st.tuples(st.just("schedule_at"), TIMES, SPAWNS),
-    st.tuples(st.just("batch"), st.lists(TIMES, max_size=5).map(sorted), SPAWNS),
-    st.tuples(st.just("run_until"), TIMES, st.one_of(st.none(), st.integers(0, 6))),
-)
+@st.composite
+def fault_programs(draw):
+    """An experiment under random crashes and restarts (within the fault
+    budget), partitions and slow factors."""
+    n = draw(st.sampled_from([4, 7]))
+    others = st.integers(1, n - 1)
+    times = st.floats(min_value=0.0, max_value=1.2)
+    events = []
+    crashing = draw(st.lists(others, unique=True, max_size=(n - 1) // 3))
+    for validator in crashing:
+        crash = draw(times)
+        events.append(FaultEvent(crash, validator, "crash"))
+        if draw(st.booleans()):
+            back = crash + draw(st.floats(min_value=0.01, max_value=0.5))
+            events.append(FaultEvent(back, validator, "recover"))
+    # (A partition needs its validator up.)
+    up = st.sampled_from([v for v in range(1, n) if v not in crashing])
+    for validator in draw(st.lists(up, unique=True, max_size=2)):
+        cut = draw(times)
+        events.append(FaultEvent(cut, validator, "partition", group="island"))
+        if draw(st.booleans()):
+            events.append(FaultEvent(cut + draw(st.floats(0.01, 0.5)), validator, "heal"))
+    for validator in draw(st.lists(others, unique=True, max_size=2)):
+        scale = draw(st.sampled_from([1.0, 2.0, 8.0]))
+        events.append(FaultEvent(draw(times), validator, "straggle", scale=scale))
+    return ExperimentConfig(
+        protocol=draw(st.sampled_from(["mahi-mahi-5", "cordial-miners", "tusk"])),
+        num_validators=n,
+        load_tps=3_000.0,
+        duration=1.6,
+        warmup=0.2,
+        model_cpu=draw(st.booleans()),
+        fault_schedule=tuple(events),
+        seed=draw(st.integers(0, 2**16)),
+    )
 
 
-def execute(loop, program) -> list:
-    """Run ``program`` on ``loop``: every callback's ``(tag, now)``, and
-    after every drain ``now``, ``events_processed`` and ``pending()``."""
-    trace = []
-
-    def fire(tag, spawn):
-        trace.append((tag, loop.now))
-        if spawn is None:
-            return
-        kind, arg = spawn
-        child = partial(fire, tag + "'", None)
-        if kind == "schedule":
-            loop.schedule(arg, child)
-        elif kind == "schedule_at":
-            loop.schedule_at(loop.now + arg, child)
-        else:
-            loop.schedule_batch([loop.now + offset for offset in arg], child)
-
-    for index, (kind, arg, extra) in enumerate(program):
-        if kind == "run_until":
-            budget = None if extra is None else loop.events_processed + extra
-            try:
-                loop.run_until(arg, max_events=budget)
-            except SimulationError:
-                trace.append("exhausted")
-            trace.append((loop.now, loop.events_processed, loop.pending()))
-            continue
-        callback = partial(fire, str(index), extra)
-        if kind == "schedule":
-            loop.schedule(arg, callback)
-        elif kind == "schedule_at":
-            loop.schedule_at(arg, callback)
-        else:
-            loop.schedule_batch(list(arg), callback)
-    loop.run_to_completion()
-    trace.append((loop.now, loop.events_processed, loop.pending()))
-    return trace
+@settings(max_examples=25, deadline=None)
+@given(config=fault_programs())
+def test_the_router_routes_every_arrival_as_the_per_arrival_clients_did(config):
+    """The same ``(tx id, instant, validator, ready time)`` for every
+    submission — retargeted around down validators, priced at the slow
+    factor in force — as one heap event per arrival, and the same run."""
+    oracle, oracle_result, _ = run_oracle(config)
+    experiment, result, routed = routed_arrivals(config)
+    assert routed == TimerIngressValidator.trace and routed
+    assert outcome(experiment, result) == outcome(oracle, oracle_result)
 
 
-@settings(max_examples=300, deadline=None)
-@given(program=st.lists(STEPS, max_size=25))
-def test_the_merged_loop_is_the_heap_event_for_event(program):
-    """The same callbacks at the same instants in the same order, the
-    same ``events_processed`` and the same ``pending()`` after every
-    drain — budget exhaustion included — for programs mixing single
-    events, batches (empty, clamped, sharing times with each other and
-    with the heap) and callbacks that schedule more at ``now``."""
-    assert execute(EventLoop(), program) == execute(HeapEventLoop(), program)
+def routed_arrivals(config: ExperimentConfig):
+    """``(experiment, result, every routed arrival's (tx id, instant,
+    validator, ready time))`` of one run."""
+    routed = []
+    arrive = Ingress.arrive
+
+    def recording(self, entry, now, size=None):
+        arrive(self, entry, now, size)
+        tx_id = entry if type(entry) is int else entry.tx_id
+        routed.append((tx_id, now, self._authority, self.ready[-1]))
+
+    with mock.patch.object(Ingress, "arrive", recording):
+        experiment = Experiment(config)
+        result = experiment.run()
+    return experiment, result, routed
 
 
 @pytest.mark.parametrize("scenario", SCENARIOS)
 @pytest.mark.parametrize("protocol", ["mahi-mahi-5", "mahi-mahi-4", "cordial-miners", "tusk"])
-def test_an_experiment_on_the_merged_loop_is_byte_identical(protocol, scenario):
-    """Whole experiments: the same ``repr(result)`` — ``events_processed``
-    included — and the same registry snapshot as on the heap-only loop."""
+def test_every_scenario_routes_as_the_per_arrival_clients_did(protocol, scenario):
+    """The fixed scenarios (restarts in every mode, an epoch join and
+    leave, equivocation, a size mix, no CPU model, an overloaded ingress)
+    under another seed: every submission as the per-arrival clients
+    made it, and the same run."""
     fields = dict(protocol=protocol, num_validators=4, load_tps=1_500.0, duration=4.0, warmup=0.4)
     fields.update(SCENARIOS[scenario])
     config = ExperimentConfig(seed=11, **fields)
-    outcomes = []
-    for loop in (HeapEventLoop, EventLoop):
-        with mock.patch.object(runner, "EventLoop", loop):
-            experiment = Experiment(config)
-        result = experiment.run()
-        outcomes.append((repr(result), experiment._metrics.registry.snapshot()))
-    assert outcomes[0] == outcomes[1]
-    assert result.blocks_committed > 0 and result.events_processed > 0
+    oracle, oracle_result, _ = run_oracle(config)
+    experiment, result, routed = routed_arrivals(config)
+    assert routed == TimerIngressValidator.trace and routed
+    assert outcome(experiment, result) == outcome(oracle, oracle_result)
+    assert result.blocks_committed > 0

@@ -1,10 +1,11 @@
-"""Tests for metrics collection and the open-loop client."""
+"""Tests for metrics collection and the open-loop clients' router."""
 
 import math
+import random
 
 import pytest
 
-from repro.sim.client import OpenLoopClient, reset_tx_ids
+from repro.sim.client import ArrivalRouter
 from repro.sim.events import EventLoop
 from repro.sim.metrics import ExperimentMetrics
 from repro.transaction import Transaction
@@ -119,103 +120,130 @@ class TestWeightedPercentile:
         assert ExperimentMetrics._weighted_percentile(ordered, 0.3 + 1e-9, 1.0) == 2.0
 
 
-class TestOpenLoopClient:
+class Validator:
+    """A validator as the router sees it: a liveness flag and an ingress
+    that keeps ``(tx id, time, size)`` of each arrival, and what the
+    loop's clock read when it came."""
+
+    def __init__(self, loop: EventLoop) -> None:
+        self.down = False
+        self.ingress = self
+        self.arrivals = []
+        self.clock = []
+        self._loop = loop
+
+    def arrive(self, tx_id, now, size=None) -> None:
+        self.arrivals.append((tx_id, now, size))
+        self.clock.append(self._loop.now)
+
+
+def router(rate, *, count=1, until=1.0, **kwargs):
+    """``(metrics, validators)`` after running a router over ``count``
+    validators (a client in each, unless ``validators`` says otherwise)
+    until ``until``."""
+    loop = EventLoop()
+    nodes = [Validator(loop) for _ in range(count)]
+    metrics = ExperimentMetrics()
+    kwargs.setdefault("validators", list(range(count)))
+    ArrivalRouter(loop, nodes, rate, metrics=metrics, **kwargs).start()
+    loop.run_until(until)
+    return metrics, nodes
+
+
+def arrivals(nodes):
+    return sorted(arrival for node in nodes for arrival in node.arrivals)
+
+
+class TestArrivalRouter:
     def test_average_rate(self):
-        reset_tx_ids()
-        loop = EventLoop()
-        received = []
-        client = OpenLoopClient(loop, received.append, rate=100.0, seed=1)
-        client.start()
-        loop.run_until(10.0)
-        assert client.submitted == len(received)
-        assert 800 <= client.submitted <= 1200  # ~1000 +- Poisson noise
+        metrics, nodes = router(100.0, seed=1, until=10.0)
+        assert metrics.submitted == len(nodes[0].arrivals)
+        assert 800 <= metrics.submitted <= 1200  # ~1000 +- Poisson noise
 
     def test_stop_at(self):
-        reset_tx_ids()
-        loop = EventLoop()
-        received = []
-        client = OpenLoopClient(loop, received.append, rate=100.0, stop_at=2.0, seed=1)
-        client.start()
-        loop.run_until(10.0)
-        assert all(tx.submitted_at <= 2.0 for tx in received)
+        _, nodes = router(100.0, stop_at=2.0, seed=1, until=10.0)
+        assert nodes[0].arrivals and all(now < 2.0 for _, now, _ in nodes[0].arrivals)
 
     def test_zero_rate_never_submits(self):
-        loop = EventLoop()
-        client = OpenLoopClient(loop, lambda tx: None, rate=0.0)
-        client.start()
-        loop.run_until(5.0)
-        assert client.submitted == 0
+        metrics, nodes = router(0.0, until=5.0)
+        assert metrics.submitted == 0 and nodes[0].arrivals == []
 
-    def test_submission_hook_sees_weight(self):
-        reset_tx_ids()
-        loop = EventLoop()
-        seen = []
-        client = OpenLoopClient(
-            loop,
-            lambda tx: None,
-            rate=10.0,
-            weight=50.0,
-            on_submission=lambda tx_id, t, w: seen.append((tx_id, w)),
-            seed=2,
-        )
-        client.start()
-        loop.run_until(1.0)
-        assert seen and all(w == 50.0 for _, w in seen)
+    def test_the_metrics_count_every_submission(self):
+        metrics, nodes = router(50.0, count=3, until=2.0)
+        assert metrics.submitted == len(arrivals(nodes)) > 0
+        assert metrics.pending == metrics.submitted
 
-    def test_tx_ids_unique_across_clients(self):
-        reset_tx_ids()
+    def test_ids_are_numbered_from_one_in_arrival_order_across_clients(self):
+        """Each experiment numbers its own transactions: a second router
+        starts at 1 again."""
+        for _ in range(2):
+            _, nodes = router(50.0, count=3, until=2.0)
+            routed = sorted(arrivals(nodes), key=lambda arrival: arrival[1])
+            assert [tx_id for tx_id, _, _ in routed] == list(range(1, len(routed) + 1))
+
+    def test_each_arrival_is_routed_at_its_own_instant(self):
+        _, nodes = router(200.0, count=2, until=1.0)
+        for node in nodes:
+            assert node.clock == [now for _, now, _ in node.arrivals]
+
+    def test_an_arrival_tied_with_heap_events_sorts_by_when_its_batch_was_drawn(self):
+        """A constructed exact tie: two heap events at the instant of the
+        first arrival, one scheduled before the batch was drawn and one
+        after.  The arrival routes between them, as its own heap entry
+        would have run."""
         loop = EventLoop()
-        received = []
-        for seed in range(3):
-            OpenLoopClient(loop, received.append, rate=50.0, seed=seed).start()
-        loop.run_until(2.0)
-        ids = [tx.tx_id for tx in received]
-        assert len(ids) == len(set(ids))
+        node = Validator(loop)
+        first = random.Random(repr(("client", (3, 0)))).expovariate(1.0 / (1.0 / 10.0))
+        order = []
+        node.arrive = lambda tx_id, now, size=None: order.append(("arrival", now))
+        metrics = ExperimentMetrics()
+        clients = ArrivalRouter(loop, [node], 10.0, validators=[0], metrics=metrics, seed=3)
+        loop.schedule_at(first, lambda: order.append(("before", loop.now)))
+        clients.start()
+        loop.schedule_at(first, lambda: order.append(("after", loop.now)))
+        loop.run_until(first)
+        assert order == [("before", first), ("arrival", first), ("after", first)]
 
     def test_structured_seeds_do_not_collide(self):
-        """Regression: the harness derives client seeds as
-        (master_seed, authority) tuples.  The old arithmetic derivation
-        seed * 1000 + authority collides for e.g. (1, 1500) and
-        (2, 500); the structured form must not."""
+        """Regression: client ``v`` of an experiment seeded ``s`` draws
+        from ``(s, v)``.  The old arithmetic derivation s * 1000 + v
+        collides for e.g. (1, 1500) and (2, 500); the structured form
+        must not."""
 
-        def arrivals(seed):
-            reset_tx_ids()
-            loop = EventLoop()
-            received = []
-            OpenLoopClient(loop, received.append, rate=100.0, seed=seed).start()
-            loop.run_until(1.0)
-            return [tx.submitted_at for tx in received]
+        def times(seed, validator):
+            _, nodes = router(100.0, count=1501, validators=[validator], seed=seed)
+            return [now for _, now, _ in nodes[validator].arrivals]
 
         assert 1 * 1000 + 1500 == 2 * 1000 + 500  # the old collision
-        assert arrivals((1, 1500)) != arrivals((2, 500))
+        assert times(1, 1500) != times(2, 500)
         # And identical structured seeds still replay identically.
-        assert arrivals((1, 1500)) == arrivals((1, 1500))
+        assert times(1, 1500) == times(1, 1500)
 
     def test_tx_size_mix_samples_hints(self):
-        reset_tx_ids()
-        loop = EventLoop()
-        received = []
-        client = OpenLoopClient(
-            loop,
-            received.append,
-            rate=500.0,
-            seed=3,
-            tx_size_mix=((128, 0.8), (4096, 0.2)),
-        )
-        client.start()
-        loop.run_until(2.0)
-        sizes = {tx.size_hint for tx in received}
-        assert sizes == {128, 4096}
-        small = sum(1 for tx in received if tx.size_hint == 128)
-        assert 0.6 < small / len(received) < 0.95  # ~80%
+        _, nodes = router(500.0, seed=3, tx_size_mix=((128, 0.8), (4096, 0.2)), until=2.0)
+        sizes = [size for _, _, size in nodes[0].arrivals]
+        assert set(sizes) == {128, 4096}
+        assert 0.6 < sizes.count(128) / len(sizes) < 0.95  # ~80%
 
     def test_uniform_clients_leave_hint_unset(self):
-        reset_tx_ids()
+        _, nodes = router(100.0, seed=3)
+        assert nodes[0].arrivals and all(size is None for _, _, size in nodes[0].arrivals)
+
+    def test_a_down_validators_clients_go_to_the_next_live_one(self):
+        """Client 1 walks past down validators 1 and 2 to 3; with every
+        validator down its transactions are lost, and still counted."""
         loop = EventLoop()
-        received = []
-        OpenLoopClient(loop, received.append, rate=100.0, seed=3).start()
+        nodes = [Validator(loop) for _ in range(4)]
+        metrics = ExperimentMetrics()
+        clients = ArrivalRouter(loop, nodes, 100.0, validators=[1], metrics=metrics)
+        nodes[1].down = nodes[2].down = True
+        clients.start()
         loop.run_until(1.0)
-        assert received and all(tx.size_hint is None for tx in received)
+        assert nodes[3].arrivals and not any(node.arrivals for node in nodes[:3])
+        for node in nodes:
+            node.down = True
+        loop.run_until(2.0)
+        assert metrics.submitted > len(nodes[3].arrivals)
 
 
 class TestRecoveryMetrics:

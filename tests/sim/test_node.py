@@ -527,7 +527,7 @@ class TestWireSizes:
         blocks = tuple(suffix(source)[-3:])  # four parents each, no transactions
         refs = tuple(block.reference for block in blocks)
         for tx_id in (1, 2):
-            nodes[1].core.add_transaction(Transaction.dummy(tx_id))
+            nodes[1].submit(Transaction.dummy(tx_id))  # no CPU model: no stage
         loaded = nodes[1].core.maybe_propose()
         assert len(loaded.parents) == 4 and len(loaded.transactions) == 2
         empty = 150 + 44 * 4

@@ -2,12 +2,12 @@
 
 While it runs, an experiment is a knot of reference cycles: validator
 <-> driver port, validator <-> the network's delivery callbacks,
-validators and clients <-> the event heap, validator -> restart factory
--> experiment.  A dead n = 50 experiment is ~10 MB that used to wait for
-a full collection; ``Experiment.run()`` now unties the knot on its way
-out, so dropping the last reference frees everything at once — with
-nothing the caller must remember to call, and with everything that is
-read after a run still readable.
+validators <-> the event heap, validators <-> the loop's arrival router,
+validator -> restart factory -> experiment.  A dead n = 50 experiment is
+~10 MB that used to wait for a full collection; ``Experiment.run()`` now
+unties the knot on its way out, so dropping the last reference frees
+everything at once — with nothing the caller must remember to call, and
+with everything that is read after a run still readable.
 """
 
 import gc
@@ -88,7 +88,7 @@ def test_finished_experiment_is_freed_when_dropped(name):
             assert result.checkpoint_adoptions == 1
         if name.startswith("epoch"):
             assert result.epoch_transitions == 1
-        # The validator, network and client classes are slotted (no
+        # The validator, network and router classes are slotted (no
         # weak references): an object only they hold stands for each.
         held = [
             weakref.ref(target)
@@ -100,7 +100,7 @@ def test_finished_experiment_is_freed_when_dropped(name):
                 observer._driver,
                 observer.behavior,
                 experiment._network._rng,
-                experiment._clients[0]._rng,
+                experiment._router._clients[0].rng,
             )
         ]
         del experiment, observer

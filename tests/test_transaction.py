@@ -1,15 +1,20 @@
 """Tests for :mod:`repro.transaction`."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from repro.block import Block, make_genesis
 from repro.errors import ReproError
 from repro.transaction import (
     DEFAULT_TX_SIZE,
     Transaction,
     TransactionBatch,
+    TransactionSlice,
     decode_transactions,
     encode_transactions,
 )
+
+from .test_properties import coin_shares, transactions
 
 
 class TestRoundtrip:
@@ -110,6 +115,75 @@ class TestBatch:
         lying[4 + 16 : 4 + 20] = (10_000).to_bytes(4, "little")  # first payload length
         with pytest.raises(ReproError):
             TransactionBatch.decode(bytes(lying))
+
+
+@st.composite
+def slices(draw):
+    """``(slice, the tuple of transactions it stands for)``: random ids,
+    arrival times, sizes (or none) and entries submitted as objects."""
+    count = draw(st.integers(0, 12))
+    column = lambda elements: st.lists(elements, min_size=count, max_size=count)  # noqa: E731
+    ids = draw(column(st.integers(0, 2**64 - 1)))
+    times = draw(column(st.floats(min_value=0, max_value=1e6, allow_nan=False)))
+    sizes = draw(st.one_of(st.none(), column(st.one_of(st.none(), st.integers(1, 2**20)))))
+    objects = draw(column(st.one_of(st.none(), transactions)))
+    entries = [entry if entry is not None else tx_id for entry, tx_id in zip(objects, ids)]
+    expected = tuple(
+        entry if entry is not None else Transaction(tx_id, time, b"", size)
+        for entry, tx_id, time, size in zip(objects, ids, times, sizes or [None] * count)
+    )
+    section = TransactionSlice(
+        entries, times, sizes, sum(entry is not None for entry in objects)
+    )
+    return section, expected
+
+
+class TestSlice:
+    """The column-backed transaction section of simulated blocks."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(pair=slices())
+    def test_is_the_tuple_it_stands_for(self, pair):
+        section, expected = pair
+        assert tuple(section) == expected and len(section) == len(expected)
+        assert section == expected and expected == section
+        assert hash(section) == hash(expected)
+        assert encode_transactions(section) == encode_transactions(expected)
+        as_objects = list(section)
+        as_times = [tx.submitted_at for tx in section]
+        assert section == TransactionSlice(as_objects, as_times, None, len(section))
+        if expected:
+            assert section[-1] == expected[-1]
+            assert section != expected[:-1] and bool(section)
+        if all(tx.size_hint is None for tx in expected):
+            assert section == TransactionBatch(expected) and TransactionBatch(expected) == section
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        pair=slices(),
+        share=st.one_of(st.none(), coin_shares),
+        salt=st.binary(max_size=8),
+    )
+    def test_a_block_carrying_it_is_the_block_carrying_the_tuple(self, pair, share, salt):
+        section, expected = pair
+        parents = tuple(block.reference for block in make_genesis(4))
+        ours, theirs = (
+            Block(author=1, round=7, parents=parents, transactions=txs, coin_share=share, salt=salt)
+            for txs in (section, expected)
+        )
+        assert ours.digest == theirs.digest and ours == theirs and hash(ours) == hash(theirs)
+        decoded, _ = Block.decode(ours.encode())
+        assert decoded.digest == ours.digest
+        if all(tx.size_hint is None for tx in expected):  # a size hint never travels
+            assert decoded == ours
+
+    def test_without_objects_it_packs_in_one_call(self, monkeypatch):
+        def no_encode(self):
+            raise AssertionError("a slice of ids and times encodes no Transaction")
+
+        monkeypatch.setattr(Transaction, "encode", no_encode)
+        section = TransactionSlice([3, 5, 9], [0.25, 0.5, 1.0])
+        assert section.wire[:4] == (3).to_bytes(4, "little") and len(section.wire) == 4 + 3 * 20
 
 
 class TestDummy:

@@ -185,24 +185,31 @@ def test_tusk_poll(tmp_path):
 
 
 def test_tx_path(tmp_path):
-    def output(recorder=41_959.0, observes=0.0, failed=0) -> str:
+    def output(recorder=1_868.0, observes=0.0, failed=0, store=6_781.0) -> str:
         metrics = {
             "sim.metrics.calls": {"value": recorder, "unit": "count"},
-            "sim.node.calls": {"value": 58_010.0, "unit": "count"},
             "obs.metrics.calls": {"value": observes, "unit": "count"},
-            "dag.store.calls": {"value": 6_781.0, "unit": "count"},
+            "dag.store.calls": {"value": store, "unit": "count"},
         }
         result = {"correct": True, "attempted": 40_000, "failed": failed, "metrics": metrics}
         return '# info {"workload": "sim-tusk-n10"}\n' + json.dumps(result) + "\n"
 
     assert ci_checks.tx_path(write(tmp_path / "ok.out", output())) == []
-    # Inclusion, arrival and commit recorded once per transaction again,
+    faulty = output(recorder=1_610.0, store=4_686.0)
+    assert ci_checks.tx_path(write(tmp_path / "faulty.out", faulty)) == []
+    # Every submission recorded, the books per block otherwise (both
+    # workloads under seed 7 before arrivals were routed).
+    for recorder, store in ((41_959.0, 6_781.0), (33_678.0, 4_686.0)):
+        submitted = output(recorder=recorder, store=store)
+        (violation,) = ci_checks.tx_path(write(tmp_path / "per-submission.out", submitted))
+        assert f"sim.metrics.calls is {recorder}, above dag.store.calls ({store})" in violation
+    # Inclusion, arrival and commit recorded once per transaction too,
     # with four histogram observations per committed transaction.
     violations = ci_checks.tx_path(
         write(tmp_path / "per-tx.out", output(recorder=151_654.0, observes=129_240.0))
     )
     assert len(violations) == 2
-    assert "sim.metrics.calls is 151654.0, above sim.node.calls (58010.0)" in violations[0]
+    assert "sim.metrics.calls is 151654.0, above dag.store.calls (6781.0)" in violations[0]
     assert "obs.metrics.calls is 129240.0, above dag.store.calls (6781.0)" in violations[1]
     (violation,) = ci_checks.tx_path(write(tmp_path / "bad.out", output(failed=7)))
     assert "7 of 40000" in violation
