@@ -36,16 +36,16 @@ Six sweeps:
   experiments assume away.
 * ``reconfig-join-leave`` — one validator joins mid-run (provisioned
   but silent until then, syncing in via checkpoint state transfer) and
-  another leaves permanently; the figure tracks end-to-end latency
-  across the membership change.  Quorum thresholds stay static (the
-  legacy behaviour this sweep pins down).
-* ``reconfig-epoch-resize`` — *true* committee reconfiguration: with
-  ``epoch_reconfig`` on, join/leave events submit committed membership
-  commands and ``n`` itself resizes 4 -> 7 -> 5 mid-run
-  (:class:`repro.committee.CommitteeSchedule`), quorum thresholds
-  following the active epoch; joiners state-transfer in, leavers exit
-  when their excluding epoch activates, and the per-epoch attribution
-  (``epoch_summary``) splits latency and availability by committee.
+  another leaves for good, on a committee of ten: ``n`` goes 9 -> 10 ->
+  9 with quorum thresholds following the active epoch; the figure
+  tracks end-to-end latency across the membership change.
+* ``reconfig-epoch-resize`` — a longer membership timeline: join/leave
+  events submit committed membership commands and ``n`` itself resizes
+  4 -> 7 -> 5 mid-run (:class:`repro.committee.CommitteeSchedule`),
+  quorum thresholds following the active epoch; joiners state-transfer
+  in, leavers exit when their excluding epoch activates, and the
+  per-epoch attribution (``epoch_summary``) splits latency and
+  availability by committee.
 * ``mixed-tx-sizes`` — clients draw transaction sizes from a skewed
   distribution (mostly small, a heavy tail of large) instead of the
   uniform 512 B of Section 5.1.
@@ -195,9 +195,10 @@ SWEEP_RECONFIG = SweepSpec(
             gc_depth=64,
             recover_mode="checkpoint",
             checkpoint_interval=1,
+            # Genesis committee 0..8: validator 9 joins, then 8 leaves.
             fault_schedule=(
-                FaultEvent(time=0.3 * _DURATION, validator=8, kind="join"),
-                FaultEvent(time=0.6 * _DURATION, validator=9, kind="leave"),
+                FaultEvent(time=0.3 * _DURATION, validator=9, kind="join"),
+                FaultEvent(time=0.6 * _DURATION, validator=8, kind="leave"),
             ),
             seed=7,
         )
@@ -233,8 +234,6 @@ SWEEP_EPOCH_RESIZE = SweepSpec(
         ExperimentConfig(
             protocol="mahi-mahi-5",
             num_validators=7,
-            initial_committee_size=4,
-            epoch_reconfig=True,
             load_tps=load,
             duration=_DURATION,
             warmup=_WARMUP,

@@ -412,25 +412,28 @@ def check_recovery_curves(results: Iterable[ExperimentResult]) -> list[str]:
 def check_epoch_curves(results: Iterable[ExperimentResult]) -> list[str]:
     """Enforce the epoch-reconfiguration shape claims.
 
-    Every ``epoch_reconfig`` point must show ``n`` genuinely changing
-    mid-run: at least one epoch transition activated, and the committee
-    grown past its initial size (thresholds follow the active epoch —
-    the quorum arithmetic itself is regression-tested in
-    ``tests/sim/test_epoch_reconfig.py``; this gate checks the sweep
-    exercised it).  The epochs a point did activate must be the
+    Every reconfiguration point (a schedule with a ``join`` or
+    ``leave``) must show ``n`` genuinely changing mid-run: at least one
+    epoch transition activated, and the committee grown past its
+    genesis size (thresholds follow the active epoch — the quorum
+    arithmetic itself is regression-tested by the simulator's
+    ``TestCommitteeSchedule`` and ``TestEpochRuns``; this gate checks
+    the sweep exercised it).  The epochs a point did activate must be the
     schedule's membership timeline in order — one join or leave each,
-    from the initial size (4 -> 5 -> 6 -> 7 -> 6 -> 5 for the declared
-    sweep).  Full-scale points must additionally activate the *whole*
-    timeline, its shrink half included, and end with a fully-available
-    final committee (a departed validator must stop counting against
-    availability once its excluding epoch activates).
+    from the genesis size (4 -> 5 -> 6 -> 7 -> 6 -> 5 for
+    ``reconfig-epoch-resize``, 9 -> 10 -> 9 for
+    ``reconfig-join-leave``).  Full-scale points must additionally
+    activate the *whole* timeline, its shrink half included, and end
+    with a fully-available final committee (a departed validator must
+    stop counting against availability once its excluding epoch
+    activates).
     """
     violations = []
     for result in results:
         cfg = result.config
-        if not getattr(cfg, "epoch_reconfig", False):
+        if not cfg.reconfigures:
             continue
-        initial = cfg.initial_committee_size or cfg.num_validators
+        genesis = cfg.genesis_size
         label = f"(n={cfg.num_validators}, load={cfg.load_tps:.0f}, duration={cfg.duration:.0f}s)"
         if result.epoch_transitions < 1:
             violations.append(
@@ -438,13 +441,13 @@ def check_epoch_curves(results: Iterable[ExperimentResult]) -> list[str]:
             )
             continue
         sizes = [row["size"] for row in result.epoch_summary]
-        if not sizes or max(sizes) <= initial:
+        if not sizes or max(sizes) <= genesis:
             violations.append(
-                f"epoch-reconfig point never grew the committee past its initial "
-                f"n={initial} {label}"
+                f"epoch-reconfig point never grew the committee past its genesis "
+                f"n={genesis} {label}"
             )
             continue
-        timeline = [initial]
+        timeline = [genesis]
         for event in sorted(cfg.fault_schedule, key=lambda e: e.time):
             if event.kind in ("join", "leave"):
                 timeline.append(timeline[-1] + (1 if event.kind == "join" else -1))
@@ -616,7 +619,7 @@ def check_adversary_curves(results: Iterable[ExperimentResult]) -> list[str]:
     wan_groups: dict[str, dict[str, ExperimentResult]] = {}
     for r in results:
         if r.config.wan_matrix:
-            key = config_hash(replace(r.config, wan_matrix="", region_assignment=()))
+            key = config_hash(replace(r.config, wan_matrix=""))
             wan_groups.setdefault(key, {})[r.config.wan_matrix] = r
     for group in wan_groups.values():
         metro = group.get("metro-3")

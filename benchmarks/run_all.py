@@ -355,7 +355,7 @@ def main(argv: list[str] | None = None) -> int:
             "GC-enabled warm restart": any(
                 c.recover_mode == "warm" and c.gc_depth > 0 for c in configs
             ),
-            "epoch reconfiguration": any(c.epoch_reconfig for c in configs),
+            "epoch reconfiguration": any(c.reconfigures for c in configs),
             "equivocation campaign": any(c.campaign_equivocators for c in configs),
             "partition and heal": any(
                 e.kind == "heal" for c in configs for e in c.fault_schedule

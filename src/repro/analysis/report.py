@@ -123,7 +123,9 @@ def _load_point_file(points_dir: Path, config_hash: str) -> dict | None:
         data = json.loads((points_dir / f"{config_hash}.json").read_text())
     except (OSError, json.JSONDecodeError):
         return None
-    if not isinstance(data, dict):
+    # A point written under another schema is evicted, as
+    # ``ResultsStore.get`` reads it: its config may name other fields.
+    if not isinstance(data, dict) or data.get("schema") != SCHEMA_VERSION:
         return None
     # Point files are deterministic; the writer's wall clock lives in a
     # sidecar.

@@ -203,7 +203,7 @@ class Committer:
         # Reconfiguration: with a non-zero activation lag, the walk
         # scans linearized transactions for committed join/leave
         # commands and schedules the resulting epochs.
-        self._reconfig_lag = config.reconfig_activation_lag
+        self._activation_lag = config.reconfig_activation_lag
 
     # ------------------------------------------------------------------
     # Slot geometry
@@ -358,7 +358,7 @@ class Committer:
             observations.append(CommitObservation(status=status, linearized=linearized))
             self.ledger.extend(linearized)
             epoch_scheduled = False
-            if self._reconfig_lag and linearized:
+            if self._activation_lag and linearized:
                 epoch_scheduled = self._apply_reconfig(linearized, status.slot.round)
             self._advance_cursor()
             # Capture is checked after *every* single-slot advance, so a
@@ -416,7 +416,7 @@ class Committer:
         scheduled = False
         activation: int | None = None
         for command in reconfig_commands_in(linearized):
-            epoch = self.schedule.apply_command(command, slot_round + self._reconfig_lag)
+            epoch = self.schedule.apply_command(command, slot_round + self._activation_lag)
             if epoch is not None:
                 scheduled = True
                 if activation is None or epoch.start_round < activation:

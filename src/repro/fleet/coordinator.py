@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable
 
+from ..errors import ConfigError
 from ..sim.sweep import (
     SCHEMA_VERSION,
     ResultsStore,
@@ -120,7 +121,7 @@ def verify_merge(manifest: Manifest, store: ResultsStore) -> int:
             continue
         try:
             recomputed = config_hash(config_from_dict(data["config"]))
-        except (KeyError, TypeError):
+        except (KeyError, TypeError, ConfigError):
             mismatched.append(expected)
             continue
         if data.get("config_hash") != expected or recomputed != expected:

@@ -45,9 +45,10 @@ from ..errors import ConfigError
 
 #: Lifecycle transitions a schedule may contain.  ``crash`` silences a
 #: running validator (in-memory state is lost); ``recover`` restarts it
-#: from an empty state; ``join`` brings a validator online for the first
-#: time (it is provisioned in the committee but silent until then);
-#: ``leave`` takes a validator out of service permanently.
+#: from an empty state; ``join`` brings a provisioned validator online
+#: for the first time and ``leave`` takes one out of service for good —
+#: each a committed membership change that resizes the committee
+#: (:class:`~repro.committee.CommitteeSchedule`).
 FAULT_KINDS = ("crash", "recover", "join", "leave")
 
 #: Adversary/network transitions: they change *how* a validator
@@ -58,9 +59,6 @@ FAULT_KINDS = ("crash", "recover", "join", "leave")
 #: returns it to the default group; ``straggle`` multiplies the
 #: validator's CPU costs and proposal interval by ``scale``.
 ADVERSARY_KINDS = ("equivocate", "desist", "partition", "heal", "straggle")
-
-#: Kinds that flip the up/down lifecycle (the classic PR-2 set).
-LIFECYCLE_KINDS = FAULT_KINDS
 
 #: Every kind a schedule may contain.
 ALL_FAULT_KINDS = FAULT_KINDS + ADVERSARY_KINDS
@@ -161,6 +159,19 @@ def normalize_events(raw: Iterable) -> tuple[FaultEvent, ...]:
     return tuple(events)
 
 
+def merge_spans(*span_lists: list[tuple[float, float]]) -> list[tuple[float, float]]:
+    """Union of ``[start, end)`` spans: empty ones dropped, overlapping
+    and touching ones merged, in time order."""
+    spans = sorted(span for spans in span_lists for span in spans if span[1] > span[0])
+    merged: list[tuple[float, float]] = []
+    for start, end in spans:
+        if merged and start <= merged[-1][1]:
+            merged[-1] = (merged[-1][0], max(merged[-1][1], end))
+        else:
+            merged.append((start, end))
+    return merged
+
+
 class FaultSchedule:
     """A validated, time-ordered fault schedule.
 
@@ -181,22 +192,6 @@ class FaultSchedule:
             sorted(normalize_events(events), key=lambda e: (e.time, e.validator))
         )
         self._validate()
-
-    @classmethod
-    def crash_recover(
-        cls, validators: Iterable[int], crash_time: float, recover_time: float
-    ) -> "FaultSchedule":
-        """A schedule crashing each validator at ``crash_time`` and
-        restarting it at ``recover_time``."""
-        if recover_time <= crash_time:
-            raise ConfigError(
-                f"recover_time ({recover_time}) must follow crash_time ({crash_time})"
-            )
-        events = []
-        for validator in validators:
-            events.append(FaultEvent(time=crash_time, validator=validator, kind="crash"))
-            events.append(FaultEvent(time=recover_time, validator=validator, kind="recover"))
-        return cls(events)
 
     # ------------------------------------------------------------------
     # Introspection
@@ -219,7 +214,7 @@ class FaultSchedule:
         """Whether a validator's event list makes it start offline: its
         first *lifecycle* event is ``join`` (adversary events like a
         pre-scheduled ``straggle`` may precede it)."""
-        first = next((e for e in events if e.kind in LIFECYCLE_KINDS), None)
+        first = next((e for e in events if e.kind in FAULT_KINDS), None)
         return first is not None and first.kind == "join"
 
     def initially_down(self) -> frozenset[int]:
@@ -248,29 +243,6 @@ class FaultSchedule:
                 spans.append((down_since, duration))
             intervals[validator] = spans
         return intervals
-
-    def downtime(self, duration: float) -> dict[int, float]:
-        """Per-validator total seconds of downtime within ``[0, duration]``."""
-        return {
-            validator: sum(end - max(0.0, start) for start, end in spans if end > start)
-            for validator, spans in self.down_intervals(duration).items()
-        }
-
-    def max_concurrent_down(self, horizon: float = float("inf")) -> int:
-        """The most validators simultaneously down at any instant
-        (the schedule's contribution to the fault budget)."""
-        deltas: list[tuple[float, int]] = []
-        for validator, spans in self.down_intervals(horizon).items():
-            for start, end in spans:
-                deltas.append((start, +1))
-                deltas.append((end, -1))
-        worst = current = 0
-        # Ends sort before starts at the same instant: a validator that
-        # recovers exactly when another crashes never overlaps it.
-        for _, delta in sorted(deltas, key=lambda d: (d[0], d[1])):
-            current += delta
-            worst = max(worst, current)
-        return worst
 
     def _bracket_intervals(
         self, duration: float, start_kind: str, end_kind: str
@@ -323,17 +295,12 @@ class FaultSchedule:
         down = self.down_intervals(horizon)
         deltas: list[tuple[float, int]] = []
         for validator in set(campaign) | set(down):
-            spans = sorted(campaign.get(validator, []) + down.get(validator, []))
-            merged: list[tuple[float, float]] = []
-            for start, end in spans:
-                if merged and start <= merged[-1][1]:
-                    merged[-1] = (merged[-1][0], max(merged[-1][1], end))
-                else:
-                    merged.append((start, end))
-            for start, end in merged:
+            for start, end in merge_spans(campaign.get(validator, []), down.get(validator, [])):
                 deltas.append((start, +1))
                 deltas.append((end, -1))
         worst = current = 0
+        # Ends sort before starts at the same instant: a validator that
+        # recovers exactly when another crashes never overlaps it.
         for _, delta in sorted(deltas, key=lambda d: (d[0], d[1])):
             current += delta
             worst = max(worst, current)
@@ -367,9 +334,7 @@ class FaultSchedule:
                     raise ConfigError(
                         f"validator {validator}: {event.kind} at t={event.time} while up"
                     )
-                first_lifecycle = next(
-                    (e for e in events if e.kind in LIFECYCLE_KINDS), None
-                )
+                first_lifecycle = next((e for e in events if e.kind in FAULT_KINDS), None)
                 if event.kind == "join" and event is not first_lifecycle:
                     raise ConfigError(
                         f"validator {validator}: join at t={event.time} must be the "
@@ -412,7 +377,7 @@ class FaultSchedule:
                     raise ConfigError(
                         f"validator {validator}: {event.kind} at t={event.time} while down"
                     )
-                if event.kind in LIFECYCLE_KINDS:
+                if event.kind in FAULT_KINDS:
                     up = event.kind in ("recover", "join")
                     left = event.kind == "leave"
 

@@ -230,16 +230,13 @@ WAN_PRESETS: dict[str, tuple[tuple[str, ...], tuple[tuple[float, ...], ...]]] = 
 }
 
 
-def wan_matrix_model(
-    name: str, num_validators: int, assignment: tuple[int, ...] = ()
-) -> LatencyMatrixModel:
+def wan_matrix_model(name: str, num_validators: int) -> LatencyMatrixModel:
     """Build the named preset matrix for a committee of
-    ``num_validators`` (round-robin regions unless ``assignment`` maps
-    each validator to a region index explicitly)."""
+    ``num_validators``, spread over its regions round-robin."""
     try:
         regions, matrix = WAN_PRESETS[name]
     except KeyError:
         raise ValueError(
             f"unknown WAN matrix {name!r}; presets: {sorted(WAN_PRESETS)}"
         ) from None
-    return LatencyMatrixModel(regions, matrix, num_validators, assignment)
+    return LatencyMatrixModel(regions, matrix, num_validators)

@@ -34,7 +34,7 @@ from ..runtime.wal import WriteAheadLog
 from ..statesync import GENESIS_STATE, RECOVER_MODES, chain_digest
 from .client import ArrivalRouter
 from .events import EventLoop
-from .faults import FaultEvent, FaultSchedule, NodeBehavior, normalize_events
+from .faults import FaultEvent, FaultSchedule, NodeBehavior, merge_spans, normalize_events
 from .latency import (
     LatencyModel,
     UniformLatencyModel,
@@ -90,6 +90,27 @@ PROTOCOLS = tuple(_PROTOCOL_TABLE)
 RECOVERY_CRASH_FRAC = 0.25
 RECOVERY_RESTART_FRAC = 0.5
 
+#: Real transaction size in bytes when ``tx_size_mix`` is empty: the
+#: paper's fixed 512 B transactions (Section 5.1).
+TX_SIZE = 512
+
+#: Simulated transactions per second, at most: a simulator cost budget,
+#: not a figure from the paper.  Above it one simulated transaction
+#: stands for ``load_tps / MAX_SIM_TX_RATE`` real ones
+#: (:attr:`ExperimentConfig.batch_weight`).
+MAX_SIM_TX_RATE = 2_000.0
+
+#: Real transactions one block may carry: a simulator ceiling, not a
+#: figure from the paper (divided by ``batch_weight`` for the simulated
+#: transactions a proposal takes).
+MAX_BLOCK_TRANSACTIONS = 100_000
+
+#: Rounds between a reconfiguration command finalizing and its epoch
+#: activating (``ProtocolConfig.reconfig_activation_lag``): a few rounds
+#: of slack let in-flight waves land before the thresholds move.  The
+#: value every reconfiguration sweep and pinned run has used.
+RECONFIG_LAG = 3
+
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -101,7 +122,6 @@ class ExperimentConfig:
         load_tps: Offered load in real transactions per second.
         duration: Virtual seconds to simulate.
         warmup: Seconds excluded from metrics at the start.
-        tx_size: Real transaction size in bytes (512 in the paper).
         leaders_per_round: Mahi-Mahi leader slots per round.
         num_crashed: Validators silent from the start (highest indexes).
         num_recovering: Validators that crash at
@@ -118,35 +138,24 @@ class ExperimentConfig:
             the event loop; composes with ``num_recovering``, which is
             shorthand for a crash+recover pair per validator.  May not
             target validator 0 (the observer) or validators already
-            claimed by the static fault counts.
-        epoch_reconfig: Promote ``join``/``leave`` events to *epoch
-            transitions*: at event time the harness submits a
-            reconfiguration command transaction to a live validator;
+            claimed by the static fault counts.  A ``join`` or ``leave``
+            is an *epoch transition*: at event time the harness submits
+            a reconfiguration command transaction to a live validator;
             once committed, every honest commit walk activates the new
-            committee at a deterministic round
+            committee :data:`RECONFIG_LAG` rounds later
             (:class:`~repro.committee.CommitteeSchedule`), so ``n`` and
             all quorum thresholds genuinely change mid-run.  A joining
             validator comes online at event time (state-transfer join)
             and starts proposing when its epoch activates; a leaving
             one keeps participating until the epoch that excludes it
-            activates, then goes silent for good.  Without this flag
-            (the legacy behaviour) join/leave only silence/unsilence
-            nodes while thresholds keep counting the full committee.
-        initial_committee_size: With ``epoch_reconfig``: how many of the
-            provisioned ``num_validators`` form the epoch-0 committee
-            (indexes ``0 .. size-1``); every provisioned validator
-            outside it must ``join`` via the fault schedule.  0 means
-            all provisioned validators are active from epoch 0, so the
-            timeline can only shrink the committee (``leave`` is
-            terminal — a departed validator never rejoins).
-        reconfig_lag: Rounds between a reconfiguration command
-            finalizing and its epoch activating (>= 1; a few rounds of
-            slack let in-flight waves land before thresholds move).
+            activates, then goes silent for good.  The genesis
+            committee is every validator that does not join
+            (:attr:`genesis_size`); joiners take the highest indexes.
         tx_size_mix: Optional ``((size_bytes, weight), ...)``
             distribution of real transaction sizes; when set, clients
             sample each transaction's size from it and blocks account
             bytes per transaction (mixed workloads).  Empty means every
-            transaction is ``tx_size`` bytes.
+            transaction is :data:`TX_SIZE` bytes.
         uniform_delay: When set, replaces the geo latency model with a
             constant one-way delay (useful for message-delay arithmetic
             tests); otherwise the paper's 5-region matrix is used.
@@ -166,10 +175,8 @@ class ExperimentConfig:
         wan_matrix: Name of a preset per-region RTT matrix
             (:data:`~repro.sim.latency.WAN_PRESETS`); empty means
             ``paper-5``, the paper's five regions.  Mutually exclusive
-            with ``uniform_delay``.
-        region_assignment: With ``wan_matrix``: explicit validator ->
-            region-index mapping (length ``num_validators``); empty
-            means round-robin like the paper's deployment.
+            with ``uniform_delay``.  Validators are spread over its
+            regions round-robin, like the paper's deployment.
         block_interval: Minimum spacing between a validator's own
             proposals (batching/processing cadence of a real validator;
             see :class:`~repro.sim.node.SimValidator`).
@@ -181,9 +188,6 @@ class ExperimentConfig:
             under asynchrony, Appendix C.3).
         direct_skip: Ablations only — disable Mahi-Mahi's direct skip
             rule to quantify its contribution (Section 5.3).
-        max_sim_tx_rate: Cap on *simulated* transaction events per
-            second; higher loads are represented by batching.
-        max_block_transactions: Real transactions a block may carry.
         gc_depth: Rounds of DAG history kept behind the commit frontier.
         recover_mode: How restarted validators re-sync (one of
             :data:`~repro.statesync.RECOVER_MODES`): ``cold`` refetches
@@ -213,15 +217,11 @@ class ExperimentConfig:
     load_tps: float = 10_000.0
     duration: float = 30.0
     warmup: float = 10.0
-    tx_size: int = 512
     leaders_per_round: int = 2
     num_crashed: int = 0
     num_recovering: int = 0
     num_equivocators: int = 0
     fault_schedule: tuple[FaultEvent, ...] = ()
-    epoch_reconfig: bool = False
-    initial_committee_size: int = 0
-    reconfig_lag: int = 3
     tx_size_mix: tuple[tuple[int, float], ...] = ()
     uniform_delay: float | None = None
     adversary_targets: int = 0
@@ -229,13 +229,10 @@ class ExperimentConfig:
     leader_dos_slots: int = 0
     leader_dos_delay: float = 0.4
     wan_matrix: str = ""
-    region_assignment: tuple[int, ...] = ()
     block_interval: float = 0.2
     model_cpu: bool = True
     wave_length_override: int | None = None
     direct_skip: bool = True
-    max_sim_tx_rate: float = 2_000.0
-    max_block_transactions: int = 100_000
     gc_depth: int = 64
     recover_mode: str = "cold"
     checkpoint_interval: int = 0
@@ -255,9 +252,6 @@ class ExperimentConfig:
             self,
             "tx_size_mix",
             tuple((int(size), float(share)) for size, share in self.tx_size_mix),
-        )
-        object.__setattr__(
-            self, "region_assignment", tuple(int(r) for r in self.region_assignment)
         )
         for size, share in self.tx_size_mix:
             if size <= 0 or share <= 0:
@@ -305,51 +299,23 @@ class ExperimentConfig:
                 )
             if self.uniform_delay is not None:
                 raise ConfigError("wan_matrix and uniform_delay are mutually exclusive")
-            regions = WAN_PRESETS[self.wan_matrix][0]
-            if self.region_assignment:
-                if len(self.region_assignment) != self.num_validators:
-                    raise ConfigError(
-                        f"region_assignment covers {len(self.region_assignment)} "
-                        f"validators, committee has {self.num_validators}"
-                    )
-                if any(not 0 <= r < len(regions) for r in self.region_assignment):
-                    raise ConfigError(
-                        f"region_assignment indexes outside 0..{len(regions) - 1} "
-                        f"for wan_matrix {self.wan_matrix!r}"
-                    )
-        elif self.region_assignment:
-            raise ConfigError("region_assignment requires wan_matrix")
         schedule = FaultSchedule(self.fault_schedule)  # validates lifecycles
-        if self.initial_committee_size < 0:
-            raise ConfigError("initial_committee_size must be >= 0")
-        if self.initial_committee_size and not self.epoch_reconfig:
-            raise ConfigError("initial_committee_size requires epoch_reconfig=True")
-        if self.epoch_reconfig:
-            if self.reconfig_lag < 1:
-                raise ConfigError("epoch_reconfig needs reconfig_lag >= 1")
+        if self.reconfigures:
             self._validate_membership_timeline(schedule)
-        initial_size = self.initial_committee_size or self.num_validators
-        faults_tolerated = (initial_size - 1) // 3
+        faults_tolerated = (self.genesis_size - 1) // 3
         static_faults = self.num_crashed + self.num_recovering + self.num_equivocators
         # Budget check over *concurrent* downtime: permanently faulty
         # validators (crashed, equivocating) count for the whole run;
         # recovering and scheduled validators count only where their
         # down intervals actually overlap — disjoint downtime windows
-        # do not stack.  Under epoch reconfiguration, join/leave events
-        # are membership changes rather than faults: a not-yet-joined or
-        # departed validator is outside the active committee, so its
-        # downtime does not consume the fault budget — only scheduled
-        # crash/recover pairs do.
+        # do not stack.  Join/leave events are membership changes rather
+        # than faults: a not-yet-joined or departed validator is outside
+        # the active committee, so its downtime does not consume the
+        # fault budget.
         permanent_faults = self.num_crashed + self.num_equivocators
-        budget_schedule = self.effective_schedule()
-        if self.epoch_reconfig:
-            budget_schedule = FaultSchedule(
-                tuple(
-                    e
-                    for e in budget_schedule
-                    if e.kind in ("crash", "recover", "equivocate", "desist")
-                )
-            )
+        budget_schedule = FaultSchedule(
+            e for e in self.effective_schedule() if e.kind not in ("join", "leave")
+        )
         # Scheduled equivocation campaigns are Byzantine for their whole
         # span, so they spend budget exactly like concurrent downtime
         # (partitions and stragglers are honest and free).
@@ -376,32 +342,23 @@ class ExperimentConfig:
                 )
 
     def _validate_membership_timeline(self, schedule: FaultSchedule) -> None:
-        """Epoch-reconfiguration sanity: the committee implied by the
-        join/leave timeline must never shrink below the BFT minimum, and
-        every provisioned validator outside the initial committee must
-        actually join."""
-        initial = self.initial_committee_size or self.num_validators
-        if initial < MIN_COMMITTEE_SIZE:
+        """Reconfiguration sanity: joiners take the highest indexes, and
+        the committee implied by the join/leave timeline never shrinks
+        below the BFT minimum."""
+        genesis = self.genesis_size
+        if genesis < MIN_COMMITTEE_SIZE:
             raise ConfigError(
-                f"epoch_reconfig needs an initial committee of >= "
-                f"{MIN_COMMITTEE_SIZE}, got {initial}"
+                f"a reconfiguration run needs a genesis committee of >= "
+                f"{MIN_COMMITTEE_SIZE}, got {genesis}"
             )
-        if initial > self.num_validators:
+        joiners = {e.validator for e in self.fault_schedule if e.kind == "join"}
+        if joiners != set(range(genesis, self.num_validators)):
             raise ConfigError(
-                f"initial_committee_size ({initial}) exceeds num_validators "
-                f"({self.num_validators})"
+                f"joining validators {sorted(joiners)} must take the highest indexes "
+                f"({genesis}..{self.num_validators - 1}): the genesis committee is "
+                "every validator that does not join"
             )
-        joiners = {
-            e.validator for e in self.fault_schedule if e.kind == "join"
-        }
-        provisioned_outside = set(range(initial, self.num_validators))
-        missing = provisioned_outside - joiners
-        if missing:
-            raise ConfigError(
-                f"validators {sorted(missing)} are provisioned outside the "
-                f"initial committee but never join"
-            )
-        members = set(range(initial))
+        members = set(range(genesis))
         for event in schedule:
             if event.kind == "join":
                 if event.validator in members:
@@ -424,22 +381,34 @@ class ExperimentConfig:
                 members.discard(event.validator)
 
     @property
+    def reconfigures(self) -> bool:
+        """Whether the committee changes mid-run: the schedule holds a
+        ``join`` or ``leave`` (each a committed membership command)."""
+        return any(e.kind in ("join", "leave") for e in self.fault_schedule)
+
+    @property
+    def genesis_size(self) -> int:
+        """The epoch-0 committee size: every provisioned validator that
+        does not ``join`` (a validator joins at most once)."""
+        return self.num_validators - sum(e.kind == "join" for e in self.fault_schedule)
+
+    @property
     def batch_weight(self) -> float:
         """Real transactions represented by one simulated transaction."""
-        if self.load_tps <= self.max_sim_tx_rate:
+        if self.load_tps <= MAX_SIM_TX_RATE:
             return 1.0
-        return self.load_tps / self.max_sim_tx_rate
+        return self.load_tps / MAX_SIM_TX_RATE
 
     @property
     def sim_tx_rate(self) -> float:
         """Total simulated transaction events per second."""
-        return min(self.load_tps, self.max_sim_tx_rate)
+        return min(self.load_tps, MAX_SIM_TX_RATE)
 
     @property
     def mean_tx_size(self) -> float:
         """Expected real transaction size in bytes (mix-weighted)."""
         if not self.tx_size_mix:
-            return float(self.tx_size)
+            return float(TX_SIZE)
         total = sum(share for _, share in self.tx_size_mix)
         return sum(size * share for size, share in self.tx_size_mix) / total
 
@@ -617,11 +586,9 @@ class Experiment:
         self._loop = EventLoop()
         self._metrics = ExperimentMetrics(warmup=config.warmup, weight=config.batch_weight)
         self._total_order = _TotalOrder(self._metrics)
-        # The epoch-0 committee: all provisioned validators, or — under
-        # epoch reconfiguration — the initial subset (the rest are
-        # provisioned identities that must join via committed commands).
-        initial_size = config.initial_committee_size or config.num_validators
-        self._committee = Committee.of_size(initial_size)
+        # The epoch-0 committee: every provisioned validator but the
+        # joiners, which enter through committed commands.
+        self._committee = Committee.of_size(config.genesis_size)
         self._reconfig_seq = 0
         self._coin = FastCoin(
             seed=("coin", config.seed).__repr__().encode(),
@@ -675,7 +642,7 @@ class Experiment:
             seed=config.seed,
             tx_size_mix=config.tx_size_mix,
         )
-        if config.epoch_reconfig:
+        if config.reconfigures:
             # Per-epoch attribution: the observer's schedule drives the
             # metric marks (epoch 0 starts the clock at t=0).
             observer_schedule = self.nodes[0].core.schedule
@@ -695,11 +662,7 @@ class Experiment:
     def _make_latency_model(self) -> LatencyModel:
         if self.config.uniform_delay is not None:
             return UniformLatencyModel(self.config.uniform_delay)
-        return wan_matrix_model(
-            self.config.wan_matrix or "paper-5",
-            self.config.num_validators,
-            self.config.region_assignment,
-        )
+        return wan_matrix_model(self.config.wan_matrix or "paper-5", self.config.num_validators)
 
     def _make_scheduler(self) -> MessageScheduler | None:
         cfg = self.config
@@ -742,10 +705,11 @@ class Experiment:
         return ProtocolConfig(
             wave_length=override or self._protocol.wave_length,
             leaders_per_round=cfg.leaders_per_round if multi_leader else 1,
-            max_block_transactions=max(1, int(cfg.max_block_transactions / cfg.batch_weight)),
+            max_block_transactions=max(1, int(MAX_BLOCK_TRANSACTIONS / cfg.batch_weight)),
             garbage_collection_depth=cfg.gc_depth,
             checkpoint_interval_rounds=cfg.checkpoint_interval,
-            reconfig_activation_lag=cfg.reconfig_lag if cfg.epoch_reconfig else 0,
+            # 0 keeps the commit walk from scanning for commands at all.
+            reconfig_activation_lag=RECONFIG_LAG if cfg.reconfigures else 0,
         )
 
     def _make_core(self, authority: int) -> MahiMahiCore:
@@ -860,21 +824,17 @@ class Experiment:
         if event.kind == "straggle":
             node.set_slow_factor(event.scale)
             return
-        if self.config.epoch_reconfig and event.kind in ("join", "leave"):
-            # Epoch reconfiguration: the event submits a membership
-            # command; thresholds move when the committed command's
-            # epoch activates.  A joiner boots now (state-transfer join)
-            # and proposes once its epoch is active; a leaver keeps
-            # participating until the excluding epoch activates, then
-            # exits by itself (ValidatorDriver.excluded_by_epoch).
+        if event.kind in ("join", "leave"):
+            # A membership command; thresholds move when the committed
+            # command's epoch activates.  A joiner boots now
+            # (state-transfer join) and proposes once its epoch is
+            # active; a leaver keeps participating until the excluding
+            # epoch activates, then exits by itself
+            # (ValidatorDriver.excluded_by_epoch).
             self._submit_reconfig(event.kind, event.validator)
-            if event.kind == "join":
-                node.recover()
-                node.start()
-            return
-        if event.kind in ("crash", "leave"):
+        if event.kind == "crash":
             node.crash()
-        else:  # recover / join: restart with an empty in-memory state
+        elif event.kind != "leave":  # recover / join: boot with an empty state
             node.recover()
             node.start()
 
@@ -952,16 +912,14 @@ class Experiment:
     def _observed_down_intervals(self) -> dict[int, list[tuple[float, float]]]:
         """Per-validator downtime as it actually happened.
 
-        The schedule-derived intervals are exact except under epoch
-        reconfiguration, where a ``leave`` event only *submits* the
-        command: the validator keeps participating until the excluding
-        epoch activates (``SimValidator.left_at``).  Those spans are
-        clipped to the observed exit — or dropped entirely when the
-        command never activated and the validator stayed up.
+        The schedule-derived intervals are exact except after a
+        ``leave``, which only *submits* the command: the validator keeps
+        participating until the excluding epoch activates
+        (``SimValidator.left_at``).  Those spans are clipped to the
+        observed exit — or dropped entirely when the command never
+        activated and the validator stayed up.
         """
         intervals = self._schedule.down_intervals(self.config.duration)
-        if not self.config.epoch_reconfig:
-            return intervals
         for event in self._schedule:
             if event.kind != "leave":
                 continue
@@ -975,20 +933,6 @@ class Experiment:
                         spans[index] = (min(left_at, end), end)
                     break
         return intervals
-
-    @staticmethod
-    def _merge_spans(
-        *span_lists: list[tuple[float, float]],
-    ) -> list[tuple[float, float]]:
-        """Union of ``[start, end)`` spans (overlaps merged)."""
-        spans = sorted(span for spans in span_lists for span in spans if span[1] > span[0])
-        merged: list[tuple[float, float]] = []
-        for start, end in spans:
-            if merged and start <= merged[-1][1]:
-                merged[-1] = (merged[-1][0], max(merged[-1][1], end))
-            else:
-                merged.append((start, end))
-        return merged
 
     def _result(self) -> ExperimentResult:
         observer = self.nodes[0]
@@ -1012,7 +956,7 @@ class Experiment:
         # double-counted.
         unavailable = 0.0
         for validator in set(down_intervals) | set(partition_intervals):
-            merged = self._merge_spans(
+            merged = merge_spans(
                 down_intervals.get(validator, []),
                 partition_intervals.get(validator, []),
             )
@@ -1031,7 +975,7 @@ class Experiment:
         epoch_transitions = len(observer_schedule.epochs()) - 1
         epoch_summary: tuple = ()
         final_committee_size = 0
-        if self.config.epoch_reconfig:
+        if self.config.reconfigures:
             final_committee_size = observer_schedule.latest.committee.size
             epoch_summary = tuple(
                 self._metrics.epoch_attribution(self.config.duration, down_intervals)

@@ -37,6 +37,7 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Callable, Iterable
 
+from ..errors import ConfigError
 from .faults import FaultSchedule
 from .metrics import LatencySummary
 from .runner import Experiment, ExperimentConfig, ExperimentResult
@@ -48,13 +49,16 @@ from .runner import Experiment, ExperimentConfig, ExperimentResult
 #: v4: checkpoint & state-transfer subsystem (recover_mode /
 #: checkpoint_interval config keys, per-mode recovery metrics,
 #: checkpoint capture/adoption counters).
-#: v5: epoch-based committee reconfiguration (epoch_reconfig /
-#: initial_committee_size / reconfig_lag config keys, epoch-transition
-#: and per-epoch attribution result metrics) plus batched per-link
-#: network delivery (event ordering at equal instants changed).
+#: v5: epoch-based committee reconfiguration (its three config keys,
+#: epoch-transition and per-epoch attribution result metrics) plus
+#: batched per-link network delivery (event ordering at equal instants
+#: changed).
 #: v7: observability subsystem (``trace`` config key, per-stage
 #: ``stage_breakdown`` result field).
-SCHEMA_VERSION = 7
+#: v8: every ``join``/``leave`` is a committed membership change and the
+#: genesis committee is derived from the schedule; four knobs no sweep
+#: set became module constants and the region map went (34 -> 27 keys).
+SCHEMA_VERSION = 8
 
 #: Default on-disk location of the results store, relative to CWD.
 DEFAULT_RESULTS_DIR = "results"
@@ -69,7 +73,16 @@ def config_to_dict(config: ExperimentConfig) -> dict:
 
 
 def config_from_dict(data: dict) -> ExperimentConfig:
-    """Inverse of :func:`config_to_dict`."""
+    """Inverse of :func:`config_to_dict`.
+
+    Raises:
+        ConfigError: ``data`` names a key ``ExperimentConfig`` does not
+            have (a point written under an older schema), or a value it
+            rejects.
+    """
+    unknown = set(data) - {field.name for field in dataclasses.fields(ExperimentConfig)}
+    if unknown:
+        raise ConfigError(f"unknown ExperimentConfig keys {sorted(unknown)}")
     return ExperimentConfig(**data)
 
 
@@ -174,13 +187,13 @@ def smoke_config(config: ExperimentConfig) -> ExperimentConfig:
     event at the halfway mark stays at the halfway mark), so
     crash-recovery and reconfiguration sweeps keep their shape too.
 
-    Epoch-reconfiguration configs keep their committee and their whole
+    Reconfiguration configs keep their committee and their whole
     join/leave timeline: the membership changes *are* the shape (a
     not-yet-joined or departed validator is outside the active
     committee, so the fault-budget clamps below do not apply), and
     epoch sweeps provision small committees by design.
     """
-    if config.epoch_reconfig:
+    if config.reconfigures:
         time_scale = _SMOKE_DURATION / config.duration if config.duration > 0 else 1.0
         return replace(
             config,
@@ -221,9 +234,6 @@ def smoke_config(config: ExperimentConfig) -> ExperimentConfig:
         num_equivocators=equivocators,
         fault_schedule=schedule,
         adversary_targets=min(config.adversary_targets, faults_tolerated),
-        # An explicit region map must cover exactly the shrunken
-        # committee; keep each surviving validator's region.
-        region_assignment=config.region_assignment[:validators],
         duration=_SMOKE_DURATION,
         warmup=_SMOKE_WARMUP,
         load_tps=min(config.load_tps, _SMOKE_MAX_LOAD),

@@ -60,6 +60,25 @@ class TestLoading:
             point.config is None for sweep in sweeps for point in sweep.points
         )
 
+    def test_point_of_another_schema_reads_as_evicted(self, results_dir):
+        """A point cached under another schema may name config fields
+        that no longer exist: like ``ResultsStore.get``, the loader
+        drops it, and the report renders without it."""
+        from benchmarks.render import paper_deviation_rows
+
+        [point, *_] = next(
+            s for s in load_sweeps(results_dir) if s.name == "fig3-ideal-10-smoke"
+        ).points
+        path = results_dir / "points" / f"{point.config_hash}.json"
+        data = json.loads(path.read_text())
+        data["schema"] -= 1
+        path.write_text(json.dumps(data))
+        [stale, *_] = next(
+            s for s in load_sweeps(results_dir) if s.name == "fig3-ideal-10-smoke"
+        ).points
+        assert stale.config is None and stale.result is None
+        generate_report(results_dir, paper_rows=paper_deviation_rows, git_rev="x")
+
     def test_corrupt_summary_is_skipped(self, results_dir):
         (results_dir / "broken.json").write_text("{not json")
         names = {sweep.name for sweep in load_sweeps(results_dir)}

@@ -265,8 +265,6 @@ class TestEpochCurveChecker:
         resize = config(
             duration,
             num_validators=7,
-            initial_committee_size=4,
-            epoch_reconfig=True,
             fault_schedule=tuple(
                 FaultEvent(1.0 + i, validator, kind)
                 for i, (validator, kind) in enumerate(

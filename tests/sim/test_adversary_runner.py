@@ -8,7 +8,7 @@ attribution that back them.  The full curves live in
 import pytest
 
 from repro.errors import ConfigError
-from repro.sim.faults import FaultEvent
+from repro.sim.faults import FaultEvent, merge_spans
 from repro.sim.runner import Experiment, ExperimentConfig
 
 
@@ -49,16 +49,6 @@ class TestAdversaryConfigValidation:
     def test_wan_matrix_excludes_uniform_delay(self):
         with pytest.raises(ConfigError, match="mutually exclusive"):
             quick_config(wan_matrix="paper-5", uniform_delay=0.05)
-
-    def test_region_assignment_requires_matrix(self):
-        with pytest.raises(ConfigError, match="requires wan_matrix"):
-            quick_config(region_assignment=(0,) * 10)
-
-    def test_region_assignment_must_cover_committee(self):
-        with pytest.raises(ConfigError, match="region_assignment"):
-            quick_config(wan_matrix="metro-3", region_assignment=(0, 1, 2))
-        with pytest.raises(ConfigError, match="region_assignment"):
-            quick_config(wan_matrix="metro-3", region_assignment=(0, 1, 9) + (0,) * 7)
 
 
 class TestEquivocationBudget:
@@ -164,11 +154,11 @@ class TestPartitionAttribution:
         assert result.availability == pytest.approx(expected, abs=1e-2)
 
     def test_merge_spans_unions_overlaps(self):
-        merged = Experiment._merge_spans(
-            [(1.0, 4.0)], [(2.0, 3.0), (5.0, 6.0)], [(3.5, 5.5)]
-        )
+        merged = merge_spans([(1.0, 4.0)], [(2.0, 3.0), (5.0, 6.0)], [(3.5, 5.5)])
         assert merged == [(1.0, 6.0)]
-        assert Experiment._merge_spans([], []) == []
+        assert merge_spans([], []) == []
+        # Empty spans drop out; touching ones join.
+        assert merge_spans([(2.0, 2.0), (5.0, 4.0)], [(0.0, 1.0), (1.0, 1.5)]) == [(0.0, 1.5)]
 
     def test_unhealed_partition_charges_to_run_end(self):
         result = quick(
@@ -202,15 +192,3 @@ class TestStragglers:
         # A brief slowdown must not depress throughput like a standing
         # one does (regression: scale=1 restores full speed).
         assert restored.throughput_tps > 0.8 * clean.throughput_tps
-
-
-class TestWanMatrixRuns:
-    def test_explicit_assignment_shapes_latency(self):
-        """Packing all validators into one region of the matrix beats
-        spreading them across it."""
-        packed = quick(
-            wan_matrix="global-10", region_assignment=(0,) * 10, duration=4.0
-        )
-        spread = quick(wan_matrix="global-10", duration=4.0)
-        assert packed.blocks_committed > 0
-        assert packed.latency.avg < spread.latency.avg

@@ -121,8 +121,6 @@ class TestLeaderDosUnderEpochResize:
         config = ExperimentConfig(
             protocol="mahi-mahi-5",
             num_validators=7,
-            initial_committee_size=4,
-            epoch_reconfig=True,
             leaders_per_round=1,
             leader_dos_slots=1,
             leader_dos_delay=0.05,  # mild: the run must still commit

@@ -29,8 +29,6 @@ def make_epoch_config(**overrides) -> ExperimentConfig:
     defaults = dict(
         protocol="mahi-mahi-5",
         num_validators=6,
-        initial_committee_size=5,
-        epoch_reconfig=True,
         load_tps=800,
         duration=10.0,
         warmup=2.0,
@@ -193,7 +191,6 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match="below n=4"):
             make_epoch_config(
                 num_validators=4,
-                initial_committee_size=0,
                 fault_schedule=(FaultEvent(2.0, 3, "leave"),),
             )
 
@@ -201,7 +198,6 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match="below n=4"):
             make_epoch_config(
                 num_validators=5,
-                initial_committee_size=4,
                 fault_schedule=(
                     FaultEvent(1.0, 4, "join"),
                     FaultEvent(3.0, 4, "leave"),
@@ -210,12 +206,18 @@ class TestConfigValidation:
             )
 
     def test_provisioned_validator_without_join_raises(self):
-        with pytest.raises(ConfigError, match="never join"):
-            make_epoch_config(fault_schedule=())
+        """The genesis committee is every validator that does not join,
+        and joiners take the highest indexes: validator 5 above joiner 4
+        is provisioned but never joins."""
+        with pytest.raises(ConfigError, match="highest indexes"):
+            make_epoch_config(fault_schedule=(FaultEvent(1.5, 4, "join"),))
 
-    def test_initial_committee_requires_epoch_reconfig(self):
-        with pytest.raises(ConfigError, match="epoch_reconfig"):
-            ExperimentConfig(num_validators=6, initial_committee_size=5)
+    def test_genesis_committee_needs_the_bft_minimum(self):
+        with pytest.raises(ConfigError, match="genesis committee of >= 4"):
+            make_epoch_config(
+                num_validators=5,
+                fault_schedule=(FaultEvent(1.0, 3, "join"), FaultEvent(1.5, 4, "join")),
+            )
 
     def test_joiner_downtime_does_not_consume_fault_budget(self):
         """Three not-yet-joined validators exceed f of the provisioned
@@ -224,15 +226,13 @@ class TestConfigValidation:
         config = ExperimentConfig(
             protocol="mahi-mahi-5",
             num_validators=7,
-            initial_committee_size=4,
-            epoch_reconfig=True,
             fault_schedule=(
                 FaultEvent(1.0, 4, "join"),
                 FaultEvent(2.0, 5, "join"),
                 FaultEvent(3.0, 6, "join"),
             ),
         )
-        assert config.epoch_reconfig
+        assert (config.reconfigures, config.genesis_size) == (True, 4)
 
 
 class TestEpochRuns:
@@ -243,7 +243,6 @@ class TestEpochRuns:
         after the activation must never elect it."""
         config = make_epoch_config(
             num_validators=5,
-            initial_committee_size=0,
             leaders_per_round=2,
             fault_schedule=(FaultEvent(2.0, 4, "leave"),),
             duration=12.0,
@@ -286,7 +285,6 @@ class TestEpochRuns:
         sequence (asserted by run()), and both complete recovery."""
         config = make_epoch_config(
             num_validators=6,
-            initial_committee_size=5,
             duration=12.0,
             fault_schedule=(
                 FaultEvent(2.8, 3, "crash"),
@@ -317,9 +315,9 @@ class TestEpochRuns:
     @pytest.mark.parametrize(
         "protocol, pinned, masked",
         [
-            ("tusk", "9b604268ebd3da66", "25ada906504e13b1"),
-            ("cordial-miners", "826068450f5695fc", "d0b89daa63ce2a84"),
-            ("mahi-mahi-5", "6d963c9160b1d4d3", "15f6b3cf63075b50"),
+            ("tusk", "556e4545a7315324", "05a30f8a8cedb525"),
+            ("cordial-miners", "32c01a1261ab685f", "d42830d82aa40f38"),
+            ("mahi-mahi-5", "53ce84371ec4dd83", "a498e43eba474b96"),
         ],
     )
     def test_resize_run_is_pinned_for_every_sequencer_user(self, protocol, pinned, masked):
@@ -338,7 +336,9 @@ class TestEpochRuns:
         simulator schedules its work leaves where it is; the full hashes
         moved again when client arrivals stopped being events (tusk
         13,311 -> 5,212, cordial-miners 11,056 -> 2,957, mahi-mahi-5
-        11,005 -> 2,906)."""
+        11,005 -> 2,906).  Both columns moved once more, with every
+        ``result_to_dict`` field equal, when the config's repr lost seven
+        fields (9b604268 / 82606845 / 6d963c91 before)."""
         config = make_epoch_config(
             protocol=protocol,
             fault_schedule=(FaultEvent(1.5, 5, "join"), FaultEvent(5.0, 1, "leave")),

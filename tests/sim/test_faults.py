@@ -92,17 +92,21 @@ class TestIntrospection:
         assert schedule.initially_down() == frozenset({2})
 
     def test_downtime_crash_recover(self):
-        schedule = FaultSchedule.crash_recover([1, 2], crash_time=2.0, recover_time=5.0)
-        downtime = schedule.downtime(10.0)
-        assert downtime == {1: pytest.approx(3.0), 2: pytest.approx(3.0)}
+        schedule = FaultSchedule(
+            FaultEvent(t, v, kind)
+            for v in (1, 2)
+            for t, kind in ((2.0, "crash"), (5.0, "recover"))
+        )
+        assert schedule.down_intervals(10.0) == {1: [(2.0, 5.0)], 2: [(2.0, 5.0)]}
 
     def test_downtime_open_intervals_close_at_duration(self):
         schedule = FaultSchedule(
             [FaultEvent(1.0, 1, "join"), FaultEvent(6.0, 2, "leave")]
         )
-        downtime = schedule.downtime(10.0)
-        assert downtime[1] == pytest.approx(1.0)  # down [0, 1)
-        assert downtime[2] == pytest.approx(4.0)  # down [6, 10)
+        assert schedule.down_intervals(10.0) == {
+            1: [(0.0, 1.0)],  # not yet joined
+            2: [(6.0, 10.0)],  # left
+        }
 
     def test_max_concurrent_down_overlapping(self):
         schedule = FaultSchedule(
@@ -113,7 +117,7 @@ class TestIntrospection:
                 FaultEvent(4.0, 2, "recover"),
             ]
         )
-        assert schedule.max_concurrent_down() == 2
+        assert schedule.max_concurrent_faulty() == 2
 
     def test_max_concurrent_down_handover_does_not_overlap(self):
         # Validator 1 recovers at the instant validator 2 crashes.
@@ -124,15 +128,11 @@ class TestIntrospection:
                 FaultEvent(3.0, 2, "crash"),
             ]
         )
-        assert schedule.max_concurrent_down() == 1
-
-    def test_crash_recover_requires_order(self):
-        with pytest.raises(ConfigError):
-            FaultSchedule.crash_recover([1], crash_time=5.0, recover_time=2.0)
+        assert schedule.max_concurrent_faulty() == 1
 
     def test_empty_schedule_is_falsy(self):
         assert not FaultSchedule()
-        assert FaultSchedule().max_concurrent_down() == 0
+        assert FaultSchedule().max_concurrent_faulty() == 0
 
 
 class TestAdversaryEventShapes:
@@ -306,7 +306,6 @@ class TestAdversaryIntrospection:
                 FaultEvent(3.0, 2, "recover"),
             ]
         )
-        assert schedule.max_concurrent_down() == 1
         assert schedule.max_concurrent_faulty() == 2
 
     def test_max_concurrent_faulty_merges_same_validator_spans(self):

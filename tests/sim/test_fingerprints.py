@@ -6,7 +6,10 @@ fingerprint.  Each workload is pinned twice: that hash, and the hash with
 work (not to what it models) may move the event count alone: it re-pins
 the first column and visibly leaves the second where it is.  The configs
 are copied from ``benchmarks/perf/mmperf/workloads.py`` (``SimMahiN50``,
-``SimMahiN10Faulty``, ``SimTuskN10``) at the benchmark's ``--seed 7``.
+``SimMahiN10Faulty``, ``SimTuskN10``) at the benchmark's ``--seed 7``.  The
+result's repr carries its config, so a change to the config's fields
+moves both columns: re-pin them with every ``result_to_dict`` field
+shown equal.
 """
 
 import pytest
@@ -17,7 +20,7 @@ from tests.helpers import masked_result_hash, result_hash
 WORKLOADS = {
     "sim-mahi-n50": (
         dict(protocol="mahi-mahi-5", num_validators=50, load_tps=50_000, duration=2.0, warmup=0.4),
-        ("e27c9d3ed0c327b4", "dea39133e4db9925"),
+        ("6e5a8a0f211cfc69", "47a4090e7c3bf16c"),
     ),
     "sim-mahi-n10-faulty": (
         dict(
@@ -32,11 +35,11 @@ WORKLOADS = {
             duration=16.0,
             warmup=2.0,
         ),
-        ("dbfc3c301573c8e7", "40517025044a8ba0"),
+        ("33d2bc5212dafe32", "fa94ce1b5bbfe3b2"),
     ),
     "sim-tusk-n10": (
         dict(protocol="tusk", num_validators=10, load_tps=50_000, duration=20.0, warmup=2.0),
-        ("d0e4a90e29772537", "42243e3084775082"),
+        ("ab0c3da4556e558d", "fdf170fb529c90da"),
     ),
 }
 

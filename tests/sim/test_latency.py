@@ -15,7 +15,7 @@ from repro.sim.latency import (
 
 
 class TestPaperPreset:
-    def test_round_robin_region_assignment(self):
+    def test_round_robin_regions(self):
         model = wan_matrix_model("paper-5", 10)
         assert model.region_of(0) == "us-east-2"
         assert model.region_of(4) == "eu-south-1"

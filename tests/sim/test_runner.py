@@ -16,8 +16,11 @@ from repro.core.protocol import MahiMahiCore
 from repro.errors import ConfigError, SimulationError
 from repro.sim.faults import FaultEvent
 from repro.sim.runner import (
+    MAX_SIM_TX_RATE,
+    RECONFIG_LAG,
     RECOVERY_CRASH_FRAC,
     RECOVERY_RESTART_FRAC,
+    TX_SIZE,
     Experiment,
     ExperimentConfig,
     PROTOCOLS,
@@ -49,12 +52,12 @@ class TestConfigValidation:
             ExperimentConfig(num_validators=10, num_crashed=2, num_equivocators=2)
 
     def test_batching_above_sim_cap(self):
-        config = ExperimentConfig(load_tps=100_000, max_sim_tx_rate=2_000)
-        assert config.batch_weight == pytest.approx(50.0)
-        assert config.sim_tx_rate == 2_000
+        config = ExperimentConfig(load_tps=100_000)
+        assert config.batch_weight == pytest.approx(100_000 / MAX_SIM_TX_RATE)
+        assert config.sim_tx_rate == MAX_SIM_TX_RATE
 
     def test_no_batching_below_cap(self):
-        config = ExperimentConfig(load_tps=500, max_sim_tx_rate=2_000)
+        config = ExperimentConfig(load_tps=MAX_SIM_TX_RATE / 4)
         assert config.batch_weight == 1.0
 
     def test_recovering_counts_against_fault_budget(self):
@@ -72,7 +75,7 @@ class TestConfigValidation:
             duration=16.0,
             fault_schedule=((1.0, 1, "crash"), (2.0, 1, "recover")),
         )
-        assert config.effective_schedule().max_concurrent_down() == 3
+        assert config.effective_schedule().max_concurrent_faulty() == 3
 
     def test_overlapping_scheduled_downtime_rejected(self):
         with pytest.raises(ConfigError):
@@ -116,7 +119,19 @@ class TestConfigValidation:
     def test_mean_tx_size_weighted(self):
         config = ExperimentConfig(tx_size_mix=((100, 3.0), (500, 1.0)))
         assert config.mean_tx_size == pytest.approx(200.0)
-        assert ExperimentConfig(tx_size=777).mean_tx_size == 777.0
+        assert ExperimentConfig().mean_tx_size == TX_SIZE == 512
+
+    def test_join_and_leave_derive_the_committee(self):
+        """A run reconfigures exactly when its schedule holds a join or a
+        leave; the genesis committee is every validator that does not
+        join, and only a reconfiguring run scans commits for commands."""
+        static = ExperimentConfig(num_validators=6, fault_schedule=((1.0, 3, "crash"),))
+        assert (static.reconfigures, static.genesis_size) == (False, 6)
+        resize = ExperimentConfig(
+            num_validators=6, fault_schedule=((1.0, 5, "join"), (2.0, 1, "leave"))
+        )
+        assert (resize.reconfigures, resize.genesis_size) == (True, 5)
+        assert Experiment(static).nodes[0].core.config.reconfig_activation_lag == 0
 
     def test_effective_schedule_generates_recovery_events(self):
         config = ExperimentConfig(num_validators=10, num_recovering=2, duration=20.0)
@@ -168,9 +183,6 @@ def test_one_construction_path(protocol):
         ExperimentConfig(
             protocol=protocol,
             num_validators=6,
-            initial_committee_size=5,
-            epoch_reconfig=True,
-            reconfig_lag=7,
             gc_depth=48,
             checkpoint_interval=3,
             fault_schedule=(FaultEvent(1.5, 5, "join"),),
@@ -186,7 +198,7 @@ def test_one_construction_path(protocol):
         core.config.garbage_collection_depth,
         core.config.checkpoint_interval_rounds,
         core.config.reconfig_activation_lag,
-    ) == (48, 3, 7)
+    ) == (48, 3, RECONFIG_LAG)
     assert isinstance(committer, Committer)
     assert (type(committer) is TuskCommitter) == (protocol == "tusk")
     assert experiment.nodes[0]._certified == (protocol == "tusk")
@@ -390,6 +402,10 @@ class TestPaperShape:
             exp.assert_safety()
 
     def test_reconfiguration_join_and_leave(self):
+        """A join and a leave are committed membership changes: n goes
+        9 -> 10 -> 9, the joiner syncs in and proposes, the leaver exits
+        once its excluding epoch activates, and availability charges the
+        joiner until its join and the leaver from its exit on."""
         config = ExperimentConfig(
             protocol="mahi-mahi-5",
             num_validators=10,
@@ -398,19 +414,20 @@ class TestPaperShape:
             warmup=2.0,
             seed=2,
             fault_schedule=(
-                FaultEvent(time=2.4, validator=8, kind="join"),
-                FaultEvent(time=4.0, validator=9, kind="leave"),
+                FaultEvent(time=2.4, validator=9, kind="join"),
+                FaultEvent(time=4.0, validator=8, kind="leave"),
             ),
         )
         exp = Experiment(config)
         result = exp.run()
         assert result.blocks_committed > 0
         assert result.recoveries == 1  # the join completed
-        joined, left = exp.nodes[8], exp.nodes[9]
+        assert [row["size"] for row in result.epoch_summary] == [9, 10, 9]
+        joined, left = exp.nodes[9], exp.nodes[8]
         assert not joined.down and joined.core.total_proposed > 0
-        assert left.down
-        # Availability: 8 down for [0, 2.4), 9 for [4, 8).
-        assert result.availability == pytest.approx(1 - (2.4 + 4.0) / 80)
+        assert left.down and 4.0 < left.left_at < 8.0
+        # Availability: 9 down for [0, 2.4), 8 from its exit to the end.
+        assert result.availability == pytest.approx(1 - (2.4 + 8.0 - left.left_at) / 80)
 
     def test_clients_retarget_away_from_down_validators(self):
         """With a schedule, submissions to a down validator land on a

@@ -10,6 +10,7 @@ import time
 
 import pytest
 
+from repro.errors import ConfigError
 from repro.sim.runner import ExperimentConfig
 from repro.sim.sweep import (
     FigureSpec,
@@ -63,7 +64,8 @@ class TestConfigHash:
         """The serialization is part of the cache contract: if this
         changes, bump SCHEMA_VERSION in sweep.py (old caches must read
         as misses, not as silently wrong hits)."""
-        assert config_hash(ExperimentConfig()) == "fc36c321d8bec8c8"  # v7: +trace
+        # v8: 34 -> 27 fields
+        assert config_hash(ExperimentConfig()) == "06b2673770d9a181"
 
     def test_stable_across_interpreter_instances(self):
         """No PYTHONHASHSEED leakage: a fresh interpreter with a random
@@ -85,6 +87,13 @@ class TestConfigHash:
     def test_config_roundtrip(self):
         config = tiny_config(num_crashed=1, direct_skip=False)
         assert config_from_dict(config_to_dict(config)) == config
+
+    def test_unknown_key_is_a_config_error(self):
+        """A point cached under an older schema names fields the config
+        no longer has: a typed error naming them, not a bare TypeError."""
+        stale = dict(config_to_dict(tiny_config()), tx_size=512, max_block_transactions=10)
+        with pytest.raises(ConfigError, match=r"\['max_block_transactions', 'tx_size'\]"):
+            config_from_dict(stale)
 
 
 class TestSmokeTransform:
@@ -186,7 +195,7 @@ class TestFaultScheduleSerialization:
         small = smoke_config(config)  # must not raise
         assert small.num_validators == 10
         remaining = FaultSchedule(small.fault_schedule)
-        assert remaining.max_concurrent_down() <= 3  # f for 10 validators
+        assert remaining.max_concurrent_faulty() <= 3  # f for 10 validators
         # Lowest-indexed scheduled validators survive the clamp.
         assert remaining.validators() == frozenset({1, 2, 3})
 

@@ -59,8 +59,6 @@ CONFIGS = {
     "epoch reconfiguration (schedule listener, fault events)": dict(
         protocol="mahi-mahi-5",
         num_validators=10,
-        initial_committee_size=9,
-        epoch_reconfig=True,
         load_tps=2_000,
         duration=6.0,
         warmup=1.0,

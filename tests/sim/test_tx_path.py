@@ -315,8 +315,6 @@ SCENARIOS = {
     "recover-checkpoint": recovery("checkpoint"),
     "epoch-join-leave": dict(
         num_validators=6,
-        initial_committee_size=5,
-        epoch_reconfig=True,
         recover_mode="checkpoint",
         checkpoint_interval=2,
         fault_schedule=(FaultEvent(0.5, 5, "join"), FaultEvent(1.2, 1, "leave")),
