@@ -103,13 +103,15 @@ class Block:
 
     Beside them sit two memos of what the block's causal history says
     about a leader slot, :attr:`voted` and :attr:`support`, created and
-    filled in by :class:`~repro.dag.traversal.DagTraversal`.  They are
-    facts about the hash-linked history, not about who asks, so they
-    share the block object's lifetime and holders exactly as the
-    identity values do.  They hold digests and author ids only — never
-    blocks — and are invisible to ``==``, ``hash``, :meth:`encode` and to
-    the copies :meth:`signed` / ``dataclasses.replace`` make, which
-    start without.
+    filled in by :class:`~repro.dag.traversal.DagTraversal`, and one of
+    the commit chain through it, :attr:`chain_link`, kept by the
+    committer's ledger: every honest validator commits the block on the
+    same chain (Theorem 1), so one hash serves them all.  They are facts
+    about the hash-linked history, not about who asks, so they share the
+    block object's lifetime and holders exactly as the identity values
+    do.  They hold digests and author ids only — never blocks — and are
+    invisible to ``==``, ``hash``, :meth:`encode` and to the copies
+    :meth:`signed` / ``dataclasses.replace`` make, which start without.
     """
 
     author: int
@@ -128,6 +130,10 @@ class Block:
     #: slot: voted digest -> bitmask of the voting parents' authors (bit
     #: ``a`` for author ``a``).
     support: "dict[tuple[int, int], dict[Digest, int]] | None" = _memo()
+    #: ``(previous, next)``: the commit-chain digest before this block
+    #: was committed and the one its commit made of it, as last computed
+    #: (:class:`~repro.statesync.CommitLedger`).
+    chain_link: "tuple[Digest, Digest] | None" = _memo()
 
     # ------------------------------------------------------------------
     # Identity

@@ -20,7 +20,7 @@ garbage-collection window.
 from __future__ import annotations
 
 from collections import deque
-from typing import NamedTuple
+from typing import Iterable, NamedTuple, Sequence
 
 from ..block import Block, BlockRef, make_genesis
 from ..committee import Committee, CommitteeSchedule
@@ -29,7 +29,7 @@ from ..crypto.coin import CommonCoin
 from ..crypto.hashing import Digest
 from ..dag.store import DagStore
 from ..dag.validation import BlockVerifier
-from ..errors import BlockValidationError, DuplicateBlockError
+from ..errors import BlockValidationError, DuplicateBlockError, UnknownBlockError
 from ..statesync import Checkpoint
 from ..transaction import Transaction
 from .committer import Committer, CommitObservation
@@ -83,6 +83,7 @@ class MahiMahiCore:
         sign: "callable | None" = None,
         committer_factory: "callable" = Committer,
         mempool: Mempool | None = None,
+        genesis: "Sequence[Block] | None" = None,
     ) -> None:
         """Create a validator core.
 
@@ -110,6 +111,10 @@ class MahiMahiCore:
                 fresh :class:`Mempool` by default, whose sections are
                 tuples); a proposal's section is whatever its
                 ``take(max_block_transactions)`` returns.
+            genesis: The round-0 blocks, one per provisioned identity
+                (built afresh by default).  A simulation hands every core
+                the same objects, as it does every other block, so what
+                is memoized on a block serves all its validators.
         """
         self.authority = authority
         self.schedule = CommitteeSchedule.ensure(committee)
@@ -126,7 +131,8 @@ class MahiMahiCore:
         # Genesis blocks exist for every *provisioned* validator — also
         # the ones outside the genesis committee that may join later —
         # so a joiner's round-1 bootstrap looks like everyone else's.
-        genesis = make_genesis(self.schedule.provisioned)
+        if genesis is None:
+            genesis = make_genesis(self.schedule.provisioned)
         self.store.add_genesis(genesis)
         self._own_last_ref: BlockRef = genesis[authority].reference
 
@@ -145,6 +151,8 @@ class MahiMahiCore:
         #: re-deriving a block its peers already built on); the host logs
         #: them like any other accepted block.
         self.last_connected: list[Block] = []
+        # ``quorum_round()``'s value and what it was judged against.
+        self._rescan_quorum()
 
     # ------------------------------------------------------------------
     # Transactions
@@ -220,12 +228,14 @@ class MahiMahiCore:
             for digest, block in list(self._pending.items()):
                 if digest not in self._pending:
                     continue  # flushed as a waiter of an earlier reflow
-                if self.store.missing_parents(block):
-                    continue
                 if self._pending.keys() & block.parent_digests:
                     continue
+                try:
+                    reflowed = self._insert(block)
+                except UnknownBlockError:
+                    continue
                 del self._pending[digest]
-                accepted.extend(self._insert(block))
+                accepted.extend(reflowed)
                 progress = True
         return accepted
 
@@ -234,45 +244,68 @@ class MahiMahiCore:
     # ------------------------------------------------------------------
     def add_block(self, block: Block) -> AddBlockResult:
         """Ingest a block received from a peer (or replayed from the WAL)."""
-        if block.digest in self.store or block.digest in self._pending:
+        digest = block.digest
+        pending = self._pending
+        if digest in self.store or digest in pending:
             return AddBlockResult()
         if self._verifier is not None:
             try:
                 self._verifier.verify(block)
             except BlockValidationError:
                 return AddBlockResult(rejected=True)
-
-        missing = [
-            ref for ref in self.store.missing_parents(block) if ref.digest not in self._pending
-        ]
-        if missing or (self._pending and self._pending.keys() & block.parent_digests):
-            self._pending[block.digest] = block
-            for ref in block.parents:
-                if ref.digest not in self.store:
-                    self._waiting_on.setdefault(ref.digest, []).append(block.digest)
-            return AddBlockResult(missing=tuple(missing))
-
-        accepted = self._insert(block)
+        if pending and pending.keys() & block.parent_digests:
+            # Behind a buffered parent: it waits for that one to enter
+            # the DAG, and asks only for what is neither stored nor here.
+            missing = [
+                ref for ref in self.store.missing_parents(block) if ref.digest not in pending
+            ]
+            return self._buffer(block, missing)
+        try:
+            accepted = self._insert(block)
+        except UnknownBlockError as refusal:
+            return self._buffer(block, refusal.missing)
         return AddBlockResult(accepted=tuple(accepted))
 
+    def _buffer(self, block: Block, missing: "Iterable[BlockRef]") -> AddBlockResult:
+        """Hold ``block`` until its causal history is complete."""
+        self._pending[block.digest] = block
+        for ref in block.parents:
+            if ref.digest not in self.store:
+                self._waiting_on.setdefault(ref.digest, []).append(block.digest)
+        return AddBlockResult(missing=tuple(missing))
+
     def _insert(self, block: Block) -> list[Block]:
-        """Insert a causally-complete block and flush unblocked pending
-        blocks, breadth-first."""
+        """Insert ``block``, then every buffered block that completes,
+        breadth-first; returns them in insertion order (nothing for a
+        duplicate).
+
+        The store's insertion is the causal-completeness check: when a
+        parent of ``block`` is missing, the store raises
+        :class:`~repro.errors.UnknownBlockError` and nothing changed.  A
+        buffered block is released only once its parents are stored.
+        """
+        store = self.store
         accepted: list[Block] = []
         queue = deque([block])
         while queue:
             current = queue.popleft()
             try:
-                self.store.add(current)
+                store.add(current)
             except DuplicateBlockError:
                 continue
             accepted.append(current)
             self._track_tips(current)
-            for waiter_digest in self._waiting_on.pop(current.digest, []):
+            round_number = current.round
+            if round_number > self._quorum_round and self._has_quorum(round_number):
+                self._quorum_round = round_number
+            waiters = self._waiting_on.pop(current.digest, None)
+            if waiters is None:
+                continue
+            for waiter_digest in waiters:
                 waiter = self._pending.get(waiter_digest)
                 if waiter is None:
                     continue
-                if not self.store.missing_parents(waiter):
+                if not store.missing_parents(waiter):
                     del self._pending[waiter_digest]
                     queue.append(waiter)
         return accepted
@@ -289,24 +322,43 @@ class MahiMahiCore:
     def quorum_round(self) -> int:
         """Highest round ``r`` such that round ``r`` has blocks from at
         least ``2f + 1`` distinct authors *of ``r``'s epoch committee*
-        (the next proposal goes to ``r + 1``)."""
+        (the next proposal goes to ``r + 1``; 0 when no round has).
+
+        Kept as blocks enter the DAG: a round only gains blocks, so it
+        only gains its quorum, and a block's round is judged as the block
+        enters.  A scan down from the top round rebuilds the value when
+        what the rounds were judged against moved — an epoch was
+        scheduled or adopted, or the store's lowest round rose (garbage
+        collection, a state-transfer floor) — which is why every block
+        must enter this core's store through the core."""
+        if (
+            self.store.lowest_round != self._quorum_floor
+            or self.schedule.latest is not self._quorum_epoch
+        ):
+            self._rescan_quorum()
+        return self._quorum_round
+
+    def _rescan_quorum(self) -> None:
         store = self.store
         schedule = self.schedule
+        self._quorum_floor = store.lowest_round
+        self._quorum_epoch = schedule.latest
+        # A static contiguous committee covering every provisioned
+        # identity: raw author counts are already member counts.
+        contiguous = schedule.is_static and schedule.genesis_committee.size >= schedule.provisioned
+        self._static_quorum = schedule.genesis_committee.quorum_threshold if contiguous else 0
         r = store.highest_round
-        if schedule.is_static and schedule.genesis_committee.size >= schedule.provisioned:
-            # Static contiguous committee covering every provisioned
-            # identity: raw author counts are already member counts.
-            quorum = schedule.genesis_committee.quorum_threshold
-            while r > 0 and store.num_authors_at_round(r) < quorum:
-                r -= 1
-            return r
-        while r > 0:
-            committee = schedule.committee_at(r)
-            members = committee.count_members(store.authors_at_round(r))
-            if members >= committee.quorum_threshold:
-                break
+        while r > 0 and not self._has_quorum(r):
             r -= 1
-        return r
+        self._quorum_round = r
+
+    def _has_quorum(self, round_number: int) -> bool:
+        """Whether the round holds blocks of a quorum of its committee."""
+        if self._static_quorum:
+            return self.store.num_authors_at_round(round_number) >= self._static_quorum
+        committee = self.schedule.committee_at(round_number)
+        members = committee.count_members(self.store.authors_at_round(round_number))
+        return members >= committee.quorum_threshold
 
     def ready_to_propose(self) -> bool:
         """Whether a new proposal round is available."""

@@ -49,31 +49,41 @@ class DagStore:
     # Insertion
     # ------------------------------------------------------------------
     def add(self, block: Block) -> None:
-        """Insert ``block``.
+        """Insert ``block`` if its causal history is complete.
+
+        This is the one causal-completeness check of an insertion: a
+        caller tries the insertion and learns what is missing from the
+        refusal, rather than asking :meth:`missing_parents` first.
 
         Raises:
             DuplicateBlockError: A block with the same digest exists.
-            UnknownBlockError: A parent is missing (causal completeness).
+            UnknownBlockError: A parent is missing; its ``missing`` lists
+                them all (as :meth:`missing_parents` would).
         """
         digest = block.digest
-        if digest in self._by_digest:
+        by_digest = self._by_digest
+        if digest in by_digest:
             raise DuplicateBlockError(f"block {block!r} already in store")
-        missing = self.missing_parents(block)
-        if missing:
-            raise UnknownBlockError(
-                f"block {block!r} is missing {len(missing)} parent(s): {missing[:3]}"
-            )
-        self._by_digest[digest] = block
-        round_slots = self._by_slot.get(block.round)
+        absent = block.parent_digests.difference(by_digest)
+        if absent:
+            missing = self._missing_refs(block, absent)
+            if missing:
+                raise UnknownBlockError(
+                    f"block {block!r} is missing {len(missing)} parent(s): {missing[:3]}",
+                    tuple(missing),
+                )
+        by_digest[digest] = block
+        round_number, author = block.round, block.author
+        round_slots = self._by_slot.get(round_number)
         if round_slots is None:
-            round_slots = self._by_slot[block.round] = {}
-        if block.author not in round_slots:
-            self._author_sets.pop(block.round, None)
-        round_slots[block.author] = round_slots.get(block.author, ()) + (block,)
-        self._by_round.setdefault(block.round, []).append(block)
-        self._round_tuples.pop(block.round, None)
-        if block.round > self._highest_round:
-            self._highest_round = block.round
+            round_slots = self._by_slot[round_number] = {}
+        if author not in round_slots:
+            self._author_sets.pop(round_number, None)
+        round_slots[author] = round_slots.get(author, ()) + (block,)
+        self._by_round.setdefault(round_number, []).append(block)
+        self._round_tuples.pop(round_number, None)
+        if round_number > self._highest_round:
+            self._highest_round = round_number
 
     def add_genesis(self, genesis: Iterable[Block]) -> None:
         """Insert the round-0 genesis blocks."""
@@ -90,8 +100,11 @@ class DagStore:
         summarized by the adopted checkpoint and will never be fetched.
         """
         absent = block.parent_digests.difference(self._by_digest)
-        if not absent:
-            return []
+        return self._missing_refs(block, absent) if absent else []
+
+    def _missing_refs(self, block: Block, absent: frozenset[Digest]) -> list[BlockRef]:
+        """``block``'s references to the ``absent`` digests, in parent
+        order, but for those below the state-transfer floor."""
         return [
             ref
             for ref in block.parents

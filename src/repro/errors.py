@@ -36,7 +36,14 @@ class BlockValidationError(ReproError):
 
 
 class UnknownBlockError(ReproError):
-    """A referenced block is not present in the DAG store."""
+    """A referenced block is not present in the DAG store.
+
+    Raised by an insertion that lacks parents, it lists them as
+    :attr:`missing` (empty otherwise)."""
+
+    def __init__(self, message: str, missing: tuple = ()) -> None:
+        super().__init__(message)
+        self.missing = missing
 
 
 class DuplicateBlockError(ReproError):

@@ -16,10 +16,20 @@ Per-link delivery is FIFO, as on a TCP connection (Section 4 uses raw
 TCP sockets).
 
 What travels is opaque here: a :class:`Message` envelope — a named
-tuple ``(src, dst, body, size)``, built once per hop — wraps one typed
-body (a :mod:`repro.messages` object, carried un-encoded, or one of the
+tuple ``(src, dst, body, size)`` — wraps one typed body (a
+:mod:`repro.messages` object, carried un-encoded, or one of the
 certified baseline's header / ack / certificate) with the wire size the
 sender priced it at.
+
+On an uncertified DAG every block is one broadcast to ``n - 1`` peers,
+so the hop is the unit of work.  :meth:`SimNetwork.broadcast` prices all
+of its hops in one pass (:meth:`SimNetwork._fan_out`: uplink
+serialization, propagation and jitter, partition and scheduler delay,
+the per-link FIFO clamp, the delivery tick, the link queue), and
+:meth:`SimNetwork.send` is that pass over one peer.  Each link keeps a
+queue of ``(arrival, Message)`` entries and at most one flush event on
+the loop, at its head's tick boundary, which hands every message due by
+then to the receiver as one batch.
 """
 
 from __future__ import annotations
@@ -27,7 +37,7 @@ from __future__ import annotations
 import random
 from collections import deque
 from dataclasses import dataclass
-from typing import Any, Callable, NamedTuple, Protocol
+from typing import Any, Callable, Iterable, NamedTuple, Protocol
 
 from ..obs.trace import NULL_TRACER
 from .events import EventLoop
@@ -189,8 +199,7 @@ class NetworkConfig:
     message_overhead: int = 128
     #: Delivery quantum in seconds: messages arriving on the same
     #: ``(src, dst)`` link within one tick are delivered together at the
-    #: tick boundary, collapsing the per-message ``schedule_at`` chain
-    #: into one event-loop entry per link per tick (a burst of
+    #: tick boundary, one event-loop entry per link per tick (a burst of
     #: serialization-spaced messages — a broadcast fan-in, a fetch
     #: response train — rides one heap entry).  Like a real kernel's
     #: interrupt coalescing, it delays each delivery by at most one tick;
@@ -238,8 +247,8 @@ class SimNetwork:
         self._n = num_validators
         self._config = config or NetworkConfig()
         self._scheduler = scheduler or RandomScheduler()
-        # Benign schedulers add nothing; skip constructing a Message
-        # early and the extra_delay dispatch entirely on the hot path.
+        # Benign schedulers add nothing: the fan-out skips the
+        # extra_delay dispatch.
         self._benign = type(self._scheduler) is RandomScheduler
         self._rng = random.Random(repr(("network", seed)))
         # Pair-memoized base delays + block-presampled jitter.
@@ -250,11 +259,10 @@ class SimNetwork:
         # Per-link FIFO: last scheduled delivery time.
         self._last_delivery: dict[tuple[int, int], float] = {}
         # Per-link pending deliveries, batched under ONE outstanding
-        # event-loop entry per link instead of one per message (the
-        # remaining named profiler peak: the per-message ``schedule_at``
-        # chain).  The FIFO clamp above makes per-link arrival times
-        # monotonic, so each deque stays sorted by construction and an
-        # armed flush event exists exactly while its deque is non-empty.
+        # event-loop entry per link instead of one per message.  The
+        # FIFO clamp above makes per-link arrival times monotonic, so
+        # each deque stays sorted by construction and an armed flush
+        # event exists exactly while its deque is non-empty.
         self._link_queue: dict[tuple[int, int], deque] = {}
         # Live partition state: validator -> (group, cross-group delay).
         # Unlisted validators form the implicit default group "".
@@ -335,57 +343,7 @@ class SimNetwork:
         on the event loop."""
         if src == dst:
             raise ValueError("validators do not message themselves")
-        partition_delay = 0.0
-        if self._partition:
-            dropped, partition_delay = self._cross_partition(src, dst)
-            if dropped:
-                # The link is cut: the message never occupies the
-                # sender's uplink (TCP backs off) and never arrives.
-                self.messages_dropped += 1
-                return
-        message = Message(src=src, dst=dst, body=body, size=size)
-        wire_size = size + self._config.message_overhead
-        now = self._loop.now
-        # Serialization on the sender's uplink.
-        egress_free = self._egress_free
-        start = egress_free[src]
-        if now > start:
-            start = now
-        egress_done = start + wire_size / self._config.bandwidth
-        egress_free[src] = egress_done
-        # Propagation + partition degradation + scheduler-injected delay.
-        delay = self._sample_delay(src, dst) + partition_delay
-        if not self._benign:
-            delay += self._scheduler.extra_delay(message, now, self._rng)
-        arrival = egress_done + delay
-        # FIFO per link (TCP semantics).
-        link = (src, dst)
-        last = self._last_delivery.get(link, 0.0) + 1e-9
-        if last > arrival:
-            arrival = last
-        self._last_delivery[link] = arrival
-        self.messages_sent += 1
-        self.bytes_sent += wire_size
-        if self._tracer.enabled:
-            self._tracer.span(
-                src,
-                "network",
-                "net_flight",
-                start,
-                arrival,
-                {"kind": type(body).__name__, "dst": dst, "bytes": wire_size},
-            )
-        # Batch per (src, dst, tick): enqueue, and arm one flush event
-        # at the head's tick boundary only when none is armed.  Later
-        # sends on this link always arrive at or after the queued head
-        # (per-link FIFO), so the armed event stays correct and every
-        # message due by the same boundary rides one heap entry.
-        queue = self._link_queue.get(link)
-        if queue is None:
-            queue = self._link_queue[link] = deque()
-        if not queue:
-            self._loop.schedule_at(self._tick_boundary(arrival), self._flush_link, link)
-        queue.append((arrival, message))
+        self._fan_out(src, (dst,), body, size)
 
     def broadcast(self, src: int, body: Any, size: int) -> None:
         """Send to every other validator.
@@ -395,8 +353,78 @@ class SimNetwork:
         """
         peers = [v for v in range(self._n) if v != src]
         self._rng.shuffle(peers)
+        self._fan_out(src, peers, body, size)
+
+    def _fan_out(self, src: int, peers: Iterable[int], body: Any, size: int) -> None:
+        """Put one ``body`` on the wire to each of ``peers`` in turn.
+
+        A hop's path: the partition check (a cut link drops it), the
+        sender's uplink serialization, propagation with jitter plus any
+        partition and scheduler delay, the per-link FIFO clamp, then the
+        link queue, arming the link's flush at the head's tick boundary
+        when none is armed.  Everything that is the same for every hop
+        is looked up once; the hops draw from the network's generator in
+        peer order, as one ``send`` per peer would.
+        """
+        now = self._loop.now
+        wire_size = size + self._config.message_overhead
+        serialization = wire_size / self._config.bandwidth
+        partition = self._partition
+        sample_delay = self._sample_delay
+        extra_delay = None if self._benign else self._scheduler.extra_delay
+        rng = self._rng
+        tracer = self._tracer if self._tracer.enabled else None
+        last_delivery = self._last_delivery
+        link_queue = self._link_queue
+        schedule_at = self._loop.schedule_at
+        tick_boundary = self._tick_boundary
+        flush = self._flush_link
+        egress = self._egress_free[src]
+        sent = 0
         for dst in peers:
-            self.send(src, dst, body, size)
+            partition_delay = 0.0
+            if partition:
+                dropped, partition_delay = self._cross_partition(src, dst)
+                if dropped:
+                    # The link is cut: the message never occupies the
+                    # sender's uplink (TCP backs off) and never arrives.
+                    self.messages_dropped += 1
+                    continue
+            message = Message(src, dst, body, size)
+            start = egress if egress > now else now
+            egress = start + serialization
+            delay = sample_delay(src, dst) + partition_delay
+            if extra_delay is not None:
+                delay += extra_delay(message, now, rng)
+            arrival = egress + delay
+            # FIFO per link (TCP semantics).
+            link = (src, dst)
+            last = last_delivery.get(link, 0.0) + 1e-9
+            if last > arrival:
+                arrival = last
+            last_delivery[link] = arrival
+            sent += 1
+            if tracer is not None:
+                tracer.span(
+                    src,
+                    "network",
+                    "net_flight",
+                    start,
+                    arrival,
+                    {"kind": type(body).__name__, "dst": dst, "bytes": wire_size},
+                )
+            # Later hops on this link always arrive at or after the
+            # queued head (per-link FIFO), so an armed flush stays
+            # correct and every message due by its boundary rides it.
+            queue = link_queue.get(link)
+            if queue is None:
+                queue = link_queue[link] = deque()
+            if not queue:
+                schedule_at(tick_boundary(arrival), flush, link)
+            queue.append((arrival, message))
+        self._egress_free[src] = egress
+        self.messages_sent += sent
+        self.bytes_sent += sent * wire_size
 
     def _tick_boundary(self, arrival: float) -> float:
         """The delivery instant for a message arriving at ``arrival``:

@@ -656,28 +656,44 @@ class SimValidator:
     def _batch_cost(self, messages: "list[Message]") -> float:
         """Consensus-stage cost of verifying ``messages`` as one batch:
         the sum of the per-message costs."""
-        cpu = self._cpu
-        assert cpu is not None
         cost = 0.0
         for message in messages:
             body = message.body
             block = getattr(body, "block", None)
-            blocks = getattr(body, "blocks", None) if block is None else (block,)
+            if block is not None:
+                cost += self._stage_price(block, type(body) is Header)
+                continue
+            blocks = getattr(body, "blocks", None)
             if blocks is None:
                 # Acks, fetch/checkpoint requests and checkpoint
                 # responses are cheap (a checkpoint is digests, not
                 # blocks).
                 cost += 20e-6
                 continue
-            multiplier = cpu.certified_multiplier if self._certified else 1.0
-            if type(body) is Header:
-                # A yet-uncertified block: buffered and acked only.
-                multiplier *= cpu.header_cost_factor
-            per_tx = cpu.tx_consensus_cost * self._tx_weight * multiplier
-            base = cpu.block_base_cost
             for block in blocks:
-                cost += base + per_tx * len(block.transactions)
+                cost += self._stage_price(block, False)
         return cost * self._slow
+
+    def _stage_price(self, block: Block, header: bool) -> float:
+        """Full-speed consensus-stage seconds of receiving ``block`` (as
+        a Tusk ``header``: the fraction paid before it is certified),
+        memoized on the block like its wire size: every validator of a
+        deployment prices blocks alike, and each block is received by
+        every one of them.  Both prices share one attribute: a block's
+        ``__dict__`` grows to a larger table past fifteen keys."""
+        prices = block.__dict__.get("_sim_stage_prices")
+        if prices is None:
+            cpu = self._cpu
+            multiplier = cpu.certified_multiplier if self._certified else 1.0
+            per_tx = cpu.tx_consensus_cost * self._tx_weight
+            count = len(block.transactions)
+            prices = (
+                cpu.block_base_cost + per_tx * multiplier * count,
+                # A yet-uncertified block: buffered and acked only.
+                cpu.block_base_cost + per_tx * (multiplier * cpu.header_cost_factor) * count,
+            )
+            object.__setattr__(block, "_sim_stage_prices", prices)
+        return prices[header]
 
     # ------------------------------------------------------------------
     # Certified (Tusk) round structure

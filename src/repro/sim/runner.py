@@ -16,6 +16,7 @@ from functools import partial, reduce
 from pathlib import Path
 from typing import Callable, NamedTuple
 
+from ..block import make_genesis
 from ..committee import (
     MIN_COMMITTEE_SIZE,
     Committee,
@@ -590,6 +591,10 @@ class Experiment:
         # joiners, which enter through committed commands.
         self._committee = Committee.of_size(config.genesis_size)
         self._reconfig_seq = 0
+        # One set of round-0 blocks for every core (restarts included):
+        # like every other block of the simulation, each is one object
+        # all validators hold, so what is memoized on it is shared.
+        self._genesis = make_genesis(config.num_validators)
         self._coin = FastCoin(
             seed=("coin", config.seed).__repr__().encode(),
             n=config.num_validators,
@@ -725,6 +730,7 @@ class Experiment:
             self._protocol_config,
             self._coin,
             committer_factory=committer,
+            genesis=self._genesis,
         )
 
     def _behavior(self, authority: int) -> NodeBehavior:

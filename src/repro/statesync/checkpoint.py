@@ -263,12 +263,22 @@ class CommitLedger:
     # Capture path
     # ------------------------------------------------------------------
     def extend(self, linearized: Iterable[Block]) -> None:
-        """Fold newly linearized blocks into the commit chain."""
+        """Fold newly linearized blocks into the commit chain.
+
+        Each step's hash is kept on the block (:attr:`Block.chain_link`,
+        keyed by the chain it extended), so the validators that commit
+        one block object on one chain hash it once between them; a
+        ledger on another chain (a diverging or a test ledger) hashes
+        its own step and keeps that one instead."""
         chain = self.chain
         count = 0
         track = self._next_boundary is not None
         for block in linearized:
-            chain = chain_digest(chain, block.digest)
+            link = block.chain_link
+            if link is None or link[0] != chain:
+                link = (chain, chain_digest(chain, block.digest))
+                object.__setattr__(block, "chain_link", link)
+            chain = link[1]
             count += 1
             if track:
                 insort(self._recent, block.reference, key=_REF_ORDER)

@@ -1,9 +1,10 @@
 """Tests for the validator state machine (:class:`MahiMahiCore`)."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.block import Block, make_genesis
-from repro.committee import Committee
+from repro.committee import Committee, CommitteeSchedule
 from repro.config import ProtocolConfig
 from repro.core.protocol import MahiMahiCore
 from repro.crypto.coin import FastCoin
@@ -12,6 +13,7 @@ from repro.dag.validation import BlockVerifier
 from repro.transaction import Transaction
 
 from ..helpers import committed_blocks, record_commits
+from ..statesync.test_checkpoint import drive_rounds, make_core
 
 
 def make_cores(n=4, wave=5, leaders=2, gc=0, max_txs=10_000):
@@ -314,3 +316,140 @@ class TestCommitting:
         run_lockstep(unpruned, 30, txs_per_step=1)
         a, b = ([block.slot for block in committed_blocks(log)] for log in logs)
         assert a == b
+
+
+# ----------------------------------------------------------------------
+# quorum_round: kept as blocks enter, against the scan it replaced
+# ----------------------------------------------------------------------
+def scanned_quorum_round(core) -> int:
+    """``quorum_round`` as it was before the core kept it: a scan down
+    from the top round on every call (the oracle)."""
+    store = core.store
+    schedule = core.schedule
+    r = store.highest_round
+    if schedule.is_static and schedule.genesis_committee.size >= schedule.provisioned:
+        quorum = schedule.genesis_committee.quorum_threshold
+        while r > 0 and store.num_authors_at_round(r) < quorum:
+            r -= 1
+        return r
+    while r > 0:
+        committee = schedule.committee_at(r)
+        if committee.count_members(store.authors_at_round(r)) >= committee.quorum_threshold:
+            break
+        r -= 1
+    return r
+
+
+def assert_quorum_round(core) -> None:
+    assert core.quorum_round() == scanned_quorum_round(core)
+
+
+def lockstep_dag() -> list[Block]:
+    """Every block of eight lockstep rounds of four validators, plus a
+    ninth round that only two of them reached (short of a quorum)."""
+    cores, _ = make_cores()
+    run_lockstep(cores, 8)
+    stragglers = [cores[author].maybe_propose() for author in (1, 2)]
+    return [block for block in cores[0].store if block.round > 0] + stragglers
+
+
+LOCKSTEP_DAG = lockstep_dag()
+
+
+class TestQuorumRound:
+    @settings(max_examples=60, deadline=None)
+    @given(st.randoms(use_true_random=False), st.booleans())
+    def test_equals_the_scan_after_every_insertion_in_any_order(self, rng, propose):
+        """Blocks arriving in any order — most of them buffered behind a
+        missing parent and released later — and the receiver's own
+        proposals in between."""
+        blocks = list(LOCKSTEP_DAG)
+        rng.shuffle(blocks)
+        receiver = make_cores()[0][3]
+        assert_quorum_round(receiver)
+        buffered = 0
+        for block in blocks:
+            buffered += bool(receiver.add_block(block).missing)
+            assert_quorum_round(receiver)
+            if propose and receiver.maybe_propose() is not None:
+                assert_quorum_round(receiver)
+        assert receiver.pending_count == 0 and receiver.quorum_round() >= 8
+        assert buffered or blocks == sorted(blocks, key=lambda block: block.round)
+
+    def test_follows_garbage_collection_and_a_store_pruned_past_it(self):
+        cores, _ = make_cores(gc=4)
+        for _ in range(30):
+            run_lockstep(cores, 1)
+            for core in cores:
+                assert_quorum_round(core)
+        store = cores[0].store
+        assert store.lowest_round > 0
+        store.prune_below(store.highest_round + 1)
+        assert cores[0].quorum_round() == scanned_quorum_round(cores[0]) == 0
+
+    def test_the_scan_reruns_only_when_the_floor_moves(self, monkeypatch):
+        scans = []
+        rescan = MahiMahiCore._rescan_quorum
+        monkeypatch.setattr(
+            MahiMahiCore, "_rescan_quorum", lambda core: (scans.append(core), rescan(core))
+        )
+        cores, _ = make_cores()
+        run_lockstep(cores, 12)
+        assert len(scans) == len(cores)  # one each, at construction
+        cores, _ = make_cores(gc=4)
+        run_lockstep(cores, 12)
+        floors = cores[0].store.lowest_round
+        assert floors > 0 and len(scans) > 2 * len(cores)
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.randoms(use_true_random=False), st.integers(1, 4))
+    def test_across_checkpoint_adoption_and_a_raised_floor(self, rng, raise_by):
+        sources = [make_core(i, interval=2) for i in range(4)]
+        drive_rounds(sources, 24)
+        checkpoint = sources[0].committer.ledger.checkpoints[-1]
+        adopter = make_core(3, interval=2)
+        assert_quorum_round(adopter)
+        adopter.adopt_checkpoint(checkpoint)
+        assert_quorum_round(adopter)
+        suffix = [block for block in sources[0].store if block.round >= checkpoint.floor]
+        rng.shuffle(suffix)
+        half = len(suffix) // 2
+        for block in suffix[:half]:
+            adopter.add_block(block)
+            assert_quorum_round(adopter)
+        adopter.raise_sync_floor(checkpoint.floor + raise_by)
+        assert_quorum_round(adopter)
+        for block in suffix[half:]:
+            adopter.add_block(block)
+            assert_quorum_round(adopter)
+        assert adopter.quorum_round() == sources[0].quorum_round()
+
+    def test_across_an_epoch_activation_with_a_non_contiguous_committee(self):
+        """Six provisioned identities, a genesis committee of four (so
+        raw author counts are not member counts), then an epoch of
+        ``{0, 1, 4, 5}`` activating below the top round: rounds that had
+        a quorum lose it, and the newcomers' blocks bring it back."""
+        coin = FastCoin(seed=b"core-test", n=6, threshold=3)
+        config = ProtocolConfig(wave_length=5, leaders_per_round=2)
+        cores = [
+            MahiMahiCore(i, CommitteeSchedule(Committee.of_size(4), provisioned=6), config, coin)
+            for i in range(6)
+        ]
+        quorum_rounds = []
+        for step in range(14):
+            if step == 6:
+                activation = cores[0].store.highest_round - 1
+                for core in cores:
+                    core.schedule.schedule_epoch(activation, Committee.of_members((0, 1, 4, 5)))
+                    assert_quorum_round(core)
+            blocks = [block for block in (core.maybe_propose() for core in cores) if block]
+            for core in cores:
+                for block in blocks:
+                    if block.author != core.authority:
+                        core.add_block(block)
+                        assert_quorum_round(core)
+                core.try_commit()
+                assert_quorum_round(core)
+            quorum_rounds.append(cores[0].quorum_round())
+        assert quorum_rounds[6] < quorum_rounds[5]  # the epoch took a quorum away
+        assert quorum_rounds[-1] > quorum_rounds[5]  # and the new committee moved on

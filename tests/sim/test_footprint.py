@@ -12,7 +12,10 @@ a new round (after that step) it checks, against that bound:
   DAG, in-flight messages, buffers and commit records together; one
   window more where a crashed validator still holds its old one);
 * each validator's DAG, its committer's already-linearized digest set,
-  its synchronizer's fetch table and — Tusk — its header table.
+  its synchronizer's fetch table and — Tusk — its header table;
+* the buffers a block passes on its way in: the core's blocks waiting on
+  a parent, the index of what they wait on, the DAG tips, and the
+  observer's wire-arrival stamps.
 
 A structure that keeps what the validator committed, or what it ever
 saw, grows past the bound within the first tenth of the run.
@@ -83,6 +86,13 @@ def test_footprint_follows_the_gc_window(leg, monkeypatch):
             assert len(core.committer._output) <= window, where
             assert node._driver.synchronizer.missing <= window, where
             assert len(node._headers) <= window, where
+            # The insertion path's buffers: blocks waiting on a parent,
+            # the reverse index to them, the DAG tips, and the
+            # observer's wire-arrival stamps.
+            assert len(core._pending) <= window, where
+            assert len(core._waiting_on) <= window, where
+            assert len(core._tips) <= window, where
+            assert len(node._arrivals) <= window, where
         checked.append(now_finalized)
 
     def checked_step(node):

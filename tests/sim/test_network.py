@@ -1,12 +1,19 @@
 """Tests for the simulated network (bandwidth, FIFO, adversary).  What a
 message carries is opaque to it: the bodies here are plain labels."""
 
-import pytest
+from collections import deque
+from typing import NamedTuple
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from repro.obs.trace import Tracer
 from repro.sim.events import EventLoop
 from repro.sim.latency import UniformLatencyModel
 from repro.sim.network import (
     AsyncAdversaryScheduler,
+    LeaderDosScheduler,
+    Message,
     NetworkConfig,
     SimNetwork,
 )
@@ -282,3 +289,198 @@ class TestPartitions:
         _, network, _ = make_network()
         with pytest.raises(ValueError):
             network.set_partition(1, "")
+
+
+# ----------------------------------------------------------------------
+# The fan-out against the per-hop send loop it replaced
+# ----------------------------------------------------------------------
+class PerHopNetwork(SimNetwork):
+    """The network before a broadcast priced its hops in one pass: a
+    broadcast is one ``send`` per peer, and each send looks everything
+    up and prices its hop from scratch (the oracle for ``_fan_out``)."""
+
+    def send(self, src, dst, body, size):
+        if src == dst:
+            raise ValueError("validators do not message themselves")
+        partition_delay = 0.0
+        if self._partition:
+            dropped, partition_delay = self._cross_partition(src, dst)
+            if dropped:
+                self.messages_dropped += 1
+                return
+        message = Message(src=src, dst=dst, body=body, size=size)
+        wire_size = size + self._config.message_overhead
+        now = self._loop.now
+        egress_free = self._egress_free
+        start = egress_free[src]
+        if now > start:
+            start = now
+        egress_done = start + wire_size / self._config.bandwidth
+        egress_free[src] = egress_done
+        delay = self._sample_delay(src, dst) + partition_delay
+        if not self._benign:
+            delay += self._scheduler.extra_delay(message, now, self._rng)
+        arrival = egress_done + delay
+        link = (src, dst)
+        last = self._last_delivery.get(link, 0.0) + 1e-9
+        if last > arrival:
+            arrival = last
+        self._last_delivery[link] = arrival
+        self.messages_sent += 1
+        self.bytes_sent += wire_size
+        if self._tracer.enabled:
+            self._tracer.span(
+                src,
+                "network",
+                "net_flight",
+                start,
+                arrival,
+                {"kind": type(body).__name__, "dst": dst, "bytes": wire_size},
+            )
+        queue = self._link_queue.get(link)
+        if queue is None:
+            queue = self._link_queue[link] = deque()
+        if not queue:
+            self._loop.schedule_at(self._tick_boundary(arrival), self._flush_link, link)
+        queue.append((arrival, message))
+
+    def broadcast(self, src, body, size):
+        peers = [v for v in range(self._n) if v != src]
+        self._rng.shuffle(peers)
+        for dst in peers:
+            self.send(src, dst, body, size)
+
+
+class Carried(NamedTuple):
+    """A body carrying a block, as the leader-DoS scheduler reads one."""
+
+    block: "Slot"
+
+
+class Slot(NamedTuple):
+    author: int
+    round: int
+
+
+class DrawingLatency(UniformLatencyModel):
+    """Draws from the network's generator on every hop (a custom
+    ``sample``), so the order of draws is part of what is compared."""
+
+    def sample(self, src, dst, rng):
+        return self._delay * (1.0 + rng.random())
+
+
+LATENCIES = {
+    "fixed": lambda: UniformLatencyModel(0.05),
+    "jittered": lambda: UniformLatencyModel(0.05, jitter_sigma=0.3),
+    "drawing": lambda: DrawingLatency(0.05),
+}
+SCHEDULERS = {
+    "random": lambda n: None,
+    "async-adversary": lambda n: AsyncAdversaryScheduler(n, max(1, n // 3), 0.4, window=0.1),
+    "leader-dos": lambda n: LeaderDosScheduler(lambda r: (r % n, (r + 1) % n), 0.3, slots=2),
+}
+
+
+@st.composite
+def network_programs(draw):
+    """A network set-up and a program of calls on it: broadcasts and
+    unicasts of plain and block-carrying bodies, cuts and degraded
+    partitions and their heals, and the loop running forward."""
+    n = draw(st.integers(2, 7))
+    node = st.integers(0, n - 1)
+    size = st.sampled_from([10, 900, 40_000])
+    body = st.one_of(
+        st.sampled_from(["a", "b"]),
+        st.builds(Carried, st.builds(Slot, node, st.integers(1, 6))),
+    )
+    calls = []
+    for _ in range(draw(st.integers(1, 30))):
+        kind = draw(st.sampled_from(["broadcast", "send", "partition", "heal", "run"]))
+        if kind == "broadcast":
+            calls.append(("broadcast", draw(node), draw(body), draw(size)))
+        elif kind == "send":
+            src = draw(node)
+            dst = draw(node.filter(lambda v, src=src: v != src)) if n > 1 else src
+            calls.append(("send", src, dst, draw(body), draw(size)))
+        elif kind == "partition":
+            group = draw(st.sampled_from(["east", "west"]))
+            calls.append(("set_partition", draw(node), group, draw(st.sampled_from([0.0, 0.3]))))
+        elif kind == "heal":
+            calls.append(("heal", draw(node)))
+        else:
+            calls.append(("run", draw(st.sampled_from([0.0, 0.0004, 0.03, 0.2]))))
+    setup = dict(
+        n=n,
+        latency=draw(st.sampled_from(sorted(LATENCIES))),
+        scheduler=draw(st.sampled_from(sorted(SCHEDULERS))),
+        traced=draw(st.booleans()),
+        delivery_tick=draw(st.sampled_from([0.0, NetworkConfig().delivery_tick])),
+        bandwidth=draw(st.sampled_from([10e9 / 8, 1e6])),
+        seed=draw(st.integers(0, 2**16)),
+    )
+    return setup, calls
+
+
+def build(cls, setup):
+    loop = EventLoop()
+    tracer = Tracer() if setup["traced"] else None
+    network = cls(
+        loop,
+        LATENCIES[setup["latency"]](),
+        setup["n"],
+        config=NetworkConfig(bandwidth=setup["bandwidth"], delivery_tick=setup["delivery_tick"]),
+        scheduler=SCHEDULERS[setup["scheduler"]](setup["n"]),
+        seed=setup["seed"],
+        tracer=tracer,
+    )
+    delivered = []
+    for v in range(setup["n"]):
+        network.register_batch(v, lambda batch, v=v: delivered.append((v, loop.now, batch)))
+    return loop, network, tracer, delivered
+
+
+def network_state(loop, network, tracer, delivered):
+    """Everything a hop leaves behind, in comparable form."""
+    return (
+        {link: list(queue) for link, queue in network._link_queue.items()},
+        list(network._egress_free),
+        dict(network._last_delivery),
+        (network.messages_sent, network.bytes_sent, network.messages_dropped),
+        [(time, sequence, args) for time, sequence, _, args in loop._heap],
+        network._rng.getstate(),
+        None if tracer is None else list(tracer.events),
+        list(delivered),
+        loop.now,
+    )
+
+
+class TestFanOutOracle:
+    @settings(max_examples=150, deadline=None)
+    @given(network_programs())
+    def test_fan_out_leaves_what_the_per_hop_sends_left(self, program):
+        """After every call — broadcast, unicast, partition change, the
+        loop running — the one-pass fan-out and the per-hop ``send``
+        loop hold the same link queues, uplink and FIFO clocks, counters,
+        heap entries, generator state, trace and deliveries."""
+        setup, calls = program
+        ours, oracle = build(SimNetwork, setup), build(PerHopNetwork, setup)
+        for call in calls:
+            for loop, network, _, _ in (ours, oracle):
+                if call[0] == "run":
+                    loop.run_until(loop.now + call[1])
+                else:
+                    getattr(network, call[0])(*call[1:])
+            assert network_state(*ours) == network_state(*oracle), call
+        for loop, *_ in (ours, oracle):
+            loop.run_to_completion()
+        assert network_state(*ours) == network_state(*oracle)
+
+    def test_a_broadcast_is_one_call(self, monkeypatch):
+        """What the traced harness counts under ``sim.network``: a
+        broadcast no longer calls ``send`` once per peer."""
+        loop, network, _ = make_network(n=6)
+        sends = []
+        monkeypatch.setattr(SimNetwork, "send", lambda *args: sends.append(args))
+        network.broadcast(0, "x", size=10)
+        assert sends == [] and network.messages_sent == 5

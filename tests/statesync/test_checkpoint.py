@@ -32,7 +32,10 @@ from repro.statesync import (
     chain_digest,
     digest_executor_state,
 )
+from repro.sim.faults import make_equivocating_sibling
 from repro.statesync.checkpoint import _REF_ORDER
+
+from ..helpers import committed_blocks, record_commits
 
 
 def make_checkpoint(round_number=8, floor=0, refs=(), chain=GENESIS_STATE, length=12):
@@ -393,3 +396,128 @@ def test_the_window_key_is_blockref_order(references):
     assert sorted(references) == by_key
     assert by_key == sorted(references, key=attrgetter("author", "round", "digest"))
     assert [f.name for f in dataclasses.fields(BlockRef)] == ["author", "round", "digest"]
+
+
+# ----------------------------------------------------------------------
+# The commit chain's steps kept on the blocks, against hashing each one
+# ----------------------------------------------------------------------
+class MemoFreeLedger(CommitLedger):
+    """The chain as it was before its steps were kept on the blocks: one
+    hash per block per ledger, nothing read or written on the block."""
+
+    def extend(self, linearized) -> None:
+        chain = self.chain
+        count = 0
+        for block in linearized:
+            chain = chain_digest(chain, block.digest)
+            count += 1
+        self.chain = chain
+        self.sequence_length += count
+
+
+@pytest.fixture(scope="module")
+def committed():
+    """One lockstep run's commit sequence, in commit order."""
+    cores = [make_core(i) for i in range(4)]
+    log = record_commits(cores[0])
+    drive_rounds(cores, 16)
+    blocks = committed_blocks(log)
+    assert len(blocks) > 20
+    return blocks
+
+
+def fresh_copies(blocks):
+    """The same blocks as new objects: equal, but with no memo on them."""
+    return [dataclasses.replace(block) for block in blocks]
+
+
+def extend_in_step(pairs, chunks) -> None:
+    """Extend each ``(ledger, oracle)`` pair with its chunk in turn, and
+    compare chains after every call."""
+    for (ledger, oracle), blocks in zip(pairs, chunks):
+        ledger.extend(blocks)
+        oracle.extend(blocks)
+        assert (ledger.chain, ledger.sequence_length) == (oracle.chain, oracle.sequence_length)
+
+
+class TestChainMemo:
+    def test_ledgers_on_different_chains_share_blocks(self, committed, monkeypatch):
+        """A checkpoint adopter whose chain reaches the shared blocks by
+        another path (it adopted past one of them) and a ledger from
+        genesis, extending in turns over the same block objects: each
+        keeps the chain a memo-free ledger computes, whatever the other
+        left on the blocks; a third ledger that follows the first hashes
+        nothing."""
+        blocks = fresh_copies(committed)
+        skip = 5
+        base = MemoFreeLedger(DagStore(), 4)
+        base.extend(blocks[:skip])
+        adopted = make_checkpoint(chain=base.chain, length=skip)
+        pairs = [
+            (CommitLedger(DagStore(), 4), MemoFreeLedger(DagStore(), 4)),
+            (CommitLedger(DagStore(), 4), MemoFreeLedger(DagStore(), 4)),
+        ]
+        for ledger in pairs[1]:
+            ledger.adopt(adopted)
+        for start in range(0, len(blocks), 4):
+            # The adopter never commits blocks[skip], and extends second.
+            end = start + 4
+            extend_in_step(pairs, [blocks[start:end], blocks[max(start, skip + 1) : end]])
+        assert pairs[0][0].chain != pairs[1][0].chain
+        hashed = []
+        monkeypatch.setattr(
+            "repro.statesync.checkpoint.chain_digest",
+            lambda chain, digest: hashed.append(digest) or chain_digest(chain, digest),
+        )
+        follower = CommitLedger(DagStore(), 4)
+        follower.extend(blocks)
+        assert follower.chain == pairs[0][1].chain
+        # The adopter wrote the last links past ``skip``; the follower
+        # re-hashed those.
+        assert len(hashed) == len(blocks) - skip - 1
+        hashed.clear()
+        again = CommitLedger(DagStore(), 4)
+        again.extend(blocks)
+        assert again.chain == follower.chain and hashed == []
+
+    def test_an_equivocating_sibling_chains_apart(self, committed):
+        """Two ledgers that commit one slot's sibling blocks — a
+        different block each, the rest shared — and a third that commits
+        an equal copy of the first's (same digest, no memo yet): each
+        chain is the memo-free one."""
+        blocks = fresh_copies(committed)
+        at = len(blocks) // 2
+        sibling = make_equivocating_sibling(blocks[at])
+        twin = dataclasses.replace(blocks[at])
+        streams = [
+            blocks,
+            blocks[:at] + [sibling] + blocks[at + 1 :],
+            blocks[:at] + [twin] + blocks[at + 1 :],
+        ]
+        pairs = [(CommitLedger(DagStore(), 4), MemoFreeLedger(DagStore(), 4)) for _ in streams]
+        for start in range(0, len(blocks), 3):
+            extend_in_step(pairs, [stream[start : start + 3] for stream in streams])
+        chains = [ledger.chain for ledger, _ in pairs]
+        assert chains[0] == chains[2] != chains[1]
+        assert blocks[at].chain_link[1] != sibling.chain_link[1]
+
+    def test_a_simulation_hashes_each_committed_block_once(self, monkeypatch):
+        """Every validator of a simulation holds one object per block —
+        the round-0 blocks included — so the whole committee's ledgers
+        hash each committed block's chain step once between them."""
+        from repro.sim.runner import Experiment, ExperimentConfig
+
+        hashed = []
+        monkeypatch.setattr(
+            "repro.statesync.checkpoint.chain_digest",
+            lambda chain, digest: hashed.append(digest) or chain_digest(chain, digest),
+        )
+        experiment = Experiment(
+            ExperimentConfig(num_validators=7, load_tps=500.0, duration=3.0, warmup=0.5, seed=1)
+        )
+        result = experiment.run()
+        genesis = [node.core.store.round_blocks(0) for node in experiment.nodes]
+        assert all(blocks == genesis[0] for blocks in genesis)
+        assert all(a is b for blocks in genesis for a, b in zip(blocks, genesis[0]))
+        assert result.blocks_committed > 50
+        assert len(hashed) == len(set(hashed)) >= result.blocks_committed

@@ -482,12 +482,14 @@ def sent_by_victim(log):
 
 
 def recording_network(loop, log):
-    """A simulated network that logs ``(dst, message)`` per send."""
+    """A simulated network that logs ``(dst, message)`` per hop (a
+    broadcast's hops and a send's one all pass through ``_fan_out``)."""
 
     class RecordingNetwork(SimNetwork):
-        def send(self, src, dst, body, size):
-            log.append((dst, body))
-            super().send(src, dst, body, size)
+        def _fan_out(self, src, peers, body, size):
+            peers = list(peers)
+            log.extend((dst, body) for dst in peers)
+            super()._fan_out(src, peers, body, size)
 
     return RecordingNetwork(loop, UniformLatencyModel(0.02), N, seed=1)
 

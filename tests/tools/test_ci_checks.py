@@ -166,6 +166,27 @@ def test_commit_walk(tmp_path):
     ]
 
 
+def test_fan_out(tmp_path):
+    def output(network=550.0, store=27_550.0, failed=0) -> str:
+        metrics = {
+            "sim.network.calls": {"value": network, "unit": "count"},
+            "dag.store.calls": {"value": store, "unit": "count"},
+        }
+        result = {"correct": True, "attempted": 12_000, "failed": failed, "metrics": metrics}
+        return '# info {"workload": "sim-mahi-n50"}\n' + json.dumps(result) + "\n"
+
+    assert ci_checks.fan_out(write(tmp_path / "ok.out", output())) == []
+    # Exactly a tenth still passes: the bound is inclusive.
+    assert ci_checks.fan_out(write(tmp_path / "edge.out", output(network=2_755.0))) == []
+    # One send per hop, as every broadcast was before it fanned out.
+    (violation,) = ci_checks.fan_out(write(tmp_path / "per-hop.out", output(network=27_500.0)))
+    assert violation == "sim.network.calls is 27500.0, above a tenth of dag.store.calls (27550.0)"
+    (violation,) = ci_checks.fan_out(write(tmp_path / "bad.out", output(failed=2)))
+    assert "2 of 12000" in violation
+    dead = json.dumps({"correct": False, "attempted": 1, "failed": 0, "metrics": {}})
+    assert len(ci_checks.fan_out(write(tmp_path / "dead.out", dead))) == 2
+
+
 def test_tusk_poll(tmp_path):
     def output(walks=6_557.0, correct=True) -> str:
         metrics = {
@@ -195,7 +216,7 @@ def test_tx_path(tmp_path):
         return '# info {"workload": "sim-tusk-n10"}\n' + json.dumps(result) + "\n"
 
     assert ci_checks.tx_path(write(tmp_path / "ok.out", output())) == []
-    faulty = output(recorder=1_610.0, store=4_686.0)
+    faulty = output(recorder=1_610.0, store=4_693.0)
     assert ci_checks.tx_path(write(tmp_path / "faulty.out", faulty)) == []
     # Every submission recorded, the books per block otherwise (both
     # workloads under seed 7 before arrivals were routed).
