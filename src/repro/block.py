@@ -12,13 +12,17 @@ decisions, exactly like the reference implementation's ``BlockRef``.
 
 **Who owns the bytes.**  A block the runtime decodes or proposes carries
 its transactions as a :class:`~repro.transaction.TransactionBatch` — the
-section's wire bytes, the only retained copy of the payload.  The digest
-and :meth:`Block.encode` splice those bytes in, so a block is encoded
-once by its proposer, hashed once per validator (the author signs, and
-peers verify, the 32-byte :attr:`Block.digest`), and re-joined — never
-re-serialised, never cached — for each peer frame and WAL record.
-Simulator blocks carry a :class:`~repro.transaction.TransactionSlice`
-(packed for the digest, never framed), hand-built ones plain tuples.
+section's wire bytes (a header table, then the payloads), the only
+retained copy of the payload.  Its proposer packs the section in bulk
+and :meth:`Block.decode` checks a received one in bulk (the count
+against the frame, one ``sum`` over the length column) before slicing
+it out.  The digest and :meth:`Block.encode` splice those bytes in, so
+a block is encoded once by its proposer, hashed once per validator (the
+author signs, and peers verify, the 32-byte :attr:`Block.digest`), and
+re-joined — never re-serialised, never cached — for each peer frame and
+WAL record.  Simulator blocks carry a
+:class:`~repro.transaction.TransactionSlice` (its header table packed for
+the digest, never framed), hand-built ones plain tuples.
 
 **What decode raises.**  :meth:`Block.decode` and
 :meth:`BlockRef.decode` raise :class:`~repro.errors.ReproError`, and

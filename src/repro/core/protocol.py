@@ -20,6 +20,7 @@ garbage-collection window.
 from __future__ import annotations
 
 from collections import deque
+from itertools import repeat, starmap
 from typing import Iterable, NamedTuple, Sequence
 
 from ..block import Block, BlockRef, make_genesis
@@ -49,7 +50,7 @@ class Mempool(deque):
     def take(self, limit: int) -> tuple[Transaction, ...]:
         """A proposal's transaction section: the oldest ``limit``
         transactions (all of them, if fewer wait), removed."""
-        return tuple(self.popleft() for _ in range(min(limit, len(self))))
+        return tuple(starmap(self.popleft, repeat((), min(limit, len(self)))))
 
 
 class AddBlockResult(NamedTuple):

@@ -12,7 +12,12 @@ requirements reproduced here:
   re-downloading history;
 * **torn tails are tolerated**: a crash mid-append leaves a truncated or
   corrupt final record, which recovery silently discards (everything
-  before it is protected by a CRC).
+  before it is protected by a CRC);
+* **what cannot be read is refused**: a whole, CRC-valid block record
+  that does not decode to exactly one block (a log written in another
+  block layout, say) stops recovery with a
+  :class:`~repro.errors.WalCorruptionError` naming its offset — it is
+  never replayed as some other block.
 
 Record layout: ``<u32 length> <u32 crc32> <u8 type> <payload>``.
 """
@@ -27,7 +32,7 @@ from pathlib import Path
 from typing import Iterator
 
 from ..block import Block
-from ..errors import WalCorruptionError
+from ..errors import ReproError, WalCorruptionError
 
 _HEADER = struct.Struct("<IIB")
 
@@ -137,17 +142,34 @@ class WriteAheadLog:
 
         Returns all durable own/peer blocks in append order and the
         highest recorded commit mark (-1 if none).
+
+        Raises:
+            WalCorruptionError: If a block record's payload is not
+                exactly one block.
         """
         own: list[Block] = []
         peers: list[Block] = []
         commit_round = -1
+        offset = 0
         for record in cls.read_records(path):
             if record.record_type == RECORD_OWN_BLOCK:
-                block, _ = Block.decode(record.payload)
-                own.append(block)
+                own.append(_decode_block_record(record.payload, offset))
             elif record.record_type == RECORD_PEER_BLOCK:
-                block, _ = Block.decode(record.payload)
-                peers.append(block)
+                peers.append(_decode_block_record(record.payload, offset))
             elif record.record_type == RECORD_COMMIT_MARK:
                 commit_round = max(commit_round, int.from_bytes(record.payload, "little"))
+            offset += _HEADER.size + len(record.payload)
         return own, peers, commit_round
+
+
+def _decode_block_record(payload: bytes, offset: int) -> Block:
+    """The block a record's payload holds, all of it and nothing else."""
+    try:
+        block, end = Block.decode(payload)
+    except ReproError as error:
+        raise WalCorruptionError(f"unreadable block record at offset {offset}: {error}") from error
+    if end != len(payload):
+        raise WalCorruptionError(
+            f"block record at offset {offset} holds {len(payload) - end} bytes past its block"
+        )
+    return block

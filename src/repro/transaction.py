@@ -4,18 +4,31 @@ The paper's benchmarks use arbitrary 512-byte transactions (Section 5.1).
 Here a transaction carries an id (used by the metrics pipeline to match
 submission and commit events), a submission timestamp, and a payload.
 
+A block's transaction section is laid out as a header table and a
+payload run::
+
+    u32 count | count x (u64 id, f64 submitted_at, u32 payload length) | payloads
+
+so every section operation is a handful of C-level calls, never one
+Python step per transaction: encoding packs the table in one call and
+joins the payloads in one more, and checking a received section reads
+the length column in one streaming unpack and one ``sum``.
+(:meth:`Transaction.encode` / :meth:`Transaction.decode` are the
+single-record codec — one table row followed by its payload — which no
+section operation calls.)
+
 Consensus orders transactions and never interprets them, so on the
 runtime's data plane a block's transaction section is a
-:class:`TransactionBatch`: the count-prefixed wire bytes, encoded once by
-the proposer (or sliced out of the received frame after a structural
-walk of the length prefixes) and spliced as they are into the block's
-digest, every peer frame and every WAL record.  ``Transaction`` objects
-are built only when a consumer iterates the batch.
+:class:`TransactionBatch`: the section's wire bytes, encoded once by the
+proposer (or sliced out of the received frame after that bulk check)
+and spliced as they are into the block's digest, every peer frame and
+every WAL record.  ``Transaction`` objects are built only when a
+consumer iterates the batch.
 
 The simulator's blocks carry a :class:`TransactionSlice` instead: a
 stretch of one validator's ingress columns (ids and arrival times), so a
-simulated transaction is never an object unless something iterates it,
-and the section encodes in one bulk pack.
+simulated transaction is never an object unless something iterates it.
+Its entries carry no payload, so its bytes are the header table alone.
 """
 
 from __future__ import annotations
@@ -23,6 +36,7 @@ from __future__ import annotations
 import struct
 from collections.abc import Iterator, Sequence
 from itertools import repeat
+from operator import itemgetter
 from typing import NamedTuple
 
 from .errors import ReproError
@@ -66,12 +80,13 @@ class Transaction(NamedTuple):
         return _HEADER.size + len(self.payload)
 
     def encode(self) -> bytes:
-        """Serialize to the canonical wire format."""
+        """This transaction alone: its header-table row, then its payload
+        (a one-transaction section is its count prefix and these bytes)."""
         return _HEADER.pack(self.tx_id, self.submitted_at, len(self.payload)) + self.payload
 
     @classmethod
     def decode(cls, data: bytes, offset: int = 0) -> tuple["Transaction", int]:
-        """Deserialize one transaction starting at ``offset``.
+        """Deserialize one :meth:`encode` record starting at ``offset``.
 
         Returns:
             The transaction and the offset just past it.
@@ -123,26 +138,27 @@ class TransactionBatch(Sequence):
 
     @classmethod
     def decode(cls, data: bytes, offset: int = 0) -> tuple["TransactionBatch", int]:
-        """Slice one count-prefixed transaction section out of ``data``.
+        """Slice one transaction section out of ``data``.
 
-        Walks the length prefixes only, so a truncated section or a
-        count the buffer cannot hold is rejected here, at the boundary,
+        Checks the count against the buffer, then sums the header
+        table's length column in one streaming unpack, so a count the
+        buffer cannot hold (a truncated table among them) or payloads
+        running past its end are rejected here, at the boundary,
         without building a ``Transaction``.
 
         Raises:
             ReproError: If the section is malformed.
         """
         size = len(data)
-        end = offset + _COUNT.size
-        if end > size:
+        table = offset + _COUNT.size
+        if table > size:
             raise ReproError("truncated transaction list")
         (count,) = _COUNT.unpack_from(data, offset)
-        if count > (size - end) // _HEADER.size:
+        if count > (size - table) // _HEADER.size:
             raise ReproError("transaction count exceeds the buffer")
-        for _ in range(count):
-            if end + _HEADER.size > size:
-                raise ReproError("truncated transaction header")
-            end += _HEADER.size + _PAYLOAD_LENGTH.unpack_from(data, end)[0]
+        payloads = table + count * _HEADER.size
+        lengths = _PAYLOAD_LENGTH.iter_unpack(memoryview(data)[table:payloads])
+        end = payloads + sum(map(itemgetter(0), lengths))
         if end > size:
             raise ReproError("truncated transaction payload")
         batch = cls.__new__(cls)
@@ -154,10 +170,13 @@ class TransactionBatch(Sequence):
         return self._count
 
     def __iter__(self) -> Iterator[Transaction]:
-        data, offset = self.wire, _COUNT.size
-        for _ in range(self._count):
-            tx, offset = Transaction.decode(data, offset)
-            yield tx
+        data = self.wire
+        start = _COUNT.size + self._count * _HEADER.size
+        headers = _HEADER.iter_unpack(memoryview(data)[_COUNT.size : start])
+        for tx_id, submitted_at, length in headers:
+            end = start + length
+            yield Transaction(tx_id, submitted_at, data[start:end])
+            start = end
 
     def __getitem__(self, index):
         return tuple(self)[index]
@@ -187,8 +206,8 @@ class TransactionSlice(Sequence):
     Like :class:`TransactionBatch` it equals, and hashes like, the
     tuple of transactions it stands for (each one built on demand; so
     do indexing and ``hash()``, which build them all), and
-    :attr:`wire` is that tuple's encoding — packed in one call when
-    there is no object entry.
+    :attr:`wire` is that tuple's encoding — with no object entry, the
+    header table of the columns as they are.
     """
 
     __slots__ = ("ids", "times", "sizes", "objects", "books")
@@ -233,29 +252,39 @@ class TransactionSlice(Sequence):
     def wire(self) -> bytes:
         """The count-prefixed encoding, as :func:`encode_transactions`
         emits it for the tuple (built on every call, never kept)."""
-        count = len(self.ids)
         if self.objects:
-            return b"".join([_COUNT.pack(count), *(tx.encode() for tx in self)])
-        # Every entry is (id, time, payload length 0) and no payload.
-        fields = [0] * (3 * count)
-        fields[0::3] = self.ids
-        fields[1::3] = self.times
-        return struct.pack("<I" + "QdI" * count, count, *fields)
+            return encode_transactions(tuple(self))
+        return _section(self.ids, self.times)
+
+
+def _section(ids: Sequence[int], times: Sequence[float], payloads: Sequence[bytes] = ()) -> bytes:
+    """The section of the transactions ``(ids[i], times[i], payloads[i])``
+    (no payloads: every one empty) — the count and the header table
+    packed in one call, then the payloads joined in one more."""
+    count = len(ids)
+    fields = [0] * (3 * count)
+    fields[0::3] = ids
+    fields[1::3] = times
+    if payloads:
+        fields[2::3] = map(len, payloads)
+    table = struct.pack(f"<I{'QdI' * count}", count, *fields)
+    return b"".join([table, *payloads]) if payloads else table
 
 
 def encode_transactions(transactions: Sequence[Transaction]) -> bytes:
-    """Serialize a sequence of transactions with a count prefix (a
+    """Serialize a sequence of transactions as a section (a
     :class:`TransactionSlice` packs itself, and a
     :class:`TransactionBatch` already is that encoding: its bytes are
     returned as they are)."""
     if isinstance(transactions, (TransactionSlice, TransactionBatch)):
         return transactions.wire
-    parts = [_COUNT.pack(len(transactions))]
-    parts.extend(tx.encode() for tx in transactions)
-    return b"".join(parts)
+    if not transactions:
+        return _section((), ())
+    ids, times, payloads, _ = zip(*transactions)
+    return _section(ids, times, payloads)
 
 
 def decode_transactions(data: bytes, offset: int = 0) -> tuple[tuple[Transaction, ...], int]:
-    """Deserialize a count-prefixed sequence of transactions."""
+    """Deserialize a transaction section."""
     batch, end = TransactionBatch.decode(data, offset)
     return tuple(batch), end

@@ -1,7 +1,8 @@
 """The runtime's data plane, pinned by count rather than by time: a
-transaction is encoded once (by its proposer) and decoded only when a
-consumer iterates it, a block's payload is hashed once per validator
-that holds it, and a stopped validator is freed by reference counting."""
+section is encoded once (by its proposer) in bulk, never one
+``Transaction`` at a time, and read only when a consumer iterates it, a
+block's payload is hashed once per validator that holds it, and a
+stopped validator is freed by reference counting."""
 
 import asyncio
 import gc
@@ -9,6 +10,7 @@ import socket
 import weakref
 
 from repro import block as block_module
+from repro import transaction as transaction_module
 from repro.block import Block
 from repro.committee import Committee, CommitteeSchedule
 from repro.config import ProtocolConfig
@@ -69,21 +71,30 @@ def run_cluster(tmp_path):
     return asyncio.run(scenario())
 
 
-def test_a_transaction_is_encoded_once_and_decoded_only_on_demand(tmp_path, monkeypatch):
+def test_a_drain_makes_no_single_record_codec_call_and_builds_transactions_on_demand(
+    tmp_path, monkeypatch
+):
     calls = {}
     count_calls(monkeypatch, Transaction, "encode", calls)
     count_calls(monkeypatch, Transaction, "decode", calls)
     nodes = run_cluster(tmp_path)
-    # Every submitted transaction was proposed (and committed) once;
-    # digest, signature check, three peer frames and four WAL records
-    # per block all reused the proposer's one encoding ...
-    assert calls["encode"] == N * PER_VALIDATOR
-    # ... and no validator built a Transaction to order, log or count one.
-    assert calls.get("decode", 0) == 0
+    # Every section was encoded by its proposer, and checked by every
+    # receiver, in bulk; digest, signature check, three peer frames and
+    # four WAL records per block all reused those bytes — and no
+    # validator built a Transaction to order, log or count one.
+    assert calls == {}
     block = next(b for b in nodes[0].committed_blocks if len(b.transactions))
     assert isinstance(block.transactions, TransactionBatch)
+    built = []
+
+    def counted(*fields):
+        built.append(fields[0])
+        return Transaction(*fields)
+
+    monkeypatch.setattr(transaction_module, "Transaction", counted)
     assert all(tx.size == 64 for tx in block.transactions)
-    assert calls["decode"] == len(block.transactions)
+    assert len(built) == len(set(built)) == len(block.transactions)
+    assert calls == {}
 
 
 def test_a_block_is_hashed_once_per_validator_and_the_signature_covers_the_digest(

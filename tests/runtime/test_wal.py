@@ -1,5 +1,7 @@
 """Tests for the write-ahead log and crash recovery."""
 
+import struct
+
 import pytest
 
 from repro.block import Block, make_genesis
@@ -10,7 +12,7 @@ from repro.runtime.wal import (
     WalRecord,
     WriteAheadLog,
 )
-from repro.transaction import Transaction
+from repro.transaction import Transaction, encode_transactions
 
 
 class TestAppendAndRead:
@@ -199,3 +201,62 @@ class TestRecoverMixedSizes:
         assert own == [intact]
         assert peers == []
         assert commit == -1
+
+
+class TestRefusesWhatItCannotRead:
+    """A whole, CRC-valid block record that is not exactly one block
+    stops recovery with a typed refusal naming its offset; only a torn
+    tail still ends the replay silently."""
+
+    def payload_block(self, author: int = 0) -> Block:
+        parents = tuple(b.reference for b in make_genesis(4))
+        return Block(
+            author=author,
+            round=1,
+            parents=parents,
+            transactions=(
+                Transaction(7, 1.0, b"pay alice 10 coins from bob"),
+                Transaction(8, 2.0, b"pay carol 20 coins from dave"),
+            ),
+        )
+
+    def interleaved_record(self, block: Block) -> bytes:
+        """``block`` in the layout before the header table, where each
+        transaction's header is followed by its own payload."""
+        txs = block.transactions
+        section = encode_transactions(txs)
+        interleaved = struct.pack("<I", len(txs)) + b"".join(tx.encode() for tx in txs)
+        wire = block.encode()
+        assert wire.count(section) == 1 and interleaved != section
+        return wire.replace(section, interleaved)
+
+    def log(self, path, *block_records: bytes) -> int:
+        """A log of a valid own block, a commit mark, then ``block_records``
+        as peer blocks; returns the offset of the first of those."""
+        with WriteAheadLog(path) as wal:
+            wal.append_own_block(self.payload_block())
+            wal.append_commit_mark(1)
+        offset = path.stat().st_size
+        with WriteAheadLog(path) as wal:
+            for record in block_records:
+                wal.append(RECORD_PEER_BLOCK, record)
+        return offset
+
+    def test_a_log_in_the_interleaved_layout_is_refused(self, tmp_path):
+        path = tmp_path / "interleaved.wal"
+        offset = self.log(path, self.interleaved_record(self.payload_block(1)))
+        with pytest.raises(WalCorruptionError, match=f"block record at offset {offset}:"):
+            WriteAheadLog.recover(path)
+
+    def test_bytes_past_the_block_are_refused(self, tmp_path):
+        path = tmp_path / "trailing.wal"
+        offset = self.log(path, self.payload_block(1).encode() + b"\x00")
+        with pytest.raises(WalCorruptionError, match=f"offset {offset} holds 1 bytes past"):
+            WriteAheadLog.recover(path)
+
+    def test_a_torn_refusable_tail_still_ends_the_replay_silently(self, tmp_path):
+        path = tmp_path / "torn.wal"
+        self.log(path, self.interleaved_record(self.payload_block(1)))
+        path.write_bytes(path.read_bytes()[:-5])
+        own, peers, commit = WriteAheadLog.recover(path)
+        assert own == [self.payload_block()] and peers == [] and commit == 1

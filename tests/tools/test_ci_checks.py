@@ -117,25 +117,28 @@ def test_points_match(tmp_path):
 
 
 def test_data_plane(tmp_path):
-    def output(encodes=1.0, failed=0, correct=True) -> str:
-        result = {
-            "correct": correct,
-            "attempted": 48_000,
-            "failed": failed,
-            "metrics": {"transaction.encodes_per_tx": {"value": encodes, "unit": "ratio"}},
+    def output(encodes=0.0, decodes=0.0, failed=0, correct=True) -> str:
+        metrics = {
+            "transaction.encode.calls": {"value": encodes, "unit": "count"},
+            "transaction.decode.calls": {"value": decodes, "unit": "count"},
         }
+        result = {"correct": correct, "attempted": 48_000, "failed": failed, "metrics": metrics}
         return '# info {"workload": "rt-drain"}\n' + json.dumps(result) + "\n"
 
     assert ci_checks.data_plane(write(tmp_path / "ok.out", output())) == []
-    (violation,) = ci_checks.data_plane(write(tmp_path / "re-encoded.out", output(encodes=15.0)))
-    assert "15.0" in violation
+    # A section walked one record at a time: one encode per transaction
+    # proposed, one decode per transaction the harness read back.
+    walked = ci_checks.data_plane(
+        write(tmp_path / "walked.out", output(encodes=24_000.0, decodes=96_000.0))
+    )
+    assert len(walked) == 2 and "24000.0" in walked[0] and "96000.0" in walked[1]
     violations = ci_checks.data_plane(
         write(tmp_path / "bad.out", output(failed=500, correct=False))
     )
     assert len(violations) == 2 and "500 of 48000" in violations[0]
     # A run that died before reporting metrics is a violation, not a KeyError.
     dead = json.dumps({"correct": False, "attempted": 1, "failed": 0, "metrics": {}})
-    assert len(ci_checks.data_plane(write(tmp_path / "dead.out", dead))) == 2
+    assert len(ci_checks.data_plane(write(tmp_path / "dead.out", dead))) == 3
     assert ci_checks.data_plane(write(tmp_path / "empty.out", "")) == [
         "the traced run printed nothing"
     ]
