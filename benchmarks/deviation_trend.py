@@ -9,8 +9,8 @@ ratios first-class data:
 
 1. **Compute** per-figure deviation ratios from any results directory:
    measured/paper commit latency for the Figure 3/4 load points and
-   measured/paper leader-slot latency gain for Figures 5/7 — the same
-   joins the report renders, as plain numbers.
+   measured/paper leader-slot latency gain for Figures 5/7 — the ratios
+   of the joins the report renders (``benchmarks/render.paper_joins``).
 2. **Append** one row keyed by git revision (and run mode) to
    ``results/deviation_trend.jsonl``, so fidelity history reads as a
    diffable log across commits.
@@ -36,7 +36,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import subprocess
 import sys
 from pathlib import Path
 
@@ -52,11 +51,9 @@ def _bootstrap_sys_path() -> None:
 
 _bootstrap_sys_path()
 
-from repro.analysis.report import LoadedSweep, load_sweeps  # noqa: E402
-from repro.sim.sweep import config_from_dict  # noqa: E402
+from repro.analysis.report import git_revision, group_by_figure, load_sweeps  # noqa: E402
 
-from benchmarks.curve_checks import paper_table_for_config  # noqa: E402
-from benchmarks.paper_data import LEADER_SWEEP_IMPROVEMENT  # noqa: E402
+from benchmarks.render import paper_joins  # noqa: E402
 
 #: Relative drift allowed against a baseline ratio before the gate trips.
 DEFAULT_TOLERANCE = 0.25
@@ -69,64 +66,11 @@ RATIO_FLOOR = 0.1
 # ----------------------------------------------------------------------
 # Ratio computation
 # ----------------------------------------------------------------------
-def _latency_ratios(figure_id: str, sweeps: list[LoadedSweep]) -> dict[str, float]:
-    """Measured/paper average-latency ratio per Figure 3/4 load point."""
-    ratios: dict[str, float] = {}
-    seen: set[str] = set()
-    for sweep in sweeps:
-        for point in sweep.points:
-            if point.config is None or point.result is None:
-                continue
-            if point.config_hash in seen:
-                continue  # smoke collapsing: sweeps share identical points
-            seen.add(point.config_hash)
-            config = config_from_dict(point.config)
-            table = paper_table_for_config(config)
-            if table is None or config.protocol not in table:
-                continue
-            paper = table[config.protocol]
-            latency = (point.result.get("latency") or {}).get("avg")
-            if latency is None or paper["latency_s"] <= 0:
-                continue
-            key = (
-                f"fig{figure_id}:{config.protocol}:n{config.num_validators}"
-                f":load{int(config.load_tps)}"
-            )
-            ratios[key] = latency / paper["latency_s"]
-    return ratios
-
-
-def _leader_gain_ratios(figure_id: str, sweeps: list[LoadedSweep]) -> dict[str, float]:
-    """Measured/paper 1->3 leader-slot latency-gain ratio (Figures 5/7)."""
-    ratios: dict[str, float] = {}
-    for sweep in sweeps:
-        by_series: dict[object, dict] = {}
-        for point in sweep.points:
-            by_series.setdefault(point.series, {})[point.x] = point.y
-        for crashed, by_leaders in by_series.items():
-            one, three = by_leaders.get(1), by_leaders.get(3)
-            if one is None or three is None:
-                continue
-            paper_ms = (
-                LEADER_SWEEP_IMPROVEMENT["faulty_ms"]
-                if crashed
-                else LEADER_SWEEP_IMPROVEMENT["ideal_ms"]
-            )
-            gain_ms = (one - three) * 1000.0
-            ratios[f"fig{figure_id}:{sweep.name}:crashed{crashed}"] = gain_ms / paper_ms
-    return ratios
-
-
 def compute_ratios(results_dir: str | Path) -> dict[str, float]:
     """Every tracked paper-vs-measured ratio for one results directory."""
-    by_figure: dict[str, list[LoadedSweep]] = {}
-    for sweep in load_sweeps(Path(results_dir)):
-        by_figure.setdefault(sweep.spec.figure, []).append(sweep)
     ratios: dict[str, float] = {}
-    for figure_id in ("3", "4"):
-        ratios.update(_latency_ratios(figure_id, by_figure.get(figure_id, [])))
-    for figure_id in ("5", "7"):
-        ratios.update(_leader_gain_ratios(figure_id, by_figure.get(figure_id, [])))
+    for figure_id, sweeps in group_by_figure(load_sweeps(Path(results_dir))).items():
+        ratios.update((join.key, join.ratio) for join in paper_joins(figure_id, sweeps))
     return dict(sorted(ratios.items()))
 
 
@@ -196,20 +140,6 @@ def gate_ratios(
 # ----------------------------------------------------------------------
 # The trend log
 # ----------------------------------------------------------------------
-def git_revision() -> str:
-    try:
-        out = subprocess.run(
-            ["git", "rev-parse", "--short", "HEAD"],
-            cwd=REPO_ROOT,
-            capture_output=True,
-            text=True,
-            timeout=10,
-        )
-    except (OSError, subprocess.SubprocessError):
-        return "unknown"
-    return out.stdout.strip() if out.returncode == 0 else "unknown"
-
-
 def append_trend_row(trend_path: Path, row: dict) -> bool:
     """Append one row unless the log's most recent row *for this mode*
     is an identical measurement at the same revision (idempotent
@@ -330,7 +260,7 @@ def main(argv: list[str] | None = None) -> int:
     )
 
     row = {
-        "rev": git_revision(),
+        "rev": git_revision(REPO_ROOT),
         "mode": mode,
         "ratios": {k: round(v, 6) for k, v in ratios.items()},
         "max_drift": round(max_drift, 6) if baseline_for_mode else None,

@@ -2,8 +2,10 @@
 """One-command reproduction driver (``repro-bench``).
 
 Collects every sweep declared by the ``bench_*`` modules (their
-``SWEEPS`` tuples) and executes them through the parallel, cached sweep
-engine (:mod:`repro.sim.sweep`).  Finished points land in
+``SWEEPS`` tuples) and executes them in two phases: the fleet
+(:mod:`repro.fleet`, ``--fleet``, default one local worker per core)
+computes every point the cache misses, then the cached sweep engine
+(:mod:`repro.sim.sweep`) walks the sweeps.  Finished points land in
 ``results/points/<config-hash>.json``; per-sweep series summaries in
 ``results/<sweep>.json``; a run-level roll-up in
 ``results/summary.json``.  Re-running resumes: cached points are served
@@ -17,6 +19,7 @@ Usage::
     python benchmarks/run_all.py --only fig3      # one figure's sweeps
     python benchmarks/run_all.py --list           # show the sweep plan
     python benchmarks/run_all.py --scale 3        # longer runs
+    python benchmarks/run_all.py --fleet local:2  # two worker processes
 """
 
 from __future__ import annotations
@@ -103,6 +106,27 @@ def run_traced_point(results_dir: Path, *, smoke: bool) -> Path:
     return chrome_path
 
 
+def credit_fleet(outcome, items: list, store) -> None:
+    """Count the points the fleet computed for this sweep in this run
+    as executed, not cached, with their sim events and recorded compute
+    seconds, and rewrite the sweep's summary.
+
+    ``items`` credits each point to the first sweep that declares it,
+    as a serial run would have run it there.
+    """
+    from repro.sim.sweep import config_hash
+
+    mine = {item.config_hash for item in items if item.sweep == outcome.spec.name}
+    if not mine:
+        return
+    results = {config_hash(result.config): result for result in outcome.results}
+    outcome.executed += len(mine)
+    outcome.cached -= len(mine)
+    outcome.executed_events += sum(results[key].events_processed for key in mine)
+    outcome.executed_wall_seconds += sum(store.wall_seconds(key) or 0.0 for key in mine)
+    store.write_summary(outcome)
+
+
 def main(argv: list[str] | None = None) -> int:
     _bootstrap_sys_path()
     parser = argparse.ArgumentParser(
@@ -116,18 +140,13 @@ def main(argv: list[str] | None = None) -> int:
         help="shrink every sweep to seconds-long deployments (the CI gate)",
     )
     parser.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        help="parallel worker processes (default: all cores, or REPRO_BENCH_WORKERS)",
-    )
-    parser.add_argument(
         "--fleet",
-        default=None,
+        default="local",
         metavar="SPEC",
-        help="shard pending points over a worker fleet before summarizing: "
-        "'local[:N]' for N subprocess workers on this machine, or a "
-        "TOML/JSON fleet-spec path for ssh hosts (see benchmarks/README.md)",
+        help="the worker fleet that computes pending points before summarizing: "
+        "'local[:N]' for N worker processes on this machine (default: "
+        "'local', one per core), or a TOML/JSON fleet-spec path for ssh "
+        "hosts (see benchmarks/README.md)",
     )
     parser.add_argument(
         "--fleet-plan",
@@ -176,7 +195,9 @@ def main(argv: list[str] | None = None) -> int:
         # their specs at import time.
         os.environ["REPRO_BENCH_SCALE"] = str(args.scale)
 
-    from repro.sim.sweep import ResultsStore, default_workers, run_sweep
+    from repro.fleet import FleetSpec, plan_shards, run_fleet
+    from repro.fleet.coordinator import pending_items
+    from repro.sim.sweep import ResultsStore, run_sweep
 
     sweeps = discover_sweeps()
     if args.smoke:
@@ -191,11 +212,7 @@ def main(argv: list[str] | None = None) -> int:
     store = ResultsStore(results_dir)
     if args.fleet_plan and not args.list:
         parser.error("--fleet-plan only makes sense with --list")
-    fleet_spec = None
-    if args.fleet is not None or args.fleet_plan:
-        from repro.fleet import FleetSpec
-
-        fleet_spec = FleetSpec.load(args.fleet if args.fleet is not None else "local")
+    fleet_spec = FleetSpec.load(args.fleet)
     if args.list:
         # Enumerate without running anything: per sweep, the paper
         # figure id, the point count, and how many points the
@@ -221,9 +238,6 @@ def main(argv: list[str] | None = None) -> int:
             # Shard sizing for the fleet: how a round-robin split of
             # today's *pending* points (cache hits excluded) would land
             # per worker slot — the number that sizes an ssh fleet.
-            from repro.fleet import plan_shards
-            from repro.fleet.coordinator import pending_items
-
             items = pending_items(sweeps, store)
             print()
             print(
@@ -235,21 +249,11 @@ def main(argv: list[str] | None = None) -> int:
             for worker, count in plan_shards(items, fleet_spec):
                 print(f"  {worker:<24} {count:>6} points")
         return 0
-    workers = args.workers if args.workers is not None else default_workers()
-    if fleet_spec is not None:
-        # The fleet is the fan-out; the summary pass below must not
-        # open a process pool on top of it (every point is a cache hit
-        # by then anyway).
-        workers = 1
     mode = "smoke" if args.smoke else "full"
     print(
         f"repro-bench: {len(sweeps)} sweeps, {total_points} points, "
-        + (
-            f"fleet={fleet_spec.backend}:{fleet_spec.total_workers}"
-            if fleet_spec is not None
-            else f"{workers} workers"
-        )
-        + f", mode={mode}, results={store.root}/"
+        f"fleet={fleet_spec.backend}:{fleet_spec.total_workers}, "
+        f"mode={mode}, results={store.root}/"
     )
 
     if args.force:
@@ -258,25 +262,22 @@ def main(argv: list[str] | None = None) -> int:
                 store.point_path(config).unlink(missing_ok=True)
                 store.wall_path(config).unlink(missing_ok=True)
 
-    fleet_report = None
-    if fleet_spec is not None:
-        # Phase 1: shard every cache-missing point over the fleet and
-        # merge the results into the content-addressed store.  Phase 2
-        # below is then a pure cache walk that writes the per-sweep
-        # summaries and applies the usual gates.
-        from repro.fleet import run_fleet
-        from repro.fleet.coordinator import pending_items
-
-        items = pending_items(sweeps, store)
-        if items:
-            fleet_report = run_fleet(items, store, fleet_spec, progress=print)
-        else:
-            print("[fleet] nothing pending - every point already cached")
-
+    # Phase 1: shard every cache-missing point over the fleet and merge
+    # the results into the content-addressed store.  Phase 2 is then a
+    # pure cache walk that writes the per-sweep summaries and applies
+    # the usual gates.
     started = time.perf_counter()
+    items = pending_items(sweeps, store)
+    fleet_report = None
+    if items:
+        fleet_report = run_fleet(items, store, fleet_spec, progress=print)
+    else:
+        print("[fleet] nothing pending - every point already cached")
+
     outcomes = []
     for sweep in sweeps:
-        outcome = run_sweep(sweep, store, workers=workers, progress=print)
+        outcome = run_sweep(sweep, store, progress=print)
+        credit_fleet(outcome, items, store)
         print(
             f"[{sweep.name}] done: {outcome.executed} run, {outcome.cached} cached, "
             f"{outcome.wall_seconds:.1f}s"

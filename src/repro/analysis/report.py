@@ -18,8 +18,9 @@ content-addressed point cache, as written by the sweep engine
 
 The loader is deliberately tolerant: summaries written by older schema
 versions (before :class:`~repro.sim.sweep.FigureSpec` carried axis
-metadata) still render with derived axis labels, and corrupt or missing
-point files only cost the report their per-point detail.
+metadata) still render with derived axis labels, and a point the store
+does not hold as valid (missing, corrupt, another schema) only costs the
+report its per-point detail.
 """
 
 from __future__ import annotations
@@ -34,7 +35,8 @@ from pathlib import Path
 from typing import Callable, Iterable
 
 from ..errors import ReproError
-from ..sim.sweep import SCHEMA_VERSION, FigureSpec
+from ..sim.runner import ExperimentConfig, ExperimentResult
+from ..sim.sweep import SCHEMA_VERSION, FigureSpec, ResultsStore
 from .plotting import Panel, Series, CATEGORICAL_COLORS, render_figure
 
 __all__ = [
@@ -45,6 +47,7 @@ __all__ = [
     "figure_file_name",
     "figure_spec_from_dict",
     "generate_report",
+    "git_revision",
     "group_by_figure",
     "load_sweeps",
 ]
@@ -86,16 +89,19 @@ class ReportError(ReproError):
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
 class SweepPoint:
-    """One (x, y) point of a sweep summary, joined with its cached
-    point file when the content-addressed store still holds it."""
+    """One (x, y) point of a sweep summary, joined with its stored
+    result when the content-addressed store holds it as a valid point."""
 
     config_hash: str
     series: object
     x: object
     y: float | None
-    config: dict | None = None
-    result: dict | None = None
+    result: ExperimentResult | None = None
     wall_seconds: float | None = None
+
+    @property
+    def config(self) -> ExperimentConfig | None:
+        return self.result.config if self.result is not None else None
 
 
 @dataclass(frozen=True)
@@ -118,25 +124,6 @@ def figure_spec_from_dict(data: dict) -> FigureSpec:
     return FigureSpec(**{key: value for key, value in data.items() if key in known})
 
 
-def _load_point_file(points_dir: Path, config_hash: str) -> dict | None:
-    try:
-        data = json.loads((points_dir / f"{config_hash}.json").read_text())
-    except (OSError, json.JSONDecodeError):
-        return None
-    # A point written under another schema is evicted, as
-    # ``ResultsStore.get`` reads it: its config may name other fields.
-    if not isinstance(data, dict) or data.get("schema") != SCHEMA_VERSION:
-        return None
-    # Point files are deterministic; the writer's wall clock lives in a
-    # sidecar.
-    try:
-        wall = json.loads((points_dir / f"{config_hash}.wall.json").read_text())
-        data["wall_seconds"] = wall.get("wall_seconds")
-    except (OSError, json.JSONDecodeError, AttributeError):
-        pass
-    return data
-
-
 def load_sweeps(results_dir: str | Path) -> list[LoadedSweep]:
     """Parse every per-sweep summary under ``results_dir``.
 
@@ -145,7 +132,7 @@ def load_sweeps(results_dir: str | Path) -> list[LoadedSweep]:
     fatal, so one corrupt file cannot take down the whole report.
     """
     results_dir = Path(results_dir)
-    points_dir = results_dir / "points"
+    store = ResultsStore(results_dir)
     sweeps = []
     for path in sorted(results_dir.glob("*.json")):
         if path.name == "summary.json":
@@ -159,16 +146,16 @@ def load_sweeps(results_dir: str | Path) -> list[LoadedSweep]:
         try:
             points = []
             for raw in data.get("points", ()):
-                point_file = _load_point_file(points_dir, raw.get("config_hash", ""))
+                key = raw.get("config_hash", "")
+                result = store.load(key)
                 points.append(
                     SweepPoint(
-                        config_hash=raw.get("config_hash", ""),
+                        config_hash=key,
                         series=raw.get("series"),
                         x=raw.get("x"),
                         y=raw.get("y"),
-                        config=(point_file or {}).get("config"),
-                        result=(point_file or {}).get("result"),
-                        wall_seconds=(point_file or {}).get("wall_seconds"),
+                        result=result,
+                        wall_seconds=store.wall_seconds(key) if result is not None else None,
                     )
                 )
             sweeps.append(
@@ -304,7 +291,9 @@ def _format_value(value, digits: int = 3) -> str:
     return str(value)
 
 
-def _git_revision(repo_dir: Path) -> str:
+def git_revision(repo_dir: Path) -> str:
+    """The short hash of ``repo_dir``'s checked-out commit, or
+    ``"unknown"``."""
     try:
         out = subprocess.run(
             ["git", "rev-parse", "--short", "HEAD"],
@@ -332,7 +321,7 @@ def _provenance_lines(
     point_files = [p for sweep in sweeps for p in sweep.points if p.result is not None]
     total_points = sum(len(sweep.points) for sweep in sweeps)
     point_wall = sum(p.wall_seconds or 0.0 for p in point_files)
-    rev = git_rev if git_rev is not None else _git_revision(results_dir.resolve().parent)
+    rev = git_rev if git_rev is not None else git_revision(results_dir.resolve().parent)
     rows = [
         ["git revision", rev],
         ["run mode", str(mode)],
@@ -413,22 +402,23 @@ def _recovery_lines(group: list[LoadedSweep]) -> list[str]:
     rows = []
     for sweep in group:
         for point in sweep.points:
-            result = point.result or {}
-            config = point.config or {}
-            scheduled = config.get("num_recovering", 0) or config.get("fault_schedule")
-            if not scheduled and not result.get("recoveries"):
+            result = point.result
+            if result is None:
+                continue
+            config = result.config
+            if not (config.num_recovering or config.fault_schedule or result.recoveries):
                 continue
             rows.append(
                 [
                     sweep.name,
                     str(point.series),
                     _format_value(point.x),
-                    str(config.get("recover_mode", "cold")),
-                    _format_value(result.get("recoveries", "n/a")),
-                    _format_value(result.get("recovery_time_s")),
-                    _format_value(result.get("recovery_time_max_s")),
-                    _format_value(result.get("checkpoint_adoptions", 0)),
-                    _format_value(result.get("availability"), digits=4),
+                    config.recover_mode,
+                    _format_value(result.recoveries),
+                    _format_value(result.recovery_time_s),
+                    _format_value(result.recovery_time_max_s),
+                    _format_value(result.checkpoint_adoptions),
+                    _format_value(result.availability, digits=4),
                 ]
             )
     if not rows:
@@ -452,8 +442,7 @@ def _stage_breakdown_lines(group: list[LoadedSweep]) -> list[str]:
     rows = []
     for sweep in group:
         for point in sweep.points:
-            result = point.result or {}
-            breakdown = result.get("stage_breakdown") or {}
+            breakdown = point.result.stage_breakdown if point.result is not None else {}
             if not breakdown.get("samples"):
                 continue
             rows.append(

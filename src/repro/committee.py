@@ -139,12 +139,6 @@ class Committee:
         ``(authors & member_mask).bit_count()`` counts member authors."""
         return sum(1 << index for index in self.members)
 
-    @cached_property
-    def is_contiguous(self) -> bool:
-        """Whether members are exactly ``0 .. size-1`` (the static,
-        no-reconfiguration case — enables count fast paths)."""
-        return self.members == tuple(range(self.size))
-
     def authority(self, index: ValidatorId) -> Authority:
         """Return the authority with the given wire index.
 

@@ -35,7 +35,6 @@ class ProtocolConfig:
         wave_length: Rounds per wave; 4 or 5 in the paper's evaluation.
         leaders_per_round: Leader slots elected per round (>= 1).
         max_block_transactions: Cap on transactions carried per block.
-        max_block_parents: Cap on parent references per block (0 = no cap).
         garbage_collection_depth: Rounds of history retained behind the
             last committed round before the DAG store may prune (0 keeps
             everything; useful for long simulations).
@@ -57,7 +56,6 @@ class ProtocolConfig:
     wave_length: int = 5
     leaders_per_round: int = 2
     max_block_transactions: int = 10_000
-    max_block_parents: int = 0
     garbage_collection_depth: int = 0
     checkpoint_interval_rounds: int = 0
     reconfig_activation_lag: int = 0
@@ -74,8 +72,6 @@ class ProtocolConfig:
             )
         if self.max_block_transactions < 1:
             raise ConfigError("max_block_transactions must be >= 1")
-        if self.max_block_parents < 0:
-            raise ConfigError("max_block_parents must be >= 0")
         if self.garbage_collection_depth < 0:
             raise ConfigError("garbage_collection_depth must be >= 0")
         if self.checkpoint_interval_rounds < 0:

@@ -464,12 +464,6 @@ class MahiMahiCore:
             if self.store.lowest_round <= ref.round < previous and ref.digest not in seen
         )
         parents.extend(older_tips)
-        if self.config.max_block_parents:
-            # Never drop previous-round parents (validity needs 2f+1).
-            required = [p for p in parents if p.round >= previous or p.digest == own.digest]
-            optional = [p for p in parents if p not in required]
-            budget = max(0, self.config.max_block_parents - len(required))
-            parents = required + optional[:budget]
         return tuple(parents)
 
     # ------------------------------------------------------------------

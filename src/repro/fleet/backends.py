@@ -1,14 +1,16 @@
 """Worker backends: how fleet workers actually get started.
 
-Both backends drive the same entry point (``python -m
-repro.fleet.worker``) and the same claim protocol; they differ only in
-where the processes live:
+Both backends drive the same entry point (:func:`repro.fleet.worker.main`,
+``python -m repro.fleet.worker`` on a remote host) and the same claim
+protocol; they differ only in where the processes live:
 
-* :class:`LocalBackend` — subprocess workers on this machine, pulling
-  directly from the shared manifest queue.  While workers run, the
-  backend periodically releases claims older than the retry timeout so
-  a live worker can pick up a dead sibling's point without waiting for
-  the round to end.
+* :class:`LocalBackend` — worker processes on this machine, pulling
+  directly from the shared manifest queue.  Where the platform can fork
+  and the coordinator runs one thread, a worker starts as a fork of the
+  coordinator, so it begins with the simulator already imported.  While
+  workers run, the backend periodically releases claims older than the
+  retry timeout so a live worker can pick up a dead sibling's point
+  without waiting for the round to end.
 * :class:`SshBackend` — the coordinator claims batches *on behalf of*
   each remote worker slot (through the same atomic-rename protocol, so
   local and remote fleets can even share a manifest), ships each batch
@@ -17,25 +19,24 @@ where the processes live:
   land stay claimed and are released by the coordinator's straggler
   pass, then re-dispatched to healthy hosts on the next round.
 
-Every subprocess is launched with ``REPRO_BENCH_WORKERS=1``: the fleet
-owns the fan-out, nested process pools are never allowed.
+Every worker runs its points one after another, in its own process: the
+fleet is the only fan-out.
 """
 
 from __future__ import annotations
 
 import json
+import multiprocessing
 import os
 import subprocess
-import sys
 import threading
-import time
 from dataclasses import dataclass, field
+from multiprocessing.connection import wait
 from pathlib import Path
 from typing import Callable, Protocol
 
-import repro
-
 from ..sim.sweep import ResultsStore
+from . import worker
 from .manifest import Manifest, WorkItem
 from .spec import FleetHost, FleetSpec
 
@@ -63,28 +64,22 @@ class WorkerBackend(Protocol):
         ...  # pragma: no cover - protocol
 
 
-def worker_env() -> dict[str, str]:
-    """Environment for a worker subprocess: importable ``repro``, no
-    nested pools."""
-    env = dict(os.environ)
-    src = str(Path(repro.__file__).resolve().parent.parent)
-    existing = env.get("PYTHONPATH")
-    env["PYTHONPATH"] = f"{src}{os.pathsep}{existing}" if existing else src
-    env["REPRO_BENCH_WORKERS"] = "1"
-    return env
-
-
 def point_landed(store: ResultsStore, config_hash: str) -> bool:
-    """Did a finished point with this hash land in the store?"""
-    try:
-        data = json.loads((store.points_dir / f"{config_hash}.json").read_text())
-    except (OSError, ValueError):
-        return False
-    return isinstance(data, dict) and data.get("config_hash") == config_hash
+    """Did a valid point with this hash land in the store?"""
+    return store.load(config_hash) is not None
+
+
+def _local_start() -> multiprocessing.context.BaseContext:
+    """How local workers start: forked where the platform can fork and
+    this process runs one thread (the child inherits the coordinator's
+    imports instead of paying a fresh interpreter's, but also any lock
+    another thread held at the fork), spawned otherwise."""
+    fork = "fork" in multiprocessing.get_all_start_methods() and threading.active_count() == 1
+    return multiprocessing.get_context("fork" if fork else "spawn")
 
 
 class LocalBackend:
-    """Subprocess workers pulling from the shared queue."""
+    """Worker processes on this machine pulling from the shared queue."""
 
     name = "local"
 
@@ -95,24 +90,27 @@ class LocalBackend:
     def run_round(self, manifest: Manifest, store: ResultsStore,
                   progress: Callable[[str], None]) -> RoundOutcome:
         outcome = RoundOutcome()
-        env = worker_env()
-        procs: dict[str, subprocess.Popen] = {}
+        start = _local_start()
+        procs: dict[str, multiprocessing.process.BaseProcess] = {}
         for index, host in enumerate(self.spec.hosts):
             for worker_id in host.worker_ids(index):
-                procs[worker_id] = subprocess.Popen(
-                    [
-                        sys.executable, "-m", "repro.fleet.worker",
+                proc = procs[worker_id] = start.Process(
+                    target=worker.main,
+                    args=([
                         "--fleet", str(manifest.root),
                         "--results", str(store.root),
                         "--worker-id", worker_id,
-                    ],
-                    env=env,
+                    ],),
+                    name=f"fleet-{worker_id}",
                 )
+                proc.start()
                 outcome.workers.append(worker_id)
         progress(f"[fleet] local round: {len(procs)} workers on {manifest.root}")
         try:
-            while any(proc.poll() is None for proc in procs.values()):
-                time.sleep(self.poll_s)
+            while running := [p.sentinel for p in procs.values() if p.exitcode is None]:
+                # Wake when a worker exits or the poll interval passes,
+                # whichever is first.
+                wait(running, timeout=self.poll_s)
                 # Mid-round straggler release: a claim past the retry
                 # timeout whose point never landed goes back to the
                 # queue for the surviving workers.
@@ -124,11 +122,12 @@ class LocalBackend:
                 outcome.redispatched += len(released)
         finally:
             for worker_id, proc in procs.items():
-                if proc.poll() is None:  # pragma: no cover - interrupt path
+                if proc.exitcode is None:  # pragma: no cover - interrupt path
                     proc.terminate()
-                if proc.wait() != 0:
+                proc.join()
+                if proc.exitcode != 0:
                     outcome.failures.append(worker_id)
-                    progress(f"[fleet] worker {worker_id} exited {proc.returncode}")
+                    progress(f"[fleet] worker {worker_id} exited {proc.exitcode}")
         return outcome
 
 
@@ -159,7 +158,7 @@ class SshBackend:
     def worker_command(self, host: FleetHost, shard_name: str, worker_id: str) -> list[str]:
         remote = (
             f"cd {host.remote_path} && "
-            f"PYTHONPATH=src REPRO_BENCH_WORKERS=1 "
+            f"PYTHONPATH=src "
             f"{host.python} -m repro.fleet.worker "
             f"--shard {shard_name} --results results --worker-id {worker_id}"
         )

@@ -5,11 +5,10 @@ and the merge verification.
 pending (cache-missing) points, run backend rounds until the queue
 drains, release dead workers' claims between rounds (bounding per-point
 attempts), and finally verify the merge — every manifest point must
-exist in the content-addressed store with exactly the ``config_hash``
-the manifest promised, recomputed from the stored config.  A shard that
-came back from a worker running different code (schema skew, a stale
-checkout on an ssh host) fails the run loudly instead of poisoning the
-cache.
+read back from the content-addressed store as a valid point under the
+``config_hash`` the manifest promised.  A shard that came back from a
+worker running different code (schema skew, a stale checkout on an ssh
+host) fails the run loudly instead of poisoning the cache.
 """
 
 from __future__ import annotations
@@ -21,14 +20,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable
 
-from ..errors import ConfigError
-from ..sim.sweep import (
-    SCHEMA_VERSION,
-    ResultsStore,
-    config_from_dict,
-    config_hash,
-    config_to_dict,
-)
+from ..sim.sweep import ResultsStore, config_hash, config_to_dict
 from .backends import CommandRunner, make_backend, point_landed
 from .manifest import FleetError, Manifest, WorkItem
 from .spec import FleetSpec
@@ -98,42 +90,24 @@ def plan_shards(items: list[WorkItem], spec: FleetSpec) -> list[tuple[str, int]]
 
 
 def verify_merge(manifest: Manifest, store: ResultsStore) -> int:
-    """Every manifest point landed, with the promised ``config_hash``.
+    """Every manifest point landed in the store as a valid point.
 
-    The hash is both read from the stored payload *and* recomputed from
-    the stored config, so a worker that ran a different schema version
-    (or wrote the wrong point under a right name) cannot slip through.
+    Valid is :meth:`~repro.sim.sweep.ResultsStore.load`'s rule: the
+    schema matches, the hash recomputed from the stored config is the
+    one the manifest promised, and the result decodes — so a worker that
+    ran a different schema version, wrote the wrong point under a right
+    name, or left a result this code cannot read fails the run.
 
     Returns the number of verified points; raises :class:`FleetError`
-    listing every missing or mismatched one.
+    listing every missing or invalid one.
     """
-    missing: list[str] = []
-    mismatched: list[str] = []
-    for expected in manifest.item_hashes():
-        path = store.points_dir / f"{expected}.json"
-        try:
-            data = json.loads(path.read_text())
-        except (OSError, ValueError):
-            missing.append(expected)
-            continue
-        if not isinstance(data, dict) or data.get("schema") != SCHEMA_VERSION:
-            mismatched.append(expected)
-            continue
-        try:
-            recomputed = config_hash(config_from_dict(data["config"]))
-        except (KeyError, TypeError, ConfigError):
-            mismatched.append(expected)
-            continue
-        if data.get("config_hash") != expected or recomputed != expected:
-            mismatched.append(expected)
-    problems = []
-    if missing:
-        problems.append(f"never landed: {', '.join(sorted(missing))}")
-    if mismatched:
-        problems.append(f"wrong config_hash: {', '.join(sorted(mismatched))}")
-    if problems:
-        raise FleetError(f"fleet merge verification failed - {'; '.join(problems)}")
-    return len(manifest.item_hashes())
+    hashes = manifest.item_hashes()
+    invalid = sorted(h for h in hashes if not point_landed(store, h))
+    if invalid:
+        raise FleetError(
+            f"fleet merge verification failed - missing or invalid points: {', '.join(invalid)}"
+        )
+    return len(hashes)
 
 
 def run_fleet(

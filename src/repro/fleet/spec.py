@@ -18,8 +18,9 @@ A fleet spec is a small TOML or JSON document::
     remote_path = "~/repro"
 
 The local backend needs no file at all: ``repro-bench --fleet local:4``
-expands to a spec with one implicit host running four subprocess
-workers.  TOML parsing uses :mod:`tomllib` (Python 3.11+); on older
+expands to a spec with one implicit host running four worker
+processes, and ``local`` (``repro-bench``'s default) to one worker per
+core.  TOML parsing uses :mod:`tomllib` (Python 3.11+); on older
 interpreters use the JSON equivalent (same keys, ``hosts`` as a list of
 objects).
 """
@@ -27,6 +28,7 @@ objects).
 from __future__ import annotations
 
 import json
+import os
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -147,10 +149,8 @@ class FleetSpec:
         """Load a spec from ``local:N`` shorthand or a TOML/JSON path."""
         shorthand = re.fullmatch(r"local(?::(\d+))?", source)
         if shorthand:
-            from ..sim.sweep import default_workers
-
-            workers = int(shorthand.group(1)) if shorthand.group(1) else default_workers()
-            return cls.local(workers)
+            workers = shorthand.group(1)
+            return cls.local(int(workers) if workers else os.cpu_count() or 1)
         path = Path(source)
         if not path.is_file():
             raise FleetError(

@@ -9,11 +9,9 @@ content-addressed store.  Two modes share the same execution path:
   an explicit point list shipped to the host by the coordinator — no
   shared filesystem required.
 
-Every point runs strictly **in-process** (the ``workers=1`` discipline):
-the fleet already owns the fan-out, so the worker must never open a
-nested process pool, and it pins ``REPRO_BENCH_WORKERS=1`` for anything
-it spawns transitively.  Results are deterministic, so whatever worker
-runs a point writes a byte-identical file.
+A worker runs its points in its own process, one after another: the
+fleet's workers are the only fan-out.  Results are deterministic, so
+whatever worker runs a point writes a byte-identical file.
 """
 
 from __future__ import annotations
@@ -53,7 +51,7 @@ def _pull_loop(manifest: Manifest, store: ResultsStore, worker_id: str) -> int:
         # A re-dispatched point may already have landed (its first
         # worker died after the store write): skip the compute, keep
         # the receipt.
-        if store.get(config_from_dict(item.config)) is None:
+        if store.load(item.config_hash) is None:
             wall = run_item(item, store)
             print(
                 f"fleet-worker[{worker_id}]: {item.config_hash} done in {wall:.1f}s",
@@ -67,7 +65,7 @@ def _shard_loop(shard_path: Path, store: ResultsStore, worker_id: str) -> int:
     items = [WorkItem.from_dict(raw) for raw in json.loads(shard_path.read_text())]
     completed = 0
     for item in items:
-        if store.get(config_from_dict(item.config)) is None:
+        if store.load(item.config_hash) is None:
             wall = run_item(item, store)
             print(
                 f"fleet-worker[{worker_id}]: {item.config_hash} done in {wall:.1f}s",
@@ -96,8 +94,6 @@ def main(argv: list[str] | None = None) -> int:
     )
     args = parser.parse_args(argv)
 
-    # The fan-out happened above us; nothing downstream may pool again.
-    os.environ["REPRO_BENCH_WORKERS"] = "1"
     store = ResultsStore(args.results)
     if args.fleet is not None:
         completed = _pull_loop(Manifest(args.fleet), store, args.worker_id)

@@ -125,14 +125,13 @@ class UniformLatencyModel(LatencyModel):
 
 
 class LatencyMatrixModel(LatencyModel):
-    """An explicit per-region RTT matrix with a validator->region
-    assignment — the geo-distribution generalized beyond the paper's
-    five fixed regions.
+    """An explicit per-region RTT matrix — the geo-distribution
+    generalized beyond the paper's five fixed regions.
 
     ``matrix[i][j]`` is the one-way delay in seconds between regions
-    ``i`` and ``j``; the diagonal holds the intra-region delay.  When
-    ``assignment`` is empty, validators are spread round-robin like the
-    paper's deployment.
+    ``i`` and ``j``; the diagonal holds the intra-region delay.
+    Validators are spread over the regions round-robin, like the paper's
+    deployment.
     """
 
     def __init__(
@@ -140,7 +139,6 @@ class LatencyMatrixModel(LatencyModel):
         regions: tuple[str, ...],
         matrix: tuple[tuple[float, ...], ...],
         num_validators: int,
-        assignment: tuple[int, ...] = (),
     ) -> None:
         if len(matrix) != len(regions) or any(len(row) != len(regions) for row in matrix):
             raise ValueError(
@@ -155,17 +153,7 @@ class LatencyMatrixModel(LatencyModel):
                         f"latency matrix must be symmetric "
                         f"({regions[i]}<->{regions[j]} disagrees)"
                     )
-        if assignment:
-            if len(assignment) != num_validators:
-                raise ValueError(
-                    f"region assignment covers {len(assignment)} validators, "
-                    f"committee has {num_validators}"
-                )
-            if any(not 0 <= r < len(regions) for r in assignment):
-                raise ValueError(f"region assignment indexes outside 0..{len(regions) - 1}")
-            self._assignment = tuple(assignment)
-        else:
-            self._assignment = tuple(i % len(regions) for i in range(num_validators))
+        self._assignment = tuple(i % len(regions) for i in range(num_validators))
         self._regions = regions
         self._matrix = matrix
 

@@ -1,4 +1,4 @@
-"""Parallel experiment sweeps with content-addressed result caching.
+"""Experiment sweeps with content-addressed result caching.
 
 The paper's figures are point clouds: hundreds of
 :class:`~repro.sim.runner.ExperimentConfig` instances swept over
@@ -14,9 +14,11 @@ that from "a for-loop inside every benchmark script" into a subsystem:
   is cached at ``results/points/<hash>.json`` and an interrupted sweep
   *resumes* — re-running recomputes only missing points, across sweeps
   and across processes.
-* **Execution is parallel.**  :func:`run_sweep` fans pending points out
-  over CPU cores with ``multiprocessing``; every experiment is
-  self-seeded, so parallel results are bit-identical to serial ones.
+* **Execution is serial; the fleet is the fan-out.**  :func:`run_sweep`
+  runs cache misses in this process, one after another.  To run points
+  in parallel, the fleet (:mod:`repro.fleet`) fills the store first and
+  :func:`run_sweep` then serves every point from it; every experiment
+  is self-seeded, so whoever computes a point writes the same bytes.
 * **Smoke mode is first-class.**  :meth:`SweepSpec.smoke` shrinks every
   config to a seconds-long deployment (small committee, short duration,
   light load) and deduplicates the collapsed points — the CI gate runs
@@ -32,12 +34,11 @@ import math
 import os
 import threading
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Callable, Iterable
+from typing import Callable
 
-from ..errors import ConfigError
+from ..errors import ConfigError, ReproError
 from .faults import FaultSchedule
 from .metrics import LatencySummary
 from .runner import Experiment, ExperimentConfig, ExperimentResult
@@ -277,6 +278,10 @@ class ResultsStore:
 
     Points are global (not per-sweep): two sweeps sharing a config —
     common after smoke-mode collapsing — share the cached result.
+
+    :meth:`load` is the only reader of a point file: the sweep's cache
+    lookup, the fleet's landed and merge checks and the report all go
+    through it, so all of them agree on which points exist.
     """
 
     def __init__(self, root: str | os.PathLike = DEFAULT_RESULTS_DIR) -> None:
@@ -287,14 +292,20 @@ class ResultsStore:
         return self.points_dir / f"{config_hash(config)}.json"
 
     def get(self, config: ExperimentConfig) -> ExperimentResult | None:
-        """The cached result for ``config``, or ``None`` on miss.
+        """The cached result for ``config``, or ``None`` on miss."""
+        return self.load(config_hash(config))
 
-        Stale or corrupt entries (schema bump, truncated write, hash
-        mismatch) read as misses, so the sweep recomputes them.
+    def load(self, key: str) -> ExperimentResult | None:
+        """The point stored under config hash ``key``, or ``None``.
+
+        A point counts only if its schema is :data:`SCHEMA_VERSION`, the
+        hash recomputed from its stored config is ``key``, and its
+        ``result`` decodes.  Anything else — a schema bump, a torn
+        write, a worker that ran other code — reads as a miss, so the
+        sweep recomputes it and the fleet re-dispatches it.
         """
-        path = self.point_path(config)
         try:
-            data = json.loads(path.read_text())
+            data = json.loads((self.points_dir / f"{key}.json").read_text())
         except (OSError, ValueError):
             # ValueError covers json.JSONDecodeError *and* torn bytes
             # that fail to decode as UTF-8: a reader racing a writer
@@ -302,15 +313,14 @@ class ResultsStore:
             # without atomic-rename durability) must see a cache miss,
             # never an exception.
             return None
-        if not isinstance(data, dict):
-            return None
-        if data.get("schema") != SCHEMA_VERSION:
-            return None
-        if data.get("config_hash") != config_hash(config):
+        if not isinstance(data, dict) or data.get("schema") != SCHEMA_VERSION:
             return None
         try:
+            config = config_from_dict(data["config"])
+            if config_hash(config) != key:
+                return None
             return result_from_dict(config, data["result"])
-        except (KeyError, TypeError):
+        except (AttributeError, KeyError, TypeError, ValueError, ReproError):
             return None
 
     def put(
@@ -319,8 +329,8 @@ class ResultsStore:
         """Persist one finished point (atomic rename, resumable cache).
 
         The point file itself is a pure function of the config and the
-        (deterministic) simulation result, so any two writers — serial,
-        pooled, or a whole fleet of worker processes — produce
+        (deterministic) simulation result, so any two writers — a serial
+        sweep or any worker of a fleet — produce
         byte-identical files.  The wall clock of *this* writer's run is
         timing metadata, not content: it lands in a ``.wall.json``
         sidecar so it can never make two otherwise-identical caches
@@ -350,10 +360,11 @@ class ResultsStore:
         """The timing-metadata sidecar next to :meth:`point_path`."""
         return self.points_dir / f"{config_hash(config)}.wall.json"
 
-    def wall_seconds(self, config: ExperimentConfig) -> float | None:
-        """Recorded compute seconds for a cached point (its sidecar), if any."""
+    def wall_seconds(self, key: str) -> float | None:
+        """Recorded compute seconds of the point stored under config hash
+        ``key`` (its sidecar), if any."""
         try:
-            data = json.loads(self.wall_path(config).read_text())
+            data = json.loads((self.points_dir / f"{key}.wall.json").read_text())
         except (OSError, ValueError):
             return None
         if isinstance(data, dict) and isinstance(data.get("wall_seconds"), (int, float)):
@@ -426,102 +437,57 @@ def run_point(config: ExperimentConfig, *, check_safety: bool = True) -> Experim
     return Experiment(config).run(check_safety=check_safety)
 
 
-def _run_point_job(job: tuple[dict, bool]) -> tuple[dict, dict, float]:
-    """Worker-process entry point (module-level so it pickles)."""
-    config_dict, check_safety = job
-    config = config_from_dict(config_dict)
-    started = time.perf_counter()
-    result = Experiment(config).run(check_safety=check_safety)
-    return config_dict, result_to_dict(result), time.perf_counter() - started
-
-
-def default_workers() -> int:
-    """Worker-count default: all cores, overridable via
-    ``REPRO_BENCH_WORKERS`` (the knob every driver honors).  Callers that
-    fan out *externally* — the fleet worker — must not
-    consult this at all: they pass an explicit ``workers=1`` so process
-    pools never nest.
-    """
-    env = os.environ.get("REPRO_BENCH_WORKERS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass  # unusable override: fall through, not crash
-    return os.cpu_count() or 1
-
-
 def run_sweep(
     spec: SweepSpec,
     store: ResultsStore | None = None,
     *,
-    workers: int | None = None,
     progress: Callable[[str], None] | None = None,
 ) -> SweepOutcome:
     """Run every point of ``spec``, reusing and filling the cache.
 
-    Cached points are served from ``store``; pending ones fan out over
-    ``workers`` processes (serial when 1, or when only one point is
-    pending — no pool spin-up cost for trivial work).  Results come back
-    in config order regardless of completion order.
+    Cached points are served from ``store``; a miss runs in this
+    process, and misses run one after another.  A parallel run shards
+    the misses over the fleet (:func:`repro.fleet.run_fleet`) first, so
+    that this pass finds every point cached.  Results come back in
+    config order.
 
     Args:
         spec: The sweep to run.
         store: Results store (defaults to ``results/`` under CWD).
-        workers: Process count; default :func:`default_workers`.
         progress: Optional line sink for per-point progress.
 
     Returns:
         The ordered results plus cache/execution counts.
     """
     store = store or ResultsStore()
-    workers = workers if workers is not None else default_workers()
     say = progress or (lambda line: None)
     started = time.perf_counter()
 
-    results: dict[str, ExperimentResult] = {}
-    pending: list[ExperimentConfig] = []
-    for config in spec.configs:
-        cached = store.get(config)
-        if cached is not None:
-            results[config_hash(config)] = cached
-        else:
-            pending.append(config)
-    cached_count = len(results)
+    results = [store.get(config) for config in spec.configs]
+    pending = [index for index, result in enumerate(results) if result is None]
+    cached_count = len(results) - len(pending)
     if cached_count:
         say(f"[{spec.name}] {cached_count}/{len(spec.configs)} points cached")
 
     executed_events = 0
     executed_wall = 0.0
-    if pending:
-        jobs = [(config_to_dict(config), spec.check_safety) for config in pending]
+    for completed, index in enumerate(pending, 1):
+        config = spec.configs[index]
+        point_started = time.perf_counter()
+        result = run_point(config, check_safety=spec.check_safety)
+        wall = time.perf_counter() - point_started
+        store.put(config, result, wall_seconds=wall)
+        results[index] = result
+        executed_events += result.events_processed
+        executed_wall += wall
+        say(
+            f"[{spec.name}] point {completed}/{len(pending)} done in {wall:.1f}s "
+            f"({result.summary().strip()})"
+        )
 
-        def collect(outcomes: Iterable[tuple[dict, dict, float]]) -> None:
-            nonlocal executed_events, executed_wall
-            completed = 0
-            for config_dict, result_dict, wall in outcomes:
-                config = config_from_dict(config_dict)
-                result = result_from_dict(config, result_dict)
-                store.put(config, result, wall_seconds=wall)
-                results[config_hash(config)] = result
-                executed_events += result.events_processed
-                executed_wall += wall
-                completed += 1
-                say(
-                    f"[{spec.name}] point {completed}/{len(pending)} done in {wall:.1f}s "
-                    f"({result.summary().strip()})"
-                )
-
-        if workers <= 1 or len(pending) == 1:
-            collect(map(_run_point_job, jobs))
-        else:
-            with ProcessPoolExecutor(max_workers=min(workers, len(pending))) as pool:
-                collect(pool.map(_run_point_job, jobs))
-
-    ordered = [results[config_hash(config)] for config in spec.configs]
     outcome = SweepOutcome(
         spec=spec,
-        results=ordered,
+        results=results,
         cached=cached_count,
         executed=len(pending),
         wall_seconds=time.perf_counter() - started,

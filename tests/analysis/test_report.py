@@ -49,7 +49,7 @@ class TestLoading:
             for point in sweep.points:
                 assert point.config is not None  # fixture cache is complete
                 assert point.result is not None
-                assert point.config["protocol"] == str(point.series) or (
+                assert point.config.protocol == str(point.series) or (
                     sweep.spec.series_key != "protocol"
                 )
 
@@ -187,6 +187,32 @@ class TestGeneration:
             if line.startswith("| tusk, n=10 @")
         ]
         assert len(tusk_rows) == 1
+
+    def test_every_gated_ratio_is_the_ratio_its_report_row_shows(self, results_dir):
+        """The drift gate and REPORT.md's deviation tables read one join:
+        each ratio the gate tracks is the one printed in its row."""
+        from benchmarks.deviation_trend import compute_ratios
+        from benchmarks.render import paper_deviation_rows, paper_joins
+
+        generate_report(results_dir, paper_rows=paper_deviation_rows, git_rev="x")
+        shown = {}
+        for line in (results_dir / "REPORT.md").read_text().splitlines():
+            cells = [cell.strip() for cell in line.strip().strip("|").split("|")]
+            if len(cells) == 4:
+                shown[cells[0]] = cells[3]
+        labels = {
+            join.key: join.label
+            for figure_id, group in group_by_figure(load_sweeps(results_dir)).items()
+            for join in paper_joins(figure_id, group)
+        }
+        ratios = compute_ratios(results_dir)
+        assert len(ratios) >= 5 and ratios.keys() == labels.keys()
+        for key, ratio in ratios.items():
+            deviation = shown[labels[key]]
+            if ratio > 0:
+                assert float(deviation.removesuffix("x paper")) == pytest.approx(ratio, abs=0.005)
+            else:
+                assert deviation == "no gain measured"
 
     def test_relative_figure_links_resolve(self, results_dir):
         import sys

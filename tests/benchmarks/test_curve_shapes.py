@@ -46,7 +46,7 @@ def store(tmp_path_factory):
 
 
 def smoke_results(spec, store):
-    return run_sweep(spec.smoke(), store, workers=1).results
+    return run_sweep(spec.smoke(), store).results
 
 
 def fake_result(config=None, **fields):

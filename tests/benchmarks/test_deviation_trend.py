@@ -16,8 +16,9 @@ from benchmarks.deviation_trend import (
     run_mode,
 )
 from benchmarks.paper_data import FIG3_10_NODES, LEADER_SWEEP_IMPROVEMENT
-from repro.sim.runner import ExperimentConfig
-from repro.sim.sweep import SCHEMA_VERSION, config_hash, config_to_dict
+from repro.sim.metrics import LatencySummary
+from repro.sim.runner import ExperimentConfig, ExperimentResult
+from repro.sim.sweep import SCHEMA_VERSION, ResultsStore, config_hash
 
 
 def fig3_config() -> ExperimentConfig:
@@ -35,18 +36,22 @@ def write_results(tmp_path, *, latency_avg: float = 1.8, mode: str = "smoke"):
     file) and one Figure 5 leader sweep (summary-only)."""
     config = fig3_config()
     h = config_hash(config)
-    points_dir = tmp_path / "points"
-    points_dir.mkdir(parents=True, exist_ok=True)
-    (points_dir / f"{h}.json").write_text(
-        json.dumps(
-            {
-                "schema": SCHEMA_VERSION,
-                "config_hash": h,
-                "config": config_to_dict(config),
-                "result": {"latency": {"avg": latency_avg}, "throughput_tps": 100.0},
-            }
-        )
+    result = ExperimentResult(
+        config=config,
+        latency=LatencySummary(count=1, avg=latency_avg, p50=latency_avg, p90=latency_avg,
+                               p99=latency_avg, max=latency_avg),
+        throughput_tps=100.0,
+        rounds_reached=0,
+        blocks_committed=0,
+        direct_commits=0,
+        indirect_commits=0,
+        direct_skips=0,
+        indirect_skips=0,
+        messages_sent=0,
+        bytes_sent=0,
+        pending_transactions=0,
     )
+    ResultsStore(tmp_path).put(config, result, wall_seconds=0.0)
     (tmp_path / "fig3-test.json").write_text(
         json.dumps(
             {

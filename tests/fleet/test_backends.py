@@ -1,5 +1,6 @@
-"""Worker backends: env discipline, ssh command construction, and the
-ssh dispatch protocol driven through an injected (network-free) runner."""
+"""Worker backends: what counts as landed, ssh command construction,
+and the ssh dispatch protocol driven through an injected (network-free)
+runner."""
 
 from __future__ import annotations
 
@@ -7,7 +8,7 @@ import json
 import subprocess
 from pathlib import Path
 
-from repro.fleet.backends import SshBackend, point_landed, worker_env
+from repro.fleet.backends import SshBackend, point_landed
 from repro.fleet.manifest import Manifest, WorkItem
 from repro.fleet.spec import FleetHost, FleetSpec
 from repro.fleet.worker import run_item
@@ -16,28 +17,27 @@ from repro.sim.sweep import ResultsStore
 from tests.fleet.helpers import tiny_items
 
 
-class TestWorkerEnv:
-    def test_no_nested_pools(self):
-        """Every fleet worker runs with an explicit workers=1: the fleet
-        owns the fan-out (the oversubscription fix)."""
-        assert worker_env()["REPRO_BENCH_WORKERS"] == "1"
-
-    def test_repro_is_importable(self):
-        env = worker_env()
-        assert any(Path(p, "repro").is_dir() for p in env["PYTHONPATH"].split(":"))
-
-
 class TestPointLanded:
-    def test_missing_torn_and_mismatched(self, tmp_path):
+    def test_missing_torn_and_foreign(self, tmp_path):
         store = ResultsStore(tmp_path)
         store.points_dir.mkdir(parents=True)
         assert not point_landed(store, "abc")
         (store.points_dir / "abc.json").write_text('{"config_hash": "ab')
         assert not point_landed(store, "abc")
-        (store.points_dir / "abc.json").write_text(json.dumps({"config_hash": "xyz"}))
-        assert not point_landed(store, "abc")
+        # A bare hash field is not a point: no schema, config or result.
         (store.points_dir / "abc.json").write_text(json.dumps({"config_hash": "abc"}))
-        assert point_landed(store, "abc")
+        assert not point_landed(store, "abc")
+
+    def test_a_point_lands_only_if_its_result_decodes(self, tmp_path):
+        [item] = tiny_items(1)
+        store = ResultsStore(tmp_path)
+        run_item(item, store)
+        assert point_landed(store, item.config_hash)
+        path = store.points_dir / f"{item.config_hash}.json"
+        data = json.loads(path.read_text())
+        data["result"]["latency"] = "fast"
+        path.write_text(json.dumps(data))
+        assert not point_landed(store, item.config_hash)
 
 
 def ssh_spec(remote_path: Path, workers: int = 2) -> FleetSpec:
@@ -59,7 +59,6 @@ class TestSshCommands:
         assert push[0] == "rsync" and push[-1] == "node1:~/repro/s.json"
         worker = backend.worker_command(host, "s.json", "node1-0-0")
         assert worker[:2] == ["ssh", "node1"]
-        assert "REPRO_BENCH_WORKERS=1" in worker[2]
         assert "--shard s.json" in worker[2]
         pull = backend.pull_results_command(host, store)
         assert pull[1] == "-az" and pull[2].startswith("node1:")

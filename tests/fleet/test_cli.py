@@ -8,6 +8,11 @@ import json
 import pytest
 
 from benchmarks import run_all
+from repro.fleet.coordinator import pending_items
+from repro.fleet.worker import run_item
+from repro.sim.sweep import FigureSpec, ResultsStore, SweepSpec, config_hash, run_sweep
+
+from tests.fleet.helpers import tiny_config
 
 
 class TestFleetPlan:
@@ -29,6 +34,34 @@ class TestFleetPlan:
             ])
 
 
+class TestCreditFleet:
+    def test_a_shared_point_counts_once_for_the_first_sweep_that_declares_it(self, tmp_path):
+        """The fleet computes a point two sweeps share once; like a serial
+        run, the first sweep counts it executed and the second cached."""
+        shared, own = tiny_config(seed=1), tiny_config(seed=2)
+        sweeps = [
+            SweepSpec(name=name, figure=FigureSpec(figure="test", title="t"), configs=configs)
+            for name, configs in (("first", (shared,)), ("second", (shared, own)))
+        ]
+        store = ResultsStore(tmp_path)
+        items = pending_items(sweeps, store)
+        for item in items:
+            run_item(item, store)
+        counts = {}
+        for sweep in sweeps:
+            outcome = run_sweep(sweep, store)
+            run_all.credit_fleet(outcome, items, store)
+            written = json.loads((tmp_path / f"{sweep.name}.json").read_text())
+            counts[sweep.name] = (outcome.executed, outcome.cached, written["executed"])
+            computed = [r for r in outcome.results if config_hash(r.config) in
+                        {i.config_hash for i in items if i.sweep == sweep.name}]
+            assert outcome.executed_events == sum(r.events_processed for r in computed)
+            assert outcome.executed_wall_seconds == sum(
+                store.wall_seconds(config_hash(r.config)) for r in computed
+            )
+        assert counts == {"first": (1, 0, 1), "second": (1, 1, 1)}
+
+
 @pytest.mark.slow
 class TestFleetRun:
     def test_smoke_fleet_run_records_provenance(self, tmp_path):
@@ -42,6 +75,8 @@ class TestFleetRun:
         assert fleet["workers"] == 2
         assert fleet["worker_failures"] == []
         assert sum(fleet["completed_by"].values()) == fleet["points"]
-        # Phase 2 (summaries) ran entirely from the fleet-filled cache.
-        assert summary["totals"]["executed"] == 0
-        assert summary["totals"]["cached"] == summary["totals"]["points"]
+        # Phase 2 walked the fleet-filled cache; the totals count what
+        # the fleet computed in this run as executed.
+        totals = summary["totals"]
+        assert totals["executed"] == fleet["points"]
+        assert totals["cached"] == totals["points"] - fleet["points"]

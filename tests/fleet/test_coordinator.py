@@ -58,7 +58,7 @@ class TestVerifyMerge:
         manifest = Manifest.create(tmp_path / "fleet", tiny_items(1))
         store = ResultsStore(tmp_path / "results")
         store.points_dir.mkdir(parents=True)
-        with pytest.raises(FleetError, match="never landed"):
+        with pytest.raises(FleetError, match="missing or invalid points"):
             verify_merge(manifest, store)
 
     def test_wrong_config_hash_is_fatal(self, tmp_path):
@@ -72,7 +72,22 @@ class TestVerifyMerge:
         data = json.loads(path.read_text())
         data["config"]["seed"] = 999  # recomputed hash no longer matches
         path.write_text(json.dumps(data))
-        with pytest.raises(FleetError, match="wrong config_hash"):
+        with pytest.raises(FleetError, match=items[0].config_hash):
+            verify_merge(manifest, store)
+
+    def test_undecodable_result_is_fatal(self, tmp_path):
+        """Right schema, right hash, a ``result`` this code cannot read:
+        the merge does not count it."""
+        items = tiny_items(2)
+        manifest = Manifest.create(tmp_path / "fleet", items)
+        store = ResultsStore(tmp_path / "results")
+        for item in items:
+            run_item(item, store)
+        path = store.points_dir / f"{items[1].config_hash}.json"
+        data = json.loads(path.read_text())
+        del data["result"]["throughput_tps"]
+        path.write_text(json.dumps(data))
+        with pytest.raises(FleetError, match=items[1].config_hash):
             verify_merge(manifest, store)
 
     def test_clean_merge_counts_points(self, tmp_path):
@@ -107,6 +122,39 @@ class TestRunFleetLocal:
             assert (serial.points_dir / name).read_bytes() == (
                 fleet.points_dir / name
             ).read_bytes()
+
+    def test_workers_spawn_when_the_coordinator_has_threads(self, tmp_path, monkeypatch):
+        """A fork copies only the calling thread, and a lock another
+        thread holds stays held in the child: with a second thread
+        alive, local workers are spawned, and land the same point."""
+        import multiprocessing
+        import threading
+
+        from repro.fleet import backends
+
+        methods = []
+        get_context = multiprocessing.get_context
+        monkeypatch.setattr(
+            backends.multiprocessing, "get_context",
+            lambda method: methods.append(method) or get_context(method),
+        )
+        items = tiny_items(1)
+        serial = ResultsStore(tmp_path / "serial")
+        run_item(items[0], serial)
+        fleet = ResultsStore(tmp_path / "fleet")
+        stop = threading.Event()
+        thread = threading.Thread(target=stop.wait)
+        thread.start()
+        try:
+            report = run_fleet(items, fleet, FleetSpec.local(1), fleet_root=tmp_path / "run")
+        finally:
+            stop.set()
+            thread.join(timeout=10)
+        assert not thread.is_alive()
+        assert methods == ["spawn"]
+        assert report.worker_failures == []
+        name = f"{items[0].config_hash}.json"
+        assert (fleet.points_dir / name).read_bytes() == (serial.points_dir / name).read_bytes()
 
     def test_cache_hits_short_circuit(self, tmp_path):
         items = tiny_items(2)

@@ -17,8 +17,10 @@ class TestShorthand:
         assert spec.total_workers == 3
 
     def test_local_defaults_to_machine_workers(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BENCH_WORKERS", "5")
+        monkeypatch.setattr("os.cpu_count", lambda: 5)
         assert FleetSpec.load("local").total_workers == 5
+        monkeypatch.setattr("os.cpu_count", lambda: None)
+        assert FleetSpec.load("local").total_workers == 1
 
     def test_not_a_file_is_a_clear_error(self):
         with pytest.raises(FleetError, match="neither 'local"):

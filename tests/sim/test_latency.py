@@ -126,14 +126,6 @@ class TestLatencyMatrixModel:
         assert model.base_delay(0, 2) == 0.001
         assert model.base_delay(0, 1) == 0.050
 
-    def test_explicit_assignment(self):
-        model = LatencyMatrixModel(
-            self.REGIONS, self.MATRIX, num_validators=3, assignment=(1, 1, 0)
-        )
-        assert model.region_of(0) == "b"
-        assert model.base_delay(0, 1) == 0.001
-        assert model.base_delay(1, 2) == 0.050
-
     def test_rejects_non_square_matrix(self):
         with pytest.raises(ValueError):
             LatencyMatrixModel(self.REGIONS, ((0.001, 0.05),), num_validators=2)
@@ -148,16 +140,6 @@ class TestLatencyMatrixModel:
         with pytest.raises(ValueError):
             LatencyMatrixModel(
                 self.REGIONS, ((0.001, -0.1), (-0.1, 0.001)), num_validators=2
-            )
-
-    def test_rejects_bad_assignment(self):
-        with pytest.raises(ValueError):
-            LatencyMatrixModel(
-                self.REGIONS, self.MATRIX, num_validators=3, assignment=(0, 1)
-            )
-        with pytest.raises(ValueError):
-            LatencyMatrixModel(
-                self.REGIONS, self.MATRIX, num_validators=2, assignment=(0, 2)
             )
 
 

@@ -1,4 +1,4 @@
-"""Tests for the parallel sweep engine and its results cache."""
+"""Tests for the sweep engine and its results cache."""
 
 from __future__ import annotations
 
@@ -231,31 +231,31 @@ class TestResultsStore:
         store = ResultsStore(tmp_path)
         spec = tiny_spec([tiny_config()])
         assert store.get(spec.configs[0]) is None
-        first = run_sweep(spec, store, workers=1)
+        first = run_sweep(spec, store)
         assert (first.cached, first.executed) == (0, 1)
-        second = run_sweep(spec, store, workers=1)
+        second = run_sweep(spec, store)
         assert (second.cached, second.executed) == (1, 0)
         assert second.results[0] == first.results[0]
 
     def test_resume_recomputes_only_missing_points(self, tmp_path):
         store = ResultsStore(tmp_path)
         spec = tiny_spec([tiny_config(seed=1), tiny_config(seed=2), tiny_config(seed=3)])
-        run_sweep(spec, store, workers=1)
+        run_sweep(spec, store)
         store.point_path(spec.configs[1]).unlink()
-        resumed = run_sweep(spec, store, workers=1)
+        resumed = run_sweep(spec, store)
         assert (resumed.cached, resumed.executed) == (2, 1)
 
     def test_corrupt_point_reads_as_miss(self, tmp_path):
         store = ResultsStore(tmp_path)
         config = tiny_config()
-        run_sweep(tiny_spec([config]), store, workers=1)
+        run_sweep(tiny_spec([config]), store)
         store.point_path(config).write_text("{truncated")
         assert store.get(config) is None
 
     def test_stale_schema_reads_as_miss(self, tmp_path):
         store = ResultsStore(tmp_path)
         config = tiny_config()
-        run_sweep(tiny_spec([config]), store, workers=1)
+        run_sweep(tiny_spec([config]), store)
         path = store.point_path(config)
         data = json.loads(path.read_text())
         data["schema"] = -1
@@ -266,7 +266,7 @@ class TestResultsStore:
         store = ResultsStore(tmp_path)
         # Too short to commit anything after warmup -> NaN latency.
         config = tiny_config(duration=0.4, warmup=0.3)
-        [result] = run_sweep(tiny_spec([config]), store, workers=1).results
+        [result] = run_sweep(tiny_spec([config]), store).results
         restored = store.get(config)
         assert restored is not None
         assert dataclasses.asdict(restored.config) == dataclasses.asdict(result.config)
@@ -274,7 +274,7 @@ class TestResultsStore:
     def test_summary_written_per_sweep(self, tmp_path):
         store = ResultsStore(tmp_path)
         spec = tiny_spec([tiny_config()], name="my-sweep")
-        run_sweep(spec, store, workers=1)
+        run_sweep(spec, store)
         summary = json.loads((tmp_path / "my-sweep.json").read_text())
         assert summary["sweep"] == "my-sweep"
         assert len(summary["points"]) == 1
@@ -288,7 +288,7 @@ class TestStoreHardening:
     def test_torn_write_reads_as_miss(self, tmp_path):
         store = ResultsStore(tmp_path)
         config = tiny_config()
-        run_sweep(tiny_spec([config]), store, workers=1)
+        run_sweep(tiny_spec([config]), store)
         payload = store.point_path(config).read_bytes()
         store.point_path(config).write_bytes(payload[: len(payload) // 2])
         assert store.get(config) is None
@@ -307,6 +307,30 @@ class TestStoreHardening:
         store.point_path(config).write_bytes(b'{"schema": \xff\xfe}')
         assert store.get(config) is None
 
+    def test_undecodable_result_reads_as_miss(self, tmp_path):
+        """Schema and hash right, ``result`` unreadable: not a point."""
+        store = ResultsStore(tmp_path)
+        config = tiny_config()
+        run_sweep(tiny_spec([config]), store)
+        path = store.point_path(config)
+        data = json.loads(path.read_text())
+        del data["result"]["latency"]
+        path.write_text(json.dumps(data))
+        assert store.get(config) is None
+        assert store.load(config_hash(config)) is None
+
+    def test_foreign_config_under_a_right_name_reads_as_miss(self, tmp_path):
+        """The hash is recomputed from the stored config, not read off
+        the file's ``config_hash`` field."""
+        store = ResultsStore(tmp_path)
+        config = tiny_config()
+        run_sweep(tiny_spec([config]), store)
+        path = store.point_path(config)
+        data = json.loads(path.read_text())
+        data["config"]["seed"] += 1
+        path.write_text(json.dumps(data))
+        assert store.get(config) is None
+
     def test_concurrent_writers_never_tear_a_point(self, tmp_path):
         """Many threads hammering put() on the same config while readers
         poll get(): every read is all-or-nothing and the final file is
@@ -315,8 +339,7 @@ class TestStoreHardening:
 
         store = ResultsStore(tmp_path)
         config = tiny_config()
-        [result] = run_sweep(tiny_spec([config]), ResultsStore(tmp_path / "seed"),
-                             workers=1).results
+        [result] = run_sweep(tiny_spec([config]), ResultsStore(tmp_path / "seed")).results
         failures: list[str] = []
         stop = threading.Event()
 
@@ -351,46 +374,41 @@ class TestStoreHardening:
         workers); the writer's wall clock goes to ``<hash>.wall.json``."""
         store = ResultsStore(tmp_path)
         config = tiny_config()
-        [result] = run_sweep(tiny_spec([config]), ResultsStore(tmp_path / "seed"),
-                             workers=1).results
+        [result] = run_sweep(tiny_spec([config]), ResultsStore(tmp_path / "seed")).results
         store.put(config, result, wall_seconds=1.25)
         payload = json.loads(store.point_path(config).read_text())
         assert "wall_seconds" not in payload
-        assert store.wall_seconds(config) == 1.25
+        assert store.wall_seconds(config_hash(config)) == 1.25
 
 
-class TestDefaultWorkers:
-    def test_repro_bench_workers_wins(self, monkeypatch):
-        from repro.sim.sweep import default_workers
-
-        monkeypatch.setenv("REPRO_BENCH_WORKERS", "3")
-        assert default_workers() == 3
-
-    def test_garbage_env_falls_back_to_cpu_count(self, monkeypatch):
-        import os
-
-        from repro.sim.sweep import default_workers
-
-        monkeypatch.setenv("REPRO_BENCH_WORKERS", "many")
-        assert default_workers() == (os.cpu_count() or 1)
-
-
-class TestParallelExecution:
-    def test_parallel_identical_to_serial(self, tmp_path):
-        spec = tiny_spec([tiny_config(seed=s) for s in (1, 2, 3)])
-        serial = run_sweep(spec, ResultsStore(tmp_path / "serial"), workers=1)
-        parallel = run_sweep(spec, ResultsStore(tmp_path / "parallel"), workers=2)
-        assert parallel.executed == 3
-        for left, right in zip(serial.results, parallel.results):
-            assert result_to_dict(left) == result_to_dict(right)
-
+class TestSerialExecution:
     def test_results_keep_config_order(self, tmp_path):
         configs = [tiny_config(seed=s) for s in (5, 1, 9)]
-        outcome = run_sweep(tiny_spec(configs), ResultsStore(tmp_path), workers=2)
+        outcome = run_sweep(tiny_spec(configs), ResultsStore(tmp_path))
         assert [r.config.seed for r in outcome.results] == [5, 1, 9]
 
+    def test_misses_run_in_this_process(self, tmp_path, monkeypatch):
+        """No fan-out: every miss runs here, one after another, in
+        config order (parallel runs go through the fleet)."""
+        import os
+
+        from repro.sim import sweep
+
+        ran = []
+        run_point = sweep.run_point
+        monkeypatch.setattr(
+            sweep, "run_point",
+            lambda config, **kw: ran.append((os.getpid(), config.seed)) or run_point(config, **kw),
+        )
+        configs = [tiny_config(seed=s) for s in (5, 1, 9)]
+        outcome = run_sweep(tiny_spec(configs), ResultsStore(tmp_path))
+        assert ran == [(os.getpid(), 5), (os.getpid(), 1), (os.getpid(), 9)]
+        assert (outcome.executed, outcome.executed_events) == (
+            3, sum(r.events_processed for r in outcome.results)
+        )
+
     def test_result_dict_roundtrip(self, tmp_path):
-        outcome = run_sweep(tiny_spec([tiny_config()]), ResultsStore(tmp_path), workers=1)
+        outcome = run_sweep(tiny_spec([tiny_config()]), ResultsStore(tmp_path))
         result = outcome.results[0]
         data = json.loads(json.dumps(result_to_dict(result)))
         assert result_to_dict(result_from_dict(result.config, data)) == result_to_dict(result)
@@ -405,7 +423,7 @@ class TestSmokeBudget:
             ExperimentConfig(protocol="mahi-mahi-5", num_validators=10, load_tps=20_000, seed=3)
         )
         started = time.perf_counter()
-        outcome = run_sweep(tiny_spec([config]), ResultsStore(tmp_path), workers=1)
+        outcome = run_sweep(tiny_spec([config]), ResultsStore(tmp_path))
         elapsed = time.perf_counter() - started
         assert elapsed < 10.0
         assert outcome.results[0].blocks_committed > 0
@@ -414,17 +432,24 @@ class TestSmokeBudget:
 @pytest.mark.slow
 class TestDriver:
     def test_run_all_smoke_cli(self, tmp_path):
-        """`run_all.py --smoke` end-to-end on a subset: writes points,
-        a sweep summary and the run-level summary, and resumes from
-        cache on the second invocation."""
+        """`run_all.py --smoke` end-to-end on a subset: the fleet computes
+        the points, the run-level summary counts them as executed, and
+        the second invocation resumes from cache."""
         from benchmarks import run_all
 
-        argv = ["--smoke", "--only", "ordering", "--results", str(tmp_path), "--workers", "1"]
+        argv = ["--smoke", "--only", "ordering", "--results", str(tmp_path), "--fleet", "local:1"]
         assert run_all.main(argv) == 0
         summary = json.loads((tmp_path / "summary.json").read_text())
         assert summary["mode"] == "smoke"
-        assert summary["totals"]["executed"] > 0
-        assert (tmp_path / "points").is_dir()
+        computed = [
+            p for p in (tmp_path / "points").glob("*.json") if not p.name.endswith(".wall.json")
+        ]
+        totals = summary["totals"]
+        assert totals["executed"] == summary["fleet"]["points"] == len(computed) > 0
+        assert totals["executed"] + totals["cached"] == totals["points"]
+        assert totals["executed_sim_events"] > 0
+        assert totals["sim_events_per_second"] is not None
+        assert totals["wall_seconds"] >= summary["fleet"]["wall_seconds"]
         assert run_all.main(argv) == 0
         resumed = json.loads((tmp_path / "summary.json").read_text())
         assert resumed["totals"]["executed"] == 0

@@ -93,7 +93,6 @@ class TestMembership:
         assert committee.size == 5
         assert committee.members == (0, 1, 3, 5, 6)
         assert committee.is_member(3) and not committee.is_member(2)
-        assert not committee.is_contiguous
         assert committee.authority(5).name == "validator-5"
         with pytest.raises(ConfigError):
             committee.authority(2)
