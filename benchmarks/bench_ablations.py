@@ -23,18 +23,14 @@ from __future__ import annotations
 from repro.sim.runner import ExperimentConfig
 from repro.sim.sweep import FigureSpec, SweepSpec
 
-from .paper_data import bench_scale
-
-_SCALE = bench_scale()
-
 
 def _config(**overrides) -> ExperimentConfig:
     base = dict(
         protocol="mahi-mahi-5",
         num_validators=10,
         load_tps=5_000,
-        duration=14.0 * _SCALE,
-        warmup=4.0 * _SCALE,
+        duration=14.0,
+        warmup=4.0,
         seed=17,
     )
     base.update(overrides)

@@ -50,11 +50,8 @@ from repro.sim.faults import FaultEvent
 from repro.sim.runner import ExperimentConfig
 from repro.sim.sweep import FigureSpec, SweepSpec
 
-from .paper_data import bench_scale
-
-_SCALE = bench_scale()
-_DURATION = 10.0 * _SCALE
-_WARMUP = 2.0 * _SCALE
+_DURATION = 10.0
+_WARMUP = 2.0
 
 #: Offered load for every adversary sweep (smoke mode caps it lower);
 #: the scenarios stress the network model, not the queueing regime.

@@ -101,7 +101,6 @@ async def bench_steady(
         run_dir=run_dir,
         config=_base_config(),
         min_block_interval=profile["interval"],
-        trace=trace_dir is not None,
         trace_dir=trace_dir,
     )
     async with cluster:

@@ -14,8 +14,6 @@ from __future__ import annotations
 from repro.sim.runner import ExperimentConfig
 from repro.sim.sweep import FigureSpec, SweepSpec
 
-from .paper_data import bench_scale
-
 SWEEP_DIRECT_RATE = SweepSpec(
     name="appendix-c-direct-rate",
     figure=FigureSpec(
@@ -30,8 +28,8 @@ SWEEP_DIRECT_RATE = SweepSpec(
             protocol="mahi-mahi-5",
             num_validators=10,
             load_tps=5_000,
-            duration=12.0 * bench_scale(),
-            warmup=3.0 * bench_scale(),
+            duration=12.0,
+            warmup=3.0,
             seed=11,
         ),
     ),

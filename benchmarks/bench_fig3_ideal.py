@@ -18,12 +18,9 @@ from __future__ import annotations
 from repro.sim.runner import ExperimentConfig, PROTOCOLS
 from repro.sim.sweep import FigureSpec, SweepSpec
 
-from .paper_data import bench_scale
-
 #: Offered loads for the 10-validator sweep (real tx/s).
 LOADS_10 = [20_000, 60_000, 100_000, 130_000]
 
-_SCALE = bench_scale()
 
 SWEEP_10 = SweepSpec(
     name="fig3-ideal-10",
@@ -38,8 +35,8 @@ SWEEP_10 = SweepSpec(
             protocol=protocol,
             num_validators=10,
             load_tps=load,
-            duration=20.0 * _SCALE,
-            warmup=5.0 * _SCALE,
+            duration=20.0,
+            warmup=5.0,
             seed=3,
         )
         for protocol in PROTOCOLS
@@ -60,8 +57,8 @@ SWEEP_50 = SweepSpec(
             protocol=protocol,
             num_validators=50,
             load_tps=200_000 if protocol != "tusk" else 80_000,
-            duration=8.0 * _SCALE,
-            warmup=3.0 * _SCALE,
+            duration=8.0,
+            warmup=3.0,
             seed=3,
         )
         for protocol in PROTOCOLS
@@ -81,8 +78,8 @@ SWEEP_ORDERING = SweepSpec(
             protocol=protocol,
             num_validators=10,
             load_tps=20_000,
-            duration=14.0 * _SCALE,
-            warmup=4.0 * _SCALE,
+            duration=14.0,
+            warmup=4.0,
             seed=3,
         )
         for protocol in PROTOCOLS

@@ -16,11 +16,8 @@ from __future__ import annotations
 from repro.sim.runner import ExperimentConfig, PROTOCOLS
 from repro.sim.sweep import FigureSpec, SweepSpec
 
-from .paper_data import bench_scale
-
 LOADS = [10_000, 30_000]
 
-_SCALE = bench_scale()
 
 SWEEP_FAULTS = SweepSpec(
     name="fig4-faults-10",
@@ -36,8 +33,8 @@ SWEEP_FAULTS = SweepSpec(
             num_validators=10,
             num_crashed=3,
             load_tps=load,
-            duration=12.0 * _SCALE,
-            warmup=4.0 * _SCALE,
+            duration=12.0,
+            warmup=4.0,
             seed=5,
         )
         for protocol in PROTOCOLS
@@ -59,8 +56,8 @@ SWEEP_SKIP_MECHANISM = SweepSpec(
             num_validators=10,
             num_crashed=3,
             load_tps=10_000,
-            duration=14.0 * _SCALE,
-            warmup=4.0 * _SCALE,
+            duration=14.0,
+            warmup=4.0,
             seed=5,
         )
         for protocol in ("mahi-mahi-5", "cordial-miners")

@@ -16,15 +16,12 @@ from __future__ import annotations
 from repro.sim.runner import ExperimentConfig
 from repro.sim.sweep import FigureSpec, SweepSpec
 
-from .paper_data import bench_scale
-
 WAVE_PROTOCOL = "mahi-mahi-4"
 LEADERS = (1, 2, 3)
 
 
 def leader_sweep_spec(figure: str, protocol: str, num_crashed: int, seed: int = 7) -> SweepSpec:
     """The leader-slot sweep for one protocol/fault combination."""
-    scale = bench_scale()
     label = f"{num_crashed}-faults" if num_crashed else "ideal"
     return SweepSpec(
         name=f"fig{figure}-leaders-{protocol}-{label}",
@@ -44,8 +41,8 @@ def leader_sweep_spec(figure: str, protocol: str, num_crashed: int, seed: int = 
                 leaders_per_round=leaders,
                 num_crashed=num_crashed,
                 load_tps=20_000,
-                duration=14.0 * scale,
-                warmup=4.0 * scale,
+                duration=14.0,
+                warmup=4.0,
                 seed=seed,
             )
             for leaders in LEADERS

@@ -62,11 +62,8 @@ from repro.sim.faults import FaultEvent
 from repro.sim.runner import ExperimentConfig
 from repro.sim.sweep import FigureSpec, SweepSpec
 
-from .paper_data import bench_scale
-
-_SCALE = bench_scale()
-_DURATION = 16.0 * _SCALE
-_WARMUP = 4.0 * _SCALE
+_DURATION = 16.0
+_WARMUP = 4.0
 
 RECOVERY_PROTOCOLS = ("mahi-mahi-5", "cordial-miners", "tusk")
 LOADS = [5_000, 20_000]
@@ -132,7 +129,7 @@ def _mode_config(mode: str, duration: float, **overrides) -> ExperimentConfig:
 
 
 #: History lengths for the warm-vs-cold-vs-checkpoint comparison.
-MODE_DURATIONS = tuple(d * _SCALE for d in (8.0, 16.0, 32.0))
+MODE_DURATIONS = (8.0, 16.0, 32.0)
 
 SWEEP_RECOVERY_MODES = SweepSpec(
     name="recovery-modes",

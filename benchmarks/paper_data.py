@@ -7,8 +7,6 @@ reads.
 
 from __future__ import annotations
 
-import os
-
 #: Figure 3, 10 validators, ideal conditions: peak throughput (tx/s) and
 #: average latency (s) at moderate load, per the Section 5.2 prose.
 FIG3_10_NODES = {
@@ -37,12 +35,3 @@ FIG4_FAULTS = {
 #: Figures 5 and 7: going from 1 to 3 leaders cuts average latency by
 #: ~40 ms (no faults) and ~100 ms (3 faults).
 LEADER_SWEEP_IMPROVEMENT = {"ideal_ms": 40.0, "faulty_ms": 100.0}
-
-
-def bench_scale() -> float:
-    """Scale factor for benchmark durations.
-
-    ``REPRO_BENCH_SCALE=3`` triples simulated durations (tighter
-    confidence, longer wall time); CI keeps the default 1.
-    """
-    return float(os.environ.get("REPRO_BENCH_SCALE", "1"))

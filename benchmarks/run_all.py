@@ -18,7 +18,6 @@ Usage::
     python benchmarks/run_all.py                  # full figure sweeps
     python benchmarks/run_all.py --only fig3      # one figure's sweeps
     python benchmarks/run_all.py --list           # show the sweep plan
-    python benchmarks/run_all.py --scale 3        # longer runs
     python benchmarks/run_all.py --fleet local:2  # two worker processes
 """
 
@@ -171,12 +170,6 @@ def main(argv: list[str] | None = None) -> int:
         "--force", action="store_true", help="ignore cached points and recompute"
     )
     parser.add_argument(
-        "--scale",
-        type=float,
-        default=None,
-        help="duration multiplier for full (non-smoke) sweeps (sets REPRO_BENCH_SCALE)",
-    )
-    parser.add_argument(
         "--render",
         action="store_true",
         help="after the sweeps, render results/figures/*.svg + results/REPORT.md",
@@ -189,11 +182,6 @@ def main(argv: list[str] | None = None) -> int:
         "trace-event JSON for Perfetto plus a JSONL span log)",
     )
     args = parser.parse_args(argv)
-
-    if args.scale is not None:
-        # Must land in the environment before the bench modules build
-        # their specs at import time.
-        os.environ["REPRO_BENCH_SCALE"] = str(args.scale)
 
     from repro.fleet import FleetSpec, plan_shards, run_fleet
     from repro.fleet.coordinator import pending_items

@@ -98,8 +98,6 @@ async def _child_main(spec_path: str) -> None:
         """Wait for every genesis peer's listener (our own is already
         bound): without this, genesis-round broadcasts race sibling
         process boots and get dropped."""
-        if not spec.get("wait_for_peers", True):
-            return
         deadline = time.monotonic() + 15.0
         for peer in range(spec["n"]):
             if peer == spec["authority"]:
@@ -203,9 +201,7 @@ async def _child_main(spec_path: str) -> None:
         while not stop.is_set():
             publish()
             try:
-                await asyncio.wait_for(
-                    stop.wait(), timeout=spec.get("status_interval", STATUS_INTERVAL)
-                )
+                await asyncio.wait_for(stop.wait(), timeout=STATUS_INTERVAL)
             except asyncio.TimeoutError:
                 pass
     finally:
@@ -318,7 +314,6 @@ class ProcessCluster:
         provisioned: int | None = None,
         config: dict | None = None,
         min_block_interval: float = 0.0,
-        trace: bool = False,
         trace_dir: str | Path | None = None,
     ) -> None:
         """Args:
@@ -330,11 +325,9 @@ class ProcessCluster:
             each child re-derives the deployment from it).
         provisioned: Total wire identities (join targets included).
         config: :class:`~repro.config.ProtocolConfig` kwargs.
-        trace: Record lifecycle traces in every validator process; each
-            incarnation writes a Chrome trace JSON (plus a JSONL span
-            log) into ``trace_dir`` at shutdown.
-        trace_dir: Where traced children export (default
-            ``run_dir/trace``).
+        trace_dir: Record lifecycle traces in every validator process;
+            each incarnation writes a Chrome trace JSON (plus a JSONL
+            span log) here at shutdown.  ``None``: untraced.
         """
         self.n = n
         self.base_port = base_port
@@ -344,8 +337,7 @@ class ProcessCluster:
         self.seed = seed
         self.config = config or {"wave_length": 5, "leaders_per_round": 2}
         self._min_block_interval = min_block_interval
-        self.trace = trace
-        self.trace_dir = Path(trace_dir) if trace_dir is not None else self.run_dir / "trace"
+        self.trace_dir = None if trace_dir is None else Path(trace_dir)
         self._procs: dict[int, subprocess.Popen] = {}
         self._incarnation = dict.fromkeys(range(self.provisioned), 0)
         self._reconfig_seq = 0
@@ -378,7 +370,7 @@ class ProcessCluster:
             "status_path": str(self._status_path(validator)),
             "commit_log_path": str(self._commit_log_path(validator)),
         }
-        if self.trace:
+        if self.trace_dir is not None:
             incarnation = self._incarnation[validator]
             spec["trace_path"] = str(
                 self.trace_dir / f"validator-{validator}-{incarnation}.trace.json"
@@ -406,21 +398,15 @@ class ProcessCluster:
         await self.wait_ready(list(range(self.n)), timeout=timeout)
 
     async def wait_ready(self, validators: list[int], *, timeout: float = 30.0) -> None:
+        """Wait until each of ``validators`` has published a status."""
         deadline = time.monotonic() + timeout
         for validator in validators:
-            while True:
-                status = self.status(validator)
-                if status is not None and status.get("ready"):
-                    break
-                proc = self._procs.get(validator)
-                if proc is not None and proc.poll() is not None:
-                    raise RuntimeError(
-                        f"validator {validator} exited with {proc.returncode} "
-                        f"before becoming ready (see stderr-{validator}.log)"
-                    )
-                if time.monotonic() > deadline:
-                    raise TimeoutError(f"validator {validator} never became ready")
-                await asyncio.sleep(0.05)
+            await self.wait_status(
+                validator,
+                lambda status: status.get("ready"),
+                timeout=deadline - time.monotonic(),
+                what="readiness",
+            )
 
     def kill(self, validator: int) -> None:
         """``kill -9``: a real crash — no flushes, no goodbyes."""
@@ -481,12 +467,27 @@ class ProcessCluster:
         timeout: float = 30.0,
         what: str = "condition",
     ) -> dict:
-        """Poll a validator's status until ``predicate(status)``."""
+        """Poll a validator's status until ``predicate(status)``.
+
+        Raises:
+            RuntimeError: The validator's process exited first (its
+                ``stderr-<validator>.log`` in ``run_dir`` says why).
+            TimeoutError: ``timeout`` seconds passed first.
+        """
         deadline = time.monotonic() + timeout
         while True:
+            # Exit is read before the status, so that a status the
+            # process wrote just before it exited still counts.
+            proc = self._procs.get(validator)
+            exited = proc is not None and proc.poll() is not None
             status = self.status(validator)
             if status is not None and predicate(status):
                 return status
+            if exited:
+                raise RuntimeError(
+                    f"validator {validator} exited with {proc.returncode} before {what} "
+                    f"(see stderr-{validator}.log)"
+                )
             if time.monotonic() > deadline:
                 raise TimeoutError(
                     f"validator {validator}: {what} not reached within {timeout}s "

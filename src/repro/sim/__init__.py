@@ -13,9 +13,10 @@ Everything is seeded and event-ordered, so experiments replay
 bit-identically.
 """
 
+from .costs import CostModel
 from .events import EventLoop
 from .latency import LatencyModel, UniformLatencyModel, PAPER_REGIONS
-from .network import NetworkConfig, SimNetwork
+from .network import SimNetwork
 from .node import NodeBehavior, SimValidator
 from .metrics import ExperimentMetrics, LatencySummary
 from .runner import Experiment, ExperimentConfig, ExperimentResult, PROTOCOLS
@@ -41,7 +42,7 @@ __all__ = [
     "LatencyModel",
     "UniformLatencyModel",
     "PAPER_REGIONS",
-    "NetworkConfig",
+    "CostModel",
     "SimNetwork",
     "NodeBehavior",
     "SimValidator",

@@ -13,7 +13,8 @@ throughput (Section 5):
   *asynchronous adversary* (targeted, bounded-but-arbitrary delays).
 
 Per-link delivery is FIFO, as on a TCP connection (Section 4 uses raw
-TCP sockets).
+TCP sockets).  Bandwidth, framing, the delivery tick and the FIFO
+spacing are the run's :class:`~repro.sim.costs.CostModel`.
 
 What travels is opaque here: a :class:`Message` envelope — a named
 tuple ``(src, dst, body, size)`` — wraps one typed body (a
@@ -36,10 +37,10 @@ from __future__ import annotations
 
 import random
 from collections import deque
-from dataclasses import dataclass
 from typing import Any, Callable, Iterable, NamedTuple, Protocol
 
 from ..obs.trace import NULL_TRACER
+from .costs import CostModel
 from .events import EventLoop
 from .latency import LatencyModel
 
@@ -186,28 +187,6 @@ class LeaderDosScheduler:
         return 0.0
 
 
-@dataclass
-class NetworkConfig:
-    """Static network parameters.
-
-    ``bandwidth`` defaults to the paper's 10 Gbps instances
-    (Section 5.1), expressed in bytes per second.
-    """
-
-    bandwidth: float = 10e9 / 8
-    #: Fixed per-message overhead in bytes (framing, TCP/IP headers).
-    message_overhead: int = 128
-    #: Delivery quantum in seconds: messages arriving on the same
-    #: ``(src, dst)`` link within one tick are delivered together at the
-    #: tick boundary, one event-loop entry per link per tick (a burst of
-    #: serialization-spaced messages — a broadcast fan-in, a fetch
-    #: response train — rides one heap entry).  Like a real kernel's
-    #: interrupt coalescing, it delays each delivery by at most one tick;
-    #: the default half-millisecond is 1-2% of the WAN latencies being
-    #: modeled.  0 disables quantization (exact arrival instants).
-    delivery_tick: float = 0.0005
-
-
 class SimNetwork:
     """Connects :class:`~repro.sim.node.SimValidator` instances."""
 
@@ -215,7 +194,7 @@ class SimNetwork:
         "_loop",
         "_latency",
         "_n",
-        "_config",
+        "_costs",
         "_scheduler",
         "_benign",
         "_rng",
@@ -237,7 +216,7 @@ class SimNetwork:
         latency: LatencyModel,
         num_validators: int,
         *,
-        config: NetworkConfig | None = None,
+        costs: CostModel | None = None,
         scheduler: MessageScheduler | None = None,
         seed: int = 0,
         tracer=None,
@@ -245,7 +224,7 @@ class SimNetwork:
         self._loop = loop
         self._latency = latency
         self._n = num_validators
-        self._config = config or NetworkConfig()
+        self._costs = costs or CostModel()
         self._scheduler = scheduler or RandomScheduler()
         # Benign schedulers add nothing: the fan-out skips the
         # extra_delay dispatch.
@@ -367,8 +346,7 @@ class SimNetwork:
         peer order, as one ``send`` per peer would.
         """
         now = self._loop.now
-        wire_size = size + self._config.message_overhead
-        serialization = wire_size / self._config.bandwidth
+        wire_size, serialization = self._costs.hop(size)
         partition = self._partition
         sample_delay = self._sample_delay
         extra_delay = None if self._benign else self._scheduler.extra_delay
@@ -379,6 +357,7 @@ class SimNetwork:
         schedule_at = self._loop.schedule_at
         tick_boundary = self._tick_boundary
         flush = self._flush_link
+        fifo_gap = self._costs.fifo_gap
         egress = self._egress_free[src]
         sent = 0
         for dst in peers:
@@ -399,7 +378,7 @@ class SimNetwork:
             arrival = egress + delay
             # FIFO per link (TCP semantics).
             link = (src, dst)
-            last = last_delivery.get(link, 0.0) + 1e-9
+            last = last_delivery.get(link, 0.0) + fifo_gap
             if last > arrival:
                 arrival = last
             last_delivery[link] = arrival
@@ -430,7 +409,7 @@ class SimNetwork:
         """The delivery instant for a message arriving at ``arrival``:
         the enclosing tick's upper boundary (or the exact arrival when
         quantization is off)."""
-        tick = self._config.delivery_tick
+        tick = self._costs.delivery_tick
         if not tick:
             return arrival
         boundary = tick * int(arrival / tick + 1.0)

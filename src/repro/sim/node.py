@@ -27,10 +27,11 @@ this class is its simulator adaptor (its
 :class:`~repro.statesync.driver.ValidatorPort`): it hands each delivered
 message to ``driver.on_message`` unread and sends what the driver gives
 it.  It adds what only the simulator has: the event loop with its
-timers, the CPU-stage model (a WAL replay is charged as consensus CPU
-time), Tusk's header / ack / certificate exchange (three message types
-of its own, below), equivocation dispatch, the wire-size model that
-prices any message by what it carries and the stage-latency observer.
+timers, the ingress and consensus CPU stages (a WAL replay is charged
+to the consensus stage), Tusk's header / ack / certificate exchange
+(three message types of its own, below), equivocation dispatch and the
+stage-latency observer.  What a stage's work and a message's bytes cost
+is the run's :class:`~repro.sim.costs.CostModel`.
 
 A simulated transaction costs the event loop nothing here, and is no
 object either.  The ingress stage is a single server, so it completes
@@ -47,7 +48,6 @@ to the metrics once per block, with that slice.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence
 
 from ..block import Block
@@ -60,65 +60,11 @@ from ..obs.trace import NULL_TRACER
 from ..runtime.wal import WriteAheadLog
 from ..statesync.driver import ValidatorDriver
 from ..statesync.recovery import SYNC_MAX_BLOCKS as _SYNC_MAX_BLOCKS
-from ..statesync.recovery import WalReplay
 from ..transaction import Transaction, TransactionSlice
+from .costs import CostModel
 from .events import EventLoop
 from .faults import NodeBehavior, make_equivocating_sibling
 from .network import Message, SimNetwork
-
-@dataclass(frozen=True, slots=True)
-class CpuConfig:
-    """Per-validator compute model.
-
-    Two single-threaded stages bound throughput, mirroring where real
-    validators spend CPU (Section 5.2 discusses both):
-
-    * **ingress**: client transactions are signature-checked before
-      entering the mempool (~one ed25519 verification each), which caps
-      per-validator intake and produces the throughput knee of Figure 3;
-    * **consensus**: every received block costs a base amount plus a
-      per-transaction amount (hashing, deduplication, storage).
-      Certified DAGs (Tusk) multiply this cost — validators verify the
-      ``2f + 1``-signature certificate of every vertex, the overhead
-      Section 2.2 calls out.
-    """
-
-    tx_ingress_cost: float = 80e-6
-    block_base_cost: float = 0.3e-3
-    tx_consensus_cost: float = 2.5e-6
-    certified_multiplier: float = 2.0
-    #: Fraction of the full block cost paid when a certified-DAG header
-    #: arrives (buffer + ack only; verification happens on the cert).
-    header_cost_factor: float = 0.2
-
-
-#: Fraction of the normal consensus CPU cost charged per replayed
-#: block: replay skips signature verification (blocks were verified
-#: before they were logged) and pays no deserialization-into-network
-#: buffers, but still hashes and re-indexes every block.
-WAL_REPLAY_COST_FACTOR = 0.25
-
-
-def replay_cost(replay: WalReplay, cpu: CpuConfig | None, tx_weight: float) -> float:
-    """Simulated seconds of CPU a warm restart's WAL replay occupies: it
-    is local work, so it is charged as consensus CPU time rather than as
-    network round trips (see :data:`WAL_REPLAY_COST_FACTOR`); 0 without
-    a CPU model."""
-    if cpu is None or not replay.blocks:
-        return 0.0
-    per_tx = cpu.tx_consensus_cost * tx_weight
-    full = cpu.block_base_cost * replay.blocks + per_tx * replay.transactions
-    return full * WAL_REPLAY_COST_FACTOR
-
-
-#: Serialized bytes per parent reference (author + round + digest).
-_REF_WIRE_SIZE = 44
-#: Fixed block header bytes (author, round, signature, coin share).
-_BLOCK_HEADER_SIZE = 150
-#: Bytes per signature: a Tusk ack, each signer of a certificate.
-_SIGNATURE_SIZE = 64
-#: Wire bytes of a checkpoint request (a bare tagged message).
-_CKPT_REQ_SIZE = 16
 
 
 # Tusk's certified round, on the simulated wire only (no codec): a
@@ -269,13 +215,11 @@ class SimValidator:
         "_loop",
         "_certified",
         "behavior",
-        "_tx_wire_size",
+        "_costs",
         "_on_commit",
         "_headers",
         "_acks",
         "_interval",
-        "_tx_weight",
-        "_cpu",
         "ingress",
         "_consensus_free",
         "down",
@@ -283,7 +227,6 @@ class SimValidator:
         "_core_factory",
         "_driver",
         "_on_recovery",
-        "_mixed_tx_sizes",
         "left_at",
         "_slow",
         "ever_equivocated",
@@ -302,15 +245,12 @@ class SimValidator:
         *,
         certified: bool = False,
         behavior: NodeBehavior | None = None,
-        tx_wire_size: float = 512.0,
+        costs: CostModel | None = None,
         min_block_interval: float = 0.0,
-        tx_weight: float = 1.0,
-        cpu: CpuConfig | None = None,
         on_commit: Callable[[SimValidator, Sequence[CommitObservation], float], None] | None = None,
         core_factory: Callable[[], MahiMahiCore] | None = None,
         start_down: bool = False,
         on_recovery: Callable[[int, float, float, str], None] | None = None,
-        mixed_tx_sizes: bool = False,
         recover_mode: str = "cold",
         wal: WriteAheadLog | None = None,
         sync_chunk_blocks: int = _SYNC_MAX_BLOCKS,
@@ -324,17 +264,14 @@ class SimValidator:
         loop: The experiment's event loop.
         certified: Tusk-style header/ack/certificate rounds.
         behavior: Fault injection; defaults to honest and alive.
-        tx_wire_size: Real bytes represented by one simulated
-            transaction (batch weight x transaction size).
+        costs: The run's prices (:class:`~repro.sim.costs.CostModel`;
+            the default charges no CPU time, for pure message-delay
+            arithmetic).
         min_block_interval: Minimum spacing between own proposals,
             modeling the batching/processing cadence of a real validator
             (the Rust implementation paces rounds the same way).  Bare
             quorum-edge proposing would systematically exclude blocks
             from far regions from the next round's parents.
-        tx_weight: Real transactions represented by one simulated one
-            (scales per-transaction CPU costs).
-        cpu: Compute model; ``None`` disables CPU accounting entirely
-            (unit tests want pure message-delay arithmetic).
         on_commit: Called as ``(validator, observations, now)`` after
             every step that extended the commit sequence, with the new
             observations in commit order (the validator keeps none).
@@ -348,8 +285,6 @@ class SimValidator:
             restart — the recovery-time metric hook.  ``mode`` is the
             path the recovery *actually* took (a warm restart with an
             empty WAL degenerates to, and reports, ``cold``).
-        mixed_tx_sizes: Account block wire sizes per transaction (each
-            may carry a ``size_hint``) instead of the uniform fast path.
         recover_mode: Restart path, one of
             :data:`~repro.statesync.driver.RECOVER_MODES`.
         wal: Write-ahead log backing warm restarts: own blocks, peer
@@ -377,7 +312,7 @@ class SimValidator:
         self._loop = loop
         self._certified = certified
         self.behavior = behavior or NodeBehavior()
-        self._tx_wire_size = tx_wire_size
+        self._costs = costs = costs or CostModel()
         self._on_commit = on_commit
         # Tusk state: headers seen (down to the store's lowest round),
         # and the ack tally of each own header until its certificate
@@ -385,15 +320,8 @@ class SimValidator:
         self._headers: dict[Digest, Block] = {}
         self._acks: dict[Digest, set[int]] = {}
         self._interval = min_block_interval
-        self._tx_weight = tx_weight
-        self._cpu = cpu
         #: The ingress stage and the mempool behind it (the core's).
-        self.ingress = Ingress(
-            None if cpu is None else cpu.tx_ingress_cost * tx_weight,
-            mixed_tx_sizes,
-            self.authority,
-            tracer,
-        )
+        self.ingress = Ingress(costs.ingress_price(), costs.mixed_sizes, self.authority, tracer)
         core.mempool = self.ingress
         # When the single-threaded consensus CPU stage becomes free.
         self._consensus_free = 0.0
@@ -416,7 +344,6 @@ class SimValidator:
         # Headers not yet certified are served to fetches too.
         self._driver.unstored = self._headers
         self._on_recovery = on_recovery
-        self._mixed_tx_sizes = mixed_tx_sizes
         #: When this validator actually went silent for good (epoch
         #: reconfiguration: the *activation* of the excluding epoch, not
         #: the leave command's submission — availability accounting uses
@@ -495,8 +422,7 @@ class SimValidator:
             raise ValueError(f"slow factor must be >= 1, got {scale}")
         self._slow = scale
         self._driver.interval = self._interval * scale
-        if self._cpu is not None:
-            self.ingress.cost = self._cpu.tx_ingress_cost * self._tx_weight * scale
+        self.ingress.cost = self._costs.ingress_price(scale)
 
     def set_equivocating(self, active: bool) -> None:
         """Start or stop an equivocation campaign.  While active, every
@@ -540,12 +466,11 @@ class SimValidator:
         driver = self._driver
         driver.restart(self.core)
         replay = driver.replay_wal()
-        if replay is not None and replay.blocks and self._cpu is not None:
+        if replay is not None:
             # Replay is local CPU work, not network round trips: charge
             # the consensus stage so post-restart messages queue behind
             # it, exactly like a real validator re-indexing its log.
-            cost = replay_cost(replay, self._cpu, self._tx_weight) * self._slow
-            self._consensus_free = max(self._loop.now, self._consensus_free) + cost
+            self._consensus_free = self._loop.now + self._costs.replay_price(replay) * self._slow
         driver.begin_sync(self._loop.now)
 
     # ------------------------------------------------------------------
@@ -554,7 +479,7 @@ class SimValidator:
     def send(self, dst: int | None, message) -> None:
         """Price ``message`` and put it on the wire (``dst=None``: to
         every peer)."""
-        size = self._wire_size(message)
+        size = self._costs.wire_size(message)
         if dst is None:
             self._network.broadcast(self.authority, message, size)
         else:
@@ -614,7 +539,7 @@ class SimValidator:
         if self._stage_observer:
             for message in messages:
                 self._note_arrival(message)
-        if self._cpu is not None:
+        if self._costs.model_cpu:
             now = self._loop.now
             delay = self._batch_cost(messages)
             self._consensus_free = max(now, self._consensus_free) + delay
@@ -655,45 +580,23 @@ class SimValidator:
 
     def _batch_cost(self, messages: "list[Message]") -> float:
         """Consensus-stage cost of verifying ``messages`` as one batch:
-        the sum of the per-message costs."""
+        the sum of the per-message prices."""
+        costs = self._costs
+        certified = self._certified
         cost = 0.0
         for message in messages:
             body = message.body
             block = getattr(body, "block", None)
             if block is not None:
-                cost += self._stage_price(block, type(body) is Header)
+                cost += costs.stage_price(block, type(body) is Header, certified)
                 continue
             blocks = getattr(body, "blocks", None)
             if blocks is None:
-                # Acks, fetch/checkpoint requests and checkpoint
-                # responses are cheap (a checkpoint is digests, not
-                # blocks).
-                cost += 20e-6
+                cost += costs.control_message_cost
                 continue
             for block in blocks:
-                cost += self._stage_price(block, False)
+                cost += costs.stage_price(block, False, certified)
         return cost * self._slow
-
-    def _stage_price(self, block: Block, header: bool) -> float:
-        """Full-speed consensus-stage seconds of receiving ``block`` (as
-        a Tusk ``header``: the fraction paid before it is certified),
-        memoized on the block like its wire size: every validator of a
-        deployment prices blocks alike, and each block is received by
-        every one of them.  Both prices share one attribute: a block's
-        ``__dict__`` grows to a larger table past fifteen keys."""
-        prices = block.__dict__.get("_sim_stage_prices")
-        if prices is None:
-            cpu = self._cpu
-            multiplier = cpu.certified_multiplier if self._certified else 1.0
-            per_tx = cpu.tx_consensus_cost * self._tx_weight
-            count = len(block.transactions)
-            prices = (
-                cpu.block_base_cost + per_tx * multiplier * count,
-                # A yet-uncertified block: buffered and acked only.
-                cpu.block_base_cost + per_tx * (multiplier * cpu.header_cost_factor) * count,
-            )
-            object.__setattr__(block, "_sim_stage_prices", prices)
-        return prices[header]
 
     # ------------------------------------------------------------------
     # Certified (Tusk) round structure
@@ -801,59 +704,3 @@ class SimValidator:
             self.send(dst, honest)
         for dst in peers[half:]:
             self.send(dst, sibling)
-
-    # ------------------------------------------------------------------
-    # Wire sizes
-    # ------------------------------------------------------------------
-    def _wire_size(self, message) -> int:
-        """Simulated wire bytes of any message: the sum of what its
-        fields carry (a deep fetch's floor and token ride in the
-        request's four count bytes).  The fields are read by name off
-        ``__match_args__``, which dataclasses and named tuples both
-        define."""
-        names = type(message).__match_args__
-        if not names:
-            return _CKPT_REQ_SIZE
-        size = 0
-        for name in names:
-            value = getattr(message, name)
-            if name == "block":
-                size += self._block_wire_size(value)
-            elif name == "blocks":
-                size += sum(map(self._block_wire_size, value))
-            elif name == "refs":
-                size += _REF_WIRE_SIZE * len(value) + 4
-            elif name == "pruned":
-                size += _REF_WIRE_SIZE * len(value)
-            elif name == "checkpoints":
-                size += sum(c.wire_size for c in value) + _CKPT_REQ_SIZE
-            elif name == "digest":
-                size += _SIGNATURE_SIZE
-            elif name == "signatures":
-                size += _SIGNATURE_SIZE * value
-        return size
-
-    def _block_wire_size(self, block: Block) -> int:
-        """The block's simulated wire size, memoized on the block.
-
-        A block's size is asked for once per recipient on broadcast and
-        once per fetch served (a ROADMAP profiler peak, dominated by the
-        per-transaction sum of mixed-size workloads), yet it never
-        changes: blocks are immutable and every validator in a
-        deployment shares the same size parameters.  The first
-        computation is cached on the (shared) block object itself.
-        """
-        size = block.__dict__.get("_sim_wire_size")
-        if size is None:
-            if self._mixed_tx_sizes:
-                tx_bytes = sum(
-                    self._tx_weight * tx.size_hint
-                    if tx.size_hint is not None
-                    else self._tx_wire_size
-                    for tx in block.transactions
-                )
-            else:
-                tx_bytes = self._tx_wire_size * len(block.transactions)
-            size = int(_BLOCK_HEADER_SIZE + _REF_WIRE_SIZE * len(block.parents) + tx_bytes)
-            object.__setattr__(block, "_sim_wire_size", size)
-        return size

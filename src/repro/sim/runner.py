@@ -33,7 +33,9 @@ from ..crypto.hashing import Digest
 from ..errors import ConfigError, SimulationError
 from ..runtime.wal import WriteAheadLog
 from ..statesync import GENESIS_STATE, RECOVER_MODES, chain_digest
+from ..transaction import DEFAULT_TX_SIZE
 from .client import ArrivalRouter
+from .costs import MAX_BLOCK_TRANSACTIONS, MAX_SIM_TX_RATE, CostModel
 from .events import EventLoop
 from .faults import FaultEvent, FaultSchedule, NodeBehavior, merge_spans, normalize_events
 from .latency import (
@@ -43,14 +45,8 @@ from .latency import (
     wan_matrix_model,
 )
 from .metrics import ExperimentMetrics, LatencySummary, availability
-from .network import (
-    AsyncAdversaryScheduler,
-    LeaderDosScheduler,
-    MessageScheduler,
-    NetworkConfig,
-    SimNetwork,
-)
-from .node import CpuConfig, SimValidator
+from .network import AsyncAdversaryScheduler, LeaderDosScheduler, MessageScheduler, SimNetwork
+from .node import SimValidator
 from ..obs.trace import NULL_TRACER, Tracer
 
 
@@ -90,21 +86,6 @@ PROTOCOLS = tuple(_PROTOCOL_TABLE)
 #: meaningful.
 RECOVERY_CRASH_FRAC = 0.25
 RECOVERY_RESTART_FRAC = 0.5
-
-#: Real transaction size in bytes when ``tx_size_mix`` is empty: the
-#: paper's fixed 512 B transactions (Section 5.1).
-TX_SIZE = 512
-
-#: Simulated transactions per second, at most: a simulator cost budget,
-#: not a figure from the paper.  Above it one simulated transaction
-#: stands for ``load_tps / MAX_SIM_TX_RATE`` real ones
-#: (:attr:`ExperimentConfig.batch_weight`).
-MAX_SIM_TX_RATE = 2_000.0
-
-#: Real transactions one block may carry: a simulator ceiling, not a
-#: figure from the paper (divided by ``batch_weight`` for the simulated
-#: transactions a proposal takes).
-MAX_BLOCK_TRANSACTIONS = 100_000
 
 #: Rounds between a reconfiguration command finalizing and its epoch
 #: activating (``ProtocolConfig.reconfig_activation_lag``): a few rounds
@@ -156,7 +137,8 @@ class ExperimentConfig:
             distribution of real transaction sizes; when set, clients
             sample each transaction's size from it and blocks account
             bytes per transaction (mixed workloads).  Empty means every
-            transaction is :data:`TX_SIZE` bytes.
+            transaction is :data:`~repro.transaction.DEFAULT_TX_SIZE`
+            bytes.
         uniform_delay: When set, replaces the geo latency model with a
             constant one-way delay (useful for message-delay arithmetic
             tests); otherwise the paper's 5-region matrix is used.
@@ -181,8 +163,8 @@ class ExperimentConfig:
         block_interval: Minimum spacing between a validator's own
             proposals (batching/processing cadence of a real validator;
             see :class:`~repro.sim.node.SimValidator`).
-        model_cpu: Enable the per-validator compute model
-            (:class:`~repro.sim.node.CpuConfig`); disable for pure
+        model_cpu: Charge the per-validator CPU stages
+            (:class:`~repro.sim.costs.CostModel`); disable for pure
             message-delay arithmetic in tests.
         wave_length_override: Ablations only — force a wave length for
             the Mahi-Mahi protocols (e.g. 3, which is safe but not live
@@ -211,6 +193,10 @@ class ExperimentConfig:
             (``repro-bench --trace``).  Off by default: the no-op
             tracer keeps the hot path at a single attribute load.
         seed: Master seed; every run with the same config is identical.
+
+    Construction also builds the run's
+    :class:`~repro.config.ProtocolConfig` (``protocol_config``, not a
+    field), so a config its protocol rejects never becomes a sweep point.
     """
 
     protocol: str = "mahi-mahi-5"
@@ -263,20 +249,13 @@ class ExperimentConfig:
             raise ConfigError(
                 f"unknown recover_mode {self.recover_mode!r}; pick one of {RECOVER_MODES}"
             )
-        if self.checkpoint_interval < 0:
-            raise ConfigError("checkpoint_interval must be >= 0")
+        object.__setattr__(self, "protocol_config", self._protocol_config())
         if self.sync_chunk_blocks < 1:
             raise ConfigError("sync_chunk_blocks must be >= 1")
         if self.recover_mode == "checkpoint" and self.checkpoint_interval < 1:
             raise ConfigError(
                 "recover_mode='checkpoint' needs checkpoint_interval >= 1: adoption "
                 "requires peers to have captured checkpoints to attest"
-            )
-        if self.checkpoint_interval and self.gc_depth and self.checkpoint_interval > self.gc_depth:
-            raise ConfigError(
-                f"checkpoint_interval ({self.checkpoint_interval}) must not exceed "
-                f"gc_depth ({self.gc_depth}): a checkpoint older than the GC horizon "
-                "cannot anchor a suffix fetch"
             )
         if self.leader_dos_slots < 0:
             raise ConfigError("leader_dos_slots must be >= 0")
@@ -342,6 +321,19 @@ class ExperimentConfig:
                     f"static fault counts (indexes >= {first_static_fault})"
                 )
 
+    def _protocol_config(self) -> ProtocolConfig:
+        protocol = _PROTOCOL_TABLE[self.protocol]
+        override = self.wave_length_override if protocol.multi_leader else None
+        return ProtocolConfig(
+            wave_length=override or protocol.wave_length,
+            leaders_per_round=self.leaders_per_round if protocol.multi_leader else 1,
+            max_block_transactions=max(1, int(MAX_BLOCK_TRANSACTIONS / self.batch_weight)),
+            garbage_collection_depth=self.gc_depth,
+            checkpoint_interval_rounds=self.checkpoint_interval,
+            # 0 keeps the commit walk from scanning for commands at all.
+            reconfig_activation_lag=RECONFIG_LAG if self.reconfigures else 0,
+        )
+
     def _validate_membership_timeline(self, schedule: FaultSchedule) -> None:
         """Reconfiguration sanity: joiners take the highest indexes, and
         the committee implied by the join/leave timeline never shrinks
@@ -396,9 +388,7 @@ class ExperimentConfig:
     @property
     def batch_weight(self) -> float:
         """Real transactions represented by one simulated transaction."""
-        if self.load_tps <= MAX_SIM_TX_RATE:
-            return 1.0
-        return self.load_tps / MAX_SIM_TX_RATE
+        return max(1.0, self.load_tps / MAX_SIM_TX_RATE)
 
     @property
     def sim_tx_rate(self) -> float:
@@ -409,7 +399,7 @@ class ExperimentConfig:
     def mean_tx_size(self) -> float:
         """Expected real transaction size in bytes (mix-weighted)."""
         if not self.tx_size_mix:
-            return float(TX_SIZE)
+            return float(DEFAULT_TX_SIZE)
         total = sum(share for _, share in self.tx_size_mix)
         return sum(size * share for size, share in self.tx_size_mix) / total
 
@@ -601,18 +591,24 @@ class Experiment:
             threshold=self._committee.quorum_threshold,
         )
         self._protocol = _PROTOCOL_TABLE[config.protocol]
-        self._protocol_config = self._make_protocol_config()
         self._latency_model = self._make_latency_model()
         #: Lifecycle span recorder shared by every validator and the
         #: network; the no-op tracer unless ``config.trace`` asked for
         #: a recording one.  Exported after ``run()`` via
         #: ``repro.obs.export``.
         self.tracer = Tracer() if config.trace else NULL_TRACER
+        # The run's prices, shared by the network and every validator.
+        self._costs = CostModel(
+            tx_weight=config.batch_weight,
+            mean_tx_size=config.mean_tx_size,
+            mixed_sizes=bool(config.tx_size_mix),
+            model_cpu=config.model_cpu,
+        )
         self._network = SimNetwork(
             self._loop,
             self._latency_model,
             config.num_validators,
-            config=NetworkConfig(),
+            costs=self._costs,
             scheduler=self._make_scheduler(),
             seed=config.seed,
             tracer=self.tracer,
@@ -678,7 +674,7 @@ class Experiment:
             # schedule.  The closure reads ``self.nodes`` lazily — the
             # network (and this scheduler) is built before the nodes,
             # but no message flows until after they exist.
-            wave_length = self._protocol_config.wave_length
+            wave_length = cfg.protocol_config.wave_length
             coin = self._coin
             # Weak: the network holds this closure, the experiment the network.
             experiment = weakref.proxy(self)
@@ -703,20 +699,6 @@ class Experiment:
             )
         return None
 
-    def _make_protocol_config(self) -> ProtocolConfig:
-        cfg = self.config
-        multi_leader = self._protocol.multi_leader
-        override = cfg.wave_length_override if multi_leader else None
-        return ProtocolConfig(
-            wave_length=override or self._protocol.wave_length,
-            leaders_per_round=cfg.leaders_per_round if multi_leader else 1,
-            max_block_transactions=max(1, int(MAX_BLOCK_TRANSACTIONS / cfg.batch_weight)),
-            garbage_collection_depth=cfg.gc_depth,
-            checkpoint_interval_rounds=cfg.checkpoint_interval,
-            # 0 keeps the commit walk from scanning for commands at all.
-            reconfig_activation_lag=RECONFIG_LAG if cfg.reconfigures else 0,
-        )
-
     def _make_core(self, authority: int) -> MahiMahiCore:
         committer = self._protocol.committer
         if self._protocol.multi_leader and not self.config.direct_skip:
@@ -727,7 +709,7 @@ class Experiment:
             # and committer: the commit walk appends epochs, proposing
             # and quorum counting follow them.
             CommitteeSchedule(self._committee, provisioned=self.config.num_validators),
-            self._protocol_config,
+            self.config.protocol_config,
             self._coin,
             committer_factory=committer,
             genesis=self._genesis,
@@ -756,17 +738,14 @@ class Experiment:
             self._loop,
             certified=self._protocol.certified,
             behavior=self._behavior(authority),
-            tx_wire_size=self.config.batch_weight * self.config.mean_tx_size,
+            costs=self._costs,
             min_block_interval=self.config.block_interval,
-            tx_weight=self.config.batch_weight,
-            cpu=CpuConfig() if self.config.model_cpu else None,
             # Checked against every other validator's as they happen;
             # measured at the observer.
             on_commit=self._total_order.on_commit,
             core_factory=lambda authority=authority: self._make_core(authority),
             start_down=authority in self._initially_down,
             on_recovery=self._metrics.record_recovery,
-            mixed_tx_sizes=bool(self.config.tx_size_mix),
             recover_mode=self.config.recover_mode,
             wal=self._wals.get(authority),
             sync_chunk_blocks=self.config.sync_chunk_blocks,

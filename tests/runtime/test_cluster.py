@@ -6,6 +6,7 @@ recovery via the WAL works, and the synchronizer repairs gaps.
 """
 
 import asyncio
+from types import SimpleNamespace
 
 import pytest
 
@@ -302,6 +303,21 @@ class TestProcessCluster:
             assert cluster.assert_consistent_prefixes() > 0
 
         asyncio.run(asyncio.wait_for(scenario(), timeout=120))
+
+
+def test_wait_status_notices_an_exited_validator(tmp_path):
+    """A validator whose process has exited is reported at once, with
+    its stderr log named, instead of waiting out the timeout."""
+    from repro.runtime.process_cluster import ProcessCluster
+
+    cluster = ProcessCluster(4, run_dir=tmp_path)
+    cluster._procs[2] = SimpleNamespace(poll=lambda: 1, returncode=1)  # nothing spawned
+    for wait in (
+        cluster.wait_status(2, lambda status: True, timeout=30.0, what="steady commits"),
+        cluster.wait_ready([2], timeout=30.0),
+    ):
+        with pytest.raises(RuntimeError, match="stderr-2.log"):
+            asyncio.run(asyncio.wait_for(wait, timeout=1.0))
 
 
 @pytest.mark.slow

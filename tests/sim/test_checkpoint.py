@@ -6,7 +6,7 @@ import pytest
 from repro.errors import ConfigError, StateTransferError
 from repro.runtime.wal import WriteAheadLog
 from repro.sim.faults import FaultEvent
-from repro.sim.node import CpuConfig, replay_cost
+from repro.sim.costs import CostModel
 from repro.sim.runner import Experiment, ExperimentConfig
 from repro.statesync import CheckpointVotes, WalReplay, replay_wal
 from tests.helpers import masked_result_hash, result_hash
@@ -229,14 +229,14 @@ class TestCheckpointVotes:
 
 class TestWalReplayHelpers:
     def test_replay_cost_scales_with_blocks(self):
-        cpu = CpuConfig()
+        costs = CostModel(model_cpu=True)
         replay = WalReplay(blocks=100, transactions=500, own_top_round=9, commit_round=5)
-        cost = replay_cost(replay, cpu, tx_weight=1.0)
+        cost = costs.replay_price(replay)
         assert cost > 0
-        assert cost < cpu.block_base_cost * 100 + cpu.tx_consensus_cost * 500
-        assert replay_cost(replay, None, 1.0) == 0.0
+        assert cost < costs.block_base_cost * 100 + costs.tx_consensus_cost * 500
+        assert CostModel().replay_price(replay) == 0.0
         empty = WalReplay(blocks=0, transactions=0, own_top_round=0, commit_round=-1)
-        assert replay_cost(empty, cpu, 1.0) == 0.0
+        assert costs.replay_price(empty) == 0.0
 
     def test_replay_restores_round_floor(self, tmp_path):
         """Replaying a WAL with own blocks floors the proposal round —

@@ -8,13 +8,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.obs.trace import Tracer
+from repro.sim.costs import CostModel
 from repro.sim.events import EventLoop
 from repro.sim.latency import UniformLatencyModel
 from repro.sim.network import (
     AsyncAdversaryScheduler,
     LeaderDosScheduler,
     Message,
-    NetworkConfig,
     SimNetwork,
 )
 
@@ -25,7 +25,7 @@ def make_network(n=4, delay=0.05, bandwidth=10e9 / 8, scheduler=None):
         loop,
         UniformLatencyModel(delay),
         n,
-        config=NetworkConfig(bandwidth=bandwidth),
+        costs=CostModel(bandwidth=bandwidth),
         scheduler=scheduler,
         seed=0,
     )
@@ -47,7 +47,7 @@ class TestDelivery:
         assert message.src == 0
         # Delivery lands within one delivery tick past the exact arrival
         # (tick quantization batches per-link deliveries).
-        tick = NetworkConfig().delivery_tick
+        tick = CostModel().delivery_tick
         assert 0.05 <= when <= 0.05 + tick + 1e-9
 
     def test_broadcast_reaches_all_peers(self):
@@ -100,7 +100,7 @@ class TestBandwidth:
         network.send(0, 1, "x", size=64)
         loop.run_to_completion()
         [(_, when)] = inboxes[1]
-        tick = NetworkConfig().delivery_tick
+        tick = CostModel().delivery_tick
         assert 0.05 <= when <= 0.05 + tick + 1e-9
 
 
@@ -115,7 +115,7 @@ class TestDeliveryTick:
             loop,
             UniformLatencyModel(0.05),
             4,
-            config=NetworkConfig(delivery_tick=0.01),
+            costs=CostModel(delivery_tick=0.01),
             seed=0,
         )
         received = []
@@ -136,7 +136,7 @@ class TestDeliveryTick:
             loop,
             UniformLatencyModel(0.05),
             4,
-            config=NetworkConfig(delivery_tick=tick),
+            costs=CostModel(delivery_tick=tick),
             seed=0,
         )
         times = []
@@ -154,7 +154,7 @@ class TestDeliveryTick:
             loop,
             UniformLatencyModel(0.05),
             4,
-            config=NetworkConfig(delivery_tick=0.0),
+            costs=CostModel(delivery_tick=0.0),
             seed=0,
         )
         times = []
@@ -172,7 +172,7 @@ class TestDeliveryTick:
             4,
             # 1 MB/s: 100 kB messages serialize 0.1 s apart, spanning
             # many ticks.
-            config=NetworkConfig(bandwidth=1e6, delivery_tick=0.01),
+            costs=CostModel(bandwidth=1e6, delivery_tick=0.01),
             seed=0,
         )
         received = []
@@ -309,20 +309,20 @@ class PerHopNetwork(SimNetwork):
                 self.messages_dropped += 1
                 return
         message = Message(src=src, dst=dst, body=body, size=size)
-        wire_size = size + self._config.message_overhead
+        wire_size = size + self._costs.message_overhead
         now = self._loop.now
         egress_free = self._egress_free
         start = egress_free[src]
         if now > start:
             start = now
-        egress_done = start + wire_size / self._config.bandwidth
+        egress_done = start + wire_size / self._costs.bandwidth
         egress_free[src] = egress_done
         delay = self._sample_delay(src, dst) + partition_delay
         if not self._benign:
             delay += self._scheduler.extra_delay(message, now, self._rng)
         arrival = egress_done + delay
         link = (src, dst)
-        last = self._last_delivery.get(link, 0.0) + 1e-9
+        last = self._last_delivery.get(link, 0.0) + self._costs.fifo_gap
         if last > arrival:
             arrival = last
         self._last_delivery[link] = arrival
@@ -415,7 +415,7 @@ def network_programs(draw):
         latency=draw(st.sampled_from(sorted(LATENCIES))),
         scheduler=draw(st.sampled_from(sorted(SCHEDULERS))),
         traced=draw(st.booleans()),
-        delivery_tick=draw(st.sampled_from([0.0, NetworkConfig().delivery_tick])),
+        delivery_tick=draw(st.sampled_from([0.0, CostModel().delivery_tick])),
         bandwidth=draw(st.sampled_from([10e9 / 8, 1e6])),
         seed=draw(st.integers(0, 2**16)),
     )
@@ -429,7 +429,7 @@ def build(cls, setup):
         loop,
         LATENCIES[setup["latency"]](),
         setup["n"],
-        config=NetworkConfig(bandwidth=setup["bandwidth"], delivery_tick=setup["delivery_tick"]),
+        costs=CostModel(bandwidth=setup["bandwidth"], delivery_tick=setup["delivery_tick"]),
         scheduler=SCHEDULERS[setup["scheduler"]](setup["n"]),
         seed=setup["seed"],
         tracer=tracer,

@@ -17,11 +17,12 @@ from repro.messages import (
     SyncResponse,
 )
 from repro.obs.trace import BLOCK_PROPOSED, BLOCK_RECEIVED, NULL_TRACER, Tracer
+from repro.sim.costs import CostModel
 from repro.sim.events import EventLoop
 from repro.sim.faults import NodeBehavior
 from repro.sim.latency import UniformLatencyModel
 from repro.sim.network import Message, SimNetwork
-from repro.sim.node import Ack, Certificate, CpuConfig, Header, SimValidator
+from repro.sim.node import Ack, Certificate, Header, SimValidator
 from repro.transaction import Transaction
 from tests.statesync.test_driver import history, suffix
 
@@ -50,7 +51,7 @@ def make_cluster(
     interval=0.0,
     behaviors=None,
     certified=False,
-    cpu=None,
+    costs=None,
     with_core_factory=False,
     sync_chunk_blocks=4096,
     tracer=NULL_TRACER,
@@ -61,7 +62,7 @@ def make_cluster(
     coin = FastCoin(seed=b"node-test", n=n, threshold=committee.quorum_threshold)
     config = ProtocolConfig(wave_length=5, leaders_per_round=2)
     loop = EventLoop()
-    network = SimNetwork(loop, UniformLatencyModel(delay), n, seed=1)
+    network = SimNetwork(loop, UniformLatencyModel(delay), n, costs=costs, seed=1)
     nodes = []
     for i in range(n):
         behavior = behaviors.get(i) if behaviors else None
@@ -76,7 +77,7 @@ def make_cluster(
                 certified=certified,
                 behavior=behavior,
                 min_block_interval=interval,
-                cpu=cpu,
+                costs=costs,
                 core_factory=factory,
                 sync_chunk_blocks=sync_chunk_blocks,
                 tracer=tracer,
@@ -91,7 +92,7 @@ def ingress_cluster(tx_ingress_cost, **kwargs):
     seconds per transaction (absurdly slow, so that it shows)."""
     tracer = Tracer()
     loop, nodes = make_cluster(
-        cpu=CpuConfig(tx_ingress_cost=tx_ingress_cost), tracer=tracer, **kwargs
+        costs=CostModel(model_cpu=True, tx_ingress_cost=tx_ingress_cost), tracer=tracer, **kwargs
     )
     return loop, nodes, tracer
 
@@ -251,8 +252,8 @@ class TestRecovery:
     def test_crash_drops_queued_cpu_work(self):
         """Blocks inside the consensus CPU stage at crash time are lost
         with the rest of the in-memory state (incarnation guard)."""
-        cpu = CpuConfig(block_base_cost=0.5)  # absurdly slow stage
-        loop, nodes = make_cluster(cpu=cpu, with_core_factory=True)
+        costs = CostModel(model_cpu=True, block_base_cost=0.5)  # absurdly slow stage
+        loop, nodes = make_cluster(costs=costs, with_core_factory=True)
         for node in nodes:
             node.start()
         # Let round-1 blocks arrive and queue up in the slow CPU stage,
@@ -474,16 +475,16 @@ class TestCpuModel:
         assert second == pytest.approx(0.6) and late == [2]
 
     def test_without_a_cpu_model_nothing_queues(self):
-        _, nodes = make_cluster(cpu=None)
+        _, nodes = make_cluster()
         nodes[0].submit(Transaction(1))
         nodes[0].start()  # the same instant: no stage in between
         (block,) = nodes[0].core.store.slot_blocks(1, 0)
         assert [tx.tx_id for tx in block.transactions] == [1]
 
     def test_consensus_cost_slows_rounds(self):
-        fast_loop, fast_nodes = make_cluster(cpu=None)
-        slow_cpu = CpuConfig(block_base_cost=0.05)
-        slow_loop, slow_nodes = make_cluster(cpu=slow_cpu)
+        fast_loop, fast_nodes = make_cluster()
+        slow_costs = CostModel(model_cpu=True, block_base_cost=0.05)
+        slow_loop, slow_nodes = make_cluster(costs=slow_costs)
         for node in fast_nodes:
             node.start()
         for node in slow_nodes:
@@ -495,11 +496,11 @@ class TestCpuModel:
     def test_both_entry_points_complete_the_cpu_stage_at_the_same_instant(self):
         """``on_message`` is ``on_batch`` of one: the same consensus-stage
         charge, the same completion time, the same ingest."""
-        cpu = CpuConfig(block_base_cost=0.01)
+        costs = CostModel(model_cpu=True, block_base_cost=0.01)
         received_at = []
         for entry in ("on_message", "on_batch"):
             tracer = Tracer()
-            loop, nodes = make_cluster(cpu=cpu, tracer=tracer)
+            loop, nodes = make_cluster(costs=costs, tracer=tracer)
             block = nodes[1].core.maybe_propose()
             message = Message(src=1, dst=0, body=BlockMessage(block), size=100)
             if entry == "on_message":
@@ -548,4 +549,4 @@ class TestWireSizes:
             (CheckpointResponse(()), 16),
         ]
         for message, size in table:
-            assert nodes[0]._wire_size(message) == size, message
+            assert CostModel().wire_size(message) == size, message

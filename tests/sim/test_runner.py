@@ -14,17 +14,17 @@ from repro.baselines import TuskCommitter
 from repro.core.committer import Committer
 from repro.core.protocol import MahiMahiCore
 from repro.errors import ConfigError, SimulationError
+from repro.sim.costs import MAX_SIM_TX_RATE
 from repro.sim.faults import FaultEvent
 from repro.sim.runner import (
-    MAX_SIM_TX_RATE,
     RECONFIG_LAG,
     RECOVERY_CRASH_FRAC,
     RECOVERY_RESTART_FRAC,
-    TX_SIZE,
     Experiment,
     ExperimentConfig,
     PROTOCOLS,
 )
+from repro.transaction import DEFAULT_TX_SIZE
 
 
 def quick(protocol, **overrides):
@@ -59,6 +59,20 @@ class TestConfigValidation:
     def test_no_batching_below_cap(self):
         config = ExperimentConfig(load_tps=MAX_SIM_TX_RATE / 4)
         assert config.batch_weight == 1.0
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [dict(gc_depth=-1), dict(wave_length_override=17), dict(leaders_per_round=0)],
+    )
+    def test_protocol_config_rejected_at_construction(self, overrides):
+        """A config its protocol rejects never becomes a sweep point; the
+        baselines still ignore the Mahi-Mahi knobs."""
+        with pytest.raises(ConfigError):
+            ExperimentConfig(**overrides)
+        if "gc_depth" not in overrides:
+            for protocol in ("tusk", "cordial-miners"):
+                config = ExperimentConfig(protocol=protocol, **overrides)
+                assert config.protocol_config.leaders_per_round == 1
 
     def test_recovering_counts_against_fault_budget(self):
         with pytest.raises(ConfigError):
@@ -119,7 +133,7 @@ class TestConfigValidation:
     def test_mean_tx_size_weighted(self):
         config = ExperimentConfig(tx_size_mix=((100, 3.0), (500, 1.0)))
         assert config.mean_tx_size == pytest.approx(200.0)
-        assert ExperimentConfig().mean_tx_size == TX_SIZE == 512
+        assert ExperimentConfig().mean_tx_size == DEFAULT_TX_SIZE == 512
 
     def test_join_and_leave_derive_the_committee(self):
         """A run reconfigures exactly when its schedule holds a join or a

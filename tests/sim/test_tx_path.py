@@ -32,9 +32,10 @@ from repro.core.protocol import MahiMahiCore, Mempool
 from repro.obs import trace as _trace
 from repro.obs.metrics import Histogram, _HistogramSeries, _label_key
 from repro.sim import runner
+from repro.sim.costs import CostModel
 from repro.sim.faults import FaultEvent
 from repro.sim.metrics import ExperimentMetrics
-from repro.sim.node import CpuConfig, SimValidator
+from repro.sim.node import SimValidator
 from repro.sim.runner import Experiment, ExperimentConfig
 from repro.transaction import Transaction, TransactionBatch, TransactionSlice
 from tests.sim.test_node import make_cluster
@@ -170,11 +171,12 @@ class TimerIngressValidator(SimValidator):
             self._tracer.instant(
                 self.authority, "client", _trace.TX_SUBMITTED, now, {"tx": tx.tx_id}
             )
-        if self._cpu is None:
+        costs = self._costs
+        if not costs.model_cpu:
             self.trace.append((tx.tx_id, now, self.authority, now))
             self.core.add_transaction(tx)
             return
-        cost = self._cpu.tx_ingress_cost * self._tx_weight * self._slow
+        cost = costs.tx_ingress_cost * costs.tx_weight * self._slow
         ready = self.ingress.free = max(now, self.ingress.free) + cost
         self.trace.append((tx.tx_id, now, self.authority, ready))
         if self._tracer.enabled:
@@ -407,8 +409,10 @@ def test_a_completion_at_exactly_the_step_instant_is_included():
     for validator in (SimValidator, TimerIngressValidator):
         # Free consensus stage: round 1 is ingested at exactly 0.05, so the
         # pacing timer is armed for 0.05 + (0.25 - 0.05), which is 0.25.
-        cpu = CpuConfig(tx_ingress_cost=0.25, block_base_cost=0.0, tx_consensus_cost=0.0)
-        loop, nodes = make_cluster(interval=0.25, cpu=cpu, validator=validator)
+        costs = CostModel(
+            model_cpu=True, tx_ingress_cost=0.25, block_base_cost=0.0, tx_consensus_cost=0.0
+        )
+        loop, nodes = make_cluster(interval=0.25, costs=costs, validator=validator)
         nodes[0].submit(Transaction(1))
         for node in nodes:
             node.start()

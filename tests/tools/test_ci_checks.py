@@ -277,6 +277,44 @@ def test_one_vocabulary(tmp_path):
     assert all(str(ladder) in v for v in violations)
 
 
+def test_one_cost_table(tmp_path):
+    assert ci_checks.one_cost_table() == []  # node and network as checked in
+    clean = write(
+        tmp_path / "clean.py",
+        "def on_batch(self, messages):\n"
+        "    cost = 0.0\n"
+        "    for message in messages:\n"
+        "        cost += self._costs.stage_price(message.body.block, False, False)\n"
+        "        self.received += 1\n"
+        "    half = len(messages) // 2\n"
+        "    return cost * self._slow if self._slow != 1.0 else -1.0 * cost\n",
+    )
+    assert ci_checks.one_cost_table(str(clean)) == []
+    # A price written where it is charged, as the wire and CPU models were.
+    priced = write(
+        tmp_path / "priced.py",
+        "BANDWIDTH = 10e9 / 8\n"
+        "def batch_cost(self, messages):\n"
+        "    cost = 0.0\n"
+        "    for message in messages:\n"
+        "        cost += 20e-6 if message.body is None else 0.3e-3\n"
+        "    return cost + 0 + 1\n"
+        "def wire_size(self, refs, size):\n"
+        "    size += 128\n"
+        "    return 44 * len(refs) + 4 + size\n",
+    )
+    violations = ci_checks.one_cost_table(str(clean), str(priced))
+    lines = [v.partition(": ")[0].rpartition(":")[2] for v in violations]
+    assert lines == ["1", "5", "5", "8", "9", "9"]
+    assert "the literal 2e-05" in violations[1]
+    assert [v.rpartition("the literal ")[2].split()[0] for v in violations[3:]] == [
+        "128",
+        "4",
+        "44",
+    ]
+    assert all(str(priced) in v for v in violations)
+
+
 @pytest.mark.parametrize("name", ci_checks.CHECKS)
 def test_every_subcommand_is_what_the_workflow_calls(name):
     workflow = Path(__file__).resolve().parents[2] / ".github" / "workflows" / "ci.yml"

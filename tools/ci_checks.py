@@ -4,7 +4,7 @@ each, so the logic is importable and covered by tier-1
 (``tests/tools/test_ci_checks.py``) instead of living in YAML heredocs.
 
 Every check reads files a previous workflow step wrote (or, for
-``one-vocabulary``, source files), returns the list of violations
+``one-vocabulary`` and ``one-cost-table``, source files), returns the list of violations
 (empty = pass) and, from the command line, prints them and exits 1.
 
 Usage::
@@ -20,6 +20,7 @@ Usage::
     python tools/ci_checks.py tusk-poll      [results/sim-tusk-n10.traced.out]
     python tools/ci_checks.py tx-path        [results/sim-tusk-n10.traced.out]
     python tools/ci_checks.py one-vocabulary [HOST.py ...]
+    python tools/ci_checks.py one-cost-table [MODULE.py ...]
 """
 
 from __future__ import annotations
@@ -289,6 +290,47 @@ def one_vocabulary(*paths: str) -> list[str]:
     return violations
 
 
+#: The simulator modules that charge prices; the prices themselves are
+#: ``sim/costs.py``'s.
+PRICED = ("src/repro/sim/node.py", "src/repro/sim/network.py")
+
+
+def _price_literals(tree: ast.AST):
+    """``(line, value)`` of every literal in ``tree`` that reads as a
+    price: a float other than ``0.0`` and ``1.0`` (CPU seconds, a
+    bandwidth, a time quantum), and an int other than ``0`` and ``1``
+    added, subtracted or multiplied (wire bytes; ``// 2`` halves, it
+    prices nothing)."""
+    arithmetic = (ast.Add, ast.Sub, ast.Mult)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Constant) and type(node.value) is float:
+            if node.value not in (0.0, 1.0):
+                yield node.lineno, node.value
+        elif isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, arithmetic):
+            operands = (node.left, node.right) if isinstance(node, ast.BinOp) else (node.value,)
+            for operand in operands:
+                if (
+                    isinstance(operand, ast.Constant)
+                    and type(operand.value) is int
+                    and operand.value not in (0, 1)
+                ):
+                    yield operand.lineno, operand.value
+
+
+def one_cost_table(*paths: str) -> list[str]:
+    """The simulated validator and network take every price from the
+    cost table: no price literal (:func:`_price_literals`) is in them
+    (read off the syntax tree)."""
+    violations = []
+    for path in paths or [str(ROOT / module) for module in PRICED]:
+        found = _price_literals(ast.parse(Path(path).read_text(), filename=path))
+        violations += [
+            f"{path}:{line}: the literal {value!r} (prices live in sim/costs.py)"
+            for line, value in sorted(found)
+        ]
+    return violations
+
+
 CHECKS = {
     "cluster-metrics": cluster_metrics,
     "cluster-traces": cluster_traces,
@@ -301,6 +343,7 @@ CHECKS = {
     "tusk-poll": tusk_poll,
     "tx-path": tx_path,
     "one-vocabulary": one_vocabulary,
+    "one-cost-table": one_cost_table,
 }
 
 
