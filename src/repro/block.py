@@ -24,6 +24,14 @@ WAL record.  Simulator blocks carry a
 :class:`~repro.transaction.TransactionSlice` (its header table packed for
 the digest, never framed), hand-built ones plain tuples.
 
+**How the digest is framed.**  :attr:`Block.digest` is
+:func:`~repro.crypto.hashing.hash_parts` over the header, one part per
+parent reference (each packed by one precompiled ``Struct``), the
+transaction section, the coin share and the salt.  ``hash_parts`` frames
+runs of short parts into one buffer, so a 50-parent block reaches the
+hasher in a handful of ``update`` calls, and a long section is hashed
+where it lies, never copied.
+
 **What decode raises.**  :meth:`Block.decode` and
 :meth:`BlockRef.decode` raise :class:`~repro.errors.ReproError`, and
 nothing else, on arbitrary bytes.
@@ -43,8 +51,7 @@ from .transaction import Transaction, TransactionBatch, encode_transactions
 #: Round number of genesis blocks.
 GENESIS_ROUND = 0
 
-_REF_HEADER = struct.Struct("<IQ")  # author, round  (+ 32-byte digest)
-_REF_SIZE = _REF_HEADER.size + 32
+_REF = struct.Struct("<IQ32s")  # author, round, digest
 _BLOCK_HEADER = struct.Struct("<IQI")  # author, round, parent count
 _SHARE_HEADER = struct.Struct("<IQI")  # author, round, value length
 
@@ -63,15 +70,15 @@ class BlockRef:
     digest: Digest
 
     def encode(self) -> bytes:
-        return _REF_HEADER.pack(self.author, self.round) + self.digest
+        return _REF.pack(self.author, self.round, self.digest)
 
     @classmethod
     def decode(cls, data: bytes, offset: int = 0) -> tuple["BlockRef", int]:
-        end = offset + _REF_SIZE
+        end = offset + _REF.size
         if end > len(data):
             raise ReproError("truncated block reference")
-        author, round_number = _REF_HEADER.unpack_from(data, offset)
-        return cls(author=author, round=round_number, digest=bytes(data[end - 32 : end])), end
+        author, round_number, digest = _REF.unpack_from(data, offset)
+        return cls(author=author, round=round_number, digest=digest), end
 
     def __repr__(self) -> str:  # compact form for logs: B(v3, r7)
         return f"B(v{self.author},r{self.round},{self.digest[:4].hex()})"
@@ -164,10 +171,13 @@ class Block:
         return memo
 
     def _signable_parts(self) -> list[bytes]:
-        """What the digest — and through it the signature — covers."""
+        """What the digest — and through it the signature — covers: the
+        header, one part per parent reference, the transaction section,
+        the coin share and the salt."""
+        pack = _REF.pack
         return [
             _BLOCK_HEADER.pack(self.author, self.round, len(self.parents)),
-            *(parent.encode() for parent in self.parents),
+            *[pack(ref.author, ref.round, ref.digest) for ref in self.parents],
             encode_transactions(self.transactions),
             self.coin_share.encode() if self.coin_share is not None else b"",
             self.salt,
@@ -230,7 +240,7 @@ class Block:
             raise ReproError("truncated block header")
         author, round_number, parent_count = _BLOCK_HEADER.unpack_from(data, offset)
         offset += _BLOCK_HEADER.size
-        if parent_count > (len(data) - offset) // _REF_SIZE:
+        if parent_count > (len(data) - offset) // _REF.size:
             raise ReproError("parent count exceeds the buffer")
         parents = []
         for _ in range(parent_count):

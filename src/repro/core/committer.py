@@ -43,9 +43,10 @@ for most slots, so a visit only does work where evidence moved:
   restarts after an epoch activation; a checkpoint adoption leaves no
   verdicts, so every open coin above the new cursor asks for one.
 
-Kept verdicts, and the traversal's vote and cert memos behind them,
-exist for slots at or above the cursor only: finalizing a slot drops its
-verdict, leaving a round drops its leaders' memos.  Garbage collection
+Kept verdicts exist for slots at or above the cursor only: finalizing a
+slot drops its verdict, leaving a round drops its wave's coin.  (What
+blocks vote for and support is kept on the blocks, and a certificate is
+re-read from it, so the traversal keeps nothing to drop.)  Garbage collection
 and a raised state-transfer floor act below the cursor, so they can
 stale nothing; an epoch activation or a checkpoint adoption, which
 change the schedule or move the cursor, drop every kept verdict.
@@ -405,8 +406,6 @@ class Committer:
           still evicts far less than a full clear.)
         * kept UNDECIDED verdicts — all dropped (a handful of slots):
           block counts cannot see that a quorum or the membership moved.
-        * cert memos — ``IsCert`` resolves quorum/membership at the
-          *leader's* round, so only leader rounds >= ``A`` are dropped.
         * elector — the cached certify round always bounds the wave's
           epoch round from above, so dropping certify rounds >= ``A``
           covers every entry the new committee could re-judge.
@@ -431,7 +430,6 @@ class Committer:
             for key in stale:
                 del self._decided[key]
             self._undecided.clear()
-            self.traversal.invalidate_above(activation)
             self._elector.invalidate_above(activation)
         return scheduled
 
@@ -466,14 +464,12 @@ class Committer:
         self._cursor_offset += 1
         if self._cursor_offset >= self._config.leaders_per_round:
             # A round's finalized statuses stay until the cursor leaves
-            # it (sweeps start at the cursor *round*); then they, the
-            # round's cert memos and its wave's coin go: nothing judges
-            # them again.
+            # it (sweeps start at the cursor *round*); then they and
+            # the round's wave's coin go: nothing judges them again.
             for offset in range(self._cursor_offset):
                 self._decided.pop((self._cursor_round, offset), None)
             self._cursor_offset = 0
             self._cursor_round += self._wave_stride
-            self.traversal.invalidate_below(self._cursor_round)
             self._elector.invalidate_below(self.coin_round(self._cursor_round))
 
     # ------------------------------------------------------------------

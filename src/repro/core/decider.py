@@ -230,16 +230,25 @@ class Decider:
     def supported_leader(self, propose_round: int, leader: Block) -> bool:
         """``SupportedLeader``: ``2f + 1`` distinct certify-round authors
         (members of the wave's epoch) produced certificates for
-        ``leader``."""
-        certifying: set[int] = set()
+        ``leader``.
+
+        Each certificate is read off the certifier's support memo (kept
+        on the shared block) and judged, like ``IsCert``, against the
+        committee of the leader's round — the wave's."""
         committee = self._schedule.committee_at(propose_round)
         quorum = committee.quorum_threshold
+        members = committee.member_mask
+        slot = (leader.author, leader.round)
+        digest = leader.digest
+        support = self._traversal.support
+        certifying = 0  # bitmask of the certifying authors
         for block in self._store.round_blocks(self.certify_round(propose_round)):
-            if block.author in certifying or not committee.is_member(block.author):
+            author = 1 << block.author
+            if certifying & author or not members & author:
                 continue
-            if self._traversal.is_cert(block, leader):
-                certifying.add(block.author)
-                if len(certifying) >= quorum:
+            if (support(block, slot).get(digest, 0) & members).bit_count() >= quorum:
+                certifying |= author
+                if certifying.bit_count() >= quorum:
                     return True
         return False
 

@@ -313,8 +313,12 @@ class MahiMahiCore:
 
     def _track_tips(self, block: Block) -> None:
         tips = self._tips
-        for digest in tips.keys() & block.parent_digests:
-            del tips[digest]
+        parents = block.parent_digests
+        # Once a round's first block cleared the previous round's tips,
+        # the tips and a block's parents are disjoint: no set is built.
+        if not tips.keys().isdisjoint(parents):
+            for digest in tips.keys() & parents:
+                del tips[digest]
         tips[block.digest] = block.reference
 
     # ------------------------------------------------------------------

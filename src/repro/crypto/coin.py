@@ -14,13 +14,28 @@ Two implementations share the :class:`CommonCoin` interface:
   seed, for large simulations where coin unpredictability against the
   modeled adversary is configured explicitly instead of
   cryptographically.
+
+**A share is checked once per coin object.**  Whether a share verifies
+is a pure function of the share, and every validator that opens a
+round's coin checks the same shares: in the simulator all validators
+share one :class:`FastCoin`, and on the runtime a validator checks each
+share at ingest (:meth:`~repro.dag.validation.BlockVerifier.verify_crypto`)
+and again in every :meth:`~CommonCoin.reconstruct`.  Both coins
+therefore remember the shares they found valid (:class:`VerifiedShares`):
+the latest :data:`SHARE_MEMO_ROUNDS` rounds of them, by author, with the
+value that verified — so a share that differs from a verified one in
+its value alone is checked afresh, and dropping a round costs a
+recomputation, never a verdict.  A :class:`FastCoin` also remembers the
+shares it computes (checking a share is comparing it with the one the
+coin computes), so a simulation hashes each share once, when its block
+is proposed.
 """
 
 from __future__ import annotations
 
 import hashlib
 from abc import ABC, abstractmethod
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 from ..errors import InsufficientShares, InvalidShare
 from .hashing import hash_parts
@@ -29,6 +44,14 @@ from .threshold import SecretShare, ThresholdSetup, deal, interpolate_at_zero
 
 #: Bytes needed to encode a scalar of the coin's group.
 _SCALAR_BYTES = (Q.bit_length() + 7) // 8
+
+#: Rounds of verified shares a coin remembers (at most one share per
+#: author a round: a round's valid share is unique).  The DAG advances
+#: only on a quorum of the previous round, so correct validators open a
+#: round's coin within a few rounds of each other and of receiving its
+#: shares; sixteen rounds cover that spread several times over, and a
+#: validator further behind (one catching up after a crash) recomputes.
+SHARE_MEMO_ROUNDS = 16
 
 
 class CoinShare(NamedTuple):
@@ -51,6 +74,39 @@ class CoinShare(NamedTuple):
             + len(self.value).to_bytes(4, "little")
             + self.value
         )
+
+
+class VerifiedShares:
+    """The shares a coin found valid, for its latest
+    :data:`SHARE_MEMO_ROUNDS` rounds: round -> author -> share value."""
+
+    __slots__ = ("_rounds",)
+
+    def __init__(self) -> None:
+        self._rounds: dict[int, dict[int, bytes]] = {}
+
+    def verify(self, share: CoinShare, check: Callable[[CoinShare], bool]) -> bool:
+        """Whether ``share`` is valid: remembered, or ``check(share)``."""
+        verified = self._rounds.get(share.round)
+        if verified is not None and verified.get(share.author) == share.value:
+            return True
+        if not check(share):
+            return False
+        self.add(share)
+        return True
+
+    def add(self, share: CoinShare) -> None:
+        """Remember ``share`` as valid, dropping the oldest round when a
+        new one would exceed :data:`SHARE_MEMO_ROUNDS`."""
+        verified = self._rounds.get(share.round)
+        if verified is None:
+            verified = self._rounds[share.round] = {}
+            if len(self._rounds) > SHARE_MEMO_ROUNDS:
+                del self._rounds[min(self._rounds)]
+        verified[share.author] = share.value
+
+    def __len__(self) -> int:
+        return sum(map(len, self._rounds.values()))
 
 
 class CommonCoin(ABC):
@@ -133,6 +189,7 @@ class ThresholdCoin(CommonCoin):
         self._setup = setup
         self._secret_share = secret_share
         self.threshold = setup.threshold
+        self.verified = VerifiedShares()
 
     @classmethod
     def deal(cls, n: int, threshold: int, seed: int = 0) -> list["ThresholdCoin"]:
@@ -149,6 +206,9 @@ class ThresholdCoin(CommonCoin):
         )
 
     def verify_share(self, share: CoinShare) -> bool:
+        return self.verified.verify(share, self._check_share)
+
+    def _check_share(self, share: CoinShare) -> bool:
         if len(share.value) != _SCALAR_BYTES:
             return False
         value = int.from_bytes(share.value, "big")
@@ -198,16 +258,27 @@ class FastCoin(CommonCoin):
         self._seed = seed
         self._n = n
         self.threshold = threshold
+        self.verified = VerifiedShares()
 
     def share(self, author: int, round_number: int) -> CoinShare:
-        value = hash_parts(
+        share = CoinShare(
+            author=author, round=round_number, value=self._share_value(author, round_number)
+        )
+        # Checking a share is comparing it with this one: it is valid.
+        self.verified.add(share)
+        return share
+
+    def verify_share(self, share: CoinShare) -> bool:
+        return self.verified.verify(share, self._check_share)
+
+    def _check_share(self, share: CoinShare) -> bool:
+        return share.value == self._share_value(share.author, share.round)
+
+    def _share_value(self, author: int, round_number: int) -> bytes:
+        return hash_parts(
             [self._seed, author.to_bytes(4, "little"), round_number.to_bytes(8, "little")],
             person=b"fastcoin-shr",
         )
-        return CoinShare(author=author, round=round_number, value=value)
-
-    def verify_share(self, share: CoinShare) -> bool:
-        return share == self.share(share.author, share.round)
 
     def reconstruct(
         self, round_number: int, shares: list[CoinShare], *, threshold: int | None = None

@@ -28,9 +28,10 @@ above it.
 
 A *certificate* is not such a fact: whether the supporting authors make a
 quorum depends on the committee of the leader's round, which an epoch
-activation can change.  That verdict is the one memo this class owns,
-keyed by the leader's round first so that the advancing commit cursor
-and an epoch activation drop whole rounds.
+activation can change.  So it is not remembered at all: it is read off
+the certifier's support memo — one mask and one bit count against the
+committee of the leader's round — each time it is asked, and this class
+owns no memo.
 """
 
 from __future__ import annotations
@@ -78,15 +79,6 @@ class DagTraversal:
         else:
             self._quorum_at = lambda round_number: quorum_threshold
         self._membership = membership
-        # leader round -> {(certifier digest, leader digest) -> bool}.
-        # Entries are valid as long as the leader round's quorum and
-        # committee stay fixed: a block's parents are immutable and the
-        # DAG is append-only, so only a committee-schedule change at the
-        # leader's round can stale a verdict.  Keying the outer dict by
-        # leader round makes invalidation round-scoped (epoch activation
-        # drops rounds >= the activation; the commit cursor drops the
-        # rounds it leaves) instead of wholesale.
-        self._cert_cache: dict[int, dict[tuple[Digest, Digest], bool]] = {}
 
     # ------------------------------------------------------------------
     # VotedBlock / IsVote
@@ -139,23 +131,14 @@ class DagTraversal:
         votes for the leader from at least ``2f + 1`` distinct authors.
         """
         leader_round = leader.round
-        round_cache = self._cert_cache.get(leader_round)
-        if round_cache is None:
-            round_cache = self._cert_cache[leader_round] = {}
-        leader_digest = leader.digest
-        key = (certifier.digest, leader_digest)
-        cached = round_cache.get(key)
-        if cached is not None:
-            return cached
         # Authors count, not references: a certifier may reference
         # several blocks of one author that all vote for the leader.
-        voters = self._support(certifier, (leader.author, leader_round)).get(leader_digest, 0)
+        voters = self.support(certifier, (leader.author, leader_round)).get(leader.digest, 0)
         if self._membership is not None:
             voters &= self._membership(leader_round).member_mask
-        result = round_cache[key] = voters.bit_count() >= self._quorum_at(leader_round)
-        return result
+        return voters.bit_count() >= self._quorum_at(leader_round)
 
-    def _support(self, certifier: Block, slot: _Slot) -> dict[Digest, int]:
+    def support(self, certifier: Block, slot: _Slot) -> dict[Digest, int]:
         """What the certifier's parents vote for in ``slot``: voted
         digest -> bitmask of the voting parents' authors, resolved once
         per block object.  Membership is judged when a certificate is
@@ -163,10 +146,12 @@ class DagTraversal:
         memo = certifier.support
         if memo is None:
             memo = certifier.new_memo("support")
-        elif slot in memo:
-            return memo[slot]
+        else:
+            support = memo.get(slot)
+            if support is not None:
+                return support
         round_number = slot[1]
-        support: dict[Digest, int] = {}
+        support = {}
         for parent_ref in certifier.parents:
             if parent_ref.round > round_number:  # at or below: cannot reach the slot
                 parent = self._store.get_ref(parent_ref)
@@ -245,44 +230,3 @@ class DagTraversal:
                 already_output.add(block.digest)
             sequence.extend(fresh)
         return sequence
-
-    # ------------------------------------------------------------------
-    # Cache management
-    # ------------------------------------------------------------------
-    def invalidate_above(self, round_number: int) -> int:
-        """Drop certificate verdicts for leaders at rounds
-        >= ``round_number``.
-
-        Called when an epoch activating at ``round_number`` is
-        scheduled: ``is_cert`` judges a certificate against the quorum
-        and membership of the *leader's* round, so only verdicts for
-        leaders at or above the activation can change.  What a block
-        votes for is committee-independent and lives on the block.
-        Returns the number of entries dropped (observability).
-        """
-        stale = [r for r in self._cert_cache if r >= round_number]
-        dropped = 0
-        for r in stale:
-            dropped += len(self._cert_cache.pop(r))
-        return dropped
-
-    def invalidate_below(self, round_number: int) -> int:
-        """Drop certificate verdicts for leaders below ``round_number``
-        (called as the commit cursor leaves a round: a finalized slot is
-        never judged again).  Returns the number of entries dropped."""
-        dropped = 0
-        for r in [r for r in self._cert_cache if r < round_number]:
-            dropped += len(self._cert_cache.pop(r))
-        return dropped
-
-    def memo_size(self) -> int:
-        """Total cached certificate verdicts (the accounting hook the
-        invalidation tests assert against)."""
-        return self.cache_stats()["cert_entries"]
-
-    def cache_stats(self) -> dict[str, int]:
-        """Size of the certificate memo (observability)."""
-        return {
-            "cert_rounds": len(self._cert_cache),
-            "cert_entries": sum(len(v) for v in self._cert_cache.values()),
-        }

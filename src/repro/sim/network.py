@@ -27,10 +27,12 @@ so the hop is the unit of work.  :meth:`SimNetwork.broadcast` prices all
 of its hops in one pass (:meth:`SimNetwork._fan_out`: uplink
 serialization, propagation and jitter, partition and scheduler delay,
 the per-link FIFO clamp, the delivery tick, the link queue), and
-:meth:`SimNetwork.send` is that pass over one peer.  Each link keeps a
-queue of ``(arrival, Message)`` entries and at most one flush event on
-the loop, at its head's tick boundary, which hands every message due by
-then to the receiver as one batch.
+:meth:`SimNetwork.send` is that pass over one peer.  Each directed link
+is one :class:`Link` record, reached by index (``_links[src][dst]``): its
+FIFO clamp, its queue of ``(arrival, Message)`` entries, and the identity
+its at most one flush event on the loop carries.  That event fires at
+the queue head's tick boundary and hands every message due by then to
+the receiver as one batch.
 """
 
 from __future__ import annotations
@@ -63,6 +65,28 @@ class Message(NamedTuple):
     dst: int
     body: Any
     size: int
+
+
+class Link:
+    """One directed link's state, kept where a hop reaches it by index
+    (``SimNetwork._links[src][dst]``) and carried by its flush event.
+
+    Attributes:
+        dst: The receiving validator.
+        last: The latest delivery time scheduled on the link: the FIFO
+            clamp for the next hop.
+        queue: Pending ``(arrival, Message)`` deliveries, batched under
+            one outstanding flush event.  The clamp makes arrival times
+            monotonic, so the queue stays sorted by construction and a
+            flush is armed exactly while it is non-empty.
+    """
+
+    __slots__ = ("dst", "last", "queue")
+
+    def __init__(self, dst: int) -> None:
+        self.dst = dst
+        self.last = 0.0
+        self.queue: deque[tuple[float, Message]] = deque()
 
 
 class MessageScheduler(Protocol):
@@ -201,8 +225,7 @@ class SimNetwork:
         "_sample_delay",
         "_batch_handlers",
         "_egress_free",
-        "_last_delivery",
-        "_link_queue",
+        "_links",
         "_partition",
         "_tracer",
         "messages_sent",
@@ -235,14 +258,11 @@ class SimNetwork:
         self._batch_handlers: dict[int, Callable[[list[Message]], None]] = {}
         # Sender uplink: time at which each validator's egress is free.
         self._egress_free = [0.0] * num_validators
-        # Per-link FIFO: last scheduled delivery time.
-        self._last_delivery: dict[tuple[int, int], float] = {}
-        # Per-link pending deliveries, batched under ONE outstanding
-        # event-loop entry per link instead of one per message.  The
-        # FIFO clamp above makes per-link arrival times monotonic, so
-        # each deque stays sorted by construction and an armed flush
-        # event exists exactly while its deque is non-empty.
-        self._link_queue: dict[tuple[int, int], deque] = {}
+        # Per-link state, reached as ``_links[src][dst]`` (``None``
+        # until the link first carries a message).
+        self._links: list[list[Link | None]] = [
+            [None] * num_validators for _ in range(num_validators)
+        ]
         # Live partition state: validator -> (group, cross-group delay).
         # Unlisted validators form the implicit default group "".
         self._partition: dict[int, tuple[str, float]] = {}
@@ -352,12 +372,11 @@ class SimNetwork:
         extra_delay = None if self._benign else self._scheduler.extra_delay
         rng = self._rng
         tracer = self._tracer if self._tracer.enabled else None
-        last_delivery = self._last_delivery
-        link_queue = self._link_queue
+        links = self._links[src]
         schedule_at = self._loop.schedule_at
-        tick_boundary = self._tick_boundary
         flush = self._flush_link
         fifo_gap = self._costs.fifo_gap
+        tick = self._costs.delivery_tick
         egress = self._egress_free[src]
         sent = 0
         for dst in peers:
@@ -376,12 +395,14 @@ class SimNetwork:
             if extra_delay is not None:
                 delay += extra_delay(message, now, rng)
             arrival = egress + delay
+            link = links[dst]
+            if link is None:
+                link = links[dst] = Link(dst)
             # FIFO per link (TCP semantics).
-            link = (src, dst)
-            last = last_delivery.get(link, 0.0) + fifo_gap
+            last = link.last + fifo_gap
             if last > arrival:
                 arrival = last
-            last_delivery[link] = arrival
+            link.last = arrival
             sent += 1
             if tracer is not None:
                 tracer.span(
@@ -395,11 +416,15 @@ class SimNetwork:
             # Later hops on this link always arrive at or after the
             # queued head (per-link FIFO), so an armed flush stays
             # correct and every message due by its boundary rides it.
-            queue = link_queue.get(link)
-            if queue is None:
-                queue = link_queue[link] = deque()
+            queue = link.queue
             if not queue:
-                schedule_at(tick_boundary(arrival), flush, link)
+                if tick:  # _tick_boundary, inline
+                    boundary = tick * int(arrival / tick + 1.0)
+                    if boundary < arrival:
+                        boundary += tick
+                else:
+                    boundary = arrival
+                schedule_at(boundary, flush, link)
             queue.append((arrival, message))
         self._egress_free[src] = egress
         self.messages_sent += sent
@@ -416,7 +441,7 @@ class SimNetwork:
         # Guard against float fuzz putting the boundary below arrival.
         return boundary if boundary >= arrival else boundary + tick
 
-    def _flush_link(self, link: tuple[int, int]) -> None:
+    def _flush_link(self, link: Link) -> None:
         """Deliver every due message on ``link`` and re-arm for the next
         pending one (if any).
 
@@ -426,13 +451,13 @@ class SimNetwork:
         batch's signatures/coin shares together and complete them with
         one event-loop entry instead of one per message).
         """
-        queue = self._link_queue[link]
+        queue = link.queue
         now = self._loop.now
         due: list[Message] = []
         while queue and queue[0][0] <= now:
             due.append(queue.popleft()[1])
         if due:
-            handler = self._batch_handlers.get(link[1])
+            handler = self._batch_handlers.get(link.dst)
             if handler is not None:
                 handler(due)
         if queue:

@@ -256,7 +256,7 @@ def test_stores_holding_different_parts_of_the_dag_resolve_a_block_alike(
             voted = scratch.voted_block(copy, author, round_number)
             assert block.voted[author, round_number] == (voted and voted.digest)
         for slot, support in (block.support or {}).items():
-            assert scratch._support(copy, slot) == support
+            assert scratch.support(copy, slot) == support
 
 
 def test_a_search_that_cannot_finish_leaves_no_half_answer_on_the_block():

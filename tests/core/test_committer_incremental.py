@@ -585,8 +585,8 @@ def block_memo_entries(block: Block) -> int:
 
 @pytest.mark.parametrize("depth", [0, 8])
 def test_memos_follow_the_walk_window_not_the_round_number(depth):
-    """The kept verdicts go as the cursor passes their slot and the cert
-    memos and the wave's coin as it leaves their leader round (garbage
+    """The kept verdicts go as the cursor passes their slot and the
+    wave's coin as it leaves their leader round (garbage
     collection, where configured, finds nothing left to drop), so their
     size follows ``wave_length x n`` — not how long the validator has
     been running.  What a block remembers of its own votes follows the
@@ -607,13 +607,9 @@ def test_memos_follow_the_walk_window_not_the_round_number(depth):
     for block in causal_order(rng, n, blocks, {3}, 2):
         core.add_block(block)
         core.try_commit()
-        largest = max(largest, committer.traversal.memo_size())
+        largest = max(largest, committer._elector.memo_size())
         window = core.store.highest_round - committer.next_slot.round + 1
         assert window <= 3 * wave
-        # One cert verdict per certify-round block (equivocating leader
-        # candidates aside: none here), for every open slot.
-        assert committer.traversal.memo_size() <= window * leaders * n
-        assert committer.traversal.cache_stats()["cert_rounds"] <= window
         # One coin per certify round from the cursor's wave up.
         assert committer._elector.memo_size() <= window
         assert len(committer._undecided) + len(committer._decided) <= window * leaders

@@ -56,39 +56,27 @@ def test_incremental_walk_matches_from_scratch(stream, oneshot_fingerprint, chun
 
 
 def test_activation_evicts_high_rounds_but_keeps_direct_low_decisions(stream):
-    """Memo accounting through a real activation: cached decisions and
-    memos at rounds below the activation survive, everything at or
-    above it is gone, and cached *indirect* decisions are dropped
-    regardless of round."""
+    """Memo accounting through a real activation: the elector's attempts
+    below the activation survive, everything at or above it is gone, and
+    what the blocks remember of their votes and support — committee-
+    independent, and all a certificate is read from — is left alone."""
     observations, committer = replay_stream(stream, chunk_rounds=100)
     activations = [epoch.start_round for epoch in committer.schedule.epochs()[1:]]
     assert activations, "no epochs activated"
     # The replayed committer ended past every activation and dropped
-    # each round's memos as its cursor left it; judging the whole range
+    # each round's coin as its cursor left it; judging the whole range
     # again rebuilds them for every round.
     committer.try_decide(1, len(stream.rounds))
-    assert committer.traversal.memo_size() > 0
     assert committer._elector.memo_size() > 0
 
-    # Re-run the eviction rule at a hypothetical future activation and
-    # check the accounting: every cert verdict >= the cut is gone, the
-    # rest survive, and so does what the blocks themselves remember of
-    # their votes (committee-independent, not the traversal's to drop).
+    # Re-run the eviction rule at a hypothetical future activation.
     cut = activations[-1]
     blocks = list(committer._store)
     votes_before = [(dict(block.voted or ()), dict(block.support or ())) for block in blocks]
     assert any(voted for voted, _ in votes_before) and any(sup for _, sup in votes_before)
-    stats_before = committer.traversal.cache_stats()
-    dropped_certs = committer.traversal.invalidate_above(cut)
     dropped_coins = committer._elector.invalidate_above(cut)
-    stats_after = committer.traversal.cache_stats()
-    assert dropped_certs > 0
     assert dropped_coins > 0
-    assert stats_after["cert_entries"] == stats_before["cert_entries"] - dropped_certs
-    assert stats_after["cert_rounds"] < stats_before["cert_rounds"]
-    assert all(r < cut for r in committer.traversal._cert_cache)
     assert all(r < cut for r in committer._elector._cache)
-    assert committer.traversal.memo_size() == stats_after["cert_entries"]
     assert [(block.voted or {}, block.support or {}) for block in blocks] == votes_before
 
 

@@ -201,68 +201,62 @@ class TestLinearize:
         assert min(b.round for b in sequence) == 2
 
 
-class TestCacheManagement:
-    """``DagTraversal`` owns the certificate verdicts (committee-
-    dependent); what a block votes for lives on the block and is not
-    the traversal's to count or drop."""
+class TestWhoOwnsTheMemos:
+    """What a block votes for and what a certifier's parents support live
+    on the block; a certificate is read off the support memo each time it
+    is asked, against the committee of the leader's round, so the
+    traversal keeps nothing of its own to count or drop."""
 
-    def test_invalidate_below_leaves_what_the_block_remembers(self, setup):
+    def test_voted_block_fills_the_blocks_memo(self, setup):
         builder, traversal = setup
         builder.rounds(1, 5)
         start = builder.get(0, 5)
         traversal.voted_block(start, 1, 1)
         traversal.voted_block(start, 1, 3)
-        assert set(start.voted) == {(1, 1), (1, 3)}
-        assert traversal.memo_size() == 0
-        assert traversal.invalidate_below(3) == 0
         assert start.voted == {
             (1, 1): builder.get(1, 1).digest,
             (1, 3): builder.get(1, 3).digest,
         }
 
-    def test_invalidate_below_drops_stale_cert_rounds(self, setup):
-        builder, traversal = setup
-        builder.rounds(1, 5)
-        leader_low = builder.get(0, 1)
-        leader_high = builder.get(0, 4)
-        traversal.is_cert(builder.get(1, 3), leader_low)
-        traversal.is_cert(builder.get(1, 5), leader_high)
-        assert traversal.cache_stats() == {"cert_rounds": 2, "cert_entries": 2}
-        assert traversal.invalidate_below(3) == 1
-        # The surviving round is the high one.
-        assert list(traversal._cert_cache) == [4]
-        assert traversal.cache_stats() == {"cert_rounds": 1, "cert_entries": 1}
-
-    def test_invalidate_above_drops_high_cert_rounds_only(self, setup):
+    def test_is_cert_reads_the_certifiers_support(self, setup):
         builder, traversal = setup
         builder.rounds(1, 5)
         certifier, leader = builder.get(1, 5), builder.get(0, 3)
-        traversal.is_cert(builder.get(1, 3), builder.get(0, 1))
         assert traversal.is_cert(certifier, leader)
-        before = traversal.memo_size()
-        support_before = dict(certifier.support)
-        dropped = traversal.invalidate_above(3)
-        assert dropped == 1
-        assert traversal.memo_size() == before - dropped
-        assert list(traversal._cert_cache) == [1]
-        # What the parents vote for is committee-independent and survives
-        # on the certifier; the verdict is counted again from it.
-        assert certifier.support == support_before == {(0, 3): {leader.digest: 0b1111}}
-        assert traversal.is_cert(certifier, leader)
-        assert traversal.cache_stats() == {"cert_rounds": 2, "cert_entries": 2}
+        assert certifier.support == {(0, 3): {leader.digest: 0b1111}}
+        assert traversal.support(certifier, (0, 3)) is certifier.support[0, 3]
+        # A second traversal over the same blocks reads the same memo.
+        assert DagTraversal(builder.store, 3).is_cert(certifier, leader)
+        assert certifier.support == {(0, 3): {leader.digest: 0b1111}}
 
-    def test_memo_size_counts_cert_entries_only(self, setup):
+    def test_a_scheduled_epoch_moves_the_verdict_without_an_invalidation(self):
+        """The same certifier and leader, judged before and after an
+        epoch that raises the leader round's quorum and drops a voter:
+        the verdict follows the schedule at once, and the support memo
+        it is read from stays as it was."""
+        schedule = CommitteeSchedule(Committee.of_size(4), provisioned=7)
+        builder = DagBuilder(Committee.of_size(4), FixedCoin(n=4, threshold=3))
+        traversal = DagTraversal(
+            builder.store, schedule.quorum_threshold, membership=schedule.committee_at
+        )
+        builder.rounds(1, 5)
+        certifier, leader = builder.get(1, 5), builder.get(0, 3)
+        assert traversal.is_cert(certifier, leader)
+        assert traversal.is_cert(builder.get(1, 3), builder.get(0, 1))
+        support = dict(certifier.support)
+        schedule.schedule_epoch(3, Committee.of_size(7))  # quorum 5 from round 3
+        assert not traversal.is_cert(certifier, leader)
+        assert traversal.is_cert(builder.get(1, 3), builder.get(0, 1))  # below the epoch
+        assert certifier.support == support
+
+    def test_the_traversal_keeps_no_memo(self, setup):
         builder, traversal = setup
         builder.rounds(1, 5)
-        assert traversal.memo_size() == 0
-        traversal.voted_block(builder.get(0, 5), 1, 1)
-        assert traversal.memo_size() == 0
-        traversal.is_cert(builder.get(1, 5), builder.get(0, 4))
-        traversal.is_cert(builder.get(2, 5), builder.get(0, 4))
-        assert traversal.cache_stats() == {"cert_rounds": 1, "cert_entries": 2}
-        assert traversal.memo_size() == 2
-        traversal.invalidate_above(0)
-        assert traversal.cache_stats() == {"cert_rounds": 0, "cert_entries": 0}
+        before = dict(vars(traversal))
+        for certifier in builder.store.round_blocks(5):
+            for leader in builder.store.round_blocks(2):
+                assert traversal.is_cert(certifier, leader)
+        assert vars(traversal) == before
 
 
 # ----------------------------------------------------------------------

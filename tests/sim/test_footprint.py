@@ -15,7 +15,9 @@ a new round (after that step) it checks, against that bound:
   its synchronizer's fetch table and — Tusk — its header table;
 * the buffers a block passes on its way in: the core's blocks waiting on
   a parent, the index of what they wait on, the DAG tips, and the
-  observer's wire-arrival stamps.
+  observer's wire-arrival stamps;
+* the shares the simulation's one coin remembers as verified, bounded
+  by its own window instead: ``SHARE_MEMO_ROUNDS`` rounds of ``n``.
 
 A structure that keeps what the validator committed, or what it ever
 saw, grows past the bound within the first tenth of the run.
@@ -26,6 +28,7 @@ import weakref
 import pytest
 
 from repro.block import Block
+from repro.crypto.coin import SHARE_MEMO_ROUNDS
 from repro.sim.faults import FaultEvent
 from repro.sim.node import SimValidator
 from repro.sim.runner import Experiment, ExperimentConfig
@@ -93,6 +96,8 @@ def test_footprint_follows_the_gc_window(leg, monkeypatch):
             assert len(core._waiting_on) <= window, where
             assert len(core._tips) <= window, where
             assert len(node._arrivals) <= window, where
+            assert node.core.coin is experiment._coin, where
+        assert len(experiment._coin.verified) <= SHARE_MEMO_ROUNDS * N
         checked.append(now_finalized)
 
     def checked_step(node):
@@ -107,5 +112,6 @@ def test_footprint_follows_the_gc_window(leg, monkeypatch):
     # The run outlived its window five times over, and was checked all along.
     assert result.rounds_reached > 5 * (GC_DEPTH + 3 * wave_length)
     assert len(checked) > 20
+    assert len(experiment._coin.verified) > N  # the memo was in use
     if experiment.config.fault_schedule:
         assert result.checkpoint_adoptions == 1

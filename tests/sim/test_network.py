@@ -1,7 +1,6 @@
 """Tests for the simulated network (bandwidth, FIFO, adversary).  What a
 message carries is opaque to it: the bodies here are plain labels."""
 
-from collections import deque
 from typing import NamedTuple
 
 import pytest
@@ -14,6 +13,7 @@ from repro.sim.latency import UniformLatencyModel
 from repro.sim.network import (
     AsyncAdversaryScheduler,
     LeaderDosScheduler,
+    Link,
     Message,
     SimNetwork,
 )
@@ -321,11 +321,13 @@ class PerHopNetwork(SimNetwork):
         if not self._benign:
             delay += self._scheduler.extra_delay(message, now, self._rng)
         arrival = egress_done + delay
-        link = (src, dst)
-        last = self._last_delivery.get(link, 0.0) + self._costs.fifo_gap
+        link = self._links[src][dst]
+        if link is None:
+            link = self._links[src][dst] = Link(dst)
+        last = link.last + self._costs.fifo_gap
         if last > arrival:
             arrival = last
-        self._last_delivery[link] = arrival
+        link.last = arrival
         self.messages_sent += 1
         self.bytes_sent += wire_size
         if self._tracer.enabled:
@@ -337,12 +339,9 @@ class PerHopNetwork(SimNetwork):
                 arrival,
                 {"kind": type(body).__name__, "dst": dst, "bytes": wire_size},
             )
-        queue = self._link_queue.get(link)
-        if queue is None:
-            queue = self._link_queue[link] = deque()
-        if not queue:
+        if not link.queue:
             self._loop.schedule_at(self._tick_boundary(arrival), self._flush_link, link)
-        queue.append((arrival, message))
+        link.queue.append((arrival, message))
 
     def broadcast(self, src, body, size):
         peers = [v for v in range(self._n) if v != src]
@@ -441,13 +440,25 @@ def build(cls, setup):
 
 
 def network_state(loop, network, tracer, delivered):
-    """Everything a hop leaves behind, in comparable form."""
+    """Everything a hop leaves behind, in comparable form: each link
+    record by its ``(src, dst)`` place in the table, and a flush event
+    by the place of the record it carries (a record that is not the
+    table's stays an object, equal to nothing the other network holds)."""
+    links = {
+        (src, dst): link
+        for src, row in enumerate(network._links)
+        for dst, link in enumerate(row)
+        if link is not None
+    }
+    place = {id(link): key for key, link in links.items()}
     return (
-        {link: list(queue) for link, queue in network._link_queue.items()},
+        {key: (link.dst, link.last, list(link.queue)) for key, link in links.items()},
         list(network._egress_free),
-        dict(network._last_delivery),
         (network.messages_sent, network.bytes_sent, network.messages_dropped),
-        [(time, sequence, args) for time, sequence, _, args in loop._heap],
+        [
+            (time, sequence, tuple(place.get(id(arg), arg) for arg in args))
+            for time, sequence, _, args in loop._heap
+        ],
         network._rng.getstate(),
         None if tracer is None else list(tracer.events),
         list(delivered),

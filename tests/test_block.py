@@ -1,10 +1,20 @@
 """Tests for :mod:`repro.block`."""
 
+import hashlib
+import struct
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.block import Block, BlockRef, GENESIS_ROUND, make_genesis
 from repro.crypto.coin import CoinShare
-from repro.transaction import Transaction
+from repro.crypto.hashing import hash_parts
+from repro.transaction import (
+    Transaction,
+    TransactionBatch,
+    TransactionSlice,
+    encode_transactions,
+)
 
 
 def sample_block(**overrides) -> Block:
@@ -53,6 +63,66 @@ class TestDigest:
     def test_reference_matches_identity(self):
         block = sample_block()
         assert block.reference == BlockRef(author=1, round=1, digest=block.digest)
+
+
+def reference_digest(block: Block) -> bytes:
+    """The block digest part by part: a header, one ``(author, round)``
+    header plus digest per parent, the section as the tuple of its
+    transactions encodes, the share, the salt — each length-prefixed and
+    fed to the hasher on its own."""
+    parts = [
+        struct.pack("<IQI", block.author, block.round, len(block.parents)),
+        *(struct.pack("<IQ", ref.author, ref.round) + ref.digest for ref in block.parents),
+        encode_transactions(tuple(block.transactions)),
+        block.coin_share.encode() if block.coin_share is not None else b"",
+        block.salt,
+    ]
+    hasher = hashlib.blake2b(digest_size=32, person=b"block")
+    for part in parts:
+        hasher.update(len(part).to_bytes(8, "little"))
+        hasher.update(part)
+    return hasher.digest()
+
+
+u32, u64 = st.integers(0, 2**32 - 1), st.integers(0, 2**64 - 1)
+refs = st.builds(BlockRef, u32, u64, st.binary(min_size=32, max_size=32))
+shares = st.builds(CoinShare, st.integers(0, 99), st.integers(0, 99), st.binary(max_size=40))
+transactions = st.builds(
+    Transaction,
+    u64,
+    st.floats(allow_nan=False),
+    st.one_of(st.just(b""), st.binary(max_size=40), st.just(b"\x05" * 5000)),
+)
+sections = st.one_of(
+    st.lists(transactions, max_size=4).map(tuple),
+    st.lists(transactions, max_size=4).map(TransactionBatch),
+    st.lists(u64, max_size=300).map(
+        lambda ids: TransactionSlice(ids, [i / 7 for i in range(len(ids))])
+    ),
+)
+
+
+class TestDigestFraming:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        u32,
+        u64,
+        st.lists(refs, max_size=60),
+        sections,
+        st.one_of(st.none(), shares),
+        st.one_of(st.just(b""), st.binary(max_size=20)),
+    )
+    def test_digest_is_the_part_by_part_framing(
+        self, author, round_number, parents, section, share, salt
+    ):
+        """0-60 parents, each section kind (a slice past the run limit, a
+        payload past it), with and without a share and a salt: one framed
+        pass hashes the bytes the part-by-part framing hashes."""
+        block = Block(author, round_number, tuple(parents), section, share, b"sig", salt)
+        assert block.digest == reference_digest(block)
+        assert block.digest == hash_parts(block._signable_parts(), person=b"block")
+        decoded, _ = Block.decode(block.encode())
+        assert decoded.digest == block.digest
 
 
 class TestSerialization:

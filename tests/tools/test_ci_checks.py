@@ -190,6 +190,30 @@ def test_fan_out(tmp_path):
     assert len(ci_checks.fan_out(write(tmp_path / "dead.out", dead))) == 2
 
 
+def test_hash_once(tmp_path):
+    def output(hashing=1_752.0, store=27_550.0, failed=0) -> str:
+        metrics = {
+            "crypto.hashing.calls": {"value": hashing, "unit": "count"},
+            "dag.store.calls": {"value": store, "unit": "count"},
+        }
+        result = {"correct": True, "attempted": 12_000, "failed": failed, "metrics": metrics}
+        return '# info {"workload": "sim-mahi-n50"}\n' + json.dumps(result) + "\n"
+
+    assert ci_checks.hash_once(write(tmp_path / "ok.out", output())) == []
+    assert ci_checks.hash_once(write(tmp_path / "about.out", output(hashing=1_700.0))) == []
+    # Exactly a tenth still passes: the bound is inclusive.
+    assert ci_checks.hash_once(write(tmp_path / "edge.out", output(hashing=2_755.0))) == []
+    # Every validator re-hashing every coin share it reconstructs from.
+    (violation,) = ci_checks.hash_once(write(tmp_path / "rehash.out", output(hashing=11_952.0)))
+    assert violation == (
+        "crypto.hashing.calls is 11952.0, above a tenth of dag.store.calls (27550.0)"
+    )
+    (violation,) = ci_checks.hash_once(write(tmp_path / "bad.out", output(failed=2)))
+    assert "2 of 12000" in violation
+    dead = json.dumps({"correct": False, "attempted": 1, "failed": 0, "metrics": {}})
+    assert len(ci_checks.hash_once(write(tmp_path / "dead.out", dead))) == 2
+
+
 def test_tusk_poll(tmp_path):
     def output(walks=6_557.0, correct=True) -> str:
         metrics = {
