@@ -383,13 +383,14 @@ class ProcessCluster:
         env["PYTHONPATH"] = src_root + (
             os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else ""
         )
-        stderr = open(self.run_dir / f"stderr-{validator}.log", "ab")
-        self._procs[validator] = subprocess.Popen(
-            [sys.executable, "-m", "repro.runtime.process_cluster", str(spec_path)],
-            env=env,
-            stderr=stderr,
-            stdout=subprocess.DEVNULL,
-        )
+        # The child inherits its own descriptor; ours closes at once.
+        with open(self.run_dir / f"stderr-{validator}.log", "ab") as stderr:
+            self._procs[validator] = subprocess.Popen(
+                [sys.executable, "-m", "repro.runtime.process_cluster", str(spec_path)],
+                env=env,
+                stderr=stderr,
+                stdout=subprocess.DEVNULL,
+            )
 
     async def start(self, *, timeout: float = 30.0) -> None:
         """Spawn the genesis committee and wait for every listener."""

@@ -17,7 +17,7 @@ from .costs import CostModel
 from .events import EventLoop
 from .latency import LatencyModel, UniformLatencyModel, PAPER_REGIONS
 from .network import SimNetwork
-from .node import NodeBehavior, SimValidator
+from .node import SimValidator
 from .metrics import ExperimentMetrics, LatencySummary
 from .runner import Experiment, ExperimentConfig, ExperimentResult, PROTOCOLS
 from .sweep import (
@@ -44,7 +44,6 @@ __all__ = [
     "PAPER_REGIONS",
     "CostModel",
     "SimNetwork",
-    "NodeBehavior",
     "SimValidator",
     "ExperimentMetrics",
     "LatencySummary",

@@ -6,17 +6,17 @@ in production) and proves safety under full Byzantine behaviour; the
 simulator injects both so tests can check the decision rules against
 live adversaries, not only hand-built DAGs.
 
-Two layers of fault configuration coexist:
-
-* :class:`NodeBehavior` — static per-validator flags (down from the
-  start, equivocating).  These cover the
-  paper's own evaluation matrix.
-* :class:`FaultSchedule` — a time-ordered list of :class:`FaultEvent`
-  lifecycle transitions (``crash``, ``recover``, ``join``, ``leave``)
-  that the experiment harness replays off the event loop.  This is what
-  opens crash-*recovery* and reconfiguration as sweepable workloads: a
-  recovering validator restarts with an empty in-memory state and must
-  re-sync the DAG via the fetch path before it can propose again.
+Faults are stated one way: a :class:`FaultSchedule`, a time-ordered
+list of :class:`FaultEvent` transitions that the experiment harness
+replays (events at t = 0 before any validator proposes, the rest off
+the event loop).  The lifecycle kinds ``crash``, ``recover``, ``join``
+and ``leave`` open crash-*recovery* and reconfiguration as sweepable
+workloads: a recovering validator restarts with an empty in-memory
+state and must re-sync the DAG via the fetch path before it can
+propose again.  The paper's own evaluation matrix — validators crashed
+for the whole run, equivocators from the start — is schedule shorthand
+too (``ExperimentConfig.effective_schedule``), and the ``f`` budget is
+one rule over that whole schedule (:func:`concurrent_faults`).
 
 Beyond the up/down lifecycle the schedule also carries *adversary and
 network* transitions, so every scenario in the paper's threat model is
@@ -228,36 +228,31 @@ class FaultSchedule:
 
     def down_intervals(self, duration: float) -> dict[int, list[tuple[float, float]]]:
         """Per-validator ``[start, end)`` intervals of downtime within
-        ``[0, duration]`` (open intervals close at ``duration``)."""
-        intervals: dict[int, list[tuple[float, float]]] = {}
-        for validator, events in self._per_validator().items():
-            spans = []
-            down_since = 0.0 if self._starts_down(events) else None
-            for event in events:
-                if event.kind in ("crash", "leave"):
-                    down_since = event.time
-                elif event.kind in ("recover", "join") and down_since is not None:
-                    spans.append((down_since, min(event.time, duration)))
-                    down_since = None
-            if down_since is not None and down_since < duration:
-                spans.append((down_since, duration))
-            intervals[validator] = spans
-        return intervals
+        ``[0, duration]`` (open intervals close at ``duration``; a
+        joiner is down from t = 0 until it joins)."""
+        return self._bracket_intervals(
+            duration, ("crash", "leave"), ("recover", "join"), self.initially_down()
+        )
 
     def _bracket_intervals(
-        self, duration: float, start_kind: str, end_kind: str
+        self,
+        duration: float,
+        start_kinds: tuple[str, ...],
+        end_kinds: tuple[str, ...],
+        open_at_start: frozenset[int] = frozenset(),
     ) -> dict[int, list[tuple[float, float]]]:
-        """Per-validator ``[start, end)`` spans bracketed by a
-        ``start_kind``/``end_kind`` event pair; an unclosed span runs to
+        """Per-validator ``[start, end)`` spans opened by an event of
+        ``start_kinds`` (or at t = 0, for ``open_at_start``) and closed
+        by the next of ``end_kinds``; an unclosed span runs to
         ``duration``."""
         intervals: dict[int, list[tuple[float, float]]] = {}
         for validator, events in self._per_validator().items():
             spans: list[tuple[float, float]] = []
-            since: float | None = None
+            since = 0.0 if validator in open_at_start else None
             for event in events:
-                if event.kind == start_kind:
+                if event.kind in start_kinds:
                     since = event.time
-                elif event.kind == end_kind and since is not None:
+                elif event.kind in end_kinds and since is not None:
                     spans.append((since, min(event.time, duration)))
                     since = None
             if since is not None and since < duration:
@@ -270,12 +265,12 @@ class FaultSchedule:
         """Per-validator ``[partition, heal)`` spans within
         ``[0, duration]`` (a partition that never heals runs to
         ``duration``)."""
-        return self._bracket_intervals(duration, "partition", "heal")
+        return self._bracket_intervals(duration, ("partition",), ("heal",))
 
     def equivocation_intervals(self, duration: float) -> dict[int, list[tuple[float, float]]]:
         """Per-validator ``[equivocate, desist)`` campaign spans within
         ``[0, duration]``."""
-        return self._bracket_intervals(duration, "equivocate", "desist")
+        return self._bracket_intervals(duration, ("equivocate",), ("desist",))
 
     def straggler_validators(self) -> frozenset[int]:
         """Validators slowed by at least one ``straggle`` event with
@@ -321,6 +316,7 @@ class FaultSchedule:
             left = False
             partitioned: str | None = None
             equivocating = False
+            first_lifecycle = next((e for e in events if e.kind in FAULT_KINDS), None)
             for event in events:
                 if left:
                     raise ConfigError(
@@ -334,7 +330,6 @@ class FaultSchedule:
                     raise ConfigError(
                         f"validator {validator}: {event.kind} at t={event.time} while up"
                     )
-                first_lifecycle = next((e for e in events if e.kind in FAULT_KINDS), None)
                 if event.kind == "join" and event is not first_lifecycle:
                     raise ConfigError(
                         f"validator {validator}: join at t={event.time} must be the "
@@ -382,21 +377,16 @@ class FaultSchedule:
                     left = event.kind == "leave"
 
 
-@dataclass
-class NodeBehavior:
-    """Per-validator fault configuration.
-
-    Attributes:
-        crashed: Never participates (down from the start).  A crash in
-            mid-run is a schedule-level ``crash`` event (see
-            :class:`FaultSchedule`), with or without a later
-            ``recover``.
-        equivocate: Produces two conflicting blocks per round and sends
-            each to half of the peers (Byzantine).
-    """
-
-    crashed: bool = False
-    equivocate: bool = False
+def concurrent_faults(events: Iterable[FaultEvent]) -> int:
+    """What a fault schedule spends of the ``f`` budget: its
+    :meth:`FaultSchedule.max_concurrent_faulty` with the membership
+    changes left out — a not-yet-joined or departed validator is outside
+    the active committee, so its downtime is no fault.  The one budget
+    rule: ``ExperimentConfig`` checks its effective schedule against it
+    and ``smoke_config`` clamps a shrunken schedule to it."""
+    return FaultSchedule(
+        e for e in events if e.kind not in ("join", "leave")
+    ).max_concurrent_faulty()
 
 
 def make_equivocating_sibling(block: Block, tag: bytes = b"equivocation") -> Block:

@@ -63,7 +63,7 @@ from ..statesync.recovery import SYNC_MAX_BLOCKS as _SYNC_MAX_BLOCKS
 from ..transaction import Transaction, TransactionSlice
 from .costs import CostModel
 from .events import EventLoop
-from .faults import NodeBehavior, make_equivocating_sibling
+from .faults import make_equivocating_sibling
 from .network import Message, SimNetwork
 
 
@@ -214,7 +214,6 @@ class SimValidator:
         "_network",
         "_loop",
         "_certified",
-        "behavior",
         "_costs",
         "_on_commit",
         "_headers",
@@ -229,6 +228,7 @@ class SimValidator:
         "_on_recovery",
         "left_at",
         "_slow",
+        "equivocating",
         "ever_equivocated",
         "equivocations_sent",
         "_tracer",
@@ -244,7 +244,6 @@ class SimValidator:
         loop: EventLoop,
         *,
         certified: bool = False,
-        behavior: NodeBehavior | None = None,
         costs: CostModel | None = None,
         min_block_interval: float = 0.0,
         on_commit: Callable[[SimValidator, Sequence[CommitObservation], float], None] | None = None,
@@ -263,7 +262,6 @@ class SimValidator:
         network: The simulated network (this node registers itself).
         loop: The experiment's event loop.
         certified: Tusk-style header/ack/certificate rounds.
-        behavior: Fault injection; defaults to honest and alive.
         costs: The run's prices (:class:`~repro.sim.costs.CostModel`;
             the default charges no CPU time, for pure message-delay
             arithmetic).
@@ -311,7 +309,6 @@ class SimValidator:
         self._network = network
         self._loop = loop
         self._certified = certified
-        self.behavior = behavior or NodeBehavior()
         self._costs = costs = costs or CostModel()
         self._on_commit = on_commit
         # Tusk state: headers seen (down to the store's lowest round),
@@ -329,7 +326,7 @@ class SimValidator:
         #: joined): the hot-path liveness check, clients' too.  The
         #: incarnation counter invalidates CPU-stage work queued before a
         #: crash (a real restart loses its queues).
-        self.down = start_down or self.behavior.crashed
+        self.down = start_down
         self._incarnation = 0
         self._core_factory = core_factory
         self._driver = ValidatorDriver(
@@ -352,6 +349,9 @@ class SimValidator:
         # Straggler model: multiplies every CPU stage cost and the
         # proposal pacing interval (1.0 = full speed).
         self._slow = 1.0
+        #: Whether an equivocation campaign is running
+        #: (:meth:`set_equivocating`).
+        self.equivocating = False
         #: Whether this validator ever actually sent an equivocating
         #: sibling — once Byzantine, always excluded from the honest
         #: safety universe, even after the campaign desists.
@@ -430,7 +430,7 @@ class SimValidator:
         set (:meth:`_dispatch_equivocation`); stopping resumes honest
         broadcasts but the validator stays marked
         :attr:`ever_equivocated` once it actually equivocated."""
-        self.behavior.equivocate = active
+        self.equivocating = active
 
     def recover(self) -> None:
         """Restart after a crash (or come online for the first time —
@@ -686,7 +686,7 @@ class SimValidator:
             self._headers[block.digest] = block
             self._acks[block.digest] = {self.authority}
             self.send(None, Header(block))
-        elif self.behavior.equivocate:
+        elif self.equivocating:
             self._dispatch_equivocation(block)
         else:
             self.send(None, BlockMessage(block))

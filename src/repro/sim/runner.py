@@ -37,7 +37,13 @@ from ..transaction import DEFAULT_TX_SIZE
 from .client import ArrivalRouter
 from .costs import MAX_BLOCK_TRANSACTIONS, MAX_SIM_TX_RATE, CostModel
 from .events import EventLoop
-from .faults import FaultEvent, FaultSchedule, NodeBehavior, merge_spans, normalize_events
+from .faults import (
+    FaultEvent,
+    FaultSchedule,
+    concurrent_faults,
+    merge_spans,
+    normalize_events,
+)
 from .latency import (
     LatencyModel,
     UniformLatencyModel,
@@ -105,20 +111,22 @@ class ExperimentConfig:
         duration: Virtual seconds to simulate.
         warmup: Seconds excluded from metrics at the start.
         leaders_per_round: Mahi-Mahi leader slots per round.
-        num_crashed: Validators silent from the start (highest indexes).
-        num_recovering: Validators that crash at
-            ``RECOVERY_CRASH_FRAC * duration`` and restart (empty
+        num_crashed: Schedule shorthand: this many validators (the
+            highest indexes) ``crash`` at t = 0 and stay down — silent
+            for the whole run, with no client of their own.
+        num_recovering: Schedule shorthand: this many validators (the
+            highest indexes below the crashed block) ``crash`` at
+            ``RECOVERY_CRASH_FRAC * duration`` and ``recover`` (empty
             in-memory state, DAG re-sync via fetch) at
-            ``RECOVERY_RESTART_FRAC * duration``.  They take the highest
-            indexes below the statically crashed block.
-        num_equivocators: Byzantine equivocators: the highest indexes
-            below the crashed and recovering blocks (validator 0 always
-            stays the honest observer).
-        fault_schedule: Explicit time-ordered lifecycle events
-            (``crash``/``recover``/``join``/``leave`` per validator,
-            see :class:`~repro.sim.faults.FaultSchedule`) replayed off
-            the event loop; composes with ``num_recovering``, which is
-            shorthand for a crash+recover pair per validator.  May not
+            ``RECOVERY_RESTART_FRAC * duration``.
+        num_equivocators: Schedule shorthand: this many validators (the
+            highest indexes below the crashed and recovering blocks)
+            ``equivocate`` from t = 0 (validator 0 always stays the
+            honest observer).  See :meth:`effective_schedule`.
+        fault_schedule: Explicit time-ordered fault events (see
+            :class:`~repro.sim.faults.FaultSchedule`); the harness
+            replays them together with the events the three counts above
+            stand for.  May not
             target validator 0 (the observer) or validators already
             claimed by the static fault counts.  A ``join`` or ``leave``
             is an *epoch transition*: at event time the harness submits
@@ -280,32 +288,7 @@ class ExperimentConfig:
             if self.uniform_delay is not None:
                 raise ConfigError("wan_matrix and uniform_delay are mutually exclusive")
         schedule = FaultSchedule(self.fault_schedule)  # validates lifecycles
-        if self.reconfigures:
-            self._validate_membership_timeline(schedule)
-        faults_tolerated = (self.genesis_size - 1) // 3
         static_faults = self.num_crashed + self.num_recovering + self.num_equivocators
-        # Budget check over *concurrent* downtime: permanently faulty
-        # validators (crashed, equivocating) count for the whole run;
-        # recovering and scheduled validators count only where their
-        # down intervals actually overlap — disjoint downtime windows
-        # do not stack.  Join/leave events are membership changes rather
-        # than faults: a not-yet-joined or departed validator is outside
-        # the active committee, so its downtime does not consume the
-        # fault budget.
-        permanent_faults = self.num_crashed + self.num_equivocators
-        budget_schedule = FaultSchedule(
-            e for e in self.effective_schedule() if e.kind not in ("join", "leave")
-        )
-        # Scheduled equivocation campaigns are Byzantine for their whole
-        # span, so they spend budget exactly like concurrent downtime
-        # (partitions and stragglers are honest and free).
-        worst_scheduled = budget_schedule.max_concurrent_faulty()
-        if permanent_faults + worst_scheduled > faults_tolerated:
-            raise ConfigError(
-                f"{self.num_crashed} crashed + {self.num_equivocators} equivocators "
-                f"+ {worst_scheduled} concurrently faulty (recovering/scheduled/"
-                f"campaigning) exceeds f={faults_tolerated}"
-            )
         first_static_fault = self.num_validators - static_faults
         for validator in schedule.validators():
             if validator == 0:
@@ -320,6 +303,18 @@ class ExperimentConfig:
                     f"fault_schedule targets validator {validator}, already claimed by the "
                     f"static fault counts (indexes >= {first_static_fault})"
                 )
+        if self.reconfigures:
+            self._validate_membership_timeline(schedule)
+        # The budget counts *concurrent* faults over the effective
+        # schedule: disjoint downtime windows do not stack, and an
+        # equivocation campaign spends a slot for its whole span.
+        faults_tolerated = (self.genesis_size - 1) // 3
+        worst = concurrent_faults(self.effective_schedule())
+        if worst > faults_tolerated:
+            raise ConfigError(
+                f"{worst} validators concurrently faulty (crashed, recovering, "
+                f"equivocating or scheduled) exceeds f={faults_tolerated}"
+            )
 
     def _protocol_config(self) -> ProtocolConfig:
         protocol = _PROTOCOL_TABLE[self.protocol]
@@ -351,27 +346,17 @@ class ExperimentConfig:
                 f"({genesis}..{self.num_validators - 1}): the genesis committee is "
                 "every validator that does not join"
             )
-        members = set(range(genesis))
+        size = genesis
         for event in schedule:
             if event.kind == "join":
-                if event.validator in members:
-                    raise ConfigError(
-                        f"validator {event.validator} joins at t={event.time} "
-                        "but is already an active member"
-                    )
-                members.add(event.validator)
+                size += 1
             elif event.kind == "leave":
-                if event.validator not in members:
-                    raise ConfigError(
-                        f"validator {event.validator} leaves at t={event.time} "
-                        "but is not an active member"
-                    )
-                if len(members) - 1 < MIN_COMMITTEE_SIZE:
+                size -= 1
+                if size < MIN_COMMITTEE_SIZE:
                     raise ConfigError(
                         f"leave of validator {event.validator} at t={event.time} "
                         f"would drop the committee below n={MIN_COMMITTEE_SIZE}"
                     )
-                members.discard(event.validator)
 
     @property
     def reconfigures(self) -> bool:
@@ -424,19 +409,26 @@ class ExperimentConfig:
         return len({e.validator for e in self.fault_schedule if e.kind == "equivocate"})
 
     def effective_schedule(self) -> FaultSchedule:
-        """The full fault schedule the harness replays: explicit
-        ``fault_schedule`` events plus the crash+recover pair that
-        ``num_recovering`` generates per recovering validator."""
+        """The full fault schedule the harness replays, and the one place
+        the static counts become faults: the explicit ``fault_schedule``
+        plus, from the top of the index range down, a ``crash`` at t = 0
+        per crashed validator, a crash+recover pair per recovering one
+        and an ``equivocate`` at t = 0 per equivocator."""
         events = list(self.fault_schedule)
-        first_recovering = self.num_validators - self.num_crashed - self.num_recovering
-        for index in range(self.num_recovering):
-            validator = first_recovering + index
+        first_crashed = self.num_validators - self.num_crashed
+        first_recovering = first_crashed - self.num_recovering
+        first_equivocator = first_recovering - self.num_equivocators
+        for validator in range(first_crashed, self.num_validators):
+            events.append(FaultEvent(0.0, validator, "crash"))
+        for validator in range(first_recovering, first_crashed):
             events.append(
                 FaultEvent(RECOVERY_CRASH_FRAC * self.duration, validator, "crash")
             )
             events.append(
                 FaultEvent(RECOVERY_RESTART_FRAC * self.duration, validator, "recover")
             )
+        for validator in range(first_equivocator, first_recovering):
+            events.append(FaultEvent(0.0, validator, "equivocate"))
         return FaultSchedule(events)
 
 
@@ -493,7 +485,7 @@ class ExperimentResult:
     #: :meth:`repro.sim.metrics.ExperimentMetrics.epoch_attribution`.
     epoch_summary: tuple = ()
     #: Conflicting sibling pairs actually dispatched by equivocating
-    #: validators (static flags and scheduled campaigns combined).
+    #: validators.
     equivocations: int = 0
     #: Messages the network dropped on cut partition links.
     messages_dropped: int = 0
@@ -555,7 +547,7 @@ class _TotalOrder:
             for block in linearized:
                 if block.transactions:
                     self._metrics.record_commit(block.transactions, now)
-        if not linearized or node.behavior.equivocate or node.ever_equivocated:
+        if not linearized or node.equivocating or node.ever_equivocated:
             return
         digests = [block.digest for block in linearized]
         start = node.core.committer.ledger.sequence_length - len(digests)
@@ -630,9 +622,15 @@ class Experiment:
                     for authority in warm
                 }
         self.nodes = [self._make_node(i) for i in range(config.num_validators)]
-        # A client inside every validator that is not crashed for good;
-        # while its validator is down, its arrivals go to the next live one.
-        live = [node.authority for node in self.nodes if not node.behavior.crashed]
+        # A client inside every validator that is up at some point of the
+        # run; while its validator is down, its arrivals go to the next
+        # live one.
+        down = self._schedule.down_intervals(config.duration)
+        live = [
+            authority
+            for authority in range(config.num_validators)
+            if down.get(authority) != [(0.0, config.duration)]
+        ]
         self._router = ArrivalRouter(
             self._loop,
             self.nodes,
@@ -715,29 +713,12 @@ class Experiment:
             genesis=self._genesis,
         )
 
-    def _behavior(self, authority: int) -> NodeBehavior:
-        cfg = self.config
-        # Fault placement, from the top of the index range down: crashed
-        # validators take the highest indexes, recovering ones the next
-        # block below, then the equivocators — keeping validator 0
-        # honest as the observer.  (The recovering/scheduled lifecycle
-        # itself is replayed by ``run`` off the effective schedule.)
-        first_crashed = cfg.num_validators - cfg.num_crashed
-        first_recovering = first_crashed - cfg.num_recovering
-        first_equivocator = first_recovering - cfg.num_equivocators
-        if authority >= first_crashed:
-            return NodeBehavior(crashed=True)
-        if authority >= first_equivocator and authority < first_recovering:
-            return NodeBehavior(equivocate=True)
-        return NodeBehavior()
-
     def _make_node(self, authority: int) -> SimValidator:
         return SimValidator(
             self._make_core(authority),
             self._network,
             self._loop,
             certified=self._protocol.certified,
-            behavior=self._behavior(authority),
             costs=self._costs,
             min_block_interval=self.config.block_interval,
             # Checked against every other validator's as they happen;
@@ -769,8 +750,13 @@ class Experiment:
                 before reporting (Theorem 1).
         """
         try:
+            # What holds from t = 0 (a validator crashed or equivocating
+            # from the start) is in place before anyone proposes.
             for event in self._schedule:
-                self._loop.schedule_at(event.time, self._apply_fault_event, event)
+                if event.time > 0:
+                    self._loop.schedule_at(event.time, self._apply_fault_event, event)
+                else:
+                    self._apply_fault_event(event)
             for node in self.nodes:
                 node.start()  # no-op for validators that are down at t=0
             self._router.start()
@@ -792,49 +778,40 @@ class Experiment:
             if self._wal_dir is not None:
                 self._wal_dir.cleanup()
 
-    def _apply_fault_event(self, event) -> None:
-        node = self.nodes[event.validator]
-        if event.kind == "equivocate":
-            node.set_equivocating(True)
-            return
-        if event.kind == "desist":
-            node.set_equivocating(False)
-            return
-        if event.kind == "partition":
+    def _apply_fault_event(self, event: FaultEvent) -> None:
+        node, kind = self.nodes[event.validator], event.kind
+        if kind in ("equivocate", "desist"):
+            node.set_equivocating(kind == "equivocate")
+        elif kind == "partition":
             self._network.set_partition(event.validator, event.group, event.scale)
-            return
-        if event.kind == "heal":
+        elif kind == "heal":
             self._network.heal(event.validator)
-            return
-        if event.kind == "straggle":
+        elif kind == "straggle":
             node.set_slow_factor(event.scale)
-            return
-        if event.kind in ("join", "leave"):
-            # A membership command; thresholds move when the committed
-            # command's epoch activates.  A joiner boots now
-            # (state-transfer join) and proposes once its epoch is
-            # active; a leaver keeps participating until the excluding
-            # epoch activates, then exits by itself
-            # (ValidatorDriver.excluded_by_epoch).
-            self._submit_reconfig(event.kind, event.validator)
-        if event.kind == "crash":
+        elif kind == "crash":
             node.crash()
-        elif event.kind != "leave":  # recover / join: boot with an empty state
-            node.recover()
-            node.start()
+        else:
+            if kind in ("join", "leave"):
+                # A membership command; thresholds move when the
+                # committed command's epoch activates.  A joiner boots
+                # now (state-transfer join) and proposes once its epoch
+                # is active; a leaver keeps participating until the
+                # excluding epoch activates, then exits by itself
+                # (ValidatorDriver.excluded_by_epoch).
+                self._submit_reconfig(kind, event.validator)
+            if kind != "leave":  # recover / join: boot with an empty state
+                node.recover()
+                node.start()
 
     def _submit_reconfig(self, kind: str, validator: int) -> None:
-        """Inject a reconfiguration command transaction at the first
-        live honest validator (the administrative client of a real
-        deployment)."""
+        """Inject a reconfiguration command transaction at the observer
+        (the administrative client of a real deployment): validator 0 is
+        never faulty, so the command is never lost."""
         tx = ReconfigCommand(kind=kind, validator=validator).as_transaction(
             self._reconfig_seq, submitted_at=self._loop.now
         )
         self._reconfig_seq += 1
-        for node in self.nodes:
-            if not node.down and not node.behavior.equivocate and not node.ever_equivocated:
-                node.submit(tx)
-                return
+        self.nodes[0].submit(tx)
 
     def assert_safety(self) -> None:
         """Check the Total Order property (Theorem 1) across validators.
@@ -869,7 +846,7 @@ class Experiment:
         # the reconfiguration analogue of Theorem 1.
         epoch_views: dict[int, set[tuple[int, tuple[int, ...]]]] = {}
         for node in self.nodes:
-            if node.behavior.equivocate or node.ever_equivocated:
+            if node.equivocating or node.ever_equivocated:
                 continue
             ledger = node.core.committer.ledger
             for checkpoint in ledger.checkpoints:
@@ -927,7 +904,7 @@ class Experiment:
         down_intervals = self._observed_down_intervals()
         partition_intervals = self._schedule.partition_intervals(self.config.duration)
         partitioned_seconds = sum(
-            end - max(0.0, start)
+            end - start
             for spans in partition_intervals.values()
             for start, end in spans
             if end > start
@@ -945,13 +922,12 @@ class Experiment:
                 down_intervals.get(validator, []),
                 partition_intervals.get(validator, []),
             )
-            unavailable += sum(end - max(0.0, start) for start, end in merged)
-        downtime = self.config.num_crashed * self.config.duration + unavailable
+            unavailable += sum(end - start for start, end in merged)
         observer_round = observer.core.store.highest_round
         live_rounds = [
             node.core.store.highest_round
             for node in self.nodes
-            if not node.down and not (node.behavior.equivocate or node.ever_equivocated)
+            if not (node.down or node.equivocating or node.ever_equivocated)
         ]
         max_rounds_behind = max(
             0, observer_round - min(live_rounds, default=observer_round)
@@ -986,7 +962,7 @@ class Experiment:
             checkpoints_captured=observer.core.committer.ledger.captured_total,
             checkpoint_adoptions=sum(node.checkpoint_adoptions for node in self.nodes),
             availability=availability(
-                downtime, self.config.num_validators, self.config.duration
+                unavailable, self.config.num_validators, self.config.duration
             ),
             epoch_transitions=epoch_transitions,
             final_committee_size=final_committee_size,

@@ -39,7 +39,7 @@ from pathlib import Path
 from typing import Callable
 
 from ..errors import ConfigError, ReproError
-from .faults import FaultSchedule
+from .faults import concurrent_faults
 from .metrics import LatencySummary
 from .runner import Experiment, ExperimentConfig, ExperimentResult
 
@@ -211,6 +211,18 @@ def smoke_config(config: ExperimentConfig) -> ExperimentConfig:
     crashed = min(config.num_crashed, faults_tolerated)
     recovering = min(config.num_recovering, faults_tolerated - crashed)
     equivocators = min(config.num_equivocators, faults_tolerated - crashed - recovering)
+    small = replace(
+        config,
+        num_validators=validators,
+        num_crashed=crashed,
+        num_recovering=recovering,
+        num_equivocators=equivocators,
+        fault_schedule=(),
+        adversary_targets=min(config.adversary_targets, faults_tolerated),
+        duration=_SMOKE_DURATION,
+        warmup=_SMOKE_WARMUP,
+        load_tps=min(config.load_tps, _SMOKE_MAX_LOAD),
+    )
     time_scale = _SMOKE_DURATION / config.duration if config.duration > 0 else 1.0
     first_static_fault = validators - crashed - recovering - equivocators
     schedule = tuple(
@@ -220,25 +232,14 @@ def smoke_config(config: ExperimentConfig) -> ExperimentConfig:
         # that its static fault blocks now claim) drop out.
         if 1 <= event.validator < first_static_fault
     )
-    # Like the static counts, the schedule must fit the shrunken
-    # committee's fault budget: drop whole validators (highest index
-    # first) until the worst concurrent downtime fits.
-    budget = faults_tolerated - crashed - recovering - equivocators
-    while schedule and FaultSchedule(schedule).max_concurrent_faulty() > budget:
+    # The schedule must fit the shrunken committee's fault budget beside
+    # the static counts: drop whole validators (highest index first)
+    # until the one budget rule holds.
+    static = tuple(small.effective_schedule())
+    while schedule and concurrent_faults(static + schedule) > faults_tolerated:
         victim = max(event.validator for event in schedule)
         schedule = tuple(event for event in schedule if event.validator != victim)
-    return replace(
-        config,
-        num_validators=validators,
-        num_crashed=crashed,
-        num_recovering=recovering,
-        num_equivocators=equivocators,
-        fault_schedule=schedule,
-        adversary_targets=min(config.adversary_targets, faults_tolerated),
-        duration=_SMOKE_DURATION,
-        warmup=_SMOKE_WARMUP,
-        load_tps=min(config.load_tps, _SMOKE_MAX_LOAD),
-    )
+    return replace(small, fault_schedule=schedule)
 
 
 @dataclass(frozen=True)

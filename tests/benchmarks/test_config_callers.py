@@ -16,7 +16,7 @@ from repro.sim.runner import ExperimentConfig
 #: Fields no sweep sets, and who does.
 EXEMPT = {
     "trace": "the driver's --trace point (run_all.run_traced_point)",
-    "num_equivocators": "examples/byzantine_equivocation.py",
+    "num_equivocators": "examples/byzantine_equivocation.py (run by tests/test_examples.py)",
     "uniform_delay": "the message-delay arithmetic tests, e.g. "
     "test_uniform_delay_latency_tracks_message_delays",
     "model_cpu": "the message-delay arithmetic tests",

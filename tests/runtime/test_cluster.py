@@ -320,6 +320,23 @@ def test_wait_status_notices_an_exited_validator(tmp_path):
             asyncio.run(asyncio.wait_for(wait, timeout=1.0))
 
 
+def test_spawn_closes_its_copy_of_the_stderr_log(tmp_path, monkeypatch):
+    """The child keeps its own descriptor; the driver holds no open
+    file per spawn."""
+    from repro.runtime import process_cluster
+
+    handed = []
+
+    def popen(args, *, stderr, **kwargs):
+        handed.append(stderr)
+        return SimpleNamespace(poll=lambda: None)
+
+    monkeypatch.setattr(process_cluster.subprocess, "Popen", popen)
+    process_cluster.ProcessCluster(4, run_dir=tmp_path).spawn(1)
+    [stderr] = handed
+    assert stderr.name.endswith("stderr-1.log") and stderr.closed
+
+
 @pytest.mark.slow
 class TestSynchronizerIntegration:
     def test_late_joiner_catches_up(self):

@@ -19,7 +19,6 @@ from repro.messages import (
 from repro.obs.trace import BLOCK_PROPOSED, BLOCK_RECEIVED, NULL_TRACER, Tracer
 from repro.sim.costs import CostModel
 from repro.sim.events import EventLoop
-from repro.sim.faults import NodeBehavior
 from repro.sim.latency import UniformLatencyModel
 from repro.sim.network import Message, SimNetwork
 from repro.sim.node import Ack, Certificate, Header, SimValidator
@@ -49,7 +48,7 @@ def make_cluster(
     *,
     delay=0.05,
     interval=0.0,
-    behaviors=None,
+    start_down=(),
     certified=False,
     costs=None,
     with_core_factory=False,
@@ -65,7 +64,6 @@ def make_cluster(
     network = SimNetwork(loop, UniformLatencyModel(delay), n, costs=costs, seed=1)
     nodes = []
     for i in range(n):
-        behavior = behaviors.get(i) if behaviors else None
         factory = None
         if with_core_factory:
             factory = lambda i=i: MahiMahiCore(i, committee, config, coin)  # noqa: E731
@@ -75,7 +73,7 @@ def make_cluster(
                 network,
                 loop,
                 certified=certified,
-                behavior=behavior,
+                start_down=i in start_down,
                 min_block_interval=interval,
                 costs=costs,
                 core_factory=factory,
@@ -152,10 +150,9 @@ class TestRoundPacing:
 
 class TestFaults:
     def test_crashed_node_never_sends(self):
-        loop, nodes = make_cluster(behaviors={3: NodeBehavior(crashed=True)})
+        loop, nodes = make_cluster(start_down={3})
         for node in nodes:
-            if not node.behavior.crashed:
-                node.start()
+            node.start()
         loop.run_until(2.0)
         assert nodes[3].core.round == 0
         # The rest still make progress: 3 of 4 = 2f+1.
@@ -174,9 +171,8 @@ class TestFaults:
 
     def test_equivocator_splits_peers(self):
         commits = CommitStreams()
-        loop, nodes = make_cluster(
-            behaviors={1: NodeBehavior(equivocate=True)}, on_commit=commits
-        )
+        loop, nodes = make_cluster(on_commit=commits)
+        nodes[1].set_equivocating(True)
         for node in nodes:
             node.start()
         loop.run_until(2.0)
@@ -188,7 +184,7 @@ class TestFaults:
                     slots_seen.add((node.authority, r))
         assert slots_seen, "no equivocation observed in any DAG"
         # And everyone still agrees.
-        honest = [n for n in nodes if not n.behavior.equivocate]
+        honest = [n for n in nodes if not n.equivocating]
         sequences = [commits.of(n) for n in honest]
         shortest = min(len(s) for s in sequences)
         assert all(s[:shortest] == sequences[0][:shortest] for s in sequences)

@@ -16,6 +16,7 @@ from repro.core.protocol import MahiMahiCore
 from repro.errors import ConfigError, SimulationError
 from repro.sim.costs import MAX_SIM_TX_RATE
 from repro.sim.faults import FaultEvent
+from repro.sim.node import SimValidator
 from repro.sim.runner import (
     RECONFIG_LAG,
     RECOVERY_CRASH_FRAC,
@@ -50,6 +51,53 @@ class TestConfigValidation:
             ExperimentConfig(num_validators=10, num_crashed=4)
         with pytest.raises(ConfigError):
             ExperimentConfig(num_validators=10, num_crashed=2, num_equivocators=2)
+
+    @pytest.mark.parametrize(
+        "overrides, accepted",
+        [
+            (dict(num_crashed=3), True),
+            (dict(num_equivocators=3), True),
+            (dict(num_crashed=1, num_recovering=1, num_equivocators=1), True),
+            (dict(num_crashed=2, num_equivocators=2), False),
+            (dict(num_validators=4, num_crashed=1), True),
+            (dict(num_validators=4, num_equivocators=2), False),
+            (dict(num_validators=4, num_crashed=5), False),
+            (dict(num_crashed=2, fault_schedule=((1.0, 1, "crash"), (2.0, 1, "recover"))), True),
+            (dict(num_crashed=3, fault_schedule=((1.0, 1, "crash"), (2.0, 1, "recover"))), False),
+            (dict(num_equivocators=2, fault_schedule=((1.0, 1, "equivocate"),)), True),
+            (dict(num_equivocators=2, fault_schedule=((1.0, 1, "partition", "g"),)), True),
+            (dict(num_crashed=3, fault_schedule=((1.0, 1, "straggle", 4.0),)), True),
+            (dict(num_crashed=1, fault_schedule=((1.0, 9, "straggle", 4.0),)), False),
+            (dict(num_crashed=3, fault_schedule=((1.0, 1, "equivocate"),)), False),
+            (dict(num_crashed=1, num_recovering=2, fault_schedule=((1.0, 1, "crash"),)), False),
+            (dict(num_validators=7, num_crashed=1, fault_schedule=((1.0, 5, "leave"),)), True),
+            (dict(num_validators=7, num_crashed=1, fault_schedule=((1.0, 6, "join"),)), False),
+            (dict(num_validators=5, num_crashed=1, fault_schedule=((1.0, 2, "leave"),)), True),
+            (dict(num_validators=4, num_crashed=1, fault_schedule=((1.0, 2, "leave"),)), False),
+        ],
+    )
+    def test_static_counts_share_the_fault_budget(self, overrides, accepted):
+        """Crashed, recovering, equivocating and scheduled validators
+        spend one ``f`` budget; membership changes spend none."""
+        if accepted:
+            ExperimentConfig(**overrides)
+        else:
+            with pytest.raises(ConfigError):
+                ExperimentConfig(**overrides)
+
+    @pytest.mark.parametrize(
+        "schedule",
+        [
+            ((1.0, 5, "join"), (2.0, 2, "join")),  # a genesis member joins
+            ((1.0, 5, "join"), (2.0, 5, "join")),  # a joiner joins twice
+            ((1.0, 2, "leave"), (2.0, 2, "leave")),  # a member leaves twice
+            ((1.0, 12, "leave"),),  # no validator 12 in a committee of 10
+        ],
+    )
+    def test_impossible_membership_timelines_rejected(self, schedule):
+        num_validators = 10 if schedule[0][1] == 12 else 6
+        with pytest.raises(ConfigError):
+            ExperimentConfig(num_validators=num_validators, fault_schedule=schedule)
 
     def test_batching_above_sim_cap(self):
         config = ExperimentConfig(load_tps=100_000)
@@ -157,33 +205,109 @@ class TestConfigValidation:
         assert all(e.time == pytest.approx(RECOVERY_RESTART_FRAC * 20.0) for e in recover)
 
 
+def placement(config):
+    """Validators of the effective schedule, by ``(time, kind)``."""
+    found = {}
+    for event in config.effective_schedule():
+        found.setdefault((event.time, event.kind), set()).add(event.validator)
+    return found
+
+
 class TestFaultPlacement:
     """Regression pin for fault placement: crashed validators take the
     highest indexes, recovering ones the block below, equivocators below
-    those, and validator 0 is always the honest observer."""
+    those, and validator 0 is always the honest observer.  The static
+    counts are schedule shorthand: whole-run faults start at t = 0."""
 
     def test_crashed_then_recovering_then_equivocators(self):
         config = ExperimentConfig(
-            num_validators=13, num_crashed=2, num_recovering=1, num_equivocators=1
+            num_validators=13,
+            num_crashed=2,
+            num_recovering=1,
+            num_equivocators=1,
+            duration=8.0,
         )
-        exp = Experiment(config)
-        behaviors = [exp._behavior(a) for a in range(13)]
-        assert [b.crashed for b in behaviors] == [False] * 11 + [True, True]
-        assert [b.equivocate for b in behaviors] == (
-            [False] * 9 + [True] + [False] * 3
-        )
-        # The recovering validator (index 10) is honest; its lifecycle
-        # comes from the effective schedule.
-        assert not behaviors[10].crashed and not behaviors[10].equivocate
-        assert {e.validator for e in config.effective_schedule()} == {10}
+        assert placement(config) == {
+            (0.0, "crash"): {11, 12},
+            (RECOVERY_CRASH_FRAC * 8.0, "crash"): {10},
+            (RECOVERY_RESTART_FRAC * 8.0, "recover"): {10},
+            (0.0, "equivocate"): {9},
+        }
 
     def test_equivocators_directly_below_crashed_without_recovering(self):
         config = ExperimentConfig(num_validators=10, num_crashed=2, num_equivocators=1)
-        exp = Experiment(config)
-        assert exp._behavior(9).crashed and exp._behavior(8).crashed
-        assert exp._behavior(7).equivocate
-        assert not exp._behavior(6).equivocate and not exp._behavior(6).crashed
-        assert not exp._behavior(0).crashed and not exp._behavior(0).equivocate
+        assert placement(config) == {(0.0, "crash"): {8, 9}, (0.0, "equivocate"): {7}}
+
+
+class TestStaticFaults:
+    """What a static count does to a run (each assertion held before the
+    counts became schedule shorthand, too)."""
+
+    def test_whole_run_crash_gets_no_client(self):
+        """A validator crashed for the whole run gets no client; every
+        other one, a recovering validator included, gets one."""
+        experiment = Experiment(
+            ExperimentConfig(num_validators=10, num_crashed=2, num_recovering=1, duration=8.0)
+        )
+        clients = sorted(client.validator for client in experiment._router._clients)
+        assert clients == list(range(8))
+
+    def test_static_crash_never_proposes(self):
+        experiment = Experiment(
+            ExperimentConfig(num_validators=10, num_crashed=2, duration=3.0, warmup=1.0)
+        )
+        result = experiment.run()
+        assert [node.core.round for node in experiment.nodes[8:]] == [0, 0]
+        assert result.blocks_committed > 0
+        assert result.availability == pytest.approx(0.8)
+
+    def test_static_equivocator_splits_its_first_block(self):
+        experiment = Experiment(
+            ExperimentConfig(num_validators=10, num_equivocators=1, duration=2.0, warmup=0.5)
+        )
+        result = experiment.run()
+        first = {
+            block.digest
+            for node in experiment.nodes[:9]
+            for block in node.core.store.slot_blocks(1, 9)
+        }
+        assert len(first) == 2 and result.equivocations > 0
+
+    def test_static_equivocator_excluded_from_safety_check(self):
+        """Tusk never sends a sibling, so only the campaign flag keeps the
+        equivocator out of the commit-sequence check."""
+        experiment = Experiment(
+            ExperimentConfig(
+                protocol="tusk", num_validators=4, num_equivocators=1, duration=2.0, warmup=0.5
+            )
+        )
+        experiment.run()
+        equivocator = experiment.nodes[3]
+        assert not equivocator.ever_equivocated
+        forged = dataclasses.replace(experiment.nodes[0].core.store.round_blocks(1)[0], salt=b"x")
+        observation = type("Observation", (), {"linearized": [forged]})()
+        experiment._total_order.on_commit(equivocator, [observation], 2.0)
+        assert experiment._total_order.divergence is None
+        experiment.assert_safety()
+
+    def test_reconfig_command_never_reaches_a_static_equivocator(self, monkeypatch):
+        submitted = []
+        submit = SimValidator.submit
+
+        def recording(node, tx):
+            submitted.append(node.authority)
+            submit(node, tx)
+
+        monkeypatch.setattr(SimValidator, "submit", recording)
+        config = ExperimentConfig(
+            num_validators=7,
+            num_equivocators=1,
+            duration=3.0,
+            warmup=1.0,
+            fault_schedule=((1.0, 5, "leave"),),
+        )
+        Experiment(config).run()
+        assert submitted == [0]
 
 
 @pytest.mark.parametrize("protocol", PROTOCOLS)

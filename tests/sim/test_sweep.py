@@ -199,6 +199,26 @@ class TestFaultScheduleSerialization:
         # Lowest-indexed scheduled validators survive the clamp.
         assert remaining.validators() == frozenset({1, 2, 3})
 
+    def test_smoke_clamp_is_the_config_budget_rule(self):
+        """The clamp counts concurrent faults over the shrunken config's
+        effective schedule: a recovering validator's window does not
+        stack on scheduled downtime it never overlaps."""
+        from repro.sim.faults import FaultEvent
+
+        config = tiny_config(
+            num_validators=50,
+            num_recovering=1,
+            duration=20.0,
+            fault_schedule=tuple(
+                FaultEvent(t, v, kind)
+                for v in (1, 2, 3)
+                for t, kind in ((12.0, "crash"), (16.0, "recover"))
+            ),
+        )
+        small = smoke_config(config)
+        assert small.num_recovering == 1
+        assert {e.validator for e in small.fault_schedule} == {1, 2, 3}
+
     def test_smoke_drops_schedule_validators_outside_committee(self):
         from repro.sim.faults import FaultEvent
 

@@ -96,7 +96,7 @@ def test_finished_experiment_is_freed_when_dropped(name):
                 experiment.nodes[-1].core.store,
                 observer.core.store.round_blocks(1)[0],
                 observer._driver,
-                observer.behavior,
+                observer.ingress,
                 experiment._network._rng,
                 experiment._router._clients[0].rng,
             )
