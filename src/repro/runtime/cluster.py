@@ -184,10 +184,11 @@ class LocalCluster:
 
     async def restart(self, validator: int, *, recover_mode: str | None = None) -> ValidatorNode:
         """Replace a (stopped or crashed) validator with a fresh
-        incarnation and start it in the given recovery mode."""
+        incarnation, recover it in the given mode and start it."""
         mode = recover_mode if recover_mode is not None else self._recover_mode
         node = self._make_node(validator, mode)
         self.nodes[validator] = node
+        node.recover()
         await node.start()
         return node
 

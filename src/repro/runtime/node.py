@@ -15,10 +15,10 @@ Runtime parity with the simulator (:class:`~repro.sim.node.SimValidator`):
   and latest-scheduled committees, and a member an activated epoch
   excludes goes silent by itself;
 * the validator step (ingest, paced proposing, commit, epoch exit, the
-  WAL records and lifecycle instants), the fetching of missing
+  WAL's block records and lifecycle instants), the fetching of missing
   ancestors (shallow with peer rotation, or the deep chain once fallen
-  behind), restarts / re-sync (cold / warm / checkpoint) and the reading
-  of every validator message are the shared, sans-IO
+  behind), the restart sequence and re-sync (cold / warm / checkpoint)
+  and the reading of every validator message are the shared, sans-IO
   :class:`~repro.statesync.driver.ValidatorDriver`.
   This class is its runtime adaptor: every decoded peer message goes to
   ``driver.on_message`` unread (a client's
@@ -29,6 +29,12 @@ Runtime parity with the simulator (:class:`~repro.sim.node.SimValidator`):
   ``await transport.send(...)``.  It adds what only the runtime has —
   asyncio and its timers, the transport, idle re-broadcast, the metrics
   registry and the commit queue;
+* the lifecycle vocabulary is the simulator's: :meth:`ValidatorNode.start`
+  boots a validator, and a harness that restarts one (a new incarnation
+  over a stopped one's log, or a joiner coming online) calls
+  :meth:`ValidatorNode.recover` first — the driver's restart sequence,
+  which enters re-sync in every mode, so the new incarnation proposes
+  nothing until it has caught up;
 * commit-state checkpoints are captured by the committer's
   :class:`~repro.statesync.CommitLedger` at the same deterministic
   commit-walk points as the sim, and served to recovering peers by the
@@ -105,13 +111,14 @@ class ValidatorNode:
             :class:`CommitteeSchedule` (committed reconfiguration
             commands then resize the validator set live).
         transport: Started/stopped together with the node.
-        wal_path: When set, blocks are persisted; warm recovery replays
-            the log into the DAG before the node joins the network.
+        wal_path: When set, every block proposed or accepted is
+            persisted; a warm :meth:`recover` replays the log into the
+            DAG before the node joins the network.
         min_block_interval: Proposal pacing (0 = propose at quorum edge).
-        recover_mode: Restart path, one of
+        recover_mode: The path :meth:`recover` takes, one of
             :data:`~repro.statesync.RECOVER_MODES`.
             Defaults to ``warm``, which degenerates to ``cold`` when
-            there is no (or an empty) WAL — a first boot.
+            there is no (or an empty) WAL.
         sync_chunk_blocks: Most blocks served in one deep-fetch
             response chunk.
         tracer: A :class:`repro.obs.trace.Tracer` recording lifecycle
@@ -214,25 +221,33 @@ class ValidatorNode:
         """Deep (chunked re-sync) requests this incarnation sent."""
         return self._driver.sync_requests_sent
 
+    def recover(self) -> None:
+        """Restart: run the driver's restart sequence for this fresh
+        incarnation — replay the log in warm mode, then enter re-sync
+        in every mode — before :meth:`start`.  ``recovery_time`` counts
+        from here."""
+        self._driver.recover(self.core, time.monotonic())
+
     async def start(self, *, barrier: "Callable[[], Awaitable[None]] | None" = None) -> None:
-        """Recover per ``recover_mode``, start the transport and the
-        re-broadcast loop, and propose the first block.
+        """Start the transport and the re-broadcast loop, and propose
+        the first block (none while a :meth:`recover` re-syncs).
+
+        A log that already holds blocks belongs to an earlier
+        incarnation: starting over it without :meth:`recover` recovers
+        first, so no round the log holds is ever signed again.
 
         ``barrier`` (when given) is awaited after the listener is bound
         but before the first proposal — a multi-process deployment waits
         for every peer's listener here, so genesis-round broadcasts are
         not dropped into the boot race.
         """
-        self._recover()
+        wal = self._driver.wal
+        if not self._driver.syncing and wal is not None and wal.path.stat().st_size:
+            self.recover()
         await self.transport.start()
         if barrier is not None:
             await barrier()
         self._running = True
-        if self._driver.recover_mode == "checkpoint":
-            # State transfer: no proposals (and no genesis-anchored
-            # fetches) until a quorum-attested checkpoint is adopted and
-            # the suffix above its floor is in.
-            self._driver.begin_sync(time.monotonic())
         self._step()
         await self._flush()
         self._spawn(self._rebroadcast_loop())
@@ -257,22 +272,6 @@ class ValidatorNode:
         await asyncio.gather(*tasks, return_exceptions=True)
         await self.transport.stop()
         self._driver.close()
-
-    def _recover(self) -> None:
-        """Warm path: replay the WAL into the core through the public
-        API (idempotent on a fresh log).
-
-        Blocks replay in causal order and the proposal round is floored
-        at the highest own-authored record, so a recovered validator
-        never re-proposes (and hence never equivocates) a logged round.
-        Cold and checkpoint restarts skip replay — their history comes
-        from the network.
-        """
-        replay = self._driver.replay_wal()
-        if replay is not None and replay.blocks:
-            # Re-sync the delta accumulated while down; live traffic
-            # (or a deep fetch, if far behind) finishes the job.
-            self._driver.begin_sync(time.monotonic(), replayed=replay.blocks)
 
     # ------------------------------------------------------------------
     # Client API

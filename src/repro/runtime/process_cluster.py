@@ -75,6 +75,43 @@ def _build_node(spec: dict, tracer=NULL_TRACER) -> ValidatorNode:
     )
 
 
+class _CommitRecorder:
+    """Logs every commit of ``node`` as a ``<index> <digest>`` line and
+    stamps its transactions' latency when the commit is observed — not
+    at the next status publication, which would round every latency up
+    by as much as :data:`STATUS_INTERVAL`."""
+
+    def __init__(self, node: ValidatorNode, commit_log) -> None:
+        self._node = node
+        self._log = commit_log
+        self.logged = 0
+        self.latencies: list[float] = []
+
+    async def run(self) -> None:
+        while True:
+            self.drain([await self._node.commits.get()])
+
+    def drain(self, observations=()) -> None:
+        """Record ``observations`` and every commit still queued."""
+        commits = self._node.commits
+        fresh = [block for observation in observations for block in observation.linearized]
+        while not commits.empty():
+            fresh.extend(commits.get_nowait().linearized)
+        if not fresh:
+            return
+        now = time.time()
+        # Global indexes: the ledger's sequence length counts every block
+        # committed so far (an adopted checkpoint's too), the newest last.
+        ledger = self._node.core.committer.ledger
+        for index, block in enumerate(fresh, ledger.sequence_length - len(fresh)):
+            self._log.write(f"{index} {block.digest.hex()}\n")
+            for tx in block.transactions:
+                if 0 < tx.submitted_at <= now and tx.tx_id < RECONFIG_TX_BASE:
+                    self.latencies.append(now - tx.submitted_at)
+        self._log.flush()
+        self.logged += len(fresh)
+
+
 def _write_status(path: Path, status: dict) -> None:
     """Atomic status publication: readers never see a torn file."""
     tmp = path.with_suffix(".tmp")
@@ -112,28 +149,16 @@ async def _child_main(spec_path: str) -> None:
                 except (ConnectionError, OSError):
                     await asyncio.sleep(0.05)
 
+    if spec["recover"]:
+        node.recover()
     await node.start(barrier=peer_barrier)
-    logged = 0
-    latencies: list[float] = []
+    recorder = _CommitRecorder(node, commit_log)
+    recording = asyncio.create_task(recorder.run())
 
     def publish(final: bool = False) -> None:
-        nonlocal logged
         core = node.core
         ledger = core.committer.ledger
-        fresh = []
-        while not node.commits.empty():
-            fresh.extend(node.commits.get_nowait().linearized)
-        # Global indexes: the ledger's sequence length counts every block
-        # committed so far (an adopted checkpoint's too), the newest last.
-        for index, block in enumerate(fresh, ledger.sequence_length - len(fresh)):
-            commit_log.write(f"{index} {block.digest.hex()}\n")
-            now = time.time()
-            for tx in block.transactions:
-                if 0 < tx.submitted_at <= now and tx.tx_id < RECONFIG_TX_BASE:
-                    latencies.append(now - tx.submitted_at)
-        if fresh:
-            commit_log.flush()
-            logged += len(fresh)
+        logged, latencies = recorder.logged, recorder.latencies
         latencies_sorted = sorted(latencies)
         # Point-in-time gauges are read off the node at publication
         # time (per-event updates would under-report an idle or stalled
@@ -205,7 +230,9 @@ async def _child_main(spec_path: str) -> None:
             except asyncio.TimeoutError:
                 pass
     finally:
+        recording.cancel()
         await node.stop()
+        recorder.drain()
         publish(final=True)
         commit_log.close()
         if tracer.enabled and trace_path:
@@ -366,6 +393,9 @@ class ProcessCluster:
             "config": self.config,
             "min_block_interval": self._min_block_interval,
             "recover_mode": recover_mode,
+            # A respawn, or a joiner coming online (a join is a recovery,
+            # as in the simulator), runs the restart sequence first.
+            "recover": self._incarnation[validator] > 1 or validator >= self.n,
             "wal_path": str(self.run_dir / f"validator-{validator}.wal"),
             "status_path": str(self._status_path(validator)),
             "commit_log_path": str(self._commit_log_path(validator)),

@@ -10,6 +10,10 @@ requirements reproduced here:
   behaviour);
 * **accepted blocks are durable** so recovery rebuilds the DAG without
   re-downloading history;
+* **the log holds blocks and nothing else** — one record kind, whoever
+  authored the block: a restart re-derives every commit from the
+  replayed DAG, and floors its proposal round at the highest block the
+  log holds whose (signed) author is this validator;
 * **torn tails are tolerated**: a crash mid-append leaves a truncated or
   corrupt final record, which recovery silently discards (everything
   before it is protected by a CRC);
@@ -36,10 +40,8 @@ from ..errors import ReproError, WalCorruptionError
 
 _HEADER = struct.Struct("<IIB")
 
-#: Record types.
-RECORD_OWN_BLOCK = 1
-RECORD_PEER_BLOCK = 2
-RECORD_COMMIT_MARK = 3
+#: The one record type: an encoded block.
+RECORD_BLOCK = 1
 
 
 @dataclass(frozen=True)
@@ -82,17 +84,10 @@ class WriteAheadLog:
         if self._sync:
             os.fsync(self._file.fileno())
 
-    def append_own_block(self, block: Block) -> None:
-        """Persist a block we authored (before broadcasting it)."""
-        self.append(RECORD_OWN_BLOCK, block.encode())
-
-    def append_peer_block(self, block: Block) -> None:
-        """Persist a block accepted into the DAG."""
-        self.append(RECORD_PEER_BLOCK, block.encode())
-
-    def append_commit_mark(self, round_number: int) -> None:
-        """Persist the commit frontier (bounds replay work)."""
-        self.append(RECORD_COMMIT_MARK, round_number.to_bytes(8, "little"))
+    def append_block(self, block: Block) -> None:
+        """Persist a block: an own proposal before it is broadcast, or a
+        block accepted into the DAG."""
+        self.append(RECORD_BLOCK, block.encode())
 
     def close(self) -> None:
         self._file.close()
@@ -137,29 +132,20 @@ class WriteAheadLog:
             offset = end
 
     @classmethod
-    def recover(cls, path: str | Path) -> tuple[list[Block], list[Block], int]:
-        """Replay a log into ``(own blocks, peer blocks, commit round)``.
-
-        Returns all durable own/peer blocks in append order and the
-        highest recorded commit mark (-1 if none).
+    def recover(cls, path: str | Path) -> list[Block]:
+        """Every durable block of a log, in append order.
 
         Raises:
             WalCorruptionError: If a block record's payload is not
                 exactly one block.
         """
-        own: list[Block] = []
-        peers: list[Block] = []
-        commit_round = -1
+        blocks: list[Block] = []
         offset = 0
         for record in cls.read_records(path):
-            if record.record_type == RECORD_OWN_BLOCK:
-                own.append(_decode_block_record(record.payload, offset))
-            elif record.record_type == RECORD_PEER_BLOCK:
-                peers.append(_decode_block_record(record.payload, offset))
-            elif record.record_type == RECORD_COMMIT_MARK:
-                commit_round = max(commit_round, int.from_bytes(record.payload, "little"))
+            if record.record_type == RECORD_BLOCK:
+                blocks.append(_decode_block_record(record.payload, offset))
             offset += _HEADER.size + len(record.payload)
-        return own, peers, commit_round
+        return blocks
 
 
 def _decode_block_record(payload: bytes, offset: int) -> Block:

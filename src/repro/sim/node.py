@@ -285,8 +285,8 @@ class SimValidator:
             empty WAL degenerates to, and reports, ``cold``).
         recover_mode: Restart path, one of
             :data:`~repro.statesync.driver.RECOVER_MODES`.
-        wal: Write-ahead log backing warm restarts: own blocks, peer
-            blocks, and commit marks are appended during operation and
+        wal: Write-ahead log backing warm restarts: every block
+            proposed or accepted is appended during operation and
             replayed on ``recover`` when ``recover_mode`` is ``warm``.
         sync_chunk_blocks: Most blocks this validator serves in one
             deep-fetch response (bounded batches, like a real
@@ -440,11 +440,12 @@ class SimValidator:
         in-memory state**: a fresh core holding only genesis, empty
         mempool and ingress queue (what the old incarnation's ingress
         stage still held is lost with it, and the stage restarts at
-        *now*), no certification or fetch state.  Depending on
-        ``recover_mode`` it then replays its WAL (warm), requests a
-        state-transfer checkpoint (checkpoint), or goes straight to
-        deep fetches from genesis (cold) — see
-        :mod:`repro.statesync.driver` — and resumes proposing once the
+        *now*), no certification or fetch state.  Then it runs the
+        driver's restart sequence,
+        :meth:`~repro.statesync.driver.ValidatorDriver.recover`: depending
+        on ``recover_mode`` it replays its WAL (warm), requests a
+        state-transfer checkpoint (checkpoint), or goes straight to deep
+        fetches from genesis (cold), and resumes proposing once the
         frontier quorum is causally complete.
         """
         if not self.down:
@@ -463,15 +464,12 @@ class SimValidator:
         self._headers.clear()
         self._acks.clear()
         self._consensus_free = 0.0
-        driver = self._driver
-        driver.restart(self.core)
-        replay = driver.replay_wal()
+        replay = self._driver.recover(self.core, self._loop.now)
         if replay is not None:
             # Replay is local CPU work, not network round trips: charge
             # the consensus stage so post-restart messages queue behind
             # it, exactly like a real validator re-indexing its log.
             self._consensus_free = self._loop.now + self._costs.replay_price(replay) * self._slow
-        driver.begin_sync(self._loop.now)
 
     # ------------------------------------------------------------------
     # ValidatorPort: what the driver asks of this host

@@ -3,11 +3,11 @@
 This package is transport-, clock- and coroutine-free.  It holds:
 
 * :class:`~repro.statesync.driver.ValidatorDriver` — the validator step
-  (ingest, paced proposing, commit, epoch exit, with the WAL records
-  and trace instants of each) and the whole restart / re-sync state
-  machine (cold, warm and checkpoint modes, the checkpoint tally and
-  adoption, the chunked deep-fetch chain, pruned-history handling,
-  fetch serving).  The simulator's
+  (ingest, paced proposing, commit, epoch exit, with their WAL block
+  records and trace instants), the one restart sequence both fabrics
+  call (``recover``) and the whole re-sync state machine (cold, warm
+  and checkpoint modes, the checkpoint tally and adoption, the chunked
+  deep-fetch chain, pruned-history handling, fetch serving).  The simulator's
   :class:`~repro.sim.node.SimValidator` and the asyncio runtime's
   :class:`~repro.runtime.node.ValidatorNode` are adaptors implementing
   its four-method :class:`~repro.statesync.driver.ValidatorPort`; they
@@ -37,7 +37,6 @@ from .checkpoint import (
     GENESIS_STATE,
     Checkpoint,
     CommitLedger,
-    best_attested,
     chain_digest,
     digest_executor_state,
 )
@@ -62,7 +61,6 @@ __all__ = [
     "ValidatorPort",
     "WalReplay",
     "ancestor_closure",
-    "best_attested",
     "chain_digest",
     "digest_executor_state",
     "replay_wal",

@@ -34,7 +34,7 @@ from bisect import insort
 from dataclasses import dataclass, field
 from functools import cached_property
 from operator import attrgetter
-from typing import Iterable, Mapping
+from typing import Iterable
 
 from ..block import Block, BlockRef
 from ..committee import CommitteeSchedule
@@ -344,24 +344,3 @@ class CommitLedger:
             # later captures match the ones it would have made had it
             # never crashed.
             self._recent = sorted(checkpoint.linearized, key=_REF_ORDER)
-
-
-def best_attested(
-    votes: Mapping[Digest, tuple[Checkpoint, "set[int]"]], quorum: int
-) -> Checkpoint | None:
-    """The highest-round checkpoint attested by at least ``quorum``
-    distinct responders, or ``None``.
-
-    ``votes`` maps checkpoint id to ``(checkpoint, attesting peers)``.
-    Matching ``2f + 1`` responses guarantees at least ``f + 1`` honest
-    attesters, so an adopted checkpoint reflects the honest committed
-    prefix even with ``f`` Byzantine responders.
-    """
-    eligible = [
-        checkpoint
-        for checkpoint, attesters in votes.values()
-        if len(attesters) >= quorum
-    ]
-    if not eligible:
-        return None
-    return max(eligible, key=lambda c: (c.round, c.checkpoint_id))

@@ -11,8 +11,11 @@ and :class:`ValidatorDriver` is its one implementation:
 * :meth:`~ValidatorDriver.step` — *propose* (not while re-syncing or
   after leaving; paced by the minimum block interval; the own block is
   in the WAL before it is handed back; buffered peer blocks it connects
-  are logged like ingested ones), *commit* (commit mark, commit
-  instants) and *epoch exit*, returned as a plain :class:`Step`.
+  are logged like ingested ones), *commit* (commit instants) and
+  *epoch exit*, returned as a plain :class:`Step`;
+* :meth:`~ValidatorDriver.recover` — the one restart sequence, whichever
+  fabric restarts the validator: bind the new incarnation's fresh core,
+  replay the log in warm mode, enter re-sync in every mode.
 
 The DAG is uncertified, so a block may name parents its receiver does
 not hold yet, and liveness leans on fetching them (Lemma 8).  The driver
@@ -43,10 +46,11 @@ driver sends in turn (fetch and sync responses, the checkpoint exchange,
 the deep-fetch requests) it builds itself and passes to
 :meth:`ValidatorPort.send`.
 
-**The WAL rule.**  Every block accepted from the network is logged,
-own-authored ones included: a restarted validator that fetches its own
-pre-crash blocks back logs them like any other, so a later warm restart
-replays a causally complete DAG instead of fetching them again.
+**The WAL rule.**  The log holds blocks and nothing else: every own
+proposal before it is handed back, and every block accepted from the
+network, own-authored ones included — a restarted validator that fetches
+its own pre-crash blocks back logs them like any other, so a later warm
+restart replays a causally complete DAG instead of fetching them again.
 
 The driver touches no socket, clock, timer or coroutine.  Its host (the
 simulator's :class:`~repro.sim.node.SimValidator`, the runtime's
@@ -156,9 +160,9 @@ class ValidatorDriver:
         tracer=NULL_TRACER,
     ) -> None:
         """``interval`` is the minimum host time between own proposals,
-        ``wal`` the :class:`~repro.runtime.wal.WriteAheadLog` that own
-        blocks, accepted blocks and commit marks go to (``None``: no
-        log); trace events are stamped with ``port.trace_time()``."""
+        ``wal`` the :class:`~repro.runtime.wal.WriteAheadLog` that every
+        block proposed or accepted goes to (``None``: no log); trace
+        events are stamped with ``port.trace_time()``."""
         if recover_mode not in RECOVER_MODES:
             raise ValueError(f"unknown recover_mode {recover_mode!r}; pick one of {RECOVER_MODES}")
         self._port = port
@@ -274,7 +278,7 @@ class ValidatorDriver:
                 synchronizer.note_arrived(new.digest)
         if self.wal is not None:
             for new in accepted:
-                self.wal.append_peer_block(new)
+                self.wal.append_block(new)
         if self.tracer.enabled:
             now = self._port.trace_time()
             for new in accepted:
@@ -314,7 +318,7 @@ class ValidatorDriver:
                 # Own proposals are durable *before* they leave: a warm
                 # restart replays them and never signs a second block
                 # for a round it already used.
-                self.wal.append_own_block(block)
+                self.wal.append_block(block)
             if self.tracer.enabled:
                 _trace.trace_proposal(
                     self.tracer, core.authority, self._port.trace_time(), block
@@ -332,13 +336,8 @@ class ValidatorDriver:
                 self._record_accepted(core.last_connected, core.authority)
                 connected.extend(core.last_connected)
         observations = core.try_commit()
-        if observations:
-            if self.wal is not None:
-                self.wal.append_commit_mark(core.committer.last_finalized_round)
-            if self.tracer.enabled:
-                _trace.trace_commits(
-                    self.tracer, core.authority, self._port.trace_time(), observations
-                )
+        if observations and self.tracer.enabled:
+            _trace.trace_commits(self.tracer, core.authority, self._port.trace_time(), observations)
         if not core.schedule.is_static and self.excluded_by_epoch():
             self.left = True
         return Step(proposed, observations, deadline, recovered_at, connected)
@@ -388,14 +387,22 @@ class ValidatorDriver:
         self._last_proposal = float("-inf")
         self._timer_armed = False
 
-    def replay_wal(self) -> WalReplay | None:
-        """Warm mode: rebuild the DAG and the proposal-round floor from
-        the local log (``None`` in the other modes or without a log)."""
-        if self.recover_mode != "warm" or self.wal is None:
-            return None
-        replay = replay_wal(self.core, self.wal.path)
-        if replay.blocks:
-            self.recovery_mode_used = "warm"
+    def recover(self, core, now: float) -> WalReplay | None:
+        """The restart sequence, at host time ``now``: bind the new
+        incarnation's fresh ``core`` (:meth:`restart`); in warm mode
+        rebuild the DAG and the proposal-round floor from the log; then
+        enter re-sync in every mode, so nothing is proposed until the
+        DAG behind the frontier is rebuilt.  Returns the replay (``None``
+        in the other modes or without a log), which a host may charge
+        as local work."""
+        self.restart(core)
+        replay, detail = None, {}
+        if self.recover_mode == "warm" and self.wal is not None:
+            replay = replay_wal(core, self.wal.path)
+            if replay.blocks:
+                self.recovery_mode_used = "warm"
+                detail["replayed"] = replay.blocks
+        self.begin_sync(now, **detail)
         return replay
 
     def begin_sync(self, now: float, **detail) -> None:
@@ -579,7 +586,7 @@ class ValidatorDriver:
             accepted = self.core.raise_sync_floor(floor)
             if self.wal is not None:
                 for block in accepted:
-                    self.wal.append_peer_block(block)
+                    self.wal.append_block(block)
             return
         detail = (
             "the adopted checkpoint went stale mid-recovery (peers pruned past its round); "

@@ -8,8 +8,9 @@ pieces that do not depend on a transport live here:
 
 * :class:`CheckpointVotes` — the ``CheckpointResponse`` tally that
   surfaces the highest checkpoint attested by ``2f + 1`` distinct peers;
-* :func:`replay_wal` — rebuilds a fresh core from a write-ahead log,
-  restoring the proposal round (the WAL's anti-equivocation guarantee);
+* :func:`replay_wal` — rebuilds a fresh core from a write-ahead log of
+  blocks, restoring the proposal round (the WAL's anti-equivocation
+  guarantee);
 * :func:`ancestor_closure` — the serving side of a chunked deep fetch:
   the requested blocks plus their stored ancestors above the
   requester's floor, lowest rounds first, truncated to a chunk.
@@ -18,17 +19,21 @@ pieces that do not depend on a transport live here:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import attrgetter
 from pathlib import Path
 
 from ..block import Block
 from ..crypto.hashing import Digest
-from .checkpoint import Checkpoint, best_attested
+from .checkpoint import Checkpoint
 
 #: Most blocks served in one deep-fetch response.  A re-syncing
 #: validator's fetch is truncated to the *lowest* rounds of the closure —
 #: it rebuilds the DAG ground-up and re-requests the rest as later
 #: blocks name them.
 SYNC_MAX_BLOCKS = 4096
+#: How checkpoints attested by a quorum rank: the highest round wins,
+#: ties broken by id (so every recoverer picks the same one).
+_RANK = attrgetter("round", "checkpoint_id")
 
 
 def chunk_cap(limit: int) -> int:
@@ -43,27 +48,35 @@ class CheckpointVotes:
 
     A responder attests every checkpoint in its response (it retains the
     last few), so quorums intersect even when peers straddle a couple of
-    capture boundaries.
+    capture boundaries.  Matching ``2f + 1`` responses guarantee at least
+    ``f + 1`` honest attesters, so an adopted checkpoint reflects the
+    honest committed prefix even with ``f`` Byzantine responders.
     """
 
     def __init__(self, quorum: int) -> None:
         self._quorum = quorum
-        # Attesters kept in arrival order: the first responder is the
-        # lowest-latency peer, which is who the suffix fetch should hit.
+        # One table per checkpoint id, its attesters kept in arrival
+        # order: the first responder is the lowest-latency peer, which is
+        # who the suffix fetch should hit.
         self._votes: dict[Digest, tuple[Checkpoint, dict[int, None]]] = {}
+        # Attester counts only grow, so the best quorum-attested
+        # checkpoint only moves up as responses arrive.
+        self._best: Checkpoint | None = None
 
     def add(self, src: int, checkpoints: tuple[Checkpoint, ...]) -> Checkpoint | None:
-        """Record one peer's response; returns the highest checkpoint
-        attested by a quorum so far, or ``None``."""
+        """Record one peer's response; returns the highest-round
+        checkpoint attested by a quorum of distinct peers so far (ties
+        broken by ``checkpoint_id``), or ``None``."""
         for checkpoint in checkpoints:
             entry = self._votes.get(checkpoint.checkpoint_id)
             if entry is None:
                 entry = self._votes[checkpoint.checkpoint_id] = (checkpoint, {})
-            entry[1].setdefault(src)
-        return best_attested(
-            {key: (ckpt, set(srcs)) for key, (ckpt, srcs) in self._votes.items()},
-            self._quorum,
-        )
+            attesters = entry[1]
+            attesters.setdefault(src)
+            best = self._best
+            if len(attesters) >= self._quorum and (best is None or _RANK(checkpoint) > _RANK(best)):
+                self._best = checkpoint
+        return self._best
 
     def attesters(self, checkpoint: Checkpoint) -> tuple[int, ...]:
         """Peers that attested ``checkpoint``, in response-arrival order
@@ -73,6 +86,7 @@ class CheckpointVotes:
 
     def clear(self) -> None:
         self._votes.clear()
+        self._best = None
 
 
 @dataclass(frozen=True)
@@ -82,34 +96,27 @@ class WalReplay:
     blocks: int
     transactions: int
     own_top_round: int
-    commit_round: int
 
 
 def replay_wal(core, path: str | Path) -> WalReplay:
     """Replay a WAL into a fresh validator core.
 
-    Own and peer blocks are ingested in causal (round) order — the
-    core's pending buffer absorbs any stragglers a torn tail left
-    parentless — and the proposal round is floored at the highest
-    own-authored record, so the restarted validator can never equivocate
+    The logged blocks are ingested in causal (round) order — the core's
+    pending buffer absorbs any stragglers a torn tail left parentless —
+    and the proposal round is floored at the highest logged block this
+    validator authored, so the restarted validator can never equivocate
     with blocks it signed before the crash (the WAL's core guarantee).
     """
     from ..runtime.wal import WriteAheadLog
 
-    own, peers, commit_round = WriteAheadLog.recover(path)
-    blocks = sorted(own + peers, key=lambda b: (b.round, b.author, b.digest))
+    blocks = sorted(WriteAheadLog.recover(path), key=lambda b: (b.round, b.author, b.digest))
     transactions = 0
     for block in blocks:
         core.add_block(block)
         transactions += len(block.transactions)
-    own_top = max((b.round for b in own), default=0)
+    own_top = max((b.round for b in blocks if b.author == core.authority), default=0)
     core.restore_own_position(own_top)
-    return WalReplay(
-        blocks=len(blocks),
-        transactions=transactions,
-        own_top_round=own_top,
-        commit_round=commit_round,
-    )
+    return WalReplay(blocks=len(blocks), transactions=transactions, own_top_round=own_top)
 
 
 def ancestor_closure(store, blocks: list[Block], floor: int, limit: int) -> list[Block]:

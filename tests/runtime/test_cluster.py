@@ -6,13 +6,18 @@ recovery via the WAL works, and the synchronizer repairs gaps.
 """
 
 import asyncio
+import json
+import time
 from types import SimpleNamespace
 
 import pytest
 
+from repro.block import Block, make_genesis
 from repro.config import ProtocolConfig
 from repro.crypto.schnorr import SchnorrSignatureScheme
-from repro.runtime.cluster import LocalCluster
+from repro.obs.trace import BLOCK_PROPOSED, Tracer
+from repro.runtime.cluster import Deployment, LocalCluster
+from repro.statesync import RECOVER_MODES
 from repro.transaction import Transaction
 
 
@@ -119,7 +124,7 @@ class TestCrashRecovery:
             recovered_round = node.core.round
             fresh = LocalCluster(n=4, wal_dir=tmp_path)
             restarted = fresh.nodes[0]
-            restarted._recover()
+            restarted.recover()
             restarted._step()  # syncing: proposes nothing, commits the replayed DAG
             assert restarted.core.round >= recovered_round
             assert restarted.core.store.highest_round >= recovered_round
@@ -147,7 +152,7 @@ class TestCrashRecovery:
 
             fresh = LocalCluster(n=4, wal_dir=tmp_path)
             restarted = fresh.nodes[2]
-            restarted._recover()
+            restarted.recover()
             block = restarted.core.maybe_propose()
             if block is not None:
                 assert block.round > logged_round
@@ -246,6 +251,53 @@ class TestRecoveryModes:
         run(scenario())
 
 
+@pytest.mark.slow
+@pytest.mark.parametrize("mode", RECOVER_MODES)
+def test_a_restarted_incarnation_resyncs_before_it_signs(tmp_path, monkeypatch, mode):
+    """Regression: a cold :meth:`LocalCluster.restart` never entered
+    re-sync, so the new incarnation proposed from round 1 at once and
+    signed a second, different block for a round its predecessor had
+    signed (an equivocation).  In every mode the restart now runs the
+    driver's one restart sequence: ``recovery_started`` comes before the
+    first proposal, no round signed before the crash is signed again,
+    and ``recovery_time`` counts from the restart."""
+    tracer = Tracer()
+    build = Deployment.node
+    monkeypatch.setattr(
+        Deployment, "node", lambda self, *a, **kw: build(self, *a, tracer=tracer, **kw)
+    )
+    config = ProtocolConfig(wave_length=5, leaders_per_round=2, checkpoint_interval_rounds=10)
+
+    def own(events, name):
+        return [e for e in events if e.validator == 3 and e.name == name]
+
+    async def scenario():
+        async with LocalCluster(n=4, config=config, wal_dir=tmp_path) as cluster:
+            # A transaction in every round-1 block: a re-signed round 1
+            # would differ from the first.
+            for v in range(4):
+                cluster.submit(Transaction.dummy(100 + v), validator=v)
+            await cluster.wait_for_commits(10)
+            await cluster.nodes[3].stop()
+            signed = {e.args["round"] for e in own(tracer.events, BLOCK_PROPOSED)}
+            await _survivors_ahead_of(cluster, cluster.nodes[3])
+            since, restarted_at = len(tracer.events), time.time()
+            node = await cluster.restart(3, recover_mode=mode)
+            await _wait(lambda: node.recovery_time is not None, timeout=30)
+            assert node.recovery_error is None
+            return signed, restarted_at, node.recovery_time, tracer.events[since:]
+
+    signed, restarted_at, recovery_time, events = run(scenario())
+    started = own(events, "recovery_started")
+    proposals = own(events, BLOCK_PROPOSED)
+    assert 1 in signed and proposals
+    assert started and started[0].ts < proposals[0].ts
+    assert not signed & {e.args["round"] for e in proposals}
+    assert started[0].args["mode"] == mode
+    until_proposal = proposals[0].ts - restarted_at
+    assert until_proposal - 0.1 <= recovery_time <= until_proposal + 0.005
+
+
 async def _wait(condition, timeout: float = 20.0):
     async def poll():
         while not condition():
@@ -335,6 +387,71 @@ def test_spawn_closes_its_copy_of_the_stderr_log(tmp_path, monkeypatch):
     process_cluster.ProcessCluster(4, run_dir=tmp_path).spawn(1)
     [stderr] = handed
     assert stderr.name.endswith("stderr-1.log") and stderr.closed
+
+
+def test_a_respawn_or_a_joiner_runs_the_restart_sequence(tmp_path, monkeypatch):
+    """What a spawned process is told: a genesis member's first
+    incarnation boots with ``start()``; a respawn, and a joiner coming
+    online, call ``recover()`` first."""
+    from repro.runtime import process_cluster
+
+    monkeypatch.setattr(
+        process_cluster.subprocess, "Popen", lambda *a, **kw: SimpleNamespace(poll=lambda: 0)
+    )
+    cluster = process_cluster.ProcessCluster(4, run_dir=tmp_path, provisioned=5)
+
+    def recovers(validator, **options):
+        cluster.spawn(validator, **options)
+        return json.loads((tmp_path / f"spec-{validator}.json").read_text())["recover"]
+
+    assert not recovers(1)
+    assert recovers(1, recover_mode="cold")
+    assert recovers(4, recover_mode="checkpoint")
+
+
+def test_a_commit_is_stamped_when_observed_not_at_the_next_status():
+    """Regression: the validator process stamped a commit's latency only
+    when its status publication drained the commit queue, every
+    ``STATUS_INTERVAL`` (0.2 s), rounding every latency up by as much as
+    that.  The recorder stamps it as soon as the commit is observed."""
+    from repro.runtime import process_cluster
+
+    class Log(list):
+        def write(self, line):
+            self.append(line)
+
+        def flush(self):
+            pass
+
+    parents = tuple(b.reference for b in make_genesis(4))
+
+    def block(tx_id, submitted_at):
+        tx = Transaction.dummy(tx_id, submitted_at=submitted_at)
+        return Block(author=0, round=1, parents=parents, transactions=(tx,))
+
+    async def scenario():
+        ledger = SimpleNamespace(sequence_length=0)
+        node = SimpleNamespace(
+            commits=asyncio.Queue(), core=SimpleNamespace(committer=SimpleNamespace(ledger=ledger))
+        )
+        log = Log()
+        recorder = process_cluster._CommitRecorder(node, log)
+        task = asyncio.create_task(recorder.run())
+        try:
+            for tx_id in (1, 2):
+                committed = block(tx_id, time.time() - 0.05)
+                ledger.sequence_length += 1
+                node.commits.put_nowait(SimpleNamespace(linearized=(committed,)))
+                await asyncio.sleep(0)  # one turn of the loop, well inside 0.2 s
+                assert log[-1] == f"{tx_id - 1} {committed.digest.hex()}\n"
+        finally:
+            task.cancel()
+        return recorder
+
+    recorder = asyncio.run(asyncio.wait_for(scenario(), timeout=5))
+    assert recorder.logged == 2
+    assert all(0.05 <= latency < 0.1 for latency in recorder.latencies)
+    assert len(recorder.latencies) == 2
 
 
 @pytest.mark.slow

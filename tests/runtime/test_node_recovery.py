@@ -84,6 +84,7 @@ def test_full_capped_chunk_continues_the_resync(monkeypatch):
 
     async def scenario():
         node, transport = make_node("checkpoint", sync_chunk_blocks=10_000, interval=2)
+        node.recover()
         await node.start()
         try:
             assert any(isinstance(m, CheckpointRequest) for _, m in transport.sent)
@@ -202,9 +203,9 @@ def test_own_blocks_fetched_back_after_a_cold_restart_are_logged(tmp_path):
             await node.stop()
 
     asyncio.run(asyncio.wait_for(scenario(), timeout=30))
-    own, peers, _ = WriteAheadLog.recover(path)
-    assert [b.round for b in own] == [1, 31]
-    assert sorted(b.round for b in peers if b.author == 3) == list(range(2, 31))
+    logged = WriteAheadLog.recover(path)
+    # Round 1 proposed, rounds 2-30 fetched back, round 31 proposed.
+    assert [b.round for b in logged if b.author == 3] == [1, *range(2, 31), 31]
     # A warm restart from that log: nothing left pending.
     restarted = make_core(3, interval=2)
     replay = replay_wal(restarted, path)
@@ -212,14 +213,13 @@ def test_own_blocks_fetched_back_after_a_cold_restart_are_logged(tmp_path):
     assert replay.own_top_round == 31 and restarted.round == 31
     # Had it crashed just before proposing round 31, its newest own
     # block would be a fetched-back one: the proposal round is floored
-    # at it whichever record type it was logged under.
+    # at it, the highest logged block it authored.
     earlier = tmp_path / "crashed-before-31.wal"
     with WriteAheadLog(earlier) as log:
-        log.append_own_block(own[0])
-        for block in peers:
-            log.append_peer_block(block)
+        for block in logged[:-1]:
+            log.append_block(block)
     restarted = make_core(3, interval=2)
-    assert replay_wal(restarted, earlier).own_top_round == 1
+    assert replay_wal(restarted, earlier).own_top_round == 30
     assert restarted.round == 30 and restarted.maybe_propose().round == 31
 
 
@@ -247,7 +247,7 @@ def test_warm_restart_over_a_log_of_batch_backed_blocks(tmp_path):
 
     second_life = LocalCluster(4, wal_dir=tmp_path, seed=5)
     restarted = second_life.nodes[2]
-    restarted._recover()
+    restarted.recover()
     store = restarted.core.store
     assert restarted.core.pending_count == 0
     assert {b.digest for b in store if b.round > 0} == set(logged)

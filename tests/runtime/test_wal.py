@@ -6,12 +6,7 @@ import pytest
 
 from repro.block import Block, make_genesis
 from repro.errors import WalCorruptionError
-from repro.runtime.wal import (
-    RECORD_OWN_BLOCK,
-    RECORD_PEER_BLOCK,
-    WalRecord,
-    WriteAheadLog,
-)
+from repro.runtime.wal import RECORD_BLOCK, WalRecord, WriteAheadLog
 from repro.transaction import Transaction, encode_transactions
 
 
@@ -19,25 +14,21 @@ class TestAppendAndRead:
     def test_records_roundtrip(self, tmp_path):
         path = tmp_path / "test.wal"
         with WriteAheadLog(path) as wal:
-            wal.append(RECORD_OWN_BLOCK, b"payload-1")
-            wal.append(RECORD_PEER_BLOCK, b"payload-2")
+            wal.append(RECORD_BLOCK, b"payload-1")
+            wal.append(RECORD_BLOCK, b"payload-2")
         records = list(WriteAheadLog.read_records(path))
         assert records == [
-            WalRecord(RECORD_OWN_BLOCK, b"payload-1"),
-            WalRecord(RECORD_PEER_BLOCK, b"payload-2"),
+            WalRecord(RECORD_BLOCK, b"payload-1"),
+            WalRecord(RECORD_BLOCK, b"payload-2"),
         ]
 
     def test_blocks_roundtrip(self, tmp_path):
         path = tmp_path / "blocks.wal"
         genesis = make_genesis(4)
         with WriteAheadLog(path) as wal:
-            wal.append_own_block(genesis[0])
-            wal.append_peer_block(genesis[1])
-            wal.append_commit_mark(17)
-        own, peers, commit = WriteAheadLog.recover(path)
-        assert own == [genesis[0]]
-        assert peers == [genesis[1]]
-        assert commit == 17
+            wal.append_block(genesis[0])
+            wal.append_block(genesis[1])
+        assert WriteAheadLog.recover(path) == [genesis[0], genesis[1]]
 
     def test_missing_file_yields_nothing(self, tmp_path):
         assert list(WriteAheadLog.read_records(tmp_path / "absent.wal")) == []
@@ -45,27 +36,18 @@ class TestAppendAndRead:
     def test_append_after_reopen(self, tmp_path):
         path = tmp_path / "reopen.wal"
         with WriteAheadLog(path) as wal:
-            wal.append(RECORD_OWN_BLOCK, b"first")
+            wal.append(RECORD_BLOCK, b"first")
         with WriteAheadLog(path) as wal:
-            wal.append(RECORD_OWN_BLOCK, b"second")
+            wal.append(RECORD_BLOCK, b"second")
         payloads = [r.payload for r in WriteAheadLog.read_records(path)]
         assert payloads == [b"first", b"second"]
-
-    def test_highest_commit_mark_wins(self, tmp_path):
-        path = tmp_path / "marks.wal"
-        with WriteAheadLog(path) as wal:
-            wal.append_commit_mark(5)
-            wal.append_commit_mark(9)
-            wal.append_commit_mark(7)
-        _, _, commit = WriteAheadLog.recover(path)
-        assert commit == 9
 
 
 class TestCrashTolerance:
     def write_then_truncate(self, path, cut):
         with WriteAheadLog(path) as wal:
-            wal.append(RECORD_OWN_BLOCK, b"intact-record")
-            wal.append(RECORD_PEER_BLOCK, b"doomed-record")
+            wal.append(RECORD_BLOCK, b"intact-record")
+            wal.append(RECORD_BLOCK, b"doomed-record")
         data = path.read_bytes()
         path.write_bytes(data[:-cut])
 
@@ -84,8 +66,8 @@ class TestCrashTolerance:
     def test_corrupt_crc_discarded(self, tmp_path):
         path = tmp_path / "flipped.wal"
         with WriteAheadLog(path) as wal:
-            wal.append(RECORD_OWN_BLOCK, b"good")
-            wal.append(RECORD_OWN_BLOCK, b"bad-crc")
+            wal.append(RECORD_BLOCK, b"good")
+            wal.append(RECORD_BLOCK, b"bad-crc")
         data = bytearray(path.read_bytes())
         data[-1] ^= 0xFF  # flip a payload byte of the last record
         path.write_bytes(bytes(data))
@@ -95,7 +77,7 @@ class TestCrashTolerance:
     def test_corrupt_crc_strict_raises(self, tmp_path):
         path = tmp_path / "flipped.wal"
         with WriteAheadLog(path) as wal:
-            wal.append(RECORD_OWN_BLOCK, b"payload")
+            wal.append(RECORD_BLOCK, b"payload")
         data = bytearray(path.read_bytes())
         data[-1] ^= 0xFF
         path.write_bytes(bytes(data))
@@ -105,7 +87,7 @@ class TestCrashTolerance:
     def test_recovery_after_partial_header(self, tmp_path):
         path = tmp_path / "header.wal"
         with WriteAheadLog(path) as wal:
-            wal.append(RECORD_OWN_BLOCK, b"complete")
+            wal.append(RECORD_BLOCK, b"complete")
         with open(path, "ab") as handle:
             handle.write(b"\x05\x00")  # 2 bytes of a 9-byte header
         records = list(WriteAheadLog.read_records(path))
@@ -117,9 +99,9 @@ class TestCrashTolerance:
         unreachable (record boundaries cannot be re-synchronized)."""
         path = tmp_path / "mid.wal"
         with WriteAheadLog(path) as wal:
-            wal.append(RECORD_OWN_BLOCK, b"first")
-            wal.append(RECORD_PEER_BLOCK, b"second")
-            wal.append(RECORD_PEER_BLOCK, b"third")
+            wal.append(RECORD_BLOCK, b"first")
+            wal.append(RECORD_BLOCK, b"second")
+            wal.append(RECORD_BLOCK, b"third")
         data = bytearray(path.read_bytes())
         # Flip a byte inside the *second* record's payload.
         offset = data.index(b"second")
@@ -133,7 +115,7 @@ class TestCrashTolerance:
     def test_strict_reports_offset_of_damage(self, tmp_path):
         path = tmp_path / "offsets.wal"
         with WriteAheadLog(path) as wal:
-            wal.append(RECORD_OWN_BLOCK, b"x" * 10)
+            wal.append(RECORD_BLOCK, b"x" * 10)
         intact = path.read_bytes()
         path.write_bytes(intact[:-3])
         with pytest.raises(WalCorruptionError, match="truncated record at offset 0"):
@@ -142,8 +124,8 @@ class TestCrashTolerance:
     def test_strict_accepts_clean_log(self, tmp_path):
         path = tmp_path / "clean.wal"
         with WriteAheadLog(path) as wal:
-            wal.append(RECORD_OWN_BLOCK, b"a")
-            wal.append(RECORD_PEER_BLOCK, b"b")
+            wal.append(RECORD_BLOCK, b"a")
+            wal.append(RECORD_BLOCK, b"b")
         records = list(WriteAheadLog.read_records(path, strict=True))
         assert [r.payload for r in records] == [b"a", b"b"]
 
@@ -170,18 +152,14 @@ class TestRecoverMixedSizes:
         peers = [self.mixed_block(author, 1, parents) for author in (1, 2)]
         path = tmp_path / "mixed.wal"
         with WriteAheadLog(path) as wal:
-            wal.append_own_block(own)
-            for block in peers:
-                wal.append_peer_block(block)
-            wal.append_commit_mark(1)
-        recovered_own, recovered_peers, commit = WriteAheadLog.recover(path)
-        assert recovered_own == [own]
-        assert recovered_peers == peers
-        assert commit == 1
+            for block in (own, *peers):
+                wal.append_block(block)
+        recovered = WriteAheadLog.recover(path)
+        assert recovered == [own, *peers]
         # Digests (and hence DAG identity) survive the round trip, and
         # so do the heterogeneous payload sizes.
-        assert [b.digest for b in recovered_peers] == [b.digest for b in peers]
-        for original, replayed in zip([own, *peers], recovered_own + recovered_peers):
+        assert [b.digest for b in recovered] == [b.digest for b in (own, *peers)]
+        for original, replayed in zip([own, *peers], recovered):
             assert [t.size for t in replayed.transactions] == [
                 t.size for t in original.transactions
             ]
@@ -193,14 +171,11 @@ class TestRecoverMixedSizes:
         doomed = self.mixed_block(1, 1, parents)
         path = tmp_path / "torn-mixed.wal"
         with WriteAheadLog(path) as wal:
-            wal.append_own_block(intact)
-            wal.append_peer_block(doomed)
+            wal.append_block(intact)
+            wal.append_block(doomed)
         data = path.read_bytes()
         path.write_bytes(data[:-100])  # tear mid-way through the tail block
-        own, peers, commit = WriteAheadLog.recover(path)
-        assert own == [intact]
-        assert peers == []
-        assert commit == -1
+        assert WriteAheadLog.recover(path) == [intact]
 
 
 class TestRefusesWhatItCannotRead:
@@ -231,15 +206,14 @@ class TestRefusesWhatItCannotRead:
         return wire.replace(section, interleaved)
 
     def log(self, path, *block_records: bytes) -> int:
-        """A log of a valid own block, a commit mark, then ``block_records``
-        as peer blocks; returns the offset of the first of those."""
+        """A log of a valid block, then ``block_records``; returns the
+        offset of the first of those."""
         with WriteAheadLog(path) as wal:
-            wal.append_own_block(self.payload_block())
-            wal.append_commit_mark(1)
+            wal.append_block(self.payload_block())
         offset = path.stat().st_size
         with WriteAheadLog(path) as wal:
             for record in block_records:
-                wal.append(RECORD_PEER_BLOCK, record)
+                wal.append(RECORD_BLOCK, record)
         return offset
 
     def test_a_log_in_the_interleaved_layout_is_refused(self, tmp_path):
@@ -258,5 +232,4 @@ class TestRefusesWhatItCannotRead:
         path = tmp_path / "torn.wal"
         self.log(path, self.interleaved_record(self.payload_block(1)))
         path.write_bytes(path.read_bytes()[:-5])
-        own, peers, commit = WriteAheadLog.recover(path)
-        assert own == [self.payload_block()] and peers == [] and commit == 1
+        assert WriteAheadLog.recover(path) == [self.payload_block()]

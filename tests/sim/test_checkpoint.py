@@ -230,12 +230,12 @@ class TestCheckpointVotes:
 class TestWalReplayHelpers:
     def test_replay_cost_scales_with_blocks(self):
         costs = CostModel(model_cpu=True)
-        replay = WalReplay(blocks=100, transactions=500, own_top_round=9, commit_round=5)
+        replay = WalReplay(blocks=100, transactions=500, own_top_round=9)
         cost = costs.replay_price(replay)
         assert cost > 0
         assert cost < costs.block_base_cost * 100 + costs.tx_consensus_cost * 500
         assert CostModel().replay_price(replay) == 0.0
-        empty = WalReplay(blocks=0, transactions=0, own_top_round=0, commit_round=-1)
+        empty = WalReplay(blocks=0, transactions=0, own_top_round=0)
         assert costs.replay_price(empty) == 0.0
 
     def test_replay_restores_round_floor(self, tmp_path):
@@ -248,12 +248,8 @@ class TestWalReplayHelpers:
         path = tmp_path / "own.wal"
         with WriteAheadLog(path) as wal:
             for block in cores[0].store:
-                if block.round == 0:
-                    continue
-                if block.author == 0:
-                    wal.append_own_block(block)
-                else:
-                    wal.append_peer_block(block)
+                if block.round > 0:
+                    wal.append_block(block)
         fresh = make_core(0)
         replay = replay_wal(fresh, path)
         assert replay.blocks == len(cores[0].store) - 4  # genesis excluded

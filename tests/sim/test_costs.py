@@ -201,7 +201,7 @@ class TestPricesAsBefore:
     def test_an_ingress_arrival_and_a_wal_replay(self, case):
         costs = CASES[case]
         assert (costs.ingress_price(), costs.ingress_price(3.0)) == INGRESS[case]
-        replays = (WalReplay(100, 500, 9, 5), WalReplay(3, 0, 9, 5))
+        replays = (WalReplay(100, 500, 9), WalReplay(3, 0, 9))
         assert tuple(map(costs.replay_price, replays)) == REPLAY[case]
         off = dataclasses.replace(costs, model_cpu=False)
         assert off.ingress_price() is None and off.replay_price(replays[0]) == 0.0

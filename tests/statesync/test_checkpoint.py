@@ -27,8 +27,8 @@ from repro.dag.store import DagStore
 from repro.statesync import (
     GENESIS_STATE,
     Checkpoint,
+    CheckpointVotes,
     CommitLedger,
-    best_attested,
     chain_digest,
     digest_executor_state,
 )
@@ -100,25 +100,50 @@ class TestChainDigest:
         assert digest_executor_state(3, root) == digest_executor_state(3, root)
 
 
-class TestBestAttested:
+class TestCheckpointVotes:
+    """The tally a checkpoint recovery adopts from: the highest-round
+    checkpoint a quorum of distinct peers attested."""
+
     def test_requires_quorum(self):
+        votes = CheckpointVotes(quorum=3)
         checkpoint = make_checkpoint()
-        votes = {checkpoint.checkpoint_id: (checkpoint, {1, 2})}
-        assert best_attested(votes, quorum=3) is None
-        votes[checkpoint.checkpoint_id][1].add(3)
-        assert best_attested(votes, quorum=3) == checkpoint
+        assert votes.add(1, (checkpoint,)) is None
+        assert votes.add(2, (checkpoint,)) is None
+        assert votes.add(2, (checkpoint,)) is None  # one peer attests once
+        assert votes.add(3, (checkpoint,)) == checkpoint
 
     def test_highest_attested_round_wins(self):
         low, high = make_checkpoint(round_number=4), make_checkpoint(round_number=8)
-        votes = {
-            low.checkpoint_id: (low, {1, 2, 3, 4}),
-            high.checkpoint_id: (high, {2, 3, 4}),
-        }
-        assert best_attested(votes, quorum=3) == high
-        # A higher round attested below quorum does not win.
-        higher = make_checkpoint(round_number=12)
-        votes[higher.checkpoint_id] = (higher, {5})
-        assert best_attested(votes, quorum=3) == high
+        votes = CheckpointVotes(quorum=3)
+        for peer in (1, 2, 3):
+            votes.add(peer, (low,))
+        assert votes.add(4, (high, low)) == low
+        for peer in (2, 3):
+            best = votes.add(peer, (high,))
+        assert best == high
+        # A higher round attested below quorum does not win, and a lower
+        # one reaching quorum later does not displace it.
+        higher, lower = make_checkpoint(round_number=12), make_checkpoint(round_number=2)
+        assert votes.add(5, (higher,)) == high
+        for peer in (1, 2, 3):
+            best = votes.add(peer, (lower,))
+        assert best == high
+
+    def test_ties_break_by_checkpoint_id(self):
+        """Two checkpoints of one round, both quorum-attested (a faulty
+        responder cannot make that happen alone, but the choice must
+        still be the same on every recoverer): the larger id wins,
+        whichever reached quorum first."""
+        twins = sorted(
+            (make_checkpoint(length=12), make_checkpoint(length=13)),
+            key=lambda c: c.checkpoint_id,
+        )
+        for order in (twins, twins[::-1]):
+            votes = CheckpointVotes(quorum=3)
+            for checkpoint in order:
+                for peer in (1, 2, 3):
+                    best = votes.add(peer, (checkpoint,))
+            assert best == twins[1]
 
 
 def make_core(authority=0, n=4, interval=0, gc=0, committer_factory=Committer):

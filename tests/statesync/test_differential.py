@@ -1,11 +1,12 @@
 """Differential tests: one scripted scenario, two fabrics, one driver.
 
-*Recovery* — crash, let the committee run ahead, restart in checkpoint
-mode, sync the suffix in small chunks, propose again — runs through the
-simulator's :class:`SimValidator` and through the runtime's
-:class:`ValidatorNode` over the in-memory transport.  Both are adaptors
-of one :class:`ValidatorDriver`, so the restarted validator must walk
-the same ordered sequence of driver transitions on both (observed
+*Recovery* — crash, let the committee run ahead, restart in each of the
+three modes (cold, warm, checkpoint), sync in small chunks, propose
+again — runs through the simulator's :class:`SimValidator` and through
+the runtime's :class:`ValidatorNode` over the in-memory transport.  Both
+are adaptors of one :class:`ValidatorDriver` and restart through its one
+restart sequence, so the restarted validator must walk the same ordered
+sequence of driver transitions on both, from the restart on (observed
 through the shared trace instants; the *number* of chunks depends on
 each fabric's timing, the order of transitions does not).
 
@@ -63,6 +64,7 @@ from repro.sim.events import EventLoop
 from repro.sim.latency import UniformLatencyModel
 from repro.sim.network import Message, SimNetwork
 from repro.sim.node import SimValidator
+from repro.statesync import RECOVER_MODES
 from repro.statesync import driver as driver_module
 from repro.statesync import replay_wal
 from repro.statesync import synchronizer as synchronizer_module
@@ -81,28 +83,30 @@ COMMITTEE = Committee.of_size(N)
 COIN = FastCoin(seed=b"differential", n=N, threshold=COMMITTEE.quorum_threshold)
 CONFIG = ProtocolConfig(wave_length=5, leaders_per_round=2, checkpoint_interval_rounds=4)
 
-EXPECTED = [
-    ("recovery_started", "checkpoint"),
-    ("checkpoint_adopted", None),
-    ("sync_requested", None),
-    ("sync_finished", "checkpoint"),
-    (BLOCK_PROPOSED, None),
-]
+#: The driver transitions of a restart, per recovery mode.
+EXPECTED = {
+    mode: [
+        ("recovery_started", mode),
+        *([("checkpoint_adopted", None)] if mode == "checkpoint" else []),
+        ("sync_requested", None),
+        ("sync_finished", mode),
+        (BLOCK_PROPOSED, None),
+    ]
+    for mode in RECOVER_MODES
+}
 
 
-def transitions(tracer):
-    """The victim's driver transitions from its restart to its first
-    proposal, with runs of one transition collapsed; also how many
-    chunks it asked for."""
+def transitions(tracer, since):
+    """The victim's driver transitions from its restart (the tracer's
+    event ``since``) to its first proposal, with runs of one transition
+    collapsed; also how many chunks it asked for."""
     sequence = []
     chunks = 0
-    for event in tracer.events:
+    for event in tracer.events[since:]:
         if event.validator != VICTIM:
             continue
         if event.name not in SYNC_TRANSITIONS and event.name != BLOCK_PROPOSED:
             continue
-        if not sequence and event.name != "recovery_started":
-            continue  # the first incarnation's proposals
         chunks += event.name == "sync_requested"
         step = (event.name, (event.args or {}).get("mode"))
         if not sequence or sequence[-1] != step:
@@ -112,10 +116,13 @@ def transitions(tracer):
     return sequence, chunks
 
 
-def run_simulator():
+def run_simulator(mode, wal_path):
+    """The recovery scenario on the simulator: ``(tracer, restarted
+    validator, tracer event at its restart)``."""
     loop = EventLoop()
     network = SimNetwork(loop, UniformLatencyModel(0.02), N, seed=1)
     tracer = Tracer()
+    wal = WriteAheadLog(wal_path)
 
     def core(i):
         return MahiMahiCore(i, COMMITTEE, CONFIG, COIN)
@@ -127,7 +134,8 @@ def run_simulator():
             loop,
             min_block_interval=0.05,
             core_factory=lambda i=i: core(i),
-            recover_mode="checkpoint",
+            recover_mode=mode,
+            wal=wal if i == VICTIM else None,
             sync_chunk_blocks=CHUNK,
             tracer=tracer,
         )
@@ -137,30 +145,36 @@ def run_simulator():
     for node in nodes:
         node.start()
     loop.schedule_at(2.0, nodes[VICTIM].crash)
+    restarted_at = []
 
     def restart():
+        restarted_at.append(len(tracer.events))
         nodes[VICTIM].recover()
         nodes[VICTIM].start()
 
     loop.schedule_at(5.0, restart)
     loop.run_until(8.0)
+    nodes[VICTIM].close()
     assert nodes[VICTIM].core.total_proposed > 0
-    return tracer, nodes[VICTIM]
+    return tracer, nodes[VICTIM], restarted_at[0]
 
 
-async def run_runtime():
+async def run_runtime(mode, wal_path):
+    """The same on the runtime: its genesis nodes boot with a plain
+    ``start()``, the new incarnation with ``recover()`` first."""
     hub = MemoryHub()
     tracer = Tracer()
 
-    def make(i, recover_mode="cold"):
+    def make(i):
         return ValidatorNode(
             i,
             COMMITTEE,
             CONFIG,
             COIN,
             MemoryTransport(i, hub),
+            wal_path=wal_path if i == VICTIM else None,
             min_block_interval=0.02,
-            recover_mode=recover_mode,
+            recover_mode=mode,
             sync_chunk_blocks=CHUNK,
             tracer=tracer,
         )
@@ -177,29 +191,46 @@ async def run_runtime():
         await nodes[VICTIM].stop()
         crashed_at = nodes[0].core.round
         await until(lambda: nodes[0].core.round > crashed_at + 40)
-        nodes[VICTIM] = make(VICTIM, "checkpoint")
+        restarted_at = len(tracer.events)
+        nodes[VICTIM] = make(VICTIM)
+        nodes[VICTIM].recover()
         await nodes[VICTIM].start()
         await until(lambda: nodes[VICTIM].recovery_time is not None)
     finally:
         await asyncio.gather(*(node.stop() for node in nodes))
-    return tracer, nodes[VICTIM]
+    return tracer, nodes[VICTIM], restarted_at
 
 
 @pytest.fixture(scope="module")
-def runs():
-    """``(tracer, restarted validator)`` per fabric, simulator first."""
-    return run_simulator(), asyncio.run(asyncio.wait_for(run_runtime(), timeout=60))
+def runs(tmp_path_factory):
+    """Per recovery mode, run on first use: ``(tracer, restarted
+    validator, tracer event at its restart)`` per fabric, simulator
+    first."""
+    done = {}
+
+    def run(mode):
+        if mode not in done:
+            directory = tmp_path_factory.mktemp(f"recovery-{mode}")
+            done[mode] = (
+                run_simulator(mode, directory / "sim.wal"),
+                asyncio.run(asyncio.wait_for(run_runtime(mode, directory / "rt.wal"), 60)),
+            )
+        return done[mode]
+
+    return run
 
 
-def test_both_fabrics_walk_the_same_recovery_transitions(runs):
-    (sim_tracer, sim_node), (rt_tracer, rt_node) = runs
-    sim_sequence, sim_chunks = transitions(sim_tracer)
-    rt_sequence, rt_chunks = transitions(rt_tracer)
-    assert sim_sequence == rt_sequence == EXPECTED
-    # Both really synced the suffix chunk by chunk.
+@pytest.mark.parametrize("mode", RECOVER_MODES)
+def test_both_fabrics_walk_the_same_recovery_transitions(runs, mode):
+    (sim_tracer, sim_node, sim_since), (rt_tracer, rt_node, rt_since) = runs(mode)
+    sim_sequence, sim_chunks = transitions(sim_tracer, sim_since)
+    rt_sequence, rt_chunks = transitions(rt_tracer, rt_since)
+    assert sim_sequence == rt_sequence == EXPECTED[mode]
+    # Both really synced chunk by chunk.
     assert sim_chunks >= 2 and rt_chunks >= 2
 
-    assert sim_node.checkpoint_adoptions == rt_node.checkpoint_adoptions == 1
+    adoptions = int(mode == "checkpoint")
+    assert sim_node.checkpoint_adoptions == rt_node.checkpoint_adoptions == adoptions
     assert not sim_node.syncing and not rt_node.syncing
     assert rt_node.recovery_error is None
 
@@ -208,7 +239,7 @@ def test_proposal_instants_share_one_track(runs):
     """``tx_included`` rides the ``consensus`` track next to its block's
     ``block_proposed`` on both fabrics (the runtime used to file it
     under ``ingress``)."""
-    for tracer, _ in runs:
+    for tracer, _, _ in runs("checkpoint"):
         proposal = [e for e in tracer.events if e.name in (TX_INCLUDED, BLOCK_PROPOSED)]
         assert {e.name for e in proposal} == {TX_INCLUDED, BLOCK_PROPOSED}
         assert {e.subsystem for e in proposal} == {"consensus"}
@@ -371,9 +402,10 @@ def test_peer_blocks_connected_by_an_own_proposal_are_logged_on_both_fabrics(tmp
     arrival = sorted(peers, key=lambda b: (-b.round, b.author))
 
     def check(path, tracer, core):
-        own, logged, _ = WriteAheadLog.recover(path)
-        assert [b.round for b in own] == [1, 2, 3, 4, 5]
-        assert sorted(logged, key=lambda b: (b.round, b.author)) == peers
+        logged = WriteAheadLog.recover(path)
+        assert [b.round for b in logged if b.author == 3] == [1, 2, 3, 4, 5]
+        logged_peers = [b for b in logged if b.author != 3]
+        assert sorted(logged_peers, key=lambda b: (b.round, b.author)) == peers
         received = [e.args for e in tracer.events if e.name == BLOCK_RECEIVED]
         assert sorted((a["round"], a["author"]) for a in received) == [
             (b.round, b.author) for b in peers
@@ -539,6 +571,7 @@ async def trace_through_runtime(inbound, sends):
         recover_mode="checkpoint",
         sync_chunk_blocks=TRACE_CHUNK,
     )
+    victim.recover()
     await victim.start()
     try:
         for sender, message in inbound:

@@ -113,17 +113,15 @@ class TestModeSelection:
 
     def test_cold_waits_for_a_block_to_report_missing_ancestors(self, tmp_path):
         driver, port = make_driver("cold", wal=WriteAheadLog(tmp_path / "unused.wal"))
-        assert driver.replay_wal() is None  # cold never reads the log
-        driver.begin_sync(now=7.0)
+        assert driver.recover(make_core(3), now=7.0) is None  # cold never reads the log
         assert driver.syncing and driver.recovered_at == 7.0
         assert port.instants == [("recovery_started", {"mode": "cold"})]
         assert port.checkpoint_requests == 0 and not port.sync_requests
 
     def test_warm_with_empty_wal_degenerates_to_cold(self, tmp_path):
         driver, port = make_driver("warm", wal=WriteAheadLog(tmp_path / "empty.wal"))
-        replay = driver.replay_wal()
-        assert replay.blocks == 0
-        driver.begin_sync(now=0.0)
+        replay = driver.recover(make_core(3), now=0.0)
+        assert replay.blocks == 0 and driver.syncing
         assert driver.recovery_mode_used == "cold"
         assert port.instants == [("recovery_started", {"mode": "cold"})]
 
@@ -131,20 +129,21 @@ class TestModeSelection:
         source = history(6)[3]
         wal = WriteAheadLog(tmp_path / "v3.wal")
         for block in suffix(source):
-            (wal.append_own_block if block.author == 3 else wal.append_peer_block)(block)
+            wal.append_block(block)
         driver, port = make_driver("warm", wal=wal)
-        replay = driver.replay_wal()
+        fresh = make_core(3)
+        replay = driver.recover(fresh, now=0.0)
+        assert driver.core is fresh and driver.syncing
         assert replay.blocks == len(suffix(source)) and replay.own_top_round == 6
         assert driver.recovery_mode_used == "warm"
         assert driver.core.round >= 6  # never re-proposes a logged round
-        driver.begin_sync(now=0.0, replayed=replay.blocks)
         assert port.instants == [
             ("recovery_started", {"mode": "warm", "replayed": replay.blocks})
         ]
 
     def test_checkpoint_asks_for_state_transfer_before_any_fetch(self):
         driver, port = make_driver("checkpoint")
-        driver.begin_sync(now=0.0)
+        assert driver.recover(make_core(3), now=0.0) is None
         assert driver.awaiting_checkpoint and port.checkpoint_requests == 1
         assert port.instants == [("recovery_started", {"mode": "checkpoint"})]
         # Fetching toward genesis would fight the adoption: suppressed.
@@ -617,11 +616,12 @@ class TestStep:
             step = driver.step(now=0.0)
             # What the step hands back for dispatch is already durable.
             proposed.extend(step.proposed)
-            assert WriteAheadLog.recover(path)[0] == proposed
+            assert [b for b in WriteAheadLog.recover(path) if b.author == 3] == proposed
             committed.extend(step.committed)
-        own, logged_peers, commit_round = WriteAheadLog.recover(path)
-        assert len(own) == 13 and logged_peers == peers
-        assert committed and commit_round == driver.core.committer.last_finalized_round
+        # The log holds blocks and nothing else: no record per commit.
+        logged = WriteAheadLog.recover(path)
+        assert len(proposed) == 13 and [b for b in logged if b.author != 3] == peers
+        assert committed and len(logged) == len(proposed) + len(peers)
         assert "block_proposed" in [e.name for e in driver.tracer.events]
 
     def test_peer_blocks_an_own_proposal_connects_are_logged_and_handed_back(self, tmp_path):
@@ -640,9 +640,10 @@ class TestStep:
         assert [b.round for b in step.proposed] == [1, 2, 3, 4, 5]
         assert sorted(step.connected, key=lambda b: (b.round, b.author)) == waiting
         driver.close()
-        own, logged, _ = WriteAheadLog.recover(path)
-        assert own == step.proposed
-        assert sorted(logged, key=lambda b: (b.round, b.author)) == peers
+        logged = WriteAheadLog.recover(path)
+        assert [b for b in logged if b.author == 3] == step.proposed
+        logged_peers = [b for b in logged if b.author != 3]
+        assert sorted(logged_peers, key=lambda b: (b.round, b.author)) == peers
         received = [e.args for e in driver.tracer.events if e.name == "block_received"]
         assert sorted((a["round"], a["author"]) for a in received) == [
             (b.round, b.author) for b in peers

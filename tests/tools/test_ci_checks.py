@@ -301,6 +301,37 @@ def test_one_vocabulary(tmp_path):
     assert all(str(ladder) in v for v in violations)
 
 
+def test_one_restart_path(tmp_path):
+    assert ci_checks.one_restart_path() == []  # the two hosts as checked in
+    clean = write(
+        tmp_path / "clean.py",
+        "def recover(self):\n"
+        "    replay = self._driver.recover(self.core, self._loop.now)\n"
+        "    self._pending.append(replay)\n"
+        "    self.outbox.append((None, self.walk))\n",
+    )
+    assert ci_checks.one_restart_path(str(clean)) == []
+    # A host that grows a second restart sequence back.
+    second = write(
+        tmp_path / "second.py",
+        "from ..statesync.recovery import replay_wal\n"
+        "def _recover(self):\n"
+        "    replay = self._driver.replay_wal()\n"
+        "    replay_wal(self.core, self.wal_path)\n"
+        "    self._driver.begin_sync(time.monotonic(), replayed=replay.blocks)\n"
+        "    self._driver.wal.append(1, b'')\n"
+        "    self.wal.append_block(block)\n",
+    )
+    violations = ci_checks.one_restart_path(str(clean), str(second))
+    assert [v.partition(": ")[0].rpartition(":")[2] for v in violations] == [
+        "3", "4", "5", "6", "7",
+    ]
+    assert "calls begin_sync" in violations[2]
+    assert "calls a WriteAheadLog append" in violations[3]
+    assert "calls append_block" in violations[4]
+    assert all(str(second) in v for v in violations)
+
+
 def test_one_cost_table(tmp_path):
     assert ci_checks.one_cost_table() == []  # node and network as checked in
     clean = write(

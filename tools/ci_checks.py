@@ -4,7 +4,8 @@ each, so the logic is importable and covered by tier-1
 (``tests/tools/test_ci_checks.py``) instead of living in YAML heredocs.
 
 Every check reads files a previous workflow step wrote (or, for
-``one-vocabulary`` and ``one-cost-table``, source files), returns the list of violations
+``one-vocabulary``, ``one-restart-path`` and ``one-cost-table``, source
+files), returns the list of violations
 (empty = pass) and, from the command line, prints them and exits 1.
 
 Usage::
@@ -21,6 +22,7 @@ Usage::
     python tools/ci_checks.py tusk-poll      [results/sim-tusk-n10.traced.out]
     python tools/ci_checks.py tx-path        [results/sim-tusk-n10.traced.out]
     python tools/ci_checks.py one-vocabulary [HOST.py ...]
+    python tools/ci_checks.py one-restart-path [HOST.py ...]
     python tools/ci_checks.py one-cost-table [MODULE.py ...]
 """
 
@@ -303,6 +305,43 @@ def one_vocabulary(*paths: str) -> list[str]:
     return violations
 
 
+#: What only the driver's restart sequence (``ValidatorDriver.recover``)
+#: and its step do: replay the log, enter a restart's re-sync, append to
+#: the log.
+RESTART_ONLY = frozenset({"replay_wal", "begin_sync", "append_block"})
+
+
+def _restart_step(call: ast.Call) -> str | None:
+    """What ``call`` does that only the driver may, if anything: call a
+    :data:`RESTART_ONLY` name, or ``append`` to something named a WAL."""
+    name = _referenced_name(call.func)
+    if name in RESTART_ONLY:
+        return name
+    if name == "append" and "wal" in (_referenced_name(call.func.value) or "").lower():
+        return "a WriteAheadLog append"
+    return None
+
+
+def one_restart_path(*paths: str) -> list[str]:
+    """The two validator hosts restart through the driver alone: neither
+    replays the log, enters re-sync or appends to the log itself — a
+    second restart sequence is what let a cold runtime restart sign a
+    round its previous incarnation had signed (read off the syntax
+    tree)."""
+    violations = []
+    for path in paths or [str(ROOT / host) for host in HOSTS]:
+        found = [
+            (node.lineno, what)
+            for node in ast.walk(ast.parse(Path(path).read_text(), filename=path))
+            if isinstance(node, ast.Call) and (what := _restart_step(node))
+        ]
+        violations += [
+            f"{path}:{line}: calls {what} (the restart sequence is ValidatorDriver.recover)"
+            for line, what in sorted(found)
+        ]
+    return violations
+
+
 #: The simulator modules that charge prices; the prices themselves are
 #: ``sim/costs.py``'s.
 PRICED = ("src/repro/sim/node.py", "src/repro/sim/network.py")
@@ -357,6 +396,7 @@ CHECKS = {
     "tusk-poll": tusk_poll,
     "tx-path": tx_path,
     "one-vocabulary": one_vocabulary,
+    "one-restart-path": one_restart_path,
     "one-cost-table": one_cost_table,
 }
 
