@@ -368,7 +368,7 @@ class CommitteeSchedule:
     *propose* round.
     """
 
-    __slots__ = ("_epochs", "provisioned", "_listeners")
+    __slots__ = ("_epochs", "latest", "provisioned", "_listeners")
 
     def __init__(self, genesis: Committee, *, provisioned: int | None = None) -> None:
         """Args:
@@ -379,6 +379,9 @@ class CommitteeSchedule:
             round-0 quorum; defaults to covering the genesis committee.
         """
         self._epochs: list[Epoch] = [Epoch(0, 0, genesis)]
+        #: The epoch with the highest activation round scheduled so far
+        #: (a plain attribute: every proposal-readiness check reads it).
+        self.latest: Epoch = self._epochs[0]
         self.provisioned = (
             provisioned if provisioned is not None else max(genesis.members) + 1
         )
@@ -409,11 +412,6 @@ class CommitteeSchedule:
     def genesis_committee(self) -> Committee:
         """The epoch-0 committee."""
         return self._epochs[0].committee
-
-    @property
-    def latest(self) -> Epoch:
-        """The epoch with the highest activation round scheduled so far."""
-        return self._epochs[-1]
 
     def epochs(self) -> tuple[Epoch, ...]:
         """All epochs in activation order."""
@@ -475,6 +473,7 @@ class CommitteeSchedule:
             )
         epoch = Epoch(last.epoch_id + 1, start_round, committee)
         self._epochs.append(epoch)
+        self.latest = epoch
         for listener in self._listeners:
             listener(epoch)
         return epoch
@@ -531,6 +530,7 @@ class CommitteeSchedule:
             if later.start_round <= earlier.start_round:
                 raise ConfigError("checkpoint epoch snapshot is not round-ordered")
         self._epochs = adopted
+        self.latest = adopted[-1]
         self.provisioned = max(
             self.provisioned,
             max(max(e.committee.members) for e in adopted) + 1,

@@ -70,6 +70,10 @@ class AddBlockResult(NamedTuple):
     rejected: bool = False
 
 
+#: The result every duplicate shares.
+_DUPLICATE = AddBlockResult()
+
+
 class MahiMahiCore:
     """One validator's protocol state machine."""
 
@@ -143,9 +147,10 @@ class MahiMahiCore:
         # reverse index from missing digest to the blocks waiting on it.
         self._pending: dict[Digest, Block] = {}
         self._waiting_on: dict[Digest, list[Digest]] = {}
-        # DAG tips: blocks not yet referenced by any accepted block; the
-        # next proposal references all of them (bounded by config).
-        self._tips: dict[Digest, BlockRef] = {b.digest: b.reference for b in genesis}
+        # DAG tips — blocks no accepted block references yet — grouped
+        # by round: round -> digest -> reference, no empty rows.  The
+        # next proposal sweeps up those below its parent round.
+        self._tips = {0: {b.digest: b.reference for b in genesis}}
         self.total_proposed = 0
         #: Buffered peer blocks that were waiting on the latest own
         #: proposal and entered the DAG with it (a restarted validator
@@ -248,7 +253,7 @@ class MahiMahiCore:
         digest = block.digest
         pending = self._pending
         if digest in self.store or digest in pending:
-            return AddBlockResult()
+            return _DUPLICATE
         if self._verifier is not None:
             try:
                 self._verifier.verify(block)
@@ -265,7 +270,7 @@ class MahiMahiCore:
             accepted = self._insert(block)
         except UnknownBlockError as refusal:
             return self._buffer(block, refusal.missing)
-        return AddBlockResult(accepted=tuple(accepted))
+        return AddBlockResult(accepted)
 
     def _buffer(self, block: Block, missing: "Iterable[BlockRef]") -> AddBlockResult:
         """Hold ``block`` until its causal history is complete."""
@@ -275,7 +280,7 @@ class MahiMahiCore:
                 self._waiting_on.setdefault(ref.digest, []).append(block.digest)
         return AddBlockResult(missing=tuple(missing))
 
-    def _insert(self, block: Block) -> list[Block]:
+    def _insert(self, block: Block) -> tuple[Block, ...]:
         """Insert ``block``, then every buffered block that completes,
         breadth-first; returns them in insertion order (nothing for a
         duplicate).
@@ -284,42 +289,53 @@ class MahiMahiCore:
         parent of ``block`` is missing, the store raises
         :class:`~repro.errors.UnknownBlockError` and nothing changed.  A
         buffered block is released only once its parents are stored.
+        The common case — nothing waits on ``block`` — builds no queue.
         """
-        store = self.store
+        if block.digest not in self._waiting_on:
+            return (block,) if self._enter(block) else ()
         accepted: list[Block] = []
         queue = deque([block])
         while queue:
             current = queue.popleft()
-            try:
-                store.add(current)
-            except DuplicateBlockError:
+            if not self._enter(current):
                 continue
             accepted.append(current)
-            self._track_tips(current)
-            round_number = current.round
-            if round_number > self._quorum_round and self._has_quorum(round_number):
-                self._quorum_round = round_number
-            waiters = self._waiting_on.pop(current.digest, None)
-            if waiters is None:
-                continue
-            for waiter_digest in waiters:
+            for waiter_digest in self._waiting_on.pop(current.digest, ()):
                 waiter = self._pending.get(waiter_digest)
-                if waiter is None:
-                    continue
-                if not store.missing_parents(waiter):
+                if waiter is not None and not self.store.missing_parents(waiter):
                     del self._pending[waiter_digest]
                     queue.append(waiter)
-        return accepted
+        return tuple(accepted)
+
+    def _enter(self, block: Block) -> bool:
+        """Store ``block`` and account for it in the tips and the quorum
+        round; false for a duplicate."""
+        try:
+            self.store.add(block)
+        except DuplicateBlockError:
+            return False
+        self._track_tips(block)
+        if block.round > self._quorum_round and self._has_quorum(block.round):
+            self._quorum_round = block.round
+        return True
 
     def _track_tips(self, block: Block) -> None:
+        """``block`` is a tip, and the tips it references are not.  Only
+        the rows below its round can hold its parents (a block naming a
+        parent from its own round or later is invalid,
+        :class:`~repro.dag.validation.BlockVerifier`), and once a round's
+        first block cleared the previous round, those rows hold only
+        stragglers."""
         tips = self._tips
+        round_number = block.round
         parents = block.parent_digests
-        # Once a round's first block cleared the previous round's tips,
-        # the tips and a block's parents are disjoint: no set is built.
-        if not tips.keys().isdisjoint(parents):
-            for digest in tips.keys() & parents:
-                del tips[digest]
-        tips[block.digest] = block.reference
+        for r in tuple(tips):
+            if r < round_number and not parents.isdisjoint(row := tips[r]):
+                for digest in row.keys() & parents:
+                    del row[digest]
+                if not row:
+                    del tips[r]
+        tips.setdefault(round_number, {})[block.digest] = block.reference
 
     # ------------------------------------------------------------------
     # Proposing
@@ -460,14 +476,15 @@ class MahiMahiCore:
             if ref.digest not in seen:
                 seen.add(ref.digest)
                 parents.append(ref)
-        older_tips = sorted(
-            ref
-            for ref in self._tips.values()
-            # Tips below the GC horizon are dropped: referencing a pruned
-            # block would leave peers unable to complete causal histories.
-            if self.store.lowest_round <= ref.round < previous and ref.digest not in seen
-        )
-        parents.extend(older_tips)
+        # Then the older tips, in reference order.  Rows below the
+        # store's lowest round go for good (the horizon only rises):
+        # referencing a pruned block would leave peers unable to complete
+        # causal histories.
+        tips, lowest = self._tips, self.store.lowest_round
+        for r in [r for r in tips if r < lowest]:
+            del tips[r]
+        rows = [row.values() for r, row in tips.items() if r < previous]
+        parents.extend(sorted(ref for refs in rows for ref in refs if ref.digest not in seen))
         return tuple(parents)
 
     # ------------------------------------------------------------------

@@ -38,8 +38,13 @@ class DagStore:
         # and dropped when the round gains a block / an author.
         self._round_tuples: dict[int, tuple[Block, ...]] = {}
         self._author_sets: dict[int, frozenset[int]] = {}
-        self._highest_round = -1
-        self._lowest_round = 0
+        #: Highest round with at least one block (-1 when empty).
+        self.highest_round = -1
+        #: Lowest retained round (rises under garbage collection and
+        #: state-transfer floors, never falls).  Both are plain
+        #: attributes — the insert path reads them per block — that
+        #: only the store moves.
+        self.lowest_round = 0
         # State-transfer horizon: parents below this round count as
         # present (the committed history they anchor was adopted from a
         # checkpoint rather than fetched).  0 = normal operation.
@@ -81,8 +86,8 @@ class DagStore:
         round_slots[author] = round_slots.get(author, ()) + (block,)
         self._by_round.setdefault(round_number, []).append(block)
         self._round_tuples.pop(round_number, None)
-        if round_number > self._highest_round:
-            self._highest_round = round_number
+        if round_number > self.highest_round:
+            self.highest_round = round_number
 
     def add_genesis(self, genesis: Iterable[Block]) -> None:
         """Insert the round-0 genesis blocks."""
@@ -176,16 +181,6 @@ class DagStore:
         unchanged round — the commit walk's evidence stamp."""
         return len(self._by_round.get(round_number, ()))
 
-    @property
-    def highest_round(self) -> int:
-        """Highest round with at least one block (-1 when empty)."""
-        return self._highest_round
-
-    @property
-    def lowest_round(self) -> int:
-        """Lowest retained round (rises under garbage collection)."""
-        return self._lowest_round
-
     def __len__(self) -> int:
         return len(self._by_digest)
 
@@ -212,7 +207,7 @@ class DagStore:
         lower one, never the reverse).
         """
         self._sync_floor = max(self._sync_floor, round_number)
-        self._lowest_round = max(self._lowest_round, round_number)
+        self.lowest_round = max(self.lowest_round, round_number)
 
     # ------------------------------------------------------------------
     # Garbage collection
@@ -224,12 +219,12 @@ class DagStore:
         linearized.  Returns the number of blocks removed.
         """
         removed = 0
-        for r in range(self._lowest_round, round_number):
+        for r in range(self.lowest_round, round_number):
             for block in self._by_round.pop(r, ()):
                 del self._by_digest[block.digest]
                 removed += 1
             self._by_slot.pop(r, None)
             self._round_tuples.pop(r, None)
             self._author_sets.pop(r, None)
-        self._lowest_round = max(self._lowest_round, round_number)
+        self.lowest_round = max(self.lowest_round, round_number)
         return removed

@@ -61,7 +61,7 @@ from ..messages import BlockMessage, Message, TransactionMessage
 from ..obs import trace as _trace
 from ..obs.metrics import MetricsRegistry
 from ..obs.trace import NULL_TRACER
-from ..statesync import SYNC_MAX_BLOCKS, ValidatorDriver
+from ..statesync import IDLE_STEP, SYNC_MAX_BLOCKS, ValidatorDriver
 from ..transaction import Transaction, TransactionBatch
 from .transport import Transport
 from .wal import WriteAheadLog
@@ -293,6 +293,8 @@ class ValidatorNode:
         blocks to broadcast, a pacing deadline, a finished recovery, commits."""
         now = time.monotonic()
         step = self._driver.step(now)
+        if step is IDLE_STEP:
+            return
         for block in step.proposed:
             self._last_block, self._last_broadcast = block, now
             self._m_proposed.inc()

@@ -165,7 +165,7 @@ class ArrivalRouter:
             if nodes[target].down:
                 target = self._live_after(target)
             # What a routed arrival reads is as of its own instant.
-            loop._now = when
+            loop.now = when
             if target is not None:
                 arrive[target](tx_id, when, size)
             times = client.times

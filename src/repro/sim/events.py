@@ -37,10 +37,12 @@ _INF = float("inf")
 class EventLoop:
     """Priority-queue event loop with virtual time."""
 
-    __slots__ = ("_now", "_sequence", "_heap", "_events_processed", "router")
+    __slots__ = ("now", "_sequence", "_heap", "_events_processed", "router")
 
     def __init__(self) -> None:
-        self._now = 0.0
+        #: Current virtual time in seconds (a plain attribute, read on
+        #: every hop; only the loop and its router move it).
+        self.now = 0.0
         self._sequence = 0
         self._heap: list[tuple[float, int, Callable[..., None], tuple[Any, ...]]] = []
         self._events_processed = 0
@@ -48,11 +50,6 @@ class EventLoop:
         #: earliest unrouted arrival) and ``route(time, sequence)`` (every
         #: arrival that sorts before that pair), or ``None``.
         self.router = None
-
-    @property
-    def now(self) -> float:
-        """Current virtual time in seconds."""
-        return self._now
 
     @property
     def events_processed(self) -> int:
@@ -66,13 +63,13 @@ class EventLoop:
         """Run ``callback(*args)`` after ``delay`` seconds of virtual time."""
         if delay < 0:
             raise SimulationError(f"cannot schedule into the past (delay={delay})")
-        heapq.heappush(self._heap, (self._now + delay, self._sequence, callback, args))
+        heapq.heappush(self._heap, (self.now + delay, self._sequence, callback, args))
         self._sequence += 1
 
     def schedule_at(self, when: float, callback: Callable[..., None], *args: Any) -> None:
         """Run ``callback(*args)`` at absolute virtual time ``when``."""
-        if when < self._now:
-            when = self._now
+        if when < self.now:
+            when = self.now
         heapq.heappush(self._heap, (when, self._sequence, callback, args))
         self._sequence += 1
 
@@ -95,8 +92,8 @@ class EventLoop:
         self._drain(
             deadline, budget, f"event budget exhausted ({max_events} events before t={deadline})"
         )
-        if self._now < deadline:
-            self._now = deadline
+        if self.now < deadline:
+            self.now = deadline
 
     def run_to_completion(self, *, max_events: int = 10_000_000) -> None:
         """Drain every scheduled event and arrival (tests and shutdown
@@ -128,7 +125,7 @@ class EventLoop:
                 if processed >= budget:
                     raise SimulationError(exhausted)
                 pop(heap)
-                self._now = when
+                self.now = when
                 processed += 1
                 event[2](*event[3])
             if arrival <= deadline and router is not None:

@@ -17,10 +17,11 @@ TCP sockets).  Bandwidth, framing, the delivery tick and the FIFO
 spacing are the run's :class:`~repro.sim.costs.CostModel`.
 
 What travels is opaque here: a :class:`Message` envelope — a named
-tuple ``(src, dst, body, size)`` — wraps one typed body (a
+tuple ``(src, body, size)`` — wraps one typed body (a
 :mod:`repro.messages` object, carried un-encoded, or one of the
 certified baseline's header / ack / certificate) with the wire size the
-sender priced it at.
+sender priced it at.  One envelope serves every hop of a send: the
+destination is the link's, not the message's.
 
 On an uncertified DAG every block is one broadcast to ``n - 1`` peers,
 so the hop is the unit of work.  :meth:`SimNetwork.broadcast` prices all
@@ -50,19 +51,17 @@ from .latency import LatencyModel
 class Message(NamedTuple):
     """One network message.
 
-    A named tuple: a high-load sweep materializes millions of these (one
-    per hop), and a tuple is both the cheapest object to build and, like
-    a slotted instance, carries no per-instance ``__dict__``.
+    A named tuple, built once per send and shared by all of its hops:
+    every receiver of a broadcast is handed the same object.  It names
+    no destination — the :class:`Link` that carries it does.
 
     Attributes:
         src: Sending validator.
-        dst: Receiving validator.
         body: The typed message handed to the receiver.
         size: Wire size in bytes (drives the bandwidth model).
     """
 
     src: int
-    dst: int
     body: Any
     size: int
 
@@ -362,10 +361,12 @@ class SimNetwork:
         partition and scheduler delay, the per-link FIFO clamp, then the
         link queue, arming the link's flush at the head's tick boundary
         when none is armed.  Everything that is the same for every hop
-        is looked up once; the hops draw from the network's generator in
-        peer order, as one ``send`` per peer would.
+        is looked up once — the :class:`Message` envelope too; the hops
+        draw from the network's generator in peer order, as one ``send``
+        per peer would.
         """
         now = self._loop.now
+        message = Message(src, body, size)
         wire_size, serialization = self._costs.hop(size)
         partition = self._partition
         sample_delay = self._sample_delay
@@ -388,7 +389,6 @@ class SimNetwork:
                     # sender's uplink (TCP backs off) and never arrives.
                     self.messages_dropped += 1
                     continue
-            message = Message(src, dst, body, size)
             start = egress if egress > now else now
             egress = start + serialization
             delay = sample_delay(src, dst) + partition_delay

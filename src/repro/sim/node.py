@@ -58,7 +58,7 @@ from ..messages import BlockMessage
 from ..obs import trace as _trace
 from ..obs.trace import NULL_TRACER
 from ..runtime.wal import WriteAheadLog
-from ..statesync.driver import ValidatorDriver
+from ..statesync.driver import IDLE_STEP, ValidatorDriver
 from ..statesync.recovery import SYNC_MAX_BLOCKS as _SYNC_MAX_BLOCKS
 from ..transaction import Transaction, TransactionSlice
 from .costs import CostModel
@@ -455,8 +455,10 @@ class SimValidator:
         if self._core_factory is None:
             # Process pause, not restart: all state retained, nothing
             # to re-sync — resume where we left off.  (The fetch table's
-            # retry timer went with the old incarnation.)
+            # retry timer and the pacing timer went with the old
+            # incarnation.)
             self._driver.synchronizer.reset()
+            self._driver.pacing_timer_fired()
             return
         self.core = self._core_factory()
         self.ingress.clear()
@@ -658,10 +660,13 @@ class SimValidator:
         self.ingress.admit(now)
         driver = self._driver
         step = driver.step(now)
+        if step is IDLE_STEP:
+            return
         for block in step.proposed:
             self._dispatch_own(block)
         if step.deadline is not None:
-            self._loop.schedule(step.deadline - now, self._on_propose_timer)
+            # Through the incarnation stamp: a crash loses this timer.
+            self.call_later(step.deadline - now, self._on_propose_timer)
         if step.recovered_at is not None and self._on_recovery is not None:
             self._on_recovery(self.authority, step.recovered_at, now, driver.recovery_mode_used)
         if step.committed:
@@ -674,8 +679,7 @@ class SimValidator:
 
     def _on_propose_timer(self) -> None:
         self._driver.pacing_timer_fired()
-        if not self.down:
-            self._step()
+        self._step()
 
     def _dispatch_own(self, block: Block) -> None:
         if self._stage_metrics is not None and block.transactions:

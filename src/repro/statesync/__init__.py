@@ -40,7 +40,7 @@ from .checkpoint import (
     chain_digest,
     digest_executor_state,
 )
-from .driver import RECOVER_MODES, ValidatorDriver, ValidatorPort
+from .driver import IDLE_STEP, RECOVER_MODES, ValidatorDriver, ValidatorPort
 from .recovery import (
     SYNC_MAX_BLOCKS,
     CheckpointVotes,
@@ -52,6 +52,7 @@ from .recovery import (
 __all__ = [
     "DEFAULT_CHECKPOINT_LAG",
     "GENESIS_STATE",
+    "IDLE_STEP",
     "RECOVER_MODES",
     "SYNC_MAX_BLOCKS",
     "Checkpoint",

@@ -145,6 +145,12 @@ class Step(NamedTuple):
     connected: Sequence[Block] = ()
 
 
+#: What a step returns when it proposed, committed, armed and noticed
+#: nothing — the common case, a block that moved no threshold: one
+#: shared instance, which hosts recognize by identity and skip.
+IDLE_STEP = Step()
+
+
 class ValidatorDriver:
     """One validator's step and recovery state, driven by its host."""
 
@@ -294,10 +300,11 @@ class ValidatorDriver:
         """Propose every round that is ready and due at host time
         ``now``, extend the commit sequence, and notice epoch exit
         (:attr:`left`).  Hosts run it after every accepted block, after
-        a finished re-sync, at start, and when the pacing timer fires."""
+        a finished re-sync, at start, and when the pacing timer fires.
+        A step with nothing for the host to act on returns
+        :data:`IDLE_STEP`."""
         core = self.core
-        proposed: list[Block] = []
-        connected: list[Block] = []
+        proposed = connected = ()
         deadline = recovered_at = None
         # A re-syncing validator proposes nothing: its fresh core has
         # forgotten which rounds it already proposed in, and a stale
@@ -326,7 +333,7 @@ class ValidatorDriver:
             if self.recovered_at is not None:
                 # First proposal after a restart: recovery is complete.
                 recovered_at, self.recovered_at = self.recovered_at, None
-            proposed.append(block)
+            proposed += (block,)
             # Peers that built on a pre-crash twin of this block had us
             # fetching it.
             self.synchronizer.note_arrived(block.digest)
@@ -334,12 +341,14 @@ class ValidatorDriver:
                 # After the own block they were waiting on, so a replay
                 # finds the log in causal order.
                 self._record_accepted(core.last_connected, core.authority)
-                connected.extend(core.last_connected)
+                connected += tuple(core.last_connected)
         observations = core.try_commit()
         if observations and self.tracer.enabled:
             _trace.trace_commits(self.tracer, core.authority, self._port.trace_time(), observations)
-        if not core.schedule.is_static and self.excluded_by_epoch():
-            self.left = True
+        if not core.schedule.is_static and self.excluded_by_epoch() and not self.left:
+            self.left = True  # not idle: the host acts on leaving
+        elif not (proposed or observations or deadline is not None):
+            return IDLE_STEP
         return Step(proposed, observations, deadline, recovered_at, connected)
 
     def pacing_timer_fired(self) -> None:

@@ -133,19 +133,11 @@ class TestProposing:
 
 
     def test_parents_over_an_equivocating_sibling_tip_and_an_older_tip(self):
-        """The tips are kept by set operations on a block's parent
-        digests; the proposal they feed is, byte for byte, the one the
-        per-reference loop produced: own block, the first-seen block of
-        each previous-round author, then the older tips in reference
+        """The proposal the per-round tips feed is, byte for byte, the one
+        the per-reference table produces: own block, the first-seen block
+        of each previous-round author, then the older tips in reference
         order — here an equivocating sibling nobody built on and a
         straggler's block, both from round 1."""
-
-        class PerReferenceTips(MahiMahiCore):
-            def _track_tips(self, block):
-                for ref in block.parents:
-                    self._tips.pop(ref.digest, None)
-                self._tips[block.digest] = block.reference
-
         committee = Committee.of_size(4)
         coin = FastCoin(seed=b"core-test", n=4, threshold=3)
         ours, reference = (
@@ -187,10 +179,126 @@ class TestProposing:
             )
             proposals.append(own_3)
         assert proposals[0].digest == proposals[1].digest
-        assert b"".join(ref.encode() for ref in proposals[0].parents) == b"".join(
-            ref.encode() for ref in proposals[1].parents
+        assert encoded_parents(proposals[0].parents) == encoded_parents(proposals[1].parents)
+
+
+class PerReferenceTips(MahiMahiCore):
+    """The oracle for the tips kept by round: one flat table, each
+    accepted block's parent references popped from it one by one, and
+    the older tips filtered out of the whole table at every proposal."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.flat_tips = {ref.digest: ref for row in self._tips.values() for ref in row.values()}
+
+    def _track_tips(self, block):
+        for ref in block.parents:
+            self.flat_tips.pop(ref.digest, None)
+        self.flat_tips[block.digest] = block.reference
+
+    def _select_parents(self, next_round):
+        previous = next_round - 1
+        own = self._own_last_ref
+        parents = [own] if own.digest in self.store else []
+        seen = {own.digest} if parents else set()
+        for author in sorted(self.store.authors_at_round(previous)):
+            ref = self.store.slot_blocks(previous, author)[0].reference
+            if ref.digest not in seen:
+                seen.add(ref.digest)
+                parents.append(ref)
+        older_tips = sorted(
+            ref
+            for ref in self.flat_tips.values()
+            if self.store.lowest_round <= ref.round < previous and ref.digest not in seen
         )
-        assert list(ours._tips) == list(reference._tips)
+        return tuple(parents + older_tips)
+
+
+def encoded_parents(parents) -> bytes:
+    return b"".join(ref.encode() for ref in parents)
+
+
+@st.composite
+def straggler_dags(draw):
+    """Peer blocks of a few rounds (authority 0 is the receiver and
+    authors none of them): each names a random part of the previous
+    round — at least one block, when there is one — plus random
+    stragglers from older rounds, and some slots carry an equivocating
+    sibling with the same parents."""
+    n = draw(st.integers(4, 6))
+    coin = FastCoin(seed=b"tips-oracle", n=n, threshold=Committee.of_size(n).quorum_threshold)
+    by_round = [make_genesis(n)]
+    for round_number in range(1, draw(st.integers(2, 6)) + 1):
+        older = [block for row in by_round[:-1] for block in row]
+        blocks = []
+        for author in range(1, n):
+            if not draw(st.integers(0, 4)):
+                continue  # this author skips the round
+            previous = draw(st.lists(st.sampled_from(by_round[-1]), min_size=1, unique=True))
+            late = draw(st.lists(st.sampled_from(older), unique=True)) if older else []
+            parents = tuple(b.reference for b in previous + late)
+            share = coin.share(author, round_number)
+            for salt in (b"", b"fork")[: 1 + (draw(st.integers(0, 5)) == 0)]:
+                blocks.append(
+                    Block(
+                        author=author,
+                        round=round_number,
+                        parents=parents,
+                        coin_share=share,
+                        salt=salt,
+                    )
+                )
+        if not blocks:
+            break
+        by_round.append(blocks)
+    return n, coin, [block for row in by_round[1:] for block in row]
+
+
+class TestTipsOracle:
+    @settings(max_examples=80, deadline=None)
+    @given(straggler_dags(), st.data())
+    def test_proposals_match_the_per_reference_table_after_every_insertion(self, dag, data):
+        """Blocks in any order (buffered until their history is in), the
+        receiver proposing in between, a garbage-collection prune and a
+        state-transfer floor: after every step the two cores would
+        propose byte-identical parents, and propose identical blocks."""
+        n, coin, blocks = dag
+        order = data.draw(st.permutations(blocks))
+        prune_at, floor_at = (data.draw(st.integers(0, len(order))) for _ in range(2))
+        committee = Committee.of_size(n)
+        cores = [
+            cls(0, committee, ProtocolConfig(), coin) for cls in (MahiMahiCore, PerReferenceTips)
+        ]
+
+        def assert_same_proposals():
+            highest = cores[0].store.highest_round
+            for next_round in range(1, highest + 2):
+                ours, reference = (encoded_parents(c._select_parents(next_round)) for c in cores)
+                assert ours == reference, next_round
+
+        for index, block in enumerate(order):
+            if index == prune_at:
+                horizon = data.draw(st.integers(0, cores[0].store.highest_round))
+                for core in cores:
+                    core.store.prune_below(horizon)
+                assert_same_proposals()
+            if index == floor_at:
+                floor = data.draw(st.integers(0, cores[0].store.highest_round + 1))
+                released = [core.raise_sync_floor(floor) for core in cores]
+                assert released[0] == released[1]
+                assert_same_proposals()
+            results = [core.add_block(block) for core in cores]
+            assert results[0] == results[1]
+            assert_same_proposals()
+            if data.draw(st.booleans()):
+                proposals = [core.maybe_propose() for core in cores]
+                assert (proposals[0] is None) == (proposals[1] is None)
+                if proposals[0] is not None:
+                    assert proposals[0].digest == proposals[1].digest
+                    assert encoded_parents(proposals[0].parents) == encoded_parents(
+                        proposals[1].parents
+                    )
+                assert_same_proposals()
 
 
 class TestIngestion:

@@ -23,7 +23,7 @@ def _message(src: int, body=BlockMessage, round_number: int = 0, author: int | N
     """A message from ``src`` whose ``body`` type carries a stand-in
     block of ``round_number``."""
     block = SimpleNamespace(round=round_number, author=src if author is None else author)
-    return Message(src=src, dst=(src + 1) % 10, body=body(block), size=100)
+    return Message(src=src, body=body(block), size=100)
 
 
 class TestAsyncAdversaryPinning:
@@ -90,7 +90,7 @@ class TestLeaderDosTargeting:
         # Traffic from the leader that is not one block of its own:
         # untouched (an ack, a fetch request, a fetched batch).
         for body in (Ack(b"digest"), FetchRequest(refs=()), FetchResponse(blocks=())):
-            message = Message(src=3, dst=4, body=body, size=100)
+            message = Message(src=3, body=body, size=100)
             assert scheduler.extra_delay(message, 0.0, rng) == 0.0
 
     def test_round_cache_refreshes_on_round_change(self):

@@ -114,7 +114,7 @@ class ScriptedRouter:
     def route(self, until: float, sequence: float) -> None:
         while self._pending and self._pending[0] < (until, sequence):
             when, _ = self._pending.pop(0)
-            self._loop._now = when
+            self._loop.now = when
             self._log.append(("arrival", when))
         self.next_at = self._pending[0][0] if self._pending else float("inf")
 

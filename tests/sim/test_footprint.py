@@ -94,7 +94,7 @@ def test_footprint_follows_the_gc_window(leg, monkeypatch):
             # observer's wire-arrival stamps.
             assert len(core._pending) <= window, where
             assert len(core._waiting_on) <= window, where
-            assert len(core._tips) <= window, where
+            assert sum(map(len, core._tips.values())) <= window, where
             assert len(node._arrivals) <= window, where
             assert node.core.coin is experiment._coin, where
         assert len(experiment._coin.verified) <= SHARE_MEMO_ROUNDS * N

@@ -58,6 +58,41 @@ class TestDelivery:
         for peer in (1, 2, 3):
             assert len(inboxes[peer]) == 1
 
+    def test_every_hop_of_a_broadcast_delivers_one_message(self):
+        """A broadcast builds one envelope: every peer is handed the same
+        object, which names the sender and the body but no destination
+        (the link that carried it is the destination)."""
+        loop, network, inboxes = make_network(n=6)
+        network.broadcast(2, "x", size=100)
+        loop.run_to_completion()
+        delivered = [message for inbox in inboxes.values() for message, _ in inbox]
+        assert len(delivered) == 5 and not inboxes[2]
+        assert all(message is delivered[0] for message in delivered)
+        assert delivered[0] == Message(src=2, body="x", size=100)
+
+    def test_a_scheduler_sees_the_sender_and_body_of_every_hop(self):
+        """The shared envelope still tells an adversarial scheduler whose
+        traffic a hop is: delaying one sender's body delays every hop of
+        its broadcast and nothing else."""
+
+        class DelaySender:
+            def __init__(self):
+                self.seen = []
+
+            def extra_delay(self, message, now, rng):
+                self.seen.append((message.src, message.body))
+                return 0.3 if (message.src, message.body) == (1, "slow") else 0.0
+
+        scheduler = DelaySender()
+        loop, network, inboxes = make_network(n=4, scheduler=scheduler)
+        network.broadcast(1, "slow", size=100)
+        network.broadcast(2, "fast", size=100)
+        loop.run_to_completion()
+        assert sorted(scheduler.seen) == [(1, "slow")] * 3 + [(2, "fast")] * 3
+        for peer, inbox in inboxes.items():
+            for message, when in inbox:
+                assert (when > 0.3) == (message.body == "slow"), (peer, message)
+
     def test_no_self_send(self):
         loop, network, _ = make_network()
         with pytest.raises(ValueError):
@@ -297,7 +332,8 @@ class TestPartitions:
 class PerHopNetwork(SimNetwork):
     """The network before a broadcast priced its hops in one pass: a
     broadcast is one ``send`` per peer, and each send looks everything
-    up and prices its hop from scratch (the oracle for ``_fan_out``)."""
+    up, builds its own envelope and prices its hop from scratch (the
+    oracle for ``_fan_out``; envelopes compare by value)."""
 
     def send(self, src, dst, body, size):
         if src == dst:
@@ -308,7 +344,7 @@ class PerHopNetwork(SimNetwork):
             if dropped:
                 self.messages_dropped += 1
                 return
-        message = Message(src=src, dst=dst, body=body, size=size)
+        message = Message(src=src, body=body, size=size)
         wire_size = size + self._costs.message_overhead
         now = self._loop.now
         egress_free = self._egress_free
@@ -441,9 +477,11 @@ def build(cls, setup):
 
 def network_state(loop, network, tracer, delivered):
     """Everything a hop leaves behind, in comparable form: each link
-    record by its ``(src, dst)`` place in the table, and a flush event
-    by the place of the record it carries (a record that is not the
-    table's stays an object, equal to nothing the other network holds)."""
+    record by its ``(src, dst)`` place in the table — which is where a
+    queued ``(src, body, size)`` envelope's destination is pinned — and a
+    flush event by the place of the record it carries (a record that is
+    not the table's stays an object, equal to nothing the other network
+    holds)."""
     links = {
         (src, dst): link
         for src, row in enumerate(network._links)

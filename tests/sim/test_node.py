@@ -365,6 +365,72 @@ class TestRecovery:
         loop.run_until(3.0)
         assert nodes[3].core.round > round_at_crash
 
+    @staticmethod
+    def _until_pacing_timer_armed(loop, node):
+        """Run the loop until ``node`` has a pacing timer out; returns
+        the deadline it was armed for."""
+        driver = node._driver
+        while not driver._timer_armed:
+            loop.run_until(loop.now + 0.001)
+        deadline = driver._last_proposal + driver.interval
+        assert loop.now < deadline
+        return deadline
+
+    def test_a_crash_loses_the_pacing_timer(self, monkeypatch):
+        """Regression: the pacing deadline is a timer like any other — a
+        restarted incarnation never sees its predecessor's fire (it used
+        to clear the new driver's pacing flag and step it mid-re-sync)."""
+        fired = []
+        original = SimValidator._on_propose_timer
+
+        def record(node):
+            fired.append((node.authority, node.core, node._loop.now))
+            original(node)
+
+        monkeypatch.setattr(SimValidator, "_on_propose_timer", record)
+        loop, nodes = make_cluster(interval=0.2, with_core_factory=True)
+        for node in nodes:
+            node.start()
+        loop.run_until(0.5)
+        victim = nodes[3]
+        deadline = self._until_pacing_timer_armed(loop, victim)
+        old_core, restarted_at = victim.core, loop.now
+        victim.crash()
+        victim.recover()
+        victim.start()
+        loop.run_until(deadline + 0.01)
+        assert not [entry for entry in fired if entry[0] == 3 and entry[2] >= restarted_at]
+        loop.run_until(3.0)
+        assert victim.core is not old_core and victim.core.total_proposed > 0
+        # The new incarnation's own timers do fire.
+        assert any(a == 3 and core is victim.core for a, core, _ in fired)
+
+    def test_a_pause_drops_the_pacing_timer_and_paces_afresh(self):
+        """A pause (no core factory) keeps the core but not the timers:
+        the next step arms a new one, so the paced proposal still goes
+        out at its deadline instead of waiting for the next arrival."""
+        tracer = Tracer()
+        loop, nodes = make_cluster(interval=0.2, tracer=tracer)
+        for node in nodes:
+            node.start()
+        loop.run_until(0.5)
+        victim = nodes[3]
+        deadline = self._until_pacing_timer_armed(loop, victim)
+        round_before = victim.core.round
+        victim.crash()
+        victim.recover()
+        assert not victim._driver._timer_armed
+        victim.start()
+        loop.run_until(deadline + 0.001)
+        [proposed_at] = [
+            event.ts
+            for event in tracer.events
+            if event.validator == 3
+            and event.name == BLOCK_PROPOSED
+            and event.args["round"] == round_before + 1
+        ]
+        assert proposed_at == pytest.approx(deadline)
+
     def test_rapid_double_crash_does_not_equivocate(self):
         """Regression: a fetch response requested by a previous
         incarnation must not convince the next incarnation it is caught
@@ -498,7 +564,7 @@ class TestCpuModel:
             tracer = Tracer()
             loop, nodes = make_cluster(costs=costs, tracer=tracer)
             block = nodes[1].core.maybe_propose()
-            message = Message(src=1, dst=0, body=BlockMessage(block), size=100)
+            message = Message(src=1, body=BlockMessage(block), size=100)
             if entry == "on_message":
                 nodes[0].on_message(message)
             else:

@@ -64,7 +64,7 @@ from repro.sim.events import EventLoop
 from repro.sim.latency import UniformLatencyModel
 from repro.sim.network import Message, SimNetwork
 from repro.sim.node import SimValidator
-from repro.statesync import RECOVER_MODES
+from repro.statesync import IDLE_STEP, RECOVER_MODES, ValidatorDriver
 from repro.statesync import driver as driver_module
 from repro.statesync import replay_wal
 from repro.statesync import synchronizer as synchronizer_module
@@ -333,6 +333,77 @@ def test_steady_state_step_is_the_same_on_both_fabrics():
     assert sim_commits[:shorter] == rt_commits[:shorter]
 
 
+#: A pacing interval no step of the idle-step test outlives.
+IDLE_PACE = 3600.0
+
+
+class StepLog:
+    """Every :meth:`ValidatorDriver.step` result, in order."""
+
+    def __init__(self, monkeypatch):
+        self.steps = []
+        step = ValidatorDriver.step
+
+        def logged(driver, now):
+            self.steps.append(step(driver, now))
+            return self.steps[-1]
+
+        monkeypatch.setattr(ValidatorDriver, "step", logged)
+
+
+def paced_to_a_deadline(ingest, step):
+    """Propose round 1, then take in enough round-1 blocks that round 2
+    is ready but paced: the step that reports the deadline."""
+    step()
+    for author in (1, 2):
+        ingest(MahiMahiCore(author, COMMITTEE, CONFIG, COIN).maybe_propose(), author)
+
+
+def test_an_idle_step_costs_neither_host_anything(monkeypatch):
+    """Once the pacing timer is out and nothing else moved, the driver
+    returns the shared idle step, and neither host arms a timer, bumps
+    a metric, queues a commit or sends anything on it."""
+    log = StepLog(monkeypatch)
+    loop = EventLoop()
+    network = SimNetwork(loop, UniformLatencyModel(0.02), N, seed=1)
+    commits = []
+    sim = SimValidator(
+        MahiMahiCore(0, COMMITTEE, CONFIG, COIN),
+        network,
+        loop,
+        min_block_interval=IDLE_PACE,
+        on_commit=lambda *args: commits.append(args),
+    )
+    paced_to_a_deadline(lambda block, src: sim.ingest(block, src), sim.start)
+    assert [len(s.proposed) for s in log.steps] == [1, 0, 0]
+    assert log.steps[1] is IDLE_STEP and log.steps[2].deadline == IDLE_PACE
+    events, sent = len(loop._heap), network.messages_sent
+    sim._step()
+    sim._step()
+    assert log.steps[3:] == [IDLE_STEP, IDLE_STEP] and log.steps[3] is log.steps[4] is IDLE_STEP
+    assert (len(loop._heap), network.messages_sent, commits) == (events, sent, [])
+
+    async def runtime():
+        log.steps.clear()
+        node = ValidatorNode(
+            0, COMMITTEE, CONFIG, COIN, RecordingTransport(0), min_block_interval=IDLE_PACE
+        )
+        timers = []
+        node.call_later = lambda delay, callback, *args: timers.append(delay)
+        paced_to_a_deadline(lambda block, src: node.ingest(block, src, True), node._step)
+        assert log.steps[1] is IDLE_STEP and log.steps[2].deadline is not None
+        assert len(timers) == 1
+        metrics, outbox = node.metrics.snapshot(), list(node._outbox)
+        node._step()
+        node._step()
+        assert log.steps[3] is log.steps[4] is IDLE_STEP
+        assert len(timers) == 1 and node.metrics.snapshot() == metrics
+        assert list(node._outbox) == outbox and node.commits.empty()
+        assert node.committed_blocks == [] and node.recovery_time is None
+
+    asyncio.run(runtime())
+
+
 def test_a_bad_signature_is_rejected_and_counted_on_both_fabrics():
     scheme = NullSignatureScheme()
     keys = generate_keys(scheme, N)
@@ -360,10 +431,10 @@ def test_a_bad_signature_is_rejected_and_counted_on_both_fabrics():
 
     loop = EventLoop()
     sim = SimValidator(core(0), SimNetwork(loop, UniformLatencyModel(0.02), N, seed=1), loop)
-    sim.on_message(Message(src=1, dst=0, body=BlockMessage(forged), size=100))
+    sim.on_message(Message(src=1, body=BlockMessage(forged), size=100))
     # (The signature is not part of the digest: both share one.)
     assert sim.blocks_rejected == 1 and good.digest not in sim.core.store
-    sim.on_message(Message(src=1, dst=0, body=BlockMessage(good), size=100))
+    sim.on_message(Message(src=1, body=BlockMessage(good), size=100))
     assert sim.blocks_rejected == 1 and good.digest in sim.core.store
 
     async def runtime():
@@ -427,7 +498,7 @@ def test_peer_blocks_connected_by_an_own_proposal_are_logged_on_both_fabrics(tmp
         )
         for block in arrival:
             sim.on_message(
-                Message(src=block.author, dst=3, body=BlockMessage(block), size=100)
+                Message(src=block.author, body=BlockMessage(block), size=100)
             )
     check(tmp_path / "sim.wal", tracer, sim.core)
 
@@ -554,7 +625,7 @@ def trace_through_simulator(inbound):
     victim.recover()
     victim.start()
     for sender, message in inbound:
-        victim.on_message(Message(src=sender, dst=VICTIM, body=message, size=100))
+        victim.on_message(Message(src=sender, body=message, size=100))
     return victim, sent_by_victim(log)
 
 
@@ -624,7 +695,7 @@ def fetch_through_simulator(phases, gc=0):
     victim.start()
     for inbound, periods in phases:
         for sender, message in inbound:
-            victim.on_message(Message(src=sender, dst=VICTIM, body=message, size=100))
+            victim.on_message(Message(src=sender, body=message, size=100))
         loop.run_until(loop.now + periods * PERIOD)
         seen.append(fetches(log))
     return victim, seen

@@ -20,7 +20,7 @@ from repro.messages import (
 )
 from repro.obs.trace import Tracer
 from repro.runtime.wal import WriteAheadLog
-from repro.statesync import ValidatorDriver, ancestor_closure
+from repro.statesync import IDLE_STEP, ValidatorDriver, ancestor_closure
 from repro.statesync import recovery as recovery_module
 from repro.statesync.driver import CHECKPOINT_RETRY, SYNC_TIMEOUT
 from tests.statesync.test_checkpoint import drive_rounds, make_core
@@ -585,7 +585,7 @@ class TestStep:
         step = driver.step(now=0.0)
         assert [b.round for b in step.proposed] == [1, 2, 3, 4, 5]
         assert step.deadline is None and driver.core.pending_count == 0
-        assert driver.step(now=0.0).proposed == []  # round 5 has no quorum yet
+        assert driver.step(now=0.0) is IDLE_STEP  # round 5 has no quorum yet
 
     def test_a_paced_proposal_reports_exactly_one_deadline(self):
         driver, port = make_driver(pacing=0.5)
@@ -597,14 +597,14 @@ class TestStep:
         assert step.deadline == 10.5  # round 2 is ready but paced
         for now in (10.1, 10.4):  # more blocks arrive: the timer is already armed
             again = driver.step(now)
-            assert again.proposed == [] and again.deadline is None
+            assert again is IDLE_STEP  # nothing proposed, no second deadline
         driver.pacing_timer_fired()
         fired = driver.step(now=10.5)
         assert [b.round for b in fired.proposed] == [2]
         # Round 2 holds two of the three authors a quorum needs:
         # nothing is ready, so nothing is paced.
         assert fired.deadline is None
-        assert driver.step(now=11.5).proposed == []
+        assert driver.step(now=11.5) is IDLE_STEP
 
     def test_own_block_is_logged_before_it_is_handed_back(self, tmp_path):
         path = tmp_path / "v3.wal"
@@ -641,7 +641,7 @@ class TestStep:
         assert sorted(step.connected, key=lambda b: (b.round, b.author)) == waiting
         driver.close()
         logged = WriteAheadLog.recover(path)
-        assert [b for b in logged if b.author == 3] == step.proposed
+        assert tuple(b for b in logged if b.author == 3) == step.proposed
         logged_peers = [b for b in logged if b.author != 3]
         assert sorted(logged_peers, key=lambda b: (b.round, b.author)) == peers
         received = [e.args for e in driver.tracer.events if e.name == "block_received"]
@@ -655,7 +655,7 @@ class TestStep:
     def test_nothing_is_proposed_while_syncing(self):
         driver, port = make_driver()
         driver.begin_sync(now=1.0)
-        assert driver.step(now=2.0).proposed == []
+        assert driver.step(now=2.0) is IDLE_STEP
         driver.finish()
         step = driver.step(now=3.0)
         assert [b.round for b in step.proposed] == [1]
@@ -666,10 +666,13 @@ class TestStep:
         port = FakePort()
         driver = ValidatorDriver(make_core(4, n=5), port, "cold", 4096)
         driver.core.schedule.apply_command(ReconfigCommand(kind="leave", validator=4), 1)
-        assert driver.step(now=0.0).proposed == [] and not driver.left  # round 0: still in
+        assert driver.step(now=0.0) is IDLE_STEP and not driver.left  # round 0: still in
         peer = make_core(0, n=5).maybe_propose()
         assert driver.ingest(peer, 0, 0.0).accepted
-        assert driver.step(now=0.0).proposed == [] and driver.left
+        leaving = driver.step(now=0.0)
+        # Nothing proposed, but not idle: the host acts on the exit.
+        assert not leaving.proposed and leaving is not IDLE_STEP and driver.left
+        assert driver.step(now=0.0) is IDLE_STEP  # once
 
     def test_rejected_blocks_are_counted(self):
         driver, port = make_driver()

@@ -172,7 +172,7 @@ class TestForgetting:
         first, second = (b for b in peer_blocks(2) if b.round == 2)
 
         def deliver(block):
-            victim.on_message(Message(src=2, dst=3, body=BlockMessage(block), size=100))
+            victim.on_message(Message(src=2, body=BlockMessage(block), size=100))
 
         deliver(first)
         table = victim._driver.synchronizer
