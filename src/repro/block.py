@@ -198,10 +198,6 @@ class Block:
         """The ``(round, author)`` slot this block occupies."""
         return (self.round, self.author)
 
-    def parents_at_round(self, round_number: int) -> list[BlockRef]:
-        """Parent references whose round equals ``round_number``."""
-        return [p for p in self.parents if p.round == round_number]
-
     @property
     def size(self) -> int:
         """Serialized size in bytes (used by the bandwidth model)."""

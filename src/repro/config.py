@@ -20,10 +20,9 @@ from dataclasses import dataclass, replace
 
 from .errors import ConfigError
 
-#: Wave lengths the paper analyzes.  ``MIN_LIVE_WAVE_LENGTH`` is the
-#: smallest wave length for which liveness holds (Appendix C.3).
+#: Wave lengths the paper analyzes (liveness needs at least 4,
+#: Appendix C.3).
 MIN_WAVE_LENGTH = 3
-MIN_LIVE_WAVE_LENGTH = 4
 MAX_WAVE_LENGTH = 16
 
 
@@ -88,20 +87,6 @@ class ProtocolConfig:
                 f"exceed garbage_collection_depth ({self.garbage_collection_depth}): a "
                 "checkpoint older than the GC horizon cannot anchor a suffix fetch"
             )
-
-    @property
-    def is_live(self) -> bool:
-        """Whether this wave length guarantees liveness (Appendix C)."""
-        return self.wave_length >= MIN_LIVE_WAVE_LENGTH
-
-    @property
-    def boost_rounds(self) -> int:
-        """Number of Boost rounds in each wave (wave minus Propose/Vote/Certify)."""
-        return self.wave_length - 3
-
-    def with_wave_length(self, wave_length: int) -> "ProtocolConfig":
-        """Return a copy with a different wave length."""
-        return replace(self, wave_length=wave_length)
 
     def with_leaders(self, leaders_per_round: int) -> "ProtocolConfig":
         """Return a copy with a different number of leader slots per round."""

@@ -215,10 +215,6 @@ class Committer:
             return False
         return (round_number - FIRST_LEADER_ROUND) % self._wave_stride == 0
 
-    def leader_rounds(self, up_to: int) -> list[int]:
-        """All leader rounds in ``[FIRST_LEADER_ROUND, up_to]``."""
-        return list(range(FIRST_LEADER_ROUND, up_to + 1, self._wave_stride))
-
     def coin_round(self, leader_round: int) -> int:
         """The round whose blocks open the coin electing
         ``leader_round``'s leaders (the wave's Certify round)."""

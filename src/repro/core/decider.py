@@ -132,10 +132,6 @@ class LeaderElector:
         for r in [r for r in self._cache if r < certify_round]:
             del self._cache[r]
 
-    def memo_size(self) -> int:
-        """Number of cached per-round reconstruction attempts."""
-        return len(self._cache)
-
     def leader(
         self, certify_round: int, offset: int, epoch_round: int | None = None
     ) -> int:

@@ -55,13 +55,3 @@ def hash_parts(parts: Iterable[bytes], *, person: bytes = b"") -> Digest:
             run = []
     hasher.update(b"".join(run))
     return hasher.digest()
-
-
-def hash_to_int(data: bytes, modulus: int, *, person: bytes = b"") -> int:
-    """Hash ``data`` to an integer in ``[0, modulus)``.
-
-    Uses a 64-byte blake2b digest so the bias for moduli far below
-    2**512 is negligible.
-    """
-    digest = hashlib.blake2b(data, digest_size=64, person=person).digest()
-    return int.from_bytes(digest, "big") % modulus

@@ -71,10 +71,6 @@ class TraceEvent(NamedTuple):
     dur: float | None
     args: dict | None
 
-    @property
-    def is_span(self) -> bool:
-        return self.dur is not None
-
 
 class Tracer:
     """An enabled tracer: appends :class:`TraceEvent` rows in memory.

@@ -178,7 +178,7 @@ class ValidatorNode:
         #: Unrecoverable re-sync failure, surfaced instead of raised so
         #: the transport pump survives (hosts poll / report it).
         self.recovery_error: StateTransferError | None = None
-        #: Committed observations, for consumers (SMR execution layers).
+        #: Committed observations, for consumers.
         self.commits: asyncio.Queue[CommitObservation] = asyncio.Queue()
         self.committed_blocks: list[Block] = []
         transport.on_message(self._on_message)

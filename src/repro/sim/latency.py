@@ -154,12 +154,7 @@ class LatencyMatrixModel(LatencyModel):
                         f"({regions[i]}<->{regions[j]} disagrees)"
                     )
         self._assignment = tuple(i % len(regions) for i in range(num_validators))
-        self._regions = regions
         self._matrix = matrix
-
-    def region_of(self, validator: int) -> str:
-        """The region hosting ``validator``."""
-        return self._regions[self._assignment[validator]]
 
     def base_delay(self, src: int, dst: int) -> float:
         return self._matrix[self._assignment[src]][self._assignment[dst]]

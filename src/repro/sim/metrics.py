@@ -275,11 +275,6 @@ class ExperimentMetrics:
     # Reporting
     # ------------------------------------------------------------------
     @property
-    def committed_unique(self) -> int:
-        """Transactions counted as committed (each left one latency)."""
-        return len(self._latencies)
-
-    @property
     def pending(self) -> int:
         """Transactions submitted but never committed (backlog)."""
         return self.submitted - self._committed

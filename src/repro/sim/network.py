@@ -314,11 +314,6 @@ class SimNetwork:
         """Return ``validator`` to the default group (no-op if whole)."""
         self._partition.pop(validator, None)
 
-    def partition_group(self, validator: int) -> str:
-        """The validator's current partition group (``""`` = default)."""
-        entry = self._partition.get(validator)
-        return entry[0] if entry else ""
-
     def _cross_partition(self, src: int, dst: int) -> tuple[bool, float]:
         """(dropped, extra_delay) for the src->dst link under the
         current partition state."""

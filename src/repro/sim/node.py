@@ -274,9 +274,8 @@ class SimValidator:
             every step that extended the commit sequence, with the new
             observations in commit order (the validator keeps none).
         core_factory: Builds a fresh core on :meth:`recover` — a restart
-            loses all in-memory state.  Without a factory, ``recover``
-            resumes with the retained core (a process *pause* rather
-            than a restart; unit tests use this).
+            loses all in-memory state.  A validator that restarts needs
+            one.
         start_down: Begin offline (a validator that ``join``\\ s later).
         on_recovery: Called as ``(authority, recovered_at, resumed_at,
             mode)`` when the validator proposes its first block after a
@@ -436,12 +435,11 @@ class SimValidator:
         """Restart after a crash (or come online for the first time —
         a ``join``).
 
-        With a ``core_factory`` the validator restarts from an **empty
-        in-memory state**: a fresh core holding only genesis, empty
-        mempool and ingress queue (what the old incarnation's ingress
-        stage still held is lost with it, and the stage restarts at
-        *now*), no certification or fetch state.  Then it runs the
-        driver's restart sequence,
+        The validator restarts from an **empty in-memory state**: a
+        fresh core holding only genesis, empty mempool and ingress queue
+        (what the old incarnation's ingress stage still held is lost
+        with it, and the stage restarts at *now*), no certification or
+        fetch state.  Then it runs the driver's restart sequence,
         :meth:`~repro.statesync.driver.ValidatorDriver.recover`: depending
         on ``recover_mode`` it replays its WAL (warm), requests a
         state-transfer checkpoint (checkpoint), or goes straight to deep
@@ -452,14 +450,6 @@ class SimValidator:
             return
         self.down = False
         self._incarnation += 1
-        if self._core_factory is None:
-            # Process pause, not restart: all state retained, nothing
-            # to re-sync — resume where we left off.  (The fetch table's
-            # retry timer and the pacing timer went with the old
-            # incarnation.)
-            self._driver.synchronizer.reset()
-            self._driver.pacing_timer_fired()
-            return
         self.core = self._core_factory()
         self.ingress.clear()
         self.core.mempool = self.ingress
@@ -505,8 +495,7 @@ class SimValidator:
         The stage is a FIFO, not a timer: ``tx`` is queued with the time
         the stage will be done with it and the next step at or after
         that time admits it.  Without a CPU model there is no stage and
-        nothing queues.  A restart drops the queue with the core it fed;
-        a pause (``recover`` without a ``core_factory``) keeps it.
+        nothing queues.  A restart drops the queue with the core it fed.
         """
         if not self.down:
             self.ingress.submit(tx, self._loop.now)

@@ -280,6 +280,14 @@ class ExperimentConfig:
                 )
             if self.leader_dos_delay <= 0:
                 raise ConfigError("leader_dos_delay must be > 0 when leader_dos_slots is set")
+        if not 0 <= self.adversary_targets <= self.num_validators:
+            raise ConfigError(
+                f"adversary_targets must be in [0, {self.num_validators}], "
+                f"got {self.adversary_targets}"
+            )
+        # Written as ``not 0 <= delay`` so that a NaN is refused too.
+        if not 0 <= self.adversary_delay or not 0 <= (self.uniform_delay or 0):
+            raise ConfigError("adversary_delay and uniform_delay must be >= 0")
         if self.wan_matrix:
             if self.wan_matrix not in WAN_PRESETS:
                 raise ConfigError(

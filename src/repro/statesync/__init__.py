@@ -28,8 +28,7 @@ This package is transport-, clock- and coroutine-free.  It holds:
   validator that cannot refetch the DAG back to genesis (the history is
   behind its peers' garbage-collection horizon) adopts a
   quorum-attested checkpoint instead and deep-fetches only the suffix
-  above it.  The SMR executor contributes its state digest via
-  :func:`digest_executor_state`.
+  above it.
 """
 
 from .checkpoint import (
@@ -38,7 +37,6 @@ from .checkpoint import (
     Checkpoint,
     CommitLedger,
     chain_digest,
-    digest_executor_state,
 )
 from .driver import IDLE_STEP, RECOVER_MODES, ValidatorDriver, ValidatorPort
 from .recovery import (
@@ -63,6 +61,5 @@ __all__ = [
     "WalReplay",
     "ancestor_closure",
     "chain_digest",
-    "digest_executor_state",
     "replay_wal",
 ]

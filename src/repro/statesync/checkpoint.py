@@ -8,8 +8,8 @@ A :class:`Checkpoint` summarizes a validator's committed state at a
   below this round as settled and fetches only blocks at or above it;
 * ``next_slot`` — the exact ``(round, offset)`` cursor position the
   commit-sequence extension resumes from;
-* ``chain`` — a running digest over the committed block sequence (the
-  SMR-facing state digest: equal chains imply equal applied prefixes);
+* ``chain`` — a running digest over the committed block sequence (equal
+  chains imply equal committed prefixes);
 * ``linearized`` — references of every already-linearized block at or
   above ``floor``, so an adopter never re-linearizes pre-checkpoint
   blocks the suffix fetch re-serves.
@@ -70,16 +70,6 @@ _REF_ORDER = attrgetter("author", "round", "digest")
 def chain_digest(chain: Digest, block_digest: Digest) -> Digest:
     """Extend the running commit-sequence digest by one committed block."""
     return hash_parts((chain, block_digest), person=b"ckptchain")
-
-
-def digest_executor_state(applied_index: int, state_root: Digest) -> Digest:
-    """The SMR executor's contribution to a checkpoint: a content digest
-    of ``(applied index, state root)``.  Replicas with equal committed
-    prefixes produce equal digests (prefix consistency of the executor).
-    """
-    return hash_parts(
-        (applied_index.to_bytes(8, "little"), state_root), person=b"ckptexec"
-    )
 
 
 @dataclass(frozen=True)

@@ -493,11 +493,6 @@ class ValidatorDriver:
     # ------------------------------------------------------------------
     # The deep-fetch chain
     # ------------------------------------------------------------------
-    @property
-    def sync_inflight(self) -> bool:
-        """Whether a deep fetch is currently outstanding."""
-        return self._inflight != 0
-
     def request_sync(self, peer: int, refs: tuple[BlockRef, ...]) -> bool:
         """Deep-fetch ``refs`` and their ancestors from ``peer`` unless
         state transfer is pending or a fetch is already in flight — the

@@ -66,13 +66,10 @@ class Synchronizer:
         return len(self._pending)
 
     def restart(self, core) -> None:
-        """A new incarnation: bind its ``core`` and :meth:`reset`."""
+        """A new incarnation: bind its ``core``, and forget every tracked
+        reference and the armed timer (the host dropped it: a crash
+        loses its timers)."""
         self._core = core
-        self.reset()
-
-    def reset(self) -> None:
-        """Forget every tracked reference and the armed timer (the host
-        dropped it: a crash loses its timers)."""
         self._pending.clear()
         self._armed = False
 

@@ -19,7 +19,7 @@ def make():
 class TestWaveStructure:
     def test_one_leader_every_five_rounds(self):
         _, _, committer = make()
-        assert committer.leader_rounds(16) == [1, 6, 11, 16]
+        assert [r for r in range(17) if committer.is_leader_round(r)] == [1, 6, 11, 16]
         assert committer.leaders_per_round == 1
 
     def test_lockstep_commits_one_leader_per_wave(self):

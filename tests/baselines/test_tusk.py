@@ -176,7 +176,7 @@ def test_memos_follow_the_cursor_not_the_round_number():
         committer.extend_commit_sequence()
         window = round_number - committer.next_slot.round + 1
         assert window <= 3 * TUSK_WAVE
-        assert committer._elector.memo_size() <= window
+        assert len(committer._elector._cache) <= window
         assert len(committer._decided) + len(committer._undecided) <= window
     assert committer.next_slot.round > 200 - 3 * TUSK_WAVE
 

@@ -28,10 +28,16 @@ from ..helpers import committed_blocks, record_commits
 class RandomScheduleCluster:
     """Drives cores under a seeded random delivery schedule."""
 
-    def __init__(self, n=4, wave=5, leaders=2, seed=0, crashed=(), equivocators=()):
+    def __init__(
+        self, n=4, wave=5, leaders=2, seed=0, crashed=(), equivocators=(), checkpoint_interval=0
+    ):
         self.committee = Committee.of_size(n)
         coin = FastCoin(seed=b"agree", n=n, threshold=self.committee.quorum_threshold)
-        config = ProtocolConfig(wave_length=wave, leaders_per_round=leaders)
+        config = ProtocolConfig(
+            wave_length=wave,
+            leaders_per_round=leaders,
+            checkpoint_interval_rounds=checkpoint_interval,
+        )
         self.cores = [MahiMahiCore(i, self.committee, config, coin) for i in range(n)]
         #: Each validator's commit stream, by authority.
         self.commits = {core.authority: record_commits(core) for core in self.cores}

@@ -111,11 +111,11 @@ class TestExtendCommitSequence:
 class TestWaveStride:
     def test_stride_one_has_leader_every_round(self):
         _, _, committer = make(stride=1)
-        assert committer.leader_rounds(5) == [1, 2, 3, 4, 5]
+        assert [r for r in range(6) if committer.is_leader_round(r)] == [1, 2, 3, 4, 5]
 
     def test_stride_five_matches_cordial_miners(self):
         _, _, committer = make(stride=5)
-        assert committer.leader_rounds(12) == [1, 6, 11]
+        assert [r for r in range(13) if committer.is_leader_round(r)] == [1, 6, 11]
 
     def test_round_zero_never_hosts_leaders(self):
         _, _, committer = make()

@@ -607,11 +607,11 @@ def test_memos_follow_the_walk_window_not_the_round_number(depth):
     for block in causal_order(rng, n, blocks, {3}, 2):
         core.add_block(block)
         core.try_commit()
-        largest = max(largest, committer._elector.memo_size())
+        largest = max(largest, len(committer._elector._cache))
         window = core.store.highest_round - committer.next_slot.round + 1
         assert window <= 3 * wave
         # One coin per certify round from the cursor's wave up.
-        assert committer._elector.memo_size() <= window
+        assert len(committer._elector._cache) <= window
         assert len(committer._undecided) + len(committer._decided) <= window * leaders
     for block in blocks:
         largest_on_a_block = max(largest_on_a_block, block_memo_entries(block))

@@ -67,7 +67,7 @@ def test_activation_evicts_high_rounds_but_keeps_direct_low_decisions(stream):
     # each round's coin as its cursor left it; judging the whole range
     # again rebuilds them for every round.
     committer.try_decide(1, len(stream.rounds))
-    assert committer._elector.memo_size() > 0
+    assert len(committer._elector._cache) > 0
 
     # Re-run the eviction rule at a hypothetical future activation.
     cut = activations[-1]
@@ -82,7 +82,7 @@ def test_activation_evicts_high_rounds_but_keeps_direct_low_decisions(stream):
 
 def test_elector_invalidate_above_is_round_scoped(stream):
     """LeaderElector.invalidate_above drops exactly the certify rounds
-    at or above the cut and reports the count via memo_size."""
+    at or above the cut and reports how many it dropped."""
     store = DagStore()
     from repro.block import make_genesis
     from repro.committee import Committee
@@ -94,8 +94,8 @@ def test_elector_invalidate_above_is_round_scoped(stream):
     elector = LeaderElector(store, Committee.of_size(stream.genesis_size), _StreamCoin())
     for certify_round in (4, 9, 14, 19):
         assert elector.coin_value(certify_round) is not None
-    assert elector.memo_size() == 4
+    assert len(elector._cache) == 4
     assert elector.invalidate_above(14) == 2
-    assert elector.memo_size() == 2
+    assert len(elector._cache) == 2
     assert elector.invalidate_above(0) == 2
-    assert elector.memo_size() == 0
+    assert len(elector._cache) == 0

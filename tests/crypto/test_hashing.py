@@ -5,7 +5,7 @@ import hashlib
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.crypto.hashing import DIGEST_SIZE, hash_bytes, hash_parts, hash_to_int
+from repro.crypto.hashing import DIGEST_SIZE, hash_bytes, hash_parts
 
 
 def reference_hash_parts(parts, person=b""):
@@ -39,9 +39,8 @@ class TestHashBytes:
         [
             lambda person: hash_bytes(b"x", person=person),
             lambda person: hash_parts([b"x"], person=person),
-            lambda person: hash_to_int(b"x", 97, person=person),
         ],
-        ids=["hash_bytes", "hash_parts", "hash_to_int"],
+        ids=["hash_bytes", "hash_parts"],
     )
     def test_long_personalization_rejected_not_truncated(self, digest):
         """A 17-byte tag is no alias of its 16-byte prefix's domain."""
@@ -81,18 +80,3 @@ class TestHashParts:
         expected = reference_hash_parts(parts, person)
         assert hash_parts(parts, person=person) == expected
         assert hash_parts(map(memoryview, parts), person=person) == expected
-
-
-class TestHashToInt:
-    def test_range(self):
-        for modulus in (7, 100, 2**61 - 1):
-            for i in range(50):
-                value = hash_to_int(i.to_bytes(4, "little"), modulus)
-                assert 0 <= value < modulus
-
-    def test_deterministic(self):
-        assert hash_to_int(b"x", 97) == hash_to_int(b"x", 97)
-
-    def test_spreads_over_small_modulus(self):
-        values = {hash_to_int(bytes([i]), 10) for i in range(100)}
-        assert len(values) == 10  # every residue hit across 100 inputs

@@ -40,7 +40,7 @@ class TestGauge:
         g = Gauge("depth")
         g.set(10)
         g.inc(5)
-        g.dec(3)
+        g.inc(-3)
         assert g.value() == 12
 
     def test_untouched_snapshot_is_zero(self):

@@ -19,13 +19,11 @@ class TestTracer:
         assert len(tracer) == 1
         event = tracer.events[0]
         assert event == TraceEvent(1, "client", "tx_submitted", 0.5, None, {"tx": 7})
-        assert not event.is_span
 
     def test_span_recorded_with_duration(self):
         tracer = Tracer()
         tracer.span(0, "network", "net_flight", 1.0, 1.25)
         event = tracer.events[0]
-        assert event.is_span
         assert event.ts == 1.0
         assert event.dur == 0.25
 

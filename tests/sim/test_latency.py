@@ -16,10 +16,10 @@ from repro.sim.latency import (
 
 class TestPaperPreset:
     def test_round_robin_regions(self):
-        model = wan_matrix_model("paper-5", 10)
-        assert model.region_of(0) == "us-east-2"
-        assert model.region_of(4) == "eu-south-1"
-        assert model.region_of(5) == "us-east-2"
+        regions = [PAPER_REGIONS[i] for i in wan_matrix_model("paper-5", 10)._assignment]
+        assert regions[0] == "us-east-2"
+        assert regions[4] == "eu-south-1"
+        assert regions[5] == "us-east-2"
 
     def test_five_paper_regions(self):
         assert len(PAPER_REGIONS) == 5
@@ -59,8 +59,9 @@ class TestPaperPreset:
 
     def test_far_pair_is_cape_town_hong_kong(self):
         model = wan_matrix_model("paper-5", 10)
+        regions = [PAPER_REGIONS[i] for i in model._assignment]
         delays = {
-            (model.region_of(a), model.region_of(b)): model.base_delay(a, b)
+            (regions[a], regions[b]): model.base_delay(a, b)
             for a in range(5)
             for b in range(5)
             if a != b
@@ -122,7 +123,7 @@ class TestLatencyMatrixModel:
 
     def test_round_robin_default_assignment(self):
         model = LatencyMatrixModel(self.REGIONS, self.MATRIX, num_validators=4)
-        assert [model.region_of(i) for i in range(4)] == ["a", "b", "a", "b"]
+        assert model._assignment == (0, 1, 0, 1)
         assert model.base_delay(0, 2) == 0.001
         assert model.base_delay(0, 1) == 0.050
 
@@ -148,9 +149,10 @@ class TestWanPresets:
         """``paper-5`` is built from the paper's pairwise one-way
         delays: every cross-region pair reads the table's value."""
         model = wan_matrix_model("paper-5", 10)
+        regions = [PAPER_REGIONS[i] for i in model._assignment]
         for src in range(10):
             for dst in range(10):
-                pair = frozenset({model.region_of(src), model.region_of(dst)})
+                pair = frozenset({regions[src], regions[dst]})
                 if len(pair) == 2:
                     assert model.base_delay(src, dst) == _ONE_WAY[pair]
 
@@ -172,7 +174,7 @@ class TestWanPresets:
             wan.base_delay(a, b)
             for a in range(6)
             for b in range(6)
-            if a != b and wan.region_of(a) != wan.region_of(b)
+            if a != b and wan._assignment[a] != wan._assignment[b]
         )
         assert worst_metro < best_wan_cross
 

@@ -35,7 +35,7 @@ class TestMetrics:
         metrics.record_submission(1, 0.0)
         metrics.record_commit([Transaction(1)], 0.5)
         metrics.record_commit([Transaction(1)], 0.9)
-        assert metrics.committed_unique == 1
+        assert len(metrics._latencies) == 1
         assert metrics.duplicate_commits == 1
 
     def test_weighted_latency_and_throughput(self):

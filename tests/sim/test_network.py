@@ -318,7 +318,7 @@ class TestPartitions:
         loop.run_to_completion()
         assert [m.body for m, _ in inboxes[1]] == ["delivered"]
         assert network.messages_dropped == 1
-        assert network.partition_group(1) == ""
+        assert 1 not in network._partition
 
     def test_empty_group_rejected(self):
         _, network, _ = make_network()

@@ -345,26 +345,6 @@ class TestRecovery:
         assert not nodes[3].down
         assert nodes[3].core.total_proposed > 0
 
-    def test_retained_core_without_factory(self):
-        """recover() without a core factory resumes with retained state
-        (a pause, not a restart) — the documented unit-test mode: no
-        re-sync gate, no state wipe."""
-        loop, nodes = make_cluster(with_core_factory=False)
-        for node in nodes:
-            node.start()
-        loop.run_until(1.0)
-        round_at_crash = nodes[3].core.round
-        nodes[3].crash()
-        core_before = nodes[3].core
-        nodes[3].recover()
-        assert nodes[3].core is core_before
-        assert nodes[3].core.round == round_at_crash
-        assert not nodes[3].syncing  # nothing was lost, nothing to re-sync
-        # And the paused validator keeps participating.
-        nodes[3].start()
-        loop.run_until(3.0)
-        assert nodes[3].core.round > round_at_crash
-
     @staticmethod
     def _until_pacing_timer_armed(loop, node):
         """Run the loop until ``node`` has a pacing timer out; returns
@@ -404,32 +384,6 @@ class TestRecovery:
         assert victim.core is not old_core and victim.core.total_proposed > 0
         # The new incarnation's own timers do fire.
         assert any(a == 3 and core is victim.core for a, core, _ in fired)
-
-    def test_a_pause_drops_the_pacing_timer_and_paces_afresh(self):
-        """A pause (no core factory) keeps the core but not the timers:
-        the next step arms a new one, so the paced proposal still goes
-        out at its deadline instead of waiting for the next arrival."""
-        tracer = Tracer()
-        loop, nodes = make_cluster(interval=0.2, tracer=tracer)
-        for node in nodes:
-            node.start()
-        loop.run_until(0.5)
-        victim = nodes[3]
-        deadline = self._until_pacing_timer_armed(loop, victim)
-        round_before = victim.core.round
-        victim.crash()
-        victim.recover()
-        assert not victim._driver._timer_armed
-        victim.start()
-        loop.run_until(deadline + 0.001)
-        [proposed_at] = [
-            event.ts
-            for event in tracer.events
-            if event.validator == 3
-            and event.name == BLOCK_PROPOSED
-            and event.args["round"] == round_before + 1
-        ]
-        assert proposed_at == pytest.approx(deadline)
 
     def test_rapid_double_crash_does_not_equivocate(self):
         """Regression: a fetch response requested by a previous
@@ -504,21 +458,6 @@ class TestCpuModel:
         assert ingress_spans(tracer, 3)[-1] == (6, 0.2, pytest.approx(0.29))
         proposed = proposals_with_transactions(tracer, nodes[3])
         assert [ids for _, ids in proposed] == [[6]]
-
-    def test_pause_keeps_the_ingress_queue(self):
-        """Without a ``core_factory`` a crash is a process pause: the
-        stage's output survives it and is proposed after resuming."""
-        loop, nodes, tracer = ingress_cluster(0.09, interval=0.25)
-        for node in nodes:
-            node.start()
-        for tx_id in range(1, 6):
-            nodes[3].submit(Transaction(tx_id))
-        loop.schedule_at(0.1, nodes[3].crash)
-        loop.schedule_at(0.7, nodes[3].recover)
-        loop.schedule_at(0.7, nodes[3].start)
-        loop.run_until(2.0)
-        ((resumed, ids),) = proposals_with_transactions(tracer, nodes[3])
-        assert resumed >= 0.7 and ids == [1, 2, 3, 4, 5]
 
     def test_slow_factor_prices_later_submissions_only(self):
         loop, nodes, tracer = ingress_cluster(0.15, interval=0.1)

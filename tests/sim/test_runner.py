@@ -122,6 +122,42 @@ class TestConfigValidation:
                 config = ExperimentConfig(protocol=protocol, **overrides)
                 assert config.protocol_config.leaders_per_round == 1
 
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            dict(adversary_targets=5),
+            dict(adversary_targets=-1),
+            dict(adversary_delay=-0.1),
+            dict(uniform_delay=-0.05),
+            dict(adversary_delay=float("nan")),
+            dict(uniform_delay=float("nan")),
+        ],
+    )
+    def test_hostile_adversary_config_rejected_at_construction(self, overrides):
+        """A target count outside the committee would fail at the first
+        hop (``random.sample``), a negative delay would be clamped to a
+        zero-latency delivery and a NaN one would corrupt the event
+        heap's order: all are refused up front."""
+        with pytest.raises(ConfigError):
+            ExperimentConfig(num_validators=4, **overrides)
+        ExperimentConfig(num_validators=4, adversary_targets=4, adversary_delay=0.0)
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            dict(adversary_targets=0),
+            dict(adversary_targets=4),
+            dict(adversary_targets=2, adversary_delay=0.0),
+            dict(uniform_delay=0.0),
+        ],
+        ids=["no-targets", "every-validator", "zero-delay", "zero-latency"],
+    )
+    def test_adversary_config_at_its_bounds_accepted(self, overrides):
+        """The bounds themselves are legal: no target or the whole
+        committee, and delays of exactly zero."""
+        config = ExperimentConfig(num_validators=4, **overrides)
+        assert 0 <= config.adversary_targets <= 4 and config.adversary_delay >= 0
+
     def test_recovering_counts_against_fault_budget(self):
         with pytest.raises(ConfigError):
             ExperimentConfig(num_validators=10, num_crashed=2, num_recovering=2)

@@ -438,7 +438,7 @@ def test_one_record_of_each_kind_per_section():
     metrics.record_block_times(section, 8.0, 9.0)
     metrics.record_commit(section, 4.0)
     metrics.record_commit(section, 5.0)
-    assert metrics.committed_unique == 2 and metrics.pending == 1
+    assert len(metrics._latencies) == 2 and metrics.pending == 1
     assert metrics.duplicate_commits == 3 and metrics.committed_weight == 4.0
     assert metrics.latency_summary().max == 2.5
     breakdown = metrics.stage_breakdown()
@@ -464,7 +464,7 @@ def test_a_decoded_copy_of_a_section_is_booked_on_the_section():
     assert metrics.stage_breakdown()["network_s"] == 0.5
     metrics.record_commit(section, 3.0)
     metrics.record_commit(copy, 3.0)
-    assert metrics.committed_unique == 2 and metrics.duplicate_commits == 4
+    assert len(metrics._latencies) == 2 and metrics.duplicate_commits == 4
 
 
 def test_entries_submitted_as_objects_are_no_client_traffic():
@@ -476,7 +476,7 @@ def test_entries_submitted_as_objects_are_no_client_traffic():
     section = TransactionSlice([1, command, 2], [0.5, 0.3, 1.0], None, 1)
     metrics.record_inclusion(section, 1.0)
     metrics.record_commit(section, 2.0)
-    assert metrics.committed_unique == 2 and metrics.pending == 0
+    assert len(metrics._latencies) == 2 and metrics.pending == 0
     assert metrics.committed_weight == 10.0 and metrics.latency_summary().max == 1.5
     metrics.record_commit(section, 3.0)
     assert metrics.duplicate_commits == 2

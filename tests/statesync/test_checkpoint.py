@@ -30,7 +30,6 @@ from repro.statesync import (
     CheckpointVotes,
     CommitLedger,
     chain_digest,
-    digest_executor_state,
 )
 from repro.sim.faults import make_equivocating_sibling
 from repro.statesync.checkpoint import _REF_ORDER
@@ -92,12 +91,6 @@ class TestChainDigest:
         ab = chain_digest(chain_digest(GENESIS_STATE, a), b)
         ba = chain_digest(chain_digest(GENESIS_STATE, b), a)
         assert ab != ba
-
-    def test_executor_digest_binds_index_and_root(self):
-        root = hash_bytes(b"root")
-        assert digest_executor_state(1, root) != digest_executor_state(2, root)
-        assert digest_executor_state(1, root) != digest_executor_state(1, hash_bytes(b"x"))
-        assert digest_executor_state(3, root) == digest_executor_state(3, root)
 
 
 class TestCheckpointVotes:

@@ -11,7 +11,9 @@ through the shared trace instants; the *number* of chunks depends on
 each fabric's timing, the order of transitions does not).
 
 *Steady state* — four validators paced so that every block of a round
-is in before the next proposal build the same DAG on both fabrics: the
+is in before the next proposal (the runtime's on a virtual clock that
+jumps only while its loop is idle, so host load cannot break the
+pacing) build the same DAG on both fabrics: the
 same step must then emit the same lifecycle instants per own round and
 commit the same blocks.  A block with a bad signature is dropped, and
 counted, by both, and peer blocks that an own proposal connects are
@@ -27,6 +29,9 @@ nobody can hold once the garbage-collection horizon has passed it.
 """
 
 import asyncio
+import selectors
+import time
+from types import SimpleNamespace
 
 import pytest
 
@@ -57,6 +62,7 @@ from repro.obs.trace import (
     WAVE_DECIDED,
     Tracer,
 )
+from repro.runtime import node as node_module
 from repro.runtime.node import ValidatorNode
 from repro.runtime.transport import MemoryHub, MemoryTransport
 from repro.runtime.wal import WriteAheadLog
@@ -248,11 +254,11 @@ def test_proposal_instants_share_one_track(runs):
 # ----------------------------------------------------------------------
 # Steady state
 # ----------------------------------------------------------------------
-#: Own rounds compared (the runtime leg takes ``ROUNDS * PACE`` seconds).
+#: Own rounds compared (the runtime leg spans ``ROUNDS * PACE`` seconds
+#: of its virtual clock).
 ROUNDS = 24
-#: Runtime pacing: every block of a round is in long before the next
-#: proposal is due, so each proposal names all four — the simulator's
-#: lockstep DAG.
+#: Runtime pacing: every block of a round is in before the next proposal
+#: is due, so each proposal names all four — the simulator's lockstep DAG.
 PACE = 0.05
 STEP_STAGES = (BLOCK_PROPOSED, TX_INCLUDED, WAVE_DECIDED, TX_COMMITTED)
 
@@ -298,6 +304,41 @@ def run_steady_simulator():
     return tracer, commits
 
 
+class VirtualClockLoop(asyncio.SelectorEventLoop):
+    """An event loop whose clock moves only while it is idle: waiting for
+    the next timer jumps straight to it.  Every delivery already queued
+    runs before a pacing timer fires, however slow the host, so the
+    runtime leg keeps its lockstep DAG under load."""
+
+    def __init__(self):
+        self.now = 0.0
+        loop = self
+
+        class JumpingSelector(selectors.DefaultSelector):
+            def select(self, timeout=None):
+                if timeout:
+                    loop.now += timeout
+                return super().select(0)
+
+        super().__init__(JumpingSelector())
+
+    def time(self):
+        return self.now
+
+
+def run_on_virtual_clock(monkeypatch, make_coroutine):
+    """Run ``make_coroutine()`` to completion on a
+    :class:`VirtualClockLoop`, with the runtime node reading that loop's
+    clock wherever it reads ``time.monotonic``."""
+    loop = VirtualClockLoop()
+    monkeypatch.setattr(node_module, "time", SimpleNamespace(monotonic=loop.time, time=time.time))
+    try:
+        return loop.run_until_complete(asyncio.wait_for(make_coroutine(), timeout=60))
+    finally:
+        loop.run_until_complete(loop.shutdown_asyncgens())
+        loop.close()
+
+
 async def run_steady_runtime():
     hub = MemoryHub()
     tracer = Tracer()
@@ -318,9 +359,9 @@ async def run_steady_runtime():
     return tracer, [b.digest for b in nodes[0].committed_blocks]
 
 
-def test_steady_state_step_is_the_same_on_both_fabrics():
+def test_steady_state_step_is_the_same_on_both_fabrics(monkeypatch):
     sim_tracer, sim_commits = run_steady_simulator()
-    rt_tracer, rt_commits = asyncio.run(asyncio.wait_for(run_steady_runtime(), timeout=60))
+    rt_tracer, rt_commits = run_on_virtual_clock(monkeypatch, run_steady_runtime)
     sim_rounds = stages_by_own_round(sim_tracer)[:ROUNDS]
     rt_rounds = stages_by_own_round(rt_tracer)[:ROUNDS]
     assert len(sim_rounds) == ROUNDS

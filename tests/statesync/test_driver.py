@@ -163,7 +163,7 @@ class TestModeSelection:
         assert driver.request_sync(0, (tip.reference,))
         fresh = make_core(3)
         driver.restart(fresh)
-        assert driver.core is fresh and not driver.sync_inflight
+        assert driver.core is fresh and not driver._inflight
         assert driver.recovered_at is None
         driver.begin_sync(now=2.0)
         assert driver.recovered_at == 2.0
@@ -220,17 +220,17 @@ class TestDeepFetchChain:
     def test_one_request_in_flight_until_it_times_out(self):
         driver, port = self.syncing_driver()
         refs = (suffix(history(3)[0])[-1].reference,)
-        assert driver.request_sync(0, refs) and driver.sync_inflight
+        assert driver.request_sync(0, refs) and driver._inflight
         assert port.timers == [(SYNC_TIMEOUT, driver.sync_timed_out, (1,))]
         assert not driver.request_sync(1, refs)  # suppressed
         assert not driver.request_sync(0, ())  # nothing to ask for
         driver.sync_timed_out(99)  # another request's timer
-        assert driver.sync_inflight
+        assert driver._inflight
         driver.sync_timed_out(1)
-        assert not driver.sync_inflight
+        assert not driver._inflight
         assert driver.request_sync(1, refs)
         driver.sync_timed_out(1)  # the stale timer must not clear request 2
-        assert driver.sync_inflight
+        assert driver._inflight
         assert [(peer, token) for peer, _, _, token in port.sync_requests] == [(0, 1), (1, 2)]
 
     def test_stale_response_contributes_blocks_but_does_not_drive_the_chain(self):
@@ -244,10 +244,10 @@ class TestDeepFetchChain:
         assert driver.on_sync_response(0, blocks, (), 1) is False
         assert port.ingested == [(block, False) for block in blocks]
         assert driver.core.store.highest_round == 6  # the blocks did land
-        assert driver.syncing and driver.sync_inflight  # request 2 still owns the chain
+        assert driver.syncing and driver._inflight  # request 2 still owns the chain
         assert len(port.sync_requests) == 2
         # An untagged response never drives the chain either.
-        assert driver.on_sync_response(0, (), (), 0) is False and driver.sync_inflight
+        assert driver.on_sync_response(0, (), (), 0) is False and driver._inflight
 
     def test_short_chunk_finishes_and_full_chunk_continues(self, monkeypatch):
         """The serving side caps every chunk at SYNC_MAX_BLOCKS whatever
@@ -271,14 +271,14 @@ class TestDeepFetchChain:
         assert port.sync_requests[-1][2:] == (4, 3)  # chained straight off the response
         # The rest is a short chunk and connects everything: caught up.
         assert driver.on_sync_response(0, tuple(blocks[16:-1]), (), 3) is True
-        assert not driver.syncing and not driver.sync_inflight
+        assert not driver.syncing and not driver._inflight
         assert port.names()[-1] == "sync_finished"
 
     def test_empty_response_unblocks_without_reasking(self):
         driver, port = self.syncing_driver()
         driver.request_sync(0, (suffix(history(3)[0])[-1].reference,))
         assert driver.on_sync_response(0, (), (), 1) is False
-        assert driver.syncing and not driver.sync_inflight
+        assert driver.syncing and not driver._inflight
         assert len(port.sync_requests) == 1
 
     def test_live_block_finishes_and_clears_the_inflight_marker(self):
@@ -293,7 +293,7 @@ class TestDeepFetchChain:
             assert driver.ingest(block, 0, 0.0, live=False).accepted
         assert driver.syncing  # fetched blocks prove nothing
         assert driver.ingest(blocks[4], 1, 0.0).accepted  # a live round-2 broadcast
-        assert not driver.syncing and not driver.sync_inflight
+        assert not driver.syncing and not driver._inflight
         assert port.instants[-1] == ("sync_finished", {"mode": "cold"})
         driver.begin_sync(now=5.0, behind=12)
         assert driver.request_sync(1, (blocks[-1].reference,))
@@ -491,7 +491,7 @@ class TestOnMessage:
         blocks = tuple(suffix(source))
         assert driver.on_message(SyncResponse(blocks, (), token=1), 0) is False
         assert driver.core.store.highest_round == 6
-        assert driver.syncing and driver.sync_inflight and len(port.sync_requests) == 2
+        assert driver.syncing and driver._inflight and len(port.sync_requests) == 2
         # The current one, a short chunk with nothing pending: finished,
         # and the host is told to step.
         assert driver.on_message(SyncResponse((), (), token=2), 1) is False

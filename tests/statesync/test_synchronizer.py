@@ -4,14 +4,10 @@ driver that owns it and the recording fake port (timers fire by hand)."""
 import pytest
 
 from repro.block import Block
-from repro.messages import BlockMessage, FetchRequest
-from repro.sim.events import EventLoop
-from repro.sim.latency import UniformLatencyModel
-from repro.sim.network import Message, SimNetwork
-from repro.sim.node import SimValidator
+from repro.messages import FetchRequest
 from repro.statesync.synchronizer import BATCH, RETRY_AFTER, Synchronizer
 from tests.statesync.test_checkpoint import make_core
-from tests.statesync.test_driver import make_driver, peer_blocks
+from tests.statesync.test_driver import make_driver
 
 
 def ref(author, round_number=1, salt=b""):
@@ -158,30 +154,3 @@ class TestForgetting:
         driver.synchronizer.note_missing((ref(0),), sender=1)
         assert port.sent[-1] == (1, FetchRequest((ref(0),)))
         assert len(port.timers) == 1 and driver.synchronizer.requests_sent == 2
-
-    def test_a_paused_simulated_validator_resumes_with_an_empty_table(self):
-        """``recover()`` without a ``core_factory`` keeps the core but
-        bumps the incarnation, which drops the armed timer: entries left
-        behind would never be asked for again."""
-        loop = EventLoop()
-        network = SimNetwork(loop, UniformLatencyModel(0.02), 4, seed=1)
-        victim = SimValidator(make_core(3), network, loop)
-        asked = []
-        network.register_batch(2, lambda batch: asked.extend(m.body for m in batch))
-        # Two round-2 blocks naming the same, unknown, round-1 parents.
-        first, second = (b for b in peer_blocks(2) if b.round == 2)
-
-        def deliver(block):
-            victim.on_message(Message(src=2, body=BlockMessage(block), size=100))
-
-        deliver(first)
-        table = victim._driver.synchronizer
-        assert table.missing == 3  # the round-1 blocks of 0, 1 and our own
-        victim.crash()
-        victim.recover()
-        assert table.missing == 0
-        deliver(second)
-        loop.run_until(RETRY_AFTER + 0.5)
-        # Asked at once, and again (by the re-armed timer) a period later.
-        assert table.missing == 3 and table.requests_sent >= 4
-        assert sum(type(body) is FetchRequest for body in asked) >= 2

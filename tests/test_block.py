@@ -164,11 +164,6 @@ class TestHelpers:
     def test_slot(self):
         assert sample_block().slot == (1, 1)
 
-    def test_parents_at_round(self):
-        block = sample_block()
-        assert len(block.parents_at_round(0)) == 4
-        assert block.parents_at_round(5) == []
-
     def test_genesis_shape(self):
         genesis = make_genesis(7)
         assert len(genesis) == 7

@@ -26,17 +26,6 @@ class TestProtocolConfig:
         with pytest.raises(ConfigError):
             ProtocolConfig(wave_length=wave_length)
 
-    def test_liveness_property_per_appendix_c(self):
-        """w=3 is safe but not live (Appendix C.3 note); w>=4 is live."""
-        assert not ProtocolConfig(wave_length=3).is_live
-        assert ProtocolConfig(wave_length=4).is_live
-        assert ProtocolConfig(wave_length=5).is_live
-
-    def test_boost_round_count(self):
-        assert ProtocolConfig(wave_length=5).boost_rounds == 2
-        assert ProtocolConfig(wave_length=4).boost_rounds == 1
-        assert ProtocolConfig(wave_length=3).boost_rounds == 0
-
     def test_zero_leaders_rejected(self):
         with pytest.raises(ConfigError):
             ProtocolConfig(leaders_per_round=0)
@@ -48,13 +37,6 @@ class TestProtocolConfig:
     def test_zero_block_transactions_rejected(self):
         with pytest.raises(ConfigError):
             ProtocolConfig(max_block_transactions=0)
-
-    def test_with_wave_length_returns_modified_copy(self):
-        base = ProtocolConfig(wave_length=5, leaders_per_round=3)
-        modified = base.with_wave_length(4)
-        assert modified.wave_length == 4
-        assert modified.leaders_per_round == 3
-        assert base.wave_length == 5
 
     def test_with_leaders_returns_modified_copy(self):
         base = ProtocolConfig(wave_length=4)

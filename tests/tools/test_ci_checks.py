@@ -370,6 +370,96 @@ def test_one_cost_table(tmp_path):
     assert all(str(priced) in v for v in violations)
 
 
+def test_reachable(tmp_path, monkeypatch):
+    assert ci_checks.reachable() == []  # src/ as checked in
+    write(tmp_path / "src" / "repro" / "__init__.py",
+          "from .mod import Thing, exported\n__all__ = ['Thing', 'exported', 'helper']\n")
+    write(
+        tmp_path / "src" / "repro" / "mod.py",
+        "class Thing:\n"
+        "    def __init__(self):\n"
+        "        self.used()\n"
+        "    def used(self):\n"
+        "        return helper()\n"
+        "    def only_tested(self):\n"
+        "        pass\n"
+        "def helper():\n"
+        "    pass\n"
+        "def patched():\n"
+        "    pass\n"
+        "def exported():\n"
+        "    pass\n",
+    )
+    write(tmp_path / "benchmarks" / "run.py",
+          "from repro import Thing\nThing()\nTARGET = 'repro.mod.patched'\n")
+    # Tests reach everything; none of it counts.
+    write(tmp_path / "benchmarks" / "test_run.py", "Thing().only_tested()\nexported()\n")
+    write(tmp_path / "tests" / "test_mod.py", "Thing().only_tested()\nexported()\n")
+    monkeypatch.setattr(ci_checks, "UNREACHED_BY_DESIGN", {})
+    violations = ci_checks.reachable(str(tmp_path))
+    assert [v.split(": ")[1].split()[0] for v in violations] == ["only_tested", "exported"]
+    assert violations[0].startswith(str(Path("src", "repro", "mod.py:6")))
+    # An exemption keeps a definition only while nothing else reaches it.
+    monkeypatch.setattr(
+        ci_checks, "UNREACHED_BY_DESIGN", {"only_tested": "why", "mod.py": "why", "used": "why"}
+    )
+    (stale,) = ci_checks.reachable(str(tmp_path))
+    assert stale == "UNREACHED_BY_DESIGN exempts used, which is no unreferenced definition"
+
+
+def planted_tree(tmp_path, monkeypatch, where, source):
+    """A tree whose one definition, ``repro.mod.planted``, is named only
+    by ``source`` at ``where``; no exemptions."""
+    write(tmp_path / "src" / "repro" / "__init__.py", "")
+    write(tmp_path / "src" / "repro" / "mod.py", "def planted():\n    pass\n")
+    write(tmp_path / where, source)
+    monkeypatch.setattr(ci_checks, "UNREACHED_BY_DESIGN", {})
+    return ci_checks.reachable(str(tmp_path))
+
+
+@pytest.mark.parametrize(
+    "where, source",
+    [
+        ("benchmarks/run.py", "from repro.mod import planted\n"),
+        ("benchmarks/run.py", "import repro.mod\nrepro.mod.planted()\n"),
+        ("examples/demo.py", "planted()\n"),
+        ("tools/patch.py", "TARGET = 'repro.mod.planted'\n"),
+        ("benchmarks/figures.py", "AXIS = 'planted'\n"),
+        ("src/repro/other.py", "from .mod import planted\n"),
+    ],
+    ids=["import", "attribute", "name", "patch-target", "getattr-axis", "src-module"],
+)
+def test_reachable_counts_a_reference(tmp_path, monkeypatch, where, source):
+    assert planted_tree(tmp_path, monkeypatch, where, source) == []
+
+
+@pytest.mark.parametrize(
+    "where, source",
+    [
+        ("tests/test_mod.py", "from repro.mod import planted\nplanted()\n"),
+        ("benchmarks/test_run.py", "planted()\n"),
+        ("benchmarks/conftest.py", "planted()\n"),
+        ("src/repro/sub/__init__.py", "from ..mod import planted\n"),
+        ("src/repro/sub/__init__.py", "__all__ = ['planted']\n"),
+        ("docs/snippet.py", "planted()\n"),
+        ("benchmarks/run.py", "# planted()\nNOTE = 'call planted() first'\n"),
+    ],
+    ids=["tests", "test-module", "conftest", "re-export", "all", "outside", "prose"],
+)
+def test_reachable_ignores_what_is_no_reference(tmp_path, monkeypatch, where, source):
+    (violation,) = planted_tree(tmp_path, monkeypatch, where, source)
+    assert violation.startswith(str(Path("src", "repro", "mod.py:1")))
+    assert "planted is referenced from no non-test file" in violation
+
+
+def test_reachable_leaves_dunder_methods_to_the_language(tmp_path, monkeypatch):
+    source = "class Planted:\n    def __repr__(self):\n        return ''\n"
+    write(tmp_path / "src" / "repro" / "mod.py", source)
+    write(tmp_path / "benchmarks" / "run.py", "from repro.mod import Planted\n")
+    monkeypatch.setattr(ci_checks, "UNREACHED_BY_DESIGN", {})
+    assert ci_checks.reachable(str(tmp_path)) == []
+
+
 @pytest.mark.parametrize("name", ci_checks.CHECKS)
 def test_every_subcommand_is_what_the_workflow_calls(name):
     workflow = Path(__file__).resolve().parents[2] / ".github" / "workflows" / "ci.yml"

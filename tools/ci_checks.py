@@ -4,8 +4,8 @@ each, so the logic is importable and covered by tier-1
 (``tests/tools/test_ci_checks.py``) instead of living in YAML heredocs.
 
 Every check reads files a previous workflow step wrote (or, for
-``one-vocabulary``, ``one-restart-path`` and ``one-cost-table``, source
-files), returns the list of violations
+``one-vocabulary``, ``one-restart-path``, ``one-cost-table`` and
+``reachable``, source files), returns the list of violations
 (empty = pass) and, from the command line, prints them and exits 1.
 
 Usage::
@@ -24,6 +24,7 @@ Usage::
     python tools/ci_checks.py one-vocabulary [HOST.py ...]
     python tools/ci_checks.py one-restart-path [HOST.py ...]
     python tools/ci_checks.py one-cost-table [MODULE.py ...]
+    python tools/ci_checks.py reachable      [REPO_ROOT]
 """
 
 from __future__ import annotations
@@ -383,6 +384,101 @@ def one_cost_table(*paths: str) -> list[str]:
     return violations
 
 
+#: Where the experiments live: every non-test file under these is a
+#: place a reference can come from.
+REACHING = ("src", "benchmarks", "examples", "tools")
+
+#: Definitions under ``src/repro`` kept with no non-test reference, by
+#: name or by module (relative to ``src/repro``), each with its reason.
+UNREACHED_BY_DESIGN = {
+    "combine_shares": "the Shamir reconstruction tests compare the coin against it, "
+    "and ROADMAP item 9's reshare oracle needs it",
+    "voted_block": "Algorithm 3's VotedBlock as the paper names it",
+    "slot_statuses": "the full-sweep side of the incremental-walk oracle",
+    "run_to_completion": "the driver that tests run event loops with",
+    "wait_for_commits": "the driver that tests run clusters with",
+    "analysis/commit_probability.py": "the closed forms of Appendix C's lemmas, "
+    "with the tests as the experiment",
+    "analysis/latency_model.py": "ROADMAP item 2(a) wires it into REPORT.md",
+    "crypto/schnorr.py": "the one real signature scheme, on which runtime tests run a cluster",
+}
+
+
+def _is_test_file(path: Path) -> bool:
+    return path.name == "conftest.py" or path.name.startswith("test_")
+
+
+def _references(path: Path, tree: ast.AST) -> set[str]:
+    """Every identifier ``tree`` refers to: bare names, attributes,
+    imported names and each component of a string constant that reads
+    as a dotted path (a patch target, a ``getattr`` axis).  A package
+    ``__init__.py``'s imports and its ``__all__`` are re-exports and do
+    not count."""
+    reexports: set[int] = set()
+    if path.name == "__init__.py":
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)) or (
+                isinstance(node, ast.Assign)
+                and any(getattr(target, "id", None) == "__all__" for target in node.targets)
+            ):
+                reexports |= {id(child) for child in ast.walk(node)}
+    found = set()
+    for node in ast.walk(tree):
+        if id(node) in reexports:
+            continue
+        if isinstance(node, ast.Constant) and isinstance(node.value, str):
+            parts = node.value.split(".")
+            if all(part.isidentifier() for part in parts):
+                found.update(parts)
+        elif isinstance(node, ast.alias):
+            found.update(node.name.split("."))
+        elif (name := _referenced_name(node)) is not None:
+            found.add(name)
+    return found
+
+
+def reachable(root: str = str(ROOT)) -> list[str]:
+    """Every function, method and class under ``src/repro`` is referenced
+    from some non-test file under :data:`REACHING` (read off the syntax
+    tree; a name counts wherever it appears, so this over-approximates
+    reachability), unless :data:`UNREACHED_BY_DESIGN` keeps it for a
+    stated reason; and every exemption still exempts something.  Dunder
+    methods are the language's to call.  This file is no reference: its
+    exemptions would exempt themselves."""
+    base, repro = Path(root), Path(root, "src", "repro")
+    referenced: set[str] = set()
+    defined = []
+    for top in REACHING:
+        for path in sorted((base / top).rglob("*.py")):
+            if _is_test_file(path) or path.resolve() == Path(__file__).resolve():
+                continue
+            tree = ast.parse(path.read_text(), filename=str(path))
+            referenced |= _references(path, tree)
+            if path.is_relative_to(repro):
+                defined += [
+                    (path, node)
+                    for node in ast.walk(tree)
+                    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+                ]
+    violations, exempted = [], set()
+    for path, node in sorted(defined, key=lambda entry: (entry[0], entry[1].lineno)):
+        name, module = node.name, path.relative_to(repro).as_posix()
+        if name in referenced or (name.startswith("__") and name.endswith("__")):
+            continue
+        if module in UNREACHED_BY_DESIGN or name in UNREACHED_BY_DESIGN:
+            exempted |= {module, name}
+            continue
+        violations.append(
+            f"{path.relative_to(base)}:{node.lineno}: {name} is referenced from no "
+            "non-test file (delete it, or keep it in UNREACHED_BY_DESIGN with a reason)"
+        )
+    violations += [
+        f"UNREACHED_BY_DESIGN exempts {entry}, which is no unreferenced definition"
+        for entry in sorted(UNREACHED_BY_DESIGN.keys() - exempted)
+    ]
+    return violations
+
+
 CHECKS = {
     "cluster-metrics": cluster_metrics,
     "cluster-traces": cluster_traces,
@@ -398,6 +494,7 @@ CHECKS = {
     "one-vocabulary": one_vocabulary,
     "one-restart-path": one_restart_path,
     "one-cost-table": one_cost_table,
+    "reachable": reachable,
 }
 
 
