@@ -117,12 +117,20 @@ class Block:
     filled in by :class:`~repro.dag.traversal.DagTraversal`, and one of
     the commit chain through it, :attr:`chain_link`, kept by the
     committer's ledger: every honest validator commits the block on the
-    same chain (Theorem 1), so one hash serves them all.  They are facts
-    about the hash-linked history, not about who asks, so they share the
-    block object's lifetime and holders exactly as the identity values
-    do.  They hold digests and author ids only — never blocks — and are
-    invisible to ``==``, ``hash``, :meth:`encode` and to the copies
-    :meth:`signed` / ``dataclasses.replace`` make, which start without.
+    same chain (Theorem 1), so one hash serves them all.  A committed
+    leader also carries the digests its commit linearized, keyed by the
+    chain before it and the store's lowest round
+    (:meth:`Committer._linearize <repro.core.committer.Committer._linearize>`):
+    it is set on the instance, not declared, because only committed
+    leaders carry it (a dozen in a ``sim-mahi-n50`` run) and a sim
+    block's ``__dict__`` already holds fifteen keys.  They are facts
+    about the hash-linked history, not about who asks, so they share
+    the block object's lifetime and holders exactly as the identity
+    values do.  They hold digests and author ids only — a memo that
+    named a block would keep every pruned ancestor alive through the
+    memos above it — and are invisible to ``==``, ``hash``,
+    :meth:`encode` and to the copies :meth:`signed` /
+    ``dataclasses.replace`` make, which start without.
     """
 
     author: int

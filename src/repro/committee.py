@@ -368,7 +368,7 @@ class CommitteeSchedule:
     *propose* round.
     """
 
-    __slots__ = ("_epochs", "latest", "provisioned", "_listeners")
+    __slots__ = ("_epochs", "latest", "is_static", "provisioned", "_listeners")
 
     def __init__(self, genesis: Committee, *, provisioned: int | None = None) -> None:
         """Args:
@@ -382,6 +382,9 @@ class CommitteeSchedule:
         #: The epoch with the highest activation round scheduled so far
         #: (a plain attribute: every proposal-readiness check reads it).
         self.latest: Epoch = self._epochs[0]
+        #: Whether the schedule still holds only the genesis epoch (a
+        #: plain attribute too: every validator step reads it).
+        self.is_static = True
         self.provisioned = (
             provisioned if provisioned is not None else max(genesis.members) + 1
         )
@@ -403,11 +406,6 @@ class CommitteeSchedule:
     # ------------------------------------------------------------------
     # Resolution
     # ------------------------------------------------------------------
-    @property
-    def is_static(self) -> bool:
-        """Whether the schedule still holds only the genesis epoch."""
-        return len(self._epochs) == 1
-
     @property
     def genesis_committee(self) -> Committee:
         """The epoch-0 committee."""
@@ -474,6 +472,7 @@ class CommitteeSchedule:
         epoch = Epoch(last.epoch_id + 1, start_round, committee)
         self._epochs.append(epoch)
         self.latest = epoch
+        self.is_static = False
         for listener in self._listeners:
             listener(epoch)
         return epoch
@@ -531,6 +530,7 @@ class CommitteeSchedule:
                 raise ConfigError("checkpoint epoch snapshot is not round-ordered")
         self._epochs = adopted
         self.latest = adopted[-1]
+        self.is_static = len(adopted) == 1
         self.provisioned = max(
             self.provisioned,
             max(max(e.committee.members) for e in adopted) + 1,

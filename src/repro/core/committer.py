@@ -51,6 +51,14 @@ and a raised state-transfer floor act below the cursor, so they can
 stale nothing; an epoch activation or a checkpoint adoption, which
 change the schedule or move the cursor, drop every kept verdict.
 
+Linearizing a committed leader (Algorithm 3's ``LinearizeSubDags``) is a
+function of its causal history and of the sequence committed before it,
+which Theorem 1 makes the same at every honest validator.  So the answer
+is kept on the leader block, as digests, keyed by the commit chain
+before it and the store's floor (:meth:`Committer._linearize`): every
+validator of a simulation holds the same block object, and the first to
+commit the leader linearizes it for all of them on that chain and floor.
+
 The sequencing half — cursor walk, linearization, commit chain and
 checkpoint capture (:class:`~repro.statesync.CommitLedger`), epoch
 activation, checkpoint adoption, the evictions above — is the same for
@@ -345,11 +353,7 @@ class Committer:
             linearized: tuple[Block, ...] = ()
             if status.decision is Decision.COMMIT:
                 assert status.block is not None
-                linearized = tuple(
-                    self.traversal.linearize(
-                        [status.block], self._output, floor_round=self._store.lowest_round
-                    )
-                )
+                linearized = self._linearize(status.block)
             tx_count = sum(len(b.transactions) for b in linearized)
             self.stats.record(status, len(linearized), tx_count)
             observations.append(CommitObservation(status=status, linearized=linearized))
@@ -371,6 +375,34 @@ class Committer:
                 observations.extend(self.extend_commit_sequence())
                 break
         return observations
+
+    def _linearize(self, leader: Block) -> tuple[Block, ...]:
+        """``LinearizeSubDags([leader])`` against the sequence so far,
+        memoized on the leader like its :attr:`~repro.block.Block.chain_link`.
+
+        The answer is a function of the leader's causal history from the
+        store's lowest round up and of ``_output`` over the same rounds,
+        and ``_output ∩ [floor, ∞)`` is exactly the set the commit chain
+        has committed from the floor up: from genesis, after
+        :meth:`forget_linearized_below` (which drops only rounds below
+        the new floor), and for a checkpoint adopter, whose seeded
+        window covers ``[checkpoint.floor, checkpoint.round]`` — every
+        block committed before the checkpoint, down to any floor at or
+        above the adopted one.  So ``(chain before the leader, floor)``
+        keys the answer exactly: a validator on that chain and floor
+        takes the digests and resolves them in its own store; any other
+        recomputes and keeps its own.  The memo holds digests only (see
+        :class:`~repro.block.Block`) and is set on committed leaders
+        alone, not declared on every block."""
+        store = self._store
+        key = (self.ledger.chain, store.lowest_round)
+        memo = leader.__dict__.get("_linearized")
+        if memo is not None and memo[0] == key:
+            self._output.update(memo[1])
+            return tuple(map(store.get, memo[1]))
+        linearized = tuple(self.traversal.linearize([leader], self._output, floor_round=key[1]))
+        object.__setattr__(leader, "_linearized", (key, tuple(b.digest for b in linearized)))
+        return linearized
 
     def _apply_reconfig(self, linearized: tuple[Block, ...], slot_round: int) -> bool:
         """Activate committed reconfiguration commands.

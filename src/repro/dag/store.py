@@ -69,8 +69,9 @@ class DagStore:
         by_digest = self._by_digest
         if digest in by_digest:
             raise DuplicateBlockError(f"block {block!r} already in store")
-        if not by_digest.keys() >= block.parent_digests:
-            missing = self._missing_refs(block, block.parent_digests.difference(by_digest))
+        absent = block.parent_digests.difference(by_digest)
+        if absent:
+            missing = self._missing_refs(block, absent)
             if missing:
                 raise UnknownBlockError(
                     f"block {block!r} is missing {len(missing)} parent(s): {missing[:3]}",

@@ -32,6 +32,14 @@ activation can change.  So it is not remembered at all: it is read off
 the certifier's support memo — one mask and one bit count against the
 committee of the leader's round — each time it is asked, and this class
 owns no memo.
+
+:meth:`DagTraversal.linearize` keeps none either: its answer depends on
+what the asking validator has already output, not on the leader alone.
+The committer remembers it on the committed leader, keyed by the commit
+chain before it and the store's floor, which together fix that set
+(:meth:`Committer._linearize <repro.core.committer.Committer._linearize>`);
+so in a simulation it runs once per committed leader, not once per
+validator.
 """
 
 from __future__ import annotations

@@ -35,7 +35,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import reduce
-from itertools import repeat
+from itertools import accumulate, repeat
 from operator import add
 
 from repro.committee import RECONFIG_TX_BASE
@@ -286,26 +286,31 @@ class ExperimentMetrics:
         ordered = sorted(zip(self._latencies, self._weights))
         total_weight = sum(w for _, w in ordered)
         avg = sum(latency * w for latency, w in ordered) / total_weight
+        p50, p90, p99 = self._weighted_percentiles(ordered, total_weight, (0.50, 0.90, 0.99))
         return LatencySummary(
-            count=total_weight,
-            avg=avg,
-            p50=self._weighted_percentile(ordered, total_weight, 0.50),
-            p90=self._weighted_percentile(ordered, total_weight, 0.90),
-            p99=self._weighted_percentile(ordered, total_weight, 0.99),
-            max=ordered[-1][0],
+            count=total_weight, avg=avg, p50=p50, p90=p90, p99=p99, max=ordered[-1][0]
         )
 
     @staticmethod
-    def _weighted_percentile(
-        ordered: list[tuple[float, float]], total_weight: float, q: float
-    ) -> float:
-        threshold = q * total_weight
-        cumulative = 0.0
-        for latency, weight in ordered:
-            cumulative += weight
-            if cumulative >= threshold:
-                return latency
-        return ordered[-1][0]
+    def _weighted_percentiles(
+        ordered: list[tuple[float, float]], total_weight: float, quantiles: tuple[float, ...]
+    ) -> list[float]:
+        """For each of the ascending ``quantiles``, the first latency in
+        ``ordered`` whose running weight reaches that share of
+        ``total_weight`` (the largest when rounding leaves the running
+        sum short of it), all in one pass.  The running sum is a left
+        fold, as a scan per quantile would add it, so the floats are the
+        same; it is not kept as a list: the summary is a run's memory
+        peak."""
+        thresholds = [q * total_weight for q in quantiles]
+        found: list[float] = []
+        running = accumulate(weight for _, weight in ordered)
+        for (latency, _), cumulative in zip(ordered, running):
+            while cumulative >= thresholds[len(found)]:
+                found.append(latency)
+                if len(found) == len(thresholds):
+                    return found
+        return found + [ordered[-1][0]] * (len(thresholds) - len(found))
 
     def stage_breakdown(self) -> dict[str, float]:
         """Mean seconds per lifecycle stage over committed transactions

@@ -528,10 +528,25 @@ class SimValidator:
         if self._stage_observer:
             for message in messages:
                 self._note_arrival(message)
-        if self._costs.model_cpu:
+        costs = self._costs
+        if costs.model_cpu:
+            # The batch's consensus-stage price: the sum of its messages'.
+            certified = self._certified
+            delay = 0.0
+            for message in messages:
+                body = message.body
+                block = getattr(body, "block", None)
+                if block is not None:
+                    delay += costs.stage_price(block, type(body) is Header, certified)
+                    continue
+                blocks = getattr(body, "blocks", None)
+                if blocks is None:
+                    delay += costs.control_message_cost
+                    continue
+                for block in blocks:
+                    delay += costs.stage_price(block, False, certified)
             now = self._loop.now
-            delay = self._batch_cost(messages)
-            self._consensus_free = max(now, self._consensus_free) + delay
+            self._consensus_free = max(now, self._consensus_free) + delay * self._slow
             if self._tracer.enabled:
                 self._tracer.span(
                     self.authority,
@@ -566,26 +581,6 @@ class SimValidator:
                 self.ingest(body.block, message.src)
             elif self._driver.on_message(body, message.src):
                 self._step()
-
-    def _batch_cost(self, messages: "list[Message]") -> float:
-        """Consensus-stage cost of verifying ``messages`` as one batch:
-        the sum of the per-message prices."""
-        costs = self._costs
-        certified = self._certified
-        cost = 0.0
-        for message in messages:
-            body = message.body
-            block = getattr(body, "block", None)
-            if block is not None:
-                cost += costs.stage_price(block, type(body) is Header, certified)
-                continue
-            blocks = getattr(body, "blocks", None)
-            if blocks is None:
-                cost += costs.control_message_cost
-                continue
-            for block in blocks:
-                cost += costs.stage_price(block, False, certified)
-        return cost * self._slow
 
     # ------------------------------------------------------------------
     # Certified (Tusk) round structure

@@ -391,7 +391,9 @@ class ValidatorDriver:
         #: Host time this recovery began; cleared by the first own
         #: proposal afterwards (:attr:`Step.recovered_at`).
         self.recovered_at: float | None = None
+        # The deep fetch in flight (0 = none) and the peer it went to.
         self._inflight = 0
+        self._sync_peer = 0
         # Pacing starts from scratch: no proposal yet, no deadline out.
         self._last_proposal = float("-inf")
         self._timer_armed = False
@@ -503,6 +505,7 @@ class ValidatorDriver:
             return False
         self._token += 1
         self._inflight = self._token
+        self._sync_peer = peer
         # The advertised floor is the highest round already covered:
         # everything accepted so far, or — right after a checkpoint
         # adoption, when the store holds only genesis — the adopted
@@ -516,9 +519,19 @@ class ValidatorDriver:
         return True
 
     def sync_timed_out(self, token: int) -> None:
-        """Request ``token`` went :data:`SYNC_TIMEOUT` unanswered."""
-        if self._inflight == token:
-            self._inflight = 0
+        """Request ``token`` went :data:`SYNC_TIMEOUT` unanswered: ask the
+        next provisioned peer after the silent one for what the frontier
+        still misses.  Waiting for the next live block would not do: once
+        every live block's parents are buffered, none reports anything
+        missing (Lemma 8)."""
+        if self._inflight != token:
+            return  # answered, superseded, or the re-sync finished
+        self._inflight = 0
+        core = self.core
+        peer = (self._sync_peer + 1) % core.schedule.provisioned
+        if peer == core.authority:
+            peer = (peer + 1) % core.schedule.provisioned
+        self.request_sync(peer, core.missing_frontier())
 
     def on_sync_response(
         self, peer: int, blocks: tuple[Block, ...], pruned: tuple[BlockRef, ...], token: int

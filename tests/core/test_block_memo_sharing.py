@@ -13,6 +13,13 @@ itself.  Under the scenarios of ``test_committer_incremental.py``
 epoch activations, garbage collection and a checkpoint adoption, the two
 must classify every slot alike after every insertion and commit the
 same sequence.
+
+A committed leader carries its linearization too, keyed by the commit
+chain before it and the store's floor.  Validators on one chain with
+different GC floors, a checkpoint adopter that prunes to its peers'
+floor, and ledgers on two chains over one floor each commit what a twin
+fed private copies commits; a key without the floor fails the first, a
+key without the chain the last.
 """
 
 from __future__ import annotations
@@ -205,6 +212,139 @@ def test_sharing_with_a_checkpoint_adopter():
     assert len(ours) > 10
 
 
+def straggling_dag(shunned: range, rounds: int) -> list[Block]:
+    """Lockstep blocks of four validators, but for the rounds in
+    ``shunned``: there only validator 3's own next block names its
+    block, so its chain through them is in no committed history until
+    round ``shunned.stop`` names it again."""
+    committee = Committee.of_size(4)
+    builder = DagBuilder(
+        committee, FastCoin(seed=b"ckpt-test", n=4, threshold=committee.quorum_threshold)
+    )
+    blocks = []
+    for r in range(1, rounds + 1):
+        for author in range(4):
+            peers = range(4) if r - 1 not in shunned or author == 3 else range(3)
+            blocks.append(builder.block(author, r, [(a, r - 1) for a in peers]))
+    return blocks
+
+
+@pytest.mark.parametrize("depths", [(4, 8, 0), (0, 8, 4)])
+def test_sharing_across_different_gc_horizons(depths):
+    """Three validators prune at three depths, and validator 3's chain
+    through rounds 4-14 straggles between their horizons: the leader of
+    round 15, which names it, reaches it down to a different floor at
+    each.  They commit on one chain up to that leader, so the floor alone
+    tells their linearizations apart (``depths`` sets who commits first,
+    and so who fills the memo in); each matches its private twin."""
+    blocks = straggling_dag(range(4, 15), 30)
+    sharing = [make_core(0, gc=depth) for depth in depths]
+    private = [make_core(0, gc=depth) for depth in depths]
+    commits = {core: record_commits(core) for core in sharing + private}
+    for index, block in enumerate(blocks):
+        for shared, alone in zip(sharing, private):
+            assert shared.add_block(block).accepted
+            assert alone.add_block(private_copy(block, index)).accepted
+            shared.try_commit()
+            alone.try_commit()
+            assert sequence_view(commits[shared]) == sequence_view(commits[alone])
+    # The straggler's chain went below two of the three floors, so the
+    # three sequences part at that leader.
+    counts = {
+        depth: core.committer.committed_sequence_length for depth, core in zip(depths, sharing)
+    }
+    assert counts[0] > counts[8] > counts[4]
+
+
+def test_sharing_with_a_checkpoint_adopter_on_its_peers_floor():
+    """Peers prune at depth 6 and capture a checkpoint every two rounds,
+    whose floor is their own GC horizon; an adopter that catches up
+    prunes to the same floor on the same chain, so it takes the peers'
+    linearizations off the leaders instead of recomputing them, and
+    still commits what a twin fed private copies commits."""
+    cores = [make_core(i, gc=6, interval=2) for i in range(4)]
+    drive_rounds(cores, 30)
+    source = cores[0]
+    checkpoint = source.committer.ledger.checkpoints[-1]
+    assert checkpoint.floor == source.store.lowest_round > 0
+    shared, alone = make_core(3, gc=6, interval=2), make_core(3, gc=6, interval=2)
+    ours, theirs = record_commits(shared), record_commits(alone)
+    computed = []
+    linearize = shared.committer.traversal.linearize
+
+    def counting_linearize(*args, **kwargs):
+        computed.append(args[0])
+        return linearize(*args, **kwargs)
+
+    shared.committer.traversal.linearize = counting_linearize
+    for adopter in (shared, alone):
+        adopter.adopt_checkpoint(checkpoint)
+    suffix = sorted(
+        (block for block in source.store if block.round >= checkpoint.floor),
+        key=lambda block: block.round,
+    )
+    index = 0
+    for step in range(21):
+        if step:  # the peers commit the next round first, and the adopter follows
+            drive_rounds(cores, 1)
+            suffix = source.store.round_blocks(source.store.highest_round)
+        for block in suffix:
+            assert shared.add_block(block).accepted
+            assert alone.add_block(private_copy(block, index)).accepted
+            index += 1
+            shared.try_commit()
+            alone.try_commit()
+            assert sequence_view(ours) == sequence_view(theirs)
+    # Every leader it committed, the peers had linearized on its chain
+    # and floor first: it recomputed none.
+    assert len(ours) > 20 and not computed
+    assert shared.committer.ledger.chain == source.committer.ledger.chain
+    assert shared.store.lowest_round == source.store.lowest_round
+
+
+def test_sharing_with_a_ledger_on_another_chain():
+    """A Mahi-Mahi and a Cordial Miners committer over the same blocks,
+    on the same (genesis) floor, commit the same leader of round 6 after
+    different sequences: the chain alone tells their linearizations
+    apart.  Both orders of who commits first; each matches its twin."""
+    committee = Committee.of_size(4)
+    coin = FastCoin(seed=b"chains", n=4, threshold=committee.quorum_threshold)
+    config = ProtocolConfig(wave_length=5, leaders_per_round=1)
+
+    def fresh_blocks():
+        """The same lockstep DAG, as objects no committer has seen."""
+        builder = DagBuilder(committee, coin)
+        builder.rounds(1, 25)
+        return sorted(
+            (block for block in builder.store if block.round > 0), key=lambda block: block.round
+        )
+
+    def validator(cordial):
+        store = DagStore()
+        store.add_genesis(make_genesis(4))
+        if cordial:
+            return store, Committer(
+                store, committee, coin, config, wave_stride=5, direct_skip_enabled=False
+            ), []
+        return store, Committer(store, committee, coin, config), []
+
+    for kinds in ((False, True), (True, False)):
+        sharing = [validator(cordial) for cordial in kinds]
+        private = [validator(cordial) for cordial in kinds]
+        for index, block in enumerate(fresh_blocks()):
+            for shared, alone in zip(sharing, private):
+                shared[0].add(block)
+                alone[0].add(private_copy(block, index))
+                shared[2].extend(shared[1].extend_commit_sequence())
+                alone[2].extend(alone[1].extend_commit_sequence())
+                assert sequence_view(shared[2]) == sequence_view(alone[2])
+        common = {obs.status.block.digest for obs in sharing[0][2]} & {
+            obs.status.block.digest for obs in sharing[1][2]
+        }
+        assert len(common) > 1
+        assert sharing[0][1].ledger.chain != sharing[1][1].ledger.chain
+
+
 # ----------------------------------------------------------------------
 # (b) a block's memo does not depend on which store resolved it
 # ----------------------------------------------------------------------
@@ -340,14 +480,28 @@ def test_ten_validators_over_shared_blocks_search_once(n, wave):
 # (d) a memo keeps no block alive
 # ----------------------------------------------------------------------
 def test_a_pruned_block_dies_while_its_descendants_memos_live():
+    """The vote memos of the blocks that stay, and the linearization
+    memo of the committed leader that stays (round 4's, which lists
+    round 3's blocks), name the pruned blocks by digest only."""
     committee = Committee.of_size(4)
-    builder = DagBuilder(committee, FixedCoin(n=4, threshold=committee.quorum_threshold))
+    coin = FixedCoin(n=4, threshold=committee.quorum_threshold)
+    builder = DagBuilder(committee, coin)
     traversal = DagTraversal(builder.store, committee.quorum_threshold)
     builder.rounds(1, 8)
     for round_number in range(1, 5):
         leader = builder.get(0, round_number)
         for author in range(4):
             assert traversal.is_cert(builder.get(author, round_number + 4), leader)
+    committer = Committer(
+        builder.store, committee, coin, ProtocolConfig(wave_length=5, leaders_per_round=1)
+    )
+    committed = [obs.status.block for obs in committer.extend_commit_sequence()]
+    assert committed == [builder.get(0, r) for r in range(1, 5)]
+    survivor = committed[-1]
+    memo = survivor.__dict__["_linearized"]
+    assert builder.get(1, 3).digest in memo[1]
+    assert all(type(digest) is bytes for digest in memo[1])
+    del committed
     descendants = [builder.get(author, 8) for author in range(4)]
     descendants += [builder.get(author, 5) for author in range(4)]
     pruned = [weakref.ref(builder.get(author, r)) for author in range(4) for r in (0, 1, 3)]
@@ -356,6 +510,7 @@ def test_a_pruned_block_dies_while_its_descendants_memos_live():
     was_enabled = gc.isenabled()
     gc.disable()  # by reference counting alone: no cycle through a memo
     try:
+        committer.forget_linearized_below(4)
         assert builder.store.prune_below(4) == 16
         assert all(ref() is None for ref in pruned)
     finally:
@@ -363,6 +518,7 @@ def test_a_pruned_block_dies_while_its_descendants_memos_live():
             gc.enable()
     assert all(block.voted or block.support for block in descendants)
     assert descendants[-1].support[0, 1] == {voted_for: 0b1111}
+    assert survivor.__dict__["_linearized"] is memo
 
 
 # ----------------------------------------------------------------------

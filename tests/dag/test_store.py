@@ -41,7 +41,9 @@ class TestInsertion:
         """The set difference answers the common case; the answer is
         always the scan's — absent and at or above the state-transfer
         floor, in parent order — under a raised floor and after pruning
-        (pruned rounds lie below no floor: their blocks are missing)."""
+        (pruned rounds lie below no floor: their blocks are missing).
+        An insertion's refusal lists the same references, and a block
+        whose only absent parents lie below the floor enters."""
 
         def scan(store, block):
             return [
@@ -49,6 +51,12 @@ class TestInsertion:
                 for ref in block.parents
                 if ref.digest not in store and ref.round >= store.sync_floor
             ]
+
+        def refusal(store, block):
+            with pytest.raises(UnknownBlockError) as caught:
+                store.add(block)
+            assert block.digest not in store
+            return list(caught.value.missing)
 
         builder.rounds(1, 6)
         store = builder.store
@@ -68,15 +76,19 @@ class TestInsertion:
         complete = Block(author=1, round=7, parents=tuple(builder.ref(a, 6) for a in range(4)))
         assert store.missing_parents(complete) == []
         assert store.missing_parents(probe) == scan(store, probe) == [unknown.reference]
+        assert refusal(store, probe) == [unknown.reference]
         store.prune_below(3)
-        assert store.missing_parents(probe) == scan(store, probe)
+        assert store.missing_parents(probe) == scan(store, probe) == refusal(store, probe)
         assert [ref.round for ref in store.missing_parents(probe)] == [2, 5, 1, 0]
         store.adopt_floor(2)
-        assert store.missing_parents(probe) == scan(store, probe)
+        assert store.missing_parents(probe) == scan(store, probe) == refusal(store, probe)
         assert [ref.round for ref in store.missing_parents(probe)] == [2, 5]
         store.adopt_floor(6)
         assert store.missing_parents(probe) == scan(store, probe) == []
         assert store.missing_parents(complete) == []
+        store.add(probe)  # every absent parent lies below the floor
+        store.add(complete)
+        assert probe.digest in store and complete.digest in store
 
     def test_genesis_must_be_round_zero(self):
         store = DagStore()

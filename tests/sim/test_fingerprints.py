@@ -35,7 +35,7 @@ WORKLOADS = {
             duration=16.0,
             warmup=2.0,
         ),
-        ("33d2bc5212dafe32", "fa94ce1b5bbfe3b2"),
+        ("0aac0a3083324882", "94223f281459d31b"),
     ),
     "sim-tusk-n10": (
         dict(protocol="tusk", num_validators=10, load_tps=50_000, duration=20.0, warmup=2.0),
@@ -49,3 +49,15 @@ def test_benchmark_fingerprint(workload):
     fields, pins = WORKLOADS[workload]
     result = Experiment(ExperimentConfig(seed=7, **fields)).run(check_safety=False)
     assert (result_hash(result), masked_result_hash(result)) == pins
+
+
+@pytest.mark.parametrize("seed", [7, 11])
+def test_the_faulty_workloads_restart_ends_caught_up(seed):
+    """The checkpoint restart of ``sim-mahi-n10-faulty`` completes: its
+    first deep fetch is answered after the timeout, and the retry at the
+    next peer (Lemma 8) brings the validator back to proposing, level
+    with its peers by the end of the run."""
+    fields, _ = WORKLOADS["sim-mahi-n10-faulty"]
+    result = Experiment(ExperimentConfig(seed=seed, **fields)).run()
+    assert result.checkpoint_adoptions == 1 and result.recoveries == 1
+    assert result.max_rounds_behind <= 1

@@ -4,6 +4,7 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.sim.client import ArrivalRouter
 from repro.sim.events import EventLoop
@@ -72,14 +73,29 @@ class TestMetrics:
         assert metrics.pending == 1
 
 
+def scanned_percentile(ordered, total_weight, q):
+    """The weighted percentile as one scan of ``(latency, weight)``
+    pairs, ascending: the oracle of the one-pass kernel."""
+    threshold = q * total_weight
+    cumulative = 0.0
+    for latency, weight in ordered:
+        cumulative += weight
+        if cumulative >= threshold:
+            return latency
+    return ordered[-1][0]
+
+
 class TestWeightedPercentile:
     """Edge cases of the weighted-percentile kernel behind
     :meth:`ExperimentMetrics.latency_summary`."""
 
     @staticmethod
-    def pct(ordered, q):
-        total = sum(w for _, w in ordered)
-        return ExperimentMetrics._weighted_percentile(ordered, total, q)
+    def kernel(ordered, total, q):
+        return ExperimentMetrics._weighted_percentiles(ordered, total, (q,))[0]
+
+    @classmethod
+    def pct(cls, ordered, q):
+        return cls.kernel(ordered, sum(w for _, w in ordered), q)
 
     def test_single_sample_is_every_percentile(self):
         sample = [(0.7, 3.0)]
@@ -117,7 +133,47 @@ class TestWeightedPercentile:
         # Floating-point weight accumulation can leave the cumulative
         # sum epsilon short of q * total; the kernel must still answer.
         ordered = [(1.0, 0.1), (2.0, 0.2)]
-        assert ExperimentMetrics._weighted_percentile(ordered, 0.3 + 1e-9, 1.0) == 2.0
+        assert self.kernel(ordered, 0.3 + 1e-9, 1.0) == 2.0
+
+    def test_a_threshold_on_a_running_weight_picks_the_sample_that_reached_it(self):
+        # 0.5 x 4 = 2 is the running weight after the second sample, and
+        # 0.25 x 4 = 1 after the first (exact in binary): the sample that
+        # reaches the threshold answers, not the one after it.
+        ordered = [(1.0, 1.0), (2.0, 1.0), (3.0, 1.0), (4.0, 1.0)]
+        assert self.pct(ordered, 0.5) == 2.0 == scanned_percentile(ordered, 4.0, 0.5)
+        assert self.pct(ordered, 0.25) == 1.0 == scanned_percentile(ordered, 4.0, 0.25)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(
+                st.sampled_from([0.5, 1.0, 1.25, 2.0, 3.0]),  # few values: many ties
+                st.sampled_from([0.1, 0.25, 0.5, 1.0, 2.0, 3.0]),  # 0.1: inexact sums
+            ),
+            min_size=1,
+            max_size=40,
+        )
+    )
+    def test_one_pass_equals_the_scan_it_replaced(self, samples):
+        """Against the per-percentile scan :meth:`ExperimentMetrics.
+        latency_summary` ran before (one left fold per percentile), on
+        tied latencies, on weights whose running sums land exactly on a
+        threshold or, with 0.1, just off it, and on several thresholds
+        met by one sample."""
+        ordered = sorted(samples)
+        total = sum(w for _, w in ordered)
+        quantiles = (0.0, 0.25, 0.5, 0.9, 0.99, 1.0)
+        assert ExperimentMetrics._weighted_percentiles(ordered, total, quantiles) == [
+            scanned_percentile(ordered, total, q) for q in quantiles
+        ]
+        metrics = ExperimentMetrics()
+        for i, (latency, weight) in enumerate(samples):
+            metrics.record_submission(i, 0.0, weight=weight)
+            metrics.record_commit([Transaction(i)], latency)
+        summary = metrics.latency_summary()
+        assert (summary.p50, summary.p90, summary.p99) == tuple(
+            scanned_percentile(ordered, total, q) for q in (0.50, 0.90, 0.99)
+        )
 
 
 class Validator:

@@ -233,6 +233,30 @@ class TestDeepFetchChain:
         assert driver._inflight
         assert [(peer, token) for peer, _, _, token in port.sync_requests] == [(0, 1), (1, 2)]
 
+    def test_a_timed_out_fetch_is_retried_at_the_next_peer(self):
+        """Lemma 8: a deep fetch that goes unanswered is asked again, of
+        the next provisioned peer after the silent one, for what the
+        frontier still misses.  Nothing else would restart the chain:
+        once a live block's parents are buffered, it reports nothing
+        missing."""
+        blocks = suffix(history(6)[0])
+        driver, port = self.syncing_driver()  # validator 3 of 4
+        for block in blocks[-8:-4]:  # live round-5 blocks
+            assert driver.ingest(block, 2, 0.0).missing
+        assert [(peer, token) for peer, _, _, token in port.sync_requests] == [(2, 1)]
+        assert not driver.ingest(blocks[-1], 2, 0.0).missing  # round 6: parents buffered
+        driver.sync_timed_out(1)
+        # Peer 3 is this validator: the next after 2 is 0, then 1.
+        assert port.sync_requests[-1] == (0, driver.core.missing_frontier(), 0, 2)
+        assert port.timers[-1] == (SYNC_TIMEOUT, driver.sync_timed_out, (2,))
+        driver.sync_timed_out(2)
+        assert port.sync_requests[-1][::3] == (1, 3)
+        # The retry's answer, a short chunk, ends the re-sync.
+        assert driver.on_sync_response(1, tuple(blocks), (), 3) is True
+        assert not driver.syncing and driver.core.store.highest_round == 6
+        driver.sync_timed_out(3)  # answered already: nothing to retry
+        assert len(port.sync_requests) == 3
+
     def test_stale_response_contributes_blocks_but_does_not_drive_the_chain(self):
         source = history(6)[0]
         driver, port = self.syncing_driver()

@@ -214,6 +214,29 @@ def test_hash_once(tmp_path):
     assert len(ci_checks.hash_once(write(tmp_path / "dead.out", dead))) == 2
 
 
+def test_linearize_once(tmp_path):
+    def output(traversal=12.0, store=27_550.0, failed=0) -> str:
+        metrics = {
+            "dag.traversal.calls": {"value": traversal, "unit": "count"},
+            "dag.store.calls": {"value": store, "unit": "count"},
+        }
+        result = {"correct": True, "attempted": 12_000, "failed": failed, "metrics": metrics}
+        return '# info {"workload": "sim-mahi-n50"}\n' + json.dumps(result) + "\n"
+
+    assert ci_checks.linearize_once(write(tmp_path / "ok.out", output())) == []
+    # Exactly a hundredth still passes: the bound is inclusive.
+    assert ci_checks.linearize_once(write(tmp_path / "edge.out", output(traversal=275.5))) == []
+    # Every one of the 50 validators linearizing every committed leader.
+    (violation,) = ci_checks.linearize_once(write(tmp_path / "each.out", output(traversal=600.0)))
+    assert violation == (
+        "dag.traversal.calls is 600.0, above a hundredth of dag.store.calls (27550.0)"
+    )
+    (violation,) = ci_checks.linearize_once(write(tmp_path / "bad.out", output(failed=2)))
+    assert "2 of 12000" in violation
+    dead = json.dumps({"correct": False, "attempted": 1, "failed": 0, "metrics": {}})
+    assert len(ci_checks.linearize_once(write(tmp_path / "dead.out", dead))) == 2
+
+
 def test_tusk_poll(tmp_path):
     def output(walks=6_557.0, correct=True) -> str:
         metrics = {
