@@ -16,11 +16,11 @@ content-addressed point cache, as written by the sweep engine
   ``benchmarks/render.py``), and recovery/availability tables wherever
   points carry the fault-schedule metrics.
 
-The loader is deliberately tolerant: summaries written by older schema
-versions (before :class:`~repro.sim.sweep.FigureSpec` carried axis
-metadata) still render with derived axis labels, and a point the store
-does not hold as valid (missing, corrupt, another schema) only costs the
-report its per-point detail.
+The loader is deliberately tolerant: a malformed summary is skipped,
+and a point the store does not hold as valid (missing, corrupt, another
+schema) only costs the report its per-point detail.  An axis is labelled
+with its :class:`~repro.sim.sweep.FigureSpec` label, or the axis field's
+name where a sweep sets none.
 """
 
 from __future__ import annotations
@@ -61,21 +61,6 @@ _GROUP_TITLES = {
     "recovery-gc": "Recovery past the GC horizon",
     "reconfig": "Reconfiguration",
     "mixed-sizes": "Mixed transaction sizes",
-}
-
-#: Fallback axis labels for the metrics the sweeps plot, applied when a
-#: summary predates the FigureSpec axis metadata.
-_AXIS_LABELS = {
-    "load_tps": "Offered load (tx/s)",
-    "latency_avg_s": "Average commit latency (s)",
-    "throughput_tps": "Committed throughput (tx/s)",
-    "leaders_per_round": "Leader slots per round",
-    "blocks_committed": "Blocks committed",
-    "direct_commits": "Directly committed slots",
-    "duration": "Run duration (s)",
-    "recovery_time_s": "Recovery time (s)",
-    "wave_length_override": "Wave length",
-    "direct_skip": "Direct skip rule",
 }
 
 
@@ -220,10 +205,6 @@ class _ColorRegistry:
         return self._assigned[label]
 
 
-def _axis_label(explicit: str, axis_field: str) -> str:
-    return explicit or _AXIS_LABELS.get(axis_field, axis_field)
-
-
 def _sweep_panel(sweep: LoadedSweep, colors: _ColorRegistry) -> Panel:
     """One sweep summary becomes one panel of its figure."""
     spec = sweep.spec
@@ -246,8 +227,8 @@ def _sweep_panel(sweep: LoadedSweep, colors: _ColorRegistry) -> Panel:
     return Panel(
         title=spec.title,
         series=tuple(series),
-        x_label=_axis_label(spec.x_label, spec.x_axis),
-        y_label=_axis_label(spec.y_label, spec.y_axis),
+        x_label=spec.x_label or spec.x_axis,
+        y_label=spec.y_label or spec.y_axis,
         x_scale=spec.x_scale,
         y_scale=spec.y_scale,
         caption=f"sweep: {sweep.name} ({len(sweep.points)} points)",

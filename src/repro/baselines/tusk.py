@@ -1,9 +1,10 @@
 """Tusk [18]: certified-DAG asynchronous consensus.
 
 Tusk certifies every DAG vertex with an explicit consistent-broadcast
-round (block → acks → certificate, three message delays — enforced in
-the simulator by :class:`~repro.sim.node.SimValidator`'s certified
-mode), so equivocation never reaches the DAG.  Its commit rule uses
+round (header → acks → certificate, three message delays), so
+equivocation never reaches the DAG.  :attr:`TuskCommitter.certified`
+says so, and the :class:`~repro.statesync.driver.ValidatorDriver` that
+binds a core with this committer runs the round.  Its commit rule uses
 2-round waves:
 
 * the leader of wave ``w`` lives in the wave's first round ``r``;
@@ -60,6 +61,8 @@ TUSK_COIN_DELAY = 2
 
 class TuskCommitter(Committer):
     """Tusk's decision rule over the shared commit sequencer."""
+
+    certified = True
 
     def __init__(
         self,

@@ -132,6 +132,10 @@ class CommitterStats:
 class Committer:
     """Drives the decision rules over the whole DAG (Algorithm 1)."""
 
+    #: Whether a block enters the DAG only once certified (Tusk's
+    #: header / ack / certificate round, run by the validator driver).
+    certified = False
+
     def __init__(
         self,
         store: DagStore,

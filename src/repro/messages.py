@@ -7,9 +7,16 @@ missing ancestors" path).  Recovery adds the state-transfer exchange
 (token-tagged sync request/response with pruned-reference flags), and
 clients submit transactions over the same framed streams.
 
+A certified protocol (Tusk) adds its consistent-broadcast round: a
+proposal goes out as a :class:`Header`, every peer answers with an
+:class:`Ack`, and the :class:`Certificate` — the header's block plus a
+quorum of acks — is what enters the DAG.  These three stay outside the
+codec's :data:`Message` union: only the simulator carries them, until a
+runtime host deploys a certified protocol.
+
 The simulator carries these objects as they are and prices them with
 its wire-size model; the runtime frames them as ``<u32 length> <u8 kind>
-<body>``.  Either way the seven validator messages have one reader,
+<body>``.  Either way the ten validator messages have one reader,
 :meth:`repro.statesync.driver.ValidatorDriver.on_message`.
 """
 
@@ -17,8 +24,10 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .block import Block, BlockRef
+from .crypto.hashing import Digest
 from .errors import ReproError, TransportError
 from .statesync.checkpoint import Checkpoint
 from .transaction import Transaction, decode_transactions, encode_transactions
@@ -106,6 +115,28 @@ class TransactionMessage:
     mempool (the open-loop client fleet's submission path)."""
 
     transactions: tuple[Transaction, ...]
+
+
+# The certified round.  Named tuples, not dataclasses: every peer acks
+# every header, one tuple built per ack.
+class Header(NamedTuple):
+    """A certified protocol's proposal, before it is certified."""
+
+    block: Block
+
+
+class Ack(NamedTuple):
+    """One validator's signature over the header with this digest."""
+
+    digest: Digest
+
+
+class Certificate(NamedTuple):
+    """A header's block with the acks that certify it."""
+
+    block: Block
+    #: How many acks certify it.
+    signatures: int
 
 
 Message = (

@@ -18,9 +18,9 @@ spacing are the run's :class:`~repro.sim.costs.CostModel`.
 
 What travels is opaque here: a :class:`Message` envelope — a named
 tuple ``(src, body, size)`` — wraps one typed body (a
-:mod:`repro.messages` object, carried un-encoded, or one of the
-certified baseline's header / ack / certificate) with the wire size the
-sender priced it at.  One envelope serves every hop of a send: the
+:mod:`repro.messages` object, carried un-encoded: the codec's seven or
+the certified baseline's header / ack / certificate) with the wire size
+the sender priced it at.  One envelope serves every hop of a send: the
 destination is the link's, not the message's.
 
 On an uncertified DAG every block is one broadcast to ``n - 1`` peers,

@@ -1,8 +1,8 @@
 """A simulated validator.
 
 Wraps a protocol core (:class:`~repro.core.MahiMahiCore`, possibly with
-a baseline committer) and drives it from network events.  Two transport
-modes reproduce the two DAG families of the evaluation:
+a baseline committer) and drives it from network events.  The core's
+committer decides which of the two DAG families of the evaluation runs:
 
 * **uncertified** (Mahi-Mahi, Cordial Miners): a proposal is one
   broadcast; receivers ingest it directly — one message delay per round
@@ -18,19 +18,19 @@ state** (a fresh core holding only genesis) and re-syncs in the cold,
 warm or checkpoint mode.
 
 The validator step (ingest, paced proposing, commit, epoch exit, with
-their WAL records and lifecycle instants), the fetching of missing
-ancestors (the synchronizer the liveness proofs rely on, Lemma 8), the
-recovery state machine and the reading of every :mod:`repro.messages`
-message are the fabric-independent
-:class:`~repro.statesync.driver.ValidatorDriver`;
+their WAL records and lifecycle instants), Tusk's header / ack /
+certificate round, the fetching of missing ancestors (the synchronizer
+the liveness proofs rely on, Lemma 8), the recovery state machine and
+the reading of every :mod:`repro.messages` message are the
+fabric-independent :class:`~repro.statesync.driver.ValidatorDriver`;
 this class is its simulator adaptor (its
 :class:`~repro.statesync.driver.ValidatorPort`): it hands each delivered
-message to ``driver.on_message`` unread and sends what the driver gives
-it.  It adds what only the simulator has: the event loop with its
-timers, the ingress and consensus CPU stages (a WAL replay is charged
-to the consensus stage), Tusk's header / ack / certificate exchange
-(three message types of its own, below), equivocation dispatch and the
-stage-latency observer.  What a stage's work and a message's bytes cost
+message to ``driver.on_message`` unread, announces its own proposals
+(a block broadcast, or a certified protocol's header) and sends what
+the driver gives it.  It adds what only the simulator has: the event
+loop with its timers, the ingress and consensus CPU stages (a WAL
+replay is charged to the consensus stage), equivocation dispatch and
+the stage-latency observer.  What a stage's work and a message's bytes cost
 is the run's :class:`~repro.sim.costs.CostModel`.
 
 A simulated transaction costs the event loop nothing here, and is no
@@ -48,13 +48,12 @@ to the metrics once per block, with that slice.
 from __future__ import annotations
 
 from bisect import bisect_right
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, Sequence
 
 from ..block import Block
 from ..core.committer import CommitObservation
 from ..core.protocol import MahiMahiCore
-from ..crypto.hashing import Digest
-from ..messages import BlockMessage
+from ..messages import BlockMessage, Header
 from ..obs import trace as _trace
 from ..obs.trace import NULL_TRACER
 from ..runtime.wal import WriteAheadLog
@@ -65,26 +64,6 @@ from .costs import CostModel
 from .events import EventLoop
 from .faults import make_equivocating_sibling
 from .network import Message, SimNetwork
-
-
-# Tusk's certified round, on the simulated wire only (no codec): a
-# proposal goes out as a header, peers ack it, and the certificate —
-# the header's block plus a quorum of acks — is what enters the DAG.
-# Named tuples: every peer acks every header, one tuple built per ack.
-class Header(NamedTuple):
-    block: Block
-
-
-class Ack(NamedTuple):
-    """One validator's signature over the header with this digest."""
-
-    digest: Digest
-
-
-class Certificate(NamedTuple):
-    block: Block
-    #: How many acks certify it.
-    signatures: int
 
 
 #: Rows an ingress keeps once they are in a block, before it deletes
@@ -213,11 +192,8 @@ class SimValidator:
         "authority",
         "_network",
         "_loop",
-        "_certified",
         "_costs",
         "_on_commit",
-        "_headers",
-        "_acks",
         "_interval",
         "ingress",
         "_consensus_free",
@@ -243,7 +219,6 @@ class SimValidator:
         network: SimNetwork,
         loop: EventLoop,
         *,
-        certified: bool = False,
         costs: CostModel | None = None,
         min_block_interval: float = 0.0,
         on_commit: Callable[[SimValidator, Sequence[CommitObservation], float], None] | None = None,
@@ -261,7 +236,6 @@ class SimValidator:
         core: The protocol state machine (already holding genesis).
         network: The simulated network (this node registers itself).
         loop: The experiment's event loop.
-        certified: Tusk-style header/ack/certificate rounds.
         costs: The run's prices (:class:`~repro.sim.costs.CostModel`;
             the default charges no CPU time, for pure message-delay
             arithmetic).
@@ -307,14 +281,8 @@ class SimValidator:
         self.authority = core.authority
         self._network = network
         self._loop = loop
-        self._certified = certified
         self._costs = costs = costs or CostModel()
         self._on_commit = on_commit
-        # Tusk state: headers seen (down to the store's lowest round),
-        # and the ack tally of each own header until its certificate
-        # goes out.
-        self._headers: dict[Digest, Block] = {}
-        self._acks: dict[Digest, set[int]] = {}
         self._interval = min_block_interval
         #: The ingress stage and the mempool behind it (the core's).
         self.ingress = Ingress(costs.ingress_price(), costs.mixed_sizes, self.authority, tracer)
@@ -337,8 +305,6 @@ class SimValidator:
             wal=wal,
             tracer=tracer,
         )
-        # Headers not yet certified are served to fetches too.
-        self._driver.unstored = self._headers
         self._on_recovery = on_recovery
         #: When this validator actually went silent for good (epoch
         #: reconfiguration: the *activation* of the excluding epoch, not
@@ -453,8 +419,6 @@ class SimValidator:
         self.core = self._core_factory()
         self.ingress.clear()
         self.core.mempool = self.ingress
-        self._headers.clear()
-        self._acks.clear()
         self._consensus_free = 0.0
         replay = self._driver.recover(self.core, self._loop.now)
         if replay is not None:
@@ -531,7 +495,7 @@ class SimValidator:
         costs = self._costs
         if costs.model_cpu:
             # The batch's consensus-stage price: the sum of its messages'.
-            certified = self._certified
+            certified = self._driver.certified
             delay = 0.0
             for message in messages:
                 body = message.body
@@ -570,51 +534,8 @@ class SimValidator:
         for message in messages:
             if self.down:
                 return
-            body = message.body
-            kind = type(body)
-            if kind is Header:
-                self._headers[body.block.digest] = body.block
-                self.send(message.src, Ack(body.block.digest))
-            elif kind is Ack:
-                self._on_ack(body.digest, message.src)
-            elif kind is Certificate:
-                self.ingest(body.block, message.src)
-            elif self._driver.on_message(body, message.src):
+            if self._driver.on_message(message.body, message.src):
                 self._step()
-
-    # ------------------------------------------------------------------
-    # Certified (Tusk) round structure
-    # ------------------------------------------------------------------
-    def _on_ack(self, digest: Digest, src: int) -> None:
-        acks = self._acks.get(digest)
-        if acks is None:
-            return  # not an own header, or its certificate already went out
-        acks.add(src)
-        block = self._headers[digest]
-        # The certificate quorum follows the epoch of the block's round.
-        if len(acks) >= self.core.schedule.quorum_threshold(block.round):
-            del self._acks[digest]
-            if self._tracer.enabled:
-                self._tracer.instant(
-                    self.authority,
-                    "consensus",
-                    _trace.BLOCK_CERTIFIED,
-                    self._loop.now,
-                    {"author": block.author, "round": block.round, "acks": len(acks)},
-                )
-            self.send(None, Certificate(block, len(acks)))
-
-    def _forget_headers_below(self, round_number: int) -> None:
-        """Drop the headers, and own ack tallies, of the rounds below
-        ``round_number`` once the core has garbage-collected them: the
-        table then spans the DAG's window, not the run.  Headers arrive
-        about in round order, so nothing is scanned while the oldest one
-        is still in the window."""
-        headers = self._headers
-        if headers and next(iter(headers.values())).round < round_number:
-            for digest in [d for d, block in headers.items() if block.round < round_number]:
-                del headers[digest]
-                self._acks.pop(digest, None)
 
     # ------------------------------------------------------------------
     # Ingestion, proposing, committing
@@ -653,11 +574,8 @@ class SimValidator:
             self.call_later(step.deadline - now, self._on_propose_timer)
         if step.recovered_at is not None and self._on_recovery is not None:
             self._on_recovery(self.authority, step.recovered_at, now, driver.recovery_mode_used)
-        if step.committed:
-            if self._on_commit is not None:
-                self._on_commit(self, step.committed, now)
-            if self._certified:
-                self._forget_headers_below(self.core.store.lowest_round)
+        if step.committed and self._on_commit is not None:
+            self._on_commit(self, step.committed, now)
         if driver.left:
             self.leave()
 
@@ -668,9 +586,7 @@ class SimValidator:
     def _dispatch_own(self, block: Block) -> None:
         if self._stage_metrics is not None and block.transactions:
             self._stage_metrics.record_inclusion(block.transactions, self._loop.now)
-        if self._certified:
-            self._headers[block.digest] = block
-            self._acks[block.digest] = {self.authority}
+        if self._driver.certified:
             self.send(None, Header(block))
         elif self.equivocating:
             self._dispatch_equivocation(block)

@@ -66,10 +66,9 @@ class _Protocol(NamedTuple):
     #: ``wave_length_override``, ``direct_skip``, the leader-slot DoS);
     #: otherwise one leader per wave of the table's length.
     multi_leader: bool
-    #: Called as ``(store, schedule, coin, config)`` by the core.
+    #: Called as ``(store, schedule, coin, config)`` by the core; a
+    #: committer class says whether the protocol is ``certified``.
     committer: Callable
-    #: Whether the simulator runs the consistent-broadcast exchange.
-    certified: bool = False
 
 
 #: The one place a protocol name is resolved.  Tusk's committer owns its
@@ -78,7 +77,7 @@ _PROTOCOL_TABLE = {
     "mahi-mahi-5": _Protocol(5, True, Committer),
     "mahi-mahi-4": _Protocol(4, True, Committer),
     "cordial-miners": _Protocol(5, False, make_cordial_miners_committer),
-    "tusk": _Protocol(3, False, TuskCommitter, certified=True),
+    "tusk": _Protocol(3, False, TuskCommitter),
 }
 
 #: Protocols the harness knows how to deploy, as named in the paper's
@@ -122,7 +121,9 @@ class ExperimentConfig:
         num_equivocators: Schedule shorthand: this many validators (the
             highest indexes below the crashed and recovering blocks)
             ``equivocate`` from t = 0 (validator 0 always stays the
-            honest observer).  See :meth:`effective_schedule`.
+            honest observer).  See :meth:`effective_schedule`.  A
+            certified protocol (Tusk) takes none, nor an ``equivocate``
+            event: its validators send headers, never a sibling.
         fault_schedule: Explicit time-ordered fault events (see
             :class:`~repro.sim.faults.FaultSchedule`); the harness
             replays them together with the events the three counts above
@@ -280,6 +281,15 @@ class ExperimentConfig:
                 )
             if self.leader_dos_delay <= 0:
                 raise ConfigError("leader_dos_delay must be > 0 when leader_dos_slots is set")
+        # A committer factory that is no class builds a plain, uncertified
+        # Committer.
+        certified = getattr(_PROTOCOL_TABLE[self.protocol].committer, "certified", False)
+        if certified and (self.num_equivocators or self.campaign_equivocators):
+            raise ConfigError(
+                "num_equivocators and equivocate events split an uncertified DAG's "
+                f"blocks; protocol {self.protocol!r} certifies every block and sends no "
+                "conflicting headers"
+            )
         if not 0 <= self.adversary_targets <= self.num_validators:
             raise ConfigError(
                 f"adversary_targets must be in [0, {self.num_validators}], "
@@ -726,7 +736,6 @@ class Experiment:
             self._make_core(authority),
             self._network,
             self._loop,
-            certified=self._protocol.certified,
             costs=self._costs,
             min_block_interval=self.config.block_interval,
             # Checked against every other validator's as they happen;

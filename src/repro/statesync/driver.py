@@ -17,8 +17,17 @@ and :class:`ValidatorDriver` is its one implementation:
   fabric restarts the validator: bind the new incarnation's fresh core,
   replay the log in warm mode, enter re-sync in every mode.
 
-The DAG is uncertified, so a block may name parents its receiver does
-not hold yet, and liveness leans on fetching them (Lemma 8).  The driver
+A certified protocol (Tusk: its committer's ``certified`` is true) puts
+a consistent-broadcast round in front of the DAG, and the driver runs it
+too: it keeps the headers it has seen and, for each own proposal, the
+ack tally (the author's own ack first); it acks every header, and the
+quorum-th ack of an own header broadcasts its :class:`~repro.messages
+.Certificate`, whose block is ingested as a live one.  Headers awaiting
+their certificate are served to fetches like stored blocks, and the
+table spans the DAG's window, not the run.
+
+A block, certified or not, may name parents its receiver does not hold
+yet, and liveness leans on fetching them (Lemma 8).  The driver
 owns the :class:`~repro.statesync.synchronizer.Synchronizer` — the
 table of shallow, per-reference fetches with its retry rotation — and
 routes every missing-parent report: to the deep chain while re-syncing,
@@ -39,12 +48,14 @@ tally and adoption, the token-tagged chunked deep-fetch chain with its
 single in-flight request, pruned-history absorption, the "caught up"
 rules and the serving side of a deep fetch.
 
-**One reader.**  The seven validator messages of :mod:`repro.messages`
+**One reader.**  The ten validator messages of :mod:`repro.messages`
 are read in exactly one place, :meth:`ValidatorDriver.on_message`; a
 host hands over whatever arrived and never looks inside.  What the
-driver sends in turn (fetch and sync responses, the checkpoint exchange,
-the deep-fetch requests) it builds itself and passes to
-:meth:`ValidatorPort.send`.
+driver sends in turn (acks and certificates, fetch and sync responses,
+the checkpoint exchange, the deep-fetch requests) it builds itself and
+passes to :meth:`ValidatorPort.send`; a host sends only its own
+proposals' announcements (a :class:`~repro.messages.BlockMessage`, or a
+certified protocol's :class:`~repro.messages.Header`).
 
 **The WAL rule.**  The log holds blocks and nothing else: every own
 proposal before it is handed back, and every block accepted from the
@@ -65,19 +76,21 @@ driver and its synchronizer with the intervals defined beside them.
 
 from __future__ import annotations
 
-from collections.abc import Callable, Mapping, Sequence
-from types import MappingProxyType
+from collections.abc import Callable, Sequence
 from typing import NamedTuple, Protocol
 
 from ..block import Block, BlockRef
 from ..crypto.hashing import Digest
 from ..errors import StateTransferError
 from ..messages import (
+    Ack,
     BlockMessage,
+    Certificate,
     CheckpointRequest,
     CheckpointResponse,
     FetchRequest,
     FetchResponse,
+    Header,
     SyncRequest,
     SyncResponse,
 )
@@ -187,10 +200,6 @@ class ValidatorDriver:
         self.sync_requests_sent = 0
         #: The shallow-fetch table.
         self.synchronizer = Synchronizer(port)
-        #: Blocks the host holds outside the DAG and serves to fetches
-        #: all the same, by digest (the simulator's Tusk headers awaiting
-        #: their certificate).
-        self.unstored: Mapping[Digest, Block] = MappingProxyType({})
         # One deep fetch in flight at a time: its token (0 = none), and
         # a monotonic counter so a stale response or timeout never
         # clears a newer request.
@@ -212,8 +221,14 @@ class ValidatorDriver:
         the needed history is unrecoverable."""
         kind = type(message)
         port = self._port
-        if kind is BlockMessage:
+        if kind is BlockMessage or kind is Certificate:
             port.ingest(message.block, peer, True)
+        elif kind is Header:
+            block = message.block
+            self._headers[block.digest] = block
+            port.send(peer, Ack(block.digest))
+        elif kind is Ack:
+            self._on_ack(message.digest, peer)
         elif kind is FetchRequest:
             held = self.held_blocks(message.refs)
             if held:
@@ -334,6 +349,10 @@ class ValidatorDriver:
                 # First proposal after a restart: recovery is complete.
                 recovered_at, self.recovered_at = self.recovered_at, None
             proposed += (block,)
+            if self.certified:
+                # The tally counts the author's own ack.
+                self._headers[block.digest] = block
+                self._acks[block.digest] = {core.authority}
             # Peers that built on a pre-crash twin of this block had us
             # fetching it.
             self.synchronizer.note_arrived(block.digest)
@@ -343,8 +362,13 @@ class ValidatorDriver:
                 self._record_accepted(core.last_connected, core.authority)
                 connected += tuple(core.last_connected)
         observations = core.try_commit()
-        if observations and self.tracer.enabled:
-            _trace.trace_commits(self.tracer, core.authority, self._port.trace_time(), observations)
+        if observations:
+            if self.tracer.enabled:
+                _trace.trace_commits(
+                    self.tracer, core.authority, self._port.trace_time(), observations
+                )
+            if self._headers:
+                self._forget_headers_below(core.store.lowest_round)
         if not core.schedule.is_static and self.excluded_by_epoch() and not self.left:
             self.left = True  # not idle: the host acts on leaving
         elif not (proposed or observations or deadline is not None):
@@ -355,6 +379,41 @@ class ValidatorDriver:
         """The host's timer for the last reported :attr:`Step.deadline`
         fired; the next paced step reports a new one."""
         self._timer_armed = False
+
+    # ------------------------------------------------------------------
+    # The certified round
+    # ------------------------------------------------------------------
+    def _on_ack(self, digest: Digest, peer: int) -> None:
+        """Count ``peer``'s ack of an own header; the quorum-th one
+        broadcasts its certificate."""
+        acks = self._acks.get(digest)
+        if acks is None:
+            return  # not an own header, or its certificate already went out
+        acks.add(peer)
+        block = self._headers[digest]
+        # The certificate quorum follows the epoch of the block's round.
+        if len(acks) >= self.core.schedule.quorum_threshold(block.round):
+            del self._acks[digest]
+            if self.tracer.enabled:
+                self.tracer.instant(
+                    self.core.authority,
+                    "consensus",
+                    _trace.BLOCK_CERTIFIED,
+                    self._port.trace_time(),
+                    {"author": block.author, "round": block.round, "acks": len(acks)},
+                )
+            self._port.send(None, Certificate(block, len(acks)))
+
+    def _forget_headers_below(self, round_number: int) -> None:
+        """Drop the headers, and own ack tallies, of the rounds below
+        ``round_number`` once the core has garbage-collected them.
+        Headers arrive about in round order, so nothing is scanned while
+        the oldest one is still in the window."""
+        headers = self._headers
+        if next(iter(headers.values())).round < round_number:
+            for digest in [d for d, block in headers.items() if block.round < round_number]:
+                del headers[digest]
+                self._acks.pop(digest, None)
 
     # ------------------------------------------------------------------
     # Restart, shutdown and mode selection
@@ -375,6 +434,13 @@ class ValidatorDriver:
         ``core`` and forget the previous tally and every fetch."""
         self.core = core
         self.synchronizer.restart(core)
+        #: Whether the protocol certifies blocks: own proposals go out as
+        #: headers, and only certificates enter the DAG.
+        self.certified = core.committer.certified
+        # The certified round: headers seen, by digest, and each own
+        # header's ack tally until its certificate goes out.
+        self._headers: dict[Digest, Block] = {}
+        self._acks: dict[Digest, set[int]] = {}
         # The attestation quorum is 2f + 1 of the latest committee this
         # validator knows — the genesis committee for a fresh core.  A
         # recoverer that slept across epochs it never learned has a
@@ -622,14 +688,14 @@ class ValidatorDriver:
     # ------------------------------------------------------------------
     def held_blocks(self, refs: tuple[BlockRef, ...]) -> list[Block]:
         """The requested blocks this validator can serve: stored ones,
-        then :attr:`unstored` ones."""
+        then headers still outside the DAG."""
         store = self.core.store
-        unstored = self.unstored
+        headers = self._headers
         held = [store.get(ref.digest) for ref in refs if ref.digest in store]
         held.extend(
-            unstored[ref.digest]
+            headers[ref.digest]
             for ref in refs
-            if ref.digest not in store and ref.digest in unstored
+            if ref.digest not in store and ref.digest in headers
         )
         return held
 
@@ -647,7 +713,7 @@ class ValidatorDriver:
             ref
             for ref in refs
             if ref.digest not in store
-            and ref.digest not in self.unstored
+            and ref.digest not in self._headers
             and 0 < ref.round < store.lowest_round
         )
         served = ancestor_closure(store, self.held_blocks(refs), floor, self._chunk)

@@ -14,9 +14,8 @@ import functools
 import random
 from types import SimpleNamespace
 
-from repro.messages import BlockMessage, FetchRequest, FetchResponse
+from repro.messages import Ack, BlockMessage, Certificate, FetchRequest, FetchResponse, Header
 from repro.sim.network import AsyncAdversaryScheduler, LeaderDosScheduler, Message
-from repro.sim.node import Ack, Certificate, Header
 
 
 def _message(src: int, body=BlockMessage, round_number: int = 0, author: int | None = None):

@@ -14,17 +14,19 @@ import pytest
 
 from repro.block import Block, make_genesis
 from repro.messages import (
+    Ack,
     BlockMessage,
+    Certificate,
     CheckpointRequest,
     CheckpointResponse,
     FetchRequest,
     FetchResponse,
+    Header,
     SyncRequest,
     SyncResponse,
 )
 from repro.sim import costs as costs_module
 from repro.sim.costs import PROVENANCE, CostModel
-from repro.sim.node import Ack, Certificate, Header
 from repro.sim.runner import Experiment, ExperimentConfig
 from repro.statesync import WalReplay
 from repro.transaction import Transaction

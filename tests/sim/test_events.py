@@ -10,7 +10,13 @@ from repro.sim.events import EventLoop
 from repro.sim.faults import FaultEvent
 from repro.sim.node import Ingress
 from repro.sim.runner import Experiment, ExperimentConfig
-from tests.sim.test_tx_path import SCENARIOS, TimerIngressValidator, outcome, run_oracle
+from tests.sim.test_tx_path import (
+    CASES,
+    SCENARIOS,
+    TimerIngressValidator,
+    outcome,
+    run_oracle,
+)
 
 
 class TestScheduling:
@@ -247,8 +253,7 @@ def routed_arrivals(config: ExperimentConfig):
     return experiment, result, routed
 
 
-@pytest.mark.parametrize("scenario", SCENARIOS)
-@pytest.mark.parametrize("protocol", ["mahi-mahi-5", "mahi-mahi-4", "cordial-miners", "tusk"])
+@pytest.mark.parametrize("protocol, scenario", CASES)
 def test_every_scenario_routes_as_the_per_arrival_clients_did(protocol, scenario):
     """The fixed scenarios (restarts in every mode, an epoch join and
     leave, equivocation, a size mix, no CPU model, an overloaded ingress)

@@ -88,7 +88,7 @@ def test_footprint_follows_the_gc_window(leg, monkeypatch):
             assert len(core.store) <= window, where
             assert len(core.committer._output) <= window, where
             assert node._driver.synchronizer.missing <= window, where
-            assert len(node._headers) <= window, where
+            assert len(node._driver._headers) <= window, where
             # The insertion path's buffers: blocks waiting on a parent,
             # the reverse index to them, the DAG tips, and the
             # observer's wire-arrival stamps.

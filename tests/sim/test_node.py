@@ -3,16 +3,21 @@ sync, CPU."""
 
 import pytest
 
+from repro.baselines.tusk import TuskCommitter
 from repro.committee import Committee
 from repro.config import ProtocolConfig
+from repro.core.committer import Committer
 from repro.core.protocol import MahiMahiCore
 from repro.crypto.coin import FastCoin
 from repro.messages import (
+    Ack,
     BlockMessage,
+    Certificate,
     CheckpointRequest,
     CheckpointResponse,
     FetchRequest,
     FetchResponse,
+    Header,
     SyncRequest,
     SyncResponse,
 )
@@ -21,7 +26,7 @@ from repro.sim.costs import CostModel
 from repro.sim.events import EventLoop
 from repro.sim.latency import UniformLatencyModel
 from repro.sim.network import Message, SimNetwork
-from repro.sim.node import Ack, Certificate, Header, SimValidator
+from repro.sim.node import SimValidator
 from repro.transaction import Transaction
 from tests.statesync.test_driver import history, suffix
 
@@ -57,22 +62,28 @@ def make_cluster(
     validator=SimValidator,
     on_commit=None,
 ):
+    """``certified``: Tusk cores, which run the header / ack /
+    certificate round."""
     committee = Committee.of_size(n)
     coin = FastCoin(seed=b"node-test", n=n, threshold=committee.quorum_threshold)
     config = ProtocolConfig(wave_length=5, leaders_per_round=2)
+    committer = TuskCommitter if certified else Committer
     loop = EventLoop()
     network = SimNetwork(loop, UniformLatencyModel(delay), n, costs=costs, seed=1)
     nodes = []
+
+    def make_core(i):
+        return MahiMahiCore(i, committee, config, coin, committer_factory=committer)
+
     for i in range(n):
         factory = None
         if with_core_factory:
-            factory = lambda i=i: MahiMahiCore(i, committee, config, coin)  # noqa: E731
+            factory = lambda i=i: make_core(i)  # noqa: E731
         nodes.append(
             validator(
-                MahiMahiCore(i, committee, config, coin),
+                make_core(i),
                 network,
                 loop,
-                certified=certified,
                 start_down=i in start_down,
                 min_block_interval=interval,
                 costs=costs,

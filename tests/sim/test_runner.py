@@ -144,6 +144,20 @@ class TestConfigValidation:
 
     @pytest.mark.parametrize(
         "overrides",
+        [dict(num_equivocators=1), dict(fault_schedule=((1.0, 2, "equivocate"),))],
+        ids=["static", "scheduled"],
+    )
+    def test_a_certified_protocol_takes_no_equivocator(self, overrides):
+        """Tusk sends each proposal as a header: an equivocator would run
+        honest yet be counted against ``f`` and left out of the safety
+        check, so the config is refused."""
+        with pytest.raises(ConfigError, match="certifies every block"):
+            ExperimentConfig(protocol="tusk", num_validators=10, **overrides)
+        for protocol in ("mahi-mahi-5", "cordial-miners"):
+            ExperimentConfig(protocol=protocol, num_validators=10, **overrides)
+
+    @pytest.mark.parametrize(
+        "overrides",
         [
             dict(adversary_targets=0),
             dict(adversary_targets=4),
@@ -310,16 +324,21 @@ class TestStaticFaults:
         assert len(first) == 2 and result.equivocations > 0
 
     def test_static_equivocator_excluded_from_safety_check(self):
-        """Tusk never sends a sibling, so only the campaign flag keeps the
-        equivocator out of the commit-sequence check."""
+        """A campaign that begins as its validator crashes never sends a
+        sibling, so only the campaign flag keeps the equivocator out of
+        the commit-sequence check."""
         experiment = Experiment(
             ExperimentConfig(
-                protocol="tusk", num_validators=4, num_equivocators=1, duration=2.0, warmup=0.5
+                num_validators=4,
+                duration=2.0,
+                warmup=0.5,
+                fault_schedule=((1.5, 3, "equivocate"), (1.5, 3, "crash")),
             )
         )
         experiment.run()
         equivocator = experiment.nodes[3]
-        assert not equivocator.ever_equivocated
+        assert equivocator.equivocating and not equivocator.ever_equivocated
+        assert equivocator.core.committer.ledger.sequence_length > 1
         forged = dataclasses.replace(experiment.nodes[0].core.store.round_blocks(1)[0], salt=b"x")
         observation = type("Observation", (), {"linearized": [forged]})()
         experiment._total_order.on_commit(equivocator, [observation], 2.0)
@@ -375,7 +394,7 @@ def test_one_construction_path(protocol):
     ) == (48, 3, RECONFIG_LAG)
     assert isinstance(committer, Committer)
     assert (type(committer) is TuskCommitter) == (protocol == "tusk")
-    assert experiment.nodes[0]._certified == (protocol == "tusk")
+    assert experiment.nodes[0]._driver.certified == (protocol == "tusk")
 
 
 @pytest.mark.slow

@@ -6,14 +6,18 @@ from types import SimpleNamespace
 
 import pytest
 
+from repro.baselines.tusk import TuskCommitter
 from repro.committee import Committee, CommitteeSchedule, ReconfigCommand
 from repro.errors import BlockValidationError, StateTransferError
 from repro.messages import (
+    Ack,
     BlockMessage,
+    Certificate,
     CheckpointRequest,
     CheckpointResponse,
     FetchRequest,
     FetchResponse,
+    Header,
     SyncRequest,
     SyncResponse,
     TransactionMessage,
@@ -383,15 +387,16 @@ class TestServing:
         served, pruned = driver.serve_sync(refs, 0)
         assert served == () and pruned == refs
 
-    def test_unstored_blocks_are_served_and_not_flagged(self):
-        source = history(3)[0]
-        header = suffix(history(4)[1])[-1]  # a round-4 block ``source`` lacks
+    def test_a_held_header_is_served_and_not_flagged(self):
+        source = history(40, gc=4)[0]
+        header = suffix(history(2)[1])[0]  # a round-1 block ``source`` pruned
+        assert header.round < source.store.lowest_round
         driver = ValidatorDriver(source, FakePort(), "cold", 8)
         refs = (header.reference,)
-        assert driver.held_blocks(refs) == []
-        driver.unstored = {header.digest: header}
+        assert driver.serve_sync(refs, 0) == ((), refs)
+        driver.on_message(Header(header), 1)
         assert driver.held_blocks(refs) == [header]
-        served, pruned = driver.serve_sync(refs, 3)
+        served, pruned = driver.serve_sync(refs, 0)
         assert served == (header,) and pruned == ()
 
 
@@ -481,8 +486,8 @@ class TestOnMessage:
         # Nothing held: no answer at all (the requester rotates peers).
         assert driver.on_message(FetchRequest((unheld.reference,)), 2) is False
         assert len(port.sent) == 1
-        # A Tusk header the host holds outside the DAG is served too.
-        driver.unstored = {unheld.digest: unheld}
+        # A header held outside the DAG is served too.
+        driver.on_message(Header(unheld), 1)
         driver.on_message(FetchRequest((unheld.reference,)), 1)
         assert port.sent[-1] == (1, FetchResponse((unheld,)))
 
@@ -552,11 +557,105 @@ class TestOnMessage:
             driver.on_message(TransactionMessage(transactions=()), 0)
 
 
+class TestCertifiedRound:
+    """Tusk's header / ack / certificate round: a driver whose core's
+    committer is certified runs it, validator 3 of four (a quorum of
+    acks is three, its own included)."""
+
+    def make(self, gc=0):
+        port = FakePort()
+        core = make_core(3, gc=gc, committer_factory=TuskCommitter)
+        driver = ValidatorDriver(core, port, "cold", 4096, tracer=Tracer())
+        port.driver = driver
+        return driver, port
+
+    def test_a_header_gets_one_ack_to_its_sender(self):
+        driver, port = self.make()
+        block = peer_blocks(1)[0]
+        assert driver.on_message(Header(block), 1) is False
+        assert port.sent == [(1, Ack(block.digest))]
+        assert port.ingested == [] and block.digest not in driver.core.store
+
+    def test_the_quorum_th_ack_sends_exactly_one_certificate(self):
+        driver, port = self.make()
+        (own,) = driver.step(now=0.0).proposed
+        for peer in (0, 0):  # with our own, two acks: below the quorum
+            driver.on_message(Ack(own.digest), peer)
+        assert port.sent == []
+        driver.on_message(Ack(own.digest), 1)
+        assert port.sent == [(None, Certificate(own, 3))]
+        for peer in (2, 1):
+            driver.on_message(Ack(own.digest), peer)
+        assert len(port.sent) == 1
+        (certified,) = [e for e in driver.tracer.events if e.name == "block_certified"]
+        assert certified.args == {"author": 3, "round": 1, "acks": 3}
+
+    def test_an_ack_for_no_own_header_is_ignored(self):
+        driver, port = self.make()
+        block = peer_blocks(1)[0]
+        driver.on_message(Header(block), 0)
+        for peer in (1, 2, 3):
+            driver.on_message(Ack(block.digest), peer)
+        assert port.sent == [(0, Ack(block.digest))]
+
+    def test_a_certificate_is_ingested_as_live(self):
+        driver, port = self.make()
+        block = peer_blocks(1)[0]
+        assert driver.on_message(Certificate(block, 3), block.author) is False
+        assert port.ingested == [(block, True)] and block.digest in driver.core.store
+
+    def test_an_uncertified_driver_opens_no_tally(self):
+        driver, port = make_driver()
+        (own,) = driver.step(now=0.0).proposed
+        for peer in (0, 1, 2):
+            driver.on_message(Ack(own.digest), peer)
+        assert port.sent == []
+
+    def test_a_committing_step_drops_what_the_store_pruned(self):
+        driver, port = self.make(gc=2)
+        early = peer_blocks(1)[0]
+        driver.on_message(Header(early), 0)
+        proposed = []
+        for block in peer_blocks(12):
+            driver.ingest(block, block.author, 0.0)
+            step = driver.step(now=0.0)
+            proposed.extend(step.proposed)
+            if early.round < driver.core.store.lowest_round:
+                assert step.committed
+                break
+        else:
+            pytest.fail("the store never pruned round 1")
+        assert driver.held_blocks((early.reference,)) == []
+        port.sent.clear()
+        for peer in (0, 1):  # the round-1 tally went with its header
+            driver.on_message(Ack(proposed[0].digest), peer)
+        assert port.sent == []
+        latest = proposed[-1]
+        for peer in (0, 1):  # the latest stays open
+            driver.on_message(Ack(latest.digest), peer)
+        assert port.sent == [(None, Certificate(latest, 3))]
+
+    def test_restart_clears_headers_and_tallies(self):
+        driver, port = self.make()
+        (own,) = driver.step(now=0.0).proposed
+        block = peer_blocks(1)[0]
+        driver.on_message(Header(block), 0)
+        driver.restart(make_core(3, committer_factory=TuskCommitter))
+        assert driver.held_blocks((block.reference, own.reference)) == []
+        port.sent.clear()
+        for peer in (0, 1):
+            driver.on_message(Ack(own.digest), peer)
+        assert port.sent == []
+
+
 class TestEpochExit:
     def driver_for(self, authority):
         schedule = CommitteeSchedule(Committee.of_size(5), provisioned=6)
         core = SimpleNamespace(
-            authority=authority, schedule=schedule, store=SimpleNamespace(highest_round=0)
+            authority=authority,
+            schedule=schedule,
+            store=SimpleNamespace(highest_round=0),
+            committer=SimpleNamespace(certified=False),
         )
         return ValidatorDriver(core, FakePort(), "cold", 4096), schedule, core.store
 

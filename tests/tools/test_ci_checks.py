@@ -324,6 +324,27 @@ def test_one_vocabulary(tmp_path):
     assert all(str(ladder) in v for v in violations)
 
 
+def test_one_vocabulary_leaves_the_certified_round_to_the_driver(tmp_path):
+    # A host announces its own block as a header; the acks and the
+    # certificate are the driver's.
+    announces = write(
+        tmp_path / "announces.py",
+        "from ..messages import BlockMessage, Header\n"
+        "def dispatch_own(self, block):\n"
+        "    self.send(None, Header(block) if self.driver.certified else BlockMessage(block))\n",
+    )
+    assert ci_checks.one_vocabulary(str(announces)) == []
+    tallies = write(
+        tmp_path / "tallies.py",
+        "from ..messages import Ack\n"
+        "def on_header(self, message, peer):\n"
+        "    self.send(peer, Ack(message.block.digest))\n",
+    )
+    violations = ci_checks.one_vocabulary(str(tallies))
+    assert [v.partition(": ")[0].rpartition(":")[2] for v in violations] == ["1", "3"]
+    assert all("Ack, which only the driver builds or reads" in v for v in violations)
+
+
 def test_one_restart_path(tmp_path):
     assert ci_checks.one_restart_path() == []  # the two hosts as checked in
     clean = write(

@@ -275,12 +275,15 @@ def tx_path(path: str = "results/sim-tusk-n10.traced.out") -> list[str]:
 
 #: The string kinds the simulator used to dispatch on, and the messages
 #: only the driver (:meth:`ValidatorDriver.on_message`, its synchronizer)
-#: may build or read: of the seven, a host names ``BlockMessage`` alone.
+#: may build or read: of the ten, a host names ``BlockMessage`` and
+#: ``Header`` alone, its own block's two announcements.
 RETIRED_KINDS = frozenset(
     {"ack", "cert", "fetch_req", "fetch_resp", "sync_resp", "ckpt_req", "ckpt_resp"}
 )
 DRIVER_ONLY = frozenset(
     {
+        "Ack",
+        "Certificate",
         "FetchRequest",
         "FetchResponse",
         "SyncRequest",
