@@ -16,11 +16,15 @@ section's wire bytes (a header table, then the payloads), the only
 retained copy of the payload.  Its proposer packs the section in bulk
 and :meth:`Block.decode` checks a received one in bulk (the count
 against the frame, one ``sum`` over the length column) before slicing
-it out.  The digest and :meth:`Block.encode` splice those bytes in, so
-a block is encoded once by its proposer, hashed once per validator (the
-author signs, and peers verify, the 32-byte :attr:`Block.digest`), and
-re-joined — never re-serialised, never cached — for each peer frame and
-WAL record.  Simulator blocks carry a
+it out.  The digest and :meth:`Block.encode_parts` splice those bytes
+in, so a block is encoded once by its proposer and hashed once per
+validator (the author signs, and peers verify, the 32-byte
+:attr:`Block.digest`).  Nothing joins a block on its own — nor caches
+its wire bytes: a peer frame is one join of its length prefix, its kind
+byte and the block's parts (:func:`repro.messages.encode_frame`), and a
+WAL record is one ``writev`` of its header and the parts
+(:meth:`repro.runtime.wal.WriteAheadLog.append_block`), whose CRC skips
+the payload run that the digest already covers.  Simulator blocks carry a
 :class:`~repro.transaction.TransactionSlice` (its header table packed for
 the digest, never framed), hand-built ones plain tuples.
 
@@ -46,7 +50,7 @@ from functools import cached_property
 from .crypto.coin import CoinShare
 from .crypto.hashing import Digest, hash_parts
 from .errors import ReproError
-from .transaction import Transaction, TransactionBatch, encode_transactions
+from .transaction import Transaction, TransactionBatch, encode_transactions, section_parts
 
 #: Round number of genesis blocks.
 GENESIS_ROUND = 0
@@ -54,6 +58,11 @@ GENESIS_ROUND = 0
 _REF = struct.Struct("<IQ32s")  # author, round, digest
 _BLOCK_HEADER = struct.Struct("<IQI")  # author, round, parent count
 _SHARE_HEADER = struct.Struct("<IQI")  # author, round, value length
+_LENGTH = struct.Struct("<I")
+
+#: Where :meth:`Block.encode_parts` puts the transaction section's
+#: payload run.
+PAYLOAD_RUN = 2
 
 
 @dataclass(frozen=True, order=True)
@@ -214,23 +223,23 @@ class Block:
     # ------------------------------------------------------------------
     # Serialization (wire format and WAL records)
     # ------------------------------------------------------------------
-    def encode(self) -> bytes:
+    def encode_parts(self) -> list:
+        """The wire encoding as four parts that join to :meth:`encode`:
+        the header with the parent references, the transaction section's
+        count and header table, its payload run (the last two views of
+        the section's bytes, not copies), and the coin share, salt and
+        signature, each after its length."""
+        pack = _REF.pack
         share = self.coin_share.encode() if self.coin_share is not None else b""
-        # Layout: header | parents | txs | share? | salt | signature — with
-        # explicit lengths so decode is unambiguous.
-        return b"".join(
-            [
-                _BLOCK_HEADER.pack(self.author, self.round, len(self.parents)),
-                b"".join(parent.encode() for parent in self.parents),
-                encode_transactions(self.transactions),
-                struct.pack("<I", len(share)),
-                share,
-                struct.pack("<I", len(self.salt)),
-                self.salt,
-                struct.pack("<I", len(self.signature)),
-                self.signature,
-            ]
-        )
+        table, run = section_parts(self.transactions)
+        head = [_BLOCK_HEADER.pack(self.author, self.round, len(self.parents))]
+        head += [pack(ref.author, ref.round, ref.digest) for ref in self.parents]
+        tail = [_LENGTH.pack(len(share)), share, _LENGTH.pack(len(self.salt)), self.salt]
+        tail += [_LENGTH.pack(len(self.signature)), self.signature]
+        return [b"".join(head), table, run, b"".join(tail)]
+
+    def encode(self) -> bytes:
+        return b"".join(self.encode_parts())
 
     @classmethod
     def decode(cls, data: bytes, offset: int = 0) -> tuple["Block", int]:

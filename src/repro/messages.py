@@ -16,7 +16,9 @@ runtime host deploys a certified protocol.
 
 The simulator carries these objects as they are and prices them with
 its wire-size model; the runtime frames them as ``<u32 length> <u8 kind>
-<body>``.  Either way the ten validator messages have one reader,
+<body>``, in one join of the prefix, the kind byte and the body's parts
+(:func:`encode_frame`: a block's payload is copied once, into the
+frame).  Either way the ten validator messages have one reader,
 :meth:`repro.statesync.driver.ValidatorDriver.on_message`.
 """
 
@@ -155,49 +157,64 @@ def _encode_refs(refs: tuple[BlockRef, ...]) -> bytes:
     return b"".join(ref.encode() for ref in refs)
 
 
-def _encode_blocks(blocks: tuple[Block, ...]) -> bytes:
+def _block_parts(blocks: tuple[Block, ...]) -> list:
+    """Each block's length, then its :meth:`~repro.block.Block.encode_parts`."""
     parts = []
     for block in blocks:
-        encoded = block.encode()
-        parts.append(_COUNT.pack(len(encoded)))
-        parts.append(encoded)
-    return b"".join(parts)
+        encoded = block.encode_parts()
+        parts.append(_COUNT.pack(sum(map(len, encoded))))
+        parts += encoded
+    return parts
+
+
+def _parts(message: Message) -> list:
+    """A message body as parts that join to it: the kind byte, then the
+    payload — a block as its parts, never joined on its own."""
+    if isinstance(message, BlockMessage):
+        return [bytes([_KIND_BLOCK]), *message.block.encode_parts()]
+    if isinstance(message, FetchRequest):
+        refs = message.refs
+        return [bytes([_KIND_FETCH_REQUEST]), _COUNT.pack(len(refs)), _encode_refs(refs)]
+    if isinstance(message, FetchResponse):
+        blocks = message.blocks
+        return [bytes([_KIND_FETCH_RESPONSE]), _COUNT.pack(len(blocks)), *_block_parts(blocks)]
+    if isinstance(message, CheckpointRequest):
+        return [bytes([_KIND_CHECKPOINT_REQUEST])]
+    if isinstance(message, CheckpointResponse):
+        checkpoints = message.checkpoints
+        return [
+            bytes([_KIND_CHECKPOINT_RESPONSE]),
+            _COUNT.pack(len(checkpoints)),
+            *(checkpoint.encode() for checkpoint in checkpoints),
+        ]
+    if isinstance(message, SyncRequest):
+        return [
+            bytes([_KIND_SYNC_REQUEST]),
+            _SYNC_REQUEST_HEADER.pack(message.floor, message.token, len(message.refs)),
+            _encode_refs(message.refs),
+        ]
+    if isinstance(message, SyncResponse):
+        return [
+            bytes([_KIND_SYNC_RESPONSE]),
+            _SYNC_RESPONSE_HEADER.pack(message.token, len(message.blocks), len(message.pruned)),
+            *_block_parts(message.blocks),
+            _encode_refs(message.pruned),
+        ]
+    if isinstance(message, TransactionMessage):
+        return [bytes([_KIND_TRANSACTIONS]), encode_transactions(message.transactions)]
+    raise TransportError(f"cannot encode message of type {type(message).__name__}")
 
 
 def encode_message(message: Message) -> bytes:
     """Serialize a message body (kind byte + payload)."""
-    if isinstance(message, BlockMessage):
-        return bytes([_KIND_BLOCK]) + message.block.encode()
-    if isinstance(message, FetchRequest):
-        body = _COUNT.pack(len(message.refs)) + _encode_refs(message.refs)
-        return bytes([_KIND_FETCH_REQUEST]) + body
-    if isinstance(message, FetchResponse):
-        body = _COUNT.pack(len(message.blocks)) + _encode_blocks(message.blocks)
-        return bytes([_KIND_FETCH_RESPONSE]) + body
-    if isinstance(message, CheckpointRequest):
-        return bytes([_KIND_CHECKPOINT_REQUEST])
-    if isinstance(message, CheckpointResponse):
-        body = _COUNT.pack(len(message.checkpoints)) + b"".join(
-            checkpoint.encode() for checkpoint in message.checkpoints
-        )
-        return bytes([_KIND_CHECKPOINT_RESPONSE]) + body
-    if isinstance(message, SyncRequest):
-        body = _SYNC_REQUEST_HEADER.pack(
-            message.floor, message.token, len(message.refs)
-        ) + _encode_refs(message.refs)
-        return bytes([_KIND_SYNC_REQUEST]) + body
-    if isinstance(message, SyncResponse):
-        body = (
-            _SYNC_RESPONSE_HEADER.pack(
-                message.token, len(message.blocks), len(message.pruned)
-            )
-            + _encode_blocks(message.blocks)
-            + _encode_refs(message.pruned)
-        )
-        return bytes([_KIND_SYNC_RESPONSE]) + body
-    if isinstance(message, TransactionMessage):
-        return bytes([_KIND_TRANSACTIONS]) + encode_transactions(message.transactions)
-    raise TransportError(f"cannot encode message of type {type(message).__name__}")
+    return b"".join(_parts(message))
+
+
+def encode_frame(message: Message) -> bytes:
+    """``frame(encode_message(message))`` in one join: the stream
+    transport's frame, which is the one copy a broadcast block's payload
+    makes on its way out."""
+    return frame(*_parts(message))
 
 
 def _unpack(header: struct.Struct, data: bytes, offset: int) -> tuple:
@@ -289,8 +306,14 @@ def decode_message(data: bytes) -> Message:
         raise TransportError(f"malformed message of kind {data[0]}: {error}") from error
 
 
-def frame(body: bytes) -> bytes:
-    """Length-prefix a message body for the stream transport."""
-    if len(body) > MAX_FRAME:
-        raise TransportError(f"frame too large ({len(body)} bytes)")
-    return _COUNT.pack(len(body)) + body
+def frame(*parts: bytes) -> bytes:
+    """Length-prefix a message body — whole, or as the parts it joins
+    to — for the stream transport, in one join.
+
+    Raises:
+        TransportError: If the body exceeds :data:`MAX_FRAME`.
+    """
+    size = sum(map(len, parts))
+    if size > MAX_FRAME:
+        raise TransportError(f"frame too large ({size} bytes)")
+    return b"".join([_COUNT.pack(size), *parts])

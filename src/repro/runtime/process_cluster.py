@@ -41,7 +41,7 @@ from pathlib import Path
 
 from ..committee import RECONFIG_TX_BASE, ReconfigCommand
 from ..config import ProtocolConfig
-from ..messages import TransactionMessage, encode_message, frame
+from ..messages import TransactionMessage, encode_frame
 from ..obs.export import write_chrome_trace, write_jsonl
 from ..obs.trace import NULL_TRACER, Tracer
 from ..transaction import Transaction
@@ -285,7 +285,7 @@ class ClientFleet:
             return False
         try:
             writer.write(
-                frame(encode_message(TransactionMessage(transactions=transactions)))
+                encode_frame(TransactionMessage(transactions=transactions))
             )
             await writer.drain()
         except (ConnectionError, OSError):

@@ -16,7 +16,7 @@ from abc import ABC, abstractmethod
 from typing import Awaitable, Callable
 
 from ..errors import ReproError
-from ..messages import MAX_FRAME, Message, decode_message, encode_message, frame
+from ..messages import MAX_FRAME, Message, decode_message, encode_frame, encode_message
 from ..obs.trace import NULL_TRACER
 
 #: ``(sender, message)`` delivery callback.
@@ -275,7 +275,7 @@ class TcpTransport(Transport):
 
     # -- sending --------------------------------------------------------
     def _encode(self, message: Message) -> bytes:
-        return frame(encode_message(message))
+        return encode_frame(message)
 
     async def _write(self, dst: int, body: bytes) -> None:
         lock = self._locks.setdefault(dst, asyncio.Lock())

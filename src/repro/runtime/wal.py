@@ -16,14 +16,34 @@ requirements reproduced here:
   log holds whose (signed) author is this validator;
 * **torn tails are tolerated**: a crash mid-append leaves a truncated or
   corrupt final record, which recovery silently discards (everything
-  before it is protected by a CRC);
+  before it is protected by a CRC, or by the block digest);
 * **what cannot be read is refused**: a whole, CRC-valid block record
   that does not decode to exactly one block (a log written in another
   block layout, say) stops recovery with a
   :class:`~repro.errors.WalCorruptionError` naming its offset — it is
   never replayed as some other block.
 
-Record layout: ``<u32 length> <u32 crc32> <u8 type> <payload>``.
+Record layout::
+
+    <u32 crc32> <u32 length> <u8 type> <u32 run start> <u32 run length> <32 B digest> <payload>
+
+A block record's payload is the block's wire encoding, written with one
+``writev`` from :meth:`~repro.block.Block.encode_parts` as they lie (no
+join, no copy but the kernel's).  Each byte is checked once:
+
+* the CRC covers every byte after itself — the length, the type, the
+  run's span, the digest and the payload — except the *run*: the
+  payload bytes from ``run start`` on for ``run length`` bytes, which
+  for a block record are its transaction section's payload run;
+* the digest, of the block the record holds, covers the run.  Replay
+  derives every block's digest anyway (it is the block's identity in the
+  DAG), so :meth:`WriteAheadLog.recover` compares it with the one the
+  record names at no extra pass, and treats a difference like a CRC
+  failure.
+
+A raw record (:meth:`WriteAheadLog.append` with one payload) has an
+empty run, and so has a block without payload bytes (genesis, say): the
+CRC covers the whole payload, and the digest is not read.
 """
 
 from __future__ import annotations
@@ -35,10 +55,12 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterator
 
-from ..block import Block
+from ..block import PAYLOAD_RUN, Block
 from ..errors import ReproError, WalCorruptionError
 
-_HEADER = struct.Struct("<IIB")
+_CRC = struct.Struct("<I")
+_META = struct.Struct("<IBII32s")  # payload length, type, run start, run length, digest
+_HEADER_SIZE = _CRC.size + _META.size
 
 #: The one record type: an encoded block.
 RECORD_BLOCK = 1
@@ -50,10 +72,15 @@ class WalRecord:
 
     record_type: int
     payload: bytes
+    #: The digest the record names for the payload bytes its CRC
+    #: skipped, or ``None`` if it skipped none: a reader of a record
+    #: with a digest must check it (:meth:`WriteAheadLog.recover` does).
+    digest: bytes | None = None
 
 
 class WriteAheadLog:
-    """Append-only, CRC-protected record log."""
+    """Append-only record log, each record checked by its CRC and a
+    block's payload run by the block's digest."""
 
     def __init__(self, path: str | Path, *, sync: bool = False) -> None:
         """Args:
@@ -65,7 +92,7 @@ class WriteAheadLog:
         """
         self._path = Path(path)
         self._sync = sync
-        self._file = open(self._path, "ab")
+        self._file = open(self._path, "ab", buffering=0)
 
     @property
     def path(self) -> Path:
@@ -75,19 +102,39 @@ class WriteAheadLog:
     # ------------------------------------------------------------------
     # Appending
     # ------------------------------------------------------------------
-    def append(self, record_type: int, payload: bytes) -> None:
-        """Durably append one record."""
-        crc = zlib.crc32(payload)
-        self._file.write(_HEADER.pack(len(payload), crc, record_type))
-        self._file.write(payload)
-        self._file.flush()
+    def append(
+        self, record_type: int, *parts: bytes, run: int | None = None, digest: bytes = b""
+    ) -> None:
+        """Durably append one record whose payload is ``parts`` joined
+        — written with one ``writev``, never joined here.  ``parts[run]``,
+        if given, is the record's run: the CRC skips it and ``digest``
+        must cover it."""
+        start = sum(map(len, parts[:run])) if run is not None else 0
+        run_length = len(parts[run]) if run is not None else 0
+        meta = _META.pack(sum(map(len, parts)), record_type, start, run_length, digest)
+        crc = zlib.crc32(meta)
+        for index, part in enumerate(parts):
+            if index != run:
+                crc = zlib.crc32(part, crc)
+        self._write([_CRC.pack(crc), meta, *parts])
         if self._sync:
             os.fsync(self._file.fileno())
 
     def append_block(self, block: Block) -> None:
         """Persist a block: an own proposal before it is broadcast, or a
-        block accepted into the DAG."""
-        self.append(RECORD_BLOCK, block.encode())
+        block accepted into the DAG.  Its transaction section's payload
+        run is the record's run, covered by the block's digest."""
+        self.append(RECORD_BLOCK, *block.encode_parts(), run=PAYLOAD_RUN, digest=block.digest)
+
+    def _write(self, buffers: list) -> None:
+        """Write ``buffers`` in order with one ``writev``; a short write
+        is completed, not dropped."""
+        fd = self._file.fileno()
+        written = os.writev(fd, buffers)
+        if written < sum(map(len, buffers)):
+            rest = memoryview(b"".join(buffers))[written:]
+            while rest:
+                rest = rest[os.write(fd, rest) :]
 
     def close(self) -> None:
         self._file.close()
@@ -105,35 +152,33 @@ class WriteAheadLog:
     def read_records(cls, path: str | Path, *, strict: bool = False) -> Iterator[WalRecord]:
         """Yield records from a log file.
 
-        A truncated or CRC-corrupt record ends iteration (crash-tail
-        tolerance); with ``strict`` it raises instead — useful in tests
-        asserting exactly where a log was damaged.
+        A truncated or CRC-corrupt record — a torn header among them —
+        ends iteration (crash-tail tolerance); with ``strict`` it raises
+        instead — useful in tests asserting exactly where a log was
+        damaged.  A record's run is not checked here: see
+        :attr:`WalRecord.digest`.
         """
         path = Path(path)
         if not path.exists():
             return
         with open(path, "rb") as handle:
             data = handle.read()
+        view = memoryview(data)
         offset = 0
-        while offset + _HEADER.size <= len(data):
-            length, crc, record_type = _HEADER.unpack_from(data, offset)
-            start = offset + _HEADER.size
-            end = start + length
-            if end > len(data):
+        while offset < len(data):
+            found = _record_at(view, offset)
+            if isinstance(found, str):
                 if strict:
-                    raise WalCorruptionError(f"truncated record at offset {offset}")
+                    raise WalCorruptionError(f"{found} at offset {offset}")
                 return
-            payload = data[start:end]
-            if zlib.crc32(payload) != crc:
-                if strict:
-                    raise WalCorruptionError(f"CRC mismatch at offset {offset}")
-                return
-            yield WalRecord(record_type=record_type, payload=payload)
-            offset = end
+            record, offset = found
+            yield record
 
     @classmethod
-    def recover(cls, path: str | Path) -> list[Block]:
-        """Every durable block of a log, in append order.
+    def recover(cls, path: str | Path, *, strict: bool = False) -> list[Block]:
+        """Every durable block of a log, in append order; a block whose
+        digest is not the one its record names ends the replay like a
+        CRC failure (``strict``: raises, as :meth:`read_records` does).
 
         Raises:
             WalCorruptionError: If a block record's payload is not
@@ -141,11 +186,36 @@ class WriteAheadLog:
         """
         blocks: list[Block] = []
         offset = 0
-        for record in cls.read_records(path):
+        for record in cls.read_records(path, strict=strict):
             if record.record_type == RECORD_BLOCK:
-                blocks.append(_decode_block_record(record.payload, offset))
-            offset += _HEADER.size + len(record.payload)
+                block = _decode_block_record(record.payload, offset)
+                if record.digest is not None and block.digest != record.digest:
+                    if strict:
+                        raise WalCorruptionError(f"digest mismatch at offset {offset}")
+                    break
+                blocks.append(block)
+            offset += _HEADER_SIZE + len(record.payload)
         return blocks
+
+
+def _record_at(data: memoryview, offset: int) -> tuple[WalRecord, int] | str:
+    """The record at ``offset`` and the offset past it, or what is wrong
+    with it."""
+    start = offset + _HEADER_SIZE
+    if start > len(data):
+        return "truncated record"
+    (crc,) = _CRC.unpack_from(data, offset)
+    length, record_type, run_start, run_length, digest = _META.unpack_from(
+        data, offset + _CRC.size
+    )
+    end = start + length
+    if end > len(data):
+        return "truncated record"
+    run_end = start + run_start + run_length
+    checked = zlib.crc32(data[offset + _CRC.size : start + run_start])
+    if run_end > end or zlib.crc32(data[run_end:end], checked) != crc:
+        return "CRC mismatch"
+    return WalRecord(record_type, bytes(data[start:end]), digest if run_length else None), end
 
 
 def _decode_block_record(payload: bytes, offset: int) -> Block:

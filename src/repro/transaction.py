@@ -284,6 +284,14 @@ def encode_transactions(transactions: Sequence[Transaction]) -> bytes:
     return _section(ids, times, payloads)
 
 
+def section_parts(transactions: Sequence[Transaction]) -> tuple[memoryview, memoryview]:
+    """:func:`encode_transactions`' bytes as two views of the one
+    encoding: the count with the header table, and the payload run."""
+    wire = memoryview(encode_transactions(transactions))
+    table = _COUNT.size + len(transactions) * _HEADER.size
+    return wire[:table], wire[table:]
+
+
 def decode_transactions(data: bytes, offset: int = 0) -> tuple[tuple[Transaction, ...], int]:
     """Deserialize a transaction section."""
     batch, end = TransactionBatch.decode(data, offset)

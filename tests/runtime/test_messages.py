@@ -16,11 +16,13 @@ from repro.messages import (
     SyncResponse,
     TransactionMessage,
     decode_message,
+    encode_frame,
     encode_message,
     frame,
 )
+from repro.runtime.transport import TcpTransport
 from repro.statesync import Checkpoint
-from repro.transaction import Transaction
+from repro.transaction import Transaction, TransactionBatch
 
 
 def sample_block():
@@ -163,3 +165,39 @@ class TestErrors:
         framed = frame(b"abc")
         assert framed[:4] == (3).to_bytes(4, "little")
         assert framed[4:] == b"abc"
+
+
+def batch_block(author: int) -> Block:
+    """A block as the runtime frames it: its section a ``TransactionBatch``."""
+    block = sample_block()
+    batch = TransactionBatch([Transaction.dummy(author * 10 + i, size=300) for i in range(3)])
+    return Block(author, 1, block.parents, batch, block.coin_share, b"sig")
+
+
+EVERY_KIND = [
+    BlockMessage(block=batch_block(1)),
+    FetchRequest(refs=tuple(b.reference for b in make_genesis(3))),
+    FetchResponse(blocks=(batch_block(1), sample_block(), batch_block(3))),
+    FetchResponse(blocks=()),
+    CheckpointRequest(),
+    CheckpointResponse(checkpoints=()),
+    SyncRequest(refs=(make_genesis(2)[1].reference,), floor=-1, token=9),
+    SyncResponse(blocks=(batch_block(2),), pruned=(make_genesis(2)[0].reference,), token=4),
+    TransactionMessage(transactions=(Transaction.dummy(8), Transaction.dummy(9, size=20))),
+]
+
+
+class TestFrames:
+    """A TCP frame is one join of the length prefix, the kind byte and
+    the message's parts, and equals the body framed after encoding."""
+
+    @pytest.mark.parametrize("message", EVERY_KIND, ids=lambda m: type(m).__name__)
+    def test_every_kind_frames_as_its_encoded_body(self, message):
+        framed = TcpTransport(0, {})._encode(message)
+        assert framed == encode_frame(message) == frame(encode_message(message))
+        assert decode_message(framed[4:]) == message
+
+    def test_frame_joins_parts_and_checks_their_total(self):
+        assert frame(b"ab", memoryview(b"cde"), b"") == frame(b"abcde")
+        with pytest.raises(TransportError, match="too large"):
+            frame(bytes(MAX_FRAME // 2), bytes(MAX_FRAME // 2 + 1))

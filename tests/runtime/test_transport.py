@@ -333,16 +333,16 @@ class TestBroadcastEncodesOnce:
     ``tcp_send`` span still count one frame per peer."""
 
     @staticmethod
-    def count_encodes(monkeypatch) -> list:
+    def count_encodes(monkeypatch, name: str = "encode_message") -> list:
+        """Calls of the transport's encoder ``name`` (TCP frames with
+        ``encode_frame``, the memory transport hands over bodies)."""
         calls = []
-        real = transport_module.encode_message
-        monkeypatch.setattr(
-            transport_module, "encode_message", lambda m: calls.append(m) or real(m)
-        )
+        real = getattr(transport_module, name)
+        monkeypatch.setattr(transport_module, name, lambda m: calls.append(m) or real(m))
         return calls
 
     def test_tcp(self, monkeypatch):
-        encodes = self.count_encodes(monkeypatch)
+        encodes = self.count_encodes(monkeypatch, "encode_frame")
         message = BlockMessage(block=sample_block())
 
         async def scenario():

@@ -1,13 +1,15 @@
 """Tests for the write-ahead log and crash recovery."""
 
+import os
 import struct
 
 import pytest
 
+from repro import block as block_module
 from repro.block import Block, make_genesis
 from repro.errors import WalCorruptionError
 from repro.runtime.wal import RECORD_BLOCK, WalRecord, WriteAheadLog
-from repro.transaction import Transaction, encode_transactions
+from repro.transaction import Transaction, TransactionBatch, encode_transactions
 
 
 class TestAppendAndRead:
@@ -233,3 +235,126 @@ class TestRefusesWhatItCannotRead:
         self.log(path, self.interleaved_record(self.payload_block(1)))
         path.write_bytes(path.read_bytes()[:-5])
         assert WriteAheadLog.recover(path) == [self.payload_block()]
+
+
+def logged_block(author: int, signature: bytes = b"signed") -> Block:
+    """A round-1 block as the runtime logs it: a ``TransactionBatch``
+    with payloads, a signature, four parents."""
+    parents = tuple(b.reference for b in make_genesis(4))
+    transactions = TransactionBatch(
+        [Transaction(author * 10 + i, float(i), bytes([65 + i]) * 40) for i in range(3)]
+    )
+    block = Block(author=author, round=1, parents=parents, transactions=transactions)
+    return block.signed(signature)
+
+
+class TestTornHeader:
+    def test_a_strict_read_refuses_a_torn_header(self, tmp_path):
+        path = tmp_path / "header.wal"
+        with WriteAheadLog(path) as wal:
+            wal.append(RECORD_BLOCK, b"complete")
+        offset = path.stat().st_size
+        with open(path, "ab") as handle:
+            handle.write(b"\x05\x00")
+        with pytest.raises(WalCorruptionError, match=f"truncated record at offset {offset}"):
+            list(WriteAheadLog.read_records(path, strict=True))
+        assert [r.payload for r in WriteAheadLog.read_records(path)] == [b"complete"]
+
+
+class TestBlockRecords:
+    """A block record is written from the block's parts in one
+    ``writev``; its CRC skips the section's payload run, which the block
+    digest named in its header covers."""
+
+    def test_a_raw_record_round_trips(self, tmp_path):
+        path = tmp_path / "raw.wal"
+        with WriteAheadLog(path) as wal:
+            wal.append(7, b"raw bytes, all of them under the CRC")
+        assert list(WriteAheadLog.read_records(path, strict=True)) == [
+            WalRecord(7, b"raw bytes, all of them under the CRC", digest=None)
+        ]
+
+    def test_a_log_written_by_append_block_replays_the_same_blocks_in_order(
+        self, tmp_path, monkeypatch
+    ):
+        blocks = [logged_block(author) for author in (2, 0, 3, 1)] + make_genesis(2)
+        writes = []
+        real = os.writev
+        monkeypatch.setattr(
+            os, "writev", lambda fd, parts: writes.append(len(parts)) or real(fd, parts)
+        )
+        path = tmp_path / "blocks.wal"
+        with WriteAheadLog(path) as wal:
+            for block in blocks:
+                wal.append_block(block)
+        # One writev per record: its length-and-CRC prefix, the rest of
+        # its header, and the block's four parts as they lie.
+        assert writes == [6] * len(blocks)
+        recovered = WriteAheadLog.recover(path, strict=True)
+        assert recovered == blocks
+        assert [b.signature for b in recovered] == [b.signature for b in blocks]
+
+    def test_a_short_write_is_completed(self, tmp_path, monkeypatch):
+        def short_writev(fd, parts):
+            return os.write(fd, b"".join(parts)[:7])
+
+        monkeypatch.setattr(os, "writev", short_writev)
+        path = tmp_path / "short.wal"
+        with WriteAheadLog(path) as wal:
+            wal.append_block(logged_block(1))
+            wal.append(RECORD_BLOCK, logged_block(2).encode())
+        assert WriteAheadLog.recover(path, strict=True) == [logged_block(1), logged_block(2)]
+
+    def test_replay_derives_each_digest_once_and_keeps_it(self, tmp_path, monkeypatch):
+        """The digest comparison is the hash replay pays anyway: one per
+        block record, cached on the block the core then ingests."""
+        path = tmp_path / "hash.wal"
+        with WriteAheadLog(path) as wal:
+            for author in range(3):
+                wal.append_block(logged_block(author))
+        hashed = []
+        real = block_module.hash_parts
+        monkeypatch.setattr(
+            block_module, "hash_parts", lambda *a, **k: hashed.append(1) or real(*a, **k)
+        )
+        recovered = WriteAheadLog.recover(path)
+        assert len(hashed) == 3
+        assert all("digest" in vars(block) for block in recovered)
+
+    @staticmethod
+    def place(block: Block, where: str) -> int:
+        """The offset, within ``block``'s encoding, of one byte in
+        ``where``."""
+        head, table, run, tail = block.encode_parts()
+        return {
+            "payload-run": len(head) + len(table) + 5,
+            "header-table": len(head) + 4 + 16,  # the first row's payload length
+            "parent-reference": 16 + 44 + 12,  # the second parent's digest
+            "signature": len(head) + len(table) + len(run) + len(tail) - 1,
+        }[where]
+
+    @pytest.mark.parametrize(
+        "where, fault",
+        [
+            ("payload-run", "digest mismatch"),
+            ("header-table", "CRC mismatch"),
+            ("parent-reference", "CRC mismatch"),
+            ("signature", "CRC mismatch"),
+        ],
+    )
+    def test_a_flipped_byte_ends_the_replay_before_its_record(self, tmp_path, where, fault):
+        intact, damaged, after = logged_block(0), logged_block(1), logged_block(2)
+        path = tmp_path / f"{where}.wal"
+        with WriteAheadLog(path) as wal:
+            wal.append_block(intact)
+        offset = path.stat().st_size
+        with WriteAheadLog(path) as wal:
+            wal.append_block(damaged)
+            wal.append_block(after)
+        data = bytearray(path.read_bytes())
+        payload_at = offset + (path.stat().st_size - offset) // 2 - len(damaged.encode())
+        data[payload_at + self.place(damaged, where)] ^= 0x01
+        path.write_bytes(bytes(data))
+        assert WriteAheadLog.recover(path) == [intact]
+        with pytest.raises(WalCorruptionError, match=f"^{fault} at offset {offset}$"):
+            WriteAheadLog.recover(path, strict=True)

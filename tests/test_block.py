@@ -6,7 +6,7 @@ import struct
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.block import Block, BlockRef, GENESIS_ROUND, make_genesis
+from repro.block import PAYLOAD_RUN, Block, BlockRef, GENESIS_ROUND, make_genesis
 from repro.crypto.coin import CoinShare
 from repro.crypto.hashing import hash_parts
 from repro.transaction import (
@@ -158,6 +158,47 @@ class TestSerialization:
     def test_size_matches_encoding(self):
         block = sample_block()
         assert block.size == len(block.encode())
+
+
+def spelled_out_encoding(block: Block) -> bytes:
+    """The wire layout, field by field: header | parents | section |
+    share | salt | signature, the last three each after its length."""
+    share = block.coin_share.encode() if block.coin_share is not None else b""
+    out = struct.pack("<IQI", block.author, block.round, len(block.parents))
+    out += b"".join(struct.pack("<IQ32s", p.author, p.round, p.digest) for p in block.parents)
+    out += encode_transactions(tuple(block.transactions))
+    for chunk in (share, block.salt, block.signature):
+        out += struct.pack("<I", len(chunk)) + chunk
+    return out
+
+
+class TestEncodeParts:
+    """``encode_parts`` is the encoding in four parts — what a frame
+    joins and a WAL record writes out — the third the payload run."""
+
+    @pytest.mark.parametrize(
+        "transactions",
+        [
+            pytest.param(None, id="genesis"),
+            pytest.param((Transaction.dummy(1), Transaction(2, 0.5, b"pay")), id="tuple"),
+            pytest.param(
+                TransactionBatch((Transaction.dummy(3, size=64), Transaction(4, 1.5, b"x"))),
+                id="batch",
+            ),
+            pytest.param(TransactionSlice([5, 6, 7], [0.25, 0.5, 0.75]), id="slice"),
+        ],
+    )
+    def test_the_parts_join_to_the_encoding(self, transactions):
+        block = make_genesis(4)[2] if transactions is None else sample_block(
+            transactions=transactions
+        )
+        parts = block.encode_parts()
+        assert len(parts) == 4
+        assert b"".join(parts) == block.encode() == spelled_out_encoding(block)
+        section = encode_transactions(tuple(block.transactions))
+        payloads = b"".join(tx.payload for tx in block.transactions)
+        assert bytes(parts[PAYLOAD_RUN]) == payloads
+        assert bytes(parts[PAYLOAD_RUN - 1]) + payloads == section
 
 
 class TestHelpers:

@@ -116,14 +116,18 @@ def test_points_match(tmp_path):
         assert violation.startswith("usage:")
 
 
+def data_plane_output(encodes=0.0, decodes=0.0, failed=0, correct=True, joins=0.0) -> str:
+    metrics = {
+        "transaction.encode.calls": {"value": encodes, "unit": "count"},
+        "transaction.decode.calls": {"value": decodes, "unit": "count"},
+        "block.encodes_per_block": {"value": joins, "unit": "ratio"},
+    }
+    result = {"correct": correct, "attempted": 48_000, "failed": failed, "metrics": metrics}
+    return '# info {"workload": "rt-drain"}\n' + json.dumps(result) + "\n"
+
+
 def test_data_plane(tmp_path):
-    def output(encodes=0.0, decodes=0.0, failed=0, correct=True) -> str:
-        metrics = {
-            "transaction.encode.calls": {"value": encodes, "unit": "count"},
-            "transaction.decode.calls": {"value": decodes, "unit": "count"},
-        }
-        result = {"correct": correct, "attempted": 48_000, "failed": failed, "metrics": metrics}
-        return '# info {"workload": "rt-drain"}\n' + json.dumps(result) + "\n"
+    output = data_plane_output
 
     assert ci_checks.data_plane(write(tmp_path / "ok.out", output())) == []
     # A section walked one record at a time: one encode per transaction
@@ -138,10 +142,21 @@ def test_data_plane(tmp_path):
     assert len(violations) == 2 and "500 of 48000" in violations[0]
     # A run that died before reporting metrics is a violation, not a KeyError.
     dead = json.dumps({"correct": False, "attempted": 1, "failed": 0, "metrics": {}})
-    assert len(ci_checks.data_plane(write(tmp_path / "dead.out", dead))) == 3
+    assert len(ci_checks.data_plane(write(tmp_path / "dead.out", dead))) == 4
     assert ci_checks.data_plane(write(tmp_path / "empty.out", "")) == [
         "the traced run printed nothing"
     ]
+
+
+def test_data_plane_refuses_a_block_joined_on_its_own(tmp_path):
+    """A frame or WAL record that re-joins a block (``Block.encode``)
+    instead of taking its parts fails the check."""
+    parts = write(tmp_path / "parts.out", data_plane_output(joins=0.0))
+    assert ci_checks.data_plane(parts) == []
+    # 340 WAL appends plus 88 broadcasts, each a Block.encode, over 88 blocks.
+    rejoined = write(tmp_path / "rejoined.out", data_plane_output(joins=4.86))
+    (violation,) = ci_checks.data_plane(rejoined)
+    assert violation == "block.encodes_per_block is 4.86, not 0"
 
 
 def test_commit_walk(tmp_path):

@@ -4,6 +4,7 @@ medians further apart than the parent's own quartile distance."""
 
 from __future__ import annotations
 
+import json
 import sys
 from pathlib import Path
 
@@ -11,7 +12,14 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[2] / "tools"))
 
-from perf_pairs import count_wins, quartiles, verdict  # noqa: E402
+from perf_pairs import (  # noqa: E402
+    count_wins,
+    failures,
+    merge_bench,
+    quartiles,
+    summarize,
+    verdict,
+)
 
 PARENT = [2.71, 3.01, 2.91, 2.88, 2.95, 2.80, 3.05, 2.90, 2.85, 2.99]
 
@@ -64,3 +72,53 @@ def test_higher_is_better_flips_the_comparison():
 def test_unpaired_runs_are_rejected():
     with pytest.raises(ValueError):
         verdict(PARENT, PARENT[:-1], bound=0.25)
+
+
+def fake_runs(wall: list[float], rss: float, failed: int = 0) -> list[dict]:
+    return [
+        {
+            "metrics": {"wall_s": {"value": w}, "peak_rss_mb": {"value": rss}},
+            "failed": failed,
+            "attempted": 100,
+            "correct": True,
+        }
+        for w in wall
+    ]
+
+
+SPEC = {
+    "end_to_end": [
+        {"name": "wall_s", "better": "lower", "bound": 0.25},
+        {"name": "peak_rss_mb", "better": "lower", "bound": 0.1},
+    ]
+}
+
+
+def test_summarize_gives_each_metric_its_quartiles_wins_and_verdict():
+    change = [value - 0.5 for value in PARENT]
+    runs = {"parent": fake_runs(PARENT, 90.0), "change": fake_runs(change, 90.0, failed=1)}
+    rows = summarize(SPEC, runs)
+    q1, median, q3 = quartiles(PARENT)
+    assert rows["wall_s"]["parent"] == {"median": median, "q1": q1, "q3": q3}
+    assert rows["wall_s"]["wins"] == 10 and rows["wall_s"]["verdict"] == "gain"
+    assert rows["wall_s"]["delta"] == pytest.approx(-0.5 / median)
+    assert rows["peak_rss_mb"]["ties"] == 10 and rows["peak_rss_mb"]["verdict"] == "unchanged"
+    assert failures(runs) == {
+        "parent": {"failed": 0, "attempted": 1000, "incorrect": 0},
+        "change": {"failed": 10, "attempted": 1000, "incorrect": 0},
+    }
+
+
+def test_merge_bench_keeps_the_other_workloads_and_seeds(tmp_path):
+    path = tmp_path / "BENCH_1.json"
+    merge_bench(path, "rt-drain", 7, {"pairs": 10}, {"parent": 100, "change": 90})
+    merge_bench(path, "rt-drain", 11, {"pairs": 8}, {"parent": 100, "change": 90})
+    merge_bench(path, "sim-tusk-n10", 7, {"pairs": 10}, {"parent": 100, "change": 92})
+    merge_bench(path, "rt-drain", 7, {"pairs": 9}, {"parent": 100, "change": 92})
+    assert json.loads(path.read_text()) == {
+        "workloads": {
+            "rt-drain": {"7": {"pairs": 9}, "11": {"pairs": 8}},
+            "sim-tusk-n10": {"7": {"pairs": 10}},
+        },
+        "src_lines": {"parent": 100, "change": 92, "delta": -8},
+    }

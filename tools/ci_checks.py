@@ -151,18 +151,23 @@ def _traced_run_violations(path: str, count_checks) -> list[str]:
 
 
 def data_plane(path: str = "results/rt-drain.traced.out") -> list[str]:
-    """The traced ``rt-drain`` run drained every transaction correctly
-    and never used the single-record codec: a section is encoded,
-    checked and read in bulk, so ``Transaction.encode`` and
-    ``Transaction.decode`` are each called 0 times (24,000 and 96,000
-    under seed 7 while a section was a walk of interleaved records) —
+    """The traced ``rt-drain`` run drained every transaction correctly,
+    never used the single-record codec, and never joined a block on its
+    own: a section is encoded, checked and read in bulk, so
+    ``Transaction.encode`` and ``Transaction.decode`` are each called 0
+    times (24,000 and 96,000 under seed 7 while a section was a walk of
+    interleaved records), and a frame or WAL record takes a block's
+    parts as they lie, so ``block.encodes_per_block`` reads 0 (4.86
+    while every WAL append and broadcast called ``Block.encode``) —
     counts, so they repeat on any runner."""
 
     def counts(value) -> dict[str, bool]:
         encodes, decodes = value("transaction.encode.calls"), value("transaction.decode.calls")
+        joins = value("block.encodes_per_block")
         return {
             f"transaction.encode.calls is {encodes}, not 0": encodes == 0,
             f"transaction.decode.calls is {decodes}, not 0": decodes == 0,
+            f"block.encodes_per_block is {joins}, not 0": joins == 0,
         }
 
     return _traced_run_violations(path, counts)

@@ -24,10 +24,19 @@ checkout has no ``__pycache__`` while the working tree has one from its
 test runs, and that asymmetry alone reads as a 30-40 % ``setup_s``
 difference.
 
+With ``--bench FILE`` the run is also merged into ``FILE`` (a
+``BENCH_*.json`` trajectory file at the repo root): under
+``workloads.<workload>.<seed>`` each end-to-end metric's parent and
+change median and quartiles, the change's wins, ties, relative change
+and verdict, and each side's failed operations; under ``src_lines`` the
+``tools/src_lines.py`` totals of both trees.  Other workloads and seeds
+already in the file are kept.
+
 Usage::
 
     python tools/perf_pairs.py --parent /path/to/parent-checkout --workload sim-mahi-n50
     python tools/perf_pairs.py --parent HEAD~1 --workload rt-steady --pairs 10 --seed 11
+    python tools/perf_pairs.py --parent HEAD~1 --workload rt-drain --bench BENCH_N.json
 """
 
 from __future__ import annotations
@@ -41,6 +50,9 @@ import tempfile
 from pathlib import Path
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(REPO_ROOT / "tools"))
+
+from src_lines import count_tree  # noqa: E402
 
 #: Share of the pairs the change must win before a gain is claimed.
 WIN_SHARE = 0.9
@@ -117,6 +129,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seed", type=int, default=7)
     parser.add_argument("--json", type=Path, help="also write every run's metrics here")
+    parser.add_argument("--bench", type=Path, help="also merge the summary into this BENCH file")
     args = parser.parse_args(argv)
 
     spec = json.loads((REPO_ROOT / "BENCHMARK.json").read_text())
@@ -132,6 +145,7 @@ def main(argv: list[str] | None = None) -> int:
         for side, checkout in sides.items():
             subprocess.run([sys.executable, "-m", "compileall", "-q", str(checkout)], check=True)
             print(f"# compiled {side}: {checkout}", flush=True)
+        lines = {side: sum(count_tree(tree, ["src"]).values()) for side, tree in sides.items()}
         runs: dict[str, list[dict]] = {"parent": [], "change": []}
         for pair in range(args.pairs):
             order = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
@@ -148,32 +162,75 @@ def main(argv: list[str] | None = None) -> int:
     if args.json:
         args.json.write_text(json.dumps({"command": command, "runs": runs}, indent=1))
 
+    metrics = summarize(spec, runs)
     print(f"\n{args.workload}, seed {args.seed}, {args.pairs} pairs: {' '.join(command)}")
     print(
         f"{'metric':24} {'parent med [q1, q3]':30} {'change med [q1, q3]':30} "
         f"{'wins':>6} {'ties':>4} {'change':>8}  verdict"
     )
+    for name, row in metrics.items():
+        cells = [
+            f"{row[side]['median']:.4g} [{row[side]['q1']:.4g}, {row[side]['q3']:.4g}]"
+            for side in ("parent", "change")
+        ]
+        delta = f"{row['delta']:+.1%}" if row["delta"] is not None else "n/a"
+        print(
+            f"{name:24} {cells[0]:30} {cells[1]:30} {row['wins']:>3}/{args.pairs:<2} "
+            f"{row['ties']:>4} {delta:>8}  {row['verdict']}"
+        )
+    outcomes = failures(runs)
+    for side, outcome in outcomes.items():
+        print(
+            f"{side}: failed {outcome['failed']}/{outcome['attempted']} operations, "
+            f"{outcome['incorrect']} incorrect run(s)"
+        )
+    if args.bench:
+        entry = {"pairs": args.pairs, "command": command, "metrics": metrics}
+        entry["operations"] = outcomes
+        merge_bench(args.bench, args.workload, args.seed, entry, lines)
+    return 0
+
+
+def summarize(spec: dict, runs: dict[str, list[dict]]) -> dict[str, dict]:
+    """Per end-to-end metric of ``spec``: each side's median and
+    quartiles, the change's wins and ties, its relative change of the
+    median (``None`` when the parent's is 0) and the verdict."""
+    out = {}
     for metric in spec["end_to_end"]:
         name = metric["name"]
-        parent = [run["metrics"][name]["value"] for run in runs["parent"]]
-        change = [run["metrics"][name]["value"] for run in runs["change"]]
-        wins, ties = count_wins(parent, change, metric["better"])
-        cells = []
-        for values in (parent, change):
-            q1, median, q3 = quartiles(values)
-            cells.append(f"{median:.4g} [{q1:.4g}, {q3:.4g}]")
-        p_median, c_median = statistics.median(parent), statistics.median(change)
-        delta = f"{(c_median - p_median) / p_median:+.1%}" if p_median else "n/a"
-        print(
-            f"{name:24} {cells[0]:30} {cells[1]:30} {wins:>3}/{len(parent):<2} {ties:>4} "
-            f"{delta:>8}  {verdict(parent, change, metric['bound'], metric['better'])}"
-        )
-    for side in ("parent", "change"):
-        failed = sum(run["failed"] for run in runs[side])
-        attempted = sum(run["attempted"] for run in runs[side])
-        incorrect = sum(1 for run in runs[side] if not run["correct"])
-        print(f"{side}: failed {failed}/{attempted} operations, {incorrect} incorrect run(s)")
-    return 0
+        values = {side: [run["metrics"][name]["value"] for run in runs[side]] for side in runs}
+        parent, change = values["parent"], values["change"]
+        row: dict = {}
+        for side in ("parent", "change"):
+            q1, median, q3 = quartiles(values[side])
+            row[side] = {"median": median, "q1": q1, "q3": q3}
+        row["wins"], row["ties"] = count_wins(parent, change, metric["better"])
+        p_median = row["parent"]["median"]
+        row["delta"] = (row["change"]["median"] - p_median) / p_median if p_median else None
+        row["verdict"] = verdict(parent, change, metric["bound"], metric["better"])
+        out[name] = row
+    return out
+
+
+def failures(runs: dict[str, list[dict]]) -> dict[str, dict[str, int]]:
+    """Per side: operations failed and attempted, and incorrect runs."""
+    return {
+        side: {
+            "failed": sum(run["failed"] for run in side_runs),
+            "attempted": sum(run["attempted"] for run in side_runs),
+            "incorrect": sum(1 for run in side_runs if not run["correct"]),
+        }
+        for side, side_runs in runs.items()
+    }
+
+
+def merge_bench(path: Path, workload: str, seed: int, entry: dict, src_lines: dict) -> None:
+    """Merge one workload-and-seed ``entry`` and both trees' ``src/``
+    code-line totals into the trajectory file at ``path``."""
+    bench = json.loads(path.read_text()) if path.exists() else {}
+    bench.setdefault("workloads", {}).setdefault(workload, {})[str(seed)] = entry
+    bench["src_lines"] = {**src_lines, "delta": src_lines["change"] - src_lines["parent"]}
+    path.write_text(json.dumps(bench, indent=1, sort_keys=True) + "\n")
 
 
 if __name__ == "__main__":
