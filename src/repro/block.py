@@ -215,11 +215,6 @@ class Block:
         """The ``(round, author)`` slot this block occupies."""
         return (self.round, self.author)
 
-    @property
-    def size(self) -> int:
-        """Serialized size in bytes (used by the bandwidth model)."""
-        return len(self.encode())
-
     # ------------------------------------------------------------------
     # Serialization (wire format and WAL records)
     # ------------------------------------------------------------------

@@ -23,14 +23,17 @@ def _label_key(labels: dict) -> str:
 
 
 class Counter:
-    """A monotonically increasing value, optionally per label set."""
+    """A monotonically increasing value, optionally per label set — or,
+    given ``read``, a count another object keeps, which the snapshot
+    reads (its owner counts; nobody calls ``inc``)."""
 
-    __slots__ = ("name", "help", "_values")
+    __slots__ = ("name", "help", "_values", "_read")
 
-    def __init__(self, name: str, help: str = "") -> None:
+    def __init__(self, name: str, help: str = "", read=None) -> None:
         self.name = name
         self.help = help
         self._values: dict[str, float] = {}
+        self._read = read
 
     def inc(self, amount: float = 1.0, **labels) -> None:
         if amount < 0:
@@ -46,6 +49,8 @@ class Counter:
         return sum(self._values.values())
 
     def snapshot(self):
+        if self._read is not None:
+            return float(self._read())
         # An untouched counter is 0, not an empty label table.
         if not self._values or set(self._values) == {""}:
             return self._values.get("", 0.0)
@@ -180,8 +185,8 @@ class MetricsRegistry:
         metric = self._metrics[name] = kind(name, **kwargs)
         return metric
 
-    def counter(self, name: str, help: str = "") -> Counter:
-        return self._get(Counter, name, help=help)
+    def counter(self, name: str, help: str = "", read=None) -> Counter:
+        return self._get(Counter, name, help=help, read=read)
 
     def gauge(self, name: str, help: str = "") -> Gauge:
         return self._get(Gauge, name, help=help)

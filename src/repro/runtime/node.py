@@ -1,10 +1,9 @@
 """The networked validator process.
 
 Owns a :class:`~repro.core.MahiMahiCore`, a transport and a write-ahead
-log; proposes from the event that made a proposal possible (a block
-accepted, a re-sync finished, the start) or from a one-shot timer armed
-for the pacing deadline; re-broadcasts its latest block from an asyncio
-task when idle; surfaces committed blocks on an async queue.
+log; broadcasts the blocks its driver proposes and re-broadcasts the
+latest from an asyncio task when idle; surfaces committed blocks on an
+async queue.
 
 Runtime parity with the simulator (:class:`~repro.sim.node.SimValidator`):
 
@@ -14,21 +13,23 @@ Runtime parity with the simulator (:class:`~repro.sim.node.SimValidator`):
   at deterministic commit-walk points, ``_peers()`` follows the active
   and latest-scheduled committees, and a member an activated epoch
   excludes goes silent by itself;
-* the validator step (ingest, paced proposing, commit, epoch exit, the
-  WAL's block records and lifecycle instants), the fetching of missing
-  ancestors (shallow with peer rotation, or the deep chain once fallen
-  behind), the restart sequence and re-sync (cold / warm / checkpoint)
-  and the reading of every validator message are the shared, sans-IO
-  :class:`~repro.statesync.driver.ValidatorDriver`.
-  This class is its runtime adaptor: every decoded peer message goes to
-  ``driver.on_message`` unread (a client's
+* the validator step loop (ingest, paced proposing with its own timer,
+  commit, epoch exit, the WAL's block records and lifecycle instants),
+  the fetching of missing ancestors (shallow with peer rotation, or the
+  deep chain once fallen behind), the restart sequence and re-sync
+  (cold / warm / checkpoint) and the reading of every validator message
+  are the shared, sans-IO :class:`~repro.statesync.driver.ValidatorDriver`.
+  This class is its runtime port
+  (:class:`~repro.statesync.driver.ValidatorPort`): every decoded peer
+  message goes to ``driver.on_message`` unread (a client's
   :class:`~repro.messages.TransactionMessage` is the one this class
-  handles), and it implements the driver's
-  :class:`~repro.statesync.driver.ValidatorPort` with an **outbox** the
-  synchronous handlers fill and ``_flush`` drains with
-  ``await transport.send(...)``.  It adds what only the runtime has —
-  asyncio and its timers, the transport, idle re-broadcast, the metrics
-  registry and the commit queue;
+  handles); it tells monotonic time, runs the driver's timers on
+  asyncio's, queues what the driver sends (and each own proposal it
+  hands to ``announce``) in an **outbox** that ``_flush`` drains with
+  ``await transport.send(...)``, and turns ``accepted``, ``recovered``
+  and ``committed`` into its metrics, ``recovery_time`` and the commit
+  queue.  It adds what only the runtime has — asyncio, the transport,
+  idle re-broadcast, the metrics registry and the commit queue;
 * the lifecycle vocabulary is the simulator's: :meth:`ValidatorNode.start`
   boots a validator, and a harness that restarts one (a new incarnation
   over a stopped one's log, or a joiner coming online) calls
@@ -47,7 +48,7 @@ import asyncio
 import time
 from collections import deque
 from pathlib import Path
-from typing import Awaitable, Callable
+from typing import Awaitable, Callable, Sequence
 
 from ..block import Block
 from ..committee import Committee, CommitteeSchedule
@@ -61,7 +62,7 @@ from ..messages import BlockMessage, Message, TransactionMessage
 from ..obs import trace as _trace
 from ..obs.metrics import MetricsRegistry
 from ..obs.trace import NULL_TRACER
-from ..statesync import IDLE_STEP, SYNC_MAX_BLOCKS, ValidatorDriver
+from ..statesync import SYNC_MAX_BLOCKS, ValidatorDriver
 from ..transaction import Transaction, TransactionBatch
 from .transport import Transport
 from .wal import WriteAheadLog
@@ -148,7 +149,6 @@ class ValidatorNode:
         self._m_submitted = m.counter("txs_submitted", help="client transactions accepted")
         self._m_proposed = m.counter("blocks_proposed", help="own blocks proposed")
         self._m_received = m.counter("blocks_received", help="peer blocks accepted into the DAG")
-        self._m_rejected = m.counter("blocks_rejected", help="invalid blocks dropped at ingest")
         self._m_committed_blocks = m.counter("blocks_committed", help="blocks linearized by the commit walk")
         self._m_committed_tx = m.counter("txs_committed", help="transactions in linearized blocks")
         self._m_waves = m.counter("waves_decided", help="slot decisions, labeled by outcome")
@@ -160,7 +160,7 @@ class ValidatorNode:
         self._tasks: set[asyncio.Task] = set()
         self._running = False
         self._stopped = False
-        self._driver = ValidatorDriver(
+        self._driver = driver = ValidatorDriver(
             self.core,
             self,
             recover_mode,
@@ -168,6 +168,13 @@ class ValidatorNode:
             interval=min_block_interval,
             wal=WriteAheadLog(wal_path, sync=wal_sync) if wal_path is not None else None,
             tracer=tracer,
+        )
+        # The driver's count, read through the driver alone: a closure
+        # over this node would keep it alive in a reference cycle.
+        m.counter(
+            "blocks_rejected",
+            help="invalid blocks dropped at ingest",
+            read=lambda: driver.blocks_rejected,
         )
         # Messages the (synchronous) handlers and the step queued:
         # ``(destination, message)``, destination ``None`` = broadcast.
@@ -226,7 +233,7 @@ class ValidatorNode:
         incarnation — replay the log in warm mode, then enter re-sync
         in every mode — before :meth:`start`.  ``recovery_time`` counts
         from here."""
-        self._driver.recover(self.core, time.monotonic())
+        self._driver.recover(self.core)
 
     async def start(self, *, barrier: "Callable[[], Awaitable[None]] | None" = None) -> None:
         """Start the transport and the re-broadcast loop, and propose
@@ -248,7 +255,7 @@ class ValidatorNode:
         if barrier is not None:
             await barrier()
         self._running = True
-        self._step()
+        self._driver.start()
         await self._flush()
         self._spawn(self._rebroadcast_loop())
 
@@ -286,37 +293,8 @@ class ValidatorNode:
             )
 
     # ------------------------------------------------------------------
-    # The step and the loops
+    # The loops
     # ------------------------------------------------------------------
-    def _step(self) -> None:
-        """Run the shared validator step and act on what it returns: own
-        blocks to broadcast, a pacing deadline, a finished recovery, commits."""
-        now = time.monotonic()
-        step = self._driver.step(now)
-        if step is IDLE_STEP:
-            return
-        for block in step.proposed:
-            self._last_block, self._last_broadcast = block, now
-            self._m_proposed.inc()
-            self.send(None, BlockMessage(block=block))
-        if step.connected:
-            self._m_received.inc(len(step.connected))
-        if step.deadline is not None:
-            self.call_later(step.deadline - now, self._on_pacing_timer)
-        if step.recovered_at is not None:
-            self.recovery_time = now - step.recovered_at
-        for observation in step.committed:
-            self.commits.put_nowait(observation)
-            self.committed_blocks.extend(observation.linearized)
-            self._m_waves.inc(decision=observation.status.decision.name.lower())
-            self._m_committed_blocks.inc(len(observation.linearized))
-            self._m_committed_tx.inc(sum(len(b.transactions) for b in observation.linearized))
-
-    def _on_pacing_timer(self) -> None:
-        self._driver.pacing_timer_fired()
-        if self._running:
-            self._step()
-
     async def _rebroadcast_loop(self) -> None:
         """Retransmit the latest own block whenever it has gone
         :data:`_REBROADCAST_AFTER` without a broadcast (duplicates are
@@ -368,8 +346,7 @@ class ValidatorNode:
                 self.submit_transaction(tx)
             return
         try:
-            if self._driver.on_message(message, sender):
-                self._step()
+            self._driver.on_message(message, sender)
         except StateTransferError as error:
             # Surfaced instead of raised: the transport pump must
             # survive, and the re-sync chain stops here.
@@ -390,13 +367,8 @@ class ValidatorNode:
     # ------------------------------------------------------------------
     # ValidatorPort: what the driver asks of this host
     # ------------------------------------------------------------------
-    def ingest(self, block: Block, sender: int, live: bool) -> None:
-        result = self._driver.ingest(block, sender, time.monotonic(), live)
-        if result.rejected:
-            self._m_rejected.inc()
-        if result.accepted:
-            self._m_received.inc(len(result.accepted))
-            self._step()
+    def now(self) -> float:
+        return time.monotonic()
 
     def send(self, dst: int | None, message: Message) -> None:
         self._outbox.append((dst, message))
@@ -414,3 +386,29 @@ class ValidatorNode:
 
     def trace_time(self) -> float:
         return time.time()
+
+    def announce(self, block: Block) -> None:
+        """Broadcast an own proposal; the idle re-broadcast repeats it."""
+        self._last_block, self._last_broadcast = block, time.monotonic()
+        self._m_proposed.inc()
+        self.send(None, BlockMessage(block=block))
+
+    def accepted(self, blocks: Sequence[Block], peer: int) -> None:
+        self._m_received.inc(len(blocks))
+
+    def recovered(self, at: float, mode: str) -> None:
+        self.recovery_time = time.monotonic() - at
+
+    def committed(self, observations: Sequence[CommitObservation]) -> None:
+        """Queue each observation for consumers and count it."""
+        for observation in observations:
+            self.commits.put_nowait(observation)
+            self.committed_blocks.extend(observation.linearized)
+            self._m_waves.inc(decision=observation.status.decision.name.lower())
+            self._m_committed_blocks.inc(len(observation.linearized))
+            self._m_committed_tx.inc(sum(len(b.transactions) for b in observation.linearized))
+
+    def leave(self) -> None:
+        """Epoch exit: the driver proposes nothing from now on, and the
+        idle re-broadcast stops; the transport keeps serving fetches (a
+        real leaver drains before shutdown)."""

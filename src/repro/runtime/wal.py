@@ -71,7 +71,9 @@ class WalRecord:
     """One durable log entry."""
 
     record_type: int
-    payload: bytes
+    #: A read record's is a view of the log as read
+    #: (:meth:`WriteAheadLog.read_records`).
+    payload: bytes | memoryview
     #: The digest the record names for the payload bytes its CRC
     #: skipped, or ``None`` if it skipped none: a reader of a record
     #: with a digest must check it (:meth:`WriteAheadLog.recover` does).
@@ -156,7 +158,9 @@ class WriteAheadLog:
         ends iteration (crash-tail tolerance); with ``strict`` it raises
         instead — useful in tests asserting exactly where a log was
         damaged.  A record's run is not checked here: see
-        :attr:`WalRecord.digest`.
+        :attr:`WalRecord.digest`.  Each payload is a view of the log as
+        read, not a copy: it pins all of the log while anything holds
+        it, so copy what you keep.
         """
         path = Path(path)
         if not path.exists():
@@ -186,6 +190,8 @@ class WriteAheadLog:
         """
         blocks: list[Block] = []
         offset = 0
+        # Each payload is a view of the log: decoding copies what the
+        # block keeps (its transaction section once), and nothing else.
         for record in cls.read_records(path, strict=strict):
             if record.record_type == RECORD_BLOCK:
                 block = _decode_block_record(record.payload, offset)
@@ -199,8 +205,8 @@ class WriteAheadLog:
 
 
 def _record_at(data: memoryview, offset: int) -> tuple[WalRecord, int] | str:
-    """The record at ``offset`` and the offset past it, or what is wrong
-    with it."""
+    """The record at ``offset`` (its payload a view of ``data``) and the
+    offset past it, or what is wrong with it."""
     start = offset + _HEADER_SIZE
     if start > len(data):
         return "truncated record"
@@ -215,10 +221,10 @@ def _record_at(data: memoryview, offset: int) -> tuple[WalRecord, int] | str:
     checked = zlib.crc32(data[offset + _CRC.size : start + run_start])
     if run_end > end or zlib.crc32(data[run_end:end], checked) != crc:
         return "CRC mismatch"
-    return WalRecord(record_type, bytes(data[start:end]), digest if run_length else None), end
+    return WalRecord(record_type, data[start:end], digest if run_length else None), end
 
 
-def _decode_block_record(payload: bytes, offset: int) -> Block:
+def _decode_block_record(payload: memoryview, offset: int) -> Block:
     """The block a record's payload holds, all of it and nothing else."""
     try:
         block, end = Block.decode(payload)

@@ -17,20 +17,23 @@ the validator and discards whatever it was processing; a later
 state** (a fresh core holding only genesis) and re-syncs in the cold,
 warm or checkpoint mode.
 
-The validator step (ingest, paced proposing, commit, epoch exit, with
-their WAL records and lifecycle instants), Tusk's header / ack /
-certificate round, the fetching of missing ancestors (the synchronizer
-the liveness proofs rely on, Lemma 8), the recovery state machine and
-the reading of every :mod:`repro.messages` message are the
-fabric-independent :class:`~repro.statesync.driver.ValidatorDriver`;
-this class is its simulator adaptor (its
-:class:`~repro.statesync.driver.ValidatorPort`): it hands each delivered
-message to ``driver.on_message`` unread, announces its own proposals
-(a block broadcast, or a certified protocol's header) and sends what
-the driver gives it.  It adds what only the simulator has: the event
-loop with its timers, the ingress and consensus CPU stages (a WAL
-replay is charged to the consensus stage), equivocation dispatch and
-the stage-latency observer.  What a stage's work and a message's bytes cost
+The validator step loop (ingest, paced proposing with its own timer,
+commit, epoch exit, with their WAL records and lifecycle instants),
+Tusk's header / ack / certificate round, the fetching of missing
+ancestors (the synchronizer the liveness proofs rely on, Lemma 8), the
+recovery state machine and the reading of every :mod:`repro.messages`
+message are the fabric-independent
+:class:`~repro.statesync.driver.ValidatorDriver`; this class is its
+simulator port (:class:`~repro.statesync.driver.ValidatorPort`): it
+hands each delivered message to ``driver.on_message`` unread, tells the
+event loop's time, runs the driver's timers as incarnation-stamped
+events, and acts on the driver's calls — ``announce`` an own proposal
+(a block broadcast, a certified protocol's header, or an equivocation
+campaign's split), ``accepted`` blocks (the stage-latency observer),
+``recovered``, ``committed`` (the commit callback) and ``leave``.  It
+adds what only the simulator has: the ingress and consensus CPU stages
+(a WAL replay is charged to the consensus stage), equivocation and the
+stage-latency observer.  What a stage's work and a message's bytes cost
 is the run's :class:`~repro.sim.costs.CostModel`.
 
 A simulated transaction costs the event loop nothing here, and is no
@@ -38,9 +41,9 @@ object either.  The ingress stage is a single server, so it completes
 transactions in the order it was handed them: the validator's
 :class:`Ingress` keeps each one as a row of parallel lists — id, arrival
 time, the time the stage is done with it — and is also the core's
-mempool.  A step, the only way a proposal is ever reached, first admits
-every row whose time has come (one ``bisect``); a proposal takes the next
-rows as a :class:`~repro.transaction.TransactionSlice`.  What is a fact
+mempool.  A proposal, the mempool's only reader, first admits every row
+whose time has come (one ``bisect``), then takes the next rows as a
+:class:`~repro.transaction.TransactionSlice`.  What is a fact
 about a block (inclusion, arrival at the observer, commit) is reported
 to the metrics once per block, with that slice.
 """
@@ -57,7 +60,7 @@ from ..messages import BlockMessage, Header
 from ..obs import trace as _trace
 from ..obs.trace import NULL_TRACER
 from ..runtime.wal import WriteAheadLog
-from ..statesync.driver import IDLE_STEP, ValidatorDriver
+from ..statesync.driver import ValidatorDriver
 from ..statesync.recovery import SYNC_MAX_BLOCKS as _SYNC_MAX_BLOCKS
 from ..transaction import Transaction, TransactionSlice
 from .costs import CostModel
@@ -85,14 +88,15 @@ class Ingress:
     """
 
     def __init__(
-        self, cost: float | None, mixed_sizes: bool, authority: int, tracer=NULL_TRACER
+        self, costs: CostModel, loop: EventLoop, authority: int, tracer=NULL_TRACER
     ) -> None:
         self.ids: list = []
         self.times: list[float] = []
         self.ready: list[float] = []
-        self.sizes: list | None = [] if mixed_sizes else None
+        self.sizes: list | None = [] if costs.mixed_sizes else None
         #: Stage seconds per transaction, at the validator's current speed.
-        self.cost = cost
+        self.cost = costs.ingress_price()
+        self._loop = loop
         #: When the stage is next free.
         self.free = 0.0
         self._admitted = 0
@@ -130,17 +134,16 @@ class Ingress:
         self._objects += 1
         self.arrive(tx, now, tx.size_hint)
 
-    def admit(self, now: float) -> None:
-        """Move every row the stage is done with by ``now`` into the
-        mempool (a row ready at exactly ``now`` is)."""
-        at = self._admitted
-        ready = self.ready
-        if at < len(ready) and ready[at] <= now:
-            self._admitted = bisect_right(ready, now, at)
-
     def take(self, limit: int) -> "TransactionSlice | tuple[()]":
         """A proposal's section: the next ``limit`` mempool rows (all of
-        them, if fewer wait), as a slice of the columns."""
+        them, if fewer wait), as a slice of the columns.  First every
+        row the stage is done with by the loop's ``now`` enters the
+        mempool (a row ready at exactly ``now`` does, whatever order its
+        completion and this proposal were set up in): a proposal is the
+        mempool's only reader."""
+        at, ready, now = self._admitted, self.ready, self._loop.now
+        if at < len(ready) and ready[at] <= now:
+            self._admitted = bisect_right(ready, now, at)
         start = self._taken
         end = min(self._admitted, start + limit)
         if end == start:
@@ -285,7 +288,7 @@ class SimValidator:
         self._on_commit = on_commit
         self._interval = min_block_interval
         #: The ingress stage and the mempool behind it (the core's).
-        self.ingress = Ingress(costs.ingress_price(), costs.mixed_sizes, self.authority, tracer)
+        self.ingress = Ingress(costs, loop, self.authority, tracer)
         core.mempool = self.ingress
         # When the single-threaded consensus CPU stage becomes free.
         self._consensus_free = 0.0
@@ -351,7 +354,7 @@ class SimValidator:
     def start(self) -> None:
         """Propose the first block (round 1 follows from genesis)."""
         if not self.down:
-            self._step()
+            self._driver.start()
 
     def crash(self) -> None:
         """Go silent.  In-flight CPU work is abandoned (the incarnation
@@ -370,9 +373,10 @@ class SimValidator:
         self._core_factory = None
 
     def leave(self) -> None:
-        """Leave the committee permanently (reconfiguration).  The
-        transport-level effect equals a crash that never recovers;
-        clients retarget away for good."""
+        """Leave the committee permanently (reconfiguration; as a
+        ValidatorPort call, the driver noticed the activated epoch that
+        excludes this validator).  The transport-level effect equals a
+        crash that never recovers; clients retarget away for good."""
         if not self.down and self.left_at is None:
             self.left_at = self._loop.now
         self.crash()
@@ -420,7 +424,7 @@ class SimValidator:
         self.ingress.clear()
         self.core.mempool = self.ingress
         self._consensus_free = 0.0
-        replay = self._driver.recover(self.core, self._loop.now)
+        replay = self._driver.recover(self.core)
         if replay is not None:
             # Replay is local CPU work, not network round trips: charge
             # the consensus stage so post-restart messages queue behind
@@ -447,8 +451,42 @@ class SimValidator:
         if incarnation == self._incarnation:
             callback(*args)
 
-    def trace_time(self) -> float:
+    def now(self) -> float:
         return self._loop.now
+
+    trace_time = now
+
+    def announce(self, block: Block) -> None:
+        """Send an own proposal: a block broadcast, a certified
+        protocol's header, or — during an equivocation campaign — the
+        block to half the peers and a conflicting sibling to the rest."""
+        if self._stage_metrics is not None and block.transactions:
+            self._stage_metrics.record_inclusion(block.transactions, self._loop.now)
+        if self._driver.certified:
+            self.send(None, Header(block))
+        elif self.equivocating:
+            self._dispatch_equivocation(block)
+        else:
+            self.send(None, BlockMessage(block))
+
+    def accepted(self, blocks: Sequence[Block], peer: int) -> None:
+        """The stage observer records when each block a peer's message
+        let into the DAG got here over the wire and when it was
+        ingested (not the peer blocks an own proposal connected)."""
+        if self._stage_observer and peer != self.authority:
+            now = self._loop.now
+            for block in blocks:
+                arrival = self._arrivals.pop(block.reference, now)
+                if block.transactions:
+                    self._stage_metrics.record_block_times(block.transactions, arrival, now)
+
+    def recovered(self, at: float, mode: str) -> None:
+        if self._on_recovery is not None:
+            self._on_recovery(self.authority, at, self._loop.now, mode)
+
+    def committed(self, observations: Sequence[CommitObservation]) -> None:
+        if self._on_commit is not None:
+            self._on_commit(self, observations, self._loop.now)
 
     def submit(self, tx: Transaction) -> None:
         """Submit ``tx`` as an object (a reconfiguration command, a
@@ -457,7 +495,7 @@ class SimValidator:
         (signature verification) before reaching the mempool.
 
         The stage is a FIFO, not a timer: ``tx`` is queued with the time
-        the stage will be done with it and the next step at or after
+        the stage will be done with it and the next proposal at or after
         that time admits it.  Without a CPU model there is no stage and
         nothing queues.  A restart drops the queue with the core it fed.
         """
@@ -534,64 +572,7 @@ class SimValidator:
         for message in messages:
             if self.down:
                 return
-            if self._driver.on_message(message.body, message.src):
-                self._step()
-
-    # ------------------------------------------------------------------
-    # Ingestion, proposing, committing
-    # ------------------------------------------------------------------
-    def ingest(self, block: Block, sender: int, live: bool = True) -> None:
-        """ValidatorPort: one received block, through the driver's
-        ingest and the step."""
-        result = self._driver.ingest(block, sender, self._loop.now, live)
-        if not result.accepted:
-            return
-        if self._stage_observer:
-            now = self._loop.now
-            for accepted in result.accepted:
-                arrival = self._arrivals.pop(accepted.reference, now)
-                if accepted.transactions:
-                    self._stage_metrics.record_block_times(accepted.transactions, arrival, now)
-        self._step()
-
-    def _step(self) -> None:
-        """Admit what the ingress stage has completed, run the shared
-        validator step and act on what it returns.
-
-        A transaction whose stage completes at exactly ``now`` is
-        admitted (``ready <= now``), whatever order the completion and
-        this step were set up in."""
-        now = self._loop.now
-        self.ingress.admit(now)
-        driver = self._driver
-        step = driver.step(now)
-        if step is IDLE_STEP:
-            return
-        for block in step.proposed:
-            self._dispatch_own(block)
-        if step.deadline is not None:
-            # Through the incarnation stamp: a crash loses this timer.
-            self.call_later(step.deadline - now, self._on_propose_timer)
-        if step.recovered_at is not None and self._on_recovery is not None:
-            self._on_recovery(self.authority, step.recovered_at, now, driver.recovery_mode_used)
-        if step.committed and self._on_commit is not None:
-            self._on_commit(self, step.committed, now)
-        if driver.left:
-            self.leave()
-
-    def _on_propose_timer(self) -> None:
-        self._driver.pacing_timer_fired()
-        self._step()
-
-    def _dispatch_own(self, block: Block) -> None:
-        if self._stage_metrics is not None and block.transactions:
-            self._stage_metrics.record_inclusion(block.transactions, self._loop.now)
-        if self._driver.certified:
-            self.send(None, Header(block))
-        elif self.equivocating:
-            self._dispatch_equivocation(block)
-        else:
-            self.send(None, BlockMessage(block))
+            self._driver.on_message(message.body, message.src)
 
     def _dispatch_equivocation(self, block: Block) -> None:
         """Send the honest block to half the peers and a conflicting

@@ -3,15 +3,15 @@
 This package is transport-, clock- and coroutine-free.  It holds:
 
 * :class:`~repro.statesync.driver.ValidatorDriver` — the validator step
-  (ingest, paced proposing, commit, epoch exit, with their WAL block
-  records and trace instants), the one restart sequence both fabrics
+  loop (ingest, paced proposing with its own timer, commit, epoch exit,
+  with their WAL block records and trace instants), the one restart sequence both fabrics
   call (``recover``) and the whole re-sync state machine (cold, warm
   and checkpoint modes, the checkpoint tally and adoption, the chunked
   deep-fetch chain, pruned-history handling, fetch serving).  The simulator's
   :class:`~repro.sim.node.SimValidator` and the asyncio runtime's
-  :class:`~repro.runtime.node.ValidatorNode` are adaptors implementing
-  its four-method :class:`~repro.statesync.driver.ValidatorPort`; they
-  own only timers, I/O and (in the simulator) the CPU model.
+  :class:`~repro.runtime.node.ValidatorNode` implement its
+  :class:`~repro.statesync.driver.ValidatorPort`; they own only the
+  clock, timers, I/O, metrics and (in the simulator) the CPU model.
 * :class:`~repro.statesync.synchronizer.Synchronizer` — the driver's
   table of shallow (per-reference) fetches: the sender is asked at once,
   a retry timer rotates over the other peers, and a reference that fell
@@ -38,7 +38,7 @@ from .checkpoint import (
     CommitLedger,
     chain_digest,
 )
-from .driver import IDLE_STEP, RECOVER_MODES, ValidatorDriver, ValidatorPort
+from .driver import RECOVER_MODES, ValidatorDriver, ValidatorPort
 from .recovery import (
     SYNC_MAX_BLOCKS,
     CheckpointVotes,
@@ -50,7 +50,6 @@ from .recovery import (
 __all__ = [
     "DEFAULT_CHECKPOINT_LAG",
     "GENESIS_STATE",
-    "IDLE_STEP",
     "RECOVER_MODES",
     "SYNC_MAX_BLOCKS",
     "Checkpoint",

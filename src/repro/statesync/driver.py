@@ -1,18 +1,27 @@
-"""The validator step and the recovery state machine, shared by both fabrics.
+"""The validator step loop and the recovery state machine, shared by both fabrics.
 
 Mahi-Mahi's validator loop is tiny — accept a block, propose once
 ``2f + 1`` blocks of the previous round are in, run the commit rule —
-and :class:`ValidatorDriver` is its one implementation:
+and :class:`ValidatorDriver` is its one implementation, step loop
+included:
 
 * :meth:`~ValidatorDriver.ingest` — ``core.add_block``, the rejection
   count, the fetch of what the block's history lacks (below), the WAL
-  record and ``block_received`` instant of each accepted block, and the
-  "caught up" check while re-syncing;
-* :meth:`~ValidatorDriver.step` — *propose* (not while re-syncing or
+  record, ``block_received`` instant and :meth:`ValidatorPort.accepted`
+  report of each accepted block, the "caught up" check while re-syncing,
+  then the step;
+* the step — run after every ingest that accepted a block, after a
+  finished re-sync, when the pacing timer fires and at
+  :meth:`~ValidatorDriver.start` — *propose* (not while re-syncing or
   after leaving; paced by the minimum block interval; the own block is
-  in the WAL before it is handed back; buffered peer blocks it connects
-  are logged like ingested ones), *commit* (commit instants) and
-  *epoch exit*, returned as a plain :class:`Step`;
+  in the WAL before it is announced; buffered peer blocks it connects
+  are logged and reported like ingested ones), *commit* (commit
+  instants) and *epoch exit*.  Its effects go out as port calls, always
+  in this order: :meth:`~ValidatorPort.announce` each proposal, arm the
+  pacing timer (:meth:`~ValidatorPort.call_later`, once per paced
+  proposal), :meth:`~ValidatorPort.recovered`,
+  :meth:`~ValidatorPort.committed`, :meth:`~ValidatorPort.leave`.  A
+  step with nothing to hand out calls nothing;
 * :meth:`~ValidatorDriver.recover` — the one restart sequence, whichever
   fabric restarts the validator: bind the new incarnation's fresh core,
   replay the log in warm mode, enter re-sync in every mode.
@@ -58,7 +67,7 @@ proposals' announcements (a :class:`~repro.messages.BlockMessage`, or a
 certified protocol's :class:`~repro.messages.Header`).
 
 **The WAL rule.**  The log holds blocks and nothing else: every own
-proposal before it is handed back, and every block accepted from the
+proposal before it is announced, and every block accepted from the
 network, own-authored ones included — a restarted validator that fetches
 its own pre-crash blocks back logs them like any other, so a later warm
 restart replays a causally complete DAG instead of fetching them again.
@@ -66,18 +75,19 @@ restart replays a causally complete DAG instead of fetching them again.
 The driver touches no socket, clock, timer or coroutine.  Its host (the
 simulator's :class:`~repro.sim.node.SimValidator`, the runtime's
 :class:`~repro.runtime.node.ValidatorNode`) implements the small
-:class:`ValidatorPort`, feeds it messages and the current time,
-dispatches what :class:`Step` hands back, and owns everything with a
-notion of time: the event loop, the transport, and the timers — the
-pacing timer outright, the three retry timers (deep fetch, checkpoint
-request, shallow fetch) as the port's ``call_later``, armed by the
-driver and its synchronizer with the intervals defined beside them.
+:class:`ValidatorPort`: it hands every message to
+:meth:`~ValidatorDriver.on_message`, tells the time through
+:meth:`~ValidatorPort.now`, runs the timers the driver arms through
+:meth:`~ValidatorPort.call_later` — the pacing timer and the three retry
+timers (deep fetch, checkpoint request, shallow fetch), with the
+intervals defined beside them — and does the I/O, pricing and metrics
+behind the port's other calls.
 """
 
 from __future__ import annotations
 
 from collections.abc import Callable, Sequence
-from typing import NamedTuple, Protocol
+from typing import Protocol
 
 from ..block import Block, BlockRef
 from ..crypto.hashing import Digest
@@ -116,7 +126,11 @@ BEHIND_WAVES = 2
 
 
 class ValidatorPort(Protocol):
-    """What a :class:`ValidatorDriver` needs from its host."""
+    """What a :class:`ValidatorDriver` needs from its host: the time, a
+    way out, timers, and the step's results."""
+
+    def now(self) -> float:
+        """The host's current time (pacing, recovery instants)."""
 
     def send(self, dst: int | None, message) -> None:
         """Send one :mod:`repro.messages` message to ``dst``, or to
@@ -126,42 +140,28 @@ class ValidatorPort(Protocol):
         """Call ``callback(*args)`` after ``delay`` host seconds, unless
         the incarnation that asked has crashed or stopped by then."""
 
-    def ingest(self, block: Block, peer: int, live: bool) -> None:
-        """Run one block received from ``peer`` through the host's
-        ingest path (:meth:`ValidatorDriver.ingest` at the host's
-        current time, then the step); ``live`` is false for a fetched
-        block, which proves nothing about the frontier."""
-
     def trace_time(self) -> float:
         """The host's current trace timestamp (asked only while the
         tracer is enabled)."""
 
+    def announce(self, block: Block) -> None:
+        """Send an own proposal, already in the WAL, to every peer."""
 
-class Step(NamedTuple):
-    """What one :meth:`ValidatorDriver.step` did, for the host to act on."""
+    def accepted(self, blocks: Sequence[Block], peer: int) -> None:
+        """``blocks`` entered the DAG, received from ``peer`` — this
+        validator itself for buffered peer blocks an own proposal
+        connected."""
 
-    #: Own blocks proposed, oldest first and already in the WAL: the
-    #: host dispatches them.
-    proposed: Sequence[Block] = ()
-    #: New commit observations, in commit order.
-    committed: Sequence = ()
-    #: Host time the next proposal is paced to.  Reported once per
-    #: paced proposal: the host arms a one-shot timer for it and, when
-    #: that fires, calls :meth:`ValidatorDriver.pacing_timer_fired` and
-    #: steps again.
-    deadline: float | None = None
-    #: Set by the first proposal after a restart: the host time that
-    #: recovery began (the recovery-time metric hook).
-    recovered_at: float | None = None
-    #: Buffered peer blocks that were waiting on an own block and
-    #: entered the DAG with ``proposed`` — already logged and traced.
-    connected: Sequence[Block] = ()
+    def recovered(self, at: float, mode: str) -> None:
+        """The first own proposal after the restart that began at host
+        time ``at`` went out; ``mode`` is the path the recovery took."""
 
+    def committed(self, observations: Sequence) -> None:
+        """New commit observations, in commit order."""
 
-#: What a step returns when it proposed, committed, armed and noticed
-#: nothing — the common case, a block that moved no threshold: one
-#: shared instance, which hosts recognize by identity and skip.
-IDLE_STEP = Step()
+    def leave(self) -> None:
+        """An activated epoch excluded this former member: it proposes
+        nothing from now on."""
 
 
 class ValidatorDriver:
@@ -213,16 +213,14 @@ class ValidatorDriver:
     # ------------------------------------------------------------------
     # The dispatcher
     # ------------------------------------------------------------------
-    def on_message(self, message, peer: int) -> bool:
-        """Act on one validator message from ``peer``.  Returns whether
-        it completed a re-sync, in which case the host runs its step
-        right away instead of idling until the next round's broadcasts.
-        Raises :class:`StateTransferError` when a sync response shows
-        the needed history is unrecoverable."""
+    def on_message(self, message, peer: int) -> None:
+        """Act on one validator message from ``peer``.  Raises
+        :class:`StateTransferError` when a sync response shows the
+        needed history is unrecoverable."""
         kind = type(message)
         port = self._port
         if kind is BlockMessage or kind is Certificate:
-            port.ingest(message.block, peer, True)
+            self.ingest(message.block, peer)
         elif kind is Header:
             block = message.block
             self._headers[block.digest] = block
@@ -235,35 +233,33 @@ class ValidatorDriver:
                 port.send(peer, FetchResponse(tuple(held)))
         elif kind is FetchResponse:
             for block in message.blocks:
-                port.ingest(block, peer, False)
+                self.ingest(block, peer, False)
         elif kind is SyncRequest:
             blocks, pruned = self.serve_sync(message.refs, message.floor)
             port.send(peer, SyncResponse(blocks, pruned, message.token))
         elif kind is SyncResponse:
-            return self.on_sync_response(peer, message.blocks, message.pruned, message.token)
+            self.on_sync_response(peer, message.blocks, message.pruned, message.token)
         elif kind is CheckpointRequest:
             port.send(peer, CheckpointResponse(self.retained_checkpoints()))
         elif kind is CheckpointResponse:
             self.on_checkpoint_response(peer, message.checkpoints)
         else:
             raise TypeError(f"not a validator message: {message!r}")
-        return False
 
     # ------------------------------------------------------------------
     # The validator step: ingest, propose, commit, epoch exit
     # ------------------------------------------------------------------
-    def ingest(self, block: Block, peer: int, now: float, live: bool = True):
-        """Hand a block received from ``peer`` at host time ``now`` to
-        the core and fetch what it reports missing; returns the core's
-        :class:`~repro.core.protocol.AddBlockResult`.  When anything was
-        ``accepted`` the host runs :meth:`step`.  ``live`` marks a fresh
-        broadcast (as opposed to a fetched block), the only kind that
-        can end a re-sync."""
+    def ingest(self, block: Block, peer: int, live: bool = True):
+        """Hand a block received from ``peer`` to the core, fetch what
+        it reports missing and, when anything was ``accepted``, step;
+        returns the core's :class:`~repro.core.protocol.AddBlockResult`.
+        ``live`` marks a fresh broadcast (as opposed to a fetched
+        block), the only kind that can end a re-sync."""
         result = self.core.add_block(block)
         if result.rejected:
             self.blocks_rejected += 1
         if result.missing:
-            self._fetch_missing(result.missing, block, peer, now, live)
+            self._fetch_missing(result.missing, block, peer, live)
         if result.accepted:
             self._record_accepted(result.accepted, peer)
             if self.syncing and live and not self.core.pending_count:
@@ -273,10 +269,11 @@ class ValidatorDriver:
                 # fetch ingests cleanly yet proves nothing about the
                 # frontier.
                 self.finish()
+            self._step()
         return result
 
     def _fetch_missing(
-        self, missing: tuple[BlockRef, ...], block: Block, peer: int, now: float, live: bool
+        self, missing: tuple[BlockRef, ...], block: Block, peer: int, live: bool
     ) -> None:
         """Route the missing ancestors of ``block`` to a fetch shape."""
         if not self.syncing:
@@ -286,13 +283,13 @@ class ValidatorDriver:
                 return
             # Fallen far behind: shallow per-reference fetches would
             # crawl — enter the chunked deep re-sync chain instead.
-            self.begin_sync(now, behind=behind)
+            self.begin_sync(behind=behind)
         self.request_sync(peer, missing)
 
     def _record_accepted(self, accepted: Sequence[Block], peer: int) -> None:
-        """The WAL record and ``block_received`` instant of each block
-        that entered the DAG from ``peer`` (the WAL rule, below); none
-        of them is being fetched any longer."""
+        """The WAL record, ``block_received`` instant and port report of
+        each block that entered the DAG from ``peer`` (the WAL rule,
+        below); none of them is being fetched any longer."""
         synchronizer = self.synchronizer
         if synchronizer.missing:
             for new in accepted:
@@ -310,27 +307,34 @@ class ValidatorDriver:
                     now,
                     {"author": new.author, "round": new.round, "src": peer},
                 )
+        self._port.accepted(accepted, peer)
 
-    def step(self, now: float) -> Step:
-        """Propose every round that is ready and due at host time
-        ``now``, extend the commit sequence, and notice epoch exit
-        (:attr:`left`).  Hosts run it after every accepted block, after
-        a finished re-sync, at start, and when the pacing timer fires.
-        A step with nothing for the host to act on returns
-        :data:`IDLE_STEP`."""
+    def start(self) -> None:
+        """The host is up: step once.  A fresh validator proposes round 1
+        off genesis; a re-syncing one proposes nothing but commits what
+        a log replay restored."""
+        self._step()
+
+    def _step(self) -> None:
+        """Propose every round that is ready and due at the port's
+        current time, extend the commit sequence, notice epoch exit
+        (:attr:`left`), and hand the results to the port in the order
+        the module docstring gives."""
         core = self.core
-        proposed = connected = ()
+        port = self._port
+        proposed = ()
         deadline = recovered_at = None
         # A re-syncing validator proposes nothing: its fresh core has
         # forgotten which rounds it already proposed in, and a stale
         # low-round proposal would equivocate with its own pre-crash
         # blocks.
         while not (self.syncing or self.left) and core.ready_to_propose():
+            now = port.now()
             next_allowed = self._last_proposal + self.interval
             if now < next_allowed:
                 if not self._timer_armed:
                     self._timer_armed = True
-                    deadline = next_allowed
+                    deadline = next_allowed - now
                 break
             block = core.maybe_propose(now)
             if block is None:
@@ -342,9 +346,7 @@ class ValidatorDriver:
                 # for a round it already used.
                 self.wal.append_block(block)
             if self.tracer.enabled:
-                _trace.trace_proposal(
-                    self.tracer, core.authority, self._port.trace_time(), block
-                )
+                _trace.trace_proposal(self.tracer, core.authority, port.trace_time(), block)
             if self.recovered_at is not None:
                 # First proposal after a restart: recovery is complete.
                 recovered_at, self.recovered_at = self.recovered_at, None
@@ -360,25 +362,32 @@ class ValidatorDriver:
                 # After the own block they were waiting on, so a replay
                 # finds the log in causal order.
                 self._record_accepted(core.last_connected, core.authority)
-                connected += tuple(core.last_connected)
         observations = core.try_commit()
         if observations:
             if self.tracer.enabled:
-                _trace.trace_commits(
-                    self.tracer, core.authority, self._port.trace_time(), observations
-                )
+                _trace.trace_commits(self.tracer, core.authority, port.trace_time(), observations)
             if self._headers:
                 self._forget_headers_below(core.store.lowest_round)
-        if not core.schedule.is_static and self.excluded_by_epoch() and not self.left:
-            self.left = True  # not idle: the host acts on leaving
+        leaving = not core.schedule.is_static and self.excluded_by_epoch() and not self.left
+        if leaving:
+            self.left = True
         elif not (proposed or observations or deadline is not None):
-            return IDLE_STEP
-        return Step(proposed, observations, deadline, recovered_at, connected)
+            return
+        for block in proposed:
+            port.announce(block)
+        if deadline is not None:
+            port.call_later(deadline, self._on_pacing_timer)
+        if recovered_at is not None:
+            port.recovered(recovered_at, self.recovery_mode_used)
+        if observations:
+            port.committed(observations)
+        if leaving:
+            port.leave()
 
-    def pacing_timer_fired(self) -> None:
-        """The host's timer for the last reported :attr:`Step.deadline`
-        fired; the next paced step reports a new one."""
+    def _on_pacing_timer(self) -> None:
+        """The pacing deadline came: the next paced step may arm another."""
         self._timer_armed = False
+        self._step()
 
     # ------------------------------------------------------------------
     # The certified round
@@ -455,7 +464,7 @@ class ValidatorDriver:
         #: empty WAL degenerates to, and reports, ``cold``).
         self.recovery_mode_used = "cold"
         #: Host time this recovery began; cleared by the first own
-        #: proposal afterwards (:attr:`Step.recovered_at`).
+        #: proposal afterwards (:meth:`ValidatorPort.recovered`).
         self.recovered_at: float | None = None
         # The deep fetch in flight (0 = none) and the peer it went to.
         self._inflight = 0
@@ -464,14 +473,13 @@ class ValidatorDriver:
         self._last_proposal = float("-inf")
         self._timer_armed = False
 
-    def recover(self, core, now: float) -> WalReplay | None:
-        """The restart sequence, at host time ``now``: bind the new
-        incarnation's fresh ``core`` (:meth:`restart`); in warm mode
-        rebuild the DAG and the proposal-round floor from the log; then
-        enter re-sync in every mode, so nothing is proposed until the
-        DAG behind the frontier is rebuilt.  Returns the replay (``None``
-        in the other modes or without a log), which a host may charge
-        as local work."""
+    def recover(self, core) -> WalReplay | None:
+        """The restart sequence: bind the new incarnation's fresh
+        ``core`` (:meth:`restart`); in warm mode rebuild the DAG and the
+        proposal-round floor from the log; then enter re-sync in every
+        mode, so nothing is proposed until the DAG behind the frontier
+        is rebuilt.  Returns the replay (``None`` in the other modes or
+        without a log), which a host may charge as local work."""
         self.restart(core)
         replay, detail = None, {}
         if self.recover_mode == "warm" and self.wal is not None:
@@ -479,16 +487,16 @@ class ValidatorDriver:
             if replay.blocks:
                 self.recovery_mode_used = "warm"
                 detail["replayed"] = replay.blocks
-        self.begin_sync(now, **detail)
+        self.begin_sync(**detail)
         return replay
 
-    def begin_sync(self, now: float, **detail) -> None:
-        """Enter re-sync.  Checkpoint mode asks for state transfer
-        first; the other modes deep-fetch off the next block that
-        reports missing ancestors."""
+    def begin_sync(self, **detail) -> None:
+        """Enter re-sync at the port's current time.  Checkpoint mode
+        asks for state transfer first; the other modes deep-fetch off
+        the next block that reports missing ancestors."""
         self.syncing = True
         if self.recovered_at is None:
-            self.recovered_at = now
+            self.recovered_at = self._port.now()
         mode = "checkpoint" if self.recover_mode == "checkpoint" else self.recovery_mode_used
         self._trace("recovery_started", {"mode": mode, **detail})
         if self.awaiting_checkpoint:
@@ -601,10 +609,10 @@ class ValidatorDriver:
 
     def on_sync_response(
         self, peer: int, blocks: tuple[Block, ...], pruned: tuple[BlockRef, ...], token: int
-    ) -> bool:
-        """Ingest one deep-fetch chunk; returns whether it completed
-        the re-sync.  Raises :class:`StateTransferError` when the
-        needed history is unrecoverable."""
+    ) -> None:
+        """Ingest one deep-fetch chunk, and step if it completed the
+        re-sync.  Raises :class:`StateTransferError` when the needed
+        history is unrecoverable."""
         # Only the response to the request currently in flight may
         # drive the chain (or declare it finished): a stale response —
         # e.g. one a previous incarnation requested before a re-crash —
@@ -623,19 +631,20 @@ class ValidatorDriver:
             # can serve, where continuing would re-ask this one forever.
             if absorbed:
                 self._continue_sync(peer)
-            return False
+            return
         for block in blocks:
-            self._port.ingest(block, peer, False)
+            self.ingest(block, peer, False)
         if not (self.syncing and current):
-            return False
+            return
         if not self.core.pending_count and len(blocks) < chunk_cap(self._chunk):
             # A short chunk: the peer transferred its whole closure,
             # frontier included — we are as caught up as an honest peer
-            # was a round trip ago.
+            # was a round trip ago.  Propose now rather than idle until
+            # the next round's broadcasts.
             self.finish()
-            return True
-        self._continue_sync(peer)
-        return False
+            self._step()
+        else:
+            self._continue_sync(peer)
 
     def _continue_sync(self, peer: int) -> None:
         """Chain the next chunk straight off the response: waiting for

@@ -34,6 +34,14 @@ class TestCounter:
         c.inc(4)
         assert c.snapshot() == 4.0
 
+    def test_a_read_counter_snapshots_what_its_owner_counts(self):
+        owner = {"rejected": 0}
+        registry = MetricsRegistry()
+        registry.counter("rejected", read=lambda: owner["rejected"])
+        assert registry.snapshot() == {"rejected": 0.0}
+        owner["rejected"] = 3
+        assert registry.snapshot() == {"rejected": 3.0}
+
 
 class TestGauge:
     def test_set_inc_dec(self):

@@ -125,15 +125,17 @@ class TestCrashRecovery:
             fresh = LocalCluster(n=4, wal_dir=tmp_path)
             restarted = fresh.nodes[0]
             restarted.recover()
-            restarted._step()  # syncing: proposes nothing, commits the replayed DAG
+            # The driver's port calls, recorded on the way to the node.
+            observed = []
+            hand_out = restarted.committed
+            restarted.committed = lambda obs: (observed.extend(obs), hand_out(obs))
+            restarted.announce = lambda block: pytest.fail("a re-syncing validator proposed")
+            restarted._driver.start()  # syncing: proposes nothing, commits the replayed DAG
             assert restarted.core.round >= recovered_round
             assert restarted.core.store.highest_round >= recovered_round
-            committed = {
-                tx.tx_id
-                for b in restarted.committed_blocks
-                for tx in b.transactions
-            }
-            assert 21 in committed
+            linearized = [b for observation in observed for b in observation.linearized]
+            assert 21 in {tx.tx_id for b in linearized for tx in b.transactions}
+            assert restarted.committed_blocks == linearized
 
         run(scenario())
 

@@ -237,6 +237,23 @@ class TestRefusesWhatItCannotRead:
         assert WriteAheadLog.recover(path) == [self.payload_block()]
 
 
+def views(value):
+    """Every ``memoryview`` reachable from ``value`` through sequences,
+    instance dicts and slots."""
+    if isinstance(value, memoryview):
+        yield value
+    elif isinstance(value, (tuple, list)):
+        for item in value:
+            yield from views(item)
+    else:
+        fields = dict(getattr(value, "__dict__", {}))
+        for slot in getattr(type(value), "__slots__", ()):
+            if hasattr(value, slot):
+                fields[slot] = getattr(value, slot)
+        for item in fields.values():
+            yield from views(item)
+
+
 def logged_block(author: int, signature: bytes = b"signed") -> Block:
     """A round-1 block as the runtime logs it: a ``TransactionBatch``
     with payloads, a signature, four parents."""
@@ -320,6 +337,23 @@ class TestBlockRecords:
         recovered = WriteAheadLog.recover(path)
         assert len(hashed) == 3
         assert all("digest" in vars(block) for block in recovered)
+
+    def test_replayed_blocks_keep_no_view_of_the_log(self, tmp_path):
+        """Replay decodes each block from a view of the log as read, so
+        the transaction section is copied once, by the decode; a block
+        that kept a view instead would pin the whole log in memory for
+        as long as the block lives."""
+        blocks = [logged_block(author) for author in range(3)] + make_genesis(2)
+        path = tmp_path / "views.wal"
+        with WriteAheadLog(path) as wal:
+            for block in blocks:
+                wal.append_block(block)
+        recovered = WriteAheadLog.recover(path, strict=True)
+        assert recovered == blocks
+        assert [b.digest for b in recovered] == [b.digest for b in blocks]
+        assert [len(b.transactions) for b in recovered] == [3, 3, 3, 0, 0]
+        for block in recovered:
+            assert not list(views(block)), block
 
     @staticmethod
     def place(block: Block, where: str) -> int:

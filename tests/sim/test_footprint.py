@@ -30,8 +30,8 @@ import pytest
 from repro.block import Block
 from repro.crypto.coin import SHARE_MEMO_ROUNDS
 from repro.sim.faults import FaultEvent
-from repro.sim.node import SimValidator
 from repro.sim.runner import Experiment, ExperimentConfig
+from repro.statesync.driver import ValidatorDriver
 
 N = 4
 GC_DEPTH = 8
@@ -76,7 +76,7 @@ def test_footprint_follows_the_gc_window(leg, monkeypatch):
     # A crashed validator keeps the window it had when it went down.
     live_bound = window * (2 if experiment.config.fault_schedule else 1)
     checked = [0]
-    step = SimValidator._step
+    step = ValidatorDriver._step
 
     def check(now_finalized: int) -> None:
         live[:] = [ref for ref in live if ref() is not None]
@@ -100,14 +100,14 @@ def test_footprint_follows_the_gc_window(leg, monkeypatch):
         assert len(experiment._coin.verified) <= SHARE_MEMO_ROUNDS * N
         checked.append(now_finalized)
 
-    def checked_step(node):
-        step(node)
-        if node.authority == 0:
-            finalized = node.core.committer.last_finalized_round
+    def checked_step(driver):
+        step(driver)
+        if driver.core.authority == 0:
+            finalized = driver.core.committer.last_finalized_round
             if finalized > checked[-1]:
                 check(finalized)
 
-    monkeypatch.setattr(SimValidator, "_step", checked_step)
+    monkeypatch.setattr(ValidatorDriver, "_step", checked_step)
     result = experiment.run()
     # The run outlived its window five times over, and was checked all along.
     assert result.rounds_reached > 5 * (GC_DEPTH + 3 * wave_length)

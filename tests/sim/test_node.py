@@ -27,6 +27,7 @@ from repro.sim.events import EventLoop
 from repro.sim.latency import UniformLatencyModel
 from repro.sim.network import Message, SimNetwork
 from repro.sim.node import SimValidator
+from repro.statesync.driver import ValidatorDriver
 from repro.transaction import Transaction
 from tests.statesync.test_driver import history, suffix
 
@@ -372,13 +373,13 @@ class TestRecovery:
         restarted incarnation never sees its predecessor's fire (it used
         to clear the new driver's pacing flag and step it mid-re-sync)."""
         fired = []
-        original = SimValidator._on_propose_timer
+        original = ValidatorDriver._on_pacing_timer
 
-        def record(node):
-            fired.append((node.authority, node.core, node._loop.now))
-            original(node)
+        def record(driver):
+            fired.append((driver.core.authority, driver.core, loop.now))
+            original(driver)
 
-        monkeypatch.setattr(SimValidator, "_on_propose_timer", record)
+        monkeypatch.setattr(ValidatorDriver, "_on_pacing_timer", record)
         loop, nodes = make_cluster(interval=0.2, with_core_factory=True)
         for node in nodes:
             node.start()

@@ -70,7 +70,7 @@ from repro.sim.events import EventLoop
 from repro.sim.latency import UniformLatencyModel
 from repro.sim.network import Message, SimNetwork
 from repro.sim.node import SimValidator
-from repro.statesync import IDLE_STEP, RECOVER_MODES, ValidatorDriver
+from repro.statesync import RECOVER_MODES
 from repro.statesync import driver as driver_module
 from repro.statesync import replay_wal
 from repro.statesync import synchronizer as synchronizer_module
@@ -378,33 +378,18 @@ def test_steady_state_step_is_the_same_on_both_fabrics(monkeypatch):
 IDLE_PACE = 3600.0
 
 
-class StepLog:
-    """Every :meth:`ValidatorDriver.step` result, in order."""
-
-    def __init__(self, monkeypatch):
-        self.steps = []
-        step = ValidatorDriver.step
-
-        def logged(driver, now):
-            self.steps.append(step(driver, now))
-            return self.steps[-1]
-
-        monkeypatch.setattr(ValidatorDriver, "step", logged)
-
-
-def paced_to_a_deadline(ingest, step):
+def paced_to_a_deadline(deliver, start):
     """Propose round 1, then take in enough round-1 blocks that round 2
-    is ready but paced: the step that reports the deadline."""
-    step()
+    is ready but paced: the step that arms the pacing timer."""
+    start()
     for author in (1, 2):
-        ingest(MahiMahiCore(author, COMMITTEE, CONFIG, COIN).maybe_propose(), author)
+        deliver(MahiMahiCore(author, COMMITTEE, CONFIG, COIN).maybe_propose(), author)
 
 
-def test_an_idle_step_costs_neither_host_anything(monkeypatch):
-    """Once the pacing timer is out and nothing else moved, the driver
-    returns the shared idle step, and neither host arms a timer, bumps
-    a metric, queues a commit or sends anything on it."""
-    log = StepLog(monkeypatch)
+def test_an_idle_step_costs_neither_host_anything():
+    """Once the pacing timer is out and nothing else moved, a step hands
+    its host nothing: neither host arms a timer, bumps a metric, queues
+    a commit or sends anything on it."""
     loop = EventLoop()
     network = SimNetwork(loop, UniformLatencyModel(0.02), N, seed=1)
     commits = []
@@ -415,29 +400,34 @@ def test_an_idle_step_costs_neither_host_anything(monkeypatch):
         min_block_interval=IDLE_PACE,
         on_commit=lambda *args: commits.append(args),
     )
-    paced_to_a_deadline(lambda block, src: sim.ingest(block, src), sim.start)
-    assert [len(s.proposed) for s in log.steps] == [1, 0, 0]
-    assert log.steps[1] is IDLE_STEP and log.steps[2].deadline == IDLE_PACE
+    heap = []
+
+    def deliver(block, src):
+        sim.on_message(Message(src=src, body=BlockMessage(block), size=100))
+        heap.append(len(loop._heap))
+
+    paced_to_a_deadline(deliver, sim.start)
+    # Round 1 went out at once; two of its blocks are no quorum (an
+    # idle step), the third arms the pacing timer and sends nothing.
+    assert sim.core.round == 1 and heap[1] == heap[0] + 1
     events, sent = len(loop._heap), network.messages_sent
-    sim._step()
-    sim._step()
-    assert log.steps[3:] == [IDLE_STEP, IDLE_STEP] and log.steps[3] is log.steps[4] is IDLE_STEP
+    sim.start()  # the driver steps: nothing is due
+    sim.start()
     assert (len(loop._heap), network.messages_sent, commits) == (events, sent, [])
 
     async def runtime():
-        log.steps.clear()
-        node = ValidatorNode(
-            0, COMMITTEE, CONFIG, COIN, RecordingTransport(0), min_block_interval=IDLE_PACE
-        )
+        transport = RecordingTransport(0)
+        node = ValidatorNode(0, COMMITTEE, CONFIG, COIN, transport, min_block_interval=IDLE_PACE)
         timers = []
         node.call_later = lambda delay, callback, *args: timers.append(delay)
-        paced_to_a_deadline(lambda block, src: node.ingest(block, src, True), node._step)
-        assert log.steps[1] is IDLE_STEP and log.steps[2].deadline is not None
-        assert len(timers) == 1
+        def deliver(block, src):
+            node._driver.on_message(BlockMessage(block=block), src)
+
+        paced_to_a_deadline(deliver, node._driver.start)
+        assert node.core.round == 1 and len(timers) == 1  # runtime time moved on
         metrics, outbox = node.metrics.snapshot(), list(node._outbox)
-        node._step()
-        node._step()
-        assert log.steps[3] is log.steps[4] is IDLE_STEP
+        node._driver.start()
+        node._driver.start()
         assert len(timers) == 1 and node.metrics.snapshot() == metrics
         assert list(node._outbox) == outbox and node.commits.empty()
         assert node.committed_blocks == [] and node.recovery_time is None

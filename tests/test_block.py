@@ -155,10 +155,6 @@ class TestSerialization:
         assert decoded == ref
         assert consumed == len(ref.encode())
 
-    def test_size_matches_encoding(self):
-        block = sample_block()
-        assert block.size == len(block.encode())
-
 
 def spelled_out_encoding(block: Block) -> bytes:
     """The wire layout, field by field: header | parents | section |

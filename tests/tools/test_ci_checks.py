@@ -360,12 +360,37 @@ def test_one_vocabulary_leaves_the_certified_round_to_the_driver(tmp_path):
     assert all("Ack, which only the driver builds or reads" in v for v in violations)
 
 
+def test_one_vocabulary_leaves_the_step_loop_to_the_driver(tmp_path):
+    # The hosts as checked in start the driver and act on its port calls.
+    assert ci_checks.one_vocabulary() == []
+    steps = write(
+        tmp_path / "steps.py",
+        "def ingest(self, block, peer, now):\n"
+        "    self._driver.ingest(block, peer)\n"
+        "    self._driver.step(now)\n",
+    )
+    (violation,) = ci_checks.one_vocabulary(str(steps))
+    assert f"{steps}:3: step: the driver runs its own step loop" == violation
+    idles = write(
+        tmp_path / "idles.py",
+        "from ..statesync import IDLE_STEP\n"
+        "def act(self, result):\n"
+        "    if result is IDLE_STEP:\n"
+        "        return\n"
+        "    self._driver.pacing_timer_fired()\n",
+    )
+    violations = ci_checks.one_vocabulary(str(idles))
+    assert [v.partition(": ")[0].rpartition(":")[2] for v in violations] == ["1", "3", "5"]
+    assert "IDLE_STEP: the driver runs its own step loop" in violations[0]
+    assert "pacing_timer_fired: the driver runs its own step loop" in violations[2]
+
+
 def test_one_restart_path(tmp_path):
     assert ci_checks.one_restart_path() == []  # the two hosts as checked in
     clean = write(
         tmp_path / "clean.py",
         "def recover(self):\n"
-        "    replay = self._driver.recover(self.core, self._loop.now)\n"
+        "    replay = self._driver.recover(self.core)\n"
         "    self._pending.append(replay)\n"
         "    self.outbox.append((None, self.walk))\n",
     )

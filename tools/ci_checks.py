@@ -297,6 +297,10 @@ DRIVER_ONLY = frozenset(
         "CheckpointResponse",
     }
 )
+#: The driver's step loop: it steps itself (after an accepted block, a
+#: finished re-sync, its own pacing timer) and hands its results out as
+#: port calls, so a host names neither the step nor what it returned.
+DRIVER_LOOP = frozenset({"step", "pacing_timer_fired", "Step", "IDLE_STEP"})
 HOSTS = ("src/repro/sim/node.py", "src/repro/runtime/node.py")
 
 
@@ -315,8 +319,9 @@ def _referenced_name(node: ast.AST) -> str | None:
 def one_vocabulary(*paths: str) -> list[str]:
     """The two validator hosts carry messages and never read them: no
     retired string kind is a literal in them, and no message the driver
-    alone builds and reads is referenced (read off the syntax tree;
-    nothing of ``repro`` is imported)."""
+    alone builds and reads is referenced; nor do they run the step loop
+    (no :data:`DRIVER_LOOP` name is referenced).  Read off the syntax
+    tree; nothing of ``repro`` is imported."""
     violations = []
     for path in paths or [str(ROOT / host) for host in HOSTS]:
         found = []
@@ -325,6 +330,8 @@ def one_vocabulary(*paths: str) -> list[str]:
                 found.append((node.lineno, f"the retired message kind {node.value!r}"))
             elif (name := _referenced_name(node)) in DRIVER_ONLY:
                 found.append((node.lineno, f"{name}, which only the driver builds or reads"))
+            elif name in DRIVER_LOOP:
+                found.append((node.lineno, f"{name}: the driver runs its own step loop"))
         violations += [f"{path}:{line}: {what}" for line, what in sorted(found)]
     return violations
 
