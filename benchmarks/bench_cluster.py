@@ -21,8 +21,11 @@ client fleet (:mod:`repro.runtime.process_cluster`).  Three scenarios:
   member leaves and goes silent at its exclusion boundary.
 
 Every scenario ends with the Theorem 1 assertion: byte-identical
-committed prefixes across all validator incarnations
-(:meth:`ProcessCluster.assert_consistent_prefixes`).  Results land in
+committed prefixes across all validator incarnations, no global commit
+index left uncovered and one epoch schedule
+(:meth:`ProcessCluster.assert_consistent_prefixes`, judged by
+:class:`repro.statesync.checkpoint.TotalOrder`, the checker the
+simulator and the in-process cluster share).  Results land in
 ``results/cluster/cluster_metrics.json`` and are validated by
 :func:`benchmarks.curve_checks.check_cluster_metrics` (also enforced by
 ``run_all.py`` whenever the metrics file exists — the CI gate).

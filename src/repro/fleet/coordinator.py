@@ -65,7 +65,6 @@ def pending_items(sweeps, store: ResultsStore) -> list[WorkItem]:
             seen[key] = WorkItem(
                 config_hash=key,
                 config=config_to_dict(config),
-                check_safety=sweep.check_safety,
                 sweep=sweep.name,
             )
     return list(seen.values())

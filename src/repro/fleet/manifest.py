@@ -43,7 +43,6 @@ class WorkItem:
 
     config_hash: str
     config: dict
-    check_safety: bool = True
     sweep: str = ""
     attempts: int = 0
 
@@ -51,7 +50,6 @@ class WorkItem:
         return {
             "config_hash": self.config_hash,
             "config": self.config,
-            "check_safety": self.check_safety,
             "sweep": self.sweep,
             "attempts": self.attempts,
         }
@@ -61,7 +59,6 @@ class WorkItem:
         return cls(
             config_hash=str(data["config_hash"]),
             config=dict(data["config"]),
-            check_safety=bool(data.get("check_safety", True)),
             sweep=str(data.get("sweep", "")),
             attempts=int(data.get("attempts", 0)),
         )

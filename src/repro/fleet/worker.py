@@ -36,7 +36,7 @@ def run_item(item: WorkItem, store: ResultsStore) -> float:
             f"it carries ({config_hash(config)}) - mixed schema versions?"
         )
     started = time.perf_counter()
-    result = run_point(config, check_safety=item.check_safety)
+    result = run_point(config)
     wall = time.perf_counter() - started
     store.put(config, result, wall_seconds=wall)
     return wall

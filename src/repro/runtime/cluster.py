@@ -4,12 +4,16 @@ Builds a full deployment — committee schedule, keys, coin, transports,
 nodes — in one call, over either the in-memory hub or real TCP sockets
 on localhost.  Used by the examples and the runtime integration tests.
 
-Beyond steady-state clusters the harness drives the recovery and
-reconfiguration scenarios: :meth:`LocalCluster.restart` replaces a
-stopped validator with a fresh incarnation in any of the three recovery
-modes (cold, warm, checkpoint), and
-:meth:`LocalCluster.submit_reconfig` injects a committed join/leave
-command that resizes the committee live.
+Beyond steady-state clusters the harness drives the recovery
+scenarios: :meth:`LocalCluster.restart` replaces a stopped validator
+with a fresh incarnation in any of the three recovery modes (cold,
+warm, checkpoint).  The runtime's live resize is
+:meth:`~repro.runtime.process_cluster.ProcessCluster.submit_reconfig`.
+
+Every incarnation the cluster built, restarted ones included, is held
+to Theorem 1 by :meth:`LocalCluster.assert_consistent_prefixes` (the
+shared :class:`~repro.statesync.checkpoint.TotalOrder` checker), which
+also runs when an ``async with`` block exits cleanly.
 """
 
 from __future__ import annotations
@@ -17,11 +21,12 @@ from __future__ import annotations
 import asyncio
 from pathlib import Path
 
-from ..committee import Committee, CommitteeSchedule, ReconfigCommand
+from ..committee import Committee, CommitteeSchedule
 from ..config import ProtocolConfig
 from ..crypto.coin import CommonCoin, FastCoin, ThresholdCoin
 from ..crypto.signing import NullSignatureScheme, SignatureScheme, generate_keys
 from ..dag.validation import BlockVerifier
+from ..statesync.checkpoint import TotalOrder
 from ..transaction import Transaction
 from .node import ValidatorNode
 from .transport import MemoryHub, MemoryTransport, TcpTransport, Transport
@@ -121,7 +126,8 @@ class LocalCluster:
         seed: Key/coin derivation seed.
         provisioned: Total wire identities (>= ``n``).  Identities
             ``n .. provisioned-1`` start outside the committee and may
-            be joined live via :meth:`submit_reconfig`.
+            be joined live by a committed join command
+            (:class:`~repro.committee.ReconfigCommand`).
         recover_mode: Default restart path for every node (see
             :data:`~repro.statesync.RECOVER_MODES`).
         """
@@ -143,7 +149,8 @@ class LocalCluster:
         self._wal_dir = Path(wal_dir) if wal_dir is not None else None
         self._recover_mode = recover_mode
         self._interval = min_block_interval
-        self._reconfig_seq = 0
+        #: The incarnations :meth:`restart` replaced, still checked.
+        self._replaced: list[ValidatorNode] = []
         self.nodes: list[ValidatorNode] = [
             self._make_node(i, recover_mode) for i in range(self.provisioned)
         ]
@@ -187,6 +194,7 @@ class LocalCluster:
         incarnation, recover it in the given mode and start it."""
         mode = recover_mode if recover_mode is not None else self._recover_mode
         node = self._make_node(validator, mode)
+        self._replaced.append(self.nodes[validator])
         self.nodes[validator] = node
         node.recover()
         await node.start()
@@ -196,8 +204,29 @@ class LocalCluster:
         await self.start()
         return self
 
-    async def __aexit__(self, *exc: object) -> None:
+    async def __aexit__(self, exc_type: type | None, *exc: object) -> None:
         await self.stop()
+        if exc_type is None:
+            self.assert_consistent_prefixes()
+
+    def assert_consistent_prefixes(self) -> int:
+        """Theorem 1 across every incarnation this cluster built:
+        committed blocks agree at each global index (an incarnation's
+        ``committed_blocks`` end at its ledger's ``sequence_length``,
+        fed in the order they start), cover every index from 0, replay
+        to each adopted checkpoint's chain, and checkpoints and epoch
+        schedules agree.  Returns the number of indexes covered; raises
+        ``AssertionError`` on the first divergence."""
+        order = TotalOrder()
+
+        def start(node: ValidatorNode) -> int:
+            return node.core.committer.ledger.sequence_length - len(node.committed_blocks)
+
+        for node in sorted([*self.nodes, *self._replaced], key=start):
+            source = f"validator {node.authority}"
+            order.commit(start(node), [block.digest for block in node.committed_blocks], source)
+            order.ledger(node.core.committer.ledger, source)
+        return order.check()
 
     # ------------------------------------------------------------------
     # Convenience
@@ -206,40 +235,39 @@ class LocalCluster:
         """Submit a transaction to one validator's mempool."""
         self.nodes[validator].submit_transaction(tx)
 
-    def submit_reconfig(self, kind: str, validator: int, *, at: int = 0) -> None:
-        """Inject a join/leave command transaction at validator ``at``
-        (the administrative client of a real deployment)."""
-        tx = ReconfigCommand(kind=kind, validator=validator).as_transaction(self._reconfig_seq)
-        self._reconfig_seq += 1
-        self.submit(tx, validator=at)
-
     async def wait_for_commits(
         self, count: int, *, validator: int = 0, timeout: float = 30.0
     ) -> list:
         """Wait until ``validator`` has committed at least ``count``
         blocks; returns its committed block sequence."""
         node = self.nodes[validator]
-
-        async def _wait() -> None:
-            while len(node.committed_blocks) < count:
-                await asyncio.sleep(0.01)
-
-        await asyncio.wait_for(_wait(), timeout)
+        await _poll(lambda: len(node.committed_blocks) >= count, timeout)
         return list(node.committed_blocks)
 
     async def wait_for_transaction(
         self, tx_id: int, *, validator: int = 0, timeout: float = 30.0
     ) -> float:
         """Wait until ``tx_id`` commits at ``validator``; returns the
-        asyncio-clock time of the enclosing commit."""
-        node = self.nodes[validator]
+        asyncio-clock time of the 10 ms poll that first saw it committed
+        (at most one poll interval after the commit).  Each poll scans
+        only the blocks committed since the previous one."""
+        node, scanned = self.nodes[validator], 0
 
-        async def _wait() -> float:
-            while True:
-                for block in node.committed_blocks:
-                    for tx in block.transactions:
-                        if tx.tx_id == tx_id:
-                            return asyncio.get_running_loop().time()
-                await asyncio.sleep(0.01)
+        def committed() -> bool:
+            nonlocal scanned
+            fresh, scanned = node.committed_blocks[scanned:], len(node.committed_blocks)
+            return any(tx.tx_id == tx_id for block in fresh for tx in block.transactions)
 
-        return await asyncio.wait_for(_wait(), timeout)
+        await _poll(committed, timeout)
+        return asyncio.get_running_loop().time()
+
+
+async def _poll(condition, timeout: float) -> None:
+    """Test ``condition`` every 10 ms until it holds; ``asyncio.TimeoutError``
+    after ``timeout`` seconds."""
+
+    async def wait() -> None:
+        while not condition():
+            await asyncio.sleep(0.01)
+
+    await asyncio.wait_for(wait(), timeout)

@@ -23,8 +23,11 @@ Every incarnation logs its committed sequence as ``<index> <digest>``
 lines, where the index is the block's position in the *global* commit
 sequence (a checkpoint-recovered validator starts at its adopted
 checkpoint's sequence length).  Theorem 1 says these logs must agree on
-every index any two incarnations both cover —
-:meth:`ProcessCluster.assert_consistent_prefixes` checks exactly that.
+every index any two incarnations both cover, and together leave none
+uncovered — :meth:`ProcessCluster.assert_consistent_prefixes` feeds
+them, with the epoch schedules the statuses publish, to
+:class:`~repro.statesync.checkpoint.TotalOrder`, the checker the
+simulator and :class:`~repro.runtime.cluster.LocalCluster` share.
 """
 
 from __future__ import annotations
@@ -44,6 +47,7 @@ from ..config import ProtocolConfig
 from ..messages import TransactionMessage, encode_frame
 from ..obs.export import write_chrome_trace, write_jsonl
 from ..obs.trace import NULL_TRACER, Tracer
+from ..statesync.checkpoint import TotalOrder
 from ..transaction import Transaction
 from .cluster import Deployment
 from .node import ValidatorNode
@@ -526,41 +530,26 @@ class ProcessCluster:
                 )
             await asyncio.sleep(0.05)
 
-    def commit_claims(self) -> dict[int, bytes]:
-        """Merge every incarnation's commit log into one global
-        ``index -> digest`` map, failing on any disagreement."""
-        claims: dict[int, bytes] = {}
-        owner: dict[int, str] = {}
-        for path in sorted(self.run_dir.glob("commits-*.log")):
-            for line in path.read_text().splitlines():
-                index_text, digest_hex = line.split()
-                index, digest = int(index_text), bytes.fromhex(digest_hex)
-                if index in claims and claims[index] != digest:
-                    raise AssertionError(
-                        f"commit divergence at global index {index}: "
-                        f"{path.name} says {digest_hex[:16]}..., "
-                        f"{owner[index]} said {claims[index].hex()[:16]}..."
-                    )
-                claims.setdefault(index, digest)
-                owner.setdefault(index, path.name)
-        return claims
-
     def assert_consistent_prefixes(self) -> int:
-        """Theorem 1 across processes, crashes, recoveries and resizes:
-        every pair of incarnations must agree on every global commit
-        index both logged.  Returns the number of indices covered."""
-        claims = self.commit_claims()
-        if claims:
-            covered = sorted(claims)
-            # The union must be gap-free from its lowest index: a gap
-            # would mean some span was committed by nobody we can check.
-            expected = range(covered[0], covered[0] + len(covered))
-            if covered != list(expected):
-                missing = sorted(set(expected) - set(covered))[:5]
-                raise AssertionError(
-                    f"commit coverage has gaps (first missing: {missing})"
-                )
-        return len(claims)
+        """Theorem 1 across processes, crashes, recoveries and resizes,
+        judged by :class:`~repro.statesync.checkpoint.TotalOrder`: every
+        incarnation's commit log, fed line by line in global index
+        order, must agree with every other log on each index both hold
+        and leave no index from 0 uncovered, and the epoch schedules the
+        validators' statuses publish must agree.  Returns the number of
+        indexes covered; raises ``AssertionError`` naming both logs of a
+        divergence, or the first index a gap misses."""
+        order = TotalOrder()
+        entries = []
+        for path in self.run_dir.glob("commits-*.log"):
+            # A last line without its newline is a write in progress.
+            for index, digest in map(str.split, path.read_text().split("\n")[:-1]):
+                entries.append((int(index), path.name, bytes.fromhex(digest)))
+        for index, name, digest in sorted(entries):
+            order.commit(index, [digest], name)
+        for status in filter(None, map(self.status, range(self.provisioned))):
+            order.epochs(status["epochs"])
+        return order.check()
 
 
 if __name__ == "__main__":

@@ -4,6 +4,10 @@ and reports the paper's metrics.
 One :class:`Experiment` reproduces one data point of Figures 3-5/7: a
 protocol, a committee size, a load, and a fault pattern.  The benchmark
 modules sweep load over a list of experiments to regenerate each curve.
+Safety (Theorem 1) is judged by
+:class:`~repro.statesync.checkpoint.TotalOrder`, the checker the
+runtime's cluster harnesses share: fed every honest commit as it
+happens, and every honest ledger by :meth:`Experiment.assert_safety`.
 """
 
 from __future__ import annotations
@@ -12,7 +16,7 @@ import math
 import tempfile
 import weakref
 from dataclasses import dataclass, field
-from functools import partial, reduce
+from functools import partial
 from pathlib import Path
 from typing import Callable, NamedTuple
 
@@ -29,10 +33,10 @@ from ..core.protocol import MahiMahiCore
 from ..baselines.cordial_miners import make_cordial_miners_committer
 from ..baselines.tusk import TuskCommitter
 from ..crypto.coin import FastCoin
-from ..crypto.hashing import Digest
 from ..errors import ConfigError, SimulationError
 from ..runtime.wal import WriteAheadLog
-from ..statesync import GENESIS_STATE, RECOVER_MODES, chain_digest
+from ..statesync import RECOVER_MODES
+from ..statesync.checkpoint import TotalOrder
 from ..transaction import DEFAULT_TX_SIZE
 from .client import ArrivalRouter
 from .costs import MAX_BLOCK_TRANSACTIONS, MAX_SIM_TX_RATE, CostModel
@@ -534,29 +538,20 @@ class ExperimentResult:
         )
 
 
-class _TotalOrder:
-    """Theorem 1 (total order), checked as validators commit.
+class _CommitCallback(TotalOrder):
+    """Every validator's commit callback, and the run's Theorem 1 checker.
 
-    One digest list for the whole experiment, indexed by position in the
-    global commit sequence (``CommitLedger.sequence_length`` counts an
-    adopted checkpoint's blocks too).  Each validator's newly linearized
-    blocks are compared with it where it already reaches, appended where
-    they continue it, and left unchecked past its end (a checkpoint
-    adopter that ran ahead of everyone else).  A validator is checked
-    until it runs an equivocation campaign or has sent a conflicting
-    sibling: from then on it holds no honest sequence.  The observer's
-    commits are also the ones the metrics measure.
-
-    Every validator holds :meth:`on_commit`, so this holds the metrics,
-    never the experiment (no reference cycle to collect).
+    The observer's commits are the ones the metrics measure.  A
+    validator's newly linearized blocks end at its ledger's
+    ``sequence_length`` and are checked until it runs an equivocation
+    campaign or has sent a conflicting sibling: from then on it holds
+    no honest sequence.  Every validator holds :meth:`on_commit`, so
+    this holds the metrics, never the experiment (no reference cycle to
+    collect).
     """
 
-    __slots__ = ("sequence", "divergence", "_metrics")
-
     def __init__(self, metrics: ExperimentMetrics) -> None:
-        self.sequence: list[Digest] = []
-        #: The first divergence seen, raised by ``Experiment.assert_safety``.
-        self.divergence: str | None = None
+        super().__init__()
         self._metrics = metrics
 
     def on_commit(self, node: SimValidator, observations, now: float) -> None:
@@ -565,18 +560,9 @@ class _TotalOrder:
             for block in linearized:
                 if block.transactions:
                     self._metrics.record_commit(block.transactions, now)
-        if not linearized or node.equivocating or node.ever_equivocated:
-            return
-        digests = [block.digest for block in linearized]
-        start = node.core.committer.ledger.sequence_length - len(digests)
-        overlap = self.sequence[start : start + len(digests)]
-        if overlap != digests[: len(overlap)]:
-            self.divergence = self.divergence or (
-                f"commit sequences diverged across validators: validator {node.authority} "
-                f"committed other blocks at global indexes {start}..{start + len(overlap) - 1}"
-            )
-        elif start + len(overlap) == len(self.sequence):
-            self.sequence.extend(digests[len(overlap) :])
+        if linearized and not (node.equivocating or node.ever_equivocated):
+            start = node.core.committer.ledger.sequence_length - len(linearized)
+            self.commit(start, [b.digest for b in linearized], f"validator {node.authority}")
 
 
 class Experiment:
@@ -586,7 +572,7 @@ class Experiment:
         self.config = config
         self._loop = EventLoop()
         self._metrics = ExperimentMetrics(warmup=config.warmup, weight=config.batch_weight)
-        self._total_order = _TotalOrder(self._metrics)
+        self._total_order = _CommitCallback(self._metrics)
         # The epoch-0 committee: every provisioned validator but the
         # joiners, which enter through committed commands.
         self._committee = Committee.of_size(config.genesis_size)
@@ -834,59 +820,27 @@ class Experiment:
         """Check the Total Order property (Theorem 1) across validators.
 
         Commit sequences were already compared as they grew (see
-        :class:`_TotalOrder`); the first divergence recorded is raised
-        here.  Crashed, recovered, joined and left validators are all
+        :class:`~repro.statesync.checkpoint.TotalOrder`); here every
+        honest validator's ledger is fed too (the adopted checkpoint's chain
+        replayed against the reference sequence, checkpoints and epoch
+        schedules cross-checked), and the first divergence recorded is
+        raised.  Crashed, recovered, joined and left validators are all
         *included*: an honest validator that went down mid-run holds a
         shorter prefix, and a recovered one re-synced the DAG and
         deterministically recommitted the same sequence from genesis.
         A validator restored from a **checkpoint** committed only a
-        suffix, checked at its global positions; its alignment is also
-        verified through the adopted state digest: replaying the
-        reference sequence up to the checkpoint's length must reproduce
-        the adopted commit chain.  Checkpoints themselves are
-        cross-checked — every honest validator must have captured
-        identical checkpoints at each boundary — and so are the epoch
-        schedules.  Equivocators are excluded from the moment their
-        campaign starts (Byzantine, no honest sequence to check),
-        including validators whose campaign has desisted: once a
-        validator actually sent a conflicting sibling it left the honest
-        universe for good.  Partitioned and straggling validators are
-        honest and stay **included**: a cut-off validator holds a shorter
-        (or stalled) prefix, never a diverging one."""
-        if self._total_order.divergence is not None:
-            raise SimulationError(self._total_order.divergence)
-        reference = self._total_order.sequence
-        checkpoint_ids: dict[int, set[bytes]] = {}
-        # Epoch-schedule consistency: every honest validator that knows
-        # an epoch must agree on its activation round and membership —
-        # prefix consistency of the *committee* across epoch boundaries,
-        # the reconfiguration analogue of Theorem 1.
-        epoch_views: dict[int, set[tuple[int, tuple[int, ...]]]] = {}
+        suffix, checked at its global positions.  Equivocators are
+        excluded from the moment their campaign starts (Byzantine, no
+        honest sequence to check), including validators whose campaign
+        has desisted: once a validator actually sent a conflicting
+        sibling it left the honest universe for good.  Partitioned and
+        straggling validators are honest and stay **included**: a
+        cut-off validator holds a shorter (or stalled) prefix, never a
+        diverging one."""
         for node in self.nodes:
-            if node.equivocating or node.ever_equivocated:
-                continue
-            ledger = node.core.committer.ledger
-            for checkpoint in ledger.checkpoints:
-                checkpoint_ids.setdefault(checkpoint.round, set()).add(checkpoint.checkpoint_id)
-            for epoch in node.core.schedule.epochs():
-                epoch_views.setdefault(epoch.epoch_id, set()).add(
-                    (epoch.start_round, epoch.committee.members)
-                )
-            base = ledger.adopted_base
-            # A base ahead of every other validator has nothing to replay.
-            if base is not None and base.sequence_length <= len(reference):
-                chain = reduce(chain_digest, reference[: base.sequence_length], GENESIS_STATE)
-                if chain != base.chain:
-                    raise SimulationError(
-                        "adopted checkpoint's state digest does not match the reference "
-                        f"commit sequence at length {base.sequence_length}"
-                    )
-        for what, views in (("checkpoints at round", checkpoint_ids), ("epoch", epoch_views)):
-            for key, seen in sorted(views.items()):
-                if len(seen) > 1:
-                    raise SimulationError(
-                        f"honest validators diverged on {what} {key}: {sorted(seen)}"
-                    )
+            if not (node.equivocating or node.ever_equivocated):
+                self._total_order.ledger(node.core.committer.ledger, f"validator {node.authority}")
+        self._total_order.check(SimulationError)
 
     def _observed_down_intervals(self) -> dict[int, list[tuple[float, float]]]:
         """Per-validator downtime as it actually happened.

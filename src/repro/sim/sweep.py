@@ -249,7 +249,6 @@ class SweepSpec:
     name: str
     figure: FigureSpec
     configs: tuple[ExperimentConfig, ...]
-    check_safety: bool = True
 
     def smoke(self) -> "SweepSpec":
         """The smoke-size version of this sweep.
@@ -433,9 +432,10 @@ class SweepOutcome:
     executed_wall_seconds: float = 0.0
 
 
-def run_point(config: ExperimentConfig, *, check_safety: bool = True) -> ExperimentResult:
-    """Run one experiment point in-process."""
-    return Experiment(config).run(check_safety=check_safety)
+def run_point(config: ExperimentConfig) -> ExperimentResult:
+    """Run one experiment point in-process; safety (Theorem 1) is
+    always checked."""
+    return Experiment(config).run()
 
 
 def run_sweep(
@@ -475,7 +475,7 @@ def run_sweep(
     for completed, index in enumerate(pending, 1):
         config = spec.configs[index]
         point_started = time.perf_counter()
-        result = run_point(config, check_safety=spec.check_safety)
+        result = run_point(config)
         wall = time.perf_counter() - point_started
         store.put(config, result, wall_seconds=wall)
         results[index] = result

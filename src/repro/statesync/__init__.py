@@ -28,7 +28,9 @@ This package is transport-, clock- and coroutine-free.  It holds:
   validator that cannot refetch the DAG back to genesis (the history is
   behind its peers' garbage-collection horizon) adopts a
   quorum-attested checkpoint instead and deep-fetches only the suffix
-  above it.
+  above it.  Beside them, :class:`~repro.statesync.checkpoint.TotalOrder`,
+  the Theorem 1 checker every harness (simulator, in-process and
+  process cluster) feeds its validators' commit sequences to.
 """
 
 from .checkpoint import (

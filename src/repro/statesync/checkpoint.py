@@ -25,6 +25,11 @@ The floor mirrors the garbage-collection bet the DAG already makes:
 blocks more than ``lag`` rounds behind the commit frontier that were
 never linearized are abandoned by every validator (with GC enabled the
 lag *is* the GC depth, so the two horizons coincide).
+
+:class:`TotalOrder` is the one Theorem 1 checker every harness feeds
+(the simulator's ``Experiment``, the runtime's ``LocalCluster`` and
+``ProcessCluster``): commit sequences by global index, adopted chains
+replayed, checkpoints and epoch schedules compared.
 """
 
 from __future__ import annotations
@@ -32,7 +37,7 @@ from __future__ import annotations
 import struct
 from bisect import insort
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, reduce
 from operator import attrgetter
 from typing import Iterable
 
@@ -334,3 +339,83 @@ class CommitLedger:
             # later captures match the ones it would have made had it
             # never crashed.
             self._recent = sorted(checkpoint.linearized, key=_REF_ORDER)
+
+
+class TotalOrder:
+    """Theorem 1 (total order) across every validator of one run.
+
+    One digest list for the whole run, indexed by position in the global
+    commit sequence (:attr:`CommitLedger.sequence_length` counts an
+    adopted checkpoint's blocks too).  Each harness feeds it what it can
+    read: :meth:`commit` compares a validator's run of committed digests
+    with the list where they overlap and appends where the run continues
+    it; a run that starts past the list's end is a gap (nobody checked
+    the indexes between).  :meth:`ledger` replays the list against an
+    adopted checkpoint's chain and, with :meth:`epochs`, requires every
+    validator to hold the same checkpoint at a round and the same epoch
+    schedule.  The first divergence is kept in :attr:`divergence` and
+    raised by :meth:`check`.
+    """
+
+    def __init__(self) -> None:
+        self.sequence: list[Digest] = []
+        self.divergence: str | None = None
+        self._owners: list[str] = []  # who first committed each index
+        self._views: dict[tuple[str, int], object] = {}  # (what, key) -> first view fed
+
+    def commit(self, start: int, digests: list[Digest], source: str) -> None:
+        """``source`` committed ``digests`` at global indexes ``start``..."""
+        overlap = self.sequence[start : start + len(digests)]
+        if overlap != digests[: len(overlap)]:
+            index = next(i for i, (a, b) in enumerate(zip(overlap, digests), start) if a != b)
+            self._diverged(
+                f"commit sequences diverged across validators: {source} committed other "
+                f"blocks than {self._owners[index]} from global index {index}"
+            )
+        elif start > len(self.sequence):
+            self._diverged(
+                f"commit coverage has a gap: {source} starts at global index {start} "
+                f"(first missing: {len(self.sequence)})"
+            )
+        elif len(digests) > len(overlap):
+            self._owners += [source] * (len(digests) - len(overlap))
+            self.sequence += digests[len(overlap) :]
+
+    def ledger(self, ledger: CommitLedger, source: str) -> None:
+        """What ``source``'s ledger holds besides its sequence: the list
+        replayed to an adopted checkpoint's length must reproduce its
+        chain, and its checkpoints and epoch schedule are everyone's."""
+        base = ledger.adopted_base
+        if base is not None and base.chain != reduce(
+            chain_digest, self.sequence[: base.sequence_length], GENESIS_STATE
+        ):
+            self._diverged(
+                f"{source}: adopted checkpoint's state digest does not match the "
+                f"reference commit sequence at length {base.sequence_length}"
+            )
+        for checkpoint in ledger.checkpoints:
+            self._agree("checkpoints at round", checkpoint.round, checkpoint.checkpoint_id)
+        self.epochs(ledger.schedule.snapshot())
+
+    def epochs(self, infos: Iterable[tuple[int, int, Iterable[int]]]) -> None:
+        """Every validator that knows an epoch agrees on its activation
+        round and membership (``infos`` as ``CommitteeSchedule.snapshot``
+        gives them) — prefix consistency of the committee across epoch
+        boundaries, the reconfiguration analogue of Theorem 1."""
+        for epoch_id, start_round, members in infos:
+            self._agree("epoch", epoch_id, (start_round, tuple(members)))
+
+    def check(self, error: type[Exception] = AssertionError) -> int:
+        """Raise the first divergence as ``error``; otherwise return how
+        many global indexes the run covered."""
+        if self.divergence is not None:
+            raise error(self.divergence)
+        return len(self.sequence)
+
+    def _agree(self, what: str, key: int, view) -> None:
+        first = self._views.setdefault((what, key), view)
+        if first != view:
+            self._diverged(f"honest validators diverged on {what} {key}: {sorted((first, view))}")
+
+    def _diverged(self, message: str) -> None:
+        self.divergence = self.divergence or message

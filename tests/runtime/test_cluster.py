@@ -43,14 +43,8 @@ class TestMemoryCluster:
             async with LocalCluster(n=4) as cluster:
                 cluster.submit(Transaction.dummy(1))
                 await cluster.wait_for_commits(30, validator=0)
-                sequences = [
-                    [b.digest for b in node.committed_blocks]
-                    for node in cluster.nodes
-                ]
-                shortest = min(len(s) for s in sequences)
-                assert shortest > 0
-                for sequence in sequences:
-                    assert sequence[:shortest] == sequences[0][:shortest]
+                assert all(node.committed_blocks for node in cluster.nodes)
+                assert cluster.assert_consistent_prefixes() >= 30
 
         run(scenario())
 
@@ -454,6 +448,158 @@ def test_a_commit_is_stamped_when_observed_not_at_the_next_status():
     assert recorder.logged == 2
     assert all(0.05 <= latency < 0.1 for latency in recorder.latencies)
     assert len(recorder.latencies) == 2
+
+
+def _digests(count: int) -> list[bytes]:
+    return [bytes([index]) * 32 for index in range(1, count + 1)]
+
+
+class TestProcessClusterPrefixCheck:
+    """``ProcessCluster.assert_consistent_prefixes`` over commit logs and
+    status files written by hand into its ``run_dir`` (no process runs)."""
+
+    CHAIN = _digests(12)
+    EPOCHS = [[0, 0, [0, 1, 2, 3]], [1, 40, [0, 1, 2, 3, 4]]]
+
+    @staticmethod
+    def cluster(run_dir, logs, statuses=()):
+        from repro.runtime.process_cluster import ProcessCluster
+
+        for name, start, digests in logs:
+            numbered = enumerate(digests, start)
+            (run_dir / name).write_text("".join(f"{i} {d.hex()}\n" for i, d in numbered))
+        for validator, epochs in statuses:
+            status = {"final": True, "epochs": epochs}
+            (run_dir / f"status-{validator}.json").write_text(json.dumps(status))
+        return ProcessCluster(4, run_dir=run_dir, provisioned=5)
+
+    def test_logs_that_disagree_at_one_index_fail_naming_both(self, tmp_path):
+        other = list(self.CHAIN)
+        other[5] = bytes(32)
+        cluster = self.cluster(
+            tmp_path, [("commits-0-1.log", 0, self.CHAIN), ("commits-1-1.log", 0, other)]
+        )
+        with pytest.raises(
+            AssertionError,
+            match=r"commits-1-1\.log committed other blocks than commits-0-1\.log "
+            r"from global index 5",
+        ):
+            cluster.assert_consistent_prefixes()
+
+    def test_a_gap_fails_naming_the_first_missing_index(self, tmp_path):
+        cluster = self.cluster(
+            tmp_path,
+            [("commits-0-1.log", 0, self.CHAIN[:4]), ("commits-4-1.log", 6, self.CHAIN[6:])],
+        )
+        with pytest.raises(
+            AssertionError, match=r"commits-4-1.log starts at global index 6 \(first missing: 4\)"
+        ):
+            cluster.assert_consistent_prefixes()
+
+    def test_a_checkpoint_adopters_later_agreeing_log_passes(self, tmp_path):
+        """The adopter's log starts at its checkpoint's sequence length,
+        inside what the others logged, and runs past them."""
+        logs = [
+            ("commits-0-1.log", 0, self.CHAIN[:8]),
+            ("commits-1-1.log", 0, self.CHAIN[:7]),
+            ("commits-4-1.log", 5, self.CHAIN[5:]),
+        ]
+        statuses = [(0, self.EPOCHS), (1, self.EPOCHS[:1]), (4, self.EPOCHS)]
+        assert self.cluster(tmp_path, logs, statuses).assert_consistent_prefixes() == 12
+
+    def test_statuses_whose_epochs_disagree_fail(self, tmp_path):
+        moved = [self.EPOCHS[0], [1, 45, [0, 1, 2, 3, 4]]]
+        cluster = self.cluster(
+            tmp_path,
+            [("commits-0-1.log", 0, self.CHAIN)],
+            [(0, self.EPOCHS), (1, self.EPOCHS), (2, moved)],
+        )
+        with pytest.raises(AssertionError, match="honest validators diverged on epoch 1"):
+            cluster.assert_consistent_prefixes()
+
+    def test_an_unfinished_last_line_is_no_claim(self, tmp_path):
+        """A line still being written (no newline yet) is skipped, not
+        read as a truncated digest."""
+        cluster = self.cluster(tmp_path, [("commits-0-1.log", 0, self.CHAIN)])
+        with open(tmp_path / "commits-0-1.log", "a") as log:
+            log.write(f"12 {bytes(32).hex()[:20]}")
+        assert cluster.assert_consistent_prefixes() == 12
+
+
+@pytest.mark.slow
+class TestLocalClusterPrefixCheck:
+    """``LocalCluster.assert_consistent_prefixes``, which every clean
+    exit from ``async with`` runs."""
+
+    @staticmethod
+    async def swap_two_commits(cluster, validator):
+        """Once every validator committed 10 blocks, swap ``validator``'s
+        global indexes 3 and 4."""
+        for v in range(4):
+            await cluster.wait_for_commits(10, validator=v)
+        blocks = cluster.nodes[validator].committed_blocks
+        blocks[3], blocks[4] = blocks[4], blocks[3]
+
+    def test_a_block_altered_at_one_index_fails_the_exit_check(self):
+        async def scenario():
+            async with LocalCluster(n=4) as cluster:
+                await self.swap_two_commits(cluster, 2)
+
+        expected = "validator 2 committed other blocks than validator 0 from global index 3"
+        with pytest.raises(AssertionError, match=expected):
+            run(scenario())
+
+    def test_a_restarted_validators_earlier_incarnation_is_still_checked(self):
+        async def scenario():
+            async with LocalCluster(n=4) as cluster:
+                await self.swap_two_commits(cluster, 3)
+                await cluster.nodes[3].stop()
+                await cluster.restart(3)
+
+        expected = "validator 3 committed other blocks than validator 0 from global index 3"
+        with pytest.raises(AssertionError, match=expected):
+            run(scenario())
+
+    def test_an_exception_inside_the_block_surfaces_unchanged(self):
+        class Failure(Exception):
+            pass
+
+        async def scenario():
+            async with LocalCluster(n=4) as cluster:
+                await self.swap_two_commits(cluster, 2)
+                raise Failure
+
+        with pytest.raises(Failure) as raised:
+            run(scenario())
+        assert raised.value.__context__ is None
+
+
+def test_wait_for_transaction_reads_each_committed_block_once():
+    """Each poll scans only the blocks committed since the previous one."""
+    cluster = LocalCluster(n=4)  # never started: the test commits by hand
+    reads = []
+
+    class Committed:
+        def __init__(self, tx_id):
+            self.tx_id = tx_id
+
+        @property
+        def transactions(self):
+            reads.append(self.tx_id)
+            return (SimpleNamespace(tx_id=self.tx_id),)
+
+    async def scenario():
+        async def commit_one_every_few_polls():
+            for tx_id in range(5):
+                await asyncio.sleep(0.025)
+                cluster.nodes[0].committed_blocks.append(Committed(tx_id))
+
+        task = asyncio.create_task(commit_one_every_few_polls())
+        await cluster.wait_for_transaction(4, timeout=5)
+        await task
+
+    run(scenario())
+    assert reads == [0, 1, 2, 3, 4]
 
 
 @pytest.mark.slow

@@ -345,6 +345,21 @@ class TestStaticFaults:
         assert experiment._total_order.divergence is None
         experiment.assert_safety()
 
+    def test_a_commit_run_past_the_reference_end_is_a_gap(self):
+        """An honest validator's commits that start past every index the
+        run has seen fail ``assert_safety()``: the indexes between were
+        committed by nobody the check saw (no smoke or full sweep point
+        ever takes this branch)."""
+        experiment = Experiment(ExperimentConfig(num_validators=4, duration=2.0, warmup=0.5))
+        experiment.run()
+        order, honest = experiment._total_order, experiment.nodes[1]
+        block = experiment.nodes[0].core.store.round_blocks(1)[0]
+        ledger = honest.core.committer.ledger
+        ledger.sequence_length = len(order.sequence) + 3
+        order.on_commit(honest, [type("Observation", (), {"linearized": [block]})()], 2.0)
+        with pytest.raises(SimulationError, match=f"first missing: {len(order.sequence)}"):
+            experiment.assert_safety()
+
     def test_reconfig_command_never_reaches_a_static_equivocator(self, monkeypatch):
         submitted = []
         submit = SimValidator.submit
