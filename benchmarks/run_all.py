@@ -2,10 +2,11 @@
 """One-command reproduction driver (``repro-bench``).
 
 Collects every sweep declared by the ``bench_*`` modules (their
-``SWEEPS`` tuples) and executes them in two phases: the fleet
-(:mod:`repro.fleet`, ``--fleet``, default one local worker per core)
-computes every point the cache misses, then the cached sweep engine
-(:mod:`repro.sim.sweep`) walks the sweeps.  Finished points land in
+``SWEEPS`` tuples) and executes them in two phases: a process pool
+(``--fleet local[:N]``, default one worker per core) computes every
+point the cache misses, then the cached sweep engine
+(:mod:`repro.sim.sweep`) walks the sweeps and recomputes any point a
+dead worker left missing.  Finished points land in
 ``results/points/<config-hash>.json``; per-sweep series summaries in
 ``results/<sweep>.json``; a run-level roll-up in
 ``results/summary.json``.  Re-running resumes: cached points are served
@@ -27,6 +28,7 @@ import argparse
 import importlib
 import json
 import os
+import re
 import sys
 import time
 from pathlib import Path
@@ -105,17 +107,103 @@ def run_traced_point(results_dir: Path, *, smoke: bool) -> Path:
     return chrome_path
 
 
-def credit_fleet(outcome, items: list, store) -> None:
-    """Count the points the fleet computed for this sweep in this run
-    as executed, not cached, with their sim events and recorded compute
+def pending_points(sweeps, store) -> dict:
+    """Every cache-missing point across ``sweeps``, deduplicated by
+    config hash (smoke collapsing shares points): ``{config hash:
+    (name of the first sweep that declares it, config)}``."""
+    from repro.sim.sweep import config_hash
+
+    pending: dict = {}
+    for sweep in sweeps:
+        for config in sweep.configs:
+            key = config_hash(config)
+            if key not in pending and store.get(config) is None:
+                pending[key] = (sweep.name, config)
+    return pending
+
+
+def _pool_context():
+    """How pool workers start: forked where the platform can fork and
+    this process runs one thread (the child inherits the driver's
+    imports instead of paying a fresh interpreter's, but also any lock
+    another thread held at the fork), spawned otherwise."""
+    import multiprocessing
+    import threading
+
+    fork = "fork" in multiprocessing.get_all_start_methods() and threading.active_count() == 1
+    return multiprocessing.get_context("fork" if fork else "spawn")
+
+
+def run_pool(pending: dict, store, workers: int, progress=print) -> tuple[dict, set]:
+    """Compute the ``pending`` points on ``workers`` processes; each
+    worker writes its points into ``store`` itself.
+
+    Returns the pool's record (``summary.json["fleet"]``) and the config
+    hashes that landed in the store.  A point that raises fails the run
+    here.  A worker that dies breaks the pool: every point that did not
+    land is left to the sweep pass, which recomputes what is missing.
+    """
+    from concurrent.futures import ProcessPoolExecutor, as_completed
+    from concurrent.futures.process import BrokenProcessPool
+
+    from repro.sim.sweep import store_point
+
+    started = time.perf_counter()
+    progress(f"[fleet] {len(pending)} pending points -> {workers} workers")
+    landed: set = set()
+    broken: list[str] = []
+    completed_by: dict[str, int] = {}
+    executor = ProcessPoolExecutor(workers, mp_context=_pool_context())
+    try:
+        futures = {
+            executor.submit(store_point, config, str(store.root)): key
+            for key, (_sweep, config) in pending.items()
+        }
+        for future in as_completed(futures):
+            if isinstance(future.exception(), BrokenProcessPool):
+                broken.append(futures[future])
+                continue
+            key, worker = future.result()
+            landed.add(key)
+            completed_by[worker] = completed_by.get(worker, 0) + 1
+    finally:
+        executor.shutdown(cancel_futures=True)
+    # A worker can land a point after the pool broke and before it was
+    # stopped, so the store, not the future, says whether a point landed.
+    landed.update(key for key in broken if store.load(key) is not None)
+    lost = len(pending) - len(landed)
+    wall = time.perf_counter() - started
+    failures = [f"a worker died; {lost} points left to the sweep pass"] if broken else []
+    progress(f"[fleet] merged {len(landed)} points in {wall:.1f}s")
+    for failure in failures:
+        progress(f"[fleet] {failure}")
+    report = {
+        "workers": workers,
+        "points": len(pending),
+        "wall_seconds": round(wall, 3),
+        "completed_by": dict(sorted(completed_by.items())),
+        "worker_failures": failures,
+    }
+    return report, landed
+
+
+def credit_pool(outcome, pending: dict, landed: set, store) -> None:
+    """Count the points the pool computed for this sweep in this run as
+    executed, not cached, with their sim events and recorded compute
     seconds, and rewrite the sweep's summary.
 
-    ``items`` credits each point to the first sweep that declares it,
-    as a serial run would have run it there.
+    Only the hashes the pool ``landed`` and the sweep pass then served
+    from the store count: a point a dead worker left behind, or one
+    whose file went missing before the sweep pass read it, was executed
+    by the sweep pass itself and is counted there.  ``pending`` credits
+    each point to the first sweep that declares it, as a serial run
+    would have run it there.
     """
     from repro.sim.sweep import config_hash
 
-    mine = {item.config_hash for item in items if item.sweep == outcome.spec.name}
+    mine = {
+        key for key in landed - outcome.executed_hashes if pending[key][0] == outcome.spec.name
+    }
     if not mine:
         return
     results = {config_hash(result.config): result for result in outcome.results}
@@ -124,6 +212,15 @@ def credit_fleet(outcome, items: list, store) -> None:
     outcome.executed_events += sum(results[key].events_processed for key in mine)
     outcome.executed_wall_seconds += sum(store.wall_seconds(key) or 0.0 for key in mine)
     store.write_summary(outcome)
+
+
+def _fleet_workers(spec: str) -> int | None:
+    """Worker count of a ``--fleet local[:N]`` spelling (``local``: one
+    per core), or ``None`` when ``spec`` is not one."""
+    match = re.fullmatch(r"local(?::(\d+))?", spec)
+    if match is None:
+        return None
+    return int(match.group(1)) if match.group(1) else os.cpu_count() or 1
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -141,17 +238,9 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--fleet",
         default="local",
-        metavar="SPEC",
-        help="the worker fleet that computes pending points before summarizing: "
-        "'local[:N]' for N worker processes on this machine (default: "
-        "'local', one per core), or a TOML/JSON fleet-spec path for ssh "
-        "hosts (see benchmarks/README.md)",
-    )
-    parser.add_argument(
-        "--fleet-plan",
-        action="store_true",
-        help="with --list: also print the fleet shard assignment "
-        "(pending points per worker, cache hits excluded) without running",
+        metavar="local[:N]",
+        help="the process pool that computes pending points before summarizing: "
+        "N worker processes on this machine (default: 'local', one per core)",
     )
     parser.add_argument(
         "--results",
@@ -183,9 +272,11 @@ def main(argv: list[str] | None = None) -> int:
     )
     args = parser.parse_args(argv)
 
-    from repro.fleet import FleetSpec, plan_shards, run_fleet
-    from repro.fleet.coordinator import pending_items
     from repro.sim.sweep import ResultsStore, run_sweep
+
+    workers = _fleet_workers(args.fleet)
+    if not workers:
+        parser.error(f"--fleet {args.fleet!r} is not 'local' or 'local:N' with N >= 1")
 
     sweeps = discover_sweeps()
     if args.smoke:
@@ -198,9 +289,6 @@ def main(argv: list[str] | None = None) -> int:
     total_points = sum(len(sweep.configs) for sweep in sweeps)
     results_dir = args.results or os.environ.get("REPRO_RESULTS_DIR") or "results"
     store = ResultsStore(results_dir)
-    if args.fleet_plan and not args.list:
-        parser.error("--fleet-plan only makes sense with --list")
-    fleet_spec = FleetSpec.load(args.fleet)
     if args.list:
         # Enumerate without running anything: per sweep, the paper
         # figure id, the point count, and how many points the
@@ -222,26 +310,11 @@ def main(argv: list[str] | None = None) -> int:
             f"{'total':<28} {'':<14} {total_points:>6} "
             f"{f'{total_cached}/{total_points}':>9}  (cache: {store.root}/points/)"
         )
-        if args.fleet_plan:
-            # Shard sizing for the fleet: how a round-robin split of
-            # today's *pending* points (cache hits excluded) would land
-            # per worker slot — the number that sizes an ssh fleet.
-            items = pending_items(sweeps, store)
-            print()
-            print(
-                f"fleet plan: {fleet_spec.backend} backend, "
-                f"{fleet_spec.total_workers} workers, "
-                f"{len(items)} pending points "
-                f"({total_points - len(items)} cached or duplicate points excluded)"
-            )
-            for worker, count in plan_shards(items, fleet_spec):
-                print(f"  {worker:<24} {count:>6} points")
         return 0
     mode = "smoke" if args.smoke else "full"
     print(
         f"repro-bench: {len(sweeps)} sweeps, {total_points} points, "
-        f"fleet={fleet_spec.backend}:{fleet_spec.total_workers}, "
-        f"mode={mode}, results={store.root}/"
+        f"fleet=local:{workers}, mode={mode}, results={store.root}/"
     )
 
     if args.force:
@@ -250,22 +323,22 @@ def main(argv: list[str] | None = None) -> int:
                 store.point_path(config).unlink(missing_ok=True)
                 store.wall_path(config).unlink(missing_ok=True)
 
-    # Phase 1: shard every cache-missing point over the fleet and merge
-    # the results into the content-addressed store.  Phase 2 is then a
-    # pure cache walk that writes the per-sweep summaries and applies
-    # the usual gates.
+    # Phase 1: the process pool computes every cache-missing point into
+    # the content-addressed store.  Phase 2 is then a cache walk that
+    # writes the per-sweep summaries, recomputes whatever a dead worker
+    # left missing, and applies the usual gates.
     started = time.perf_counter()
-    items = pending_items(sweeps, store)
-    fleet_report = None
-    if items:
-        fleet_report = run_fleet(items, store, fleet_spec, progress=print)
+    pending = pending_points(sweeps, store)
+    fleet_report, landed = None, set()
+    if pending:
+        fleet_report, landed = run_pool(pending, store, workers)
     else:
         print("[fleet] nothing pending - every point already cached")
 
     outcomes = []
     for sweep in sweeps:
         outcome = run_sweep(sweep, store, progress=print)
-        credit_fleet(outcome, items, store)
+        credit_pool(outcome, pending, landed, store)
         print(
             f"[{sweep.name}] done: {outcome.executed} run, {outcome.cached} cached, "
             f"{outcome.wall_seconds:.1f}s"
@@ -294,7 +367,7 @@ def main(argv: list[str] | None = None) -> int:
             }
             for o in outcomes
         ],
-        "fleet": fleet_report.to_dict() if fleet_report is not None else None,
+        "fleet": fleet_report,
         "totals": {
             "points": total_points,
             "executed": executed,

@@ -330,9 +330,7 @@ def _provenance_lines(
         rows.append(
             [
                 "fleet",
-                f"{fleet.get('backend', '?')} backend, {fleet.get('workers', '?')} workers, "
-                f"{fleet.get('points', '?')} points in {fleet.get('rounds', '?')} round(s), "
-                f"{fleet.get('redispatched', 0)} re-dispatched, "
+                f"{fleet.get('workers', '?')} workers, {fleet.get('points', '?')} points, "
                 f"{fleet.get('wall_seconds', '?')}s wall",
             ]
         )

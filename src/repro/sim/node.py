@@ -60,6 +60,7 @@ from ..messages import BlockMessage, Header
 from ..obs import trace as _trace
 from ..obs.trace import NULL_TRACER
 from ..runtime.wal import WriteAheadLog
+from ..statesync.checkpoint import CommitLedger
 from ..statesync.driver import ValidatorDriver
 from ..statesync.recovery import SYNC_MAX_BLOCKS as _SYNC_MAX_BLOCKS
 from ..transaction import Transaction, TransactionSlice
@@ -192,6 +193,7 @@ class SimValidator:
 
     __slots__ = (
         "core",
+        "retired_ledgers",
         "authority",
         "_network",
         "_loop",
@@ -281,6 +283,10 @@ class SimValidator:
             stage shares.
         """
         self.core = core
+        #: The ledgers of the cores :meth:`recover` replaced, oldest
+        #: first, so an earlier incarnation's checkpoints and adopted
+        #: base are still checked (``Experiment.assert_safety``).
+        self.retired_ledgers: list[CommitLedger] = []
         self.authority = core.authority
         self._network = network
         self._loop = loop
@@ -420,6 +426,7 @@ class SimValidator:
             return
         self.down = False
         self._incarnation += 1
+        self.retired_ledgers.append(self.core.committer.ledger)
         self.core = self._core_factory()
         self.ingress.clear()
         self.core.mempool = self.ingress

@@ -829,7 +829,9 @@ class Experiment:
         shorter prefix, and a recovered one re-synced the DAG and
         deterministically recommitted the same sequence from genesis.
         A validator restored from a **checkpoint** committed only a
-        suffix, checked at its global positions.  Equivocators are
+        suffix, checked at its global positions.  The ledgers of the
+        incarnations a restart replaced (``SimValidator.retired_ledgers``)
+        are fed as well, as ``validator i (incarnation k)``.  Equivocators are
         excluded from the moment their campaign starts (Byzantine, no
         honest sequence to check), including validators whose campaign
         has desisted: once a validator actually sent a conflicting
@@ -839,6 +841,9 @@ class Experiment:
         diverging one."""
         for node in self.nodes:
             if not (node.equivocating or node.ever_equivocated):
+                for k, retired in enumerate(node.retired_ledgers):
+                    source = f"validator {node.authority} (incarnation {k})"
+                    self._total_order.ledger(retired, source)
                 self._total_order.ledger(node.core.committer.ledger, f"validator {node.authority}")
         self._total_order.check(SimulationError)
 

@@ -14,11 +14,14 @@ that from "a for-loop inside every benchmark script" into a subsystem:
   is cached at ``results/points/<hash>.json`` and an interrupted sweep
   *resumes* — re-running recomputes only missing points, across sweeps
   and across processes.
-* **Execution is serial; the fleet is the fan-out.**  :func:`run_sweep`
-  runs cache misses in this process, one after another.  To run points
-  in parallel, the fleet (:mod:`repro.fleet`) fills the store first and
-  :func:`run_sweep` then serves every point from it; every experiment
-  is self-seeded, so whoever computes a point writes the same bytes.
+* **Execution is serial; a process pool is the fan-out.**
+  :func:`run_sweep` runs cache misses in this process, one after
+  another.  To run points in parallel, ``benchmarks/run_all.py`` sends
+  the pending points through a process pool whose task is
+  :func:`store_point` (each worker writes its points into the store
+  itself), and :func:`run_sweep` then serves every point from the store
+  and recomputes any a dead worker left missing; every experiment is
+  self-seeded, so whoever computes a point writes the same bytes.
 * **Smoke mode is first-class.**  :meth:`SweepSpec.smoke` shrinks every
   config to a seconds-long deployment (small committee, short duration,
   light load) and deduplicates the collapsed points — the CI gate runs
@@ -280,8 +283,8 @@ class ResultsStore:
     common after smoke-mode collapsing — share the cached result.
 
     :meth:`load` is the only reader of a point file: the sweep's cache
-    lookup, the fleet's landed and merge checks and the report all go
-    through it, so all of them agree on which points exist.
+    lookup, the pending-point scan and the report all go through it, so
+    all of them agree on which points exist.
     """
 
     def __init__(self, root: str | os.PathLike = DEFAULT_RESULTS_DIR) -> None:
@@ -302,7 +305,7 @@ class ResultsStore:
         hash recomputed from its stored config is ``key``, and its
         ``result`` decodes.  Anything else — a schema bump, a torn
         write, a worker that ran other code — reads as a miss, so the
-        sweep recomputes it and the fleet re-dispatches it.
+        sweep recomputes it.
         """
         try:
             data = json.loads((self.points_dir / f"{key}.json").read_text())
@@ -330,11 +333,10 @@ class ResultsStore:
 
         The point file itself is a pure function of the config and the
         (deterministic) simulation result, so any two writers — a serial
-        sweep or any worker of a fleet — produce
-        byte-identical files.  The wall clock of *this* writer's run is
-        timing metadata, not content: it lands in a ``.wall.json``
-        sidecar so it can never make two otherwise-identical caches
-        differ.
+        sweep or any worker of a pool — produce byte-identical files.
+        The wall clock of *this* writer's run is timing metadata, not
+        content: it lands in a ``.wall.json`` sidecar so it can never
+        make two otherwise-identical caches differ.
         """
         self.points_dir.mkdir(parents=True, exist_ok=True)
         path = self.point_path(config)
@@ -430,12 +432,25 @@ class SweepOutcome:
     #: cached point's events with this run's wall clock).
     executed_events: int = 0
     executed_wall_seconds: float = 0.0
+    #: Config hashes of the points this pass executed itself (the
+    #: misses), as opposed to the ones it served from the store.
+    executed_hashes: frozenset[str] = frozenset()
 
 
 def run_point(config: ExperimentConfig) -> ExperimentResult:
     """Run one experiment point in-process; safety (Theorem 1) is
     always checked."""
     return Experiment(config).run()
+
+
+def store_point(config: ExperimentConfig, root: str) -> tuple[str, str]:
+    """Run one point and persist it in the store under ``root``: the
+    task a process pool runs.  The result stays in the process that
+    computed it; the caller gets ``(config hash, worker label)``."""
+    started = time.perf_counter()
+    result = run_point(config)
+    ResultsStore(root).put(config, result, wall_seconds=time.perf_counter() - started)
+    return config_hash(config), f"worker-{os.getpid()}"
 
 
 def run_sweep(
@@ -447,10 +462,10 @@ def run_sweep(
     """Run every point of ``spec``, reusing and filling the cache.
 
     Cached points are served from ``store``; a miss runs in this
-    process, and misses run one after another.  A parallel run shards
-    the misses over the fleet (:func:`repro.fleet.run_fleet`) first, so
-    that this pass finds every point cached.  Results come back in
-    config order.
+    process, and misses run one after another.  A parallel run has a
+    process pool compute the misses first (:func:`store_point`), so
+    that this pass finds every point cached but the ones a dead worker
+    never wrote.  Results come back in config order.
 
     Args:
         spec: The sweep to run.
@@ -494,6 +509,7 @@ def run_sweep(
         wall_seconds=time.perf_counter() - started,
         executed_events=executed_events,
         executed_wall_seconds=executed_wall,
+        executed_hashes=frozenset(config_hash(spec.configs[index]) for index in pending),
     )
     store.write_summary(outcome)
     return outcome

@@ -159,6 +159,17 @@ class TestGeneration:
         assert "![Figure 3](figures/figure-3.svg)" in report
         assert "fig3-ideal-10-smoke" in report
 
+    def test_provenance_reads_the_pool_record(self, results_dir):
+        summary = json.loads((results_dir / "summary.json").read_text())
+        summary["fleet"] = {
+            "workers": 2, "points": 56, "wall_seconds": 1.9,
+            "worker_failures": [], "completed_by": {"worker-1": 30, "worker-2": 26},
+        }
+        (results_dir / "summary.json").write_text(json.dumps(summary))
+        generate_report(results_dir, git_rev="x")
+        report = (results_dir / "REPORT.md").read_text()
+        assert "| fleet | 2 workers, 56 points, 1.9s wall |" in report
+
     def test_recovery_table_reports_metrics(self, results_dir):
         generate_report(results_dir, git_rev="x")
         report = (results_dir / "REPORT.md").read_text()

@@ -1,12 +1,15 @@
 """End-to-end tests for the checkpoint & state-transfer subsystem and
 WAL-backed warm restarts, as the simulator runs them."""
 
+import dataclasses
+
 import pytest
 
-from repro.errors import ConfigError, StateTransferError
+from repro.errors import ConfigError, SimulationError, StateTransferError
 from repro.runtime.wal import WriteAheadLog
 from repro.sim.faults import FaultEvent
 from repro.sim.costs import CostModel
+from repro.sim.node import SimValidator
 from repro.sim.runner import Experiment, ExperimentConfig
 from repro.statesync import CheckpointVotes, WalReplay, replay_wal
 from tests.helpers import masked_result_hash, result_hash
@@ -213,6 +216,65 @@ class TestCheckpointRecovery:
                 )
         assert by_round, "no checkpoints captured"
         assert all(len(ids) == 1 for ids in by_round.values())
+
+    @pytest.mark.parametrize("forge", ["adopted base", "checkpoint"])
+    def test_a_replaced_incarnations_ledger_is_still_checked(self, monkeypatch, forge):
+        """A restart replaces the core, not the ledger's duty: the ledger
+        of the incarnation before a checkpoint restart still takes part
+        in ``assert_safety``, so a forged adopted base or checkpoint in it
+        is a divergence."""
+        replaced = []
+        recover = SimValidator.recover
+
+        def keeping(node):
+            replaced.append((node.authority, node.core.committer.ledger))
+            recover(node)
+
+        monkeypatch.setattr(SimValidator, "recover", keeping)
+        experiment = Experiment(recovery_config("checkpoint"))
+        experiment.run()
+        [(authority, ledger)] = replaced
+        if forge == "adopted base":
+            adopted = experiment.nodes[authority].core.committer.ledger.adopted_base
+            ledger.adopted_base = dataclasses.replace(adopted, chain=bytes(32))
+            match = r"validator 9 \(incarnation 0\): adopted checkpoint"
+        else:
+            ledger.checkpoints[-1] = dataclasses.replace(ledger.checkpoints[-1], chain=bytes(32))
+            match = "diverged on checkpoints at round"
+        with pytest.raises(SimulationError, match=match):
+            experiment.assert_safety()
+
+    @pytest.mark.parametrize("mode", ["cold", "warm", "checkpoint"])
+    def test_each_restart_retires_the_ledger_it_replaces(self, mode):
+        """Whatever the recovery mode, the restarted validator keeps
+        one retired ledger, not its current one; the others keep none."""
+        experiment = Experiment(recovery_config(mode))
+        experiment.run()
+        assert [len(node.retired_ledgers) for node in experiment.nodes] == [0] * 9 + [1]
+        restarted = experiment.nodes[9]
+        assert restarted.retired_ledgers[0] is not restarted.core.committer.ledger
+
+    def test_a_second_restart_is_checked_as_a_second_incarnation(self):
+        """Two restarts retire two ledgers, oldest first; the one between
+        them adopted a checkpoint, and forging it is reported against
+        incarnation 1."""
+        schedule = (
+            FaultEvent(time=1.0, validator=9, kind="crash"),
+            FaultEvent(time=1.1, validator=9, kind="recover"),
+            FaultEvent(time=1.5, validator=9, kind="crash"),
+            FaultEvent(time=1.6, validator=9, kind="recover"),
+        )
+        experiment = Experiment(
+            recovery_config("checkpoint", fault_schedule=schedule, duration=2.5)
+        )
+        assert experiment.run().recoveries == 2
+        first, second = experiment.nodes[9].retired_ledgers
+        assert first.adopted_base is None and second.adopted_base is not None
+        second.adopted_base = dataclasses.replace(second.adopted_base, chain=bytes(32))
+        with pytest.raises(
+            SimulationError, match=r"validator 9 \(incarnation 1\): adopted checkpoint"
+        ):
+            experiment.assert_safety()
 
 
 class TestCheckpointVotes:

@@ -23,6 +23,7 @@ from repro.sim.sweep import (
     result_to_dict,
     run_sweep,
     smoke_config,
+    store_point,
 )
 
 
@@ -302,8 +303,8 @@ class TestResultsStore:
 
 
 class TestStoreHardening:
-    """Satellite of the fleet PR: many writers, torn reads, the wall
-    sidecar — everything concurrent fleet merges lean on."""
+    """Many writers, torn reads, the wall sidecar: everything the
+    process pool's workers, writing into one store, lean on."""
 
     def test_torn_write_reads_as_miss(self, tmp_path):
         store = ResultsStore(tmp_path)
@@ -409,7 +410,7 @@ class TestSerialExecution:
 
     def test_misses_run_in_this_process(self, tmp_path, monkeypatch):
         """No fan-out: every miss runs here, one after another, in
-        config order (parallel runs go through the fleet)."""
+        config order (parallel runs go through run_all.py's pool)."""
         import os
 
         from repro.sim import sweep
@@ -433,6 +434,42 @@ class TestSerialExecution:
         data = json.loads(json.dumps(result_to_dict(result)))
         assert result_to_dict(result_from_dict(result.config, data)) == result_to_dict(result)
 
+    def test_the_outcome_names_the_points_this_pass_executed(self, tmp_path):
+        """Points served from the store are not among the executed
+        ones; the misses this pass ran are."""
+        cached, missed = tiny_config(seed=1), tiny_config(seed=2)
+        store = ResultsStore(tmp_path)
+        run_sweep(tiny_spec([cached]), store)
+        outcome = run_sweep(tiny_spec([cached, missed]), store)
+        assert outcome.executed_hashes == {config_hash(missed)}
+        assert run_sweep(tiny_spec([cached, missed]), store).executed_hashes == set()
+
+
+class TestStorePoint:
+    """The task a process pool runs: compute one point and store it in
+    the worker, handing back only its hash and who computed it."""
+
+    def test_returns_the_config_hash_and_this_process_label(self, tmp_path):
+        import os
+
+        config = tiny_config()
+        assert store_point(config, str(tmp_path)) == (config_hash(config), f"worker-{os.getpid()}")
+
+    def test_writes_the_bytes_a_serial_sweep_writes(self, tmp_path):
+        config = tiny_config(seed=3)
+        serial = ResultsStore(tmp_path / "serial")
+        run_sweep(tiny_spec([config]), serial)
+        store_point(config, str(tmp_path / "task"))
+        task = ResultsStore(tmp_path / "task")
+        assert task.point_path(config).read_bytes() == serial.point_path(config).read_bytes()
+
+    def test_records_its_compute_seconds_in_the_sidecar(self, tmp_path):
+        config = tiny_config(seed=4)
+        started = time.perf_counter()
+        store_point(config, str(tmp_path))
+        elapsed = time.perf_counter() - started
+        assert 0.0 < ResultsStore(tmp_path).wall_seconds(config_hash(config)) <= elapsed
+
 
 class TestSmokeBudget:
     def test_smoke_point_finishes_fast(self, tmp_path):
@@ -452,9 +489,9 @@ class TestSmokeBudget:
 @pytest.mark.slow
 class TestDriver:
     def test_run_all_smoke_cli(self, tmp_path):
-        """`run_all.py --smoke` end-to-end on a subset: the fleet computes
-        the points, the run-level summary counts them as executed, and
-        the second invocation resumes from cache."""
+        """`run_all.py --smoke` end-to-end on a subset: the process pool
+        computes the points, the run-level summary counts them as
+        executed, and the second invocation resumes from cache."""
         from benchmarks import run_all
 
         argv = ["--smoke", "--only", "ordering", "--results", str(tmp_path), "--fleet", "local:1"]

@@ -25,7 +25,7 @@ def packages_on_disk() -> set[str]:
 
 def test_every_repro_package_is_packaged():
     on_disk = packages_on_disk()
-    assert on_disk >= {"repro", "repro.obs", "repro.fleet", "repro.statesync"}
+    assert on_disk >= {"repro", "repro.obs", "repro.sim", "repro.statesync"}
     assert on_disk <= declared_packages(), sorted(on_disk - declared_packages())
 
 
