@@ -207,7 +207,6 @@ class Committer:
         # GC depth so the two "history below this is settled" lines
         # coincide; without GC a fixed default lag applies.
         self.ledger = CommitLedger(
-            store,
             self.schedule.genesis_committee.size,
             interval=config.checkpoint_interval_rounds,
             lag=config.garbage_collection_depth or DEFAULT_CHECKPOINT_LAG,

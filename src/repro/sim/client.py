@@ -9,25 +9,35 @@ of ``weight`` real transactions; blocks account for the full
 
 One :class:`ArrivalRouter` runs every client of an experiment, and a
 simulated transaction is never an event, an object or a call chain of
-its own: it is an id and an arrival time, appended to a validator's
-ingress (:meth:`repro.sim.node.Ingress.arrive`).  Each client draws its
-Poisson arrivals a batch at a time (exponential gaps, one cumulative
-pass; the next batch at the last arrival of a full one, after that
-arrival), and the event loop calls :meth:`ArrivalRouter.route` before
-each heap event.  One merged loop then routes, in exact (time, sequence)
-order, every arrival that sorts before that event: ids are numbered
-from 1 per experiment in that order, each arrival draws its size from
-its client's generator when it is routed, and a down validator's
-clients retarget to the next live one.  Liveness, slow factors and the
-ingress stage's state change only at heap events, so each arrival sees
-them as it would have at its own instant.
+its own: it is an id and an arrival time, a row of a validator's
+ingress.  Each client draws its Poisson arrivals a batch at a time
+(exponential gaps in one pass, then their sizes on a mixed-size run;
+the next batch at the last arrival of a full one, after that arrival),
+numbered by :meth:`~repro.sim.events.EventLoop.next_sequence` when it
+is drawn.
+
+Arrivals are routed a window at a time, and only when something is
+about to read an ingress or change what routing reads: the event loop's
+:meth:`~repro.sim.events.EventLoop.settle` calls :meth:`ArrivalRouter
+.route` with the running event's ``(now, sequence)``, from a proposal
+(:meth:`repro.sim.node.Ingress.take`, the mempool's only reader), an
+object submission, a crash, restart or slow factor (before it takes
+effect) and the end of a run.  The window is every arrival that sorts
+before that pair; one sort numbers it across clients in (time, batch
+sequence) order, ids from 1 per experiment, and each target validator
+gets its rows as one chunk (:meth:`repro.sim.node.Ingress.extend`).
+Nothing routing reads — liveness (a down validator's clients retarget to
+the next live one), the ingress price and its stage — changes inside a
+window, so every arrival gets the id, target, size and ready time it
+would have got at its own instant.
 """
 
 from __future__ import annotations
 
-import heapq
 import random
-from itertools import accumulate
+from bisect import bisect_left, bisect_right
+from itertools import accumulate, chain, repeat
+from math import log
 
 from .events import EventLoop
 
@@ -39,9 +49,14 @@ _INF = float("inf")
 
 class _Client:
     """One client: the validator it prefers, its generator and the batch
-    of arrival times it drew last."""
+    of arrivals it drew last (times, sizes on a mixed-size run, the
+    batch's sequence, how many of them are routed and when the next one
+    is due)."""
 
-    __slots__ = ("validator", "rng", "lambd", "stop_at", "size_values", "size_cum_weights", "times")
+    __slots__ = (
+        "validator", "rng", "lambd", "stop_at", "size_values", "size_cum_weights",
+        "times", "sizes", "sequence", "routed", "next_at",
+    )
 
     def __init__(
         self, validator: int, rate: float, stop_at: float, seed: object, tx_size_mix
@@ -55,28 +70,45 @@ class _Client:
         self.size_values = tuple(size for size, _ in tx_size_mix)
         self.size_cum_weights = tuple(accumulate(share for _, share in tx_size_mix))
         self.times: list[float] = []
+        self.sizes: list | None = None
+        self.sequence = 0
+        self.routed = 0
+        self.next_at = _INF
 
-    def draw(self, start: float) -> list[float]:
-        """The next batch of arrival times after ``start``: at most
-        :data:`_ARRIVAL_BATCH`, none at or after ``stop_at``."""
-        expovariate = self.rng.expovariate
-        lambd = self.lambd
-        stop_at = self.stop_at
-        when = start
-        times = []
-        for _ in range(_ARRIVAL_BATCH):
-            when += expovariate(lambd)
-            if when >= stop_at:
-                break
-            times.append(when)
-        self.times = times
-        return times
+    def draw(self, start: float, sequence: int) -> None:
+        """Draw the next batch of arrivals after ``start``: at most
+        :data:`_ARRIVAL_BATCH`, none at or after ``stop_at``.  The times
+        are the running sums a gap-by-gap loop of ``expovariate`` adds,
+        and the generator is left where that loop, stopping at the first
+        gap that crosses ``stop_at``, would leave it, so a mixed-size
+        run's sizes come from the same stream."""
+        rng, lambd = self.rng, self.lambd
+        random = rng.random
+        state = rng.getstate() if self.size_values else None
+        times = list(
+            accumulate(
+                [-log(1.0 - random()) / lambd for _ in range(_ARRIVAL_BATCH)], initial=start
+            )
+        )
+        del times[0]
+        due = bisect_left(times, self.stop_at)
+        if due < _ARRIVAL_BATCH:
+            del times[due:]
+            if state is not None:
+                rng.setstate(state)
+                for _ in range(due + 1):
+                    random()
+        self.times, self.sequence, self.routed = times, sequence, 0
+        self.next_at = times[0] if times else _INF
+        if state is not None:
+            self.sizes = rng.choices(self.size_values, cum_weights=self.size_cum_weights, k=due)
 
 
 class ArrivalRouter:
     """Every open-loop client of one experiment, routed per window.
 
-    Attach it with :meth:`start`; the event loop drives it from then on.
+    Attach it with :meth:`start`; the event loop's settle points drive
+    it from then on.
     """
 
     def __init__(
@@ -109,20 +141,14 @@ class ArrivalRouter:
             when set, each transaction draws a ``size_hint`` from it.
             Empty means the experiment's uniform size.
         """
-        #: Time of the earliest arrival not yet routed.
-        self.next_at = _INF
         self._loop = loop
         self._nodes = nodes
-        self._arrive = [node.ingress.arrive for node in nodes]
         self._metrics = metrics
         self._clients = (
             [_Client(v, rate, stop_at, (seed, v), tx_size_mix) for v in validators]
             if rate > 0
             else []
         )
-        # One cursor per client with arrivals left: [next time, the
-        # sequence number of its batch, client, index in the batch].
-        self._heap: list[list] = []
         self._last_id = 0
 
     def start(self) -> None:
@@ -130,58 +156,68 @@ class ArrivalRouter:
         *now*) and attach to the loop."""
         now = self._loop.now
         for client in self._clients:
-            self._draw(client, now)
-        self.next_at = self._heap[0][0] if self._heap else _INF
+            client.draw(now, self._loop.next_sequence())
         self._loop.router = self
-
-    def _draw(self, client: _Client, start: float) -> None:
-        """Draw ``client``'s next batch and number it as the loop would
-        number an entry scheduled now."""
-        times = client.draw(start)
-        if times:
-            heapq.heappush(self._heap, [times[0], self._loop.next_sequence(), client, 0])
 
     def route(self, until: float, sequence: float) -> None:
         """Route every arrival that sorts before ``(until, sequence)``."""
-        heap = self._heap
         nodes = self._nodes
-        arrive = self._arrive
-        loop = self._loop
-        replace = heapq.heapreplace
-        tx_id = self._last_id
-        while heap:
-            cursor = heap[0]
-            when = cursor[0]
-            if when > until or when == until and cursor[1] > sequence:
-                break
-            client = cursor[2]
-            tx_id += 1
-            size = None
-            if client.size_values:
-                size = client.rng.choices(
-                    client.size_values, cum_weights=client.size_cum_weights
-                )[0]
-            target = client.validator
-            if nodes[target].down:
-                target = self._live_after(target)
-            # What a routed arrival reads is as of its own instant.
-            loop.now = when
-            if target is not None:
-                arrive[target](tx_id, when, size)
-            times = client.times
-            index = cursor[3] + 1
-            if index < len(times):
-                cursor[0] = times[index]
-                cursor[3] = index
-                replace(heap, cursor)
-            else:
-                heapq.heappop(heap)
-                if index == _ARRIVAL_BATCH:
-                    # A full batch: more may remain before stop_at.
-                    self._draw(client, when)
-        self._metrics.submitted += tx_id - self._last_id
-        self._last_id = tx_id
-        self.next_at = heap[0][0] if heap else _INF
+        pieces = []  # (batch sequence, target, times, sizes) per batch with arrivals due
+        for client in self._clients:
+            if client.next_at <= until:
+                target = client.validator
+                if nodes[target].down:
+                    target = self._live_after(target)
+                self._due(client, until, sequence, target, pieces)
+        if not pieces:
+            return
+        # Laid out in batch sequence order, the window's times sort stably
+        # into (time, batch sequence) order: an arrival's id is its place.
+        pieces.sort()
+        window = list(chain.from_iterable(piece[2] for piece in pieces))
+        ids = [0] * len(window)
+        ranked = sorted(range(len(window)), key=window.__getitem__)
+        for tx_id, place in enumerate(ranked, self._last_id + 1):
+            ids[place] = tx_id
+        self._last_id += len(window)
+        self._metrics.submitted += len(window)
+        chunks: dict = {}
+        end = 0
+        for _, target, times, sizes in pieces:
+            start, end = end, end + len(times)
+            chunks.setdefault(target, []).append((ids[start:end], times, sizes))
+        for target, chunk in chunks.items():
+            if target is None:
+                continue  # every validator is down: the transactions are lost
+            ids, times, sizes = chunk[0]
+            if len(chunk) > 1:
+                # Several batches for one validator: its rows go in id order.
+                rows = sorted(
+                    chain.from_iterable(
+                        zip(ids, times, repeat(None) if sizes is None else sizes)
+                        for ids, times, sizes in chunk
+                    )
+                )
+                ids, times, merged = map(list, zip(*rows))
+                sizes = None if sizes is None else merged
+            nodes[target].ingress.extend(ids, times, sizes)
+
+    def _due(self, client: _Client, until: float, sequence: float, target, pieces: list) -> None:
+        """Add ``client``'s arrivals before ``(until, sequence)`` to
+        ``pieces`` for ``target``, a piece per batch, and mark them
+        routed; a full batch that runs out draws the next."""
+        while True:
+            batch, start = client.times, client.routed
+            before = bisect_right if client.sequence < sequence else bisect_left
+            end = before(batch, until, start)
+            if end > start:
+                sizes = None if client.sizes is None else client.sizes[start:end]
+                pieces.append((client.sequence, target, batch[start:end], sizes))
+                client.routed = end
+            if end < _ARRIVAL_BATCH:
+                client.next_at = batch[end] if end < len(batch) else _INF
+                return
+            client.draw(batch[-1], self._loop.next_sequence())
 
     def _live_after(self, preferred: int) -> int | None:
         """The next live validator after ``preferred`` (clients retarget

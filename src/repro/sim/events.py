@@ -13,15 +13,18 @@ per sift), and the drain loop binds every attribute it touches to a
 local once instead of re-resolving ``self.*`` per event.
 
 Client arrivals, three in four of a loaded run's instants, are not
-events at all.  An experiment attaches its
-:class:`~repro.sim.client.ArrivalRouter` as :attr:`EventLoop.router`,
-and before the drain loop runs a heap event it hands the router that
-event's ``(time, sequence)``: the router routes every arrival that sorts
-before it, at its own instant.  Nothing an arrival touches changes
-except at a heap event, and a routed arrival schedules nothing, so the
-order is the (time, sequence) order the arrivals would have had as heap
-entries — each batch of them numbered by :meth:`EventLoop.next_sequence`
-when it is drawn.
+events at all, and the loop does nothing for them per event: it only
+notes the running event's sequence (:attr:`EventLoop.running`).  An
+experiment attaches its :class:`~repro.sim.client.ArrivalRouter` as
+:attr:`EventLoop.router`, and whatever is about to read an ingress or
+change what routing reads calls :meth:`EventLoop.settle` first, which
+routes every arrival that sorts before the running event's ``(now,
+sequence)``; so does the end of :meth:`EventLoop.run_until` and
+:meth:`EventLoop.run_to_completion`, up to the deadline.  Routing never
+moves :attr:`EventLoop.now` and schedules nothing, so what a reader
+sees is what it would see had each arrival been a heap entry of its own
+— each batch of them numbered by :meth:`EventLoop.next_sequence` when it
+is drawn.
 """
 
 from __future__ import annotations
@@ -37,18 +40,21 @@ _INF = float("inf")
 class EventLoop:
     """Priority-queue event loop with virtual time."""
 
-    __slots__ = ("now", "_sequence", "_heap", "_events_processed", "router")
+    __slots__ = ("now", "running", "_sequence", "_heap", "_events_processed", "router")
 
     def __init__(self) -> None:
         #: Current virtual time in seconds (a plain attribute, read on
-        #: every hop; only the loop and its router move it).
+        #: every hop; only the loop moves it).
         self.now = 0.0
+        #: The sequence of the event running (or run last): with
+        #: :attr:`now`, where :meth:`settle` routes up to.
+        self.running = -1
         self._sequence = 0
         self._heap: list[tuple[float, int, Callable[..., None], tuple[Any, ...]]] = []
         self._events_processed = 0
-        #: Routes client arrivals between heap events: ``next_at`` (the
-        #: earliest unrouted arrival) and ``route(time, sequence)`` (every
-        #: arrival that sorts before that pair), or ``None``.
+        #: Routes client arrivals at the settle points:
+        #: ``route(time, sequence)`` routes every arrival that sorts
+        #: before that pair (``None``: no clients).
         self.router = None
 
     @property
@@ -81,6 +87,13 @@ class EventLoop:
         self._sequence += 1
         return sequence
 
+    def settle(self) -> None:
+        """Route every arrival that sorts before the running event (the
+        settle point of a reader of an ingress, or of a change to what
+        routing reads)."""
+        if self.router is not None:
+            self.router.route(self.now, self.running)
+
     def run_until(self, deadline: float, *, max_events: int | None = None) -> None:
         """Process events until virtual time exceeds ``deadline``.
 
@@ -101,39 +114,32 @@ class EventLoop:
         self._drain(_INF, max_events, f"event budget exhausted ({max_events} events)")
 
     def _drain(self, deadline: float, budget: float, exhausted: str) -> None:
-        """Run heap events in (time, sequence) order, routing the arrivals
-        due before each, until the next one is later than ``deadline``;
+        """Run heap events in (time, sequence) order until the next one
+        is later than ``deadline``, then route the arrivals up to it;
         raise ``exhausted`` when ``events_processed`` reaches ``budget``
         with an event still due."""
         heap = self._heap
         pop = heapq.heappop
-        router = self.router
-        arrival = _INF if router is None else router.next_at
         processed = self._events_processed
         try:
             while heap:
                 event = heap[0]
                 when = event[0]
-                if arrival <= when and arrival <= deadline:
-                    if when <= deadline:
-                        router.route(when, event[1])
-                    else:
-                        router.route(deadline, _INF)
-                    arrival = router.next_at
                 if when > deadline:
-                    return
+                    break
                 if processed >= budget:
                     raise SimulationError(exhausted)
                 pop(heap)
                 self.now = when
+                self.running = event[1]
                 processed += 1
                 event[2](*event[3])
-            if arrival <= deadline and router is not None:
-                router.route(deadline, _INF)
         finally:
             # The counter is synced on every exit path (including a
             # callback raising) so observability never goes stale.
             self._events_processed = processed
+        if self.router is not None:
+            self.router.route(deadline, _INF)
 
     def pending(self) -> int:
         """Number of events still queued (arrivals are not events)."""

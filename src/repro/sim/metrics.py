@@ -33,10 +33,11 @@ commands) are no client traffic.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import reduce
 from itertools import accumulate, repeat
-from operator import add
+from operator import add, mul
 
 from repro.committee import RECONFIG_TX_BASE
 from repro.obs.metrics import MetricsRegistry
@@ -280,15 +281,35 @@ class ExperimentMetrics:
         return self.submitted - self._committed
 
     def latency_summary(self) -> LatencySummary:
-        """Weighted average and percentiles of commit latency."""
-        if not self._latencies:
+        """Weighted average and percentiles of commit latency.
+
+        When every commit carries one weight (every routed arrival
+        does), the latencies sort as plain floats and each sum and
+        running sum is the weighted scan's, term for term: ``sum`` over
+        the same values in the same order, and each percentile a
+        ``bisect`` into the running weights it would have built."""
+        latencies, weights = self._latencies, self._weights
+        if not latencies:
             return LatencySummary.empty()
-        ordered = sorted(zip(self._latencies, self._weights))
-        total_weight = sum(w for _, w in ordered)
-        avg = sum(latency * w for latency, w in ordered) / total_weight
-        p50, p90, p99 = self._weighted_percentiles(ordered, total_weight, (0.50, 0.90, 0.99))
+        count, weight = len(latencies), weights[0]
+        if weights.count(weight) != count:
+            ordered = sorted(zip(latencies, weights))
+            total_weight = sum(w for _, w in ordered)
+            avg = sum(latency * w for latency, w in ordered) / total_weight
+            p50, p90, p99 = self._weighted_percentiles(ordered, total_weight, (0.50, 0.90, 0.99))
+            return LatencySummary(
+                count=total_weight, avg=avg, p50=p50, p90=p90, p99=p99, max=ordered[-1][0]
+            )
+        ordered = sorted(latencies)
+        total_weight = sum(repeat(weight, count))
+        avg = sum(map(mul, ordered, repeat(weight))) / total_weight
+        running = list(accumulate(repeat(weight, count)))
+        p50, p90, p99 = (
+            ordered[min(bisect_left(running, q * total_weight), count - 1)]
+            for q in (0.50, 0.90, 0.99)
+        )
         return LatencySummary(
-            count=total_weight, avg=avg, p50=p50, p90=p90, p99=p99, max=ordered[-1][0]
+            count=total_weight, avg=avg, p50=p50, p90=p90, p99=p99, max=ordered[-1]
         )
 
     @staticmethod

@@ -41,11 +41,18 @@ object either.  The ingress stage is a single server, so it completes
 transactions in the order it was handed them: the validator's
 :class:`Ingress` keeps each one as a row of parallel lists — id, arrival
 time, the time the stage is done with it — and is also the core's
-mempool.  A proposal, the mempool's only reader, first admits every row
-whose time has come (one ``bisect``), then takes the next rows as a
-:class:`~repro.transaction.TransactionSlice`.  What is a fact
-about a block (inclusion, arrival at the observer, commit) is reported
-to the metrics once per block, with that slice.
+mempool.  Client arrivals reach it a window at a time, as one chunk per
+validator (:meth:`Ingress.extend`), and only at the event loop's settle
+points (:meth:`~repro.sim.events.EventLoop.settle`): a proposal, the
+mempool's only reader, first settles the arrivals due, then admits every
+row whose time has come (one ``bisect``) and takes the next rows as a
+:class:`~repro.transaction.TransactionSlice`; an object submission
+settles before it queues, and :meth:`SimValidator.crash`,
+:meth:`~SimValidator.recover` and :meth:`~SimValidator.set_slow_factor`
+settle before they change liveness or the ingress price, so every
+arrival is routed and priced under the state of its own instant.  What
+is a fact about a block (inclusion, arrival at the observer, commit) is
+reported to the metrics once per block, with that slice.
 """
 
 from __future__ import annotations
@@ -106,34 +113,41 @@ class Ingress:
         self._authority = authority
         self._tracer = tracer
 
-    def arrive(self, entry, now: float, size: int | None = None) -> None:
-        """A transaction — ``entry``, a routed arrival's id or an object —
-        reaches the stage at ``now``.  It starts when the stage is free,
-        at the cost in force now (a later slow factor prices later
-        arrivals only)."""
+    def extend(self, entries: list, times: list[float], sizes: list | None = None) -> None:
+        """Transactions — ``entries``, routed arrivals' ids or objects —
+        reach the stage in order, each at its time in ``times`` (with its
+        size in ``sizes`` on a mixed-size run).  Each starts when the
+        stage is free, at the cost in force now (a later slow factor
+        prices later arrivals only)."""
         cost = self.cost
-        ready = now
-        if cost is not None:
-            ready = self.free
-            if now > ready:
-                ready = now
-            ready += cost
-            self.free = ready
-        ids = self.ids
-        ids.append(entry)
-        self.times.append(now)
-        self.ready.append(ready)
-        if self.sizes is not None:
-            self.sizes.append(size)
         if cost is None:
-            self._admitted = len(ids)
+            ready = times
+        else:
+            free = self.free
+            ready = []
+            for now in times:
+                if now > free:
+                    free = now
+                free += cost
+                ready.append(free)
+            self.free = free
+        self.ids += entries
+        self.times += times
+        self.ready += ready
+        if self.sizes is not None:
+            self.sizes += sizes
+        if cost is None:
+            self._admitted = len(self.ids)
         if self._tracer.enabled:
-            self._trace(entry, now, ready)
+            for entry, now, done in zip(entries, times, ready):
+                self._trace(entry, now, done)
 
     def submit(self, tx: Transaction, now: float) -> None:
-        """``tx``, submitted as an object, reaches the stage at ``now``."""
+        """``tx``, submitted as an object, reaches the stage at ``now``
+        (after every arrival due before it)."""
+        self._loop.settle()
         self._objects += 1
-        self.arrive(tx, now, tx.size_hint)
+        self.extend([tx], [now], [tx.size_hint])
 
     def take(self, limit: int) -> "TransactionSlice | tuple[()]":
         """A proposal's section: the next ``limit`` mempool rows (all of
@@ -141,7 +155,8 @@ class Ingress:
         row the stage is done with by the loop's ``now`` enters the
         mempool (a row ready at exactly ``now`` does, whatever order its
         completion and this proposal were set up in): a proposal is the
-        mempool's only reader."""
+        mempool's only reader, so it settles the arrivals due first."""
+        self._loop.settle()
         at, ready, now = self._admitted, self.ready, self._loop.now
         if at < len(ready) and ready[at] <= now:
             self._admitted = bisect_right(ready, now, at)
@@ -285,7 +300,9 @@ class SimValidator:
         self.core = core
         #: The ledgers of the cores :meth:`recover` replaced, oldest
         #: first, so an earlier incarnation's checkpoints and adopted
-        #: base are still checked (``Experiment.assert_safety``).
+        #: base are still checked (``Experiment.assert_safety``).  A
+        #: ledger holds no DAG, so its incarnation's store goes with the
+        #: core.
         self.retired_ledgers: list[CommitLedger] = []
         self.authority = core.authority
         self._network = network
@@ -368,6 +385,7 @@ class SimValidator:
         :meth:`recover`.  Idempotent."""
         if self.down:
             return
+        self._loop.settle()
         self.down = True
         self._incarnation += 1
 
@@ -395,6 +413,7 @@ class SimValidator:
         state."""
         if scale < 1.0:
             raise ValueError(f"slow factor must be >= 1, got {scale}")
+        self._loop.settle()
         self._slow = scale
         self._driver.interval = self._interval * scale
         self.ingress.cost = self._costs.ingress_price(scale)
@@ -424,6 +443,7 @@ class SimValidator:
         """
         if not self.down:
             return
+        self._loop.settle()
         self.down = False
         self._incarnation += 1
         self.retired_ledgers.append(self.core.committer.ledger)
@@ -498,7 +518,7 @@ class SimValidator:
     def submit(self, tx: Transaction) -> None:
         """Submit ``tx`` as an object (a reconfiguration command, a
         test's transaction; clients' arrivals are routed to
-        :meth:`Ingress.arrive` as ids).  It passes the ingress CPU stage
+        :meth:`Ingress.extend` as ids).  It passes the ingress CPU stage
         (signature verification) before reaching the mempool.
 
         The stage is a FIFO, not a timer: ``tx`` is queued with the time

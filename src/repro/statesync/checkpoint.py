@@ -44,7 +44,6 @@ from typing import Iterable
 from ..block import Block, BlockRef
 from ..committee import CommitteeSchedule
 from ..crypto.hashing import Digest, hash_bytes, hash_parts
-from ..dag.store import DagStore
 from ..errors import ReproError
 
 #: State-transfer horizon (rounds behind the committed frontier) used
@@ -221,7 +220,6 @@ class CommitLedger:
     sort of it — on top of what the commit added.
     """
 
-    store: DagStore
     committee_size: int
     interval: int = 0
     lag: int = DEFAULT_CHECKPOINT_LAG

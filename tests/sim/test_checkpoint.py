@@ -2,6 +2,9 @@
 WAL-backed warm restarts, as the simulator runs them."""
 
 import dataclasses
+import gc
+import weakref
+from unittest import mock
 
 import pytest
 
@@ -253,6 +256,23 @@ class TestCheckpointRecovery:
         assert [len(node.retired_ledgers) for node in experiment.nodes] == [0] * 9 + [1]
         restarted = experiment.nodes[9]
         assert restarted.retired_ledgers[0] is not restarted.core.committer.ledger
+
+    def test_a_retired_ledger_lets_its_incarnations_dag_go(self):
+        """The restart keeps the replaced core's ledger, not its DAG:
+        once collected, the old incarnation's store is gone."""
+        experiment = Experiment(recovery_config("checkpoint"))
+        stores = []
+        recover = SimValidator.recover
+
+        def watching(node):
+            stores.append(weakref.ref(node.core.store))
+            recover(node)
+
+        with mock.patch.object(SimValidator, "recover", watching):
+            experiment.run()
+        gc.collect()
+        [store] = stores
+        assert store() is None and experiment.nodes[9].retired_ledgers
 
     def test_a_second_restart_is_checked_as_a_second_incarnation(self):
         """Two restarts retire two ledgers, oldest first; the one between

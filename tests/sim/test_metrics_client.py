@@ -2,6 +2,8 @@
 
 import math
 import random
+from dataclasses import astuple
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 from repro.sim.client import ArrivalRouter
 from repro.sim.events import EventLoop
 from repro.sim.metrics import ExperimentMetrics
-from repro.transaction import Transaction
+from repro.transaction import Transaction, TransactionSlice
 
 
 class TestMetrics:
@@ -176,6 +178,60 @@ class TestWeightedPercentile:
         )
 
 
+def scanned_summary(latencies, weights):
+    """The summary as the weighted scan computes it, whatever the
+    weights: the oracle of the one-weight path."""
+    ordered = sorted(zip(latencies, weights))
+    total = sum(w for _, w in ordered)
+    avg = sum(latency * w for latency, w in ordered) / total
+    p50, p90, p99 = (scanned_percentile(ordered, total, q) for q in (0.50, 0.90, 0.99))
+    return (total, avg, p50, p90, p99, ordered[-1][0])
+
+
+class TestOneWeightSummary:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        latencies=st.lists(
+            st.one_of(
+                st.sampled_from([0.1, 0.25, 0.3, 1.0, 2.5]),  # few values: many ties
+                st.floats(min_value=0.0, max_value=50.0),
+            ),
+            min_size=1,
+            max_size=60,
+        ),
+        weight=st.sampled_from([1.0, 0.1, 3.0, 25.0, 1e-3, 7.7]),  # 0.1: inexact sums
+    )
+    def test_one_weight_summary_is_the_weighted_scan_bit_for_bit(self, latencies, weight):
+        metrics = ExperimentMetrics(weight=weight)
+        section = TransactionSlice(list(range(1, len(latencies) + 1)), [0.0] * len(latencies))
+        metrics.record_commit(section, 0.0)  # latencies of 0.0 ...
+        metrics._latencies[:] = latencies  # ... replaced by the drawn ones
+        summary = metrics.latency_summary()
+        expected = scanned_summary(latencies, [weight] * len(latencies))
+        assert repr(astuple(summary)) == repr(expected)
+
+    def test_a_second_weight_takes_the_weighted_scan(self):
+        """One object submitted with another weight than the routed
+        arrivals' sends the summary down the scan of ``(latency,
+        weight)`` pairs; one weight never does."""
+        uniform, mixed = ExperimentMetrics(weight=2.0), ExperimentMetrics(weight=2.0)
+        for metrics in (uniform, mixed):
+            metrics.record_commit(TransactionSlice([1, 2, 3], [0.0, 0.1, 0.2]), 1.0)
+        mixed.record_submission(4, 0.0, weight=5.0)
+        mixed.record_commit([Transaction(4)], 0.5)
+        scan = ExperimentMetrics._weighted_percentiles
+        with mock.patch.object(
+            ExperimentMetrics, "_weighted_percentiles", side_effect=scan
+        ) as scanned:
+            assert uniform.latency_summary().count == 6.0
+            assert not scanned.called
+            summary = mixed.latency_summary()
+            assert scanned.call_count == 1
+        assert repr(astuple(summary)) == repr(
+            scanned_summary(mixed._latencies, [2.0, 2.0, 2.0, 5.0])
+        )
+
+
 class Validator:
     """A validator as the router sees it: a liveness flag and an ingress
     that keeps ``(tx id, time, size)`` of each arrival, and what the
@@ -188,9 +244,10 @@ class Validator:
         self.clock = []
         self._loop = loop
 
-    def arrive(self, tx_id, now, size=None) -> None:
-        self.arrivals.append((tx_id, now, size))
-        self.clock.append(self._loop.now)
+    def extend(self, ids, times, sizes=None) -> None:
+        for tx_id, now, size in zip(ids, times, sizes or [None] * len(ids)):
+            self.arrivals.append((tx_id, now, size))
+            self.clock.append(self._loop.now)
 
 
 def router(rate, *, count=1, until=1.0, **kwargs):
@@ -237,28 +294,60 @@ class TestArrivalRouter:
             routed = sorted(arrivals(nodes), key=lambda arrival: arrival[1])
             assert [tx_id for tx_id, _, _ in routed] == list(range(1, len(routed) + 1))
 
-    def test_each_arrival_is_routed_at_its_own_instant(self):
-        _, nodes = router(200.0, count=2, until=1.0)
-        for node in nodes:
-            assert node.clock == [now for _, now, _ in node.arrivals]
+    def test_routing_never_moves_the_clock_and_every_row_carries_its_own_instant(self):
+        """The rows are the times a gap-by-gap ``expovariate`` loop adds
+        up, while the loop's clock reads the settle point's instant."""
+        loop = EventLoop()
+        nodes = [Validator(loop) for _ in range(2)]
+        ArrivalRouter(loop, nodes, 200.0, validators=[0, 1], metrics=ExperimentMetrics()).start()
+        loop.schedule_at(0.5, loop.settle)
+        loop.run_until(1.0)
+        for validator, node in enumerate(nodes):
+            rng = random.Random(repr(("client", (0, validator))))
+            when, expected = 0.0, []
+            while len(expected) < len(node.arrivals):
+                when += rng.expovariate(1.0 / (1.0 / 200.0))
+                expected.append(when)
+            assert [now for _, now, _ in node.arrivals] == expected and when < 1.0
+            # Settled at 0.5 and at the end of the run, before run_until
+            # moved the clock to its deadline.
+            assert set(node.clock) == {0.5} and expected[0] < 0.5 < expected[-1]
+        assert loop.now == 1.0
 
-    def test_an_arrival_tied_with_heap_events_sorts_by_when_its_batch_was_drawn(self):
+    def test_a_reader_sees_a_tied_arrival_only_after_the_batch_was_drawn(self):
         """A constructed exact tie: two heap events at the instant of the
         first arrival, one scheduled before the batch was drawn and one
-        after.  The arrival routes between them, as its own heap entry
-        would have run."""
+        after.  A reader in the first does not see the arrival, a reader
+        in the second does, as if it were a heap entry of its own."""
         loop = EventLoop()
         node = Validator(loop)
         first = random.Random(repr(("client", (3, 0)))).expovariate(1.0 / (1.0 / 10.0))
-        order = []
-        node.arrive = lambda tx_id, now, size=None: order.append(("arrival", now))
+        seen = []
+
+        def read(name):
+            loop.settle()
+            seen.append((name, [now for _, now, _ in node.arrivals]))
+
         metrics = ExperimentMetrics()
         clients = ArrivalRouter(loop, [node], 10.0, validators=[0], metrics=metrics, seed=3)
-        loop.schedule_at(first, lambda: order.append(("before", loop.now)))
+        loop.schedule_at(first, read, "before")
         clients.start()
-        loop.schedule_at(first, lambda: order.append(("after", loop.now)))
+        loop.schedule_at(first, read, "after")
         loop.run_until(first)
-        assert order == [("before", first), ("arrival", first), ("after", first)]
+        assert seen == [("before", []), ("after", [first])]
+
+    def test_tied_arrivals_of_two_clients_go_in_the_order_their_batches_were_drawn(self):
+        """Two clients drawing one stream tie at every arrival, over
+        several batches: each tie goes to the batch drawn first."""
+        loop = EventLoop()
+        nodes = [Validator(loop) for _ in range(2)]
+        clients = ArrivalRouter(loop, nodes, 600.0, validators=[0, 1], metrics=ExperimentMetrics())
+        clients._clients[0].rng = random.Random(repr(("client", (0, 1))))
+        clients.start()
+        loop.run_until(1.0)
+        times = [now for _, now, _ in nodes[1].arrivals]
+        assert len(times) > 256 and [now for _, now, _ in nodes[0].arrivals] == times
+        assert [tx_id for tx_id, _, _ in nodes[0].arrivals] == list(range(1, 2 * len(times), 2))
 
     def test_structured_seeds_do_not_collide(self):
         """Regression: client ``v`` of an experiment seeded ``s`` draws

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
+import math
 import random
 from unittest import mock
 
@@ -393,6 +394,26 @@ def test_observe_many_is_observe_per_value(batches, labels):
             single.observe(value, **labels)
         assert repr(many.snapshot()) == repr(single.snapshot())
     assert many.count(**labels) == sum(len(values) for values in batches)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    batches=st.lists(
+        st.lists(st.one_of(FLOATS, st.just(math.nan), st.floats(allow_nan=True)), max_size=12),
+        max_size=6,
+    )
+)
+def test_observe_many_is_observe_per_value_with_nan_and_empty_inputs(batches):
+    """A NaN never becomes the min or the max on either path (it is
+    neither ``<`` nor ``>`` anything) and turns the sum NaN on both; an
+    empty batch is no call at all."""
+    many, single = Histogram("many"), PerValueHistogram("single")
+    for values in [[], *batches, []]:
+        many.observe_many(values)
+        for value in values:
+            single.observe(value)
+        assert repr(many.snapshot()) == repr(single.snapshot())
+        assert repr(many.mean()) == repr(single.mean())
 
 
 def test_observe_many_adds_in_order_not_compensated():

@@ -23,7 +23,6 @@ from repro.core.protocol import MahiMahiCore
 from repro.crypto.coin import FastCoin
 from repro.crypto.hashing import hash_bytes
 from repro.errors import ConfigError, ReproError
-from repro.dag.store import DagStore
 from repro.statesync import (
     GENESIS_STATE,
     Checkpoint,
@@ -256,7 +255,7 @@ class SortingLedger(CommitLedger):
 
 
 def ledger_pair(interval, lag):
-    return [cls(DagStore(), 10, interval=interval, lag=lag) for cls in (CommitLedger, SortingLedger)]
+    return [cls(10, interval=interval, lag=lag) for cls in (CommitLedger, SortingLedger)]
 
 
 @st.composite
@@ -348,7 +347,6 @@ def test_cores_capture_the_same_checkpoints_with_either_ledger(interval, gc, com
     cores = [make_core(i, interval=interval, gc=gc) for i in range(4)]
     committer = cores[1].committer
     committer.ledger = SortingLedger(
-        committer.ledger.store,
         committer.ledger.committee_size,
         interval=interval,
         lag=committer.ledger.lag,
@@ -468,12 +466,12 @@ class TestChainMemo:
         nothing."""
         blocks = fresh_copies(committed)
         skip = 5
-        base = MemoFreeLedger(DagStore(), 4)
+        base = MemoFreeLedger(4)
         base.extend(blocks[:skip])
         adopted = make_checkpoint(chain=base.chain, length=skip)
         pairs = [
-            (CommitLedger(DagStore(), 4), MemoFreeLedger(DagStore(), 4)),
-            (CommitLedger(DagStore(), 4), MemoFreeLedger(DagStore(), 4)),
+            (CommitLedger(4), MemoFreeLedger(4)),
+            (CommitLedger(4), MemoFreeLedger(4)),
         ]
         for ledger in pairs[1]:
             ledger.adopt(adopted)
@@ -487,14 +485,14 @@ class TestChainMemo:
             "repro.statesync.checkpoint.chain_digest",
             lambda chain, digest: hashed.append(digest) or chain_digest(chain, digest),
         )
-        follower = CommitLedger(DagStore(), 4)
+        follower = CommitLedger(4)
         follower.extend(blocks)
         assert follower.chain == pairs[0][1].chain
         # The adopter wrote the last links past ``skip``; the follower
         # re-hashed those.
         assert len(hashed) == len(blocks) - skip - 1
         hashed.clear()
-        again = CommitLedger(DagStore(), 4)
+        again = CommitLedger(4)
         again.extend(blocks)
         assert again.chain == follower.chain and hashed == []
 
@@ -512,7 +510,7 @@ class TestChainMemo:
             blocks[:at] + [sibling] + blocks[at + 1 :],
             blocks[:at] + [twin] + blocks[at + 1 :],
         ]
-        pairs = [(CommitLedger(DagStore(), 4), MemoFreeLedger(DagStore(), 4)) for _ in streams]
+        pairs = [(CommitLedger(4), MemoFreeLedger(4)) for _ in streams]
         for start in range(0, len(blocks), 3):
             extend_in_step(pairs, [stream[start : start + 3] for stream in streams])
         chains = [ledger.chain for ledger, _ in pairs]

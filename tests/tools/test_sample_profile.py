@@ -54,13 +54,24 @@ def test_a_sample_goes_to_its_innermost_root_and_counts_for_every_root_above():
     assert top == ("store:DagStore.add", 50.0, 50.0)
 
 
+def test_the_books_are_a_bucket_of_their_own():
+    """A commit's books inside the commit walk, and the end-of-run
+    summary, go to ``metrics``, not to the walk or to "other"."""
+    commit = code(BUCKETS["commit walk"][0])
+    record, result = (code(function) for function in BUCKETS["metrics"][::3])
+    profile = Profile(stacks=[(record, commit, code(EventLoop._drain)), (result,)])
+    shares = profile.bucket_shares()
+    assert shares["metrics"] == (100.0, 100.0)
+    assert shares["commit walk"] == (0.0, 50.0) and shares[OTHER] == (0.0, 0.0)
+
+
 def test_the_benchmark_workloads_are_found_by_name():
     assert workload_fields("sim-mahi-n50")["num_validators"] == 50
     with pytest.raises(SystemExit):
         workload_fields("no-such-workload")
 
 
-def test_a_small_run_end_to_end(capsys):
+def test_a_small_run_end_to_end(capsys, tmp_path):
     config = {"num_validators": 4, "load_tps": 200, "duration": 0.6, "warmup": 0.1}
     profile = profile_config(ExperimentConfig(seed=3, **config), units=2)
     assert profile.units == 2 and profile.calls > 10_000 and profile.wall_s > 0
@@ -68,6 +79,14 @@ def test_a_small_run_end_to_end(capsys):
     assert set(shares) == {*BUCKETS, OTHER}
     if profile.stacks:
         assert sum(own for own, _ in shares.values()) == pytest.approx(100.0)
-    assert main(["--config", json.dumps(config), "--units", "1"]) == 0
+    path = tmp_path / "profile.json"
+    assert main(["--config", json.dumps(config), "--units", "2", "--json", str(path)]) == 0
     printed = capsys.readouterr().out
     assert "per-hop receive" in printed and "calls per unit" in printed
+    assert "metrics" in printed
+    figures = json.loads(path.read_text())
+    assert figures["units"] == 2 and figures["seed"] == 7 and figures["calls_per_unit"] > 10_000
+    assert len(figures["gc_collections_per_unit"]) == 3
+    assert set(figures["buckets"]) == {*BUCKETS, OTHER}
+    assert len(figures["unit_buckets"]) == 2
+    assert all(set(unit) == {*BUCKETS, OTHER} for unit in figures["unit_buckets"])

@@ -18,17 +18,20 @@ One more run, once (a run is deterministic), is **counted**:
 builtins alike; the run is slow there, and nothing else is measured.
 
 A sample is charged to the innermost *bucket root* on its stack — the
-hop's two halves, proposing, the commit walk, the client arrivals and
-the event loop itself (:data:`BUCKETS`) — which is the bucket's *self*
-share; its *inclusive* share counts every sample with a root of the
-bucket anywhere on the stack.  The same two shares are printed for the
-busiest functions.
+hop's two halves, proposing, the commit walk, the client arrivals, the
+commit-latency books and the event loop itself (:data:`BUCKETS`) — which
+is the bucket's *self* share; its *inclusive* share counts every sample
+with a root of the bucket anywhere on the stack.  The same two shares
+are printed for the busiest functions.  ``--json FILE`` also writes the
+figures as JSON: the bucket shares over all units and per unit, calls
+and GC collections per unit.
 
 Usage::
 
     python tools/sample_profile.py                      # sim-mahi-n50, seed 7
     python tools/sample_profile.py --workload sim-tusk-n10 --seed 11 --units 10
     python tools/sample_profile.py --config '{"num_validators": 10, "duration": 0.5}'
+    python tools/sample_profile.py --workload sim-tusk-n10 --json profile.json
 """
 
 from __future__ import annotations
@@ -49,6 +52,7 @@ sys.path.insert(0, str(REPO_ROOT / "src"))
 from repro.core.protocol import MahiMahiCore  # noqa: E402
 from repro.sim.client import ArrivalRouter  # noqa: E402
 from repro.sim.events import EventLoop  # noqa: E402
+from repro.sim.metrics import ExperimentMetrics  # noqa: E402
 from repro.sim.network import SimNetwork  # noqa: E402
 from repro.sim.node import SimValidator  # noqa: E402
 from repro.sim.runner import Experiment, ExperimentConfig  # noqa: E402
@@ -63,6 +67,12 @@ BUCKETS = {
     "propose": (MahiMahiCore.maybe_propose,),
     "commit walk": (MahiMahiCore.try_commit,),
     "client arrivals": (ArrivalRouter.route,),
+    "metrics": (
+        ExperimentMetrics.record_commit,
+        ExperimentMetrics.record_inclusion,
+        ExperimentMetrics.record_block_times,
+        Experiment._result,
+    ),
     "event loop": (EventLoop._drain,),
 }
 #: Samples with no bucket root on the stack.
@@ -88,18 +98,41 @@ class Profile:
     collections: list[int] = field(default_factory=lambda: [0, 0, 0])
     #: One entry per sample: the stack's code objects, innermost first.
     stacks: list[tuple] = field(default_factory=list)
+    #: Where each unit's samples end in :attr:`stacks`.
+    unit_ends: list[int] = field(default_factory=list)
 
-    def bucket_shares(self) -> dict[str, tuple[float, float]]:
-        """Bucket -> ``(self %, inclusive %)`` of the samples."""
+    def bucket_shares(self, stacks: list[tuple] | None = None) -> dict[str, tuple[float, float]]:
+        """Bucket -> ``(self %, inclusive %)`` of the samples (of
+        ``stacks``, by default all of them)."""
         own, anywhere = Counter(), Counter()
-        for stack in self.stacks:
+        stacks = self.stacks if stacks is None else stacks
+        for stack in stacks:
             buckets = [_ROOT_BUCKET[code] for code in stack if code in _ROOT_BUCKET]
             own[buckets[0] if buckets else OTHER] += 1
             anywhere.update(set(buckets) or {OTHER})
-        total = max(1, len(self.stacks))
+        total = max(1, len(stacks))
         return {
             bucket: (100.0 * own[bucket] / total, 100.0 * anywhere[bucket] / total)
             for bucket in (*BUCKETS, OTHER)
+        }
+
+    def as_json(self, title: str) -> dict:
+        """The figures :func:`render` prints but the functions, with the
+        bucket shares of each unit too."""
+        units = max(1, self.units)
+        starts = [0, *self.unit_ends[:-1]]
+        return {
+            "title": title,
+            "units": self.units,
+            "samples": len(self.stacks),
+            "wall_s_per_unit": self.wall_s / units,
+            "calls_per_unit": self.calls,
+            "gc_collections_per_unit": [count / units for count in self.collections],
+            "buckets": _shares_json(self.bucket_shares()),
+            "unit_buckets": [
+                _shares_json(self.bucket_shares(self.stacks[start:end]))
+                for start, end in zip(starts, self.unit_ends)
+            ],
         }
 
     def function_shares(self, top: int) -> list[tuple[str, float, float]]:
@@ -116,6 +149,13 @@ class Profile:
             (_name(code), 100.0 * own[code] / total, 100.0 * anywhere[code] / total)
             for code in ranked[:top]
         ]
+
+
+def _shares_json(shares: dict[str, tuple[float, float]]) -> dict:
+    return {
+        bucket: {"self_pct": round(own, 2), "incl_pct": round(inclusive, 2)}
+        for bucket, (own, inclusive) in shares.items()
+    }
 
 
 def _name(code) -> str:
@@ -200,6 +240,7 @@ def profile_config(config: ExperimentConfig, units: int = 5) -> Profile:
     for _ in range(units):
         _plain(config, profile)
         _sampled(config, profile)
+        profile.unit_ends.append(len(profile.stacks))
         profile.units += 1
     _counted(config, profile)
     return profile
@@ -248,6 +289,7 @@ def main(argv: list[str] | None = None) -> int:
     source.add_argument("--config", help="ExperimentConfig fields as a JSON object")
     parser.add_argument("--seed", type=int, default=7)
     parser.add_argument("--units", type=int, default=5)
+    parser.add_argument("--json", metavar="FILE", help="also write the figures as JSON to FILE")
     args = parser.parse_args(argv)
     if args.units < 1:
         parser.error("--units must be at least 1")
@@ -256,7 +298,11 @@ def main(argv: list[str] | None = None) -> int:
     else:
         fields, title = workload_fields(args.workload), args.workload
     config = ExperimentConfig(**{**fields, "seed": args.seed})
-    print(render(f"{title}, seed {args.seed}", profile_config(config, args.units)))
+    profile = profile_config(config, args.units)
+    print(render(f"{title}, seed {args.seed}", profile))
+    if args.json is not None:
+        figures = profile.as_json(title)
+        Path(args.json).write_text(json.dumps({**figures, "seed": args.seed}, indent=1) + "\n")
     return 0
 
 
