@@ -249,7 +249,7 @@ class ExperimentMetrics:
             ("cpu", ingest - arrival),
             ("commit_walk", time - ingest),
         ):
-            hist[stage].observe_many([share if share > 0.0 else 0.0] * count)
+            hist[stage].observe_repeated(share if share > 0.0 else 0.0, count)
 
     def record_recovery(
         self, validator: int, recovered_at: float, resumed_at: float, mode: str = "cold"

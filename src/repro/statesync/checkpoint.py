@@ -21,6 +21,13 @@ boundary — which is what makes the ``2f + 1`` matching-response
 adoption rule sound: any quorum-attested checkpoint carries at least
 ``f + 1`` honest attestations.
 
+Capture itself is O(1) in the window: :class:`CommitLedger` logs each
+linearized reference in commit order, and a capture records its scalars
+and the log's length.  The checkpoint — that log prefix cut to
+``[floor, round]`` and sorted — is built the first time the ledger's
+checkpoints are read (a peer asking for them, the end-of-run Theorem 1
+check), so the captures a validator drops unread cost nothing more.
+
 The floor mirrors the garbage-collection bet the DAG already makes:
 blocks more than ``lag`` rounds behind the commit frontier that were
 never linearized are abandoned by every validator (with GC enabled the
@@ -35,8 +42,8 @@ replayed, checkpoints and epoch schedules compared.
 from __future__ import annotations
 
 import struct
-from bisect import insort
-from dataclasses import dataclass, field
+from collections import namedtuple
+from dataclasses import dataclass
 from functools import cached_property, reduce
 from operator import attrgetter
 from typing import Iterable
@@ -63,6 +70,7 @@ _HEADER = struct.Struct("<QQQIQI II")  # round, floor, next_round, next_offset,
 #                                        sequence_length, committee_size,
 #                                        ref count, epoch count
 _EPOCH_HEADER = struct.Struct("<QQI")  # epoch_id, start_round, member count
+_REF = struct.Struct("<IQ32s")  # one reference as BlockRef.encode packs it
 
 #: ``BlockRef``'s own order (its dataclass-generated ``__lt__`` compares
 #: these fields in this sequence), as a sort key: the order a checkpoint
@@ -103,6 +111,7 @@ class Checkpoint:
 
     def encode(self) -> bytes:
         """Canonical bytes (wire format and the content-address preimage)."""
+        pack = _REF.pack
         parts = [
             _HEADER.pack(
                 self.round,
@@ -115,8 +124,8 @@ class Checkpoint:
                 len(self.epochs),
             ),
             self.chain,
-            *(ref.encode() for ref in self.linearized),
         ]
+        parts += [pack(ref.author, ref.round, ref.digest) for ref in self.linearized]
         for epoch_id, start_round, members in self.epochs:
             parts.append(_EPOCH_HEADER.pack(epoch_id, start_round, len(members)))
             parts.extend(member.to_bytes(4, "little") for member in members)
@@ -178,8 +187,10 @@ class Checkpoint:
 
     @cached_property
     def wire_size(self) -> int:
-        """Serialized size in bytes (drives the sim's bandwidth model)."""
-        return len(self.encode())
+        """Serialized size in bytes (drives the sim's bandwidth model),
+        counted without encoding: ``len(self.encode())``."""
+        epochs = sum(_EPOCH_HEADER.size + 4 * len(members) for _, _, members in self.epochs)
+        return _HEADER.size + len(self.chain) + _REF.size * len(self.linearized) + epochs
 
     @property
     def frontier(self) -> tuple[BlockRef, ...]:
@@ -198,6 +209,13 @@ class Checkpoint:
         )
 
 
+#: A capture not built yet: the length of the ledger's reference log at
+#: the capture, then the checkpoint's fields in their order but ``linearized``.
+_Capture = namedtuple(
+    "_Capture", "end round floor next_slot chain sequence_length committee_size epochs"
+)
+
+
 @dataclass
 class CommitLedger:
     """Commit-chain bookkeeping plus periodic checkpoint capture.
@@ -213,11 +231,14 @@ class CommitLedger:
       checkpoints as step-by-step ones.
 
     With ``interval == 0`` capture is disabled and only the (cheap)
-    chain digest is maintained.  With capture on, the ledger also keeps
-    the window of linearized references a checkpoint lists, already in
-    the order it lists them (:class:`~repro.block.BlockRef`'s: author,
-    round, digest), so a capture costs a pass over the window — not a
-    sort of it — on top of what the commit added.
+    chain digest is maintained.  With capture on, :meth:`extend` also
+    logs each linearized block's reference, in commit order, and a
+    capture records its scalars and the log's length, nothing more.  The
+    checkpoint itself — the references of that log prefix in
+    ``[floor, round]``, in :class:`~repro.block.BlockRef` order — is
+    built the first time :attr:`checkpoints` is read, so a capture that
+    is dropped unread (most are) costs no pass over the window and no
+    sort.
     """
 
     committee_size: int
@@ -227,7 +248,6 @@ class CommitLedger:
     chain: Digest = GENESIS_STATE
     sequence_length: int = 0
     captured_total: int = 0
-    checkpoints: list[Checkpoint] = field(default_factory=list)
     #: The checkpoint this validator's state was restored from, if any
     #: (``None`` for a validator that committed from genesis).
     adopted_base: Checkpoint | None = None
@@ -239,18 +259,27 @@ class CommitLedger:
 
     def __post_init__(self) -> None:
         self._next_boundary = self.interval if self.interval > 0 else None
-        # Rolling window of linearized references, held in ``BlockRef``
-        # order: ``extend`` inserts each reference where it sorts, so a
-        # capture reads the window off as it stands.  Kept by the ledger
-        # itself — NOT read back from the DAG store at capture time —
-        # because a checkpoint-recovered validator knows blocks as
-        # linearized (via its adopted base) that it never fetched into
-        # its store; a store-derived list would make its captures
-        # diverge from everyone else's.  Only maintained when capture is
-        # enabled.  Every capture drops what fell below its floor — not
-        # only the rounds the floor just passed: a block can be
-        # linearized late, below a floor an earlier capture pruned to.
-        self._recent: list[BlockRef] = []
+        # The retained checkpoints, oldest first; one not read yet is
+        # still its ``_Capture``.
+        self._retained: list[Checkpoint | _Capture] = []
+        # Linearized references in commit order.  Kept by the ledger
+        # itself — NOT read back from the DAG store — because a
+        # checkpoint-recovered validator knows blocks as linearized (via
+        # its adopted base) that it never fetched into its store; a
+        # store-derived list would make its captures diverge from
+        # everyone else's.  Only maintained when capture is enabled.
+        # Floors never fall, so a reference below one capture's floor is
+        # listed by no later capture: :meth:`_compact` drops those.
+        self._log: list[BlockRef] = []
+        self._compacted = 0  # the log's length after the last compaction
+
+    @property
+    def checkpoints(self) -> list[Checkpoint]:
+        """The retained checkpoints, oldest first (at most ``retain``):
+        the ledger's own list, each capture built on the first read."""
+        built = [self._build(e) if type(e) is _Capture else e for e in self._retained]
+        self._retained[:] = built
+        return self._retained
 
     # ------------------------------------------------------------------
     # Capture path
@@ -265,7 +294,7 @@ class CommitLedger:
         its own step and keeps that one instead."""
         chain = self.chain
         count = 0
-        track = self._next_boundary is not None
+        log = self._log if self._next_boundary is not None else None
         for block in linearized:
             link = block.chain_link
             if link is None or link[0] != chain:
@@ -273,8 +302,8 @@ class CommitLedger:
                 object.__setattr__(block, "chain_link", link)
             chain = link[1]
             count += 1
-            if track:
-                insort(self._recent, block.reference, key=_REF_ORDER)
+            if log is not None:
+                log.append(block.reference)
         self.chain = chain
         self.sequence_length += count
 
@@ -287,36 +316,46 @@ class CommitLedger:
                 the cursor advance that just happened.
             next_slot: The cursor's new ``(round, offset)`` position.
         """
-        if self._next_boundary is None:
+        if self._next_boundary is None or last_finalized < self._next_boundary:
             return
-        while last_finalized >= self._next_boundary:
-            checkpoint = self._capture(last_finalized, next_slot)
-            self.checkpoints.append(checkpoint)
-            del self.checkpoints[: -self.retain]
-            self.captured_total += 1
-            self._next_boundary = checkpoint.round + self.interval
-
-    def _capture(self, last_finalized: int, next_slot: tuple[int, int]) -> Checkpoint:
-        floor = max(0, last_finalized - self.lag)
-        self._recent = window = [ref for ref in self._recent if ref.round >= floor]
-        # References above the frontier wait for a later capture.
-        refs = [ref for ref in window if ref.round <= last_finalized]
-        committee_size = self.committee_size
-        epochs: tuple = ()
+        committee_size, epochs = self.committee_size, ()
         if self.schedule is not None:
             committee_size = self.schedule.size_at(last_finalized)
             if not self.schedule.is_static:
                 epochs = self.schedule.snapshot()
-        return Checkpoint(
-            round=last_finalized,
-            floor=floor,
-            next_slot=next_slot,
-            chain=self.chain,
-            sequence_length=self.sequence_length,
-            committee_size=committee_size,
-            linearized=tuple(refs),
-            epochs=epochs,
-        )
+        floor = max(0, last_finalized - self.lag)
+        fields = (next_slot, self.chain, self.sequence_length, committee_size, epochs)
+        self._retained.append(_Capture(len(self._log), last_finalized, floor, *fields))
+        del self._retained[: -self.retain]
+        self.captured_total += 1
+        self._next_boundary = last_finalized + self.interval
+        if len(self._log) >= 2 * self._compacted:  # amortised: once per doubling
+            self._compact()
+
+    def _build(self, capture: _Capture) -> Checkpoint:
+        """The checkpoint ``capture`` recorded: what the log held then,
+        within ``[floor, round]`` (references above the frontier wait for
+        a later capture), in ``BlockRef`` order."""
+        floor, top = capture.floor, capture.round
+        refs = [ref for ref in self._log[: capture.end] if floor <= ref.round <= top]
+        refs.sort(key=_REF_ORDER)
+        return Checkpoint(*capture[1:7], linearized=tuple(refs), epochs=capture.epochs)
+
+    def _compact(self) -> None:
+        """Drop the logged references below the oldest unbuilt capture's
+        floor — no retained capture still to build and no later one
+        lists them — and move each unbuilt capture's end to match."""
+        retained, log = self._retained, self._log
+        unbuilt = [index for index, entry in enumerate(retained) if type(entry) is _Capture]
+        floor = retained[unbuilt[0]].floor
+        kept, start = [], 0
+        for index in unbuilt:
+            capture = retained[index]
+            kept += [ref for ref in log[start : capture.end] if ref.round >= floor]
+            start = capture.end
+            retained[index] = capture._replace(end=len(kept))
+        kept += [ref for ref in log[start:] if ref.round >= floor]
+        self._log, self._compacted = kept, len(kept)
 
     # ------------------------------------------------------------------
     # Adoption path
@@ -329,14 +368,13 @@ class CommitLedger:
         self.chain = checkpoint.chain
         self.sequence_length = checkpoint.sequence_length
         self.adopted_base = checkpoint
-        self.checkpoints.append(checkpoint)
-        del self.checkpoints[: -self.retain]
+        self._retained.append(checkpoint)
+        del self._retained[: -self.retain]
         if self.interval > 0:
             self._next_boundary = checkpoint.round + self.interval
-            # Seed the linearized-refs window so this validator's own
-            # later captures match the ones it would have made had it
-            # never crashed.
-            self._recent = sorted(checkpoint.linearized, key=_REF_ORDER)
+            # Seed the log so this validator's own later captures match
+            # the ones it would have made had it never crashed.
+            self._log, self._compacted = list(checkpoint.linearized), len(checkpoint.linearized)
 
 
 class TotalOrder:

@@ -214,6 +214,10 @@ class PerValueHistogram(Histogram):
         for value in values:
             self.observe(value, **labels)
 
+    def observe_repeated(self, value: float, count: int, **labels) -> None:
+        for _ in range(count):
+            self.observe(value, **labels)
+
 
 class PerTransactionMetrics(ExperimentMetrics):
     """The books one transaction at a time: a dict entry per transaction
@@ -414,6 +418,42 @@ def test_observe_many_is_observe_per_value_with_nan_and_empty_inputs(batches):
             single.observe(value)
         assert repr(many.snapshot()) == repr(single.snapshot())
         assert repr(many.mean()) == repr(single.mean())
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    runs=st.lists(
+        st.tuples(
+            st.one_of(
+                FLOATS,
+                st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 0.0]),
+                st.floats(allow_nan=True),
+            ),
+            st.integers(0, 60),
+        ),
+        max_size=8,
+    ),
+    labels=st.sampled_from([{}, {"stage": "network"}]),
+)
+def test_observe_repeated_is_observe_many_of_copies(runs, labels):
+    """Bit for bit (``repr``: NaN sums, signed zeros, infinities), one
+    value ``n`` times — ``n = 0`` included, which creates no series —
+    leaves what ``observe_many([value] * n)`` leaves."""
+    repeated, many = Histogram("repeated"), Histogram("many")
+    for value, count in runs:
+        repeated.observe_repeated(value, count, **labels)
+        many.observe_many([value] * count, **labels)
+        assert repr(repeated.snapshot()) == repr(many.snapshot())
+        assert repr(repeated.mean(**labels)) == repr(many.mean(**labels))
+    assert repeated._series.keys() == many._series.keys()
+
+
+def test_observe_repeated_adds_one_at_a_time_not_multiplies():
+    """Ten adds of ``0.1`` and ``0.1 * 10`` differ in the last bit; the
+    repeated add is the pinned answer."""
+    histogram = Histogram("h")
+    histogram.observe_repeated(0.1, 10)
+    assert histogram.snapshot()["sum"] == 0.9999999999999999 != 0.1 * 10
 
 
 def test_observe_many_adds_in_order_not_compensated():

@@ -1,11 +1,12 @@
 """Unit tests for the state-sync checkpoint primitives.
 
-:class:`CommitLedger` keeps its window of linearized references in the
-order a checkpoint lists them, so a capture is a pass, not a sort.  Its
-oracle is :class:`SortingLedger` below — the capture as it was before:
-one bucket of references per round, flattened and ``sorted()`` with
-``BlockRef``'s own ``__lt__`` at every capture.  Every checkpoint the
-two capture over one stream must share its ``checkpoint_id``.
+:class:`CommitLedger` logs linearized references in commit order and
+builds a checkpoint only when one is read, so a capture is neither a
+pass nor a sort.  Its oracle is :class:`SortingLedger` below — the
+capture as it was before: one bucket of references per round, flattened
+and ``sorted()`` with ``BlockRef``'s own ``__lt__`` at every capture.
+Every checkpoint the two capture over one stream must share its
+``checkpoint_id``.
 """
 
 import dataclasses
@@ -73,9 +74,31 @@ class TestCheckpointCodec:
         assert a.checkpoint_id != c.checkpoint_id
         assert a.checkpoint_id == make_checkpoint(round_number=8).checkpoint_id
 
-    def test_wire_size_is_encoded_length(self):
-        checkpoint = make_checkpoint(refs=(ref(0, 8),))
+    @given(
+        refs=st.lists(
+            st.builds(
+                BlockRef,
+                author=st.integers(0, 2**32 - 1),
+                round=st.integers(0, 2**64 - 1),
+                digest=st.binary(min_size=32, max_size=32),
+            ),
+            max_size=20,
+        ),
+        epochs=st.lists(
+            st.tuples(
+                st.integers(0, 2**64 - 1),
+                st.integers(0, 2**64 - 1),
+                st.lists(st.integers(0, 2**32 - 1), max_size=6).map(tuple),
+            ),
+            max_size=4,
+        ).map(tuple),
+    )
+    def test_wire_size_is_encoded_length(self, refs, epochs):
+        """Counted, not encoded: the size is still every byte the
+        encoding writes, epochs included, and the decoder reads them all."""
+        checkpoint = dataclasses.replace(make_checkpoint(refs=refs), epochs=epochs)
         assert checkpoint.wire_size == len(checkpoint.encode())
+        assert Checkpoint.decode(checkpoint.encode()) == (checkpoint, checkpoint.wire_size)
 
     def test_frontier_is_highest_round_refs(self):
         refs = (ref(0, 6), ref(1, 8), ref(2, 8), ref(3, 7))
@@ -217,15 +240,17 @@ class TestAdoption:
 
 
 # ----------------------------------------------------------------------
-# The ordered window against sort-per-capture
+# The reference log, built on read, against sort-per-capture
 # ----------------------------------------------------------------------
 class SortingLedger(CommitLedger):
     """The reference capture: buckets per round, pruned below the floor
-    and sorted by ``BlockRef.__lt__`` every time."""
+    and sorted by ``BlockRef.__lt__`` at every capture; the checkpoint
+    built on read lists what that sort listed."""
 
     def __post_init__(self) -> None:
         super().__post_init__()
         self._buckets: dict[int, list[BlockRef]] = {}
+        self._sorted: dict[int, tuple[BlockRef, ...]] = {}
 
     def extend(self, linearized) -> None:
         linearized = list(linearized)
@@ -234,18 +259,26 @@ class SortingLedger(CommitLedger):
             for block in linearized:
                 self._buckets.setdefault(block.round, []).append(block.reference)
 
-    def _capture(self, last_finalized, next_slot) -> Checkpoint:
+    def maybe_capture(self, last_finalized, next_slot) -> None:
+        before = self.captured_total
+        super().maybe_capture(last_finalized, next_slot)
+        if self.captured_total == before:
+            return
         floor = max(0, last_finalized - self.lag)
         for round_number in [r for r in self._buckets if r < floor]:
             del self._buckets[round_number]
-        refs = sorted(
-            ref
-            for round_number, bucket in self._buckets.items()
-            if round_number <= last_finalized
-            for ref in bucket
+        self._sorted[last_finalized] = tuple(
+            sorted(
+                ref
+                for round_number, bucket in self._buckets.items()
+                if round_number <= last_finalized
+                for ref in bucket
+            )
         )
-        checkpoint = super()._capture(last_finalized, next_slot)
-        return dataclasses.replace(checkpoint, linearized=tuple(refs))
+
+    def _build(self, capture) -> Checkpoint:
+        checkpoint = super()._build(capture)
+        return dataclasses.replace(checkpoint, linearized=self._sorted[checkpoint.round])
 
     def adopt(self, checkpoint: Checkpoint) -> None:
         super().adopt(checkpoint)
@@ -254,8 +287,20 @@ class SortingLedger(CommitLedger):
             self._buckets.setdefault(reference.round, []).append(reference)
 
 
+class CompactionCountingLedger(CommitLedger):
+    """The ledger under test, counting its log compactions."""
+
+    compactions = 0
+
+    def _compact(self) -> None:
+        super()._compact()
+        self.compactions += 1
+
+
 def ledger_pair(interval, lag):
-    return [cls(10, interval=interval, lag=lag) for cls in (CommitLedger, SortingLedger)]
+    return [
+        cls(10, interval=interval, lag=lag) for cls in (CompactionCountingLedger, SortingLedger)
+    ]
 
 
 @st.composite
@@ -284,32 +329,45 @@ def commit_streams(draw):
 
 def linearize(ledgers, rng, rounds, frontier):
     """One slot: ``extend`` by fresh blocks at ``rounds``, then the
-    capture check, on every ledger."""
+    capture check, on every ledger; returns the blocks' references."""
     blocks = [
         Block(author=rng.randrange(10), round=r, parents=(), salt=rng.randbytes(4)) for r in rounds
     ]
     for ledger in ledgers:
         ledger.extend(blocks)
         ledger.maybe_capture(frontier, (frontier + 1, 0))
+    return [block.reference for block in blocks]
 
 
 def captured(ledger):
     return ledger.captured_total, [c.checkpoint_id for c in ledger.checkpoints]
 
 
+def in_commit_order(log, stream):
+    """``log`` is a subsequence of ``stream``."""
+    remaining = iter(stream)
+    return all(reference in remaining for reference in log)
+
+
 @settings(max_examples=60, deadline=None)
 @given(commit_streams(), st.integers(0, 2**16))
-def test_ordered_window_captures_what_sorting_every_time_captures(stream, adopt_at):
+def test_the_log_builds_what_sorting_every_time_captures(stream, adopt_at):
     interval, lag, steps = stream
     ledger, oracle = ledger_pair(interval, lag)
+    # Read every seventh slot only: several captures wait unbuilt
+    # through a compaction.
+    unread = CompactionCountingLedger(10, interval=interval, lag=lag)
     adopters: list[CommitLedger] = []
     rng = random.Random(adopt_at)
+    committed: list[BlockRef] = []
     for index, (rounds, frontier) in enumerate(steps):
-        before = ledger.captured_total
-        linearize([ledger, oracle, *adopters], rng, rounds, frontier)
+        before = ledger.compactions
+        committed += linearize([ledger, oracle, unread, *adopters], rng, rounds, frontier)
         assert captured(ledger) == captured(oracle)
-        if ledger.captured_total > before:  # a capture leaves nothing below its floor
-            assert all(r.round >= ledger.checkpoints[-1].floor for r in ledger._recent)
+        if index % 7 == 6 or index == len(steps) - 1:
+            assert captured(unread) == captured(oracle)
+        if ledger.compactions > before:  # a compaction leaves nothing below the last floor
+            assert all(r.round >= ledger.checkpoints[-1].floor for r in ledger._log)
         if adopters:
             assert captured(adopters[0]) == captured(adopters[1])
         elif ledger.checkpoints and index >= adopt_at % len(steps):
@@ -318,24 +376,29 @@ def test_ordered_window_captures_what_sorting_every_time_captures(stream, adopt_
             adopters = ledger_pair(interval, lag)
             for adopter in adopters:
                 adopter.adopt(ledger.checkpoints[-1])
-            assert adopters[0]._recent == sorted(adopters[1].checkpoints[-1].linearized)
-    assert ledger._recent == sorted(ledger._recent)
+            assert adopters[0]._log == list(adopters[1].checkpoints[-1].linearized)
+    assert in_commit_order(ledger._log, committed)
 
 
 def test_references_above_the_frontier_wait_for_a_later_capture():
     """Both filters by hand: a reference above ``last_finalized`` is
-    kept, not listed, until the frontier reaches it; one linearized
-    below an earlier capture's floor is never listed."""
+    logged, not listed, until the frontier reaches it; one linearized
+    below an earlier capture's floor is never listed, and goes at the
+    next compaction."""
     ledger, oracle = ledger_pair(interval=1, lag=16)
     rng = random.Random(0)
     linearize([ledger, oracle], rng, [18, 19, 20, 21], 20)
     assert sorted(r.round for r in ledger.checkpoints[-1].linearized) == [18, 19, 20]
-    assert ledger.checkpoints[-1].floor == 4
+    assert ledger.checkpoints[-1].floor == 4 and ledger.compactions == 1
     linearize([ledger, oracle], rng, [3, 4], 20)  # late; no boundary crossed
-    assert ledger.captured_total == 1 and len(ledger._recent) == 6
-    linearize([ledger, oracle], rng, [], 21)
+    assert ledger.captured_total == 1 and len(ledger._log) == 6
+    linearize([ledger, oracle], rng, [], 21)  # 6 < 2 * 4 logged: no compaction yet
     assert sorted(r.round for r in ledger.checkpoints[-1].linearized) == [18, 19, 20, 21]
-    assert ledger.checkpoints[-1].floor == 5 and len(ledger._recent) == 4
+    assert ledger.checkpoints[-1].floor == 5 and len(ledger._log) == 6
+    assert captured(ledger) == captured(oracle)
+    linearize([ledger, oracle], rng, [22, 22], 22)
+    assert ledger.compactions == 2
+    assert sorted(r.round for r in ledger._log) == [18, 19, 20, 21, 22, 22]
     assert captured(ledger) == captured(oracle)
 
 
@@ -372,8 +435,8 @@ def test_cores_capture_the_same_checkpoints_with_either_ledger(interval, gc, com
 
 def test_the_ledger_never_compares_two_references(monkeypatch):
     """A count that repeats exactly: over 200 rounds at ``n = 10``
-    (interval 1, lag 64) the ordered window calls ``BlockRef.__lt__``
-    zero times — it orders by key tuples — where sorting a ~650-reference
+    (interval 1, lag 64) the ledger calls ``BlockRef.__lt__`` zero times
+    — a build orders by key tuples — where sorting a ~650-reference
     window at every capture calls it some 730,000 times."""
     calls = [0]
     less_than = BlockRef.__lt__
@@ -392,6 +455,37 @@ def test_the_ledger_never_compares_two_references(monkeypatch):
         assert ledger.captured_total == 200 and len(ledger.checkpoints[-1].linearized) == 650
         counts.append(calls[0])
     assert counts[0] == 0 and counts[1] > 500_000
+
+
+def test_a_capture_sorts_nothing_until_the_checkpoints_are_read(monkeypatch):
+    """A count that repeats exactly: over 200 rounds at ``n = 10``
+    (interval 1, lag 64) the 200 captures call the sort key zero times;
+    the first read of ``checkpoints`` builds each retained checkpoint
+    once (one key per listed reference), and a second read builds
+    nothing."""
+    keyed = [0]
+
+    def counting(ref, key=_REF_ORDER):
+        keyed[0] += 1
+        return key(ref)
+
+    monkeypatch.setattr("repro.statesync.checkpoint._REF_ORDER", counting)
+    built = []
+    build = CommitLedger._build
+
+    def counted_build(self, capture):
+        built.append(capture.round)
+        return build(self, capture)
+
+    monkeypatch.setattr(CommitLedger, "_build", counted_build)
+    ledger, rng = CommitLedger(10, interval=1, lag=64), random.Random(18)
+    for round_number in range(1, 201):
+        linearize([ledger], rng, [round_number] * 10, round_number)
+    assert ledger.captured_total == 200 and keyed == [0] and built == []
+    checkpoints = ledger.checkpoints
+    assert [c.round for c in checkpoints] == built == [197, 198, 199, 200]
+    assert keyed[0] == sum(len(c.linearized) for c in checkpoints) == 4 * 650
+    assert ledger.checkpoints is checkpoints and keyed[0] == 4 * 650 and len(built) == 4
 
 
 @given(

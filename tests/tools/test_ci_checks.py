@@ -416,6 +416,28 @@ def test_one_restart_path(tmp_path):
     assert all(str(second) in v for v in violations)
 
 
+def test_one_restart_path_judges_a_bare_name_call(tmp_path):
+    """A host that binds a method to a local and calls the bare name is
+    judged, not crashed on; a WAL append beside it is still flagged."""
+    bare = write(
+        tmp_path / "bare.py",
+        "def extend(self, rows, blocks):\n"
+        "    append = rows.append\n"
+        "    for block in blocks:\n"
+        "        append(block)\n",
+    )
+    assert ci_checks.one_restart_path(str(bare)) == []
+    logged = write(
+        tmp_path / "logged.py",
+        "def extend(self, rows, block):\n"
+        "    append = rows.append\n"
+        "    append(block)\n"
+        "    self._wal.append(1, block)\n",
+    )
+    [violation] = ci_checks.one_restart_path(str(logged))
+    assert violation.startswith(f"{logged}:4: calls a WriteAheadLog append")
+
+
 def test_one_cost_table(tmp_path):
     assert ci_checks.one_cost_table() == []  # node and network as checked in
     clean = write(
@@ -558,3 +580,45 @@ def test_main_exit_codes(tmp_path, capsys):
     assert ci_checks.main(["cluster-metrics", str(bad)]) == 1
     assert "no steady-load scenario" in capsys.readouterr().err
     assert ci_checks.main(["no-such-check"]) == 2
+
+
+def bench_entry(**verdicts):
+    return {"7": {"metrics": {name: {"verdict": v} for name, v in verdicts.items()}}}
+
+
+def test_bench_trajectory(tmp_path):
+    assert ci_checks.bench_trajectory() == []  # the newest file as checked in
+    spec = {
+        "workloads": [{"name": "sim"}, {"name": "rt"}],
+        "end_to_end": [{"name": "wall_s"}, {"name": "peak_rss_mb"}],
+    }
+    write(tmp_path / "BENCHMARK.json", spec)
+    assert ci_checks.bench_trajectory(str(tmp_path)) == [f"no BENCH_<pr>.json under {tmp_path}"]
+    clean = {
+        "sim": bench_entry(wall_s="gain", peak_rss_mb="unchanged"),
+        "rt": bench_entry(wall_s="unresolved", peak_rss_mb="unchanged"),
+    }
+    # BENCH_10 is newer than BENCH_9 (by number, not by name), and the
+    # regression in the older file is not judged.
+    older = {**clean, "sim": bench_entry(wall_s="regression")}
+    write(tmp_path / "BENCH_9.json", {"workloads": older})
+    write(tmp_path / "BENCH_10.json", {"workloads": clean})
+    write(tmp_path / "BENCH_notes.json", {})
+    assert ci_checks.bench_trajectory(str(tmp_path)) == []
+    regressed = {"sim": bench_entry(wall_s="regression", peak_rss_mb="unchanged")}
+    write(tmp_path / "BENCH_11.json", {"workloads": regressed})
+    assert ci_checks.bench_trajectory(str(tmp_path)) == [
+        "BENCH_11.json: no paired run of workload rt",
+        "BENCH_11.json: sim/7/wall_s reads regression and named_regressions does not name it",
+    ]
+    named = {"sim/7/wall_s": "a GC pause the change adds on purpose"}
+    write(
+        tmp_path / "BENCH_12.json",
+        {"workloads": {**clean, **regressed}, "named_regressions": named},
+    )
+    assert ci_checks.bench_trajectory(str(tmp_path)) == []
+    write(tmp_path / "BENCH_13.json", {"workloads": {**clean, "rt": bench_entry(wall_s="gain")}})
+    assert ci_checks.bench_trajectory(str(tmp_path)) == [
+        "BENCH_13.json: rt/7/peak_rss_mb has no verdict"
+    ]
+    assert ci_checks.main(["bench-trajectory", str(tmp_path)]) == 1

@@ -15,6 +15,7 @@ from repro.sim.events import EventLoop
 from repro.sim.network import SimNetwork
 from repro.sim.node import SimValidator
 from repro.sim.runner import ExperimentConfig
+from repro.statesync.checkpoint import Checkpoint, CommitLedger, chain_digest
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[2] / "tools"))
 
@@ -63,6 +64,28 @@ def test_the_books_are_a_bucket_of_their_own():
     shares = profile.bucket_shares()
     assert shares["metrics"] == (100.0, 100.0)
     assert shares["commit walk"] == (0.0, 50.0) and shares[OTHER] == (0.0, 0.0)
+
+
+def test_the_checkpoint_ledger_is_a_bucket_of_its_own():
+    """A ledger step inside the commit walk, a checkpoint built on read
+    and its encoding for a response go to ``checkpoints``, not to the
+    walk or to "other"."""
+    commit = code(BUCKETS["commit walk"][0])
+    extend, build, encode = (
+        code(function) for function in (CommitLedger.extend, CommitLedger._build, Checkpoint.encode)
+    )
+    assert {extend, build, encode} <= set(map(code, BUCKETS["checkpoints"]))
+    profile = Profile(
+        stacks=[
+            (code(chain_digest), extend, commit, code(EventLoop._drain)),
+            (build, code(SimValidator._handle_batch_queued)),
+            (encode,),
+            (commit,),
+        ]
+    )
+    shares = profile.bucket_shares()
+    assert shares["checkpoints"] == (75.0, 75.0)
+    assert shares["commit walk"] == (25.0, 50.0) and shares[OTHER] == (0.0, 0.0)
 
 
 def test_the_benchmark_workloads_are_found_by_name():

@@ -5,7 +5,8 @@ each, so the logic is importable and covered by tier-1
 
 Every check reads files a previous workflow step wrote (or, for
 ``one-vocabulary``, ``one-restart-path``, ``one-cost-table`` and
-``reachable``, source files), returns the list of violations
+``reachable``, source files; for ``bench-trajectory``, the checked-in
+``BENCH_*.json`` files), returns the list of violations
 (empty = pass) and, from the command line, prints them and exits 1.
 
 Usage::
@@ -25,6 +26,7 @@ Usage::
     python tools/ci_checks.py one-restart-path [HOST.py ...]
     python tools/ci_checks.py one-cost-table [MODULE.py ...]
     python tools/ci_checks.py reachable      [REPO_ROOT]
+    python tools/ci_checks.py bench-trajectory [REPO_ROOT]
 """
 
 from __future__ import annotations
@@ -348,7 +350,11 @@ def _restart_step(call: ast.Call) -> str | None:
     name = _referenced_name(call.func)
     if name in RESTART_ONLY:
         return name
-    if name == "append" and "wal" in (_referenced_name(call.func.value) or "").lower():
+    if (
+        name == "append"
+        and isinstance(call.func, ast.Attribute)
+        and "wal" in (_referenced_name(call.func.value) or "").lower()
+    ):
         return "a WriteAheadLog append"
     return None
 
@@ -509,6 +515,46 @@ def reachable(root: str = str(ROOT)) -> list[str]:
     return violations
 
 
+def bench_trajectory(root: str = str(ROOT)) -> list[str]:
+    """The newest ``BENCH_<pr>.json`` (by PR number) holds a paired run of
+    every ``BENCHMARK.json`` workload, with a verdict for every end-to-end
+    metric, and none reads ``regression`` unless the file's top-level
+    ``named_regressions`` names it (``"<workload>/<seed>/<metric>"`` ->
+    why).  Only the paired verdicts inside that one file are judged —
+    parent and change ran alternately on one host in one session — never
+    medians across files, which drift about 15 % between sessions."""
+    numbered = {
+        int(path.stem[len("BENCH_") :]): path
+        for path in Path(root).glob("BENCH_*.json")
+        if path.stem[len("BENCH_") :].isdigit()
+    }
+    if not numbered:
+        return [f"no BENCH_<pr>.json under {root}"]
+    path = numbered[max(numbered)]
+    bench = json.loads(path.read_text())
+    spec = json.loads(Path(root, "BENCHMARK.json").read_text())
+    named = bench.get("named_regressions", {})
+    runs = bench.get("workloads", {})
+    violations = [
+        f"{path.name}: no paired run of workload {workload['name']}"
+        for workload in spec["workloads"]
+        if not runs.get(workload["name"])
+    ]
+    for workload, seeds in sorted(runs.items()):
+        for seed, entry in sorted(seeds.items()):
+            for metric in (m["name"] for m in spec["end_to_end"]):
+                key = f"{workload}/{seed}/{metric}"
+                verdict = entry.get("metrics", {}).get(metric, {}).get("verdict")
+                if verdict is None:
+                    violations.append(f"{path.name}: {key} has no verdict")
+                elif verdict == "regression" and key not in named:
+                    violations.append(
+                        f"{path.name}: {key} reads regression and named_regressions "
+                        "does not name it"
+                    )
+    return violations
+
+
 CHECKS = {
     "cluster-metrics": cluster_metrics,
     "cluster-traces": cluster_traces,
@@ -526,6 +572,7 @@ CHECKS = {
     "one-restart-path": one_restart_path,
     "one-cost-table": one_cost_table,
     "reachable": reachable,
+    "bench-trajectory": bench_trajectory,
 }
 
 

@@ -18,8 +18,10 @@ One more run, once (a run is deterministic), is **counted**:
 builtins alike; the run is slow there, and nothing else is measured.
 
 A sample is charged to the innermost *bucket root* on its stack — the
-hop's two halves, proposing, the commit walk, the client arrivals, the
-commit-latency books and the event loop itself (:data:`BUCKETS`) — which
+hop's two halves, proposing, the commit walk, the checkpoint ledger
+(chain steps, captures, checkpoint builds and encodes), the client
+arrivals, the commit-latency books and the event loop itself
+(:data:`BUCKETS`) — which
 is the bucket's *self* share; its *inclusive* share counts every sample
 with a root of the bucket anywhere on the stack.  The same two shares
 are printed for the busiest functions.  ``--json FILE`` also writes the
@@ -56,6 +58,7 @@ from repro.sim.metrics import ExperimentMetrics  # noqa: E402
 from repro.sim.network import SimNetwork  # noqa: E402
 from repro.sim.node import SimValidator  # noqa: E402
 from repro.sim.runner import Experiment, ExperimentConfig  # noqa: E402
+from repro.statesync.checkpoint import Checkpoint, CommitLedger  # noqa: E402
 
 #: Bucket -> the functions that root it.  A delivered message runs from
 #: the link flush through the consensus stage's completion to the
@@ -66,6 +69,13 @@ BUCKETS = {
     "per-hop send": (SimNetwork._fan_out,),
     "propose": (MahiMahiCore.maybe_propose,),
     "commit walk": (MahiMahiCore.try_commit,),
+    "checkpoints": (
+        CommitLedger.extend,
+        CommitLedger.maybe_capture,
+        CommitLedger.adopt,
+        CommitLedger._build,
+        Checkpoint.encode,
+    ),
     "client arrivals": (ArrivalRouter.route,),
     "metrics": (
         ExperimentMetrics.record_commit,
