@@ -169,7 +169,7 @@ class Block:
     @cached_property
     def digest(self) -> Digest:
         """Blake2b digest of the signed contents (excludes the signature)."""
-        return hash_parts(self._signable_parts(), person=b"block")
+        return block_digest(self._signable_parts())
 
     @cached_property
     def reference(self) -> BlockRef:
@@ -285,6 +285,15 @@ class Block:
             f"Block(v{self.author}, r{self.round}, parents={len(self.parents)}, "
             f"txs={len(self.transactions)}, {self.digest[:4].hex()})"
         )
+
+
+def block_digest(parts: list[bytes]) -> Digest:
+    """The digest of a block's :meth:`Block._signable_parts` — what
+    :attr:`Block.digest` computes, and what a runtime validator's
+    hashing thread computes for a received block with a long section
+    (:mod:`repro.runtime.node`).  A plain function of bytes, so a thread
+    can run it without taking ``cached_property``'s class-wide lock."""
+    return hash_parts(parts, person=b"block")
 
 
 def _decode_coin_share(data: bytes) -> CoinShare:

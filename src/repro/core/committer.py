@@ -23,8 +23,10 @@ for most slots, so a visit only does work where evidence moved:
   ``(vote-round, certify-round)`` block counts it was judged on, and the
   direct rule re-runs only when one grew (rounds only gain blocks).
 * A slot whose certify round holds fewer authors than a quorum has no
-  coin, hence no leader and no verdict: UNDECIDED without electing (the
-  top ``w-1`` rounds of every sweep).
+  coin, hence no leader and no verdict: UNDECIDED without electing.  A
+  sweep stops below the top ``w-1`` rounds, whose certify rounds are
+  empty: an UNDECIDED slot anchors no indirect decision, so classifying
+  them would change nothing below.
 * The indirect rule runs only once the coin is open and the slot's
   anchor is decided; until then it could only say UNDECIDED.
 * Most inserts move no verdict at all, so ``ExtendCommitSequence`` polls
@@ -345,7 +347,10 @@ class Committer:
         highest = self._store.highest_round
         if highest < self._cursor_round or not self._verdicts_may_move(highest):
             return []
-        statuses = self.try_decide(self._cursor_round, highest)
+        # The band the poll reads: a slot above it has an empty certify
+        # round, so it is UNDECIDED, and an UNDECIDED slot anchors no
+        # indirect decision below it.
+        statuses = self.try_decide(self._cursor_round, highest - self._to_certify)
         observations: list[CommitObservation] = []
         for status in statuses:
             expected = (self._cursor_round, self._cursor_offset)

@@ -300,8 +300,9 @@ def test_lockstep_rounds_cost_one_sweep_each_and_a_burst_costs_one(stride):
     the only insert that moves a verdict is the one that opens a coin,
     and that sweep commits the slot.  Then ``wave_length`` and more
     rounds arrive between two calls: the slots they opened were never
-    swept — with Cordial Miners' stride the committer holds no verdict
-    at all at that point — and one sweep finalizes them."""
+    swept — a sweep stops at the slots whose coin can be open, so the
+    committer holds no verdict at all at that point — and one sweep
+    finalizes them."""
     committee = Committee.of_size(4)
     builder = DagBuilder(committee, FixedCoin(n=4, threshold=committee.quorum_threshold))
     config = ProtocolConfig(wave_length=5, leaders_per_round=1)
@@ -319,7 +320,7 @@ def test_lockstep_rounds_cost_one_sweep_each_and_a_burst_costs_one(stride):
             opens = author == 2 and round_number >= 5 and (round_number - 5) % stride == 0
             assert len(extension) == (1 if opens else 0)
     assert len(sweeps) == (6 if stride == 1 else 2)
-    assert (stride == 5) == (not polled._undecided and not polled._decided)
+    assert not polled._undecided and not polled._decided
 
     del sweeps[:]
     builder.rounds(11, 17)

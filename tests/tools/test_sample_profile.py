@@ -1,5 +1,6 @@
 """``tools/sample_profile.py`` charges each sample to the innermost
-bucket root on its stack, and runs end to end on a small config."""
+bucket root on its stack, finds its roots by name (skipping those a tree
+lacks), and runs end to end on a small config, one tree or two."""
 
 from __future__ import annotations
 
@@ -10,6 +11,7 @@ from pathlib import Path
 import pytest
 
 from repro.core.committer import Committer
+from repro.core.protocol import MahiMahiCore
 from repro.dag.store import DagStore
 from repro.sim.events import EventLoop
 from repro.sim.network import SimNetwork
@@ -21,10 +23,12 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[2] / "tools"))
 
 from sample_profile import (  # noqa: E402
     BUCKETS,
+    MISSING_ROOTS,
     OTHER,
     Profile,
     main,
     profile_config,
+    resolve_roots,
     workload_fields,
 )
 
@@ -113,3 +117,38 @@ def test_a_small_run_end_to_end(capsys, tmp_path):
     assert set(figures["buckets"]) == {*BUCKETS, OTHER}
     assert len(figures["unit_buckets"]) == 2
     assert all(set(unit) == {*BUCKETS, OTHER} for unit in figures["unit_buckets"])
+
+
+def test_a_root_the_tree_lacks_is_skipped_and_listed():
+    buckets, missing = resolve_roots(
+        {
+            "commit walk": (
+                "repro.core.protocol:MahiMahiCore.try_commit",
+                "repro.core.protocol:MahiMahiCore.no_such_method",
+            ),
+            "gone": ("repro.no_such_module:Thing.run",),
+        }
+    )
+    assert buckets == {"commit walk": (MahiMahiCore.try_commit,), "gone": ()}
+    assert missing == [
+        "repro.core.protocol:MahiMahiCore.no_such_method",
+        "repro.no_such_module:Thing.run",
+    ]
+    assert MISSING_ROOTS == [] and all(BUCKETS.values())
+
+
+def test_parent_profiles_both_sides_in_one_command(capsys, tmp_path):
+    """Each side runs in a process of its own on its tree's ``src``;
+    here both trees are this one."""
+    config = {"num_validators": 4, "load_tps": 100, "duration": 0.3, "warmup": 0.1}
+    path = tmp_path / "both.json"
+    tree = str(Path(__file__).resolve().parents[2])
+    argv = ["--config", json.dumps(config), "--units", "1", "--parent", tree, "--json", str(path)]
+    assert main(argv) == 0
+    printed = capsys.readouterr().out
+    assert "# parent:" in printed and "# change:" in printed and "commit walk self %" in printed
+    figures = json.loads(path.read_text())
+    assert set(figures) == {"parent", "change"}
+    for side in figures.values():
+        assert side["units"] == 1 and side["missing_roots"] == []
+        assert set(side["buckets"]) == {*BUCKETS, OTHER}

@@ -21,12 +21,21 @@ A sample is charged to the innermost *bucket root* on its stack — the
 hop's two halves, proposing, the commit walk, the checkpoint ledger
 (chain steps, captures, checkpoint builds and encodes), the client
 arrivals, the commit-latency books and the event loop itself
-(:data:`BUCKETS`) — which
+(:data:`ROOTS`) — which
 is the bucket's *self* share; its *inclusive* share counts every sample
 with a root of the bucket anywhere on the stack.  The same two shares
 are printed for the busiest functions.  ``--json FILE`` also writes the
 figures as JSON: the bucket shares over all units and per unit, calls
 and GC collections per unit.
+
+The roots are named, not imported: each is looked up by qualified name
+in the ``repro`` the tool runs against — the one on ``PYTHONPATH`` if
+there is one, else this tree's — and a root that tree lacks is skipped
+and listed.  ``--parent DIR`` (a checkout directory or a git revision,
+as for ``tools/perf_pairs.py``) profiles both sides in one command: each
+in a process of its own on its own ``src``, then their figures side by
+side (with ``--json``, both sides' figures under ``parent`` and
+``change``).
 
 Usage::
 
@@ -34,57 +43,88 @@ Usage::
     python tools/sample_profile.py --workload sim-tusk-n10 --seed 11 --units 10
     python tools/sample_profile.py --config '{"num_validators": 10, "duration": 0.5}'
     python tools/sample_profile.py --workload sim-tusk-n10 --json profile.json
+    python tools/sample_profile.py --workload sim-mahi-n10-faulty --parent HEAD~1
 """
 
 from __future__ import annotations
 
 import argparse
 import gc
+import importlib
 import json
+import os
 import signal
+import subprocess
 import sys
+import tempfile
 import time
 from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
-sys.path.insert(0, str(REPO_ROOT / "src"))
+sys.path.insert(0, str(REPO_ROOT / "tools"))
+if not os.environ.get("PYTHONPATH"):  # else the tree on it: how --parent runs each side
+    sys.path.insert(0, str(REPO_ROOT / "src"))
 
-from repro.core.protocol import MahiMahiCore  # noqa: E402
-from repro.sim.client import ArrivalRouter  # noqa: E402
-from repro.sim.events import EventLoop  # noqa: E402
-from repro.sim.metrics import ExperimentMetrics  # noqa: E402
-from repro.sim.network import SimNetwork  # noqa: E402
-from repro.sim.node import SimValidator  # noqa: E402
+from perf_pairs import materialize  # noqa: E402
 from repro.sim.runner import Experiment, ExperimentConfig  # noqa: E402
-from repro.statesync.checkpoint import Checkpoint, CommitLedger  # noqa: E402
 
-#: Bucket -> the functions that root it.  A delivered message runs from
-#: the link flush through the consensus stage's completion to the
-#: validator step; what it proposes, commits or sends from there is
-#: charged to those buckets instead.
-BUCKETS = {
-    "per-hop receive": (SimNetwork._flush_link, SimValidator._handle_batch_queued),
-    "per-hop send": (SimNetwork._fan_out,),
-    "propose": (MahiMahiCore.maybe_propose,),
-    "commit walk": (MahiMahiCore.try_commit,),
+#: Bucket -> the functions that root it, as ``module:qualified name``.
+#: A delivered message runs from the link flush through the consensus
+#: stage's completion to the validator step; what it proposes, commits
+#: or sends from there is charged to those buckets instead.
+ROOTS = {
+    "per-hop receive": (
+        "repro.sim.network:SimNetwork._flush_link",
+        "repro.sim.node:SimValidator._handle_batch_queued",
+    ),
+    "per-hop send": ("repro.sim.network:SimNetwork._fan_out",),
+    "propose": ("repro.core.protocol:MahiMahiCore.maybe_propose",),
+    "commit walk": ("repro.core.protocol:MahiMahiCore.try_commit",),
     "checkpoints": (
-        CommitLedger.extend,
-        CommitLedger.maybe_capture,
-        CommitLedger.adopt,
-        CommitLedger._build,
-        Checkpoint.encode,
+        "repro.statesync.checkpoint:CommitLedger.extend",
+        "repro.statesync.checkpoint:CommitLedger.maybe_capture",
+        "repro.statesync.checkpoint:CommitLedger.adopt",
+        "repro.statesync.checkpoint:CommitLedger._build",
+        "repro.statesync.checkpoint:Checkpoint.encode",
     ),
-    "client arrivals": (ArrivalRouter.route,),
+    "client arrivals": ("repro.sim.client:ArrivalRouter.route",),
     "metrics": (
-        ExperimentMetrics.record_commit,
-        ExperimentMetrics.record_inclusion,
-        ExperimentMetrics.record_block_times,
-        Experiment._result,
+        "repro.sim.metrics:ExperimentMetrics.record_commit",
+        "repro.sim.metrics:ExperimentMetrics.record_inclusion",
+        "repro.sim.metrics:ExperimentMetrics.record_block_times",
+        "repro.sim.runner:Experiment._result",
     ),
-    "event loop": (EventLoop._drain,),
+    "event loop": ("repro.sim.events:EventLoop._drain",),
 }
+
+
+def resolve_roots(roots: dict[str, tuple[str, ...]]) -> tuple[dict[str, tuple], list[str]]:
+    """``(bucket -> functions, names missing)``: each root of ``roots``
+    looked up in the ``repro`` imported here, skipping (and listing)
+    any this tree lacks — an older tree may predate a root."""
+    buckets: dict[str, tuple] = {}
+    missing: list[str] = []
+    for bucket, names in roots.items():
+        functions = []
+        for name in names:
+            module_name, _, qualname = name.partition(":")
+            try:
+                found = importlib.import_module(module_name)
+                for attribute in qualname.split("."):
+                    found = getattr(found, attribute)
+            except (ImportError, AttributeError):
+                missing.append(name)
+                continue
+            functions.append(found)
+        buckets[bucket] = tuple(functions)
+    return buckets, missing
+
+
+#: Bucket -> the functions of :data:`ROOTS` this tree has.
+BUCKETS, MISSING_ROOTS = resolve_roots(ROOTS)
+
 #: Samples with no bucket root on the stack.
 OTHER = "other"
 #: Seconds of process CPU time between samples.
@@ -133,6 +173,7 @@ class Profile:
         starts = [0, *self.unit_ends[:-1]]
         return {
             "title": title,
+            "missing_roots": MISSING_ROOTS,
             "units": self.units,
             "samples": len(self.stacks),
             "wall_s_per_unit": self.wall_s / units,
@@ -285,10 +326,53 @@ def render(title: str, profile: Profile) -> str:
     ]
     for bucket, (own, inclusive) in profile.bucket_shares().items():
         lines.append(f"{bucket:<18} {own:7.1f} {inclusive:7.1f}")
+    if MISSING_ROOTS:
+        lines.append("roots this tree lacks: " + ", ".join(MISSING_ROOTS))
     lines += ["", f"{'function':<52} {'self %':>7} {'incl %':>7}"]
     for name, own, inclusive in profile.function_shares(TOP):
         lines.append(f"{name[:52]:<52} {own:7.1f} {inclusive:7.1f}")
     return "\n".join(lines)
+
+
+def compare(parent: dict, change: dict) -> str:
+    """Both sides' ``--json`` figures side by side."""
+    lines = [
+        f"{'':<26} {'parent':>11} {'change':>11}",
+        f"{'wall per unit (s)':<26} {parent['wall_s_per_unit']:11.3f} "
+        f"{change['wall_s_per_unit']:11.3f}",
+        f"{'calls per unit':<26} {parent['calls_per_unit']:11,} {change['calls_per_unit']:11,}",
+    ]
+    for bucket in parent["buckets"]:  # both sides run this tool: the same buckets
+        lines.append(
+            f"{bucket + ' self %':<26} {parent['buckets'][bucket]['self_pct']:11.1f} "
+            f"{change['buckets'][bucket]['self_pct']:11.1f}"
+        )
+    return "\n".join(lines)
+
+
+def profile_both(parent: str, passthrough: list[str]) -> dict:
+    """Profile ``parent`` (a checkout directory or a git revision) and
+    this tree, each in a process of its own that runs this tool with
+    that tree's ``src`` on ``PYTHONPATH``; print each side's report and
+    both side by side, and return ``{"parent": figures, "change":
+    figures}``."""
+    figures = {}
+    with tempfile.TemporaryDirectory(prefix="sample-profile-") as tmp:
+        (Path(tmp) / "parent").mkdir()
+        trees = {"parent": materialize(parent, Path(tmp) / "parent"), "change": REPO_ROOT}
+        for side, tree in trees.items():
+            out = Path(tmp) / f"{side}.json"
+            env = {**os.environ, "PYTHONPATH": str(tree / "src")}
+            done = subprocess.run(
+                [sys.executable, __file__, *passthrough, "--json", str(out)],
+                env=env, capture_output=True, text=True, check=False,
+            )
+            if done.returncode != 0:
+                raise SystemExit(f"{side} side failed ({tree}):\n{done.stderr[-2000:]}")
+            print(f"# {side}: {tree}\n{done.stdout}")
+            figures[side] = json.loads(out.read_text())
+    print(compare(figures["parent"], figures["change"]))
+    return figures
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -300,9 +384,19 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--seed", type=int, default=7)
     parser.add_argument("--units", type=int, default=5)
     parser.add_argument("--json", metavar="FILE", help="also write the figures as JSON to FILE")
+    parser.add_argument("--parent", metavar="DIR",
+                        help="also profile this checkout directory or git revision")
     args = parser.parse_args(argv)
     if args.units < 1:
         parser.error("--units must be at least 1")
+    if args.parent is not None:
+        source_args = (["--config", args.config] if args.config is not None
+                       else ["--workload", args.workload])
+        passthrough = [*source_args, "--seed", str(args.seed), "--units", str(args.units)]
+        figures = profile_both(args.parent, passthrough)
+        if args.json is not None:
+            Path(args.json).write_text(json.dumps(figures, indent=1) + "\n")
+        return 0
     if args.config is not None:
         fields, title = json.loads(args.config), "config"
     else:
