@@ -3,7 +3,12 @@
 The paper writes ``DAG[r, v]`` for the block(s) of round ``r`` authored
 by validator ``v`` — plural because a Byzantine ``v`` may equivocate
 (Appendix A).  The store therefore indexes blocks by digest, by
-``(round, author)`` slot (a tuple, in arrival order), and by round.
+``(round, author)`` slot, and by round.  On an uncertified DAG every
+validator holds every block of every round, so the indexes hold the
+shared block objects and no container per block: a slot holds its one
+block, and becomes a tuple of siblings (in arrival order) only when an
+equivocating second block arrives; a round's authors are its slot
+dict's live ``keys()`` view.
 
 The store only accepts blocks whose parents are all present, which
 upholds the paper's rule that validators admit a block only after
@@ -14,11 +19,16 @@ and :mod:`repro.runtime.synchronizer`).
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, KeysView
 
 from ..block import Block, BlockRef, GENESIS_ROUND
 from ..crypto.hashing import Digest
 from ..errors import DuplicateBlockError, UnknownBlockError
+
+#: The slots of a round with no blocks, and the one authors view
+#: :meth:`DagStore.authors_at_round` reads for it.
+_NO_SLOTS: dict[int, Block] = {}
+_NO_AUTHORS: KeysView[int] = _NO_SLOTS.keys()
 
 
 class DagStore:
@@ -26,18 +36,16 @@ class DagStore:
 
     def __init__(self) -> None:
         self._by_digest: dict[Digest, Block] = {}
-        # round -> author -> blocks (arrival order; tuples, so that
-        # ``slot_blocks`` hands them out uncopied).  Nesting small int
+        # round -> author -> the slot's block, or the tuple of its
+        # equivocating siblings in arrival order.  Nesting small int
         # keys instead of keying by ``(round, author)`` tuples avoids
         # allocating and hashing a fresh tuple per slot probe in the
         # commit walk, and lets GC drop a whole round with one pop.
-        self._by_slot: dict[int, dict[int, tuple[Block, ...]]] = {}
+        self._by_slot: dict[int, dict[int, Block | tuple[Block, ...]]] = {}
         self._by_round: dict[int, list[Block]] = {}
-        # round -> materialized tuple of its blocks / frozenset of its
-        # authors, built lazily by ``round_blocks`` / ``authors_at_round``
-        # and dropped when the round gains a block / an author.
+        # round -> materialized tuple of its blocks, built lazily by
+        # ``round_blocks`` and dropped when the round gains a block.
         self._round_tuples: dict[int, tuple[Block, ...]] = {}
-        self._author_sets: dict[int, frozenset[int]] = {}
         #: Highest round with at least one block (-1 when empty).
         self.highest_round = -1
         #: Lowest retained round (rises under garbage collection and
@@ -82,9 +90,13 @@ class DagStore:
         round_slots = self._by_slot.get(round_number)
         if round_slots is None:
             round_slots = self._by_slot[round_number] = {}
-        if author not in round_slots:
-            self._author_sets.pop(round_number, None)
-        round_slots[author] = round_slots.get(author, ()) + (block,)
+        held = round_slots.get(author)
+        if held is None:
+            round_slots[author] = block
+        elif type(held) is tuple:
+            round_slots[author] = held + (block,)
+        else:
+            round_slots[author] = (held, block)
         self._by_round.setdefault(round_number, []).append(block)
         self._round_tuples.pop(round_number, None)
         if round_number > self.highest_round:
@@ -139,10 +151,8 @@ class DagStore:
 
     def slot_blocks(self, round_number: int, author: int) -> tuple[Block, ...]:
         """All blocks at ``DAG[round, author]`` — several if equivocating."""
-        round_slots = self._by_slot.get(round_number)
-        if round_slots is None:
-            return ()
-        return round_slots.get(author, ())
+        held = self._by_slot.get(round_number, _NO_SLOTS).get(author, ())
+        return held if type(held) is tuple else (held,)
 
     def round_blocks(self, round_number: int) -> tuple[Block, ...]:
         """All blocks of a round, in arrival order (``DAG[r, *]``).
@@ -160,17 +170,16 @@ class DagStore:
         result = self._round_tuples[round_number] = tuple(blocks)
         return result
 
-    def authors_at_round(self, round_number: int) -> frozenset[int]:
-        """Distinct authors with at least one block in the round
-        (memoized like :meth:`round_blocks`)."""
-        cached = self._author_sets.get(round_number)
-        if cached is not None:
-            return cached
+    def authors_at_round(self, round_number: int) -> KeysView[int]:
+        """Distinct authors with at least one block in the round.
+
+        The result is a read-only *live* set-like view of the round's
+        slots: it shows an author the moment its first block is added,
+        so a caller that keeps it sees later insertions (every caller
+        consumes it at once).  A round with no blocks reads one shared
+        empty view."""
         round_slots = self._by_slot.get(round_number)
-        if round_slots is None:
-            return frozenset()
-        result = self._author_sets[round_number] = frozenset(round_slots)
-        return result
+        return _NO_AUTHORS if round_slots is None else round_slots.keys()
 
     def num_authors_at_round(self, round_number: int) -> int:
         """Count of distinct authors at the round (quorum checks)."""
@@ -226,6 +235,5 @@ class DagStore:
                 removed += 1
             self._by_slot.pop(r, None)
             self._round_tuples.pop(r, None)
-            self._author_sets.pop(r, None)
         self.lowest_round = max(self.lowest_round, round_number)
         return removed

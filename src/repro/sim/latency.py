@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 import random
 from abc import ABC, abstractmethod
+from collections import defaultdict
 from typing import Callable
 
 #: The five regions of the paper's evaluation, in assignment order.
@@ -60,7 +61,8 @@ class LatencyModel(ABC):
     def make_sampler(self, rng: random.Random) -> Callable[[int, int], float]:
         """A fast ``(src, dst) -> delay`` closure for the network hot path.
 
-        Base delays are memoized per pair and jitter multipliers are
+        Base delays are memoized per source, then per destination (no
+        key tuple to build per message), and jitter multipliers are
         pre-sampled in blocks of :data:`_JITTER_BLOCK`, so the per-message
         cost is a dict hit plus a list index instead of a method dispatch
         and an ``exp(gauss())`` pair.  Draws come off ``rng`` in blocks,
@@ -79,15 +81,15 @@ class LatencyModel(ABC):
 
             return sample_custom
 
-        base_cache: dict[tuple[int, int], float] = {}
+        base_cache: defaultdict[int, dict[int, float]] = defaultdict(dict)
         base_delay = self.base_delay
         sigma = self.jitter_sigma
         if sigma <= 0.0:
 
             def sample_fast(src: int, dst: int) -> float:
-                delay = base_cache.get((src, dst))
+                delay = base_cache[src].get(dst)
                 if delay is None:
-                    delay = base_cache[(src, dst)] = base_delay(src, dst)
+                    delay = base_cache[src][dst] = base_delay(src, dst)
                 return delay
 
             return sample_fast
@@ -99,9 +101,9 @@ class LatencyModel(ABC):
 
         def sample_jittered(src: int, dst: int) -> float:
             nonlocal jitter, cursor
-            delay = base_cache.get((src, dst))
+            delay = base_cache[src].get(dst)
             if delay is None:
-                delay = base_cache[(src, dst)] = base_delay(src, dst)
+                delay = base_cache[src][dst] = base_delay(src, dst)
             if cursor >= _JITTER_BLOCK:
                 jitter = [exp(gauss(0.0, sigma)) for _ in range(_JITTER_BLOCK)]
                 cursor = 0

@@ -30,16 +30,16 @@ serialization, propagation and jitter, partition and scheduler delay,
 the per-link FIFO clamp, the delivery tick, the link queue), and
 :meth:`SimNetwork.send` is that pass over one peer.  Each directed link
 is one :class:`Link` record, reached by index (``_links[src][dst]``): its
-FIFO clamp, its queue of ``(arrival, Message)`` entries, and the identity
+FIFO clamp, its queue of ``(arrival, Message)`` entries (a plain list:
+a link seldom holds more than one pending message), and the identity
 its at most one flush event on the loop carries.  That event fires at
-the queue head's tick boundary and hands every message due by then to
-the receiver as one batch.
+the queue head's tick boundary, hands every message due by then to the
+receiver as one batch and deletes that prefix in one slice.
 """
 
 from __future__ import annotations
 
 import random
-from collections import deque
 from typing import Any, Callable, Iterable, NamedTuple, Protocol
 
 from ..obs.trace import NULL_TRACER
@@ -76,8 +76,9 @@ class Link:
             clamp for the next hop.
         queue: Pending ``(arrival, Message)`` deliveries, batched under
             one outstanding flush event.  The clamp makes arrival times
-            monotonic, so the queue stays sorted by construction and a
-            flush is armed exactly while it is non-empty.
+            monotonic, so the queue stays sorted by construction, a
+            flush is armed exactly while it is non-empty and what it
+            delivers is a prefix.
     """
 
     __slots__ = ("dst", "last", "queue")
@@ -85,7 +86,7 @@ class Link:
     def __init__(self, dst: int) -> None:
         self.dst = dst
         self.last = 0.0
-        self.queue: deque[tuple[float, Message]] = deque()
+        self.queue: list[tuple[float, Message]] = []
 
 
 class MessageScheduler(Protocol):
@@ -448,10 +449,12 @@ class SimNetwork:
         """
         queue = link.queue
         now = self._loop.now
-        due: list[Message] = []
-        while queue and queue[0][0] <= now:
-            due.append(queue.popleft()[1])
-        if due:
+        count = len(queue)  # the due prefix: arrivals are sorted
+        while count and queue[count - 1][0] > now:
+            count -= 1
+        if count:
+            due = [message for _, message in queue[:count]]
+            del queue[:count]
             handler = self._batch_handlers.get(link.dst)
             if handler is not None:
                 handler(due)

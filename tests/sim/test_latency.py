@@ -1,5 +1,6 @@
 """Tests for the WAN latency models."""
 
+import math
 import random
 
 import pytest
@@ -9,6 +10,7 @@ from repro.sim.latency import (
     PAPER_REGIONS,
     UniformLatencyModel,
     WAN_PRESETS,
+    _JITTER_BLOCK,
     _ONE_WAY,
     wan_matrix_model,
 )
@@ -107,6 +109,27 @@ class TestMakeSampler:
         a = model.make_sampler(random.Random(7))
         b = model.make_sampler(random.Random(7))
         assert [a(0, 1) for _ in range(100)] == [b(0, 1) for _ in range(100)]
+
+    def test_every_pair_reads_its_base_delay_times_the_next_jitter_draw(self):
+        """Bit for bit, over every pair of a 50-validator WAN in a
+        scrambled order and across jitter refills: the memo of base
+        delays (kept per source) changes no value."""
+        model = wan_matrix_model("paper-5", 50)
+        assert model.jitter_sigma > 0.0
+        order = [(src, dst) for src in range(50) for dst in range(50) if src != dst]
+        random.Random(3).shuffle(order)
+        order += order[:100]  # memo hits
+        sampler = model.make_sampler(random.Random(7))
+        draws, jitter = random.Random(7), []
+        for index, (src, dst) in enumerate(order):
+            if index % _JITTER_BLOCK == 0:
+                jitter = [
+                    math.exp(draws.gauss(0.0, model.jitter_sigma)) for _ in range(_JITTER_BLOCK)
+                ]
+            expected = model.base_delay(src, dst) * jitter[index % _JITTER_BLOCK]
+            assert sampler(src, dst) == expected
+        flat = UniformLatencyModel(0.1).make_sampler(random.Random(0))
+        assert [flat(src, dst) for src, dst in order[:200]] == [0.1] * 200
 
     def test_subclass_sample_override_is_honored(self):
         class ConstantModel(UniformLatencyModel):

@@ -622,3 +622,21 @@ def test_bench_trajectory(tmp_path):
         "BENCH_13.json: rt/7/peak_rss_mb has no verdict"
     ]
     assert ci_checks.main(["bench-trajectory", str(tmp_path)]) == 1
+
+
+def test_bench_trajectory_wants_counts_for_every_simulator_run(tmp_path):
+    """A ``sim-*`` run of the newest file without both sides' counts
+    fails; an older file without them is exempt."""
+    spec = {"workloads": [{"name": "sim-a"}, {"name": "rt"}], "end_to_end": [{"name": "wall_s"}]}
+    write(tmp_path / "BENCHMARK.json", spec)
+    counts = {"parent": {"calls_per_unit": 10}, "change": {"calls_per_unit": 9}}
+    counted = {**bench_entry(wall_s="unchanged")["7"], "counts": counts}
+    uncounted = {
+        "sim-a": {"7": counted, "11": bench_entry(wall_s="gain")["7"]},
+        "rt": bench_entry(wall_s="unchanged"),
+    }
+    write(tmp_path / "BENCH_1.json", {"workloads": uncounted})
+    assert ci_checks.bench_trajectory(str(tmp_path)) == ["BENCH_1.json: sim-a/11 has no counts"]
+    clean = {**uncounted, "sim-a": {"7": counted, "11": counted}}
+    write(tmp_path / "BENCH_2.json", {"workloads": clean})
+    assert ci_checks.bench_trajectory(str(tmp_path)) == []

@@ -16,7 +16,9 @@ from perf_pairs import (  # noqa: E402
     count_wins,
     failures,
     merge_bench,
+    COUNTS,
     quartiles,
+    sim_counts,
     summarize,
     verdict,
 )
@@ -122,3 +124,17 @@ def test_merge_bench_keeps_the_other_workloads_and_seeds(tmp_path):
         },
         "src_lines": {"parent": 100, "change": 92, "delta": -8},
     }
+
+
+def test_sim_counts_gives_both_sides_exact_counts():
+    """One ``sample_profile --parent`` unit per side (both trees are
+    this one here): the same run reads the same counts on both."""
+    config = {"num_validators": 4, "load_tps": 100, "duration": 0.3, "warmup": 0.1}
+    tree = str(Path(__file__).resolve().parents[2])
+    counts = sim_counts(tree, ["--config", json.dumps(config), "--seed", "3"])
+    assert set(counts) == {"parent", "change"}
+    for side in counts.values():
+        assert set(side) == set(COUNTS)
+        assert side["calls_per_unit"] > 1_000 and len(side["gc_collections_per_unit"]) == 3
+        assert side["traced_peak_bytes_per_unit"] >= side["traced_held_bytes_per_unit"] > 0
+    assert counts["parent"]["calls_per_unit"] == counts["change"]["calls_per_unit"]

@@ -5,6 +5,7 @@ lacks), and runs end to end on a small config, one tree or two."""
 from __future__ import annotations
 
 import json
+import subprocess
 import sys
 from pathlib import Path
 
@@ -20,6 +21,8 @@ from repro.sim.runner import ExperimentConfig
 from repro.statesync.checkpoint import Checkpoint, CommitLedger, chain_digest
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[2] / "tools"))
+
+TOOL = Path(__file__).resolve().parents[2] / "tools" / "sample_profile.py"
 
 from sample_profile import (  # noqa: E402
     BUCKETS,
@@ -102,6 +105,7 @@ def test_a_small_run_end_to_end(capsys, tmp_path):
     config = {"num_validators": 4, "load_tps": 200, "duration": 0.6, "warmup": 0.1}
     profile = profile_config(ExperimentConfig(seed=3, **config), units=2)
     assert profile.units == 2 and profile.calls > 10_000 and profile.wall_s > 0
+    assert profile.traced_peak_bytes >= profile.traced_held_bytes > 100_000
     shares = profile.bucket_shares()
     assert set(shares) == {*BUCKETS, OTHER}
     if profile.stacks:
@@ -110,10 +114,11 @@ def test_a_small_run_end_to_end(capsys, tmp_path):
     assert main(["--config", json.dumps(config), "--units", "2", "--json", str(path)]) == 0
     printed = capsys.readouterr().out
     assert "per-hop receive" in printed and "calls per unit" in printed
-    assert "metrics" in printed
+    assert "metrics" in printed and "held at Experiment._result" in printed
     figures = json.loads(path.read_text())
     assert figures["units"] == 2 and figures["seed"] == 7 and figures["calls_per_unit"] > 10_000
     assert len(figures["gc_collections_per_unit"]) == 3
+    assert figures["traced_peak_bytes_per_unit"] >= figures["traced_held_bytes_per_unit"] > 0
     assert set(figures["buckets"]) == {*BUCKETS, OTHER}
     assert len(figures["unit_buckets"]) == 2
     assert all(set(unit) == {*BUCKETS, OTHER} for unit in figures["unit_buckets"])
@@ -147,8 +152,26 @@ def test_parent_profiles_both_sides_in_one_command(capsys, tmp_path):
     assert main(argv) == 0
     printed = capsys.readouterr().out
     assert "# parent:" in printed and "# change:" in printed and "commit walk self %" in printed
+    assert "traced bytes held" in printed and "gen-0 collections per unit" in printed
     figures = json.loads(path.read_text())
     assert set(figures) == {"parent", "change"}
     for side in figures.values():
         assert side["units"] == 1 and side["missing_roots"] == []
         assert set(side["buckets"]) == {*BUCKETS, OTHER}
+        assert side["traced_held_bytes_per_unit"] > 0
+
+
+def test_the_counted_run_comes_first_so_units_change_no_count(tmp_path):
+    """Each in a fresh process: the traced bytes are what the run itself
+    allocates, not what earlier units left behind."""
+    config = json.dumps({"num_validators": 4, "load_tps": 100, "duration": 0.3, "warmup": 0.1})
+    figures = []
+    for units in (1, 3):
+        out = tmp_path / f"{units}.json"
+        subprocess.run(
+            [sys.executable, str(TOOL), "--config", config, "--units", str(units), "--json", str(out)],
+            check=True, capture_output=True,
+        )
+        figures.append(json.loads(out.read_text()))
+    keys = ("calls_per_unit", "traced_peak_bytes_per_unit", "traced_held_bytes_per_unit")
+    assert [[side[key] for key in keys] for side in figures] == [[figures[0][key] for key in keys]] * 2

@@ -520,9 +520,12 @@ def bench_trajectory(root: str = str(ROOT)) -> list[str]:
     every ``BENCHMARK.json`` workload, with a verdict for every end-to-end
     metric, and none reads ``regression`` unless the file's top-level
     ``named_regressions`` names it (``"<workload>/<seed>/<metric>"`` ->
-    why).  Only the paired verdicts inside that one file are judged —
-    parent and change ran alternately on one host in one session — never
-    medians across files, which drift about 15 % between sessions."""
+    why).  Every run of a simulator (``sim-*``) workload carries both
+    sides' exact ``counts`` (``tools/perf_pairs.py --bench`` records
+    them).  Only the paired verdicts and counts inside that one file are
+    judged — parent and change ran alternately on one host in one
+    session — never medians across files, which drift about 15 % between
+    sessions."""
     numbered = {
         int(path.stem[len("BENCH_") :]): path
         for path in Path(root).glob("BENCH_*.json")
@@ -542,6 +545,8 @@ def bench_trajectory(root: str = str(ROOT)) -> list[str]:
     ]
     for workload, seeds in sorted(runs.items()):
         for seed, entry in sorted(seeds.items()):
+            if workload.startswith("sim-") and not entry.get("counts"):
+                violations.append(f"{path.name}: {workload}/{seed} has no counts")
             for metric in (m["name"] for m in spec["end_to_end"]):
                 key = f"{workload}/{seed}/{metric}"
                 verdict = entry.get("metrics", {}).get(metric, {}).get("verdict")

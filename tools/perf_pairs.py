@@ -29,8 +29,12 @@ With ``--bench FILE`` the run is also merged into ``FILE`` (a
 ``workloads.<workload>.<seed>`` each end-to-end metric's parent and
 change median and quartiles, the change's wins, ties, relative change
 and verdict, and each side's failed operations; under ``src_lines`` the
-``tools/src_lines.py`` totals of both trees.  Other workloads and seeds
-already in the file are kept.
+``tools/src_lines.py`` totals of both trees.  A simulator workload's
+entry also gets ``counts``: both sides' calls, GC collections per
+generation and traced bytes (peak, and held when ``Experiment._result``
+starts) of one run, from one ``tools/sample_profile.py --parent`` unit
+(:data:`COUNTS`) — figures that are exact, where the medians drift.
+Other workloads and seeds already in the file are kept.
 
 Usage::
 
@@ -56,6 +60,15 @@ from src_lines import count_tree  # noqa: E402
 
 #: Share of the pairs the change must win before a gain is claimed.
 WIN_SHARE = 0.9
+
+#: The ``tools/sample_profile.py`` figures a simulator workload's BENCH
+#: entry records under ``counts``, per side.
+COUNTS = (
+    "calls_per_unit",
+    "gc_collections_per_unit",
+    "traced_peak_bytes_per_unit",
+    "traced_held_bytes_per_unit",
+)
 
 
 def quartiles(values: list[float]) -> tuple[float, float, float]:
@@ -120,6 +133,23 @@ def materialize(parent: str, scratch: Path) -> Path:
     )
     subprocess.run(["tar", "-x", "-C", str(scratch)], input=archive.stdout, check=True)
     return scratch
+
+
+def sim_counts(parent: str, source: list[str]) -> dict[str, dict]:
+    """Both sides' :data:`COUNTS` from one ``sample_profile.py --parent``
+    unit of the run ``source`` names (``["--workload", name, "--seed",
+    seed]``, or a ``--config``)."""
+    with tempfile.TemporaryDirectory(prefix="perf-pairs-counts-") as scratch:
+        out = Path(scratch) / "counts.json"
+        command = [
+            sys.executable, str(REPO_ROOT / "tools" / "sample_profile.py"), *source,
+            *("--units", "1", "--parent", parent, "--json", str(out)),
+        ]
+        done = subprocess.run(command, capture_output=True, text=True, check=False)
+        if done.returncode != 0:
+            raise RuntimeError(f"{' '.join(command)} failed:\n{done.stderr[-2000:]}")
+        figures = json.loads(out.read_text())
+    return {side: {key: figures[side][key] for key in COUNTS} for side in ("parent", "change")}
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -187,6 +217,12 @@ def main(argv: list[str] | None = None) -> int:
     if args.bench:
         entry = {"pairs": args.pairs, "command": command, "metrics": metrics}
         entry["operations"] = outcomes
+        if args.workload.startswith("sim-"):
+            source = ["--workload", args.workload, "--seed", str(args.seed)]
+            entry["counts"] = sim_counts(args.parent, source)
+            for key in COUNTS:
+                print(f"{key}: parent {entry['counts']['parent'][key]}, "
+                      f"change {entry['counts']['change'][key]}")
         merge_bench(args.bench, args.workload, args.seed, entry, lines)
     return 0
 

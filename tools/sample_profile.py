@@ -13,9 +13,13 @@ harness inflates them).  Each unit is two runs:
   :data:`INTERVAL` of process CPU time (the kernel rounds it up to its
   tick, often 4 ms) and the handler keeps the interrupted Python stack.
 
-One more run, once (a run is deterministic), is **counted**:
+One more run, once and first (a run is deterministic), is **counted**:
 ``sys.setprofile`` counts every call event, Python functions and
-builtins alike; the run is slow there, and nothing else is measured.
+builtins alike, and ``tracemalloc`` (started just before the
+``Experiment`` is built) gives the run's traced peak and the bytes it
+holds when ``Experiment._result`` starts — the run's DAGs, links and
+books at their fullest.  Both are exact for a given interpreter and
+checkout, like the call count.  The run is slow there, and no time is measured.
 
 A sample is charged to the innermost *bucket root* on its stack — the
 hop's two halves, proposing, the commit walk, the checkpoint ledger
@@ -25,8 +29,8 @@ arrivals, the commit-latency books and the event loop itself
 is the bucket's *self* share; its *inclusive* share counts every sample
 with a root of the bucket anywhere on the stack.  The same two shares
 are printed for the busiest functions.  ``--json FILE`` also writes the
-figures as JSON: the bucket shares over all units and per unit, calls
-and GC collections per unit.
+figures as JSON: the bucket shares over all units and per unit, calls,
+GC collections and traced bytes per unit.
 
 The roots are named, not imported: each is looked up by qualified name
 in the ``repro`` the tool runs against — the one on ``PYTHONPATH`` if
@@ -58,6 +62,7 @@ import subprocess
 import sys
 import tempfile
 import time
+import tracemalloc
 from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -145,6 +150,10 @@ class Profile:
     wall_s: float = 0.0
     #: Call events of one run.
     calls: int = 0
+    #: ``tracemalloc`` bytes of one run: its peak, and what it holds
+    #: when ``Experiment._result`` starts.
+    traced_peak_bytes: int = 0
+    traced_held_bytes: int = 0
     collections: list[int] = field(default_factory=lambda: [0, 0, 0])
     #: One entry per sample: the stack's code objects, innermost first.
     stacks: list[tuple] = field(default_factory=list)
@@ -179,6 +188,8 @@ class Profile:
             "wall_s_per_unit": self.wall_s / units,
             "calls_per_unit": self.calls,
             "gc_collections_per_unit": [count / units for count in self.collections],
+            "traced_peak_bytes_per_unit": self.traced_peak_bytes,
+            "traced_held_bytes_per_unit": self.traced_held_bytes,
             "buckets": _shares_json(self.bucket_shares()),
             "unit_buckets": [
                 _shares_json(self.bucket_shares(self.stacks[start:end]))
@@ -215,6 +226,7 @@ def _name(code) -> str:
 
 
 _RUN_CODE = Experiment.run.__code__
+_RESULT_CODE = Experiment._result.__code__
 
 
 def _outermost_run(frame):
@@ -269,31 +281,42 @@ def _sampled(config: ExperimentConfig, profile: Profile) -> None:
 
 
 def _counted(config: ExperimentConfig, profile: Profile) -> None:
-    experiment = _fresh(config)
-    calls = [0]
-
-    def count(frame, event, arg):
-        if event == "call" or event == "c_call":
-            calls[0] += 1
-
-    sys.setprofile(count)
+    tracemalloc.start()
     try:
-        experiment.run(check_safety=False)
+        experiment = _fresh(config)
+        calls = [0]
+        held = []
+
+        def count(frame, event, arg):
+            if event == "call" or event == "c_call":
+                calls[0] += 1
+                if frame.f_code is _RESULT_CODE and event == "call":
+                    held.append(tracemalloc.get_traced_memory()[0])
+
+        sys.setprofile(count)
+        try:
+            experiment.run(check_safety=False)
+        finally:
+            sys.setprofile(None)
+        profile.traced_peak_bytes = tracemalloc.get_traced_memory()[1]
     finally:
-        sys.setprofile(None)
+        tracemalloc.stop()
     # The call that switched the profiler off is not the run's.
     profile.calls = calls[0] - 1
+    profile.traced_held_bytes = held[0]
 
 
 def profile_config(config: ExperimentConfig, units: int = 5) -> Profile:
     """Measure ``units`` units of ``config`` (see the module docstring)."""
     profile = Profile()
+    # Counted first: what earlier runs leave allocated in the process
+    # would otherwise go untraced, and the bytes would depend on --units.
+    _counted(config, profile)
     for _ in range(units):
         _plain(config, profile)
         _sampled(config, profile)
         profile.unit_ends.append(len(profile.stacks))
         profile.units += 1
-    _counted(config, profile)
     return profile
 
 
@@ -321,6 +344,8 @@ def render(title: str, profile: Profile) -> str:
         f"calls per unit (Python and builtin): {profile.calls:,}",
         "GC collections per unit: "
         + ", ".join(f"gen-{g} {n:g}" for g, n in enumerate(per_unit)),
+        f"traced bytes per unit: peak {profile.traced_peak_bytes:,}, "
+        f"held at Experiment._result {profile.traced_held_bytes:,}",
         "",
         f"{'bucket':<18} {'self %':>7} {'incl %':>7}",
     ]
@@ -342,6 +367,15 @@ def compare(parent: dict, change: dict) -> str:
         f"{change['wall_s_per_unit']:11.3f}",
         f"{'calls per unit':<26} {parent['calls_per_unit']:11,} {change['calls_per_unit']:11,}",
     ]
+    for generation in range(3):
+        lines.append(
+            f"{f'gen-{generation} collections per unit':<26} "
+            f"{parent['gc_collections_per_unit'][generation]:11g} "
+            f"{change['gc_collections_per_unit'][generation]:11g}"
+        )
+    for key, label in (("traced_peak_bytes_per_unit", "traced peak bytes"),
+                       ("traced_held_bytes_per_unit", "traced bytes held")):
+        lines.append(f"{label:<26} {parent[key]:11,} {change[key]:11,}")
     for bucket in parent["buckets"]:  # both sides run this tool: the same buckets
         lines.append(
             f"{bucket + ' self %':<26} {parent['buckets'][bucket]['self_pct']:11.1f} "
